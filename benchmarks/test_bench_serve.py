@@ -1,12 +1,15 @@
-"""Serve benchmark gate: warm solves must beat cold by >= 2x.
+"""Serve benchmark gate: a cold served solve costs at most 1.5x a warm one.
 
-The server's economic claim is operator reuse: the first solve of a
-geometry-class population pays the dense M2L/M2M/L2L operator builds,
-and every subsequent solve over an agreeing root box hits the shared
-:class:`~repro.serve.opcache.SharedOperatorCache` instead.  This gate
-serves the same spec twice through a live in-process server — cold on a
-fresh opcache, then warm — and requires ``cold_ms / warm_ms >= 2.0``.
-(Measured headroom is large: order-3 runs land near 10x.)
+The shared :class:`~repro.serve.opcache.SharedOperatorCache` used to be
+the server's economic claim: a cold request paid ~1.4 s of per-class
+M2L operator builds that every later request skipped (~10x).  Batched
+operator assembly (DESIGN.md section 9) builds the same ~1600 order-3
+operators in ~10 ms, so the contract this gate now holds is the
+opposite one: **cold start is no longer a cliff**.  It serves the same
+spec through a live in-process server — cold on a fresh opcache, then
+warm — and requires ``cold_ms <= 1.5 * warm_ms``, plus nonzero cache
+hits (the sharing still has to work, it just stopped being what a cold
+request waits for).
 
 The timing gate needs real cores to be meaningful under the asyncio
 loop + pool threads; below 4 usable CPUs it is skipped.  The *bitwise*
@@ -54,7 +57,7 @@ def _timed(fn):
 
 
 def test_bench_serve_warm_vs_cold(benchmark):
-    """Warm served solve >= 2x faster than cold via operator sharing."""
+    """Cold served solve <= 1.5x warm; operators still shared bitwise."""
     avail = _available_cpus()
     gate_skipped = avail < 4
 
@@ -83,7 +86,7 @@ def test_bench_serve_warm_vs_cold(benchmark):
         assert np.array_equal(out["gradient"], direct["gradient"])
     assert stats["hits"] > 0, "warm solves never hit the shared cache"
 
-    speedup = cold_t / warm_t
+    cold_over_warm = cold_t / warm_t
     record = {
         "bench": "serve_warm_vs_cold_2k",
         "n": SPEC["n"],
@@ -93,7 +96,7 @@ def test_bench_serve_warm_vs_cold(benchmark):
         "gate_skipped": gate_skipped,
         "cold_ms": round(cold_t * 1e3, 3),
         "warm_ms": round(warm_t * 1e3, 3),
-        "warm_speedup": round(speedup, 2),
+        "cold_over_warm": round(cold_over_warm, 2),
         "opcache_entries": stats["entries"],
         "opcache_bytes": stats["bytes"],
         "opcache_hits": stats["hits"],
@@ -110,15 +113,15 @@ def test_bench_serve_warm_vs_cold(benchmark):
     print(
         f"serve warm-vs-cold, n={SPEC['n']} order={SPEC['order']}: "
         f"cold {cold_t * 1e3:.0f} ms, warm {warm_t * 1e3:.0f} ms -> "
-        f"{speedup:.1f}x ({stats['entries']} cached operators, "
+        f"{cold_over_warm:.2f}x ({stats['entries']} cached operators, "
         f"{stats['bytes'] >> 10} KiB)"
     )
     if gate_skipped:
         pytest.skip(
-            f"warm-speedup gate needs >= 4 usable CPUs (have {avail}); "
+            f"cold-vs-warm gate needs >= 4 usable CPUs (have {avail}); "
             "bitwise equality verified above"
         )
-    assert speedup >= 2.0, (
-        f"warm solve only {speedup:.2f}x over cold — operator sharing "
-        "is not paying for itself"
+    assert cold_over_warm <= 1.5, (
+        f"cold solve {cold_over_warm:.2f}x a warm one — operator assembly "
+        "is a cold-start cliff again"
     )

@@ -137,13 +137,19 @@ class CartesianExpansion:
     def l2l_class_operator(self, shift: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(self._l2l_matrix(shift).T)
 
-    def m2l_class_operator(self, displacement: np.ndarray) -> np.ndarray:
-        """Dense M2L for one displacement: A[a, b] = C[a, b] * B[idx[a, b]]."""
+    def m2l_class_operators(self, displacements: np.ndarray) -> list[np.ndarray]:
+        """Dense M2L per displacement row: A_i[a, b] = C[a, b] * B[i, idx[a, b]].
+
+        One derivative-tensor recurrence over the whole ``(m, 3)`` batch
+        (elementwise in ``m``, so row ``i`` equals a single-displacement
+        build bitwise), then one gather per row — each operator owns its
+        memory, as a byte-budgeted operator cache requires.
+        """
         idx, coef = self.mis.m2l_tables()
         B = scaled_derivative_tensors(
-            np.asarray(displacement, dtype=float).reshape(1, 3), 2 * self.order
-        )[0]
-        return B[idx] * coef
+            np.asarray(displacements, dtype=float).reshape(-1, 3), 2 * self.order
+        )
+        return [row[idx] * coef for row in B]
 
     def l2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
         """Matrices A_k turning locals into per-axis derivative coefficient

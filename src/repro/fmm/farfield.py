@@ -414,16 +414,27 @@ def far_field_geometry(
         keys = (
             ((levels[trow] * 17 + k[:, 0] + 8) * 17 + k[:, 1] + 8) * 17 + k[:, 2] + 8
         )
-        for sel in _class_segments(keys):
-            rep = sel[0]
-            op = class_operator(
-                "m2l",
-                int(keys[rep]),
-                lambda rep=rep: expansion.m2l_class_operator(
-                    centers[trow[rep]] - centers[srow[rep]]
-                ),
+        # probe the cache for every class first, then assemble all the
+        # misses in one batched call: a builder call costs ~1300 tiny NumPy
+        # ops whatever its batch size, and a tree has thousands of classes
+        segs = _class_segments(keys)
+        reps = np.fromiter((sel[0] for sel in segs), dtype=np.int64, count=len(segs))
+        op_keys = [
+            (expansion.backend, expansion.order, "m2l", k) for k in keys[reps].tolist()
+        ]
+        ops = [op_cache.get(k) for k in op_keys]
+        miss = [i for i, op in enumerate(ops) if op is None]
+        stats["op_hits"] += len(ops) - len(miss)
+        stats["op_builds"] += len(miss)
+        if miss:
+            mrep = reps[miss]
+            built = expansion.m2l_class_operators(
+                centers[trow[mrep]] - centers[srow[mrep]]
             )
-            m2l_classes.append((srow[sel], trow[sel], op))
+            for i, op in zip(miss, built):
+                op_cache.put(op_keys[i], op)
+                ops[i] = op
+        m2l_classes = [(srow[sel], trow[sel], op) for sel, op in zip(segs, ops)]
 
     w_tgt_ids, w_src_ids = _flatten_pair_dict(lists.w_list)
     x_recv_ids, x_src_ids = _flatten_pair_dict(lists.x_list)

@@ -46,6 +46,7 @@ __all__ = [
     "NearFieldPlan",
     "build_near_field_plan",
     "evaluate_near_field",
+    "evaluate_near_group",
 ]
 
 
@@ -220,6 +221,29 @@ def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> Near
     return store(_plan_from_skeleton(order, skel))
 
 
+def evaluate_near_group(kernel: Kernel, pts, q, t_idx, s_idx, pot, grad) -> None:
+    """One dense ``(t_idx, s_idx)`` block accumulated into its target rows.
+
+    ``pot`` / ``grad`` are the full per-body outputs (``None`` = not
+    wanted; ``pot`` is 1-D for scalar kernels).  The single group body of
+    every back end: serial and engine through :meth:`NearFieldPass.group`,
+    shard workers over their arena views.
+    """
+    if t_idx.size == 0 or s_idx.size == 0:
+        return
+    block, g = kernel.pairwise(
+        pts[t_idx],
+        pts[s_idx],
+        q[s_idx],
+        potential=pot is not None,
+        gradient=grad is not None,
+    )
+    if pot is not None:
+        pot[t_idx] += block[:, 0] if pot.ndim == 1 else block
+    if grad is not None:
+        grad[t_idx] += g
+
+
 class NearFieldPass:
     """One P2P evaluation split into per-source-group stages.
 
@@ -269,19 +293,9 @@ class NearFieldPass:
         tp, sp = plan.tgt_ptr, plan.src_ptr
         t_idx = plan.tgt_idx[tp[g] : tp[g + 1]]
         s_idx = plan.src_idx[sp[g] : sp[g + 1]]
-        if t_idx.size == 0 or s_idx.size == 0:
-            return
-        tgt = self.pts[t_idx]
-        src = self.pts[s_idx]
-        qs = self.q[s_idx]
-        if self.want_potential:
-            block = self.kernel.evaluate(tgt, src, qs, exclude_self=False)
-            if self.dim == 1:
-                self.pot[t_idx] += block[:, 0]
-            else:
-                self.pot[t_idx] += block
-        if self.want_gradient:
-            self.grad[t_idx] += self.kernel.gradient(tgt, src, qs, exclude_self=False)
+        evaluate_near_group(
+            self.kernel, self.pts, self.q, t_idx, s_idx, self.pot, self.grad
+        )
 
     def group_range(self, lo: int, hi: int) -> None:
         """Groups ``[lo, hi)`` in order — the chunked task granularity."""

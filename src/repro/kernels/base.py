@@ -88,6 +88,35 @@ class Kernel(abc.ABC):
     ) -> np.ndarray:
         """Gradient of the field (e.g. acceleration), shape (n_targets, 3)."""
 
+    def pairwise(
+        self,
+        targets: np.ndarray,
+        sources: np.ndarray,
+        strengths: np.ndarray,
+        *,
+        potential: bool = True,
+        gradient: bool = False,
+        exclude_self: bool = False,
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Field and/or gradient of one dense block: ``(pot | None, grad | None)``.
+
+        The near field's single entry point.  The default runs
+        :meth:`evaluate` and :meth:`gradient` separately; a kernel whose
+        two outputs share arithmetic (Laplace: one ``1/r`` per pair)
+        overrides this and derives the other two from it.
+        """
+        pot = (
+            self.evaluate(targets, sources, strengths, exclude_self=exclude_self)
+            if potential
+            else None
+        )
+        grad = (
+            self.gradient(targets, sources, strengths, exclude_self=exclude_self)
+            if gradient
+            else None
+        )
+        return pot, grad
+
     def self_interaction(
         self, positions: np.ndarray, strengths: np.ndarray, *, gradient: bool = False
     ) -> np.ndarray:

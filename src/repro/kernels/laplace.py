@@ -14,6 +14,11 @@ from repro.kernels.base import Kernel, KernelCostProfile
 
 __all__ = ["LaplaceKernel", "GravityKernel"]
 
+#: float64 elements per ``(tile_rows, n_sources)`` temporary of
+#: :meth:`LaplaceKernel.pairwise` (128 KB each, five live at once).  Measured,
+#: not tunable: see DESIGN.md section 7 for the sweep it was read from.
+_TILE_ELEMS = 16384
+
 
 class LaplaceKernel(Kernel):
     """phi(t) = sum_s q_s / |t - s|, grad = -sum_s q_s (t-s)/|t-s|^3."""
@@ -36,25 +41,90 @@ class LaplaceKernel(Kernel):
     def laplace_gradient_scale(self) -> float:
         return 1.0
 
-    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
+    def pairwise(
+        self,
+        targets,
+        sources,
+        strengths,
+        *,
+        potential=True,
+        gradient=False,
+        exclude_self=False,
+    ):
+        """Fused potential + gradient of one dense block, tiled over targets.
+
+        Per-axis layout: the separations are three ``(rows, ns)`` arrays,
+        one ``1/r`` per pair serves both outputs, and targets are walked in
+        tiles of ``_TILE_ELEMS // ns`` rows so every temporary stays
+        cache resident.  The tiling depends on ``(nt, ns)`` only, so two
+        callers handing over the same block get the same bits.
+
+        Zero separations and non-finite pairs contribute nothing (this is
+        what removes a body's own pair when its leaf is in its source
+        set); ``exclude_self`` additionally zeroes the diagonal of a
+        square block.
+        """
         t = np.atleast_2d(np.asarray(targets, dtype=float))
         s = np.atleast_2d(np.asarray(sources, dtype=float))
         q = np.asarray(strengths, dtype=float).reshape(-1)
-        d = t[:, None, :] - s[None, :, :]
-        r2 = np.einsum("tsk,tsk->ts", d, d) + self.softening**2
-        inv_r = _safe_inv_sqrt(r2, exclude_self=exclude_self, square=(t.shape[0] == s.shape[0]))
-        return (inv_r @ q)[:, None]
+        nt, ns = t.shape[0], s.shape[0]
+        pot = np.zeros(nt) if potential else None
+        grad_t = np.zeros((3, nt)) if gradient else None
+        if nt and ns:
+            tx, ty, tz = np.ascontiguousarray(t.T)[:, :, None]
+            sx, sy, sz = np.ascontiguousarray(s.T)
+            eps2 = self.softening**2
+            diagonal = exclude_self and nt == ns
+            rows = min(nt, max(1, _TILE_ELEMS // ns))
+            dx, dy, dz, inv, w = np.empty((5, rows, ns))
+            for lo in range(0, nt, rows):
+                hi = min(lo + rows, nt)
+                n = hi - lo
+                ax, ay, az, r, ww = dx[:n], dy[:n], dz[:n], inv[:n], w[:n]
+                # d = s - t: the sign that makes sum(w * d) the gradient
+                np.subtract(sx, tx[lo:hi], out=ax)
+                np.subtract(sy, ty[lo:hi], out=ay)
+                np.subtract(sz, tz[lo:hi], out=az)
+                np.multiply(ax, ax, out=r)
+                np.multiply(ay, ay, out=ww)
+                r += ww
+                np.multiply(az, az, out=ww)
+                r += ww
+                if eps2:
+                    r += eps2
+                np.sqrt(r, out=r)
+                with np.errstate(divide="ignore"):
+                    np.divide(1.0, r, out=r)
+                r[~np.isfinite(r)] = 0.0
+                if diagonal:
+                    i = np.arange(n)
+                    r[i, i + lo] = 0.0
+                if potential:
+                    np.matmul(r, q, out=pot[lo:hi])
+                if gradient:
+                    np.multiply(r, r, out=ww)
+                    ww *= r
+                    ww *= q
+                    np.einsum("ts,ts->t", ww, ax, out=grad_t[0, lo:hi])
+                    np.einsum("ts,ts->t", ww, ay, out=grad_t[1, lo:hi])
+                    np.einsum("ts,ts->t", ww, az, out=grad_t[2, lo:hi])
+        return (
+            pot[:, None] if potential else None,
+            np.ascontiguousarray(grad_t.T) if gradient else None,
+        )
+
+    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
+        return self.pairwise(
+            targets, sources, strengths, potential=True, gradient=False,
+            exclude_self=exclude_self,
+        )[0]
 
     def gradient(self, targets, sources, strengths, *, exclude_self=False):
-        t = np.atleast_2d(np.asarray(targets, dtype=float))
-        s = np.atleast_2d(np.asarray(sources, dtype=float))
-        q = np.asarray(strengths, dtype=float).reshape(-1)
-        d = t[:, None, :] - s[None, :, :]
-        r2 = np.einsum("tsk,tsk->ts", d, d) + self.softening**2
-        inv_r = _safe_inv_sqrt(r2, exclude_self=exclude_self, square=(t.shape[0] == s.shape[0]))
-        inv_r3 = inv_r**3
         # grad phi = -sum q (t - s) / r^3
-        return -np.einsum("ts,tsk->tk", inv_r3 * q[None, :], d)
+        return self.pairwise(
+            targets, sources, strengths, potential=False, gradient=True,
+            exclude_self=exclude_self,
+        )[1]
 
     def self_interaction(self, positions, strengths, *, gradient=False):
         pts = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -99,15 +169,24 @@ class GravityKernel(LaplaceKernel):
     def laplace_gradient_scale(self) -> float:
         return self.G
 
-    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
-        return -self.G * super().evaluate(
-            targets, sources, strengths, exclude_self=exclude_self
+    def pairwise(
+        self,
+        targets,
+        sources,
+        strengths,
+        *,
+        potential=True,
+        gradient=False,
+        exclude_self=False,
+    ):
+        pot, grad = super().pairwise(
+            targets, sources, strengths, potential=potential, gradient=gradient,
+            exclude_self=exclude_self,
         )
-
-    def gradient(self, targets, sources, strengths, *, exclude_self=False):
         # acceleration = -grad(phi_g) = +G * grad(sum m / r)
-        return self.G * super().gradient(
-            targets, sources, strengths, exclude_self=exclude_self
+        return (
+            -self.G * pot if potential else None,
+            self.G * grad if gradient else None,
         )
 
     def self_interaction(self, positions, strengths, *, gradient=False):
@@ -115,18 +194,3 @@ class GravityKernel(LaplaceKernel):
         return scale * super().self_interaction(
             positions, strengths, gradient=gradient
         )
-
-
-def _safe_inv_sqrt(r2: np.ndarray, *, exclude_self: bool, square: bool) -> np.ndarray:
-    """1/sqrt(r2) with zero distance mapped to zero contribution.
-
-    When ``exclude_self`` and the block is square, the diagonal is zeroed
-    explicitly; otherwise only exact zero separations are suppressed (which
-    removes a body's self-interaction in same-node P2P).
-    """
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / np.sqrt(r2)
-    inv[~np.isfinite(inv)] = 0.0
-    if exclude_self and square:
-        np.fill_diagonal(inv, 0.0)
-    return inv

@@ -29,6 +29,7 @@ trajectory that CI's ``regression-check`` step gates on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -76,7 +77,16 @@ def machine_spec() -> dict[str, Any]:
 
 
 def git_rev(cwd: str | None = None) -> str:
-    """Short git revision of ``cwd`` (or CWD); ``"unknown"`` off-repo."""
+    """Short git revision of ``cwd`` (or CWD); ``"unknown"`` off-repo.
+
+    Asked once per process and directory: every :class:`RunRecord` stamps
+    itself with it, and a served request must not pay a ``git`` fork.
+    """
+    return _git_rev(os.path.abspath(cwd or os.getcwd()))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_rev(cwd: str) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

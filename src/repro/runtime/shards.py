@@ -743,27 +743,22 @@ class _WorkerState:
         self._span("halo", t0)
 
     def _near_groups(self) -> None:
+        from repro.fmm.nearfield import evaluate_near_group
+
         plan, v = self.plan, self.v
-        kernel = plan.kernel
         tp, sp = v["nt_ptr"], v["ns_ptr"]
-        pts, q = v["points"], v["nearq"]
-        dim = plan.value_dim
+        pot = v["near_pot"] if plan.near_potential else None
+        grad = v["near_grad"] if plan.near_gradient else None
         for g in self.my_groups.tolist():
-            t_idx = v["nt_idx"][tp[g] : tp[g + 1]]
-            s_idx = v["ns_idx"][sp[g] : sp[g + 1]]
-            if t_idx.size == 0 or s_idx.size == 0:
-                continue
-            tgt, src, qs = pts[t_idx], pts[s_idx], q[s_idx]
-            if plan.near_potential:
-                block = kernel.evaluate(tgt, src, qs, exclude_self=False)
-                if dim == 1:
-                    v["near_pot"][t_idx] += block[:, 0]
-                else:
-                    v["near_pot"][t_idx] += block
-            if plan.near_gradient:
-                v["near_grad"][t_idx] += kernel.gradient(
-                    tgt, src, qs, exclude_self=False
-                )
+            evaluate_near_group(
+                plan.kernel,
+                v["points"],
+                v["nearq"],
+                v["nt_idx"][tp[g] : tp[g + 1]],
+                v["ns_idx"][sp[g] : sp[g + 1]],
+                pot,
+                grad,
+            )
 
     def _near_self(self) -> None:
         plan, v = self.plan, self.v

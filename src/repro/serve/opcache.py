@@ -1,8 +1,10 @@
 """Process-global geometry-class operator cache shared across tenants.
 
 The far-field sweep builds one dense operator per *geometry class*
-(quantized displacement between interacting cells) and the build cost is
-the dominant cold-start term of a solve.  Those operators depend only on
+(quantized displacement between interacting cells).  Assembly is batched
+(``m2l_class_operators``: one recurrence over every missing class), so a
+request's whole operator set costs ~10 ms to build and sharing it saves
+about that much per request.  Those operators depend only on
 ``(backend, order, kind, class_key)`` **and the absolute cell size**, so
 two requests over different trees share operators exactly when their
 root boxes agree.  :class:`SharedOperatorCache` therefore hands out
@@ -12,8 +14,10 @@ root boxes agree.  :class:`SharedOperatorCache` therefore hands out
 and all tenants whose canonical domain matches hit the same entries.
 
 The store is a lock-protected LRU with a byte budget — operator arrays
-report ``nbytes`` — and exposes the hit/build/evict counters the serve
-status endpoint and metrics gauges publish.  ``get``/``put`` tolerate
+report ``nbytes``, which is what they pin only because every operator
+handed to ``put`` owns its memory (never a view into a batch) — and
+exposes the hit/build/evict counters the serve status endpoint and
+metrics gauges publish.  ``get``/``put`` tolerate
 concurrent calls from any number of engine worker threads; a racing
 double-build of the same operator is benign (both products are bitwise
 identical by construction) and the second ``put`` simply refreshes the

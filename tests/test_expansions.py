@@ -183,3 +183,48 @@ class TestBatchedM2L:
         batch = exp.m2l_batch(M, D)
         for i in range(5):
             assert np.allclose(batch[i], exp.m2l(M[i], D[i]))
+
+
+@pytest.mark.parametrize("Backend", BACKENDS)
+class TestBatchedClassOperators:
+    """``m2l_class_operators(D)`` is the stack of single-displacement builds,
+    bit for bit: far-field results must not depend on which classes
+    happened to miss the operator cache together."""
+
+    @staticmethod
+    def _displacements(rng, m):
+        # what the far field passes: integer offsets (|k|_inf in 2..3) in
+        # units of the cell size of a mix of levels
+        k = rng.integers(-3, 4, size=(m, 3))
+        k[np.abs(k).max(axis=1) < 2, 0] = 3
+        return k * (1.0 / 2.0 ** rng.integers(1, 9, size=m))[:, None]
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_batch_equals_single_builds_bitwise(self, Backend, order, rng):
+        exp = Backend(order)
+        for m in (1, 63, 64, 65, 300):
+            D = self._displacements(rng, m)
+            batch = exp.m2l_class_operators(D)
+            assert len(batch) == m
+            for i in range(0, m, 1 if m <= 65 else 7):
+                (single,) = exp.m2l_class_operators(D[i])
+                assert np.array_equal(batch[i], single)
+
+    def test_operator_applies_m2l(self, Backend, rng):
+        exp = Backend(4)
+        D = self._displacements(rng, 5)
+        M = rng.uniform(-1, 1, (5, exp.n_coeffs)).astype(exp.m2l_class_operators(D[0])[0].dtype)
+        for i, op in enumerate(exp.m2l_class_operators(D)):
+            assert np.allclose(M[i] @ op, exp.m2l(M[i], D[i]))
+
+    def test_each_operator_owns_its_memory(self, Backend, rng):
+        # a byte-budgeted LRU counts nbytes per entry: a view into a shared
+        # batch would pin the whole batch while reporting one operator
+        ops = Backend(3).m2l_class_operators(self._displacements(rng, 70))
+        assert all(op.base is None and op.flags.owndata for op in ops)
+
+    def test_zero_displacement_raises(self, Backend, rng):
+        D = self._displacements(rng, 4)
+        D[2] = 0.0
+        with pytest.raises(ValueError, match="zero displacement"):
+            Backend(3).m2l_class_operators(D)

@@ -52,6 +52,145 @@ class TestLaplace:
             LaplaceKernel(softening=-1)
 
 
+def _pairwise_reference(t, s, q, softening=0.0, exclude_self=False):
+    """The plain ``(t, s, 3)`` formulation the fused kernel replaced.
+
+    Returns ``(pot, grad, pot_scale, grad_scale)``; the scales are the
+    sums of absolute per-pair contributions, i.e. what one ulp of
+    accumulated round-off is measured against.
+    """
+    d = t[:, None, :] - s[None, :, :]
+    r2 = np.einsum("tsk,tsk->ts", d, d) + softening**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.sqrt(r2)
+    inv[~np.isfinite(inv)] = 0.0
+    if exclude_self and t.shape[0] == s.shape[0]:
+        np.fill_diagonal(inv, 0.0)
+    terms = (inv**3 * q[None, :])[:, :, None] * d
+    return (
+        inv @ q,
+        -terms.sum(axis=1),
+        np.abs(inv * q[None, :]).sum(axis=1),
+        np.abs(terms).sum(axis=1),
+    )
+
+
+#: round-off allowed between the two formulations, in units of eps times
+#: the sum of absolute contributions: 8 for the potential (r2 and the row
+#: sum are accumulated in another order); the gradient's weight is inv**3,
+#: which carries three times inv's relative error
+_ULPS = 8 * np.finfo(float).eps
+_GRAD_ULPS = 3 * _ULPS
+
+#: (nt, ns): single target, single source, nt not a multiple of the tile
+#: height (16384 // 100 = 163 rows), ns over the tile budget (1-row tiles)
+_PAIRWISE_SHAPES = [(1, 7), (9, 1), (400, 100), (5, 20000)]
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("nt,ns", _PAIRWISE_SHAPES)
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    @pytest.mark.parametrize("want", [(True, False), (False, True), (True, True)])
+    def test_matches_plain_reference(self, rng, nt, ns, softening, want):
+        k = LaplaceKernel(softening=softening)
+        t = rng.uniform(-1, 1, (nt, 3))
+        s = rng.uniform(-1, 1, (ns, 3))
+        q = rng.uniform(-1, 1, ns)
+        pot, grad = k.pairwise(t, s, q, potential=want[0], gradient=want[1])
+        ref_pot, ref_grad, pot_scale, grad_scale = _pairwise_reference(t, s, q, softening)
+        if want[0]:
+            assert pot.shape == (nt, 1)
+            assert np.all(np.abs(pot[:, 0] - ref_pot) <= _ULPS * pot_scale)
+        else:
+            assert pot is None
+        if want[1]:
+            assert grad.shape == (nt, 3)
+            assert np.all(np.abs(grad - ref_grad) <= _GRAD_ULPS * grad_scale)
+        else:
+            assert grad is None
+
+    @pytest.mark.parametrize("make", [LaplaceKernel, lambda: GravityKernel(G=2.5, softening=0.01)])
+    def test_evaluate_and_gradient_are_the_pairwise_outputs(self, rng, make):
+        k = make()
+        t = rng.uniform(-1, 1, (300, 3))
+        s = rng.uniform(-1, 1, (90, 3))
+        q = rng.uniform(0.1, 1, 90)
+        pot, grad = k.pairwise(t, s, q, potential=True, gradient=True)
+        assert np.array_equal(k.evaluate(t, s, q), pot)
+        assert np.array_equal(k.gradient(t, s, q), grad)
+        assert np.array_equal(k.pairwise(t, s, q, potential=True, gradient=False)[0], pot)
+        assert np.array_equal(k.pairwise(t, s, q, potential=False, gradient=True)[1], grad)
+
+    def test_gravity_scales_the_laplace_block(self, rng):
+        t = rng.uniform(-1, 1, (40, 3))
+        s = rng.uniform(-1, 1, (60, 3))
+        q = rng.uniform(0.1, 1, 60)
+        pot, grad = LaplaceKernel(softening=0.02).pairwise(t, s, q, gradient=True)
+        gpot, ggrad = GravityKernel(G=3.0, softening=0.02).pairwise(t, s, q, gradient=True)
+        assert np.array_equal(gpot, -3.0 * pot)
+        assert np.array_equal(ggrad, 3.0 * grad)
+
+    def test_coincident_pair_is_suppressed(self, rng):
+        k = LaplaceKernel()
+        s = rng.uniform(-1, 1, (50, 3))
+        q = rng.uniform(0.1, 1, 50)
+        t = np.vstack([s[17], rng.uniform(-1, 1, (3, 3))])  # target 0 sits on source 17
+        pot, grad = k.pairwise(t, s, q, gradient=True)
+        keep = np.arange(50) != 17
+        ref_pot, ref_grad = k.pairwise(t[:1], s[keep], q[keep], gradient=True)
+        assert np.isfinite(pot).all() and np.isfinite(grad).all()
+        assert pot[0, 0] == pytest.approx(ref_pot[0, 0], rel=1e-14)
+        assert grad[0] == pytest.approx(ref_grad[0], rel=1e-12)
+
+    def test_nan_source_row(self, rng):
+        # the potential drops the pair (its 1/r is non-finite); the gradient
+        # multiplies the zero weight by a NaN separation, so NaN propagates
+        # to every target -- which is what the NaN/Inf guardrail keys on
+        k = LaplaceKernel()
+        t = rng.uniform(-1, 1, (6, 3))
+        s = rng.uniform(-1, 1, (30, 3))
+        q = rng.uniform(0.1, 1, 30)
+        s[4] = np.nan
+        pot, grad = k.pairwise(t, s, q, gradient=True)
+        ref_pot, ref_grad, pot_scale, _ = _pairwise_reference(t, s, q)
+        assert np.all(np.abs(pot[:, 0] - ref_pot) <= _ULPS * pot_scale)
+        assert np.isnan(ref_grad).all() and np.isnan(grad).all()
+
+    @pytest.mark.parametrize("softening", [0.0, 0.05])
+    def test_exclude_self_on_a_square_block_spanning_tiles(self, rng, softening):
+        # 300 x 300 with 54-row tiles: the diagonal offset moves every tile
+        k = LaplaceKernel(softening=softening)
+        pts = rng.uniform(-1, 1, (300, 3))
+        q = rng.uniform(0.1, 1, 300)
+        pot, grad = k.pairwise(pts, pts, q, gradient=True, exclude_self=True)
+        ref_pot, ref_grad, pot_scale, grad_scale = _pairwise_reference(
+            pts, pts, q, softening, exclude_self=True
+        )
+        assert np.all(np.abs(pot[:, 0] - ref_pot) <= _ULPS * pot_scale)
+        assert np.all(np.abs(grad - ref_grad) <= _GRAD_ULPS * grad_scale)
+        if softening:
+            # without exclude_self the softened self pair q/eps is present
+            full = k.pairwise(pts, pts, q)[0]
+            assert np.allclose(full[:, 0] - pot[:, 0], q / softening, rtol=1e-9)
+
+    def test_empty_blocks(self):
+        k = LaplaceKernel()
+        pot, grad = k.pairwise(np.zeros((0, 3)), np.ones((4, 3)), np.ones(4), gradient=True)
+        assert pot.shape == (0, 1) and grad.shape == (0, 3)
+        pot, grad = k.pairwise(np.ones((2, 3)), np.zeros((0, 3)), np.zeros(0), gradient=True)
+        assert np.array_equal(pot, np.zeros((2, 1))) and np.array_equal(grad, np.zeros((2, 3)))
+
+    def test_base_class_default_is_evaluate_plus_gradient(self, rng):
+        k = RegularizedStokesletKernel()
+        t = rng.uniform(-1, 1, (12, 3))
+        s = rng.uniform(-1, 1, (20, 3))
+        f = rng.uniform(-1, 1, (20, 3))
+        vel, none = k.pairwise(t, s, f)
+        assert none is None
+        assert np.array_equal(vel, k.evaluate(t, s, f))
+        assert k.pairwise(t, s, f, potential=False)[0] is None
+
+
 class TestGravity:
     def test_acceleration_direction(self):
         # a body at x=2 is pulled toward a mass at the origin (-x direction)

@@ -163,6 +163,35 @@ def test_farfield_reports_partial_rebuild_after_single_pushdown():
     assert stats["op_builds"] - ops_before <= ops_before
 
 
+def test_cold_solve_builds_each_class_once_then_repair_is_all_hits():
+    from repro.fmm.evaluator import FMMSolver
+
+    tree = _tree()
+    solver = FMMSolver(LaplaceKernel(), order=3)
+    solver.solve(tree, np.ones(tree.n_bodies), gradient=True)
+    lists = solver.list_cache.get(tree, folded=True)
+    stats = lists.farfield_geometry_stats
+    geom = far_field_geometry(tree, lists, solver.expansion)  # a hit
+    n_classes = len(geom.m2l_classes) + len(geom.up_classes) + len(geom.down_classes)
+    assert len(geom.m2l_classes) > 50
+    assert stats["builds"] == 1
+    assert stats["op_builds"] == n_classes and stats["op_hits"] == 0
+
+    # split a leaf and merge it back: the lists are repaired twice and the
+    # structural layer is dropped, but every class of the (restored) shape
+    # is already in the operator cache
+    leaf = _splittable_leaf(tree)
+    tree.pushdown(leaf)
+    tree.collapse(leaf)
+    assert solver.list_cache.get(tree, folded=True) is lists
+    geom2 = far_field_geometry(tree, lists, solver.expansion)
+    assert stats["builds"] == 2 and stats["partial_rebuilds"] == 1
+    assert stats["op_builds"] == n_classes
+    assert stats["op_hits"] == n_classes
+    for (_, _, a), (_, _, b) in zip(geom.m2l_classes, geom2.m2l_classes):
+        assert a is b
+
+
 def test_farfield_results_exact_after_repair():
     tree = _tree(n=500, S=12, seed=9)
     cache = ListCache()

@@ -25,6 +25,22 @@ class TestRunLedger:
         assert stored.metrics["ms"] == 10.0
         assert stored.machine == rec.machine
 
+    def test_git_rev_forks_once_per_directory(self, tmp_path, monkeypatch):
+        from repro.obs import ledger as ledger_mod
+
+        calls = []
+        real_run = ledger_mod.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(ledger_mod.subprocess, "run", counting_run)
+        monkeypatch.chdir(tmp_path)  # a directory no earlier test asked about
+        revs = {RunRecord(bench="b").stamp().git_rev for _ in range(5)}
+        assert len(revs) == 1 and calls == [str(tmp_path)]
+        assert ledger_mod.git_rev(str(tmp_path)) in revs and len(calls) == 1
+
     def test_jsonl_one_record_per_line(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         ledger = RunLedger(str(path))
