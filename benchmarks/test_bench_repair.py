@@ -24,7 +24,7 @@ from pathlib import Path
 
 import _ledger
 from repro.distributions.generators import plummer
-from repro.fmm.evaluator import CartesianExpansion
+from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm.farfield import far_field_geometry
 from repro.fmm.nearfield import build_near_field_plan
 from repro.tree import AdaptiveOctree, ListCache

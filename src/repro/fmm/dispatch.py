@@ -1,0 +1,212 @@
+"""The one solve dispatcher shared by every FMM solver.
+
+A solve is *an ordered list of far-field passes* (a :class:`FarPass`: a
+:class:`~repro.fmm.farfield.PassSpec` plus its source array — Laplace
+runs one, the composite Stokeslet seven) *plus one near field*.
+:class:`PassListSolver` owns everything about running that list that
+does not depend on which kernel it serves:
+
+* **dispatch** — no engine: the serial sweeps; a thread
+  :class:`~repro.runtime.engine.ExecutionEngine`: all passes and the near
+  field as one task graph; a :class:`~repro.runtime.shards.ProcessEngine`:
+  one sharded session;
+* **the degrade ladder** — an unrecoverable graph or shard failure
+  discards the partial run and re-executes the whole list on the exact
+  serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``),
+  except a ``deadline_fatal`` deadline, which propagates; deliberate
+  cancellation propagates too;
+* **the bookkeeping** — ``last_engine_result`` / ``last_shard_result`` of
+  the run that produced the answer, cleared when that run was discarded.
+
+Every back end returns, per pass, bitwise what the serial sweep returns
+(DESIGN.md §9/§10/§14), so solvers are "build passes → dispatch →
+combine" and never see which one ran.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.expansions.cartesian import CartesianExpansion
+from repro.fmm.farfield import FarFieldPass, PassSpec
+from repro.fmm.nearfield import NearFieldPass
+from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.tree.cache import ListCache
+
+__all__ = ["FarPass", "PassListSolver"]
+
+
+@dataclass
+class FarPass:
+    """One far-field pass of a solve: what to compute, from which strengths."""
+
+    spec: PassSpec
+    source: np.ndarray  # (n,) charges or (n, 3) dipole moments
+    tag: str = ""  # task-label prefix in a multi-pass engine graph
+
+    @property
+    def kwargs(self) -> dict:
+        """The pass as :class:`FarFieldPass` / ``laplace_far_field`` keywords."""
+        return {
+            self.spec.kind: self.source,
+            "potential": self.spec.potential,
+            "gradient": self.spec.gradient,
+        }
+
+
+class PassListSolver:
+    """Constructor state, dispatch and degrade ladder of an FMM solver.
+
+    Subclasses set :attr:`solver_label` and implement the two serial
+    sweeps, :meth:`_far_field` and :meth:`_near_field`, as calls through
+    *their own module's* ``laplace_far_field`` / ``evaluate_near_field``
+    globals — profilers (``benchmarks/step_budget``) wrap those names per
+    solver module.
+    """
+
+    #: the ``solver`` label of ``runtime_degraded_total``
+    solver_label = ""
+
+    def __init__(
+        self,
+        kernel,
+        *,
+        order: int = 4,
+        expansion=None,
+        folded: bool = True,
+        list_cache: ListCache | None = None,
+        telemetry: Telemetry | None = None,
+        engine=None,
+    ) -> None:
+        self.kernel = kernel
+        self.expansion = expansion if expansion is not None else CartesianExpansion(order)
+        self.order = self.expansion.order
+        self.folded = folded
+        #: interaction lists are memoized per tree shape, so repeated solves
+        #: on a frozen-shape tree (the time-stepping loop) skip list builds;
+        #: pass a shared cache to pool entries with an executor/balancer
+        self.list_cache = list_cache if list_cache is not None else ListCache()
+        #: per-op far-field spans go here (no-op bundle by default)
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: :class:`repro.runtime.engine.ExecutionEngine` (solves run as one
+        #: concurrent task graph), :class:`repro.runtime.shards.ProcessEngine`
+        #: (sharded worker processes) or ``None`` (serial)
+        self.engine = engine
+        #: :class:`repro.runtime.engine.EngineResult` of the last engine solve
+        self.last_engine_result = None
+        #: :class:`repro.runtime.shards.ShardRunResult` of the last sharded solve
+        self.last_shard_result = None
+        #: engine failures absorbed by the serial fallback (DESIGN.md §11)
+        self.degraded_runs = 0
+
+    # ---------------------------------------------------------- serial sweeps
+    def _far_field(self, tree, lists, **source):
+        raise NotImplementedError
+
+    def _near_field(self, tree, lists, q, *, potential, gradient):
+        raise NotImplementedError
+
+    # --------------------------------------------------------------- dispatch
+    def _solve_passes(self, tree, lists, passes, near_q, *, potential=True, gradient=False):
+        """Run ``passes`` and the near field of ``near_q`` on the back end.
+
+        ``potential`` / ``gradient`` are the near field's output flags
+        (each pass carries its own).  Callers validate their inputs
+        *before* this call: nothing here — not even the list fetch for
+        ``lists=None`` — runs on malformed input.  Returns ``(lists, far,
+        near_pot, near_grad)`` with ``far`` one ``(pot, grad)`` per pass.
+        """
+        if lists is None:
+            lists = self.list_cache.get(tree, folded=self.folded)
+        near = dict(potential=potential, gradient=gradient)
+        engine = self.engine
+        if engine is None:
+            return (lists, *self._run_serial(tree, lists, passes, near_q, near))
+
+        # imported here: repro.fmm / repro.runtime package inits would cycle
+        from repro.runtime.engine import GraphDeadlineError, GraphExecutionError
+        from repro.runtime.shards import ShardExecutionError
+
+        sharded = getattr(engine, "is_process", False)
+        try:
+            if sharded:
+                out = self._run_shards(tree, lists, passes, near_q, near)
+                self.last_shard_result = engine.last_result
+            else:
+                out = self._run_graph(tree, lists, passes, near_q, near)
+        except (GraphExecutionError, ShardExecutionError) as exc:
+            # the partial run is discarded whole
+            if sharded:
+                self.last_shard_result = None
+            else:
+                self.last_engine_result = None
+            if isinstance(exc, GraphDeadlineError) and engine.config.deadline_fatal:
+                # a per-request deadline (serve subsystem) means "give up
+                # now" — degrading to a serial re-run would blow straight
+                # through the budget the caller asked us to honour
+                raise
+            self._record_degraded(exc)
+            out = self._run_serial(tree, lists, passes, near_q, near)
+        return (lists, *out)
+
+    def _run_serial(self, tree, lists, passes, near_q, near):
+        """The exact serial sweeps, pass by pass (and the fallback path)."""
+        far = [self._far_field(tree, lists, **p.kwargs) for p in passes]
+        return (far, *self._near_field(tree, lists, near_q, **near))
+
+    def _run_shards(self, tree, lists, passes, near_q, near):
+        """One session on the sharded multi-process backend."""
+        return self.engine.solve_passes(
+            tree, lists, self.expansion, self.kernel,
+            [(p.spec, p.source) for p in passes], near_q, **near,
+        )
+
+    def _run_graph(self, tree, lists, passes, near_q, near):
+        """Every pass + the near field as one task graph on the engine.
+
+        Each pass owns private coefficient/output arrays, so the
+        subgraphs are independent and interleave freely; the first
+        pass's constructor warms the shared geometry/plan caches for the
+        rest.  The graph's merge chains replay every reduction in the
+        serial loop order (:mod:`repro.runtime.graphs`).
+        """
+        from repro.runtime.engine import TaskGraphBuilder
+        from repro.runtime.graphs import add_far_field_tasks, add_near_field_tasks
+
+        engine = self.engine
+        far = [FarFieldPass(tree, lists, self.expansion, **p.kwargs) for p in passes]
+        near_pass = NearFieldPass(self.kernel, tree, lists, near_q, **near)
+        g = TaskGraphBuilder()
+        # ~4 chunks per worker over the whole graph: with several passes
+        # the parallelism comes across them, so each gets fewer (>= 2)
+        n_chunks = 4 * engine.n_workers
+        far_chunks = max(2, n_chunks // len(far))
+        far_done = tuple(
+            add_far_field_tasks(
+                g, fp, tag=f"{p.tag}:" if p.tag else "", n_chunks=far_chunks
+            )
+            for p, fp in zip(passes, far)
+        )
+        add_near_field_tasks(
+            g,
+            near_pass,
+            n_chunks=n_chunks,
+            deps=() if engine.config.overlap else far_done,
+        )
+        self.last_engine_result = engine.run(g)
+        return ([fp.result() for fp in far], *near_pass.result())
+
+    def _record_degraded(self, exc: BaseException) -> None:
+        """Count one engine failure recovered by serial re-execution."""
+        self.degraded_runs += 1
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "runtime_degraded_total",
+                "engine graph failures recovered by exact serial re-execution",
+                labels={"solver": self.solver_label},
+            ).inc()
+            self.telemetry.tracer.instant(
+                "runtime-degraded", solver=self.solver_label, error=repr(exc)
+            )

@@ -24,16 +24,14 @@ The engine's measured per-task timings land in ``last_engine_result``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.expansions.cartesian import CartesianExpansion
+from repro.fmm.dispatch import FarPass, PassListSolver
+from repro.fmm.farfield import PassSpec
 from repro.fmm.multipass import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
-from repro.kernels.base import Kernel
-from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.tree.cache import ListCache
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 
@@ -53,53 +51,13 @@ class FMMResult:
     far_potential: np.ndarray | None = None
 
 
-class FMMSolver:
-    """Adaptive FMM driver for a kernel and an expansion backend."""
+class FMMSolver(PassListSolver):
+    """Adaptive FMM driver for a kernel and an expansion backend: one
+    charge pass + the near field, on whichever back end ``engine`` names
+    (see :class:`~repro.fmm.dispatch.PassListSolver` for the constructor
+    arguments, the dispatch and the degrade ladder)."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        *,
-        order: int = 4,
-        expansion=None,
-        folded: bool = True,
-        list_cache: ListCache | None = None,
-        telemetry: Telemetry | None = None,
-        engine=None,
-    ) -> None:
-        self.kernel = kernel
-        self.expansion = expansion if expansion is not None else CartesianExpansion(order)
-        self.order = self.expansion.order
-        self.folded = folded
-        #: interaction lists are memoized per tree shape, so repeated solves
-        #: on a frozen-shape tree (the time-stepping loop) skip list builds;
-        #: pass a shared cache to pool entries with an executor/balancer
-        self.list_cache = list_cache if list_cache is not None else ListCache()
-        #: per-op far-field spans go here (no-op bundle by default)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: :class:`repro.runtime.engine.ExecutionEngine` or ``None``; with
-        #: >1 worker solves run the concurrent task-graph path
-        self.engine = engine
-        #: :class:`repro.runtime.engine.EngineResult` of the last engine solve
-        self.last_engine_result = None
-        #: :class:`repro.runtime.shards.ShardRunResult` of the last sharded
-        #: solve (``engine`` is a :class:`~repro.runtime.shards.ProcessEngine`)
-        self.last_shard_result = None
-        #: graph failures absorbed by the serial fallback (DESIGN.md §11)
-        self.degraded_runs = 0
-
-    def _record_degraded(self, exc: BaseException, solver: str) -> None:
-        """Count one engine failure recovered by serial re-execution."""
-        self.degraded_runs += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "runtime_degraded_total",
-                "engine graph failures recovered by exact serial re-execution",
-                labels={"solver": solver},
-            ).inc()
-            self.telemetry.tracer.instant(
-                "runtime-degraded", solver=solver, error=repr(exc)
-            )
+    solver_label = "laplace"
 
     # ----------------------------------------------------------------- solve
     def solve(
@@ -127,23 +85,15 @@ class FMMSolver:
                 f"kernel {self.kernel.name!r} has no multipole far field; "
                 "use CompositeStokesletSolver or direct evaluation"
             )
-        if lists is None:
-            lists = self.list_cache.get(tree, folded=self.folded)
         q = np.asarray(strengths, dtype=float).reshape(-1)
         if q.shape[0] != tree.n_bodies:
             raise ValueError("strengths must have one entry per body")
 
-        if self.engine is not None and getattr(self.engine, "is_process", False):
-            far_pot, far_grad, near_pot, near_grad = self._solve_shards(
-                tree, lists, q, gradient, potential
-            )
-        elif self.engine is not None:
-            far_pot, far_grad, near_pot, near_grad = self._solve_engine(
-                tree, lists, q, gradient, potential
-            )
-        else:
-            far_pot, far_grad = self._far_field(tree, lists, q, gradient, potential)
-            near_pot, near_grad = self._near_field(tree, lists, q, gradient, potential)
+        spec = PassSpec("charges", potential=potential, gradient=gradient)
+        lists, far, near_pot, near_grad = self._solve_passes(
+            tree, lists, [FarPass(spec, q)], q, potential=potential, gradient=gradient
+        )
+        far_pot, far_grad = far[0]
 
         pot_total = None
         if potential:
@@ -162,124 +112,24 @@ class FMMSolver:
             ),
         )
 
-    # ------------------------------------------------------------- far field
-    def _far_field(self, tree, lists, q, want_gradient, want_potential=True):
+    # ---------------------------------------------------------- serial sweeps
+    def _far_field(self, tree, lists, **source):
         return laplace_far_field(
-            tree,
-            lists,
-            self.expansion,
-            charges=q,
-            gradient=want_gradient,
-            potential=want_potential,
-            tracer=self.telemetry.tracer,
+            tree, lists, self.expansion, tracer=self.telemetry.tracer, **source
         )
 
-    # ------------------------------------------------------------ near field
-    def _near_field(self, tree, lists, q, want_gradient, want_potential=True):
+    def _near_field(self, tree, lists, q, *, potential, gradient):
         return evaluate_near_field(
-            self.kernel,
-            tree,
-            lists,
-            q,
-            potential=want_potential,
-            gradient=want_gradient,
+            self.kernel, tree, lists, q, potential=potential, gradient=gradient
         )
 
-    # -------------------------------------------------- multi-process shards
-    def _solve_shards(self, tree, lists, q, want_gradient, want_potential):
-        """Far + near field on the sharded multi-process backend.
-
-        Bitwise identical to the serial path by the merge contract of
-        :mod:`repro.runtime.shards` (whole-class matmuls, row-owner
-        ordered merges).  A shard failure — worker crash, barrier abort,
-        timeout — degrades to exact serial re-execution, mirroring the
-        thread engine's ladder.
-        """
-        from repro.runtime.shards import ShardExecutionError
-
-        try:
-            out = self.engine.solve_laplace(
-                tree,
-                lists,
-                self.expansion,
-                self.kernel,
-                q,
-                potential=want_potential,
-                gradient=want_gradient,
-            )
-        except ShardExecutionError as exc:
-            self.last_shard_result = None
-            self._record_degraded(exc, "laplace")
-            far_pot, far_grad = self._far_field(
-                tree, lists, q, want_gradient, want_potential
-            )
-            near_pot, near_grad = self._near_field(
-                tree, lists, q, want_gradient, want_potential
-            )
-            return far_pot, far_grad, near_pot, near_grad
-        self.last_shard_result = self.engine.last_result
-        return out
-
-    # ------------------------------------------------- concurrent task graph
-    def _solve_engine(self, tree, lists, q, want_gradient, want_potential):
-        """Far + near field as one task graph on the execution engine.
-
-        Bitwise identical to the serial path: the graph's merge chains
-        replay every reduction in the serial loop order, and far/near
-        accumulate into separate arrays combined exactly as above.
-
-        An unrecoverable graph failure (a non-retryable task raised, or
-        retries/deadline were exhausted) degrades gracefully: the partial
-        pass objects are discarded and the whole pass re-runs on the exact
-        serial path, with ``runtime_degraded_total`` incremented.
-        Deliberate cancellation propagates.
-        """
-        # imported here: repro.fmm / repro.runtime package inits would cycle
-        from repro.fmm.farfield import FarFieldPass
-        from repro.fmm.nearfield import NearFieldPass
-        from repro.runtime.engine import (
-            GraphDeadlineError,
-            GraphExecutionError,
-            TaskGraphBuilder,
+    def _run_shards(self, tree, lists, passes, near_q, near):
+        # the single-charge-pass session has a public name of its own
+        # (``ProcessEngine.solve_laplace``: callers and profilers use it),
+        # which rebuilds exactly the pass list ``solve`` dispatched
+        (p,) = passes
+        assert p.source is near_q and p.spec == PassSpec("charges", **near)
+        far_pot, far_grad, near_pot, near_grad = self.engine.solve_laplace(
+            tree, lists, self.expansion, self.kernel, near_q, **near
         )
-        from repro.runtime.graphs import add_far_field_tasks, add_near_field_tasks
-
-        far = FarFieldPass(
-            tree,
-            lists,
-            self.expansion,
-            charges=q,
-            gradient=want_gradient,
-            potential=want_potential,
-        )
-        near = NearFieldPass(
-            self.kernel, tree, lists, q,
-            potential=want_potential, gradient=want_gradient,
-        )
-        g = TaskGraphBuilder()
-        n_chunks = 4 * self.engine.n_workers
-        far_done = add_far_field_tasks(g, far, n_chunks=n_chunks)
-        near_deps = () if self.engine.config.overlap else (far_done,)
-        add_near_field_tasks(g, near, n_chunks=n_chunks, deps=near_deps)
-        try:
-            self.last_engine_result = self.engine.run(g)
-        except GraphExecutionError as exc:
-            self.last_engine_result = None
-            if isinstance(exc, GraphDeadlineError) and getattr(
-                self.engine.config, "deadline_fatal", False
-            ):
-                # a per-request deadline (serve subsystem) means "give up
-                # now" — degrading to a serial re-run would blow straight
-                # through the budget the caller asked us to honour
-                raise
-            self._record_degraded(exc, "laplace")
-            far_pot, far_grad = self._far_field(
-                tree, lists, q, want_gradient, want_potential
-            )
-            near_pot, near_grad = self._near_field(
-                tree, lists, q, want_gradient, want_potential
-            )
-            return far_pot, far_grad, near_pot, near_grad
-        far_pot, far_grad = far.result()
-        near_pot, near_grad = near.result()
-        return far_pot, far_grad, near_pot, near_grad
+        return [(far_pot, far_grad)], near_pot, near_grad

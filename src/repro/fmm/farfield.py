@@ -28,7 +28,10 @@ The sweep itself is decomposed into **stage-level closures** on
 M2L displacement-class matmuls are mutually independent, M2M/L2L are
 level-ordered, and the class *merges* into shared coefficient arrays are
 kept as separate steps applied in a fixed class order — which is what
-makes a parallel run bitwise identical to a serial one.
+makes a parallel run bitwise identical to a serial one.  The arithmetic
+of the per-body stages (P2M, L2P, P2L, M2P) lives in module-level
+**stage functions** over plain arrays; the pass methods and the shard
+workers of :mod:`repro.runtime.shards` (over arena views) both call them.
 
 :func:`laplace_far_field` — the drop-in serial driver over those stages —
 replaces the scalar sweep (kept as ``laplace_far_field_scalar``, the
@@ -54,8 +57,19 @@ __all__ = [
     "FarFieldPass",
     "LeafBodyPlan",
     "OperatorCacheProtocol",
+    "PassSpec",
     "far_field_geometry",
+    "l2p",
+    "l2p_leaf_gradient",
     "laplace_far_field",
+    "leaf_basis",
+    "leaf_body_plan",
+    "level_groups",
+    "m2p",
+    "m2p_scatter",
+    "p2l",
+    "p2m",
+    "pair_bodies",
 ]
 
 
@@ -265,7 +279,7 @@ def _operator_cache(lists: InteractionLists) -> OperatorCacheProtocol:
     return cache
 
 
-def _level_groups(levels: list[int]) -> list[list[int]]:
+def level_groups(levels: list[int]) -> list[list[int]]:
     """Group consecutive equal entries of ``levels`` into index runs."""
     groups: list[list[int]] = []
     for i, lvl in enumerate(levels):
@@ -471,16 +485,32 @@ def far_field_geometry(
 
 @dataclass
 class LeafBodyPlan:
-    """CSR bodies of the effective leaves (preorder, matching
-    ``FarFieldGeometry.leaf_rows``)."""
+    """CSR bodies of effective leaves, in ``FarFieldGeometry.leaf_rows``
+    order — of every leaf, or of the :meth:`subset` named by ``leaves``."""
 
     body_idx: np.ndarray  # (m,) body ids, leaf-major
-    ptr: np.ndarray  # (n_leaves + 1,) CSR pointer
-    gid: np.ndarray  # (m,) leaf ordinal per row
+    ptr: np.ndarray  # (n_plan_leaves + 1,) CSR pointer
+    gid: np.ndarray  # (m,) leaf ordinal (among all leaves) per row
     rel: np.ndarray  # (m, 3) body position minus leaf center
+    leaves: np.ndarray | None = None  # leaf ordinals covered; None = all
+
+    def subset(self, leaves: np.ndarray) -> "LeafBodyPlan":
+        """The plan restricted to the leaf ordinals ``leaves`` (copies)."""
+        rowpos, cnt = _expand_segments(self.ptr, leaves)
+        return LeafBodyPlan(
+            body_idx=self.body_idx[rowpos],
+            ptr=np.concatenate(([0], np.cumsum(cnt))).astype(np.int64),
+            gid=self.gid[rowpos],
+            rel=self.rel[rowpos],
+            leaves=leaves,
+        )
+
+    def leaf_rows(self, geom: FarFieldGeometry) -> np.ndarray:
+        """Effective-node rows of this plan's leaves."""
+        return geom.leaf_rows if self.leaves is None else geom.leaf_rows[self.leaves]
 
 
-def _leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPlan:
+def leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPlan:
     cached, store = lists.derived_cache("farfield_body_plan")
     if cached is not None:
         return cached
@@ -501,20 +531,169 @@ def _leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPl
     return store(LeafBodyPlan(body_idx=body_idx, ptr=ptr, gid=gid, rel=rel))
 
 
-def _leaf_basis(expansion, plan: LeafBodyPlan, lists: InteractionLists, kind: str):
-    """P2M/L2P row basis over the body plan, memoized per backend+order.
+def leaf_basis(expansion, plan: LeafBodyPlan, kind: str, derived_cache):
+    """P2M/L2P row basis over ``plan``, memoized per backend+order.
 
-    The spherical backend uses the *same* conj-regular table on both ends,
-    so it caches one entry under ``regular``.
+    ``derived_cache(key) -> (cached, store)`` is the memo: the lists'
+    generation-stamped :meth:`InteractionLists.derived_cache` in process,
+    a per-session dict in a shard worker.  The spherical backend uses the
+    *same* conj-regular table on both ends, so it caches one entry under
+    ``regular``.
     """
     if expansion.backend == "spherical":
         kind = "regular"
     key = f"farfield_basis:{expansion.backend}:{expansion.order}:{kind}"
-    cached, store = lists.derived_cache(key)
+    cached, store = derived_cache(key)
     if cached is not None:
         return cached
     fn = expansion.p2m_basis if kind == "p2m" else expansion.l2p_basis
     return store(fn(plan.rel))
+
+
+# --------------------------------------------------------------------------
+# the stage library: each stage's arithmetic, once, over plain arrays
+# --------------------------------------------------------------------------
+#
+# Every back end runs these same functions — the in-process pass below
+# over its own arrays, a shard worker over shared-memory arena views.
+# What may be *subset* and what must run *whole* is part of each
+# function's contract (float matmuls and ``np.add.at`` scatters are only
+# reproducible on the whole operand; see DESIGN.md §9):
+#
+# * ``p2m`` / ``l2p`` use row-independent primitives only (elementwise,
+#   row dots through ``_row_dots``, per-leaf segment sums), so evaluating
+#   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
+#   over that subset — yields bitwise the same rows as the full plan;
+# * ``l2p_leaf_gradient`` is a matmul and ``p2l`` / ``m2p`` feed ordered
+#   scatters: they take the full plan and run whole, on one worker.
+
+
+@dataclass(frozen=True)
+class PassSpec:
+    """One far-field pass: monopole or dipole strengths, output flags."""
+
+    kind: str  # "charges" | "dipoles" (the FarFieldPass keyword)
+    potential: bool = True
+    gradient: bool = False
+
+
+def p2m(geom, plan, exp, multipoles, *, charges=None, dipoles=None, basis=None):
+    """Per-body rows, segment-summed per leaf (writes ``plan``'s leaf rows).
+
+    ``basis`` is the ``"p2m"`` :func:`leaf_basis` over ``plan`` (needed
+    with ``charges`` only).
+    """
+    if not plan.body_idx.size:
+        return
+    rows = None
+    if charges is not None:
+        rows = charges[plan.body_idx, None] * basis
+    if dipoles is not None:
+        drows = exp.p2m_dipole_rows(plan.rel, dipoles[plan.body_idx], plan.ptr)
+        rows = drows if rows is None else rows + drows
+    multipoles[plan.leaf_rows(geom)] = _segment_sum(rows, plan.ptr)
+
+
+def l2p_leaf_gradient(geom, locals_, A):
+    """Per-leaf derivative coefficients of one axis: a matmul, run whole."""
+    return locals_[geom.leaf_rows] @ A
+
+
+def _row_dots(basis, rows):
+    """``sum_j basis[i, j] * rows[i, j]`` per row, each row's value
+    independent of which other rows are evaluated with it.
+
+    ``einsum`` picks its reduction kernel from the operands' layout.  The
+    leaf bases come out column-major, which gets the column-by-column
+    accumulation for any number of rows except one: a lone row is 1-D to
+    the iterator and gets the SIMD dot kernel, last-ulp different.  So a
+    lone row is evaluated as a pair.
+    """
+    if basis.shape[0] != 1:
+        return np.einsum("ij,ij->i", basis, rows)
+    pair = np.asfortranarray(np.repeat(basis, 2, axis=0))
+    return np.einsum("ij,ij->i", pair, np.repeat(rows, 2, axis=0))[:1]
+
+
+def l2p(geom, plan, basis, locals_, pot, grad, leaf_grad=()):
+    """Batched leaf evaluation (assigns ``plan``'s disjoint body rows).
+
+    ``basis`` is the ``"l2p"`` :func:`leaf_basis` over ``plan``;
+    ``leaf_grad`` yields one :func:`l2p_leaf_gradient` per axis (consumed
+    only when ``grad`` is wanted).  ``pot`` / ``grad`` of ``None`` are
+    skipped.  ``.real`` is a no-op view on the real Cartesian backend.
+    """
+    if not plan.body_idx.size:
+        return
+    if pot is not None:
+        pot[plan.body_idx] = _row_dots(basis, locals_[geom.leaf_rows[plan.gid]]).real
+    if grad is not None:
+        for k, gk in enumerate(leaf_grad):
+            grad[plan.body_idx, k] = _row_dots(basis, gk[plan.gid]).real
+
+
+def pair_bodies(geom, plan, pair_leaf_rows):
+    """``(rowpos, cnt)``: the plan rows of every body of each X/W pair's
+    leaf (``pair_leaf_rows`` = the leaf's effective row per pair)."""
+    return _expand_segments(plan.ptr, geom.leaf_pos[pair_leaf_rows])
+
+
+def p2l(geom, plan, exp, pts, pairs, *, charges=None, dipoles=None):
+    """X phase (un-folded): one local contribution per X pair, or ``None``.
+
+    ``pairs = pair_bodies(geom, plan, geom.x_src_rows)`` over the full
+    plan; the caller folds the result in with
+    ``np.add.at(locals_, geom.x_recv_rows, contribution)``.
+    """
+    rowpos, cnt = pairs
+    if not rowpos.size:
+        return None
+    pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    b_idx = plan.body_idx[rowpos]
+    relx = pts[b_idx] - geom.centers[geom.x_recv_rows[pair_of]]
+    pair_ptr = np.concatenate(([0], np.cumsum(cnt)))
+    rows = None
+    if charges is not None:
+        rows = charges[b_idx, None] * exp.p2l_basis(relx)
+    if dipoles is not None:
+        drows = exp.p2l_dipole_rows(relx, dipoles[b_idx], pair_ptr)
+        rows = drows if rows is None else rows + drows
+    return _segment_sum(rows, pair_ptr)
+
+
+def m2p(geom, plan, exp, pts, multipoles, pairs, *, potential, grad_mats=()):
+    """W phase: source multipoles evaluated at target-leaf bodies.
+
+    ``pairs = pair_bodies(geom, plan, geom.w_tgt_rows)`` over the full
+    plan; ``grad_mats`` are the expansion's ``m2p_gradient_matrices()``
+    when the gradient is wanted.  Returns ``(pot_vals, grad_vals)`` for
+    :func:`m2p_scatter` (``None`` where not requested).
+    """
+    rowpos, cnt = pairs
+    if not rowpos.size:
+        return None, None
+    pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    relw = pts[plan.body_idx[rowpos]] - geom.centers[geom.w_src_rows[pair_of]]
+    mom = multipoles[geom.w_src_rows]
+    pot_vals = grad_vals = None
+    if potential:
+        pot_vals = np.einsum("ij,ij->i", exp.m2p_basis(relw), mom[pair_of]).real
+    if grad_mats:
+        Bbig = exp.m2p_grad_basis(relw)
+        grad_vals = [
+            np.einsum("ij,ij->i", Bbig, (mom @ A)[pair_of]).real for A in grad_mats
+        ]
+    return pot_vals, grad_vals
+
+
+def m2p_scatter(plan, pairs, pot, grad, pot_vals, grad_vals) -> None:
+    """Add the W-phase values into bodies (after :func:`l2p` assigned them)."""
+    b_idx = plan.body_idx[pairs[0]]
+    if pot_vals is not None:
+        np.add.at(pot, b_idx, pot_vals)
+    if grad_vals is not None:
+        for k, vals in enumerate(grad_vals):
+            np.add.at(grad[:, k], b_idx, vals)
 
 
 # --------------------------------------------------------------------------
@@ -559,7 +738,7 @@ class FarFieldPass:
         exp = expansion
         self.exp = exp
         self.geom = far_field_geometry(tree, lists, exp)
-        self.plan = _leaf_body_plan(tree, lists)
+        self.plan = leaf_body_plan(tree, lists)
         self.pts = tree.points
         self.q = None if charges is None else np.asarray(charges, dtype=float).reshape(-1)
         self.dip = (
@@ -582,64 +761,51 @@ class FarFieldPass:
         # resolve every lists-level cache now (stages must not mutate the
         # shared derived_cache dict from pool threads)
         self._p2m_basis = (
-            _leaf_basis(exp, plan, lists, "p2m") if self.q is not None else None
+            leaf_basis(exp, plan, "p2m", lists.derived_cache)
+            if self.q is not None
+            else None
         )
-        self._l2p_basis = _leaf_basis(exp, plan, lists, "l2p")
+        self._l2p_basis = leaf_basis(exp, plan, "l2p", lists.derived_cache)
         self._l2p_grad_mats = exp.l2p_gradient_matrices() if gradient else ()
         self._m2p_grad_mats = (
             exp.m2p_gradient_matrices() if (gradient and geom.w_tgt_rows.size) else ()
         )
 
         # level structure of the shift classes (contiguous runs by build)
-        self.up_levels = _level_groups(geom.up_class_levels)
-        self.down_levels = _level_groups(geom.down_class_levels)
+        self.up_levels = level_groups(geom.up_class_levels)
+        self.down_levels = level_groups(geom.down_class_levels)
         self.n_m2l_classes = len(geom.m2l_classes)
 
         # X/W pair expansion (precomputed outside the op spans, matching
         # the original sweep)
-        self._x_rowpos, x_cnt = _expand_segments(plan.ptr, geom.leaf_pos[geom.x_src_rows])
-        self._x_pair_cnt = x_cnt
-        self._w_rowpos, w_cnt = _expand_segments(plan.ptr, geom.leaf_pos[geom.w_tgt_rows])
-        self._w_pair_cnt = w_cnt
-        self.n_p2l_rows = int(self._x_rowpos.size)
-        self.n_m2p_rows = int(self._w_rowpos.size)
+        self._x_pairs = pair_bodies(geom, plan, geom.x_src_rows)
+        self._w_pairs = pair_bodies(geom, plan, geom.w_tgt_rows)
+        self.n_p2l_rows = int(self._x_pairs[0].size)
+        self.n_m2p_rows = int(self._w_pairs[0].size)
 
         # private per-class/stage contributions awaiting their merge
         self._up_delta: dict[int, np.ndarray] = {}
         self._m2l_delta: dict[int, np.ndarray] = {}
         self._x_contrib: np.ndarray | None = None
-        self._m2p_pot_vals: np.ndarray | None = None
-        self._m2p_grad_vals: list[np.ndarray] | None = None
+        self._m2p_vals: tuple = (None, None)
 
     # ------------------------------------------------------------ endpoints
     def p2m(self) -> None:
         """Per-body rows, segment-summed per leaf (writes leaf rows only)."""
-        if not self.n_bodies:
-            return
-        plan = self.plan
-        rows = None
-        if self.q is not None:
-            rows = self.q[plan.body_idx, None] * self._p2m_basis
-        if self.dip is not None:
-            drows = self.exp.p2m_dipole_rows(plan.rel, self.dip[plan.body_idx], plan.ptr)
-            rows = drows if rows is None else rows + drows
-        self.multipoles[self.geom.leaf_rows] = _segment_sum(rows, plan.ptr)
+        p2m(
+            self.geom, self.plan, self.exp, self.multipoles,
+            charges=self.q, dipoles=self.dip, basis=self._p2m_basis,
+        )
 
     def l2p(self) -> None:
         """Batched leaf evaluation (assigns disjoint body rows)."""
-        if not self.n_bodies:
-            return
-        plan, geom = self.plan, self.geom
-        leaf_loc = self.locals_[geom.leaf_rows]
-        row_loc = leaf_loc[plan.gid]
-        if self.want_potential:
-            vals = np.einsum("ij,ij->i", self._l2p_basis, row_loc)
-            self.pot[plan.body_idx] = vals.real if self.is_complex else vals
-        if self.want_gradient:
-            for k, A in enumerate(self._l2p_grad_mats):
-                gk = leaf_loc @ A
-                vals = np.einsum("ij,ij->i", self._l2p_basis, gk[plan.gid])
-                self.grad[plan.body_idx, k] = vals.real if self.is_complex else vals
+        leaf_grad = (
+            l2p_leaf_gradient(self.geom, self.locals_, A) for A in self._l2p_grad_mats
+        )
+        l2p(
+            self.geom, self.plan, self._l2p_basis, self.locals_,
+            self.pot, self.grad, leaf_grad,
+        )
 
     # -------------------------------------------------------------- upsweep
     def m2m_delta(self, ci: int) -> None:
@@ -665,23 +831,10 @@ class FarFieldPass:
 
     def p2l_compute(self) -> None:
         """X phase (un-folded): batched P2L contribution, parked privately."""
-        geom, plan = self.geom, self.plan
-        rowpos = self._x_rowpos
-        if not rowpos.size:
-            return
-        xpos = geom.leaf_pos[geom.x_src_rows]
-        cnt = self._x_pair_cnt
-        pair_of = np.repeat(np.arange(xpos.size, dtype=np.int64), cnt)
-        b_idx = plan.body_idx[rowpos]
-        relx = self.pts[b_idx] - geom.centers[geom.x_recv_rows[pair_of]]
-        pair_ptr = np.concatenate(([0], np.cumsum(cnt)))
-        rows = None
-        if self.q is not None:
-            rows = self.q[b_idx, None] * self.exp.p2l_basis(relx)
-        if self.dip is not None:
-            drows = self.exp.p2l_dipole_rows(relx, self.dip[b_idx], pair_ptr)
-            rows = drows if rows is None else rows + drows
-        self._x_contrib = _segment_sum(rows, pair_ptr)
+        self._x_contrib = p2l(
+            self.geom, self.plan, self.exp, self.pts, self._x_pairs,
+            charges=self.q, dipoles=self.dip,
+        )
 
     def p2l_merge(self) -> None:
         """Fold the X contribution in (after every M2L class merge)."""
@@ -704,41 +857,16 @@ class FarFieldPass:
     # -------------------------------------------------------------- W phase
     def m2p_compute(self) -> None:
         """W phase: evaluate source multipoles at target-leaf bodies."""
-        geom, plan = self.geom, self.plan
-        rowpos = self._w_rowpos
-        if not rowpos.size:
-            return
-        tpos = geom.leaf_pos[geom.w_tgt_rows]
-        cnt = self._w_pair_cnt
-        pair_of = np.repeat(np.arange(tpos.size, dtype=np.int64), cnt)
-        b_idx = plan.body_idx[rowpos]
-        relw = self.pts[b_idx] - geom.centers[geom.w_src_rows[pair_of]]
-        mom = self.multipoles[geom.w_src_rows]
-        if self.want_potential:
-            Bw = self.exp.m2p_basis(relw)
-            vals = np.einsum("ij,ij->i", Bw, mom[pair_of])
-            self._m2p_pot_vals = vals.real if self.is_complex else vals
-        if self.want_gradient:
-            Bbig = self.exp.m2p_grad_basis(relw)
-            out = []
-            for A in self._m2p_grad_mats:
-                gk = mom @ A
-                vals = np.einsum("ij,ij->i", Bbig, gk[pair_of])
-                out.append(vals.real if self.is_complex else vals)
-            self._m2p_grad_vals = out
+        self._m2p_vals = m2p(
+            self.geom, self.plan, self.exp, self.pts, self.multipoles,
+            self._w_pairs,
+            potential=self.want_potential, grad_mats=self._m2p_grad_mats,
+        )
 
     def m2p_merge(self) -> None:
         """Scatter W-phase values into bodies (after :meth:`l2p` assigns)."""
-        if not self._w_rowpos.size:
-            return
-        b_idx = self.plan.body_idx[self._w_rowpos]
-        if self.want_potential:
-            np.add.at(self.pot, b_idx, self._m2p_pot_vals)
-            self._m2p_pot_vals = None
-        if self.want_gradient:
-            for k, vals in enumerate(self._m2p_grad_vals):
-                np.add.at(self.grad[:, k], b_idx, vals)
-            self._m2p_grad_vals = None
+        m2p_scatter(self.plan, self._w_pairs, self.pot, self.grad, *self._m2p_vals)
+        self._m2p_vals = (None, None)
 
     # --------------------------------------------------------------- result
     def result(self) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -47,6 +47,7 @@ __all__ = [
     "build_near_field_plan",
     "evaluate_near_field",
     "evaluate_near_group",
+    "near_self_correction",
 ]
 
 
@@ -79,6 +80,17 @@ class NearFieldPlan:
     n_groups: int
     #: total body-pair interactions the plan evaluates (throughput metric)
     total_pairs: int
+
+    def group(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(t_idx, s_idx)`` body indices of source-set group ``g``."""
+        tp, sp = self.tgt_ptr, self.src_ptr
+        return self.tgt_idx[tp[g] : tp[g + 1]], self.src_idx[sp[g] : sp[g + 1]]
+
+    def group_pairs(self, g: int) -> int:
+        """Body-pair interactions of group ``g`` (task cost weight)."""
+        nt = int(self.tgt_ptr[g + 1] - self.tgt_ptr[g])
+        ns = int(self.src_ptr[g + 1] - self.src_ptr[g])
+        return nt * ns
 
 
 @dataclass
@@ -244,6 +256,23 @@ def evaluate_near_group(kernel: Kernel, pts, q, t_idx, s_idx, pot, grad) -> None
         grad[t_idx] += g
 
 
+def near_self_correction(kernel: Kernel, pts, q, self_idx, pot, grad) -> None:
+    """Subtract the self pair of bodies whose own leaf was a source.
+
+    Zero for singular kernels; one bulk call after *every* group has
+    accumulated (it subtracts from rows the groups wrote), whole, on one
+    worker.  ``pot`` / ``grad`` as in :func:`evaluate_near_group`.
+    """
+    si = self_idx
+    if not si.size:
+        return
+    if pot is not None:
+        corr = kernel.self_interaction(pts[si], q[si], gradient=False)
+        pot[si] -= corr[:, 0] if pot.ndim == 1 else corr
+    if grad is not None:
+        grad[si] -= kernel.self_interaction(pts[si], q[si], gradient=True)
+
+
 class NearFieldPass:
     """One P2P evaluation split into per-source-group stages.
 
@@ -282,19 +311,12 @@ class NearFieldPass:
 
     def group_pairs(self, g: int) -> int:
         """Body-pair interactions of group ``g`` (task cost weight)."""
-        plan = self.plan
-        nt = int(plan.tgt_ptr[g + 1] - plan.tgt_ptr[g])
-        ns = int(plan.src_ptr[g + 1] - plan.src_ptr[g])
-        return nt * ns
+        return self.plan.group_pairs(g)
 
     def group(self, g: int) -> None:
         """One dense kernel call; writes this group's target rows only."""
-        plan = self.plan
-        tp, sp = plan.tgt_ptr, plan.src_ptr
-        t_idx = plan.tgt_idx[tp[g] : tp[g + 1]]
-        s_idx = plan.src_idx[sp[g] : sp[g + 1]]
         evaluate_near_group(
-            self.kernel, self.pts, self.q, t_idx, s_idx, self.pot, self.grad
+            self.kernel, self.pts, self.q, *self.plan.group(g), self.pot, self.grad
         )
 
     def group_range(self, lo: int, hi: int) -> None:
@@ -303,23 +325,10 @@ class NearFieldPass:
             self.group(g)
 
     def self_correction(self) -> None:
-        """Subtract the self pair of bodies whose own leaf was a source.
-
-        Zero for singular kernels; one bulk call after all groups.
-        """
-        si = self.plan.self_idx
-        if not si.size:
-            return
-        if self.want_potential:
-            corr = self.kernel.self_interaction(self.pts[si], self.q[si], gradient=False)
-            if self.dim == 1:
-                self.pot[si] -= corr[:, 0]
-            else:
-                self.pot[si] -= corr
-        if self.want_gradient:
-            self.grad[si] -= self.kernel.self_interaction(
-                self.pts[si], self.q[si], gradient=True
-            )
+        """The bulk self-pair subtraction, after all groups."""
+        near_self_correction(
+            self.kernel, self.pts, self.q, self.plan.self_idx, self.pot, self.grad
+        )
 
     def result(self):
         return self.pot, self.grad

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.expansions.cartesian import CartesianExpansion
+from repro.fmm.dispatch import FarPass, PassListSolver
+from repro.fmm.farfield import PassSpec
 from repro.fmm.multipass import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
 from repro.kernels.stokeslet import RegularizedStokesletKernel
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.tree.cache import ListCache
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
@@ -49,12 +50,16 @@ class StokesletFMMResult:
     n_passes: int = 7
 
 
-class StokesletFMMSolver:
+class StokesletFMMSolver(PassListSolver):
     """FMM for the method of regularized Stokeslets.
 
     Velocities at all bodies due to regularized point forces at the same
-    bodies; exact near field, seven-pass harmonic far field.
+    bodies; exact near field, seven-pass harmonic far field — on whichever
+    back end ``engine`` names (dispatch and degrade ladder:
+    :class:`~repro.fmm.dispatch.PassListSolver`).
     """
+
+    solver_label = "stokeslet"
 
     def __init__(
         self,
@@ -67,34 +72,15 @@ class StokesletFMMSolver:
         telemetry: Telemetry | None = None,
         engine=None,
     ) -> None:
-        self.kernel = kernel if kernel is not None else RegularizedStokesletKernel()
-        self.expansion = expansion if expansion is not None else CartesianExpansion(order)
-        self.folded = folded
-        self.list_cache = list_cache if list_cache is not None else ListCache()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: :class:`repro.runtime.engine.ExecutionEngine` or ``None``; with
-        #: >1 worker the seven passes + near field run as one task graph
-        self.engine = engine
-        #: :class:`repro.runtime.engine.EngineResult` of the last engine solve
-        self.last_engine_result = None
-        #: :class:`repro.runtime.shards.ShardRunResult` of the last sharded
-        #: solve (``engine`` is a :class:`~repro.runtime.shards.ProcessEngine`)
-        self.last_shard_result = None
-        #: graph failures absorbed by the serial fallback (DESIGN.md §11)
-        self.degraded_runs = 0
-
-    def _record_degraded(self, exc: BaseException) -> None:
-        """Count one engine failure recovered by serial re-execution."""
-        self.degraded_runs += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "runtime_degraded_total",
-                "engine graph failures recovered by exact serial re-execution",
-                labels={"solver": "stokeslet"},
-            ).inc()
-            self.telemetry.tracer.instant(
-                "runtime-degraded", solver="stokeslet", error=repr(exc)
-            )
+        super().__init__(
+            kernel if kernel is not None else RegularizedStokesletKernel(),
+            order=order,
+            expansion=expansion,
+            folded=folded,
+            list_cache=list_cache,
+            telemetry=telemetry,
+            engine=engine,
+        )
 
     def solve(
         self,
@@ -106,149 +92,43 @@ class StokesletFMMSolver:
         f = np.atleast_2d(np.asarray(forces, dtype=float))
         if f.shape != (tree.n_bodies, 3):
             raise ValueError(f"forces must be (n, 3), got {f.shape}")
-        if lists is None:
-            lists = self.list_cache.get(tree, folded=self.folded)
         pts = tree.points
-        scale = 1.0 / (8.0 * np.pi * self.kernel.viscosity)
 
-        if self.engine is not None:
-            if getattr(self.engine, "is_process", False):
-                parts = self._solve_shards(tree, lists, f)
-            else:
-                parts = self._solve_engine(tree, lists, f, pts)
-            if parts is None:  # graph failed; serial fallback already counted
-                u = self._solve_serial(tree, lists, f, pts, scale)
-            else:
-                phis, A, Bs, u_near = parts
-                u = np.zeros((tree.n_bodies, 3))
-                for i in range(3):
-                    u[:, i] += phis[i]
-                u += pts * A[:, None]
-                for i in range(3):
-                    u[:, i] -= Bs[i]
-                u *= scale
-                u += u_near
-        else:
-            u = self._solve_serial(tree, lists, f, pts, scale)
+        # far field: phi_i (monopoles f_i), A (dipoles f), B_i (dipoles s_i f)
+        passes = (
+            [FarPass(PassSpec("charges"), f[:, i], f"phi{i}") for i in range(3)]
+            + [FarPass(PassSpec("dipoles"), f, "A")]
+            + [
+                FarPass(PassSpec("dipoles"), pts[:, i : i + 1] * f, f"B{i}")
+                for i in range(3)
+            ]
+        )
+        # near field: exact regularized Stokeslets
+        lists, far, u_near, _ = self._solve_passes(tree, lists, passes, f)
+        phi = [pot for pot, _ in far]
+
+        u = np.zeros((tree.n_bodies, 3))
+        for i in range(3):
+            u[:, i] += phi[i]
+        u += pts * phi[3][:, None]
+        for i in range(3):
+            u[:, i] -= phi[4 + i]
+        u *= 1.0 / (8.0 * np.pi * self.kernel.viscosity)
+        u += u_near
 
         counts = lists.op_counts()
         # seven scalar passes: scale the expansion-op counts accordingly
         for op in ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L"):
-            counts[op] = counts.get(op, 0) * 7
+            counts[op] = counts.get(op, 0) * len(passes)
         return StokesletFMMResult(velocity=u, op_counts=counts, lists=lists)
 
-    def _solve_serial(self, tree, lists, f, pts, scale) -> np.ndarray:
-        """The exact monolithic seven-pass sweep (and the fallback path)."""
-        tracer = self.telemetry.tracer
-        u = np.zeros((tree.n_bodies, 3))
-        # far field: phi_i (monopoles f_i), A (dipoles f), B_i (dipoles s_i f)
-        for i in range(3):
-            phi_i, _ = laplace_far_field(
-                tree, lists, self.expansion, charges=f[:, i], tracer=tracer
-            )
-            u[:, i] += phi_i
-        A, _ = laplace_far_field(tree, lists, self.expansion, dipoles=f, tracer=tracer)
-        u += pts * A[:, None]
-        for i in range(3):
-            B_i, _ = laplace_far_field(
-                tree, lists, self.expansion, dipoles=pts[:, i : i + 1] * f, tracer=tracer
-            )
-            u[:, i] -= B_i
-        u *= scale
-
-        # near field: exact regularized Stokeslets
-        u += self._near_field(tree, lists, f)
-        return u
-
-    def _near_field(self, tree, lists, f) -> np.ndarray:
-        out, _ = evaluate_near_field(
-            self.kernel, tree, lists, f, potential=True, gradient=False
+    # ---------------------------------------------------------- serial sweeps
+    def _far_field(self, tree, lists, **source):
+        return laplace_far_field(
+            tree, lists, self.expansion, tracer=self.telemetry.tracer, **source
         )
-        return out
 
-    # -------------------------------------------------- multi-process shards
-    def _solve_shards(self, tree, lists, f):
-        """Seven passes + vector near field on the shard backend.
-
-        Returns the same ``(phis, A, Bs, u_near)`` parts as the task-graph
-        path (bitwise identical to serial), or ``None`` after a shard
-        failure so the caller re-runs the exact serial sweep.
-        """
-        from repro.runtime.shards import ShardExecutionError
-
-        try:
-            parts = self.engine.solve_stokeslet(
-                tree, lists, self.expansion, self.kernel, f
-            )
-        except ShardExecutionError as exc:
-            self.last_shard_result = None
-            self._record_degraded(exc)
-            return None
-        self.last_shard_result = self.engine.last_result
-        return parts
-
-    # ------------------------------------------------- concurrent task graph
-    def _solve_engine(self, tree, lists, f, pts):
-        """All seven harmonic passes + the near field as one task graph.
-
-        Each pass owns private coefficient/output arrays, so the seven
-        subgraphs are fully independent and interleave freely; the first
-        pass's constructor warms the shared geometry/plan caches so the
-        remaining six build against hits.  Combination into ``u`` happens
-        after the run, in the serial pass order (bitwise identical).
-
-        Returns ``None`` when the graph failed unrecoverably — the caller
-        then re-runs the whole solve on the exact serial path
-        (``runtime_degraded_total`` is incremented here).  Deliberate
-        cancellation propagates.
-        """
-        # imported here: repro.kernels / repro.runtime package inits would cycle
-        from repro.fmm.farfield import FarFieldPass
-        from repro.fmm.nearfield import NearFieldPass
-        from repro.runtime.engine import (
-            GraphDeadlineError,
-            GraphExecutionError,
-            TaskGraphBuilder,
-        )
-        from repro.runtime.graphs import add_far_field_tasks, add_near_field_tasks
-
-        mk = lambda **kw: FarFieldPass(tree, lists, self.expansion, **kw)
-        phi_passes = [mk(charges=f[:, i]) for i in range(3)]
-        a_pass = mk(dipoles=f)
-        b_passes = [mk(dipoles=pts[:, i : i + 1] * f) for i in range(3)]
-        near = NearFieldPass(self.kernel, tree, lists, f, potential=True)
-
-        g = TaskGraphBuilder()
-        # seven subgraphs: fewer chunks per pass, parallelism comes across passes
-        n_chunks = max(2, self.engine.n_workers)
-        far_done = [
-            add_far_field_tasks(g, p, tag=f"{tag}:", n_chunks=n_chunks)
-            for tag, p in (
-                [(f"phi{i}", phi_passes[i]) for i in range(3)]
-                + [("A", a_pass)]
-                + [(f"B{i}", b_passes[i]) for i in range(3)]
-            )
-        ]
-        near_deps = () if self.engine.config.overlap else tuple(far_done)
-        add_near_field_tasks(
-            g, near, n_chunks=4 * self.engine.n_workers, deps=near_deps
-        )
-        try:
-            self.last_engine_result = self.engine.run(g)
-        except GraphExecutionError as exc:
-            self.last_engine_result = None
-            if isinstance(exc, GraphDeadlineError) and getattr(
-                self.engine.config, "deadline_fatal", False
-            ):
-                # per-request deadline (serve subsystem): surface, don't
-                # silently re-run the seven passes serially
-                raise
-            self._record_degraded(exc)
-            return None
-        u_near, _ = near.result()
-        return (
-            [p.result()[0] for p in phi_passes],
-            a_pass.result()[0],
-            [p.result()[0] for p in b_passes],
-            u_near,
+    def _near_field(self, tree, lists, q, *, potential, gradient):
+        return evaluate_near_field(
+            self.kernel, tree, lists, q, potential=potential, gradient=gradient
         )

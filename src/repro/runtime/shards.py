@@ -88,6 +88,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.fmm import farfield, nearfield
+from repro.fmm.farfield import FarFieldGeometry, PassSpec
+
 __all__ = [
     "PassSpec",
     "ProcessEngine",
@@ -168,23 +171,27 @@ def default_shards() -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PassSpec:
-    """One far-field pass: monopole or dipole strengths, output flags."""
-
-    kind: str  # "charges" | "dipoles"
-    potential: bool = True
-    gradient: bool = False
-
-
 @dataclass
 class _Round:
     """One delta/merge superstep: class indices with scratch offsets."""
 
     cis: np.ndarray  # class indices, ascending (the serial merge order)
+    # scratch layout; down rounds carry it too but L2L writes in place
+    # and reads only ``cis`` / ``assignee``
     offsets: np.ndarray  # delta-scratch row offset per class (aligned)
-    rows: int  # total scratch rows this round
+    rows: int  # total delta rows
     assignee: np.ndarray  # computing shard per class (aligned)
+
+
+def _round(cis, weights, n_shards: int) -> _Round:
+    """The round over classes ``cis`` whose deltas have ``weights`` rows."""
+    w = [int(x) for x in weights]
+    return _Round(
+        cis=np.asarray(cis, dtype=np.int64),
+        offsets=np.concatenate(([0], np.cumsum(w)))[:-1].astype(np.int64),
+        rows=sum(w),
+        assignee=_lpt_assign(w, n_shards),
+    )
 
 
 @dataclass
@@ -192,43 +199,25 @@ class GlobalPlan:
     """The full shard execution plan (structure-dependent, not per-solve)."""
 
     n_shards: int
-    n_bodies: int
-    n_eff: int
-    n_leaves: int
-    n_coeffs: int
-    backend: str
-    order: int
-    is_complex: bool
+    expansion: object
     kernel: object
-    passes: list
+    passes: list  # [PassSpec]
     near_potential: bool
     near_gradient: bool
-    near_strength_cols: int  # 0 -> (n,) strengths, else (n, cols)
-    value_dim: int
     arena_name: str
     layout: dict
     timeout_s: float
-    # far-field skeleton (class row arrays + dense operators)
-    up_classes: list
-    m2l_classes: list
-    down_classes: list
+    geom: FarFieldGeometry  # class row arrays + dense operators, X/W rows
     up_rounds: list
     m2l_rounds: list
     down_rounds: list
-    delta_rows: int
-    leaf_rows: np.ndarray
-    leaf_pos: np.ndarray
-    centers: np.ndarray
-    x_recv_rows: np.ndarray
-    x_src_rows: np.ndarray
-    w_tgt_rows: np.ndarray
-    w_src_rows: np.ndarray
+    n_groups: int
+    near_pairs: int
     # ownership / assignment
     row_rank: np.ndarray  # (n_eff,) owner shard per effective row
     leaf_shard: np.ndarray  # (n_leaves,) owner shard per leaf ordinal
     body_owner: np.ndarray  # (n_bodies,) owner shard per body
     near_assignee: np.ndarray  # (n_groups,) computing shard per near group
-    n_groups: int
     row_ranges: np.ndarray  # (n_shards+1,) eff-row zero-fill boundaries
     body_ranges: np.ndarray  # (n_shards+1,) body zero-fill boundaries
     grad_axis_shard: np.ndarray  # (3,) shard per gradient axis
@@ -246,14 +235,10 @@ def _lpt_assign(weights, n_shards: int) -> np.ndarray:
     return out
 
 
-def _coeff_dtype(is_complex: bool):
-    return np.complex128 if is_complex else np.float64
-
-
 class _Arena:
     """One shared-memory block holding every named array, 64-byte aligned."""
 
-    def __init__(self, entries, name: str | None = None, create: bool = True):
+    def __init__(self, entries) -> None:
         layout = {}
         off = 0
         for nm, shape, dtype in entries:
@@ -261,27 +246,21 @@ class _Arena:
             off = (off + 63) & ~63
             layout[nm] = (off, tuple(int(s) for s in shape), dt.str)
             off += int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        self.layout = layout
-        size = max(1, off)
-        if create:
-            self.shm = shared_memory.SharedMemory(create=True, size=size)
-        else:
-            self.shm = _attach_shm(name)
-        self.views = {
-            nm: np.ndarray(shape, dtype=np.dtype(ds), buffer=self.shm.buf, offset=o)
-            for nm, (o, shape, ds) in layout.items()
-        }
+        self._map(shared_memory.SharedMemory(create=True, size=max(1, off)), layout)
 
     @classmethod
     def attach(cls, name: str, layout: dict) -> "_Arena":
         self = cls.__new__(cls)
+        self._map(_attach_shm(name), layout)
+        return self
+
+    def _map(self, shm, layout: dict) -> None:
+        self.shm = shm
         self.layout = layout
-        self.shm = _attach_shm(name)
         self.views = {
-            nm: np.ndarray(shape, dtype=np.dtype(ds), buffer=self.shm.buf, offset=o)
+            nm: np.ndarray(shape, dtype=np.dtype(ds), buffer=shm.buf, offset=o)
             for nm, (o, shape, ds) in layout.items()
         }
-        return self
 
     def close(self, unlink: bool = False) -> None:
         self.views = {}
@@ -309,9 +288,21 @@ def _attach_shm(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
+#: array fields of the two body-level plans mirrored into the arena (as
+#: ``"<prefix>.<field>"``): the parent fills them, workers wrap them back
+#: into the same dataclasses the in-process passes use
+_PLAN_FIELDS = {
+    "body": ("body_idx", "ptr", "gid", "rel"),  # LeafBodyPlan
+    "near": ("tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "self_idx"),  # NearFieldPlan
+}
+
+
+def _plan_views(prefix: str, views: dict) -> dict:
+    return {f: views[f"{prefix}.{f}"] for f in _PLAN_FIELDS[prefix]}
+
+
 def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
-                near_gradient, near_strength_cols, value_dim, n_shards,
-                timeout_s):
+                near_gradient, near_shape, n_shards, timeout_s):
     """Build the :class:`GlobalPlan` + arena entry list for one structure.
 
     Returns ``(plan_sans_arena, arena_entries, extras)`` where ``extras``
@@ -319,12 +310,10 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
     """
     from repro.cluster.let import build_let
     from repro.cluster.partition import partition_by_morton_work
-    from repro.fmm.farfield import _leaf_body_plan, _level_groups, far_field_geometry
-    from repro.fmm.nearfield import build_near_field_plan
 
-    geom = far_field_geometry(tree, lists, expansion)
-    bplan = _leaf_body_plan(tree, lists)
-    nplan = build_near_field_plan(tree, lists)
+    geom = farfield.far_field_geometry(tree, lists, expansion)
+    bplan = farfield.leaf_body_plan(tree, lists)
+    nplan = nearfield.build_near_field_plan(tree, lists)
     part = partition_by_morton_work(
         tree, lists, n_shards, order=expansion.order, kernel=kernel
     )
@@ -338,159 +327,90 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
     leaf_shard = row_rank[geom.leaf_rows]
     n_leaves = int(geom.leaf_rows.size)
     n = tree.n_bodies
-    counts = np.diff(bplan.ptr)
     body_owner = np.empty(n, dtype=np.int64)
-    body_owner[bplan.body_idx] = np.repeat(leaf_shard, counts)
+    body_owner[bplan.body_idx] = np.repeat(leaf_shard, np.diff(bplan.ptr))
 
     # ---- delta/merge rounds (one per up level; M2L chunked by row budget)
-    up_rounds = []
-    for grp in _level_groups(geom.up_class_levels):
-        w = [int(geom.up_classes[ci][0].size) for ci in grp]
-        offs = np.concatenate(([0], np.cumsum(w)))[:-1].astype(np.int64)
-        up_rounds.append(
-            _Round(
-                cis=np.asarray(grp, dtype=np.int64),
-                offsets=offs,
-                rows=int(sum(w)),
-                assignee=_lpt_assign(w, n_shards),
-            )
-        )
+    up_rounds = [
+        _round(grp, [geom.up_classes[ci][0].size for ci in grp], n_shards)
+        for grp in farfield.level_groups(geom.up_class_levels)
+    ]
     m2l_rounds = []
     cur: list[int] = []
     cw: list[int] = []
     for ci, (srows, _trows, _op) in enumerate(geom.m2l_classes):
         if cur and sum(cw) + srows.size > M2L_ROUND_ROWS:
-            offs = np.concatenate(([0], np.cumsum(cw)))[:-1].astype(np.int64)
-            m2l_rounds.append(
-                _Round(
-                    cis=np.asarray(cur, dtype=np.int64),
-                    offsets=offs,
-                    rows=int(sum(cw)),
-                    assignee=_lpt_assign(cw, n_shards),
-                )
-            )
+            m2l_rounds.append(_round(cur, cw, n_shards))
             cur, cw = [], []
         cur.append(ci)
         cw.append(int(srows.size))
     if cur:
-        offs = np.concatenate(([0], np.cumsum(cw)))[:-1].astype(np.int64)
-        m2l_rounds.append(
-            _Round(
-                cis=np.asarray(cur, dtype=np.int64),
-                offsets=offs,
-                rows=int(sum(cw)),
-                assignee=_lpt_assign(cw, n_shards),
-            )
-        )
-    down_rounds = []
-    for grp in _level_groups(geom.down_class_levels):
-        w = [int(geom.down_classes[ci][1].size) for ci in grp]
-        down_rounds.append(
-            _Round(
-                cis=np.asarray(grp, dtype=np.int64),
-                offsets=np.zeros(len(grp), dtype=np.int64),
-                rows=0,
-                assignee=_lpt_assign(w, n_shards),
-            )
-        )
+        m2l_rounds.append(_round(cur, cw, n_shards))
+    down_rounds = [
+        _round(grp, [geom.down_classes[ci][1].size for ci in grp], n_shards)
+        for grp in farfield.level_groups(geom.down_class_levels)
+    ]
     delta_rows = max(
         [1] + [r.rows for r in up_rounds] + [r.rows for r in m2l_rounds]
     )
 
-    near_w = [
-        int(nplan.tgt_ptr[g + 1] - nplan.tgt_ptr[g])
-        * int(nplan.src_ptr[g + 1] - nplan.src_ptr[g])
-        for g in range(nplan.n_groups)
-    ]
-    near_assignee = _lpt_assign(near_w, n_shards)
-
-    row_ranges = np.array(
-        [(n_eff * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
-    )
-    body_ranges = np.array(
-        [(n * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
-    )
-    grad_axis_shard = np.arange(3, dtype=np.int64) % n_shards
-
-    is_complex = expansion.backend == "spherical"
-    cdt = _coeff_dtype(is_complex)
+    cdt = np.complex128 if expansion.backend == "spherical" else np.float64
     nc = expansion.n_coeffs
-    any_grad = any(p.gradient for p in passes)
-
     entries = [
         ("points", (n, 3), np.float64),
         ("M", (n_eff, nc), cdt),
         ("L", (n_eff, nc), cdt),
         ("D", (delta_rows, nc), cdt),
-        ("body_idx", (n,), np.int64),
-        ("ptr", (n_leaves + 1,), np.int64),
-        ("gid", (n,), np.int64),
-        ("rel", (n, 3), np.float64),
-        ("nt_idx", nplan.tgt_idx.shape, np.int64),
-        ("nt_ptr", nplan.tgt_ptr.shape, np.int64),
-        ("ns_idx", nplan.src_idx.shape, np.int64),
-        ("ns_ptr", nplan.src_ptr.shape, np.int64),
-        ("nself", nplan.self_idx.shape, np.int64),
     ]
-    if any_grad:
+    for prefix, src in (("body", bplan), ("near", nplan)):
+        for f in _PLAN_FIELDS[prefix]:
+            arr = getattr(src, f)
+            entries.append((f"{prefix}.{f}", arr.shape, arr.dtype))
+    if any(p.gradient for p in passes):
         entries.append(("GK", (3, n_leaves, nc), cdt))
     for i, spec in enumerate(passes):
-        if spec.kind == "charges":
-            entries.append((f"q{i}", (n,), np.float64))
-        else:
-            entries.append((f"dip{i}", (n, 3), np.float64))
+        shape = (n,) if spec.kind == "charges" else (n, 3)
+        entries.append((f"src{i}", shape, np.float64))
         if spec.potential:
             entries.append((f"fpot{i}", (n,), np.float64))
         if spec.gradient:
             entries.append((f"fgrad{i}", (n, 3), np.float64))
     if near_potential:
-        shape = (n,) if value_dim == 1 else (n, value_dim)
-        entries.append(("near_pot", shape, np.float64))
+        dim = kernel.value_dim
+        entries.append(("near_pot", (n,) if dim == 1 else (n, dim), np.float64))
     if near_gradient:
         entries.append(("near_grad", (n, 3), np.float64))
-    nq_shape = (n,) if near_strength_cols == 0 else (n, near_strength_cols)
-    entries.append(("nearq", nq_shape, np.float64))
+    entries.append(("nearq", (n, *near_shape), np.float64))
 
     plan = GlobalPlan(
         n_shards=n_shards,
-        n_bodies=n,
-        n_eff=n_eff,
-        n_leaves=n_leaves,
-        n_coeffs=nc,
-        backend=expansion.backend,
-        order=expansion.order,
-        is_complex=is_complex,
+        expansion=expansion,
         kernel=kernel,
         passes=list(passes),
         near_potential=near_potential,
         near_gradient=near_gradient,
-        near_strength_cols=near_strength_cols,
-        value_dim=value_dim,
         arena_name="",
         layout={},
         timeout_s=timeout_s,
-        up_classes=list(geom.up_classes),
-        m2l_classes=list(geom.m2l_classes),
-        down_classes=list(geom.down_classes),
+        geom=geom,
         up_rounds=up_rounds,
         m2l_rounds=m2l_rounds,
         down_rounds=down_rounds,
-        delta_rows=delta_rows,
-        leaf_rows=geom.leaf_rows,
-        leaf_pos=geom.leaf_pos,
-        centers=geom.centers,
-        x_recv_rows=geom.x_recv_rows,
-        x_src_rows=geom.x_src_rows,
-        w_tgt_rows=geom.w_tgt_rows,
-        w_src_rows=geom.w_src_rows,
+        n_groups=nplan.n_groups,
+        near_pairs=nplan.total_pairs,
         row_rank=row_rank,
         leaf_shard=leaf_shard,
         body_owner=body_owner,
-        near_assignee=near_assignee,
-        n_groups=nplan.n_groups,
-        row_ranges=row_ranges,
-        body_ranges=body_ranges,
-        grad_axis_shard=grad_axis_shard,
+        near_assignee=_lpt_assign(
+            [nplan.group_pairs(g) for g in range(nplan.n_groups)], n_shards
+        ),
+        row_ranges=np.array(
+            [(n_eff * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
+        ),
+        body_ranges=np.array(
+            [(n * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
+        ),
+        grad_axis_shard=np.arange(3, dtype=np.int64) % n_shards,
     )
     extras = {"part": part, "let": let, "bplan": bplan, "nplan": nplan}
     return plan, entries, extras
@@ -502,34 +422,43 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
 
 
 class _WorkerState:
-    """Per-shard execution state: arena views + precomputed assignments."""
+    """Per-shard execution state: arena views + precomputed assignments.
+
+    The stage arithmetic is the in-process stage library
+    (:mod:`repro.fmm.farfield` / :mod:`repro.fmm.nearfield`) called over
+    arena views; this class only decides *which* leaves, classes and
+    groups this shard runs, and when.
+    """
 
     def __init__(self, plan: GlobalPlan, shard_id: int, barrier) -> None:
         self.plan = plan
         self.me = shard_id
         self.barrier = barrier
         self.arena = _Arena.attach(plan.arena_name, plan.layout)
-        self.v = self.arena.views
-        self.exp = _make_expansion(plan.backend, plan.order)
-
-        from repro.fmm.farfield import _expand_segments
+        self.v = v = self.arena.views
+        self.exp = plan.expansion
+        self.geom = geom = plan.geom
+        self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
+        self.near_plan = nearfield.NearFieldPlan(
+            **_plan_views("near", v),
+            n_groups=plan.n_groups,
+            total_pairs=plan.near_pairs,
+        )
 
         # per-shard leaf/body subset (row-independent stages)
         self.my_leaves = np.nonzero(plan.leaf_shard == self.me)[0]
-        ptr = self.v["ptr"]
-        self.rowpos, cnts = _expand_segments(ptr, self.my_leaves)
-        self.sub_ptr = np.concatenate(([0], np.cumsum(cnts))).astype(np.int64)
+        self.refresh()
 
         # ownership merge selections, per round/class (serial class order)
-        self.up_merge = self._merge_sel(plan.up_rounds, plan.up_classes, 1)
-        self.m2l_merge = self._merge_sel(plan.m2l_rounds, plan.m2l_classes, 1)
+        self.up_merge = self._merge_sel(plan.up_rounds, geom.up_classes, 1)
+        self.m2l_merge = self._merge_sel(plan.m2l_rounds, geom.m2l_classes, 1)
 
         # M2L halo: remote multipole rows my assigned classes read
         mine = []
         for rnd in plan.m2l_rounds:
             for k, ci in enumerate(rnd.cis):
                 if rnd.assignee[k] == self.me:
-                    mine.append(plan.m2l_classes[int(ci)][0])
+                    mine.append(geom.m2l_classes[int(ci)][0])
         if mine:
             src = np.unique(np.concatenate(mine))
             self.halo_rows = src[plan.row_rank[src] != self.me]
@@ -538,17 +467,13 @@ class _WorkerState:
 
         # near groups + boundary-body halo (sources owned by other shards)
         self.my_groups = np.nonzero(plan.near_assignee == self.me)[0]
-        sp = self.v["ns_ptr"]
-        segs = [
-            self.v["ns_idx"][sp[g] : sp[g + 1]] for g in self.my_groups.tolist()
-        ]
+        segs = [self.near_plan.group(g)[1] for g in self.my_groups.tolist()]
         if segs:
-            s_all = np.unique(np.concatenate(segs)) if len(segs) else None
+            s_all = np.unique(np.concatenate(segs))
             self.near_remote = s_all[plan.body_owner[s_all] != self.me]
         else:
             self.near_remote = np.empty(0, dtype=np.int64)
 
-        self._basis_cache: dict[str, np.ndarray] = {}
         self._beat = lambda label=None: None
         self.completed_phase = -1
         self._grad_mats = (
@@ -572,18 +497,27 @@ class _WorkerState:
         return out
 
     def refresh(self) -> None:
-        """Positions moved (same structure): drop rel-derived caches."""
-        self._basis_cache.clear()
+        """Positions moved (same structure): re-slice my leaves out of the
+        rewritten body plan and drop the bases derived from it."""
+        self.sub = self.body_plan.subset(self.my_leaves)
+        self._memo: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------- helpers
-    def _leaf_basis(self, kind: str) -> np.ndarray:
-        if self.plan.backend == "spherical":
-            kind = "regular"
-        b = self._basis_cache.get(kind)
-        if b is None:
-            fn = self.exp.p2m_basis if kind == "p2m" else self.exp.l2p_basis
-            b = self._basis_cache[kind] = fn(self.v["rel"][self.rowpos])
-        return b
+    def _derived(self, key: str):
+        """The ``derived_cache`` protocol over this session's memo."""
+
+        def store(value):
+            self._memo[key] = value
+            return value
+
+        return self._memo.get(key), store
+
+    def _basis(self, kind: str) -> np.ndarray:
+        return farfield.leaf_basis(self.exp, self.sub, kind, self._derived)
+
+    def _source(self, i: int, spec: PassSpec) -> dict:
+        """Pass ``i``'s strengths as the stage functions' source keyword."""
+        return {spec.kind: self.v[f"src{i}"]}
 
     def _wait(self) -> None:
         self._beat()  # barrier-arrival heartbeat: the laggard stands out
@@ -596,6 +530,12 @@ class _WorkerState:
         self.intervals.append((label, self.me, t0 - self.t_run, t1 - self.t_run))
         self.phase_s[label] = self.phase_s.get(label, 0.0) + (t1 - t0)
 
+    def _timed(self, label: str, stage, *args) -> None:
+        """Run one stage under a ``label`` span."""
+        t0 = time.perf_counter()
+        stage(*args)
+        self._span(label, t0)
+
     # --------------------------------------------------------------- stages
     def _zero_coeffs(self) -> None:
         lo, hi = self.plan.row_ranges[self.me], self.plan.row_ranges[self.me + 1]
@@ -603,20 +543,11 @@ class _WorkerState:
         self.v["L"][lo:hi] = 0.0
 
     def _p2m(self, i: int, spec: PassSpec) -> None:
-        if not self.rowpos.size:
-            return
-        from repro.fmm.farfield import _segment_sum
-
-        plan, v = self.plan, self.v
-        bi = v["body_idx"][self.rowpos]
-        rows = None
-        if spec.kind == "charges":
-            rows = v[f"q{i}"][bi, None] * self._leaf_basis("p2m")
-        else:
-            rows = self.exp.p2m_dipole_rows(
-                v["rel"][self.rowpos], v[f"dip{i}"][bi], self.sub_ptr
-            )
-        v["M"][plan.leaf_rows[self.my_leaves]] = _segment_sum(rows, self.sub_ptr)
+        basis = self._basis("p2m") if spec.kind == "charges" else None
+        farfield.p2m(
+            self.geom, self.sub, self.exp, self.v["M"],
+            basis=basis, **self._source(i, spec),
+        )
 
     def _deltas(self, rnd: _Round, classes) -> None:
         M, D = self.v["M"], self.v["D"]
@@ -642,94 +573,58 @@ class _WorkerState:
         self._span("halo", t0)
 
     def _p2l(self, i: int, spec: PassSpec) -> None:
-        plan, v = self.plan, self.v
-        if not plan.x_recv_rows.size:
-            return
-        from repro.fmm.farfield import _expand_segments, _segment_sum
-
-        rowpos, cnt = _expand_segments(v["ptr"], plan.leaf_pos[plan.x_src_rows])
-        if not rowpos.size:
-            return
-        pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-        b_idx = v["body_idx"][rowpos]
-        relx = v["points"][b_idx] - plan.centers[plan.x_recv_rows[pair_of]]
-        pair_ptr = np.concatenate(([0], np.cumsum(cnt)))
-        if spec.kind == "charges":
-            rows = v[f"q{i}"][b_idx, None] * self.exp.p2l_basis(relx)
-        else:
-            rows = self.exp.p2l_dipole_rows(relx, v[f"dip{i}"][b_idx], pair_ptr)
-        np.add.at(self.v["L"], plan.x_recv_rows, _segment_sum(rows, pair_ptr))
+        geom = self.geom
+        pairs = farfield.pair_bodies(geom, self.body_plan, geom.x_src_rows)
+        contrib = farfield.p2l(
+            geom, self.body_plan, self.exp, self.v["points"], pairs,
+            **self._source(i, spec),
+        )
+        if contrib is not None:
+            np.add.at(self.v["L"], geom.x_recv_rows, contrib)
 
     def _l2l(self, rnd: _Round) -> None:
         L = self.v["L"]
         for k, ci in enumerate(rnd.cis):
             if rnd.assignee[k] != self.me:
                 continue
-            prows, crows, op = self.plan.down_classes[int(ci)]
+            prows, crows, op = self.geom.down_classes[int(ci)]
             L[crows] += L[prows] @ op
 
     def _gk(self) -> None:
-        plan = self.plan
-        leaf_loc = self.v["L"][plan.leaf_rows]
         for k, A in enumerate(self._grad_mats):
-            if plan.grad_axis_shard[k] != self.me:
-                continue
-            self.v["GK"][k] = leaf_loc @ A
+            if self.plan.grad_axis_shard[k] == self.me:
+                self.v["GK"][k] = farfield.l2p_leaf_gradient(self.geom, self.v["L"], A)
 
     def _l2p(self, i: int, spec: PassSpec) -> None:
-        if not self.rowpos.size:
-            return
-        plan, v = self.plan, self.v
-        bi = v["body_idx"][self.rowpos]
-        basis = self._leaf_basis("l2p")
-        if spec.potential:
-            row_loc = v["L"][plan.leaf_rows[v["gid"][self.rowpos]]]
-            vals = np.einsum("ij,ij->i", basis, row_loc)
-            v[f"fpot{i}"][bi] = vals.real if plan.is_complex else vals
-        if spec.gradient:
-            for k in range(3):
-                gk_rows = v["GK"][k][v["gid"][self.rowpos]]
-                vals = np.einsum("ij,ij->i", basis, gk_rows)
-                v[f"fgrad{i}"][bi, k] = vals.real if plan.is_complex else vals
+        v = self.v
+        farfield.l2p(
+            self.geom, self.sub, self._basis("l2p"), v["L"],
+            v.get(f"fpot{i}"), v.get(f"fgrad{i}"), v.get("GK", ()),
+        )
 
     def _m2p(self, i: int, spec: PassSpec) -> None:
-        plan, v = self.plan, self.v
-        if not plan.w_tgt_rows.size:
-            return
-        from repro.fmm.farfield import _expand_segments
-
-        rowpos, cnt = _expand_segments(v["ptr"], plan.leaf_pos[plan.w_tgt_rows])
-        if not rowpos.size:
-            return
-        pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-        b_idx = v["body_idx"][rowpos]
-        relw = v["points"][b_idx] - plan.centers[plan.w_src_rows[pair_of]]
-        mom = v["M"][plan.w_src_rows]
-        if spec.potential:
-            Bw = self.exp.m2p_basis(relw)
-            vals = np.einsum("ij,ij->i", Bw, mom[pair_of])
-            np.add.at(
-                v[f"fpot{i}"], b_idx, vals.real if plan.is_complex else vals
-            )
-        if spec.gradient:
-            Bbig = self.exp.m2p_grad_basis(relw)
-            for k, A in enumerate(self.exp.m2p_gradient_matrices()):
-                gk = mom @ A
-                vals = np.einsum("ij,ij->i", Bbig, gk[pair_of])
-                np.add.at(
-                    v[f"fgrad{i}"][:, k],
-                    b_idx,
-                    vals.real if plan.is_complex else vals,
-                )
+        v, geom = self.v, self.geom
+        pairs = farfield.pair_bodies(geom, self.body_plan, geom.w_tgt_rows)
+        vals = farfield.m2p(
+            geom, self.body_plan, self.exp, v["points"], v["M"], pairs,
+            potential=spec.potential,
+            grad_mats=self.exp.m2p_gradient_matrices() if spec.gradient else (),
+        )
+        farfield.m2p_scatter(
+            self.body_plan, pairs, v.get(f"fpot{i}"), v.get(f"fgrad{i}"), *vals
+        )
 
     # ----------------------------------------------------------- near field
+    def _near_out(self) -> tuple:
+        """``(pot, grad)`` near-field output views (``None`` = not wanted)."""
+        return self.v.get("near_pot"), self.v.get("near_grad")
+
     def _near_zero(self) -> None:
         plan = self.plan
         lo, hi = plan.body_ranges[self.me], plan.body_ranges[self.me + 1]
-        if plan.near_potential:
-            self.v["near_pot"][lo:hi] = 0.0
-        if plan.near_gradient:
-            self.v["near_grad"][lo:hi] = 0.0
+        for out in self._near_out():
+            if out is not None:
+                out[lo:hi] = 0.0
 
     def _near_halo(self) -> None:
         if not self.near_remote.size:
@@ -743,40 +638,20 @@ class _WorkerState:
         self._span("halo", t0)
 
     def _near_groups(self) -> None:
-        from repro.fmm.nearfield import evaluate_near_group
-
-        plan, v = self.plan, self.v
-        tp, sp = v["nt_ptr"], v["ns_ptr"]
-        pot = v["near_pot"] if plan.near_potential else None
-        grad = v["near_grad"] if plan.near_gradient else None
+        v = self.v
+        pot, grad = self._near_out()
         for g in self.my_groups.tolist():
-            evaluate_near_group(
-                plan.kernel,
-                v["points"],
-                v["nearq"],
-                v["nt_idx"][tp[g] : tp[g + 1]],
-                v["ns_idx"][sp[g] : sp[g + 1]],
-                pot,
-                grad,
+            nearfield.evaluate_near_group(
+                self.plan.kernel, v["points"], v["nearq"],
+                *self.near_plan.group(g), pot, grad,
             )
 
     def _near_self(self) -> None:
-        plan, v = self.plan, self.v
-        si = v["nself"]
-        if not si.size:
-            return
-        kernel = plan.kernel
-        pts, q = v["points"], v["nearq"]
-        if plan.near_potential:
-            corr = kernel.self_interaction(pts[si], q[si], gradient=False)
-            if plan.value_dim == 1:
-                v["near_pot"][si] -= corr[:, 0]
-            else:
-                v["near_pot"][si] -= corr
-        if plan.near_gradient:
-            v["near_grad"][si] -= kernel.self_interaction(
-                pts[si], q[si], gradient=True
-            )
+        v = self.v
+        nearfield.near_self_correction(
+            self.plan.kernel, v["points"], v["nearq"],
+            self.near_plan.self_idx, *self._near_out(),
+        )
 
     # ------------------------------------------------------------------ run
     def run(self, refreshed: bool, from_phase: int = 0, beat=None) -> dict:
@@ -791,7 +666,7 @@ class _WorkerState:
         """
         if refreshed:
             self.refresh()
-        plan = self.plan
+        plan, geom = self.plan, self.geom
         self.barrier_s = 0.0
         self.halo_bytes = 0
         self.halo_s = 0.0
@@ -811,61 +686,41 @@ class _WorkerState:
             self._beat(tag("p2m", i))
             self._zero_coeffs()
             self._wait()
-            t = time.perf_counter()
-            self._p2m(i, spec)
-            self._span(tag("p2m", i), t)
+            self._timed(tag("p2m", i), self._p2m, i, spec)
             self._wait()
             for rnd, items in zip(plan.up_rounds, self.up_merge):
                 self._beat(tag("m2m", i))
-                t = time.perf_counter()
-                self._deltas(rnd, plan.up_classes)
-                self._span(tag("m2m", i), t)
+                self._timed(tag("m2m", i), self._deltas, rnd, geom.up_classes)
                 self._wait()
-                t = time.perf_counter()
-                self._merges(items, "M")
-                self._span(tag("m2m", i), t)
+                self._timed(tag("m2m", i), self._merges, items, "M")
                 self._wait()
             self._beat(tag("halo", i))
             self._halo_gather()
             for rnd, items in zip(plan.m2l_rounds, self.m2l_merge):
                 self._beat(tag("m2l", i))
-                t = time.perf_counter()
-                self._deltas(rnd, plan.m2l_classes)
-                self._span(tag("m2l", i), t)
+                self._timed(tag("m2l", i), self._deltas, rnd, geom.m2l_classes)
                 self._wait()
-                t = time.perf_counter()
-                self._merges(items, "L")
-                self._span(tag("m2l", i), t)
+                self._timed(tag("m2l", i), self._merges, items, "L")
                 self._wait()
-            if plan.x_recv_rows.size:
+            if geom.x_recv_rows.size:
                 self._beat(tag("p2l", i))
                 if self.me == 0:
-                    t = time.perf_counter()
-                    self._p2l(i, spec)
-                    self._span(tag("p2l", i), t)
+                    self._timed(tag("p2l", i), self._p2l, i, spec)
                 self._wait()
             for rnd in plan.down_rounds:
                 self._beat(tag("l2l", i))
-                t = time.perf_counter()
-                self._l2l(rnd)
-                self._span(tag("l2l", i), t)
+                self._timed(tag("l2l", i), self._l2l, rnd)
                 self._wait()
             self._beat(tag("l2p", i))
             if spec.gradient:
-                t = time.perf_counter()
-                self._gk()
-                self._span(tag("l2p", i), t)
+                self._timed(tag("l2p", i), self._gk)
                 self._wait()
-            t = time.perf_counter()
-            self._l2p(i, spec)
-            self._span(tag("l2p", i), t)
-            if plan.w_tgt_rows.size:
+            self._timed(tag("l2p", i), self._l2p, i, spec)
+            if geom.w_tgt_rows.size:
                 self._wait()
                 self._beat(tag("m2p", i))
                 if self.me == 0:
-                    t = time.perf_counter()
-                    self._m2p(i, spec)
-                    self._span(tag("m2p", i), t)
+                    self._timed(tag("m2p", i), self._m2p, i, spec)
             self._wait()
             self.completed_phase = i
         if plan.near_potential or plan.near_gradient:
@@ -873,15 +728,11 @@ class _WorkerState:
             self._near_zero()
             self._wait()
             self._near_halo()
-            t = time.perf_counter()
-            self._near_groups()
-            self._span("p2p", t)
+            self._timed("p2p", self._near_groups)
             self._wait()
             self._beat("near-self")
             if self.me == 0:
-                t = time.perf_counter()
-                self._near_self()
-                self._span("p2p", t)
+                self._timed("p2p", self._near_self)
             self._wait()
         self.completed_phase = len(plan.passes)
         wall = time.perf_counter() - self.t_run
@@ -898,16 +749,6 @@ class _WorkerState:
 
     def close(self) -> None:
         self.arena.close(unlink=False)
-
-
-def _make_expansion(backend: str, order: int):
-    if backend == "spherical":
-        from repro.expansions.spherical import SphericalExpansion
-
-        return SphericalExpansion(order)
-    from repro.expansions.cartesian import CartesianExpansion
-
-    return CartesianExpansion(order)
 
 
 def _worker_main(conn, barrier, shard_id: int) -> None:
@@ -1092,10 +933,11 @@ class _Session:
 class ProcessEngine:
     """Multi-process shard executor behind the thread-engine interface.
 
-    ``solve_laplace`` / ``solve_stokeslet`` mirror the serial pass
-    structure exactly (see the module docstring for the determinism
-    contract); :attr:`last_result` carries the observed per-shard
-    timings, halo traffic, and Perfetto lanes of the most recent run.
+    ``solve_passes`` (and its single-charge-pass form ``solve_laplace``)
+    mirrors the serial pass structure exactly (see the module docstring
+    for the determinism contract); :attr:`last_result` carries the
+    observed per-shard timings, halo traffic, and Perfetto lanes of the
+    most recent run.
     """
 
     is_process = True
@@ -1245,7 +1087,7 @@ class ProcessEngine:
     # -------------------------------------------------------------- install
     def _ensure_session(
         self, tree, lists, expansion, kernel, passes, *, near_potential,
-        near_gradient, near_strength_cols, value_dim
+        near_gradient, near_shape
     ) -> _Session:
         key = (
             id(tree),
@@ -1256,32 +1098,26 @@ class ProcessEngine:
             tuple((p.kind, p.potential, p.gradient) for p in passes),
             near_potential,
             near_gradient,
-            near_strength_cols,
+            near_shape,
             id(kernel),
         )
         sess = self._session
         if sess is not None and sess.key == key:
-            if sess.generation != tree.generation:
-                if self._refresh_session(sess, tree, lists, expansion, kernel):
-                    return self._session
-            else:
+            if sess.generation == tree.generation:
+                return sess
+            if self._refresh_session(sess, tree, lists):
                 return sess
         return self._install(
             tree, lists, expansion, kernel, passes, key,
             near_potential=near_potential, near_gradient=near_gradient,
-            near_strength_cols=near_strength_cols, value_dim=value_dim,
+            near_shape=near_shape,
         )
 
-    def _install(
-        self, tree, lists, expansion, kernel, passes, key, *, near_potential,
-        near_gradient, near_strength_cols, value_dim
-    ) -> _Session:
+    def _install(self, tree, lists, expansion, kernel, passes, key, **near) -> _Session:
         self._drop_session()
         plan, entries, extras = _build_plan(
             tree, lists, expansion, kernel, passes,
-            near_potential=near_potential, near_gradient=near_gradient,
-            near_strength_cols=near_strength_cols, value_dim=value_dim,
-            n_shards=self.n_shards, timeout_s=self.timeout_s,
+            n_shards=self.n_shards, timeout_s=self.timeout_s, **near,
         )
         arena = _Arena(entries)
         plan.arena_name = arena.shm.name
@@ -1309,37 +1145,22 @@ class ProcessEngine:
 
     def _fill_structure(self, arena, tree, extras) -> None:
         v = arena.views
-        bplan, nplan = extras["bplan"], extras["nplan"]
         v["points"][:] = tree.points
-        v["body_idx"][:] = bplan.body_idx
-        v["ptr"][:] = bplan.ptr
-        v["gid"][:] = bplan.gid
-        v["rel"][:] = bplan.rel
-        v["nt_idx"][:] = nplan.tgt_idx
-        v["nt_ptr"][:] = nplan.tgt_ptr
-        v["ns_idx"][:] = nplan.src_idx
-        v["ns_ptr"][:] = nplan.src_ptr
-        v["nself"][:] = nplan.self_idx
+        for prefix, src in (("body", extras["bplan"]), ("near", extras["nplan"])):
+            for f, view in _plan_views(prefix, v).items():
+                view[:] = getattr(src, f)
 
-    def _refresh_session(self, sess, tree, lists, expansion, kernel) -> bool:
+    def _refresh_session(self, sess, tree, lists) -> bool:
         """Same structure, new positions: rewrite body-plan arrays in place.
 
         Returns True when the in-place refresh sufficed; False when array
         shapes changed (near-field pair counts drifted) and the caller
         must fall through to a full re-install.
         """
-        from repro.fmm.farfield import _leaf_body_plan
-        from repro.fmm.nearfield import build_near_field_plan
-
-        bplan = _leaf_body_plan(tree, lists)
-        nplan = build_near_field_plan(tree, lists)
-        v = sess.arena.views
-        same = (
-            v["ns_idx"].shape == nplan.src_idx.shape
-            and v["nt_idx"].shape == nplan.tgt_idx.shape
-            and v["nself"].shape == nplan.self_idx.shape
-        )
-        if not same:
+        bplan = farfield.leaf_body_plan(tree, lists)
+        nplan = nearfield.build_near_field_plan(tree, lists)
+        views = _plan_views("near", sess.arena.views)
+        if any(view.shape != getattr(nplan, f).shape for f, view in views.items()):
             return False
         sess.extras["bplan"], sess.extras["nplan"] = bplan, nplan
         self._fill_structure(sess.arena, tree, sess.extras)
@@ -1676,55 +1497,48 @@ class ProcessEngine:
         return res
 
     # -------------------------------------------------------------- solves
+    def solve_passes(
+        self, tree, lists, expansion, kernel, passes, near_q, *,
+        potential=True, gradient=False,
+    ):
+        """One sharded solve: far-field ``passes`` + one near field.
+
+        ``passes`` is an ordered list of ``(PassSpec, source array)``;
+        ``near_q`` the near-field strengths with the near field's
+        ``potential`` / ``gradient`` flags.  Mirrors the serial pass
+        sequence exactly; returns ``(far, near_pot, near_grad)`` with
+        ``far`` one ``(pot, grad)`` pair per pass — all copies, ``None``
+        where not requested.
+        """
+        near_q = np.asarray(near_q, dtype=float)
+        sess = self._ensure_session(
+            tree, lists, expansion, kernel, [spec for spec, _ in passes],
+            near_potential=potential, near_gradient=gradient,
+            near_shape=near_q.shape[1:],
+        )
+        v = sess.arena.views
+        for i, (_, source) in enumerate(passes):
+            v[f"src{i}"][:] = source
+        v["nearq"][:] = near_q
+        self._run(sess, tree)
+
+        def out(name):
+            return v[name].copy() if name in v else None
+
+        far = [(out(f"fpot{i}"), out(f"fgrad{i}")) for i in range(len(passes))]
+        return far, out("near_pot"), out("near_grad")
+
     def solve_laplace(
         self, tree, lists, expansion, kernel, q, *, potential=True,
         gradient=False,
     ):
-        """One sharded Laplace solve; returns ``(far_pot, far_grad,
-        near_pot, near_grad)`` copies (None where not requested)."""
-        passes = [PassSpec("charges", potential=potential, gradient=gradient)]
-        sess = self._ensure_session(
-            tree, lists, expansion, kernel, passes,
-            near_potential=potential, near_gradient=gradient,
-            near_strength_cols=0, value_dim=kernel.value_dim,
+        """One sharded Laplace solve — :meth:`solve_passes` with a single
+        charge pass; returns ``(far_pot, far_grad, near_pot, near_grad)``
+        copies (None where not requested)."""
+        q = np.asarray(q, dtype=float).reshape(-1)
+        far, near_pot, near_grad = self.solve_passes(
+            tree, lists, expansion, kernel,
+            [(PassSpec("charges", potential=potential, gradient=gradient), q)],
+            q, potential=potential, gradient=gradient,
         )
-        v = sess.arena.views
-        qq = np.asarray(q, dtype=float).reshape(-1)
-        v["q0"][:] = qq
-        v["nearq"][:] = qq
-        self._run(sess, tree)
-        far_pot = v["fpot0"].copy() if potential else None
-        far_grad = v["fgrad0"].copy() if gradient else None
-        near_pot = v["near_pot"].copy() if potential else None
-        near_grad = v["near_grad"].copy() if gradient else None
-        return far_pot, far_grad, near_pot, near_grad
-
-    def solve_stokeslet(self, tree, lists, expansion, kernel, forces):
-        """The seven Stokeslet passes + vector near field in one session.
-
-        Returns ``(phis, A, Bs, u_near)`` exactly as the serial pass
-        sequence produces them (all copies).
-        """
-        f = np.atleast_2d(np.asarray(forces, dtype=float))
-        passes = [PassSpec("charges") for _ in range(3)] + [
-            PassSpec("dipoles") for _ in range(4)
-        ]
-        sess = self._ensure_session(
-            tree, lists, expansion, kernel, passes,
-            near_potential=True, near_gradient=False,
-            near_strength_cols=3, value_dim=kernel.value_dim,
-        )
-        v = sess.arena.views
-        pts = tree.points
-        for i in range(3):
-            v[f"q{i}"][:] = f[:, i]
-        v["dip3"][:] = f
-        for k in range(3):
-            v[f"dip{4 + k}"][:] = pts[:, k, None] * f
-        v["nearq"][:] = f
-        self._run(sess, tree)
-        phis = [v[f"fpot{i}"].copy() for i in range(3)]
-        A = v["fpot3"].copy()
-        Bs = [v[f"fpot{4 + k}"].copy() for k in range(3)]
-        u_near = v["near_pot"].copy()
-        return phis, A, Bs, u_near
+        return (*far[0], near_pot, near_grad)

@@ -207,10 +207,13 @@ class Simulation:
         #: numeric solves (None when the config resolves to 1 worker or
         #: forces are direct-summed)
         self.engine = None
+        #: whether :attr:`engine` is the multi-process shard engine
+        self._sharded = False
         if self.config.forces == "fmm":
             if (self.config.n_shards or 1) > 1:
                 from repro.runtime.shards import ProcessEngine
 
+                self._sharded = True
                 self.engine = ProcessEngine(
                     n_shards=self.config.n_shards, telemetry=self.telemetry
                 )
@@ -304,7 +307,7 @@ class Simulation:
             "n_shards": self.config.n_shards,
         }
         eng = self.engine
-        if eng is not None and getattr(eng, "is_process", False):
+        if self._sharded:
             last = self.last_shard_result
             # enough to attribute shard idle time from the ledger alone:
             # idle_seconds / (runs * n_shards) is the mean per-shard wait

@@ -1,0 +1,69 @@
+"""README.md and DESIGN.md name only things that exist.
+
+Every repository path (``src/…``, ``tests/…``, ``benchmarks/…``,
+``examples/…``; globs must match something), every ``repro.<module>``
+dotted name (resolved by import + attribute walk) and every
+``python -m repro <verb>`` the two documents mention is checked against
+the tree, so a rename or deletion that forgets the docs fails here
+instead of leaving a dangling reference for the next reader.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import ABLATIONS, COMMANDS
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "DESIGN.md")
+
+_PATH = re.compile(r"(?<![\w/.-])(?:src|tests|benchmarks|examples)/[\w./*-]+")
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+_VERB = re.compile(r"python -m repro ([a-z][\w-]*)")
+
+
+def _mentions(doc: str, pattern: re.Pattern) -> list[str]:
+    text = (ROOT / doc).read_text()
+    found = {m.group(pattern.groups and 1 or 0) for m in pattern.finditer(text)}
+    # sentence punctuation glued to the end of a mention is not part of it
+    return sorted({f.rstrip(".-") for f in found})
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_paths_exist(doc):
+    missing = [
+        p for p in _mentions(doc, _PATH)
+        if not (any(ROOT.glob(p)) if "*" in p else (ROOT / p).exists())
+    ]
+    assert not missing, f"{doc} names paths that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_dotted_names_resolve(doc):
+    missing = [d for d in _mentions(doc, _DOTTED) if not _resolves(d)]
+    assert not missing, f"{doc} names repro.* objects that do not resolve: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_cli_verbs_exist(doc):
+    verbs = set(COMMANDS) | set(ABLATIONS) | {"list"}
+    missing = [v for v in _mentions(doc, _VERB) if v not in verbs]
+    assert not missing, f"{doc} names `python -m repro` verbs that do not exist: {missing}"

@@ -5,9 +5,10 @@ per *geometry class* over ``(n_nodes, n_coeffs)`` coefficient arrays; the
 original per-node sweep is kept as
 :func:`repro.fmm.multipass.laplace_far_field_scalar` exactly so the two
 can be compared on randomized adaptive trees across both expansion
-backends, both source channels, and both schemes.  Also covers the cache
-layers (geometry survives refits, dies on surgery) and the per-op
-telemetry span contract.
+backends, both source channels, and both schemes.  Also covers the
+subset contract of the per-body stage functions (what the shard schedule
+rests on), the cache layers (geometry survives refits, dies on surgery)
+and the per-op telemetry span contract.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
+from repro.fmm import farfield
 from repro.fmm.farfield import far_field_geometry, laplace_far_field
 from repro.fmm.multipass import laplace_far_field_scalar
 from repro.obs import Telemetry
@@ -81,6 +83,94 @@ def test_batched_matches_scalar_oracle(family, n, S, seed, folded, backend, chan
     tol = 5e-9 if (backend == "spherical" and dip is not None) else 1e-12
     assert _max_rel(pot, ref_pot) <= tol
     assert _max_rel(grad, ref_grad) <= tol
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    family=st.sampled_from(sorted(_FAMILIES)),
+    n=st.integers(min_value=40, max_value=500),
+    S=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    backend=st.sampled_from(sorted(_BACKENDS)),
+    channel=st.sampled_from(["monopole", "dipole", "both"]),
+    order=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_per_body_stages_are_bitwise_subsettable(
+    family, n, S, seed, backend, channel, order, data
+):
+    """P2M and L2P (potential + gradient) on an arbitrary leaf subset give
+    bitwise the rows the full-set call gives — the property that lets a
+    shard run them on its own leaves only (DESIGN.md §9)."""
+    pts = _FAMILIES[family](n, seed=seed).positions
+    tree = AdaptiveOctree(pts, S=S)
+    n_leaves = len(tree.leaves())
+    picked = data.draw(st.sets(st.integers(0, n_leaves - 1), max_size=n_leaves))
+    _check_leaf_subset(tree, backend, order, channel, seed, sorted(picked))
+
+
+@pytest.mark.parametrize("channel", ["monopole", "dipole"])
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_one_body_leaf_subset_is_bitwise(backend, channel):
+    """The one shape the row-dot reduction treats differently (a single
+    row: ``farfield._row_dots``), pinned without relying on hypothesis
+    drawing it: S=1 makes every leaf one body, so a one-leaf subset is a
+    one-row plan."""
+    tree = AdaptiveOctree(plummer(60, seed=7).positions, S=1)
+    for leaf in (0, 17, len(tree.leaves()) - 1):
+        _check_leaf_subset(tree, backend, 4, channel, 7, [leaf])
+
+
+def _check_leaf_subset(tree, backend, order, channel, seed, leaves):
+    n = tree.n_bodies
+    lists = build_interaction_lists(tree, folded=True)
+    exp = _BACKENDS[backend](order)
+    q, dip = _sources(n, seed, channel)
+    geom = far_field_geometry(tree, lists, exp)
+    plan = farfield.leaf_body_plan(tree, lists)
+    leaves = np.array(leaves, dtype=np.int64)
+    sub = plan.subset(leaves)
+    shape = (geom.centers.shape[0], exp.n_coeffs)
+    dtype = complex if backend == "spherical" else float
+
+    def basis(p, kind):
+        return farfield.leaf_basis(exp, p, kind, lambda key: (None, lambda v: v))
+
+    def run_p2m(p):
+        M = np.zeros(shape, dtype=dtype)
+        p2m_basis = basis(p, "p2m") if q is not None else None
+        farfield.p2m(geom, p, exp, M, charges=q, dipoles=dip, basis=p2m_basis)
+        return M
+
+    full, part = run_p2m(plan), run_p2m(sub)
+    rows = geom.leaf_rows[leaves]
+    assert np.array_equal(part[rows], full[rows])
+    untouched = np.setdiff1d(np.arange(shape[0]), rows)
+    assert not part[untouched].any()
+
+    # L2P from arbitrary locals; the per-leaf gradient matmul runs whole
+    rng = np.random.default_rng(seed)
+    L = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        L += 1j * rng.standard_normal(shape)
+    leaf_grad = [
+        farfield.l2p_leaf_gradient(geom, L, A) for A in exp.l2p_gradient_matrices()
+    ]
+
+    def run_l2p(p):
+        pot, grad = np.zeros(n), np.zeros((n, 3))
+        farfield.l2p(geom, p, basis(p, "l2p"), L, pot, grad, leaf_grad)
+        return pot, grad
+
+    (pot, grad), (spot, sgrad) = run_l2p(plan), run_l2p(sub)
+    assert np.array_equal(spot[sub.body_idx], pot[sub.body_idx])
+    assert np.array_equal(sgrad[sub.body_idx], grad[sub.body_idx])
+    outside = np.setdiff1d(np.arange(n), sub.body_idx)
+    assert not spot[outside].any() and not sgrad[outside].any()
 
 
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))

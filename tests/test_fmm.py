@@ -6,7 +6,12 @@ import pytest
 from repro.distributions import gaussian_blobs, plummer, uniform_cube
 from repro.expansions import SphericalExpansion
 from repro.fmm import FMMSolver, accuracy_report, relative_error
-from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKernel
+from repro.kernels import (
+    GravityKernel,
+    LaplaceKernel,
+    RegularizedStokesletKernel,
+    StokesletFMMSolver,
+)
 from repro.tree import build_adaptive, build_uniform
 
 
@@ -101,10 +106,16 @@ class TestStructure:
             solver.solve(tree, np.ones((uniform_small.n, 3)))
 
     def test_strength_length_validated(self, uniform_small):
-        solver = FMMSolver(LaplaceKernel())
+        """Malformed strengths are rejected before any work: not even the
+        interaction lists of a cold cache are built."""
         tree = build_adaptive(uniform_small.positions, S=40)
-        with pytest.raises(ValueError):
-            solver.solve(tree, np.ones(3))
+        for solver, bad in (
+            (FMMSolver(LaplaceKernel()), np.ones(3)),
+            (StokesletFMMSolver(), np.ones((3, 3))),
+        ):
+            with pytest.raises(ValueError):
+                solver.solve(tree, bad)
+            assert solver.list_cache.builds == 0
 
     def test_op_counts_present(self, uniform_small):
         tree = build_adaptive(uniform_small.positions, S=40)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distributions.generators import gaussian_blobs
-from repro.fmm.evaluator import CartesianExpansion
+from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm.farfield import far_field_geometry, laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
 from repro.kernels.laplace import LaplaceKernel

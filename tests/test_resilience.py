@@ -342,47 +342,87 @@ def test_stokeslet_chaos_matrix(n_workers, backend):
     _run_stokeslet_chaos(n_workers, backend)
 
 
-class TestDegradation:
-    """Unrecoverable graph failures fall back to exact serial re-execution."""
+_SOLVER_KINDS = ("laplace", "stokeslet")
 
-    def _poisoned_solve(self, telemetry=None):
+
+def _solver_case(kind, n, seed, **solver_kwargs):
+    """One solver of ``kind`` with matching strengths: ``(solver, strengths,
+    solve kwargs, result -> output arrays)``."""
+    rng = np.random.default_rng(seed)
+    if kind == "laplace":
+        solver = FMMSolver(LaplaceKernel(softening=1e-3), order=3, **solver_kwargs)
+        return solver, rng.uniform(-1, 1, n), {"gradient": True}, (
+            lambda res: (res.potential, res.gradient)
+        )
+    solver = StokesletFMMSolver(order=3, **solver_kwargs)
+    return solver, rng.standard_normal((n, 3)), {}, lambda res: (res.velocity,)
+
+
+class TestDegradation:
+    """Unrecoverable graph failures fall back to exact serial re-execution
+    — one ladder (:class:`repro.fmm.dispatch.PassListSolver`), so every
+    property is asserted for both solvers."""
+
+    def _poisoned_solve(self, kind, telemetry=None):
         pts = plummer(300, seed=23).positions
-        q = np.random.default_rng(23).uniform(-1, 1, pts.shape[0])
         tree = AdaptiveOctree(pts, S=12)
         lists = build_interaction_lists(tree, folded=True)
-        ref = FMMSolver(LaplaceKernel(softening=1e-3), order=3).solve(
-            tree, q, gradient=True, lists=lists
-        )
+        ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 23)
+        ref = ref_solver.solve(tree, q, lists=lists, **kw)
         # a merge is non-retryable: a single raise there is unrecoverable
         plan = FaultPlan([FaultSpec("raise", match="M2L:m", fire_attempts=99)])
         with ExecutionEngine(n_workers=2) as eng:
-            solver = FMMSolver(
-                LaplaceKernel(softening=1e-3),
-                order=3,
-                engine=eng,
-                telemetry=telemetry,
+            solver, _, _, _ = _solver_case(
+                kind, pts.shape[0], 23, engine=eng, telemetry=telemetry
             )
             eng.install_fault_plan(plan)
             try:
-                res = solver.solve(tree, q, gradient=True, lists=lists)
+                res = solver.solve(tree, q, lists=lists, **kw)
             finally:
                 eng.install_fault_plan(None)
-        return ref, res, solver
+        return outputs(ref), outputs(res), solver
 
     def test_degrades_to_bitwise_serial(self):
-        ref, res, solver = self._poisoned_solve()
-        assert solver.degraded_runs == 1
-        assert solver.last_engine_result is None  # partial run discarded
-        assert np.array_equal(res.potential, ref.potential)
-        assert np.array_equal(res.gradient, ref.gradient)
+        for kind in _SOLVER_KINDS:
+            ref, res, solver = self._poisoned_solve(kind)
+            assert solver.degraded_runs == 1, kind
+            assert solver.last_engine_result is None, kind  # partial run discarded
+            for a, b in zip(res, ref):
+                assert np.array_equal(a, b), kind
 
     def test_degraded_run_counted_in_metrics(self):
-        telemetry = Telemetry()
-        _, _, solver = self._poisoned_solve(telemetry=telemetry)
-        assert solver.degraded_runs == 1
-        snap = telemetry.metrics.snapshot()
-        key = 'runtime_degraded_total{solver="laplace"}'
-        assert snap[key] == 1
+        for kind in _SOLVER_KINDS:
+            telemetry = Telemetry()
+            _, _, solver = self._poisoned_solve(kind, telemetry=telemetry)
+            assert solver.degraded_runs == 1
+            snap = telemetry.metrics.snapshot()
+            # exactly one series: the failing solver's own label
+            degraded = {k: v for k, v in snap.items() if "runtime_degraded_total" in k}
+            assert degraded == {f'runtime_degraded_total{{solver="{kind}"}}': 1}
+
+    @pytest.mark.parametrize("kind", _SOLVER_KINDS)
+    @pytest.mark.parametrize("fatal", [True, False], ids=["fatal", "absorbed"])
+    def test_deadline_is_fatal_only_when_configured(self, kind, fatal):
+        """``deadline_fatal`` (the serve subsystem's per-request budget)
+        re-raises instead of re-running serially; a plain deadline is one
+        more absorbed graph failure."""
+        pts = plummer(300, seed=31).positions
+        tree = AdaptiveOctree(pts, S=12)
+        ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 31)
+        ref = outputs(ref_solver.solve(tree, q, **kw))
+        with ExecutionEngine(
+            n_workers=2, deadline_s=1e-7, deadline_fatal=fatal
+        ) as eng:
+            solver, _, _, _ = _solver_case(kind, pts.shape[0], 31, engine=eng)
+            if fatal:
+                with pytest.raises(GraphDeadlineError):
+                    solver.solve(tree, q, **kw)
+                assert solver.degraded_runs == 0
+            else:
+                for a, b in zip(outputs(solver.solve(tree, q, **kw)), ref):
+                    assert np.array_equal(a, b)
+                assert solver.degraded_runs == 1
+        assert solver.last_engine_result is None
 
     def test_cancellation_is_not_degradation(self):
         """GraphCancelled propagates — a deliberate abort must not be

@@ -190,30 +190,53 @@ def test_worker_death_recovers_by_respawn():
 
 def test_worker_death_degrades_serially_when_respawn_disabled():
     """With max_respawns=0 the legacy contract holds: a dead worker tears
-    the pool down and the solver re-runs serially — same answer."""
+    the pool down and the solver re-runs serially — same answer, through
+    the one degrade ladder both solvers share."""
+    from repro.obs import Telemetry
+
     pts, q = _cloud(n=1200, seed=37)
-    kernel = GravityKernel(G=1.0, softening=1e-3)
+    f = np.random.default_rng(5).standard_normal((1200, 3))
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(kernel, order=3, folded=True).solve(tree, q, gradient=True)
-    with ProcessEngine(n_shards=2, timeout_s=60.0, max_respawns=0) as eng:
-        solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
-        first = solver.solve(tree, q, gradient=True)
-        assert np.array_equal(serial.potential, first.potential)
+    cases = {
+        "laplace": (
+            lambda **kw: FMMSolver(
+                GravityKernel(G=1.0, softening=1e-3), order=3, folded=True, **kw
+            ),
+            lambda solver: solver.solve(tree, q, gradient=True),
+            lambda res: (res.potential, res.gradient),
+        ),
+        "stokeslet": (
+            lambda **kw: StokesletFMMSolver(
+                RegularizedStokesletKernel(epsilon=0.02), order=3, **kw
+            ),
+            lambda solver: solver.solve(tree, f),
+            lambda res: (res.velocity,),
+        ),
+    }
+    for kind, (make, solve, outputs) in cases.items():
+        serial = outputs(solve(make()))
+        telemetry = Telemetry()
+        with ProcessEngine(n_shards=2, timeout_s=60.0, max_respawns=0) as eng:
+            solver = make(engine=eng, telemetry=telemetry)
+            for a, b in zip(outputs(solve(solver)), serial):
+                assert np.array_equal(a, b), kind
 
-        eng._procs[0].terminate()
-        eng._procs[0].join(timeout=10.0)
-        degraded = solver.solve(tree, q, gradient=True)
-        assert np.array_equal(serial.potential, degraded.potential)
-        assert np.array_equal(serial.gradient, degraded.gradient)
-        assert solver.degraded_runs == 1
-        assert solver.last_shard_result is None
-        assert eng.total_serial_fallbacks == 1
+            eng._procs[0].terminate()
+            eng._procs[0].join(timeout=10.0)
+            for a, b in zip(outputs(solve(solver)), serial):
+                assert np.array_equal(a, b), kind
+            assert solver.degraded_runs == 1, kind
+            assert solver.last_shard_result is None, kind
+            assert eng.total_serial_fallbacks == 1, kind
+            snap = telemetry.metrics.snapshot()
+            degraded = {k: v for k, v in snap.items() if "runtime_degraded_total" in k}
+            assert degraded == {f'runtime_degraded_total{{solver="{kind}"}}': 1}
 
-        # the pool respawns lazily and the backend recovers
-        again = solver.solve(tree, q, gradient=True)
-        assert np.array_equal(serial.potential, again.potential)
-        assert solver.degraded_runs == 1
-        assert solver.last_shard_result is not None
+            # the pool respawns lazily and the backend recovers
+            for a, b in zip(outputs(solve(solver)), serial):
+                assert np.array_equal(a, b), kind
+            assert solver.degraded_runs == 1, kind
+            assert solver.last_shard_result is not None, kind
 
 
 # ------------------------------------------------------------- result surface
