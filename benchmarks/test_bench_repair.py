@@ -1,18 +1,21 @@
-"""Repair-vs-rebuild benchmark gate: list surgery must not cost a rebuild.
+"""Repair-vs-rebuild benchmark: list surgery takes the repair path.
 
-The tentpole claim: after a localized collapse/pushdown on a 50k-body
-tree, refreshing the interaction lists (plus the far-field geometry and
-the near-field plan that hang off them) through the journal-driven repair
-path beats the full-rebuild baseline by >= 5x.  The two paths run the
-*same* op sequence on structurally identical trees, so the comparison is
-op-for-op; the baseline is ``ListCache(repair=False)``, which restores
-the pre-repair rebuild-on-every-surgery contract exactly.
+After a localized collapse/pushdown on a 50k-body tree the interaction
+lists (plus the far-field geometry and the near-field plan that hang off
+them) are refreshed two ways: through the journal-driven repair path and
+through the full-rebuild baseline, ``ListCache(repair=False)``, which
+restores the pre-repair rebuild-on-every-surgery contract exactly.  The
+two paths run the *same* op sequence on structurally identical trees, so
+the comparison is op-for-op.
 
-Also asserted: every refresh on the repair side was a repair (not a
-silent fallback rebuild), the far-field geometry rebuilds were *partial*
-(rows re-derived, operators served from the class-operator cache that
-survives repair), and the near-field planner patched rather than
-re-sorted its rows.
+Asserted: every refresh on the repair side was a repair (not a silent
+fallback rebuild), the far-field geometry rebuilds were *partial* (rows
+re-derived, operators served from the class-operator cache that survives
+repair), and the near-field planner patched rather than re-sorted its
+rows.  The repair/rebuild time ratio is *recorded, not gated*: batched
+operator assembly made the from-scratch rebuild ~10x cheaper, and the
+ratio has read 0.94-1.07x since (EXPERIMENTS.md); ROADMAP item 6 decides
+whether the repair path stays.
 
 Results append to ``BENCH_repair.json`` (uploaded as a CI artifact).
 """
@@ -56,7 +59,7 @@ def _deepest_collapsible(tree):
 
 
 def test_bench_repair_vs_rebuild(benchmark):
-    """Journal repair >= 5x over full rebuild per surgery op at 50k."""
+    """Surgery refreshes repair rather than rebuild; the ratio is recorded."""
     n = 50_000
     pts = plummer(n, seed=11).positions
     # two structurally identical trees (same points, same S => same node
@@ -141,4 +144,3 @@ def test_bench_repair_vs_rebuild(benchmark):
         f"repair {t_rep / n_ops * 1e3:.1f} ms/op, speedup {speedup:.2f}x "
         f"({cache_rep.repairs} repairs, {stats['op_hits']} operator cache hits)"
     )
-    assert speedup >= 5.0, f"repair only {speedup:.2f}x over rebuild"

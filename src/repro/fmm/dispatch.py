@@ -12,9 +12,12 @@ does not depend on which kernel it serves:
   one sharded session;
 * **the degrade ladder** — an unrecoverable graph or shard failure
   discards the partial run and re-executes the whole list on the exact
-  serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``),
-  except a ``deadline_fatal`` deadline, which propagates; deliberate
-  cancellation propagates too;
+  serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``);
+  deliberate cancellation propagates;
+* **the deadline** — one :class:`~repro.util.timing.Deadline` per solve,
+  checked here after the list fetch and by whichever back end runs at its
+  stage boundaries; :class:`~repro.util.timing.SolveDeadlineError` is not
+  an execution error, so it passes the ladder untouched;
 * **the bookkeeping** — ``last_engine_result`` / ``last_shard_result`` of
   the run that produced the answer, cleared when that run was discarded.
 
@@ -105,65 +108,71 @@ class PassListSolver:
     def _far_field(self, tree, lists, **source):
         raise NotImplementedError
 
-    def _near_field(self, tree, lists, q, *, potential, gradient):
+    def _near_field(self, tree, lists, q, **flags):
         raise NotImplementedError
 
     # --------------------------------------------------------------- dispatch
-    def _solve_passes(self, tree, lists, passes, near_q, *, potential=True, gradient=False):
+    def _solve_passes(
+        self, tree, lists, passes, near_q, *, potential=True, gradient=False,
+        deadline=None,
+    ):
         """Run ``passes`` and the near field of ``near_q`` on the back end.
 
         ``potential`` / ``gradient`` are the near field's output flags
-        (each pass carries its own).  Callers validate their inputs
-        *before* this call: nothing here — not even the list fetch for
-        ``lists=None`` — runs on malformed input.  Returns ``(lists, far,
-        near_pot, near_grad)`` with ``far`` one ``(pot, grad)`` per pass.
+        (each pass carries its own); ``deadline`` is the solve's
+        :class:`~repro.util.timing.Deadline` (``None`` = unbounded).
+        Callers validate their inputs *before* this call: nothing here —
+        not even the list fetch for ``lists=None`` — runs on malformed
+        input.  Returns ``(lists, far, near_pot, near_grad)`` with ``far``
+        one ``(pot, grad)`` per pass.
         """
+        # set again only by the run that produces this solve's answer: a
+        # failed, expired or cancelled run is discarded whole
+        self.last_engine_result = self.last_shard_result = None
         if lists is None:
             lists = self.list_cache.get(tree, folded=self.folded)
+        if deadline is not None:
+            deadline.check("lists")
         near = dict(potential=potential, gradient=gradient)
         engine = self.engine
         if engine is None:
-            return (lists, *self._run_serial(tree, lists, passes, near_q, near))
+            return (lists, *self._run_serial(tree, lists, passes, near_q, near, deadline))
 
         # imported here: repro.fmm / repro.runtime package inits would cycle
-        from repro.runtime.engine import GraphDeadlineError, GraphExecutionError
+        from repro.runtime.engine import GraphExecutionError
         from repro.runtime.shards import ShardExecutionError
 
-        sharded = getattr(engine, "is_process", False)
         try:
-            if sharded:
-                out = self._run_shards(tree, lists, passes, near_q, near)
+            if getattr(engine, "is_process", False):
+                out = self._run_shards(tree, lists, passes, near_q, near, deadline)
                 self.last_shard_result = engine.last_result
             else:
-                out = self._run_graph(tree, lists, passes, near_q, near)
+                out = self._run_graph(tree, lists, passes, near_q, near, deadline)
         except (GraphExecutionError, ShardExecutionError) as exc:
-            # the partial run is discarded whole
-            if sharded:
-                self.last_shard_result = None
-            else:
-                self.last_engine_result = None
-            if isinstance(exc, GraphDeadlineError) and engine.config.deadline_fatal:
-                # a per-request deadline (serve subsystem) means "give up
-                # now" — degrading to a serial re-run would blow straight
-                # through the budget the caller asked us to honour
-                raise
             self._record_degraded(exc)
-            out = self._run_serial(tree, lists, passes, near_q, near)
+            out = self._run_serial(tree, lists, passes, near_q, near, deadline)
         return (lists, *out)
 
-    def _run_serial(self, tree, lists, passes, near_q, near):
-        """The exact serial sweeps, pass by pass (and the fallback path)."""
-        far = [self._far_field(tree, lists, **p.kwargs) for p in passes]
-        return (far, *self._near_field(tree, lists, near_q, **near))
+    def _run_serial(self, tree, lists, passes, near_q, near, deadline):
+        """The exact serial sweeps, pass by pass (and the fallback path).
 
-    def _run_shards(self, tree, lists, passes, near_q, near):
+        Every sweep opens with a deadline check, so passes — and the last
+        pass and the near field — are separated by one.
+        """
+        far = [
+            self._far_field(tree, lists, deadline=deadline, **p.kwargs)
+            for p in passes
+        ]
+        return (far, *self._near_field(tree, lists, near_q, deadline=deadline, **near))
+
+    def _run_shards(self, tree, lists, passes, near_q, near, deadline):
         """One session on the sharded multi-process backend."""
         return self.engine.solve_passes(
             tree, lists, self.expansion, self.kernel,
-            [(p.spec, p.source) for p in passes], near_q, **near,
+            [(p.spec, p.source) for p in passes], near_q, deadline=deadline, **near,
         )
 
-    def _run_graph(self, tree, lists, passes, near_q, near):
+    def _run_graph(self, tree, lists, passes, near_q, near, deadline):
         """Every pass + the near field as one task graph on the engine.
 
         Each pass owns private coefficient/output arrays, so the
@@ -195,7 +204,7 @@ class PassListSolver:
             n_chunks=n_chunks,
             deps=() if engine.config.overlap else far_done,
         )
-        self.last_engine_result = engine.run(g)
+        self.last_engine_result = engine.run(g, deadline=deadline)
         return ([fp.result() for fp in far], *near_pass.result())
 
     def _record_degraded(self, exc: BaseException) -> None:

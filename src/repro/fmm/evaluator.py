@@ -69,6 +69,7 @@ class FMMSolver(PassListSolver):
         potential: bool = True,
         lists: InteractionLists | None = None,
         keep_split: bool = False,
+        deadline=None,
     ) -> FMMResult:
         """Evaluate the kernel field at every body in ``tree``.
 
@@ -77,6 +78,10 @@ class FMMSolver(PassListSolver):
         ``potential=False`` (with ``gradient=True``) skips the potential
         arithmetic in the near field — the time-stepping driver only needs
         accelerations, and the near field dominates the solve.
+        ``deadline`` (a :class:`repro.util.timing.Deadline`) bounds the
+        solve on every back end: expiry raises
+        :class:`~repro.util.timing.SolveDeadlineError` at the next stage
+        boundary, and the solver and its engine stay usable.
         """
         if not potential and not gradient:
             raise ValueError("at least one of potential/gradient must be requested")
@@ -91,7 +96,8 @@ class FMMSolver(PassListSolver):
 
         spec = PassSpec("charges", potential=potential, gradient=gradient)
         lists, far, near_pot, near_grad = self._solve_passes(
-            tree, lists, [FarPass(spec, q)], q, potential=potential, gradient=gradient
+            tree, lists, [FarPass(spec, q)], q,
+            potential=potential, gradient=gradient, deadline=deadline,
         )
         far_pot, far_grad = far[0]
 
@@ -118,18 +124,17 @@ class FMMSolver(PassListSolver):
             tree, lists, self.expansion, tracer=self.telemetry.tracer, **source
         )
 
-    def _near_field(self, tree, lists, q, *, potential, gradient):
-        return evaluate_near_field(
-            self.kernel, tree, lists, q, potential=potential, gradient=gradient
-        )
+    def _near_field(self, tree, lists, q, **flags):
+        return evaluate_near_field(self.kernel, tree, lists, q, **flags)
 
-    def _run_shards(self, tree, lists, passes, near_q, near):
+    def _run_shards(self, tree, lists, passes, near_q, near, deadline):
         # the single-charge-pass session has a public name of its own
         # (``ProcessEngine.solve_laplace``: callers and profilers use it),
         # which rebuilds exactly the pass list ``solve`` dispatched
         (p,) = passes
         assert p.source is near_q and p.spec == PassSpec("charges", **near)
         far_pot, far_grad, near_pot, near_grad = self.engine.solve_laplace(
-            tree, lists, self.expansion, self.kernel, near_q, **near
+            tree, lists, self.expansion, self.kernel, near_q,
+            deadline=deadline, **near,
         )
         return [(far_pot, far_grad)], near_pot, near_grad

@@ -898,6 +898,7 @@ def laplace_far_field(
     gradient: bool = False,
     potential: bool = True,
     tracer=None,
+    deadline=None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Batched far-field potential/gradient of monopoles and/or dipoles.
 
@@ -905,7 +906,11 @@ def laplace_far_field(
     (the per-node oracle): runs the :class:`FarFieldPass` stages serially
     in dependency order.  ``tracer`` (a :class:`repro.obs.Tracer`) gets
     one span per FMM operation with ``applications`` in the cost-model
-    units of :meth:`InteractionLists.op_counts`.
+    units of :meth:`InteractionLists.op_counts`.  ``deadline`` (a
+    :class:`repro.util.timing.Deadline`) is checked after the geometry
+    build, after P2M and after every translation class — so no two checks
+    are further apart than one batched stage; the caller's next check
+    (the following pass's, or the near field's) closes the sweep.
     """
     if tracer is None:
         from repro.obs import NULL_TELEMETRY
@@ -921,20 +926,29 @@ def laplace_far_field(
         potential=potential,
     )
     geom = p.geom
+    check = None if deadline is None else deadline.check
+    if check:
+        check("geometry")
 
     with tracer.span("P2M", applications=p.n_bodies):
         p.p2m()
+    if check:
+        check("P2M")
 
     with tracer.span("M2M", applications=geom.n_shifts):
         for level in p.up_levels:
             for ci in level:
                 p.m2m_delta(ci)
                 p.m2m_merge(ci)
+                if check:
+                    check("M2M")
 
     with tracer.span("M2L", applications=geom.n_m2l):
         for ci in range(p.n_m2l_classes):
             p.m2l_delta(ci)
             p.m2l_merge(ci)
+            if check:
+                check("M2L")
 
     if geom.x_recv_rows.size:
         with tracer.span("P2L", applications=p.n_p2l_rows):
@@ -945,6 +959,8 @@ def laplace_far_field(
         for level in p.down_levels:
             for ci in level:
                 p.l2l_apply(ci)
+                if check:
+                    check("L2L")
 
     with tracer.span("L2P", applications=p.n_bodies):
         p.l2p()

@@ -349,6 +349,7 @@ def evaluate_near_field(
     *,
     potential: bool = True,
     gradient: bool = False,
+    deadline=None,
 ):
     """Evaluate the P2P phase in one large kernel call per source group.
 
@@ -357,11 +358,19 @@ def evaluate_near_field(
     ``(n, value_dim)`` for vector kernels, ``grad`` is ``(n, 3)``; entries
     for bodies outside any near pair stay zero.  This is the serial driver
     over the :class:`NearFieldPass` stages (the parallel one lives in
-    :mod:`repro.runtime.graphs`).
+    :mod:`repro.runtime.graphs`).  ``deadline`` (a
+    :class:`repro.util.timing.Deadline`) is checked after the plan build
+    and after every group.
     """
     p = NearFieldPass(
         kernel, tree, lists, strengths, potential=potential, gradient=gradient
     )
-    p.group_range(0, p.n_groups)
+    if deadline is None:
+        p.group_range(0, p.n_groups)
+    else:
+        deadline.check("near-plan")
+        for g in range(p.n_groups):
+            p.group(g)
+            deadline.check("P2P")
     p.self_correction()
     return p.result()

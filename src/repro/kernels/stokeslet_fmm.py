@@ -88,7 +88,10 @@ class StokesletFMMSolver(PassListSolver):
         forces: np.ndarray,
         *,
         lists: InteractionLists | None = None,
+        deadline=None,
     ) -> StokesletFMMResult:
+        """Velocities at every body; ``deadline`` as in
+        :meth:`repro.fmm.evaluator.FMMSolver.solve`."""
         f = np.atleast_2d(np.asarray(forces, dtype=float))
         if f.shape != (tree.n_bodies, 3):
             raise ValueError(f"forces must be (n, 3), got {f.shape}")
@@ -104,7 +107,9 @@ class StokesletFMMSolver(PassListSolver):
             ]
         )
         # near field: exact regularized Stokeslets
-        lists, far, u_near, _ = self._solve_passes(tree, lists, passes, f)
+        lists, far, u_near, _ = self._solve_passes(
+            tree, lists, passes, f, deadline=deadline
+        )
         phi = [pot for pot, _ in far]
 
         u = np.zeros((tree.n_bodies, 3))
@@ -128,7 +133,5 @@ class StokesletFMMSolver(PassListSolver):
             tree, lists, self.expansion, tracer=self.telemetry.tracer, **source
         )
 
-    def _near_field(self, tree, lists, q, *, potential, gradient):
-        return evaluate_near_field(
-            self.kernel, tree, lists, q, potential=potential, gradient=gradient
-        )
+    def _near_field(self, tree, lists, q, **flags):
+        return evaluate_near_field(self.kernel, tree, lists, q, **flags)

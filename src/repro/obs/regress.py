@@ -19,9 +19,14 @@ Comparability rules, both load-bearing on shared CI runners:
   the newest record are compared — a laptop number against a CI-runner
   number is noise, not a regression.
 
-``python -m repro regress`` (and the CI ``regression-check`` step) runs
-:func:`check_all` over every gated bench present in the committed
-ledger and exits non-zero on any failed verdict.
+A bench whose records are *all* incomparable yields a ``VACUOUS``
+verdict: not a regression, but not a pass either — nothing was measured.
+
+``python -m repro regress`` (and the CI ``regression-check`` job) runs
+:func:`check_all` over every gated bench present in the ledger and exits
+non-zero on any failed verdict — and on any vacuous one when the machine
+has the :data:`GATE_CPU_FLOOR` CPUs every timing gate needs, i.e. when
+the benches could have measured and did not.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.obs.ledger import RunLedger, RunRecord
 
 __all__ = [
     "GATED_BENCHES",
+    "GATE_CPU_FLOOR",
     "RegressionVerdict",
     "check_all",
     "check_regression",
@@ -49,6 +55,10 @@ GATED_BENCHES: dict[str, tuple[str, str]] = {
     "serve_warm_vs_cold_2k": ("warm_ms", "lower"),
 }
 
+#: affinity-aware CPUs below which every timing gate self-skips (and
+#: stamps its record ``gate_skipped``)
+GATE_CPU_FLOOR = 4
+
 #: default relative tolerance band (the ">15% slower fails" policy)
 DEFAULT_REL_TOL = 0.15
 
@@ -58,7 +68,11 @@ DEFAULT_WINDOW = 5
 
 @dataclass
 class RegressionVerdict:
-    """Outcome of one regression check."""
+    """Outcome of one regression check.
+
+    Three states: ``ok`` false — a regression; :attr:`vacuous` — no
+    comparable record exists, the verdict says nothing; otherwise a pass.
+    """
 
     bench: str
     metric: str
@@ -70,11 +84,17 @@ class RegressionVerdict:
     window_n: int = 0
     rel_tol: float = DEFAULT_REL_TOL
 
+    @property
+    def vacuous(self) -> bool:
+        """No comparable record: nothing was checked, so nothing passed."""
+        return self.ok and self.latest is None
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "bench": self.bench,
             "metric": self.metric,
             "ok": self.ok,
+            "vacuous": self.vacuous,
             "reason": self.reason,
             "latest": self.latest,
             "baseline": self.baseline,
@@ -84,7 +104,7 @@ class RegressionVerdict:
         }
 
     def __str__(self) -> str:  # the CI log line
-        verdict = "OK  " if self.ok else "FAIL"
+        verdict = "VACUOUS" if self.vacuous else "OK  " if self.ok else "FAIL"
         nums = ""
         if self.latest is not None and self.baseline is not None:
             nums = " latest=%.4g baseline=%.4g ratio=%.3f" % (
@@ -132,7 +152,8 @@ def check_regression(
     ``latest > baseline * (1 + rel_tol)``; for ``"higher"`` (speedups)
     when ``latest < baseline * (1 - rel_tol)``.  Too little history is
     a pass with an explanatory reason — a brand-new bench cannot regress
-    against nothing.
+    against nothing; *no* comparable record at all (every one
+    gate-skipped) is :attr:`RegressionVerdict.vacuous`.
     """
     if metric is None or direction is None:
         gm, gd = GATED_BENCHES.get(bench, ("", "lower"))

@@ -223,20 +223,28 @@ def regress_main(
     Runs the tolerance-banded comparator over every gated bench present
     in the ledger (default: the committed ``RUNS.jsonl`` trajectory) and
     exits non-zero on any failed verdict — the CI ``regression-check``
-    step is exactly this command.
+    job is exactly this command.  ``VACUOUS`` verdicts (a bench with no
+    comparable record) also fail it on a machine with enough CPUs for the
+    timing gates to have run; below that floor they are only printed.
     """
-    from repro.obs.ledger import RunLedger
-    from repro.obs.regress import check_all
+    from repro.obs import ledger as obs_ledger
+    from repro.obs.regress import GATE_CPU_FLOOR, check_all
 
-    store = RunLedger(ledger)
+    store = obs_ledger.RunLedger(ledger)
     verdicts = check_all(store, window=window, rel_tol=rel_tol, **kwargs)
     if not verdicts:
         print(f"no gated bench records in {store.path}; nothing to check")
         return 0
-    failed = 0
+    failed = vacuous = 0
     for verdict in verdicts:
         print(verdict)
         failed += 0 if verdict.ok else 1
-    if failed and strict not in ("no", "false", "0"):
-        raise SystemExit(f"{failed} perf regression(s) detected in {store.path}")
-    return failed
+        vacuous += verdict.vacuous
+    if obs_ledger.machine_spec()["cpu_available"] < GATE_CPU_FLOOR:
+        vacuous = 0  # this machine could not have measured them either
+    if (failed or vacuous) and strict not in ("no", "false", "0"):
+        raise SystemExit(
+            f"{failed} perf regression(s), {vacuous} vacuous verdict(s) "
+            f"in {store.path}"
+        )
+    return failed + vacuous

@@ -25,13 +25,14 @@ The engine is a *supervised* substrate (DESIGN.md §11):
   deltas) are retried up to :class:`RetryPolicy` ``max_attempts`` with a
   deterministic linear backoff; non-idempotent tasks (ordered ``+=``
   merges) fail the graph immediately;
-* a per-graph deadline (:attr:`EngineConfig.deadline_s`) and cooperative
+* the solve's :class:`~repro.util.timing.Deadline` (a per-run argument
+  of :meth:`ExecutionEngine.run`) and cooperative
   :meth:`ExecutionEngine.cancel` abort a run by draining the ready queue —
   in-flight tasks finish, nothing new is submitted, and the pool stays
-  reusable for the next graph;
-* graph failures raise :class:`GraphTaskError` /
-  :class:`GraphDeadlineError` (both :class:`GraphExecutionError`), which
-  the solvers catch to degrade to the exact serial re-execution path;
+  reusable for the next graph; both propagate to the caller;
+* a task failure raises :class:`GraphTaskError` (a
+  :class:`GraphExecutionError`), which the solvers catch to degrade to
+  the exact serial re-execution path;
 * ``fault_hook`` is a test-only injection point (see
   :class:`repro.resilience.FaultPlan`) called *before* each task body, so
   an injected raise never leaves partial state and a retry is exact.
@@ -63,14 +64,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.util.timing import TimerRegistry
+from repro.util.timing import Deadline, SolveDeadlineError, TimerRegistry
 
 __all__ = [
     "EngineConfig",
     "EngineResult",
     "ExecutionEngine",
     "GraphCancelled",
-    "GraphDeadlineError",
     "GraphExecutionError",
     "GraphTaskError",
     "RetryPolicy",
@@ -91,11 +91,12 @@ def default_workers() -> int:
 
 
 class GraphExecutionError(RuntimeError):
-    """A task graph could not be completed (task failure or deadline).
+    """A task graph could not be completed.
 
     Solvers catch this to fall back to the exact serial path; it is the
-    *recoverable* family — :class:`GraphCancelled` is deliberate and is
-    not a subclass.
+    *recoverable* family — :class:`GraphCancelled` and an expired
+    :class:`~repro.util.timing.Deadline` are deliberate and are not
+    subclasses.
     """
 
 
@@ -117,19 +118,6 @@ class GraphTaskError(GraphExecutionError):
         self.label = label
         self.attempts = attempts
         self.failures = failures
-
-
-class GraphDeadlineError(GraphExecutionError):
-    """The per-graph deadline elapsed before all tasks completed."""
-
-    def __init__(self, deadline_s: float, n_done: int, n_tasks: int) -> None:
-        super().__init__(
-            f"graph deadline of {deadline_s:.3f}s exceeded "
-            f"({n_done}/{n_tasks} tasks completed)"
-        )
-        self.deadline_s = deadline_s
-        self.n_done = n_done
-        self.n_tasks = n_tasks
 
 
 class GraphCancelled(RuntimeError):
@@ -180,13 +168,7 @@ class EngineConfig:
     deterministic order); ``None`` means ``os.cpu_count()``.
     ``overlap=False`` inserts a barrier between the far-field subgraphs
     and the near-field tasks instead of letting them interleave.
-    ``retry`` bounds re-execution of idempotent tasks; ``deadline_s``
-    aborts any single graph that runs longer (None = no deadline).
-    ``deadline_fatal`` marks a deadline abort as *final*: solvers
-    normally absorb :class:`GraphDeadlineError` by degrading to the
-    exact serial re-execution path (DESIGN.md §11), but a per-request
-    deadline from the serve subsystem means "give up now" — the error
-    must surface to the caller instead of silently re-running serially.
+    ``retry`` bounds re-execution of idempotent tasks.
     """
 
     n_workers: int | None = None
@@ -194,16 +176,6 @@ class EngineConfig:
     overlap: bool = True
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    deadline_s: float | None = None
-
-    deadline_fatal: bool = False
-
-    def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
 
     def resolved_workers(self) -> int:
         n = self.n_workers if self.n_workers is not None else default_workers()
@@ -485,20 +457,25 @@ class ExecutionEngine:
                 cond.notify_all()
 
     # ------------------------------------------------------------------ run
-    def run(self, graph: TaskGraphBuilder) -> EngineResult:
-        """Execute every task respecting dependencies; returns timings."""
+    def run(
+        self, graph: TaskGraphBuilder, *, deadline: Deadline | None = None
+    ) -> EngineResult:
+        """Execute every task respecting dependencies; returns timings.
+
+        Once ``deadline`` expires nothing new is started, in-flight tasks
+        finish, and :class:`~repro.util.timing.SolveDeadlineError` is raised.
+        """
         nodes = graph.nodes
         self._cancel.clear()
         if not nodes:
             return EngineResult(0.0, self.n_workers, 0)
         if self.n_workers == 1:
-            return self._run_serial(nodes)
-        return self._run_parallel(nodes)
+            return self._run_serial(nodes, deadline)
+        return self._run_parallel(nodes, deadline)
 
     # ---- serial: deterministic ready-queue insertion order, no threads
-    def _run_serial(self, nodes: list[TaskNode]) -> EngineResult:
+    def _run_serial(self, nodes: list[TaskNode], deadline) -> EngineResult:
         retry = self.config.retry
-        deadline = self.config.deadline_s
         indeg, dependents = _edges(nodes)
         ready = deque(t.id for t in nodes if indeg[t.id] == 0)
         ready_at = [0.0] * len(nodes)  # roots are ready at the epoch
@@ -511,8 +488,8 @@ class ExecutionEngine:
         while ready:
             if self._cancel.is_set():
                 raise GraphCancelled("engine run cancelled")
-            if deadline is not None and time.perf_counter() - epoch > deadline:
-                raise GraphDeadlineError(deadline, done, len(nodes))
+            if deadline is not None:
+                deadline.check(f"graph ({done}/{len(nodes)} tasks done)")
             tid = ready.popleft()
             node = nodes[tid]
             attempt = 0
@@ -576,10 +553,9 @@ class ExecutionEngine:
         )
 
     # ---- parallel: scheduler thread feeding a persistent pool
-    def _run_parallel(self, nodes: list[TaskNode]) -> EngineResult:
+    def _run_parallel(self, nodes: list[TaskNode], deadline) -> EngineResult:
         pool = self._ensure_pool()
         retry = self.config.retry
-        deadline = self.config.deadline_s
         indeg, dependents = _edges(nodes)
         cond = threading.Condition()
         completed: deque[tuple[int, BaseException | None]] = deque()
@@ -647,10 +623,12 @@ class ExecutionEngine:
                     while not completed and abort is None:
                         timeout = None
                         if deadline is not None:
-                            timeout = deadline - (time.perf_counter() - epoch)
+                            timeout = deadline.remaining()
                             if timeout <= 0.0:
-                                abort = GraphDeadlineError(
-                                    deadline, len(nodes) - pending, len(nodes)
+                                done = len(nodes) - pending
+                                abort = SolveDeadlineError(
+                                    deadline.seconds,
+                                    f"graph ({done}/{len(nodes)} tasks done)",
                                 )
                                 break
                         if self._cancel.is_set():

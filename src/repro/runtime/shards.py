@@ -64,6 +64,12 @@ On failure the supervisor walks a recovery ladder:
    callers degrade to the exact serial path, mirroring the thread
    engine's ladder.
 
+The solve's :class:`~repro.util.timing.Deadline` rides the same loop: the
+supervisor's wake-up notices expiry, aborts the barrier, drains the
+workers' ``aborted`` outcomes, resets the barrier and raises
+:class:`~repro.util.timing.SolveDeadlineError` — nobody is respawned and
+the installed session serves the next solve.
+
 Chaos seams: ``install_fault_plan`` ships a
 :class:`~repro.resilience.faults.FaultPlan` to every worker, whose
 process-level kinds (seeded SIGKILL / heartbeat-stall / pipe-drop at the
@@ -90,6 +96,7 @@ import numpy as np
 
 from repro.fmm import farfield, nearfield
 from repro.fmm.farfield import FarFieldGeometry, PassSpec
+from repro.util.timing import SolveDeadlineError
 
 __all__ = [
     "PassSpec",
@@ -1235,7 +1242,7 @@ class ProcessEngine:
                     f"shard {s} died before run dispatch",
                 )
 
-    def _supervise_run(self, from_phase: int) -> list:
+    def _supervise_run(self, from_phase: int, deadline=None) -> list:
         """Multiplex worker pipes until every shard reaches an outcome.
 
         Outcomes: ``stats`` (finished), ``aborted`` (unblocked from a
@@ -1243,7 +1250,10 @@ class ProcessEngine:
         EOF), ``hung`` (silent past ``heartbeat_s``; the stage ticks
         single out the laggard among workers parked at a barrier).
         Anything other than all-``stats`` raises :class:`_ShardFailure`
-        carrying the culprits and the restart phase.
+        carrying the culprits and the restart phase — except an expired
+        ``deadline``: the barrier is aborted once, and when every worker
+        has reported without a casualty the barrier is reset and
+        :class:`~repro.util.timing.SolveDeadlineError` raised instead.
         """
         n = self.n_shards
         hb = self.heartbeat_s
@@ -1266,9 +1276,18 @@ class ProcessEngine:
             for s in open_shards():
                 last_seen[s] = fresh
 
+        expired = False
         while open_shards():
+            timeout = min(1.0, hb / 4.0)
+            if deadline is not None and not expired:
+                timeout = min(timeout, deadline.remaining())
+                if timeout <= 0.0:
+                    expired = True
+                    self._abort_barrier()
+                    aborted_grace()
+                    continue
             pending = [c for c, s in shard_of.items() if outcome[s] is None]
-            ready = mp_connection.wait(pending, timeout=min(1.0, hb / 4.0))
+            ready = mp_connection.wait(pending, timeout=timeout)
             now = time.monotonic()
             if not ready:
                 stale = [s for s in open_shards() if now - last_seen[s] > hb]
@@ -1311,9 +1330,16 @@ class ProcessEngine:
                     self._abort_barrier()
                     aborted_grace()
 
+        culprits = [s for s in range(n) if outcome[s] in ("died", "error", "hung")]
+        if expired and not culprits:
+            # every worker is back in its command loop: nobody waits on
+            # the barrier, so it can be reset for the next solve
+            self._barrier.reset()
+            raise SolveDeadlineError(
+                deadline.seconds, f"shards (phase {min(completed) + 1})"
+            )
         if all(o == "stats" for o in outcome):
             return stats
-        culprits = [s for s in range(n) if outcome[s] in ("died", "error", "hung")]
         if any(outcome[s] == "hung" for s in culprits):
             reason = "heartbeat timeout"
         elif any(outcome[s] == "died" for s in culprits):
@@ -1432,7 +1458,7 @@ class ProcessEngine:
             )
         return n_respawned
 
-    def _run(self, sess: _Session, tree) -> ShardRunResult:
+    def _run(self, sess: _Session, tree, deadline=None) -> ShardRunResult:
         refreshed = sess.needs_refresh
         sess.needs_refresh = False
         t0 = time.perf_counter()
@@ -1444,7 +1470,7 @@ class ProcessEngine:
         while True:
             try:
                 self._dispatch_run(refreshed and attempt == 0, from_phase, attempt)
-                stats = self._supervise_run(from_phase)
+                stats = self._supervise_run(from_phase, deadline)
                 break
             except _ShardFailure as f:
                 failures += 1
@@ -1499,7 +1525,7 @@ class ProcessEngine:
     # -------------------------------------------------------------- solves
     def solve_passes(
         self, tree, lists, expansion, kernel, passes, near_q, *,
-        potential=True, gradient=False,
+        potential=True, gradient=False, deadline=None,
     ):
         """One sharded solve: far-field ``passes`` + one near field.
 
@@ -1508,7 +1534,9 @@ class ProcessEngine:
         ``potential`` / ``gradient`` flags.  Mirrors the serial pass
         sequence exactly; returns ``(far, near_pot, near_grad)`` with
         ``far`` one ``(pot, grad)`` pair per pass — all copies, ``None``
-        where not requested.
+        where not requested.  An expired ``deadline`` raises
+        :class:`~repro.util.timing.SolveDeadlineError` and leaves the pool
+        and the installed session ready for the next solve.
         """
         near_q = np.asarray(near_q, dtype=float)
         sess = self._ensure_session(
@@ -1520,7 +1548,7 @@ class ProcessEngine:
         for i, (_, source) in enumerate(passes):
             v[f"src{i}"][:] = source
         v["nearq"][:] = near_q
-        self._run(sess, tree)
+        self._run(sess, tree, deadline)
 
         def out(name):
             return v[name].copy() if name in v else None
@@ -1530,7 +1558,7 @@ class ProcessEngine:
 
     def solve_laplace(
         self, tree, lists, expansion, kernel, q, *, potential=True,
-        gradient=False,
+        gradient=False, deadline=None,
     ):
         """One sharded Laplace solve — :meth:`solve_passes` with a single
         charge pass; returns ``(far_pot, far_grad, near_pot, near_grad)``
@@ -1539,6 +1567,6 @@ class ProcessEngine:
         far, near_pot, near_grad = self.solve_passes(
             tree, lists, expansion, kernel,
             [(PassSpec("charges", potential=potential, gradient=gradient), q)],
-            q, potential=potential, gradient=gradient,
+            q, potential=potential, gradient=gradient, deadline=deadline,
         )
         return (*far[0], near_pot, near_grad)

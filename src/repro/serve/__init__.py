@@ -4,8 +4,9 @@ An asyncio front end multiplexing many tenants' solve requests onto a
 bounded pool of warm engines, with three load-bearing guarantees:
 
 * **fairness** — per-tenant FIFO queues dispatched round-robin
-  (:mod:`repro.serve.scheduler`), per-request deadlines wired down to
-  ``EngineConfig.deadline_s``;
+  (:mod:`repro.serve.scheduler`), and one per-request deadline whose
+  clock covers queue wait, tree and list build and the sweep itself
+  (:class:`repro.util.timing.Deadline`);
 * **warmth** — one process-global geometry-class operator cache shared
   across tenants (:mod:`repro.serve.opcache`), making warm solves
   several times cheaper than cold ones while staying bitwise identical

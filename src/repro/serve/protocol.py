@@ -138,10 +138,12 @@ class SolveSpec:
     :class:`~repro.sim.driver.Simulation` (Laplace gravity only) and
     returns the final phase-space state.
 
-    ``deadline_s`` is the per-request wall-clock budget, enforced both
-    between time steps and inside a single solve via
-    ``EngineConfig.deadline_s`` (expiry returns a structured 408 without
-    poisoning the engine pool).  ``workers`` is the per-solve engine
+    ``deadline_s`` is the per-request wall-clock budget: its clock runs
+    from enqueue through tree build, lists, operator geometry and every
+    stage of the sweep (and between time steps); expiry returns a
+    structured 408 whose ``details.phase`` names the stage that noticed,
+    and the pool stays healthy.  A deadline does not change *how* the
+    request is solved.  ``workers`` is the per-solve engine
     thread count — the server's parallelism axis is *across* requests,
     so the default is the exact serial path.  ``shards`` exists only to
     be validated: shard workers and serve pools both fork processes, and

@@ -23,9 +23,10 @@ loop, before anything is queued:
 Requests carry per-request deadlines end to end: a job that exhausts its
 deadline while still queued fails fast with a structured 408 (never
 dispatched), and a dispatched job hands its *remaining* budget to the
-engine (``EngineConfig.deadline_s`` + ``deadline_fatal``), whose expiry
-also surfaces as 408 — without poisoning the pool, because each request
-runs on fresh solver state and only the operator cache is shared.
+solve as one :class:`~repro.util.timing.Deadline`, checked from the tree
+build to the last stage of the sweep; its expiry also surfaces as 408
+naming the phase — without poisoning the pool, because each request runs
+on fresh solver state and only the operator cache is shared.
 """
 
 from __future__ import annotations

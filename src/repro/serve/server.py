@@ -41,6 +41,7 @@ from repro.serve.protocol import (
     write_message,
 )
 from repro.serve.scheduler import FairScheduler, Job
+from repro.util.timing import Deadline, SolveDeadlineError
 
 __all__ = ["JobServer", "ServeConfig", "main", "solve_direct"]
 
@@ -133,47 +134,50 @@ def _solve_core(
     (no shared cache, no deadline): the two differ only in where
     geometry-class operators come from, which is bitwise-neutral.
 
-    Raises :class:`ServeError` 408 when the deadline expires mid-solve.
+    The budget's clock starts here, on entry: tree build, lists, operator
+    geometry and the sweep all spend from one
+    :class:`~repro.util.timing.Deadline`.  Raises :class:`ServeError` 408
+    naming the phase that noticed the expiry.
     """
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    spec.validate()
+    deadline = None if deadline_s is None else Deadline(deadline_s)
+    try:
+        if deadline is not None:
+            deadline.check("queue")
+        if spec.steps > 0:
+            return _run_simulation(spec, opcache, deadline, tel)
+        return _run_solve(spec, opcache, deadline, tel)
+    except SolveDeadlineError as exc:
+        raise ServeError(
+            408,
+            "deadline",
+            f"request deadline of {spec.deadline_s}s expired during {exc.phase}",
+            details={"deadline_s": spec.deadline_s, "phase": exc.phase},
+        ) from exc
+
+
+def _run_solve(spec, opcache, deadline, tel):
+    """One-shot field solve — the serial sweep unless ``spec.workers > 1``."""
     from repro.kernels.laplace import GravityKernel
-    from repro.runtime.engine import EngineConfig, ExecutionEngine, GraphDeadlineError
+    from repro.runtime.engine import ExecutionEngine
     from repro.tree.cache import ListCache
     from repro.tree.octree import AdaptiveOctree
 
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    spec.validate()
-
-    def deadline_error(phase: str) -> ServeError:
-        return ServeError(
-            408,
-            "deadline",
-            f"request deadline of {spec.deadline_s}s expired during {phase}",
-            details={"deadline_s": spec.deadline_s, "phase": phase},
-        )
-
-    if deadline_s is not None and deadline_s <= 0:
-        raise deadline_error("queue")
-
-    if spec.steps > 0:
-        return _run_simulation(spec, opcache, deadline_s, tel, deadline_error)
-
-    # ---------------------------------------------------- one-shot field solve
     particles, domain = _build_particles(spec)
     tree = AdaptiveOctree(
         particles.positions, _SERVE_LEAF_SIZE, root_box=domain
     )
+    if deadline is not None:
+        deadline.check("tree")
     list_cache = ListCache()
     if opcache is not None:
         list_cache.share_operator_cache(opcache)
-    engine = None
-    if spec.workers > 1 or deadline_s is not None:
-        engine = ExecutionEngine(
-            EngineConfig(
-                n_workers=spec.workers,
-                deadline_s=deadline_s,
-                deadline_fatal=deadline_s is not None,
-            )
-        )
+    engine = ExecutionEngine(n_workers=spec.workers) if spec.workers > 1 else None
+    common = dict(
+        expansion=_expansion(spec), folded=spec.folded,
+        list_cache=list_cache, telemetry=tel, engine=engine,
+    )
     try:
         if spec.kernel == "stokeslet":
             from repro.kernels.stokeslet_fmm import StokesletFMMSolver
@@ -181,14 +185,9 @@ def _solve_core(
             forces = np.random.default_rng(spec.seed).standard_normal(
                 (spec.n, 3)
             )
-            solver = StokesletFMMSolver(
-                expansion=_expansion(spec),
-                folded=spec.folded,
-                list_cache=list_cache,
-                telemetry=tel,
-                engine=engine,
+            res = StokesletFMMSolver(**common).solve(
+                tree, forces, deadline=deadline
             )
-            res = solver.solve(tree, forces)
             return {
                 "kernel": spec.kernel,
                 "velocity": res.velocity,
@@ -196,33 +195,25 @@ def _solve_core(
             }
         from repro.fmm.evaluator import FMMSolver
 
-        solver_l = FMMSolver(
-            GravityKernel(G=1.0, softening=1e-3),
-            expansion=_expansion(spec),
-            folded=spec.folded,
-            list_cache=list_cache,
-            telemetry=tel,
-            engine=engine,
+        res = FMMSolver(GravityKernel(G=1.0, softening=1e-3), **common).solve(
+            tree, particles.strengths, gradient=True, deadline=deadline
         )
-        res = solver_l.solve(tree, particles.strengths, gradient=True)
         return {
             "kernel": spec.kernel,
             "potential": res.potential,
             "gradient": res.gradient,
             "op_counts": res.op_counts,
         }
-    except GraphDeadlineError as exc:
-        raise deadline_error("solve") from exc
     finally:
         if engine is not None:
             engine.close()
 
 
-def _run_simulation(spec, opcache, deadline_s, tel, deadline_error):
-    """Time-stepped Laplace run; deadline checked between steps too."""
+def _run_simulation(spec, opcache, deadline, tel):
+    """Time-stepped Laplace run: the request's deadline is checked between
+    steps, and its budget also bounds every single solve inside a step."""
     from repro.kernels.laplace import GravityKernel
     from repro.machine.spec import system_a
-    from repro.runtime.engine import GraphDeadlineError
     from repro.sim.driver import Simulation, SimulationConfig
 
     particles, domain = _build_particles(spec)
@@ -233,10 +224,9 @@ def _run_simulation(spec, opcache, deadline_s, tel, deadline_error):
         forces="fmm",
         seed=spec.seed,
         n_workers=spec.workers,
-        deadline_s=deadline_s,
+        deadline_s=None if deadline is None else deadline.seconds,
         initial_S=_SERVE_LEAF_SIZE,
     )
-    t0 = time.monotonic()
     sim = Simulation(
         particles,
         GravityKernel(G=1.0, softening=1e-3),
@@ -249,12 +239,9 @@ def _run_simulation(spec, opcache, deadline_s, tel, deadline_error):
         sim.list_cache.share_operator_cache(opcache)
     with sim:
         for _ in range(spec.steps):
-            if deadline_s is not None and time.monotonic() - t0 >= deadline_s:
-                raise deadline_error("stepping")
-            try:
-                sim.step()
-            except GraphDeadlineError as exc:
-                raise deadline_error("solve") from exc
+            if deadline is not None:
+                deadline.check("stepping")
+            sim.step()
         return {
             "kernel": spec.kernel,
             "positions": sim.particles.positions.copy(),

@@ -47,7 +47,7 @@ from repro.sim.integrators import LeapfrogIntegrator, reflect_into_box
 from repro.tree.cache import ListCache
 from repro.tree.octree import AdaptiveOctree
 from repro.util.records import EventLog
-from repro.util.timing import TimerRegistry
+from repro.util.timing import Deadline, TimerRegistry
 
 __all__ = ["Simulation", "SimulationConfig", "StepRecord"]
 
@@ -80,12 +80,10 @@ class SimulationConfig:
     #: shared memory.  Mutually exclusive with ``n_workers > 1``.
     n_shards: int | None = None
     #: abort any single FMM solve that runs longer than this many wall
-    #: seconds (``None`` = no deadline).  Enforced by the execution
-    #: engine's graph deadline (a serial inline engine is created even at
-    #: ``n_workers=1`` so the checks run); the expiry surfaces as
-    #: :class:`repro.runtime.engine.GraphDeadlineError` instead of
-    #: degrading to a serial re-run — this is the per-request budget the
-    #: serve subsystem wires down (DESIGN.md §15).
+    #: seconds (``None`` = no deadline), on whichever back end runs it:
+    #: each solve gets a fresh :class:`repro.util.timing.Deadline`, and
+    #: expiry raises :class:`repro.util.timing.SolveDeadlineError` out of
+    #: :meth:`Simulation.step` (DESIGN.md §11) — never a serial re-run.
     deadline_s: float | None = None
     #: opt-in NaN/Inf health checks + quarantine (DESIGN.md §11)
     guardrail: GuardrailConfig = field(default_factory=GuardrailConfig)
@@ -129,12 +127,6 @@ class SimulationConfig:
             raise ValueError(
                 f"deadline_s must be a positive wall-clock budget in "
                 f"seconds (or None to disable), got {self.deadline_s}"
-            )
-        if self.deadline_s is not None and (self.n_shards or 1) > 1:
-            raise ValueError(
-                "deadline_s requires the thread engine; the multi-process "
-                "shard backend has no cooperative deadline — set n_shards "
-                "to 1 (or None)"
             )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError(
@@ -221,12 +213,8 @@ class Simulation:
                 engine_config = EngineConfig(
                     n_workers=self.config.n_workers,
                     overlap=self.config.overlap,
-                    deadline_s=self.config.deadline_s,
-                    deadline_fatal=self.config.deadline_s is not None,
                 )
-                # a deadline needs the engine even at 1 worker: the serial
-                # inline path checks the budget between tasks
-                if engine_config.parallel or engine_config.deadline_s is not None:
+                if engine_config.parallel:
                     self.engine = ExecutionEngine(engine_config)
         self.solver = (
             FMMSolver(
@@ -363,7 +351,11 @@ class Simulation:
     def _accelerations(self, tree: AdaptiveOctree, lists) -> np.ndarray:
         q = self.particles.strengths
         if self.solver is not None:
-            res = self.solver.solve(tree, q, gradient=True, potential=False, lists=lists)
+            budget = self.config.deadline_s
+            res = self.solver.solve(
+                tree, q, gradient=True, potential=False, lists=lists,
+                deadline=None if budget is None else Deadline(budget),
+            )
             acc = res.gradient
             if self.config.guardrail.due(self.step_index) and not check_finite(acc):
                 acc = self._quarantine(acc, q)
@@ -620,19 +612,6 @@ class Simulation:
             coeffs=self.balancer.coeffs,
         )
         if sample is not None:
-            tel.metrics.histogram(
-                "costmodel_abs_residual",
-                "per-step |relative error| of the predicted max(T_CPU, T_GPU)",
-                buckets=(0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
-            ).observe(abs(sample.residual))
-            tel.metrics.gauge(
-                "costmodel_residual",
-                "signed relative error of the last step's prediction",
-            ).set(sample.residual)
-            tel.metrics.gauge(
-                "machine_imbalance_seconds",
-                "|T_CPU - T_GPU| of the last step",
-            ).set(sample.imbalance)
             tel.tracer.counter("drift-residual", sample.residual)
         self._record_engine_telemetry(timing)
 
@@ -660,14 +639,6 @@ class Simulation:
         tel.tracer.add_worker_lanes(
             res.timeline(), pid=REAL_PID, makespan=res.makespan, phase="engine"
         )
-        tel.metrics.gauge(
-            "engine_max_ready_depth",
-            "peak ready-queue depth of the last engine run (exposed parallelism)",
-        ).set(res.max_ready_depth)
-        tel.metrics.gauge(
-            "engine_queue_wait_seconds",
-            "summed ready-to-start wait of the last engine run's tasks",
-        ).set(res.total_queue_wait)
         rs = tel.drift.observe_runtime(
             self.step_index, simulated=timing.compute_time, measured=res.makespan
         )
@@ -684,8 +655,8 @@ class Simulation:
 
     def _record_shard_telemetry(self, res) -> None:
         """Export one sharded solve: per-shard Perfetto lanes (stage spans
-        stacked per worker process) plus halo-exchange traffic gauges —
-        the measured bytes next to the LET model's prediction."""
+        stacked per worker process) plus the busy-time imbalance gauge
+        (halo traffic is in the ledger record's ``extra.shards``)."""
         tel = self.telemetry
         tel.tracer.add_worker_lanes(
             res.timeline(),
@@ -694,19 +665,6 @@ class Simulation:
             phase="shards",
             lane_names={s: f"shard-{s}" for s in range(res.n_shards)},
         )
-        tel.metrics.gauge(
-            "shard_halo_bytes",
-            "bytes actually gathered across shard boundaries in the last "
-            "sharded solve (multipole rows + boundary P2P bodies)",
-        ).set(res.halo_bytes)
-        tel.metrics.gauge(
-            "shard_halo_model_bytes",
-            "bytes the LET comm model predicts for the same exchange",
-        ).set(res.let_bytes)
-        tel.metrics.gauge(
-            "shard_halo_seconds",
-            "summed time shards spent in halo gathers in the last solve",
-        ).set(res.halo_seconds)
         tel.metrics.gauge(
             "shard_imbalance",
             "max/mean shard busy time of the last sharded solve",

@@ -1,10 +1,15 @@
-"""Timers used by the cost model.
+"""Timers used by the cost model, and the one solve deadline.
 
 The paper derives per-operation *observed coefficients* by accumulating,
 per FMM operation, the total time spent and the number of applications
 (§IV-D).  :class:`OpTimer` is exactly that accumulator.  Times fed into an
 ``OpTimer`` may come either from a real wall clock (:class:`WallTimer`) or
 from the machine model's simulated clock — the cost model does not care.
+
+:class:`Deadline` is the wall-clock budget of one solve: created once by
+whoever owns the budget (the serve worker, the simulation driver), passed
+as one argument down ``solve`` → dispatcher → back end, and checked at
+stage boundaries by whichever back end runs (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["WallTimer", "OpTimer", "TimerRegistry"]
+__all__ = ["Deadline", "OpTimer", "SolveDeadlineError", "TimerRegistry", "WallTimer"]
 
 
 class WallTimer:
@@ -30,6 +35,44 @@ class WallTimer:
         assert self._start is not None
         self.elapsed += time.perf_counter() - self._start
         self._start = None
+
+
+class SolveDeadlineError(RuntimeError):
+    """A solve ran out of its wall-clock budget; it produced no result.
+
+    ``phase`` names the stage boundary that noticed.  Deliberately not a
+    graph or shard *execution* error: the degrade ladder must not answer
+    "out of time" by re-running the whole solve serially.
+    """
+
+    def __init__(self, deadline_s: float, phase: str) -> None:
+        super().__init__(
+            f"solve deadline of {deadline_s:.3f}s expired during {phase}"
+        )
+        self.deadline_s = deadline_s
+        self.phase = phase
+
+
+class Deadline:
+    """Absolute expiry of a ``seconds`` budget that starts now.
+
+    ``seconds <= 0`` is an already-expired deadline (a request that spent
+    its budget queued).  Back ends poll :meth:`check` at stage boundaries
+    and use :meth:`remaining` to bound their waits.
+    """
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = float(seconds)
+        self._expires_at = time.perf_counter() + self.seconds
+
+    def remaining(self) -> float:
+        """Seconds left (negative once expired)."""
+        return self._expires_at - time.perf_counter()
+
+    def check(self, phase: str) -> None:
+        """Raise :class:`SolveDeadlineError` naming ``phase`` if expired."""
+        if self.remaining() <= 0.0:
+            raise SolveDeadlineError(self.seconds, phase)
 
 
 @dataclass

@@ -5,7 +5,8 @@ Every repository path (``src/…``, ``tests/…``, ``benchmarks/…``,
 dotted name (resolved by import + attribute walk) and every
 ``python -m repro <verb>`` the two documents mention is checked against
 the tree, so a rename or deletion that forgets the docs fails here
-instead of leaving a dangling reference for the next reader.
+instead of leaving a dangling reference for the next reader.  Names that
+were deleted on purpose (``_RETIRED``) may not come back either.
 """
 
 import importlib
@@ -67,3 +68,18 @@ def test_cli_verbs_exist(doc):
     verbs = set(COMMANDS) | set(ABLATIONS) | {"list"}
     missing = [v for v in _mentions(doc, _VERB) if v not in verbs]
     assert not missing, f"{doc} names `python -m repro` verbs that do not exist: {missing}"
+
+
+#: names deleted on purpose, with what replaced them; spelt in halves so a
+#: repository-wide grep for the retired name stays empty
+_RETIRED = {
+    "deadline_" + "fatal": "one Deadline per solve; expiry always propagates",
+    "Graph" + "DeadlineError": "repro.util.timing.SolveDeadlineError",
+}
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_retired_names_stay_retired(doc):
+    text = (ROOT / doc).read_text()
+    back = {name: why for name, why in _RETIRED.items() if name in text}
+    assert not back, f"{doc} describes deleted API again: {back}"

@@ -299,6 +299,38 @@ class TestCheckRegression:
         assert verdict.ok
         assert verdict.latest == pytest.approx(100.0)
 
+    def test_only_skipped_records_is_vacuous_not_a_pass(self, tmp_path):
+        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        for _ in range(3):
+            ledger.append(_bench_rec(100.0, gate_skipped=True))
+        verdict = check_regression(ledger, "far_field_50k_plummer")
+        assert verdict.vacuous and "no comparable records" in verdict.reason
+        assert str(verdict).startswith("VACUOUS") and verdict.to_dict()["vacuous"]
+        # one real record ends the vacuity (and is still not a regression)
+        ledger.append(_bench_rec(100.0))
+        verdict = check_regression(ledger, "far_field_50k_plummer")
+        assert verdict.ok and not verdict.vacuous
+        assert str(verdict).startswith("OK")
+
+    @pytest.mark.parametrize("cpus,fails", [(2, False), (4, True)])
+    def test_cli_fails_on_vacuous_only_where_gates_could_run(
+        self, tmp_path, monkeypatch, capsys, cpus, fails
+    ):
+        from repro.obs import ledger as obs_ledger
+        from repro.obs.run import regress_main
+
+        path = str(tmp_path / "runs.jsonl")
+        RunLedger(path).append(_bench_rec(100.0, gate_skipped=True))
+        spec = {**machine_spec(), "cpu_available": cpus}
+        monkeypatch.setattr(obs_ledger, "machine_spec", lambda: spec)
+        if fails:
+            with pytest.raises(SystemExit, match="1 vacuous"):
+                regress_main(ledger=path)
+            assert regress_main(ledger=path, strict="no") == 1
+        else:
+            assert regress_main(ledger=path) == 0
+        assert "VACUOUS far_field_50k_plummer" in capsys.readouterr().out
+
     def test_machine_awareness(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))
         # fast history from an 8-cpu box must not fail a 1-cpu newest

@@ -3,7 +3,10 @@
 Five pillars:
 
 * **supervision mechanics** — retry policy, non-retryable fail-fast,
-  per-graph deadlines, cooperative cancellation, pool reusability;
+  cooperative cancellation, pool reusability;
+* **one deadline contract** — a :class:`Deadline` handed to ``solve``
+  raises :class:`SolveDeadlineError` on every back end, for both solvers,
+  never degrades, and leaves the pool / shard session serving;
 * **chaos determinism** — seeded :class:`FaultPlan` injections (raises
   absorbed by retries, delays perturbing interleavings, unrecoverable
   failures absorbed by serial degradation) leave the numeric results
@@ -48,13 +51,14 @@ from repro.runtime.engine import (
     EngineConfig,
     ExecutionEngine,
     GraphCancelled,
-    GraphDeadlineError,
     GraphTaskError,
     RetryPolicy,
     TaskGraphBuilder,
 )
+from repro.runtime.shards import ProcessEngine
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
+from repro.util.timing import Deadline, SolveDeadlineError
 
 from tests.test_property_surgery import assert_once_cover, assert_tree_invariants
 
@@ -74,11 +78,6 @@ class TestValidation:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_s=-0.1)
-
-    def test_engine_deadline(self):
-        EngineConfig(deadline_s=1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(deadline_s=0.0)
 
     def test_fault_spec(self):
         with pytest.raises(ValueError):
@@ -153,11 +152,14 @@ class TestSupervision:
         g = TaskGraphBuilder()
         for i in range(8):
             g.add(lambda: time.sleep(0.03), label=f"slow{i}")
-        with ExecutionEngine(n_workers=n_workers, deadline_s=0.02) as eng:
-            with pytest.raises(GraphDeadlineError) as exc_info:
-                eng.run(g)
-        err = exc_info.value
-        assert err.n_done < err.n_tasks == 8
+        ran_after = []
+        with ExecutionEngine(n_workers=n_workers) as eng:
+            with pytest.raises(SolveDeadlineError) as exc_info:
+                eng.run(g, deadline=Deadline(0.02))
+            g2 = TaskGraphBuilder()
+            g2.add(lambda: ran_after.append(1), label="after")
+            eng.run(g2)  # the budget belonged to that run only
+        assert exc_info.value.phase.startswith("graph (") and ran_after == [1]
 
     def test_cancel_from_task_and_pool_reusable(self, n_workers):
         """A task cancelling the run aborts the graph cooperatively; the
@@ -400,30 +402,6 @@ class TestDegradation:
             degraded = {k: v for k, v in snap.items() if "runtime_degraded_total" in k}
             assert degraded == {f'runtime_degraded_total{{solver="{kind}"}}': 1}
 
-    @pytest.mark.parametrize("kind", _SOLVER_KINDS)
-    @pytest.mark.parametrize("fatal", [True, False], ids=["fatal", "absorbed"])
-    def test_deadline_is_fatal_only_when_configured(self, kind, fatal):
-        """``deadline_fatal`` (the serve subsystem's per-request budget)
-        re-raises instead of re-running serially; a plain deadline is one
-        more absorbed graph failure."""
-        pts = plummer(300, seed=31).positions
-        tree = AdaptiveOctree(pts, S=12)
-        ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 31)
-        ref = outputs(ref_solver.solve(tree, q, **kw))
-        with ExecutionEngine(
-            n_workers=2, deadline_s=1e-7, deadline_fatal=fatal
-        ) as eng:
-            solver, _, _, _ = _solver_case(kind, pts.shape[0], 31, engine=eng)
-            if fatal:
-                with pytest.raises(GraphDeadlineError):
-                    solver.solve(tree, q, **kw)
-                assert solver.degraded_runs == 0
-            else:
-                for a, b in zip(outputs(solver.solve(tree, q, **kw)), ref):
-                    assert np.array_equal(a, b)
-                assert solver.degraded_runs == 1
-        assert solver.last_engine_result is None
-
     def test_cancellation_is_not_degradation(self):
         """GraphCancelled propagates — a deliberate abort must not be
         silently recomputed."""
@@ -443,6 +421,91 @@ class TestDegradation:
             finally:
                 eng.install_fault_plan(None)
         assert solver.degraded_runs == 0
+
+
+# --------------------------------------------------------------------------
+# one deadline contract, every back end
+# --------------------------------------------------------------------------
+
+
+class _ExpiresAtLook(Deadline):
+    """Deterministic mid-solve expiry: the budget runs out at the N-th
+    time a back end looks at it (the first look is the dispatcher's,
+    after the list fetch)."""
+
+    def __init__(self, n_looks: int) -> None:
+        super().__init__(3600.0)
+        self.looks_left = n_looks
+
+    def remaining(self) -> float:
+        self.looks_left -= 1
+        return 1e-3 if self.looks_left > 0 else -1.0
+
+
+_DEADLINE_ENGINES = {
+    "serial": lambda: None,
+    "threads:2": lambda: ExecutionEngine(n_workers=2),
+    "shards:2": lambda: ProcessEngine(n_shards=2, timeout_s=60.0),
+}
+
+
+@pytest.mark.parametrize("kind", _SOLVER_KINDS)
+@pytest.mark.parametrize("backend", sorted(_DEADLINE_ENGINES))
+def test_deadline_contract(backend, kind, monkeypatch):
+    """An already-expired and a mid-solve deadline each raise
+    :class:`SolveDeadlineError` naming a phase; nothing degrades or re-runs
+    serially; the next solve on the same solver and engine is bitwise
+    serial — same pool, same shard session, nobody respawned."""
+    pts = plummer(600, seed=31).positions
+    tree = AdaptiveOctree(pts, S=12)
+    ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 31)
+    ref = outputs(ref_solver.solve(tree, q, **kw))
+    engine = _DEADLINE_ENGINES[backend]()
+    try:
+        solver, _, _, _ = _solver_case(kind, pts.shape[0], 31, engine=engine)
+        serial_runs = []
+        run_serial = solver._run_serial
+        monkeypatch.setattr(
+            solver, "_run_serial",
+            lambda *a: serial_runs.append(1) or run_serial(*a),
+        )
+
+        def solve_ok():
+            for a, b in zip(outputs(solver.solve(tree, q, **kw)), ref):
+                assert np.array_equal(a, b)
+
+        solve_ok()  # warm: lists cached, pool spawned, session installed
+        state = (
+            getattr(engine, "_pool", None), getattr(engine, "_session", None)
+        )
+        n_serial = len(serial_runs)
+        for deadline, phase_ok in (
+            (Deadline(0.0), lambda ph: ph == "lists"),
+            (_ExpiresAtLook(5), lambda ph: ph and ph != "lists"),
+        ):
+            with pytest.raises(SolveDeadlineError) as exc_info:
+                solver.solve(tree, q, deadline=deadline, **kw)
+            assert phase_ok(exc_info.value.phase), exc_info.value.phase
+            assert solver.degraded_runs == 0
+            assert solver.last_engine_result is None
+            assert solver.last_shard_result is None
+        if engine is None:
+            # the mid-solve one died inside the sweep it was running
+            assert len(serial_runs) == n_serial + 1
+        else:
+            assert len(serial_runs) == n_serial == 0
+
+        solve_ok()
+        assert solver.degraded_runs == 0
+        assert (
+            getattr(engine, "_pool", None), getattr(engine, "_session", None)
+        ) == state
+        if backend.startswith("shards"):
+            assert engine.total_respawns == engine.total_serial_fallbacks == 0
+            assert solver.last_shard_result.respawns == 0
+    finally:
+        if engine is not None:
+            engine.close()
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,51 @@ class TestServedSolves:
                 out["potential"], direct_results["laplace"]["potential"]
             )
             assert bg.client(in_process=True).status()["deadline_total"] == 1
+
+    def test_deadline_clock_covers_setup_and_changes_nothing_else(self, monkeypatch):
+        """The budget's clock starts when the worker picks the request up,
+        so a cold 10 ms request is refused during tree / list / geometry
+        build, within one stage of its budget (the clock used to start
+        after all three); and a deadline that does not expire
+        does not change how — or on what — the request is solved."""
+        from repro.runtime.engine import ExecutionEngine
+        from repro.serve import server
+
+        spec = {"kernel": "laplace", "n": 2000, "order": 3, "seed": 5}
+        hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.01})
+        walls = []
+        for _ in range(3):  # every attempt is cold: its own operator cache
+            t0 = time.perf_counter()
+            with pytest.raises(ServeError) as ei:
+                server._solve_core(
+                    hasty, opcache=SharedOperatorCache(), deadline_s=0.01
+                )
+            walls.append(time.perf_counter() - t0)
+            assert ei.value.code == 408 and ei.value.kind == "deadline"
+            assert ei.value.details["phase"] in ("tree", "lists", "geometry")
+        assert min(walls) <= 0.05, walls
+
+        engine_runs = []
+        run = ExecutionEngine.run
+        monkeypatch.setattr(
+            ExecutionEngine, "run",
+            lambda self, *a, **k: engine_runs.append(1) or run(self, *a, **k),
+        )
+        with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
+            c = bg.client(in_process=True)
+            plain = c.solve(spec, tenant="t")
+            timed = c.solve({**spec, "deadline_s": 60.0}, tenant="t")
+            assert engine_runs == []  # the same serial sweep, not a 1-worker graph
+            for key in ("potential", "gradient"):
+                assert np.array_equal(timed[key], plain[key])
+            with pytest.raises(ServeError) as ei:
+                c.solve({**spec, "deadline_s": 0.01, "seed": 6}, tenant="t")
+            assert ei.value.code == 408 and ei.value.details["phase"] != "queue"
+            assert c.status()["deadline_total"] == 1
+            after = c.solve(spec, tenant="t")
+        direct = solve_direct(spec)
+        for key in ("potential", "gradient"):
+            assert np.array_equal(after[key], direct[key])
 
     def test_admission_shed_is_structured_429(self):
         with BackgroundServer(

@@ -306,3 +306,32 @@ def test_simulation_config_shard_guards():
         SimulationConfig(n_shards=2, n_workers=2)
     SimulationConfig(n_shards=2, n_workers=1)  # fine
     SimulationConfig(n_shards=None, n_workers=4)  # fine
+
+
+def test_simulation_deadline_enforced_on_shards():
+    """``deadline_s`` is a property of the solve, not of one back end: it
+    constructs with ``n_shards > 1`` and a solve that outlives it raises
+    out of ``step`` — never a serial re-run — leaving the engine usable."""
+    from repro.machine.spec import system_a
+    from repro.sim.driver import Simulation, SimulationConfig
+    from repro.util.timing import SolveDeadlineError
+
+    def sim_with(deadline_s):
+        cfg = SimulationConfig(
+            n_shards=2, deadline_s=deadline_s, order=3, initial_S=24
+        )
+        return Simulation(
+            plummer(1200, seed=43), GravityKernel(G=1.0, softening=1e-3),
+            system_a(), config=cfg,
+        )
+
+    # spawning two workers alone takes longer than this budget
+    with sim_with(0.02) as sim:
+        with pytest.raises(SolveDeadlineError) as exc_info:
+            sim.step()
+        assert exc_info.value.deadline_s == 0.02 and exc_info.value.phase
+        assert sim.solver.degraded_runs == 0
+        assert sim.engine.total_respawns == sim.engine.total_serial_fallbacks == 0
+    with sim_with(120.0) as sim:
+        sim.step()
+        assert sim.last_shard_result is not None
