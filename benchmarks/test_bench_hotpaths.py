@@ -1,13 +1,22 @@
 """Hot-path benchmarks for the vectorized + cached interaction-list engine.
 
-Three claims the PR makes, asserted at benchmark scale:
+Claims asserted at benchmark scale:
 
 * the vectorized list builder beats the per-pair scalar oracle by >= 3x on
   a 50k-body nonuniform (Plummer) tree;
 * a frozen-shape simulation step performs *zero* list rebuilds — the
   shared :class:`~repro.tree.cache.ListCache` answers every lookup;
 * the batched near-field engine's throughput (body pairs / s) is reported
-  for regression tracking.
+  for regression tracking, and is *flat in S*: small leaves (S = 8) reach
+  >= 0.3x the pairs/s of large ones (S = 64) — the cost model's
+  ``C_P2P * #interactions`` assumes a per-pair cost that does not depend
+  on S, so a balancer fed observed times must not be steered off small S
+  by call overhead;
+* a frozen-shape far-field re-solve performs zero geometry rebuilds (its
+  wall time is the ledger's gated ``far_field_50k_plummer`` series; the
+  batched-vs-scalar-oracle equivalence is property-tested in
+  ``tests/test_farfield_property.py``, and the ~100x ratio is no longer
+  re-timed here — it cost three 17 s oracle sweeps per run).
 
 Timing discipline: dict-of-lists deallocation from a previous build can
 dominate the *next* build's wall clock, so the timed region runs with the
@@ -24,9 +33,9 @@ import numpy as np
 
 import _ledger
 from repro.balance.config import BalancerConfig
-from repro.distributions.generators import compact_plummer, plummer
+from repro.distributions.generators import compact_plummer, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
-from repro.fmm.multipass import laplace_far_field, laplace_far_field_scalar
+from repro.fmm.multipass import laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel
 from repro.machine.spec import system_a
@@ -123,9 +132,44 @@ def test_bench_near_field_throughput(benchmark):
     assert plan.total_pairs > 0
 
 
-def test_bench_far_field_speedup(benchmark):
-    """Batched far-field engine >= 3x over the per-node oracle (50k bodies),
-    bit-level-equivalent results, zero geometry rebuilds on a re-solve."""
+def test_bench_near_field_flat_in_s(benchmark):
+    """Near-field pairs/s at S=8 >= 0.3x pairs/s at S=64 (uniform 10k)."""
+    n = 10_000
+    pts = uniform_cube(n, seed=4).positions
+    q = np.random.default_rng(4).uniform(0.5, 1.0, n)
+    kernel = GravityKernel(G=1.0)
+    rate, runs = {}, {}
+    for S in (8, 64):
+        tree = AdaptiveOctree(pts, S=S)
+        lists = build_interaction_lists(tree, folded=True)
+        pairs = build_near_field_plan(tree, lists).total_pairs
+        runs[S] = lambda tree=tree, lists=lists: evaluate_near_field(
+            kernel, tree, lists, q, potential=True, gradient=True
+        )
+        rate[S] = pairs / _best_time(runs[S], rounds=5)
+    benchmark.pedantic(runs[8], rounds=3, iterations=1)
+    flatness = rate[8] / rate[64]
+
+    _ledger.record_to_ledger(
+        {
+            "bench": "near_field_flatness_10k_uniform",
+            "n": n,
+            "pairs_per_s_S8": round(rate[8]),
+            "pairs_per_s_S64": round(rate[64]),
+            "flatness": round(flatness, 3),
+        }
+    )
+    print()
+    print(
+        f"near field, 10k uniform: {rate[8] / 1e6:.1f} Mpairs/s at S=8, "
+        f"{rate[64] / 1e6:.1f} at S=64 -> {flatness:.2f}x"
+    )
+    assert flatness >= 0.3, f"S=8 near field only {flatness:.2f}x the S=64 pairs/s"
+
+
+def test_bench_far_field(benchmark):
+    """Batched far-field wall time (50k bodies, the ledger's gated series),
+    zero geometry rebuilds on a re-solve."""
     n = 50_000
     pts = plummer(n, seed=3).positions
     tree = AdaptiveOctree(pts, S=32)
@@ -135,16 +179,10 @@ def test_bench_far_field_speedup(benchmark):
     exp = CartesianExpansion(4)
 
     run = lambda: laplace_far_field(tree, lists, exp, charges=q)  # noqa: E731
-    pot, _ = run()  # warm the geometry/body-plan/basis caches
+    run()  # warm the geometry/body-plan/basis caches
     builds_after_warmup = lists.farfield_geometry_stats["builds"]
 
     batched_t = _best_time(run, rounds=5)
-    scalar_t = _best_time(
-        lambda: laplace_far_field_scalar(tree, lists, exp, charges=q), rounds=2
-    )
-    ref, _ = laplace_far_field_scalar(tree, lists, exp, charges=q)
-    err = float(np.abs(pot - ref).max() / max(1.0, np.abs(ref).max()))
-    speedup = scalar_t / batched_t
     benchmark.pedantic(run, rounds=3, iterations=1)
 
     # frozen shape: every timed re-solve must have hit the geometry cache
@@ -157,9 +195,6 @@ def test_bench_far_field_speedup(benchmark):
         "order": exp.order,
         "backend": exp.backend,
         "batched_ms": round(batched_t * 1e3, 3),
-        "scalar_ms": round(scalar_t * 1e3, 3),
-        "speedup": round(speedup, 2),
-        "max_rel_err": err,
         "geometry_builds": lists.farfield_geometry_stats["builds"],
         "geometry_hits": lists.farfield_geometry_stats["hits"],
     }
@@ -171,10 +206,4 @@ def test_bench_far_field_speedup(benchmark):
     _ledger.record_to_ledger(record)
 
     print()
-    print(
-        f"far field, 50k plummer S=32 order=4: batched {batched_t * 1e3:.1f} ms, "
-        f"scalar {scalar_t * 1e3:.1f} ms, speedup {speedup:.2f}x, "
-        f"max rel err {err:.2e}"
-    )
-    assert err <= 1e-12, f"batched far field drifted from oracle: {err:.2e}"
-    assert speedup >= 3.0, f"batched far field only {speedup:.2f}x over scalar"
+    print(f"far field, 50k plummer S=32 order=4: batched {batched_t * 1e3:.1f} ms")

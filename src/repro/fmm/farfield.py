@@ -910,7 +910,8 @@ def laplace_far_field(
     :class:`repro.util.timing.Deadline`) is checked after the geometry
     build, after P2M and after every translation class — so no two checks
     are further apart than one batched stage; the caller's next check
-    (the following pass's, or the near field's) closes the sweep.
+    (the following pass's, or the near field's, which then checks after
+    every tile) closes the sweep.
     """
     if tracer is None:
         from repro.obs import NULL_TELEMETRY

@@ -1,43 +1,54 @@
-"""Batched near-field (P2P) evaluation.
+"""Batched near-field (P2P) evaluation over tiles of same-shape groups.
 
-The naive near field walks target leaves one at a time, and for each leaf
-re-derives its body indices (one ``tree.bodies`` call per source node per
-leaf) before issuing one small kernel call per leaf — roughly ``O(near
-pairs)`` Python interpreter work on top of the kernel arithmetic.  This
-module flattens ``near_sources`` once into CSR-style target/source *body*
-index arrays, groups target leaves that share an identical source-leaf
-set (their targets stack into a single dense block against the shared
-source block), and evaluates one large kernel call per distinct source
-set.  Bodies whose own leaf appears in its source set get one bulk
-``self_interaction`` subtraction at the end — every kernel in the repo
-evaluates its own self pair to exactly that value (singular kernels
-suppress it to zero), so including the self block in the dense call and
-subtracting keeps results within float round-off of the per-leaf path.
+``near_sources`` is flattened once into CSR-style target/source *body*
+index arrays.  Target leaves that share an identical source-leaf set form
+a **group** (their targets stack into one dense block against the shared
+source block), and groups are ordered by shape — target count exact,
+source count rounded up to a multiple of ``_SRC_ROUND`` — so that a run of
+same-shape groups can be handed to the kernel as one ``(G, T, 3)`` x ``(G,
+S, 3)`` batch.  Such a run, cut where its stacked temporaries would exceed
+the kernel's ``_TILE_ELEMS`` budget, is a **tile**: the one unit of
+near-field work for the serial loop (deadline checks), the thread engine
+(task chunks) and the shard workers (LPT assignment) alike.  A group
+larger than the budget is a tile of its own, which the kernel walks over
+target rows.
 
-The plan (index arrays + group offsets) is memoized on the
+Padded source slots repeat the group's first source with zero strength:
+they add exact zeros and need no mask beyond the zero-separation rule every
+kernel already has.  The kernel's batch contract
+(:mod:`repro.kernels.base`) makes a group's bits depend on its own padded
+shape and data only, so results are bitwise independent of how tiles are
+cut or which back end runs them.  Bodies whose own leaf appears in its
+source set get one bulk ``self_interaction`` subtraction at the end —
+every kernel in the repo evaluates its own self pair to exactly that value
+(singular kernels suppress it to zero).
+
+The plan (index arrays, group and tile offsets) is memoized on the
 :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``, stamped
 by the tree's ``generation``: a frozen-shape *and* frozen-body step reuses
 it outright, while ``refit`` (which reorders bodies) rebuilds only the
 plan, not the lists.
 
 Refits get a cheaper path still: the plan's *skeleton* — gather positions
-into ``tree.order``, group pointers, pair totals — depends only on the
-tree shape and the per-leaf population counts (node ``lo``/``hi`` offsets
-are cumulative leaf counts in Morton order).  The skeleton is kept in a
-``structure_generation``-stamped slot together with a leaf-population
-signature; when a refit leaves every effective leaf's count unchanged the
-plan is *refreshed* by re-gathering ``tree.order`` at the stored
-positions instead of being rebuilt from ``near_sources``.  Build, refresh
-and hit counters accumulate in ``lists.nearfield_plan_stats``.
+into ``tree.order``, group pointers, shapes and hence tile boundaries, pair
+totals — depends only on the tree shape and the per-leaf population counts
+(node ``lo``/``hi`` offsets are cumulative leaf counts in Morton order).
+The skeleton is kept in a ``structure_generation``-stamped slot together
+with a leaf-population signature; when a refit leaves every effective
+leaf's count unchanged the plan is *refreshed* by re-gathering
+``tree.order`` at the stored positions instead of being rebuilt from
+``near_sources``.  Build, refresh and hit counters (and the latest plan's
+tile count) accumulate in ``lists.nearfield_plan_stats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.kernels.base import Kernel
+from repro.kernels.base import _TILE_ELEMS, Kernel
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 
@@ -46,9 +57,15 @@ __all__ = [
     "NearFieldPlan",
     "build_near_field_plan",
     "evaluate_near_field",
-    "evaluate_near_group",
+    "evaluate_near_tile",
     "near_self_correction",
 ]
+
+
+#: source counts are rounded up to a multiple of this so that groups fall
+#: into few shapes (padded / real pairs: 1.06 on a uniform S=8 tree, 1.00-1.02
+#: on Plummer).  Measured, not tunable: the sweep is in DESIGN.md section 7.
+_SRC_ROUND = 8
 
 
 def _segment_positions(lo: np.ndarray, hi: np.ndarray):
@@ -62,35 +79,58 @@ def _segment_positions(lo: np.ndarray, hi: np.ndarray):
     return np.repeat(lo, cnt) + within, cnt
 
 
+def _ptr(cnt: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
+
+
 @dataclass
 class NearFieldPlan:
     """Flattened near-field work: one entry per distinct source set.
 
-    ``tgt_idx``/``src_idx`` hold body indices back to back per group;
-    ``tgt_ptr``/``src_ptr`` are the CSR offsets.  ``self_idx`` lists every
-    body whose own leaf is included in its source set (the bulk
-    self-interaction correction).
+    ``tgt_idx``/``src_idx`` hold body indices back to back per group, in
+    shape order; ``tgt_ptr``/``src_ptr`` are the CSR offsets.  Source runs
+    are padded (``src_cnt`` is the real length; the slots after it repeat
+    the first source).  Tile ``k`` is groups ``tile_ptr[k]:tile_ptr[k+1]``,
+    all of one shape.  ``self_idx`` lists every body whose own leaf is
+    included in its source set (the bulk self-interaction correction).
     """
 
     tgt_idx: np.ndarray
     tgt_ptr: np.ndarray
     src_idx: np.ndarray
     src_ptr: np.ndarray
+    src_cnt: np.ndarray
+    tile_ptr: np.ndarray
     self_idx: np.ndarray
-    n_groups: int
-    #: total body-pair interactions the plan evaluates (throughput metric)
+    #: total real body-pair interactions the plan evaluates (throughput metric)
     total_pairs: int
 
-    def group(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(t_idx, s_idx)`` body indices of source-set group ``g``."""
+    @property
+    def n_groups(self) -> int:
+        return self.src_cnt.size
+
+    @property
+    def n_tiles(self) -> int:
+        return self.tile_ptr.size - 1
+
+    def tile(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t_idx (G, T), s_idx (G, S), src_cnt (G,))`` of tile ``k``."""
+        g0, g1 = self.tile_ptr[k], self.tile_ptr[k + 1]
         tp, sp = self.tgt_ptr, self.src_ptr
-        return self.tgt_idx[tp[g] : tp[g + 1]], self.src_idx[sp[g] : sp[g + 1]]
+        return (
+            self.tgt_idx[tp[g0] : tp[g1]].reshape(g1 - g0, -1),
+            self.src_idx[sp[g0] : sp[g1]].reshape(g1 - g0, -1),
+            self.src_cnt[g0:g1],
+        )
 
     def group_pairs(self, g: int) -> int:
-        """Body-pair interactions of group ``g`` (task cost weight)."""
-        nt = int(self.tgt_ptr[g + 1] - self.tgt_ptr[g])
-        ns = int(self.src_ptr[g + 1] - self.src_ptr[g])
-        return nt * ns
+        """Real body-pair interactions of group ``g``."""
+        return int((self.tgt_ptr[g + 1] - self.tgt_ptr[g]) * self.src_cnt[g])
+
+    def tile_pairs(self, k: int) -> int:
+        """Real body-pair interactions of tile ``k`` (task cost weight)."""
+        g0, g1 = self.tile_ptr[k], self.tile_ptr[k + 1]
+        return int((self.tgt_ptr[g0 + 1] - self.tgt_ptr[g0]) * self.src_cnt[g0:g1].sum())
 
 
 @dataclass
@@ -106,8 +146,9 @@ class _PlanSkeleton:
     tgt_ptr: np.ndarray
     src_pos: np.ndarray
     src_ptr: np.ndarray
+    src_cnt: np.ndarray
+    tile_ptr: np.ndarray
     self_pos: np.ndarray
-    n_groups: int
     total_pairs: int
     leaf_ids: list
     leaf_counts: np.ndarray
@@ -116,7 +157,7 @@ class _PlanSkeleton:
 def _plan_stats(lists: InteractionLists) -> dict[str, int]:
     stats = getattr(lists, "nearfield_plan_stats", None)
     if stats is None:
-        stats = {"builds": 0, "refreshes": 0, "hits": 0}
+        stats = {"builds": 0, "refreshes": 0, "hits": 0, "tiles": 0}
         lists.nearfield_plan_stats = stats
     stats.setdefault("patched", 0)
     return stats
@@ -157,10 +198,39 @@ def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan
         tgt_ptr=skel.tgt_ptr,
         src_idx=order[skel.src_pos],
         src_ptr=skel.src_ptr,
+        src_cnt=skel.src_cnt,
+        tile_ptr=skel.tile_ptr,
         self_idx=order[skel.self_pos],
-        n_groups=skel.n_groups,
         total_pairs=skel.total_pairs,
     )
+
+
+def _leaf_runs(groups, leaf_cnt):
+    """``(leaf ids, leaves per group, bodies per group)`` of ``groups``
+    (sequences of leaves), flattened."""
+    lens = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(lens.sum()))
+    gid = np.repeat(np.arange(lens.size), lens)
+    cnt = np.bincount(gid, weights=leaf_cnt[flat], minlength=lens.size)
+    return flat, lens, cnt.astype(np.int64)
+
+
+def _take_runs(flat: np.ndarray, lens: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Flattened runs with their groups taken in ``order``."""
+    start = _ptr(lens)[:-1][order]
+    return flat[_segment_positions(start, start + lens[order])[0]]
+
+
+def _tile_boundaries(tgt_cnt: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
+    """Cut shape-ordered groups into tiles: a tile ends where the shape
+    changes or one more group would exceed ``_TILE_ELEMS`` stacked pairs."""
+    n = tgt_cnt.size
+    new_shape = np.ones(n, dtype=bool)
+    new_shape[1:] = (tgt_cnt[1:] != tgt_cnt[:-1]) | (src_pad[1:] != src_pad[:-1])
+    run_start = np.flatnonzero(new_shape)
+    within = np.arange(n) - run_start[np.cumsum(new_shape) - 1]
+    per_tile = np.maximum(1, _TILE_ELEMS // np.maximum(1, tgt_cnt * src_pad))
+    return np.append(np.flatnonzero(within % per_tile == 0), n)
 
 
 def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> NearFieldPlan:
@@ -171,20 +241,23 @@ def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> Near
         stats["hits"] += 1
         return cached
 
-    skel_cached, skel_store = lists.derived_cache("near_field_skeleton", structural=True)
-    if skel_cached is not None:
-        counts = np.array(
-            [tree.nodes[l].count for l in skel_cached.leaf_ids], dtype=np.int64
-        )
-        if np.array_equal(counts, skel_cached.leaf_counts):
-            stats["refreshes"] += 1
-            return store(_plan_from_skeleton(tree.order, skel_cached))
+    skel, skel_store = lists.derived_cache("near_field_skeleton", structural=True)
+    if skel is not None:
+        counts = np.array([tree.nodes[l].count for l in skel.leaf_ids], dtype=np.int64)
+        if not np.array_equal(counts, skel.leaf_counts):
+            skel = None
+    stats["builds" if skel is None else "refreshes"] += 1
+    if skel is None:
+        skel = skel_store(_build_skeleton(tree, lists))
+    stats["tiles"] = skel.tile_ptr.size - 1
+    return store(_plan_from_skeleton(tree.order, skel))
 
-    stats["builds"] += 1
+
+def _build_skeleton(tree: AdaptiveOctree, lists: InteractionLists) -> _PlanSkeleton:
     nodes = tree.nodes
-    order = tree.order
     node_lo = np.fromiter((n.lo for n in nodes), dtype=np.int64, count=len(nodes))
     node_hi = np.fromiter((n.hi for n in nodes), dtype=np.int64, count=len(nodes))
+    leaf_cnt = node_hi - node_lo
 
     # group target leaves by their exact source-leaf set (signatures are
     # patched, not recomputed, across incremental list repairs)
@@ -196,72 +269,72 @@ def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> Near
         if t in sources:
             self_leaves.append(t)
 
-    sig_arrs = [np.fromiter(sig, dtype=np.int64, count=len(sig)) for sig in groups]
-    tgt_arrs = [np.fromiter(ts, dtype=np.int64, count=len(ts)) for ts in groups.values()]
-    empty = np.empty(0, dtype=np.int64)
-    sig_flat = np.concatenate(sig_arrs) if sig_arrs else empty
-    tgt_flat = np.concatenate(tgt_arrs) if tgt_arrs else empty
-    sig_cnt = np.fromiter((a.size for a in sig_arrs), dtype=np.int64, count=len(sig_arrs))
-    tgt_cnt = np.fromiter((a.size for a in tgt_arrs), dtype=np.int64, count=len(tgt_arrs))
+    # shape order: targets exact, sources rounded up to _SRC_ROUND
+    sig_flat, sig_len, src_cnt = _leaf_runs(groups, leaf_cnt)
+    tgt_flat, tgt_len, tgt_cnt = _leaf_runs(groups.values(), leaf_cnt)
+    order = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
+    sig_flat = _take_runs(sig_flat, sig_len, order)
+    tgt_flat = _take_runs(tgt_flat, tgt_len, order)
+    sig_len, src_cnt, tgt_cnt = sig_len[order], src_cnt[order], tgt_cnt[order]
+    pad = -src_cnt % _SRC_ROUND
 
-    src_pos, src_body_cnt = _segment_positions(node_lo[sig_flat], node_hi[sig_flat])
-    tgt_pos, tgt_body_cnt = _segment_positions(node_lo[tgt_flat], node_hi[tgt_flat])
-    # per-group body counts: sum the per-leaf counts within each group
-    gid_src = np.repeat(np.arange(len(sig_arrs)), sig_cnt)
-    gid_tgt = np.repeat(np.arange(len(tgt_arrs)), tgt_cnt)
-    src_per_group = np.bincount(gid_src, weights=src_body_cnt, minlength=len(sig_arrs)).astype(np.int64)
-    tgt_per_group = np.bincount(gid_tgt, weights=tgt_body_cnt, minlength=len(tgt_arrs)).astype(np.int64)
-    src_ptr = np.concatenate(([0], np.cumsum(src_per_group))).astype(np.int64)
-    tgt_ptr = np.concatenate(([0], np.cumsum(tgt_per_group))).astype(np.int64)
+    # a group's sources are its leaves' runs of ``tree.order`` followed by
+    # one unit run per padded slot, each on the group's first source
+    lo, hi = node_lo[sig_flat], node_hi[sig_flat]
+    first_run = np.searchsorted(np.cumsum(hi - lo), _ptr(src_cnt)[:-1], side="right")
+    first = lo[np.repeat(first_run, pad)]
+    at = np.repeat(np.cumsum(sig_len), pad)
+    src_pos, _ = _segment_positions(np.insert(lo, at, first), np.insert(hi, at, first + 1))
 
     sl = np.fromiter(self_leaves, dtype=np.int64, count=len(self_leaves))
-    self_pos, _ = _segment_positions(node_lo[sl], node_hi[sl])
-
     leaf_ids = tree.leaves()
-    skel = _PlanSkeleton(
-        tgt_pos=tgt_pos,
-        tgt_ptr=tgt_ptr,
+    return _PlanSkeleton(
+        tgt_pos=_segment_positions(node_lo[tgt_flat], node_hi[tgt_flat])[0],
+        tgt_ptr=_ptr(tgt_cnt),
         src_pos=src_pos,
-        src_ptr=src_ptr,
-        self_pos=self_pos,
-        n_groups=len(sig_arrs),
-        total_pairs=int((tgt_per_group * src_per_group).sum()),
+        src_ptr=_ptr(src_cnt + pad),
+        src_cnt=src_cnt,
+        tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + pad),
+        self_pos=_segment_positions(node_lo[sl], node_hi[sl])[0],
+        total_pairs=int((tgt_cnt * src_cnt).sum()),
         leaf_ids=leaf_ids,
         leaf_counts=np.array([nodes[l].count for l in leaf_ids], dtype=np.int64),
     )
-    skel_store(skel)
-    return store(_plan_from_skeleton(order, skel))
 
 
-def evaluate_near_group(kernel: Kernel, pts, q, t_idx, s_idx, pot, grad) -> None:
-    """One dense ``(t_idx, s_idx)`` block accumulated into its target rows.
+def evaluate_near_tile(kernel: Kernel, pts, q, plan: NearFieldPlan, k: int, pot, grad) -> None:
+    """Tile ``k`` — one batched kernel call — written to its target rows.
 
     ``pot`` / ``grad`` are the full per-body outputs (``None`` = not
-    wanted; ``pot`` is 1-D for scalar kernels).  The single group body of
-    every back end: serial and engine through :meth:`NearFieldPass.group`,
-    shard workers over their arena views.
+    wanted; ``pot`` is 1-D for scalar kernels), zero on entry: every body
+    is a target of exactly one tile, so the rows are assigned, not
+    accumulated, and running a tile twice is idempotent.  The single stage
+    body of every back end: serial and engine through
+    :meth:`NearFieldPass.tile`, shard workers over their arena views.
     """
+    t_idx, s_idx, src_cnt = plan.tile(k)
     if t_idx.size == 0 or s_idx.size == 0:
         return
+    qs = q.take(s_idx, axis=0)
+    qs[np.arange(s_idx.shape[1]) >= src_cnt[:, None]] = 0.0  # padded slots
     block, g = kernel.pairwise(
-        pts[t_idx],
-        pts[s_idx],
-        q[s_idx],
+        pts.take(t_idx, axis=0),
+        pts.take(s_idx, axis=0),
+        qs,
         potential=pot is not None,
         gradient=grad is not None,
     )
     if pot is not None:
-        pot[t_idx] += block[:, 0] if pot.ndim == 1 else block
+        pot[t_idx] = block[..., 0] if pot.ndim == 1 else block
     if grad is not None:
-        grad[t_idx] += g
+        grad[t_idx] = g
 
 
 def near_self_correction(kernel: Kernel, pts, q, self_idx, pot, grad) -> None:
     """Subtract the self pair of bodies whose own leaf was a source.
 
-    Zero for singular kernels; one bulk call after *every* group has
-    accumulated (it subtracts from rows the groups wrote), whole, on one
-    worker.  ``pot`` / ``grad`` as in :func:`evaluate_near_group`.
+    Zero for singular kernels; one bulk call after *every* tile has
+    written its rows (it subtracts from them), whole, on one worker.  ``pot`` / ``grad`` as in :func:`evaluate_near_tile`.
     """
     si = self_idx
     if not si.size:
@@ -274,14 +347,15 @@ def near_self_correction(kernel: Kernel, pts, q, self_idx, pot, grad) -> None:
 
 
 class NearFieldPass:
-    """One P2P evaluation split into per-source-group stages.
+    """One P2P evaluation split into per-tile stages.
 
-    Target leaves are *partitioned* across groups (each leaf belongs to
-    exactly one source-set group), so :meth:`group` calls write disjoint
-    body rows and may execute concurrently in any order with bitwise
-    identical results; :meth:`self_correction` must run after every group
-    (it subtracts from rows the groups wrote).  Construction resolves the
-    plan cache on the calling thread, so the stages are pure compute.
+    Target leaves are *partitioned* (each leaf belongs to exactly one
+    source-set group, each group to one tile), so :meth:`tile` calls write
+    disjoint body rows and may execute concurrently in any order with
+    bitwise identical results; :meth:`self_correction` must run after
+    every tile (it subtracts from rows the tiles wrote).  Construction
+    resolves the plan cache on the calling thread, so the stages are pure
+    compute.
     """
 
     def __init__(
@@ -307,25 +381,21 @@ class NearFieldPass:
         if potential:
             self.pot = np.zeros(n) if dim == 1 else np.zeros((n, dim))
         self.grad = np.zeros((n, 3)) if gradient else None
-        self.n_groups = self.plan.n_groups
+        self.n_tiles = self.plan.n_tiles
 
-    def group_pairs(self, g: int) -> int:
-        """Body-pair interactions of group ``g`` (task cost weight)."""
-        return self.plan.group_pairs(g)
-
-    def group(self, g: int) -> None:
-        """One dense kernel call; writes this group's target rows only."""
-        evaluate_near_group(
-            self.kernel, self.pts, self.q, *self.plan.group(g), self.pot, self.grad
+    def tile(self, k: int) -> None:
+        """One batched kernel call; writes this tile's target rows only."""
+        evaluate_near_tile(
+            self.kernel, self.pts, self.q, self.plan, k, self.pot, self.grad
         )
 
-    def group_range(self, lo: int, hi: int) -> None:
-        """Groups ``[lo, hi)`` in order — the chunked task granularity."""
-        for g in range(lo, hi):
-            self.group(g)
+    def tile_range(self, lo: int, hi: int) -> None:
+        """Tiles ``[lo, hi)`` in order — the chunked task granularity."""
+        for k in range(lo, hi):
+            self.tile(k)
 
     def self_correction(self) -> None:
-        """The bulk self-pair subtraction, after all groups."""
+        """The bulk self-pair subtraction, after all tiles."""
         near_self_correction(
             self.kernel, self.pts, self.q, self.plan.self_idx, self.pot, self.grad
         )
@@ -351,7 +421,7 @@ def evaluate_near_field(
     gradient: bool = False,
     deadline=None,
 ):
-    """Evaluate the P2P phase in one large kernel call per source group.
+    """Evaluate the P2P phase in one batched kernel call per tile.
 
     Returns ``(pot, grad)`` with the same shapes and semantics as the
     per-leaf near-field loop: ``pot`` is ``(n,)`` for scalar kernels and
@@ -360,17 +430,17 @@ def evaluate_near_field(
     over the :class:`NearFieldPass` stages (the parallel one lives in
     :mod:`repro.runtime.graphs`).  ``deadline`` (a
     :class:`repro.util.timing.Deadline`) is checked after the plan build
-    and after every group.
+    and after every tile, so no two checks are further apart than one tile.
     """
     p = NearFieldPass(
         kernel, tree, lists, strengths, potential=potential, gradient=gradient
     )
     if deadline is None:
-        p.group_range(0, p.n_groups)
+        p.tile_range(0, p.n_tiles)
     else:
         deadline.check("near-plan")
-        for g in range(p.n_groups):
-            p.group(g)
+        for k in range(p.n_tiles):
+            p.tile(k)
             deadline.check("P2P")
     p.self_correction()
     return p.result()

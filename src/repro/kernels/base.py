@@ -6,6 +6,15 @@ describing the *relative* arithmetic cost of each FMM operation for this
 kernel.  The cost profile is what lets the machine model reproduce the
 paper's §IX-B observation that the fluid-dynamics (regularized Stokeslet)
 problem has an M2L roughly 4× as expensive as the gravitational problem.
+
+:meth:`Kernel.pairwise` has a batch axis: ``(G, T, 3)`` targets against
+``(G, S, 3)`` sources is ``G`` independent same-shape blocks in one call,
+which is how the near field amortises NumPy's per-call cost over small
+leaves.  The contract every implementation keeps: block ``g``'s output
+bits depend on its own ``(T, S)`` shape and data only — never on ``G`` or
+on which other blocks share the call — so any cut of a batch into calls,
+down to the plain 2-D form, gives the same bits.  :func:`separation_tiles`
+is the shared cache-sized walk the fused kernels are built on.
 """
 
 from __future__ import annotations
@@ -15,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Kernel", "KernelCostProfile"]
+__all__ = ["Kernel", "KernelCostProfile", "as_batch", "separation_tiles"]
+
+#: float64 elements per temporary of one fused-kernel tile (128 KB each,
+#: five to seven live at once) — and so the size of the near field's unit
+#: of work.  Measured, not tunable: see DESIGN.md section 7 for the sweep
+#: it was read from.
+_TILE_ELEMS = 16384
 
 #: The six FMM operations of the paper plus the two adaptive extras.
 FMM_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P", "M2P", "P2L")
@@ -38,6 +53,58 @@ class KernelCostProfile:
 
     def scaled(self, factor: float) -> "KernelCostProfile":
         return KernelCostProfile({k: v * factor for k, v in self.weights.items()})
+
+
+def separation_tiles(targets, sources, n_work: int):
+    """Walk a batch of dense blocks in tiles of ``_TILE_ELEMS`` pairs.
+
+    ``targets`` ``(G, T, 3)``, ``sources`` ``(G, S, 3)``.  Yields ``(g, t,
+    (dx, dy, dz), r2, work)`` per tile: the group and target-row slices, the
+    per-axis separations ``d = s - t`` and their squared norm as ``(g, t,
+    S)`` arrays, and ``n_work`` scratch arrays of that shape (all reused by
+    the next tile).  Small blocks are stacked along ``g``, a block larger
+    than the budget is walked over target rows; either way a block's rows
+    see the same operations whatever shares the call, and the tiling
+    depends on ``(T, S)`` alone.
+    """
+    n_groups, nt, ns = targets.shape[0], targets.shape[1], sources.shape[1]
+    if not (n_groups and nt and ns):
+        return
+    tx, ty, tz = np.ascontiguousarray(targets.transpose(2, 0, 1))[..., None]
+    sx, sy, sz = np.ascontiguousarray(sources.transpose(2, 0, 1))[:, :, None]
+    rows = min(nt, max(1, _TILE_ELEMS // ns))
+    stack = min(n_groups, max(1, _TILE_ELEMS // (rows * ns)))
+    full = tuple(np.empty((4 + n_work, stack, rows, ns)))
+    for g0 in range(0, n_groups, stack):
+        g = slice(g0, min(g0 + stack, n_groups))
+        sxg, syg, szg, txg, tyg, tzg = sx[g], sy[g], sz[g], tx[g], ty[g], tz[g]
+        for lo in range(0, nt, rows):
+            t = slice(lo, min(lo + rows, nt))
+            m, n = g.stop - g0, t.stop - lo
+            # a short tile is the last along its axis (and the other axis
+            # then has one tile), so the sliced views stay contiguous
+            dx, dy, dz, r2, *work = (
+                full if (m, n) == (stack, rows) else [a[:m, :n] for a in full]
+            )
+            np.subtract(sxg, txg[:, t], out=dx)
+            np.subtract(syg, tyg[:, t], out=dy)
+            np.subtract(szg, tzg[:, t], out=dz)
+            np.multiply(dx, dx, out=r2)
+            np.multiply(dy, dy, out=work[0])
+            r2 += work[0]
+            np.multiply(dz, dz, out=work[0])
+            r2 += work[0]
+            yield g, t, (dx, dy, dz), r2, work
+
+
+def as_batch(targets, sources):
+    """``(targets, sources, batched)`` as float ``(G, T, 3)`` / ``(G, S, 3)``
+    arrays; the plain 2-D form becomes the ``G = 1`` batch."""
+    t = np.asarray(targets, dtype=float)
+    s = np.asarray(sources, dtype=float)
+    if t.ndim == 3:
+        return t, s, True
+    return t.reshape(1, -1, 3), s.reshape(1, -1, 3), False
 
 
 class Kernel(abc.ABC):
@@ -100,11 +167,24 @@ class Kernel(abc.ABC):
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Field and/or gradient of one dense block: ``(pot | None, grad | None)``.
 
-        The near field's single entry point.  The default runs
+        The near field's single entry point.  Besides one ``(T, 3)`` x
+        ``(S, 3)`` block it takes a batch — ``(G, T, 3)`` targets, ``(G, S,
+        3)`` sources, ``(G, S[, d])`` strengths — and returns ``(G, T,
+        dim)`` outputs (see the module docstring for the contract).  The
+        default loops the 2-D call per block, and that runs
         :meth:`evaluate` and :meth:`gradient` separately; a kernel whose
-        two outputs share arithmetic (Laplace: one ``1/r`` per pair)
-        overrides this and derives the other two from it.
+        outputs share arithmetic (Laplace: one ``1/r`` per pair) overrides
+        this and derives the other two from it.
         """
+        if np.ndim(targets) == 3:
+            # C-ordered, so a block looks the same whatever the batch's layout
+            batch = [np.ascontiguousarray(a) for a in (targets, sources, strengths)]
+            blocks = [
+                self.pairwise(t, s, q, potential=potential, gradient=gradient,
+                              exclude_self=exclude_self)
+                for t, s, q in zip(*batch)
+            ]
+            return tuple(None if b[0] is None else np.stack(b) for b in zip(*blocks))
         pot = (
             self.evaluate(targets, sources, strengths, exclude_self=exclude_self)
             if potential

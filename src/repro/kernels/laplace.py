@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel, KernelCostProfile
+from repro.kernels.base import Kernel, KernelCostProfile, as_batch, separation_tiles
 
 __all__ = ["LaplaceKernel", "GravityKernel"]
-
-#: float64 elements per ``(tile_rows, n_sources)`` temporary of
-#: :meth:`LaplaceKernel.pairwise` (128 KB each, five live at once).  Measured,
-#: not tunable: see DESIGN.md section 7 for the sweep it was read from.
-_TILE_ELEMS = 16384
 
 
 class LaplaceKernel(Kernel):
@@ -51,67 +46,52 @@ class LaplaceKernel(Kernel):
         gradient=False,
         exclude_self=False,
     ):
-        """Fused potential + gradient of one dense block, tiled over targets.
+        """Fused potential + gradient of a batch of dense blocks.
 
-        Per-axis layout: the separations are three ``(rows, ns)`` arrays,
-        one ``1/r`` per pair serves both outputs, and targets are walked in
-        tiles of ``_TILE_ELEMS // ns`` rows so every temporary stays
-        cache resident.  The tiling depends on ``(nt, ns)`` only, so two
-        callers handing over the same block get the same bits.
+        Per-axis layout over :func:`~repro.kernels.base.separation_tiles`:
+        the separations are three ``(g, rows, ns)`` arrays, one ``1/r`` per
+        pair serves both outputs, and every reduction runs along the
+        contiguous source axis, one row at a time — so a block's bits
+        depend on its own ``(nt, ns)`` and data only, whether it arrives
+        alone (the 2-D form is the ``G = 1`` batch) or stacked with others.
 
         Zero separations and non-finite pairs contribute nothing (this is
         what removes a body's own pair when its leaf is in its source
-        set); ``exclude_self`` additionally zeroes the diagonal of a
-        square block.
+        set, and makes a repeated source with zero strength an exact
+        zero); ``exclude_self`` additionally zeroes the diagonal of
+        square blocks.
         """
-        t = np.atleast_2d(np.asarray(targets, dtype=float))
-        s = np.atleast_2d(np.asarray(sources, dtype=float))
-        q = np.asarray(strengths, dtype=float).reshape(-1)
-        nt, ns = t.shape[0], s.shape[0]
-        pot = np.zeros(nt) if potential else None
-        grad_t = np.zeros((3, nt)) if gradient else None
-        if nt and ns:
-            tx, ty, tz = np.ascontiguousarray(t.T)[:, :, None]
-            sx, sy, sz = np.ascontiguousarray(s.T)
-            eps2 = self.softening**2
-            diagonal = exclude_self and nt == ns
-            rows = min(nt, max(1, _TILE_ELEMS // ns))
-            dx, dy, dz, inv, w = np.empty((5, rows, ns))
-            for lo in range(0, nt, rows):
-                hi = min(lo + rows, nt)
-                n = hi - lo
-                ax, ay, az, r, ww = dx[:n], dy[:n], dz[:n], inv[:n], w[:n]
-                # d = s - t: the sign that makes sum(w * d) the gradient
-                np.subtract(sx, tx[lo:hi], out=ax)
-                np.subtract(sy, ty[lo:hi], out=ay)
-                np.subtract(sz, tz[lo:hi], out=az)
-                np.multiply(ax, ax, out=r)
-                np.multiply(ay, ay, out=ww)
-                r += ww
-                np.multiply(az, az, out=ww)
-                r += ww
+        t, s, batched = as_batch(targets, sources)
+        # contiguous rows: a strided operand would get another reduction kernel
+        q = np.ascontiguousarray(strengths, dtype=float).reshape(s.shape[:2])
+        pot = np.zeros(t.shape[:2]) if potential else None
+        grad_t = np.zeros((3, *t.shape[:2])) if gradient else None
+        eps2 = self.softening**2
+        diagonal = exclude_self and t.shape[1] == s.shape[1]
+        with np.errstate(divide="ignore"):
+            for g, rows, d, r, (w,) in separation_tiles(t, s, 1):
                 if eps2:
                     r += eps2
                 np.sqrt(r, out=r)
-                with np.errstate(divide="ignore"):
-                    np.divide(1.0, r, out=r)
+                np.divide(1.0, r, out=r)
                 r[~np.isfinite(r)] = 0.0
                 if diagonal:
-                    i = np.arange(n)
-                    r[i, i + lo] = 0.0
+                    i = np.arange(rows.start, rows.stop)
+                    r[:, i - rows.start, i] = 0.0
                 if potential:
-                    np.matmul(r, q, out=pot[lo:hi])
+                    np.einsum("gts,gs->gt", r, q[g], out=pot[g, rows])
                 if gradient:
-                    np.multiply(r, r, out=ww)
-                    ww *= r
-                    ww *= q
-                    np.einsum("ts,ts->t", ww, ax, out=grad_t[0, lo:hi])
-                    np.einsum("ts,ts->t", ww, ay, out=grad_t[1, lo:hi])
-                    np.einsum("ts,ts->t", ww, az, out=grad_t[2, lo:hi])
-        return (
-            pot[:, None] if potential else None,
-            np.ascontiguousarray(grad_t.T) if gradient else None,
+                    # d = s - t: the sign that makes sum(w * d) the gradient
+                    np.multiply(r, r, out=w)
+                    w *= r
+                    w *= q[g, None]
+                    for k in range(3):
+                        np.einsum("gts,gts->gt", w, d[k], out=grad_t[k, g, rows])
+        out = (
+            pot[..., None] if potential else None,
+            np.ascontiguousarray(grad_t.transpose(1, 2, 0)) if gradient else None,
         )
+        return out if batched else tuple(None if a is None else a[0] for a in out)
 
     def evaluate(self, targets, sources, strengths, *, exclude_self=False):
         return self.pairwise(

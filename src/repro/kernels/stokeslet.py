@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import Kernel, KernelCostProfile
+from repro.kernels.base import Kernel, KernelCostProfile, as_batch, separation_tiles
 
 __all__ = ["RegularizedStokesletKernel"]
 
@@ -42,28 +42,66 @@ class RegularizedStokesletKernel(Kernel):
         self.epsilon = float(epsilon)
         self.viscosity = float(viscosity)
 
-    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
-        t = np.atleast_2d(np.asarray(targets, dtype=float))
-        s = np.atleast_2d(np.asarray(sources, dtype=float))
+    def pairwise(
+        self,
+        targets,
+        sources,
+        strengths,
+        *,
+        potential=True,
+        gradient=False,
+        exclude_self=False,
+    ):
+        """Velocity of a batch of dense blocks, fused per axis.
+
+        The Laplace pattern (:meth:`LaplaceKernel.pairwise`): per-axis
+        separations over :func:`~repro.kernels.base.separation_tiles`, one
+        ``r^2 + eps^2`` per pair serving both coefficients, row-wise
+        reductions along the source axis — so the batch contract holds.
+        Both outputs are the velocity (see :meth:`gradient`).
+        """
+        t, s, batched = as_batch(targets, sources)
         f = np.atleast_2d(np.asarray(strengths, dtype=float))
-        if f.shape != (s.shape[0], 3):
+        if f.shape != (s.shape if batched else s.shape[1:]):
             raise ValueError(f"strengths must be (n_sources, 3), got {f.shape}")
+        if not (potential or gradient):
+            return None, None
+        fx, fy, fz = fs = np.ascontiguousarray(f.reshape(s.shape).transpose(2, 0, 1))
+        u_t = np.zeros((3, *t.shape[:2]))
         eps2 = self.epsilon**2
-        d = t[:, None, :] - s[None, :, :]
-        r2 = np.einsum("tsk,tsk->ts", d, d)
-        denom = (r2 + eps2) ** 1.5
-        scale = 1.0 / (8.0 * np.pi * self.viscosity)
-        h1 = (r2 + 2.0 * eps2) / denom  # coefficient of f
-        h2 = 1.0 / denom  # coefficient of (f.d) d
-        if exclude_self and t.shape[0] == s.shape[0]:
-            # regularized kernels are finite at r=0; "exclude_self" still
-            # means skipping the self term, matching the FMM P2P contract.
-            np.fill_diagonal(h1, 0.0)
-            np.fill_diagonal(h2, 0.0)
-        u = np.einsum("ts,sk->tk", h1, f)
-        fd = np.einsum("tsk,sk->ts", d, f)
-        u += np.einsum("ts,tsk->tk", h2 * fd, d)
-        return scale * u
+        diagonal = exclude_self and t.shape[1] == s.shape[1]
+        for g, rows, d, h1, (h2, fd, tmp) in separation_tiles(t, s, 3):
+            h1 += eps2
+            np.sqrt(h1, out=h2)
+            h2 *= h1
+            np.divide(1.0, h2, out=h2)  # coefficient of (f.d) d
+            h1 += eps2
+            h1 *= h2  # coefficient of f: (r^2 + 2 eps^2) / (r^2 + eps^2)^1.5
+            if diagonal:
+                # regularized kernels are finite at r=0; "exclude_self" still
+                # means skipping the self term, matching the FMM P2P contract.
+                i = np.arange(rows.start, rows.stop)
+                h1[:, i - rows.start, i] = 0.0
+                h2[:, i - rows.start, i] = 0.0
+            # (f.d) d is even in d, so the walk's d = s - t serves as is
+            np.multiply(d[0], fx[g, None], out=fd)
+            np.multiply(d[1], fy[g, None], out=tmp)
+            fd += tmp
+            np.multiply(d[2], fz[g, None], out=tmp)
+            fd += tmp
+            fd *= h2
+            for k in range(3):
+                out = u_t[k, g, rows]
+                np.einsum("gts,gs->gt", h1, fs[k, g], out=out)
+                out += np.einsum("gts,gts->gt", fd, d[k])
+        u_t *= 1.0 / (8.0 * np.pi * self.viscosity)
+        u = np.ascontiguousarray(u_t.transpose(1, 2, 0))
+        if not batched:
+            u = u[0]
+        return (u if potential else None, u if gradient else None)
+
+    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
+        return self.pairwise(targets, sources, strengths, exclude_self=exclude_self)[0]
 
     def gradient(self, targets, sources, strengths, *, exclude_self=False):
         """Velocity is already the quantity advanced in time; for interface

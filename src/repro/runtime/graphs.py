@@ -23,8 +23,8 @@ far-field work, so they are chunked into contiguous class ranges of
 roughly equal pair weight; their *merges* into the shared local-expansion
 array form a chain in class order, which pins the floating-point addition
 order to the serial sweep's and makes results bitwise identical at any
-worker count.  Near-field source-set groups partition the target bodies,
-so their chunks run unordered with no merge step at all; with
+worker count.  Near-field tiles partition the target bodies, so their
+chunks run unordered with no merge step at all; with
 ``overlap=True`` they share the graph with the far-field subgraphs and
 soak up worker idle time during the (more serial) sweep phases — the
 paper's ``max(T_CPU, T_GPU)`` overlap, realized on actual threads.
@@ -33,7 +33,7 @@ Tasks also carry a ``retryable`` flag for the supervised engine:
 assignment stages (P2M, L2P) and private-delta stages (M2M/M2L deltas,
 P2L/M2P computes) are idempotent and safe to re-run after a captured
 failure, while the ordered in-place merges (``+=`` into shared arrays,
-pop-based delta folds, the near-field group scatter and self-correction)
+pop-based delta folds, the near-field tile scatter and self-correction)
 are not and fail the graph immediately — the solver then degrades to the
 exact serial path.
 
@@ -236,11 +236,11 @@ def add_near_field_tasks(
     ``deps`` is empty when the near field overlaps the far field and a
     barrier id when ``overlap=False``.
     """
-    weights = [p.group_pairs(i) for i in range(p.n_groups)]
-    group_tasks = [
+    weights = [p.plan.tile_pairs(k) for k in range(p.n_tiles)]
+    tile_tasks = [
         g.add(
-            partial(p.group_range, lo, hi),
-            label=f"{tag}:g{lo}-{hi}",
+            partial(p.tile_range, lo, hi),
+            label=f"{tag}:t{lo}-{hi}",
             deps=deps,
             op="P2P",
             applications=int(sum(weights[lo:hi])),
@@ -252,7 +252,7 @@ def add_near_field_tasks(
     return g.add(
         p.self_correction,
         label=f"{tag}:self",
-        deps=tuple(group_tasks) if group_tasks else deps,
+        deps=tuple(tile_tasks) if tile_tasks else deps,
         op="P2P",
         retryable=False,
         stage="P2P",

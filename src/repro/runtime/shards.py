@@ -218,13 +218,12 @@ class GlobalPlan:
     up_rounds: list
     m2l_rounds: list
     down_rounds: list
-    n_groups: int
     near_pairs: int
     # ownership / assignment
     row_rank: np.ndarray  # (n_eff,) owner shard per effective row
     leaf_shard: np.ndarray  # (n_leaves,) owner shard per leaf ordinal
     body_owner: np.ndarray  # (n_bodies,) owner shard per body
-    near_assignee: np.ndarray  # (n_groups,) computing shard per near group
+    near_assignee: np.ndarray  # (n_tiles,) computing shard per near tile
     row_ranges: np.ndarray  # (n_shards+1,) eff-row zero-fill boundaries
     body_ranges: np.ndarray  # (n_shards+1,) body zero-fill boundaries
     grad_axis_shard: np.ndarray  # (3,) shard per gradient axis
@@ -300,7 +299,9 @@ def _attach_shm(name: str):
 #: into the same dataclasses the in-process passes use
 _PLAN_FIELDS = {
     "body": ("body_idx", "ptr", "gid", "rel"),  # LeafBodyPlan
-    "near": ("tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "self_idx"),  # NearFieldPlan
+    "near": (  # NearFieldPlan
+        "tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "src_cnt", "tile_ptr", "self_idx",
+    ),
 }
 
 
@@ -403,13 +404,12 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         up_rounds=up_rounds,
         m2l_rounds=m2l_rounds,
         down_rounds=down_rounds,
-        n_groups=nplan.n_groups,
         near_pairs=nplan.total_pairs,
         row_rank=row_rank,
         leaf_shard=leaf_shard,
         body_owner=body_owner,
         near_assignee=_lpt_assign(
-            [nplan.group_pairs(g) for g in range(nplan.n_groups)], n_shards
+            [nplan.tile_pairs(k) for k in range(nplan.n_tiles)], n_shards
         ),
         row_ranges=np.array(
             [(n_eff * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
@@ -434,7 +434,7 @@ class _WorkerState:
     The stage arithmetic is the in-process stage library
     (:mod:`repro.fmm.farfield` / :mod:`repro.fmm.nearfield`) called over
     arena views; this class only decides *which* leaves, classes and
-    groups this shard runs, and when.
+    near-field tiles this shard runs, and when.
     """
 
     def __init__(self, plan: GlobalPlan, shard_id: int, barrier) -> None:
@@ -447,9 +447,7 @@ class _WorkerState:
         self.geom = geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
         self.near_plan = nearfield.NearFieldPlan(
-            **_plan_views("near", v),
-            n_groups=plan.n_groups,
-            total_pairs=plan.near_pairs,
+            **_plan_views("near", v), total_pairs=plan.near_pairs
         )
 
         # per-shard leaf/body subset (row-independent stages)
@@ -472,9 +470,9 @@ class _WorkerState:
         else:
             self.halo_rows = np.empty(0, dtype=np.int64)
 
-        # near groups + boundary-body halo (sources owned by other shards)
-        self.my_groups = np.nonzero(plan.near_assignee == self.me)[0]
-        segs = [self.near_plan.group(g)[1] for g in self.my_groups.tolist()]
+        # near tiles + boundary-body halo (sources owned by other shards)
+        self.my_tiles = np.nonzero(plan.near_assignee == self.me)[0]
+        segs = [self.near_plan.tile(k)[1].ravel() for k in self.my_tiles.tolist()]
         if segs:
             s_all = np.unique(np.concatenate(segs))
             self.near_remote = s_all[plan.body_owner[s_all] != self.me]
@@ -644,13 +642,12 @@ class _WorkerState:
         self.halo_s += time.perf_counter() - t0
         self._span("halo", t0)
 
-    def _near_groups(self) -> None:
+    def _near_tiles(self) -> None:
         v = self.v
         pot, grad = self._near_out()
-        for g in self.my_groups.tolist():
-            nearfield.evaluate_near_group(
-                self.plan.kernel, v["points"], v["nearq"],
-                *self.near_plan.group(g), pot, grad,
+        for k in self.my_tiles.tolist():
+            nearfield.evaluate_near_tile(
+                self.plan.kernel, v["points"], v["nearq"], self.near_plan, k, pot, grad
             )
 
     def _near_self(self) -> None:
@@ -735,7 +732,7 @@ class _WorkerState:
             self._near_zero()
             self._wait()
             self._near_halo()
-            self._timed("p2p", self._near_groups)
+            self._timed("p2p", self._near_tiles)
             self._wait()
             self._beat("near-self")
             if self.me == 0:

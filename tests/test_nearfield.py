@@ -1,19 +1,26 @@
-"""Batched near-field engine vs. a per-leaf reference loop.
+"""Batched near-field engine vs. a per-leaf reference loop, and the batch
+contract that keeps it bitwise independent of how its work is cut.
 
 The batched path stacks targets that share a source-leaf signature into
-one dense kernel call and fixes up self terms in bulk; the reference here
-walks ``near_sources`` one (target leaf, source leaf) pair at a time the
-way the original solver did.  Agreement is required to near round-off
-(the two paths sum the same terms in different orders).
+one dense block, stacks same-shape blocks into tiles (one kernel call
+each) and fixes up self terms in bulk; the reference here walks
+``near_sources`` one (target leaf, source leaf) pair at a time the way the
+original solver did.  Agreement with the reference is required to near
+round-off (the two paths sum the same terms in different orders);
+agreement between different cuts of the same batch is required bitwise.
 """
 
 import numpy as np
 import pytest
 
-from repro.distributions.generators import gaussian_blobs, plummer
+import repro.fmm.nearfield as nearfield
+import repro.kernels.base as kernels_base
+from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
-from repro.kernels import LaplaceKernel, RegularizedStokesletKernel
-from repro.tree import AdaptiveOctree, build_interaction_lists
+from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKernel
+from repro.kernels.base import Kernel
+from repro.runtime.shards import _PLAN_FIELDS as shard_plan_fields
+from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
 
 
 def _reference_near_field(kernel, tree, lists, q, *, potential, gradient):
@@ -111,7 +118,7 @@ def test_plan_refreshed_across_refit_when_counts_unchanged():
 
     # the refreshed plan must equal a from-scratch build on fresh lists
     fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
-    for name in ("tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "self_idx"):
+    for name in _PLAN_FIELDS:
         assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
     assert plan.total_pairs == fresh.total_pairs
 
@@ -138,3 +145,244 @@ def test_plan_rebuilt_when_leaf_population_changes():
     build_near_field_plan(tree, lists)
     stats = lists.nearfield_plan_stats
     assert stats["builds"] == 2 and stats["refreshes"] == 0
+
+
+# ----------------------------------------------------------- batch contract
+class PlainStokeslet(Kernel):
+    """The ``(t, s, 3)`` textbook Stokeslet with no ``pairwise`` of its own:
+    exercises the base class's per-block default for batches (and is the
+    independent reference for the fused kernel)."""
+
+    name = "plain-stokeslet"
+    value_dim = strength_dim = 3
+    epsilon, viscosity = 0.1, 1.0
+
+    def evaluate(self, targets, sources, strengths, *, exclude_self=False):
+        d = targets[:, None, :] - sources[None, :, :]
+        r2 = np.einsum("tsk,tsk->ts", d, d)
+        denom = (r2 + self.epsilon**2) ** 1.5
+        u = np.einsum("ts,sk->tk", (r2 + 2 * self.epsilon**2) / denom, strengths)
+        u += np.einsum("ts,tsk->tk", np.einsum("tsk,sk->ts", d, strengths) / denom, d)
+        return u / (8.0 * np.pi * self.viscosity)
+
+    gradient = evaluate
+    self_interaction = RegularizedStokesletKernel.self_interaction
+
+
+KERNELS = {
+    "laplace": LaplaceKernel(),
+    "laplace-softened": LaplaceKernel(softening=0.05),
+    "gravity": GravityKernel(G=2.5, softening=0.01),
+    "stokeslet": RegularizedStokesletKernel(epsilon=0.1),
+    "stokeslet-default-path": PlainStokeslet(),
+}
+WANTS = {"potential": (True, False), "gradient": (False, True), "both": (True, True)}
+
+
+def contract(test):
+    """Parametrise over every kernel x {potential, gradient, both}."""
+    test = pytest.mark.parametrize("want", WANTS.values(), ids=WANTS.keys())(test)
+    return pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())(test)
+
+
+def _batch(kernel, G, T, S, seed=0, order="C"):
+    """A random batch with a repeated source and a target sitting on one."""
+    rng = np.random.default_rng(seed)
+    t, s = rng.uniform(-1, 1, (G, T, 3)), rng.uniform(-1, 1, (G, S, 3))
+    q = rng.uniform(-1, 1, (G, S) if kernel.strength_dim == 1 else (G, S, 3))
+    if S > 1:
+        s[:, -1] = s[:, 0]
+        t[:, 0] = s[:, S // 2]
+    return tuple(np.asarray(a, order=order) for a in (t, s, q))
+
+
+def _outputs(res):
+    return [a for a in res if a is not None]
+
+
+def _same_bits(res_a, res_b):
+    return all(np.array_equal(a, b) for a, b in zip(_outputs(res_a), _outputs(res_b)))
+
+
+# G = 1, T = 1, S below / at / above a SIMD block, a stack the kernel must
+# cut itself (40 x 9 x 64 > _TILE_ELEMS) and one block it must walk by rows
+_BATCH_SHAPES = [(1, 4, 24), (5, 1, 16), (6, 3, 8), (4, 7, 61), (40, 9, 64), (2, 40, 520)]
+
+
+@contract
+@pytest.mark.parametrize("shape", _BATCH_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_batch_bits_do_not_depend_on_the_cut(kernel, want, shape):
+    """Whole, cut at every position, one group per call (3-D and plain 2-D
+    form), F-ordered: the same bits."""
+    flags = dict(potential=want[0], gradient=want[1])
+    t, s, q = _batch(kernel, *shape)
+    whole = kernel.pairwise(t, s, q, **flags)
+    assert [a.shape[:2] for a in _outputs(whole)] == [shape[:2]] * sum(want)
+    assert _same_bits(whole, kernel.pairwise(*_batch(kernel, *shape, order="F"), **flags))
+    G = shape[0]
+    for c in range(1, G):
+        parts = [kernel.pairwise(t[sl], s[sl], q[sl], **flags) for sl in (slice(c), slice(c, G))]
+        joined = [np.concatenate(pair) for pair in zip(*map(_outputs, parts))]
+        assert _same_bits(whole, joined), f"cut at {c}"
+    for g in range(G):
+        alone = [a[g] for a in _outputs(whole)]
+        assert _same_bits(alone, [a[0] for a in _outputs(kernel.pairwise(t[g : g + 1], s[g : g + 1], q[g : g + 1], **flags))])
+        assert _same_bits(alone, kernel.pairwise(t[g], s[g], q[g], **flags))
+
+
+def _term_scale(kernel, t, s, q):
+    """Per-target sum of |pair terms|: what an ulp of the row sum is."""
+    d = t[:, None, :] - s[None, :, :]
+    eps = getattr(kernel, "softening", getattr(kernel, "epsilon", 0.0))
+    r2 = np.einsum("tsk,tsk->ts", d, d) + eps**2
+    with np.errstate(divide="ignore"):
+        inv = np.where(r2 > 0, 1.0 / np.sqrt(r2), 0.0)
+    if kernel.strength_dim == 1:
+        amp = getattr(kernel, "G", 1.0) * np.abs(q)
+        return (inv * amp).sum(1), (inv**2 * amp).sum(1)
+    both = (3.0 * inv * np.linalg.norm(q, axis=1)).sum(1) / (8 * np.pi * kernel.viscosity)
+    return both, both
+
+
+@contract
+@pytest.mark.parametrize("pad", [1, 7])
+def test_padded_slots_add_exact_zeros(kernel, want, pad):
+    flags = dict(potential=want[0], gradient=want[1])
+    t, s, q = (a[0] for a in _batch(kernel, 1, 6, 41, seed=3))
+    sp = np.concatenate([s, np.repeat(s[:1], pad, axis=0)])
+    qp = np.concatenate([q, np.zeros((pad, *q.shape[1:]))])
+    # the padded slots alone: exactly nothing, also for the target on s[0]
+    tz = np.vstack([t, s[:1]])
+    for out in _outputs(kernel.pairwise(tz, sp[-pad:], qp[-pad:], **flags)):
+        assert not out.any()
+    # beside the real sources they only regroup the row sums
+    scales = [sc for sc, w in zip(_term_scale(kernel, t, s, q), want) if w]
+    plain, padded = kernel.pairwise(t, s, q, **flags), kernel.pairwise(t, sp, qp, **flags)
+    for a, b, scale in zip(_outputs(plain), _outputs(padded), scales):
+        assert np.all(np.abs(a - b) <= 2 * np.spacing(scale)[:, None])
+
+
+@pytest.mark.parametrize("budget", [1, 200, 10**9])
+@pytest.mark.parametrize("name", ["gravity", "stokeslet", "stokeslet-default-path"])
+def test_near_field_bits_do_not_depend_on_the_tile_budget(monkeypatch, name, budget):
+    """Re-cutting every bucket (plan tiles *and* the kernel's own stacking
+    and row walk) leaves the whole near field bitwise unchanged."""
+    kernel = KERNELS[name]
+    tree = AdaptiveOctree(uniform_cube(700, seed=2).positions, S=6)
+    rng = np.random.default_rng(2)
+    q = rng.uniform(-1, 1, (700,) if kernel.strength_dim == 1 else (700, 3))
+    want = dict(potential=True, gradient=kernel.value_dim == 1)
+    ref = evaluate_near_field(kernel, tree, build_interaction_lists(tree, folded=True), q, **want)
+    n_ref = build_near_field_plan(tree, build_interaction_lists(tree, folded=True)).n_tiles
+    monkeypatch.setattr(nearfield, "_TILE_ELEMS", budget)
+    monkeypatch.setattr(kernels_base, "_TILE_ELEMS", budget)
+    lists = build_interaction_lists(tree, folded=True)
+    plan = build_near_field_plan(tree, lists)
+    assert plan.n_tiles == {1: plan.n_groups, 10**9: n_ref}.get(budget, plan.n_tiles)
+    assert budget > 200 or plan.n_tiles > n_ref
+    assert _same_bits(ref, evaluate_near_field(kernel, tree, lists, q, **want))
+
+
+# ------------------------------------------------------- degenerate inputs
+def _coincident():
+    return np.repeat(plummer(120, seed=1).positions, 3, axis=0), 10
+
+
+def _fewer_than_s():
+    return plummer(20, seed=2).positions, 64
+
+
+def _one_octant():
+    cloud = uniform_cube(300, size=0.4, center=(0.7, 0.7, 0.7), seed=3).positions
+    return np.vstack([[[-1.0, -1.0, -1.0]], cloud]), 12
+
+
+@pytest.mark.parametrize("name", ["laplace", "laplace-softened", "stokeslet"])
+@pytest.mark.parametrize("make", [_coincident, _fewer_than_s, _one_octant])
+def test_degenerate_inputs_match_per_leaf_reference(name, make):
+    kernel = KERNELS[name]
+    pts, S = make()
+    tree = AdaptiveOctree(pts, S=S)
+    lists = build_interaction_lists(tree, folded=True)
+    if make is _fewer_than_s:
+        assert build_near_field_plan(tree, lists).n_groups == 1
+    else:
+        # ... and a leaf with no sources at all
+        lists.near_sources[next(iter(lists.near_sources))] = []
+    rng = np.random.default_rng(0)
+    q = rng.uniform(-1, 1, (len(pts),) if kernel.strength_dim == 1 else (len(pts), 3))
+    want = dict(potential=True, gradient=kernel.value_dim == 1)
+    got = evaluate_near_field(kernel, tree, lists, q, **want)
+    ref = _reference_near_field(kernel, tree, lists, q, **want)
+    for a, b in zip(_outputs(got), _outputs(ref)):
+        assert np.isfinite(a).all()
+        assert np.allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+# ---------------------------------------------------------- plan invariants
+_PLAN_FIELDS = shard_plan_fields["near"]  # every array of the plan, as shipped to shard workers
+
+
+def _check_tiles(tree, lists, plan):
+    """Every target body in exactly one tile, tiles of one shape within the
+    budget, padding = the group's first source, real pairs as listed."""
+    seen = np.concatenate([plan.tile(k)[0].ravel() for k in range(plan.n_tiles)])
+    assert np.array_equal(np.sort(seen), np.arange(tree.n_bodies))
+    assert plan.tile_ptr[0] == 0 and plan.tile_ptr[-1] == plan.n_groups
+    assert lists.nearfield_plan_stats["tiles"] == plan.n_tiles
+    for k in range(plan.n_tiles):
+        t_idx, s_idx, cnt = plan.tile(k)
+        assert len(t_idx) == len(s_idx) == len(cnt) >= 1
+        assert len(t_idx) == 1 or t_idx.size * s_idx.shape[1] <= kernels_base._TILE_ELEMS * len(t_idx)
+        assert np.all(s_idx.shape[1] - cnt < nearfield._SRC_ROUND) and np.all(cnt <= s_idx.shape[1])
+        pad = np.arange(s_idx.shape[1]) >= cnt[:, None]
+        assert np.array_equal(s_idx[pad], np.broadcast_to(s_idx[:, :1], s_idx.shape)[pad])
+        assert plan.tile_pairs(k) == t_idx.shape[1] * int(cnt.sum())
+    pairs = sum(
+        tree.nodes[t].count * tree.nodes[s].count
+        for t, src in lists.near_sources.items()
+        for s in src
+    )
+    assert plan.total_pairs == pairs == sum(map(plan.group_pairs, range(plan.n_groups)))
+    assert pairs == sum(map(plan.tile_pairs, range(plan.n_tiles)))
+
+
+@pytest.mark.parametrize("dist,S", [(uniform_cube, 5), (plummer, 14)])
+def test_plan_tiles_partition_the_targets(dist, S):
+    tree = AdaptiveOctree(dist(900, seed=7).positions, S=S)
+    lists = build_interaction_lists(tree, folded=True)
+    plan = build_near_field_plan(tree, lists)
+    assert plan.n_tiles < plan.n_groups  # something was stacked
+    _check_tiles(tree, lists, plan)
+
+
+def test_refreshed_and_repaired_plans_keep_the_invariants():
+    tree = AdaptiveOctree(gaussian_blobs(500, seed=4).positions, S=12)
+    cache = ListCache()
+    lists = cache.get(tree, folded=True)
+    build_near_field_plan(tree, lists)
+
+    # refit with unchanged leaf populations: refreshed == fresh, tiles included
+    tree.points[:] += 1e-9 * np.random.default_rng(0).standard_normal(tree.points.shape)
+    tree.refit()
+    plan = build_near_field_plan(tree, lists)
+    assert lists.nearfield_plan_stats["refreshes"] == 1
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    for name in _PLAN_FIELDS:
+        assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
+    _check_tiles(tree, lists, plan)
+
+    # surgery + incremental list repair: same invariants, same physics
+    leaf = max(
+        (l for l in tree.leaves() if tree.nodes[l].count > 1),
+        key=lambda l: tree.nodes[l].level,
+    )
+    tree.pushdown(leaf)
+    assert cache.get(tree, folded=True) is lists and cache.repairs == 1
+    _check_tiles(tree, lists, build_near_field_plan(tree, lists))
+    kernel = LaplaceKernel(softening=0.05)
+    q = np.random.default_rng(4).uniform(-1, 1, tree.n_bodies)
+    got = evaluate_near_field(kernel, tree, lists, q, potential=True, gradient=True)
+    ref = _reference_near_field(kernel, tree, lists, q, potential=True, gradient=True)
+    for a, b in zip(got, ref):
+        assert np.allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
