@@ -12,6 +12,11 @@ Claims asserted at benchmark scale:
   ``C_P2P * #interactions`` assumes a per-pair cost that does not depend
   on S, so a balancer fed observed times must not be steered off small S
   by call overhead;
+* M2L runs in the (p+1)^2-wide translation space: on a far-field-bound
+  tree (uniform 10k, S = 8, order 6) the shipped class loop — reduce,
+  class cores, expand — takes <= 0.7x the time of the same loop over
+  dense ``n_coeffs``-wide operators, timed alternately in one process, so
+  the gate does not depend on the host's speed;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is the ledger's gated ``far_field_50k_plummer`` series; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -35,7 +40,8 @@ import _ledger
 from repro.balance.config import BalancerConfig
 from repro.distributions.generators import compact_plummer, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
-from repro.fmm.multipass import laplace_far_field
+from repro.expansions.derivatives import scaled_derivative_tensors
+from repro.fmm.farfield import FarFieldPass, laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel
 from repro.machine.spec import system_a
@@ -165,6 +171,75 @@ def test_bench_near_field_flat_in_s(benchmark):
         f"{rate[64] / 1e6:.1f} at S=64 -> {flatness:.2f}x"
     )
     assert flatness >= 0.3, f"S=8 near field only {flatness:.2f}x the S=64 pairs/s"
+
+
+def test_bench_m2l_reduced_translation(benchmark):
+    """M2L class loop as shipped <= 0.7x the dense ``n_coeffs``-wide loop."""
+    n = 10_000
+    pts = uniform_cube(n, seed=4).positions
+    tree = AdaptiveOctree(pts, S=8)
+    lists = build_interaction_lists(tree, folded=True)
+    exp = CartesianExpansion(6)
+    p = FarFieldPass(tree, lists, exp, charges=np.random.default_rng(4).uniform(-1, 1, n))
+    p.p2m()
+    for level in p.up_levels:
+        for ci in level:
+            p.m2m_delta(ci)
+            p.m2m_merge(ci)
+    classes = p.geom.m2l_classes
+    nh = (exp.order + 1) ** 2
+    assert all(op.shape == (nh, nh) for _, _, op in classes)
+
+    # the dense operator of every class: all n_coeffs rows and columns of
+    # the M2L contraction, of which the shipped cores are the keep x keep
+    # block (tests/test_expansions.py)
+    idx, coef = exp.mis.m2l_tables()
+    centers = p.geom.centers
+    disp = np.array([centers[t[0]] - centers[s[0]] for s, t, _ in classes])
+    dense_ops = [row[idx] * coef for row in scaled_derivative_tensors(disp, 2 * exp.order)]
+    M = p.multipoles
+    dense_L = np.empty_like(M)
+
+    def dense():
+        dense_L[:] = 0.0
+        for (s, t, _), op in zip(classes, dense_ops):
+            dense_L[t] += M[s] @ op
+
+    def shipped():
+        p.m2l_locals[:] = 0.0
+        p.m2l_reduce()
+        for ci in range(p.n_m2l_classes):
+            p.m2l_delta(ci)
+            p.m2l_merge(ci)
+        p.m2l_expand()
+
+    dense_t = shipped_t = float("inf")
+    for _ in range(4):  # alternating: host drift hits both sides alike
+        dense_t = min(dense_t, _best_time(dense, rounds=1))
+        shipped_t = min(shipped_t, _best_time(shipped, rounds=1))
+    benchmark.pedantic(shipped, rounds=2, iterations=1)
+    err = np.abs(p.locals_ - dense_L).max(axis=0) / np.abs(dense_L).max(axis=0)
+    ratio = shipped_t / dense_t
+
+    _ledger.record_to_ledger(
+        {
+            "bench": "m2l_reduced_10k_uniform_o6",
+            "n": n,
+            "classes": len(classes),
+            "pairs": p.geom.n_m2l,
+            "shipped_ms": round(shipped_t * 1e3, 3),
+            "dense_ms": round(dense_t * 1e3, 3),
+            "ratio": round(ratio, 3),
+        }
+    )
+    print()
+    print(
+        f"M2L, 10k uniform S=8 order 6, {len(classes)} classes / {p.geom.n_m2l:,} "
+        f"pairs: reduced {shipped_t * 1e3:.1f} ms, dense {dense_t * 1e3:.1f} ms "
+        f"-> {ratio:.2f}x (max column-relative difference {err.max():.1e})"
+    )
+    assert err.max() <= 1e-12
+    assert ratio <= 0.7, f"reduced M2L loop {ratio:.2f}x the dense one"
 
 
 def test_bench_far_field(benchmark):

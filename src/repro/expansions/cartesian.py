@@ -15,6 +15,20 @@ per level.
 
 Dipole sources (moment p at x, field (p . d)/r^3) are supported in P2M and
 P2L; this is what the composite Stokeslet far field builds on.
+
+The translation space
+---------------------
+Of the C(p+3, 3) Taylor coefficients only (p+1)^2 are independent for a
+harmonic field (:meth:`MultiIndexSet.harmonic_tables`: the positions
+``keep`` and the constant map ``R`` with ``c = R @ c[keep]``).  A
+multipole acts on the far field only through ``M @ R`` and every local
+expansion M2L writes is ``L[keep] @ R.T``, so the class operators of
+:meth:`CartesianExpansion.m2l_class_operators` are the ``keep x keep``
+*cores* of the dense M2L operator — the same entries, fewer of them —
+and the far-field sweep applies them between one ``M @ R`` and one
+``Lh @ R.T`` (:attr:`CartesianExpansion.m2l_reduction`).  The per-pair
+:meth:`~CartesianExpansion.m2l` / :meth:`~CartesianExpansion.m2l_batch`
+stay dense: they are what the reduced sweep is tested against.
 """
 
 from __future__ import annotations
@@ -47,6 +61,12 @@ class CartesianExpansion:
     @property
     def n_coeffs(self) -> int:
         return self.mis.n
+
+    @property
+    def m2l_reduction(self) -> np.ndarray:
+        """``R`` of shape ``(n_coeffs, (order+1)^2)``: ``M @ R`` enters the
+        space the M2L class operators act in, ``Lh @ R.T`` leaves it."""
+        return self.mis.harmonic_tables()[1]
 
     # ------------------------------------------------------------------ P2M
     def p2m(self, points: np.ndarray, strengths: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -138,14 +158,17 @@ class CartesianExpansion:
         return np.ascontiguousarray(self._l2l_matrix(shift).T)
 
     def m2l_class_operators(self, displacements: np.ndarray) -> list[np.ndarray]:
-        """Dense M2L per displacement row: A_i[a, b] = C[a, b] * B[i, idx[a, b]].
+        """M2L core per displacement row: A_i[a, b] = C[a, b] * B[i, idx[a, b]]
+        for a, b in ``keep`` — ``((order+1)^2, (order+1)^2)``, applied as
+        ``(M @ R)[src] @ A_i`` (see the module docstring).
 
         One derivative-tensor recurrence over the whole ``(m, 3)`` batch
         (elementwise in ``m``, so row ``i`` equals a single-displacement
         build bitwise), then one gather per row — each operator owns its
         memory, as a byte-budgeted operator cache requires.
         """
-        idx, coef = self.mis.m2l_tables()
+        keep = self.mis.harmonic_tables()[0]
+        idx, coef = (t[np.ix_(keep, keep)] for t in self.mis.m2l_tables())
         B = scaled_derivative_tensors(
             np.asarray(displacements, dtype=float).reshape(-1, 3), 2 * self.order
         )

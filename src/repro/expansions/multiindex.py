@@ -130,6 +130,35 @@ class MultiIndexSet:
                 coef[a, b] = _binom3(s, ix[a])
         return idx, coef
 
+    # -------------------------------------------------------- harmonic tables
+    @lru_cache(maxsize=None)
+    def harmonic_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keep, R)``: the independent coefficients of a harmonic
+        expansion and the constant map that restores the rest.
+
+        1/r is harmonic, so the scaled derivatives b_alpha — and the
+        coefficients of any local expansion of a far field — satisfy the
+        trace relation ``sum_i (g_i+2)(g_i+1) c_{g+2e_i} = 0`` for every
+        multi-index g.  Solved for the z direction it gives each
+        coefficient with z-power >= 2 from two of z-power two lower, same
+        degree; per degree n only the 2n+1 with z-power <= 1 (``keep``,
+        ``(order+1)^2`` positions in all) are independent:
+        ``c = R @ c[keep]`` with ``R`` of shape ``(n, (order+1)^2)``,
+        block-diagonal by degree and the identity on the ``keep`` rows.
+        """
+        ix = self.indices
+        keep = np.nonzero(ix[:, 2] <= 1)[0]
+        R = np.zeros((self.n, keep.size))
+        R[keep, np.arange(keep.size)] = 1.0
+        # (degree, lex) order lists (a+2, b, c-2) and (a, b+2, c-2) first
+        for j in np.nonzero(ix[:, 2] >= 2)[0].tolist():
+            a, b, c = ix[j].tolist()
+            R[j] = -(
+                (a + 2) * (a + 1) * R[self._pos[a + 2, b, c - 2]]
+                + (b + 2) * (b + 1) * R[self._pos[a, b + 2, c - 2]]
+            ) / (c * (c - 1))
+        return keep, R
+
     # --------------------------------------------------- gradient (L2P) tables
     @lru_cache(maxsize=None)
     def gradient_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -153,6 +153,9 @@ class SphericalExpansion:
     """Spherical-harmonic FMM operators of order ``p`` (terms n <= p)."""
 
     backend = "spherical"
+    #: already (order+1)^2 wide: M2L acts on the coefficients themselves
+    #: (cf. :attr:`CartesianExpansion.m2l_reduction`)
+    m2l_reduction = None
 
     def __init__(self, order: int) -> None:
         if order < 0:

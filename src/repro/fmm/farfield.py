@@ -1,19 +1,31 @@
 """Vectorized Laplace far-field engine (geometry-class batched sweeps).
 
-The scalar sweep in :mod:`repro.fmm.multipass` applies one translation
-operator per node or pair.  This module exploits the observation (Agullo
-et al.; Goude & Engblom) that octree geometry is *quantized*: per level
-there are at most 8 distinct parent<->child offsets and a bounded family
-of well-separated M2L displacements, so translation operators fall into a
-small number of **geometry classes** whose dense operator can be built
-once and applied to every member pair with a single matmul over a dense
-``(n_nodes, n_coeffs)`` coefficient array.
+A per-node sweep applies one translation operator per node or pair (the
+test-side oracle, ``tests/oracles/farfield.py``, still does).  This module
+exploits the observation (Agullo et al.; Goude & Engblom) that octree
+geometry is *quantized*: per level there are at most 8 distinct
+parent<->child offsets and a bounded family of well-separated M2L
+displacements, so translation operators fall into a small number of
+**geometry classes** whose operator can be built once and applied to
+every member pair with a single matmul over a dense ``(n_nodes, width)``
+coefficient array.
+
+M2L — the term that dominates the sweep — runs in the **translation
+space**: a harmonic field has only (p+1)² independent Taylor
+coefficients, so the pass keeps ``(n_nodes, (p+1)²)`` translation arrays
+beside the full-width ``(n_nodes, n_coeffs)`` ones, fills the source side
+with one ``multipoles @ R`` (*reduce*), applies each class's
+``(p+1)² x (p+1)²`` core to it, and assigns the full-width locals with
+one ``reduced_locals @ R.T`` (*expand*); ``R`` is the expansion's
+``m2l_reduction`` (DESIGN.md §9).  Every other operator keeps the full
+width.  An expansion that is already (p+1)² wide (spherical) has no
+``R``: its translation arrays *are* its coefficient arrays.
 
 The engine splits per-solve state into three cached layers, all memoized
 on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 
 * :class:`FarFieldGeometry` (``structure_generation`` stamp) — node-row
-  layout, shift/displacement classes with their dense operators, W/X pair
+  layout, shift/displacement classes with their operators, W/X pair
   rows.  Depends only on the tree *shape*: free across frozen-shape time
   steps and refits.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
@@ -29,16 +41,17 @@ M2L displacement-class matmuls are mutually independent, M2M/L2L are
 level-ordered, and the class *merges* into shared coefficient arrays are
 kept as separate steps applied in a fixed class order — which is what
 makes a parallel run bitwise identical to a serial one.  The arithmetic
-of the per-body stages (P2M, L2P, P2L, M2P) lives in module-level
-**stage functions** over plain arrays; the pass methods and the shard
-workers of :mod:`repro.runtime.shards` (over arena views) both call them.
+of the per-body stages (P2M, L2P, P2L, M2P) and of the two whole-array
+stages (reduce, expand) lives in module-level **stage functions** over
+plain arrays; the pass methods and the shard workers of
+:mod:`repro.runtime.shards` (over arena views) both call them.
 
-:func:`laplace_far_field` — the drop-in serial driver over those stages —
-replaces the scalar sweep (kept as ``laplace_far_field_scalar``, the
-equivalence oracle); it also accepts a ``tracer`` and emits one span per
-FMM operation whose ``applications`` argument follows the cost-model unit
-conventions of :meth:`InteractionLists.op_counts`, keeping
-``C_op = time/applications`` calibration meaningful on the batched path.
+:func:`laplace_far_field` is the serial driver over those stages; it
+accepts a ``tracer`` and emits one span per FMM operation whose
+``applications`` argument follows the cost-model unit conventions of
+:meth:`InteractionLists.op_counts`, keeping ``C_op = time/applications``
+calibration meaningful on the batched path (reduce and expand sit inside
+the ``M2L`` span: they are M2L's cost).
 """
 
 from __future__ import annotations
@@ -65,6 +78,8 @@ __all__ = [
     "leaf_basis",
     "leaf_body_plan",
     "level_groups",
+    "m2l_expand",
+    "m2l_reduce",
     "m2p",
     "m2p_scatter",
     "p2l",
@@ -564,8 +579,9 @@ def leaf_basis(expansion, plan: LeafBodyPlan, kind: str, derived_cache):
 #   row dots through ``_row_dots``, per-leaf segment sums), so evaluating
 #   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
 #   over that subset — yields bitwise the same rows as the full plan;
-# * ``l2p_leaf_gradient`` is a matmul and ``p2l`` / ``m2p`` feed ordered
-#   scatters: they take the full plan and run whole, on one worker.
+# * ``l2p_leaf_gradient``, ``m2l_reduce`` and ``m2l_expand`` are matmuls
+#   and ``p2l`` / ``m2p`` feed ordered scatters: they take the full plan
+#   (the full coefficient array) and run whole, on one worker.
 
 
 @dataclass(frozen=True)
@@ -592,6 +608,23 @@ def p2m(geom, plan, exp, multipoles, *, charges=None, dipoles=None, basis=None):
         drows = exp.p2m_dipole_rows(plan.rel, dipoles[plan.body_idx], plan.ptr)
         rows = drows if rows is None else rows + drows
     multipoles[plan.leaf_rows(geom)] = _segment_sum(rows, plan.ptr)
+
+
+def m2l_reduce(R, multipoles, reduced):
+    """Finished multipoles into the translation space, ``reduced =
+    multipoles @ R``: a matmul, run whole.  ``R`` is the expansion's
+    ``m2l_reduction``; ``None`` means M2L acts on the coefficient arrays
+    themselves and there is nothing to do."""
+    if R is not None:
+        np.matmul(multipoles, R, out=reduced)
+
+
+def m2l_expand(R, reduced, locals_):
+    """The merged M2L result back to full width, ``locals_ = reduced @
+    R.T``: a matmul, run whole.  It *assigns* ``locals_``, so it lands
+    after the last M2L merge and before anything else (P2L) adds to them."""
+    if R is not None:
+        np.matmul(reduced, R.T, out=locals_)
 
 
 def l2p_leaf_gradient(geom, locals_, A):
@@ -716,7 +749,13 @@ class FarFieldPass:
       only *read* shared arrays, parking their contribution privately;
     * the matching ``*_merge`` stages fold contributions into the shared
       arrays and must be called in **class order** (the serial loop
-      order), which the task graph enforces with a merge chain.
+      order), which the task graph enforces with a merge chain;
+    * M2L reads and writes the ``(n_eff, (p+1)^2)`` **translation arrays**
+      ``m2l_multipoles`` / ``m2l_locals`` (the coefficient arrays
+      themselves on a back end without an ``m2l_reduction``):
+      ``m2l_reduce`` fills the first after the last M2M merge,
+      ``m2l_expand`` assigns ``locals_`` from the second after the last
+      M2L merge and before ``p2l_merge`` — each whole, on one worker.
 
     :func:`laplace_far_field` is the serial driver over these stages;
     :func:`repro.runtime.graphs.add_far_field_tasks` is the parallel one.
@@ -755,6 +794,12 @@ class FarFieldPass:
         self.n_bodies = plan.body_idx.size
         self.multipoles = np.zeros((n_eff, nc), dtype=dtype)
         self.locals_ = np.zeros((n_eff, nc), dtype=dtype)
+        self._R = R = exp.m2l_reduction
+        if R is None:
+            self.m2l_multipoles, self.m2l_locals = self.multipoles, self.locals_
+        else:
+            self.m2l_multipoles = np.zeros((n_eff, R.shape[1]))
+            self.m2l_locals = np.zeros((n_eff, R.shape[1]))
         self.pot = np.zeros(tree.n_bodies) if potential else None
         self.grad = np.zeros((tree.n_bodies, 3)) if gradient else None
 
@@ -819,15 +864,24 @@ class FarFieldPass:
         self.multipoles[prows] += self._up_delta.pop(ci)
 
     # ---------------------------------------------------------- translation
+    def m2l_reduce(self) -> None:
+        """Finished multipoles into the translation space (whole array)."""
+        m2l_reduce(self._R, self.multipoles, self.m2l_multipoles)
+
     def m2l_delta(self, ci: int) -> None:
-        """Displacement-class matmul (reads finished multipoles only)."""
+        """Displacement-class matmul (reads the reduced multipoles only)."""
         srows, _trows, op = self.geom.m2l_classes[ci]
-        self._m2l_delta[ci] = self.multipoles[srows] @ op
+        self._m2l_delta[ci] = self.m2l_multipoles[srows] @ op
 
     def m2l_merge(self, ci: int) -> None:
-        """Fold one class delta into local rows (class order!)."""
+        """Fold one class delta into reduced local rows (class order!)."""
         _srows, trows, _op = self.geom.m2l_classes[ci]
-        self.locals_[trows] += self._m2l_delta.pop(ci)
+        self.m2l_locals[trows] += self._m2l_delta.pop(ci)
+
+    def m2l_expand(self) -> None:
+        """Assign ``locals_`` from the merged translation result (whole
+        array; after every M2L merge, before :meth:`p2l_merge`)."""
+        m2l_expand(self._R, self.m2l_locals, self.locals_)
 
     def p2l_compute(self) -> None:
         """X phase (un-folded): batched P2L contribution, parked privately."""
@@ -837,7 +891,7 @@ class FarFieldPass:
         )
 
     def p2l_merge(self) -> None:
-        """Fold the X contribution in (after every M2L class merge)."""
+        """Fold the X contribution in (after :meth:`m2l_expand`)."""
         if self._x_contrib is None:
             return
         np.add.at(self.locals_, self.geom.x_recv_rows, self._x_contrib)
@@ -884,7 +938,10 @@ class FarFieldPass:
 
         return all(
             check_finite(arr)
-            for arr in (self.multipoles, self.locals_, self.pot, self.grad)
+            for arr in (
+                self.multipoles, self.locals_, self.m2l_multipoles,
+                self.m2l_locals, self.pot, self.grad,
+            )
         )
 
 
@@ -902,16 +959,17 @@ def laplace_far_field(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Batched far-field potential/gradient of monopoles and/or dipoles.
 
-    Drop-in equivalent of :func:`repro.fmm.multipass.laplace_far_field_scalar`
-    (the per-node oracle): runs the :class:`FarFieldPass` stages serially
-    in dependency order.  ``tracer`` (a :class:`repro.obs.Tracer`) gets
-    one span per FMM operation with ``applications`` in the cost-model
-    units of :meth:`InteractionLists.op_counts`.  ``deadline`` (a
+    Runs the :class:`FarFieldPass` stages serially in dependency order
+    (the per-node oracle it is tested against lives in
+    ``tests/oracles/farfield.py``).  ``tracer`` (a
+    :class:`repro.obs.Tracer`) gets one span per FMM operation with
+    ``applications`` in the cost-model units of
+    :meth:`InteractionLists.op_counts`.  ``deadline`` (a
     :class:`repro.util.timing.Deadline`) is checked after the geometry
-    build, after P2M and after every translation class — so no two checks
-    are further apart than one batched stage; the caller's next check
-    (the following pass's, or the near field's, which then checks after
-    every tile) closes the sweep.
+    build, after P2M, after every translation class and after the M2L
+    reduce and expand — so no two checks are further apart than one
+    batched stage; the caller's next check (the following pass's, or the
+    near field's, which then checks after every tile) closes the sweep.
     """
     if tracer is None:
         from repro.obs import NULL_TELEMETRY
@@ -944,12 +1002,20 @@ def laplace_far_field(
                 if check:
                     check("M2M")
 
+    # reduce and expand belong to the M2L span: they exist for it, and
+    # ``C_M2L = time / applications`` has to pay for them
     with tracer.span("M2L", applications=geom.n_m2l):
+        p.m2l_reduce()
+        if check:
+            check("M2L")
         for ci in range(p.n_m2l_classes):
             p.m2l_delta(ci)
             p.m2l_merge(ci)
             if check:
                 check("M2L")
+        p.m2l_expand()
+        if check:
+            check("M2L")
 
     if geom.x_recv_rows.size:
         with tracer.span("P2L", applications=p.n_p2l_rows):

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fmm.dispatch import FarPass, PassListSolver
-from repro.fmm.farfield import PassSpec
-from repro.fmm.multipass import laplace_far_field
+from repro.fmm.farfield import PassSpec, laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
 from repro.kernels.stokeslet import RegularizedStokesletKernel
 from repro.obs import Telemetry

@@ -10,32 +10,41 @@ far-field pass:
     P2M ──> [M2M deltas lvl d] ─> merge(d) ─> ... ─> merge(1)   (upsweep)
                                                         │
               ┌──────────── upsweep done ───────────────┤
-              │                                         │
-    [M2L chunk deltas, parallel]     [M2P compute]      │
+              ▼                                         │
+    M2L reduce (M @ R, whole)        [M2P compute]      │
+              ▼                           │
+    [M2L chunk deltas, parallel]          │
         │ chained chunk merges            │
         ▼ (class order)                   │
+    M2L expand (L = Lh @ R.T, whole)      │
+        ▼                                 │
     P2L merge (X phase)                   │
         ▼                                 │
     [L2L classes lvl 1] ─> ... ─> [lvl D] ─> L2P ─> M2P merge
 
 Independent M2L displacement-class matmuls carry essentially all of the
 far-field work, so they are chunked into contiguous class ranges of
-roughly equal pair weight; their *merges* into the shared local-expansion
-array form a chain in class order, which pins the floating-point addition
-order to the serial sweep's and makes results bitwise identical at any
-worker count.  Near-field tiles partition the target bodies, so their
-chunks run unordered with no merge step at all; with
-``overlap=True`` they share the graph with the far-field subgraphs and
-soak up worker idle time during the (more serial) sweep phases — the
-paper's ``max(T_CPU, T_GPU)`` overlap, realized on actual threads.
+roughly equal pair weight; their *merges* into the shared reduced
+local-expansion array form a chain in class order, which pins the
+floating-point addition order to the serial sweep's and makes results
+bitwise identical at any worker count.  They act in the (p+1)²-wide
+translation space (DESIGN.md §9): one *reduce* task fills it from the
+finished multipoles and one *expand* task assigns the full-width locals
+from it — whole-array matmuls, so one task each, never chunked; M2P keeps
+reading the full-width multipoles beside them.  Near-field tiles
+partition the target bodies, so their chunks run unordered with no merge
+step at all; with ``overlap=True`` they share the graph with the
+far-field subgraphs and soak up worker idle time during the (more serial)
+sweep phases — the paper's ``max(T_CPU, T_GPU)`` overlap, realized on
+actual threads.
 
 Tasks also carry a ``retryable`` flag for the supervised engine:
-assignment stages (P2M, L2P) and private-delta stages (M2M/M2L deltas,
-P2L/M2P computes) are idempotent and safe to re-run after a captured
-failure, while the ordered in-place merges (``+=`` into shared arrays,
-pop-based delta folds, the near-field tile scatter and self-correction)
-are not and fail the graph immediately — the solver then degrades to the
-exact serial path.
+assignment stages (P2M, L2P, the M2L reduce and expand) and
+private-delta stages (M2M/M2L deltas, P2L/M2P computes) are idempotent
+and safe to re-run after a captured failure, while the ordered in-place
+merges (``+=`` into shared arrays, pop-based delta folds, the near-field
+tile scatter and self-correction) are not and fail the graph immediately
+— the solver then degrades to the exact serial path.
 
 Every task is tagged with its cost-model ``op`` and an ``applications``
 count in :meth:`InteractionLists.op_counts` units, so an
@@ -129,33 +138,38 @@ def add_far_field_tasks(
         )
     upsweep_done = prev
 
-    # ---- M2L: chunked class deltas fanning out, merge chain in class order
+    # ---- M2L: reduce, chunked class deltas fanning out, merge chain in
+    # class order, expand (both ends assign whole arrays: idempotent)
     weights = [int(geom.m2l_classes[ci][0].size) for ci in range(p.n_m2l_classes)]
-    translate_done = upsweep_done
-    merge_prev: int | None = None
+    reduced = g.add(
+        p.m2l_reduce, label=f"{tag}M2L:reduce", deps=(upsweep_done,), op="M2L",
+        stage="M2L",
+    )
+    merge_prev = reduced
     for lo, hi in chunk_ranges(weights, n_chunks):
         delta = g.add(
             partial(_m2l_delta_range, p, lo, hi),
             label=f"{tag}M2L:d{lo}-{hi}",
-            deps=(upsweep_done,),
+            deps=(reduced,),
             op="M2L",
             applications=int(sum(weights[lo:hi])),
             stage="M2L",
         )
-        merge_deps = (delta,) if merge_prev is None else (delta, merge_prev)
         merge_prev = g.add(
             partial(_m2l_merge_range, p, lo, hi),
             label=f"{tag}M2L:m{lo}-{hi}",
-            deps=merge_deps,
+            deps=(delta, merge_prev),
             op="M2L",
             retryable=False,
             stage="M2L",
         )
-    if merge_prev is not None:
-        translate_done = merge_prev
+    translate_done = g.add(
+        p.m2l_expand, label=f"{tag}M2L:expand", deps=(merge_prev,), op="M2L",
+        stage="M2L",
+    )
 
     # ---- X phase: compute depends on nothing (reads sources only); its
-    # merge lands after every M2L class merge, matching the serial order
+    # merge lands after the M2L expand, matching the serial order
     if geom.x_recv_rows.size:
         t_p2l = g.add(
             p.p2l_compute,

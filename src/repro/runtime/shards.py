@@ -4,13 +4,16 @@ This is the real-process sibling of :mod:`repro.runtime.engine`: the
 octree is split into Morton-contiguous leaf ranges by the work-weighted
 partitioner (:func:`repro.cluster.partition.partition_by_morton_work`),
 each shard runs in its own **spawned** worker process, and every large
-array — bodies, strengths, multipole/local coefficients, outputs —
+array — bodies, strengths, multipole/local coefficients (``M`` / ``L``,
+full width, and ``Mh`` / ``Lh``, the (p+1)²-wide translation arrays M2L
+reads and writes — DESIGN.md §9), outputs —
 lives in one :class:`multiprocessing.shared_memory.SharedMemory` arena
 that all workers map.  Reading another shard's coefficient rows through
 the arena is the one-sided-get transport; the explicitly timed gathers
-of remote multipole rows and boundary P2P bodies are the halo exchange
-the :func:`repro.cluster.let.build_let` machinery predicts (its byte
-model is reported alongside the measured traffic).
+of remote *reduced* multipole rows and boundary P2P bodies are the halo
+exchange the :func:`repro.cluster.let.build_let` machinery predicts (its
+byte model, at the same width, is reported alongside the measured
+traffic).
 
 Bitwise determinism
 -------------------
@@ -23,7 +26,10 @@ matmul:
 
 * whole translation classes (M2M/M2L/L2L) are assigned to single
   shards, which compute the exact serial ``rows @ op`` product into a
-  shared delta scratch;
+  shared delta scratch (``D`` full width for M2M, ``Dh`` for M2L);
+* the two whole-array matmuls around M2L — *reduce* ``Mh = M @ R`` and
+  *expand* ``L = Lh @ R.T`` — run on shard 0, which also runs P2L right
+  after the expand;
 * merges (``+=`` into shared coefficient rows) are row-owner based: each
   shard folds only the rows it owns, in ascending class order — every
   row sees the same additions in the same serial order;
@@ -39,14 +45,15 @@ Supervision and recovery
 ------------------------
 The parent runs a shard supervisor around every solve.  Workers send
 small heartbeat messages over their control pipes — one before each
-barrier wait and one at each named stage (``p2m``, ``m2m``, ``halo``,
-``m2l``, ``p2l``, ``l2l``, ``l2p``, ``m2p``, ``near``, ``near-self``,
-suffixed ``@pass`` in multi-pass runs) — each carrying a monotonic tick
-and the highest fully completed *phase* (pass index; the near field is
-the final phase).  The supervisor multiplexes all pipes with a read
-deadline (``heartbeat_s``), so worker death (pipe EOF), a worker
-exception, or a wedged worker (no message within the deadline; the
-stage ticks identify the laggard) all surface in bounded wall-clock.
+barrier wait and one at each named stage (``p2m``, ``m2m``, ``reduce``,
+``halo``, ``m2l``, ``expand``, ``p2l``, ``l2l``, ``l2p``, ``m2p``,
+``near``, ``near-self``, suffixed ``@pass`` in multi-pass runs) — each
+carrying a monotonic tick and the highest fully completed *phase* (pass
+index; the near field is the final phase).  The supervisor multiplexes
+all pipes with a read deadline (``heartbeat_s``), so worker death (pipe
+EOF), a worker exception, or a wedged worker (no message within the
+deadline; the stage ticks identify the laggard) all surface in bounded
+wall-clock.
 
 On failure the supervisor walks a recovery ladder:
 
@@ -325,7 +332,11 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
     part = partition_by_morton_work(
         tree, lists, n_shards, order=expansion.order, kernel=kernel
     )
-    let = build_let(part, n_coeffs=expansion.n_coeffs)
+    cdt = np.complex128 if expansion.backend == "spherical" else np.float64
+    nc = expansion.n_coeffs
+    R = expansion.m2l_reduction
+    nh = nc if R is None else R.shape[1]  # the width M2L reads and writes
+    let = build_let(part, n_coeffs=nh)
 
     eff = tree.effective_nodes()
     n_eff = len(eff)
@@ -358,18 +369,15 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         _round(grp, [geom.down_classes[ci][1].size for ci in grp], n_shards)
         for grp in farfield.level_groups(geom.down_class_levels)
     ]
-    delta_rows = max(
-        [1] + [r.rows for r in up_rounds] + [r.rows for r in m2l_rounds]
-    )
-
-    cdt = np.complex128 if expansion.backend == "spherical" else np.float64
-    nc = expansion.n_coeffs
     entries = [
         ("points", (n, 3), np.float64),
         ("M", (n_eff, nc), cdt),
         ("L", (n_eff, nc), cdt),
-        ("D", (delta_rows, nc), cdt),
+        ("D", (max([1] + [r.rows for r in up_rounds]), nc), cdt),
+        ("Dh", (max([1] + [r.rows for r in m2l_rounds]), nh), cdt),
     ]
+    if R is not None:  # otherwise the workers alias them to M / L
+        entries += [("Mh", (n_eff, nh), cdt), ("Lh", (n_eff, nh), cdt)]
     for prefix, src in (("body", bplan), ("near", nplan)):
         for f in _PLAN_FIELDS[prefix]:
             arr = getattr(src, f)
@@ -443,6 +451,8 @@ class _WorkerState:
         self.barrier = barrier
         self.arena = _Arena.attach(plan.arena_name, plan.layout)
         self.v = v = self.arena.views
+        v.setdefault("Mh", v["M"])
+        v.setdefault("Lh", v["L"])
         self.exp = plan.expansion
         self.geom = geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
@@ -458,7 +468,7 @@ class _WorkerState:
         self.up_merge = self._merge_sel(plan.up_rounds, geom.up_classes, 1)
         self.m2l_merge = self._merge_sel(plan.m2l_rounds, geom.m2l_classes, 1)
 
-        # M2L halo: remote multipole rows my assigned classes read
+        # M2L halo: remote reduced-multipole rows my assigned classes read
         mine = []
         for rnd in plan.m2l_rounds:
             for k, ci in enumerate(rnd.cis):
@@ -544,8 +554,8 @@ class _WorkerState:
     # --------------------------------------------------------------- stages
     def _zero_coeffs(self) -> None:
         lo, hi = self.plan.row_ranges[self.me], self.plan.row_ranges[self.me + 1]
-        self.v["M"][lo:hi] = 0.0
-        self.v["L"][lo:hi] = 0.0
+        for nm in ("M", "L", "Mh", "Lh"):
+            self.v[nm][lo:hi] = 0.0
 
     def _p2m(self, i: int, spec: PassSpec) -> None:
         basis = self._basis("p2m") if spec.kind == "charges" else None
@@ -554,8 +564,8 @@ class _WorkerState:
             basis=basis, **self._source(i, spec),
         )
 
-    def _deltas(self, rnd: _Round, classes) -> None:
-        M, D = self.v["M"], self.v["D"]
+    def _deltas(self, rnd: _Round, classes, source: str, scratch: str) -> None:
+        M, D = self.v[source], self.v[scratch]
         for k, ci in enumerate(rnd.cis):
             if rnd.assignee[k] != self.me:
                 continue
@@ -563,16 +573,22 @@ class _WorkerState:
             off = int(rnd.offsets[k])
             D[off : off + src.size] = M[src] @ op
 
-    def _merges(self, items, target: str) -> None:
-        T, D = self.v[target], self.v["D"]
+    def _merges(self, items, target: str, scratch: str) -> None:
+        T, D = self.v[target], self.v[scratch]
         for _ci, off, sel, dest in items:
             T[dest] += D[off + sel]
+
+    def _reduce(self) -> None:
+        farfield.m2l_reduce(self.exp.m2l_reduction, self.v["M"], self.v["Mh"])
+
+    def _expand(self) -> None:
+        farfield.m2l_expand(self.exp.m2l_reduction, self.v["Lh"], self.v["L"])
 
     def _halo_gather(self) -> None:
         if not self.halo_rows.size:
             return
         t0 = time.perf_counter()
-        buf = self.v["M"][self.halo_rows]
+        buf = self.v["Mh"][self.halo_rows]
         self.halo_bytes += buf.nbytes
         self.halo_s += time.perf_counter() - t0
         self._span("halo", t0)
@@ -694,23 +710,35 @@ class _WorkerState:
             self._wait()
             for rnd, items in zip(plan.up_rounds, self.up_merge):
                 self._beat(tag("m2m", i))
-                self._timed(tag("m2m", i), self._deltas, rnd, geom.up_classes)
+                self._timed(
+                    tag("m2m", i), self._deltas, rnd, geom.up_classes, "M", "D"
+                )
                 self._wait()
-                self._timed(tag("m2m", i), self._merges, items, "M")
+                self._timed(tag("m2m", i), self._merges, items, "M", "D")
                 self._wait()
+            self._beat(tag("reduce", i))
+            if self.me == 0:
+                self._timed(tag("m2l", i), self._reduce)
+            self._wait()
             self._beat(tag("halo", i))
             self._halo_gather()
             for rnd, items in zip(plan.m2l_rounds, self.m2l_merge):
                 self._beat(tag("m2l", i))
-                self._timed(tag("m2l", i), self._deltas, rnd, geom.m2l_classes)
+                self._timed(
+                    tag("m2l", i), self._deltas, rnd, geom.m2l_classes, "Mh", "Dh"
+                )
                 self._wait()
-                self._timed(tag("m2l", i), self._merges, items, "L")
+                self._timed(tag("m2l", i), self._merges, items, "Lh", "Dh")
                 self._wait()
+            # expand assigns L, P2L then adds to it: same shard, in order
+            self._beat(tag("expand", i))
+            if self.me == 0:
+                self._timed(tag("m2l", i), self._expand)
             if geom.x_recv_rows.size:
                 self._beat(tag("p2l", i))
                 if self.me == 0:
                     self._timed(tag("p2l", i), self._p2l, i, spec)
-                self._wait()
+            self._wait()
             for rnd in plan.down_rounds:
                 self._beat(tag("l2l", i))
                 self._timed(tag("l2l", i), self._l2l, rnd)

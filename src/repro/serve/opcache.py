@@ -1,10 +1,13 @@
 """Process-global geometry-class operator cache shared across tenants.
 
 The far-field sweep builds one dense operator per *geometry class*
-(quantized displacement between interacting cells).  Assembly is batched
+(quantized displacement between interacting cells; for M2L the
+``(p+1)^2``-square core, DESIGN.md §9).  Assembly is batched
 (``m2l_class_operators``: one recurrence over every missing class), so a
-request's whole operator set costs ~10 ms to build and sharing it saves
-about that much per request.  Those operators depend only on
+request's whole operator set — ~1400 operators, 2.5 MB at the served
+size n = 2000, order 3 — costs ~6 ms to build (geometry layer: ~12 ms
+over an empty cache, ~6 ms over a warm one) and sharing it saves about
+that much per request.  Those operators depend only on
 ``(backend, order, kind, class_key)`` **and the absolute cell size**, so
 two requests over different trees share operators exactly when their
 root boxes agree.  :class:`SharedOperatorCache` therefore hands out

@@ -1,30 +1,21 @@
-"""Reusable Laplace far-field sweep with monopole and dipole sources.
+"""The per-node Laplace far-field sweep — the reference the batched,
+reduced-translation sweep of :mod:`repro.fmm.farfield` is tested against.
 
-The FMM far field for
-
-    phi(t) = sum_s q_s / |t - s|  +  sum_s (p_s . (t - s)) / |t - s|^3
-
-is one upward sweep + M2L translation + downward sweep on a given tree and
-interaction lists.  :class:`~repro.fmm.evaluator.FMMSolver` uses this for
-its single-charge pass, and the composite Stokeslet solver
-(:mod:`repro.kernels.stokeslet_fmm`) runs several passes with different
-monopole/dipole channels.
-
-Production solves use the batched engine of :mod:`repro.fmm.farfield`
-(re-exported here as :func:`laplace_far_field`); this module keeps the
-original per-node sweep as :func:`laplace_far_field_scalar` — the
-equivalence oracle and benchmark baseline.
+One translation operator per node or pair, through the expansion's dense
+scalar API (``p2m`` / ``m2m`` / ``m2l_batch`` / ``l2l`` / ``l2p`` / ``m2p``
+/ ``p2l``): every M2L here runs over all ``n_coeffs`` coefficients, so
+agreement with the production sweep also checks the harmonic reduction
+(DESIGN.md §9).  Nothing under ``src/`` calls it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fmm.farfield import laplace_far_field
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 
-__all__ = ["laplace_far_field", "laplace_far_field_scalar"]
+__all__ = ["laplace_far_field_scalar"]
 
 
 def laplace_far_field_scalar(
@@ -41,13 +32,8 @@ def laplace_far_field_scalar(
 
     ``charges`` is (n,) monopole strengths; ``dipoles`` is (n, 3) dipole
     moments (field (p . d)/r^3).  Either may be None.  Returns
-    ``(potential, gradient)`` with the unrequested entry None.
-
-    Production solves go through the batched engine
-    (:func:`repro.fmm.farfield.laplace_far_field`, re-exported here);
-    this reference implementation is kept — mirroring
-    ``build_interaction_lists_scalar`` — as the oracle for the
-    property-based equivalence tests and the benchmark baseline.
+    ``(potential, gradient)`` with the unrequested entry None — the
+    signature of :func:`repro.fmm.farfield.laplace_far_field`.
     """
     if charges is None and dipoles is None:
         raise ValueError("provide charges and/or dipoles")

@@ -75,6 +75,9 @@ def test_cli_verbs_exist(doc):
 _RETIRED = {
     "deadline_" + "fatal": "one Deadline per solve; expiry always propagates",
     "Graph" + "DeadlineError": "repro.util.timing.SolveDeadlineError",
+    "fmm." + "multipass": "repro.fmm.farfield.laplace_far_field; the per-node "
+    "oracle is tests/oracles/farfield.py",
+    "fmm/" + "multipass": "src/repro/fmm/farfield.py, tests/oracles/farfield.py",
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.expansions import CartesianExpansion, SphericalExpansion
+from repro.expansions.derivatives import scaled_derivative_tensors
 from repro.kernels import LaplaceKernel
 
 BACKENDS = [CartesianExpansion, SphericalExpansion]
@@ -211,11 +212,15 @@ class TestBatchedClassOperators:
                 assert np.array_equal(batch[i], single)
 
     def test_operator_applies_m2l(self, Backend, rng):
+        # through the translation space where the back end has one: the
+        # class operator acts on ``M @ R`` and its result expands by ``R.T``
         exp = Backend(4)
+        R = exp.m2l_reduction
         D = self._displacements(rng, 5)
         M = rng.uniform(-1, 1, (5, exp.n_coeffs)).astype(exp.m2l_class_operators(D[0])[0].dtype)
         for i, op in enumerate(exp.m2l_class_operators(D)):
-            assert np.allclose(M[i] @ op, exp.m2l(M[i], D[i]))
+            got = M[i] @ op if R is None else ((M[i] @ R) @ op) @ R.T
+            assert np.allclose(got, exp.m2l(M[i], D[i]))
 
     def test_each_operator_owns_its_memory(self, Backend, rng):
         # a byte-budgeted LRU counts nbytes per entry: a view into a shared
@@ -228,3 +233,80 @@ class TestBatchedClassOperators:
         D[2] = 0.0
         with pytest.raises(ValueError, match="zero displacement"):
             Backend(3).m2l_class_operators(D)
+
+
+def _dense_m2l_operator(exp, displacement):
+    """The full ``n_coeffs x n_coeffs`` row-applied M2L operator — what
+    ``m2l_class_operators`` returned before it was cut to its core."""
+    idx, coef = exp.mis.m2l_tables()
+    (row,) = scaled_derivative_tensors(np.reshape(displacement, (1, 3)), 2 * exp.order)
+    return row[idx] * coef
+
+
+def _col_rel(a, b):
+    """Largest error of ``a`` against ``b``, each column (coefficient) on
+    its own scale; a column that is zero on both sides reads 0."""
+    scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
+    return float(np.max(np.abs(a - b).max(axis=0) / scale))
+
+
+@pytest.mark.parametrize("order", range(9))
+class TestHarmonicReduction:
+    """M2L acts in the (p+1)^2-dimensional space of harmonic expansions
+    (DESIGN.md §9): ``keep`` / ``R`` of ``MultiIndexSet.harmonic_tables``,
+    the ``keep x keep`` cores of ``m2l_class_operators``.  Orders 0 and 1
+    are the identity case (every coefficient is independent)."""
+
+    def test_tables(self, order):
+        mis = CartesianExpansion(order).mis
+        keep, R = mis.harmonic_tables()
+        assert R.shape == (mis.n, (order + 1) ** 2) and keep.size == R.shape[1]
+        assert np.array_equal(R[keep], np.eye(keep.size))
+        assert np.array_equal(keep, np.nonzero(mis.indices[:, 2] <= 1)[0])
+        # block-diagonal by degree
+        assert not R[mis.degrees[:, None] != mis.degrees[keep][None, :]].any()
+        if order < 2:
+            assert mis.n == keep.size
+
+    def test_expanded_rows_satisfy_the_trace_relation(self, order, rng):
+        mis = CartesianExpansion(order).mis
+        keep, R = mis.harmonic_tables()
+        full = rng.standard_normal((6, keep.size)) @ R.T
+        scale = np.abs(full).max()
+        for g in mis.indices[mis.degrees <= order - 2]:
+            up = [g + 2 * np.eye(3, dtype=int)[i] for i in range(3)]
+            trace = sum(
+                (g[i] + 2) * (g[i] + 1) * full[:, mis.position(tuple(up[i]))]
+                for i in range(3)
+            )
+            assert np.abs(trace).max() <= 1e-13 * (order + 2) ** 2 * scale
+
+    def test_cores_are_the_keep_block_of_the_dense_operator(self, order, rng):
+        exp = CartesianExpansion(order)
+        keep, _ = exp.mis.harmonic_tables()
+        D = TestBatchedClassOperators._displacements(rng, 9)
+        for d, core in zip(D, exp.m2l_class_operators(D)):
+            assert np.array_equal(core, _dense_m2l_operator(exp, d)[np.ix_(keep, keep)])
+
+    def test_reduced_m2l_equals_dense_m2l(self, order, rng):
+        exp = CartesianExpansion(order)
+        R = exp.m2l_reduction
+        # one level (unit cells), so a coefficient has one scale across rows
+        D = rng.integers(-3, 4, size=(12, 3)).astype(float)
+        D[np.abs(D).max(axis=1) < 2, 0] = 3.0
+        src = rng.uniform(-0.5, 0.5, (12, 20, 3))
+        moments = {
+            "random": rng.uniform(-1, 1, (12, exp.n_coeffs)),
+            "monopole": np.stack(
+                [exp.p2m(x, rng.uniform(-1, 1, 20), np.zeros(3)) for x in src]
+            ),
+            "dipole": np.stack(
+                [exp.p2m_dipole(x, rng.uniform(-1, 1, (20, 3)), np.zeros(3)) for x in src]
+            ),
+        }
+        for name, M in moments.items():
+            Mh = M @ R
+            via_cores = np.stack(
+                [(Mh[i] @ core) @ R.T for i, core in enumerate(exp.m2l_class_operators(D))]
+            )
+            assert _col_rel(via_cores, exp.m2l_batch(M, D)) <= 1e-12, name

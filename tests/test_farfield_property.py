@@ -1,9 +1,10 @@
 """Property tests: the batched far-field engine matches the scalar oracle.
 
-:func:`repro.fmm.farfield.laplace_far_field` applies one dense operator
-per *geometry class* over ``(n_nodes, n_coeffs)`` coefficient arrays; the
-original per-node sweep is kept as
-:func:`repro.fmm.multipass.laplace_far_field_scalar` exactly so the two
+:func:`repro.fmm.farfield.laplace_far_field` applies one operator per
+*geometry class* over dense coefficient arrays — M2L in the (p+1)²-wide
+translation space; the original per-node sweep over all ``n_coeffs``
+coefficients is kept as
+:func:`tests.oracles.farfield.laplace_far_field_scalar` exactly so the two
 can be compared on randomized adaptive trees across both expansion
 backends, both source channels, and both schemes.  Also covers the
 subset contract of the per-body stage functions (what the shard schedule
@@ -21,9 +22,9 @@ from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm import farfield
 from repro.fmm.farfield import far_field_geometry, laplace_far_field
-from repro.fmm.multipass import laplace_far_field_scalar
 from repro.obs import Telemetry
 from repro.tree import AdaptiveOctree, build_interaction_lists
+from tests.oracles.farfield import laplace_far_field_scalar
 
 _FAMILIES = {
     "plummer": plummer,
@@ -224,6 +225,22 @@ def test_geometry_cached_per_backend_and_order():
     far_field_geometry(tree, lists, CartesianExpansion(3))
     stats = lists.farfield_geometry_stats
     assert (stats["builds"], stats["hits"]) == (3, 1)
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_healthy_covers_the_translation_arrays(backend):
+    """A non-finite value parked in the arrays M2L reads and writes (the
+    reduced ones on the Cartesian back end, the coefficient arrays
+    themselves on the spherical one) fails the pass's guardrail."""
+    tree = AdaptiveOctree(plummer(300, seed=5).positions, S=10)
+    lists = build_interaction_lists(tree, folded=True)
+    p = farfield.FarFieldPass(tree, lists, _BACKENDS[backend](3), charges=np.ones(300))
+    p.p2m()
+    p.m2l_reduce()
+    assert p.healthy()
+    assert (p.m2l_locals is p.locals_) == (backend == "spherical")
+    p.m2l_locals[0, 0] = np.inf
+    assert not p.healthy()
 
 
 @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])

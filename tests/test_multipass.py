@@ -5,7 +5,7 @@ import pytest
 
 from repro.distributions import plummer, uniform_cube
 from repro.expansions import CartesianExpansion, SphericalExpansion
-from repro.fmm.multipass import laplace_far_field
+from repro.fmm.farfield import laplace_far_field
 from repro.kernels import LaplaceKernel
 from repro.tree import build_adaptive, build_interaction_lists
 

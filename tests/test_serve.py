@@ -445,7 +445,7 @@ class TestOperatorStatsUniformity:
         """op_hits/op_builds/op_evictions appear for both cache kinds."""
         from repro.distributions.generators import compact_plummer
         from repro.expansions.cartesian import CartesianExpansion
-        from repro.fmm.multipass import laplace_far_field
+        from repro.fmm.farfield import laplace_far_field
         from repro.geometry.box import Box
         from repro.tree.cache import ListCache
         from repro.tree.octree import AdaptiveOctree

@@ -60,7 +60,7 @@ def _plan(kind, match, *, shard=0, delay_s=0.001, fire_attempts=1):
 
 
 # -------------------------------------------------------------- kill recovery
-@pytest.mark.parametrize("stage", ["p2m", "m2l", "l2p"])
+@pytest.mark.parametrize("stage", ["p2m", "reduce", "m2l", "l2p"])
 def test_kill_at_far_field_stage_recovers_bitwise(stage):
     """SIGKILL during the far-field pass: respawn + full-pass redo, same
     bits, no serial degradation."""
@@ -99,6 +99,27 @@ def test_kill_in_near_field_redoes_only_lost_phase():
         assert last.partial_redos == 1
         assert last.restart_phases == [1]  # far-field pass 0 was kept
         assert eng.total_partial_redos == 1
+
+
+def test_kill_at_translation_expand_redoes_only_that_pass():
+    """A worker killed at a mid-solve ``expand`` (pass 3 of the 7-pass
+    Stokeslet solve: full-width locals not yet assigned, reduced arrays
+    merged) restarts at pass 3 — the phase re-zeroes ``Lh`` and re-fills
+    ``Mh`` like ``M`` and ``L``, so the redo stays bitwise."""
+    pts, _ = _cloud(n=700, seed=59)
+    tree = AdaptiveOctree(pts, S=24)
+    forces = np.random.default_rng(5).standard_normal((len(pts), 3))
+    serial = StokesletFMMSolver(order=3).solve(tree, forces)
+    with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
+        eng.install_fault_plan(_plan("kill", "expand@3"))
+        solver = StokesletFMMSolver(order=3, engine=eng)
+        res = solver.solve(tree, forces)
+        assert np.array_equal(serial.velocity, res.velocity)
+        assert solver.degraded_runs == 0
+        last = solver.last_shard_result
+        assert last.respawns == 1
+        assert last.restart_phases == [3]  # passes 0-2 were kept
+        assert last.partial_redos == 1
 
 
 def _plan_kill_near():

@@ -20,13 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributions import plummer
+from repro.distributions import plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm.evaluator import FMMSolver
 from repro.kernels.laplace import GravityKernel
 from repro.kernels.stokeslet import RegularizedStokesletKernel
 from repro.kernels.stokeslet_fmm import StokesletFMMSolver
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shards import (
     ProcessEngine,
     ShardExecutionError,
@@ -94,6 +95,75 @@ def test_stokeslet_bitwise_identical_to_serial(folded):
     assert np.array_equal(serial.velocity, sharded.velocity)
     assert solver.degraded_runs == 0
     assert solver.last_shard_result is not None
+
+
+# ------------------------------------- the reduced translation, every back end
+def _laplace_case(pts, *, S, order, folded, seed):
+    kernel = GravityKernel(G=1.0, softening=1e-3)
+    tree = AdaptiveOctree(pts, S=S)
+    q = np.random.default_rng(seed).standard_normal(pts.shape[0])
+
+    def solve(engine=None):
+        solver, res = _solve(kernel, tree, q, folded=folded, engine=engine, order=order)
+        return solver, res.lists, (res.potential, res.gradient)
+
+    return solve
+
+
+def _stokeslet_case(pts, *, S, order, seed):
+    kernel = RegularizedStokesletKernel(epsilon=0.02)
+    tree = AdaptiveOctree(pts, S=S)
+    f = np.random.default_rng(seed).standard_normal((pts.shape[0], 3))
+
+    def solve(engine=None):
+        solver = StokesletFMMSolver(kernel, order=order, engine=engine)
+        res = solver.solve(tree, f)
+        return solver, res.lists, (res.velocity,)
+
+    return solve
+
+
+@pytest.fixture(scope="module")
+def reduction_cases():
+    """The solves where ``n_coeffs - (p+1)^2`` is large or the translation
+    arrays meet the other phases, each with its serial answer: (i) a
+    uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive tree with
+    unfolded lists (the M2L expand must land before the P2L add, M2P reads
+    the full-width multipoles), (iii) the 7-pass Stokeslet solve (passes
+    share R and the reduced rows)."""
+    cases = {
+        "uniform-o6": _laplace_case(
+            uniform_cube(2500, seed=3).positions, S=8, order=6, folded=True, seed=4
+        ),
+        "plummer-unfolded": _laplace_case(
+            plummer(1500, seed=11).positions, S=12, order=4, folded=False, seed=12
+        ),
+        "stokeslet-7-pass": _stokeslet_case(
+            plummer(900, seed=23).positions, S=24, order=4, seed=5
+        ),
+    }
+    out = {}
+    for name, solve in cases.items():
+        _, lists, serial = solve()
+        out[name] = (solve, serial)
+        if name == "plummer-unfolded":
+            assert any(lists.w_list.values()) and any(lists.x_list.values())
+    return out
+
+
+@pytest.mark.parametrize("backend", ["threads:2", "shards:1", "shards:2", "shards:4"])
+def test_reduced_translation_bitwise_on_every_back_end(backend, reduction_cases):
+    kind, n = backend.split(":")
+    engine = (
+        ExecutionEngine(n_workers=int(n)) if kind == "threads"
+        else ProcessEngine(n_shards=int(n))
+    )
+    with engine:
+        for name, (solve, serial) in reduction_cases.items():
+            solver, _, got = solve(engine)
+            for a, b in zip(got, serial):
+                assert np.array_equal(a, b), name
+            assert solver.degraded_runs == 0, name
 
 
 # ------------------------------------------------------- session reuse/refresh
