@@ -31,10 +31,12 @@ for _var in (
 
 import pytest
 
-# allow running the benchmarks without installing the package
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+# allow running the benchmarks without installing the package, and let
+# them import the test-side oracles (``tests.oracles``)
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT, ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 
 @pytest.fixture(autouse=True)

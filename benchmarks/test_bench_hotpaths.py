@@ -17,6 +17,13 @@ Claims asserted at benchmark scale:
   class cores, expand — takes <= 0.7x the time of the same loop over
   dense ``n_coeffs``-wide operators, timed alternately in one process, so
   the gate does not depend on the host's speed;
+* the cold path hands arrays from layer to layer: on the same tree, with
+  the class operators already cached, ``far_field_geometry`` from the list
+  builder's pair tables boxes no dict and takes <= 0.5x the hand-off
+  through dicts — box the views, drop the tables, the same call (what
+  every cold solve paid between the two layers before the tables, and what
+  a repaired list still pays) — alternating in one process, equal array
+  for array;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is the ledger's gated ``far_field_50k_plummer`` series; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -41,13 +48,14 @@ from repro.balance.config import BalancerConfig
 from repro.distributions.generators import compact_plummer, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.derivatives import scaled_derivative_tensors
-from repro.fmm.farfield import FarFieldPass, laplace_far_field
+from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel
 from repro.machine.spec import system_a
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
-from repro.tree.lists import build_interaction_lists_scalar
+from repro.tree.lists import FAMILIES
+from tests.oracles.lists import build_interaction_lists_scalar
 
 _BENCH_FARFIELD = Path(__file__).resolve().parents[1] / "BENCH_farfield.json"
 
@@ -240,6 +248,70 @@ def test_bench_m2l_reduced_translation(benchmark):
     )
     assert err.max() <= 1e-12
     assert ratio <= 0.7, f"reduced M2L loop {ratio:.2f}x the dense one"
+
+
+def test_bench_cold_geometry_from_tables(benchmark):
+    """Lists -> geometry through the pair tables <= 0.5x through dict views."""
+    n = 10_000
+    tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
+    exp = CartesianExpansion(6)
+    warm = build_interaction_lists(tree, folded=True)
+    far_field_geometry(tree, warm, exp)  # every class operator, once
+
+    def geometry(route):
+        lists = build_interaction_lists(tree, folded=True)
+        lists.farfield_op_cache = warm.farfield_op_cache
+        out = {}
+
+        def hand_off():
+            if route == "dicts":  # what a repair leaves: views boxed, no tables
+                lists.drop_tables()
+            out["geom"] = far_field_geometry(tree, lists, exp)
+
+        return _best_time(hand_off, rounds=1), lists, out["geom"]
+
+    best = {"tables": float("inf"), "dicts": float("inf")}
+    for _ in range(5):  # alternating: host drift hits both sides alike
+        for route in best:
+            t, lists, geom = geometry(route)
+            best[route] = min(best[route], t)
+            boxed = [name for name in FAMILIES if lists.materialized(name)]
+            assert boxed == ([] if route == "tables" else list(FAMILIES))
+            assert lists.farfield_geometry_stats["op_builds"] == 0
+            if route == "tables":
+                ref = geom
+    benchmark.pedantic(lambda: geometry("tables"), rounds=2, iterations=1)
+
+    # ``geom`` is the last dict-route build: the same geometry, array for array
+    assert np.array_equal(geom.eff_rows, ref.eff_rows)
+    for name in ("up_classes", "down_classes", "m2l_classes"):
+        mine, theirs = getattr(geom, name), getattr(ref, name)
+        assert len(mine) == len(theirs)
+        for (a0, a1, aop), (b0, b1, bop) in zip(mine, theirs):
+            assert np.array_equal(a0, b0) and np.array_equal(a1, b1) and aop is bop
+    for name in ("leaf_rows", "leaf_pos", "w_tgt_rows", "w_src_rows", "x_recv_rows", "x_src_rows"):
+        assert np.array_equal(getattr(geom, name), getattr(ref, name))
+    ratio = best["tables"] / best["dicts"]
+
+    _ledger.record_to_ledger(
+        {
+            "bench": "cold_geometry_10k_uniform_o6",
+            "n": n,
+            "classes": len(ref.m2l_classes),
+            "pairs": ref.n_m2l,
+            "tables_ms": round(best["tables"] * 1e3, 3),
+            "dicts_ms": round(best["dicts"] * 1e3, 3),
+            "ratio": round(ratio, 3),
+        }
+    )
+    print()
+    print(
+        f"far-field geometry, 10k uniform S=8 order 6, warm operators, "
+        f"{len(ref.m2l_classes)} classes / {ref.n_m2l:,} pairs: from tables "
+        f"{best['tables'] * 1e3:.1f} ms, through dict views {best['dicts'] * 1e3:.1f} ms "
+        f"-> {ratio:.2f}x"
+    )
+    assert ratio <= 0.5, f"geometry from tables {ratio:.2f}x the hand-off through dicts"
 
 
 def test_bench_far_field(benchmark):

@@ -13,9 +13,11 @@ fallback rebuild), the far-field geometry rebuilds were *partial* (rows
 re-derived, operators served from the class-operator cache that survives
 repair), and the near-field planner patched rather than re-sorted its
 rows.  The repair/rebuild time ratio is *recorded, not gated*: batched
-operator assembly made the from-scratch rebuild ~10x cheaper, and the
-ratio has read 0.94-1.07x since (EXPERIMENTS.md); ROADMAP item 6 decides
-whether the repair path stays.
+operator assembly made the from-scratch rebuild ~10x cheaper and the
+ratio read 0.94-1.07x (EXPERIMENTS.md); since the rebuild hands pair
+tables on instead of boxed dicts while a repair edits dict views that the
+next consumer re-flattens, it reads 0.55x (rebuild 548 -> 223 ms/op,
+repair 683 -> 404).  ROADMAP item 6 decides whether the repair path stays.
 
 Results append to ``BENCH_repair.json`` (uploaded as a CI artifact).
 """

@@ -27,12 +27,19 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 * :class:`FarFieldGeometry` (``structure_generation`` stamp) — node-row
   layout, shift/displacement classes with their operators, W/X pair
   rows.  Depends only on the tree *shape*: free across frozen-shape time
-  steps and refits.
+  steps and refits.  Built from arrays only: row state is the tree's
+  :class:`~repro.tree.octree.NodeTable`, pairs come from the lists' V /
+  W / X :class:`~repro.tree.lists.PairTable`, an M2L class is keyed by the
+  integer cell-coordinate difference of its pairs and the half-million
+  keys of a uniform tree are grouped by a radix sort of their dense ranks
+  (:func:`_group_by_key`); a class's rows are slices of two whole
+  gathers.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
   effective leaf with body-relative coordinates.  Rebuilt on refit.
 * per-backend leaf basis tables (``generation`` stamp) — the P2M/L2P row
   bases over the body plan, shared by every far-field pass of a solve
-  (the composite Stokeslet solver runs seven).
+  (the composite Stokeslet solver runs seven); one ``powers`` call per
+  plan, the Cartesian P2M basis being the L2P one with signs flipped.
 
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
@@ -61,8 +68,10 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
+from repro.util.arrays import csr_ptr, stable_argsort
 
 __all__ = [
     "DictOperatorCache",
@@ -126,86 +135,22 @@ def _expand_segments(ptr: np.ndarray, take: np.ndarray) -> tuple[np.ndarray, np.
     return starts + offset, counts
 
 
-def _flatten_pair_dict(d: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten ``{owner: [values]}`` into aligned (owners, values) arrays."""
-    owners, values = [], []
-    for k, vs in d.items():
-        if vs:
-            owners.append(np.full(len(vs), k, dtype=np.int64))
-            values.append(np.asarray(vs, dtype=np.int64))
-    if not owners:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    return np.concatenate(owners), np.concatenate(values)
+def _group_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable grouping of small non-negative integer ``keys``.
 
-
-def _class_segments(keys: np.ndarray) -> list[np.ndarray]:
-    """Index arrays grouping equal values of integer ``keys``."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    bounds = np.nonzero(np.diff(sorted_keys))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [keys.size]))
-    return [order[lo:hi] for lo, hi in zip(starts, ends)]
-
-
-def _node_row_state(tree, lists, eff_rows: np.ndarray, stats: dict):
-    """Aligned per-row node attributes: centers, levels, leafness, parent id.
-
-    A scratch build walks the node table once per effective row.  After an
-    incremental list repair only the rows of nodes in the accumulated
-    repair-affected set (plus rows new to the effective ordering) are
-    rederived through the Python node table; everything else is a
-    vectorized gather from the previous build's row cache, which is
-    parked on the lists as a plain attribute so it survives
-    ``drop_structural_derived``.  Safe because ``center``/``level``/
-    ``parent`` are immutable per node id and ``is_leaf`` only flips on
-    surgery-op nodes, which are always in the affected set.
-    ``stats["rows_rederived"]`` counts the slow-path rows either way.
+    Returns ``(order, ptr)``: group ``g`` — groups in ascending key order,
+    members in input order — is ``order[ptr[g]:ptr[g + 1]]``.  No
+    comparison sort where it can be avoided: a presence table over ``[0,
+    keys.max()]`` turns each key into its dense rank, and as long as the
+    ranks fit 16 bits (a tree has a few thousand geometry classes at most)
+    :func:`~repro.util.arrays.stable_argsort` radix-sorts them.
     """
-    nodes = tree.nodes
-    n_eff = eff_rows.size
-    centers = np.empty((n_eff, 3), dtype=float)
-    levels = np.empty(n_eff, dtype=np.int64)
-    is_leaf = np.empty(n_eff, dtype=bool)
-    parent_id = np.empty(n_eff, dtype=np.int64)
-    prev = getattr(lists, "farfield_row_cache", None)
-    acc = getattr(lists, "_repair_affected_nodes", None)
-    if prev is not None and acc is not None:
-        pos = np.full(len(nodes), -1, dtype=np.int64)
-        pos[prev["ids"]] = np.arange(prev["ids"].size)
-        hit = pos[eff_rows]
-        stale = (
-            np.isin(eff_rows, np.fromiter(acc, dtype=np.int64, count=len(acc)))
-            if acc
-            else np.zeros(n_eff, dtype=bool)
-        )
-        fresh = (hit >= 0) & ~stale
-        src = hit[fresh]
-        centers[fresh] = prev["centers"][src]
-        levels[fresh] = prev["levels"][src]
-        is_leaf[fresh] = prev["is_leaf"][src]
-        parent_id[fresh] = prev["parent_id"][src]
-        derive = np.nonzero(~fresh)[0]
-    else:
-        derive = np.arange(n_eff)
-    for i in derive.tolist():
-        nd = nodes[int(eff_rows[i])]
-        centers[i] = nd.center
-        levels[i] = nd.level
-        is_leaf[i] = nd.is_leaf
-        parent_id[i] = nd.parent
-    stats["rows_rederived"] += int(derive.size)
-    if acc is not None:
-        acc.clear()  # row cache is current again
-    lists.farfield_row_cache = {
-        "ids": eff_rows,
-        "centers": centers,
-        "levels": levels,
-        "is_leaf": is_leaf,
-        "parent_id": parent_id,
-    }
-    return centers, levels, is_leaf, parent_id
+    present = np.zeros(int(keys.max()) + 1, dtype=bool)
+    present[keys] = True
+    rank_of = np.cumsum(present) - 1
+    ranks = rank_of[keys]
+    n_groups = int(rank_of[-1]) + 1
+    return stable_argsort(ranks, n_groups), csr_ptr(np.bincount(ranks, minlength=n_groups))
 
 
 def _cache_stats(lists: InteractionLists, attr: str, *extra: str) -> dict[str, int]:
@@ -354,7 +299,6 @@ def far_field_geometry(
         "op_hits",
         "op_builds",
         "op_evictions",
-        "rows_rederived",
     )
     if cached is not None:
         stats["hits"] += 1
@@ -378,17 +322,16 @@ def far_field_geometry(
             stats["op_hits"] += 1
         return op
 
-    nodes = tree.nodes
-    eff = tree.effective_nodes()
-    n_eff = len(eff)
-    eff_rows = np.asarray(eff, dtype=np.int64)
-    id2row = np.full(len(nodes), -1, dtype=np.int64)
-    id2row[eff_rows] = np.arange(n_eff)
-    centers, levels, is_leaf, parent_id = _node_row_state(tree, lists, eff_rows, stats)
-    leaf_rows = np.nonzero(is_leaf)[0]
+    # row state is a gather from the tree's node table (per-id attributes
+    # are immutable and the table is memoized per structure_generation)
+    tab = tree.node_table()
+    row_of, centers, levels, parent_row = tab.row_of, tab.centers, tab.level, tab.parent_row
+    n_eff = tab.ids.size
+    leaf_rows = np.nonzero(tab.is_leaf)[0]
     leaf_pos = np.full(n_eff, -1, dtype=np.int64)
     leaf_pos[leaf_rows] = np.arange(leaf_rows.size)
-    parent_row = np.where(parent_id >= 0, id2row[np.clip(parent_id, 0, None)], -1)
+    # integer cell coordinates in units of the node's own cell size
+    cell = tab.cell >> (MAX_MORTON_LEVEL - levels)[:, None]
 
     # ---- parent<->child shift classes: (level, octant) -> <= 8 per level
     child_rows = np.nonzero(parent_row >= 0)[0]
@@ -397,17 +340,12 @@ def far_field_geometry(
     up_class_levels: list = []
     down_class_levels: list = []
     if child_rows.size:
-        prow = parent_row[child_rows]
-        off = centers[child_rows] - centers[prow]
-        octant = (
-            (off[:, 0] > 0).astype(np.int64)
-            | ((off[:, 1] > 0).astype(np.int64) << 1)
-            | ((off[:, 2] > 0).astype(np.int64) << 2)
-        )
+        octant = (cell[child_rows] & 1) @ np.array([1, 2, 4])
+        order, ptr = _group_by_key(levels[child_rows] * 8 + octant)
         segs = []
-        for sel in _class_segments(levels[child_rows] * 8 + octant):
-            c = child_rows[sel]
-            segs.append((int(levels[c[0]]), int(octant[sel[0]]), c, parent_row[c]))
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            c = child_rows[order[lo:hi]]
+            segs.append((int(levels[c[0]]), int(octant[order[lo]]), c, parent_row[c]))
         for lvl, okt, c, p in sorted(segs, key=lambda s: -s[0]):
             op = class_operator(
                 "m2m",
@@ -429,27 +367,28 @@ def far_field_geometry(
             down_classes.append((p, c, op))
             down_class_levels.append(lvl)
 
-    # ---- M2L displacement classes: quantize center offsets in units of
-    # the target level's cell size (V-list pairs are same-level, offsets
-    # land on a +-3 integer grid; the +-8 headroom keys any variant).
-    tgt_ids, src_ids = _flatten_pair_dict(lists.v_list)
+    # ---- M2L displacement classes, keyed by the integer cell-coordinate
+    # difference of the (same-level) pair — what rint((c_t - c_s) / cell
+    # size) comes to, without the float detour.  V offsets land on a +-3
+    # grid; the +-8 headroom keys any variant.  The key is linear in the
+    # two cells, so it is one 1-D gather per side.
+    v = lists.table("v_list")
     m2l_classes: list = []
-    if tgt_ids.size:
-        trow = id2row[tgt_ids]
-        srow = id2row[src_ids]
-        d = centers[trow] - centers[srow]
-        step = tree.root_box.size / 2.0 ** levels[trow]
-        k = np.rint(d / step[:, None]).astype(np.int64)
-        keys = (
-            ((levels[trow] * 17 + k[:, 0] + 8) * 17 + k[:, 1] + 8) * 17 + k[:, 2] + 8
-        )
+    if v.values.size:
+        trow = np.repeat(row_of[v.keys], v.counts)
+        srow = row_of[v.values]
+        lin = (cell[:, 0] * 17 + cell[:, 1]) * 17 + cell[:, 2]
+        keys = (lin + levels * 17**3 + (8 * 17 + 8) * 17 + 8)[trow] - lin[srow]
+        order, ptr = _group_by_key(keys)
+        # class rows are slices of two whole gathers
+        srow, trow = srow[order], trow[order]
         # probe the cache for every class first, then assemble all the
         # misses in one batched call: a builder call costs ~1300 tiny NumPy
         # ops whatever its batch size, and a tree has thousands of classes
-        segs = _class_segments(keys)
-        reps = np.fromiter((sel[0] for sel in segs), dtype=np.int64, count=len(segs))
+        reps = ptr[:-1]
         op_keys = [
-            (expansion.backend, expansion.order, "m2l", k) for k in keys[reps].tolist()
+            (expansion.backend, expansion.order, "m2l", k)
+            for k in keys[order[reps]].tolist()
         ]
         ops = [op_cache.get(k) for k in op_keys]
         miss = [i for i, op in enumerate(ops) if op is None]
@@ -463,10 +402,11 @@ def far_field_geometry(
             for i, op in zip(miss, built):
                 op_cache.put(op_keys[i], op)
                 ops[i] = op
-        m2l_classes = [(srow[sel], trow[sel], op) for sel, op in zip(segs, ops)]
+        m2l_classes = [
+            (srow[lo:hi], trow[lo:hi], op) for lo, hi, op in zip(ptr[:-1], ptr[1:], ops)
+        ]
 
-    w_tgt_ids, w_src_ids = _flatten_pair_dict(lists.w_list)
-    x_recv_ids, x_src_ids = _flatten_pair_dict(lists.x_list)
+    w, x = lists.table("w_list"), lists.table("x_list")
 
     # cumulative for the installed cache: 0 for the per-lists dict store,
     # the LRU's running total when a shared serve cache is plugged in
@@ -474,7 +414,7 @@ def far_field_geometry(
 
     return store(
         FarFieldGeometry(
-            eff_rows=eff_rows,
+            eff_rows=tab.ids,
             centers=centers,
             leaf_rows=leaf_rows,
             leaf_pos=leaf_pos,
@@ -482,11 +422,11 @@ def far_field_geometry(
             down_classes=down_classes,
             m2l_classes=m2l_classes,
             n_shifts=int(child_rows.size),
-            n_m2l=int(tgt_ids.size),
-            w_tgt_rows=id2row[w_tgt_ids],
-            w_src_rows=id2row[w_src_ids],
-            x_recv_rows=id2row[x_recv_ids],
-            x_src_rows=id2row[x_src_ids],
+            n_m2l=int(v.values.size),
+            w_tgt_rows=np.repeat(row_of[w.keys], w.counts),
+            w_src_rows=row_of[w.values],
+            x_recv_rows=np.repeat(row_of[x.keys], x.counts),
+            x_src_rows=row_of[x.values],
             up_class_levels=up_class_levels,
             down_class_levels=down_class_levels,
         )
@@ -529,10 +469,10 @@ def leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPla
     cached, store = lists.derived_cache("farfield_body_plan")
     if cached is not None:
         return cached
-    leaves = tree.leaves()
-    n = len(leaves)
-    lo = np.array([tree.nodes[l].lo for l in leaves], dtype=np.int64)
-    hi = np.array([tree.nodes[l].hi for l in leaves], dtype=np.int64)
+    tab = tree.node_table()
+    leaf_rows = np.nonzero(tab.is_leaf)[0]
+    n = leaf_rows.size
+    lo, hi = tab.lo[leaf_rows], tab.hi[leaf_rows]
     cnt = hi - lo
     ptr = np.concatenate(([0], np.cumsum(cnt)))
     # positions into tree.order: each leaf's [lo, hi) range, concatenated
@@ -541,8 +481,7 @@ def leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPla
     within = np.arange(total, dtype=np.int64) - np.repeat(ptr[:-1], cnt)
     body_idx = tree.order[starts + within]
     gid = np.repeat(np.arange(n, dtype=np.int64), cnt)
-    leaf_centers = np.array([tree.nodes[l].center for l in leaves], dtype=float)
-    rel = tree.points[body_idx] - leaf_centers[gid]
+    rel = tree.points[body_idx] - tab.centers[leaf_rows[gid]]
     return store(LeafBodyPlan(body_idx=body_idx, ptr=ptr, gid=gid, rel=rel))
 
 
@@ -561,8 +500,13 @@ def leaf_basis(expansion, plan: LeafBodyPlan, kind: str, derived_cache):
     cached, store = derived_cache(key)
     if cached is not None:
         return cached
-    fn = expansion.p2m_basis if kind == "p2m" else expansion.l2p_basis
-    return store(fn(plan.rel))
+    if kind == "p2m":
+        # one ``powers`` call per plan: the P2M basis is the L2P one with
+        # its odd-degree columns negated
+        return store(
+            expansion.p2m_basis_from_l2p(leaf_basis(expansion, plan, "l2p", derived_cache))
+        )
+    return store(expansion.l2p_basis(plan.rel))
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Batched near-field (P2P) evaluation over tiles of same-shape groups.
 
-``near_sources`` is flattened once into CSR-style target/source *body*
-index arrays.  Target leaves that share an identical source-leaf set form
-a **group** (their targets stack into one dense block against the shared
-source block), and groups are ordered by shape — target count exact,
+The lists' near-source :class:`~repro.tree.lists.PairTable` and the tree's
+:class:`~repro.tree.octree.NodeTable` are turned once into CSR-style
+target/source *body* index arrays — arrays in, arrays out: every near row
+is sorted by one sort of the table, and a row's **signature** is the bytes
+of its sorted source ids.  Target leaves that share a signature, i.e. an
+identical source-leaf set, form a **group** (their targets stack into one
+dense block against the shared source block), and groups are ordered by
+shape — target count exact,
 source count rounded up to a multiple of ``_SRC_ROUND`` — so that a run of
 same-shape groups can be handed to the kernel as one ``(G, T, 3)`` x ``(G,
 S, 3)`` batch.  Such a run, cut where its stacked temporaries would exceed
@@ -37,7 +41,7 @@ The skeleton is kept in a ``structure_generation``-stamped slot together
 with a leaf-population signature; when a refit leaves every effective
 leaf's count unchanged the plan is *refreshed* by re-gathering
 ``tree.order`` at the stored positions instead of being rebuilt from
-``near_sources``.  Build, refresh and hit counters (and the latest plan's
+the near table.  Build, refresh and hit counters (and the latest plan's
 tile count) accumulate in ``lists.nearfield_plan_stats``.
 """
 
@@ -51,6 +55,7 @@ import numpy as np
 from repro.kernels.base import _TILE_ELEMS, Kernel
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
+from repro.util.arrays import csr_ptr
 
 __all__ = [
     "NearFieldPass",
@@ -77,10 +82,6 @@ def _segment_positions(lo: np.ndarray, hi: np.ndarray):
     ends = np.cumsum(cnt)
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt, cnt)
     return np.repeat(lo, cnt) + within, cnt
-
-
-def _ptr(cnt: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
 
 
 @dataclass
@@ -139,7 +140,7 @@ class _PlanSkeleton:
 
     ``*_pos`` index into ``tree.order``; re-gathering them yields a valid
     plan after any refit that kept every leaf's population unchanged
-    (``leaf_ids``/``leaf_counts`` is the validity signature).
+    (``leaf_counts``, in node-table leaf order, is the validity signature).
     """
 
     tgt_pos: np.ndarray
@@ -150,7 +151,6 @@ class _PlanSkeleton:
     tile_ptr: np.ndarray
     self_pos: np.ndarray
     total_pairs: int
-    leaf_ids: list
     leaf_counts: np.ndarray
 
 
@@ -163,28 +163,39 @@ def _plan_stats(lists: InteractionLists) -> dict[str, int]:
     return stats
 
 
-def _row_signatures(lists: InteractionLists) -> dict[int, tuple]:
-    """Per-target-leaf sorted source signatures, patched across repairs.
+def _row_signatures(lists: InteractionLists, near, n_ids: int) -> dict[int, bytes]:
+    """Per-target-leaf source signatures, patched across repairs.
 
-    Grouping targets by identical source sets needs one ``sorted`` per
-    near row — the dominant Python cost of a plan build.  The signatures
-    are kept on the lists as a plain attribute (surviving
+    A row's signature is the bytes of its source ids, sorted: equal
+    signatures are equal source sets, and decoding one gives the sources
+    in the order the kernel sums them.  All rows are sorted by one sort of
+    the near table ``near`` (``n_ids`` bounds the ids).  The signatures are
+    kept on the lists as a plain attribute (surviving
     ``drop_structural_derived``); an incremental list repair records the
     rows it touched in ``lists._near_rows_changed``, so after a repair
     only those rows are re-sorted and every other signature is reused.
     """
     sigs = getattr(lists, "_near_row_sigs", None)
     dirty = getattr(lists, "_near_rows_changed", None)
-    near = lists.near_sources
-    if sigs is None or dirty is None:
-        fresh = {t: tuple(sorted(srcs)) for t, srcs in near.items()}
-        patched = False
+    targets = near.keys.tolist()
+    patched = sigs is not None and dirty is not None
+    if patched:
+        redo = np.fromiter(
+            (t in dirty or t not in sigs for t in targets), dtype=bool, count=len(targets)
+        )
     else:
-        fresh = {}
-        for t, srcs in near.items():
-            sig = sigs.get(t) if t not in dirty else None
-            fresh[t] = tuple(sorted(srcs)) if sig is None else sig
-        patched = True
+        redo = np.ones(len(targets), dtype=bool)
+    # (row, source id) as one integer: a plain sort orders every row's sources
+    row = np.repeat(np.arange(len(targets)), near.counts)
+    take = redo[row]
+    rowed = row[take] * n_ids + near.values[take]
+    rowed.sort()
+    srcs = rowed % n_ids
+    ptr = csr_ptr(np.where(redo, near.counts, 0)).tolist()
+    fresh = {
+        t: srcs[ptr[i] : ptr[i + 1]].tobytes() if again else sigs[t]
+        for i, (t, again) in enumerate(zip(targets, redo.tolist()))
+    }
     lists._near_row_sigs = fresh
     lists._near_rows_changed = set()
     if patched:
@@ -205,19 +216,16 @@ def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan
     )
 
 
-def _leaf_runs(groups, leaf_cnt):
-    """``(leaf ids, leaves per group, bodies per group)`` of ``groups``
-    (sequences of leaves), flattened."""
-    lens = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(lens.sum()))
+def _run_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sum ``values`` over consecutive runs of lengths ``lens`` (empty runs
+    sum to 0)."""
     gid = np.repeat(np.arange(lens.size), lens)
-    cnt = np.bincount(gid, weights=leaf_cnt[flat], minlength=lens.size)
-    return flat, lens, cnt.astype(np.int64)
+    return np.bincount(gid, weights=values, minlength=lens.size).astype(np.int64)
 
 
 def _take_runs(flat: np.ndarray, lens: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Flattened runs with their groups taken in ``order``."""
-    start = _ptr(lens)[:-1][order]
+    start = csr_ptr(lens)[:-1][order]
     return flat[_segment_positions(start, start + lens[order])[0]]
 
 
@@ -242,63 +250,65 @@ def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> Near
         return cached
 
     skel, skel_store = lists.derived_cache("near_field_skeleton", structural=True)
-    if skel is not None:
-        counts = np.array([tree.nodes[l].count for l in skel.leaf_ids], dtype=np.int64)
-        if not np.array_equal(counts, skel.leaf_counts):
-            skel = None
+    tab = tree.node_table()
+    if skel is not None and not np.array_equal(tab.counts[tab.is_leaf], skel.leaf_counts):
+        skel = None
     stats["builds" if skel is None else "refreshes"] += 1
     if skel is None:
-        skel = skel_store(_build_skeleton(tree, lists))
+        skel = skel_store(_build_skeleton(tab, lists))
     stats["tiles"] = skel.tile_ptr.size - 1
     return store(_plan_from_skeleton(tree.order, skel))
 
 
-def _build_skeleton(tree: AdaptiveOctree, lists: InteractionLists) -> _PlanSkeleton:
-    nodes = tree.nodes
-    node_lo = np.fromiter((n.lo for n in nodes), dtype=np.int64, count=len(nodes))
-    node_hi = np.fromiter((n.hi for n in nodes), dtype=np.int64, count=len(nodes))
-    leaf_cnt = node_hi - node_lo
+def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
+    """The skeleton out of the near table and the tree's node table ``tab``."""
+    near = lists.table("near_sources")
+    row_of, body_cnt = tab.row_of, tab.counts
 
-    # group target leaves by their exact source-leaf set (signatures are
-    # patched, not recomputed, across incremental list repairs)
-    row_sig = _row_signatures(lists)
-    groups: dict[tuple, list[int]] = {}
-    self_leaves: list[int] = []
-    for t, sources in lists.near_sources.items():
-        groups.setdefault(row_sig[t], []).append(t)
-        if t in sources:
-            self_leaves.append(t)
+    # group target leaves by their exact source-leaf set, groups in order
+    # of first appearance (signatures are patched, not recomputed, across
+    # incremental list repairs)
+    groups: dict[bytes, list[int]] = {}
+    for t, sig in _row_signatures(lists, near, row_of.size).items():
+        groups.setdefault(sig, []).append(t)
+    n_groups = len(groups)
+    sig_flat = np.frombuffer(b"".join(groups), dtype=np.int64)
+    sig_len = np.fromiter((len(sig) >> 3 for sig in groups), dtype=np.int64, count=n_groups)
+    tgt_len = np.fromiter(map(len, groups.values()), dtype=np.int64, count=n_groups)
+    tgt_flat = np.fromiter(
+        chain.from_iterable(groups.values()), dtype=np.int64, count=near.keys.size
+    )
+    src_cnt = _run_sums(body_cnt[row_of[sig_flat]], sig_len)
+    tgt_cnt = _run_sums(body_cnt[row_of[tgt_flat]], tgt_len)
 
     # shape order: targets exact, sources rounded up to _SRC_ROUND
-    sig_flat, sig_len, src_cnt = _leaf_runs(groups, leaf_cnt)
-    tgt_flat, tgt_len, tgt_cnt = _leaf_runs(groups.values(), leaf_cnt)
     order = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
-    sig_flat = _take_runs(sig_flat, sig_len, order)
-    tgt_flat = _take_runs(tgt_flat, tgt_len, order)
+    sig_rows = row_of[_take_runs(sig_flat, sig_len, order)]
+    tgt_rows = row_of[_take_runs(tgt_flat, tgt_len, order)]
     sig_len, src_cnt, tgt_cnt = sig_len[order], src_cnt[order], tgt_cnt[order]
     pad = -src_cnt % _SRC_ROUND
 
     # a group's sources are its leaves' runs of ``tree.order`` followed by
     # one unit run per padded slot, each on the group's first source
-    lo, hi = node_lo[sig_flat], node_hi[sig_flat]
-    first_run = np.searchsorted(np.cumsum(hi - lo), _ptr(src_cnt)[:-1], side="right")
+    lo, hi = tab.lo[sig_rows], tab.hi[sig_rows]
+    first_run = np.searchsorted(np.cumsum(hi - lo), csr_ptr(src_cnt)[:-1], side="right")
     first = lo[np.repeat(first_run, pad)]
     at = np.repeat(np.cumsum(sig_len), pad)
     src_pos, _ = _segment_positions(np.insert(lo, at, first), np.insert(hi, at, first + 1))
 
-    sl = np.fromiter(self_leaves, dtype=np.int64, count=len(self_leaves))
-    leaf_ids = tree.leaves()
+    # leaves that are their own source, in target order
+    owners = near.owners
+    self_rows = row_of[owners[owners == near.values]]
     return _PlanSkeleton(
-        tgt_pos=_segment_positions(node_lo[tgt_flat], node_hi[tgt_flat])[0],
-        tgt_ptr=_ptr(tgt_cnt),
+        tgt_pos=_segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0],
+        tgt_ptr=csr_ptr(tgt_cnt),
         src_pos=src_pos,
-        src_ptr=_ptr(src_cnt + pad),
+        src_ptr=csr_ptr(src_cnt + pad),
         src_cnt=src_cnt,
         tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + pad),
-        self_pos=_segment_positions(node_lo[sl], node_hi[sl])[0],
+        self_pos=_segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0],
         total_pairs=int((tgt_cnt * src_cnt).sum()),
-        leaf_ids=leaf_ids,
-        leaf_counts=np.array([nodes[l].count for l in leaf_ids], dtype=np.int64),
+        leaf_counts=body_cnt[tab.is_leaf],
     )
 
 

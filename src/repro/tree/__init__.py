@@ -8,6 +8,7 @@ Collapse / PushDown operations (§IV) and the Enforce_S sweep (§VI-A).
 
 from repro.tree.octree import (
     AdaptiveOctree,
+    NodeTable,
     OctreeNode,
     SurgeryRecord,
     build_adaptive,
@@ -15,16 +16,17 @@ from repro.tree.octree import (
 from repro.tree.uniform import build_uniform, uniform_depth_for
 from repro.tree.lists import (
     InteractionLists,
+    PairTable,
     RepairIneligible,
     RepairStats,
     build_interaction_lists,
-    build_interaction_lists_scalar,
     repair_interaction_lists,
 )
 from repro.tree.cache import ListCache
 
 __all__ = [
     "AdaptiveOctree",
+    "NodeTable",
     "OctreeNode",
     "SurgeryRecord",
     "build_adaptive",
@@ -32,9 +34,9 @@ __all__ = [
     "uniform_depth_for",
     "InteractionLists",
     "ListCache",
+    "PairTable",
     "RepairIneligible",
     "RepairStats",
     "build_interaction_lists",
-    "build_interaction_lists_scalar",
     "repair_interaction_lists",
 ]

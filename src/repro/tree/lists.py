@@ -21,63 +21,171 @@ field pure M2L — at the cost of extra direct interactions.
 Adjacency is decided in exact integer (Morton grid) arithmetic, so lists
 are immune to floating-point drift from repeated box halving.
 
-Construction is fully vectorized: per-node integer AABBs live in one
-``(n_eff, 6)`` int64 array and every traversal (colleague/V split per
-level, the U descent from the root, the W descent from colleagues) runs as
-a *batched frontier* — all candidate pairs of a round are classified with
-one broadcast overlap test instead of a Python predicate per pair.  The
-original per-pair implementation is kept as
-:func:`build_interaction_lists_scalar` as the equivalence oracle for tests
-and the baseline for the hot-path benchmarks.
+Construction is fully vectorized and arrays all the way: the builder
+reads the tree's :class:`~repro.tree.octree.NodeTable` (per-node integer
+AABBs in one ``(n_eff, 6)`` int64 array), runs every traversal
+(colleague/V split per level, the U descent from the root, the W descent
+from colleagues) as a *batched frontier* — all candidate pairs of a round
+are classified with one broadcast overlap test instead of a Python
+predicate per pair — and hands back one :class:`PairTable` per list
+family: ``(owner, value)`` node-id pairs, owner-grouped in the order the
+dict attributes always had.  The far-field geometry, the near-field plan
+and :meth:`InteractionLists.op_counts` gather from the tables; the
+``{node id: [node ids]}`` dicts are *views* boxed from them on first read,
+for the readers that want Python objects (the modelled machine:
+:mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`, :mod:`repro.cluster`,
+the fine-grained optimizer, the diagnostics) and for
+:func:`repair_interaction_lists`, which edits them and drops the tables —
+the next array consumer re-flattens the repaired dicts.  The original
+per-pair construction is the test-side oracle ``tests/oracles/lists.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton
-from repro.tree.octree import AdaptiveOctree
+from repro.tree.octree import AdaptiveOctree, NodeTable
+from repro.util.arrays import csr_ptr, stable_argsort
 
 __all__ = [
+    "FAMILIES",
     "InteractionLists",
+    "PairTable",
     "RepairIneligible",
     "RepairStats",
     "build_interaction_lists",
-    "build_interaction_lists_scalar",
     "repair_interaction_lists",
 ]
 
 
-@dataclass
-class InteractionLists:
-    """All interaction lists of one effective tree configuration."""
+#: the list families, in the order a build produces them
+FAMILIES = ("colleagues", "v_list", "u_list", "w_list", "x_list", "near_sources")
 
-    tree: AdaptiveOctree
-    folded: bool
-    #: per-node lists keyed by node id (only effective nodes appear)
-    colleagues: dict[int, list[int]] = field(default_factory=dict)
-    v_list: dict[int, list[int]] = field(default_factory=dict)
-    u_list: dict[int, list[int]] = field(default_factory=dict)  # leaves only
-    w_list: dict[int, list[int]] = field(default_factory=dict)  # leaves only
-    x_list: dict[int, list[int]] = field(default_factory=dict)
-    #: folded mode: per-target-leaf near-field source leaves (includes self)
-    near_sources: dict[int, list[int]] = field(default_factory=dict)
-    #: derived data memoized against the tree's ``generation`` stamp
-    #: (op counts, near-field work items / evaluation plans); body counts
-    #: change under refit while the lists themselves stay valid, so derived
-    #: quantities carry their own finer-grained stamp.
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
-    #: raw W pairs ``(owners, w_nodes)`` as aligned node-id arrays, kept in
-    #: *both* folded modes (folded construction empties ``w_list``); repair
-    #: uses them to splice the X dual without rebuilding it.
-    _w_pairs: tuple = field(default=None, repr=False, compare=False)
-    #: folded mode only: the expanded fold pairs ``(owners, leaves)`` — one
-    #: entry per (W owner b, leaf descendant t of the W node), i.e. exactly
-    #: the non-U near-field pairs.  Repair edits the near rows of leaves
-    #: outside the affected set through these.
-    _fold_pairs: tuple = field(default=None, repr=False, compare=False)
+
+@dataclass(frozen=True)
+class PairTable:
+    """One list family as arrays: ``keys[i]`` owns ``counts[i]`` entries of
+    ``values``, back to back — all node ids.
+
+    ``keys`` is the family's dict-view key order and includes owners with
+    no entries; :attr:`owners` expands it to one owner per pair, so
+    ``(owners, values)`` is the flattened dict.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+
+    @property
+    def owners(self) -> np.ndarray:
+        return np.repeat(self.keys, self.counts)
+
+    def to_dict(self) -> dict[int, list[int]]:
+        """The dict view: one bulk ``tolist`` and a pointer-copy slice per key."""
+        values = self.values.tolist()
+        offs = csr_ptr(self.counts).tolist()
+        return {
+            k: values[lo:hi] for k, lo, hi in zip(self.keys.tolist(), offs[:-1], offs[1:])
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict[int, list[int]]) -> "PairTable":
+        """Flatten a dict view (the producer for repaired or hand-built lists)."""
+        n = len(d)
+        counts = np.fromiter(map(len, d.values()), dtype=np.int64, count=n)
+        return cls(
+            keys=np.fromiter(d, dtype=np.int64, count=n),
+            counts=counts,
+            values=np.fromiter(
+                chain.from_iterable(d.values()), dtype=np.int64, count=int(counts.sum())
+            ),
+        )
+
+
+def _dict_view(name: str) -> property:
+    def get(self) -> dict[int, list[int]]:
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = self._tables[name].to_dict()
+        return view
+
+    def set_(self, value: dict[int, list[int]]) -> None:
+        self._views[name] = value
+        self._tables.pop(name, None)
+
+    return property(get, set_, doc=f"``{name}`` as ``{{owner id: [ids]}}`` (lazy view).")
+
+
+class InteractionLists:
+    """All interaction lists of one effective tree configuration.
+
+    A build's product is one :class:`PairTable` per family (:meth:`table`);
+    the array consumers — far-field geometry, near-field plan,
+    :meth:`op_counts` — gather from those.  The six dict attributes
+    (per-node lists keyed by node id, only effective nodes appear;
+    ``u_list`` / ``w_list`` / ``near_sources`` hold leaves only, the latter
+    including the leaf itself) are *views*, boxed from the tables on first
+    read: the modelled machine and :func:`repair_interaction_lists` read
+    and edit them.  Whoever edits a view calls :meth:`drop_tables`
+    afterwards, which makes the dicts the source and lets the next array
+    consumer re-flatten them.
+    """
+
+    colleagues = _dict_view("colleagues")
+    v_list = _dict_view("v_list")
+    u_list = _dict_view("u_list")
+    w_list = _dict_view("w_list")
+    x_list = _dict_view("x_list")
+    near_sources = _dict_view("near_sources")
+
+    def __init__(
+        self,
+        tree: AdaptiveOctree,
+        folded: bool,
+        tables: dict[str, PairTable] | None = None,
+    ) -> None:
+        self.tree = tree
+        self.folded = folded
+        self._tables: dict[str, PairTable] = dict(tables or {})
+        #: without tables (a hand-built instance) the empty dicts are the source
+        self._views: dict[str, dict] = {} if tables else {name: {} for name in FAMILIES}
+        #: derived data memoized against the tree's ``generation`` stamp
+        #: (op counts, near-field work items / evaluation plans); body counts
+        #: change under refit while the lists themselves stay valid, so derived
+        #: quantities carry their own finer-grained stamp.
+        self._derived: dict = {}
+        #: raw W pairs ``(owners, w_nodes)`` as aligned node-id arrays, kept in
+        #: *both* folded modes (folded construction empties ``w_list``); repair
+        #: uses them to splice the X dual without rebuilding it.
+        self._w_pairs: tuple | None = None
+        #: folded mode only: the expanded fold pairs ``(owners, leaves)`` — one
+        #: entry per (W owner b, leaf descendant t of the W node), i.e. exactly
+        #: the non-U near-field pairs.  Repair edits the near rows of leaves
+        #: outside the affected set through these.
+        self._fold_pairs: tuple | None = None
+
+    # --------------------------------------------------------------- tables
+    def table(self, name: str) -> PairTable:
+        """The :class:`PairTable` of family ``name`` (flattened from its
+        dict view when a repair or a hand edit dropped it)."""
+        tab = self._tables.get(name)
+        if tab is None:
+            tab = self._tables[name] = PairTable.from_dict(self._views[name])
+        return tab
+
+    def materialized(self, name: str) -> bool:
+        """Whether the dict view of family ``name`` has been boxed."""
+        return name in self._views
+
+    def drop_tables(self) -> None:
+        """Make the dict views the source of truth (call after editing one)."""
+        for name in FAMILIES:
+            getattr(self, name)
+        self._tables.clear()
 
     # ------------------------------------------------------------- counting
     def interactions_of_leaf(self, t: int) -> int:
@@ -87,7 +195,12 @@ class InteractionLists:
         return p_t * sum(tree.nodes[s].count for s in self.near_sources.get(t, ()))
 
     def total_near_interactions(self) -> int:
-        return sum(self.interactions_of_leaf(t) for t in self.near_sources)
+        """``sum_t Interactions(t)``, as gathers over the near table."""
+        near = self.table("near_sources")
+        tab = self.tree.node_table()
+        cnt = tab.counts
+        per_target = np.repeat(cnt[tab.row_of[near.keys]], near.counts)
+        return int(per_target @ cnt[tab.row_of[near.values]])
 
     def derived_cache(self, kind: str, *, structural: bool = False):
         """Fetch a derived-data cache slot, invalidated by tree mutation.
@@ -145,24 +258,21 @@ class InteractionLists:
         cached, store = self.derived_cache("op_counts")
         if cached is not None:
             return dict(cached)
-        tree = self.tree
-        internal = [n for n in tree.effective_nodes() if not tree.nodes[n].is_leaf]
-        n_bodies_in_leaves = sum(tree.nodes[l].count for l in tree.leaves())
+        tab = self.tree.node_table()
+        cnt = tab.counts
+        n_bodies_in_leaves = int(cnt[tab.is_leaf].sum())
         # one M2M/L2L application per parent<->child shift
-        n_shifts = sum(len(tree.effective_children(n)) for n in internal)
+        n_shifts = int((tab.parent_row >= 0).sum())
+        w, x = self.table("w_list"), self.table("x_list")
         counts = {
             "P2M": n_bodies_in_leaves,
             "M2M": n_shifts,
-            "M2L": sum(len(v) for v in self.v_list.values()),
+            "M2L": int(self.table("v_list").values.size),
             "L2L": n_shifts,
             "L2P": n_bodies_in_leaves,
             "P2P": self.total_near_interactions(),
-            "M2P": sum(
-                tree.nodes[t].count * len(ws) for t, ws in self.w_list.items()
-            ),
-            "P2L": sum(
-                sum(tree.nodes[x].count for x in xs) for _, xs in self.x_list.items()
-            ),
+            "M2P": int(cnt[tab.row_of[w.keys]] @ w.counts),
+            "P2L": int(cnt[tab.row_of[x.values]].sum()),
         }
         return dict(store(counts))
 
@@ -209,8 +319,8 @@ def _adjacent_rows(cols, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Bounds are integer cell extents on the finest Morton grid with the
     upper bound exclusive; two cells touch iff ``a.hi >= b.lo`` and
     ``b.hi >= a.lo`` on every axis — equivalently ``|c2_a - c2_b| <=
-    w_a + w_b`` in the precomputed columns (same predicate as the scalar
-    path, in exact integer arithmetic).
+    w_a + w_b`` in the precomputed columns (same predicate as the
+    test-side scalar oracle, in exact integer arithmetic).
     """
     cx, cy, cz, wx, wy, wz = cols
     out = np.abs(cx[a] - cx[b]) <= wx[a] + wx[b]
@@ -219,93 +329,49 @@ def _adjacent_rows(cols, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integer_bounds(tree: AdaptiveOctree, eff: list[int]) -> np.ndarray:
+def _integer_bounds(tab: NodeTable) -> np.ndarray:
     """Exact integer cell bounds, one ``(x0,y0,z0,x1,y1,z1)`` row per node."""
-    keys = np.array([tree.nodes[n].key_lo for n in eff], dtype=np.uint64)
-    levels = np.array([tree.nodes[n].level for n in eff], dtype=np.int64)
-    ix, iy, iz = decode_morton(keys)
-    width = np.int64(1) << (MAX_MORTON_LEVEL - levels)
-    out = np.empty((len(eff), 6), dtype=np.int64)
-    out[:, 0] = ix.astype(np.int64)
-    out[:, 1] = iy.astype(np.int64)
-    out[:, 2] = iz.astype(np.int64)
-    out[:, 3] = out[:, 0] + width
-    out[:, 4] = out[:, 1] + width
-    out[:, 5] = out[:, 2] + width
-    return out
+    width = np.int64(1) << (MAX_MORTON_LEVEL - tab.level)
+    return np.concatenate((tab.cell, tab.cell + width[:, None]), axis=1)
 
 
-def _group_pairs(
+def _group_table(
     owner_rows: np.ndarray,
     value_rows: np.ndarray,
     key_rows: np.ndarray,
-    eff_arr: np.ndarray,
-) -> dict[int, list[int]]:
-    """Split (owner, value) row pairs into per-owner node-id lists.
+    ids: np.ndarray,
+) -> PairTable:
+    """Group (owner, value) row pairs by owner into a :class:`PairTable`.
 
-    ``key_rows`` fixes both the set of owners (empty owners get ``[]``) and
-    the dict insertion order; pair order within an owner is preserved.  The
-    row->id mapping and list materialization happen in two bulk operations
-    (one fancy gather + one ``tolist``), so the cost is O(pairs) C-speed
-    work plus one cheap pointer-copy slice per owner.
+    ``key_rows`` — ascending, and holding every owner — fixes the key
+    order (owners without pairs get empty rows); pair order within an
+    owner is preserved.
     """
-    keys = eff_arr[key_rows].tolist()
-    if not owner_rows.size:
-        return {k: [] for k in keys}
-    order = np.argsort(owner_rows, kind="stable")
-    sorted_owners = owner_rows[order]
-    values = eff_arr[value_rows[order]].tolist()
-    starts = np.searchsorted(sorted_owners, key_rows, side="left").tolist()
-    stops = np.searchsorted(sorted_owners, key_rows, side="right").tolist()
-    return {k: values[lo:hi] for k, lo, hi in zip(keys, starts, stops)}
-
-
-def _slices_to_dict(
-    owner_rows: np.ndarray,
-    value_rows: np.ndarray,
-    counts: np.ndarray,
-    eff_arr: np.ndarray,
-) -> dict[int, list[int]]:
-    """Turn already-grouped (owner, CSR values) rows into node-id lists.
-
-    ``value_rows`` holds each owner's entries back to back, ``counts`` the
-    per-owner segment lengths; materialization is one bulk gather +
-    ``tolist`` and a pointer-copy slice per owner.
-    """
-    keys = eff_arr[owner_rows].tolist()
-    values = eff_arr[value_rows].tolist() if value_rows.size else []
-    offs = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return {k: values[lo:hi] for k, lo, hi in zip(keys, offs[:-1], offs[1:])}
+    order = stable_argsort(owner_rows, ids.size)
+    counts = np.bincount(owner_rows, minlength=ids.size)[key_rows]
+    return PairTable(ids[key_rows], counts, ids[value_rows[order]])
 
 
 def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> InteractionLists:
-    """Construct all lists for the current effective tree (vectorized)."""
-    il = InteractionLists(tree=tree, folded=folded)
-    eff = tree.effective_nodes()
-    n = len(eff)
-    eff_arr = np.fromiter(eff, dtype=np.int64, count=n)
-    row_of = {nid: i for i, nid in enumerate(eff)}
-    bounds = _integer_bounds(tree, eff)
-    cols = _adjacency_columns(bounds)
+    """Construct all lists for the current effective tree (vectorized).
 
-    level = np.empty(n, dtype=np.int64)
-    is_leaf = np.empty(n, dtype=bool)
-    parent_row = np.full(n, -1, dtype=np.int64)
-    nodes = tree.nodes
-    for i, nid in enumerate(eff):
-        node = nodes[nid]
-        level[i] = node.level
-        is_leaf[i] = node.is_leaf
-        if node.parent >= 0:
-            parent_row[i] = row_of[node.parent]
-    # effective-child CSR without per-node Python calls: ``eff`` is a
+    Works in rows of the tree's :class:`~repro.tree.octree.NodeTable` and
+    hands back one :class:`PairTable` per family, owner-grouped in the dict
+    views' key order; no per-node Python object is created.
+    """
+    tab = tree.node_table()
+    eff_arr = tab.ids
+    n = eff_arr.size
+    cols = _adjacency_columns(_integer_bounds(tab))
+    level, is_leaf, parent_row = tab.level, tab.is_leaf, tab.parent_row
+    # effective-child CSR without per-node Python calls: the rows are a
     # preorder of the effective tree, so a stable sort of non-root rows by
     # parent row groups each node's effective children in octant order —
     # identical to ``tree.effective_children``'s ordering.
     nz = np.nonzero(parent_row >= 0)[0]
-    child_arr = nz[np.argsort(parent_row[nz], kind="stable")]
+    child_arr = nz[stable_argsort(parent_row[nz], n)]
     cnt_children = np.bincount(parent_row[nz], minlength=n)
-    child_ptr = np.concatenate(([0], np.cumsum(cnt_children))).astype(np.int64)
+    child_ptr = csr_ptr(cnt_children)
 
     # ---------------------------------------------------- colleagues and V
     # Level-synchronous sweep: all children of one parent share a candidate
@@ -314,7 +380,7 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
     # results live in one contiguous CSR per level, indexed by each row's
     # position within its level (a node's parent is always one level up,
     # so a parent's colleague pool is a CSR segment of the previous level).
-    root_row = row_of[0]
+    root_row = 0  # preorder
     max_level = int(level.max(initial=0))
     lev_rows = [np.array([root_row], dtype=np.int64)]
     lev_coll_vals = [np.array([root_row], dtype=np.int64)]
@@ -338,38 +404,35 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
         m_c = np.repeat(pool_len, k_p)  # pool size per child
         owners = np.repeat(children, m_c)
         pool_start = np.cumsum(pool_len) - pool_len
-        seg_start = np.repeat(np.repeat(pool_start, k_p), m_c)
-        ends = np.cumsum(m_c)
-        within = np.arange(int(m_c.sum()), dtype=np.int64) - np.repeat(ends - m_c, m_c)
-        cands = cand_pool[seg_start + within]
+        starts = np.cumsum(m_c) - m_c  # each child's segment of the flat candidates
+        # candidate j of a segment is pool entry ``pool_start[parent] + j``
+        shift = np.repeat(np.repeat(pool_start, k_p) - starts, m_c)
+        cands = cand_pool[np.arange(shift.size, dtype=np.int64) + shift]
         adj = _adjacent_rows(cols, cands, owners)
         # owners run in contiguous segments, so the filtered candidates
-        # stay segment-grouped: the level CSR is two masked gathers
-        seg_id = np.repeat(np.arange(children.size), m_c)
+        # stay segment-grouped: the level CSR is two masked gathers, its
+        # row lengths the per-segment hit counts
+        hits = np.concatenate(([0], np.cumsum(adj)))
+        coll_cnt = hits[starts + m_c] - hits[starts]
         lev_rows.append(children)
         lev_coll_vals.append(cands[adj])
-        lev_coll_ptr.append(
-            np.concatenate(([0], np.cumsum(np.bincount(seg_id[adj], minlength=children.size)))).astype(np.int64)
-        )
+        lev_coll_ptr.append(csr_ptr(coll_cnt))
         lev_v_vals.append(cands[~adj])
-        lev_v_ptr.append(
-            np.concatenate(([0], np.cumsum(np.bincount(seg_id[~adj], minlength=children.size)))).astype(np.int64)
-        )
-    # map colleague/V rows back to node-id dicts (level-major key order)
-    # with one bulk gather+tolist per list family
-    owners_all = np.concatenate(lev_rows)
-    il.colleagues = _slices_to_dict(
-        owners_all,
-        np.concatenate(lev_coll_vals),
-        np.concatenate([np.diff(p) for p in lev_coll_ptr]),
-        eff_arr,
-    )
-    il.v_list = _slices_to_dict(
-        owners_all,
-        np.concatenate(lev_v_vals),
-        np.concatenate([np.diff(p) for p in lev_v_ptr]),
-        eff_arr,
-    )
+        lev_v_ptr.append(csr_ptr(m_c - coll_cnt))
+    # colleague/V tables: level-major key order, candidate order within a row
+    owners_all = eff_arr[np.concatenate(lev_rows)]
+    tables = {
+        "colleagues": PairTable(
+            owners_all,
+            np.concatenate([np.diff(p) for p in lev_coll_ptr]),
+            eff_arr[np.concatenate(lev_coll_vals)],
+        ),
+        "v_list": PairTable(
+            owners_all,
+            np.concatenate([np.diff(p) for p in lev_v_ptr]),
+            eff_arr[np.concatenate(lev_v_vals)],
+        ),
+    }
 
     leaf_rows = np.nonzero(is_leaf)[0]
 
@@ -425,6 +488,9 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
     wv = np.concatenate(w_val) if w_val else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------- X duality and near field
+    leaf_ids = eff_arr[leaf_rows]
+    none = np.empty(0, dtype=np.int64)
+    tables["u_list"] = _group_table(uo, uv, leaf_rows, eff_arr)
     if folded:
         # Expand every W pair (b, w) to w's leaf descendants t.  Each
         # expanded pair covers *both* folded directions at once: t becomes
@@ -442,177 +508,26 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
             kids, cnt = _csr_expand(child_ptr, child_arr, cand)
             own = np.repeat(own, cnt)
             cand = kids
-        eo = np.concatenate(ext_own) if ext_own else np.empty(0, dtype=np.int64)
-        el = np.concatenate(ext_leaf) if ext_leaf else np.empty(0, dtype=np.int64)
-        il._w_pairs = (eff_arr[wo], eff_arr[wv])
-        il._fold_pairs = (eff_arr[eo], eff_arr[el])
-        il.near_sources = _group_pairs(
-            np.concatenate((uo, eo, el)), np.concatenate((uv, el, eo)), leaf_rows, eff_arr
-        )
+        eo = np.concatenate(ext_own) if ext_own else none
+        el = np.concatenate(ext_leaf) if ext_leaf else none
         # the grouping sort is stable and the U pairs come first in the
         # concatenated input, so each leaf's U list is exactly the prefix
-        # of its near-source list — no second grouping pass needed
-        cnt_u = np.bincount(uo, minlength=n)[leaf_rows].tolist()
-        il.u_list = {k: lst[:c] for (k, lst), c in zip(il.near_sources.items(), cnt_u)}
-        il.w_list = {k: [] for k in il.u_list}
-        il.x_list = {}
-    else:
-        il._w_pairs = (eff_arr[wo], eff_arr[wv])
-        il.u_list = _group_pairs(uo, uv, leaf_rows, eff_arr)
-        il.w_list = _group_pairs(wo, wv, leaf_rows, eff_arr)
-        il.x_list = _group_pairs(wv, wo, np.unique(wv), eff_arr)
-        il.near_sources = {b: list(us) for b, us in il.u_list.items()}
-    return il
-
-
-def _finish_lists(tree, il, leaves, leaf_set, folded) -> None:
-    """X duality and the folded near-field sets (shared by both builders)."""
-    w_own: list[int] = []
-    w_val: list[int] = []
-    for b, ws in il.w_list.items():
-        w_own.extend([b] * len(ws))
-        w_val.extend(ws)
-    il._w_pairs = (
-        np.asarray(w_own, dtype=np.int64),
-        np.asarray(w_val, dtype=np.int64),
-    )
-    il.x_list = {}
-    for x, ws in il.w_list.items():
-        for wnode in ws:
-            il.x_list.setdefault(wnode, []).append(x)
-
-    for b in leaves:
-        il.near_sources[b] = list(il.u_list[b])
-    if folded:
-        fold_own: list[int] = []
-        fold_leaf: list[int] = []
-        # W entries become their leaf descendants (P2P sources)
-        for b in leaves:
-            extra: list[int] = []
-            for wnode in il.w_list[b]:
-                extra.extend(_leaf_descendants(tree, wnode, leaf_set))
-            il.near_sources[b].extend(extra)
-            fold_own.extend([b] * len(extra))
-            fold_leaf.extend(extra)
-        # X entries are pushed down to every leaf under the receiving node
-        for recv, xs in il.x_list.items():
-            for t in _leaf_descendants(tree, recv, leaf_set):
-                il.near_sources[t].extend(xs)
-        il._fold_pairs = (
-            np.asarray(fold_own, dtype=np.int64),
-            np.asarray(fold_leaf, dtype=np.int64),
+        # of its near-source list
+        tables["near_sources"] = _group_table(
+            np.concatenate((uo, eo, el)), np.concatenate((uv, el, eo)), leaf_rows, eff_arr
         )
         # folded mode does not use M2P/P2L
-        il.w_list = {b: [] for b in leaves}
-        il.x_list = {}
-
-
-def build_interaction_lists_scalar(
-    tree: AdaptiveOctree, *, folded: bool = True
-) -> InteractionLists:
-    """Reference per-pair construction (the pre-vectorization algorithm).
-
-    Kept as the equivalence oracle for the vectorized builder and as the
-    baseline the hot-path benchmarks measure speedups against.
-    """
-    il = InteractionLists(tree=tree, folded=folded)
-    nodes = tree.nodes
-    eff = tree.effective_nodes()
-    coords = _integer_coords(tree, eff)
-
-    def adjacent(a: int, b: int) -> bool:
-        ax0, ay0, az0, ax1, ay1, az1 = coords[a]
-        bx0, by0, bz0, bx1, by1, bz1 = coords[b]
-        return (
-            ax1 >= bx0 and bx1 >= ax0
-            and ay1 >= by0 and by1 >= ay0
-            and az1 >= bz0 and bz1 >= az0
-        )
-
-    # ---------------------------------------------------- colleagues and V
-    il.colleagues[0] = [0]
-    il.v_list[0] = []
-    for nid in eff:
-        if nid == 0:
-            continue
-        parent = nodes[nid].parent
-        cands: list[int] = []
-        for pc in il.colleagues[parent]:
-            cands.extend(tree.effective_children(pc))
-        coll, v = [], []
-        for c in cands:
-            if adjacent(c, nid):
-                coll.append(c)
-            else:
-                v.append(c)
-        il.colleagues[nid] = coll
-        il.v_list[nid] = v
-
-    leaves = tree.leaves()
-    leaf_set = set(leaves)
-
-    # -------------------------------------------------------------- U lists
-    for b in leaves:
-        u: list[int] = []
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            if not adjacent(cur, b):
-                continue
-            if nodes[cur].is_leaf:
-                u.append(cur)
-            else:
-                stack.extend(tree.effective_children(cur))
-        il.u_list[b] = u
-
-    # -------------------------------------------------------------- W lists
-    for b in leaves:
-        w: list[int] = []
-        for c in il.colleagues[b]:
-            if c == b or nodes[c].is_leaf:
-                continue
-            stack = list(tree.effective_children(c))
-            while stack:
-                cur = stack.pop()
-                if adjacent(cur, b):
-                    if not nodes[cur].is_leaf:
-                        stack.extend(tree.effective_children(cur))
-                    # adjacent leaves are already in U(b)
-                else:
-                    w.append(cur)
-        il.w_list[b] = w
-
-    _finish_lists(tree, il, leaves, leaf_set, folded)
+        tables["w_list"] = PairTable(leaf_ids, np.zeros(leaf_ids.size, dtype=np.int64), none)
+        tables["x_list"] = PairTable(none, none, none)
+    else:
+        tables["near_sources"] = tables["u_list"]
+        tables["w_list"] = _group_table(wo, wv, leaf_rows, eff_arr)
+        tables["x_list"] = _group_table(wv, wo, np.unique(wv), eff_arr)
+    il = InteractionLists(tree, folded, tables)
+    il._w_pairs = (eff_arr[wo], eff_arr[wv])
+    if folded:
+        il._fold_pairs = (eff_arr[eo], eff_arr[el])
     return il
-
-
-def _leaf_descendants(tree: AdaptiveOctree, nid: int, leaf_set: set[int]) -> list[int]:
-    if nid in leaf_set:
-        return [nid]
-    out: list[int] = []
-    stack = list(tree.effective_children(nid))
-    while stack:
-        cur = stack.pop()
-        if tree.nodes[cur].is_leaf:
-            out.append(cur)
-        else:
-            stack.extend(tree.effective_children(cur))
-    return out
-
-
-def _integer_coords(tree: AdaptiveOctree, eff: list[int]) -> dict[int, tuple[int, int, int, int, int, int]]:
-    """Exact integer cell bounds on the finest Morton grid, as Python ints.
-
-    Returns per-node (x0, y0, z0, x1, y1, z1) with the upper bound
-    exclusive; two cells touch iff a.hi >= b.lo and b.hi >= a.lo on every
-    axis.  Used by the scalar reference path, where the predicate must stay
-    allocation-free.
-    """
-    b = _integer_bounds(tree, eff)
-    return {
-        int(nid): tuple(int(v) for v in row)
-        for nid, row in zip(eff, b)
-    }
 
 
 # --------------------------------------------------------------------------
@@ -804,9 +719,12 @@ def repair_interaction_lists(
 
     Mutates ``lists`` in place so it describes the tree's *current*
     effective shape, recomputing only the rows of the affected set and
-    splicing pair-valued entries elsewhere; drops every ``structural=True``
-    derived-cache entry (the shape they memoized is gone) while leaving
-    generation-stamped entries to revalidate lazily.  Raises
+    splicing pair-valued entries elsewhere.  It edits the dict views, so it
+    drops the pair tables (:meth:`InteractionLists.drop_tables`; the next
+    array consumer re-flattens the repaired dicts) and every
+    ``structural=True`` derived-cache entry (the shape they memoized is
+    gone) while leaving generation-stamped entries to revalidate lazily.
+    Raises
     :class:`RepairIneligible` when the journal contains an unbounded edit
     (``dirty``) or the affected set is too large a fraction of the tree for
     repair to beat a rebuild; the caller falls back to a full build.  The
@@ -928,6 +846,9 @@ def repair_interaction_lists(
         )
 
     # --------------------------------------------------------- row splicing
+    # the edits below go to the dict views: they are the source from here
+    # on, and the next array consumer re-flattens them into tables
+    lists.drop_tables()
     gone = removed | {b for b in affected if not nodes[b].is_leaf}
     for d in removed:
         lists.colleagues.pop(d, None)
@@ -1030,15 +951,6 @@ def repair_interaction_lists(
     tracker.update(changed_rows)
 
     lists.drop_structural_derived()
-    # accumulate every node whose row data (leafness, presence) may have
-    # changed since the far-field row cache last refreshed; repairs can
-    # stack between geometry builds, so this is a union the consumer
-    # clears when it re-derives rows (farfield._node_row_state)
-    acc = getattr(lists, "_repair_affected_nodes", None)
-    if acc is None:
-        acc = lists._repair_affected_nodes = set()
-    acc.update(a_set)
-    acc.update(removed)
     # structure generation this repair brought the lists up to; consumers
     # (far-field geometry, near-field plan) use it to count partial rebuilds
     lists.last_repair = {

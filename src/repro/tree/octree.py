@@ -4,7 +4,15 @@ Bodies are sorted once by 63-bit Morton key; every octree cell then owns a
 *contiguous range* of the sorted order, so splitting a node, counting its
 bodies, and refitting the tree after bodies move are all O(log n)
 searchsorted operations — the vectorized analog of the paper's recursive
-parallel partition (§III-B).
+parallel partition (§III-B).  A node's children are allocated in one batch
+(one ``searchsorted`` of the nine octant edges over the node's own key
+slice); the build stays depth-first, because node ids order every
+near-field source set and hence the P2P summation.
+
+The tree is a list of :class:`OctreeNode` objects for surgery and for the
+modelled machine, and — for everything that computes — a
+:class:`NodeTable`: the effective tree as aligned arrays
+(:meth:`AdaptiveOctree.node_table`), memoized under the tree's two stamps.
 
 Tree surgery (§IV):
 
@@ -20,17 +28,25 @@ Tree surgery (§IV):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from repro.geometry.box import Box, bounding_box
-from repro.geometry.morton import MAX_MORTON_LEVEL, morton_keys
+from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton, morton_keys
 
-__all__ = ["OctreeNode", "AdaptiveOctree", "SurgeryRecord", "build_adaptive"]
+__all__ = ["OctreeNode", "AdaptiveOctree", "NodeTable", "SurgeryRecord", "build_adaptive"]
 
 #: structural edits the journal can describe precisely enough for list repair
 _JOURNAL_DEPTH = 256
+
+#: the nine key-span edges of a node's octants, in units of the child span
+_OCTANT_EDGES = np.arange(9, dtype=np.uint64)
+#: side of child ``octant`` along axis k (bit k of the octant), as -1 / +1
+_OCTANT_SIGNS = np.array(
+    [[1.0 if octant >> k & 1 else -1.0 for k in range(3)] for octant in range(8)]
+)
 
 
 @dataclass(frozen=True)
@@ -82,8 +98,44 @@ class OctreeNode:
         return Box(tuple(self.center), self.size)
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """The effective tree as aligned arrays: one row per node, preorder.
+
+    What every array consumer of the tree (list builder, far-field
+    geometry, body and near-field plans, op counts) gathers from instead
+    of walking ``tree.nodes``.  The structure columns are valid for one
+    ``structure_generation``; ``lo`` / ``hi`` follow the bodies and are
+    valid for one ``generation`` — a pure :meth:`AdaptiveOctree.refit`
+    yields a table that shares the structure columns and replaces only
+    those two.  Fetch it through :meth:`AdaptiveOctree.node_table`, never
+    hold it across a mutation.
+    """
+
+    structure_generation: int
+    generation: int
+    ids: np.ndarray  # (n,) node id of each row
+    row_of: np.ndarray  # (len(tree.nodes),) row of each node id, -1 = not effective
+    level: np.ndarray  # (n,)
+    parent_row: np.ndarray  # (n,) row of the parent, -1 for the root
+    is_leaf: np.ndarray  # (n,) bool
+    cell: np.ndarray  # (n, 3) low corner on the finest Morton grid (from key_lo)
+    centers: np.ndarray  # (n, 3) the nodes' own (repeated-halving) centres
+    lo: np.ndarray  # (n,) body range start in the Morton-sorted order
+    hi: np.ndarray  # (n,) body range end
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Bodies per row."""
+        return self.hi - self.lo
+
+
 class AdaptiveOctree:
     """Variable-depth octree with leaf capacity ``S`` and tree surgery."""
+
+    #: the memoized :meth:`node_table` (a class default, so that a tree
+    #: restored field by field — ``resilience.checkpoint`` — has the slot)
+    _node_table: NodeTable | None = None
 
     def __init__(
         self,
@@ -185,13 +237,39 @@ class AdaptiveOctree:
         self.nodes.append(root)
 
     def _make_children(self, nid: int) -> list[int]:
-        """Allocate the (nonempty) children of node ``nid``."""
-        node = self.nodes[nid]
+        """Allocate the (nonempty) children of node ``nid``, all at once.
+
+        One ``searchsorted`` of the nine octant edges over the node's own
+        slice of the sorted keys; ids, ranges, key spans and centres are
+        bit for bit those of eight :meth:`_make_child` calls (the centre is
+        ``Box.child``'s ``c +- size / 4``).
+        """
+        nodes = self.nodes
+        node = nodes[nid]
+        edges = node.key_lo + _OCTANT_EDGES * ((node.key_hi - node.key_lo) >> np.uint64(3))
+        cuts = np.searchsorted(self.sorted_keys[node.lo : node.hi], edges, side="left")
+        cuts = (cuts + node.lo).tolist()
+        centers = node.center + _OCTANT_SIGNS * (node.size / 4.0)
+        level, half = node.level + 1, node.size / 2.0
         child_ids: list[int] = []
         for octant in range(8):
-            cid = self._make_child(nid, octant)
-            if cid is not None:
-                child_ids.append(cid)
+            lo, hi = cuts[octant], cuts[octant + 1]
+            if hi == lo:
+                continue  # prune empty octants
+            child_ids.append(len(nodes))
+            nodes.append(
+                OctreeNode(
+                    id=len(nodes),
+                    level=level,
+                    center=centers[octant],
+                    size=half,
+                    parent=nid,
+                    key_lo=edges[octant],
+                    key_hi=edges[octant + 1],
+                    lo=lo,
+                    hi=hi,
+                )
+            )
         return child_ids
 
     def _make_child(self, nid: int, octant: int) -> int | None:
@@ -292,6 +370,50 @@ class AdaptiveOctree:
             if not node.is_leaf:
                 stack.extend(reversed(self.effective_children(nid)))
         return out
+
+    def node_table(self) -> NodeTable:
+        """The effective tree as a :class:`NodeTable`, memoized.
+
+        One :meth:`effective_nodes` walk per ``structure_generation``; a
+        mutation that only moved bodies re-reads ``lo`` / ``hi`` alone.
+        All work is sized by the effective tree, not by ``len(self.nodes)``
+        (a balancer-collapsed tree is a few dozen rows inside thousands of
+        hidden nodes), except the ``row_of`` fill.
+        """
+        tab = self._node_table
+        if tab is not None and tab.structure_generation == self.structure_generation:
+            if tab.generation != self.generation:
+                picked = [self.nodes[i] for i in tab.ids.tolist()]
+                tab = self._node_table = replace(
+                    tab,
+                    generation=self.generation,
+                    lo=_column(picked, "lo", np.int64),
+                    hi=_column(picked, "hi", np.int64),
+                )
+            return tab
+        ids = self.effective_nodes()
+        picked = [self.nodes[i] for i in ids]
+        ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        row_of = np.full(len(self.nodes), -1, dtype=np.int64)
+        row_of[ids] = np.arange(ids.size)
+        parent = _column(picked, "parent", np.int64)
+        tab = self._node_table = NodeTable(
+            structure_generation=self.structure_generation,
+            generation=self.generation,
+            ids=ids,
+            row_of=row_of,
+            level=_column(picked, "level", np.int64),
+            # the root's -1 wraps to the last id; the mask discards it
+            parent_row=np.where(parent >= 0, row_of[parent], -1),
+            is_leaf=_column(picked, "is_leaf", bool),
+            cell=np.stack(
+                decode_morton(_column(picked, "key_lo", np.uint64)), axis=1
+            ).astype(np.int64),
+            centers=np.array([nd.center for nd in picked], dtype=float),
+            lo=_column(picked, "lo", np.int64),
+            hi=_column(picked, "hi", np.int64),
+        )
+        return tab
 
     def leaves(self) -> list[int]:
         """Ids of the effective leaves."""
@@ -464,6 +586,11 @@ class AdaptiveOctree:
             "leaf_count_max": int(counts.max(initial=0)),
             "leaf_count_mean": float(counts.mean()) if counts.size else 0.0,
         }
+
+
+def _column(picked: list[OctreeNode], name: str, dtype) -> np.ndarray:
+    """Attribute ``name`` of every node in ``picked``, as one array."""
+    return np.fromiter(map(attrgetter(name), picked), dtype=dtype, count=len(picked))
 
 
 def build_adaptive(

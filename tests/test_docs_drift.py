@@ -78,6 +78,9 @@ _RETIRED = {
     "fmm." + "multipass": "repro.fmm.farfield.laplace_far_field; the per-node "
     "oracle is tests/oracles/farfield.py",
     "fmm/" + "multipass": "src/repro/fmm/farfield.py, tests/oracles/farfield.py",
+    "build_interaction_lists" + "_scalar": "repro.tree.build_interaction_lists; the "
+    "per-pair oracle left src/ for tests/oracles/lists.py",
+    "farfield_row" + "_cache": "repro.tree.AdaptiveOctree.node_table",
 }
 
 

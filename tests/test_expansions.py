@@ -186,6 +186,43 @@ class TestBatchedM2L:
             assert np.allclose(batch[i], exp.m2l(M[i], D[i]))
 
 
+class TestLeafBases:
+    """One ``powers`` call per body plan: the P2M basis derived from the
+    L2P one is ``p2m_basis(rel)``, bytes and memory layout."""
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_p2m_basis_from_l2p_is_bitwise_p2m_basis(self, order, rng):
+        exp = CartesianExpansion(order)
+        rel_ = rng.normal(scale=0.3, size=(257, 3))
+        rel_[0] = 0.0  # signed zeros flip with the sign too
+        rel_[1, 1] = -0.0
+        for rows in (rel_, rel_[:1]):
+            direct = exp.p2m_basis(rows)
+            derived = exp.p2m_basis_from_l2p(exp.l2p_basis(rows))
+            assert derived.tobytes() == direct.tobytes()
+            assert derived.strides == direct.strides
+
+    def test_leaf_basis_derives_p2m_from_the_cached_l2p(self, rng):
+        from types import SimpleNamespace
+
+        from repro.fmm.farfield import leaf_basis
+
+        exp = CartesianExpansion(4)
+        plan = SimpleNamespace(rel=rng.normal(size=(40, 3)))
+        memo = {}
+
+        def derived_cache(key):
+            return memo.get(key), lambda v: memo.setdefault(key, v)
+
+        calls = []
+        real = exp.mis.powers
+        exp.mis.powers = lambda v: calls.append(1) or real(v)
+        p2m = leaf_basis(exp, plan, "p2m", derived_cache)
+        l2p = leaf_basis(exp, plan, "l2p", derived_cache)
+        assert len(calls) == 1 and len(memo) == 2
+        assert np.array_equal(l2p, real(plan.rel)) and np.array_equal(p2m, real(-plan.rel))
+
+
 @pytest.mark.parametrize("Backend", BACKENDS)
 class TestBatchedClassOperators:
     """``m2l_class_operators(D)`` is the stack of single-displacement builds,

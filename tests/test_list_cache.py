@@ -11,7 +11,7 @@ import pytest
 
 from repro.distributions.generators import gaussian_blobs
 from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
-from repro.tree.lists import build_interaction_lists_scalar
+from tests.oracles.lists import build_interaction_lists_scalar
 
 
 def _tree(n=600, S=20, seed=3):

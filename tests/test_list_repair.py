@@ -212,27 +212,26 @@ def test_farfield_results_exact_after_repair():
     np.testing.assert_allclose(pot, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_farfield_rederives_only_affected_rows():
-    """The row derivation after a repair is O(affected), not O(n_eff):
-    fresh rows come from the previous geometry's row cache and only the
-    repair's affected set walks the per-node slow path."""
+def test_farfield_rows_come_from_the_node_table_after_repair():
+    """There is no row cache to keep in step with a repair: the rebuilt
+    geometry's row state is the tree's current node table, and equals what
+    fresh lists on the repaired tree give."""
     tree = _tree(n=800, S=12, seed=13)
     cache = ListCache()
     lists = cache.get(tree, folded=True)
     exp = CartesianExpansion(3)
-
     far_field_geometry(tree, lists, exp)
-    stats = lists.farfield_geometry_stats
-    n_eff = len(tree.effective_nodes())
-    assert stats["rows_rederived"] == n_eff  # cold build derives everything
 
     tree.pushdown(_splittable_leaf(tree))
     assert cache.get(tree, folded=True) is lists
-    far_field_geometry(tree, lists, exp)
-    redone = stats["rows_rederived"] - n_eff
-    assert 0 < redone < len(tree.effective_nodes())
-    # the affected-set accumulator was consumed by the rebuild
-    assert not lists._repair_affected_nodes
+    geom = far_field_geometry(tree, lists, exp)
+    tab = tree.node_table()
+    assert geom.eff_rows is tab.ids and geom.centers is tab.centers
+    assert np.array_equal(geom.eff_rows, tree.effective_nodes())
+    ref = far_field_geometry(tree, build_interaction_lists(tree, folded=True), exp)
+    assert np.array_equal(geom.leaf_rows, ref.leaf_rows)
+    assert np.array_equal(geom.leaf_pos, ref.leaf_pos)
+    assert geom.n_shifts == ref.n_shifts and geom.n_m2l == ref.n_m2l
 
 
 def test_refit_materialization_journals_and_repairs():

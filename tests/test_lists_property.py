@@ -1,11 +1,17 @@
-"""Property test: the vectorized list builder matches the scalar oracle.
+"""Property tests: the vectorized list builder matches the scalar oracle,
+and its pair tables are what every consumer reads.
 
 :func:`build_interaction_lists` classifies whole frontiers of candidate
-pairs with batched integer-AABB overlap tests; the original per-pair
-implementation is kept as :func:`build_interaction_lists_scalar` exactly
-so the two can be compared on randomized adaptive trees.  Hypothesis
-drives the tree shapes — distribution family, body count, leaf capacity
-``S``, folded/unfolded — far beyond what hand-picked fixtures cover.
+pairs with batched integer-AABB overlap tests and hands back one pair table
+per list family; the original per-pair implementation is kept, test-side,
+as :func:`tests.oracles.lists.build_interaction_lists_scalar` exactly so
+the two can be compared on randomized adaptive trees.  Hypothesis drives
+the tree shapes — distribution family, body count, leaf capacity ``S``,
+folded/unfolded, the degenerate clouds of ``tests/clouds.py`` — far beyond
+what hand-picked fixtures cover.  The second half is the **table
+contract**: tables == dict views == oracle rows, tables re-derived after a
+repair, integer M2L class keys == the float ones, ``op_counts`` from
+tables, and which solves leave which views unboxed.
 """
 
 import numpy as np
@@ -14,8 +20,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
-from repro.tree import AdaptiveOctree, build_interaction_lists
-from repro.tree.lists import build_interaction_lists_scalar
+from repro.expansions.cartesian import CartesianExpansion
+from repro.fmm.evaluator import FMMSolver
+from repro.fmm.farfield import _group_by_key, far_field_geometry
+from repro.kernels import GravityKernel
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.shards import ProcessEngine
+from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
+from repro.tree.lists import FAMILIES
+from tests.clouds import CLOUDS, deep_cluster
+from tests.oracles.lists import build_interaction_lists_scalar
 
 _FAMILIES = {
     "plummer": plummer,
@@ -191,3 +205,231 @@ def test_repair_composes_across_refit_rounds(seed, folded):
         if tree.structure_generation != sg:
             return  # drift materialized pruned octants: journal went dirty
         assert cache.get(tree, folded=folded) is lists  # frozen shape: hit
+
+
+# ------------------------------------------------------ the table contract
+def _flatten(d):
+    """``{owner: [values]}`` as the (owner, value) pair list, in dict order."""
+    return [(k, v) for k, vs in d.items() for v in vs]
+
+
+def _table_pairs(table):
+    return list(zip(table.owners.tolist(), table.values.tolist()))
+
+
+#: families whose in-row order the two builders share (candidate order);
+#: the others are traversal-order dependent and compare as sorted rows
+_ORDERED = ("colleagues", "v_list")
+#: families both builders key in leaf preorder (colleagues / V: level-major
+#: against preorder; X: by row against discovery order)
+_LEAF_KEYED = ("u_list", "w_list", "near_sources")
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cloud=st.sampled_from(sorted(CLOUDS)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    folded=st.booleans(),
+)
+def test_pair_tables_are_the_dict_views_are_the_oracle_rows(cloud, seed, folded):
+    pts, S = CLOUDS[cloud](seed)
+    tree = AdaptiveOctree(pts, S=S)
+    lists = build_interaction_lists(tree, folded=folded)
+    ref = build_interaction_lists_scalar(tree, folded=folded)
+    assert not any(lists.materialized(name) for name in FAMILIES)
+    for name in FAMILIES:
+        table = lists.table(name)
+        view, rows = getattr(lists, name), getattr(ref, name)
+        assert lists.materialized(name)
+        # table == flatten of its view: owner order and in-row order
+        assert table.keys.tolist() == list(view)
+        assert table.counts.tolist() == [len(vs) for vs in view.values()]
+        assert _table_pairs(table) == _flatten(view)
+        # == the oracle's rows
+        assert set(view) == set(rows), name
+        if name in _LEAF_KEYED:
+            assert list(view) == list(rows) == tree.leaves(), name
+        for k, vs in view.items():
+            assert vs == rows[k] if name in _ORDERED else sorted(vs) == sorted(rows[k])
+    # the oracle's hand-filled dicts flatten to the same pairs
+    for name in FAMILIES:
+        assert sorted(_table_pairs(ref.table(name))) == sorted(
+            _table_pairs(lists.table(name))
+        )
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(["plummer", "blobs"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    folded=st.booleans(),
+    n_ops=st.integers(min_value=1, max_value=4),
+)
+def test_repair_drops_the_tables_and_the_next_read_reflattens_them(
+    family, seed, folded, n_ops
+):
+    pts = _FAMILIES[family](400, seed=seed).positions
+    tree = AdaptiveOctree(pts, S=12)
+    cache = ListCache(max_affected_frac=1e9, max_repair_ops=64)
+    lists = cache.get(tree, folded=folded)
+    stale = {name: lists.table(name) for name in FAMILIES}
+    if _random_surgery(tree, np.random.default_rng(seed), n_ops) == 0:
+        return
+    assert cache.get(tree, folded=folded) is lists and cache.repairs == 1
+    fresh = build_interaction_lists(tree, folded=folded)
+    for name in FAMILIES:
+        table = lists.table(name)
+        assert table is not stale[name]
+        # rebuilt from the repaired dict, row order and all ...
+        assert table.keys.tolist() == list(getattr(lists, name))
+        assert _table_pairs(table) == _flatten(getattr(lists, name))
+        # ... and equal to a fresh build's as sets
+        assert set(table.keys.tolist()) == set(fresh.table(name).keys.tolist())
+        assert set(_table_pairs(table)) == set(_table_pairs(fresh.table(name)))
+    assert lists.op_counts() == fresh.op_counts()
+
+
+def _float_class_keys(tree, geom, srows, trows):
+    """The M2L class key of each pair as the parent commit computed it:
+    the centre offset in units of the pair's cell size, rounded."""
+    level = tree.node_table().level[trows]
+    d = geom.centers[trows] - geom.centers[srows]
+    k = np.rint(d / (tree.root_box.size / 2.0**level)[:, None]).astype(np.int64)
+    return ((level * 17 + k[:, 0] + 8) * 17 + k[:, 1] + 8) * 17 + k[:, 2] + 8
+
+
+def _assert_class_keys_are_the_float_keys(tree, lists):
+    exp = CartesianExpansion(1)
+    geom = far_field_geometry(tree, lists, exp)
+    # classes come in ascending key order, and each class operator is
+    # cached under its (integer) key
+    cached = sorted(
+        key[3] for key in lists.farfield_op_cache._store if key[2] == "m2l"
+    )
+    assert len(cached) == len(geom.m2l_classes)
+    n_pairs = 0
+    for key, (srows, trows, _op) in zip(cached, geom.m2l_classes):
+        assert (_float_class_keys(tree, geom, srows, trows) == key).all()
+        n_pairs += srows.size
+    assert n_pairs == lists.table("v_list").values.size == geom.n_m2l
+    # pair order inside the classes: the V table's, stably grouped
+    v = lists.table("v_list")
+    row_of = tree.node_table().row_of
+    trow, srow = row_of[v.owners], row_of[v.values]
+    order = np.argsort(_float_class_keys(tree, geom, srow, trow), kind="stable")
+    assert np.array_equal(np.concatenate([c[0] for c in geom.m2l_classes]), srow[order])
+    assert np.array_equal(np.concatenate([c[1] for c in geom.m2l_classes]), trow[order])
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cloud=st.sampled_from(["plummer", "uniform", "shell", "one-octant"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    folded=st.booleans(),
+)
+def test_integer_class_keys_equal_the_float_keys_on_every_v_pair(cloud, seed, folded):
+    pts, S = CLOUDS[cloud](seed)
+    tree = AdaptiveOctree(pts, S=S)
+    _assert_class_keys_are_the_float_keys(
+        tree, build_interaction_lists(tree, folded=folded)
+    )
+
+
+def test_integer_class_keys_on_a_tree_sixteen_levels_deep():
+    """Centres 16+ halvings down still round to the integer offsets, and
+    the keys span more than 16 bits' worth of (level, offset) codes — it is
+    their dense ranks that the grouping radix-sorts."""
+    tree = AdaptiveOctree(deep_cluster(), S=3)
+    lists = build_interaction_lists(tree, folded=True)
+    levels = tree.node_table().level[tree.node_table().row_of[lists.table("v_list").owners]]
+    assert levels.max() >= 16 and (levels.max() - levels.min()) * 17**3 > 1 << 16
+    _assert_class_keys_are_the_float_keys(tree, lists)
+
+
+@pytest.mark.parametrize("n_distinct", [300, (1 << 16) + 5])
+def test_group_by_key_is_a_stable_sort_whether_or_not_the_ranks_fit_16_bits(n_distinct):
+    rng = np.random.default_rng(n_distinct)
+    values = rng.choice(10 * n_distinct, size=n_distinct, replace=False)
+    keys = np.concatenate([values, rng.choice(values, size=2 * n_distinct)])
+    order, ptr = _group_by_key(keys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert ptr.size == n_distinct + 1 and ptr[-1] == keys.size
+    assert all(np.unique(keys[order[lo:hi]]).size == 1 for lo, hi in zip(ptr[:64], ptr[1:65]))
+
+
+def _op_counts_by_walking(tree, lists):
+    """``op_counts`` the way it was computed before the tables: Python sums
+    over the dict views and the node list."""
+    count = lambda nid: tree.nodes[nid].count  # noqa: E731
+    internal = [n for n in tree.effective_nodes() if not tree.nodes[n].is_leaf]
+    n_shifts = sum(len(tree.effective_children(n)) for n in internal)
+    in_leaves = sum(count(l) for l in tree.leaves())
+    return {
+        "P2M": in_leaves,
+        "M2M": n_shifts,
+        "M2L": sum(len(v) for v in lists.v_list.values()),
+        "L2L": n_shifts,
+        "L2P": in_leaves,
+        "P2P": sum(
+            count(t) * sum(count(s) for s in srcs)
+            for t, srcs in lists.near_sources.items()
+        ),
+        "M2P": sum(count(t) * len(ws) for t, ws in lists.w_list.items()),
+        "P2L": sum(sum(count(x) for x in xs) for xs in lists.x_list.values()),
+    }
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cloud=st.sampled_from(sorted(CLOUDS)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    folded=st.booleans(),
+)
+def test_op_counts_from_tables_equal_the_per_leaf_sums(cloud, seed, folded):
+    pts, S = CLOUDS[cloud](seed)
+    tree = AdaptiveOctree(pts, S=S)
+    lists = build_interaction_lists(tree, folded=folded)
+    counts = lists.op_counts()
+    assert not any(lists.materialized(name) for name in FAMILIES)
+    assert counts == _op_counts_by_walking(tree, lists)
+    assert all(type(v) is int for v in counts.values())
+    assert lists.total_near_interactions() == sum(
+        lists.interactions_of_leaf(t) for t in lists.near_sources
+    )
+
+
+def test_unfolded_op_counts_have_m2p_and_p2l():
+    tree = AdaptiveOctree(plummer(1500, seed=11).positions, S=12)
+    lists = build_interaction_lists(tree, folded=False)
+    counts = lists.op_counts()
+    assert counts["M2P"] > 0 and counts["P2L"] > 0
+    assert counts == _op_counts_by_walking(tree, lists)
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads:2", "shards:2"])
+def test_a_cold_solve_boxes_no_list_the_arrays_already_hold(backend):
+    """Nothing on the solve path reads a dict view: ``colleagues`` stays a
+    table on every back end and ``v_list`` — the 541k-entry one on the
+    benchmark's uniform tree — on the two in-process ones.  (The shard
+    engine sizes its partition and its modelled halo with
+    ``repro.cluster``, the modelled machine, which reads the V, near, W and
+    X dicts: one boxing per tree shape, outside the workers.)"""
+    kind, _, n = backend.partition(":")
+    engine = {
+        "serial": lambda: None,
+        "threads": lambda: ExecutionEngine(n_workers=int(n)),
+        "shards": lambda: ProcessEngine(n_shards=int(n)),
+    }[kind]()
+    pts = uniform_cube(1500, seed=3).positions
+    tree = AdaptiveOctree(pts, S=8)
+    q = np.random.default_rng(4).uniform(0.5, 1.5, pts.shape[0])
+    try:
+        solver = FMMSolver(GravityKernel(G=1.0), order=3, engine=engine)
+        res = solver.solve(tree, q, gradient=True)
+        assert solver.degraded_runs == 0
+    finally:
+        if engine is not None:
+            engine.close()
+    assert res.op_counts["M2L"] > 0  # read from the tables, boxes nothing
+    boxed = {name for name in FAMILIES if res.lists.materialized(name)}
+    assert boxed == (set() if kind != "shards" else set(FAMILIES) - {"colleagues", "u_list"})

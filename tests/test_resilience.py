@@ -58,6 +58,7 @@ from repro.runtime.engine import (
 from repro.runtime.shards import ProcessEngine
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
+from repro.tree import octree as octree_module
 from repro.util.timing import Deadline, SolveDeadlineError
 
 from tests.test_property_surgery import assert_once_cover, assert_tree_invariants
@@ -697,22 +698,26 @@ class TestSurgeryExceptionSafety:
             and tree.nodes[l].children is None
         ]
         assert leaves, "need a pushdown-able leaf with unallocated children"
-        victim = leaves[0]
+        # the fullest leaf: its bodies spread over several octants
+        victim = max(leaves, key=lambda l: tree.nodes[l].count)
         n_nodes_before = len(tree.nodes)
         gen_before = tree.generation
         calls = []
-        real = AdaptiveOctree._make_child
+        real = octree_module.OctreeNode
 
-        def flaky(self, nid, octant):
-            calls.append(octant)
-            if len(calls) == 3:  # fail after two children were appended
+        def flaky(**fields):
+            calls.append(fields["id"])
+            if len(calls) == 2:  # fail after one child was appended
                 raise RuntimeError("allocation failed mid-pushdown")
-            return real(self, nid, octant)
+            return real(**fields)
 
-        monkeypatch.setattr(AdaptiveOctree, "_make_child", flaky)
+        # children are allocated in one batch; the node constructor is the
+        # step inside it that can fail with part of the batch appended
+        monkeypatch.setattr(octree_module, "OctreeNode", flaky)
         with pytest.raises(RuntimeError, match="mid-pushdown"):
             tree.pushdown(victim)
-        monkeypatch.setattr(AdaptiveOctree, "_make_child", real)
+        assert len(calls) == 2
+        monkeypatch.setattr(octree_module, "OctreeNode", real)
         # rollback: node buffer truncated, leaf unchanged, stamps bumped
         assert len(tree.nodes) == n_nodes_before
         assert tree.nodes[victim].is_leaf
@@ -768,15 +773,15 @@ class TestSurgeryExceptionSafety:
             and tree.nodes[l].children is None
         ]
         assert leaves
-        real = AdaptiveOctree._make_child
+        real = octree_module.OctreeNode
         monkeypatch.setattr(
-            AdaptiveOctree,
-            "_make_child",
-            lambda self, nid, octant: (_ for _ in ()).throw(RuntimeError("x")),
+            octree_module,
+            "OctreeNode",
+            lambda **fields: (_ for _ in ()).throw(RuntimeError("x")),
         )
         with pytest.raises(RuntimeError):
             tree.pushdown(leaves[0])
-        monkeypatch.setattr(AdaptiveOctree, "_make_child", real)
+        monkeypatch.setattr(octree_module, "OctreeNode", real)
         lists_after = cache.get(tree, folded=True)
         assert lists_after is not lists_before  # stamp bumped -> rebuilt
         assert_once_cover(tree, lists_after)

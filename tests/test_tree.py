@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.distributions import gaussian_blobs, plummer, uniform_cube
 from repro.geometry import Box
+from repro.geometry.morton import decode_morton
 from repro.tree import AdaptiveOctree, build_adaptive, build_uniform, uniform_depth_for
+from tests.clouds import CLOUDS
 
 
 def check_invariants(tree: AdaptiveOctree):
@@ -226,6 +228,144 @@ class TestRefit:
         assert after == shape_before
         for n in tree.nodes[len(shape_before) :]:
             assert n.is_leaf and not n.hidden
+
+
+class _ChildAtATimeOctree(AdaptiveOctree):
+    """Children allocated the way the batch replaced: one ``_make_child``
+    per octant — two global ``searchsorted`` calls and a ``Box.child``."""
+
+    def _make_children(self, nid):
+        made = (self._make_child(nid, octant) for octant in range(8))
+        return [cid for cid in made if cid is not None]
+
+
+def _node_fields(tree):
+    return [
+        (
+            n.id, n.level, n.parent, n.lo, n.hi, int(n.key_lo), int(n.key_hi),
+            n.size, n.center.tobytes(), n.children, n.is_leaf, n.hidden,
+        )
+        for n in tree.nodes
+    ]
+
+
+class TestBatchedChildren:
+    """``_make_children`` against a loop over ``_make_child``: every node
+    identical, field for field, centres bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_build_identical_on_every_cloud(self, name):
+        pts, S = CLOUDS[name](seed=11)
+        assert _node_fields(AdaptiveOctree(pts, S=S)) == _node_fields(
+            _ChildAtATimeOctree(pts, S=S)
+        )
+
+    def test_build_identical_when_max_level_clamps(self, plummer_small):
+        pts = plummer_small.positions
+        batched = AdaptiveOctree(pts, S=1, max_level=3)
+        assert batched.depth() == 3 and batched.stats()["leaf_count_max"] > 1
+        assert _node_fields(batched) == _node_fields(
+            _ChildAtATimeOctree(pts, S=1, max_level=3)
+        )
+
+    def test_pushdown_allocation_identical(self, uniform_small):
+        trees = [
+            cls(uniform_small.positions, S=60) for cls in (AdaptiveOctree, _ChildAtATimeOctree)
+        ]
+        for tree in trees:
+            leaf = next(l for l in tree.leaves() if tree.nodes[l].children is None)
+            tree.pushdown(leaf)
+        assert _node_fields(trees[0]) == _node_fields(trees[1])
+
+
+def _assert_table_is_the_walk(tree):
+    """Every column of the node table against the per-node walk."""
+    tab = tree.node_table()
+    eff = tree.effective_nodes()
+    nodes = [tree.nodes[i] for i in eff]
+    assert tab.structure_generation == tree.structure_generation
+    assert tab.generation == tree.generation
+    assert tab.ids.tolist() == eff
+    assert tab.row_of.tolist() == [
+        eff.index(i) if i in set(eff) else -1 for i in range(len(tree.nodes))
+    ]
+    assert tab.level.tolist() == [n.level for n in nodes]
+    assert tab.parent_row.tolist() == [
+        eff.index(n.parent) if n.parent >= 0 else -1 for n in nodes
+    ]
+    assert tab.is_leaf.tolist() == [n.is_leaf for n in nodes]
+    assert tab.lo.tolist() == [n.lo for n in nodes]
+    assert tab.hi.tolist() == [n.hi for n in nodes]
+    assert tab.counts.tolist() == [n.count for n in nodes]
+    assert tab.centers.tobytes() == b"".join(n.center.tobytes() for n in nodes)
+    for row, n in zip(tab.cell.tolist(), nodes):
+        assert row == [int(c) for c in decode_morton(np.uint64(n.key_lo))]
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_table_is_the_walk_on_every_cloud(self, name):
+        pts, S = CLOUDS[name](seed=5)
+        _assert_table_is_the_walk(AdaptiveOctree(pts, S=S))
+
+    def test_table_follows_surgery(self, plummer_small):
+        tree = build_adaptive(plummer_small.positions, S=30)
+        before = tree.node_table()
+        assert tree.node_table() is before  # memoized
+        parent = next(
+            nid for nid in tree.effective_nodes()
+            if nid and not tree.nodes[nid].is_leaf
+        )
+        tree.collapse(parent)
+        assert tree.node_table() is not before
+        _assert_table_is_the_walk(tree)
+        tree.pushdown(parent)
+        _assert_table_is_the_walk(tree)
+        # a leaf with unallocated children: new ids past the old row_of
+        tree.pushdown(max(tree.leaves(), key=lambda l: tree.nodes[l].count))
+        _assert_table_is_the_walk(tree)
+
+    def test_table_follows_out_of_band_flag_flips(self, plummer_small):
+        tree = build_adaptive(plummer_small.positions, S=30)
+        tree.node_table()
+        parent = next(
+            nid for nid in tree.effective_nodes()
+            if nid and not tree.nodes[nid].is_leaf
+        )
+        for d in tree._descendants(parent):
+            tree.nodes[d].hidden = True
+        tree.nodes[parent].is_leaf = True
+        tree.mark_structure_dirty()
+        _assert_table_is_the_walk(tree)
+
+    def test_table_on_a_tree_restored_from_a_checkpoint(self, plummer_small):
+        # restored field by field, without __init__
+        from repro.resilience.checkpoint import tree_from_state, tree_state_arrays
+
+        tree = build_adaptive(plummer_small.positions, S=30)
+        restored = tree_from_state(plummer_small.positions, *tree_state_arrays(tree))
+        _assert_table_is_the_walk(restored)
+        assert restored.node_table().centers.tobytes() == tree.node_table().centers.tobytes()
+
+    def test_pure_refit_keeps_structure_columns_and_replaces_ranges(self, uniform_small):
+        pts = uniform_small.positions.copy()
+        tree = build_adaptive(pts, S=40)
+        before = tree.node_table()
+        rng = np.random.default_rng(3)
+        moved = pts + rng.normal(scale=0.02 * tree.root_box.size, size=pts.shape)
+        tree.points = np.clip(moved, tree.root_box.low, tree.root_box.high)
+        sgen = tree.structure_generation
+        tree.refit()
+        if tree.structure_generation != sgen:
+            pytest.skip("drift materialized a pruned octant")
+        after = tree.node_table()
+        assert after.structure_generation == before.structure_generation
+        assert after.generation != before.generation
+        for col in ("ids", "row_of", "level", "parent_row", "is_leaf", "cell", "centers"):
+            assert getattr(after, col) is getattr(before, col), col
+        assert after.lo is not before.lo and after.hi is not before.hi
+        assert not np.array_equal(after.lo, before.lo)  # bodies changed leaves
+        _assert_table_is_the_walk(tree)
 
 
 class TestUniformTree:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.util import EventLog, OpTimer, TimerRegistry, WallTimer, default_rng, spawn_rngs
+from repro.util.arrays import stable_argsort
 
 
 class TestRng:
@@ -33,6 +34,17 @@ class TestRng:
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(default_rng(0), -1)
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("bound", [1, 200, 1 << 16, (1 << 16) + 1, 1 << 20])
+    def test_equals_the_general_stable_sort_on_either_side_of_16_bits(self, bound):
+        keys = np.random.default_rng(bound).integers(0, bound, size=5000)
+        keys[-1] = bound - 1
+        assert np.array_equal(stable_argsort(keys, bound), np.argsort(keys, kind="stable"))
+
+    def test_empty(self):
+        assert stable_argsort(np.empty(0, dtype=np.int64), 0).size == 0
 
 
 class TestTimers:
