@@ -25,8 +25,11 @@ multipole acts on the far field only through ``M @ R`` and every local
 expansion M2L writes is ``L[keep] @ R.T``, so the class operators of
 :meth:`CartesianExpansion.m2l_class_operators` are the ``keep x keep``
 *cores* of the dense M2L operator — the same entries, fewer of them —
-and the far-field sweep applies them between one ``M @ R`` and one
-``Lh @ R.T`` (:attr:`CartesianExpansion.m2l_reduction`).  The per-pair
+and the far-field sweep applies them — tiled into octet-to-octet blocks,
+one per direction — between one ``M @ R`` and one ``@ R.T``
+(:attr:`CartesianExpansion.m2l_reduction`; the blocks serve every level
+because a core scales by exact powers of two per degree,
+:attr:`CartesianExpansion.m2l_degrees`).  The per-pair
 :meth:`~CartesianExpansion.m2l` / :meth:`~CartesianExpansion.m2l_batch`
 stay dense: they are what the reduced sweep is tested against.
 """
@@ -65,8 +68,16 @@ class CartesianExpansion:
     @property
     def m2l_reduction(self) -> np.ndarray:
         """``R`` of shape ``(n_coeffs, (order+1)^2)``: ``M @ R`` enters the
-        space the M2L class operators act in, ``Lh @ R.T`` leaves it."""
+        space the M2L cores act in, ``@ R.T`` leaves it."""
         return self.mis.harmonic_tables()[1]
+
+    @property
+    def m2l_degrees(self) -> np.ndarray:
+        """Degree ``|alpha|`` of each translation coefficient (``keep``
+        order): what the level-free M2L scaling is stated in — entry
+        ``(a, b)`` of a core doubles ``n_a + n_b + 1`` times when the
+        displacement halves."""
+        return self.mis.degrees[self.mis.harmonic_tables()[0]]
 
     # ------------------------------------------------------------------ P2M
     def p2m(self, points: np.ndarray, strengths: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -162,6 +162,9 @@ class SphericalExpansion:
             raise ValueError(f"order must be >= 0, got {order}")
         self.order = order
         self.ns, self.ms, self.pos = _nm_index(order)
+        #: degree of each translation coefficient
+        #: (cf. :attr:`CartesianExpansion.m2l_degrees`)
+        self.m2l_degrees = self.ns
         self.n_coeffs = len(self.ns)
         self._m2m_table = _build_shift_table(order, kind="m2m")
         self._l2l_table = _build_shift_table(order, kind="l2l")

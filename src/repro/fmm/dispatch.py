@@ -188,20 +188,14 @@ class PassListSolver:
         far = [FarFieldPass(tree, lists, self.expansion, **p.kwargs) for p in passes]
         near_pass = NearFieldPass(self.kernel, tree, lists, near_q, **near)
         g = TaskGraphBuilder()
-        # ~4 chunks per worker over the whole graph: with several passes
-        # the parallelism comes across them, so each gets fewer (>= 2)
-        n_chunks = 4 * engine.n_workers
-        far_chunks = max(2, n_chunks // len(far))
         far_done = tuple(
-            add_far_field_tasks(
-                g, fp, tag=f"{p.tag}:" if p.tag else "", n_chunks=far_chunks
-            )
+            add_far_field_tasks(g, fp, tag=f"{p.tag}:" if p.tag else "")
             for p, fp in zip(passes, far)
         )
         add_near_field_tasks(
             g,
             near_pass,
-            n_chunks=n_chunks,
+            n_chunks=4 * engine.n_workers,
             deps=() if engine.config.overlap else far_done,
         )
         self.last_engine_result = engine.run(g, deadline=deadline)

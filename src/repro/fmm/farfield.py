@@ -11,29 +11,42 @@ every member pair with a single matmul over a dense ``(n_nodes, width)``
 coefficient array.
 
 M2L — the term that dominates the sweep — runs in the **translation
-space**: a harmonic field has only (p+1)² independent Taylor
-coefficients, so the pass keeps ``(n_nodes, (p+1)²)`` translation arrays
-beside the full-width ``(n_nodes, n_coeffs)`` ones, fills the source side
-with one ``multipoles @ R`` (*reduce*), applies each class's
-``(p+1)² x (p+1)²`` core to it, and assigns the full-width locals with
-one ``reduced_locals @ R.T`` (*expand*); ``R`` is the expansion's
-``m2l_reduction`` (DESIGN.md §9).  Every other operator keeps the full
-width.  An expansion that is already (p+1)² wide (spherical) has no
-``R``: its translation arrays *are* its coefficient arrays.
+space**, over **sibling octets**.  A harmonic field has only (p+1)²
+independent Taylor coefficients, so M2L acts on ``w = (p+1)²``-wide rows
+(``multipoles @ R`` going in, ``@ R.T`` coming out; ``R`` is the
+expansion's ``m2l_reduction``, ``None`` for an expansion that is already
+(p+1)² wide).  And the V list is implied by the colleague pairs of split
+nodes — V(child i of P) is every child j of a colleague Q of P that is not
+adjacent to i — so the unit of M2L work is the *colleague pair*, not the V
+pair: the pass keeps octet arrays of ``8 w``-wide rows (a split
+node's eight child slots side by side; a missing child is a zero slot on
+the way in and a discarded one on the way out), a pair ``(Q, P)`` is one
+row-applied ``(8w, 8w)`` block whose sub-block (j, i) is the M2L core of
+the child-cell displacement ``2D + o_i - o_j`` (zero where the two
+children are adjacent), and the block depends only on the cell offset
+``D = cell_P - cell_Q`` — one of 26 — because the cores are built at the
+root's cell size and the exact power-of-two level factors go onto the
+octet arrays instead (*reduce* scales degree ``n`` of a level-``l`` node by
+``2^(l n)``, *expand* by ``2^(l (n + 1))``; DESIGN.md §9).  And 13 blocks
+serve the 26 directions: ``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a,
+b]``, so the block of ``-D`` is the block of ``D`` between *mirrored*
+octets (child ``j`` in slot ``7 - j``, odd degrees negated), which the
+octet arrays carry ``n_split`` rows below the natural ones.  A solve
+applies **at most 13 M2L classes**, each one gemm.  Every other operator
+keeps the full width and its per-level classes.
 
 The engine splits per-solve state into three cached layers, all memoized
 on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 
 * :class:`FarFieldGeometry` (``structure_generation`` stamp) — node-row
-  layout, shift/displacement classes with their operators, W/X pair
-  rows.  Depends only on the tree *shape*: free across frozen-shape time
-  steps and refits.  Built from arrays only: row state is the tree's
-  :class:`~repro.tree.octree.NodeTable`, pairs come from the lists' V /
-  W / X :class:`~repro.tree.lists.PairTable`, an M2L class is keyed by the
-  integer cell-coordinate difference of its pairs and the half-million
-  keys of a uniform tree are grouped by a radix sort of their dense ranks
-  (:func:`_group_by_key`); a class's rows are slices of two whole
-  gathers.
+  and octet layout, shift/direction classes with their operators, W/X
+  pair rows.  Depends only on the tree *shape*: free across frozen-shape
+  time steps and refits.  Built from arrays only: row state is the tree's
+  :class:`~repro.tree.octree.NodeTable`, M2L pairs come from the lists'
+  colleague :class:`~repro.tree.lists.PairTable` (the V table is read for
+  its size alone — the cost-model count), W / X pairs from theirs;
+  classes are grouped by a radix sort of their keys' dense ranks
+  (:func:`_group_by_key`) and a class's rows are slices of one gather.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
   effective leaf with body-relative coordinates.  Rebuilt on refit.
 * per-backend leaf basis tables (``generation`` stamp) — the P2M/L2P row
@@ -44,7 +57,7 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
 (:mod:`repro.runtime.engine`) can run independent stages concurrently:
-M2L displacement-class matmuls are mutually independent, M2M/L2L are
+M2L direction-class matmuls are mutually independent, M2M/L2L are
 level-ordered, and the class *merges* into shared coefficient arrays are
 kept as separate steps applied in a fixed class order — which is what
 makes a parallel run bitwise identical to a serial one.  The arithmetic
@@ -58,7 +71,8 @@ accepts a ``tracer`` and emits one span per FMM operation whose
 ``applications`` argument follows the cost-model unit conventions of
 :meth:`InteractionLists.op_counts`, keeping ``C_op = time/applications``
 calibration meaningful on the batched path (reduce and expand sit inside
-the ``M2L`` span: they are M2L's cost).
+the ``M2L`` span: they are M2L's cost; its ``applications`` stay V pairs,
+the cost-model unit, however few octet pairs carry them).
 """
 
 from __future__ import annotations
@@ -142,7 +156,7 @@ def _group_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     members in input order — is ``order[ptr[g]:ptr[g + 1]]``.  No
     comparison sort where it can be avoided: a presence table over ``[0,
     keys.max()]`` turns each key into its dense rank, and as long as the
-    ranks fit 16 bits (a tree has a few thousand geometry classes at most)
+    ranks fit 16 bits (a tree has a few hundred geometry classes)
     :func:`~repro.util.arrays.stable_argsort` radix-sorts them.
     """
     present = np.zeros(int(keys.max()) + 1, dtype=bool)
@@ -219,9 +233,9 @@ def _operator_cache(lists: InteractionLists) -> OperatorCacheProtocol:
     """Per-lists translation-operator store keyed by *quantized* geometry.
 
     Octree geometry classes are exact functions of discrete data — a
-    parent<->child shift of ``(level, octant)``, an M2L displacement of
-    ``(level, kx, ky, kz)`` — so the dense operators can be keyed by those
-    integers and survive tree surgery: a repair drops the structural
+    parent<->child shift of ``(level, octant)``, an M2L direction block of
+    ``(D, root cell size)`` — so the dense operators can be keyed by those
+    and survive tree surgery: a repair drops the structural
     ``derived_cache`` layer (row indices shift when nodes appear or
     vanish) but deliberately leaves this plain attribute alone.  The next
     :func:`far_field_geometry` build then re-derives only the *rows* and
@@ -263,6 +277,10 @@ class FarFieldGeometry:
     source/target row arrays plus the dense row-applied operator shared by
     all its pairs (``out_rows += in_rows @ op``).  Within one class each
     target row appears at most once, so plain fancy ``+=`` is scatter-safe.
+    The rows of an M2L class are not node rows but **octets** — a split
+    node's eight child slots side by side, once as they are and once
+    mirrored — and the pairs are colleague pairs of split nodes (module
+    docstring).
     """
 
     eff_rows: np.ndarray  # (n_eff,) node ids, preorder
@@ -271,15 +289,51 @@ class FarFieldGeometry:
     leaf_pos: np.ndarray  # (n_eff,) ordinal among leaves, -1 for internal
     up_classes: list  # [(child_rows, parent_rows, op)], deepest level first
     down_classes: list  # [(parent_rows, child_rows, op)], shallowest first
-    m2l_classes: list  # [(src_rows, tgt_rows, op)]
+    m2l_classes: list  # [(src_octets, tgt_octets, block)], one per direction +-D
     n_shifts: int  # total parent<->child shifts (M2M = L2L count)
     n_m2l: int  # total V-list pairs
+    octet_rows: np.ndarray  # (2 n_split,) split-node row per octet: natural, then mirrored
+    child_rows: np.ndarray  # (n_shifts,) node row of every non-root node ...
+    child_slots: np.ndarray  # (2, n_shifts) ... its natural / mirrored slot, ``8 * octet + octant``
+    child_levels: np.ndarray  # ... and its level
     w_tgt_rows: np.ndarray  # W pairs: target-leaf row per pair
     w_src_rows: np.ndarray  # W pairs: source-node row per pair
     x_recv_rows: np.ndarray  # X pairs: receiving-node row per pair
     x_src_rows: np.ndarray  # X pairs: source-leaf row per pair
     up_class_levels: list  # tree level of each up class (aligned)
     down_class_levels: list  # tree level of each down class (aligned)
+
+
+def _m2l_cores(expansion, h_root: float) -> dict:
+    """``{d: core}`` for the 316 child-cell displacements ``d`` of the +-3
+    cube outside the +-1 cube, from one batched assembly — built at the
+    root's cell size (``d * h_root``), whatever level the octets sit on:
+    halving the cell multiplies entry ``(a, b)`` of a core by ``2^(n_a +
+    n_b + 1)`` exactly, and :func:`m2l_reduce` / :func:`m2l_expand` put
+    those factors on the octet arrays instead."""
+    g = np.arange(-3, 4)
+    disp = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    disp = disp[np.abs(disp).max(axis=1) >= 2]
+    cores = expansion.m2l_class_operators(disp * h_root)
+    return dict(zip(map(tuple, disp.tolist()), cores))
+
+
+def _m2l_direction_block(cores: dict, D) -> np.ndarray:
+    """The ``(8w, 8w)`` octet-to-octet M2L operator of direction ``D``, the
+    cell offset (target minus source, own-level cells) between two
+    colleague split nodes: sub-block (source child ``j``, target child
+    ``i``) is the core of the child-cell displacement ``2D + o_i - o_j``,
+    or zero where those two children are adjacent (bit k of an octant is
+    its side along axis k, as the tree allocates children)."""
+    any_core = next(iter(cores.values()))
+    w = any_core.shape[0]
+    block = np.zeros((8, w, 8, w), dtype=any_core.dtype)
+    for j in range(8):
+        for i in range(8):
+            d = tuple(2 * D[k] + (i >> k & 1) - (j >> k & 1) for k in range(3))
+            if d in cores:
+                block[j, :, i, :] = cores[d]
+    return block.reshape(8 * w, 8 * w)
 
 
 def far_field_geometry(
@@ -335,12 +389,12 @@ def far_field_geometry(
 
     # ---- parent<->child shift classes: (level, octant) -> <= 8 per level
     child_rows = np.nonzero(parent_row >= 0)[0]
+    octant = (cell[child_rows] & 1) @ np.array([1, 2, 4])
     up_classes: list = []
     down_classes: list = []
     up_class_levels: list = []
     down_class_levels: list = []
     if child_rows.size:
-        octant = (cell[child_rows] & 1) @ np.array([1, 2, 4])
         order, ptr = _group_by_key(levels[child_rows] * 8 + octant)
         segs = []
         for lo, hi in zip(ptr[:-1], ptr[1:]):
@@ -367,46 +421,47 @@ def far_field_geometry(
             down_classes.append((p, c, op))
             down_class_levels.append(lvl)
 
-    # ---- M2L displacement classes, keyed by the integer cell-coordinate
-    # difference of the (same-level) pair — what rint((c_t - c_s) / cell
-    # size) comes to, without the float detour.  V offsets land on a +-3
-    # grid; the +-8 headroom keys any variant.  The key is linear in the
-    # two cells, so it is one 1-D gather per side.
-    v = lists.table("v_list")
+    # ---- M2L direction classes over sibling octets.  The V list is implied
+    # by the colleague pairs of split nodes (child i of P x child j of Q,
+    # not adjacent), so the pairs read here are the colleague table's, a few
+    # percent of the V rows; the class of a pair is the cell offset D of its
+    # two split nodes, one of 26 whatever their level — of 13, because a
+    # pair at -D is the pair at D between the two nodes' *mirrored* octets
+    # (child j -> 7 - j, odd degrees negated), which sit n_split rows down.
+    split_rows = np.nonzero(~tab.is_leaf)[0]
+    n_split = split_rows.size
+    octet_of = np.where(tab.is_leaf, -1, np.cumsum(~tab.is_leaf) - 1)
+    coll = lists.table("colleagues")
+    tgt = octet_of[np.repeat(row_of[coll.keys], coll.counts)]
+    src = octet_of[row_of[coll.values]]
+    pairs = np.nonzero((tgt >= 0) & (src >= 0) & (tgt != src))[0]
     m2l_classes: list = []
-    if v.values.size:
-        trow = np.repeat(row_of[v.keys], v.counts)
-        srow = row_of[v.values]
-        lin = (cell[:, 0] * 17 + cell[:, 1]) * 17 + cell[:, 2]
-        keys = (lin + levels * 17**3 + (8 * 17 + 8) * 17 + 8)[trow] - lin[srow]
-        order, ptr = _group_by_key(keys)
-        # class rows are slices of two whole gathers
-        srow, trow = srow[order], trow[order]
-        # probe the cache for every class first, then assemble all the
-        # misses in one batched call: a builder call costs ~1300 tiny NumPy
-        # ops whatever its batch size, and a tree has thousands of classes
-        reps = ptr[:-1]
-        op_keys = [
-            (expansion.backend, expansion.order, "m2l", k)
-            for k in keys[order[reps]].tolist()
+    if pairs.size:
+        tgt, src = tgt[pairs], src[pairs]
+        offset = cell[split_rows[tgt]] - cell[split_rows[src]]
+        key = (offset + 1) @ np.array([9, 3, 1])  # 0..26, -D at 26 - key
+        mirrored = key < 13
+        offset[mirrored] *= -1
+        order, ptr = _group_by_key(np.where(mirrored, 26 - key, key))
+        tgt, src = (tgt + n_split * mirrored)[order], (src + n_split * mirrored)[order]
+        h_root = float(tree.root_box.size)
+        cores: dict = {}
+
+        def block(D):
+            if not cores:  # one batched assembly serves every missing block
+                cores.update(_m2l_cores(expansion, h_root))
+            return _m2l_direction_block(cores, D)
+
+        ops = [
+            class_operator("m2l", (*D, h_root), lambda D=D: block(D))
+            for D in offset[order[ptr[:-1]]].tolist()
         ]
-        ops = [op_cache.get(k) for k in op_keys]
-        miss = [i for i, op in enumerate(ops) if op is None]
-        stats["op_hits"] += len(ops) - len(miss)
-        stats["op_builds"] += len(miss)
-        if miss:
-            mrep = reps[miss]
-            built = expansion.m2l_class_operators(
-                centers[trow[mrep]] - centers[srow[mrep]]
-            )
-            for i, op in zip(miss, built):
-                op_cache.put(op_keys[i], op)
-                ops[i] = op
         m2l_classes = [
-            (srow[lo:hi], trow[lo:hi], op) for lo, hi, op in zip(ptr[:-1], ptr[1:], ops)
+            (src[lo:hi], tgt[lo:hi], op) for lo, hi, op in zip(ptr[:-1], ptr[1:], ops)
         ]
 
     w, x = lists.table("w_list"), lists.table("x_list")
+    slot = octet_of[parent_row[child_rows]] * 8 + octant  # of each node, natural
 
     # cumulative for the installed cache: 0 for the per-lists dict store,
     # the LRU's running total when a shared serve cache is plugged in
@@ -422,7 +477,12 @@ def far_field_geometry(
             down_classes=down_classes,
             m2l_classes=m2l_classes,
             n_shifts=int(child_rows.size),
-            n_m2l=int(v.values.size),
+            # the cost-model unit stays the V pair
+            n_m2l=int(lists.table("v_list").values.size),
+            octet_rows=np.tile(split_rows, 2),
+            child_rows=child_rows,
+            child_slots=np.stack((slot, slot + 8 * n_split + 7 - 2 * octant)),
+            child_levels=levels[child_rows],
             w_tgt_rows=np.repeat(row_of[w.keys], w.counts),
             w_src_rows=row_of[w.values],
             x_recv_rows=np.repeat(row_of[x.keys], x.counts),
@@ -554,21 +614,56 @@ def p2m(geom, plan, exp, multipoles, *, charges=None, dipoles=None, basis=None):
     multipoles[plan.leaf_rows(geom)] = _segment_sum(rows, plan.ptr)
 
 
-def m2l_reduce(R, multipoles, reduced):
-    """Finished multipoles into the translation space, ``reduced =
-    multipoles @ R``: a matmul, run whole.  ``R`` is the expansion's
-    ``m2l_reduction``; ``None`` means M2L acts on the coefficient arrays
-    themselves and there is nothing to do."""
-    if R is not None:
-        np.matmul(multipoles, R, out=reduced)
+def _level_scale(geom, exponents) -> np.ndarray:
+    """``2^(level * exponents)`` per non-root node: the level-free M2L
+    factors, exact powers of two (``exponents`` is per coefficient)."""
+    levels = geom.child_levels
+    table = np.ldexp(1.0, np.arange(levels.max(initial=0) + 1)[:, None] * exponents)
+    return table[levels]
 
 
-def m2l_expand(R, reduced, locals_):
-    """The merged M2L result back to full width, ``locals_ = reduced @
-    R.T``: a matmul, run whole.  It *assigns* ``locals_``, so it lands
-    after the last M2L merge and before anything else (P2L) adds to them."""
-    if R is not None:
-        np.matmul(reduced, R.T, out=locals_)
+def m2l_reduce(exp, geom, multipoles, octets):
+    """Finished multipoles into the octet array M2L reads.
+
+    Three steps, run whole: into the translation space (``multipoles @
+    R``, a matmul, with ``R`` the expansion's ``m2l_reduction`` — ``None``
+    means the coefficients are the translation space already), onto the
+    root's cell size (degree ``n`` of a level-``l`` node times ``2^(l n)``),
+    and each node into its two slots of its parent's octet rows — the
+    natural one, and the mirrored one with the odd degrees negated.  A
+    missing child's slots are never written: they stay zero.
+    """
+    R = exp.m2l_reduction
+    deg = exp.m2l_degrees
+    natural, mirrored = geom.child_slots
+    slots = octets.reshape(-1, deg.size)
+    rows = (multipoles if R is None else multipoles @ R)[geom.child_rows]
+    rows *= _level_scale(geom, deg)
+    slots[natural] = rows
+    slots[mirrored] = np.multiply(rows, (-1.0) ** deg, out=rows)
+
+
+def m2l_expand(exp, geom, octets, locals_):
+    """The merged M2L result back to node rows at full width — the inverse
+    of :func:`m2l_reduce`: a node's two slots summed (the mirrored one with
+    its odd degrees negated back) into its row, back to the node's own cell
+    size (``2^(l (n + 1))``), then ``@ R.T``, run whole.  It *assigns*
+    ``locals_`` (the root, and a slot without a node, get nothing), so it
+    lands after the last M2L merge and before anything else (P2L) adds to
+    them."""
+    R = exp.m2l_reduction
+    deg = exp.m2l_degrees
+    natural, mirrored = geom.child_slots
+    slots = octets.reshape(-1, deg.size)
+    rows = slots[mirrored] * (-1.0) ** deg
+    rows += slots[natural]
+    rows *= _level_scale(geom, deg + 1)
+    if R is None:
+        locals_[geom.child_rows] = rows
+        return
+    reduced = np.zeros((locals_.shape[0], deg.size))
+    reduced[geom.child_rows] = rows
+    np.matmul(reduced, R.T, out=locals_)
 
 
 def l2p_leaf_gradient(geom, locals_, A):
@@ -694,12 +789,11 @@ class FarFieldPass:
     * the matching ``*_merge`` stages fold contributions into the shared
       arrays and must be called in **class order** (the serial loop
       order), which the task graph enforces with a merge chain;
-    * M2L reads and writes the ``(n_eff, (p+1)^2)`` **translation arrays**
-      ``m2l_multipoles`` / ``m2l_locals`` (the coefficient arrays
-      themselves on a back end without an ``m2l_reduction``):
-      ``m2l_reduce`` fills the first after the last M2M merge,
-      ``m2l_expand`` assigns ``locals_`` from the second after the last
-      M2L merge and before ``p2l_merge`` — each whole, on one worker.
+    * M2L reads and writes the ``(2 n_split, 8 (p+1)^2)`` **octet arrays**
+      ``m2l_multipoles`` / ``m2l_locals``: ``m2l_reduce`` fills the first
+      after the last M2M merge, ``m2l_expand`` assigns ``locals_`` from the
+      second after the last M2L merge and before ``p2l_merge`` — each
+      whole, on one worker.
 
     :func:`laplace_far_field` is the serial driver over these stages;
     :func:`repro.runtime.graphs.add_far_field_tasks` is the parallel one.
@@ -738,12 +832,9 @@ class FarFieldPass:
         self.n_bodies = plan.body_idx.size
         self.multipoles = np.zeros((n_eff, nc), dtype=dtype)
         self.locals_ = np.zeros((n_eff, nc), dtype=dtype)
-        self._R = R = exp.m2l_reduction
-        if R is None:
-            self.m2l_multipoles, self.m2l_locals = self.multipoles, self.locals_
-        else:
-            self.m2l_multipoles = np.zeros((n_eff, R.shape[1]))
-            self.m2l_locals = np.zeros((n_eff, R.shape[1]))
+        octets = (geom.octet_rows.size, 8 * exp.m2l_degrees.size)
+        self.m2l_multipoles = np.zeros(octets, dtype=dtype)
+        self.m2l_locals = np.zeros(octets, dtype=dtype)
         self.pot = np.zeros(tree.n_bodies) if potential else None
         self.grad = np.zeros((tree.n_bodies, 3)) if gradient else None
 
@@ -809,23 +900,23 @@ class FarFieldPass:
 
     # ---------------------------------------------------------- translation
     def m2l_reduce(self) -> None:
-        """Finished multipoles into the translation space (whole array)."""
-        m2l_reduce(self._R, self.multipoles, self.m2l_multipoles)
+        """Finished multipoles into the source octets (whole array)."""
+        m2l_reduce(self.exp, self.geom, self.multipoles, self.m2l_multipoles)
 
     def m2l_delta(self, ci: int) -> None:
-        """Displacement-class matmul (reads the reduced multipoles only)."""
+        """Direction-class matmul (reads the source octets only)."""
         srows, _trows, op = self.geom.m2l_classes[ci]
         self._m2l_delta[ci] = self.m2l_multipoles[srows] @ op
 
     def m2l_merge(self, ci: int) -> None:
-        """Fold one class delta into reduced local rows (class order!)."""
+        """Fold one class delta into target octets (class order!)."""
         _srows, trows, _op = self.geom.m2l_classes[ci]
         self.m2l_locals[trows] += self._m2l_delta.pop(ci)
 
     def m2l_expand(self) -> None:
-        """Assign ``locals_`` from the merged translation result (whole
-        array; after every M2L merge, before :meth:`p2l_merge`)."""
-        m2l_expand(self._R, self.m2l_locals, self.locals_)
+        """Assign ``locals_`` from the merged target octets (whole array;
+        after every M2L merge, before :meth:`p2l_merge`)."""
+        m2l_expand(self.exp, self.geom, self.m2l_locals, self.locals_)
 
     def p2l_compute(self) -> None:
         """X phase (un-folded): batched P2L contribution, parked privately."""

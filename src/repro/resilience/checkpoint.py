@@ -181,15 +181,6 @@ def tree_from_state(
     points: np.ndarray, arrays: dict, manifest: dict
 ) -> AdaptiveOctree:
     """Reconstruct the exact octree serialized by :func:`tree_state_arrays`."""
-    tree = AdaptiveOctree.__new__(AdaptiveOctree)
-    tree.points = np.atleast_2d(np.asarray(points, dtype=float))
-    tree.S = int(manifest["S"])
-    tree.max_level = int(manifest["max_level"])
-    tree.generation = 0
-    tree.structure_generation = 0
-    tree.root_box = Box(
-        tuple(manifest["root_center"]), float(manifest["root_size"])
-    )
     ptr = arrays["tree_children_ptr"]
     flat = arrays["tree_children_flat"]
     has_children = arrays["tree_has_children"]
@@ -214,11 +205,15 @@ def tree_from_state(
                 hidden=bool(arrays["tree_hidden"][i]),
             )
         )
-    tree.nodes = nodes
-    # recompute the Morton sort (deterministic for identical points/box);
-    # node lo/hi ranges were restored verbatim above
-    tree._sort_bodies()
-    return tree
+    # the constructor path re-sorts the bodies (deterministic for identical
+    # points/box); node lo/hi ranges were restored verbatim above
+    return AdaptiveOctree.from_nodes(
+        points,
+        int(manifest["S"]),
+        nodes,
+        root_box=Box(tuple(manifest["root_center"]), float(manifest["root_size"])),
+        max_level=int(manifest["max_level"]),
+    )
 
 
 # ---------------------------------------------------------------- balancer

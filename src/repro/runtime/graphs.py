@@ -11,32 +11,34 @@ far-field pass:
                                                         │
               ┌──────────── upsweep done ───────────────┤
               ▼                                         │
-    M2L reduce (M @ R, whole)        [M2P compute]      │
-              ▼                           │
-    [M2L chunk deltas, parallel]          │
-        │ chained chunk merges            │
-        ▼ (class order)                   │
-    M2L expand (L = Lh @ R.T, whole)      │
-        ▼                                 │
-    P2L merge (X phase)                   │
-        ▼                                 │
+    M2L reduce (multipoles -> source octets, whole)     │
+              ▼                          [M2P compute]  │
+    [<= 13 M2L direction deltas, parallel]    │
+        │ chained class merges                │
+        ▼ (class order)                       │
+    M2L expand (target octets -> L, whole)    │
+        ▼                                     │
+    P2L merge (X phase)                       │
+        ▼                                     │
     [L2L classes lvl 1] ─> ... ─> [lvl D] ─> L2P ─> M2P merge
 
-Independent M2L displacement-class matmuls carry essentially all of the
-far-field work, so they are chunked into contiguous class ranges of
-roughly equal pair weight; their *merges* into the shared reduced
-local-expansion array form a chain in class order, which pins the
+The M2L direction-class matmuls carry essentially all of the far-field
+work and there are at most 13 of them per pass, each one gemm over every
+colleague pair of split nodes in one direction +-D (DESIGN.md §9) — coarse
+enough to be one task each, no chunking.  Their *merges* into the shared
+target-octet array form a chain in class order, which pins the
 floating-point addition order to the serial sweep's and makes results
-bitwise identical at any worker count.  They act in the (p+1)²-wide
-translation space (DESIGN.md §9): one *reduce* task fills it from the
-finished multipoles and one *expand* task assigns the full-width locals
-from it — whole-array matmuls, so one task each, never chunked; M2P keeps
-reading the full-width multipoles beside them.  Near-field tiles
-partition the target bodies, so their chunks run unordered with no merge
-step at all; with ``overlap=True`` they share the graph with the
-far-field subgraphs and soak up worker idle time during the (more serial)
-sweep phases — the paper's ``max(T_CPU, T_GPU)`` overlap, realized on
-actual threads.
+bitwise identical at any worker count.  One *reduce* task fills the
+source octets from the finished multipoles and one *expand* task assigns
+the full-width locals from the target octets — whole-array stages, so one
+task each; M2P keeps reading the full-width multipoles beside them.  The
+reduce task carries the pass's M2L ``applications`` (V pairs, the
+cost-model unit): a class of octet pairs does not split into them.
+Near-field tiles partition the target bodies, so their chunks run
+unordered with no merge step at all; with ``overlap=True`` they share the
+graph with the far-field subgraphs and soak up worker idle time during
+the (more serial) sweep phases — the paper's ``max(T_CPU, T_GPU)``
+overlap, realized on actual threads.
 
 Tasks also carry a ``retryable`` flag for the supervised engine:
 assignment stages (P2M, L2P, the M2L reduce and expand) and
@@ -102,12 +104,11 @@ def add_far_field_tasks(
     p: FarFieldPass,
     *,
     tag: str = "",
-    n_chunks: int = 8,
 ) -> int:
     """Add one far-field pass's stage tasks to ``g``; returns the id of
     the task after which the pass's outputs (``p.pot``/``p.grad``) are
     complete.  ``tag`` prefixes labels (the Stokeslet solver runs seven
-    passes in one graph); ``n_chunks`` bounds the M2L chunk fan-out.
+    passes in one graph).
     """
     geom = p.geom
     t_p2m = g.add(
@@ -138,26 +139,26 @@ def add_far_field_tasks(
         )
     upsweep_done = prev
 
-    # ---- M2L: reduce, chunked class deltas fanning out, merge chain in
-    # class order, expand (both ends assign whole arrays: idempotent)
-    weights = [int(geom.m2l_classes[ci][0].size) for ci in range(p.n_m2l_classes)]
+    # ---- M2L: reduce, one delta task per direction class fanning out,
+    # merge chain in class order, expand (both ends assign whole arrays:
+    # idempotent).  Applications are V pairs (the cost-model unit), which a
+    # class of octet pairs does not split into: the reduce carries the total
     reduced = g.add(
         p.m2l_reduce, label=f"{tag}M2L:reduce", deps=(upsweep_done,), op="M2L",
-        stage="M2L",
+        applications=geom.n_m2l, stage="M2L",
     )
     merge_prev = reduced
-    for lo, hi in chunk_ranges(weights, n_chunks):
+    for ci in range(p.n_m2l_classes):
         delta = g.add(
-            partial(_m2l_delta_range, p, lo, hi),
-            label=f"{tag}M2L:d{lo}-{hi}",
+            partial(p.m2l_delta, ci),
+            label=f"{tag}M2L:d{ci}",
             deps=(reduced,),
             op="M2L",
-            applications=int(sum(weights[lo:hi])),
             stage="M2L",
         )
         merge_prev = g.add(
-            partial(_m2l_merge_range, p, lo, hi),
-            label=f"{tag}M2L:m{lo}-{hi}",
+            partial(p.m2l_merge, ci),
+            label=f"{tag}M2L:m{ci}",
             deps=(delta, merge_prev),
             op="M2L",
             retryable=False,
@@ -280,13 +281,3 @@ def add_near_field_tasks(
 def _merge_up_level(p: FarFieldPass, cis: tuple[int, ...]) -> None:
     for ci in cis:
         p.m2m_merge(ci)
-
-
-def _m2l_delta_range(p: FarFieldPass, lo: int, hi: int) -> None:
-    for ci in range(lo, hi):
-        p.m2l_delta(ci)
-
-
-def _m2l_merge_range(p: FarFieldPass, lo: int, hi: int) -> None:
-    for ci in range(lo, hi):
-        p.m2l_merge(ci)

@@ -5,14 +5,15 @@ octree is split into Morton-contiguous leaf ranges by the work-weighted
 partitioner (:func:`repro.cluster.partition.partition_by_morton_work`),
 each shard runs in its own **spawned** worker process, and every large
 array — bodies, strengths, multipole/local coefficients (``M`` / ``L``,
-full width, and ``Mh`` / ``Lh``, the (p+1)²-wide translation arrays M2L
-reads and writes — DESIGN.md §9), outputs —
-lives in one :class:`multiprocessing.shared_memory.SharedMemory` arena
-that all workers map.  Reading another shard's coefficient rows through
-the arena is the one-sided-get transport; the explicitly timed gathers
-of remote *reduced* multipole rows and boundary P2P bodies are the halo
+full width, and ``M8`` / ``L8``, the octet arrays M2L reads and writes:
+two rows per split node — natural and mirrored — of eight (p+1)²-wide
+child slots, DESIGN.md §9),
+outputs — lives in one :class:`multiprocessing.shared_memory.SharedMemory`
+arena that all workers map.  Reading another shard's coefficient rows
+through the arena is the one-sided-get transport; the explicitly timed
+gathers of remote source *octets* and boundary P2P bodies are the halo
 exchange the :func:`repro.cluster.let.build_let` machinery predicts (its
-byte model, at the same width, is reported alongside the measured
+byte model, (p+1)² wide per node, is reported alongside the measured
 traffic).
 
 Bitwise determinism
@@ -26,13 +27,16 @@ matmul:
 
 * whole translation classes (M2M/M2L/L2L) are assigned to single
   shards, which compute the exact serial ``rows @ op`` product into a
-  shared delta scratch (``D`` full width for M2M, ``Dh`` for M2L);
-* the two whole-array matmuls around M2L — *reduce* ``Mh = M @ R`` and
-  *expand* ``L = Lh @ R.T`` — run on shard 0, which also runs P2L right
-  after the expand;
+  shared delta scratch (``D`` full width for M2M, ``D8`` octet-wide for
+  the <= 13 M2L direction classes);
+* the two whole-array stages around M2L — *reduce* (``M @ R`` into the
+  source octets ``M8``) and *expand* (the target octets ``L8`` back to
+  ``L``, ``@ R.T``) — run on shard 0, which also runs P2L right after the
+  expand;
 * merges (``+=`` into shared coefficient rows) are row-owner based: each
-  shard folds only the rows it owns, in ascending class order — every
-  row sees the same additions in the same serial order;
+  shard folds only the rows it owns (an octet belongs to the shard of its
+  split node), in ascending class order — every row sees the same
+  additions in the same serial order;
 * per-body stages (P2M/L2P/P2P) use only row-independent primitives
   (``einsum``, segment sums, elementwise) on per-shard leaf/body
   subsets, which are bit-exact under subsetting;
@@ -114,8 +118,9 @@ __all__ = [
     "supervisor_snapshot",
 ]
 
-#: delta-scratch row budget per M2L superstep round (bounds arena size)
-M2L_ROUND_ROWS = 262_144
+#: delta-scratch byte budget per M2L superstep round (bounds arena size;
+#: the 11 094 octet pairs of a uniform 10k S=8 order-6 tree take 35 MB)
+M2L_ROUND_BYTES = 64 << 20
 
 #: bytes per boundary body in the LET comm model (24 position + 8 charge)
 _BODY_POS_BYTES = 24
@@ -334,8 +339,7 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
     )
     cdt = np.complex128 if expansion.backend == "spherical" else np.float64
     nc = expansion.n_coeffs
-    R = expansion.m2l_reduction
-    nh = nc if R is None else R.shape[1]  # the width M2L reads and writes
+    nh = int(expansion.m2l_degrees.size)  # the width M2L reads and writes
     let = build_let(part, n_coeffs=nh)
 
     eff = tree.effective_nodes()
@@ -357,8 +361,9 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
     m2l_rounds = []
     cur: list[int] = []
     cw: list[int] = []
+    round_rows = M2L_ROUND_BYTES // (8 * nh * np.dtype(cdt).itemsize)
     for ci, (srows, _trows, _op) in enumerate(geom.m2l_classes):
-        if cur and sum(cw) + srows.size > M2L_ROUND_ROWS:
+        if cur and sum(cw) + srows.size > round_rows:
             m2l_rounds.append(_round(cur, cw, n_shards))
             cur, cw = [], []
         cur.append(ci)
@@ -374,10 +379,10 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         ("M", (n_eff, nc), cdt),
         ("L", (n_eff, nc), cdt),
         ("D", (max([1] + [r.rows for r in up_rounds]), nc), cdt),
-        ("Dh", (max([1] + [r.rows for r in m2l_rounds]), nh), cdt),
+        ("D8", (max([1] + [r.rows for r in m2l_rounds]), 8 * nh), cdt),
+        ("M8", (geom.octet_rows.size, 8 * nh), cdt),
+        ("L8", (geom.octet_rows.size, 8 * nh), cdt),
     ]
-    if R is not None:  # otherwise the workers alias them to M / L
-        entries += [("Mh", (n_eff, nh), cdt), ("Lh", (n_eff, nh), cdt)]
     for prefix, src in (("body", bplan), ("near", nplan)):
         for f in _PLAN_FIELDS[prefix]:
             arr = getattr(src, f)
@@ -451,8 +456,6 @@ class _WorkerState:
         self.barrier = barrier
         self.arena = _Arena.attach(plan.arena_name, plan.layout)
         self.v = v = self.arena.views
-        v.setdefault("Mh", v["M"])
-        v.setdefault("Lh", v["L"])
         self.exp = plan.expansion
         self.geom = geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
@@ -464,11 +467,13 @@ class _WorkerState:
         self.my_leaves = np.nonzero(plan.leaf_shard == self.me)[0]
         self.refresh()
 
-        # ownership merge selections, per round/class (serial class order)
-        self.up_merge = self._merge_sel(plan.up_rounds, geom.up_classes, 1)
-        self.m2l_merge = self._merge_sel(plan.m2l_rounds, geom.m2l_classes, 1)
+        # ownership merge selections, per round/class (serial class order);
+        # an octet belongs to the shard that owns its split node
+        octet_rank = plan.row_rank[geom.octet_rows]
+        self.up_merge = self._merge_sel(plan.up_rounds, geom.up_classes, plan.row_rank)
+        self.m2l_merge = self._merge_sel(plan.m2l_rounds, geom.m2l_classes, octet_rank)
 
-        # M2L halo: remote reduced-multipole rows my assigned classes read
+        # M2L halo: remote source octets my assigned classes read
         mine = []
         for rnd in plan.m2l_rounds:
             for k, ci in enumerate(rnd.cis):
@@ -476,7 +481,7 @@ class _WorkerState:
                     mine.append(geom.m2l_classes[int(ci)][0])
         if mine:
             src = np.unique(np.concatenate(mine))
-            self.halo_rows = src[plan.row_rank[src] != self.me]
+            self.halo_rows = src[octet_rank[src] != self.me]
         else:
             self.halo_rows = np.empty(0, dtype=np.int64)
 
@@ -497,15 +502,15 @@ class _WorkerState:
             else ()
         )
 
-    def _merge_sel(self, rounds, classes, dest_pos):
-        """For every round: ``[(ci, offset, sel, dest_rows)]`` of my rows."""
+    def _merge_sel(self, rounds, classes, rank):
+        """For every round: ``[(ci, offset, sel, dest_rows)]`` of my rows
+        (``rank`` is the owner shard of each destination row)."""
         out = []
-        rr = self.plan.row_rank
         for rnd in rounds:
             items = []
             for k, ci in enumerate(rnd.cis):
-                dest = classes[int(ci)][dest_pos]
-                sel = np.nonzero(rr[dest] == self.me)[0]
+                dest = classes[int(ci)][1]
+                sel = np.nonzero(rank[dest] == self.me)[0]
                 if sel.size:
                     items.append((int(ci), int(rnd.offsets[k]), sel, dest[sel]))
             out.append(items)
@@ -554,8 +559,13 @@ class _WorkerState:
     # --------------------------------------------------------------- stages
     def _zero_coeffs(self) -> None:
         lo, hi = self.plan.row_ranges[self.me], self.plan.row_ranges[self.me + 1]
-        for nm in ("M", "L", "Mh", "Lh"):
+        for nm in ("M", "L"):
             self.v[nm][lo:hi] = 0.0
+        # the target octets are few: one shard clears them all.  The source
+        # octets need none — the reduce assigns every slot that has a node
+        # and the arena is born zero
+        if self.me == 0:
+            self.v["L8"][:] = 0.0
 
     def _p2m(self, i: int, spec: PassSpec) -> None:
         basis = self._basis("p2m") if spec.kind == "charges" else None
@@ -579,16 +589,16 @@ class _WorkerState:
             T[dest] += D[off + sel]
 
     def _reduce(self) -> None:
-        farfield.m2l_reduce(self.exp.m2l_reduction, self.v["M"], self.v["Mh"])
+        farfield.m2l_reduce(self.exp, self.geom, self.v["M"], self.v["M8"])
 
     def _expand(self) -> None:
-        farfield.m2l_expand(self.exp.m2l_reduction, self.v["Lh"], self.v["L"])
+        farfield.m2l_expand(self.exp, self.geom, self.v["L8"], self.v["L"])
 
     def _halo_gather(self) -> None:
         if not self.halo_rows.size:
             return
         t0 = time.perf_counter()
-        buf = self.v["Mh"][self.halo_rows]
+        buf = self.v["M8"][self.halo_rows]
         self.halo_bytes += buf.nbytes
         self.halo_s += time.perf_counter() - t0
         self._span("halo", t0)
@@ -725,10 +735,10 @@ class _WorkerState:
             for rnd, items in zip(plan.m2l_rounds, self.m2l_merge):
                 self._beat(tag("m2l", i))
                 self._timed(
-                    tag("m2l", i), self._deltas, rnd, geom.m2l_classes, "Mh", "Dh"
+                    tag("m2l", i), self._deltas, rnd, geom.m2l_classes, "M8", "D8"
                 )
                 self._wait()
-                self._timed(tag("m2l", i), self._merges, items, "Lh", "Dh")
+                self._timed(tag("m2l", i), self._merges, items, "L8", "D8")
                 self._wait()
             # expand assigns L, P2L then adds to it: same shard, in order
             self._beat(tag("expand", i))

@@ -1,17 +1,17 @@
 """Process-global geometry-class operator cache shared across tenants.
 
 The far-field sweep builds one dense operator per *geometry class*
-(quantized displacement between interacting cells; for M2L the
-``(p+1)^2``-square core, DESIGN.md §9).  Assembly is batched
-(``m2l_class_operators``: one recurrence over every missing class), so a
-request's whole operator set — ~1400 operators, 2.5 MB at the served
-size n = 2000, order 3 — costs ~6 ms to build (geometry layer: ~12 ms
-over an empty cache, ~6 ms over a warm one) and sharing it saves about
-that much per request.  Those operators depend only on
-``(backend, order, kind, class_key)`` **and the absolute cell size**, so
-two requests over different trees share operators exactly when their
-root boxes agree.  :class:`SharedOperatorCache` therefore hands out
-*scoped views* keyed by the root-box edge length: each
+(a parent<->child shift per ``(level, octant)``; for M2L one
+octet-to-octet block per colleague direction, level-free — DESIGN.md §9).
+A request's whole operator set — ~125 operators, of which at most 13 are
+M2L blocks; 2.1 MB at the served size n = 2000, order 3 — costs ~14 ms to
+build (geometry layer: ~15 ms over an empty cache, ~1 ms over a warm
+one) and sharing it saves about that much per request.  Those operators
+depend only on ``(backend, order, kind, class_key)`` **and the absolute
+cell size**, so two requests over different trees share operators exactly
+when their root boxes agree — and then the second builds no M2L block at
+all, however different its tree.  :class:`SharedOperatorCache` therefore
+hands out *scoped views* keyed by the root-box edge length: each
 :class:`~repro.tree.cache.ListCache` installs
 ``cache.scoped(float(tree.root_box.size))`` on its interaction lists,
 and all tenants whose canonical domain matches hit the same entries.

@@ -133,10 +133,6 @@ class NodeTable:
 class AdaptiveOctree:
     """Variable-depth octree with leaf capacity ``S`` and tree surgery."""
 
-    #: the memoized :meth:`node_table` (a class default, so that a tree
-    #: restored field by field — ``resilience.checkpoint`` — has the slot)
-    _node_table: NodeTable | None = None
-
     def __init__(
         self,
         points: np.ndarray,
@@ -145,6 +141,29 @@ class AdaptiveOctree:
         root_box: Box | None = None,
         max_level: int = MAX_MORTON_LEVEL - 1,
     ) -> None:
+        self._init_state(points, S, root_box, max_level)
+        self._build_root()
+        self._split_recursive(0)
+
+    @classmethod
+    def from_nodes(
+        cls, points, S: int, nodes: list[OctreeNode], *, root_box: Box, max_level: int
+    ) -> "AdaptiveOctree":
+        """A tree over an already-built node buffer (``lo`` / ``hi`` ranges
+        included), hidden subtrees and all — what a checkpoint restores.
+
+        Every field but ``nodes`` is set by the code :meth:`__init__` runs,
+        so the restored tree takes surgery, refit and journalled list repair
+        like a built one; its stamps start over, as a fresh tree's do.
+        """
+        tree = cls.__new__(cls)
+        tree._init_state(points, S, root_box, max_level)
+        tree.nodes = nodes
+        return tree
+
+    def _init_state(self, points, S: int, root_box: Box | None, max_level: int) -> None:
+        """Validate the arguments, set every field a tree has and sort the
+        bodies; leaves ``nodes`` empty."""
         if S < 1:
             raise ValueError(f"leaf capacity S must be >= 1, got {S}")
         if not 1 <= max_level <= MAX_MORTON_LEVEL - 1:
@@ -170,13 +189,13 @@ class AdaptiveOctree:
         #: (the invariant :meth:`journal_since` relies on to prove
         #: completeness).  Consumed by incremental interaction-list repair.
         self._journal: deque[SurgeryRecord] = deque(maxlen=_JOURNAL_DEPTH)
+        #: the memoized :meth:`node_table`
+        self._node_table: NodeTable | None = None
         self.root_box = root_box if root_box is not None else bounding_box(pts)
         if not bool(self.root_box.contains(pts).all()):
             raise ValueError("root_box does not contain all points")
         self.nodes: list[OctreeNode] = []
         self._sort_bodies()
-        self._build_root()
-        self._split_recursive(0)
 
     # ---------------------------------------------------------- invalidation
     def _bump(self, *, structural: bool = False, record: tuple[str, int] | None = None) -> None:

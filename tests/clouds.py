@@ -1,5 +1,5 @@
-"""The six body clouds the structural contracts are stated on (ROADMAP's
-correctness pillar): two ordinary ones and the degenerate inputs a tree,
+"""The seven body clouds the structural contracts are stated on (ROADMAP's
+correctness pillar): three ordinary ones and the degenerate inputs a tree,
 a list build and a plan must survive.  ``CLOUDS[name](seed)`` returns
 ``(points, S)``.
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.generators import plummer, uniform_cube
+from repro.distributions.generators import exponential_disk, plummer, uniform_cube
 
 __all__ = ["CLOUDS", "deep_cluster"]
 
@@ -31,6 +31,8 @@ def _one_octant(seed):
 CLOUDS = {
     "plummer": lambda seed: (plummer(600, seed=seed).positions, 16),
     "uniform": lambda seed: (uniform_cube(600, seed=seed).positions, 8),
+    # thin and anisotropic: the sparsest sibling octets of the lot
+    "disk": lambda seed: (exponential_disk(600, seed=seed).positions, 8),
     "shell": _shell,
     "coincident": _coincident,
     "fewer-than-S": lambda seed: (plummer(20, seed=seed).positions, 64),

@@ -81,6 +81,9 @@ _RETIRED = {
     "build_interaction_lists" + "_scalar": "repro.tree.build_interaction_lists; the "
     "per-pair oracle left src/ for tests/oracles/lists.py",
     "farfield_row" + "_cache": "repro.tree.AdaptiveOctree.node_table",
+    "M2L_ROUND" + "_ROWS": "repro.runtime.shards.M2L_ROUND_BYTES (octet-wide scratch rows)",
+    "test_bench_m2l_" + "reduced_translation": "test_bench_m2l_octets; the "
+    "per-(level, displacement) class loop left src/ for tests/oracles/m2l.py",
 }
 
 

@@ -272,6 +272,65 @@ class TestBatchedClassOperators:
             Backend(3).m2l_class_operators(D)
 
 
+def _far_displacements():
+    """The 316 child-cell offsets M2L translates across: the +-3 cube less
+    the +-1 cube of adjacent cells."""
+    g = np.arange(-3, 4)
+    d = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    return d[np.abs(d).max(axis=1) >= 2]
+
+
+def _ldexp(core, exponents):
+    """``core * 2**exponents`` entry by entry, exactly (complex too)."""
+    if np.iscomplexobj(core):
+        return np.ldexp(core.real, exponents) + 1j * np.ldexp(core.imag, exponents)
+    return np.ldexp(core, exponents)
+
+
+@pytest.mark.parametrize("Backend", BACKENDS)
+class TestLevelFreeCores:
+    """What lets one set of direction blocks serve every level (DESIGN.md
+    §9): a core built from an integer multiple of a cell size ``h`` is, bit
+    for bit, a power-of-two multiple of the core built from the same
+    multiple of ``h / 2^l`` — entry ``(a, b)`` scales by ``2^(l (n_a + n_b
+    + 1))`` with ``n`` the expansion's ``m2l_degrees``."""
+
+    @pytest.mark.parametrize("order", [3, 4, 6, 10])
+    @pytest.mark.parametrize("h", [1.0, 0.7381, 0.033])
+    def test_cores_across_levels_are_exact_power_of_two_multiples(self, Backend, order, h):
+        from repro.geometry.morton import MAX_MORTON_LEVEL
+
+        exp = Backend(order)
+        n = exp.m2l_degrees
+        assert n.shape == ((order + 1) ** 2,) and n.max() == order
+        per_level = n[:, None] + n[None, :] + 1
+        d = _far_displacements()
+        if order > 4:
+            d = d[::9]
+        root = exp.m2l_class_operators(d * h)
+        levels = list(range(1, 11)) + [MAX_MORTON_LEVEL]  # no overflow at the deepest
+        for level in levels if order <= 4 else (3, 10, MAX_MORTON_LEVEL):
+            deep = exp.m2l_class_operators(d * (h / 2.0**level))
+            for a, b in zip(root, deep):
+                assert np.isfinite(b).all()
+                assert np.array_equal(_ldexp(a, level * per_level), b)
+
+    @pytest.mark.parametrize("order", [3, 4, 6])
+    def test_the_antipodal_core_is_a_sign_flip(self, Backend, order):
+        """``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a, b]`` — exactly on
+        the Cartesian back end (sign flips commute with the recurrence), to
+        rounding on the spherical one (its azimuth turns by pi)."""
+        exp = Backend(order)
+        n = exp.m2l_degrees
+        sign = (-1.0) ** (n[:, None] + n[None, :])
+        d = _far_displacements() * 0.7381
+        for fwd, back in zip(exp.m2l_class_operators(d), exp.m2l_class_operators(-d)):
+            if Backend is CartesianExpansion:
+                assert np.array_equal(fwd * sign, back)
+            else:
+                assert np.allclose(fwd * sign, back, rtol=1e-12, atol=1e-14 * np.abs(fwd).max())
+
+
 def _dense_m2l_operator(exp, displacement):
     """The full ``n_coeffs x n_coeffs`` row-applied M2L operator — what
     ``m2l_class_operators`` returned before it was cut to its core."""

@@ -21,10 +21,15 @@ from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm import farfield
+from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import far_field_geometry, laplace_far_field
+from repro.kernels import LaplaceKernel
 from repro.obs import Telemetry
+from repro.runtime.engine import ExecutionEngine
 from repro.tree import AdaptiveOctree, build_interaction_lists
+from tests.clouds import CLOUDS
 from tests.oracles.farfield import laplace_far_field_scalar
+from tests.oracles.m2l import displacement_classes, m2l_locals
 
 _FAMILIES = {
     "plummer": plummer,
@@ -227,18 +232,61 @@ def test_geometry_cached_per_backend_and_order():
     assert (stats["builds"], stats["hits"]) == (3, 1)
 
 
+def _m2l_of(p):
+    """Run pass ``p`` up to and including M2L; returns ``p.locals_``."""
+    p.p2m()
+    for level in p.up_levels:
+        for ci in level:
+            p.m2m_delta(ci)
+            p.m2m_merge(ci)
+    p.m2l_reduce()
+    for ci in range(p.n_m2l_classes):
+        p.m2l_delta(ci)
+        p.m2l_merge(ci)
+    p.m2l_expand()
+    return p.locals_
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+@pytest.mark.parametrize("cloud", sorted(CLOUDS))
+def test_octet_m2l_agrees_with_the_per_displacement_class_loop(cloud, backend, order):
+    """The shipped M2L — <= 13 level-free direction blocks over sibling
+    octets and their mirror images, pairs read off the colleague table —
+    leaves the locals the
+    per-(level, displacement) loop over the V table leaves
+    (``tests/oracles/m2l.py``), to rounding: <= 1e-12 of each coefficient's
+    largest value."""
+    pts, S = CLOUDS[cloud](seed=order)
+    tree = AdaptiveOctree(pts, S=S)
+    q = np.random.default_rng(order).uniform(-1, 1, pts.shape[0])
+    for folded in (True, False):
+        lists = build_interaction_lists(tree, folded=folded)
+        exp = _BACKENDS[backend](order)
+        p = farfield.FarFieldPass(tree, lists, exp, charges=q)
+        got = _m2l_of(p)
+        assert p.n_m2l_classes <= 13
+        _keys, classes = displacement_classes(tree, lists, exp)
+        assert sum(c[0].size for c in classes) == p.geom.n_m2l
+        want = m2l_locals(exp, classes, p.multipoles)
+        scale = np.abs(want).max(axis=0)
+        assert (np.abs(got - want).max(axis=0) <= 1e-12 * scale).all()
+        assert not got[0].any()  # the root has no far field
+
+
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
 def test_healthy_covers_the_translation_arrays(backend):
-    """A non-finite value parked in the arrays M2L reads and writes (the
-    reduced ones on the Cartesian back end, the coefficient arrays
-    themselves on the spherical one) fails the pass's guardrail."""
+    """A non-finite value parked in the octet arrays M2L reads and writes
+    (their own arrays on either back end: nothing aliases the coefficient
+    arrays) fails the pass's guardrail."""
     tree = AdaptiveOctree(plummer(300, seed=5).positions, S=10)
     lists = build_interaction_lists(tree, folded=True)
     p = farfield.FarFieldPass(tree, lists, _BACKENDS[backend](3), charges=np.ones(300))
     p.p2m()
     p.m2l_reduce()
     assert p.healthy()
-    assert (p.m2l_locals is p.locals_) == (backend == "spherical")
+    assert not np.shares_memory(p.m2l_locals, p.locals_)
+    assert p.m2l_locals.shape == (p.geom.octet_rows.size, 8 * (3 + 1) ** 2)
     p.m2l_locals[0, 0] = np.inf
     assert not p.healthy()
 
@@ -269,3 +317,16 @@ def test_span_applications_match_op_counts(folded):
         expected_ops += [op for op in ("M2P", "P2L") if counts[op]]
     for op in expected_ops:
         assert spans[op] == counts[op], op
+    # M2L is priced per V pair, whatever the sweep batches them into: the
+    # span, the lists and a solve's result all carry the V table's size, so
+    # C_M2L calibrated on either side of the octet form prices one thing
+    n_v = sum(len(vs) for vs in lists.v_list.values())
+    geom = far_field_geometry(tree, lists, CartesianExpansion(3))
+    assert n_v > sum(c[0].size for c in geom.m2l_classes) > 0
+    res = FMMSolver(LaplaceKernel(), order=3, folded=folded).solve(tree, q, lists=lists)
+    assert spans["M2L"] == counts["M2L"] == res.op_counts["M2L"] == geom.n_m2l == n_v
+    # ... and so does the task graph's op registry (the observed C_M2L)
+    with ExecutionEngine(n_workers=2) as engine:
+        solver = FMMSolver(LaplaceKernel(), order=3, folded=folded, engine=engine)
+        solver.solve(tree, q, lists=lists)
+        assert solver.last_engine_result.op_registry().timers["M2L"].count == n_v

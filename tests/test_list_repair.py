@@ -173,7 +173,7 @@ def test_cold_solve_builds_each_class_once_then_repair_is_all_hits():
     stats = lists.farfield_geometry_stats
     geom = far_field_geometry(tree, lists, solver.expansion)  # a hit
     n_classes = len(geom.m2l_classes) + len(geom.up_classes) + len(geom.down_classes)
-    assert len(geom.m2l_classes) > 50
+    assert 1 <= len(geom.m2l_classes) <= 13  # one per direction +-D, level-free
     assert stats["builds"] == 1
     assert stats["op_builds"] == n_classes and stats["op_hits"] == 0
 

@@ -10,8 +10,10 @@ the tree shapes — distribution family, body count, leaf capacity ``S``,
 folded/unfolded, the degenerate clouds of ``tests/clouds.py`` — far beyond
 what hand-picked fixtures cover.  The second half is the **table
 contract**: tables == dict views == oracle rows, tables re-derived after a
-repair, integer M2L class keys == the float ones, ``op_counts`` from
-tables, and which solves leave which views unboxed.
+repair, the V list == what the colleague pairs of split nodes imply (the
+identity the far-field geometry rests on; the oracle's integer
+(level, displacement) keys == the float ones), ``op_counts`` from tables,
+and which solves leave which views unboxed.
 """
 
 import numpy as np
@@ -23,13 +25,16 @@ from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import _group_by_key, far_field_geometry
+from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.kernels import GravityKernel
+from repro.kernels.direct import direct_evaluate
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shards import ProcessEngine
 from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
 from repro.tree.lists import FAMILIES
 from tests.clouds import CLOUDS, deep_cluster
 from tests.oracles.lists import build_interaction_lists_scalar
+from tests.oracles.m2l import displacement_classes
 
 _FAMILIES = {
     "plummer": plummer,
@@ -289,36 +294,33 @@ def test_repair_drops_the_tables_and_the_next_read_reflattens_them(
     assert lists.op_counts() == fresh.op_counts()
 
 
-def _float_class_keys(tree, geom, srows, trows):
-    """The M2L class key of each pair as the parent commit computed it:
-    the centre offset in units of the pair's cell size, rounded."""
-    level = tree.node_table().level[trows]
-    d = geom.centers[trows] - geom.centers[srows]
+def _float_class_keys(tree, srows, trows):
+    """The (level, displacement) key of each V pair by the float route: the
+    centre offset in units of the pair's cell size, rounded."""
+    tab = tree.node_table()
+    level = tab.level[trows]
+    d = tab.centers[trows] - tab.centers[srows]
     k = np.rint(d / (tree.root_box.size / 2.0**level)[:, None]).astype(np.int64)
     return ((level * 17 + k[:, 0] + 8) * 17 + k[:, 1] + 8) * 17 + k[:, 2] + 8
 
 
 def _assert_class_keys_are_the_float_keys(tree, lists):
-    exp = CartesianExpansion(1)
-    geom = far_field_geometry(tree, lists, exp)
-    # classes come in ascending key order, and each class operator is
-    # cached under its (integer) key
-    cached = sorted(
-        key[3] for key in lists.farfield_op_cache._store if key[2] == "m2l"
-    )
-    assert len(cached) == len(geom.m2l_classes)
+    """The oracle's per-(level, displacement) classes: ascending integer
+    keys that equal the float keys on every pair, V-table order inside."""
+    keys, classes = displacement_classes(tree, lists, CartesianExpansion(1))
+    assert len(keys) == len(classes) and (np.diff(keys) > 0).all()
     n_pairs = 0
-    for key, (srows, trows, _op) in zip(cached, geom.m2l_classes):
-        assert (_float_class_keys(tree, geom, srows, trows) == key).all()
+    for key, (srows, trows, _op) in zip(keys.tolist(), classes):
+        assert (_float_class_keys(tree, srows, trows) == key).all()
         n_pairs += srows.size
-    assert n_pairs == lists.table("v_list").values.size == geom.n_m2l
-    # pair order inside the classes: the V table's, stably grouped
     v = lists.table("v_list")
+    assert n_pairs == v.values.size
     row_of = tree.node_table().row_of
     trow, srow = row_of[v.owners], row_of[v.values]
-    order = np.argsort(_float_class_keys(tree, geom, srow, trow), kind="stable")
-    assert np.array_equal(np.concatenate([c[0] for c in geom.m2l_classes]), srow[order])
-    assert np.array_equal(np.concatenate([c[1] for c in geom.m2l_classes]), trow[order])
+    order = np.argsort(_float_class_keys(tree, srow, trow), kind="stable")
+    if classes:
+        assert np.array_equal(np.concatenate([c[0] for c in classes]), srow[order])
+        assert np.array_equal(np.concatenate([c[1] for c in classes]), trow[order])
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -336,14 +338,98 @@ def test_integer_class_keys_equal_the_float_keys_on_every_v_pair(cloud, seed, fo
 
 
 def test_integer_class_keys_on_a_tree_sixteen_levels_deep():
-    """Centres 16+ halvings down still round to the integer offsets, and
-    the keys span more than 16 bits' worth of (level, offset) codes — it is
-    their dense ranks that the grouping radix-sorts."""
+    """Centres 16+ halvings down still round to the integer offsets."""
     tree = AdaptiveOctree(deep_cluster(), S=3)
     lists = build_interaction_lists(tree, folded=True)
     levels = tree.node_table().level[tree.node_table().row_of[lists.table("v_list").owners]]
-    assert levels.max() >= 16 and (levels.max() - levels.min()) * 17**3 > 1 << 16
+    assert levels.max() >= 16
     _assert_class_keys_are_the_float_keys(tree, lists)
+
+
+# ------------------------------ the V list is implied by the colleague pairs
+def _implied_v_pairs(tree, geom):
+    """The (target row, source row) pairs the octet classes translate
+    across: existing child i of P x existing child j of Q over the class's
+    (Q, P) octet pairs, wherever the two children are not adjacent.  A
+    class holds the pairs of one direction D between natural octets and
+    those of -D between mirrored ones (``n_split`` rows down)."""
+    tab = tree.node_table()
+    cell = tab.cell >> (MAX_MORTON_LEVEL - tab.level)[:, None]
+    n_split = geom.octet_rows.size // 2
+    assert np.array_equal(geom.octet_rows[:n_split], geom.octet_rows[n_split:])
+    natural, mirrored = geom.child_slots
+    assert np.array_equal(mirrored, natural + 8 * n_split + 7 - 2 * (natural % 8))
+    slot_row = np.full(n_split * 8, -1)
+    slot_row[natural] = geom.child_rows
+    slot_row = slot_row.reshape(-1, 8)
+    pairs = []
+    for src, tgt, _op in geom.m2l_classes:
+        # each target octet row at most once per class
+        assert np.unique(tgt).size == tgt.size
+        assert ((src >= n_split) == (tgt >= n_split)).all()
+        sign = np.where(tgt >= n_split, -1, 1)[:, None]
+        src, tgt = src % n_split, tgt % n_split
+        offset = sign * (cell[geom.octet_rows[tgt]] - cell[geom.octet_rows[src]])
+        assert (offset == offset[0]).all() and np.abs(offset[0]).max() == 1
+        for q, p in zip(src.tolist(), tgt.tolist()):
+            for i in slot_row[p][slot_row[p] >= 0].tolist():
+                for j in slot_row[q][slot_row[q] >= 0].tolist():
+                    if np.abs(cell[i] - cell[j]).max() >= 2:
+                        pairs.append((i, j))
+    return pairs
+
+
+def _assert_v_list_is_implied(tree, lists):
+    geom = far_field_geometry(tree, lists, CartesianExpansion(1))
+    assert len(geom.m2l_classes) <= 13
+    v = lists.table("v_list")
+    row_of = tree.node_table().row_of
+    implied = _implied_v_pairs(tree, geom)
+    assert len(implied) == len(set(implied)) == v.values.size == geom.n_m2l
+    assert set(implied) == set(zip(row_of[v.owners].tolist(), row_of[v.values].tolist()))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cloud=st.sampled_from(sorted(CLOUDS)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    folded=st.booleans(),
+    n_ops=st.integers(min_value=0, max_value=4),
+)
+def test_v_pairs_are_the_nonadjacent_children_of_split_colleague_pairs(
+    cloud, seed, folded, n_ops
+):
+    """What ``far_field_geometry`` rests on, fresh and after surgery +
+    repair (an effective tree with hidden children under its leaves)."""
+    pts, S = CLOUDS[cloud](seed)
+    tree = AdaptiveOctree(pts, S=S)
+    cache = ListCache(max_affected_frac=1e9, max_repair_ops=64)
+    lists = cache.get(tree, folded=folded)
+    _assert_v_list_is_implied(tree, lists)
+    if _random_surgery(tree, np.random.default_rng(seed), n_ops):
+        assert cache.get(tree, folded=folded) is lists and cache.repairs == 1
+        _assert_v_list_is_implied(tree, lists)
+
+
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+@pytest.mark.parametrize("S", [64, 8], ids=["depth-0", "depth-1"])
+def test_a_tree_without_a_split_colleague_pair_has_no_m2l_class(S, folded):
+    """Depth <= 1: the only split node is the root, nothing is well
+    separated, and the solve is all near field — and right."""
+    pts = plummer(40, seed=3).positions
+    tree = AdaptiveOctree(pts, S=S, max_level=1)
+    assert tree.depth() == (0 if S == 64 else 1)
+    lists = build_interaction_lists(tree, folded=folded)
+    geom = far_field_geometry(tree, lists, CartesianExpansion(2))
+    assert geom.m2l_classes == [] and geom.n_m2l == 0
+    q = np.random.default_rng(3).uniform(0.5, 1.5, 40)
+    kernel = GravityKernel(G=1.0)
+    res = FMMSolver(kernel, order=2, folded=folded).solve(tree, q, lists=lists, gradient=True)
+    assert res.op_counts["M2L"] == 0
+    ref_pot = direct_evaluate(kernel, pts, pts, q, exclude_self=True)[:, 0]
+    ref_grad = direct_evaluate(kernel, pts, pts, q, gradient=True, exclude_self=True)
+    assert np.allclose(res.potential, ref_pot, rtol=1e-12, atol=0)
+    assert np.allclose(res.gradient, ref_grad, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_distinct", [300, (1 << 16) + 5])

@@ -17,7 +17,10 @@ Five pillars:
 * **balancer watchdog** — S flip-flop in the incremental state forces
   the observation state instead of thrashing the tree;
 * **shutdown & exception safety** — daemonic workers, idempotent close,
-  transactional tree surgery.
+  transactional tree surgery;
+* **surgery after resume** — a tree restored from a checkpoint takes
+  collapse / pushdown, journalled list repair and a solve bitwise like the
+  tree that was never checkpointed.
 """
 
 import os
@@ -40,6 +43,7 @@ from repro.kernels.stokeslet_fmm import StokesletFMMSolver
 from repro.machine.executor import HeterogeneousExecutor
 from repro.machine.spec import system_a
 from repro.obs import Telemetry
+from repro.resilience.checkpoint import tree_from_state, tree_state_arrays
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -546,10 +550,18 @@ class TestQuarantine:
             real_p2m(self)
             if poisoned:
                 return  # first pass of the first step only
-            # one leaf that actually has far-field targets (an M2L source)
-            leaf_rows = set(self.geom.leaf_rows.tolist())
-            for src_rows, _, _ in self.geom.m2l_classes:
-                hit = [r for r in src_rows.tolist() if r in leaf_rows]
+            # one leaf that actually has far-field targets: a leaf child
+            # in a source octet of an M2L class
+            geom = self.geom
+            leaf_child = np.isin(geom.child_rows, geom.leaf_rows)
+            leaf_in_octet = dict(
+                zip(
+                    (geom.child_slots[0][leaf_child] // 8).tolist(),
+                    geom.child_rows[leaf_child].tolist(),
+                )
+            )
+            for src_octets, _, _ in geom.m2l_classes:
+                hit = [leaf_in_octet[o] for o in src_octets.tolist() if o in leaf_in_octet]
                 if hit:
                     self.multipoles[hit[0]] = np.nan
                     poisoned.append(True)
@@ -785,3 +797,59 @@ class TestSurgeryExceptionSafety:
         lists_after = cache.get(tree, folded=True)
         assert lists_after is not lists_before  # stamp bumped -> rebuilt
         assert_once_cover(tree, lists_after)
+
+
+# --------------------------------------------------------------------------
+# surgery after resume
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+def test_surgery_on_a_restored_tree_repairs_and_solves_bitwise(folded):
+    """checkpoint -> restore -> collapse + pushdown -> ``ListCache.get``
+    repairs -> the solve equals the un-checkpointed run's, bit for bit.
+    The checkpoint is taken with a collapsed subtree in it, so the
+    restored pushdown reclaims hidden children it never allocated."""
+    pts = plummer(700, seed=23).positions
+    q = np.random.default_rng(23).uniform(0.5, 1.5, pts.shape[0])
+    live = AdaptiveOctree(pts, S=10)
+    parents_of_leaves = [
+        n
+        for n in live.effective_nodes()
+        if n != 0
+        and not live.nodes[n].is_leaf
+        and all(live.nodes[c].is_leaf for c in live.effective_children(n))
+    ]
+    reclaimed, collapsed = parents_of_leaves[0], parents_of_leaves[-1]
+    assert reclaimed != collapsed
+    live.collapse(reclaimed)
+    restored = tree_from_state(pts, *tree_state_arrays(live))
+    assert restored is not live and len(restored.nodes) == len(live.nodes)
+
+    results = []
+    for tree in (live, restored):
+        solver = FMMSolver(GravityKernel(G=1.0), order=3, folded=folded)
+        solver.solve(tree, q, gradient=True)
+        kids = tree.pushdown(reclaimed)
+        assert kids and all(not tree.nodes[c].hidden for c in kids)
+        tree.collapse(collapsed)
+        assert_tree_invariants(tree)
+        res = solver.solve(tree, q, gradient=True)
+        cache = solver.list_cache
+        assert (cache.builds, cache.repairs) == (1, 1)
+        if folded:
+            assert_once_cover(tree, res.lists)
+        results.append(res)
+    a, b = results
+    assert a.op_counts == b.op_counts
+    assert np.array_equal(a.potential, b.potential)
+    assert np.array_equal(a.gradient, b.gradient)
+
+
+def test_a_restored_tree_has_every_field_a_built_one_has():
+    """One constructor path: whatever ``__init__`` sets, a restore sets."""
+    pts = plummer(200, seed=4).positions
+    built = AdaptiveOctree(pts, S=8)
+    restored = tree_from_state(pts, *tree_state_arrays(built))
+    assert set(vars(restored)) == set(vars(built))
+    assert restored.journal_since(restored.structure_generation) == []

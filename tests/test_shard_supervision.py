@@ -16,6 +16,7 @@ kind) is ``-m chaos``.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -103,9 +104,9 @@ def test_kill_in_near_field_redoes_only_lost_phase():
 
 def test_kill_at_translation_expand_redoes_only_that_pass():
     """A worker killed at a mid-solve ``expand`` (pass 3 of the 7-pass
-    Stokeslet solve: full-width locals not yet assigned, reduced arrays
-    merged) restarts at pass 3 — the phase re-zeroes ``Lh`` and re-fills
-    ``Mh`` like ``M`` and ``L``, so the redo stays bitwise."""
+    Stokeslet solve: full-width locals not yet assigned, target octets
+    merged) restarts at pass 3 — the phase re-zeroes ``L8`` and re-fills
+    ``M8`` like ``M`` and ``L``, so the redo stays bitwise."""
     pts, _ = _cloud(n=700, seed=59)
     tree = AdaptiveOctree(pts, S=24)
     forces = np.random.default_rng(5).standard_normal((len(pts), 3))
@@ -225,6 +226,9 @@ def test_persistent_failure_degrades_to_exact_serial_via_solver():
 def test_supervisor_snapshot_aggregates_recovery_history():
     pts, q = _cloud(n=600, seed=47)
     tree = AdaptiveOctree(pts, S=24)
+    # the registry holds engines weakly: collect an earlier test's dead
+    # engine now, not between the two snapshots
+    gc.collect()
     before = supervisor_snapshot()
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
         eng.install_fault_plan(_plan_kill_near())

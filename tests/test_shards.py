@@ -130,7 +130,7 @@ def reduction_cases():
     uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive tree with
     unfolded lists (the M2L expand must land before the P2L add, M2P reads
     the full-width multipoles), (iii) the 7-pass Stokeslet solve (passes
-    share R and the reduced rows)."""
+    share R, the octet layout and the direction blocks)."""
     cases = {
         "uniform-o6": _laplace_case(
             uniform_cube(2500, seed=3).positions, S=8, order=6, folded=True, seed=4
@@ -164,6 +164,28 @@ def test_reduced_translation_bitwise_on_every_back_end(backend, reduction_cases)
             for a, b in zip(got, serial):
                 assert np.array_equal(a, b), name
             assert solver.degraded_runs == 0, name
+
+
+def test_m2l_rounds_cut_by_the_byte_budget_keep_the_bits(reduction_cases, monkeypatch):
+    """A delta-scratch budget below one solve's octet pairs cuts M2L into
+    several supersteps — whole classes, ascending — over a smaller arena;
+    the bits do not move."""
+    from repro.runtime import shards
+
+    monkeypatch.setattr(shards, "M2L_ROUND_BYTES", 400_000)
+    solve, serial = reduction_cases["uniform-o6"]
+    with ProcessEngine(n_shards=2) as engine:
+        solver, _, got = solve(engine)
+        plan = engine._session.plan
+        assert len(plan.m2l_rounds) > 3
+        assert np.concatenate([r.cis for r in plan.m2l_rounds]).tolist() == list(
+            range(len(plan.geom.m2l_classes))
+        )
+        scratch = np.prod(plan.layout["D8"][1]) * 8
+        assert scratch <= max(400_000, max(r.rows for r in plan.m2l_rounds) * 8 * 49 * 8)
+    for a, b in zip(got, serial):
+        assert np.array_equal(a, b)
+    assert solver.degraded_runs == 0
 
 
 # ------------------------------------------------------- session reuse/refresh
