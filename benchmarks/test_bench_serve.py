@@ -1,21 +1,21 @@
 """Serve benchmark gate: a cold served solve costs at most 1.5x a warm one.
 
-The shared :class:`~repro.serve.opcache.SharedOperatorCache` used to be
-the server's economic claim: a cold request paid ~1.4 s of per-class
-M2L operator builds that every later request skipped (~10x).  Batched
-operator assembly (DESIGN.md section 9) builds the same ~1600 order-3
-operators in ~10 ms, so the contract this gate now holds is the
-opposite one: **cold start is no longer a cliff**.  It serves the same
-spec through a live in-process server — cold on a fresh opcache, then
-warm — and requires ``cold_ms <= 1.5 * warm_ms``, plus nonzero cache
-hits (the sharing still has to work, it just stopped being what a cold
-request waits for).
+Sharing operators across requests used to be the server's economic
+claim: a cold request paid ~1.4 s of per-class M2L operator builds that
+every later request skipped (~10x).  Today a request's operators are one
+:class:`~repro.expansions.operators.OperatorSet` (8 + 8 shifts, 13 blocks;
+DESIGN.md section 9) assembled in ~10 ms at order 3, so the contract this
+gate holds is the opposite one: **cold start is no longer a cliff**.  It
+serves the same spec through a live in-process server — cold on an empty
+operator store, then warm — and requires ``cold_ms <= 1.5 * warm_ms``,
+plus nonzero store hits (the sharing still has to work, it just stopped
+being what a cold request waits for) and records the operators per set.
 
 The timing gate needs real cores to be meaningful under the asyncio
 loop + pool threads; below 4 usable CPUs it is skipped.  The *bitwise*
 assertion — served results (cold AND warm) equal the direct
 :func:`~repro.serve.server.solve_direct` baseline — runs everywhere,
-because an oversubscribed box is where cross-thread cache races would
+because an oversubscribed box is where cross-thread store races would
 corrupt an operator if they could.
 
 Results append to ``BENCH_serve.json`` and the run ledger, where
@@ -84,7 +84,8 @@ def test_bench_serve_warm_vs_cold(benchmark):
             "served result drifted from the direct baseline bitwise"
         )
         assert np.array_equal(out["gradient"], direct["gradient"])
-    assert stats["hits"] > 0, "warm solves never hit the shared cache"
+    assert stats["hits"] > 0, "warm solves never read the shared operator set"
+    (ops,) = bg.server.operators._sets.values()  # one domain, one order: one set
 
     cold_over_warm = cold_t / warm_t
     record = {
@@ -97,9 +98,10 @@ def test_bench_serve_warm_vs_cold(benchmark):
         "cold_ms": round(cold_t * 1e3, 3),
         "warm_ms": round(warm_t * 1e3, 3),
         "cold_over_warm": round(cold_over_warm, 2),
-        "opcache_entries": stats["entries"],
-        "opcache_bytes": stats["bytes"],
-        "opcache_hits": stats["hits"],
+        "operator_sets": stats["entries"],
+        "operators_per_set": len(ops),
+        "operator_set_bytes": stats["bytes"],
+        "operator_set_hits": stats["hits"],
         "bitwise_identical": True,
     }
     history = []
@@ -113,8 +115,8 @@ def test_bench_serve_warm_vs_cold(benchmark):
     print(
         f"serve warm-vs-cold, n={SPEC['n']} order={SPEC['order']}: "
         f"cold {cold_t * 1e3:.0f} ms, warm {warm_t * 1e3:.0f} ms -> "
-        f"{cold_over_warm:.2f}x ({stats['entries']} cached operators, "
-        f"{stats['bytes'] >> 10} KiB)"
+        f"{cold_over_warm:.2f}x ({stats['entries']} operator set of "
+        f"{len(ops)}, {stats['bytes'] >> 10} KiB)"
     )
     if gate_skipped:
         pytest.skip(

@@ -4,8 +4,9 @@ Starts the asyncio job server in-process (real TCP listener on an
 OS-assigned port), fires concurrent solve requests from several tenants
 — Laplace one-shots, a Stokeslet solve, a short time-stepped run — and
 asserts every served result is *bitwise* identical to a direct solver
-run of the same spec.  Prints the server's status (queue/tenant/opcache
-stats) at the end.  This is the script the CI ``serve`` job runs.
+run of the same spec.  Prints the server's status (queue / tenant /
+operator-store stats) at the end.  This is the script the CI ``serve`` job
+runs.
 
 Run:  python examples/serve_smoke.py [n_bodies] [n_jobs]
 """
@@ -80,8 +81,8 @@ def main(n: int = 600, n_jobs: int = 8, ledger: str | None = None) -> None:
         f"(pool={config.pool_size})"
     )
     print(
-        f"opcache: {op['entries']} operators, {op['bytes'] >> 10} KiB, "
-        f"{op['hits']} hits / {op['misses']} misses / {op['evictions']} evictions"
+        f"operator store: {op['entries']} sets, {op['bytes'] >> 10} KiB, "
+        f"{op['hits']} hits / {op['misses']} misses"
     )
     print(f"all {checked} served results bitwise identical to direct solves")
     print("done.")

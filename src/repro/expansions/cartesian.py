@@ -66,6 +66,12 @@ class CartesianExpansion:
         return self.mis.n
 
     @property
+    def shift_degrees(self) -> np.ndarray:
+        """Degree ``|alpha|`` of each coefficient: halving an M2M / L2L
+        shift halves entry ``(a, b)`` ``|n_b - n_a|`` times, exactly."""
+        return self.mis.degrees
+
+    @property
     def m2l_reduction(self) -> np.ndarray:
         """``R`` of shape ``(n_coeffs, (order+1)^2)``: ``M @ R`` enters the
         space the M2L cores act in, ``@ R.T`` leaves it."""

@@ -165,6 +165,8 @@ class SphericalExpansion:
         #: degree of each translation coefficient
         #: (cf. :attr:`CartesianExpansion.m2l_degrees`)
         self.m2l_degrees = self.ns
+        #: ... and of each coefficient an M2M / L2L shift acts on: the same
+        self.shift_degrees = self.ns
         self.n_coeffs = len(self.ns)
         self._m2m_table = _build_shift_table(order, kind="m2m")
         self._l2l_table = _build_shift_table(order, kind="l2l")

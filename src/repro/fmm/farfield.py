@@ -32,8 +32,15 @@ serve the 26 directions: ``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a,
 b]``, so the block of ``-D`` is the block of ``D`` between *mirrored*
 octets (child ``j`` in slot ``7 - j``, odd degrees negated), which the
 octet arrays carry ``n_split`` rows below the natural ones.  A solve
-applies **at most 13 M2L classes**, each one gemm.  Every other operator
-keeps the full width and its per-level classes.
+applies **at most 13 M2L classes**, each one gemm.  M2M and L2L keep the
+full width and one class per ``(level, octant)``, but their operators are
+level-free too: a level's is the root's child-shift operator times exact
+powers of two.  So every operator of a sweep comes from one immutable
+:class:`~repro.expansions.operators.OperatorSet` per ``(backend, order,
+h_root)`` — 8 + 8 shifts, 13 blocks — read from the
+:class:`~repro.expansions.operators.OperatorStore` that the
+:class:`~repro.tree.cache.ListCache` stamped on the lists: a rebuilt tree,
+or another tree over the same root box, assembles none.
 
 The engine splits per-solve state into three cached layers, all memoized
 on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
@@ -78,21 +85,19 @@ the cost-model unit, however few octet pairs carry them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.expansions.operators import OperatorStore
 from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 from repro.util.arrays import csr_ptr, stable_argsort
 
 __all__ = [
-    "DictOperatorCache",
     "FarFieldGeometry",
     "FarFieldPass",
     "LeafBodyPlan",
-    "OperatorCacheProtocol",
     "PassSpec",
     "far_field_geometry",
     "l2p",
@@ -177,82 +182,6 @@ def _cache_stats(lists: InteractionLists, attr: str, *extra: str) -> dict[str, i
     return stats
 
 
-@runtime_checkable
-class OperatorCacheProtocol(Protocol):
-    """Store of dense translation operators keyed by quantized geometry.
-
-    Keys are tuples of discrete data — ``(backend, order, kind,
-    class_key)`` — optionally prefixed with a *scope* by the installer
-    (see :meth:`repro.tree.cache.ListCache.share_operator_cache`): octree
-    geometry classes are exact functions of those integers plus the root
-    cell size, so any two trees agreeing on the key need the same dense
-    operator.  Implementations must tolerate concurrent ``get``/``put``
-    when shared across threads, and may evict (a ``get`` after eviction
-    simply returns ``None`` and the caller rebuilds).  ``evictions`` is
-    the cumulative eviction count, surfaced uniformly as
-    ``farfield_geometry_stats["op_evictions"]``.
-    """
-
-    def get(self, key: tuple) -> Any | None: ...
-
-    def put(self, key: tuple, op: Any) -> None: ...
-
-    @property
-    def evictions(self) -> int: ...
-
-
-class DictOperatorCache:
-    """The default per-lists operator store: unbounded, never evicts.
-
-    One instance hangs off each :class:`InteractionLists` (surviving
-    repair, see :func:`_operator_cache`); the serve subsystem swaps in a
-    process-global LRU (:class:`repro.serve.opcache.SharedOperatorCache`)
-    through the same :class:`OperatorCacheProtocol` seam.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-
-    def get(self, key: tuple) -> Any | None:
-        return self._store.get(key)
-
-    def put(self, key: tuple, op: Any) -> None:
-        self._store[key] = op
-
-    @property
-    def evictions(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
-def _operator_cache(lists: InteractionLists) -> OperatorCacheProtocol:
-    """Per-lists translation-operator store keyed by *quantized* geometry.
-
-    Octree geometry classes are exact functions of discrete data — a
-    parent<->child shift of ``(level, octant)``, an M2L direction block of
-    ``(D, root cell size)`` — so the dense operators can be keyed by those
-    and survive tree surgery: a repair drops the structural
-    ``derived_cache`` layer (row indices shift when nodes appear or
-    vanish) but deliberately leaves this plain attribute alone.  The next
-    :func:`far_field_geometry` build then re-derives only the *rows* and
-    fetches every operator whose class already existed — a **partial**
-    rebuild whose cost excludes the dominant operator-assembly term.
-
-    A pre-installed cache (``lists.farfield_op_cache``, e.g. a scoped
-    view of the serve subsystem's shared LRU) is honoured as-is; the
-    default is a fresh :class:`DictOperatorCache`.
-    """
-    cache = getattr(lists, "farfield_op_cache", None)
-    if cache is None:
-        cache = DictOperatorCache()
-        lists.farfield_op_cache = cache
-    return cache
-
-
 def level_groups(levels: list[int]) -> list[list[int]]:
     """Group consecutive equal entries of ``levels`` into index runs."""
     groups: list[list[int]] = []
@@ -304,38 +233,6 @@ class FarFieldGeometry:
     down_class_levels: list  # tree level of each down class (aligned)
 
 
-def _m2l_cores(expansion, h_root: float) -> dict:
-    """``{d: core}`` for the 316 child-cell displacements ``d`` of the +-3
-    cube outside the +-1 cube, from one batched assembly — built at the
-    root's cell size (``d * h_root``), whatever level the octets sit on:
-    halving the cell multiplies entry ``(a, b)`` of a core by ``2^(n_a +
-    n_b + 1)`` exactly, and :func:`m2l_reduce` / :func:`m2l_expand` put
-    those factors on the octet arrays instead."""
-    g = np.arange(-3, 4)
-    disp = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    disp = disp[np.abs(disp).max(axis=1) >= 2]
-    cores = expansion.m2l_class_operators(disp * h_root)
-    return dict(zip(map(tuple, disp.tolist()), cores))
-
-
-def _m2l_direction_block(cores: dict, D) -> np.ndarray:
-    """The ``(8w, 8w)`` octet-to-octet M2L operator of direction ``D``, the
-    cell offset (target minus source, own-level cells) between two
-    colleague split nodes: sub-block (source child ``j``, target child
-    ``i``) is the core of the child-cell displacement ``2D + o_i - o_j``,
-    or zero where those two children are adjacent (bit k of an octant is
-    its side along axis k, as the tree allocates children)."""
-    any_core = next(iter(cores.values()))
-    w = any_core.shape[0]
-    block = np.zeros((8, w, 8, w), dtype=any_core.dtype)
-    for j in range(8):
-        for i in range(8):
-            d = tuple(2 * D[k] + (i >> k & 1) - (j >> k & 1) for k in range(3))
-            if d in cores:
-                block[j, :, i, :] = cores[d]
-    return block.reshape(8 * w, 8 * w)
-
-
 def far_field_geometry(
     tree: AdaptiveOctree, lists: InteractionLists, expansion
 ) -> FarFieldGeometry:
@@ -347,12 +244,7 @@ def far_field_geometry(
     key = f"farfield_geometry:{expansion.backend}:{expansion.order}"
     cached, store = lists.derived_cache(key, structural=True)
     stats = _cache_stats(
-        lists,
-        "farfield_geometry_stats",
-        "partial_rebuilds",
-        "op_hits",
-        "op_builds",
-        "op_evictions",
+        lists, "farfield_geometry_stats", "partial_rebuilds", "op_hits", "op_builds"
     )
     if cached is not None:
         stats["hits"] += 1
@@ -360,21 +252,15 @@ def far_field_geometry(
     stats["builds"] += 1
     if getattr(lists, "last_repair", None) is not None:
         # the structural layer was dropped by an incremental list repair,
-        # not a fresh lists object: the operator cache below is warm, so
-        # this rebuild re-derives rows only
+        # not a fresh lists object: this rebuild re-derives rows only
         stats["partial_rebuilds"] += 1
-    op_cache = _operator_cache(lists)
-
-    def class_operator(kind: str, class_key, build):
-        k = (expansion.backend, expansion.order, kind, class_key)
-        op = op_cache.get(k)
-        if op is None:
-            op = build()
-            op_cache.put(k, op)
-            stats["op_builds"] += 1
-        else:
-            stats["op_hits"] += 1
-        return op
+    # the one set of operators this (backend, order, root box) ever needs,
+    # from the store of the ListCache that built the lists (bare lists get
+    # a store of their own); a repair keeps the lists, hence the store
+    operators = getattr(lists, "operator_store", None)
+    if operators is None:
+        operators = lists.operator_store = OperatorStore()
+    ops, assembled = operators.get(expansion, tree.root_box.size)
 
     # row state is a gather from the tree's node table (per-id attributes
     # are immutable and the table is memoized per structure_generation)
@@ -400,25 +286,13 @@ def far_field_geometry(
         for lo, hi in zip(ptr[:-1], ptr[1:]):
             c = child_rows[order[lo:hi]]
             segs.append((int(levels[c[0]]), int(octant[order[lo]]), c, parent_row[c]))
+        # a level's operator is the set's level-1 one times exact powers of
+        # two — what the back end builds at the shift +-h_root / 2^(level+1)
         for lvl, okt, c, p in sorted(segs, key=lambda s: -s[0]):
-            op = class_operator(
-                "m2m",
-                (lvl, okt),
-                lambda c=c, p=p: expansion.m2m_class_operator(
-                    centers[p[0]] - centers[c[0]]
-                ),
-            )
-            up_classes.append((c, p, op))
+            up_classes.append((c, p, ops.m2m_at(lvl, okt)))
             up_class_levels.append(lvl)
         for lvl, okt, c, p in sorted(segs, key=lambda s: s[0]):
-            op = class_operator(
-                "l2l",
-                (lvl, okt),
-                lambda c=c, p=p: expansion.l2l_class_operator(
-                    centers[c[0]] - centers[p[0]]
-                ),
-            )
-            down_classes.append((p, c, op))
+            down_classes.append((p, c, ops.l2l_at(lvl, okt)))
             down_class_levels.append(lvl)
 
     # ---- M2L direction classes over sibling octets.  The V list is implied
@@ -441,31 +315,21 @@ def far_field_geometry(
         offset = cell[split_rows[tgt]] - cell[split_rows[src]]
         key = (offset + 1) @ np.array([9, 3, 1])  # 0..26, -D at 26 - key
         mirrored = key < 13
-        offset[mirrored] *= -1
-        order, ptr = _group_by_key(np.where(mirrored, 26 - key, key))
+        key = np.where(mirrored, 26 - key, key)  # 14..26: the set's 13 blocks
+        order, ptr = _group_by_key(key)
         tgt, src = (tgt + n_split * mirrored)[order], (src + n_split * mirrored)[order]
-        h_root = float(tree.root_box.size)
-        cores: dict = {}
-
-        def block(D):
-            if not cores:  # one batched assembly serves every missing block
-                cores.update(_m2l_cores(expansion, h_root))
-            return _m2l_direction_block(cores, D)
-
-        ops = [
-            class_operator("m2l", (*D, h_root), lambda D=D: block(D))
-            for D in offset[order[ptr[:-1]]].tolist()
-        ]
         m2l_classes = [
-            (src[lo:hi], tgt[lo:hi], op) for lo, hi, op in zip(ptr[:-1], ptr[1:], ops)
+            (src[lo:hi], tgt[lo:hi], ops.m2l[key[order[lo]] - 14])
+            for lo, hi in zip(ptr[:-1], ptr[1:])
         ]
+
+    if assembled:
+        stats["op_builds"] += len(ops)
+    else:
+        stats["op_hits"] += len(up_classes) + len(down_classes) + len(m2l_classes)
 
     w, x = lists.table("w_list"), lists.table("x_list")
     slot = octet_of[parent_row[child_rows]] * 8 + octant  # of each node, natural
-
-    # cumulative for the installed cache: 0 for the per-lists dict store,
-    # the LRU's running total when a shared serve cache is plugged in
-    stats["op_evictions"] = int(op_cache.evictions)
 
     return store(
         FarFieldGeometry(

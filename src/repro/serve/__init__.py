@@ -7,10 +7,11 @@ bounded pool of warm engines, with three load-bearing guarantees:
   (:mod:`repro.serve.scheduler`), and one per-request deadline whose
   clock covers queue wait, tree and list build and the sweep itself
   (:class:`repro.util.timing.Deadline`);
-* **warmth** — one process-global geometry-class operator cache shared
-  across tenants (:mod:`repro.serve.opcache`), making warm solves
-  several times cheaper than cold ones while staying bitwise identical
-  to direct runs;
+* **warmth** — one immutable set of translation operators per
+  ``(backend, order, domain_size)``, assembled once per process and read
+  by every tenant's requests
+  (:class:`~repro.expansions.operators.OperatorStore`), making warm solves
+  cheaper than cold ones while staying bitwise identical to direct runs;
 * **honesty under load** — cost-model admission control sheds work with
   a structured 429 before it queues (§IV-D prediction), instead of
   letting latency collapse for everyone.
@@ -19,7 +20,6 @@ See DESIGN.md §15 and the README "Serving" quickstart.
 """
 
 from repro.serve.client import BackgroundServer, ServeClient
-from repro.serve.opcache import SharedOperatorCache
 from repro.serve.protocol import ProtocolError, ServeError, SolveSpec
 from repro.serve.scheduler import CostModelGovernor, FairScheduler, estimate_op_counts
 from repro.serve.server import JobServer, ServeConfig, main, solve_direct
@@ -33,7 +33,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "SharedOperatorCache",
     "SolveSpec",
     "estimate_op_counts",
     "main",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -119,6 +120,12 @@ class FrameTooLargeError(ServeError):
         )
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    # ``json.loads`` yields NaN and Infinity, and ``nan <= 0`` is False
+    if not 0 < value < math.inf:
+        raise ProtocolError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SolveSpec:
     """What one solve request asks for.
@@ -127,9 +134,9 @@ class SolveSpec:
     Plummer sphere in a canonical cubic domain of edge ``domain_size``
     centred on the origin — so a request is a few hundred bytes, results
     are exactly reproducible, and every tenant whose ``domain_size``
-    agrees shares the process-global geometry-class operator cache
-    (operators depend on the absolute cell size; see
-    :meth:`repro.tree.cache.ListCache.share_operator_cache`).
+    agrees reads the same process-wide set of translation operators
+    (they depend on the root cell size, not on the tree; see
+    :class:`repro.expansions.operators.OperatorStore`).
 
     ``steps == 0`` is a one-shot field solve: potential + gradient for
     ``kernel="laplace"`` (:class:`repro.fmm.evaluator.FMMSolver`),
@@ -182,8 +189,7 @@ class SolveSpec:
                 "time-stepped runs (steps > 0) support kernel='laplace' "
                 f"only; got kernel={self.kernel!r}"
             )
-        if self.dt <= 0:
-            raise ProtocolError(f"dt must be positive, got {self.dt}")
+        _require_positive_finite("dt", self.dt)
         if not 1 <= int(self.order) <= 10:
             raise ProtocolError(f"order must be in [1, 10], got {self.order}")
         if int(self.workers) < 1:
@@ -197,14 +203,9 @@ class SolveSpec:
                 "solves through `python -m repro trace --shards N` instead",
                 details={"shards": int(self.shards)},
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ProtocolError(
-                f"deadline_s must be positive seconds, got {self.deadline_s}"
-            )
-        if self.domain_size <= 0:
-            raise ProtocolError(
-                f"domain_size must be positive, got {self.domain_size}"
-            )
+        if self.deadline_s is not None:
+            _require_positive_finite("deadline_s", self.deadline_s)
+        _require_positive_finite("domain_size", self.domain_size)
         return self
 
     @classmethod

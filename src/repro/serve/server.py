@@ -4,17 +4,18 @@ One process hosts a bounded pool of warm solve workers behind a
 JSON-lines TCP front end (plus an in-process path for tests).  Incoming
 ``solve``/``trace`` requests are admitted by the cost-model governor,
 queued per tenant, dispatched round-robin, and executed on pool threads
-— each request on fresh solver state, all requests sharing one
-process-global :class:`~repro.serve.opcache.SharedOperatorCache`, which
-is what makes a warm solve several times cheaper than a cold one while
-keeping results *bitwise identical* to a direct
-:class:`~repro.sim.driver.Simulation`/solver run (operator reuse changes
+— each request on fresh solver state, all requests reading their
+translation operators from one process-wide
+:class:`~repro.expansions.operators.OperatorStore` (one immutable set per
+``(backend, order, domain_size)``), which is what makes a warm solve
+cheaper than a cold one while keeping results *bitwise identical* to a
+direct :class:`~repro.sim.driver.Simulation`/solver run (sharing changes
 where operators come from, never their values).
 
 Observability: every request runs under a ``serve-request`` tracer
 span, headline gauges/counters export through the Prometheus-style
-registry (queue depth, active tenants, shed/deadline totals, opcache
-bytes), and every served solve appends one flight-recorder
+registry (queue depth, active tenants, shed/deadline totals), and every
+served solve appends one flight-recorder
 :class:`~repro.obs.ledger.RunRecord` with an ``extra.serve`` block when
 a ledger is configured.
 """
@@ -29,8 +30,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.expansions.operators import OperatorStore
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.serve.opcache import SharedOperatorCache
 from repro.serve.protocol import (
     FrameTooLargeError,
     ProtocolError,
@@ -59,8 +60,6 @@ class ServeConfig:
     max_tenants: int = 8
     #: admission budget: predicted seconds of queued + in-flight work
     shed_budget_s: float = 60.0
-    #: LRU byte budget of the shared operator cache
-    opcache_bytes: int = 256 << 20
     #: flight-recorder target ("auto" = default RUNS.jsonl, None = off)
     ledger_path: str | None = None
     #: largest accepted request frame; longer lines get a structured 400
@@ -76,10 +75,6 @@ class ServeConfig:
         if float(self.shed_budget_s) <= 0:
             raise ValueError(
                 f"shed_budget_s must be positive seconds, got {self.shed_budget_s}"
-            )
-        if int(self.opcache_bytes) <= 0:
-            raise ValueError(
-                f"opcache_bytes must be positive, got {self.opcache_bytes}"
             )
         if int(self.max_frame_bytes) < 1024:
             raise ValueError(
@@ -123,16 +118,16 @@ def _expansion(spec: SolveSpec):
 def _solve_core(
     spec: SolveSpec,
     *,
-    opcache: SharedOperatorCache | None = None,
+    operators: OperatorStore | None = None,
     deadline_s: float | None = None,
     telemetry: Telemetry | None = None,
 ) -> dict[str, Any]:
     """Execute one spec and return its result dict.
 
-    This single function IS both the served path (``opcache`` installed,
-    remaining ``deadline_s`` threaded through) and the direct baseline
-    (no shared cache, no deadline): the two differ only in where
-    geometry-class operators come from, which is bitwise-neutral.
+    This single function IS both the served path (the server's
+    ``operators`` store, remaining ``deadline_s`` threaded through) and the
+    direct baseline (a store of its own, no deadline): the two differ only
+    in where translation operators come from, which is bitwise-neutral.
 
     The budget's clock starts here, on entry: tree build, lists, operator
     geometry and the sweep all spend from one
@@ -146,8 +141,8 @@ def _solve_core(
         if deadline is not None:
             deadline.check("queue")
         if spec.steps > 0:
-            return _run_simulation(spec, opcache, deadline, tel)
-        return _run_solve(spec, opcache, deadline, tel)
+            return _run_simulation(spec, operators, deadline, tel)
+        return _run_solve(spec, operators, deadline, tel)
     except SolveDeadlineError as exc:
         raise ServeError(
             408,
@@ -157,7 +152,7 @@ def _solve_core(
         ) from exc
 
 
-def _run_solve(spec, opcache, deadline, tel):
+def _run_solve(spec, operators, deadline, tel):
     """One-shot field solve — the serial sweep unless ``spec.workers > 1``."""
     from repro.kernels.laplace import GravityKernel
     from repro.runtime.engine import ExecutionEngine
@@ -170,9 +165,7 @@ def _run_solve(spec, opcache, deadline, tel):
     )
     if deadline is not None:
         deadline.check("tree")
-    list_cache = ListCache()
-    if opcache is not None:
-        list_cache.share_operator_cache(opcache)
+    list_cache = ListCache(operators=operators)
     engine = ExecutionEngine(n_workers=spec.workers) if spec.workers > 1 else None
     common = dict(
         expansion=_expansion(spec), folded=spec.folded,
@@ -209,12 +202,13 @@ def _run_solve(spec, opcache, deadline, tel):
             engine.close()
 
 
-def _run_simulation(spec, opcache, deadline, tel):
+def _run_simulation(spec, operators, deadline, tel):
     """Time-stepped Laplace run: the request's deadline is checked between
     steps, and its budget also bounds every single solve inside a step."""
     from repro.kernels.laplace import GravityKernel
     from repro.machine.spec import system_a
     from repro.sim.driver import Simulation, SimulationConfig
+    from repro.tree.cache import ListCache
 
     particles, domain = _build_particles(spec)
     config = SimulationConfig(
@@ -234,9 +228,8 @@ def _run_simulation(spec, opcache, deadline, tel):
         config=config,
         domain=domain,
         telemetry=tel if tel.enabled else None,
+        list_cache=ListCache(operators=operators),
     )
-    if opcache is not None:
-        sim.list_cache.share_operator_cache(opcache)
     with sim:
         for _ in range(spec.steps):
             if deadline is not None:
@@ -256,7 +249,7 @@ def solve_direct(spec: SolveSpec | dict) -> dict[str, Any]:
 
     Tests and the warm-vs-cold benchmark compare served results against
     this bitwise (``np.array_equal``): same workload builder, same solve
-    path, no shared operator cache, no deadline.
+    path, no shared operator store, no deadline.
     """
     if isinstance(spec, dict):
         spec = SolveSpec.from_dict(spec)
@@ -344,7 +337,8 @@ class JobServer:
     ) -> None:
         self.config = config or ServeConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.opcache = SharedOperatorCache(self.config.opcache_bytes)
+        #: every request's translation operators, once per process
+        self.operators = OperatorStore()
         self.scheduler = FairScheduler(
             self._execute,
             pool_size=self.config.pool_size,
@@ -425,7 +419,7 @@ class JobServer:
                 result = dict(result)
                 result["trace"] = {
                     "request_s": time.monotonic() - t_submit,
-                    "opcache": self.opcache.stats(),
+                    "opcache": self.operators.stats(),
                     "governor": self.scheduler.governor.snapshot(),
                 }
             self._export_gauges()
@@ -460,7 +454,7 @@ class JobServer:
             "failed_total": sched.failed_total,
             "shed_total": sched.shed_total,
             "deadline_total": sched.deadline_total,
-            "opcache": self.opcache.stats(),
+            "opcache": self.operators.stats(),
             "governor": sched.governor.snapshot(),
             "shard_supervisor": self._shard_supervisor_state(),
         }
@@ -497,7 +491,7 @@ class JobServer:
         ):
             result = _solve_core(
                 job.spec,
-                opcache=self.opcache,
+                operators=self.operators,
                 deadline_s=job.remaining_deadline(),
                 telemetry=tel,
             )
@@ -529,7 +523,7 @@ class JobServer:
                     "serve": {
                         "tenant": job.tenant,
                         "spec": job.spec.to_dict(),
-                        "opcache": self.opcache.stats(),
+                        "opcache": self.operators.stats(),
                         "queue_depth": self.scheduler.queue_depth(),
                         "active_tenants": self.scheduler.active_tenants(),
                     }
@@ -552,9 +546,6 @@ class JobServer:
             "serve_queued_cost_seconds",
             "cost-model predicted seconds of queued + in-flight work",
         ).set(sched.queued_cost_s())
-        m.gauge(
-            "serve_opcache_bytes", "resident bytes in the shared operator cache"
-        ).set(self.opcache.stats()["bytes"])
         m.gauge("serve_requests_total", "protocol requests handled").set(
             self.requests_total
         )
@@ -670,7 +661,6 @@ def main(
     pool: int = 2,
     max_tenants: int = 8,
     shed_budget: float = 60.0,
-    opcache_mb: int = 256,
     max_frame_mb: int = 32,
     ledger: str | None = None,
 ) -> None:
@@ -681,7 +671,6 @@ def main(
         pool_size=int(pool),
         max_tenants=int(max_tenants),
         shed_budget_s=float(shed_budget),
-        opcache_bytes=int(opcache_mb) << 20,
         max_frame_bytes=int(max_frame_mb) << 20,
         ledger_path=None if ledger in (None, "none", "off") else ledger,
     )

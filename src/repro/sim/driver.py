@@ -161,6 +161,7 @@ class Simulation:
         config: SimulationConfig | None = None,
         domain: Box | None = None,
         telemetry: Telemetry | None = None,
+        list_cache: ListCache | None = None,
     ) -> None:
         self.particles = particles
         self.kernel = kernel
@@ -176,7 +177,7 @@ class Simulation:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # one cache shared by the executor, solver, and the step loop: a
         # frozen-shape step (refit only) reuses its lists everywhere
-        self.list_cache = ListCache()
+        self.list_cache = list_cache if list_cache is not None else ListCache()
         if self.telemetry.enabled:
             self.list_cache.bind_metrics(self.telemetry.metrics)
             self.list_cache.bind_tracer(self.telemetry.tracer)

@@ -20,12 +20,18 @@ too many ops, or an affected set so large a rebuild is cheaper.
 ``hits``/``builds``/``repairs`` counters make the policy observable: a
 frozen-shape step must increment ``hits`` only, and a single
 collapse/pushdown must increment ``repairs`` — not ``builds``.
+
+The cache also owns the :class:`~repro.expansions.operators.OperatorStore`
+of every lists it builds (``lists.operator_store``), which is what hands
+translation operators from one tree to the next: they depend on the root
+box, not on the tree.
 """
 
 from __future__ import annotations
 
 import weakref
 
+from repro.expansions.operators import OperatorStore
 from repro.tree.lists import (
     InteractionLists,
     RepairIneligible,
@@ -57,6 +63,9 @@ class ListCache:
     ``max_repair_ops`` caps how long a journal the cache will try to
     replay, and ``max_affected_frac`` is forwarded to
     :func:`repair_interaction_lists` as the affected-set size cap.
+    ``operators`` is the store to stamp on the lists instead of one of the
+    cache's own — a server passes its process-wide one to every request's
+    cache.
     """
 
     def __init__(
@@ -67,8 +76,10 @@ class ListCache:
         max_repair_ops: int = 32,
         max_affected_frac: float = 0.5,
         tracer=None,
+        operators: OperatorStore | None = None,
     ) -> None:
         self._builder = builder
+        self.operators = operators if operators is not None else OperatorStore()
         self._repair_enabled = repair
         self._max_repair_ops = max_repair_ops
         self._max_affected_frac = max_affected_frac
@@ -86,8 +97,6 @@ class ListCache:
         self._m_builds = None
         self._m_repairs = None
         self._m_touched = None
-        #: shared operator cache installed on every lists this cache builds
-        self._op_cache = None
 
     def bind_metrics(self, registry) -> None:
         """Mirror the counters into a :class:`repro.obs.MetricsRegistry`
@@ -113,23 +122,6 @@ class ListCache:
     def bind_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; each repair gets a span."""
         self._tracer = tracer
-
-    def share_operator_cache(self, cache) -> None:
-        """Install a shared far-field operator cache on future lists.
-
-        ``cache`` implements
-        :class:`repro.fmm.farfield.OperatorCacheProtocol`.  Dense
-        translation operators depend on the absolute cell size, so a
-        cache shared across *trees* (the serve subsystem's process-global
-        LRU) must separate trees with different root sizes: when the
-        cache exposes ``scoped(scope)`` (as
-        :class:`repro.serve.opcache.SharedOperatorCache` does), each
-        lists gets a view keyed under its tree's root-box size, and two
-        tenants whose domains agree share every geometry-class operator
-        while differently-sized domains can never collide.  Lists built
-        before this call keep their private store.
-        """
-        self._op_cache = cache
 
     # ------------------------------------------------------------------ get
     def get(self, tree: AdaptiveOctree, *, folded: bool = True) -> InteractionLists:
@@ -184,11 +176,7 @@ class ListCache:
 
     def _rebuild(self, tree, key, folded) -> InteractionLists:
         lists = self._builder(tree, folded=folded)
-        if self._op_cache is not None:
-            scoped = getattr(self._op_cache, "scoped", None)
-            lists.farfield_op_cache = (
-                scoped(float(tree.root_box.size)) if scoped else self._op_cache
-            )
+        lists.operator_store = self.operators
         self.builds += 1
         if self._m_builds is not None:
             self._m_builds.inc()

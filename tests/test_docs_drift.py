@@ -84,6 +84,14 @@ _RETIRED = {
     "M2L_ROUND" + "_ROWS": "repro.runtime.shards.M2L_ROUND_BYTES (octet-wide scratch rows)",
     "test_bench_m2l_" + "reduced_translation": "test_bench_m2l_octets; the "
     "per-(level, displacement) class loop left src/ for tests/oracles/m2l.py",
+    "OperatorCache" + "Protocol": "repro.expansions.operators.OperatorSet: one frozen "
+    "set per (backend, order, h_root), nothing to get or put per key",
+    "DictOperator" + "Cache": "repro.expansions.operators.OperatorStore on the ListCache",
+    "SharedOperator" + "Cache": "repro.expansions.operators.OperatorStore on the JobServer",
+    "share_operator" + "_cache": "ListCache(operators=store), constructor-only",
+    "opcache" + "_bytes": "no knob: the store keeps MAX_RESIDENT_SETS sets",
+    "opcache" + "-mb": "no knob: the store keeps MAX_RESIDENT_SETS sets",
+    "op_" + "evictions": "OperatorStore.stats(): hits, misses, entries, bytes",
 }
 
 

@@ -315,6 +315,67 @@ class TestLevelFreeCores:
                 assert np.isfinite(b).all()
                 assert np.array_equal(_ldexp(a, level * per_level), b)
 
+    @pytest.mark.parametrize("order", range(3, 11))
+    def test_shift_operators_across_levels_are_exact_power_of_two_multiples(self, Backend, order):
+        """M2M / L2L are level-free too: the level-``l`` operator an
+        :class:`OperatorSet` derives from its level-1 one is, bit for bit,
+        what the back end builds at the exact shift ``+-h_root / 2^(l+1)``."""
+        from repro.expansions.operators import OperatorSet
+        from repro.geometry.morton import MAX_MORTON_LEVEL
+
+        exp, h = Backend(order), 0.7381
+        side = np.array([[o >> k & 1 for k in range(3)] for o in range(8)]) - 0.5
+        n = exp.shift_degrees
+        ops = OperatorSet(  # the shift half of ``OperatorSet.build``
+            exp.backend, order, h, n[None, :] - n[:, None],
+            m2m=tuple(exp.m2m_class_operator(-d) for d in side * (h / 2)),
+            l2l=tuple(exp.l2l_class_operator(d) for d in side * (h / 2)),
+            m2l=(),
+        )
+        assert exp.shift_degrees.shape == (exp.n_coeffs,)
+        for level in list(range(1, 11)) + [MAX_MORTON_LEVEL]:
+            for octant, sgn in enumerate(2 * side):
+                d = sgn * (h / 2.0 ** (level + 1))  # child centre minus parent centre
+                up, down = exp.m2m_class_operator(-d), exp.l2l_class_operator(d)
+                assert np.isfinite(up).all() and np.isfinite(down).all()
+                assert np.array_equal(ops.m2m_at(level, octant), up)
+                assert np.array_equal(ops.l2l_at(level, octant), down)
+
+    @pytest.mark.parametrize(
+        "cloud, S, order", [("uniform", 8, 6), ("plummer", 32, 4), ("plummer2k", 32, 3)]
+    )
+    def test_exact_shifts_differ_from_centre_differences_at_rounding_level(
+        self, Backend, cloud, S, order
+    ):
+        """Why the serial result moved (at rounding level) when the shifts
+        became level-free: a shift used to be read off two absolute centres,
+        ``centers[p] - centers[c]``, which rounds; on the three benchmark
+        trees those operators are within 4e-15 of the exact-shift ones
+        (measured 1.7e-15; some levels are bitwise equal already)."""
+        from repro.distributions.generators import plummer, uniform_cube
+        from repro.fmm.farfield import far_field_geometry
+        from repro.tree import AdaptiveOctree, build_interaction_lists
+
+        pts = {
+            "uniform": lambda: uniform_cube(10_000, seed=1),
+            "plummer": lambda: plummer(10_000, seed=1),
+            "plummer2k": lambda: plummer(2_000, seed=1),
+        }[cloud]().positions
+        tree = AdaptiveOctree(pts, S)
+        exp = Backend(order)
+        geom = far_field_geometry(tree, build_interaction_lists(tree, folded=True), exp)
+        c = geom.centers
+        pairs = [
+            (op, Backend(order).m2m_class_operator(c[p[0]] - c[ch[0]]))
+            for ch, p, op in geom.up_classes
+        ] + [
+            (op, Backend(order).l2l_class_operator(c[ch[0]] - c[p[0]]))
+            for p, ch, op in geom.down_classes
+        ]
+        assert len(pairs) >= 64
+        for exact, rounded in pairs:
+            assert np.abs(exact - rounded).max() <= 4e-15 * np.abs(exact).max()
+
     @pytest.mark.parametrize("order", [3, 4, 6])
     def test_the_antipodal_core_is_a_sign_flip(self, Backend, order):
         """``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a, b]`` — exactly on

@@ -259,3 +259,72 @@ def test_leaf_of_body_tracks_mutations():
     for b in (0, tree.n_bodies // 2, tree.n_bodies - 1):
         leaf = tree.leaf_of_body(b)
         assert b in tree.bodies(leaf).tolist()
+
+
+# ------------------------------------------- operators handed tree to tree
+def test_simulation_assembles_each_operator_once_across_tree_rebuilds():
+    """The store is the cache's, not the lists': a simulation that rebuilds
+    its tree again and again (the balancer's S search) assembles one
+    operator set, and every later geometry build only reads it."""
+    from repro import (
+        BalancerConfig,
+        GravityKernel,
+        Simulation,
+        SimulationConfig,
+        compact_plummer,
+        system_a,
+    )
+
+    built = []
+
+    def recording_builder(tree, *, folded):
+        built.append((tree, build_interaction_lists(tree, folded=folded)))
+        return built[-1][1]
+
+    config = SimulationConfig(
+        strategy="full", forces="fmm", order=3, dt=1e-4,
+        balancer=BalancerConfig(gap_threshold_frac=0.15), n_workers=1,
+    )
+    sim = Simulation(
+        compact_plummer(600, velocity_scale=1.5, seed=4),
+        GravityKernel(G=1.0),
+        system_a().with_resources(n_cores=10, n_gpus=4),
+        config=config,
+        list_cache=ListCache(recording_builder),
+    )
+    with sim:
+        for _ in range(12):
+            sim.step()
+    assert len({id(tree) for tree, _ in built}) >= 3
+    stats = [
+        lists.farfield_geometry_stats
+        for _, lists in built
+        if hasattr(lists, "farfield_geometry_stats")  # the modelled machine solves nothing
+    ]
+    assert len(stats) >= 3
+    assert sum(s["op_builds"] for s in stats) <= 2 * 29
+    assert all(s["op_hits"] > 0 and s["op_builds"] == 0 for s in stats[1:])
+    assert sim.list_cache.operators.stats()["entries"] == 1
+
+
+def test_second_tree_over_the_same_root_box_builds_no_operator():
+    from repro.fmm.evaluator import FMMSolver
+    from repro.geometry.box import Box
+    from repro.kernels import LaplaceKernel
+
+    box = Box((0.0, 0.0, 0.0), 8.0)
+    solver = FMMSolver(LaplaceKernel(), order=3)
+    per_tree = []
+    for seed, S in ((3, 20), (8, 12)):
+        pts = gaussian_blobs(500, seed=seed).positions
+        tree = AdaptiveOctree(pts, S=S, root_box=box)
+        res = solver.solve(tree, np.ones(500), gradient=True)
+        lists = solver.list_cache.get(tree, folded=True)
+        per_tree.append((lists.farfield_geometry_stats, res))
+        # ... and reading the shared set is bitwise what a solver of its own does
+        alone = FMMSolver(LaplaceKernel(), order=3).solve(tree, np.ones(500), gradient=True)
+        assert np.array_equal(res.potential, alone.potential)
+        assert np.array_equal(res.gradient, alone.gradient)
+    (first, _), (second, _) = per_tree
+    assert (first["op_builds"], first["op_hits"]) == (29, 0)
+    assert second["op_builds"] == 0 and second["op_hits"] > 0

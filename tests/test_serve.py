@@ -2,7 +2,7 @@
 
 The load-bearing guarantee throughout: a served solve is *bitwise*
 identical (``np.array_equal``) to a direct run of the same spec — the
-shared operator cache, the scheduler, the deadline plumbing, and the
+shared operator store, the scheduler, the deadline plumbing, and the
 wire codec are all value-neutral.
 """
 
@@ -19,7 +19,6 @@ from repro.serve import (
     BackgroundServer,
     ServeConfig,
     ServeError,
-    SharedOperatorCache,
     SolveSpec,
     estimate_op_counts,
     solve_direct,
@@ -85,6 +84,16 @@ class TestProtocol:
                     assert "\n" not in exc.message
                     raise
 
+    @pytest.mark.parametrize("field", ["domain_size", "dt", "deadline_s"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_spec_values_are_rejected(self, field, value):
+        """``json.loads`` yields all three, and ``nan <= 0`` is False; a NaN
+        ``domain_size`` would be an operator-set key equal to nothing."""
+        spec = json.loads(f'{{"n": 100, "seed": 1, "{field}": {value}}}')
+        with pytest.raises(ProtocolError) as ei:
+            SolveSpec.from_dict(spec)
+        assert ei.value.code == 400 and field in ei.value.message
+
     def test_shards_rejected_eagerly_with_details(self):
         with pytest.raises(ProtocolError) as ei:
             SolveSpec.from_dict({"shards": 4})
@@ -103,67 +112,72 @@ class TestProtocol:
             parse_request({"kind": "solve", "tenant": ""})
 
 
-# -------------------------------------------------------------------- opcache
-class TestSharedOperatorCache:
-    def test_hit_miss_and_stats(self):
-        c = SharedOperatorCache(max_bytes=1 << 20)
-        assert c.get(("a",)) is None
-        c.put(("a",), np.ones(8))
-        assert np.array_equal(c.get(("a",)), np.ones(8))
-        s = c.stats()
-        assert s["hits"] == 1 and s["misses"] == 1 and s["puts"] == 1
-        assert s["bytes"] == 64 and s["entries"] == 1
+# ------------------------------------------------------------ operator store
+class TestOperatorStore:
+    def test_store_stays_bounded_and_every_request_stays_bitwise(self):
+        """``domain_size`` is client-supplied: 20 distinct ones leave at most
+        ``MAX_RESIDENT_SETS`` sets resident, and no request is any the worse
+        for the evictions."""
+        from repro.expansions.operators import MAX_RESIDENT_SETS
 
-    def test_lru_eviction_under_byte_budget(self):
-        c = SharedOperatorCache(max_bytes=3 * 800)
-        for i in range(4):
-            c.put(("k", i), np.zeros(100))  # 800 bytes each
-        assert len(c) == 3
-        assert c.evictions == 1
-        assert c.get(("k", 0)) is None  # coldest entry was evicted
-        assert c.get(("k", 3)) is not None
-        # touching key 1 protects it from the next eviction
-        c.get(("k", 1))
-        c.put(("k", 9), np.zeros(100))
-        assert c.get(("k", 1)) is not None
-        assert c.get(("k", 2)) is None
+        with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
+            c = bg.client(in_process=True)
+            for i in range(20):
+                spec = {"kernel": "laplace", "n": 150, "seed": i, "domain_size": 1.0 + i / 7}
+                out, direct = c.solve(spec, tenant=f"t{i % 3}"), solve_direct(spec)
+                assert np.array_equal(out["potential"], direct["potential"])
+                assert np.array_equal(out["gradient"], direct["gradient"])
+            # a size seen before eviction is a hit, one evicted is rebuilt
+            c.solve({"kernel": "laplace", "n": 150, "domain_size": 1.0 + 19 / 7}, tenant="t")
+            c.solve({"kernel": "laplace", "n": 150, "domain_size": 1.0}, tenant="t")
+            stats = c.status()["opcache"]
+        assert stats["entries"] == MAX_RESIDENT_SETS
+        assert (stats["hits"], stats["misses"]) == (1, 21)
+        assert 0 < stats["bytes"] <= MAX_RESIDENT_SETS * (4 << 20)
 
-    def test_single_oversized_entry_stays_resident(self):
-        c = SharedOperatorCache(max_bytes=10)
-        c.put(("big",), np.zeros(100))
-        assert c.get(("big",)) is not None
+    def test_threads_asking_for_one_key_share_one_set(self):
+        """More threads than cores, a short switch interval: racing builds of
+        one key keep one set (either product would do — a build is
+        deterministic) and no lookup is lost from the counters while other
+        keys fill the store beside it (eviction: the test above)."""
+        import sys
 
-    def test_scoped_views_isolate_root_sizes(self):
-        c = SharedOperatorCache()
-        a, b = c.scoped(1.0), c.scoped(2.0)
-        a.put(("cart", 3, "M2L", 42), "op-at-1")
-        assert a.get(("cart", 3, "M2L", 42)) == "op-at-1"
-        assert b.get(("cart", 3, "M2L", 42)) is None
-        assert a.evictions == 0
+        from repro.expansions.cartesian import CartesianExpansion
+        from repro.expansions.operators import MAX_RESIDENT_SETS, OperatorSet, OperatorStore
 
-    def test_concurrent_get_put(self):
-        c = SharedOperatorCache(max_bytes=64 << 10)
-        errors = []
+        store, exp = OperatorStore(), CartesianExpansion(2)
+        n_threads, rounds = 4, 6
+        start, got, errors = threading.Barrier(n_threads), [], []
 
-        def worker(tid):
+        def ask(tid):
             try:
-                for i in range(200):
-                    c.put((tid, i % 17), np.full(16, tid, dtype=float))
-                    got = c.get((tid, i % 17))
-                    if got is not None:
-                        assert got[0] == tid
+                start.wait(timeout=30)
+                got.append(store.get(exp, 1.5)[0])
+                for i in range(rounds):  # 7 more sizes: the store fills, evicts none
+                    ops, _ = store.get(exp, 2.0 + (tid * rounds + i) % 7)
+                    assert ops.h_root == 2.0 + (tid * rounds + i) % 7
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
+                raise
 
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        s = c.stats()
-        assert s["puts"] == 800
-        assert s["bytes"] <= 64 << 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask, args=(t,)) for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(got) == n_threads and all(ops is got[0] for ops in got)
+        for a, b in zip(got[0], OperatorSet.build(exp, 1.5)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        s = store.stats()
+        assert s["hits"] + s["misses"] == n_threads * (1 + rounds)
+        assert s["entries"] == MAX_RESIDENT_SETS == 8
+        assert s["bytes"] == 8 * got[0].nbytes
 
 
 # ------------------------------------------------------------------ scheduler
@@ -248,7 +262,7 @@ class TestServedSolves:
             else:
                 assert np.array_equal(out["velocity"], direct["velocity"])
         assert status["served_total"] == len(jobs)
-        # repeats of the same geometry class actually shared operators
+        # requests over the same domain actually shared their operator set
         assert status["opcache"]["hits"] > 0
 
     def test_simulation_steps_bitwise_identical(self):
@@ -291,12 +305,10 @@ class TestServedSolves:
         spec = {"kernel": "laplace", "n": 2000, "order": 3, "seed": 5}
         hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.01})
         walls = []
-        for _ in range(3):  # every attempt is cold: its own operator cache
+        for _ in range(3):  # every attempt is cold: its own operator store
             t0 = time.perf_counter()
             with pytest.raises(ServeError) as ei:
-                server._solve_core(
-                    hasty, opcache=SharedOperatorCache(), deadline_s=0.01
-                )
+                server._solve_core(hasty, deadline_s=0.01)
             walls.append(time.perf_counter() - t0)
             assert ei.value.code == 408 and ei.value.kind == "deadline"
             assert ei.value.details["phase"] in ("tree", "lists", "geometry")
@@ -373,7 +385,7 @@ class TestServedSolves:
         with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
             out = bg.client(in_process=True).trace(LAPLACE, tenant="t")
         assert out["trace"]["request_s"] > 0
-        assert out["trace"]["opcache"]["puts"] > 0
+        assert out["trace"]["opcache"]["entries"] == 1
         assert "coefficients" in out["trace"]["governor"]
 
     def test_malformed_tcp_line_gets_400_not_disconnect(self):
@@ -419,7 +431,7 @@ class TestServedSolves:
             assert serve["tenant"] == "led"
             assert serve["spec"]["n"] == 120
             assert rec["metrics"]["wall_s"] > 0
-        # the second solve hit the warm cache
+        # the second solve read the set the first one assembled
         assert lines[1]["extra"]["serve"]["opcache"]["hits"] > 0
 
     def test_metrics_gauges_exported(self):
@@ -431,7 +443,6 @@ class TestServedSolves:
         assert {
             "serve_queue_depth",
             "serve_tenants",
-            "serve_opcache_bytes",
             "serve_requests_total",
             "serve_shed_total",
             "serve_deadline_total",
@@ -439,12 +450,14 @@ class TestServedSolves:
         } <= names
 
 
-# ---------------------------------------------------- op-cache stats plumbing
+# ---------------------------------------------------- operator stats plumbing
 class TestOperatorStatsUniformity:
     def test_farfield_stats_expose_op_counters_with_either_cache(self):
-        """op_hits/op_builds/op_evictions appear for both cache kinds."""
+        """op_builds / op_hits read the same whether the lists' store is the
+        ListCache's own or one shared between caches."""
         from repro.distributions.generators import compact_plummer
         from repro.expansions.cartesian import CartesianExpansion
+        from repro.expansions.operators import OperatorStore
         from repro.fmm.farfield import laplace_far_field
         from repro.geometry.box import Box
         from repro.tree.cache import ListCache
@@ -454,34 +467,22 @@ class TestOperatorStatsUniformity:
         tree = AdaptiveOctree(ps.positions, 32, root_box=Box((0, 0, 0), 1.0))
         expansion = CartesianExpansion(3)
 
-        # default per-lists DictOperatorCache
-        cache = ListCache()
-        lists = cache.get(tree, folded=True)
-        laplace_far_field(tree, lists, expansion, charges=ps.strengths)
+        # the cache's own store
+        lists = ListCache().get(tree, folded=True)
+        out_direct, _ = laplace_far_field(tree, lists, expansion, charges=ps.strengths)
         stats = lists.farfield_geometry_stats
-        assert stats["op_builds"] > 0 and stats["op_evictions"] == 0
-        builds_default = stats["op_builds"]
+        assert (stats["op_builds"], stats["op_hits"]) == (29, 0)
 
-        # shared serve opcache installed through the same seam
-        shared = SharedOperatorCache()
-        cache2 = ListCache()
-        cache2.share_operator_cache(shared)
-        lists2 = cache2.get(tree, folded=True)
+        # a shared store, passed at construction: first user assembles ...
+        shared = OperatorStore()
+        lists2 = ListCache(operators=shared).get(tree, folded=True)
         laplace_far_field(tree, lists2, expansion, charges=ps.strengths)
-        stats2 = lists2.farfield_geometry_stats
-        assert set(stats2) >= {"op_hits", "op_builds", "op_evictions"}
-        assert stats2["op_builds"] == builds_default
+        assert lists2.farfield_geometry_stats["op_builds"] == 29
 
-        # third tree, same root size: everything is a hit now
-        cache3 = ListCache()
-        cache3.share_operator_cache(shared)
-        lists3 = cache3.get(tree, folded=True)
-        out_direct, _ = laplace_far_field(
-            tree, lists, expansion, charges=ps.strengths
-        )
-        out_shared, _ = laplace_far_field(
-            tree, lists3, expansion, charges=ps.strengths
-        )
+        # ... and a second cache over the same root size reads
+        lists3 = ListCache(operators=shared).get(tree, folded=True)
+        out_shared, _ = laplace_far_field(tree, lists3, expansion, charges=ps.strengths)
         assert lists3.farfield_geometry_stats["op_builds"] == 0
         assert lists3.farfield_geometry_stats["op_hits"] > 0
         assert np.array_equal(out_shared, out_direct)
+        assert shared.stats()["entries"] == 1
