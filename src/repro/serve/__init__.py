@@ -1,7 +1,7 @@
 """Simulation-as-a-service: the ``python -m repro serve`` subsystem.
 
-An asyncio front end multiplexing many tenants' solve requests onto a
-bounded pool of warm engines, with three load-bearing guarantees:
+An asyncio front end multiplexing many tenants' solve requests onto one
+warm solver thread, with three load-bearing guarantees:
 
 * **fairness** — per-tenant FIFO queues dispatched round-robin
   (:mod:`repro.serve.scheduler`), and one per-request deadline whose

@@ -149,7 +149,7 @@ class SolveSpec:
     from enqueue through tree build, lists, operator geometry and every
     stage of the sweep (and between time steps); expiry returns a
     structured 408 whose ``details.phase`` names the stage that noticed,
-    and the pool stays healthy.  A deadline does not change *how* the
+    and the server stays healthy.  A deadline does not change *how* the
     request is solved.  ``workers`` is the per-solve engine
     thread count — the server's parallelism axis is *across* requests,
     so the default is the exact serial path.  ``shards`` exists only to

@@ -9,11 +9,13 @@ uniform-tree surrogate — the server must price work it has not built a
 tree for — and coefficients are re-observed from every served solve, so
 the estimate tracks the machine it is actually running on.
 
-:class:`FairScheduler` holds one FIFO deque per tenant and dispatches
-round-robin across tenants onto a bounded thread pool of warm engines,
-so a tenant streaming hundreds of requests cannot starve a tenant
-sending one.  Admission control happens at submit time, on the asyncio
-loop, before anything is queued:
+:class:`FairScheduler` holds one FIFO deque per tenant and hands jobs
+round-robin across tenants, ``pool_size`` at a time, to **one solver
+thread**, which runs them to completion in that order — so a tenant
+streaming hundreds of requests cannot starve a tenant sending one, and
+no two solves share the interpreter lock (a solve is ~4 000 NumPy calls
+of ~8 µs: a second solving thread halved throughput).  Admission control
+happens at submit time, on the asyncio loop, before anything is queued:
 
 * a new tenant beyond ``max_tenants`` -> 429 ``tenant-limit``;
 * predicted seconds of queued + in-flight work past ``shed_budget_s``
@@ -22,11 +24,12 @@ loop, before anything is queued:
 
 Requests carry per-request deadlines end to end: a job that exhausts its
 deadline while still queued fails fast with a structured 408 (never
-dispatched), and a dispatched job hands its *remaining* budget to the
-solve as one :class:`~repro.util.timing.Deadline`, checked from the tree
-build to the last stage of the sweep; its expiry also surfaces as 408
-naming the phase — without poisoning the pool, because each request runs
-on fresh solver state and only the operator cache is shared.
+dispatched), and a dispatched job hands the budget it has left *when the
+solver thread picks it up* to the solve as one
+:class:`~repro.util.timing.Deadline`, checked on entry (phase ``queue``)
+and from the tree build to the last stage of the sweep; its expiry also
+surfaces as 408 naming the phase — without poisoning the solver, because
+each request runs on fresh solver state and only the operators are shared.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class CostModelGovernor:
     """Prices requests with §IV-D and re-observes coefficients per solve.
 
     Thread-safe: ``predict`` runs on the asyncio loop thread while
-    ``observe`` runs on pool worker threads as solves finish.
+    ``observe`` runs on the solver thread as solves finish.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:
@@ -165,11 +168,13 @@ class Job:
 
 
 class FairScheduler:
-    """Round-robin tenant queues feeding a bounded warm-engine pool.
+    """Round-robin tenant queues feeding one solver thread.
 
     ``run_job(job) -> result`` is supplied by the server and executes on
-    a pool thread; everything else here runs on the asyncio loop, so the
-    queue structures need no locks.
+    the solver thread, one job at a time in dispatch order; everything
+    else here runs on the asyncio loop, so the queue structures need no
+    locks.  ``pool_size`` is how many jobs are handed from the tenant
+    queues to the solver at once (one solving, the rest next in line).
     """
 
     def __init__(
@@ -195,14 +200,16 @@ class FairScheduler:
         # tenant -> FIFO of queued jobs; OrderedDict gives stable
         # round-robin order (insertion order of first appearance)
         self._queues: OrderedDict[str, deque[Job]] = OrderedDict()
-        self._inflight: dict[str, int] = {}  # tenant -> running job count
+        self._inflight: dict[str, int] = {}  # tenant -> dispatched job count
         self._queued_cost_s = 0.0  # predicted seconds queued + in flight
         self._wakeup: asyncio.Event | None = None
         self._closed = False
         self._dispatcher: asyncio.Task | None = None
         self._run_tasks: set[asyncio.Task] = set()
+        # one worker: its FIFO queue is the dispatch order, and a solve
+        # never shares the interpreter lock with another
         self._executor = ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
         self._slots: asyncio.Semaphore | None = None
 
@@ -222,7 +229,9 @@ class FairScheduler:
         return len(tenants)
 
     def inflight_total(self) -> int:
-        """Jobs currently executing on pool threads (all tenants)."""
+        """Jobs handed to the solver thread and not yet answered (all
+        tenants): the one it is solving plus those next in line, at most
+        ``pool_size``."""
         return sum(self._inflight.values())
 
     def queued_cost_s(self) -> float:
@@ -290,15 +299,23 @@ class FairScheduler:
     async def _dispatch_loop(self) -> None:
         assert self._wakeup is not None and self._slots is not None
         while not self._closed:
-            job = self._next_job()
-            if job is None:
+            # slot first: a job leaves its queue only with a slot to run in,
+            # so close() — which cancels this task — finds it in one or the other
+            await self._slots.acquire()
+            while (job := self._next_job()) is None:
                 self._wakeup.clear()
                 await self._wakeup.wait()
-                continue
-            await self._slots.acquire()
             task = asyncio.get_running_loop().create_task(self._run_one(job))
             self._run_tasks.add(task)
             task.add_done_callback(self._run_tasks.discard)
+
+    def _solve(self, job: Job) -> Any:
+        """On the solver thread: stamp the real start, run, and teach the
+        governor the solve's wall — not the wait behind the job ahead."""
+        job.started_at = time.monotonic()
+        result = self._run_job(job)
+        self.governor.observe(job.spec, time.monotonic() - job.started_at)
+        return result
 
     async def _run_one(self, job: Job) -> None:
         assert self._slots is not None
@@ -306,8 +323,7 @@ class FairScheduler:
         try:
             remaining = job.remaining_deadline()
             if remaining is not None and remaining <= 0:
-                self.deadline_total += 1
-                raise ServeError(
+                raise ServeError(  # counted once, by the handler below
                     408,
                     "deadline",
                     "request deadline expired while queued",
@@ -316,11 +332,10 @@ class FairScheduler:
                         "queued_s": time.monotonic() - job.enqueued_at,
                     },
                 )
-            job.started_at = time.monotonic()
             self._inflight[job.tenant] = self._inflight.get(job.tenant, 0) + 1
             try:
                 result = await loop.run_in_executor(
-                    self._executor, self._run_job, job
+                    self._executor, self._solve, job
                 )
             finally:
                 left = self._inflight.get(job.tenant, 1) - 1
@@ -328,7 +343,6 @@ class FairScheduler:
                     self._inflight[job.tenant] = left
                 else:
                     self._inflight.pop(job.tenant, None)
-            self.governor.observe(job.spec, time.monotonic() - job.started_at)
             self.served_total += 1
             if not job.future.done():
                 job.future.set_result(result)

@@ -1,10 +1,12 @@
 """The asyncio job server: ``python -m repro serve``.
 
-One process hosts a bounded pool of warm solve workers behind a
-JSON-lines TCP front end (plus an in-process path for tests).  Incoming
-``solve``/``trace`` requests are admitted by the cost-model governor,
-queued per tenant, dispatched round-robin, and executed on pool threads
-— each request on fresh solver state, all requests reading their
+One process hosts one solver thread behind a JSON-lines TCP front end
+(plus an in-process path for tests).  Incoming ``solve``/``trace``
+requests are admitted by the cost-model governor, queued per tenant,
+dispatched round-robin ``pool_size`` at a time, and solved one after
+another on that thread (two solving threads share one interpreter lock
+and halve throughput; the asyncio loop keeps framing and the codec off
+it) — each request on fresh solver state, all requests reading their
 translation operators from one process-wide
 :class:`~repro.expansions.operators.OperatorStore` (one immutable set per
 ``(backend, order, domain_size)``), which is what makes a warm solve
@@ -54,7 +56,8 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: 0 = let the OS pick a free port (reported after bind)
     port: int = 0
-    #: warm solve workers == max concurrent solves
+    #: jobs handed from the tenant queues to the solver thread at once
+    #: (one solving, the rest next in line; the slots of a process pool)
     pool_size: int = 2
     #: distinct tenants with queued or running work
     max_tenants: int = 8
@@ -327,7 +330,7 @@ class _FrameReader:
 
 
 class JobServer:
-    """Multi-tenant asyncio front end over a warm engine pool."""
+    """Multi-tenant asyncio front end over one warm solver thread."""
 
     def __init__(
         self,
@@ -463,7 +466,7 @@ class JobServer:
     def _shard_supervisor_state() -> dict[str, Any]:
         """Aggregate ProcessEngine supervision state for health reports.
 
-        Sharded solves are rejected inside the pool, but the hosting
+        Sharded solves are rejected by the server, but the hosting
         process may still run ProcessEngines (e.g. via the trace CLI in
         the same interpreter, or tests); health reporting should see
         their respawn/fallback history either way.
@@ -477,10 +480,11 @@ class JobServer:
 
     # ------------------------------------------------------------ execution
     def _execute(self, job: Job) -> dict[str, Any]:
-        """Run one admitted job on a pool thread."""
+        """Run one admitted job on the solver thread, which stamped
+        ``job.started_at`` as it picked the job up: queue wait and the
+        remaining deadline are measured to that moment, the wall from it."""
         tel = self.telemetry
-        t0 = time.monotonic()
-        queue_wait = t0 - job.enqueued_at
+        queue_wait = job.started_at - job.enqueued_at
         with tel.tracer.span(
             "serve-request",
             tenant=job.tenant,
@@ -495,7 +499,7 @@ class JobServer:
                 deadline_s=job.remaining_deadline(),
                 telemetry=tel,
             )
-        wall = time.monotonic() - t0
+        wall = time.monotonic() - job.started_at
         tel.metrics.histogram(
             "serve_request_seconds",
             "wall seconds per served solve (excluding queue wait)",
@@ -564,8 +568,8 @@ class JobServer:
 
         Chaos-hardened: oversized frames answer a structured 400 and the
         connection keeps serving; writes tolerate the peer vanishing
-        mid-response (the solve result is simply dropped — the pool and
-        dispatcher never see the disconnect).
+        mid-response (the solve result is simply dropped — the solver
+        and dispatcher never see the disconnect).
         """
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()

@@ -31,7 +31,7 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
-from repro.serve.scheduler import CostModelGovernor
+from repro.serve.scheduler import CostModelGovernor, FairScheduler
 
 
 # ------------------------------------------------------------------- protocol
@@ -210,6 +210,219 @@ class TestGovernor:
         assert g.predict(SolveSpec(n=1000, steps=10)) > 5 * base
 
 
+class _Recorder:
+    """A fake ``run_job``: records enter / exit per job and holds every job
+    named in ``gates`` at its entry until that event is set."""
+
+    def __init__(self, *gated):
+        self.events = []
+        self.gates = {name: threading.Event() for name in gated}
+        self._lock = threading.Lock()
+        self._active = 0
+        self.peak = 0
+
+    def __call__(self, job):
+        name = job.spec.seed
+        with self._lock:
+            self.events.append(("enter", name))
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        if name in self.gates:
+            assert self.gates[name].wait(30)
+        with self._lock:
+            self._active -= 1
+            self.events.append(("exit", name))
+        return name
+
+    def entered(self):
+        return [name for what, name in self.events if what == "enter"]
+
+
+async def _until(predicate):
+    """Yield to the loop until ``predicate()`` holds (bounded, no clock)."""
+    for _ in range(200_000):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
+
+
+class TestSolverThread:
+    """One solver thread per interpreter: ``pool_size`` jobs are handed over
+    at once, and they run to completion one after another."""
+
+    #: (tenant, seed) in submission order; round-robin over a, b, c
+    JOBS = [("a", 1), ("a", 2), ("a", 3), ("b", 4), ("c", 5), ("c", 6)]
+    ROUND_ROBIN = [1, 4, 5, 2, 6, 3]
+
+    def _submit_all(self, sched):
+        return [sched.submit(t, SolveSpec(n=10, seed=s)) for t, s in self.JOBS]
+
+    def test_jobs_run_one_at_a_time_in_dispatch_order(self):
+        async def run():
+            fake = _Recorder(1)
+            sched = FairScheduler(fake, pool_size=2)
+            futures = self._submit_all(sched)
+            # the first job is held at its entry until the second slot is
+            # filled: two dispatched, one solving
+            await _until(lambda: sched.inflight_total() == 2)
+            assert fake.entered() == [1]
+            assert sched.queue_depth() == 4
+            fake.gates[1].set()
+            peak_inflight = 0
+            while not all(f.done() for f in futures):
+                peak_inflight = max(peak_inflight, sched.inflight_total())
+                await asyncio.sleep(0)
+            assert [f.result() for f in futures] == [s for _, s in self.JOBS]
+            await sched.close()
+            return fake, peak_inflight, sched
+
+        fake, peak_inflight, sched = asyncio.run(run())
+        assert fake.peak == 1
+        assert peak_inflight <= 2
+        # strictly enter, exit, enter, exit ... in round-robin order
+        assert fake.events == [
+            (what, s) for s in self.ROUND_ROBIN for what in ("enter", "exit")
+        ]
+        assert sched.served_total == 6 and sched.inflight_total() == 0
+
+    def test_close_finishes_what_was_dispatched_and_503s_the_rest(self):
+        async def run():
+            fake = _Recorder(1)
+            sched = FairScheduler(fake, pool_size=2)
+            futures = self._submit_all(sched)
+            await _until(lambda: sched.inflight_total() == 2)
+            closing = asyncio.get_running_loop().create_task(sched.close())
+            await asyncio.sleep(0)  # close() has failed the queues by now
+            fake.gates[1].set()
+            await asyncio.wait_for(closing, 30)
+            # every future is settled: nothing is lost between queue and slot
+            return fake, await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), 30
+            )
+
+        fake, outcomes = asyncio.run(run())
+        by_seed = {s: out for (_, s), out in zip(self.JOBS, outcomes)}
+        assert fake.entered() == [1, 4]
+        assert by_seed[1] == 1 and by_seed[4] == 4
+        for seed in (5, 2, 6, 3):
+            err = by_seed[seed]
+            assert isinstance(err, ServeError)
+            assert err.code == 503 and err.kind == "shutdown"
+
+    def test_governor_learns_the_solve_not_the_wait_behind_it(self, monkeypatch):
+        """Two equal jobs dispatched together: the second waits one solve
+        behind the first, and that wait is not part of its wall."""
+        from types import SimpleNamespace
+
+        from repro.serve import scheduler
+
+        now = [0.0]
+        monkeypatch.setattr(
+            scheduler, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        gate = threading.Event()
+        started = []
+
+        def one_second_solve(job):
+            started.append(job.started_at)
+            assert gate.wait(30)
+            now[0] += 1.0
+
+        spec = SolveSpec(n=2000)
+
+        async def run():
+            sched = FairScheduler(one_second_solve, pool_size=2)
+            futures = [sched.submit("t", spec), sched.submit("t", spec)]
+            await _until(lambda: sched.inflight_total() == 2)
+            gate.set()
+            await asyncio.gather(*futures)
+            await sched.close()
+            return sched.governor.predict(spec)
+
+        predicted = asyncio.run(run())
+        assert started == [0.0, 1.0]  # stamped when each solve really began
+        assert 1.0 / 1.3 <= predicted <= 1.3
+
+    def test_expiry_while_queued_is_counted_once_and_never_run(self):
+        async def run():
+            fake = _Recorder(1)
+            sched = FairScheduler(fake, pool_size=1)
+            blocker = sched.submit("t", SolveSpec(n=10, seed=1))
+            await _until(lambda: fake.entered() == [1])
+            hasty = sched.submit("t", SolveSpec(n=10, seed=2, deadline_s=1e-3))
+            await asyncio.sleep(5e-3)  # the budget lapses in the queue
+            fake.gates[1].set()
+            await blocker
+            with pytest.raises(ServeError) as ei:
+                await hasty
+            await sched.close()
+            return fake, sched, ei.value
+
+        fake, sched, err = asyncio.run(run())
+        assert err.code == 408 and err.kind == "deadline"
+        assert "queued_s" in err.details
+        assert sched.deadline_total == 1 and sched.failed_total == 1
+        assert fake.entered() == [1]
+
+    def test_expiry_behind_a_running_solve_is_refused_at_entry(self, monkeypatch):
+        """Dispatched with budget left, picked up with none: ``_solve_core``'s
+        entry check answers 408 phase ``queue`` and nothing is solved."""
+        from repro.serve import server
+
+        real, run_solve = server._solve_core, server._run_solve
+        entered, release = threading.Event(), threading.Event()
+        solved = []
+
+        def solve_core(spec, **kwargs):
+            if spec.seed == 1:
+                entered.set()
+                assert release.wait(30)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(server, "_solve_core", solve_core)
+        monkeypatch.setattr(
+            server, "_run_solve",
+            lambda spec, *a: solved.append(spec.seed) or run_solve(spec, *a),
+        )
+        outcome = {}
+
+        def send(seed, **extra):
+            try:
+                outcome[seed] = c.solve(
+                    {"kernel": "laplace", "n": 100, "seed": seed, **extra},
+                    tenant=f"t{seed}",
+                )
+            except ServeError as exc:
+                outcome[seed] = exc
+
+        with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
+            c = bg.client(in_process=True)
+            sched = bg.server.scheduler
+            threads = [threading.Thread(target=send, args=(1,))]
+            threads[0].start()
+            assert entered.wait(30)
+            threads.append(
+                threading.Thread(target=send, args=(2,), kwargs={"deadline_s": 0.05})
+            )
+            threads[1].start()
+            t_end = time.monotonic() + 30
+            while sched.inflight_total() < 2 and time.monotonic() < t_end:
+                time.sleep(1e-3)
+            assert sched.inflight_total() == 2  # dispatched, budget not yet spent
+            time.sleep(0.06)
+            release.set()
+            for t in threads:
+                t.join(30)
+            status = c.status()
+
+        err = outcome[2]
+        assert isinstance(err, ServeError) and err.code == 408
+        assert err.details["phase"] == "queue"
+        assert solved == [1] and "potential" in outcome[1]
+        assert status["deadline_total"] == 1 and status["failed_total"] == 1
+
+
 # ------------------------------------------------------------------ served IO
 LAPLACE = {"kernel": "laplace", "n": 300, "seed": 5, "order": 3}
 STOKES = {"kernel": "stokeslet", "n": 180, "seed": 7, "order": 3}
@@ -295,20 +508,21 @@ class TestServedSolves:
 
     def test_deadline_clock_covers_setup_and_changes_nothing_else(self, monkeypatch):
         """The budget's clock starts when the worker picks the request up,
-        so a cold 10 ms request is refused during tree / list / geometry
+        so a cold 5 ms request is refused during tree / list / geometry
         build, within one stage of its budget (the clock used to start
-        after all three); and a deadline that does not expire
+        after all three; 10 ms now sometimes outlasts them and expires in
+        the sweep); and a deadline that does not expire
         does not change how — or on what — the request is solved."""
         from repro.runtime.engine import ExecutionEngine
         from repro.serve import server
 
         spec = {"kernel": "laplace", "n": 2000, "order": 3, "seed": 5}
-        hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.01})
+        hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.005})
         walls = []
         for _ in range(3):  # every attempt is cold: its own operator store
             t0 = time.perf_counter()
             with pytest.raises(ServeError) as ei:
-                server._solve_core(hasty, deadline_s=0.01)
+                server._solve_core(hasty, deadline_s=0.005)
             walls.append(time.perf_counter() - t0)
             assert ei.value.code == 408 and ei.value.kind == "deadline"
             assert ei.value.details["phase"] in ("tree", "lists", "geometry")
@@ -403,8 +617,6 @@ class TestServedSolves:
                 assert ok["ok"] is True and "queue_depth" in ok["result"]
 
     def test_shutdown_rejects_new_work_with_503(self):
-        from repro.serve.scheduler import FairScheduler
-
         async def run():
             sched = FairScheduler(lambda job: None, pool_size=1)
             await sched.close()
