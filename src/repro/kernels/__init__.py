@@ -1,5 +1,6 @@
 """Interaction kernels: exact pairwise physics plus per-kernel cost profiles."""
 
+from repro.kernels._native import p2p_backend
 from repro.kernels.base import Kernel, KernelCostProfile
 from repro.kernels.laplace import GravityKernel, LaplaceKernel
 from repro.kernels.stokeslet import RegularizedStokesletKernel
@@ -17,4 +18,5 @@ __all__ = [
     "direct_evaluate",
     "p2p_pair",
     "p2p_self",
+    "p2p_backend",
 ]

@@ -9,12 +9,15 @@ problem has an M2L roughly 4× as expensive as the gravitational problem.
 
 :meth:`Kernel.pairwise` has a batch axis: ``(G, T, 3)`` targets against
 ``(G, S, 3)`` sources is ``G`` independent same-shape blocks in one call,
-which is how the near field amortises NumPy's per-call cost over small
+which is how the near field amortises the per-call cost over small
 leaves.  The contract every implementation keeps: block ``g``'s output
 bits depend on its own ``(T, S)`` shape and data only — never on ``G`` or
 on which other blocks share the call — so any cut of a batch into calls,
-down to the plain 2-D form, gives the same bits.  :func:`separation_tiles`
-is the shared cache-sized walk the fused kernels are built on.
+down to the plain 2-D form, gives the same bits.  The Laplace kernels keep
+it in one compiled all-pairs loop (:mod:`repro.kernels._native`, one
+in-order row sum per target); :func:`separation_tiles` is the shared
+cache-sized walk the NumPy bodies — the Stokeslet, and the Laplace
+fallback where no compiler resolves — are built on.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import numpy as np
 
 __all__ = ["Kernel", "KernelCostProfile", "as_batch", "separation_tiles"]
 
-#: float64 elements per temporary of one fused-kernel tile (128 KB each,
-#: five to seven live at once) — and so the size of the near field's unit
-#: of work.  Measured, not tunable: see DESIGN.md section 7 for the sweep
-#: it was read from.
+#: Pairs in the near field's unit of work, the tile: what the plan cuts
+#: at, and so the grain of deadline checks, engine chunks and the shards'
+#: LPT.  The compiled Laplace loop has no temporary that depends on it;
+#: for the NumPy bodies it is the float64 elements per temporary (128 KB
+#: each, five to seven live at once).  Measured, not tunable: see
+#: DESIGN.md section 7 for the sweep it was read from.
 _TILE_ELEMS = 16384
 
 #: The six FMM operations of the paper plus the two adaptive extras.
@@ -89,10 +94,11 @@ def separation_tiles(targets, sources, n_work: int):
             np.subtract(sxg, txg[:, t], out=dx)
             np.subtract(syg, tyg[:, t], out=dy)
             np.subtract(szg, tzg[:, t], out=dz)
-            np.multiply(dx, dx, out=r2)
-            np.multiply(dy, dy, out=work[0])
+            # unary square: one operand read where multiply(d, d) makes two
+            np.square(dx, out=r2)
+            np.square(dy, out=work[0])
             r2 += work[0]
-            np.multiply(dz, dz, out=work[0])
+            np.square(dz, out=work[0])
             r2 += work[0]
             yield g, t, (dx, dy, dz), r2, work
 

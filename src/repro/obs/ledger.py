@@ -16,8 +16,10 @@ Design constraints:
 * **self-describing** — each record carries a ``schema`` version, the
   git revision, an ISO-8601 UTC timestamp, and a machine spec with the
   *affinity-aware* CPU count (``os.sched_getaffinity``: what the
-  container may actually use, not what the host owns), because perf
-  numbers are only comparable between like machines;
+  container may actually use, not what the host owns) and the P2P body
+  that made the numbers (``p2p_kernel``: the compiled loop or its NumPy
+  fallback, ~2x apart on the near field), because perf numbers are only
+  comparable between like machines;
 * **tolerant reader** — corrupt or foreign lines are skipped, not
   fatal, so a truncated CI artifact still yields its good records.
 
@@ -62,17 +64,24 @@ def machine_spec() -> dict[str, Any]:
     process may be scheduled on — which on pinned CI runners and cgroup
     containers is what actually bounds parallel speedup (a host
     ``os.cpu_count()`` of 64 means nothing inside a 1-CPU cgroup).
+    ``p2p_kernel`` is :func:`repro.kernels.p2p_backend` — which near-field
+    body this process runs — with the compiler that built it when native.
     """
+    from repro.kernels import _native
+
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         cpus = os.cpu_count() or 1
+    lib = _native.library()
     return {
         "cpu_available": cpus,
         "cpu_count": os.cpu_count() or 1,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": "%d.%d.%d" % sys.version_info[:3],
+        "p2p_kernel": _native.p2p_backend(),
+        **({} if lib is None else {"p2p_compiler": lib.compiler}),
     }
 
 

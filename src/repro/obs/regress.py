@@ -15,9 +15,11 @@ Comparability rules, both load-bearing on shared CI runners:
 * records whose ``extra.gate_skipped`` is truthy are excluded — a run
   that could not exercise the gate (e.g. a 1-CPU container skipping the
   parallel-speedup check) carries no timing signal;
-* only records from machines with the same affinity-aware CPU count as
-  the newest record are compared — a laptop number against a CI-runner
-  number is noise, not a regression.
+* only records from machines with the same affinity-aware CPU count and
+  the same P2P body (``p2p_kernel``; records older than the field ran
+  NumPy) as the newest record are compared — a laptop number against a
+  CI-runner number, or a compiled near field against its fallback, is
+  noise, not a regression.
 
 A bench whose records are *all* incomparable yields a ``VACUOUS``
 verdict: not a regression, but not a pass either — nothing was measured.
@@ -135,6 +137,10 @@ def _comparable(recs: list[RunRecord], metric: str) -> list[RunRecord]:
     return out
 
 
+def _machine_key(rec: RunRecord) -> tuple:
+    return rec.machine.get("cpu_available"), rec.machine.get("p2p_kernel", "numpy")
+
+
 def check_regression(
     ledger: RunLedger,
     bench: str,
@@ -168,8 +174,8 @@ def check_regression(
     newest = recs[-1]
     history = recs[:-1]
     if machine_aware:
-        cpus = newest.machine.get("cpu_available")
-        history = [r for r in history if r.machine.get("cpu_available") == cpus]
+        like = _machine_key(newest)
+        history = [r for r in history if _machine_key(r) == like]
     history = history[-window:]
     latest = _metric_of(newest, metric)
     assert latest is not None  # _comparable guaranteed it

@@ -107,6 +107,7 @@ import numpy as np
 
 from repro.fmm import farfield, nearfield
 from repro.fmm.farfield import FarFieldGeometry, PassSpec
+from repro.kernels import _native
 from repro.util.timing import SolveDeadlineError
 
 __all__ = [
@@ -231,6 +232,9 @@ class GlobalPlan:
     m2l_rounds: list
     down_rounds: list
     near_pairs: int
+    #: the parent's compiled P2P library file, or None for the NumPy body:
+    #: workers adopt it, they neither choose nor compile one
+    p2p_library: str | None
     # ownership / assignment
     row_rank: np.ndarray  # (n_eff,) owner shard per effective row
     leaf_shard: np.ndarray  # (n_leaves,) owner shard per leaf ordinal
@@ -418,6 +422,7 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         m2l_rounds=m2l_rounds,
         down_rounds=down_rounds,
         near_pairs=nplan.total_pairs,
+        p2p_library=getattr(_native.library(), "path", None),
         row_rank=row_rank,
         leaf_shard=leaf_shard,
         body_owner=body_owner,
@@ -821,6 +826,7 @@ def _worker_main(conn, barrier, shard_id: int) -> None:
                     state.close()
                 with open(msg[1], "rb") as fh:
                     plan = pickle.load(fh)
+                _native.adopt(plan.p2p_library)
                 state = _WorkerState(plan, shard_id, barrier)
                 conn.send(("ok",))
             elif cmd == "refresh":

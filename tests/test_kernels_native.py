@@ -1,0 +1,273 @@
+"""The compiled P2P block kernel against the NumPy body it replaces, and
+the loader that builds it.
+
+Two implementations stand behind ``LaplaceKernel.pairwise``: the C loop of
+``src/repro/kernels/_p2p.c`` and the NumPy body that runs where no compiler
+resolves.  They are required to agree to rounding (they sum the same terms
+in another order), each to keep the batch contract bitwise, and both to
+keep the three zero rules exactly.  The loader is required to fail soft:
+whatever goes wrong, the answer is ``None`` and the solve still answers.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
+from tests.clouds import CLOUDS
+from tests.test_nearfield import WANTS, _outputs
+
+
+# ------------------------------------------------------------ native vs NumPy
+@pytest.mark.parametrize("exclude_self", [False, True], ids=["all-pairs", "exclude-self"])
+@pytest.mark.parametrize("softening", [0.0, 1e-3])
+@pytest.mark.parametrize("want", WANTS.values(), ids=WANTS.keys())
+@pytest.mark.parametrize("cloud", CLOUDS)
+def test_native_agrees_with_the_numpy_body(native_p2p, monkeypatch, cloud, want, softening, exclude_self):
+    pts, _ = CLOUDS[cloud](seed=3)
+    q = np.random.default_rng(3).uniform(-1, 1, len(pts))
+    kernel = LaplaceKernel(softening=softening)
+    flags = dict(potential=want[0], gradient=want[1], exclude_self=exclude_self)
+    got = kernel.pairwise(pts, pts, q, **flags)
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "_library", None)
+        ref = kernel.pairwise(pts, pts, q, **flags)
+    assert [a is None for a in got] == [a is None for a in ref]
+    for a, b in zip(_outputs(got), _outputs(ref)):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert np.isfinite(a).all()
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def test_gravity_scales_the_native_block(native_p2p):
+    rng = np.random.default_rng(0)
+    t, s, q = rng.uniform(-1, 1, (40, 3)), rng.uniform(-1, 1, (60, 3)), rng.uniform(0.1, 1, 60)
+    pot, grad = LaplaceKernel(softening=0.02).pairwise(t, s, q, gradient=True)
+    gpot, ggrad = GravityKernel(G=3.0, softening=0.02).pairwise(t, s, q, gradient=True)
+    assert np.array_equal(gpot, -3.0 * pot) and np.array_equal(ggrad, 3.0 * grad)
+
+
+# -------------------------------------------- the batch contract, native side
+@pytest.mark.parametrize("want", WANTS.values(), ids=WANTS.keys())
+def test_a_rows_bits_do_not_depend_on_its_neighbours(native_p2p, want):
+    """What the compiled loop adds to the contract ``tests/test_nearfield.py``
+    holds for both bodies (any cut of a batch, down to the 2-D form): a
+    target row evaluated alone has the bits it has inside its block."""
+    rng = np.random.default_rng(1)
+    t, s, q = rng.uniform(-1, 1, (3, 40, 3)), rng.uniform(-1, 1, (3, 520, 3)), rng.uniform(-1, 1, (3, 520))
+    flags = dict(potential=want[0], gradient=want[1])
+    kernel = LaplaceKernel(softening=1e-3)
+    whole = _outputs(kernel.pairwise(t, s, q, **flags))
+    for g, i in [(0, 0), (1, 17), (2, 39)]:
+        for w, a in zip(whole, _outputs(kernel.pairwise(t[g, i : i + 1], s[g], q[g], **flags))):
+            assert np.array_equal(w[g, i : i + 1], a)
+
+
+# ------------------------------------------------------------- the zero rules
+def test_padded_slots_and_coincident_bodies_contribute_exact_zeros(p2p_impl):
+    rng = np.random.default_rng(2)
+    s, q = rng.uniform(-1, 1, (41, 3)), rng.uniform(-1, 1, 41)
+    t = np.vstack([rng.uniform(-1, 1, (5, 3)), s[:1]])  # the last target sits on s[0]
+    for kernel in (LaplaceKernel(), LaplaceKernel(softening=0.05)):
+        # padded slots alone (a repeated source, zero strength): nothing at all
+        pad = kernel.pairwise(t, np.repeat(s[:1], 7, axis=0), np.zeros(7), gradient=True)
+        assert not pad[0].any() and not pad[1].any()
+        # a coincident unsoftened pair is dropped: same bits as without it
+        if not kernel.softening:
+            full = kernel.pairwise(t[-1:], s, q, gradient=True)
+            q0 = np.concatenate([[0.0], q[1:]])
+            for a, b in zip(full, kernel.pairwise(t[-1:], s, q0, gradient=True)):
+                assert np.isfinite(a).all() and np.array_equal(a, b)
+        # exclude_self drops the diagonal whatever the softening
+        own = kernel.pairwise(s, s, q, gradient=True, exclude_self=True)
+        for i in (0, 17, 40):
+            qi = q.copy()
+            qi[i] = 0.0
+            for a, b in zip(own, kernel.pairwise(s[i : i + 1], s, qi, gradient=True)):
+                assert np.array_equal(a[i : i + 1], b)
+
+
+def test_a_nan_coordinate_leaves_the_potential_and_poisons_the_gradient(p2p_impl):
+    """The pair's weight is exactly 0 — potential and clean gradient axes
+    are those of the other sources, bit for bit — and the poisoned axis
+    multiplies it by the NaN separation, for every target: the signal the
+    NaN/Inf guardrail keys on."""
+    rng = np.random.default_rng(4)
+    t, s, q = rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, (30, 3)), rng.uniform(0.1, 1, 30)
+    kernel = LaplaceKernel()
+    q0 = q.copy()
+    q0[4] = 0.0
+    clean_pot, clean_grad = kernel.pairwise(t, s, q0, gradient=True)
+    s[4, 1] = np.nan
+    pot, grad = kernel.pairwise(t, s, q, gradient=True)
+    assert np.array_equal(pot, clean_pot)
+    assert np.array_equal(grad[:, [0, 2]], clean_grad[:, [0, 2]])
+    assert np.isnan(grad[:, 1]).all()
+
+
+# --------------------------------------------------------- shapes and layouts
+def test_empty_batches(native_p2p):
+    kernel = LaplaceKernel()
+    for G, T, S in [(0, 4, 5), (3, 0, 5), (3, 4, 0), (0, 0, 0)]:
+        pot, grad = kernel.pairwise(np.ones((G, T, 3)), np.ones((G, S, 3)), np.ones((G, S)), gradient=True)
+        assert pot.shape == (G, T, 1) and grad.shape == (G, T, 3)
+        assert not pot.any() and not grad.any()
+    pot, grad = kernel.pairwise(np.ones((2, 3)), np.zeros((0, 3)), np.zeros(0), gradient=True)
+    assert np.array_equal(pot, np.zeros((2, 1))) and np.array_equal(grad, np.zeros((2, 3)))
+
+
+def test_strided_and_float32_inputs(native_p2p):
+    rng = np.random.default_rng(5)
+    t, s, q = rng.uniform(-1, 1, (3, 9, 3)), rng.uniform(-1, 1, (3, 20, 3)), rng.uniform(-1, 1, (3, 20))
+    kernel = LaplaceKernel(softening=1e-2)
+    ref = kernel.pairwise(t, s, q, gradient=True)
+    strided = kernel.pairwise(
+        np.asfortranarray(t), np.repeat(s, 2, axis=1)[:, ::2], np.repeat(q, 2, axis=1)[:, ::2], gradient=True
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(ref, strided))
+    t32, s32, q32 = (a.astype(np.float32) for a in (t, s, q))
+    for a, b in zip(kernel.pairwise(t32, s32, q32, gradient=True),
+                    kernel.pairwise(*(a.astype(float) for a in (t32, s32, q32)), gradient=True)):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
+def test_mismatched_blocks_are_rejected_before_any_pointer_is_passed(native_p2p):
+    with pytest.raises(ValueError, match="blocks do not match"):
+        LaplaceKernel().pairwise(np.ones((3, 4, 3)), np.ones((2, 6, 3)), np.ones((2, 6)))
+    with pytest.raises(ValueError, match="blocks do not match"):
+        LaplaceKernel().pairwise(np.ones((2, 4, 2)), np.ones((2, 6, 3)), np.ones((2, 6)))
+
+
+# ------------------------------------------------------------------ the loader
+_FAKE_CC = """#!/bin/sh
+[ "$1" = "--version" ] && { echo "fakecc 1.0"; exit 0; }
+echo "fakecc: internal compiler error" >&2
+exit 1
+"""
+
+
+@pytest.fixture
+def unresolved(monkeypatch, tmp_path):
+    """A loader that has not resolved yet, caching under ``tmp_path``."""
+    monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
+    monkeypatch.setattr(_native, "_cache_dir", lambda: tmp_path)
+    return tmp_path
+
+
+def test_import_resolves_nothing():
+    code = (
+        "import repro, repro.kernels._native as n;"
+        "assert n._library is n._UNRESOLVED;"
+        "print(sum('_p2p' in l for l in open('/proc/self/maps')))"
+    )
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc")
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def test_fresh_cache_is_built_once_then_reused(native_p2p, unresolved):
+    lib = _native.library()
+    assert lib is not None and Path(lib.path).parent == unresolved
+    assert [p.name for p in unresolved.iterdir()] == [Path(lib.path).name]  # no temp left behind
+    assert p2p_backend() == "native" and lib.compiler
+    stamp = os.stat(lib.path).st_mtime_ns
+    _native._library = _native._UNRESOLVED
+    assert _native.library().path == lib.path and os.stat(lib.path).st_mtime_ns == stamp
+
+
+def test_failing_compiler_falls_back_with_one_warning(unresolved, monkeypatch, tmp_path):
+    cc = tmp_path / "fakecc"
+    cc.write_text(_FAKE_CC)
+    cc.chmod(0o755)
+    monkeypatch.setattr(_native.shutil, "which", lambda name: str(cc))
+    rng = np.random.default_rng(6)
+    t, s, q = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (9, 3)), rng.uniform(-1, 1, 9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = LaplaceKernel().pairwise(t, s, q, gradient=True)
+        again = LaplaceKernel().pairwise(t, s, q, gradient=True)
+    (only,) = [str(w.message) for w in caught]
+    assert "P2P" in only and "internal compiler error" in only
+    assert _native._library is None and p2p_backend() == "numpy"
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert np.allclose(first[0][:, 0], (q / np.linalg.norm(t[:, None] - s[None], axis=2)).sum(1))
+    assert [p.name for p in tmp_path.iterdir()] == ["fakecc"]  # nothing half-built is kept
+
+
+@pytest.mark.parametrize("missing", ["compiler", "source"])
+def test_no_compiler_or_no_source_is_a_silent_fallback(unresolved, monkeypatch, missing):
+    if missing == "compiler":
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    else:  # a wheel shipped without the C file
+        monkeypatch.setattr(_native, "_SOURCE", unresolved / "_p2p.c")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _native.library() is None
+    assert p2p_backend() == "numpy"
+    assert LaplaceKernel().evaluate(np.zeros((1, 3)), np.ones((1, 3)), np.ones(1))[0, 0] == pytest.approx(3**-0.5)
+
+
+def test_someone_elses_cache_directory_is_refused(native_p2p, monkeypatch, tmp_path):
+    own = _native._private_dir(tmp_path / "own")
+    assert own.stat().st_mode & 0o777 == 0o700
+    assert _native._private_dir(own) == own  # and again, now that it exists
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "shared").chmod(0o777)
+    (tmp_path / "link").symlink_to(own)
+    for bad in ("shared", "link"):
+        with pytest.raises(PermissionError):
+            _native._private_dir(tmp_path / bad)
+    monkeypatch.setattr(_native.os, "getuid", lambda: own.stat().st_uid + 1)
+    with pytest.raises(PermissionError):
+        _native._private_dir(own)
+    # ... and a refused directory is a failed build, not a crash
+    monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
+    monkeypatch.setattr(_native, "_cache_dir", lambda: _native._private_dir(own))
+    with pytest.warns(RuntimeWarning, match="not a private directory"):
+        assert _native.library() is None
+
+
+def test_unwritable_package_falls_back_to_a_private_directory(monkeypatch, tmp_path):
+    monkeypatch.setattr(_native.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(_native.tempfile, "gettempdir", lambda: str(tmp_path))
+    cache = _native._cache_dir()
+    assert cache.parent == tmp_path and cache.stat().st_mode & 0o777 == 0o700
+
+
+_RACER = """
+import sys, time
+from pathlib import Path
+import repro.kernels._native as n
+n._cache_dir = lambda: Path(sys.argv[1])
+time.sleep(max(0.0, float(sys.argv[2]) - time.time()))
+lib = n.library()
+import numpy as np
+from repro.kernels import LaplaceKernel
+print(lib.path, LaplaceKernel().evaluate(np.zeros((1, 3)), np.ones((2, 3)), np.ones(2))[0, 0].hex())
+"""
+
+
+def test_two_processes_racing_an_empty_cache_both_load(native_p2p, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    go = str(time.time() + 1.5)  # both are past their imports by then
+    racers = [
+        subprocess.Popen([sys.executable, "-c", _RACER, str(tmp_path), go], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=120) for p in racers]
+    assert [p.returncode for p in racers] == [0, 0], outs
+    assert outs[0][0] == outs[1][0] and outs[0][0].split()[1] == (2 / np.sqrt(3.0)).hex()
+    assert [p.name for p in tmp_path.iterdir()] == [Path(outs[0][0].split()[0]).name]

@@ -387,3 +387,57 @@ def test_refreshed_and_repaired_plans_keep_the_invariants():
     ref = _reference_near_field(kernel, tree, lists, q, potential=True, gradient=True)
     for a, b in zip(got, ref):
         assert np.allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+# ------------------------------------------- both bodies of the Laplace P2P
+_LAPLACE_FAMILY = ["laplace", "laplace-softened", "gravity"]
+
+
+@pytest.mark.parametrize("want", WANTS.values(), ids=WANTS.keys())
+@pytest.mark.parametrize("name", _LAPLACE_FAMILY)
+def test_batch_contract_under_each_p2p_body(p2p_impl, name, want):
+    """The compiled loop and the NumPy fallback each keep the contract the
+    back ends lean on (the unparametrised tests above run whichever body
+    the loader resolved)."""
+    for shape in _BATCH_SHAPES:
+        test_batch_bits_do_not_depend_on_the_cut(KERNELS[name], want, shape)
+    for pad in (1, 7):
+        test_padded_slots_add_exact_zeros(KERNELS[name], want, pad)
+
+
+def test_near_field_under_each_p2p_body(p2p_impl, monkeypatch):
+    test_batched_matches_per_leaf_reference(KERNELS["laplace"])
+    test_batched_matches_per_leaf_reference(KERNELS["laplace-softened"])
+    for make in (_coincident, _fewer_than_s, _one_octant):
+        test_degenerate_inputs_match_per_leaf_reference("laplace", make)
+    test_near_field_bits_do_not_depend_on_the_tile_budget(monkeypatch, "gravity", 200)
+
+
+class _PreChangeNumpy:
+    """``numpy`` with ``square(d, out=)`` spelt ``multiply(d, d, out=)`` —
+    the expression the NumPy bodies used before the unary ufunc."""
+
+    calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def square(self, a, out):
+        self.calls += 1
+        return np.multiply(a, a, out=out)
+
+
+@pytest.mark.parametrize("name", ["laplace-softened", "stokeslet"])
+def test_unary_square_keeps_the_bits_of_the_numpy_bodies(monkeypatch, name):
+    import repro.kernels.laplace as laplace_module
+    from repro.kernels import _native
+
+    monkeypatch.setattr(_native, "_library", None)  # the Laplace fallback is a NumPy body
+    kernel = KERNELS[name]
+    t, s, q = _batch(kernel, 12, 12, 130)  # a full stacked tile and a short one
+    now = kernel.pairwise(t, s, q, potential=True, gradient=True)
+    before = _PreChangeNumpy()
+    for module in (kernels_base, laplace_module):
+        monkeypatch.setattr(module, "np", before)
+    assert _same_bits(now, kernel.pairwise(t, s, q, potential=True, gradient=True))
+    assert before.calls == (8 if name == "laplace-softened" else 6)  # 2 tiles x (3 [+ 1])

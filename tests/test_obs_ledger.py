@@ -100,6 +100,15 @@ class TestRunLedger:
         assert 1 <= spec["cpu_available"] <= spec["cpu_count"]
         assert spec["python"].count(".") == 2
 
+    def test_machine_spec_names_the_p2p_kernel(self, p2p_impl):
+        from repro.kernels import p2p_backend
+
+        spec = machine_spec()
+        assert spec["p2p_kernel"] == p2p_backend() == p2p_impl
+        # the compiler's version string rides along exactly when it built the kernel
+        assert ("p2p_compiler" in spec) == (p2p_impl == "native")
+        assert RunRecord(bench="x").stamp().machine["p2p_kernel"] == p2p_impl
+
     def test_default_path_is_repo_runs_jsonl(self, monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         assert default_ledger_path().endswith("RUNS.jsonl")
@@ -344,6 +353,22 @@ class TestCheckRegression:
         assert not check_regression(
             ledger, "far_field_50k_plummer", machine_aware=False
         ).ok
+
+    def test_p2p_kernels_are_not_compared(self, tmp_path):
+        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        # records older than the field ran the NumPy body: comparable with
+        # a fallback run, not with a compiled one
+        for _ in range(3):
+            ledger.append(_bench_rec(50.0))
+        slow = _bench_rec(100.0)
+        slow.machine["p2p_kernel"] = "numpy"
+        ledger.append(slow)
+        assert not check_regression(ledger, "far_field_50k_plummer").ok
+        fast = _bench_rec(100.0)
+        fast.machine.update(p2p_kernel="native", p2p_compiler="cc 12.2.0")
+        ledger.append(fast)
+        verdict = check_regression(ledger, "far_field_50k_plummer")
+        assert verdict.ok and "insufficient history" in verdict.reason
 
     def test_window_limits_lookback(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))

@@ -241,6 +241,20 @@ def test_laplace_bitwise_identical_across_workers(
             assert solver.last_engine_result.n_workers == n_workers
 
 
+def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
+    """threads:2 == serial bitwise whichever body ``LaplaceKernel.pairwise``
+    runs (a compiled tile drops the GIL, so here two really run at once)."""
+    pts = plummer(1200, seed=9).positions
+    tree = AdaptiveOctree(pts, S=20)
+    lists = build_interaction_lists(tree, folded=True)
+    q = np.random.default_rng(9).uniform(-1, 1, len(pts))
+    ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, "cartesian", 3, None)
+    with ExecutionEngine(n_workers=2) as eng:
+        pot, grad, solver = _laplace_results(tree, lists, q, "cartesian", 3, eng)
+    assert solver.last_engine_result is not None and solver.degraded_runs == 0
+    assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
+
+
 @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
 def test_stokeslet_bitwise_identical_across_workers(folded):
     """The 7-pass Stokeslet solve matches serial bitwise at every width."""

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.kernels import p2p_backend
 from repro.serve import (
     BackgroundServer,
     ServeConfig,
@@ -478,6 +479,13 @@ class TestServedSolves:
         # requests over the same domain actually shared their operator set
         assert status["opcache"]["hits"] > 0
 
+    def test_served_equals_direct_under_each_p2p_body(self, p2p_impl):
+        direct = solve_direct(LAPLACE)
+        with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
+            out = bg.client(in_process=True).solve(LAPLACE, tenant="erin")
+        assert np.array_equal(out["potential"], direct["potential"])
+        assert np.array_equal(out["gradient"], direct["gradient"])
+
     def test_simulation_steps_bitwise_identical(self):
         spec = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
         direct = solve_direct(spec)
@@ -643,6 +651,8 @@ class TestServedSolves:
             assert serve["tenant"] == "led"
             assert serve["spec"]["n"] == 120
             assert rec["metrics"]["wall_s"] > 0
+            # every line says which P2P body made its numbers
+            assert rec["machine"]["p2p_kernel"] == p2p_backend()
         # the second solve read the set the first one assembled
         assert lines[1]["extra"]["serve"]["opcache"]["hits"] > 0
 

@@ -97,6 +97,30 @@ def test_stokeslet_bitwise_identical_to_serial(folded):
     assert solver.last_shard_result is not None
 
 
+def test_workers_adopt_the_parents_p2p_kernel(p2p_impl):
+    """The plan carries the parent's compiled library file (or ``None``):
+    every worker maps exactly that file — or none, and runs the NumPy body
+    — so shards == serial bitwise under both implementations."""
+    from repro.kernels import _native
+
+    pts, q = _cloud(n=900, seed=31)
+    kernel = GravityKernel(G=1.0, softening=1e-3)
+    tree = AdaptiveOctree(pts, S=24)
+    lib = _native.library()
+    assert (lib is None) == (p2p_impl == "numpy")
+    with ProcessEngine(n_shards=2) as eng:
+        _, serial = _solve(kernel, tree, q, folded=True)
+        solver, sharded = _solve(kernel, tree, q, folded=True, engine=eng)
+        mapped = []
+        for proc in eng._procs:
+            with open(f"/proc/{proc.pid}/maps") as fh:
+                mapped.append({line.split()[-1] for line in fh if "_p2p-" in line})
+    assert solver.degraded_runs == 0
+    assert np.array_equal(serial.potential, sharded.potential)
+    assert np.array_equal(serial.gradient, sharded.gradient)
+    assert mapped == [set() if lib is None else {lib.path}] * 2
+
+
 # ------------------------------------- the reduced translation, every back end
 def _laplace_case(pts, *, S, order, folded, seed):
     kernel = GravityKernel(G=1.0, softening=1e-3)
