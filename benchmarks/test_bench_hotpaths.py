@@ -12,6 +12,11 @@ Claims asserted at benchmark scale:
   ``C_P2P * #interactions`` assumes a per-pair cost that does not depend
   on S, so a balancer fed observed times must not be steered off small S
   by call overhead;
+* the near field reads the plan in place: the Laplace kernels' one
+  compiled call per tile list (``p2p_tiles``) takes <= 0.8x the time of the
+  base class's gather seam — per tile three gathers, a padding mask, one
+  batched ``pairwise`` call and a scatter — on Plummer 10k S=32 and uniform
+  10k S=8, timed alternately in one process and equal byte for byte;
 * M2L runs over sibling octets: on a far-field-bound tree (uniform 10k,
   S = 8, order 6) the shipped M2L — reduce, <= 13 level-free direction
   blocks, expand — takes <= 0.6x the time of the per-(level, displacement)
@@ -44,6 +49,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import _ledger
 from repro.balance.config import BalancerConfig
@@ -56,7 +62,8 @@ from repro.distributions.generators import (
 from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
-from repro.kernels import GravityKernel, LaplaceKernel
+from repro.kernels import GravityKernel, LaplaceKernel, p2p_backend
+from repro.kernels.base import Kernel
 from repro.machine.spec import system_a
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
@@ -186,6 +193,51 @@ def test_bench_near_field_flat_in_s(benchmark):
         f"{rate[64] / 1e6:.1f} at S=64 -> {flatness:.2f}x"
     )
     assert flatness >= 0.3, f"S=8 near field only {flatness:.2f}x the S=64 pairs/s"
+
+
+def test_bench_near_field_reads_the_plan_in_place(benchmark):
+    """Plan-indexed near field <= 0.8x the gather seam (Plummer 10k S=32,
+    uniform 10k S=8), same bytes."""
+    if p2p_backend() != "native":
+        pytest.skip("no C compiler resolves here: there is no plan-indexed near field")
+    n = 10_000
+    kernel = GravityKernel(G=1.0, softening=1e-3)
+    q = np.random.default_rng(5).uniform(0.5, 1.0, n)
+    record = {"bench": "near_field_indexed_10k", "n": n}
+    for label, pts, S in (
+        ("plummer_S32", plummer(n, seed=2).positions, 32),
+        ("uniform_S8", uniform_cube(n, seed=4).positions, 8),
+    ):
+        tree = AdaptiveOctree(pts, S=S)
+        plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+        out = {}
+
+        def run(method, plan=plan, tree=tree):
+            out[method] = (np.zeros(n), np.zeros((n, 3)))
+            method(kernel, tree.points, q, plan, range(plan.n_tiles), *out[method])
+
+        best = {GravityKernel.near_tiles: float("inf"), Kernel.near_tiles: float("inf")}
+        for _ in range(7):  # alternating: host drift hits both sides alike
+            for method in best:
+                best[method] = min(best[method], _best_time(lambda: run(method), rounds=1))
+        indexed, seam = (out[m] for m in best)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(indexed, seam))
+        ratio = best[GravityKernel.near_tiles] / best[Kernel.near_tiles]
+        record.update({
+            f"{label}_tiles": plan.n_tiles,
+            f"{label}_indexed_ms": round(best[GravityKernel.near_tiles] * 1e3, 3),
+            f"{label}_seam_ms": round(best[Kernel.near_tiles] * 1e3, 3),
+            f"{label}_ratio": round(ratio, 3),
+        })
+        print()
+        print(
+            f"near field, 10k {label}, {plan.n_tiles} tiles: plan read in place "
+            f"{best[GravityKernel.near_tiles] * 1e3:.1f} ms, gather seam "
+            f"{best[Kernel.near_tiles] * 1e3:.1f} ms -> {ratio:.2f}x"
+        )
+        assert ratio <= 0.8, f"plan-indexed near field {ratio:.2f}x the gather seam ({label})"
+    benchmark.pedantic(lambda: run(GravityKernel.near_tiles), rounds=2, iterations=1)
+    _ledger.record_to_ledger(record)
 
 
 def _m2l_octets_vs_class_loop(pts, order=6, S=8):

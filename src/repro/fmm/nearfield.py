@@ -15,7 +15,12 @@ the kernel's ``_TILE_ELEMS`` budget, is a **tile**: the one unit of
 near-field work for the serial loop (deadline checks), the thread engine
 (task chunks) and the shard workers (LPT assignment) alike.  A group
 larger than the budget is a tile of its own, which the kernel walks over
-target rows.
+target rows.  Every back end hands a list of tiles to one stage function,
+:func:`evaluate_near_tiles` → :meth:`Kernel.near_tiles
+<repro.kernels.base.Kernel.near_tiles>`: the Laplace kernels read the
+plan's index arrays in place in one compiled call (``p2p_tiles`` in
+``kernels/_p2p.c``), every other kernel gathers each tile into one batched
+``pairwise`` call and scatters the result.
 
 Padded source slots repeat the group's first source with zero strength:
 they add exact zeros and need no mask beyond the zero-separation rule every
@@ -62,7 +67,7 @@ __all__ = [
     "NearFieldPlan",
     "build_near_field_plan",
     "evaluate_near_field",
-    "evaluate_near_tile",
+    "evaluate_near_tiles",
     "near_self_correction",
 ]
 
@@ -84,6 +89,11 @@ def _segment_positions(lo: np.ndarray, hi: np.ndarray):
     return np.repeat(lo, cnt) + within, cnt
 
 
+#: the plan's arrays: int64 and C-contiguous, read in place by the compiled
+#: entry point and mirrored unchanged into the shard arena
+PLAN_ARRAYS = ("tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "src_cnt", "tile_ptr", "self_idx")
+
+
 @dataclass
 class NearFieldPlan:
     """Flattened near-field work: one entry per distinct source set.
@@ -94,6 +104,11 @@ class NearFieldPlan:
     the first source).  Tile ``k`` is groups ``tile_ptr[k]:tile_ptr[k+1]``,
     all of one shape.  ``self_idx`` lists every body whose own leaf is
     included in its source set (the bulk self-interaction correction).
+
+    Indices are read by pointer, so they are checked once, here — every
+    body index in ``[0, n_bodies)``, every pointer array monotone from 0 to
+    its array's end — and each call checks its own bodies and tile ids
+    (:meth:`checked_tiles`).
     """
 
     tgt_idx: np.ndarray
@@ -105,6 +120,32 @@ class NearFieldPlan:
     self_idx: np.ndarray
     #: total real body-pair interactions the plan evaluates (throughput metric)
     total_pairs: int
+    n_bodies: int
+
+    def __post_init__(self) -> None:
+        for name in PLAN_ARRAYS:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
+        ptrs = ((self.tgt_ptr, self.tgt_idx.size), (self.src_ptr, self.src_idx.size),
+                (self.tile_ptr, self.n_groups))
+        ok = self.tgt_ptr.size == self.src_ptr.size == self.n_groups + 1 and all(
+            p.size and p[0] == 0 and p[-1] == end and (np.diff(p) >= 0).all() for p, end in ptrs
+        )
+        ok = ok and ((0 <= self.src_cnt) & (self.src_cnt <= np.diff(self.src_ptr))).all()
+        if not ok or any(
+            a.size and (a.min() < 0 or a.max() >= self.n_bodies)
+            for a in (self.tgt_idx, self.src_idx, self.self_idx)
+        ):
+            raise ValueError(f"near-field plan indices out of range for {self.n_bodies} bodies")
+
+    def checked_tiles(self, pts, q, tiles) -> np.ndarray:
+        """``tiles`` as int64 ids, once ``pts`` and ``q`` are known to hold
+        one row per body of the plan and every id names one of its tiles."""
+        tiles = np.ascontiguousarray(tiles, dtype=np.int64)
+        if not len(pts) == len(q) == self.n_bodies:
+            raise ValueError(f"{len(pts)} points, {len(q)} strengths: {self.n_bodies} planned")
+        if tiles.ndim != 1 or tiles.size and (tiles.min() < 0 or tiles.max() >= self.n_tiles):
+            raise ValueError(f"tile ids must be a list of ints in [0, {self.n_tiles})")
+        return tiles
 
     @property
     def n_groups(self) -> int:
@@ -213,6 +254,7 @@ def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan
         tile_ptr=skel.tile_ptr,
         self_idx=order[skel.self_pos],
         total_pairs=skel.total_pairs,
+        n_bodies=order.size,
     )
 
 
@@ -312,39 +354,27 @@ def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
     )
 
 
-def evaluate_near_tile(kernel: Kernel, pts, q, plan: NearFieldPlan, k: int, pot, grad) -> None:
-    """Tile ``k`` — one batched kernel call — written to its target rows.
+def evaluate_near_tiles(kernel: Kernel, pts, q, plan: NearFieldPlan, tiles, pot, grad) -> None:
+    """Tiles ``tiles`` (ids in any order) — one :meth:`Kernel.near_tiles
+    <repro.kernels.base.Kernel.near_tiles>` call — written to their target
+    rows.
 
     ``pot`` / ``grad`` are the full per-body outputs (``None`` = not
     wanted; ``pot`` is 1-D for scalar kernels), zero on entry: every body
     is a target of exactly one tile, so the rows are assigned, not
     accumulated, and running a tile twice is idempotent.  The single stage
     body of every back end: serial and engine through
-    :meth:`NearFieldPass.tile`, shard workers over their arena views.
+    :meth:`NearFieldPass.tile_range`, shard workers over their arena views.
     """
-    t_idx, s_idx, src_cnt = plan.tile(k)
-    if t_idx.size == 0 or s_idx.size == 0:
-        return
-    qs = q.take(s_idx, axis=0)
-    qs[np.arange(s_idx.shape[1]) >= src_cnt[:, None]] = 0.0  # padded slots
-    block, g = kernel.pairwise(
-        pts.take(t_idx, axis=0),
-        pts.take(s_idx, axis=0),
-        qs,
-        potential=pot is not None,
-        gradient=grad is not None,
-    )
-    if pot is not None:
-        pot[t_idx] = block[..., 0] if pot.ndim == 1 else block
-    if grad is not None:
-        grad[t_idx] = g
+    kernel.near_tiles(pts, q, plan, tiles, pot, grad)
 
 
 def near_self_correction(kernel: Kernel, pts, q, self_idx, pot, grad) -> None:
     """Subtract the self pair of bodies whose own leaf was a source.
 
     Zero for singular kernels; one bulk call after *every* tile has
-    written its rows (it subtracts from them), whole, on one worker.  ``pot`` / ``grad`` as in :func:`evaluate_near_tile`.
+    written its rows (it subtracts from them), whole, on one worker.
+    ``pot`` / ``grad`` as in :func:`evaluate_near_tiles`.
     """
     si = self_idx
     if not si.size:
@@ -360,8 +390,8 @@ class NearFieldPass:
     """One P2P evaluation split into per-tile stages.
 
     Target leaves are *partitioned* (each leaf belongs to exactly one
-    source-set group, each group to one tile), so :meth:`tile` calls write
-    disjoint body rows and may execute concurrently in any order with
+    source-set group, each group to one tile), so :meth:`tile_range` calls
+    write disjoint body rows and may execute concurrently in any order with
     bitwise identical results; :meth:`self_correction` must run after
     every tile (it subtracts from rows the tiles wrote).  Construction
     resolves the plan cache on the calling thread, so the stages are pure
@@ -393,16 +423,12 @@ class NearFieldPass:
         self.grad = np.zeros((n, 3)) if gradient else None
         self.n_tiles = self.plan.n_tiles
 
-    def tile(self, k: int) -> None:
-        """One batched kernel call; writes this tile's target rows only."""
-        evaluate_near_tile(
-            self.kernel, self.pts, self.q, self.plan, k, self.pot, self.grad
-        )
-
     def tile_range(self, lo: int, hi: int) -> None:
-        """Tiles ``[lo, hi)`` in order — the chunked task granularity."""
-        for k in range(lo, hi):
-            self.tile(k)
+        """Tiles ``[lo, hi)`` in one kernel call — the chunked task
+        granularity; writes these tiles' target rows only."""
+        evaluate_near_tiles(
+            self.kernel, self.pts, self.q, self.plan, range(lo, hi), self.pot, self.grad
+        )
 
     def self_correction(self) -> None:
         """The bulk self-pair subtraction, after all tiles."""
@@ -431,7 +457,8 @@ def evaluate_near_field(
     gradient: bool = False,
     deadline=None,
 ):
-    """Evaluate the P2P phase in one batched kernel call per tile.
+    """Evaluate the P2P phase: all tiles in one kernel call, or one call per
+    tile under a deadline.
 
     Returns ``(pot, grad)`` with the same shapes and semantics as the
     per-leaf near-field loop: ``pot`` is ``(n,)`` for scalar kernels and
@@ -450,7 +477,7 @@ def evaluate_near_field(
     else:
         deadline.check("near-plan")
         for k in range(p.n_tiles):
-            p.tile(k)
+            p.tile_range(k, k + 1)
             deadline.check("P2P")
     p.self_correction()
     return p.result()

@@ -1,4 +1,11 @@
-"""Build-on-first-use loader of the compiled P2P block kernel (``_p2p.c``).
+"""Build-on-first-use loader of the compiled P2P kernel (``_p2p.c``).
+
+The library has two entry points over one row loop: ``p2p_blocks``
+(:meth:`P2PLibrary.pairwise`, dense ``(G, T, 3)`` x ``(G, S, 3)`` blocks)
+and ``p2p_tiles`` (:meth:`P2PLibrary.near_tiles`, near-field tiles read
+from the plan's index arrays in place and written to the body rows by
+index).  Neither is handed a pointer before its shapes and indices are
+checked here.
 
 :func:`library` compiles the C source beside this file the first time a
 Laplace block is evaluated — never at import — at most once per (source,
@@ -8,7 +15,7 @@ checked before anything in it is loaded.  The build lands in a temporary
 directory and is renamed into place, so two processes racing the first
 compile both end with a loadable file.  No compiler, no source (a wheel
 shipped without it) or a failed build resolve to ``None``, and
-:meth:`~repro.kernels.laplace.LaplaceKernel.pairwise` runs its NumPy body.
+:class:`~repro.kernels.laplace.LaplaceKernel` runs its NumPy bodies.
 
 There is no switch: the answer is resolved once per process and kept in
 ``_library`` (tests patch that attribute).  A shard worker does not resolve
@@ -42,6 +49,7 @@ _lock = threading.Lock()
 
 class P2PLibrary(NamedTuple):
     blocks: object  # the ``p2p_blocks`` entry point
+    tiles: object  # the ``p2p_tiles`` entry point
     path: str
     compiler: str  # first line of ``cc --version`` ("" in a worker)
 
@@ -58,6 +66,26 @@ class P2PLibrary(NamedTuple):
         if self.blocks(n_groups, nt, ns, *ptr[:3], eps2, diagonal, *ptr[3:]):
             raise MemoryError("p2p_blocks could not allocate its staging buffer")
         return pot, grad
+
+    def near_tiles(self, pts, q, plan, tiles, eps2, scales, pot, grad):
+        """Tiles ``tiles`` of the near-field ``plan`` in one call: ``pot[t] =
+        scales[0] * p``, ``grad[t] = scales[1] * g`` for each of their
+        targets ``t``, in place.  ``plan`` checks the bodies and tile ids."""
+        tiles = plan.checked_tiles(pts, q, tiles)
+        pts = np.ascontiguousarray(pts, dtype=float)
+        q = np.ascontiguousarray(q, dtype=float).reshape(-1)
+        n = plan.n_bodies
+        for a, shape in ((pts, (n, 3)), (q, (n,)), (pot, (n,)), (grad, (n, 3))):
+            if a is not None and (a.shape, a.dtype) != (shape, np.float64):
+                raise ValueError(f"expected a float64 {shape} array, got {a.dtype} {a.shape}")
+        for out in (pot, grad):
+            if out is not None and not (out.flags.c_contiguous and out.flags.writeable):
+                raise ValueError("outputs must be writeable C-contiguous arrays")
+        index = (plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr,
+                 plan.src_idx, plan.src_ptr, plan.src_cnt)  # p2p_tiles' order
+        ptr = [None if a is None else a.ctypes.data for a in (tiles, *index, pts, q, pot, grad)]
+        if self.tiles(tiles.size, *ptr[:9], eps2, *scales, *ptr[9:]):
+            raise MemoryError("p2p_tiles could not allocate its staging buffer")
 
 
 def library() -> P2PLibrary | None:
@@ -82,10 +110,11 @@ def adopt(path: str | None) -> None:
 
 
 def _load(path, compiler: str) -> P2PLibrary:
-    fn = CDLL(str(path)).p2p_blocks  # CDLL, not PyDLL: the GIL is dropped for the call
-    fn.argtypes = [c_long] * 3 + [c_void_p] * 3 + [c_double, c_int, c_void_p, c_void_p]
-    fn.restype = c_int
-    return P2PLibrary(fn, str(path), compiler)
+    dll = CDLL(str(path))  # CDLL, not PyDLL: the GIL is dropped for each call
+    dll.p2p_blocks.argtypes = [c_long] * 3 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
+    dll.p2p_tiles.argtypes = [c_long] + [c_void_p] * 9 + [c_double] * 3 + [c_void_p] * 2
+    dll.p2p_blocks.restype = dll.p2p_tiles.restype = c_int
+    return P2PLibrary(dll.p2p_blocks, dll.p2p_tiles, str(path), compiler)
 
 
 def _cache_dir() -> Path:

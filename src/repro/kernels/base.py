@@ -18,6 +18,11 @@ it in one compiled all-pairs loop (:mod:`repro.kernels._native`, one
 in-order row sum per target); :func:`separation_tiles` is the shared
 cache-sized walk the NumPy bodies — the Stokeslet, and the Laplace
 fallback where no compiler resolves — are built on.
+
+:meth:`Kernel.near_tiles` is the near field's entry point: tiles of a
+near-field plan, written to the body rows by index.  Its default is the
+gather seam over :meth:`Kernel.pairwise`; the Laplace kernels read the
+plan in place in one compiled call and give the same bits.
 """
 
 from __future__ import annotations
@@ -202,6 +207,30 @@ class Kernel(abc.ABC):
             else None
         )
         return pot, grad
+
+    def near_tiles(self, pts, q, plan, tiles, pot, grad) -> None:
+        """Tiles ``tiles`` of the near-field ``plan`` (a
+        :class:`~repro.fmm.nearfield.NearFieldPlan`) written to their target
+        rows of ``pot`` / ``grad`` (``None`` = not wanted).
+
+        The gather seam: per tile, gather the ``(G, T)`` targets and ``(G,
+        S)`` sources, zero the padded strengths, make one batched
+        :meth:`pairwise` call and scatter its rows.  A kernel that can read
+        the plan in place (Laplace, compiled) overrides this with the same
+        bits.
+        """
+        for k in plan.checked_tiles(pts, q, tiles).tolist():
+            t_idx, s_idx, src_cnt = plan.tile(k)
+            if t_idx.size == 0 or s_idx.size == 0:
+                continue
+            qs = q.take(s_idx, axis=0)
+            qs[np.arange(s_idx.shape[1]) >= src_cnt[:, None]] = 0.0  # padded slots
+            block, g = self.pairwise(pts.take(t_idx, axis=0), pts.take(s_idx, axis=0), qs,
+                                     potential=pot is not None, gradient=grad is not None)
+            if pot is not None:
+                pot[t_idx] = block[..., 0] if pot.ndim == 1 else block
+            if grad is not None:
+                grad[t_idx] = g
 
     def self_interaction(
         self, positions: np.ndarray, strengths: np.ndarray, *, gradient: bool = False

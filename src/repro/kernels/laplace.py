@@ -8,8 +8,10 @@ experiments stay well behaved through close encounters.
 Every dense block of either goes through ``LaplaceKernel.pairwise`` — one
 seam with two bodies: the compiled all-pairs loop of ``_p2p.c`` (built on
 first use by :mod:`repro.kernels._native`) and, where no compiler
-resolves, the NumPy body it replaces.  Nothing selects between them but
-what the host can do.
+resolves, the NumPy body it replaces.  The near field's tiles go through
+``LaplaceKernel.near_tiles``: the same row loop reading the plan's index
+arrays in place, or the base class's gather seam over ``pairwise``.
+Nothing selects between them but what the host can do.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ class LaplaceKernel(Kernel):
             pot[..., None] if potential else None,
             np.ascontiguousarray(grad_t.transpose(1, 2, 0)) if gradient else None,
         )
+
+    def near_tiles(self, pts, q, plan, tiles, pot, grad):
+        """One call into ``p2p_tiles`` for all of ``tiles``: sources staged
+        straight from ``pts[src_idx]``, rows written by index, scaled by
+        :attr:`laplace_scale` / :attr:`laplace_gradient_scale` (so
+        :class:`GravityKernel` needs no override) — bitwise the gather seam,
+        without its per-tile gathers, mask and scatter.  The gather seam
+        itself where no compiler resolves."""
+        lib = _native.library()
+        if lib is None:
+            return super().near_tiles(pts, q, plan, tiles, pot, grad)
+        scales = (self.laplace_scale, self.laplace_gradient_scale)
+        lib.near_tiles(pts, q, plan, tiles, self.softening**2, scales, pot, grad)
 
     def evaluate(self, targets, sources, strengths, *, exclude_self=False):
         return self.pairwise(

@@ -315,9 +315,7 @@ def _attach_shm(name: str):
 #: into the same dataclasses the in-process passes use
 _PLAN_FIELDS = {
     "body": ("body_idx", "ptr", "gid", "rel"),  # LeafBodyPlan
-    "near": (  # NearFieldPlan
-        "tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "src_cnt", "tile_ptr", "self_idx",
-    ),
+    "near": nearfield.PLAN_ARRAYS,  # NearFieldPlan
 }
 
 
@@ -465,7 +463,7 @@ class _WorkerState:
         self.geom = geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
         self.near_plan = nearfield.NearFieldPlan(
-            **_plan_views("near", v), total_pairs=plan.near_pairs
+            **_plan_views("near", v), total_pairs=plan.near_pairs, n_bodies=len(v["points"])
         )
 
         # per-shard leaf/body subset (row-independent stages)
@@ -675,11 +673,8 @@ class _WorkerState:
 
     def _near_tiles(self) -> None:
         v = self.v
-        pot, grad = self._near_out()
-        for k in self.my_tiles.tolist():
-            nearfield.evaluate_near_tile(
-                self.plan.kernel, v["points"], v["nearq"], self.near_plan, k, pot, grad
-            )
+        nearfield.evaluate_near_tiles(self.plan.kernel, v["points"], v["nearq"], self.near_plan,
+                                      self.my_tiles, *self._near_out())
 
     def _near_self(self) -> None:
         v = self.v

@@ -1,12 +1,16 @@
-"""The compiled P2P block kernel against the NumPy body it replaces, and
-the loader that builds it.
+"""The compiled P2P kernel against the NumPy body it replaces, and the
+loader that builds it.
 
 Two implementations stand behind ``LaplaceKernel.pairwise``: the C loop of
 ``src/repro/kernels/_p2p.c`` and the NumPy body that runs where no compiler
 resolves.  They are required to agree to rounding (they sum the same terms
 in another order), each to keep the batch contract bitwise, and both to
-keep the three zero rules exactly.  The loader is required to fail soft:
-whatever goes wrong, the answer is ``None`` and the solve still answers.
+keep the three zero rules exactly.  The library's second entry point,
+``p2p_tiles`` behind ``LaplaceKernel.near_tiles``, reads bodies by index:
+nothing out of bounds may reach it (its bits against the gather seam are
+held in ``tests/test_nearfield.py``).  The loader is required to fail
+soft: whatever goes wrong, the answer is ``None`` and the solve still
+answers.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.fmm.nearfield import _SRC_ROUND
 from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
 from tests.clouds import CLOUDS
-from tests.test_nearfield import WANTS, _outputs
+from tests.test_nearfield import WANTS, _outputs, _plan_case
 
 
 # ------------------------------------------------------------ native vs NumPy
@@ -145,6 +151,75 @@ def test_mismatched_blocks_are_rejected_before_any_pointer_is_passed(native_p2p)
         LaplaceKernel().pairwise(np.ones((3, 4, 3)), np.ones((2, 6, 3)), np.ones((2, 6)))
     with pytest.raises(ValueError, match="blocks do not match"):
         LaplaceKernel().pairwise(np.ones((2, 4, 2)), np.ones((2, 6, 3)), np.ones((2, 6)))
+
+
+def test_bad_plans_bodies_and_tiles_are_rejected_before_any_pointer_is_passed(native_p2p, monkeypatch):
+    """``p2p_tiles`` reads bodies by index: a plan whose indices or pointers
+    leave their arrays cannot be built, and a call with the wrong bodies,
+    strengths, outputs or tile ids raises before the C entry is reached."""
+    pts, q, plan = _plan_case("plummer")
+    n = len(pts)
+
+    def unreachable(*args):
+        raise AssertionError("p2p_tiles reached")
+
+    monkeypatch.setattr(_native, "_library", _native.library()._replace(tiles=unreachable))
+    corrupt = {
+        "src_idx": lambda a: np.where(a == a.max(), n, a),
+        "tgt_idx": lambda a: np.where(a == a[0], -1, a),
+        "self_idx": lambda a: a + n,
+        "src_ptr": lambda a: a[::-1],
+        "tgt_ptr": lambda a: a[:-1],
+        "tile_ptr": lambda a: a + 1,
+        "src_cnt": lambda a: a + _SRC_ROUND,
+    }
+    for field, bad in corrupt.items():
+        with pytest.raises(ValueError, match="out of range"):
+            replace(plan, **{field: bad(getattr(plan, field))})
+    with pytest.raises(ValueError, match="out of range"):
+        replace(plan, n_bodies=n - 1)
+    kernel, pot, grad = LaplaceKernel(), np.zeros(n), np.zeros((n, 3))
+    bad_calls = [
+        ("strengths", (pts, q[:-1], [0], pot, grad)),
+        ("strengths", (pts[:-1], q[:-1], [0], pot, grad)),
+        ("tile ids", (pts, q, [plan.n_tiles], pot, grad)),
+        ("tile ids", (pts, q, [-1], pot, grad)),
+        ("tile ids", (pts, q, [[0]], pot, grad)),
+        ("float64", (pts, q, [0], pot[:-1], grad)),
+        ("float64", (pts, q, [0], pot, grad.astype(np.float32))),
+        ("float64", (pts[:, :2], q, [0], pot, grad)),
+        ("C-contiguous", (pts, q, [0], pot, np.zeros((3, n)).T)),
+    ]
+    for match, (p, qq, tiles, po, gr) in bad_calls:
+        with pytest.raises(ValueError, match=match):
+            kernel.near_tiles(p, qq, plan, tiles, po, gr)
+    assert not pot.any() and not grad.any()
+
+
+_WORKER = """
+import sys
+import numpy as np
+import repro.kernels._native as n
+from repro.distributions.generators import plummer
+from repro.fmm.nearfield import evaluate_near_field
+from repro.kernels import GravityKernel
+from repro.tree import AdaptiveOctree, build_interaction_lists
+n.adopt(sys.argv[1])
+lib = n._library
+tree = AdaptiveOctree(plummer(300, seed=2).positions, S=16)
+pot, grad = evaluate_near_field(GravityKernel(G=2.5), tree, build_interaction_lists(tree), np.ones(300), gradient=True)
+print(lib.path, lib.compiler == "", callable(lib.blocks), callable(lib.tiles), np.isfinite(grad).all())
+"""
+
+
+def test_adopt_binds_both_entry_points_in_a_worker(native_p2p):
+    """What a shard worker does with the parent's library path: load that
+    file — no build, no compiler query — with both entry points bound."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    path = _native.library().path
+    out = subprocess.run([sys.executable, "-c", _WORKER, path], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [path, "True", "True", "True", "True"]
 
 
 # ------------------------------------------------------------------ the loader

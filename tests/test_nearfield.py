@@ -7,7 +7,10 @@ each) and fixes up self terms in bulk; the reference here walks
 ``near_sources`` one (target leaf, source leaf) pair at a time the way the
 original solver did.  Agreement with the reference is required to near
 round-off (the two paths sum the same terms in different orders);
-agreement between different cuts of the same batch is required bitwise.
+agreement between different cuts of the same batch is required bitwise,
+and so is agreement between a kernel's ``near_tiles`` (the Laplace
+kernels read the plan in place in one compiled call) and the base class's
+gather seam of one batched ``pairwise`` call per tile.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKern
 from repro.kernels.base import Kernel
 from repro.runtime.shards import _PLAN_FIELDS as shard_plan_fields
 from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
+from tests.clouds import CLOUDS
 
 
 def _reference_near_field(kernel, tree, lists, q, *, potential, gradient):
@@ -441,3 +445,102 @@ def test_unary_square_keeps_the_bits_of_the_numpy_bodies(monkeypatch, name):
         monkeypatch.setattr(module, "np", before)
     assert _same_bits(now, kernel.pairwise(t, s, q, potential=True, gradient=True))
     assert before.calls == (8 if name == "laplace-softened" else 6)  # 2 tiles x (3 [+ 1])
+
+
+# ------------------------------------- near_tiles: the plan read in place
+_NEAR_TILES_KERNELS = {
+    "laplace": LaplaceKernel(),
+    "laplace-softened": LaplaceKernel(softening=0.01),
+    "gravity": GravityKernel(G=2.5, softening=0.01),
+}
+
+
+def _plan_case(cloud, seed=5):
+    """``(pts, q, plan)`` over one of ``tests/clouds.py``; ``"no-sources"``
+    is the one-octant cloud with one leaf's source list emptied."""
+    pts, S = CLOUDS["one-octant" if cloud == "no-sources" else cloud](seed=seed)
+    tree = AdaptiveOctree(pts, S=S)
+    lists = build_interaction_lists(tree, folded=True)
+    if cloud == "no-sources":
+        lists.near_sources[next(iter(lists.near_sources))] = []
+        lists.drop_tables()
+    q = np.random.default_rng(seed).uniform(-1, 1, len(pts))
+    return tree.points, q, build_near_field_plan(tree, lists)
+
+
+def _near_tiles(method, kernel, pts, q, plan, tiles, want, fill=0.0):
+    n = len(pts)
+    pot = np.full(n, fill) if want[0] else None
+    grad = np.full((n, 3), fill) if want[1] else None
+    method(kernel, pts, q, plan, tiles, pot, grad)
+    return pot, grad
+
+
+def _bytes(res):
+    return [a.tobytes() for a in _outputs(res)]
+
+
+@pytest.mark.parametrize("name", _NEAR_TILES_KERNELS)
+@pytest.mark.parametrize("cloud", [*CLOUDS, "no-sources"])
+def test_near_tiles_equal_the_gather_seam(p2p_impl, cloud, name):
+    """The kernel's own ``near_tiles`` (one compiled call for the Laplace
+    family) writes the bytes of the base class's gather seam — one batched
+    ``pairwise`` per tile — on every cloud, for every output wanted."""
+    kernel = _NEAR_TILES_KERNELS[name]
+    pts, q, plan = _plan_case(cloud)
+    if cloud == "no-sources":
+        assert (plan.src_ptr[1:] == plan.src_ptr[:-1]).any()
+    for want in WANTS.values():
+        args = (kernel, pts, q, plan, range(plan.n_tiles), want)
+        got = _near_tiles(type(kernel).near_tiles, *args)
+        assert _bytes(got) == _bytes(_near_tiles(Kernel.near_tiles, *args))
+        assert all(np.isfinite(a).all() for a in _outputs(got))
+
+
+def test_a_shuffled_tile_list_writes_exactly_its_rows(p2p_impl):
+    """Half the tiles, shuffled as LPT leaves them and passed as a strided
+    view: their rows get the bits of a whole-plan call, every other row
+    keeps what it held — and an empty list writes nothing at all."""
+    kernel = _NEAR_TILES_KERNELS["gravity"]
+    pts, q, plan = _plan_case("plummer")
+    tiles = np.random.default_rng(1).permutation(plan.n_tiles)[: plan.n_tiles // 2]
+    rows = np.zeros(len(pts), dtype=bool)
+    rows[np.concatenate([plan.tile(k)[0].ravel() for k in tiles])] = True
+    both = (True, True)
+    whole = _near_tiles(GravityKernel.near_tiles, kernel, pts, q, plan, range(plan.n_tiles), both)
+    part = _near_tiles(GravityKernel.near_tiles, kernel, pts, q, plan, tiles[::-1], both, np.nan)
+    for a, b in zip(part, whole):
+        assert np.array_equal(a[rows], b[rows]) and np.isnan(a[~rows]).all()
+    for empty in ([], np.empty(0, dtype=np.int64)):
+        untouched = _near_tiles(GravityKernel.near_tiles, kernel, pts, q, plan, empty, both, np.nan)
+        assert all(np.isnan(a).all() for a in untouched)
+
+
+def test_a_refreshed_plan_evaluates_like_a_fresh_one(p2p_impl):
+    tree, lists, q = _setup(1, n=500)
+    build_near_field_plan(tree, lists)
+    tree.points[:] += 1e-9 * np.random.default_rng(0).standard_normal(tree.points.shape)
+    tree.refit()  # same leaf populations: the plan is refreshed, not rebuilt
+    plan = build_near_field_plan(tree, lists)
+    assert lists.nearfield_plan_stats["refreshes"] == 1
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    for kernel in _NEAR_TILES_KERNELS.values():
+        got, want = (
+            _near_tiles(type(kernel).near_tiles, kernel, tree.points, q, p, range(p.n_tiles), (True, True))
+            for p in (plan, fresh)
+        )
+        assert _bytes(got) == _bytes(want)
+
+
+def test_a_nan_coordinate_keeps_the_potential_finite_and_poisons_the_gradient(p2p_impl):
+    kernel = _NEAR_TILES_KERNELS["laplace"]
+    pts, q, plan = _plan_case("plummer")
+    pts = pts.copy()
+    bad = int(plan.src_idx[0])
+    pts[bad, 1] = np.nan
+    pot, grad = _near_tiles(type(kernel).near_tiles, kernel, pts, q, plan, range(plan.n_tiles), (True, True))
+    assert np.isfinite(pot).all()
+    # every target of a group that has the body among its sources
+    hit = [g for g in range(plan.n_groups) if bad in plan.src_idx[plan.src_ptr[g] : plan.src_ptr[g + 1]]]
+    targets = np.concatenate([plan.tgt_idx[plan.tgt_ptr[g] : plan.tgt_ptr[g + 1]] for g in hit])
+    assert np.isnan(grad[targets, 1]).all()
