@@ -28,9 +28,8 @@ Claims asserted at benchmark scale:
   the class operators already cached, ``far_field_geometry`` from the list
   builder's pair tables boxes no dict and takes <= 0.5x the hand-off
   through dicts — box the views, drop the tables, the same call (what
-  every cold solve paid between the two layers before the tables, and what
-  a repaired list still pays) — alternating in one process, equal array
-  for array;
+  every cold solve paid between the two layers before the tables) —
+  alternating in one process, equal array for array;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is the ledger's gated ``far_field_50k_plummer`` series; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -345,7 +344,7 @@ def test_bench_cold_geometry_from_tables(benchmark):
         out = {}
 
         def hand_off():
-            if route == "dicts":  # what a repair leaves: views boxed, no tables
+            if route == "dicts":  # the pre-table hand-off: views boxed, no tables
                 lists.drop_tables()
             out["geom"] = far_field_geometry(tree, lists, exp)
 

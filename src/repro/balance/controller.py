@@ -346,11 +346,9 @@ class DynamicLoadBalancer:
             self._expect_new_best = True
             return
         cache = self.executor.list_cache
-        repairs0, rebuilds0 = cache.repairs, cache.builds
+        rebuilds0 = cache.builds
         lists = cache.get(tree, folded=self.executor.folded)
-        if cache.repairs > repairs0:
-            out.actions.append("lists repaired")
-        elif cache.builds > rebuilds0:
+        if cache.builds > rebuilds0:
             out.actions.append("lists rebuilt")
         pred = predict_times(lists.op_counts(), self.coeffs)
         out.lb_time += self.executor.time_prediction(tree)

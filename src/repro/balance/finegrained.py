@@ -20,7 +20,9 @@ Candidate selection heuristics:
 
 Every round is applied tentatively against a flag snapshot; a round whose
 *predicted* compute time is worse than the incumbent is rolled back, and
-the procedure stops — "until the predicted time is minimized".
+the procedure stops — "until the predicted time is minimized".  Each
+round's prediction reads lists from the executor's cache, which rebuilds
+them (the round changed the shape; ``list_rebuilds`` counts them).
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ class FineGrainedReport:
     #: modeled time spent inside the optimizer (prediction + surgery)
     lb_time: float = 0.0
     changed: bool = False
-    #: list lookups this call answered by incremental repair vs full rebuild
-    #: (cache-counter deltas; both zero when the executor has no cache)
-    list_repairs: int = 0
+    #: list lookups this call answered by a rebuild (the cache-counter
+    #: delta; zero when the executor has no cache)
     list_rebuilds: int = 0
 
     @property
@@ -67,7 +68,6 @@ class FineGrainedReport:
             "predictions": self.predictions,
             "changed": self.changed,
             "lb_time": self.lb_time,
-            "list_repairs": self.list_repairs,
             "list_rebuilds": self.list_rebuilds,
             "initial_compute": self.initial.compute_time if self.initial else None,
             "final_compute": self.final.compute_time if self.final else None,
@@ -96,10 +96,9 @@ def _undo_round(
 
     Every trial collapse is depth-1 (candidates require all-leaf
     children), so ``pushdown`` inverts it exactly, and ``collapse``
-    inverts a trial pushdown — the undo goes through the journalled
-    surgery API and the list cache can *repair* instead of rebuilding.
-    The flag snapshot stays as a verified fallback: any drift from it
-    falls back to the raw restore, which stamps the journal dirty.
+    inverts a trial pushdown.  The flag snapshot stays as a verified
+    fallback: any drift from it falls back to the raw restore, which
+    stamps the shape change with ``mark_structure_dirty``.
     """
     for kind, nid in reversed(applied):
         if kind == "collapse":
@@ -194,7 +193,7 @@ def fine_grained_optimize(
     cache = getattr(executor, "list_cache", None)
     if cache is not None:
         get_lists = lambda: cache.get(tree, folded=folded)  # noqa: E731
-        repairs0, rebuilds0 = cache.repairs, cache.builds
+        rebuilds0 = cache.builds
     else:
         get_lists = lambda: build_interaction_lists(tree, folded=folded)  # noqa: E731
     lists = get_lists()
@@ -246,7 +245,6 @@ def fine_grained_optimize(
 
     report.final = best
     if cache is not None:
-        report.list_repairs = cache.repairs - repairs0
         report.list_rebuilds = cache.builds - rebuilds0
     if metrics is not None:
         metrics.counter(
@@ -263,17 +261,12 @@ def fine_grained_optimize(
         metrics.counter(
             "fgo_rounds_total", "tentative surgery rounds evaluated"
         ).inc(report.rounds)
-        metrics.counter(
-            "fgo_list_repairs_total",
-            "list lookups inside FineGrainedOptimize answered by repair",
-        ).inc(report.list_repairs)
         tracer.instant(
             "fine-grained-optimize",
             rounds=report.rounds,
             examined=examined,
             accepted=report.operations,
             changed=report.changed,
-            list_repairs=report.list_repairs,
             list_rebuilds=report.list_rebuilds,
         )
     return report

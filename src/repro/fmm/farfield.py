@@ -243,20 +243,14 @@ def far_field_geometry(
     """
     key = f"farfield_geometry:{expansion.backend}:{expansion.order}"
     cached, store = lists.derived_cache(key, structural=True)
-    stats = _cache_stats(
-        lists, "farfield_geometry_stats", "partial_rebuilds", "op_hits", "op_builds"
-    )
+    stats = _cache_stats(lists, "farfield_geometry_stats", "op_hits", "op_builds")
     if cached is not None:
         stats["hits"] += 1
         return cached
     stats["builds"] += 1
-    if getattr(lists, "last_repair", None) is not None:
-        # the structural layer was dropped by an incremental list repair,
-        # not a fresh lists object: this rebuild re-derives rows only
-        stats["partial_rebuilds"] += 1
     # the one set of operators this (backend, order, root box) ever needs,
     # from the store of the ListCache that built the lists (bare lists get
-    # a store of their own); a repair keeps the lists, hence the store
+    # a store of their own)
     operators = getattr(lists, "operator_store", None)
     if operators is None:
         operators = lists.operator_store = OperatorStore()

@@ -46,8 +46,10 @@ The skeleton is kept in a ``structure_generation``-stamped slot together
 with a leaf-population signature; when a refit leaves every effective
 leaf's count unchanged the plan is *refreshed* by re-gathering
 ``tree.order`` at the stored positions instead of being rebuilt from
-the near table.  Build, refresh and hit counters (and the latest plan's
-tile count) accumulate in ``lists.nearfield_plan_stats``.
+the near table.  When the counts did change, the rebuilt skeleton still
+reuses the row signatures: lists never change once built, so those are
+sorted once per lists object.  Build, refresh and hit counters (and the
+latest plan's tile count) accumulate in ``lists.nearfield_plan_stats``.
 """
 
 from __future__ import annotations
@@ -200,48 +202,31 @@ def _plan_stats(lists: InteractionLists) -> dict[str, int]:
     if stats is None:
         stats = {"builds": 0, "refreshes": 0, "hits": 0, "tiles": 0}
         lists.nearfield_plan_stats = stats
-    stats.setdefault("patched", 0)
     return stats
 
 
 def _row_signatures(lists: InteractionLists, near, n_ids: int) -> dict[int, bytes]:
-    """Per-target-leaf source signatures, patched across repairs.
+    """Per-target-leaf source signatures, once per lists object.
 
     A row's signature is the bytes of its source ids, sorted: equal
     signatures are equal source sets, and decoding one gives the sources
     in the order the kernel sums them.  All rows are sorted by one sort of
-    the near table ``near`` (``n_ids`` bounds the ids).  The signatures are
-    kept on the lists as a plain attribute (surviving
-    ``drop_structural_derived``); an incremental list repair records the
-    rows it touched in ``lists._near_rows_changed``, so after a repair
-    only those rows are re-sorted and every other signature is reused.
+    the near table ``near`` (``n_ids`` bounds the ids).  Lists never change
+    once built, so the signatures are a plain attribute of the lists: a
+    refit that rebuilds the skeleton reuses them.
     """
     sigs = getattr(lists, "_near_row_sigs", None)
-    dirty = getattr(lists, "_near_rows_changed", None)
-    targets = near.keys.tolist()
-    patched = sigs is not None and dirty is not None
-    if patched:
-        redo = np.fromiter(
-            (t in dirty or t not in sigs for t in targets), dtype=bool, count=len(targets)
-        )
-    else:
-        redo = np.ones(len(targets), dtype=bool)
-    # (row, source id) as one integer: a plain sort orders every row's sources
-    row = np.repeat(np.arange(len(targets)), near.counts)
-    take = redo[row]
-    rowed = row[take] * n_ids + near.values[take]
-    rowed.sort()
-    srcs = rowed % n_ids
-    ptr = csr_ptr(np.where(redo, near.counts, 0)).tolist()
-    fresh = {
-        t: srcs[ptr[i] : ptr[i + 1]].tobytes() if again else sigs[t]
-        for i, (t, again) in enumerate(zip(targets, redo.tolist()))
-    }
-    lists._near_row_sigs = fresh
-    lists._near_rows_changed = set()
-    if patched:
-        _plan_stats(lists)["patched"] += 1
-    return fresh
+    if sigs is None:
+        # (row, source id) as one integer: a plain sort orders every row's sources
+        row = np.repeat(np.arange(near.keys.size), near.counts)
+        rowed = row * n_ids + near.values
+        rowed.sort()
+        srcs = rowed % n_ids
+        ptr = csr_ptr(near.counts).tolist()
+        sigs = lists._near_row_sigs = {
+            t: srcs[ptr[i] : ptr[i + 1]].tobytes() for i, t in enumerate(near.keys.tolist())
+        }
+    return sigs
 
 
 def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan:
@@ -308,8 +293,7 @@ def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
     row_of, body_cnt = tab.row_of, tab.counts
 
     # group target leaves by their exact source-leaf set, groups in order
-    # of first appearance (signatures are patched, not recomputed, across
-    # incremental list repairs)
+    # of first appearance
     groups: dict[bytes, list[int]] = {}
     for t, sig in _row_signatures(lists, near, row_of.size).items():
         groups.setdefault(sig, []).append(t)

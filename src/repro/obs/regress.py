@@ -1,11 +1,12 @@
 """Tolerance-banded perf-regression tracking over the run ledger.
 
-The three benchmark gates (far-field batching, incremental list repair,
-engine step) each append a ``kind="bench"`` :class:`~repro.obs.ledger.RunRecord`
-to the ledger, turning isolated BENCH_*.json snapshots into a
-trajectory.  :func:`check_regression` compares the newest record of a
-bench against the *median* of the preceding window and fails when the
-gated metric degraded beyond a relative tolerance band — the median
+The five benchmark gates of :data:`GATED_BENCHES` (far-field batching,
+engine step, shard step, shard recovery, serve warm vs cold) each append
+a ``kind="bench"`` :class:`~repro.obs.ledger.RunRecord` to the ledger,
+turning isolated BENCH_*.json snapshots into a trajectory.
+:func:`check_regression` compares the newest record of a bench against
+the *median* of the preceding window and fails when the gated metric
+degraded beyond a relative tolerance band — the median
 baseline absorbs one-off noise spikes that a best-ever baseline would
 turn into permanent unreachable bars, while the band (default 15%)
 absorbs run-to-run jitter.
@@ -50,7 +51,6 @@ __all__ = [
 #: bench name -> (gated metric, direction) — "lower" means lower is better
 GATED_BENCHES: dict[str, tuple[str, str]] = {
     "far_field_50k_plummer": ("batched_ms", "lower"),
-    "repair_vs_rebuild_50k_plummer": ("repair_ms_per_op", "lower"),
     "engine_step_50k_plummer": ("engine_ms", "lower"),
     "shard_step_500k_plummer": ("shard_ms", "lower"),
     "shard_recovery_100k_plummer": ("recovery_ms", "lower"),

@@ -180,7 +180,6 @@ class Simulation:
         self.list_cache = list_cache if list_cache is not None else ListCache()
         if self.telemetry.enabled:
             self.list_cache.bind_metrics(self.telemetry.metrics)
-            self.list_cache.bind_tracer(self.telemetry.tracer)
         self.executor = HeterogeneousExecutor(
             machine,
             order=self.config.order,

@@ -10,33 +10,21 @@ from repro.tree.octree import (
     AdaptiveOctree,
     NodeTable,
     OctreeNode,
-    SurgeryRecord,
     build_adaptive,
 )
 from repro.tree.uniform import build_uniform, uniform_depth_for
-from repro.tree.lists import (
-    InteractionLists,
-    PairTable,
-    RepairIneligible,
-    RepairStats,
-    build_interaction_lists,
-    repair_interaction_lists,
-)
+from repro.tree.lists import InteractionLists, PairTable, build_interaction_lists
 from repro.tree.cache import ListCache
 
 __all__ = [
     "AdaptiveOctree",
     "NodeTable",
     "OctreeNode",
-    "SurgeryRecord",
     "build_adaptive",
     "build_uniform",
     "uniform_depth_for",
     "InteractionLists",
     "ListCache",
     "PairTable",
-    "RepairIneligible",
-    "RepairStats",
     "build_interaction_lists",
-    "repair_interaction_lists",
 ]

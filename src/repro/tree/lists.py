@@ -34,10 +34,10 @@ and :meth:`InteractionLists.op_counts` gather from the tables; the
 ``{node id: [node ids]}`` dicts are *views* boxed from them on first read,
 for the readers that want Python objects (the modelled machine:
 :mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`, :mod:`repro.cluster`,
-the fine-grained optimizer, the diagnostics) and for
-:func:`repair_interaction_lists`, which edits them and drops the tables —
-the next array consumer re-flattens the repaired dicts.  The original
-per-pair construction is the test-side oracle ``tests/oracles/lists.py``.
+the fine-grained optimizer, the diagnostics).  A tree whose shape changed
+gets a fresh build (:class:`~repro.tree.cache.ListCache`); lists are never
+edited in place.  The original per-pair construction is the test-side
+oracle ``tests/oracles/lists.py``.
 """
 
 from __future__ import annotations
@@ -47,19 +47,11 @@ from itertools import chain
 
 import numpy as np
 
-from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton
+from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.tree.octree import AdaptiveOctree, NodeTable
 from repro.util.arrays import csr_ptr, stable_argsort
 
-__all__ = [
-    "FAMILIES",
-    "InteractionLists",
-    "PairTable",
-    "RepairIneligible",
-    "RepairStats",
-    "build_interaction_lists",
-    "repair_interaction_lists",
-]
+__all__ = ["FAMILIES", "InteractionLists", "PairTable", "build_interaction_lists"]
 
 
 #: the list families, in the order a build produces them
@@ -94,7 +86,7 @@ class PairTable:
 
     @classmethod
     def from_dict(cls, d: dict[int, list[int]]) -> "PairTable":
-        """Flatten a dict view (the producer for repaired or hand-built lists)."""
+        """Flatten a dict view (the producer for hand-built lists)."""
         n = len(d)
         counts = np.fromiter(map(len, d.values()), dtype=np.int64, count=n)
         return cls(
@@ -129,10 +121,10 @@ class InteractionLists:
     (per-node lists keyed by node id, only effective nodes appear;
     ``u_list`` / ``w_list`` / ``near_sources`` hold leaves only, the latter
     including the leaf itself) are *views*, boxed from the tables on first
-    read: the modelled machine and :func:`repair_interaction_lists` read
-    and edit them.  Whoever edits a view calls :meth:`drop_tables`
-    afterwards, which makes the dicts the source and lets the next array
-    consumer re-flatten them.
+    read, for the modelled machine.  A lists object is never changed once
+    built; whoever edits a view by hand (a test, the oracle) calls
+    :meth:`drop_tables` afterwards, which makes the dicts the source and
+    lets the next array consumer re-flatten them.
     """
 
     colleagues = _dict_view("colleagues")
@@ -158,20 +150,11 @@ class InteractionLists:
         #: change under refit while the lists themselves stay valid, so derived
         #: quantities carry their own finer-grained stamp.
         self._derived: dict = {}
-        #: raw W pairs ``(owners, w_nodes)`` as aligned node-id arrays, kept in
-        #: *both* folded modes (folded construction empties ``w_list``); repair
-        #: uses them to splice the X dual without rebuilding it.
-        self._w_pairs: tuple | None = None
-        #: folded mode only: the expanded fold pairs ``(owners, leaves)`` — one
-        #: entry per (W owner b, leaf descendant t of the W node), i.e. exactly
-        #: the non-U near-field pairs.  Repair edits the near rows of leaves
-        #: outside the affected set through these.
-        self._fold_pairs: tuple | None = None
 
     # --------------------------------------------------------------- tables
     def table(self, name: str) -> PairTable:
         """The :class:`PairTable` of family ``name`` (flattened from its
-        dict view when a repair or a hand edit dropped it)."""
+        dict view when a hand edit dropped it)."""
         tab = self._tables.get(name)
         if tab is None:
             tab = self._tables[name] = PairTable.from_dict(self._views[name])
@@ -225,20 +208,6 @@ class InteractionLists:
             return v
 
         return value, store
-
-    def drop_structural_derived(self) -> list[str]:
-        """Remove every ``structural=True`` derived entry; returns their keys.
-
-        Called by :func:`repair_interaction_lists`: a repair changes the
-        effective shape the structure-stamped artifacts (far-field geometry,
-        near-field plan skeleton) were built for, so they are actively
-        dropped rather than left to stamp-expire; generation-stamped entries
-        stay in the dict and revalidate lazily.
-        """
-        dropped = [k for k, e in self._derived.items() if e[0] == "structure_generation"]
-        for k in dropped:
-            del self._derived[k]
-        return dropped
 
     def op_counts(self, n_coeffs: int | None = None) -> dict[str, int]:
         """Number of applications of each FMM operation for this tree.
@@ -523,440 +492,4 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
         tables["near_sources"] = tables["u_list"]
         tables["w_list"] = _group_table(wo, wv, leaf_rows, eff_arr)
         tables["x_list"] = _group_table(wv, wo, np.unique(wv), eff_arr)
-    il = InteractionLists(tree, folded, tables)
-    il._w_pairs = (eff_arr[wo], eff_arr[wv])
-    if folded:
-        il._fold_pairs = (eff_arr[eo], eff_arr[el])
-    return il
-
-
-# --------------------------------------------------------------------------
-# incremental repair after localized tree surgery
-# --------------------------------------------------------------------------
-#
-# A collapse/pushdown at node k only perturbs lists in a bounded
-# neighbourhood of k's cell: every changed node (k itself, its appearing or
-# disappearing descendants) lies inside box(k).  The **affected set** A
-# has two parts.
-#
-# *Geometric*: node b's own rows (colleagues, U, V, W membership) change
-# only when box(parent(b)) touches box(k).  Colleague/U partners touch b
-# itself (and box(b) sits inside the parent's box); V partners are
-# children of the parent's colleagues, so any changed pool member — which
-# lies inside box(k) — must be adjacent to the parent; W members sit under
-# b's own colleagues, whose change again forces a cell inside box(k)
-# against b.  A_geo is therefore the root plus every child of a node whose
-# cell touches an operated cell, found by a BFS that descends only through
-# touching cells (sound: a child can only touch what its parent touches).
-#
-# *Provenance* (folded mode only): a leaf b far from box(k) can own a W
-# pair (b, w) where w is an *ancestor* of k — w's membership in W(b) is
-# untouched, but its fold expansion (the leaves under w) changed.  Those
-# owners are read exactly from the stored ``_w_pairs`` by intersecting the
-# members with the op nodes' ancestor chains; no geometric dilation is
-# involved, which keeps A small on clustered trees where a distance bound
-# would sweep in the whole core.
-#
-# A_geo is parents-first (BFS) and provenance owners append after it, so
-# the colleague sweep below reads each parent's row either freshly
-# recomputed or — for parents outside A, whose rows are by construction
-# unchanged — verbatim from the old lists.  Rows of nodes outside A change
-# only through the
-# *pair-valued* structures (the X dual and the folded X-pushdown entries),
-# and every such pair has its leaf owner inside A — so those rows are
-# spliced through the stored ``_w_pairs`` / ``_fold_pairs`` without being
-# recomputed.  Total work is O(|A| * neighbourhood), independent of tree
-# size.
-
-
-class RepairIneligible(RuntimeError):
-    """The journal cannot justify a bounded repair; rebuild from scratch."""
-
-
-@dataclass
-class RepairStats:
-    """What one :func:`repair_interaction_lists` call touched."""
-
-    ops: int = 0
-    #: nodes whose rows were recomputed (|A|)
-    affected: int = 0
-    #: stale rows dropped (nodes removed from the effective tree)
-    removed: int = 0
-
-    @property
-    def nodes_touched(self) -> int:
-        return self.affected + self.removed
-
-
-class _Bounds:
-    """Lazily batch-decoded integer cell bounds, indexed by node id."""
-
-    def __init__(self, tree: AdaptiveOctree) -> None:
-        self._tree = tree
-        n = len(tree.nodes)
-        self.lo = np.zeros((n, 3), dtype=np.int64)
-        self.w = np.zeros(n, dtype=np.int64)
-        self._known = np.zeros(n, dtype=bool)
-
-    def ensure(self, ids: np.ndarray) -> None:
-        ids = np.asarray(ids, dtype=np.int64)
-        miss = np.unique(ids[~self._known[ids]])
-        if not miss.size:
-            return
-        nodes = self._tree.nodes
-        keys = np.array([nodes[int(i)].key_lo for i in miss], dtype=np.uint64)
-        levels = np.array([nodes[int(i)].level for i in miss], dtype=np.int64)
-        ix, iy, iz = decode_morton(keys)
-        self.lo[miss, 0] = ix.astype(np.int64)
-        self.lo[miss, 1] = iy.astype(np.int64)
-        self.lo[miss, 2] = iz.astype(np.int64)
-        self.w[miss] = np.int64(1) << (MAX_MORTON_LEVEL - levels)
-        self._known[miss] = True
-
-    def adjacent(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-        """Batched touch test between aligned node-id arrays."""
-        a = np.asarray(a_ids, dtype=np.int64)
-        b = np.asarray(b_ids, dtype=np.int64)
-        self.ensure(a)
-        self.ensure(b)
-        c2a = 2 * self.lo[a] + self.w[a, None]
-        c2b = 2 * self.lo[b] + self.w[b, None]
-        lim = (self.w[a] + self.w[b])[:, None]
-        return (np.abs(c2a - c2b) <= lim).all(axis=1)
-
-
-def _affected_set(
-    tree: AdaptiveOctree, bounds: _Bounds, op_ids: list[int]
-) -> list[int]:
-    """Effective nodes whose parent's cell touches an operated cell.
-
-    BFS from the root: every frontier node is *included* (it is the root,
-    or a child of a cell that touches an op cell), and the walk *descends*
-    only through cells that themselves touch an op cell — pruning is sound
-    because a child can only touch what its parent touches.  Returned in
-    BFS order, so parents precede children.
-    """
-    ops = np.asarray(op_ids, dtype=np.int64)
-    bounds.ensure(ops)
-    oc2 = 2 * bounds.lo[ops] + bounds.w[ops, None]  # (m, 3)
-    ow = bounds.w[ops]  # (m,)
-    out: list[int] = []
-    frontier = [0]
-    while frontier:
-        fr = np.asarray(frontier, dtype=np.int64)
-        bounds.ensure(fr)
-        c2 = 2 * bounds.lo[fr] + bounds.w[fr, None]  # (f, 3)
-        w = bounds.w[fr]
-        # touch: |c2_b - c2_k| <= w_b + w_k on every axis, any op
-        lim = (w[:, None] + ow[None, :])[:, :, None]  # (f, m, 1)
-        touch = (np.abs(c2[:, None, :] - oc2[None, :, :]) <= lim).all(axis=2).any(axis=1)
-        out.extend(fr.tolist())
-        frontier = []
-        for nid, ok in zip(fr.tolist(), touch.tolist()):
-            if ok and not tree.nodes[nid].is_leaf:
-                frontier.extend(tree.effective_children(nid))
-    return out
-
-
-def _batched_descent(
-    tree: AdaptiveOctree,
-    bounds: _Bounds,
-    owners: np.ndarray,
-    cands: np.ndarray,
-    u_rows: dict[int, list[int]],
-    w_rows: dict[int, list[int]] | None,
-) -> None:
-    """Shared frontier classifying (owner leaf, candidate) pairs.
-
-    Adjacent leaves land in ``u_rows[owner]``, adjacent internal nodes
-    expand to their children, non-adjacent candidates land in
-    ``w_rows[owner]`` when given (W semantics) and are dropped otherwise
-    (the root-descent U search).
-    """
-    nodes = tree.nodes
-    while owners.size:
-        adj = bounds.adjacent(cands, owners)
-        if w_rows is not None:
-            for b, c in zip(owners[~adj].tolist(), cands[~adj].tolist()):
-                w_rows[b].append(c)
-        owners, cands = owners[adj], cands[adj]
-        keep_o: list[int] = []
-        keep_c: list[int] = []
-        for b, c in zip(owners.tolist(), cands.tolist()):
-            if nodes[c].is_leaf:
-                u_rows[b].append(c)
-            else:
-                for ch in tree.effective_children(c):
-                    keep_o.append(b)
-                    keep_c.append(ch)
-        owners = np.asarray(keep_o, dtype=np.int64)
-        cands = np.asarray(keep_c, dtype=np.int64)
-
-
-def _leaf_descendants_flags(tree: AdaptiveOctree, nid: int) -> list[int]:
-    """Effective leaf descendants of ``nid`` (by flags, no leaf set)."""
-    if tree.nodes[nid].is_leaf:
-        return [nid]
-    out: list[int] = []
-    stack = list(tree.effective_children(nid))
-    while stack:
-        cur = stack.pop()
-        if tree.nodes[cur].is_leaf:
-            out.append(cur)
-        else:
-            stack.extend(tree.effective_children(cur))
-    return out
-
-
-def repair_interaction_lists(
-    tree: AdaptiveOctree,
-    lists: InteractionLists,
-    journal,
-    *,
-    max_affected_frac: float = 0.5,
-) -> RepairStats:
-    """Surgically rewrite the rows perturbed by the journalled surgery.
-
-    Mutates ``lists`` in place so it describes the tree's *current*
-    effective shape, recomputing only the rows of the affected set and
-    splicing pair-valued entries elsewhere.  It edits the dict views, so it
-    drops the pair tables (:meth:`InteractionLists.drop_tables`; the next
-    array consumer re-flattens the repaired dicts) and every
-    ``structural=True`` derived-cache entry (the shape they memoized is
-    gone) while leaving generation-stamped entries to revalidate lazily.
-    Raises
-    :class:`RepairIneligible` when the journal contains an unbounded edit
-    (``dirty``) or the affected set is too large a fraction of the tree for
-    repair to beat a rebuild; the caller falls back to a full build.  The
-    repaired lists are element-wise identical (up to within-row order) to a
-    from-scratch build — the property tests enforce this against the scalar
-    oracle.
-    """
-    if lists.tree is not tree:
-        raise RepairIneligible("lists were built for a different tree")
-    ops = [(rec.kind, rec.node) for rec in journal]
-    stats = RepairStats(ops=len(ops))
-    if not ops:
-        return stats
-    if any(kind == "dirty" for kind, _ in ops):
-        raise RepairIneligible("journal contains an out-of-band structural edit")
-    if lists._w_pairs is None or (lists.folded and lists._fold_pairs is None):
-        raise RepairIneligible("lists carry no pair provenance (pre-repair build)")
-    nodes = tree.nodes
-    op_ids = sorted({nid for _, nid in ops})
-    if any(nid < 0 or nid >= len(nodes) for nid in op_ids):
-        raise RepairIneligible("journal references an unknown node")
-
-    bounds = _Bounds(tree)
-    affected = _affected_set(tree, bounds, op_ids)
-    a_set = set(affected)
-
-    # folded owners whose W member is an *ancestor* of an op cell: their
-    # fold expansion (the leaves under the member) changed even though
-    # their own neighbourhood did not — exact provenance from the pairs
-    if lists.folded:
-        anc: set[int] = set()
-        for nid in op_ids:
-            cur = nid
-            while cur >= 0 and cur not in anc:
-                anc.add(cur)
-                cur = nodes[cur].parent
-        old_wo, old_wv = lists._w_pairs
-        if old_wo.size and anc:
-            hit = np.isin(
-                old_wv, np.fromiter(anc, dtype=np.int64, count=len(anc))
-            )
-            for b in np.unique(old_wo[hit]).tolist():
-                # an owner hidden by one of the ops is handled as a
-                # removed row, not recomputed
-                if b not in a_set and not nodes[b].hidden:
-                    a_set.add(b)
-                    affected.append(b)
-
-    # rows of nodes that left the effective tree (collapsed-away subtrees)
-    removed: set[int] = set()
-    for kind, nid in ops:
-        if kind == "collapse":
-            for d in tree._descendants(nid):
-                if nodes[d].hidden:
-                    removed.add(d)
-    removed -= a_set  # a later pushdown may have re-shown a node
-
-    n_eff_old = max(1, len(lists.colleagues))
-    stats.affected = len(affected)
-    stats.removed = len(removed)
-    if stats.nodes_touched > max(64, int(max_affected_frac * n_eff_old)):
-        raise RepairIneligible(
-            f"affected set {stats.nodes_touched} too large for {n_eff_old} nodes"
-        )
-
-    # ------------------------------------------------- colleagues / V sweep
-    # BFS order guarantees parents first; A is ancestor-closed, so a
-    # parent's colleague row is either freshly recomputed or (boundary
-    # nodes' colleagues) verbatim from the old lists.
-    new_coll: dict[int, list[int]] = {}
-    new_v: dict[int, list[int]] = {}
-    for b in affected:
-        if b == 0:
-            new_coll[0] = [0]
-            new_v[0] = []
-            continue
-        parent = nodes[b].parent
-        pcoll = new_coll.get(parent)
-        if pcoll is None:
-            pcoll = lists.colleagues[parent]
-        cands: list[int] = []
-        for pc in pcoll:
-            cands.extend(tree.effective_children(pc))
-        if cands:
-            c_arr = np.asarray(cands, dtype=np.int64)
-            adj = bounds.adjacent(c_arr, np.full(c_arr.size, b, dtype=np.int64))
-            new_coll[b] = c_arr[adj].tolist()
-            new_v[b] = c_arr[~adj].tolist()
-        else:
-            new_coll[b] = []
-            new_v[b] = []
-
-    # ------------------------------------------- U and W of affected leaves
-    aff_leaves = [b for b in affected if nodes[b].is_leaf]
-    new_u: dict[int, list[int]] = {b: [] for b in aff_leaves}
-    new_w: dict[int, list[int]] = {b: [] for b in aff_leaves}
-    if aff_leaves:
-        la = np.asarray(aff_leaves, dtype=np.int64)
-        # U: classical root descent through adjacent nodes
-        _batched_descent(
-            tree, bounds, la.copy(), np.zeros(la.size, dtype=np.int64), new_u, None
-        )
-        # W: descend below internal colleagues; adjacent leaves are in U
-        w_own: list[int] = []
-        w_cand: list[int] = []
-        for b in aff_leaves:
-            for c in new_coll[b]:
-                if c != b and not nodes[c].is_leaf:
-                    for ch in tree.effective_children(c):
-                        w_own.append(b)
-                        w_cand.append(ch)
-        _batched_descent(
-            tree,
-            bounds,
-            np.asarray(w_own, dtype=np.int64),
-            np.asarray(w_cand, dtype=np.int64),
-            {b: [] for b in aff_leaves},  # adjacent leaves already in U
-            new_w,
-        )
-
-    # --------------------------------------------------------- row splicing
-    # the edits below go to the dict views: they are the source from here
-    # on, and the next array consumer re-flattens them into tables
-    lists.drop_tables()
-    gone = removed | {b for b in affected if not nodes[b].is_leaf}
-    for d in removed:
-        lists.colleagues.pop(d, None)
-        lists.v_list.pop(d, None)
-    for d in gone:
-        lists.u_list.pop(d, None)
-        lists.w_list.pop(d, None)
-        lists.near_sources.pop(d, None)
-    lists.colleagues.update(new_coll)
-    lists.v_list.update(new_v)
-
-    # owners whose stored pairs are stale: every affected or removed node
-    # (an owner with any changed pair is always inside A — see the module
-    # comment — so filtering on owners alone is complete)
-    dirty = a_set | removed
-    old_wo, old_wv = lists._w_pairs
-    keep_w = ~np.isin(old_wo, np.fromiter(dirty, dtype=np.int64, count=len(dirty)))
-
-    if lists.folded:
-        old_fo, old_ft = lists._fold_pairs
-        keep_f = ~np.isin(
-            old_fo, np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-        )
-        # incoming fold entries per affected leaf from *unchanged* owners
-        incoming: dict[int, list[int]] = {b: [] for b in aff_leaves}
-        drop_by_t: dict[int, set[int]] = {}
-        for b, t in zip(old_fo.tolist(), old_ft.tolist()):
-            if b in dirty:
-                if t not in gone and t not in a_set:
-                    drop_by_t.setdefault(t, set()).add(b)
-            elif t in incoming:
-                incoming[t].append(b)
-        # new fold pairs from the recomputed W rows of affected leaves
-        new_fo: list[int] = []
-        new_ft: list[int] = []
-        add_by_t: dict[int, list[int]] = {}
-        own_exp: dict[int, list[int]] = {b: [] for b in aff_leaves}
-        for b in aff_leaves:
-            for w in new_w[b]:
-                for t in _leaf_descendants_flags(tree, w):
-                    new_fo.append(b)
-                    new_ft.append(t)
-                    own_exp[b].append(t)
-                    if t in incoming:
-                        incoming[t].append(b)
-                    elif t not in gone:
-                        add_by_t.setdefault(t, []).append(b)
-        # rows outside A: strip fold entries of dirty owners, append new
-        for t, drops in drop_by_t.items():
-            row = lists.near_sources[t]
-            lists.near_sources[t] = [s for s in row if s not in drops]
-        for t, adds in add_by_t.items():
-            lists.near_sources[t].extend(adds)
-        # rows inside A: rebuilt whole (U prefix preserved, as in the builder)
-        for b in aff_leaves:
-            lists.u_list[b] = list(new_u[b])
-            lists.w_list[b] = []
-            lists.near_sources[b] = new_u[b] + own_exp[b] + incoming[b]
-        lists._fold_pairs = (
-            np.concatenate((old_fo[keep_f], np.asarray(new_fo, dtype=np.int64))),
-            np.concatenate((old_ft[keep_f], np.asarray(new_ft, dtype=np.int64))),
-        )
-        lists.x_list = {}
-    else:
-        # X dual: remove dirty owners' pairs, add the recomputed ones
-        for b, w in zip(old_wo[~keep_w].tolist(), old_wv[~keep_w].tolist()):
-            row = lists.x_list.get(w)
-            if row is not None:
-                try:
-                    row.remove(b)
-                except ValueError:
-                    pass
-                if not row:
-                    del lists.x_list[w]
-        for b in aff_leaves:
-            lists.u_list[b] = list(new_u[b])
-            lists.w_list[b] = list(new_w[b])
-            lists.near_sources[b] = list(new_u[b])
-            for w in new_w[b]:
-                lists.x_list.setdefault(w, []).append(b)
-        for d in removed:
-            lists.x_list.pop(d, None)
-
-    new_wo = [b for b in aff_leaves for _ in new_w[b]]
-    new_wv = [w for b in aff_leaves for w in new_w[b]]
-    lists._w_pairs = (
-        np.concatenate((old_wo[keep_w], np.asarray(new_wo, dtype=np.int64))),
-        np.concatenate((old_wv[keep_w], np.asarray(new_wv, dtype=np.int64))),
-    )
-
-    # near rows whose content changed — the near-field planner keeps a
-    # per-row signature cache keyed off this set so it re-sorts only these
-    changed_rows = set(aff_leaves) | gone
-    if lists.folded:
-        changed_rows.update(drop_by_t)
-        changed_rows.update(add_by_t)
-    tracker = getattr(lists, "_near_rows_changed", None)
-    if tracker is None:
-        tracker = lists._near_rows_changed = set()
-    tracker.update(changed_rows)
-
-    lists.drop_structural_derived()
-    # structure generation this repair brought the lists up to; consumers
-    # (far-field geometry, near-field plan) use it to count partial rebuilds
-    lists.last_repair = {
-        "structure_generation": tree.structure_generation,
-        "nodes_touched": stats.nodes_touched,
-        "affected_leaves": aff_leaves,
-        "rows_changed": len(changed_rows),
-    }
-    return stats
+    return InteractionLists(tree, folded, tables)

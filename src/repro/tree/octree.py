@@ -23,11 +23,14 @@ Tree surgery (§IV):
   children when present, otherwise allocating new ones (from the node
   buffer semantics of §IV-C).
 * :meth:`AdaptiveOctree.enforce_s` — the Enforce_S sweep of §VI-A.
+
+Every shape change bumps ``structure_generation`` — the one stamp the
+list cache compares; a flag edit made outside these methods declares
+itself with :meth:`AdaptiveOctree.mark_structure_dirty`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -36,10 +39,7 @@ import numpy as np
 from repro.geometry.box import Box, bounding_box
 from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton, morton_keys
 
-__all__ = ["OctreeNode", "AdaptiveOctree", "NodeTable", "SurgeryRecord", "build_adaptive"]
-
-#: structural edits the journal can describe precisely enough for list repair
-_JOURNAL_DEPTH = 256
+__all__ = ["OctreeNode", "AdaptiveOctree", "NodeTable", "build_adaptive"]
 
 #: the nine key-span edges of a node's octants, in units of the child span
 _OCTANT_EDGES = np.arange(9, dtype=np.uint64)
@@ -47,24 +47,6 @@ _OCTANT_EDGES = np.arange(9, dtype=np.uint64)
 _OCTANT_SIGNS = np.array(
     [[1.0 if octant >> k & 1 else -1.0 for k in range(3)] for octant in range(8)]
 )
-
-
-@dataclass(frozen=True)
-class SurgeryRecord:
-    """One structural mutation, as seen by incremental list repair.
-
-    ``sgen`` is the tree's ``structure_generation`` *after* the op, so a
-    consumer holding lists stamped at generation ``g`` can ask for exactly
-    the records with ``sgen > g``.  ``kind`` is ``"collapse"``/``"pushdown"``
-    (repairable: the affected neighbourhood is bounded by ``node``'s cell)
-    or ``"dirty"`` (an out-of-band edit — flag flips behind the surgery
-    API, mid-op rollback, refit-time child materialization — whose blast
-    radius is unknown; consumers must rebuild from scratch).
-    """
-
-    sgen: int
-    kind: str
-    node: int
 
 
 @dataclass
@@ -153,8 +135,8 @@ class AdaptiveOctree:
         included), hidden subtrees and all — what a checkpoint restores.
 
         Every field but ``nodes`` is set by the code :meth:`__init__` runs,
-        so the restored tree takes surgery, refit and journalled list repair
-        like a built one; its stamps start over, as a fresh tree's do.
+        so the restored tree takes surgery, refit and list caching like a
+        built one; its stamps start over, as a fresh tree's do.
         """
         tree = cls.__new__(cls)
         tree._init_state(points, S, root_box, max_level)
@@ -184,11 +166,6 @@ class AdaptiveOctree:
         #: shape time steps.  Consumers must compare stored stamps, never
         #: absolute values.
         self.structure_generation = 0
-        #: bounded journal of structural mutations; every bump of
-        #: ``structure_generation`` appends exactly one :class:`SurgeryRecord`
-        #: (the invariant :meth:`journal_since` relies on to prove
-        #: completeness).  Consumed by incremental interaction-list repair.
-        self._journal: deque[SurgeryRecord] = deque(maxlen=_JOURNAL_DEPTH)
         #: the memoized :meth:`node_table`
         self._node_table: NodeTable | None = None
         self.root_box = root_box if root_box is not None else bounding_box(pts)
@@ -198,30 +175,10 @@ class AdaptiveOctree:
         self._sort_bodies()
 
     # ---------------------------------------------------------- invalidation
-    def _bump(self, *, structural: bool = False, record: tuple[str, int] | None = None) -> None:
+    def _bump(self, *, structural: bool = False) -> None:
         self.generation += 1
         if structural:
             self.structure_generation += 1
-            kind, node = record if record is not None else ("dirty", -1)
-            self._journal.append(SurgeryRecord(self.structure_generation, kind, node))
-
-    def journal_since(self, sgen: int) -> list[SurgeryRecord] | None:
-        """Surgery records after generation ``sgen``, or ``None`` if unknowable.
-
-        Returns exactly the records covering ``sgen -> structure_generation``
-        when the bounded journal still holds all of them; returns ``None``
-        when history was truncated (too many ops since ``sgen``), so callers
-        must treat the gap as an arbitrary reshape and rebuild.
-        """
-        delta = self.structure_generation - sgen
-        if delta < 0:
-            return None  # stamp from another tree / future: not ours to explain
-        if delta == 0:
-            return []
-        out = [rec for rec in self._journal if rec.sgen > sgen]
-        if len(out) != delta:
-            return None
-        return out
 
     def mark_structure_dirty(self) -> None:
         """Declare an out-of-band structural edit.
@@ -316,19 +273,13 @@ class AdaptiveOctree:
         self.nodes.append(child)
         return child.id
 
-    def _materialize_missing_children(
-        self, nid: int, record: tuple[str, int] | None = None
-    ) -> list[int]:
+    def _materialize_missing_children(self, nid: int) -> list[int]:
         """Create leaves for octants that gained bodies since allocation.
 
         Empty octants are pruned at build time; after bodies move, a
         previously-empty octant of an internal node may become populated
         and needs a (leaf) child so the leaves keep partitioning the
-        bodies.  Returns the newly created child ids.  ``record`` labels
-        the journal entry when the caller knows the affected
-        neighbourhood covers the new children (pushdown reclaim, or a
-        ``("materialize", nid)`` refit coverage repair); without it the
-        edit journals as ``dirty`` and forces a full list rebuild.
+        bodies.  Returns the newly created child ids.
         """
         node = self.nodes[nid]
         if node.children is None:
@@ -344,7 +295,7 @@ class AdaptiveOctree:
                 node.children.append(cid)
                 created.append(cid)
         if created:
-            self._bump(structural=True, record=record)
+            self._bump(structural=True)
         return created
 
     def _split_recursive(self, nid: int) -> None:
@@ -476,7 +427,7 @@ class AdaptiveOctree:
         for cid in descendants:
             self.nodes[cid].hidden = True
         node.is_leaf = True
-        self._bump(structural=True, record=("collapse", nid))
+        self._bump(structural=True)
 
     def pushdown(self, nid: int) -> list[int]:
         """Subdivide leaf ``nid``; returns the ids of its effective children.
@@ -503,10 +454,8 @@ class AdaptiveOctree:
             if node.children is None:
                 node.children = self._make_children(nid)
             else:
-                # reclaimed children may miss octants populated since collapse;
-                # the new leaves sit inside nid's cell, so the pushdown record
-                # itself bounds the repair neighbourhood
-                self._materialize_missing_children(nid, record=("pushdown", nid))
+                # reclaimed children may miss octants populated since collapse
+                self._materialize_missing_children(nid)
         except BaseException:
             del self.nodes[n_nodes_before:]
             node.children = children_before
@@ -519,7 +468,7 @@ class AdaptiveOctree:
             child.is_leaf = True  # any grandchildren stay hidden until reclaimed
             kids.append(cid)
         node.is_leaf = False
-        self._bump(structural=True, record=("pushdown", nid))
+        self._bump(structural=True)
         return kids
 
     def _descendants(self, nid: int) -> list[int]:
@@ -576,18 +525,14 @@ class AdaptiveOctree:
             node.lo = int(np.searchsorted(self.sorted_keys, node.key_lo, side="left"))
             node.hi = int(np.searchsorted(self.sorted_keys, node.key_hi, side="left"))
         # bodies may have drifted into octants that were empty (pruned) at
-        # build time; give every effective internal node full coverage.
-        # Each materialization journals as a replayable ("materialize",
-        # nid) record — the new children sit inside nid's cell, so the
-        # list-repair affected set derived from nid covers them and a
-        # small drift no longer forces a full interaction-list rebuild
-        # (large drifts still trip the journal/affected-set caps).
+        # build time; give every effective internal node full coverage
+        # (a shape change: the next list lookup rebuilds)
         for nid in self.effective_nodes():
             node = self.nodes[nid]
             if not node.is_leaf:
                 covered = sum(self.nodes[c].count for c in node.children or [])
                 if covered != node.count:
-                    self._materialize_missing_children(nid, record=("materialize", nid))
+                    self._materialize_missing_children(nid)
 
     # ------------------------------------------------------------ statistics
     def leaf_counts(self) -> np.ndarray:

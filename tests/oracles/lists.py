@@ -22,16 +22,7 @@ __all__ = ["build_interaction_lists_scalar"]
 
 
 def _finish_lists(tree, il, leaves, leaf_set, folded) -> None:
-    """X duality, the pair provenance repair needs, and the folded near-field sets."""
-    w_own: list[int] = []
-    w_val: list[int] = []
-    for b, ws in il.w_list.items():
-        w_own.extend([b] * len(ws))
-        w_val.extend(ws)
-    il._w_pairs = (
-        np.asarray(w_own, dtype=np.int64),
-        np.asarray(w_val, dtype=np.int64),
-    )
+    """X duality and the folded near-field sets."""
     il.x_list = {}
     for x, ws in il.w_list.items():
         for wnode in ws:
@@ -40,24 +31,14 @@ def _finish_lists(tree, il, leaves, leaf_set, folded) -> None:
     for b in leaves:
         il.near_sources[b] = list(il.u_list[b])
     if folded:
-        fold_own: list[int] = []
-        fold_leaf: list[int] = []
         # W entries become their leaf descendants (P2P sources)
         for b in leaves:
-            extra: list[int] = []
             for wnode in il.w_list[b]:
-                extra.extend(_leaf_descendants(tree, wnode, leaf_set))
-            il.near_sources[b].extend(extra)
-            fold_own.extend([b] * len(extra))
-            fold_leaf.extend(extra)
+                il.near_sources[b].extend(_leaf_descendants(tree, wnode, leaf_set))
         # X entries are pushed down to every leaf under the receiving node
         for recv, xs in il.x_list.items():
             for t in _leaf_descendants(tree, recv, leaf_set):
                 il.near_sources[t].extend(xs)
-        il._fold_pairs = (
-            np.asarray(fold_own, dtype=np.int64),
-            np.asarray(fold_leaf, dtype=np.int64),
-        )
         # folded mode does not use M2P/P2L
         il.w_list = {b: [] for b in leaves}
         il.x_list = {}

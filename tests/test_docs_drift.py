@@ -95,6 +95,15 @@ _RETIRED = {
     "op_" + "evictions": "OperatorStore.stats(): hits, misses, entries, bytes",
     "evaluate_near_" + "tile": "repro.fmm.nearfield.evaluate_near_tiles: one "
     "Kernel.near_tiles call per tile list",
+    "journal" + "_since": "none: ListCache.get rebuilds when structure_generation moved",
+    "Surgery" + "Record": "none: structure_generation is the one shape stamp",
+    "Repair" + "Ineligible": "none: a stale lookup always rebuilds",
+    "max_repair" + "_ops": "none: ListCache's one option is operators",
+    "lists_repaired" + "_total": "lists_rebuilt_total",
+    "repair_nodes" + "_touched": "none: a lookup is a hit or a rebuild",
+    "fgo_list_repairs" + "_total": "FineGrainedReport.list_rebuilds",
+    "partial" + "_rebuilds": "farfield_geometry_stats builds / hits",
+    "test_bench" + "_repair": "none: a rebuild is the only path, timed by step_budget",
 }
 
 

@@ -9,8 +9,8 @@ the two can be compared on randomized adaptive trees.  Hypothesis drives
 the tree shapes — distribution family, body count, leaf capacity ``S``,
 folded/unfolded, the degenerate clouds of ``tests/clouds.py`` — far beyond
 what hand-picked fixtures cover.  The second half is the **table
-contract**: tables == dict views == oracle rows, tables re-derived after a
-repair, the V list == what the colleague pairs of split nodes imply (the
+contract**: tables == dict views == oracle rows, the V list == what the
+colleague pairs of split nodes imply, fresh and after surgery (the
 identity the far-field geometry rests on; the oracle's integer
 (level, displacement) keys == the float ones), ``op_counts`` from tables,
 and which solves leave which views unboxed.
@@ -104,21 +104,7 @@ def test_duplicated_points_worst_case(folded):
     )
 
 
-# --------------------------------------------------------------- repair
-def _assert_equivalent_sorted(rep, ref):
-    """Element-wise identical after canonical (sorted) row order.
-
-    Repair keeps the original candidate order of untouched rows, which a
-    from-scratch build on the post-surgery tree need not reproduce — the
-    contents must match exactly.
-    """
-    for name in ("colleagues", "v_list", "u_list", "w_list", "x_list", "near_sources"):
-        dv, dr = getattr(rep, name), getattr(ref, name)
-        assert set(dv) == set(dr), name
-        for k in dv:
-            assert sorted(dv[k]) == sorted(dr[k]), (name, k)
-
-
+# ---------------------------------------------------------------- surgery
 def _random_surgery(tree, rng, n_ops):
     """Apply up to ``n_ops`` random collapse/pushdown ops (root excluded)."""
     applied = 0
@@ -144,6 +130,10 @@ def _random_surgery(tree, rng, n_ops):
     return applied
 
 
+def _snapshot(lists):
+    return {name: {k: list(v) for k, v in getattr(lists, name).items()} for name in FAMILIES}
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -158,27 +148,25 @@ def _random_surgery(tree, rng, n_ops):
     n_ops=st.integers(min_value=1, max_value=6),
 )
 def test_repaired_lists_match_scratch_build(family, n, S, seed, folded, n_ops):
-    """Random interleaved collapse/pushdown sequences: repairing the
-    pre-surgery lists through the journal must equal a from-scratch build
-    on the post-surgery tree, element-wise after canonical sort."""
-    from repro.tree.lists import repair_interaction_lists
-
+    """Random interleaved collapse/pushdown sequences: the lists the cache
+    hands back after surgery are one rebuild equal to a from-scratch build
+    and the scalar oracle, and the lists it held before are left as they
+    were (a lists object never changes once built)."""
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
-    sgen0 = tree.structure_generation
-    rng = np.random.default_rng(seed)
-    if _random_surgery(tree, rng, n_ops) == 0:
+    cache = ListCache()
+    old = cache.get(tree, folded=folded)
+    before = _snapshot(old)
+    applied = _random_surgery(tree, np.random.default_rng(seed), n_ops)
+    lists = cache.get(tree, folded=folded)
+    if applied == 0:
+        assert lists is old and (cache.builds, cache.hits) == (1, 1)
         return
-    journal = tree.journal_since(sgen0)
-    assert journal is not None  # every op must have journalled one record
-    assert all(rec.kind in ("collapse", "pushdown") for rec in journal)
-    # with the size cap lifted, a clean journal is always repairable
-    repair_interaction_lists(tree, lists, journal, max_affected_frac=1e9)
-    _assert_equivalent_sorted(lists, build_interaction_lists(tree, folded=folded))
-    _assert_equivalent_sorted(
-        lists, build_interaction_lists_scalar(tree, folded=folded)
-    )
+    assert lists is not old
+    assert (cache.builds, cache.hits, cache.repairs) == (2, 0, 0)
+    assert _snapshot(old) == before
+    _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
+    _assert_equivalent(lists, build_interaction_lists_scalar(tree, folded=folded))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -188,28 +176,36 @@ def test_repaired_lists_match_scratch_build(family, n, S, seed, folded, n_ops):
 )
 def test_repair_composes_across_refit_rounds(seed, folded):
     """Surgery and refit interleave (the balancer's real access pattern):
-    refit keeps the shape, so the journal stays repairable across rounds
-    and each repaired state matches a scratch build."""
-    from repro.tree.cache import ListCache
-
+    each round's surgery costs one rebuild, a refit that keeps the shape is
+    a hit, one that materializes pruned octants one more rebuild, and every
+    lookup equals a scratch build."""
     pts = plummer(500, seed=seed).positions
     tree = AdaptiveOctree(pts, S=16)
-    cache = ListCache(max_affected_frac=1e9, max_repair_ops=64)
+    cache = ListCache()
     rng = np.random.default_rng(seed)
-    cache.get(tree, folded=folded)
+    lists = cache.get(tree, folded=folded)
     for _ in range(3):
-        _random_surgery(tree, rng, 2)
-        lists = cache.get(tree, folded=folded)
-        _assert_equivalent_sorted(
-            lists, build_interaction_lists(tree, folded=folded)
-        )
+        builds = cache.builds
+        if _random_surgery(tree, rng, 2):
+            lists = cache.get(tree, folded=folded)
+            assert cache.builds == builds + 1
+        else:
+            assert cache.get(tree, folded=folded) is lists
+            assert cache.builds == builds
+        _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
         moved = tree.points + rng.normal(scale=1e-4, size=tree.points.shape)
         tree.points = np.clip(moved, tree.root_box.low, tree.root_box.high)
-        sg = tree.structure_generation
+        sg, builds = tree.structure_generation, cache.builds
         tree.refit()
-        if tree.structure_generation != sg:
-            return  # drift materialized pruned octants: journal went dirty
-        assert cache.get(tree, folded=folded) is lists  # frozen shape: hit
+        after = cache.get(tree, folded=folded)
+        if tree.structure_generation == sg:
+            assert after is lists and cache.builds == builds  # frozen shape: hit
+        else:
+            # drift materialized pruned octants: one rebuild
+            assert after is not lists and cache.builds == builds + 1
+            lists = after
+            _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
+    assert cache.repairs == 0
 
 
 # ------------------------------------------------------ the table contract
@@ -261,37 +257,6 @@ def test_pair_tables_are_the_dict_views_are_the_oracle_rows(cloud, seed, folded)
         assert sorted(_table_pairs(ref.table(name))) == sorted(
             _table_pairs(lists.table(name))
         )
-
-
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    family=st.sampled_from(["plummer", "blobs"]),
-    seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
-    n_ops=st.integers(min_value=1, max_value=4),
-)
-def test_repair_drops_the_tables_and_the_next_read_reflattens_them(
-    family, seed, folded, n_ops
-):
-    pts = _FAMILIES[family](400, seed=seed).positions
-    tree = AdaptiveOctree(pts, S=12)
-    cache = ListCache(max_affected_frac=1e9, max_repair_ops=64)
-    lists = cache.get(tree, folded=folded)
-    stale = {name: lists.table(name) for name in FAMILIES}
-    if _random_surgery(tree, np.random.default_rng(seed), n_ops) == 0:
-        return
-    assert cache.get(tree, folded=folded) is lists and cache.repairs == 1
-    fresh = build_interaction_lists(tree, folded=folded)
-    for name in FAMILIES:
-        table = lists.table(name)
-        assert table is not stale[name]
-        # rebuilt from the repaired dict, row order and all ...
-        assert table.keys.tolist() == list(getattr(lists, name))
-        assert _table_pairs(table) == _flatten(getattr(lists, name))
-        # ... and equal to a fresh build's as sets
-        assert set(table.keys.tolist()) == set(fresh.table(name).keys.tolist())
-        assert set(_table_pairs(table)) == set(_table_pairs(fresh.table(name)))
-    assert lists.op_counts() == fresh.op_counts()
 
 
 def _float_class_keys(tree, srows, trows):
@@ -399,16 +364,13 @@ def _assert_v_list_is_implied(tree, lists):
 def test_v_pairs_are_the_nonadjacent_children_of_split_colleague_pairs(
     cloud, seed, folded, n_ops
 ):
-    """What ``far_field_geometry`` rests on, fresh and after surgery +
-    repair (an effective tree with hidden children under its leaves)."""
+    """What ``far_field_geometry`` rests on, fresh and after surgery (an
+    effective tree with hidden children under its leaves)."""
     pts, S = CLOUDS[cloud](seed)
     tree = AdaptiveOctree(pts, S=S)
-    cache = ListCache(max_affected_frac=1e9, max_repair_ops=64)
-    lists = cache.get(tree, folded=folded)
-    _assert_v_list_is_implied(tree, lists)
+    _assert_v_list_is_implied(tree, build_interaction_lists(tree, folded=folded))
     if _random_surgery(tree, np.random.default_rng(seed), n_ops):
-        assert cache.get(tree, folded=folded) is lists and cache.repairs == 1
-        _assert_v_list_is_implied(tree, lists)
+        _assert_v_list_is_implied(tree, build_interaction_lists(tree, folded=folded))
 
 
 @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])

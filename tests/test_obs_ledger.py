@@ -383,13 +383,11 @@ class TestCheckRegression:
     def test_check_all_covers_present_gated_benches(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))
         ledger.append(_bench_rec(100.0))
-        ledger.append(
-            _bench_rec(10.0, bench="repair_vs_rebuild_50k_plummer")
-        )
+        ledger.append(_bench_rec(10.0, bench="engine_step_50k_plummer"))
         verdicts = check_all(ledger)
         assert {v.bench for v in verdicts} == {
             "far_field_50k_plummer",
-            "repair_vs_rebuild_50k_plummer",
+            "engine_step_50k_plummer",
         }
         assert all(v.bench in GATED_BENCHES for v in verdicts)
 

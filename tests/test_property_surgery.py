@@ -1,9 +1,13 @@
 """Property-based tests: random surgery sequences preserve tree invariants.
 
 A hypothesis-driven state machine applies arbitrary interleavings of
-collapse, pushdown, enforce_s, refit (with body movement), and verifies
-after every operation that the effective tree still partitions the bodies,
-ranges nest, and the FMM near/far split stays complete.
+collapse, pushdown, enforce_s, refit (with body movement, which can
+materialize children), and out-of-band ``mark_structure_dirty`` edits, and
+verifies after every operation that the effective tree still partitions
+the bodies, ranges nest, the FMM near/far split stays complete, and the
+list cache's one contract holds: a lookup is a hit while the shape stamp
+is unchanged and exactly one rebuild after it moved, and what it returns
+equals a fresh build and the scalar oracle.
 """
 
 import numpy as np
@@ -13,8 +17,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.geometry import Box
-from repro.tree import AdaptiveOctree, build_interaction_lists
-from repro.tree.lists import InteractionLists
+from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
+from repro.tree.lists import FAMILIES, InteractionLists
+from tests.oracles.lists import build_interaction_lists_scalar
 
 
 def assert_tree_invariants(tree: AdaptiveOctree):
@@ -64,14 +69,27 @@ def assert_once_cover(tree: AdaptiveOctree, lists: InteractionLists):
     assert (count == 1).all()
 
 
+def assert_same_lists(got: InteractionLists, want: InteractionLists):
+    """Every family holds the same rows, compared as sets."""
+    for name in FAMILIES:
+        dg, dw = getattr(got, name), getattr(want, name)
+        assert set(dg) == set(dw), name
+        for k in dg:
+            assert set(dg[k]) == set(dw[k]), (name, k)
+
+
 class SurgeryMachine(RuleBasedStateMachine):
-    @initialize(seed=st.integers(0, 2**16))
-    def setup(self, seed):
+    @initialize(seed=st.integers(0, 2**16), folded=st.booleans())
+    def setup(self, seed, folded):
         self.rng = np.random.default_rng(seed)
         n = int(self.rng.integers(80, 300))
         pts = self.rng.uniform(-0.9, 0.9, (n, 3))
         self.box = Box((0.0, 0.0, 0.0), 2.0)
         self.tree = AdaptiveOctree(pts, S=int(self.rng.integers(4, 40)), root_box=self.box)
+        self.folded = folded
+        self.cache = ListCache()
+        self.cache.get(self.tree, folded=folded)
+        self.stamp = self.tree.structure_generation
 
     @rule()
     def collapse_random(self):
@@ -104,10 +122,30 @@ class SurgeryMachine(RuleBasedStateMachine):
         self.tree.points = pts
         self.tree.refit()
 
+    @rule()
+    def mark_dirty(self):
+        self.tree.mark_structure_dirty()
+
     @invariant()
     def tree_is_consistent(self):
         if hasattr(self, "tree"):
             assert_tree_invariants(self.tree)
+
+    @invariant()
+    def cache_hits_or_rebuilds(self):
+        if not hasattr(self, "tree"):
+            return
+        cache, tree = self.cache, self.tree
+        moved = tree.structure_generation != self.stamp
+        builds, hits = cache.builds, cache.hits
+        lists = cache.get(tree, folded=self.folded)
+        assert (cache.builds - builds, cache.hits - hits) == ((1, 0) if moved else (0, 1))
+        self.stamp = tree.structure_generation
+        # the shape is frozen now: a second lookup counts only a hit
+        assert cache.get(tree, folded=self.folded) is lists
+        assert (cache.builds - builds, cache.hits - hits) == ((1, 1) if moved else (0, 2))
+        assert_same_lists(lists, build_interaction_lists(tree, folded=self.folded))
+        assert_same_lists(lists, build_interaction_lists_scalar(tree, folded=self.folded))
 
     def teardown(self):
         # the expensive completeness check once per example
@@ -124,6 +162,45 @@ SurgeryMachine.TestCase.settings = settings(
 )
 
 TestSurgerySequences = SurgeryMachine.TestCase
+
+
+class ClusteredSurgeryMachine(SurgeryMachine):
+    """The same rules and invariants on Plummer and clustered-blob clouds,
+    whose deep, lopsided trees put the collapse/pushdown neighbourhoods
+    far from the uniform ones; bodies drift gently inside the root box."""
+
+    @initialize(
+        seed=st.integers(0, 2**16),
+        family=st.sampled_from(["plummer", "blobs"]),
+        folded=st.booleans(),
+    )
+    def setup(self, seed, family, folded):
+        from repro.distributions.generators import gaussian_blobs, plummer
+
+        self.rng = np.random.default_rng(seed)
+        n = int(self.rng.integers(100, 400))
+        gen = plummer if family == "plummer" else gaussian_blobs
+        self.tree = AdaptiveOctree(gen(n, seed=seed).positions, S=int(self.rng.integers(4, 32)))
+        self.folded = folded
+        self.cache = ListCache()
+        self.cache.get(self.tree, folded=folded)
+        self.stamp = self.tree.structure_generation
+
+    @rule()
+    def move_and_refit(self):
+        pts = self.tree.points + self.rng.normal(0, 1e-3, self.tree.points.shape)
+        self.tree.points = np.clip(pts, self.tree.root_box.low, self.tree.root_box.high)
+        self.tree.refit()
+
+
+ClusteredSurgeryMachine.TestCase.settings = settings(
+    max_examples=12,
+    stateful_step_count=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+TestRepairSequences = ClusteredSurgeryMachine.TestCase
 
 
 class TestEnforceAfterMovement:
@@ -146,94 +223,3 @@ class TestEnforceAfterMovement:
         for l in tree.leaves():
             node = tree.nodes[l]
             assert node.count <= 16 or node.level >= tree.max_level
-
-
-class RepairMachine(RuleBasedStateMachine):
-    """Interleaved surgery + refit against a repair-enabled ListCache.
-
-    After every rule the cached (possibly repaired-in-place) lists must be
-    element-wise identical, after canonical sort, to a from-scratch build
-    on the current tree — the tentpole contract of the incremental-repair
-    path, exercised in both folded modes on Plummer and clustered blobs.
-    """
-
-    @initialize(
-        seed=st.integers(0, 2**16),
-        family=st.sampled_from(["plummer", "blobs"]),
-        folded=st.booleans(),
-    )
-    def setup(self, seed, family, folded):
-        from repro.distributions.generators import gaussian_blobs, plummer
-        from repro.tree.cache import ListCache
-
-        self.rng = np.random.default_rng(seed)
-        n = int(self.rng.integers(100, 400))
-        gen = plummer if family == "plummer" else gaussian_blobs
-        pts = gen(n, seed=seed).positions
-        self.tree = AdaptiveOctree(pts, S=int(self.rng.integers(4, 32)))
-        self.folded = folded
-        self.cache = ListCache(max_repair_ops=64, max_affected_frac=1e9)
-        self.cache.get(self.tree, folded=folded)
-
-    @rule()
-    def collapse_random(self):
-        internal = [
-            n
-            for n in self.tree.effective_nodes()
-            if not self.tree.nodes[n].is_leaf and n != 0
-        ]
-        if internal:
-            self.tree.collapse(internal[int(self.rng.integers(0, len(internal)))])
-
-    @rule()
-    def pushdown_random(self):
-        leaves = [
-            l
-            for l in self.tree.leaves()
-            if self.tree.nodes[l].count >= 2
-            and self.tree.nodes[l].level < self.tree.max_level
-        ]
-        if leaves:
-            self.tree.pushdown(leaves[int(self.rng.integers(0, len(leaves)))])
-
-    @rule()
-    def move_and_refit(self):
-        pts = self.tree.points + self.rng.normal(0, 1e-3, self.tree.points.shape)
-        lo, hi = self.tree.root_box.low, self.tree.root_box.high
-        self.tree.points = np.clip(pts, lo, hi)
-        self.tree.refit()
-
-    @invariant()
-    def cached_lists_match_scratch(self):
-        if not hasattr(self, "tree"):
-            return
-        lists = self.cache.get(self.tree, folded=self.folded)
-        ref = build_interaction_lists(self.tree, folded=self.folded)
-        for name in (
-            "colleagues",
-            "v_list",
-            "u_list",
-            "w_list",
-            "x_list",
-            "near_sources",
-        ):
-            dv, dr = getattr(lists, name), getattr(ref, name)
-            assert set(dv) == set(dr), name
-            for k in dv:
-                assert sorted(dv[k]) == sorted(dr[k]), (name, k)
-
-    def teardown(self):
-        # no lookup may ever have served a stale or inconsistent entry, and
-        # at least the initial build must have happened through the cache
-        if hasattr(self, "cache"):
-            assert self.cache.builds >= 1
-
-
-RepairMachine.TestCase.settings = settings(
-    max_examples=12,
-    stateful_step_count=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-TestRepairSequences = RepairMachine.TestCase
