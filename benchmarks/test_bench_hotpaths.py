@@ -17,6 +17,10 @@ Claims asserted at benchmark scale:
   base class's gather seam — per tile three gathers, a padding mask, one
   batched ``pairwise`` call and a scatter — on Plummer 10k S=32 and uniform
   10k S=8, timed alternately in one process and equal byte for byte;
+* the far field's leaf stages run compiled: on a far-field-bound tree
+  (uniform 10k, S = 8, order 6) the library's P2M and L2P (potential and
+  gradient) take <= 0.5x the time of the NumPy bodies they replace, timed
+  alternately in one process and equal byte for byte;
 * M2L runs over sibling octets: on a far-field-bound tree (uniform 10k,
   S = 8, order 6) the shipped M2L — reduce, <= 13 level-free direction
   blocks, expand — takes <= 0.6x the time of the per-(level, displacement)
@@ -59,9 +63,10 @@ from repro.distributions.generators import (
     uniform_cube,
 )
 from repro.expansions.cartesian import CartesianExpansion
+from repro.fmm import farfield
 from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
 from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
-from repro.kernels import GravityKernel, LaplaceKernel, p2p_backend
+from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
 from repro.kernels.base import Kernel
 from repro.machine.spec import system_a
 from repro.sim.driver import Simulation, SimulationConfig
@@ -237,6 +242,57 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark):
         assert ratio <= 0.8, f"plan-indexed near field {ratio:.2f}x the gather seam ({label})"
     benchmark.pedantic(lambda: run(GravityKernel.near_tiles), rounds=2, iterations=1)
     _ledger.record_to_ledger(record)
+
+
+def test_bench_leaf_stages_native(benchmark, monkeypatch):
+    """Compiled P2M + L2P (potential and gradient) <= 0.5x the NumPy bodies
+    on uniform 10k S=8 order 6, same bytes."""
+    if p2p_backend() != "native":
+        pytest.skip("no C compiler resolves here: there are no compiled leaf stages")
+    n = 10_000
+    tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
+    lists = build_interaction_lists(tree, folded=True)
+    q = np.random.default_rng(4).uniform(-1, 1, n)
+    p = FarFieldPass(tree, lists, CartesianExpansion(6), charges=q, gradient=True)
+    p.locals_[:] = np.random.default_rng(5).standard_normal(p.locals_.shape)
+    # the leaf-gradient gemms are the same BLAS calls on both sides: once
+    gk = [farfield.l2p_leaf_gradient(p.geom, p.locals_, A) for A in p._l2p_grad_mats]
+    bodies, out = {"native": _native.library(), "numpy": None}, {}
+
+    def leaf_stages(body):
+        monkeypatch.setattr(_native, "_library", bodies[body])
+        p.multipoles[:], p.pot[:], p.grad[:] = 0.0, 0.0, 0.0
+        t0 = time.perf_counter()
+        p.p2m()
+        farfield.l2p(p.geom, p.plan, p._basis, p.locals_, p.pot, p.grad, gk)
+        t = time.perf_counter() - t0
+        out[body] = p.multipoles.tobytes() + p.pot.tobytes() + p.grad.tobytes()
+        return t
+
+    best = {"native": float("inf"), "numpy": float("inf")}
+    for _ in range(9):  # alternating: host drift hits both sides alike
+        for body in best:
+            best[body] = min(best[body], _best_time(lambda: leaf_stages(body), rounds=1))
+    assert out["native"] == out["numpy"]
+    benchmark.pedantic(lambda: leaf_stages("native"), rounds=3, iterations=1)
+    ratio = best["native"] / best["numpy"]
+    _ledger.record_to_ledger(
+        {
+            "bench": "leaf_stages_native_10k_uniform_o6",
+            "n": n,
+            "leaves": int(p.geom.leaf_rows.size),
+            "native_ms": round(best["native"] * 1e3, 3),
+            "numpy_ms": round(best["numpy"] * 1e3, 3),
+            "ratio": round(ratio, 3),
+        }
+    )
+    print()
+    print(
+        f"leaf stages, 10k uniform S=8 order 6 ({p.geom.leaf_rows.size} leaves): P2M + "
+        f"L2P (potential, gradient) compiled {best['native'] * 1e3:.1f} ms, NumPy "
+        f"{best['numpy'] * 1e3:.1f} ms -> {ratio:.2f}x"
+    )
+    assert ratio <= 0.5, f"compiled leaf stages {ratio:.2f}x the NumPy bodies"
 
 
 def _m2l_octets_vs_class_loop(pts, order=6, S=8):

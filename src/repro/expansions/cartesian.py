@@ -132,16 +132,15 @@ class CartesianExpansion:
     def l2p_basis(self, rel: np.ndarray) -> np.ndarray:
         return self.mis.powers(np.atleast_2d(rel))
 
-    def p2m_basis_from_l2p(self, l2p_basis: np.ndarray) -> np.ndarray:
-        """``p2m_basis(rel)`` out of ``l2p_basis(rel)``, bit for bit.
+    @property
+    def p2m_sign(self) -> np.ndarray:
+        """``p2m_basis(rel)`` is ``l2p_basis(rel) * p2m_sign``, bit for bit.
 
         ``powers(-rel)`` is ``powers(rel)`` with column ``alpha`` negated
         when ``|alpha|`` is odd — exactly: sign flips commute with every
-        IEEE product of the power tables — so the second ``powers`` call
-        (and its temporaries) is one multiply by +-1, in the same layout.
+        IEEE product of the power tables — so P2M reads the L2P table.
         """
-        sign = 1.0 - 2.0 * (self.mis.degrees % 2)
-        return np.multiply(l2p_basis, sign, out=np.empty_like(l2p_basis))
+        return 1.0 - 2.0 * (self.mis.degrees % 2)
 
     def p2l_basis(self, rel: np.ndarray) -> np.ndarray:
         return scaled_derivative_tensors(-np.atleast_2d(rel), self.order)

@@ -156,6 +156,8 @@ class SphericalExpansion:
     #: already (order+1)^2 wide: M2L acts on the coefficients themselves
     #: (cf. :attr:`CartesianExpansion.m2l_reduction`)
     m2l_reduction = None
+    #: P2M reads the L2P table as it is: both ends use conj(R_n^m(rel))
+    p2m_sign = None
 
     def __init__(self, order: int) -> None:
         if order < 0:

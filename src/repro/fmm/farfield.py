@@ -56,10 +56,11 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
   (:func:`_group_by_key`) and a class's rows are slices of one gather.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
   effective leaf with body-relative coordinates.  Rebuilt on refit.
-* per-backend leaf basis tables (``generation`` stamp) — the P2M/L2P row
-  bases over the body plan, shared by every far-field pass of a solve
-  (the composite Stokeslet solver runs seven); one ``powers`` call per
-  plan, the Cartesian P2M basis being the L2P one with signs flipped.
+* one leaf basis table per backend (``generation`` stamp) — the L2P row
+  basis over the body plan, shared by every far-field pass of a solve
+  (the composite Stokeslet solver runs seven) and read by P2M too: the
+  Cartesian P2M basis is the L2P one times an exact +-1 per column
+  (``p2m_sign``), the spherical one the same table.
 
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
@@ -71,7 +72,13 @@ makes a parallel run bitwise identical to a serial one.  The arithmetic
 of the per-body stages (P2M, L2P, P2L, M2P) and of the two whole-array
 stages (reduce, expand) lives in module-level **stage functions** over
 plain arrays; the pass methods and the shard workers of
-:mod:`repro.runtime.shards` (over arena views) both call them.
+:mod:`repro.runtime.shards` (over arena views) both call them.  Over real
+(Cartesian) rows three of them run compiled, from the library
+:mod:`repro.kernels._native` builds for the near field: :func:`p2m`
+(charges), :func:`l2p` (potential and up to three gradient axes in one
+pass) and :func:`add_rows`, the ``rows[idx] += delta`` of every class
+merge — each bitwise the NumPy body it replaces, which runs for complex
+(spherical) rows and where no compiler resolves (DESIGN.md §9).
 
 :func:`laplace_far_field` is the serial driver over those stages; it
 accepts a ``tracer`` and emits one span per FMM operation whose
@@ -90,6 +97,7 @@ import numpy as np
 
 from repro.expansions.operators import OperatorStore
 from repro.geometry.morton import MAX_MORTON_LEVEL
+from repro.kernels import _native
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 from repro.util.arrays import csr_ptr, stable_argsort
@@ -99,6 +107,7 @@ __all__ = [
     "FarFieldPass",
     "LeafBodyPlan",
     "PassSpec",
+    "add_rows",
     "far_field_geometry",
     "l2p",
     "l2p_leaf_gradient",
@@ -403,28 +412,16 @@ def leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPla
     return store(LeafBodyPlan(body_idx=body_idx, ptr=ptr, gid=gid, rel=rel))
 
 
-def leaf_basis(expansion, plan: LeafBodyPlan, kind: str, derived_cache):
-    """P2M/L2P row basis over ``plan``, memoized per backend+order.
+def leaf_basis(expansion, plan: LeafBodyPlan, derived_cache):
+    """The L2P row basis over ``plan`` — which P2M reads too, times the
+    expansion's ``p2m_sign`` — memoized per backend+order.
 
     ``derived_cache(key) -> (cached, store)`` is the memo: the lists'
     generation-stamped :meth:`InteractionLists.derived_cache` in process,
-    a per-session dict in a shard worker.  The spherical backend uses the
-    *same* conj-regular table on both ends, so it caches one entry under
-    ``regular``.
+    a per-session dict in a shard worker.
     """
-    if expansion.backend == "spherical":
-        kind = "regular"
-    key = f"farfield_basis:{expansion.backend}:{expansion.order}:{kind}"
-    cached, store = derived_cache(key)
-    if cached is not None:
-        return cached
-    if kind == "p2m":
-        # one ``powers`` call per plan: the P2M basis is the L2P one with
-        # its odd-degree columns negated
-        return store(
-            expansion.p2m_basis_from_l2p(leaf_basis(expansion, plan, "l2p", derived_cache))
-        )
-    return store(expansion.l2p_basis(plan.rel))
+    cached, store = derived_cache(f"farfield_basis:{expansion.backend}:{expansion.order}")
+    return cached if cached is not None else store(expansion.l2p_basis(plan.rel))
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +435,8 @@ def leaf_basis(expansion, plan: LeafBodyPlan, kind: str, derived_cache):
 # reproducible on the whole operand; see DESIGN.md §9):
 #
 # * ``p2m`` / ``l2p`` use row-independent primitives only (elementwise,
-#   row dots through ``_row_dots``, per-leaf segment sums), so evaluating
+#   row dots through ``_row_dots``, per-leaf segment sums — or the compiled
+#   loops that reproduce their order), so evaluating
 #   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
 #   over that subset — yields bitwise the same rows as the full plan;
 # * ``l2p_leaf_gradient``, ``m2l_reduce`` and ``m2l_expand`` are matmuls
@@ -455,17 +453,29 @@ class PassSpec:
     gradient: bool = False
 
 
+def _compiled(*arrays):
+    """The compiled leaf stages where every array is real and the host
+    built them, else ``None`` (the NumPy bodies run)."""
+    return _native.library() if all(a.dtype == np.float64 for a in arrays) else None
+
+
 def p2m(geom, plan, exp, multipoles, *, charges=None, dipoles=None, basis=None):
     """Per-body rows, segment-summed per leaf (writes ``plan``'s leaf rows).
 
-    ``basis`` is the ``"p2m"`` :func:`leaf_basis` over ``plan`` (needed
-    with ``charges`` only).
+    ``basis`` is the :func:`leaf_basis` over ``plan`` (needed with
+    ``charges`` only).
     """
     if not plan.body_idx.size:
+        return
+    lib = _compiled(basis, multipoles) if dipoles is None else None
+    if lib is not None:
+        lib.leaf_p2m(plan, plan.leaf_rows(geom), charges, basis, exp.p2m_sign, multipoles)
         return
     rows = None
     if charges is not None:
         rows = charges[plan.body_idx, None] * basis
+        if exp.p2m_sign is not None:
+            rows *= exp.p2m_sign
     if dipoles is not None:
         drows = exp.p2m_dipole_rows(plan.rel, dipoles[plan.body_idx], plan.ptr)
         rows = drows if rows is None else rows + drows
@@ -548,18 +558,40 @@ def _row_dots(basis, rows):
 def l2p(geom, plan, basis, locals_, pot, grad, leaf_grad=()):
     """Batched leaf evaluation (assigns ``plan``'s disjoint body rows).
 
-    ``basis`` is the ``"l2p"`` :func:`leaf_basis` over ``plan``;
-    ``leaf_grad`` yields one :func:`l2p_leaf_gradient` per axis (consumed
-    only when ``grad`` is wanted).  ``pot`` / ``grad`` of ``None`` are
-    skipped.  ``.real`` is a no-op view on the real Cartesian backend.
+    ``basis`` is the :func:`leaf_basis` over ``plan``; ``leaf_grad`` yields
+    one :func:`l2p_leaf_gradient` per axis (consumed only when ``grad`` is
+    wanted).  ``pot`` / ``grad`` of ``None`` are skipped.  ``.real`` is a
+    no-op view on the real Cartesian backend.
     """
-    if not plan.body_idx.size:
+    if not plan.body_idx.size or (pot is None and grad is None):
+        return
+    lib = _compiled(basis, locals_)
+    if lib is not None:
+        gk = tuple(leaf_grad) if grad is not None else ()
+        ids = np.arange(geom.leaf_rows.size) if plan.leaves is None else plan.leaves
+        lib.leaf_l2p(plan, basis, plan.leaf_rows(geom), locals_, pot, ids, gk, grad)
         return
     if pot is not None:
         pot[plan.body_idx] = _row_dots(basis, locals_[geom.leaf_rows[plan.gid]]).real
     if grad is not None:
         for k, gk in enumerate(leaf_grad):
             grad[plan.body_idx, k] = _row_dots(basis, gk[plan.gid]).real
+
+
+#: a merge of fewer elements is faster as NumPy's fancy add than as a
+#: checked ``ctypes`` call (~10 µs of checks and call overhead); both give
+#: the same bits, so only the time depends on it (DESIGN.md §9)
+_ADD_ROWS_COMPILED_MIN = 1 << 14
+
+
+def add_rows(rows, idx, delta):
+    """``rows[idx] += delta`` — the merge of every class sweep (``idx``
+    without repeats: each target row once per class)."""
+    lib = _compiled(rows, delta) if delta.size >= _ADD_ROWS_COMPILED_MIN else None
+    if lib is None:
+        rows[idx] += delta
+    else:
+        lib.add_rows(rows, idx, delta)
 
 
 def pair_bodies(geom, plan, pair_leaf_rows):
@@ -675,7 +707,7 @@ class FarFieldPass:
         self.geom = far_field_geometry(tree, lists, exp)
         self.plan = leaf_body_plan(tree, lists)
         self.pts = tree.points
-        self.q = None if charges is None else np.asarray(charges, dtype=float).reshape(-1)
+        self.q = None if charges is None else np.ascontiguousarray(charges, dtype=float).reshape(-1)
         self.dip = (
             None if dipoles is None else np.atleast_2d(np.asarray(dipoles, dtype=float))
         )
@@ -698,12 +730,7 @@ class FarFieldPass:
 
         # resolve every lists-level cache now (stages must not mutate the
         # shared derived_cache dict from pool threads)
-        self._p2m_basis = (
-            leaf_basis(exp, plan, "p2m", lists.derived_cache)
-            if self.q is not None
-            else None
-        )
-        self._l2p_basis = leaf_basis(exp, plan, "l2p", lists.derived_cache)
+        self._basis = leaf_basis(exp, plan, lists.derived_cache)
         self._l2p_grad_mats = exp.l2p_gradient_matrices() if gradient else ()
         self._m2p_grad_mats = (
             exp.m2p_gradient_matrices() if (gradient and geom.w_tgt_rows.size) else ()
@@ -732,7 +759,7 @@ class FarFieldPass:
         """Per-body rows, segment-summed per leaf (writes leaf rows only)."""
         p2m(
             self.geom, self.plan, self.exp, self.multipoles,
-            charges=self.q, dipoles=self.dip, basis=self._p2m_basis,
+            charges=self.q, dipoles=self.dip, basis=self._basis,
         )
 
     def l2p(self) -> None:
@@ -741,7 +768,7 @@ class FarFieldPass:
             l2p_leaf_gradient(self.geom, self.locals_, A) for A in self._l2p_grad_mats
         )
         l2p(
-            self.geom, self.plan, self._l2p_basis, self.locals_,
+            self.geom, self.plan, self._basis, self.locals_,
             self.pot, self.grad, leaf_grad,
         )
 
@@ -754,7 +781,7 @@ class FarFieldPass:
     def m2m_merge(self, ci: int) -> None:
         """Fold one class delta into its parent rows (class order!)."""
         _crows, prows, _op = self.geom.up_classes[ci]
-        self.multipoles[prows] += self._up_delta.pop(ci)
+        add_rows(self.multipoles, prows, self._up_delta.pop(ci))
 
     # ---------------------------------------------------------- translation
     def m2l_reduce(self) -> None:
@@ -769,7 +796,7 @@ class FarFieldPass:
     def m2l_merge(self, ci: int) -> None:
         """Fold one class delta into target octets (class order!)."""
         _srows, trows, _op = self.geom.m2l_classes[ci]
-        self.m2l_locals[trows] += self._m2l_delta.pop(ci)
+        add_rows(self.m2l_locals, trows, self._m2l_delta.pop(ci))
 
     def m2l_expand(self) -> None:
         """Assign ``locals_`` from the merged target octets (whole array;
@@ -799,7 +826,7 @@ class FarFieldPass:
         delta/merge split.
         """
         prows, crows, op = self.geom.down_classes[ci]
-        self.locals_[crows] += self.locals_[prows] @ op
+        add_rows(self.locals_, crows, self.locals_[prows] @ op)
 
     # -------------------------------------------------------------- W phase
     def m2p_compute(self) -> None:

@@ -1,21 +1,27 @@
-"""Build-on-first-use loader of the compiled P2P kernel (``_p2p.c``).
+"""Build-on-first-use loader of the compiled library (``_p2p.c``).
 
-The library has two entry points over one row loop: ``p2p_blocks``
+One library runs the near field and the far field's leaf stages.  The
+near field has two entry points over one row loop: ``p2p_blocks``
 (:meth:`P2PLibrary.pairwise`, dense ``(G, T, 3)`` x ``(G, S, 3)`` blocks)
 and ``p2p_tiles`` (:meth:`P2PLibrary.near_tiles`, near-field tiles read
 from the plan's index arrays in place and written to the body rows by
-index).  Neither is handed a pointer before its shapes and indices are
-checked here.
+index).  The far field has three, behind the stage functions of
+:mod:`repro.fmm.farfield`: ``leaf_p2m`` (:meth:`P2PLibrary.leaf_p2m`),
+``leaf_l2p`` (:meth:`P2PLibrary.leaf_l2p`) and ``add_rows``
+(:meth:`P2PLibrary.add_rows`), each bitwise the NumPy body it replaces.
+None is handed a pointer before its shapes, dtypes, layouts and indices
+are checked here (:func:`_ptr`), and every array it reads stays
+referenced until it returns.
 
 :func:`library` compiles the C source beside this file the first time a
-Laplace block is evaluated — never at import — at most once per (source,
-flags, compiler version) into a cache: ``__pycache__`` beside the source
-when that is writable, else a 0700 per-user directory whose ownership is
-checked before anything in it is loaded.  The build lands in a temporary
-directory and is renamed into place, so two processes racing the first
-compile both end with a loadable file.  No compiler, no source (a wheel
-shipped without it) or a failed build resolve to ``None``, and
-:class:`~repro.kernels.laplace.LaplaceKernel` runs its NumPy bodies.
+Laplace block or a real far-field leaf stage runs — never at import — at
+most once per (source, flags, compiler version) into a cache:
+``__pycache__`` beside the source when that is writable, else a 0700
+per-user directory whose ownership is checked before anything in it is
+loaded.  The build lands in a temporary directory and is renamed into
+place, so two processes racing the first compile both end with a loadable
+file.  No compiler, no source (a wheel shipped without it) or a failed
+build resolve to ``None``, and the NumPy bodies run instead.
 
 There is no switch: the answer is resolved once per process and kept in
 ``_library`` (tests patch that attribute).  A shard worker does not resolve
@@ -50,6 +56,9 @@ _lock = threading.Lock()
 class P2PLibrary(NamedTuple):
     blocks: object  # the ``p2p_blocks`` entry point
     tiles: object  # the ``p2p_tiles`` entry point
+    p2m: object  # the ``leaf_p2m`` entry point
+    l2p: object  # the ``leaf_l2p`` entry point
+    add: object  # the ``add_rows`` entry point
     path: str
     compiler: str  # first line of ``cc --version`` ("" in a worker)
 
@@ -75,21 +84,76 @@ class P2PLibrary(NamedTuple):
         pts = np.ascontiguousarray(pts, dtype=float)
         q = np.ascontiguousarray(q, dtype=float).reshape(-1)
         n = plan.n_bodies
-        for a, shape in ((pts, (n, 3)), (q, (n,)), (pot, (n,)), (grad, (n, 3))):
-            if a is not None and (a.shape, a.dtype) != (shape, np.float64):
-                raise ValueError(f"expected a float64 {shape} array, got {a.dtype} {a.shape}")
-        for out in (pot, grad):
-            if out is not None and not (out.flags.c_contiguous and out.flags.writeable):
-                raise ValueError("outputs must be writeable C-contiguous arrays")
-        index = (plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr,
+        index = (tiles, plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr,
                  plan.src_idx, plan.src_ptr, plan.src_cnt)  # p2p_tiles' order
-        ptr = [None if a is None else a.ctypes.data for a in (tiles, *index, pts, q, pot, grad)]
-        if self.tiles(tiles.size, *ptr[:9], eps2, *scales, *ptr[9:]):
+        bodies = [_ptr(pts, (n, 3)), _ptr(q, (n,))]
+        outs = [_ptr(pot, (n,), out=True), _ptr(grad, (n, 3), out=True)]
+        if self.tiles(tiles.size, *(a.ctypes.data for a in index), *bodies, eps2, *scales, *outs):
             raise MemoryError("p2p_tiles could not allocate its staging buffer")
+
+    def leaf_p2m(self, plan, rows, q, basis, sign, out):
+        """``out[rows[g]]`` = the P2M row of leaf ``g`` of ``plan``: charges
+        ``q`` x the column-major L2P ``basis`` x the exact +-1 ``sign`` of
+        each column, summed in ``np.add.reduceat``'s order."""
+        m, nc = np.shape(basis)
+        nl, bodies = len(plan.ptr) - 1, _plan_ptrs(plan, m, len(q))
+        args = (_ptr(rows, (nl,), np.int64, bound=len(out)), m, nc,
+                _ptr(basis, (m, nc), order="F"), _ptr(sign, (nc,)), _ptr(q, (len(q),)))
+        if self.p2m(nl, *bodies, *args, _ptr(out, (len(out), nc), out=True)):
+            raise MemoryError("leaf_p2m could not allocate its staging buffer")
+
+    def leaf_l2p(self, plan, basis, rows, L, pot, ids, gk, grad):
+        """For every body ``b`` of leaf ``g`` of ``plan``, in place: ``pot[b]
+        = basis[b] . L[rows[g]]`` and ``grad[b, k] = basis[b] . gk[k][ids[g]]``
+        (``None`` outputs skipped), in ``einsum``'s order, in one pass."""
+        m, nc = np.shape(basis)
+        n = len(pot if pot is not None else grad)
+        bodies = _plan_ptrs(plan, m, n)
+        nl, nk = len(plan.ptr) - 1, len(gk[0]) if gk else 0
+        tables = [_ptr(g, (nk, nc)) for g in gk] + [None] * (3 - len(gk))
+        potential = (_ptr(rows, (nl,), np.int64, bound=len(L)), _ptr(L, (len(L), nc)),
+                     _ptr(pot, (n,), out=True))
+        ids = _ptr(ids if gk else None, (nl,), np.int64, bound=nk)
+        self.l2p(*bodies, m, nc, _ptr(basis, (m, nc), order="F"), *potential, ids, *tables,
+                 _ptr(grad, (n, 3), out=True))
+
+    def add_rows(self, dst, idx, src):
+        """``dst[idx] += src``, a row at a time (``idx`` without repeats)."""
+        k, w = len(idx), np.shape(dst)[-1]
+        self.add(k, w, _ptr(idx, (k,), np.int64, bound=len(dst)), _ptr(src, (k, w)),
+                 _ptr(dst, (len(dst), w), out=True))
+
+
+def _ptr(a, shape, dtype=np.float64, *, order="C", bound=None, out=False):
+    """The address of ``a`` — ``None`` for ``None`` — once it is a ``dtype``
+    array of ``shape``, ``order``-contiguous (and writeable for an ``out``),
+    with every entry in ``[0, bound)`` when ``bound`` is given: else
+    ValueError.  The caller keeps ``a`` referenced across the C call."""
+    if a is None:
+        return None
+    if not isinstance(a, np.ndarray) or a.shape != shape or a.dtype != dtype:
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise ValueError(f"expected a {np.dtype(dtype)} {shape} array, got {got}")
+    flags = a.flags
+    if not (flags.c_contiguous if order == "C" else flags.f_contiguous) or (out and not flags.writeable):
+        raise ValueError(f"expected a {'writeable ' * out}{order}-contiguous array")
+    if bound is not None and a.size and not (a.min() >= 0 and a.max() < bound):
+        raise ValueError(f"index out of range: not in [0, {bound})")
+    return a.ctypes.data
+
+
+def _plan_ptrs(plan, m, n):
+    """``plan``'s CSR pointer and body ids, once the pointer cuts exactly
+    ``m`` rows and every body id is below ``n``."""
+    ptr = plan.ptr
+    _ptr(ptr, (len(ptr),), np.int64)
+    if not len(ptr) or ptr[0] != 0 or ptr[-1] != m or (ptr[1:] < ptr[:-1]).any():
+        raise ValueError(f"plan pointer out of range: it must cut [0, {m}) in order")
+    return ptr.ctypes.data, _ptr(plan.body_idx, (m,), np.int64, bound=n)
 
 
 def library() -> P2PLibrary | None:
-    """The process's compiled kernel, built or loaded on the first call."""
+    """The process's compiled library, built or loaded on the first call."""
     global _library
     with _lock:
         if _library is _UNRESOLVED:
@@ -98,8 +162,9 @@ def library() -> P2PLibrary | None:
 
 
 def p2p_backend() -> str:
-    """Which body evaluates Laplace blocks in this process: ``"native"`` (the
-    compiled loop) or ``"numpy"``.  Resolves the loader like a first block."""
+    """Which bodies evaluate Laplace blocks and the far field's real leaf
+    stages in this process: ``"native"`` (the compiled library) or
+    ``"numpy"``.  Resolves the loader like a first block."""
     return "numpy" if library() is None else "native"
 
 
@@ -113,8 +178,13 @@ def _load(path, compiler: str) -> P2PLibrary:
     dll = CDLL(str(path))  # CDLL, not PyDLL: the GIL is dropped for each call
     dll.p2p_blocks.argtypes = [c_long] * 3 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
     dll.p2p_tiles.argtypes = [c_long] + [c_void_p] * 9 + [c_double] * 3 + [c_void_p] * 2
-    dll.p2p_blocks.restype = dll.p2p_tiles.restype = c_int
-    return P2PLibrary(dll.p2p_blocks, dll.p2p_tiles, str(path), compiler)
+    dll.leaf_p2m.argtypes = [c_long] + [c_void_p] * 3 + [c_long] * 2 + [c_void_p] * 4
+    dll.leaf_l2p.argtypes = [c_void_p] * 2 + [c_long] * 2 + [c_void_p] * 9
+    dll.add_rows.argtypes = [c_long] * 2 + [c_void_p] * 3
+    dll.p2p_blocks.restype = dll.p2p_tiles.restype = dll.leaf_p2m.restype = c_int
+    dll.leaf_l2p.restype = dll.add_rows.restype = None
+    return P2PLibrary(dll.p2p_blocks, dll.p2p_tiles, dll.leaf_p2m, dll.leaf_l2p, dll.add_rows,
+                      str(path), compiler)
 
 
 def _cache_dir() -> Path:

@@ -1,4 +1,6 @@
-/* All-pairs Laplace kernel: two entry points over one row loop.
+/* The compiled library: the near field's all-pairs Laplace kernel (two
+ * entry points over one row loop) and, at the end of the file, the far
+ * field's leaf stages (leaf_p2m, leaf_l2p, add_rows).
  *
  * p2p_blocks (behind LaplaceKernel.pairwise): G dense blocks, targets
  * (G,T,3) x sources (G,S,3), strengths (G,S); pot (G,T) and grad (G,T,3)
@@ -132,4 +134,145 @@ int p2p_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
     }
     free(sx);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * The far field's leaf stages (behind repro.fmm.farfield's p2m, l2p and
+ * add_rows).  Each reproduces the summation order of the NumPy body it
+ * replaces, so both give the same bits:
+ *
+ * leaf_p2m: out[rows[g], j] = sum over leaf g's bodies i of
+ * q[body_idx[i]] * basis[i, j] * sign[j], in np.add.reduceat's order - the
+ * leaf's first term, plus NumPy's pairwise sum of the rest (pairwise_sum).
+ * An empty leaf's row is zeroed.
+ *
+ * leaf_l2p: per body, a sequential sum over the coefficients starting
+ * from 0.0 - einsum("ij,ij->i")'s order over the column-major basis - of
+ * basis[i, j] * coef[j], for the potential (coef = L[rows[g]], out pot)
+ * and each wanted gradient axis k (coef = Gk[ids[g]], out grad[:, k]), in
+ * one pass over the basis, body by body in plan order.
+ *
+ * add_rows: dst[idx[r]] += src[r], rows of width w.
+ *
+ * The basis is (m, nc) column-major; the caller has checked every index.
+ */
+
+/* NumPy's pairwise sum of a[i] * b[i], i < n (n >= 1): sequential below 8
+ * terms from -0.0 (which keeps the first term's bits), 8 accumulators up
+ * to 128, halves (cut at a multiple of 8) above. */
+static double pairwise_sum(const double *a, const double *b, long n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (long i = 0; i < n; i++)
+            res += a[i] * b[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k] * b[k];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k] * b[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i] * b[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, b, n2) + pairwise_sum(a + n2, b + n2, n - n2);
+}
+
+int leaf_p2m(long n_leaves, const int64_t *ptr, const int64_t *body_idx,
+             const int64_t *rows, long m, long nc, const double *basis,
+             const double *sign, const double *q, double *out)
+{
+    long most = 1;
+    for (long g = 0; g < n_leaves; g++)
+        if (ptr[g + 1] - ptr[g] > most)
+            most = ptr[g + 1] - ptr[g];
+    /* the leaf's strengths, once as they are and once negated: times a
+     * column's sign of +-1, which is exact */
+    double *qs = malloc(2 * most * sizeof(double));
+    if (!qs)
+        return -1;
+    for (long g = 0; g < n_leaves; g++) {
+        long lo = ptr[g], n = ptr[g + 1] - lo;
+        double *o = out + rows[g] * nc;
+        for (long i = 0; i < n; i++) {
+            qs[i] = q[body_idx[lo + i]];
+            qs[most + i] = -qs[i];
+        }
+        for (long j = 0; j < nc; j++) {
+            const double *b = basis + j * m + lo, *a = sign[j] < 0 ? qs + most : qs;
+            o[j] = n == 0 ? 0.0 : n == 1 ? a[0] * b[0] : a[0] * b[0] + pairwise_sum(a + 1, b + 1, n - 1);
+        }
+    }
+    free(qs);
+    return 0;
+}
+
+/* all m bodies, in plan order across leaf boundaries, against nk packed
+ * channels: one body's sums at a time over the column-major basis (nk is a
+ * constant at each call, so the channel loops unroll and the sums stay in
+ * registers; a leaf of a few bodies costs no short inner loop) */
+static inline __attribute__((always_inline)) void
+l2p_bodies(int nk, const int64_t *ptr, const int64_t *body_idx, long m, long nc,
+           const double *basis, const double *const *tab,
+           const int64_t *const *row_of, double *const *out, const long *stride)
+{
+    long g = 0;
+    for (long r = 0; r < m; r++) {
+        while (ptr[g + 1] <= r)
+            g++; /* the leaf of body row r (empty leaves skipped) */
+        const double *c[4];
+        double acc[4];
+        for (int k = 0; k < nk; k++)
+            c[k] = tab[k] + row_of[k][g] * nc, acc[k] = 0.0;
+        for (long j = 0; j < nc; j++) {
+            double b = basis[j * m + r];
+            for (int k = 0; k < nk; k++)
+                acc[k] += b * c[k][j];
+        }
+        for (int k = 0; k < nk; k++)
+            out[k][stride[k] * body_idx[r]] = acc[k];
+    }
+}
+
+void leaf_l2p(const int64_t *ptr, const int64_t *body_idx, long m, long nc,
+              const double *basis, const int64_t *rows, const double *L,
+              double *pot, const int64_t *ids, const double *G0, const double *G1,
+              const double *G2, double *grad)
+{
+    /* the wanted outputs, packed: table, row of each leaf, output, stride */
+    const double *tab[4];
+    const int64_t *row_of[4];
+    double *out[4];
+    long stride[4];
+    int nk = 0;
+    if (pot)
+        tab[nk] = L, row_of[nk] = rows, out[nk] = pot, stride[nk++] = 1;
+    const double *gk[3] = {G0, G1, G2};
+    for (int k = 0; grad && k < 3; k++)
+        if (gk[k])
+            tab[nk] = gk[k], row_of[nk] = ids, out[nk] = grad + k, stride[nk++] = 3;
+    switch (nk) {
+    case 1: l2p_bodies(1, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
+    case 2: l2p_bodies(2, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
+    case 3: l2p_bodies(3, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
+    case 4: l2p_bodies(4, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
+    }
+}
+
+void add_rows(long k, long w, const int64_t *idx, const double *src, double *dst)
+{
+    for (long r = 0; r < k; r++) {
+        double *d = dst + idx[r] * w;
+        const double *s = src + r * w;
+        for (long j = 0; j < w; j++)
+            d[j] += s[j];
+    }
 }

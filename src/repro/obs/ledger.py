@@ -64,8 +64,11 @@ def machine_spec() -> dict[str, Any]:
     process may be scheduled on — which on pinned CI runners and cgroup
     containers is what actually bounds parallel speedup (a host
     ``os.cpu_count()`` of 64 means nothing inside a 1-CPU cgroup).
-    ``p2p_kernel`` is :func:`repro.kernels.p2p_backend` — which near-field
-    body this process runs — with the compiler that built it when native.
+    ``p2p_kernel`` is :func:`repro.kernels.p2p_backend` — whether this
+    process runs the compiled library, which holds both the near field and
+    the far field's leaf stages, or their NumPy bodies — with the compiler
+    that built it when native (the key keeps its name: the ledger and
+    ``repro regress`` read it).
     """
     from repro.kernels import _native
 

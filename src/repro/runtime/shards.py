@@ -535,8 +535,8 @@ class _WorkerState:
 
         return self._memo.get(key), store
 
-    def _basis(self, kind: str) -> np.ndarray:
-        return farfield.leaf_basis(self.exp, self.sub, kind, self._derived)
+    def _basis(self) -> np.ndarray:
+        return farfield.leaf_basis(self.exp, self.sub, self._derived)
 
     def _source(self, i: int, spec: PassSpec) -> dict:
         """Pass ``i``'s strengths as the stage functions' source keyword."""
@@ -571,10 +571,9 @@ class _WorkerState:
             self.v["L8"][:] = 0.0
 
     def _p2m(self, i: int, spec: PassSpec) -> None:
-        basis = self._basis("p2m") if spec.kind == "charges" else None
         farfield.p2m(
             self.geom, self.sub, self.exp, self.v["M"],
-            basis=basis, **self._source(i, spec),
+            basis=self._basis(), **self._source(i, spec),
         )
 
     def _deltas(self, rnd: _Round, classes, source: str, scratch: str) -> None:
@@ -589,7 +588,7 @@ class _WorkerState:
     def _merges(self, items, target: str, scratch: str) -> None:
         T, D = self.v[target], self.v[scratch]
         for _ci, off, sel, dest in items:
-            T[dest] += D[off + sel]
+            farfield.add_rows(T, dest, D[off + sel])
 
     def _reduce(self) -> None:
         farfield.m2l_reduce(self.exp, self.geom, self.v["M"], self.v["M8"])
@@ -622,7 +621,7 @@ class _WorkerState:
             if rnd.assignee[k] != self.me:
                 continue
             prows, crows, op = self.geom.down_classes[int(ci)]
-            L[crows] += L[prows] @ op
+            farfield.add_rows(L, crows, L[prows] @ op)
 
     def _gk(self) -> None:
         for k, A in enumerate(self._grad_mats):
@@ -632,7 +631,7 @@ class _WorkerState:
     def _l2p(self, i: int, spec: PassSpec) -> None:
         v = self.v
         farfield.l2p(
-            self.geom, self.sub, self._basis("l2p"), v["L"],
+            self.geom, self.sub, self._basis(), v["L"],
             v.get(f"fpot{i}"), v.get(f"fgrad{i}"), v.get("GK", ()),
         )
 

@@ -104,6 +104,8 @@ _RETIRED = {
     "fgo_list_repairs" + "_total": "FineGrainedReport.list_rebuilds",
     "partial" + "_rebuilds": "farfield_geometry_stats builds / hits",
     "test_bench" + "_repair": "none: a rebuild is the only path, timed by step_budget",
+    "p2m_basis" + "_from_l2p": "CartesianExpansion.p2m_sign: P2M reads the one L2P "
+    "table, times an exact +-1 per column",
 }
 
 

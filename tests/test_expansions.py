@@ -187,8 +187,8 @@ class TestBatchedM2L:
 
 
 class TestLeafBases:
-    """One ``powers`` call per body plan: the P2M basis derived from the
-    L2P one is ``p2m_basis(rel)``, bytes and memory layout."""
+    """One ``powers`` call per body plan: P2M reads the L2P basis times the
+    exact sign vector ``p2m_sign``, which is ``p2m_basis(rel)`` bit for bit."""
 
     @pytest.mark.parametrize("order", range(9))
     def test_p2m_basis_from_l2p_is_bitwise_p2m_basis(self, order, rng):
@@ -197,10 +197,9 @@ class TestLeafBases:
         rel_[0] = 0.0  # signed zeros flip with the sign too
         rel_[1, 1] = -0.0
         for rows in (rel_, rel_[:1]):
-            direct = exp.p2m_basis(rows)
-            derived = exp.p2m_basis_from_l2p(exp.l2p_basis(rows))
-            assert derived.tobytes() == direct.tobytes()
-            assert derived.strides == direct.strides
+            derived = exp.l2p_basis(rows) * exp.p2m_sign
+            assert derived.tobytes() == exp.p2m_basis(rows).tobytes()
+        assert SphericalExpansion(order).p2m_sign is None  # one table, both ends
 
     def test_leaf_basis_derives_p2m_from_the_cached_l2p(self, rng):
         from types import SimpleNamespace
@@ -217,10 +216,11 @@ class TestLeafBases:
         calls = []
         real = exp.mis.powers
         exp.mis.powers = lambda v: calls.append(1) or real(v)
-        p2m = leaf_basis(exp, plan, "p2m", derived_cache)
-        l2p = leaf_basis(exp, plan, "l2p", derived_cache)
-        assert len(calls) == 1 and len(memo) == 2
-        assert np.array_equal(l2p, real(plan.rel)) and np.array_equal(p2m, real(-plan.rel))
+        basis = leaf_basis(exp, plan, derived_cache)
+        assert leaf_basis(exp, plan, derived_cache) is basis
+        assert len(calls) == 1 and len(memo) == 1
+        assert np.array_equal(basis, real(plan.rel))
+        assert np.array_equal(basis * exp.p2m_sign, real(-plan.rel))
 
 
 @pytest.mark.parametrize("Backend", BACKENDS)

@@ -143,13 +143,12 @@ def _check_leaf_subset(tree, backend, order, channel, seed, leaves):
     shape = (geom.centers.shape[0], exp.n_coeffs)
     dtype = complex if backend == "spherical" else float
 
-    def basis(p, kind):
-        return farfield.leaf_basis(exp, p, kind, lambda key: (None, lambda v: v))
+    def basis(p):
+        return farfield.leaf_basis(exp, p, lambda key: (None, lambda v: v))
 
     def run_p2m(p):
         M = np.zeros(shape, dtype=dtype)
-        p2m_basis = basis(p, "p2m") if q is not None else None
-        farfield.p2m(geom, p, exp, M, charges=q, dipoles=dip, basis=p2m_basis)
+        farfield.p2m(geom, p, exp, M, charges=q, dipoles=dip, basis=basis(p))
         return M
 
     full, part = run_p2m(plan), run_p2m(sub)
@@ -169,7 +168,7 @@ def _check_leaf_subset(tree, backend, order, channel, seed, leaves):
 
     def run_l2p(p):
         pot, grad = np.zeros(n), np.zeros((n, 3))
-        farfield.l2p(geom, p, basis(p, "l2p"), L, pot, grad, leaf_grad)
+        farfield.l2p(geom, p, basis(p), L, pot, grad, leaf_grad)
         return pot, grad
 
     (pot, grad), (spot, sgrad) = run_l2p(plan), run_l2p(sub)

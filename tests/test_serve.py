@@ -574,7 +574,18 @@ class TestServedSolves:
             assert err.details["predicted_s"] > err.details["budget_s"]
             assert bg.client(in_process=True).status()["shed_total"] == 1
 
-    def test_tenant_limit_is_structured_429(self):
+    def test_tenant_limit_is_structured_429(self, monkeypatch):
+        from repro.serve import server
+
+        # tenant "a" stays active until "b" has been refused: held in the
+        # solve, not raced against how fast a solve is
+        real, release = server._solve_core, threading.Event()
+
+        def held(spec, **kwargs):
+            assert release.wait(30)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(server, "_solve_core", held)
         with BackgroundServer(
             ServeConfig(pool_size=1, max_tenants=1), tcp=False
         ) as bg:
@@ -600,6 +611,7 @@ class TestServedSolves:
                     {"kernel": "laplace", "n": 50}, tenant="b"
                 )
             assert ei.value.code == 429 and ei.value.kind == "tenant-limit"
+            release.set()
             t.join()
             assert "out" in holder
 
