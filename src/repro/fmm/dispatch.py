@@ -13,7 +13,6 @@ does not depend on which kernel it serves:
 * **the degrade ladder** — an unrecoverable graph or shard failure
   discards the partial run and re-executes the whole list on the exact
   serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``);
-  deliberate cancellation propagates;
 * **the deadline** — one :class:`~repro.util.timing.Deadline` per solve,
   checked here after the list fetch and by whichever back end runs at its
   stage boundaries; :class:`~repro.util.timing.SolveDeadlineError` is not
@@ -127,7 +126,7 @@ class PassListSolver:
         one ``(pot, grad)`` per pass.
         """
         # set again only by the run that produces this solve's answer: a
-        # failed, expired or cancelled run is discarded whole
+        # failed or expired run is discarded whole
         self.last_engine_result = self.last_shard_result = None
         if lists is None:
             lists = self.list_cache.get(tree, folded=self.folded)
@@ -140,10 +139,10 @@ class PassListSolver:
 
         # imported here: repro.fmm / repro.runtime package inits would cycle
         from repro.runtime.engine import GraphExecutionError
-        from repro.runtime.shards import ShardExecutionError
+        from repro.runtime.shards import ProcessEngine, ShardExecutionError
 
         try:
-            if getattr(engine, "is_process", False):
+            if isinstance(engine, ProcessEngine):
                 out = self._run_shards(tree, lists, passes, near_q, near, deadline)
                 self.last_shard_result = engine.last_result
             else:
@@ -188,16 +187,9 @@ class PassListSolver:
         far = [FarFieldPass(tree, lists, self.expansion, **p.kwargs) for p in passes]
         near_pass = NearFieldPass(self.kernel, tree, lists, near_q, **near)
         g = TaskGraphBuilder()
-        far_done = tuple(
+        for p, fp in zip(passes, far):
             add_far_field_tasks(g, fp, tag=f"{p.tag}:" if p.tag else "")
-            for p, fp in zip(passes, far)
-        )
-        add_near_field_tasks(
-            g,
-            near_pass,
-            n_chunks=4 * engine.n_workers,
-            deps=() if engine.config.overlap else far_done,
-        )
+        add_near_field_tasks(g, near_pass, n_chunks=4 * engine.n_workers)
         self.last_engine_result = engine.run(g, deadline=deadline)
         return ([fp.result() for fp in far], *near_pass.result())
 

@@ -15,8 +15,8 @@ One :meth:`FMMSolver.solve` call performs the full algorithm of §I-C on an
 The solver also returns the per-operation application counts, which are
 what the paper's cost model consumes.
 
-Pass an :class:`~repro.runtime.engine.ExecutionEngine` with more than one
-worker and the solve runs as a real task graph — independent far-field
+Pass an :class:`~repro.runtime.engine.ExecutionEngine` and the solve runs
+as a real task graph — independent far-field
 stages on pool threads, near field overlapping the sweep — with results
 bitwise identical to the serial path (see :mod:`repro.runtime.graphs`).
 The engine's measured per-task timings land in ``last_engine_result``.

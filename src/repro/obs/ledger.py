@@ -71,14 +71,11 @@ def machine_spec() -> dict[str, Any]:
     ``repro regress`` read it).
     """
     from repro.kernels import _native
+    from repro.runtime.engine import default_workers
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        cpus = os.cpu_count() or 1
     lib = _native.library()
     return {
-        "cpu_available": cpus,
+        "cpu_available": default_workers(),
         "cpu_count": os.cpu_count() or 1,
         "platform": platform.platform(),
         "machine": platform.machine(),

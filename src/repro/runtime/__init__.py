@@ -8,7 +8,6 @@ and the sharded multi-process backend with shared-memory halo exchange
 from repro.runtime.tasks import Task, TaskGraph, build_fmm_task_graph, build_treebuild_task_graph
 from repro.runtime.scheduler import CPUSpec, ScheduleResult, simulate_schedule
 from repro.runtime.engine import (
-    EngineConfig,
     EngineResult,
     ExecutionEngine,
     TaskGraphBuilder,
@@ -16,18 +15,12 @@ from repro.runtime.engine import (
     TaskNode,
     default_workers,
 )
-from repro.runtime.shards import (
-    ProcessEngine,
-    ShardExecutionError,
-    ShardRunResult,
-    default_shards,
-)
+from repro.runtime.shards import ProcessEngine, ShardExecutionError, ShardRunResult
 
 __all__ = [
     "ProcessEngine",
     "ShardExecutionError",
     "ShardRunResult",
-    "default_shards",
     "Task",
     "TaskGraph",
     "build_fmm_task_graph",
@@ -35,7 +28,6 @@ __all__ = [
     "CPUSpec",
     "ScheduleResult",
     "simulate_schedule",
-    "EngineConfig",
     "EngineResult",
     "ExecutionEngine",
     "TaskGraphBuilder",

@@ -14,22 +14,20 @@ Design rules that make parallel runs **bitwise identical** to serial ones:
   disjoint rows or computes a private *delta* that a single downstream
   merge task folds in over a **fixed order** (graph construction order,
   matching the serial loop order);
-* the engine therefore needs no execution-order guarantees in parallel
-  mode, and ``n_workers=1`` executes tasks inline (no threads) in
-  deterministic ready-queue insertion order.
+* the engine therefore needs no execution-order guarantees, and one
+  scheduler loop serves every width: ``n_workers=1`` is a pool of one
+  thread, not a second executor.
 
 The engine is a *supervised* substrate (DESIGN.md §11):
 
 * every task's exception is captured, never leaked into a worker thread;
 * tasks marked ``retryable`` (idempotent: assignment writes or private
-  deltas) are retried up to :class:`RetryPolicy` ``max_attempts`` with a
-  deterministic linear backoff; non-idempotent tasks (ordered ``+=``
-  merges) fail the graph immediately;
+  deltas) run up to :data:`MAX_ATTEMPTS` times, re-submitted at once;
+  non-idempotent tasks (ordered ``+=`` merges) fail the graph immediately;
 * the solve's :class:`~repro.util.timing.Deadline` (a per-run argument
-  of :meth:`ExecutionEngine.run`) and cooperative
-  :meth:`ExecutionEngine.cancel` abort a run by draining the ready queue —
-  in-flight tasks finish, nothing new is submitted, and the pool stays
-  reusable for the next graph; both propagate to the caller;
+  of :meth:`ExecutionEngine.run`) aborts a run by draining the ready
+  queue — in-flight tasks finish, nothing new is submitted, the pool stays
+  reusable for the next graph, and the expiry propagates to the caller;
 * a task failure raises :class:`GraphTaskError` (a
   :class:`GraphExecutionError`), which the solvers catch to degrade to
   the exact serial re-execution path;
@@ -67,13 +65,11 @@ from typing import Any, Callable
 from repro.util.timing import Deadline, SolveDeadlineError, TimerRegistry
 
 __all__ = [
-    "EngineConfig",
+    "MAX_ATTEMPTS",
     "EngineResult",
     "ExecutionEngine",
-    "GraphCancelled",
     "GraphExecutionError",
     "GraphTaskError",
-    "RetryPolicy",
     "TaskFailure",
     "TaskGraphBuilder",
     "TaskInterval",
@@ -81,10 +77,17 @@ __all__ = [
     "default_workers",
 ]
 
+#: total tries per ``retryable`` task before the graph fails
+MAX_ATTEMPTS = 3
+
 
 def default_workers() -> int:
-    """Engine default: one worker per visible CPU."""
-    return max(1, os.cpu_count() or 1)
+    """One worker per CPU this process may run on: affinity-aware, so a
+    container pinned to 2 cores of a 64-core host gets 2."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity API off Linux
+        return max(1, os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------- errors
@@ -94,9 +97,8 @@ class GraphExecutionError(RuntimeError):
     """A task graph could not be completed.
 
     Solvers catch this to fall back to the exact serial path; it is the
-    *recoverable* family — :class:`GraphCancelled` and an expired
-    :class:`~repro.util.timing.Deadline` are deliberate and are not
-    subclasses.
+    *recoverable* family — an expired :class:`~repro.util.timing.Deadline`
+    is deliberate and is not a subclass.
     """
 
 
@@ -120,36 +122,6 @@ class GraphTaskError(GraphExecutionError):
         self.failures = failures
 
 
-class GraphCancelled(RuntimeError):
-    """:meth:`ExecutionEngine.cancel` aborted the run.
-
-    Deliberate, so *not* a :class:`GraphExecutionError` — solvers let it
-    propagate instead of degrading to the serial path.
-    """
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, deterministic retries for idempotent tasks.
-
-    ``max_attempts`` is the total number of tries per task (1 = never
-    retry).  Before retry attempt *k* (1-based) the worker sleeps
-    ``backoff_s * k`` — deterministic linear backoff, no jitter, so
-    chaos-test timings are reproducible.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_s < 0.0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-
-
 @dataclass(frozen=True)
 class TaskFailure:
     """One captured task fault (retried or fatal)."""
@@ -158,34 +130,6 @@ class TaskFailure:
     attempt: int  # 0-based attempt index that failed
     error: str  # repr of the captured exception
     retried: bool  # True if the engine rescheduled the task
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """How the pipeline should be executed.
-
-    ``n_workers=1`` selects the exact serial path (tasks run inline in
-    deterministic order); ``None`` means ``os.cpu_count()``.
-    ``overlap=False`` inserts a barrier between the far-field subgraphs
-    and the near-field tasks instead of letting them interleave.
-    ``retry`` bounds re-execution of idempotent tasks.
-    """
-
-    n_workers: int | None = None
-
-    overlap: bool = True
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def resolved_workers(self) -> int:
-        n = self.n_workers if self.n_workers is not None else default_workers()
-        if n < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n}")
-        return n
-
-    @property
-    def parallel(self) -> bool:
-        return self.resolved_workers() > 1
 
 
 @dataclass
@@ -278,10 +222,6 @@ class TaskGraphBuilder:
             )
         )
         return tid
-
-    def barrier(self, deps: list[int], *, label: str = "barrier") -> int:
-        """A no-op join node (used by ``overlap=False``)."""
-        return self.add(lambda: None, label=label, deps=tuple(deps))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -381,24 +321,22 @@ class _WorkerPool:
 class ExecutionEngine:
     """Runs :class:`TaskGraphBuilder` graphs on a persistent worker pool.
 
-    The pool is created lazily on the first parallel run and reused across
-    runs (a time-stepping loop executes thousands of graphs; thread spawn
-    cost must not recur per solve).  ``close()`` — or use as a context
-    manager — shuts the pool down; it is idempotent and the engine stays
-    usable afterwards (the next run lazily recreates the pool).
+    ``n_workers``, the one option, is the pool width (``None``:
+    :func:`default_workers`).  The pool is created lazily on the first run
+    and reused across runs (a time-stepping loop executes thousands of
+    graphs; thread spawn cost must not recur per solve).  ``close()`` — or
+    use as a context manager — shuts the pool down; it is idempotent and
+    the engine stays usable afterwards (the next run lazily recreates the
+    pool).
     """
 
-    def __init__(self, config: EngineConfig | None = None, **kwargs) -> None:
-        if config is None:
-            config = EngineConfig(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either a config or keyword overrides, not both")
-        self.config = config
-        self.n_workers = config.resolved_workers()
+    def __init__(self, n_workers: int | None = None) -> None:
+        n = default_workers() if n_workers is None else int(n_workers)
+        if n < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n}")
+        self.n_workers = n
         self._pool: _WorkerPool | None = None
         self._lock = threading.Lock()
-        self._cancel = threading.Event()
-        self._active_cond: threading.Condition | None = None
         #: test-only fault injection point: ``hook(label, attempt)`` is
         #: called before each task body (see resilience.FaultPlan.hook)
         self.fault_hook: Callable[[str, int], None] | None = None
@@ -442,120 +380,21 @@ class ExecutionEngine:
                 )
         self.fault_hook = None if plan is None else plan.hook
 
-    def cancel(self) -> None:
-        """Cooperatively abort the in-flight run (if any).
-
-        The scheduler stops submitting ready tasks, waits for in-flight
-        tasks to finish, and raises :class:`GraphCancelled`.  The pool
-        remains reusable.  A cancel with no active run is a no-op (the
-        flag is cleared when the next run starts).
-        """
-        self._cancel.set()
-        cond = self._active_cond
-        if cond is not None:
-            with cond:
-                cond.notify_all()
-
     # ------------------------------------------------------------------ run
     def run(
         self, graph: TaskGraphBuilder, *, deadline: Deadline | None = None
     ) -> EngineResult:
         """Execute every task respecting dependencies; returns timings.
 
-        Once ``deadline`` expires nothing new is started, in-flight tasks
-        finish, and :class:`~repro.util.timing.SolveDeadlineError` is raised.
+        The calling thread schedules: it submits ready tasks to the pool
+        and folds completions back in.  Once ``deadline`` expires nothing
+        new is started, in-flight tasks finish, and
+        :class:`~repro.util.timing.SolveDeadlineError` is raised.
         """
         nodes = graph.nodes
-        self._cancel.clear()
         if not nodes:
             return EngineResult(0.0, self.n_workers, 0)
-        if self.n_workers == 1:
-            return self._run_serial(nodes, deadline)
-        return self._run_parallel(nodes, deadline)
-
-    # ---- serial: deterministic ready-queue insertion order, no threads
-    def _run_serial(self, nodes: list[TaskNode], deadline) -> EngineResult:
-        retry = self.config.retry
-        indeg, dependents = _edges(nodes)
-        ready = deque(t.id for t in nodes if indeg[t.id] == 0)
-        ready_at = [0.0] * len(nodes)  # roots are ready at the epoch
-        max_depth = len(ready)
-        intervals: list[TaskInterval] = []
-        failures: list[TaskFailure] = []
-        retries = 0
-        epoch = time.perf_counter()
-        done = 0
-        while ready:
-            if self._cancel.is_set():
-                raise GraphCancelled("engine run cancelled")
-            if deadline is not None:
-                deadline.check(f"graph ({done}/{len(nodes)} tasks done)")
-            tid = ready.popleft()
-            node = nodes[tid]
-            attempt = 0
-            while True:
-                hook = self.fault_hook
-                start = time.perf_counter() - epoch
-                try:
-                    if hook is not None:
-                        hook(node.label, attempt)
-                    node.fn()
-                except BaseException as e:
-                    end = time.perf_counter() - epoch
-                    intervals.append(
-                        TaskInterval(
-                            node.label, 0, start, end, None, 0,
-                            node.id, node.deps, ready_at[tid], node.stage,
-                        )
-                    )
-                    can_retry = (
-                        node.retryable and attempt + 1 < retry.max_attempts
-                    )
-                    failures.append(
-                        TaskFailure(node.label, attempt, repr(e), can_retry)
-                    )
-                    if not can_retry:
-                        raise GraphTaskError(
-                            node.label, attempt + 1, failures
-                        ) from e
-                    attempt += 1
-                    retries += 1
-                    if retry.backoff_s > 0.0:
-                        time.sleep(retry.backoff_s * attempt)
-                    continue
-                end = time.perf_counter() - epoch
-                intervals.append(
-                    TaskInterval(
-                        node.label, 0, start, end, node.op, node.applications,
-                        node.id, node.deps, ready_at[tid], node.stage,
-                    )
-                )
-                break
-            done += 1
-            now = time.perf_counter() - epoch
-            for nxt in dependents.get(tid, ()):
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready_at[nxt] = now
-                    ready.append(nxt)
-            if len(ready) > max_depth:
-                max_depth = len(ready)
-        if done != len(nodes):
-            raise RuntimeError("task graph contains a dependency cycle")
-        return EngineResult(
-            makespan=time.perf_counter() - epoch,
-            n_workers=1,
-            n_tasks=done,
-            intervals=intervals,
-            retries=retries,
-            failures=failures,
-            max_ready_depth=max_depth,
-        )
-
-    # ---- parallel: scheduler thread feeding a persistent pool
-    def _run_parallel(self, nodes: list[TaskNode], deadline) -> EngineResult:
         pool = self._ensure_pool()
-        retry = self.config.retry
         indeg, dependents = _edges(nodes)
         cond = threading.Condition()
         completed: deque[tuple[int, BaseException | None]] = deque()
@@ -564,13 +403,10 @@ class ExecutionEngine:
         lanes: dict[int, int] = {}  # thread ident -> dense worker index
         retries = 0
         epoch = time.perf_counter()
-        self._active_cond = cond
 
         ready_at = [0.0] * len(nodes)  # roots are ready at the epoch
 
         def execute(node: TaskNode, attempt: int) -> None:
-            if attempt > 0 and retry.backoff_s > 0.0:
-                time.sleep(retry.backoff_s * attempt)
             hook = self.fault_hook
             err: BaseException | None = None
             start = time.perf_counter() - epoch
@@ -607,81 +443,68 @@ class ExecutionEngine:
         max_depth = len(ready)
         abort: BaseException | None = None
         abort_cause: BaseException | None = None
-        try:
-            with cond:
-                while pending > 0 and abort is None:
-                    while ready and abort is None:
-                        tid = ready.popleft()
-                        pool.submit(
-                            lambda n=nodes[tid], a=attempts[tid]: execute(n, a)
-                        )
-                        in_flight += 1
-                    if in_flight == 0:
-                        raise RuntimeError(
-                            "task graph contains a dependency cycle"
-                        )
-                    while not completed and abort is None:
-                        timeout = None
-                        if deadline is not None:
-                            timeout = deadline.remaining()
-                            if timeout <= 0.0:
-                                done = len(nodes) - pending
-                                abort = SolveDeadlineError(
-                                    deadline.seconds,
-                                    f"graph ({done}/{len(nodes)} tasks done)",
-                                )
-                                break
-                        if self._cancel.is_set():
-                            abort = GraphCancelled("engine run cancelled")
+        with cond:
+            while pending > 0 and abort is None:
+                while ready and abort is None:
+                    tid = ready.popleft()
+                    pool.submit(
+                        lambda n=nodes[tid], a=attempts[tid]: execute(n, a)
+                    )
+                    in_flight += 1
+                if in_flight == 0:
+                    raise RuntimeError("task graph contains a dependency cycle")
+                while not completed and abort is None:
+                    timeout = None
+                    if deadline is not None:
+                        timeout = deadline.remaining()
+                        if timeout <= 0.0:
+                            done = len(nodes) - pending
+                            abort = SolveDeadlineError(
+                                deadline.seconds,
+                                f"graph ({done}/{len(nodes)} tasks done)",
+                            )
                             break
-                        cond.wait(timeout)
-                    while completed:
-                        tid, err = completed.popleft()
-                        in_flight -= 1
-                        if err is None:
-                            pending -= 1
-                            now = time.perf_counter() - epoch
-                            for nxt in dependents.get(tid, ()):
-                                indeg[nxt] -= 1
-                                if indeg[nxt] == 0:
-                                    ready_at[nxt] = now
-                                    ready.append(nxt)
-                            if len(ready) > max_depth:
-                                max_depth = len(ready)
-                            continue
-                        node = nodes[tid]
-                        can_retry = (
-                            abort is None
-                            and not self._cancel.is_set()
-                            and node.retryable
-                            and attempts[tid] + 1 < retry.max_attempts
+                    cond.wait(timeout)
+                while completed:
+                    tid, err = completed.popleft()
+                    in_flight -= 1
+                    if err is None:
+                        pending -= 1
+                        now = time.perf_counter() - epoch
+                        for nxt in dependents.get(tid, ()):
+                            indeg[nxt] -= 1
+                            if indeg[nxt] == 0:
+                                ready_at[nxt] = now
+                                ready.append(nxt)
+                        if len(ready) > max_depth:
+                            max_depth = len(ready)
+                        continue
+                    node = nodes[tid]
+                    can_retry = (
+                        abort is None
+                        and node.retryable
+                        and attempts[tid] + 1 < MAX_ATTEMPTS
+                    )
+                    failures.append(
+                        TaskFailure(node.label, attempts[tid], repr(err), can_retry)
+                    )
+                    if can_retry:
+                        attempts[tid] += 1
+                        retries += 1
+                        pool.submit(lambda n=node, a=attempts[tid]: execute(n, a))
+                        in_flight += 1
+                    elif abort is None:
+                        abort = GraphTaskError(
+                            node.label, attempts[tid] + 1, failures
                         )
-                        failures.append(
-                            TaskFailure(
-                                node.label, attempts[tid], repr(err), can_retry
-                            )
-                        )
-                        if can_retry:
-                            attempts[tid] += 1
-                            retries += 1
-                            pool.submit(
-                                lambda n=node, a=attempts[tid]: execute(n, a)
-                            )
-                            in_flight += 1
-                        elif abort is None:
-                            abort = GraphTaskError(
-                                node.label, attempts[tid] + 1, failures
-                            )
-                            abort_cause = err
-                # cooperative drain: stop feeding, let in-flight finish
-                while in_flight > 0:
-                    while not completed:
-                        cond.wait()
-                    while completed:
-                        completed.popleft()
-                        in_flight -= 1
-        finally:
-            self._active_cond = None
+                        abort_cause = err
+            # drain: stop feeding, let in-flight tasks finish
+            while in_flight > 0:
+                while not completed:
+                    cond.wait()
+                while completed:
+                    completed.popleft()
+                    in_flight -= 1
         if abort is not None:
             raise abort from abort_cause
         makespan = time.perf_counter() - epoch

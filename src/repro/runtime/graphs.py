@@ -35,10 +35,10 @@ task each; M2P keeps reading the full-width multipoles beside them.  The
 reduce task carries the pass's M2L ``applications`` (V pairs, the
 cost-model unit): a class of octet pairs does not split into them.
 Near-field tiles partition the target bodies, so their chunks run
-unordered with no merge step at all; with ``overlap=True`` they share the
-graph with the far-field subgraphs and soak up worker idle time during
-the (more serial) sweep phases — the paper's ``max(T_CPU, T_GPU)``
-overlap, realized on actual threads.
+unordered with no merge step at all; they depend on no far-field task,
+so they share the graph with the far-field subgraphs and soak up worker
+idle time during the (more serial) sweep phases — the paper's
+``max(T_CPU, T_GPU)`` overlap, realized on actual threads.
 
 Tasks also carry a ``retryable`` flag for the supervised engine:
 assignment stages (P2M, L2P, the M2L reduce and expand) and
@@ -244,19 +244,13 @@ def add_near_field_tasks(
     *,
     tag: str = "near",
     n_chunks: int = 8,
-    deps: tuple[int, ...] = (),
 ) -> int:
-    """Add the P2P stage tasks; returns the id of the finishing task.
-
-    ``deps`` is empty when the near field overlaps the far field and a
-    barrier id when ``overlap=False``.
-    """
+    """Add the P2P stage tasks; returns the id of the finishing task."""
     weights = [p.plan.tile_pairs(k) for k in range(p.n_tiles)]
     tile_tasks = [
         g.add(
             partial(p.tile_range, lo, hi),
             label=f"{tag}:t{lo}-{hi}",
-            deps=deps,
             op="P2P",
             applications=int(sum(weights[lo:hi])),
             retryable=False,
@@ -267,7 +261,7 @@ def add_near_field_tasks(
     return g.add(
         p.self_correction,
         label=f"{tag}:self",
-        deps=tuple(tile_tasks) if tile_tasks else deps,
+        deps=tuple(tile_tasks),
         op="P2P",
         retryable=False,
         stage="P2P",

@@ -108,6 +108,7 @@ import numpy as np
 from repro.fmm import farfield, nearfield
 from repro.fmm.farfield import FarFieldGeometry, PassSpec
 from repro.kernels import _native
+from repro.runtime.engine import default_workers
 from repro.util.timing import SolveDeadlineError
 
 __all__ = [
@@ -115,7 +116,6 @@ __all__ = [
     "ProcessEngine",
     "ShardExecutionError",
     "ShardRunResult",
-    "default_shards",
     "supervisor_snapshot",
 ]
 
@@ -176,14 +176,6 @@ def supervisor_snapshot() -> dict:
             e.total_serial_fallbacks for e in engines
         ),
     }
-
-
-def default_shards() -> int:
-    """Affinity-aware usable-CPU count (a container pinned to 2 cores of a
-    64-core host gets 2)."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------------
@@ -973,7 +965,7 @@ class _Session:
 
 
 class ProcessEngine:
-    """Multi-process shard executor behind the thread-engine interface.
+    """Multi-process shard executor, the solvers' third back end.
 
     ``solve_passes`` (and its single-charge-pass form ``solve_laplace``)
     mirrors the serial pass structure exactly (see the module docstring
@@ -981,8 +973,6 @@ class ProcessEngine:
     observed per-shard timings, halo traffic, and Perfetto lanes of the
     most recent run.
     """
-
-    is_process = True
 
     def __init__(
         self,
@@ -993,7 +983,7 @@ class ProcessEngine:
         max_respawns: int = 2,
         telemetry=None,
     ) -> None:
-        n_shards = default_shards() if n_shards is None else int(n_shards)
+        n_shards = default_workers() if n_shards is None else int(n_shards)
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if int(max_respawns) < 0:
@@ -1057,15 +1047,6 @@ class ProcessEngine:
             tel.metrics.counter(name, help_text).inc(amount)
         except Exception:
             pass  # supervision must never fail on a telemetry hiccup
-
-    # interface parity with ExecutionEngine
-    @property
-    def n_workers(self) -> int:
-        return self.n_shards
-
-    @property
-    def parallel(self) -> bool:
-        return True
 
     def __enter__(self) -> "ProcessEngine":
         return self

@@ -16,7 +16,7 @@ The per-step records feed Figs. 8–9 and Table II directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.guardrails import GuardrailConfig, check_finite
-from repro.runtime.engine import EngineConfig, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine, default_workers
 from repro.sim.integrators import LeapfrogIntegrator, reflect_into_box
 from repro.tree.cache import ListCache
 from repro.tree.octree import AdaptiveOctree
@@ -68,12 +68,9 @@ class SimulationConfig:
     initial_S: int | None = None
     seed: int = 0
     #: execution-engine worker threads for the numeric FMM solves:
-    #: ``None`` = one per CPU (engine default), ``1`` = the exact serial
-    #: path reusing today's monolithic sweeps
+    #: ``None`` = one per usable CPU, ``1`` = no engine: the exact serial
+    #: sweeps
     n_workers: int | None = None
-    #: let near-field tasks overlap the far-field sweep (the paper's
-    #: ``max(T_CPU, T_GPU)`` semantics on real threads)
-    overlap: bool = True
     #: Morton-range shard worker *processes* for the numeric FMM solves
     #: (``repro.runtime.shards.ProcessEngine``): ``None``/``1`` = off,
     #: ``>1`` = shard the solve across that many spawned workers over
@@ -210,12 +207,9 @@ class Simulation:
                     n_shards=self.config.n_shards, telemetry=self.telemetry
                 )
             else:
-                engine_config = EngineConfig(
-                    n_workers=self.config.n_workers,
-                    overlap=self.config.overlap,
-                )
-                if engine_config.parallel:
-                    self.engine = ExecutionEngine(engine_config)
+                n_workers = self.config.n_workers or default_workers()
+                if n_workers > 1:
+                    self.engine = ExecutionEngine(n_workers)
         self.solver = (
             FMMSolver(
                 kernel,
@@ -469,21 +463,10 @@ class Simulation:
                 shard_res = self.solver.last_shard_result
                 self.solver.last_shard_result = None
             if shard_res is not None:
+                # the balancer reads the modeled step on every back end
+                # (shard imbalance is the partitioner's, not S's); the
+                # shard run is kept for its lanes and the imbalance gauge
                 self.last_shard_result = shard_res
-                # feed the *observed* per-shard wall-clock back into the
-                # three-state controller: mean busy vs. makespan plays the
-                # role of the CPU/GPU pair, so the controller's gap metric
-                # is exactly the shard imbalance and a drifting partition
-                # triggers repartitioning the same way device drift does
-                timing = replace(
-                    timing,
-                    cpu_time=shard_res.mean_shard_busy,
-                    gpu_time=shard_res.max_shard_wall,
-                )
-                # the modeled-machine prediction is incommensurable with
-                # real shard seconds; recording it would poison the
-                # cost-model drift series with ~100% "residuals"
-                predicted = None
                 if self.telemetry.enabled:
                     self._record_shard_telemetry(shard_res)
 

@@ -135,15 +135,18 @@ class TestCompatibilityGate:
             )
 
     def test_fingerprint_ignores_execution_fields(self, tmp_path):
-        """Worker count / overlap / checkpoint cadence do not affect the
-        trajectory, so resuming with different values is allowed."""
+        """Worker count / shard count / checkpoint cadence do not affect
+        the trajectory (every back end gives the serial bits and the
+        balancer reads the modeled step on each), so resuming with
+        different values is allowed."""
         stem = str(tmp_path / "ck")
         with _new_sim(_config(checkpoint_every=1, checkpoint_path=stem)) as sim:
             sim.run(1)
-        b = Simulation.from_checkpoint(
-            stem, KERNEL, _machine(), config=_config(n_workers=1)
-        )
-        assert b.step_index == 1
+        for execution in (dict(n_workers=1), dict(n_workers=1, n_shards=2)):
+            with Simulation.from_checkpoint(
+                stem, KERNEL, _machine(), config=_config(**execution)
+            ) as b:
+                assert b.step_index == 1
 
     def test_strict_false_overrides(self, tmp_path):
         stem = str(tmp_path / "ck")

@@ -106,6 +106,10 @@ _RETIRED = {
     "test_bench" + "_repair": "none: a rebuild is the only path, timed by step_budget",
     "p2m_basis" + "_from_l2p": "CartesianExpansion.p2m_sign: P2M reads the one L2P "
     "table, times an exact +-1 per column",
+    "Engine" + "Config": "ExecutionEngine(n_workers): the engine's one option",
+    "Retry" + "Policy": "repro.runtime.engine.MAX_ATTEMPTS, no backoff",
+    "Graph" + "Cancelled": "none: a run ends by completing, failing or its deadline",
+    "default" + "_shards": "repro.runtime.engine.default_workers (affinity-aware)",
 }
 
 

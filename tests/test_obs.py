@@ -684,14 +684,14 @@ class TestTelemetryUnderAsyncio:
         from repro.fmm.evaluator import FMMSolver
         from repro.geometry.box import Box
         from repro.kernels.laplace import GravityKernel
-        from repro.runtime.engine import EngineConfig, ExecutionEngine
+        from repro.runtime.engine import ExecutionEngine
         from repro.tree.cache import ListCache
         from repro.tree.octree import AdaptiveOctree
 
         ps = compact_plummer(200, seed=seed)
         tree = AdaptiveOctree(ps.positions, 32, root_box=Box((0, 0, 0), 1.0))
         with telemetry.tracer.span("serve-request", seed=seed):
-            engine = ExecutionEngine(EngineConfig(n_workers=2))
+            engine = ExecutionEngine(n_workers=2)
             try:
                 solver = FMMSolver(
                     GravityKernel(G=1.0, softening=1e-3),

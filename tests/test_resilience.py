@@ -52,11 +52,9 @@ from repro.resilience import (
     check_finite,
 )
 from repro.runtime.engine import (
-    EngineConfig,
+    MAX_ATTEMPTS,
     ExecutionEngine,
-    GraphCancelled,
     GraphTaskError,
-    RetryPolicy,
     TaskGraphBuilder,
 )
 from repro.runtime.shards import ProcessEngine
@@ -77,13 +75,6 @@ _BACKENDS = {"cartesian": CartesianExpansion, "spherical": SphericalExpansion}
 
 
 class TestValidation:
-    def test_retry_policy(self):
-        RetryPolicy(max_attempts=1, backoff_s=0.0)  # minimal valid
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-0.1)
-
     def test_fault_spec(self):
         with pytest.raises(ValueError):
             FaultSpec("explode", match="x")
@@ -166,22 +157,6 @@ class TestSupervision:
             eng.run(g2)  # the budget belonged to that run only
         assert exc_info.value.phase.startswith("graph (") and ran_after == [1]
 
-    def test_cancel_from_task_and_pool_reusable(self, n_workers):
-        """A task cancelling the run aborts the graph cooperatively; the
-        engine stays usable for the next run."""
-        ran_after = []
-        with ExecutionEngine(n_workers=n_workers) as eng:
-            g = TaskGraphBuilder()
-            first = g.add(eng.cancel, label="canceller")
-            for i in range(6):
-                g.add(lambda: time.sleep(0.01), label=f"t{i}", deps=(first,))
-            with pytest.raises(GraphCancelled):
-                eng.run(g)
-            g2 = TaskGraphBuilder()
-            g2.add(lambda: ran_after.append(1), label="after")
-            res = eng.run(g2)
-        assert ran_after == [1] and res.n_tasks == 1
-
     def test_retry_budget_exhausts_to_graph_error(self, n_workers):
         g = TaskGraphBuilder()
         g.add(lambda: None, label="doomed")
@@ -191,20 +166,8 @@ class TestSupervision:
             with pytest.raises(GraphTaskError) as exc_info:
                 eng.run(g)
         err = exc_info.value
-        assert err.attempts == RetryPolicy().max_attempts
+        assert err.attempts == MAX_ATTEMPTS
         assert isinstance(err.__cause__, InjectedFault)
-
-    def test_retry_backoff_applied(self, n_workers):
-        g = TaskGraphBuilder()
-        g.add(lambda: None, label="flaky")
-        plan = FaultPlan([FaultSpec("raise", match="flaky")])
-        cfg = EngineConfig(n_workers=n_workers, retry=RetryPolicy(backoff_s=0.01))
-        t0 = time.perf_counter()
-        with ExecutionEngine(cfg) as eng:
-            eng.install_fault_plan(plan)
-            res = eng.run(g)
-        assert res.retries == 1
-        assert time.perf_counter() - t0 >= 0.01
 
 
 class TestShutdown:
@@ -263,14 +226,15 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-def _laplace_case(backend, n_workers, overlap, engine, plan=None):
+def _laplace_case(backend, engine, plan=None, folded=True):
     pts = plummer(350, seed=11).positions
     q = np.random.default_rng(11).uniform(-1, 1, pts.shape[0])
     tree = AdaptiveOctree(pts, S=12)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree, folded=folded)
     solver = FMMSolver(
         LaplaceKernel(softening=1e-3),
         expansion=_BACKENDS[backend](3),
+        folded=folded,
         engine=engine,
     )
     if engine is not None and plan is not None:
@@ -283,11 +247,11 @@ def _laplace_case(backend, n_workers, overlap, engine, plan=None):
     return res.potential, res.gradient, solver
 
 
-def _run_laplace_chaos(backend, n_workers, overlap):
-    ref_pot, ref_grad, _ = _laplace_case(backend, 1, overlap, None)
+def _run_laplace_chaos(backend, n_workers, folded=True):
+    ref_pot, ref_grad, _ = _laplace_case(backend, None, folded=folded)
     plan = _chaos_plan()
-    with ExecutionEngine(n_workers=n_workers, overlap=overlap) as eng:
-        pot, grad, solver = _laplace_case(backend, n_workers, overlap, eng, plan)
+    with ExecutionEngine(n_workers=n_workers) as eng:
+        pot, grad, solver = _laplace_case(backend, eng, plan, folded=folded)
     assert {"raise", "delay"} <= plan.fired_kinds()
     assert np.array_equal(pot, ref_pot)
     assert np.array_equal(grad, ref_grad)
@@ -295,23 +259,23 @@ def _run_laplace_chaos(backend, n_workers, overlap):
     assert solver.last_engine_result.retries >= 1
 
 
-# fast smoke pair stays in tier-1; the full matrix runs under -m chaos
+# fast smoke pair stays in tier-1; the full matrix runs under -m chaos.
+# The unfolded case adds the X / W phases' P2L and M2P merges to the graph
 @pytest.mark.parametrize(
-    "backend,n_workers,overlap",
+    "backend,n_workers,folded",
     [("cartesian", 2, True), ("spherical", 1, False)],
 )
-def test_laplace_chaos_smoke(backend, n_workers, overlap):
-    _run_laplace_chaos(backend, n_workers, overlap)
+def test_laplace_chaos_smoke(backend, n_workers, folded):
+    _run_laplace_chaos(backend, n_workers, folded)
 
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
 @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
-@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "barrier"])
-def test_laplace_chaos_matrix(backend, n_workers, overlap):
+def test_laplace_chaos_matrix(backend, n_workers):
     """Faulted-then-retried runs are bitwise identical to fault-free
-    serial across workers x backends x overlap."""
-    _run_laplace_chaos(backend, n_workers, overlap)
+    serial across workers x backends."""
+    _run_laplace_chaos(backend, n_workers)
 
 
 def _run_stokeslet_chaos(n_workers, backend):
@@ -406,26 +370,6 @@ class TestDegradation:
             # exactly one series: the failing solver's own label
             degraded = {k: v for k, v in snap.items() if "runtime_degraded_total" in k}
             assert degraded == {f'runtime_degraded_total{{solver="{kind}"}}': 1}
-
-    def test_cancellation_is_not_degradation(self):
-        """GraphCancelled propagates — a deliberate abort must not be
-        silently recomputed."""
-        pts = plummer(200, seed=29).positions
-        q = np.ones(pts.shape[0])
-        tree = AdaptiveOctree(pts, S=16)
-        lists = build_interaction_lists(tree, folded=True)
-        with ExecutionEngine(n_workers=2) as eng:
-            solver = FMMSolver(LaplaceKernel(softening=1e-3), order=3, engine=eng)
-            plan = FaultPlan(
-                [FaultSpec("nan", match="P2M", action=eng.cancel, fire_attempts=99)]
-            )
-            eng.install_fault_plan(plan)
-            try:
-                with pytest.raises(GraphCancelled):
-                    solver.solve(tree, q, gradient=True, lists=lists)
-            finally:
-                eng.install_fault_plan(None)
-        assert solver.degraded_runs == 0
 
 
 # --------------------------------------------------------------------------

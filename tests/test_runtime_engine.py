@@ -27,10 +27,9 @@ from repro.fmm.evaluator import FMMSolver
 from repro.kernels import LaplaceKernel
 from repro.kernels.stokeslet_fmm import StokesletFMMSolver
 from repro.runtime.engine import (
-    EngineConfig,
+    MAX_ATTEMPTS,
     ExecutionEngine,
     GraphTaskError,
-    RetryPolicy,
     TaskGraphBuilder,
     default_workers,
 )
@@ -44,8 +43,8 @@ _FAMILIES = {
 }
 _BACKENDS = {"cartesian": CartesianExpansion, "spherical": SphericalExpansion}
 
-#: the ISSUE's worker-count sweep: serial fallback, smallest real pool,
-#: one thread per visible CPU
+#: the worker-count sweep: a pool of one, the smallest shared pool, one
+#: thread per visible CPU
 _WORKER_COUNTS = sorted({1, 2, os.cpu_count() or 1})
 
 
@@ -55,18 +54,46 @@ _WORKER_COUNTS = sorted({1, 2, os.cpu_count() or 1})
 
 
 class TestEngineConfig:
+    """The engine's one option, ``n_workers``, and who builds an engine."""
+
     def test_defaults(self):
-        cfg = EngineConfig()
-        assert cfg.resolved_workers() == default_workers() >= 1
-        assert cfg.overlap
+        assert ExecutionEngine().n_workers == default_workers() >= 1
 
     def test_serial_is_not_parallel(self):
-        assert not EngineConfig(n_workers=1).parallel
-        assert EngineConfig(n_workers=2).parallel
+        """One worker means no engine at all: the simulation runs the
+        exact serial sweeps; two build a two-thread engine."""
+        from repro.kernels.laplace import GravityKernel
+        from repro.machine.spec import system_a
+        from repro.sim.driver import Simulation, SimulationConfig
+
+        def engine(n_workers):
+            cfg = SimulationConfig(n_workers=n_workers, order=2)
+            with Simulation(
+                plummer(64, seed=1), GravityKernel(), system_a(), config=cfg
+            ) as sim:
+                return sim.engine
+
+        assert engine(1) is None
+        assert engine(2).n_workers == 2
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            EngineConfig(n_workers=0).resolved_workers()
+            ExecutionEngine(n_workers=0)
+
+
+def test_default_workers_is_affinity_aware(monkeypatch):
+    """Threads, shards and the ledger's machine spec count the CPUs this
+    process may run on, not the host's."""
+    from repro.obs.ledger import machine_spec
+    from repro.runtime.shards import ProcessEngine
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    shards = ProcessEngine()
+    try:
+        assert ExecutionEngine().n_workers == shards.n_shards == 3
+    finally:
+        shards.close()
+    assert machine_spec()["cpu_available"] == 3
 
 
 class TestGraphBuilder:
@@ -80,12 +107,6 @@ class TestGraphBuilder:
         g = TaskGraphBuilder()
         with pytest.raises(ValueError):
             g.add(lambda: None, label="bad", deps=(0,))
-
-    def test_barrier_joins(self):
-        g = TaskGraphBuilder()
-        ids = [g.add(lambda: None, label=f"t{i}") for i in range(3)]
-        bar = g.barrier(ids)
-        assert g.nodes[bar].deps == tuple(ids)
 
 
 @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
@@ -146,7 +167,7 @@ class TestEngineExecution:
                 eng.run(g)
         err = exc_info.value
         assert err.label == "boom"
-        assert err.attempts == RetryPolicy().max_attempts
+        assert err.attempts == MAX_ATTEMPTS
         assert isinstance(err.__cause__, ZeroDivisionError)
 
     def test_empty_graph(self, n_workers):
@@ -219,10 +240,9 @@ def _laplace_results(tree, lists, q, backend, order, engine):
     seed=st.integers(min_value=0, max_value=2**16),
     folded=st.booleans(),
     backend=st.sampled_from(sorted(_BACKENDS)),
-    overlap=st.booleans(),
 )
 def test_laplace_bitwise_identical_across_workers(
-    family, n, S, seed, folded, backend, overlap
+    family, n, S, seed, folded, backend
 ):
     """Engine runs at {1, 2, cpu_count} workers == the serial path, bitwise."""
     pts = _FAMILIES[family](n, seed=seed).positions
@@ -232,13 +252,11 @@ def test_laplace_bitwise_identical_across_workers(
 
     ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, backend, 3, None)
     for n_workers in _WORKER_COUNTS:
-        with ExecutionEngine(n_workers=n_workers, overlap=overlap) as eng:
+        with ExecutionEngine(n_workers=n_workers) as eng:
             pot, grad, solver = _laplace_results(tree, lists, q, backend, 3, eng)
         assert np.array_equal(pot, ref_pot), (n_workers, "potential")
         assert np.array_equal(grad, ref_grad), (n_workers, "gradient")
-        if n_workers > 1:
-            assert solver.last_engine_result is not None
-            assert solver.last_engine_result.n_workers == n_workers
+        assert solver.last_engine_result.n_workers == n_workers
 
 
 def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
@@ -270,12 +288,9 @@ def test_stokeslet_bitwise_identical_across_workers(folded):
             solver = StokesletFMMSolver(order=3, folded=folded, engine=eng)
             u = solver.solve(tree, f).velocity
         assert np.array_equal(u, ref), n_workers
-        if n_workers > 1:
-            res = solver.last_engine_result
-            assert res is not None
-            # seven far-field subgraphs + the near-field tasks ran
-            labels = {iv.label.split(":")[0] for iv in res.intervals}
-            assert {"phi0", "phi1", "phi2", "A", "B0", "B1", "B2", "near"} <= labels
+        # seven far-field subgraphs + the near-field tasks ran
+        labels = {iv.label.split(":")[0] for iv in solver.last_engine_result.intervals}
+        assert {"phi0", "phi1", "phi2", "A", "B0", "B1", "B2", "near"} <= labels
 
 
 def test_repeated_parallel_runs_are_identical():
@@ -297,23 +312,27 @@ def test_repeated_parallel_runs_are_identical():
         assert np.array_equal(grad, runs[0][1])
 
 
-def test_overlap_off_defers_near_field():
-    """With overlap disabled every near-field task starts after the far
-    field's last task finished (the serial max(T_CPU, T_GPU) degenerates
-    to a barrier)."""
-    n = 500
-    pts = plummer(n, seed=21).positions
+def test_one_worker_is_a_pool_of_one():
+    """``n_workers=1`` runs the same scheduler on one pool thread: every
+    interval lands on worker 0, off the calling thread, with the serial
+    bits for Laplace and the Stokeslet."""
+    pts = plummer(500, seed=21).positions
     tree = AdaptiveOctree(pts, S=16)
     lists = build_interaction_lists(tree, folded=True)
-    q = np.random.default_rng(21).uniform(-1, 1, n)
-
-    with ExecutionEngine(n_workers=2, overlap=False) as eng:
-        solver = FMMSolver(LaplaceKernel(softening=1e-3), order=3, engine=eng)
-        solver.solve(tree, q, lists=lists)
+    rng = np.random.default_rng(21)
+    q, f = rng.uniform(-1, 1, len(pts)), rng.standard_normal((len(pts), 3))
+    ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, "cartesian", 3, None)
+    ref_u = StokesletFMMSolver(order=3).solve(tree, f).velocity
+    threads = set()
+    with ExecutionEngine(n_workers=1) as eng:
+        eng.fault_hook = lambda label, attempt: threads.add(threading.get_ident())
+        pot, grad, laplace = _laplace_results(tree, lists, q, "cartesian", 3, eng)
+        stokes = StokesletFMMSolver(order=3, engine=eng)
+        u = stokes.solve(tree, f).velocity
+    assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
+    assert np.array_equal(u, ref_u)
+    for solver in (laplace, stokes):
         res = solver.last_engine_result
-    near = [iv for iv in res.intervals if iv.label.startswith("near")]
-    far_end = max(
-        iv.end for iv in res.intervals if not iv.label.startswith("near")
-    )
-    assert near
-    assert all(iv.start >= far_end - 1e-9 for iv in near)
+        assert res.n_workers == 1 and len(res.intervals) == res.n_tasks
+        assert {iv.worker for iv in res.intervals} == {0}
+    assert len(threads) == 1 and threading.get_ident() not in threads

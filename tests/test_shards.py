@@ -31,7 +31,6 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shards import (
     ProcessEngine,
     ShardExecutionError,
-    default_shards,
 )
 from repro.tree.octree import AdaptiveOctree
 
@@ -407,9 +406,8 @@ def test_engine_usable_after_close():
 def test_process_engine_validation():
     with pytest.raises(ValueError):
         ProcessEngine(n_shards=0)
-    assert default_shards() >= 1
     eng = ProcessEngine(n_shards=2)
-    assert eng.n_workers == 2 and eng.parallel and eng.is_process
+    assert eng.n_shards == 2
     eng.close()
 
 
@@ -451,3 +449,32 @@ def test_simulation_deadline_enforced_on_shards():
     with sim_with(120.0) as sim:
         sim.step()
         assert sim.last_shard_result is not None
+
+
+def test_balancer_trajectory_is_the_same_on_every_back_end():
+    """The balancer reads the modeled step on every back end, and every
+    back end gives the serial bits, so serial, threads:2 and shards:2 take
+    the same ``(S, state)`` path to bitwise the same positions."""
+    from repro.distributions.generators import compact_plummer
+    from repro.machine.spec import system_a
+    from repro.sim.driver import Simulation, SimulationConfig
+
+    back_ends = {
+        "serial": dict(n_workers=1),
+        "threads:2": dict(n_workers=2),
+        "shards:2": dict(n_workers=1, n_shards=2),
+    }
+    runs = {}
+    for name, kw in back_ends.items():
+        cfg = SimulationConfig(order=3, initial_S=24, **kw)
+        with Simulation(
+            compact_plummer(1200, seed=43), GravityKernel(G=1.0, softening=1e-3),
+            system_a(), config=cfg,
+        ) as sim:
+            path = [(rec.S, rec.state) for rec in (sim.step() for _ in range(6))]
+            assert (sim.engine is None) == (name == "serial")
+            runs[name] = (path, sim.particles.positions.copy())
+    ref_path, ref_pos = runs["serial"]
+    for name, (path, pos) in runs.items():
+        assert path == ref_path, name
+        assert np.array_equal(pos, ref_pos), name
