@@ -38,7 +38,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from ctypes import CDLL, c_double, c_int, c_long, c_void_p
+from ctypes import CDLL, c_char_p, c_double, c_int, c_long, c_void_p
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,8 +46,11 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_p2p.c")
 #: ``-ffp-contract=off``: the bits are those of the source's operations on
-#: every target.  No ``-march``: the loop is sqrt + divide bound (<= 5%).
-_FLAGS = ("-O3", "-fopenmp-simd", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC")
+#: every target.  ``-fno-trapping-math`` (no result bit changes) lets the
+#: vectorizer if-convert the zero rules' compare.  No ``-march``: the source
+#: clones its near-field entry points for AVX2, picked per host at load.
+_FLAGS = ("-O3", "-fopenmp-simd", "-fno-math-errno", "-fno-trapping-math", "-ffp-contract=off",
+          "-shared", "-fPIC")
 _UNRESOLVED = object()
 _library = _UNRESOLVED  # P2PLibrary | None once resolved
 _lock = threading.Lock()
@@ -61,6 +64,7 @@ class P2PLibrary(NamedTuple):
     add: object  # the ``add_rows`` entry point
     path: str
     compiler: str  # first line of ``cc --version`` ("" in a worker)
+    isa: str  # the near-field clone this host runs: "avx2" or "baseline"
 
     def pairwise(self, t, s, q, eps2, diagonal, potential, gradient):
         """``(pot (G, T, 1) | None, grad (G, T, 3) | None)`` of float64
@@ -183,8 +187,9 @@ def _load(path, compiler: str) -> P2PLibrary:
     dll.add_rows.argtypes = [c_long] * 2 + [c_void_p] * 3
     dll.p2p_blocks.restype = dll.p2p_tiles.restype = dll.leaf_p2m.restype = c_int
     dll.leaf_l2p.restype = dll.add_rows.restype = None
+    dll.p2p_isa.restype = c_char_p
     return P2PLibrary(dll.p2p_blocks, dll.p2p_tiles, dll.leaf_p2m, dll.leaf_l2p, dll.add_rows,
-                      str(path), compiler)
+                      str(path), compiler, dll.p2p_isa().decode())
 
 
 def _cache_dir() -> Path:
@@ -214,13 +219,20 @@ def _build() -> P2PLibrary | None:
         lib = _cache_dir() / f"_p2p-{hashlib.sha256(text).hexdigest()[:16]}.so"
         if not lib.exists():
             with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-                _run(cc, *_FLAGS, str(_SOURCE), "-o", f"{tmp}/p2p.so", "-lm")
+                _compile(cc, f"{tmp}/p2p.so")
                 os.replace(f"{tmp}/p2p.so", lib)
         return _load(lib, version)
     except (OSError, subprocess.SubprocessError) as exc:
-        why = f"{exc} {getattr(exc, 'stderr', None) or ''}".strip()[:400]
-        warnings.warn(f"no compiled P2P kernel, the NumPy body runs instead: {why}", RuntimeWarning)
+        why = str(exc)  # a failed build spells its whole command: the compiler's words go first
+        if isinstance(exc, subprocess.CalledProcessError):
+            why = f"{(exc.stderr or '').strip()} (exit status {exc.returncode})"
+        warnings.warn(f"no compiled P2P kernel, the NumPy body runs instead: {why[:400]}", RuntimeWarning)
         return None
+
+
+def _compile(cc, out, *extra):
+    """Build the source into ``out`` with ``_FLAGS`` and ``extra`` after them."""
+    _run(cc, *_FLAGS, *extra, str(_SOURCE), "-o", str(out), "-lm")
 
 
 def _run(*cmd):

@@ -14,46 +14,85 @@
  * checked every index against the bodies and the outputs.
  *
  * A group's sources are staged once as SoA in a 64-byte-aligned buffer;
- * each target row is one simd reduction over the sources in order
- * (p2p_row, the one arithmetic body), so a row's bits depend on S and the
- * data only - never on G, T, the row's place in the batch or which entry
- * point ran it.  The loop says the buffer is aligned: the compiler has no
- * reason to peel a data-dependent prologue off the reduction.
+ * each target row is one reduction over the sources in LANES fixed lanes
+ * (p2p_row, the one arithmetic body): source j goes into lane j % LANES in
+ * order, and the lanes are combined in one tree spelled in the source.  So
+ * a row's bits depend on its sources only - never on G, T, the row's place
+ * in the batch, which entry point ran it, the vector width or which clone
+ * of the entry point the loader picked, and zero-strength padding adds
+ * exact zeros to lanes that stay in place.
  *
  * Zero rules (the NumPy body's): a pair whose 1/sqrt(r2 + eps2) is not
  * finite (coincident unsoftened bodies, a NaN coordinate) has weight
- * exactly 0; skip_diagonal gives pair (i, i) weight 0 as well.  The
- * gradient still multiplies that 0 by the separation, so a NaN coordinate
- * reaches it as NaN - which the solver's guardrail keys on.
+ * exactly 0; skip_diagonal gives pair (i, i) weight 0 as well.  Both are a
+ * select, not a branch (built -fno-trapping-math, so the vectorizer may
+ * if-convert the compare).  The gradient still multiplies that 0 by the
+ * separation, so a NaN coordinate reaches it as NaN - which the solver's
+ * guardrail keys on.
+ *
+ * On x86-64 the two entry points are built twice, for AVX2 and for the
+ * baseline ISA, and the dynamic loader picks one per host (p2p_isa says
+ * which); -ffp-contract=off keeps either from fusing a multiply-add, so
+ * both give the same bits.  P2P_NO_CLONES builds the baseline body alone.
  */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-/* out = (potential, gradient x, y, z) of target t against S staged sources */
-static inline void p2p_row(long S, const double *sx, const double *sy,
-                           const double *sz, const double *sq,
-                           const double *t, double eps2, long skip,
-                           double out[4])
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && !defined(P2P_NO_CLONES)
+#define P2P_CLONES __attribute__((target_clones("avx2", "default")))
+#define P2P_AVX2 (__builtin_cpu_init(), __builtin_cpu_supports("avx2"))
+#else
+#define P2P_CLONES
+#define P2P_AVX2 0
+#endif
+
+#define LANES 8
+
+/* "avx2" or "baseline": the clone of the entry points this host runs */
+const char *p2p_isa(void)
 {
-    double tx = t[0], ty = t[1], tz = t[2];
-    double p = 0.0, gx = 0.0, gy = 0.0, gz = 0.0;
-#pragma omp simd reduction(+ : p, gx, gy, gz) aligned(sx, sy, sz, sq : 64)
-    for (long j = 0; j < S; j++) {
-        /* d = s - t: the sign that makes sum(w * d) the gradient */
-        double dx = sx[j] - tx, dy = sy[j] - ty, dz = sz[j] - tz;
-        double inv = 1.0 / sqrt(dx * dx + dy * dy + dz * dz + eps2);
-        inv = (inv <= DBL_MAX && j != skip) ? inv : 0.0;
-        p += inv * sq[j];
-        double w = inv * inv * inv * sq[j];
-        gx += w * dx;
-        gy += w * dy;
-        gz += w * dz;
-    }
-    out[0] = p, out[1] = gx, out[2] = gy, out[3] = gz;
+    return P2P_AVX2 ? "avx2" : "baseline";
 }
 
+/* source j's terms, added to lane k of the four sums */
+static inline __attribute__((always_inline)) void
+p2p_pair(long j, int k, const double *sx, const double *sy, const double *sz,
+         const double *sq, const double *t, double eps2, long skip,
+         double acc[4][LANES])
+{
+    /* d = s - t: the sign that makes sum(w * d) the gradient */
+    double dx = sx[j] - t[0], dy = sy[j] - t[1], dz = sz[j] - t[2];
+    double inv = 1.0 / sqrt(dx * dx + dy * dy + dz * dz + eps2);
+    inv = (inv <= DBL_MAX) & (j != skip) ? inv : 0.0;
+    double w = inv * inv * inv * sq[j];
+    acc[0][k] += inv * sq[j];
+    acc[1][k] += w * dx;
+    acc[2][k] += w * dy;
+    acc[3][k] += w * dz;
+}
+
+/* out = (potential, gradient x, y, z) of target t against S staged sources */
+static inline __attribute__((always_inline)) void
+p2p_row(long S, const double *sx, const double *sy, const double *sz,
+        const double *sq, const double *t, double eps2, long skip,
+        double out[4])
+{
+    double acc[4][LANES] = {{0.0}};
+    long j = 0;
+    for (; j + LANES <= S; j += LANES)
+        for (int k = 0; k < LANES; k++)
+            p2p_pair(j + k, k, sx, sy, sz, sq, t, eps2, skip, acc);
+    for (int k = 0; j + k < S; k++)
+        p2p_pair(j + k, k, sx, sy, sz, sq, t, eps2, skip, acc);
+    for (int c = 0; c < 4; c++) {
+        const double *a = acc[c];
+        out[c] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+    }
+}
+
+P2P_CLONES
 int p2p_blocks(long G, long T, long S, const double *t, const double *s,
                const double *q, double eps2, int skip_diagonal,
                double *pot, double *grad)
@@ -86,6 +125,7 @@ int p2p_blocks(long G, long T, long S, const double *t, const double *s,
     return 0;
 }
 
+P2P_CLONES
 int p2p_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
               const int64_t *tgt_idx, const int64_t *tgt_ptr,
               const int64_t *src_idx, const int64_t *src_ptr,

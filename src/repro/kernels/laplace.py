@@ -59,13 +59,14 @@ class LaplaceKernel(Kernel):
 
         One call into the compiled all-pairs loop of ``_p2p.c``
         (:mod:`repro.kernels._native` builds it on first use): per target
-        row one pass over the block's sources in order, one ``1/sqrt(r2 +
-        eps2)`` per pair serving both outputs — so a block's bits depend on
-        its own ``(nt, ns)`` and data only, whether it arrives alone (the
-        2-D form is the ``G = 1`` batch) or stacked with others.  Where no
-        compiler resolves, :meth:`_pairwise_numpy` keeps the same contract
-        and the same rules, about 2x slower; the two agree to rounding
-        (<= 1e-14 of the array maximum), not bitwise.
+        row one pass over the block's sources summed in eight fixed lanes,
+        one ``1/sqrt(r2 + eps2)`` per pair serving both outputs — so a
+        block's bits depend on its own ``(nt, ns)`` and data only, whether
+        it arrives alone (the 2-D form is the ``G = 1`` batch) or stacked
+        with others.  Where no compiler resolves, :meth:`_pairwise_numpy`
+        keeps the same contract and the same rules, several times slower;
+        the two agree to rounding (<= 1e-14 of the array maximum), not
+        bitwise.
 
         Three zero rules, both bodies: a pair whose ``1/r`` is not finite
         (zero separation, a NaN coordinate) has weight exactly 0 — this is

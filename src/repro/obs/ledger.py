@@ -67,8 +67,9 @@ def machine_spec() -> dict[str, Any]:
     ``p2p_kernel`` is :func:`repro.kernels.p2p_backend` — whether this
     process runs the compiled library, which holds both the near field and
     the far field's leaf stages, or their NumPy bodies — with the compiler
-    that built it when native (the key keeps its name: the ledger and
-    ``repro regress`` read it).
+    that built it and ``p2p_isa``, the near-field clone the host runs
+    (``"avx2"`` or ``"baseline"``), when native (the key keeps its name:
+    the ledger and ``repro regress`` read it).
     """
     from repro.kernels import _native
     from repro.runtime.engine import default_workers
@@ -81,7 +82,7 @@ def machine_spec() -> dict[str, Any]:
         "machine": platform.machine(),
         "python": "%d.%d.%d" % sys.version_info[:3],
         "p2p_kernel": _native.p2p_backend(),
-        **({} if lib is None else {"p2p_compiler": lib.compiler}),
+        **({} if lib is None else {"p2p_compiler": lib.compiler, "p2p_isa": lib.isa}),
     }
 
 

@@ -138,7 +138,8 @@ def _comparable(recs: list[RunRecord], metric: str) -> list[RunRecord]:
 
 
 def _machine_key(rec: RunRecord) -> tuple:
-    return rec.machine.get("cpu_available"), rec.machine.get("p2p_kernel", "numpy")
+    m = rec.machine
+    return m.get("cpu_available"), m.get("p2p_kernel", "numpy"), m.get("p2p_isa")
 
 
 def check_regression(

@@ -5,7 +5,10 @@ Two implementations stand behind ``LaplaceKernel.pairwise``: the C loop of
 ``src/repro/kernels/_p2p.c`` and the NumPy body that runs where no compiler
 resolves.  They are required to agree to rounding (they sum the same terms
 in another order), each to keep the batch contract bitwise, and both to
-keep the three zero rules exactly.  The library's second entry point,
+keep the three zero rules exactly.  The C row sums its sources in eight
+fixed lanes, so its bits cannot depend on the vector width: zero-strength
+padding is bitwise invisible and the AVX2 clone of the entry points
+matches the baseline body byte for byte.  The library's second entry point,
 ``p2p_tiles`` behind ``LaplaceKernel.near_tiles``, reads bodies by index:
 nothing out of bounds may reach it (its bits against the gather seam are
 held in ``tests/test_nearfield.py``).  The loader is required to fail
@@ -118,6 +121,79 @@ def test_a_nan_coordinate_leaves_the_potential_and_poisons_the_gradient(p2p_impl
     assert np.array_equal(pot, clean_pot)
     assert np.array_equal(grad[:, [0, 2]], clean_grad[:, [0, 2]])
     assert np.isnan(grad[:, 1]).all()
+
+
+# ------------------------------------------------ the eight lanes of p2p_row
+_LANE_S = [*range(1, 18), 63, 64, 65, 520]
+
+
+@pytest.mark.parametrize("S", _LANE_S)
+def test_lane_boundaries_keep_the_zero_rules_and_padding_exact(native_p2p, monkeypatch, S):
+    """Source ``j`` goes into lane ``j % 8`` and ``S % 8`` sources are left
+    over: at every S the diagonal is dropped at every lane position, a
+    coincident pair and a NaN coordinate in the last lane and in the
+    remainder weigh exactly 0, and zero-strength padding — up to the last
+    lane, or past it — leaves a row's bits alone."""
+    rng = np.random.default_rng(S)
+    s, q, t = rng.uniform(-1, 1, (S, 3)), rng.uniform(-1, 1, S), rng.uniform(-1, 1, (4, 3))
+    kernel = LaplaceKernel()
+
+    def without(j):  # the same sources with source j's strength zeroed
+        qj = q.copy()
+        qj[j] = 0.0
+        return qj
+
+    own = kernel.pairwise(s, s, q, gradient=True, exclude_self=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "_library", None)
+        ref = kernel.pairwise(s, s, q, gradient=True, exclude_self=True)
+    for a, b in zip(own, ref):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    for i in sorted({*range(min(S, 8)), S - 1}):
+        assert _same_rows(own, np.s_[i : i + 1], kernel.pairwise(s[i : i + 1], s, without(i), gradient=True))
+    for j in sorted({S - 1, S - 1 - S % 8} - {-1}):  # the last lane, the remainder
+        on_j = kernel.pairwise(s[j : j + 1], s, q, gradient=True)
+        assert np.isfinite(on_j[1]).all()
+        assert _same_rows(on_j, np.s_[:], kernel.pairwise(s[j : j + 1], s, without(j), gradient=True))
+        clean_pot, clean_grad = kernel.pairwise(t, s, without(j), gradient=True)
+        bad = s.copy()
+        bad[j, 1] = np.nan
+        pot, grad = kernel.pairwise(t, bad, q, gradient=True)
+        assert np.array_equal(pot, clean_pot) and np.array_equal(grad[:, [0, 2]], clean_grad[:, [0, 2]])
+        assert np.isnan(grad[:, 1]).all()
+    row = kernel.pairwise(t, s, q, gradient=True)
+    for k in {1, 8 - S % 8, 9}:
+        padded = kernel.pairwise(t, np.vstack([s, np.repeat(s[:1], k, axis=0)]),
+                                 np.concatenate([q, np.zeros(k)]), gradient=True)
+        assert _same_rows(padded, np.s_[:], row)
+
+
+def _same_rows(res, rows, other):
+    """``res``'s ``rows`` have the bits of ``other`` (both outputs)."""
+    return all(np.array_equal(a[rows], b) for a, b in zip(res, other))
+
+
+def test_the_avx2_clone_and_the_baseline_body_give_the_same_bits(native_p2p, tmp_path):
+    """The shipped library's entry points are cloned per ISA; built with
+    the clones compiled out, the baseline body alone gives the same bytes
+    for dense blocks and for plan tiles — whichever clone this host runs."""
+    base = tmp_path / "baseline.so"
+    _native._compile(_native.shutil.which("cc") or _native.shutil.which("gcc"), base, "-DP2P_NO_CLONES")
+    shipped, plain = _native.library(), _native._load(base, "")
+    assert plain.isa == "baseline" and shipped.isa in ("avx2", "baseline")
+    rng = np.random.default_rng(7)
+    t, s, q = rng.uniform(-1, 1, (3, 40, 3)), rng.uniform(-1, 1, (3, 523, 3)), rng.uniform(-1, 1, (3, 523))
+    for block in [(s, s, q, 1e-4, 1), (s, s, q, 1e-4, 0), (t, s, q, 0.0, 0)]:
+        for a, b in zip(shipped.pairwise(*block, True, True), plain.pairwise(*block, True, True)):
+            assert a.tobytes() == b.tobytes()
+    for cloud in CLOUDS:
+        pts, qq, plan = _plan_case(cloud)
+        out = []
+        for lib in (shipped, plain):
+            pot, grad = np.zeros(len(pts)), np.zeros((len(pts), 3))
+            lib.near_tiles(pts, qq, plan, np.arange(plan.n_tiles), 1e-6, (1.0, -1.0), pot, grad)
+            out.append(pot.tobytes() + grad.tobytes())
+        assert out[0] == out[1], cloud
 
 
 # --------------------------------------------------------- shapes and layouts

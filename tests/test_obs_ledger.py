@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.kernels import _native
 from repro.obs.critpath import analyze, critical_path_timeline
 from repro.obs.ledger import RunLedger, RunRecord, default_ledger_path, machine_spec
 from repro.obs.regress import GATED_BENCHES, check_all, check_regression
@@ -107,6 +108,11 @@ class TestRunLedger:
         assert spec["p2p_kernel"] == p2p_backend() == p2p_impl
         # the compiler's version string rides along exactly when it built the kernel
         assert ("p2p_compiler" in spec) == (p2p_impl == "native")
+        # ... and so does the near-field clone the library runs on this host
+        if p2p_impl == "native":
+            assert spec["p2p_isa"] == _native.library().isa in ("avx2", "baseline")
+        else:
+            assert "p2p_isa" not in spec
         assert RunRecord(bench="x").stamp().machine["p2p_kernel"] == p2p_impl
 
     def test_default_path_is_repo_runs_jsonl(self, monkeypatch):
@@ -369,6 +375,21 @@ class TestCheckRegression:
         ledger.append(fast)
         verdict = check_regression(ledger, "far_field_50k_plummer")
         assert verdict.ok and "insufficient history" in verdict.reason
+
+    def test_p2p_clones_are_not_compared(self, tmp_path):
+        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
+        for _ in range(3):
+            fast = _bench_rec(50.0)
+            fast.machine.update(p2p_kernel="native", p2p_isa="avx2")
+            ledger.append(fast)
+        slow = _bench_rec(100.0)
+        slow.machine.update(p2p_kernel="native", p2p_isa="baseline")
+        ledger.append(slow)
+        verdict = check_regression(ledger, "far_field_50k_plummer")
+        assert verdict.ok and "insufficient history" in verdict.reason
+        slow.machine["p2p_isa"] = "avx2"
+        ledger.append(slow)
+        assert not check_regression(ledger, "far_field_50k_plummer").ok
 
     def test_window_limits_lookback(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs.jsonl"))
