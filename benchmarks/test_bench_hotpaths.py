@@ -17,6 +17,11 @@ Claims asserted at benchmark scale:
   base class's gather seam — per tile three gathers, a padding mask, one
   batched ``pairwise`` call and a scatter — on Plummer 10k S=32 and uniform
   10k S=8, timed alternately in one process and equal byte for byte;
+* the plan is sized by leaves: a group's sources are leaf runs of the
+  tree's body order, so on Plummer 10k S=32 the plan's arrays take <= 6 MB
+  and <= 2x (16 B per near leaf pair + 24 B per body) — not one index per
+  source body (11.6 MB there, 23 MB with the build's positions); the cold
+  build time is recorded beside it;
 * the row loop behind it vectorizes: the shipped ``p2p_tiles`` takes
   <= 1/1.6 the time of the same source built with vectorization off
   (Plummer 10k S=32), alternating in one process, equal byte for byte — a
@@ -69,7 +74,7 @@ from repro.distributions.generators import (
 from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm import farfield
 from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
-from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
+from repro.fmm.nearfield import PLAN_ARRAYS, build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
 from repro.kernels.base import Kernel
 from repro.machine.spec import system_a
@@ -246,6 +251,44 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark):
         assert ratio <= 0.8, f"plan-indexed near field {ratio:.2f}x the gather seam ({label})"
     benchmark.pedantic(lambda: run(GravityKernel.near_tiles), rounds=2, iterations=1)
     _ledger.record_to_ledger(record)
+
+
+def test_bench_near_plan_is_leaf_sized(benchmark):
+    """The near-field plan lists source leaves, not source bodies: on
+    Plummer 10k S=32 its arrays take <= 6 MB and <= 2x (16 B per near leaf
+    pair + 24 B per body); a cold build's time is recorded beside it."""
+    n = 10_000
+    tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
+
+    def cold():  # fresh lists: no memoized plan, skeleton or row signatures
+        lists = build_interaction_lists(tree, folded=True)
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            plan = build_near_field_plan(tree, lists)
+            return time.perf_counter() - t0, plan, lists.table("near_sources").values.size
+        finally:
+            gc.enable()
+
+    best, plan, leaf_pairs = min((cold() for _ in range(5)), key=lambda r: r[0])
+    nbytes = sum(getattr(plan, f).nbytes for f in PLAN_ARRAYS)
+    bound = min(6e6, 2 * (16 * leaf_pairs + 24 * n))
+    benchmark.pedantic(cold, rounds=2, iterations=1)
+    _ledger.record_to_ledger({
+        "bench": "near_plan_10k_plummer",
+        "n": n,
+        "near_leaf_pairs": leaf_pairs,
+        "plan_mb": round(nbytes / 1e6, 3),
+        "build_ms": round(best * 1e3, 3),
+    })
+    print()
+    print(
+        f"near-field plan, 10k plummer S=32: {nbytes / 1e6:.2f} MB of arrays for "
+        f"{leaf_pairs:,} near leaf pairs (bound {bound / 1e6:.2f} MB), "
+        f"cold build {best * 1e3:.1f} ms"
+    )
+    assert nbytes <= bound, f"near-field plan {nbytes / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
 
 
 def test_bench_p2p_row_is_vectorized(benchmark, tmp_path):

@@ -100,7 +100,7 @@ from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.kernels import _native
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
-from repro.util.arrays import csr_ptr, stable_argsort
+from repro.util.arrays import csr_ptr, segment_positions, stable_argsort
 
 __all__ = [
     "FarFieldGeometry",
@@ -144,23 +144,6 @@ def _segment_sum(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     if nonempty.size:
         out[nonempty] = np.add.reduceat(rows, ptr[nonempty], axis=0)
     return out
-
-
-def _expand_segments(ptr: np.ndarray, take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the CSR rows of each segment in ``take``, concatenated.
-
-    Returns ``(positions, counts)`` where ``positions`` indexes the flat
-    row arrays that ``ptr`` partitions.
-    """
-    counts = ptr[take + 1] - ptr[take]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    starts = np.repeat(ptr[take], counts)
-    offset = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return starts + offset, counts
 
 
 def _group_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,10 +361,10 @@ class LeafBodyPlan:
 
     def subset(self, leaves: np.ndarray) -> "LeafBodyPlan":
         """The plan restricted to the leaf ordinals ``leaves`` (copies)."""
-        rowpos, cnt = _expand_segments(self.ptr, leaves)
+        rowpos, cnt = segment_positions(self.ptr[leaves], self.ptr[leaves + 1])
         return LeafBodyPlan(
             body_idx=self.body_idx[rowpos],
-            ptr=np.concatenate(([0], np.cumsum(cnt))).astype(np.int64),
+            ptr=csr_ptr(cnt),
             gid=self.gid[rowpos],
             rel=self.rel[rowpos],
             leaves=leaves,
@@ -398,16 +381,10 @@ def leaf_body_plan(tree: AdaptiveOctree, lists: InteractionLists) -> LeafBodyPla
         return cached
     tab = tree.node_table()
     leaf_rows = np.nonzero(tab.is_leaf)[0]
-    n = leaf_rows.size
-    lo, hi = tab.lo[leaf_rows], tab.hi[leaf_rows]
-    cnt = hi - lo
-    ptr = np.concatenate(([0], np.cumsum(cnt)))
     # positions into tree.order: each leaf's [lo, hi) range, concatenated
-    total = int(cnt.sum())
-    starts = np.repeat(lo, cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ptr[:-1], cnt)
-    body_idx = tree.order[starts + within]
-    gid = np.repeat(np.arange(n, dtype=np.int64), cnt)
+    pos, cnt = segment_positions(tab.lo[leaf_rows], tab.hi[leaf_rows])
+    body_idx, ptr = tree.order[pos], csr_ptr(cnt)
+    gid = np.repeat(np.arange(leaf_rows.size, dtype=np.int64), cnt)
     rel = tree.points[body_idx] - tab.centers[leaf_rows[gid]]
     return store(LeafBodyPlan(body_idx=body_idx, ptr=ptr, gid=gid, rel=rel))
 
@@ -597,7 +574,8 @@ def add_rows(rows, idx, delta):
 def pair_bodies(geom, plan, pair_leaf_rows):
     """``(rowpos, cnt)``: the plan rows of every body of each X/W pair's
     leaf (``pair_leaf_rows`` = the leaf's effective row per pair)."""
-    return _expand_segments(plan.ptr, geom.leaf_pos[pair_leaf_rows])
+    leaves = geom.leaf_pos[pair_leaf_rows]
+    return segment_positions(plan.ptr[leaves], plan.ptr[leaves + 1])
 
 
 def p2l(geom, plan, exp, pts, pairs, *, charges=None, dipoles=None):

@@ -1,60 +1,65 @@
 """Batched near-field (P2P) evaluation over tiles of same-shape groups.
 
 The lists' near-source :class:`~repro.tree.lists.PairTable` and the tree's
-:class:`~repro.tree.octree.NodeTable` are turned once into CSR-style
-target/source *body* index arrays — arrays in, arrays out: every near row
-is sorted by one sort of the table, and a row's **signature** is the bytes
-of its sorted source ids.  Target leaves that share a signature, i.e. an
-identical source-leaf set, form a **group** (their targets stack into one
-dense block against the shared source block), and groups are ordered by
-shape — target count exact,
-source count rounded up to a multiple of ``_SRC_ROUND`` — so that a run of
-same-shape groups can be handed to the kernel as one ``(G, T, 3)`` x ``(G,
-S, 3)`` batch.  Such a run, cut where its stacked temporaries would exceed
-the kernel's ``_TILE_ELEMS`` budget, is a **tile**: the one unit of
-near-field work for the serial loop (deadline checks), the thread engine
-(task chunks) and the shard workers (LPT assignment) alike.  A group
-larger than the budget is a tile of its own, which the kernel walks over
-target rows.  Every back end hands a list of tiles to one stage function,
-:func:`evaluate_near_tiles` → :meth:`Kernel.near_tiles
-<repro.kernels.base.Kernel.near_tiles>`: the Laplace kernels read the
-plan's index arrays in place in one compiled call (``p2p_tiles`` in
-``kernels/_p2p.c``), every other kernel gathers each tile into one batched
-``pairwise`` call and scatters the result.
+:class:`~repro.tree.octree.NodeTable` are turned once into a plan — arrays
+in, arrays out: every near row is sorted by one sort of the table, and a
+row's **signature** is the bytes of its sorted source ids.  Target leaves
+that share a signature, i.e. an identical source-leaf set, form a
+**group** (their targets stack into one dense block against the shared
+sources).  A group's targets are body indices; its sources are **leaf
+runs**, ``(lo, hi)`` ranges of ``tree.order`` (which the plan carries),
+one per source leaf or per run of consecutive ones — so the plan is sized
+by the near *leaf* pairs, not by the body pairs they expand to.  Groups are ordered by shape — target count
+exact, source count rounded up to a multiple of ``_SRC_ROUND`` — so that a
+run of same-shape groups can be handed to a batched kernel as one ``(G, T,
+3)`` x ``(G, S, 3)`` block.  Such a run, cut where its stacked
+temporaries would exceed the kernel's ``_TILE_ELEMS`` budget, is a
+**tile**: the one unit of near-field work for the serial loop (deadline
+checks), the thread engine (task chunks) and the shard workers (LPT
+assignment) alike.  A group larger than the budget is a tile of its own,
+which the kernel walks over target rows.  Every back end hands a list of
+tiles to one stage function, :func:`evaluate_near_tiles` →
+:meth:`Kernel.near_tiles <repro.kernels.base.Kernel.near_tiles>`: the
+Laplace kernels walk the runs in place in one compiled call
+(``p2p_tiles`` in ``kernels/_p2p.c``), every other kernel gathers each
+tile into one batched ``pairwise`` call and scatters the result.
 
-Padded source slots repeat the group's first source with zero strength:
-they add exact zeros and need no mask beyond the zero-separation rule every
-kernel already has.  The kernel's batch contract
-(:mod:`repro.kernels.base`) makes a group's bits depend on its own padded
-shape and data only, so results are bitwise independent of how tiles are
-cut or which back end runs them.  Bodies whose own leaf appears in its
-source set get one bulk ``self_interaction`` subtraction at the end —
-every kernel in the repo evaluates its own self pair to exactly that value
-(singular kernels suppress it to zero).
+Padding exists only in that gather seam (:attr:`NearFieldPlan.padded_sources`,
+built on first use): padded source slots repeat the group's first source
+with zero strength, so they add exact zeros and need no mask beyond the
+zero-separation rule every kernel already has.  The kernel's batch
+contract (:mod:`repro.kernels.base`) makes a group's bits depend on its own
+padded shape and data only, and the compiled loop's lanes make a padded
+row bitwise its unpadded row, so results are bitwise independent of how
+tiles are cut or which back end runs them.  Bodies whose own leaf appears
+in its source set get one bulk ``self_interaction`` subtraction at the end
+— every kernel in the repo evaluates its own self pair to exactly that
+value (singular kernels suppress it to zero).
 
-The plan (index arrays, group and tile offsets) is memoized on the
-:class:`~repro.tree.lists.InteractionLists` via ``derived_cache``, stamped
-by the tree's ``generation``: a frozen-shape *and* frozen-body step reuses
-it outright, while ``refit`` (which reorders bodies) rebuilds only the
-plan, not the lists.
+The plan is memoized on the :class:`~repro.tree.lists.InteractionLists`
+via ``derived_cache``, stamped by the tree's ``generation``: a
+frozen-shape *and* frozen-body step reuses it outright, while ``refit``
+(which reorders bodies) rebuilds only the plan, not the lists.
 
-Refits get a cheaper path still: the plan's *skeleton* — gather positions
-into ``tree.order``, group pointers, shapes and hence tile boundaries, pair
-totals — depends only on the tree shape and the per-leaf population counts
-(node ``lo``/``hi`` offsets are cumulative leaf counts in Morton order).
-The skeleton is kept in a ``structure_generation``-stamped slot together
-with a leaf-population signature; when a refit leaves every effective
-leaf's count unchanged the plan is *refreshed* by re-gathering
-``tree.order`` at the stored positions instead of being rebuilt from
-the near table.  When the counts did change, the rebuilt skeleton still
-reuses the row signatures: lists never change once built, so those are
-sorted once per lists object.  Build, refresh and hit counters (and the
-latest plan's tile count) accumulate in ``lists.nearfield_plan_stats``.
+Refits get a cheaper path still: the plan's *skeleton* — target positions
+in ``tree.order``, the source runs, group pointers, shapes and hence tile
+boundaries, pair totals — depends only on the tree shape and the per-leaf
+population counts (node ``lo``/``hi`` offsets are cumulative leaf counts
+in Morton order).  The skeleton is kept in a
+``structure_generation``-stamped slot together with a leaf-population
+signature; when a refit leaves every effective leaf's count unchanged the
+plan is *refreshed* by binding the new ``tree.order`` and re-gathering the
+targets instead of being rebuilt from the near table.  When the counts did
+change, the rebuilt skeleton still reuses the row signatures: lists never
+change once built, so those are sorted once per lists object.  Build,
+refresh and hit counters (and the latest plan's tile count) accumulate in
+``lists.nearfield_plan_stats``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -62,7 +67,7 @@ import numpy as np
 from repro.kernels.base import _TILE_ELEMS, Kernel
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
-from repro.util.arrays import csr_ptr
+from repro.util.arrays import csr_ptr, segment_positions
 
 __all__ = [
     "NearFieldPass",
@@ -80,43 +85,39 @@ __all__ = [
 _SRC_ROUND = 8
 
 
-def _segment_positions(lo: np.ndarray, hi: np.ndarray):
-    """Concatenated positions ``lo[k]:hi[k]``; returns (positions, counts)."""
-    cnt = hi - lo
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), cnt
-    ends = np.cumsum(cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt, cnt)
-    return np.repeat(lo, cnt) + within, cnt
-
-
 #: the plan's arrays: int64 and C-contiguous, read in place by the compiled
 #: entry point and mirrored unchanged into the shard arena
-PLAN_ARRAYS = ("tgt_idx", "tgt_ptr", "src_idx", "src_ptr", "src_cnt", "tile_ptr", "self_idx")
+PLAN_ARRAYS = ("tgt_idx", "tgt_ptr", "order", "src_lo", "src_hi", "run_ptr", "src_cnt",
+               "tile_ptr", "self_idx")
 
 
 @dataclass
 class NearFieldPlan:
     """Flattened near-field work: one entry per distinct source set.
 
-    ``tgt_idx``/``src_idx`` hold body indices back to back per group, in
-    shape order; ``tgt_ptr``/``src_ptr`` are the CSR offsets.  Source runs
-    are padded (``src_cnt`` is the real length; the slots after it repeat
-    the first source).  Tile ``k`` is groups ``tile_ptr[k]:tile_ptr[k+1]``,
-    all of one shape.  ``self_idx`` lists every body whose own leaf is
-    included in its source set (the bulk self-interaction correction).
+    ``tgt_idx`` holds body indices back to back per group, in shape order,
+    and ``tgt_ptr`` is its CSR offsets.  Group ``g``'s sources are the
+    leaf runs ``run_ptr[g]:run_ptr[g+1]`` of ``(src_lo, src_hi)`` — each
+    one source leaf or several consecutive ones: body ``order[p]`` for
+    every ``p`` in ``src_lo[r]:src_hi[r]``, run after run, ``src_cnt[g]``
+    bodies in all (``order`` is the tree's body order).  Tile ``k`` is
+    groups ``tile_ptr[k]:tile_ptr[k+1]``, all of one shape.  ``self_idx``
+    lists every body whose own leaf is included in its source set (the
+    bulk self-interaction correction).
 
     Indices are read by pointer, so they are checked once, here — every
-    body index in ``[0, n_bodies)``, every pointer array monotone from 0 to
-    its array's end — and each call checks its own bodies and tile ids
+    body index in ``[0, n_bodies)``, every run inside ``order``, every
+    pointer array monotone from 0 to its array's end, ``src_cnt`` each
+    group's run total — and each call checks its own bodies and tile ids
     (:meth:`checked_tiles`).
     """
 
     tgt_idx: np.ndarray
     tgt_ptr: np.ndarray
-    src_idx: np.ndarray
-    src_ptr: np.ndarray
+    order: np.ndarray
+    src_lo: np.ndarray
+    src_hi: np.ndarray
+    run_ptr: np.ndarray
     src_cnt: np.ndarray
     tile_ptr: np.ndarray
     self_idx: np.ndarray
@@ -127,17 +128,20 @@ class NearFieldPlan:
     def __post_init__(self) -> None:
         for name in PLAN_ARRAYS:
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
-        ptrs = ((self.tgt_ptr, self.tgt_idx.size), (self.src_ptr, self.src_idx.size),
+        n, lo, hi = self.n_bodies, self.src_lo, self.src_hi
+        ptrs = ((self.tgt_ptr, self.tgt_idx.size), (self.run_ptr, lo.size),
                 (self.tile_ptr, self.n_groups))
-        ok = self.tgt_ptr.size == self.src_ptr.size == self.n_groups + 1 and all(
+        ok = self.order.size == n and lo.size == hi.size
+        ok = ok and self.tgt_ptr.size == self.run_ptr.size == self.n_groups + 1 and all(
             p.size and p[0] == 0 and p[-1] == end and (np.diff(p) >= 0).all() for p, end in ptrs
         )
-        ok = ok and ((0 <= self.src_cnt) & (self.src_cnt <= np.diff(self.src_ptr))).all()
+        ok = ok and (not lo.size or lo.min() >= 0 and hi.max() <= n and (lo <= hi).all())
+        ok = ok and np.array_equal(self.src_cnt, np.diff(csr_ptr(hi - lo)[self.run_ptr]))
         if not ok or any(
-            a.size and (a.min() < 0 or a.max() >= self.n_bodies)
-            for a in (self.tgt_idx, self.src_idx, self.self_idx)
+            a.size and (a.min() < 0 or a.max() >= n)
+            for a in (self.order, self.tgt_idx, self.self_idx)
         ):
-            raise ValueError(f"near-field plan indices out of range for {self.n_bodies} bodies")
+            raise ValueError(f"near-field plan indices out of range for {n} bodies")
 
     def checked_tiles(self, pts, q, tiles) -> np.ndarray:
         """``tiles`` as int64 ids, once ``pts`` and ``q`` are known to hold
@@ -157,15 +161,41 @@ class NearFieldPlan:
     def n_tiles(self) -> int:
         return self.tile_ptr.size - 1
 
+    @cached_property
+    def padded_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src_idx, src_ptr)``: every group's source bodies back to back,
+        padded to a multiple of ``_SRC_ROUND`` with its first source — the
+        gather seam's same-shape batches.  Built for all groups at once on
+        first use and kept (threads asking at once may each build it: the
+        arrays are equal); the compiled path reads the runs and never asks."""
+        cnt = self.src_cnt
+        pad = -cnt % _SRC_ROUND
+        real = self.order[segment_positions(self.src_lo, self.src_hi)[0]]
+        ends, padded = csr_ptr(cnt), pad > 0  # a padded group has a first source
+        slots = np.repeat(ends[1:][padded], pad[padded])
+        firsts = np.repeat(real[ends[:-1][padded]], pad[padded])
+        return np.insert(real, slots, firsts), csr_ptr(cnt + pad)
+
     def tile(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(t_idx (G, T), s_idx (G, S), src_cnt (G,))`` of tile ``k``."""
+        """``(t_idx (G, T), s_idx (G, S), src_cnt (G,))`` of tile ``k``, the
+        sources padded (:attr:`padded_sources`)."""
         g0, g1 = self.tile_ptr[k], self.tile_ptr[k + 1]
-        tp, sp = self.tgt_ptr, self.src_ptr
+        (src_idx, sp), tp = self.padded_sources, self.tgt_ptr
         return (
             self.tgt_idx[tp[g0] : tp[g1]].reshape(g1 - g0, -1),
-            self.src_idx[sp[g0] : sp[g1]].reshape(g1 - g0, -1),
+            src_idx[sp[g0] : sp[g1]].reshape(g1 - g0, -1),
             self.src_cnt[g0:g1],
         )
+
+    def tile_sources(self, tiles) -> np.ndarray:
+        """The distinct source bodies of the tile ids ``tiles`` (an int
+        array), ascending: every position of ``order`` their groups' runs
+        cover (runs of two groups may overlap)."""
+        g0, g1 = self.tile_ptr[tiles], self.tile_ptr[tiles + 1]
+        runs, _ = segment_positions(self.run_ptr[g0], self.run_ptr[g1])
+        edge = partial(np.bincount, minlength=self.n_bodies + 1)
+        depth = np.cumsum(edge(self.src_lo[runs]) - edge(self.src_hi[runs]))
+        return np.sort(self.order[depth[:-1] > 0])
 
     def group_pairs(self, g: int) -> int:
         """Real body-pair interactions of group ``g``."""
@@ -181,15 +211,17 @@ class NearFieldPlan:
 class _PlanSkeleton:
     """Body-count-dependent but order-independent part of a plan.
 
-    ``*_pos`` index into ``tree.order``; re-gathering them yields a valid
-    plan after any refit that kept every leaf's population unchanged
+    ``tgt_pos`` / ``self_pos`` and the runs ``src_lo`` / ``src_hi`` are
+    positions in ``tree.order``; binding a new order yields a valid plan
+    after any refit that kept every leaf's population unchanged
     (``leaf_counts``, in node-table leaf order, is the validity signature).
     """
 
     tgt_pos: np.ndarray
     tgt_ptr: np.ndarray
-    src_pos: np.ndarray
-    src_ptr: np.ndarray
+    src_lo: np.ndarray
+    src_hi: np.ndarray
+    run_ptr: np.ndarray
     src_cnt: np.ndarray
     tile_ptr: np.ndarray
     self_pos: np.ndarray
@@ -217,14 +249,15 @@ def _row_signatures(lists: InteractionLists, near, n_ids: int) -> dict[int, byte
     """
     sigs = getattr(lists, "_near_row_sigs", None)
     if sigs is None:
-        # (row, source id) as one integer: a plain sort orders every row's sources
-        row = np.repeat(np.arange(near.keys.size), near.counts)
-        rowed = row * n_ids + near.values
-        rowed.sort()
-        srcs = rowed % n_ids
-        ptr = csr_ptr(near.counts).tolist()
+        # (row, source id) as one integer: a plain sort orders every row's
+        # sources and leaves each row in place, so ``base`` comes off again
+        # (narrowed to 32 bits where they fit, the sort takes half the time)
+        base = np.repeat(np.arange(near.keys.size) * n_ids, near.counts)
+        narrow = np.int32 if near.keys.size * n_ids < 2**31 else np.int64
+        srcs = (np.sort((base + near.values).astype(narrow)) - base).tobytes()
+        ptr = (8 * csr_ptr(near.counts)).tolist()
         sigs = lists._near_row_sigs = {
-            t: srcs[ptr[i] : ptr[i + 1]].tobytes() for i, t in enumerate(near.keys.tolist())
+            t: srcs[ptr[i] : ptr[i + 1]] for i, t in enumerate(near.keys.tolist())
         }
     return sigs
 
@@ -233,8 +266,10 @@ def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan
     return NearFieldPlan(
         tgt_idx=order[skel.tgt_pos],
         tgt_ptr=skel.tgt_ptr,
-        src_idx=order[skel.src_pos],
-        src_ptr=skel.src_ptr,
+        order=order,
+        src_lo=skel.src_lo,
+        src_hi=skel.src_hi,
+        run_ptr=skel.run_ptr,
         src_cnt=skel.src_cnt,
         tile_ptr=skel.tile_ptr,
         self_idx=order[skel.self_pos],
@@ -244,16 +279,15 @@ def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan
 
 
 def _run_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over consecutive runs of lengths ``lens`` (empty runs
-    sum to 0)."""
-    gid = np.repeat(np.arange(lens.size), lens)
-    return np.bincount(gid, weights=values, minlength=lens.size).astype(np.int64)
+    """Sum integer ``values`` over consecutive runs of lengths ``lens``
+    (empty runs sum to 0)."""
+    return np.diff(csr_ptr(values)[csr_ptr(lens)])
 
 
 def _take_runs(flat: np.ndarray, lens: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Flattened runs with their groups taken in ``order``."""
     start = csr_ptr(lens)[:-1][order]
-    return flat[_segment_positions(start, start + lens[order])[0]]
+    return flat[segment_positions(start, start + lens[order])[0]]
 
 
 def _tile_boundaries(tgt_cnt: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
@@ -304,35 +338,38 @@ def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
     tgt_flat = np.fromiter(
         chain.from_iterable(groups.values()), dtype=np.int64, count=near.keys.size
     )
-    src_cnt = _run_sums(body_cnt[row_of[sig_flat]], sig_len)
-    tgt_cnt = _run_sums(body_cnt[row_of[tgt_flat]], tgt_len)
+    sig_rows, tgt_rows = row_of[sig_flat], row_of[tgt_flat]
+    src_cnt = _run_sums(body_cnt[sig_rows], sig_len)
+    tgt_cnt = _run_sums(body_cnt[tgt_rows], tgt_len)
 
-    # shape order: targets exact, sources rounded up to _SRC_ROUND
-    order = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
-    sig_rows = row_of[_take_runs(sig_flat, sig_len, order)]
-    tgt_rows = row_of[_take_runs(tgt_flat, tgt_len, order)]
-    sig_len, src_cnt, tgt_cnt = sig_len[order], src_cnt[order], tgt_cnt[order]
-    pad = -src_cnt % _SRC_ROUND
+    # shape order: targets exact, sources rounded up to _SRC_ROUND; a
+    # group's sources are its signature leaves' runs of ``tree.order``
+    by_shape = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
+    sig_rows = _take_runs(sig_rows, sig_len, by_shape)
+    tgt_rows = _take_runs(tgt_rows, tgt_len, by_shape)
+    sig_len, src_cnt, tgt_cnt = sig_len[by_shape], src_cnt[by_shape], tgt_cnt[by_shape]
 
-    # a group's sources are its leaves' runs of ``tree.order`` followed by
-    # one unit run per padded slot, each on the group's first source
-    lo, hi = tab.lo[sig_rows], tab.hi[sig_rows]
-    first_run = np.searchsorted(np.cumsum(hi - lo), csr_ptr(src_cnt)[:-1], side="right")
-    first = lo[np.repeat(first_run, pad)]
-    at = np.repeat(np.cumsum(sig_len), pad)
-    src_pos, _ = _segment_positions(np.insert(lo, at, first), np.insert(hi, at, first + 1))
+    # a source leaf whose bodies follow the previous one's in ``tree.order``
+    # extends that run: the same sources in the same order, and 2-2.4x fewer
+    # runs for ``p2p_tiles`` to loop over (each run costs it a branch)
+    lo, hi, first = tab.lo[sig_rows], tab.hi[sig_rows], csr_ptr(sig_len)
+    start = np.ones(lo.size + 1, dtype=bool)
+    start[1:-1] = lo[1:] != hi[:-1]
+    start[first] = True
+    at = np.flatnonzero(start)  # where runs start, and one past the last
 
     # leaves that are their own source, in target order
     owners = near.owners
     self_rows = row_of[owners[owners == near.values]]
     return _PlanSkeleton(
-        tgt_pos=_segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0],
+        tgt_pos=segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0],
         tgt_ptr=csr_ptr(tgt_cnt),
-        src_pos=src_pos,
-        src_ptr=csr_ptr(src_cnt + pad),
+        src_lo=lo[at[:-1]],
+        src_hi=hi[at[1:] - 1],
+        run_ptr=np.searchsorted(at, first),
         src_cnt=src_cnt,
-        tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + pad),
-        self_pos=_segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0],
+        tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND),
+        self_pos=segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0],
         total_pairs=int((tgt_cnt * src_cnt).sum()),
         leaf_counts=body_cnt[tab.is_leaf],
     )

@@ -4,8 +4,8 @@ One library runs the near field and the far field's leaf stages.  The
 near field has two entry points over one row loop: ``p2p_blocks``
 (:meth:`P2PLibrary.pairwise`, dense ``(G, T, 3)`` x ``(G, S, 3)`` blocks)
 and ``p2p_tiles`` (:meth:`P2PLibrary.near_tiles`, near-field tiles read
-from the plan's index arrays in place and written to the body rows by
-index).  The far field has three, behind the stage functions of
+from the plan's index arrays and leaf runs in place and written to the
+body rows by index).  The far field has three, behind the stage functions of
 :mod:`repro.fmm.farfield`: ``leaf_p2m`` (:meth:`P2PLibrary.leaf_p2m`),
 ``leaf_l2p`` (:meth:`P2PLibrary.leaf_l2p`) and ``add_rows``
 (:meth:`P2PLibrary.add_rows`), each bitwise the NumPy body it replaces.
@@ -88,8 +88,8 @@ class P2PLibrary(NamedTuple):
         pts = np.ascontiguousarray(pts, dtype=float)
         q = np.ascontiguousarray(q, dtype=float).reshape(-1)
         n = plan.n_bodies
-        index = (tiles, plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr,
-                 plan.src_idx, plan.src_ptr, plan.src_cnt)  # p2p_tiles' order
+        index = (tiles, plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr, plan.order,
+                 plan.src_lo, plan.src_hi, plan.run_ptr, plan.src_cnt)  # p2p_tiles' order
         bodies = [_ptr(pts, (n, 3)), _ptr(q, (n,))]
         outs = [_ptr(pot, (n,), out=True), _ptr(grad, (n, 3), out=True)]
         if self.tiles(tiles.size, *(a.ctypes.data for a in index), *bodies, eps2, *scales, *outs):
@@ -181,7 +181,7 @@ def adopt(path: str | None) -> None:
 def _load(path, compiler: str) -> P2PLibrary:
     dll = CDLL(str(path))  # CDLL, not PyDLL: the GIL is dropped for each call
     dll.p2p_blocks.argtypes = [c_long] * 3 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
-    dll.p2p_tiles.argtypes = [c_long] + [c_void_p] * 9 + [c_double] * 3 + [c_void_p] * 2
+    dll.p2p_tiles.argtypes = [c_long] + [c_void_p] * 11 + [c_double] * 3 + [c_void_p] * 2
     dll.leaf_p2m.argtypes = [c_long] + [c_void_p] * 3 + [c_long] * 2 + [c_void_p] * 4
     dll.leaf_l2p.argtypes = [c_void_p] * 2 + [c_long] * 2 + [c_void_p] * 9
     dll.add_rows.argtypes = [c_long] * 2 + [c_void_p] * 3

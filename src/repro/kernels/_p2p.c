@@ -7,11 +7,13 @@
  * are written (either may be NULL).
  *
  * p2p_tiles (behind LaplaceKernel.near_tiles): the near-field plan read in
- * place - for every group of the listed tiles the sources
- * points[src_idx] are staged straight from the body arrays (strength 0 on
- * the padded slots past src_cnt) and every target t of the group gets
+ * place - for every group g of the listed tiles the sources are its leaf
+ * runs, points[order[p]] for every p in src_lo[r]..src_hi[r] of each run r
+ * in run_ptr[g]..run_ptr[g+1] (src_cnt[g] bodies in all), staged straight
+ * from the body arrays, and every target t of the group gets
  * pot[t] = pot_scale * p and grad[t] = grad_scale * g.  The caller has
- * checked every index against the bodies and the outputs.
+ * checked every index against the bodies and the outputs, and src_cnt
+ * against the runs (the staging buffer is sized from it).
  *
  * A group's sources are staged once as SoA in a 64-byte-aligned buffer;
  * each target row is one reduction over the sources in LANES fixed lanes
@@ -19,8 +21,10 @@
  * order, and the lanes are combined in one tree spelled in the source.  So
  * a row's bits depend on its sources only - never on G, T, the row's place
  * in the batch, which entry point ran it, the vector width or which clone
- * of the entry point the loader picked, and zero-strength padding adds
- * exact zeros to lanes that stay in place.
+ * of the entry point the loader picked - and zero-strength padding (the
+ * NumPy gather seam's same-shape batches; p2p_tiles has none) adds exact
+ * zeros to lanes that stay in place, so a padded row is bitwise its
+ * unpadded row.
  *
  * Zero rules (the NumPy body's): a pair whose 1/sqrt(r2 + eps2) is not
  * finite (coincident unsoftened bodies, a NaN coordinate) has weight
@@ -128,17 +132,17 @@ int p2p_blocks(long G, long T, long S, const double *t, const double *s,
 P2P_CLONES
 int p2p_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
               const int64_t *tgt_idx, const int64_t *tgt_ptr,
-              const int64_t *src_idx, const int64_t *src_ptr,
-              const int64_t *src_cnt, const double *pts, const double *q,
-              double eps2, double pot_scale, double grad_scale, double *pot,
-              double *grad)
+              const int64_t *order, const int64_t *src_lo, const int64_t *src_hi,
+              const int64_t *run_ptr, const int64_t *src_cnt, const double *pts,
+              const double *q, double eps2, double pot_scale, double grad_scale,
+              double *pot, double *grad)
 {
     long pad = 0;
     double *sx, r[4];
     for (long k = 0; k < n_tiles; k++)
         for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++)
-            if (src_ptr[g + 1] - src_ptr[g] > pad)
-                pad = src_ptr[g + 1] - src_ptr[g];
+            if (src_cnt[g] > pad)
+                pad = src_cnt[g];
     if (pad == 0)
         return 0; /* no sources: nothing is written, as by the dense seam */
     pad = (pad + 7) & ~7L;
@@ -147,17 +151,17 @@ int p2p_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
     double *sy = sx + pad, *sz = sy + pad, *sq = sz + pad;
     for (long k = 0; k < n_tiles; k++) {
         for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++) {
-            const int64_t *si = src_idx + src_ptr[g];
-            long S = src_ptr[g + 1] - src_ptr[g];
-            if (S == 0)
+            long S = 0;
+            if (src_cnt[g] == 0)
                 continue;
-            for (long j = 0; j < S; j++) {
-                const double *b = pts + 3 * si[j];
-                sx[j] = b[0];
-                sy[j] = b[1];
-                sz[j] = b[2];
-                sq[j] = j < src_cnt[g] ? q[si[j]] : 0.0;
-            }
+            for (int64_t run = run_ptr[g]; run < run_ptr[g + 1]; run++)
+                for (int64_t p = src_lo[run]; p < src_hi[run]; p++, S++) {
+                    const double *b = pts + 3 * order[p];
+                    sx[S] = b[0];
+                    sy[S] = b[1];
+                    sz[S] = b[2];
+                    sq[S] = q[order[p]];
+                }
             for (int64_t i = tgt_ptr[g]; i < tgt_ptr[g + 1]; i++) {
                 int64_t t = tgt_idx[i];
                 p2p_row(S, sx, sy, sz, sq, pts + 3 * t, eps2, -1, r);

@@ -213,11 +213,12 @@ class Kernel(abc.ABC):
         :class:`~repro.fmm.nearfield.NearFieldPlan`) written to their target
         rows of ``pot`` / ``grad`` (``None`` = not wanted).
 
-        The gather seam: per tile, gather the ``(G, T)`` targets and ``(G,
-        S)`` sources, zero the padded strengths, make one batched
-        :meth:`pairwise` call and scatter its rows.  A kernel that can read
-        the plan in place (Laplace, compiled) overrides this with the same
-        bits.
+        The gather seam: per tile, gather the ``(G, T)`` targets and the
+        ``(G, S)`` sources of the plan's padded source index (built once
+        per plan, on first use), zero the padded strengths, make one
+        batched :meth:`pairwise` call and scatter its rows.  A kernel that
+        can read the plan in place (Laplace, compiled) overrides this with
+        the same bits.
         """
         for k in plan.checked_tiles(pts, q, tiles).tolist():
             t_idx, s_idx, src_cnt = plan.tile(k)

@@ -116,11 +116,12 @@ class LaplaceKernel(Kernel):
 
     def near_tiles(self, pts, q, plan, tiles, pot, grad):
         """One call into ``p2p_tiles`` for all of ``tiles``: sources staged
-        straight from ``pts[src_idx]``, rows written by index, scaled by
-        :attr:`laplace_scale` / :attr:`laplace_gradient_scale` (so
-        :class:`GravityKernel` needs no override) — bitwise the gather seam,
-        without its per-tile gathers, mask and scatter.  The gather seam
-        itself where no compiler resolves."""
+        straight from ``pts`` along the plan's leaf runs, rows written by
+        index, scaled by :attr:`laplace_scale` /
+        :attr:`laplace_gradient_scale` (so :class:`GravityKernel` needs no
+        override) — bitwise the gather seam, without its padded index,
+        per-tile gathers, mask and scatter.  The gather seam itself where
+        no compiler resolves."""
         lib = _native.library()
         if lib is None:
             return super().near_tiles(pts, q, plan, tiles, pot, grad)

@@ -454,9 +454,6 @@ class _WorkerState:
         self.exp = plan.expansion
         self.geom = geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
-        self.near_plan = nearfield.NearFieldPlan(
-            **_plan_views("near", v), total_pairs=plan.near_pairs, n_bodies=len(v["points"])
-        )
 
         # per-shard leaf/body subset (row-independent stages)
         self.my_leaves = np.nonzero(plan.leaf_shard == self.me)[0]
@@ -480,14 +477,11 @@ class _WorkerState:
         else:
             self.halo_rows = np.empty(0, dtype=np.int64)
 
-        # near tiles + boundary-body halo (sources owned by other shards)
+        # near tiles + boundary-body halo (sources owned by other shards),
+        # read off the source leaf runs of my tiles
         self.my_tiles = np.nonzero(plan.near_assignee == self.me)[0]
-        segs = [self.near_plan.tile(k)[1].ravel() for k in self.my_tiles.tolist()]
-        if segs:
-            s_all = np.unique(np.concatenate(segs))
-            self.near_remote = s_all[plan.body_owner[s_all] != self.me]
-        else:
-            self.near_remote = np.empty(0, dtype=np.int64)
+        s_all = self.near_plan.tile_sources(self.my_tiles)
+        self.near_remote = s_all[plan.body_owner[s_all] != self.me]
 
         self._beat = lambda label=None: None
         self.completed_phase = -1
@@ -513,8 +507,12 @@ class _WorkerState:
 
     def refresh(self) -> None:
         """Positions moved (same structure): re-slice my leaves out of the
-        rewritten body plan and drop the bases derived from it."""
+        rewritten body plan, wrap (and so check) the rewritten near plan
+        afresh and drop what was derived from either."""
         self.sub = self.body_plan.subset(self.my_leaves)
+        self.near_plan = nearfield.NearFieldPlan(**_plan_views("near", self.v),
+                                                 total_pairs=self.plan.near_pairs,
+                                                 n_bodies=len(self.v["points"]))
         self._memo: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------- helpers

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.tree.octree import AdaptiveOctree, NodeTable
-from repro.util.arrays import csr_ptr, stable_argsort
+from repro.util.arrays import csr_ptr, segment_positions, stable_argsort
 
 __all__ = ["FAMILIES", "InteractionLists", "PairTable", "build_interaction_lists"]
 
@@ -251,22 +251,6 @@ class InteractionLists:
 # --------------------------------------------------------------------------
 
 
-def _csr_expand(ptr: np.ndarray, arr: np.ndarray, rows: np.ndarray):
-    """Concatenate CSR segments ``arr[ptr[r]:ptr[r+1]]`` for each row.
-
-    Returns ``(values, counts)`` with ``counts[k] = len(segment of rows[k])``
-    and ``values`` the segments back to back, in order — the vectorized
-    equivalent of ``concat(arr[ptr[r]:ptr[r+1]] for r in rows)``.
-    """
-    cnt = ptr[rows + 1] - ptr[rows]
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, dtype=arr.dtype), cnt
-    ends = np.cumsum(cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt, cnt)
-    return arr[np.repeat(ptr[rows], cnt) + within], cnt
-
-
 def _adjacency_columns(bounds: np.ndarray):
     """Precompute the doubled-center / width columns for the touch test.
 
@@ -340,7 +324,7 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
     nz = np.nonzero(parent_row >= 0)[0]
     child_arr = nz[stable_argsort(parent_row[nz], n)]
     cnt_children = np.bincount(parent_row[nz], minlength=n)
-    child_ptr = csr_ptr(cnt_children)
+    child_lo, child_hi = csr_ptr(cnt_children)[:-1], np.cumsum(cnt_children)
 
     # ---------------------------------------------------- colleagues and V
     # Level-synchronous sweep: all children of one parent share a candidate
@@ -360,15 +344,17 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
     for lvl in range(1, max_level + 1):
         parents = np.unique(parent_row[np.nonzero(level == lvl)[0]])
         # candidate pool per parent: children of the parent's colleagues
-        pc, pc_cnt = _csr_expand(
-            lev_coll_ptr[lvl - 1], lev_coll_vals[lvl - 1], pos_in_level[parents]
-        )
-        cand_pool, cand_cnt = _csr_expand(child_ptr, child_arr, pc)
+        ptr, at = lev_coll_ptr[lvl - 1], pos_in_level[parents]
+        pos, pc_cnt = segment_positions(ptr[at], ptr[at + 1])
+        pc = lev_coll_vals[lvl - 1][pos]
+        pos, cand_cnt = segment_positions(child_lo[pc], child_hi[pc])
+        cand_pool = child_arr[pos]
         pool_len = np.zeros(len(parents), dtype=np.int64)
         if pc.size:
             np.add.at(pool_len, np.repeat(np.arange(len(parents)), pc_cnt), cand_cnt)
         # cross product: every child of parent p against p's whole pool
-        children, k_p = _csr_expand(child_ptr, child_arr, parents)
+        pos, k_p = segment_positions(child_lo[parents], child_hi[parents])
+        children = child_arr[pos]
         pos_in_level[children] = np.arange(children.size, dtype=np.int64)
         m_c = np.repeat(pool_len, k_p)  # pool size per child
         owners = np.repeat(children, m_c)
@@ -423,7 +409,9 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
         lrows = lev_rows[lvl][is_leaf[lev_rows[lvl]]]
         if not lrows.size:
             continue
-        cvals, ccnt = _csr_expand(lev_coll_ptr[lvl], lev_coll_vals[lvl], pos_in_level[lrows])
+        ptr, at = lev_coll_ptr[lvl], pos_in_level[lrows]
+        pos, ccnt = segment_positions(ptr[at], ptr[at + 1])
+        cvals = lev_coll_vals[lvl][pos]
         cown = np.repeat(lrows, ccnt)
         leaf_coll = is_leaf[cvals]  # same-level adjacent leaves, incl. self
         u_own.append(cown[leaf_coll])
@@ -432,7 +420,8 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
         sc_own_parts.append(cown[~leaf_coll])
     sc = np.concatenate(sc_parts) if sc_parts else np.empty(0, dtype=np.int64)
     sc_own = np.concatenate(sc_own_parts) if sc_own_parts else np.empty(0, dtype=np.int64)
-    cand, cnt = _csr_expand(child_ptr, child_arr, sc)
+    pos, cnt = segment_positions(child_lo[sc], child_hi[sc])
+    cand = child_arr[pos]
     own = np.repeat(sc_own, cnt)
     w_own: list[np.ndarray] = []
     w_val: list[np.ndarray] = []
@@ -448,9 +437,8 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
         u_own.append(cand[leaf_hit])
         u_val.append(own[leaf_hit])
         own, cand = own[~leaf_hit], cand[~leaf_hit]
-        kids, cnt = _csr_expand(child_ptr, child_arr, cand)
-        own = np.repeat(own, cnt)
-        cand = kids
+        pos, cnt = segment_positions(child_lo[cand], child_hi[cand])
+        own, cand = np.repeat(own, cnt), child_arr[pos]
     uo = np.concatenate(u_own)
     uv = np.concatenate(u_val)
     wo = np.concatenate(w_own) if w_own else np.empty(0, dtype=np.int64)
@@ -474,9 +462,8 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
             ext_own.append(own[leaf_hit])
             ext_leaf.append(cand[leaf_hit])
             own, cand = own[~leaf_hit], cand[~leaf_hit]
-            kids, cnt = _csr_expand(child_ptr, child_arr, cand)
-            own = np.repeat(own, cnt)
-            cand = kids
+            pos, cnt = segment_positions(child_lo[cand], child_hi[cand])
+            own, cand = np.repeat(own, cnt), child_arr[pos]
         eo = np.concatenate(ext_own) if ext_own else none
         el = np.concatenate(ext_leaf) if ext_leaf else none
         # the grouping sort is stable and the U pairs come first in the

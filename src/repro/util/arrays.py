@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csr_ptr", "stable_argsort"]
+__all__ = ["csr_ptr", "segment_positions", "stable_argsort"]
 
 
 def csr_ptr(counts: np.ndarray) -> np.ndarray:
     """CSR pointer of consecutive rows of lengths ``counts``."""
-    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64, copy=False)
+
+
+def segment_positions(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``lo[k]:hi[k]`` back to back, in order; returns
+    ``(positions, counts)`` — the vectorized ``concat(range(lo[k], hi[k]))``."""
+    cnt = hi - lo
+    total = int(cnt.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), cnt
+    ends = np.cumsum(cnt)
+    within = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt, cnt)
+    return np.repeat(lo, cnt) + within, cnt
 
 
 def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:

@@ -32,6 +32,7 @@ import pytest
 import repro
 from repro.fmm.nearfield import _SRC_ROUND
 from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
+from repro.kernels.base import Kernel
 from tests.clouds import CLOUDS
 from tests.test_nearfield import WANTS, _outputs, _plan_case
 
@@ -229,6 +230,20 @@ def test_mismatched_blocks_are_rejected_before_any_pointer_is_passed(native_p2p)
         LaplaceKernel().pairwise(np.ones((2, 4, 2)), np.ones((2, 6, 3)), np.ones((2, 6)))
 
 
+def test_the_compiled_path_reads_the_runs_and_never_pads(native_p2p):
+    """``p2p_tiles`` stages each group off its leaf runs: a whole solve's
+    tiles build no padded source index.  The gather seam builds it once,
+    on first use, and keeps it — with the same bytes out."""
+    pts, q, plan = _plan_case("plummer")
+    kernel, n = LaplaceKernel(softening=0.01), len(pts)
+    out = [(np.zeros(n), np.zeros((n, 3))) for _ in range(2)]
+    kernel.near_tiles(pts, q, plan, range(plan.n_tiles), *out[0])
+    assert "padded_sources" not in vars(plan)
+    Kernel.near_tiles(kernel, pts, q, plan, range(plan.n_tiles), *out[1])
+    assert vars(plan)["padded_sources"] is plan.padded_sources
+    assert [a.tobytes() for a in out[0]] == [a.tobytes() for a in out[1]]
+
+
 def test_bad_plans_bodies_and_tiles_are_rejected_before_any_pointer_is_passed(native_p2p, monkeypatch):
     """``p2p_tiles`` reads bodies by index: a plan whose indices or pointers
     leave their arrays cannot be built, and a call with the wrong bodies,
@@ -240,18 +255,36 @@ def test_bad_plans_bodies_and_tiles_are_rejected_before_any_pointer_is_passed(na
         raise AssertionError("p2p_tiles reached")
 
     monkeypatch.setattr(_native, "_library", _native.library()._replace(tiles=unreachable))
-    corrupt = {
-        "src_idx": lambda a: np.where(a == a.max(), n, a),
-        "tgt_idx": lambda a: np.where(a == a[0], -1, a),
-        "self_idx": lambda a: a + n,
-        "src_ptr": lambda a: a[::-1],
-        "tgt_ptr": lambda a: a[:-1],
-        "tile_ptr": lambda a: a + 1,
-        "src_cnt": lambda a: a + _SRC_ROUND,
-    }
-    for field, bad in corrupt.items():
+    lo, hi, run_ptr = plan.src_lo, plan.src_hi, plan.run_ptr
+
+    def runs(lo, hi):
+        """Runs moved to ``lo``/``hi``, ``src_cnt`` kept their totals: only
+        the run bounds are wrong."""
+        cnt = np.diff(np.concatenate(([0], np.cumsum(hi - lo)))[run_ptr])
+        return {"src_lo": lo, "src_hi": hi, "src_cnt": cnt}
+
+    replace(plan, **runs(lo, hi))  # the helper alone breaks nothing
+
+    swapped = (lo < hi) & (np.arange(lo.size) == np.argmax(lo < hi))  # one run's ends
+    corrupt = [
+        {"tgt_idx": np.where(plan.tgt_idx == plan.tgt_idx[0], -1, plan.tgt_idx)},
+        {"self_idx": plan.self_idx + n},
+        {"tgt_ptr": plan.tgt_ptr[:-1]},
+        {"tile_ptr": plan.tile_ptr + 1},
+        {"order": np.where(plan.order == plan.order.max(), n, plan.order)},  # past the bodies
+        {"order": plan.order[:-1]},  # one entry short
+        runs(lo - 1 - lo.min(), hi - 1 - lo.min()),  # a run before the first body
+        runs(lo + n + 1 - hi.max(), hi + n + 1 - hi.max()),  # a run past the last
+        runs(np.where(swapped, hi, lo), np.where(swapped, lo, hi)),  # a run ending first
+        {"run_ptr": run_ptr[::-1]},  # not monotone
+        {"run_ptr": np.minimum(run_ptr, run_ptr[-1] - 1)},  # short of the run count
+        {"src_cnt": plan.src_cnt + _SRC_ROUND},  # more than the runs hold
+        # the largest group one short of its runs: its staging would overflow
+        {"src_cnt": plan.src_cnt - (np.arange(plan.n_groups) == np.argmax(plan.src_cnt))},
+    ]
+    for fields in corrupt:
         with pytest.raises(ValueError, match="out of range"):
-            replace(plan, **{field: bad(getattr(plan, field))})
+            replace(plan, **fields)
     with pytest.raises(ValueError, match="out of range"):
         replace(plan, n_bodies=n - 1)
     kernel, pot, grad = LaplaceKernel(), np.zeros(n), np.zeros((n, 3))

@@ -328,9 +328,16 @@ def test_degenerate_inputs_match_per_leaf_reference(name, make):
 _PLAN_FIELDS = shard_plan_fields["near"]  # every array of the plan, as shipped to shard workers
 
 
+def _group_sources(plan, g):
+    """Group ``g``'s source bodies, read off its leaf runs one at a time."""
+    runs = range(plan.run_ptr[g], plan.run_ptr[g + 1])
+    return np.array([b for r in runs for b in plan.order[plan.src_lo[r] : plan.src_hi[r]]], dtype=np.int64)
+
+
 def _check_tiles(tree, lists, plan):
     """Every target body in exactly one tile, tiles of one shape within the
-    budget, padding = the group's first source, real pairs as listed."""
+    budget, the padded sources = the runs' bodies then the group's first
+    source, real pairs as listed."""
     seen = np.concatenate([plan.tile(k)[0].ravel() for k in range(plan.n_tiles)])
     assert np.array_equal(np.sort(seen), np.arange(tree.n_bodies))
     assert plan.tile_ptr[0] == 0 and plan.tile_ptr[-1] == plan.n_groups
@@ -342,6 +349,10 @@ def _check_tiles(tree, lists, plan):
         assert np.all(s_idx.shape[1] - cnt < nearfield._SRC_ROUND) and np.all(cnt <= s_idx.shape[1])
         pad = np.arange(s_idx.shape[1]) >= cnt[:, None]
         assert np.array_equal(s_idx[pad], np.broadcast_to(s_idx[:, :1], s_idx.shape)[pad])
+        for g, row in enumerate(s_idx, start=plan.tile_ptr[k]):
+            assert np.array_equal(row[: plan.src_cnt[g]], _group_sources(plan, g))
+            runs = slice(plan.run_ptr[g], plan.run_ptr[g + 1])
+            assert (plan.src_lo[runs][1:] != plan.src_hi[runs][:-1]).all()  # adjacent runs merged
         assert plan.tile_pairs(k) == t_idx.shape[1] * int(cnt.sum())
     pairs = sum(
         tree.nodes[t].count * tree.nodes[s].count
@@ -350,6 +361,19 @@ def _check_tiles(tree, lists, plan):
     )
     assert plan.total_pairs == pairs == sum(map(plan.group_pairs, range(plan.n_groups)))
     assert pairs == sum(map(plan.tile_pairs, range(plan.n_tiles)))
+
+
+def test_tile_sources_are_the_distinct_bodies_the_tiles_read():
+    """A shard's near halo comes off its tiles' leaf runs: the distinct
+    source bodies of any tile subset, ascending, are the bodies the gather
+    seam reads for them (padding included), and none for no tiles."""
+    tree = AdaptiveOctree(gaussian_blobs(700, seed=3).positions, S=9)
+    plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    rng = np.random.default_rng(3)
+    for size in (0, 1, plan.n_tiles // 3, plan.n_tiles):
+        tiles = rng.permutation(plan.n_tiles)[:size]
+        read = [plan.tile(k)[1].ravel() for k in tiles] + [np.empty(0, dtype=np.int64)]
+        assert np.array_equal(plan.tile_sources(tiles), np.unique(np.concatenate(read)))
 
 
 @pytest.mark.parametrize("dist,S", [(uniform_cube, 5), (plummer, 14)])
@@ -491,7 +515,7 @@ def test_near_tiles_equal_the_gather_seam(p2p_impl, cloud, name):
     kernel = _NEAR_TILES_KERNELS[name]
     pts, q, plan = _plan_case(cloud)
     if cloud == "no-sources":
-        assert (plan.src_ptr[1:] == plan.src_ptr[:-1]).any()
+        assert (plan.run_ptr[1:] == plan.run_ptr[:-1]).any() and (plan.src_cnt == 0).any()
     for want in WANTS.values():
         args = (kernel, pts, q, plan, range(plan.n_tiles), want)
         got = _near_tiles(type(kernel).near_tiles, *args)
@@ -538,11 +562,11 @@ def test_a_nan_coordinate_keeps_the_potential_finite_and_poisons_the_gradient(p2
     kernel = _NEAR_TILES_KERNELS["laplace"]
     pts, q, plan = _plan_case("plummer")
     pts = pts.copy()
-    bad = int(plan.src_idx[0])
+    bad = int(_group_sources(plan, 0)[0])
     pts[bad, 1] = np.nan
     pot, grad = _near_tiles(type(kernel).near_tiles, kernel, pts, q, plan, range(plan.n_tiles), (True, True))
     assert np.isfinite(pot).all()
     # every target of a group that has the body among its sources
-    hit = [g for g in range(plan.n_groups) if bad in plan.src_idx[plan.src_ptr[g] : plan.src_ptr[g + 1]]]
+    hit = [g for g in range(plan.n_groups) if bad in _group_sources(plan, g)]
     targets = np.concatenate([plan.tgt_idx[plan.tgt_ptr[g] : plan.tgt_ptr[g + 1]] for g in hit])
     assert np.isnan(grad[targets, 1]).all()

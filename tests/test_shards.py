@@ -243,6 +243,10 @@ def test_session_reuse_and_refit_refresh():
         assert np.array_equal(s3.gradient, r3.gradient)
         assert solver.degraded_runs == 0
 
+        # a near plan of another size is never rewritten into the arena
+        other = AdaptiveOctree(pts[:-100], S=24)
+        assert not eng._refresh_session(eng._session, other, solver.list_cache.get(other, folded=True))
+
 
 # -------------------------------------------------------------- LET coverage
 def test_let_names_every_remote_multipole_and_body():
