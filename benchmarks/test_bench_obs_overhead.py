@@ -11,7 +11,11 @@ This bench measures both sides of that claim:
   the measured wall time of one reference simulation step;
 * an end-to-end A/B: the same short step loop run with no telemetry
   argument at all vs. an explicitly disabled bundle (identical code
-  paths, so the ratio is ~1; asserted loosely to absorb timer noise).
+  paths, so the ratio is ~1; asserted loosely to absorb timer noise);
+* what *enabled* telemetry costs: a ``collapse_sim``-shaped FMM run
+  (balancer, rebuilds, fine-grained surgery, simulated worker lanes)
+  with a live ``Telemetry()`` against none, best of three alternating
+  runs each, bounded at 1.15x.
 """
 
 import gc
@@ -110,3 +114,43 @@ def test_bench_disabled_telemetry_end_to_end(benchmark):
     # identical code paths; loose bound absorbs scheduler/timer noise
     assert ratio < 1.10
     benchmark.pedantic(run_disabled, rounds=1, iterations=1)
+
+
+def test_bench_enabled_telemetry_stepped_run(benchmark):
+    """A fully traced 12-step FMM run costs < 1.15x an untraced one."""
+    ps = compact_plummer(2000, seed=0, velocity_scale=1.5)
+    machine = system_a().with_resources(n_cores=10, n_gpus=4)
+    steps = 12
+
+    def run(telemetry):
+        sim = Simulation(
+            ps.copy(),
+            GravityKernel(G=1.0),
+            machine,
+            config=SimulationConfig(
+                dt=1e-4,
+                order=3,
+                forces="fmm",
+                strategy="full",
+                balancer=BalancerConfig(gap_threshold_frac=0.15),
+                n_workers=1,
+            ),
+            telemetry=telemetry,
+        )
+        with sim:
+            sim.run(steps)
+
+    run(None)  # warm: imports, the compiled kernels
+    off, on = float("inf"), float("inf")
+    for _ in range(3):
+        off = min(off, _best_time(lambda: run(None), rounds=1))
+        on = min(on, _best_time(lambda: run(Telemetry()), rounds=1))
+    ratio = on / off
+    tel = Telemetry()
+    benchmark.pedantic(run, args=(tel,), rounds=1, iterations=1)
+    print(
+        f"\n{steps}-step FMM run: no telemetry {off:.3f}s, enabled {on:.3f}s, "
+        f"ratio {ratio:.3f}; {len(tel.tracer)} trace events "
+        f"({len(tel.tracer) / steps:.0f} per step), {len(tel.metrics)} metric series"
+    )
+    assert ratio < 1.15, f"enabled telemetry costs {ratio:.2f}x an untraced run"

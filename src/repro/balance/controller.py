@@ -236,12 +236,7 @@ class DynamicLoadBalancer:
         self._expect_new_best = True  # next step's time becomes the new best
         self._s_history.clear()
         out.actions.append(f"watchdog->observation flips={flips}")
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "balancer_oscillation_total",
-                "S-oscillation watchdog trips (forced OBSERVATION)",
-            ).inc()
-            self.telemetry.tracer.instant("balancer-watchdog", flips=flips)
+        self.telemetry.tracer.instant("balancer-watchdog", flips=flips)
 
     def _record_outcome(self, prev_state: BalancerState, out: LBOutcome) -> None:
         """Mirror one step's balancer activity into the telemetry bundle."""
@@ -255,13 +250,7 @@ class DynamicLoadBalancer:
             tel.tracer.instant(
                 "balancer-transition", **{"from": prev_state.value, "to": self.state.value}
             )
-        tel.metrics.gauge("balancer_S", "current leaf-capacity parameter S").set(self.S)
         for action in out.actions:
-            tel.metrics.counter(
-                "balancer_actions_total",
-                "balancer actions taken at end of step",
-                labels={"action": action.split(" ", 1)[0].split("=", 1)[0]},
-            ).inc()
             tel.tracer.instant("balancer-action", action=action, state=self.state.value)
 
     # --------------------------------------------------------------- search

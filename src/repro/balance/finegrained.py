@@ -184,8 +184,6 @@ def fine_grained_optimize(
     report = FineGrainedReport()
     # telemetry rides on the executor (mock executors in tests may lack it)
     telemetry = getattr(executor, "telemetry", None)
-    metrics = telemetry.metrics if telemetry is not None and telemetry.enabled else None
-    tracer = telemetry.tracer if telemetry is not None else None
     examined = 0
     # route builds through the executor's cache when it has one (mock
     # executors in tests may not); every surgery round bumps the tree's
@@ -246,22 +244,8 @@ def fine_grained_optimize(
     report.final = best
     if cache is not None:
         report.list_rebuilds = cache.builds - rebuilds0
-    if metrics is not None:
-        metrics.counter(
-            "fgo_calls_total", "FineGrainedOptimize invocations"
-        ).inc()
-        metrics.counter(
-            "fgo_candidates_examined_total",
-            "collapse/pushdown candidates tentatively applied",
-        ).inc(examined)
-        metrics.counter(
-            "fgo_operations_accepted_total",
-            "surgery operations kept after prediction improved",
-        ).inc(report.operations)
-        metrics.counter(
-            "fgo_rounds_total", "tentative surgery rounds evaluated"
-        ).inc(report.rounds)
-        tracer.instant(
+    if telemetry is not None:
+        telemetry.tracer.instant(
             "fine-grained-optimize",
             rounds=report.rounds,
             examined=examined,

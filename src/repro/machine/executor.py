@@ -180,7 +180,7 @@ class HeterogeneousExecutor:
             cpu_flops["L2P"] = 0.0
         registry = self._attribute_cpu_time(attributable, counts, cpu_flops, include_near)
         if self.telemetry.enabled:
-            self._record_step_metrics(registry, gpu_coeff, cpu_time, gpu_time)
+            self._record_step_metrics(registry, gpu_coeff)
         return StepTiming(
             cpu_time=cpu_time,
             gpu_time=gpu_time,
@@ -247,9 +247,10 @@ class HeterogeneousExecutor:
                     ).set(value)
 
     # --------------------------------------------------------------- helpers
-    def _record_step_metrics(self, registry, gpu_coeff, cpu_time, gpu_time) -> None:
-        """Mirror one step's observed coefficients and phase times into the
-        metrics registry (gauges: the §IV-D quantities the balancer reads)."""
+    def _record_step_metrics(self, registry, gpu_coeff) -> None:
+        """Mirror one step's observed §IV-D coefficients (the quantities the
+        balancer reads) into the metrics registry as gauges; the step's
+        phase times are the step log's ``cpu_time`` / ``gpu_time``."""
         m = self.telemetry.metrics
         for op, value in registry.coefficients().items():
             if value > 0.0:
@@ -264,11 +265,6 @@ class HeterogeneousExecutor:
                 "observed per-application cost of one FMM operation (§IV-D)",
                 labels={"op": "P2P", "device": "gpu"},
             ).set(gpu_coeff)
-        m.gauge("fmm_step_cpu_seconds", "modeled CPU far-field time of the last step").set(cpu_time)
-        m.gauge("fmm_step_gpu_seconds", "modeled GPU near-field time of the last step").set(gpu_time)
-        m.histogram(
-            "fmm_step_compute_seconds", "modeled max(CPU, GPU) compute time per step"
-        ).observe(max(cpu_time, gpu_time))
 
     def _gpu_flop_rate(self) -> float:
         """Effective FLOPs/s of one GPU (peak interaction rate x FLOPs/pair)."""

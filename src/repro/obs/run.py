@@ -62,8 +62,8 @@ def run(
 
     ``shards`` (``--shards N``) instead runs the solves on the sharded
     multi-process backend — N worker processes over Morton-range shards
-    with shared-memory halo exchange — and adds per-shard lanes plus the
-    ``shard_halo_*`` gauges.  Mutually exclusive with ``workers > 1``.
+    with shared-memory halo exchange — and adds per-shard lanes to the
+    artifacts.  Mutually exclusive with ``workers > 1``.
 
     ``checkpoint_every`` (``--checkpoint-every K``) writes
     ``{checkpoint}.npz`` + ``{checkpoint}.json`` every K steps;

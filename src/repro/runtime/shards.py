@@ -99,7 +99,6 @@ import tempfile
 import threading
 import time
 import traceback
-import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
@@ -116,7 +115,6 @@ __all__ = [
     "ProcessEngine",
     "ShardExecutionError",
     "ShardRunResult",
-    "supervisor_snapshot",
 ]
 
 #: delta-scratch byte budget per M2L superstep round (bounds arena size;
@@ -156,26 +154,6 @@ class _ShardFailure(Exception):
         self.reason = reason
         self.restart_phase = max(0, restart_phase)
         self.detail = detail
-
-
-#: live engines, so the serve layer's status verb can report supervisor
-#: state without owning a reference (see :func:`supervisor_snapshot`)
-_ENGINES: "weakref.WeakSet[ProcessEngine]" = weakref.WeakSet()
-
-
-def supervisor_snapshot() -> dict:
-    """Aggregate supervision counters across every live ProcessEngine."""
-    engines = list(_ENGINES)
-    return {
-        "engines": len(engines),
-        "shards": sum(e.n_shards for e in engines),
-        "runs_total": sum(e.total_runs for e in engines),
-        "respawns_total": sum(e.total_respawns for e in engines),
-        "partial_redos_total": sum(e.total_partial_redos for e in engines),
-        "serial_fallbacks_total": sum(
-            e.total_serial_fallbacks for e in engines
-        ),
-    }
 
 
 # --------------------------------------------------------------------------
@@ -813,9 +791,6 @@ def _worker_main(conn, barrier, shard_id: int) -> None:
                 _native.adopt(plan.p2p_library)
                 state = _WorkerState(plan, shard_id, barrier)
                 conn.send(("ok",))
-            elif cmd == "refresh":
-                state.refresh()
-                conn.send(("ok",))
             elif cmd == "ping":
                 conn.send(("pong", msg[1]))
             elif cmd == "run":
@@ -979,7 +954,6 @@ class ProcessEngine:
         timeout_s: float = 600.0,
         heartbeat_s: float | None = None,
         max_respawns: int = 2,
-        telemetry=None,
     ) -> None:
         n_shards = default_workers() if n_shards is None else int(n_shards)
         if n_shards < 1:
@@ -1000,7 +974,6 @@ class ProcessEngine:
             raise ValueError("heartbeat_s must be positive")
         #: recoveries allowed per solve before falling back to serial
         self.max_respawns = int(max_respawns)
-        self._telemetry = telemetry
         self._fault_plan = None
         self._ping_token = 0
         self._ctx = mp.get_context("spawn")
@@ -1017,7 +990,6 @@ class ProcessEngine:
         self.total_respawns = 0
         self.total_partial_redos = 0
         self.total_serial_fallbacks = 0
-        _ENGINES.add(self)
 
     def install_fault_plan(self, plan) -> None:
         """Arm (or with ``None`` disarm) a process-level chaos plan.
@@ -1036,15 +1008,6 @@ class ProcessEngine:
                     f"({exc})"
                 ) from exc
         self._fault_plan = plan
-
-    def _count(self, name: str, help_text: str, amount: int = 1) -> None:
-        tel = self._telemetry
-        if tel is None or not getattr(tel, "enabled", False) or amount <= 0:
-            return
-        try:
-            tel.metrics.counter(name, help_text).inc(amount)
-        except Exception:
-            pass  # supervision must never fail on a telemetry hiccup
 
     def __enter__(self) -> "ProcessEngine":
         return self
@@ -1229,10 +1192,6 @@ class ProcessEngine:
         self._teardown_pool()
         self._drop_session()
         self.total_serial_fallbacks += 1
-        self._count(
-            "shard_serial_fallback_total",
-            "sharded solves abandoned past max_respawns (serial fallback)",
-        )
         raise ShardExecutionError(message, reason=reason)
 
     # ------------------------------------------------------- supervision
@@ -1459,17 +1418,8 @@ class ProcessEngine:
             )
         n_respawned = len(culprits)
         self.total_respawns += n_respawned
-        self._count(
-            "shard_respawns_total",
-            "shard worker processes respawned by the supervisor",
-            n_respawned,
-        )
         if failure.restart_phase > 0:
             self.total_partial_redos += 1
-            self._count(
-                "shard_partial_redo_total",
-                "recoveries that re-executed only the lost phases",
-            )
         return n_respawned
 
     def _run(self, sess: _Session, tree, deadline=None) -> ShardRunResult:

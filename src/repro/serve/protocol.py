@@ -152,9 +152,9 @@ class SolveSpec:
     and the server stays healthy.  A deadline does not change *how* the
     request is solved.  ``workers`` is the per-solve engine
     thread count — the server's parallelism axis is *across* requests,
-    so the default is the exact serial path.  ``shards`` exists only to
-    be validated: shard workers and serve pools both fork processes, and
-    the conflict is rejected eagerly with a clean error.
+    so the default is the exact serial path.  There is no ``shards``
+    field: a served solve never runs on shard processes, and
+    :meth:`from_dict` rejects it as an unknown field.
     """
 
     kernel: str = "laplace"
@@ -166,7 +166,6 @@ class SolveSpec:
     backend: str = "cartesian"
     folded: bool = True
     workers: int = 1
-    shards: int = 1
     deadline_s: float | None = None
     domain_size: float = 1.0
 
@@ -195,13 +194,6 @@ class SolveSpec:
         if int(self.workers) < 1:
             raise ProtocolError(
                 f"workers must be >= 1 (1 = exact serial path), got {self.workers}"
-            )
-        if int(self.shards) != 1:
-            raise ProtocolError(
-                "n_shards > 1 is not allowed inside the server pool: shard "
-                "workers and serve pools both fork processes — run sharded "
-                "solves through `python -m repro trace --shards N` instead",
-                details={"shards": int(self.shards)},
             )
         if self.deadline_s is not None:
             _require_positive_finite("deadline_s", self.deadline_s)

@@ -14,12 +14,13 @@ cheaper than a cold one while keeping results *bitwise identical* to a
 direct :class:`~repro.sim.driver.Simulation`/solver run (sharing changes
 where operators come from, never their values).
 
-Observability: every request runs under a ``serve-request`` tracer
-span, headline gauges/counters export through the Prometheus-style
-registry (queue depth, active tenants, shed/deadline totals), and every
-served solve appends one flight-recorder
-:class:`~repro.obs.ledger.RunRecord` with an ``extra.serve`` block when
-a ledger is configured.
+Observability: the ``status`` verb is the one health surface (queue
+depth, active tenants, queued cost, request / shed / deadline / drain
+totals, operator-store stats), and with ``--ledger`` every served solve
+appends one flight-recorder :class:`~repro.obs.ledger.RunRecord` (its
+``wall_s`` and ``queue_wait_s``, plus an ``extra.serve`` block).  A served
+request keeps nothing once answered: solves run on a disabled
+:class:`~repro.obs.Telemetry`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.expansions.operators import OperatorStore
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.serve.protocol import (
     FrameTooLargeError,
     ProtocolError,
@@ -135,17 +136,17 @@ def _solve_core(
     The budget's clock starts here, on entry: tree build, lists, operator
     geometry and the sweep all spend from one
     :class:`~repro.util.timing.Deadline`.  Raises :class:`ServeError` 408
-    naming the phase that noticed the expiry.
+    naming the phase that noticed the expiry.  ``telemetry`` reaches a
+    one-shot solve only (``None``: the solvers' disabled default).
     """
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
     spec.validate()
     deadline = None if deadline_s is None else Deadline(deadline_s)
     try:
         if deadline is not None:
             deadline.check("queue")
         if spec.steps > 0:
-            return _run_simulation(spec, operators, deadline, tel)
-        return _run_solve(spec, operators, deadline, tel)
+            return _run_simulation(spec, operators, deadline)
+        return _run_solve(spec, operators, deadline, telemetry)
     except SolveDeadlineError as exc:
         raise ServeError(
             408,
@@ -155,7 +156,7 @@ def _solve_core(
         ) from exc
 
 
-def _run_solve(spec, operators, deadline, tel):
+def _run_solve(spec, operators, deadline, telemetry):
     """One-shot field solve — the serial sweep unless ``spec.workers > 1``."""
     from repro.kernels.laplace import GravityKernel
     from repro.runtime.engine import ExecutionEngine
@@ -172,7 +173,7 @@ def _run_solve(spec, operators, deadline, tel):
     engine = ExecutionEngine(n_workers=spec.workers) if spec.workers > 1 else None
     common = dict(
         expansion=_expansion(spec), folded=spec.folded,
-        list_cache=list_cache, telemetry=tel, engine=engine,
+        list_cache=list_cache, telemetry=telemetry, engine=engine,
     )
     try:
         if spec.kernel == "stokeslet":
@@ -205,7 +206,7 @@ def _run_solve(spec, operators, deadline, tel):
             engine.close()
 
 
-def _run_simulation(spec, operators, deadline, tel):
+def _run_simulation(spec, operators, deadline):
     """Time-stepped Laplace run: the request's deadline is checked between
     steps, and its budget also bounds every single solve inside a step."""
     from repro.kernels.laplace import GravityKernel
@@ -230,7 +231,6 @@ def _run_simulation(spec, operators, deadline, tel):
         system_a(),
         config=config,
         domain=domain,
-        telemetry=tel if tel.enabled else None,
         list_cache=ListCache(operators=operators),
     )
     with sim:
@@ -332,14 +332,11 @@ class _FrameReader:
 class JobServer:
     """Multi-tenant asyncio front end over one warm solver thread."""
 
-    def __init__(
-        self,
-        config: ServeConfig | None = None,
-        *,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        #: the served solves' bundle: disabled, so a request records
+        #: nothing; a profiler may swap in its own tracer
+        self.telemetry = Telemetry(enabled=False)
         #: every request's translation operators, once per process
         self.operators = OperatorStore()
         self.scheduler = FairScheduler(
@@ -379,9 +376,6 @@ class JobServer:
         if not self._draining:
             self._draining = True
             self.drains_total += 1
-            self.telemetry.metrics.counter(
-                "serve_drains_total", "graceful serve drains initiated"
-            ).inc()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -425,10 +419,8 @@ class JobServer:
                     "opcache": self.operators.stats(),
                     "governor": self.scheduler.governor.snapshot(),
                 }
-            self._export_gauges()
             return {"id": rid, "ok": True, "result": result}
         except ServeError as exc:
-            self._export_gauges()
             return {"id": rid, "ok": False, "error": exc.to_dict()}
         except Exception as exc:  # noqa: BLE001 — never kill the connection
             return {
@@ -459,52 +451,21 @@ class JobServer:
             "deadline_total": sched.deadline_total,
             "opcache": self.operators.stats(),
             "governor": sched.governor.snapshot(),
-            "shard_supervisor": self._shard_supervisor_state(),
         }
-
-    @staticmethod
-    def _shard_supervisor_state() -> dict[str, Any]:
-        """Aggregate ProcessEngine supervision state for health reports.
-
-        Sharded solves are rejected by the server, but the hosting
-        process may still run ProcessEngines (e.g. via the trace CLI in
-        the same interpreter, or tests); health reporting should see
-        their respawn/fallback history either way.
-        """
-        try:
-            from repro.runtime.shards import supervisor_snapshot
-
-            return supervisor_snapshot()
-        except Exception:  # pragma: no cover — health must never raise
-            return {"engines": 0}
 
     # ------------------------------------------------------------ execution
     def _execute(self, job: Job) -> dict[str, Any]:
         """Run one admitted job on the solver thread, which stamped
         ``job.started_at`` as it picked the job up: queue wait and the
         remaining deadline are measured to that moment, the wall from it."""
-        tel = self.telemetry
         queue_wait = job.started_at - job.enqueued_at
-        with tel.tracer.span(
-            "serve-request",
-            tenant=job.tenant,
-            kernel=job.spec.kernel,
-            n=job.spec.n,
-            steps=job.spec.steps,
-            predicted_s=round(job.predicted_s, 6),
-        ):
-            result = _solve_core(
-                job.spec,
-                operators=self.operators,
-                deadline_s=job.remaining_deadline(),
-                telemetry=tel,
-            )
+        result = _solve_core(
+            job.spec,
+            operators=self.operators,
+            deadline_s=job.remaining_deadline(),
+            telemetry=self.telemetry,
+        )
         wall = time.monotonic() - job.started_at
-        tel.metrics.histogram(
-            "serve_request_seconds",
-            "wall seconds per served solve (excluding queue wait)",
-            buckets=(0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 15.0, 60.0),
-        ).observe(wall)
         self._ledger_record(job, wall, queue_wait)
         return result
 
@@ -536,29 +497,6 @@ class JobServer:
             RunLedger(None if target == "auto" else target).append(record)
         except Exception:
             pass  # the recorder must never fail a served request
-
-    def _export_gauges(self) -> None:
-        m = self.telemetry.metrics
-        sched = self.scheduler
-        m.gauge("serve_queue_depth", "queued solve requests").set(
-            sched.queue_depth()
-        )
-        m.gauge("serve_tenants", "tenants with queued or running work").set(
-            sched.active_tenants()
-        )
-        m.gauge(
-            "serve_queued_cost_seconds",
-            "cost-model predicted seconds of queued + in-flight work",
-        ).set(sched.queued_cost_s())
-        m.gauge("serve_requests_total", "protocol requests handled").set(
-            self.requests_total
-        )
-        m.gauge("serve_shed_total", "requests rejected by admission control").set(
-            sched.shed_total
-        )
-        m.gauge("serve_deadline_total", "requests failed by deadline expiry").set(
-            sched.deadline_total
-        )
 
     # ------------------------------------------------------------------ TCP
     async def _handle_connection(

@@ -203,9 +203,7 @@ class Simulation:
                 from repro.runtime.shards import ProcessEngine
 
                 self._sharded = True
-                self.engine = ProcessEngine(
-                    n_shards=self.config.n_shards, telemetry=self.telemetry
-                )
+                self.engine = ProcessEngine(n_shards=self.config.n_shards)
             else:
                 n_workers = self.config.n_workers or default_workers()
                 if n_workers > 1:
@@ -465,7 +463,7 @@ class Simulation:
             if shard_res is not None:
                 # the balancer reads the modeled step on every back end
                 # (shard imbalance is the partitioner's, not S's); the
-                # shard run is kept for its lanes and the imbalance gauge
+                # shard run is kept for its lanes and the ledger's imbalance
                 self.last_shard_result = shard_res
                 if self.telemetry.enabled:
                     self._record_shard_telemetry(shard_res)
@@ -637,21 +635,16 @@ class Simulation:
         self.executor.observe_real_registry(res.op_registry())
 
     def _record_shard_telemetry(self, res) -> None:
-        """Export one sharded solve: per-shard Perfetto lanes (stage spans
-        stacked per worker process) plus the busy-time imbalance gauge
-        (halo traffic is in the ledger record's ``extra.shards``)."""
-        tel = self.telemetry
-        tel.tracer.add_worker_lanes(
+        """Export one sharded solve as per-shard Perfetto lanes (stage spans
+        stacked per worker process); its imbalance and halo traffic are in
+        the ledger record's ``extra.shards``."""
+        self.telemetry.tracer.add_worker_lanes(
             res.timeline(),
             pid=REAL_PID,
             makespan=res.wall,
             phase="shards",
             lane_names={s: f"shard-{s}" for s in range(res.n_shards)},
         )
-        tel.metrics.gauge(
-            "shard_imbalance",
-            "max/mean shard busy time of the last sharded solve",
-        ).set(res.imbalance)
 
     # ------------------------------------------------------------- summaries
     def summary(self) -> dict[str, float]:

@@ -110,6 +110,33 @@ _RETIRED = {
     "Retry" + "Policy": "repro.runtime.engine.MAX_ATTEMPTS, no backoff",
     "Graph" + "Cancelled": "none: a run ends by completing, failing or its deadline",
     "default" + "_shards": "repro.runtime.engine.default_workers (affinity-aware)",
+    "serve_queue" + "_depth": "status()['queue_depth']",
+    "serve_" + "tenants": "status()['active_tenants']",
+    "serve_queued_cost" + "_seconds": "status()['queued_cost_s']",
+    "serve_requests" + "_total": "status()['requests_total']",
+    "serve_shed" + "_total": "status()['shed_total']",
+    "serve_deadline" + "_total": "status()['deadline_total']",
+    "serve_drains" + "_total": "status()['drains_total']",
+    "serve_request" + "_seconds": "the serve ledger record's wall_s",
+    "serve" + "-request": "none: a served request records nothing once answered",
+    "shard_respawns" + "_total": "ProcessEngine.total_respawns, ledger extra.shards",
+    "shard_partial_redo" + "_total": "ProcessEngine.total_partial_redos, ledger extra.shards",
+    "shard_serial_fallback" + "_total": "ProcessEngine.total_serial_fallbacks, "
+    "ledger extra.shards",
+    "shard_" + "imbalance": "ledger extra.shards.imbalance, ShardRunResult.imbalance",
+    "supervisor" + "_snapshot": "none: a served solve never owns a ProcessEngine",
+    "shard_" + "supervisor": "none: a served solve never owns a ProcessEngine",
+    "balancer" + "_S": "the step log's S column and the S counter track",
+    "balancer_actions" + "_total": "DynamicLoadBalancer.decision_summary()['actions']",
+    "balancer_oscillation" + "_total": "decision_summary()['actions']"
+    "['watchdog->observation']",
+    "fgo_calls" + "_total": "the fine-grained-optimize trace instant",
+    "fgo_candidates_examined" + "_total": "the fine-grained-optimize trace instant",
+    "fgo_operations_accepted" + "_total": "the fine-grained-optimize trace instant",
+    "fgo_rounds" + "_total": "the fine-grained-optimize trace instant",
+    "fmm_step_cpu" + "_seconds": "the step log's cpu_time",
+    "fmm_step_gpu" + "_seconds": "the step log's gpu_time",
+    "fmm_step_compute" + "_seconds": "the step log's compute_time",
 }
 
 

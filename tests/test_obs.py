@@ -155,7 +155,7 @@ class TestMetrics:
     def test_prometheus_exposition_format(self):
         reg = MetricsRegistry()
         reg.counter("hits_total", "cache hits").inc(5)
-        reg.gauge("balancer_S", "leaf cap", labels={"mode": "full"}).set(64)
+        reg.gauge("leaf_cap", "leaf cap", labels={"mode": "full"}).set(64)
         h = reg.histogram("step_seconds", "per-step", buckets=(0.5, 1.0))
         h.observe(0.4)
         h.observe(2.0)
@@ -163,7 +163,7 @@ class TestMetrics:
         assert "# HELP hits_total cache hits" in text
         assert "# TYPE hits_total counter" in text
         assert "hits_total 5" in text
-        assert 'balancer_S{mode="full"} 64' in text
+        assert 'leaf_cap{mode="full"} 64' in text
         assert '# TYPE step_seconds histogram' in text
         assert 'step_seconds_bucket{le="0.5"} 1' in text
         assert 'step_seconds_bucket{le="+Inf"} 2' in text

@@ -96,11 +96,12 @@ class TestProtocol:
         assert ei.value.code == 400 and field in ei.value.message
 
     def test_shards_rejected_eagerly_with_details(self):
+        """A served solve never runs on shard processes: there is no
+        ``shards`` field, so asking for one is an unknown field."""
         with pytest.raises(ProtocolError) as ei:
             SolveSpec.from_dict({"shards": 4})
         assert ei.value.code == 400
-        assert ei.value.details == {"shards": 4}
-        assert "server pool" in ei.value.message
+        assert "unknown spec field(s) ['shards']" in ei.value.message
 
     def test_parse_request_shapes(self):
         rid, kind, tenant, spec = parse_request(
@@ -669,19 +670,18 @@ class TestServedSolves:
         assert lines[1]["extra"]["serve"]["opcache"]["hits"] > 0
 
     def test_metrics_gauges_exported(self):
+        """The health figures are ``status`` fields (a request's wall time
+        is the ledger's ``wall_s``, checked beside this test)."""
         with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
             c = bg.client(in_process=True)
             c.solve({"kernel": "laplace", "n": 80}, tenant="m")
-            snap = bg.server.telemetry.metrics.snapshot()
-        names = set(snap)
-        assert {
-            "serve_queue_depth",
-            "serve_tenants",
-            "serve_requests_total",
-            "serve_shed_total",
-            "serve_deadline_total",
-            "serve_request_seconds",
-        } <= names
+            status = c.status()
+        assert status["queue_depth"] == 0
+        assert status["active_tenants"] == 0
+        # the solve, then the status request itself
+        assert status["requests_total"] == 2
+        assert status["shed_total"] == 0
+        assert status["deadline_total"] == 0
 
 
 # ---------------------------------------------------- operator stats plumbing
@@ -720,3 +720,45 @@ class TestOperatorStatsUniformity:
         assert lists3.farfield_geometry_stats["op_hits"] > 0
         assert np.array_equal(out_shared, out_direct)
         assert shared.stats()["entries"] == 1
+
+
+# ------------------------------------------------------------ retained memory
+#: what 41 answered requests may leave behind once collected (~45 KB of
+#: allocator and cache warm-up that stops growing, on x86-64 CPython
+#: 3.11); requests that kept their trace events (~12 per one-shot solve,
+#: thousands per time-stepped one) retained ~540 KB here
+RETAINED_BOUND_BYTES = 128 << 10
+
+
+def test_served_requests_retain_nothing():
+    """Nothing of an answered request outlives it: the server keeps
+    counters and the warm operator store, not per-request records."""
+    import gc
+    import tracemalloc
+
+    def spec(i, **extra):
+        kernel = "stokeslet" if i % 5 == 4 else "laplace"
+        return {"kernel": kernel, "n": 300, "order": 3, "seed": i, **extra}
+
+    with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
+        c = bg.client(in_process=True)
+        # warm every path the measured requests take: both kernels and a
+        # time-stepped run (imports, the operator set, compiled kernels)
+        for i in range(4):
+            c.solve(spec(i + 1))
+        c.solve(spec(0, steps=3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(40):
+                c.solve(spec(100 + i))
+            c.solve(spec(200, steps=3))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    assert grown < RETAINED_BOUND_BYTES, (
+        f"41 served requests retained {grown} bytes "
+        f"(bound {RETAINED_BOUND_BYTES})"
+    )

@@ -16,7 +16,6 @@ kind) is ``-m chaos``.
 
 from __future__ import annotations
 
-import gc
 import time
 
 import numpy as np
@@ -28,11 +27,7 @@ from repro.fmm.evaluator import FMMSolver
 from repro.kernels.laplace import GravityKernel
 from repro.kernels.stokeslet_fmm import StokesletFMMSolver
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.runtime.shards import (
-    ProcessEngine,
-    ShardExecutionError,
-    supervisor_snapshot,
-)
+from repro.runtime.shards import ProcessEngine, ShardExecutionError
 from repro.tree.cache import ListCache
 from repro.tree.octree import AdaptiveOctree
 
@@ -220,24 +215,6 @@ def test_persistent_failure_degrades_to_exact_serial_via_solver():
         assert solver.degraded_runs == 1
         assert eng.total_respawns == 1
         assert eng.total_serial_fallbacks == 1
-
-
-# ----------------------------------------------------------- health snapshot
-def test_supervisor_snapshot_aggregates_recovery_history():
-    pts, q = _cloud(n=600, seed=47)
-    tree = AdaptiveOctree(pts, S=24)
-    # the registry holds engines weakly: collect an earlier test's dead
-    # engine now, not between the two snapshots
-    gc.collect()
-    before = supervisor_snapshot()
-    with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
-        eng.install_fault_plan(_plan_kill_near())
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
-        solver.solve(tree, q, gradient=True)
-        snap = supervisor_snapshot()
-        assert snap["engines"] >= 1
-        assert snap["respawns_total"] >= before.get("respawns_total", 0) + 1
-        assert snap["partial_redos_total"] >= 1
 
 
 def test_thread_engine_rejects_process_fault_kinds():
