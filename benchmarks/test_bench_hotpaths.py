@@ -43,6 +43,10 @@ Claims asserted at benchmark scale:
   through dicts — box the views, drop the tables, the same call (what
   every cold solve paid between the two layers before the tables) —
   alternating in one process, equal array for array;
+* an armed deadline costs nothing: a warm serial solve with
+  ``Deadline(3600)`` takes <= 1.10x the one without (Plummer 10k S=32
+  order 4, Plummer 2k S=32 order 3), alternating in one process — the
+  serial sweeps walk the same task list either way, one near-field call;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is the ledger's gated ``far_field_50k_plummer`` series; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -73,6 +77,7 @@ from repro.distributions.generators import (
 )
 from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm import farfield
+from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
 from repro.fmm.nearfield import PLAN_ARRAYS, build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel, _native, p2p_backend
@@ -81,6 +86,7 @@ from repro.machine.spec import system_a
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
 from repro.tree.lists import FAMILIES
+from repro.util.timing import Deadline
 from tests.oracles.lists import build_interaction_lists_scalar
 from tests.oracles.m2l import displacement_classes, m2l_locals
 
@@ -539,6 +545,37 @@ def test_bench_cold_geometry_from_tables(benchmark):
         f"assembled) {best['empty'] * 1e3:.1f} ms"
     )
     assert ratio <= 0.5, f"geometry from tables {ratio:.2f}x the hand-off through dicts"
+
+
+def test_bench_armed_deadline_is_free(benchmark):
+    """A warm serial solve under ``Deadline(3600)`` <= 1.10x the unarmed
+    one (Plummer 10k S=32 order 4, Plummer 2k S=32 order 3), same bits."""
+    for n, order, rounds in ((10_000, 4, 9), (2_000, 3, 25)):
+        tree = AdaptiveOctree(plummer(n, seed=1).positions, S=32)
+        q = np.random.default_rng(1).uniform(-1, 1, n)
+        solver = FMMSolver(LaplaceKernel(softening=1e-3), order=order)
+        out = {}
+
+        def run(armed):
+            deadline = Deadline(3600.0) if armed else None
+            res = solver.solve(tree, q, gradient=True, deadline=deadline)
+            out[armed] = (res.potential, res.gradient)
+
+        run(False)  # warm: lists, geometry, plan and operators cached
+        best = {False: float("inf"), True: float("inf")}
+        for _ in range(rounds):  # alternating: host drift hits both sides alike
+            for armed in best:
+                best[armed] = min(best[armed], _best_time(lambda: run(armed), rounds=1))
+        assert all(np.array_equal(a, b) for a, b in zip(out[True], out[False]))
+        ratio = best[True] / best[False]
+        print()
+        print(
+            f"warm serial solve, Plummer {n} S=32 order {order}: unarmed "
+            f"{best[False] * 1e3:.2f} ms, Deadline(3600) {best[True] * 1e3:.2f} ms "
+            f"-> {ratio:.2f}x"
+        )
+        assert ratio <= 1.10, f"an armed deadline costs {ratio:.2f}x (Plummer {n})"
+    benchmark.pedantic(lambda: run(True), rounds=2, iterations=1)
 
 
 def test_bench_far_field(benchmark):

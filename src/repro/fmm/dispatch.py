@@ -6,10 +6,13 @@ runs one, the composite Stokeslet seven) *plus one near field*.
 :class:`PassListSolver` owns everything about running that list that
 does not depend on which kernel it serves:
 
-* **dispatch** — no engine: the serial sweeps; a thread
-  :class:`~repro.runtime.engine.ExecutionEngine`: all passes and the near
-  field as one task graph; a :class:`~repro.runtime.shards.ProcessEngine`:
-  one sharded session;
+* **dispatch** — every pass declares its stage DAG once
+  (:meth:`FarFieldPass.add_tasks <repro.fmm.farfield.FarFieldPass.add_tasks>`,
+  :meth:`NearFieldPass.add_tasks <repro.fmm.nearfield.NearFieldPass.add_tasks>`).
+  No engine: the serial sweeps walk each declaration in order; a thread
+  :class:`~repro.runtime.engine.ExecutionEngine`: all of them as one task
+  graph; a :class:`~repro.runtime.shards.ProcessEngine`: one sharded
+  session;
 * **the degrade ladder** — an unrecoverable graph or shard failure
   discards the partial run and re-executes the whole list on the exact
   serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``);
@@ -177,19 +180,19 @@ class PassListSolver:
         Each pass owns private coefficient/output arrays, so the
         subgraphs are independent and interleave freely; the first
         pass's constructor warms the shared geometry/plan caches for the
-        rest.  The graph's merge chains replay every reduction in the
-        serial loop order (:mod:`repro.runtime.graphs`).
+        rest.  The subgraphs are the ones the serial sweeps walk in order
+        (:meth:`FarFieldPass.add_tasks`, :meth:`NearFieldPass.add_tasks`),
+        so their merge chains replay every reduction in the serial order.
         """
         from repro.runtime.engine import TaskGraphBuilder
-        from repro.runtime.graphs import add_far_field_tasks, add_near_field_tasks
 
         engine = self.engine
         far = [FarFieldPass(tree, lists, self.expansion, **p.kwargs) for p in passes]
         near_pass = NearFieldPass(self.kernel, tree, lists, near_q, **near)
         g = TaskGraphBuilder()
         for p, fp in zip(passes, far):
-            add_far_field_tasks(g, fp, tag=f"{p.tag}:" if p.tag else "")
-        add_near_field_tasks(g, near_pass, n_chunks=4 * engine.n_workers)
+            fp.add_tasks(g, tag=f"{p.tag}:" if p.tag else "")
+        near_pass.add_tasks(g, n_chunks=4 * engine.n_workers)
         self.last_engine_result = engine.run(g, deadline=deadline)
         return ([fp.result() for fp in far], *near_pass.result())
 

@@ -18,7 +18,8 @@ what the paper's cost model consumes.
 Pass an :class:`~repro.runtime.engine.ExecutionEngine` and the solve runs
 as a real task graph — independent far-field
 stages on pool threads, near field overlapping the sweep — with results
-bitwise identical to the serial path (see :mod:`repro.runtime.graphs`).
+bitwise identical to the serial path: both run the DAG each pass
+declares (:meth:`~repro.fmm.farfield.FarFieldPass.add_tasks`).
 The engine's measured per-task timings land in ``last_engine_result``.
 """
 

@@ -80,18 +80,21 @@ pass) and :func:`add_rows`, the ``rows[idx] += delta`` of every class
 merge — each bitwise the NumPy body it replaces, which runs for complex
 (spherical) rows and where no compiler resolves (DESIGN.md §9).
 
-:func:`laplace_far_field` is the serial driver over those stages; it
-accepts a ``tracer`` and emits one span per FMM operation whose
-``applications`` argument follows the cost-model unit conventions of
-:meth:`InteractionLists.op_counts`, keeping ``C_op = time/applications``
-calibration meaningful on the batched path (reduce and expand sit inside
-the ``M2L`` span: they are M2L's cost; its ``applications`` stay V pairs,
-the cost-model unit, however few octet pairs carry them).
+:meth:`FarFieldPass.add_tasks` declares the pass's stage DAG once; the
+thread engine runs it and :func:`laplace_far_field`, the serial driver,
+walks it in insertion order.  The walk accepts a ``tracer`` and emits one
+span per FMM operation whose ``applications`` argument follows the
+cost-model unit conventions of :meth:`InteractionLists.op_counts`, keeping
+``C_op = time/applications`` calibration meaningful on the batched path
+(reduce and expand sit inside the ``M2L`` span: they are M2L's cost; its
+``applications`` stay V pairs, the cost-model unit, however few octet
+pairs carry them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -663,8 +666,8 @@ class FarFieldPass:
       second after the last M2L merge and before ``p2l_merge`` — each
       whole, on one worker.
 
-    :func:`laplace_far_field` is the serial driver over these stages;
-    :func:`repro.runtime.graphs.add_far_field_tasks` is the parallel one.
+    :meth:`add_tasks` declares their DAG once: the thread engine runs it,
+    and :func:`laplace_far_field` walks it in insertion order.
     """
 
     def __init__(
@@ -761,6 +764,11 @@ class FarFieldPass:
         _crows, prows, _op = self.geom.up_classes[ci]
         add_rows(self.multipoles, prows, self._up_delta.pop(ci))
 
+    def m2m_merge_level(self, cis: tuple[int, ...]) -> None:
+        """Fold one level's class deltas in, in class order."""
+        for ci in cis:
+            self.m2m_merge(ci)
+
     # ---------------------------------------------------------- translation
     def m2l_reduce(self) -> None:
         """Finished multipoles into the source octets (whole array)."""
@@ -820,6 +828,144 @@ class FarFieldPass:
         m2p_scatter(self.plan, self._w_pairs, self.pot, self.grad, *self._m2p_vals)
         self._m2p_vals = (None, None)
 
+    # ------------------------------------------------------------- schedule
+    def add_tasks(self, g, *, tag: str = "") -> int:
+        """Declare this pass's stage DAG in ``g`` (a
+        :class:`~repro.runtime.engine.TaskGraphBuilder`); returns the id of
+        the task after which :meth:`result` is complete.  ``tag`` prefixes
+        labels (the Stokeslet solver runs seven passes in one graph).
+
+        The one schedule of the pass: the thread engine runs it, and
+        :func:`~repro.runtime.engine.run_in_order` walks it in insertion
+        order — the serial sweep.  Every task carries its cost-model ``op``
+        and ``applications`` (:meth:`InteractionLists.op_counts` units);
+        ``retryable=False`` marks the ordered in-place merges, which a
+        failure may not re-run::
+
+            P2M -> [M2M deltas lvl d] -> merge(d) -> ... -> merge(1)
+              -> M2L reduce -> [<= 13 direction deltas] -> merges in class
+                 order -> M2L expand -> P2L merge (X phase)
+              -> [L2L classes lvl 1] -> ... -> [lvl D] -> L2P -> M2P merge
+
+        P2L and M2P compute from sources / finished multipoles and park
+        their values privately, so only their merges are ordered.
+        """
+        geom = self.geom
+        t_p2m = g.add(
+            self.p2m, label=f"{tag}P2M", op="P2M", applications=self.n_bodies
+        )
+
+        # ---- upsweep: per-class deltas, one ordered merge per level
+        prev = t_p2m
+        for level in self.up_levels:
+            deltas = [
+                g.add(
+                    partial(self.m2m_delta, ci),
+                    label=f"{tag}M2M:c{ci}",
+                    deps=(prev,),
+                    op="M2M",
+                    applications=int(geom.up_classes[ci][0].size),
+                )
+                for ci in level
+            ]
+            prev = g.add(
+                partial(self.m2m_merge_level, tuple(level)),
+                label=f"{tag}M2M:merge",
+                deps=tuple(deltas),
+                op="M2M",
+                retryable=False,
+            )
+        upsweep_done = prev
+
+        # ---- M2L: reduce, one delta task per direction class fanning out,
+        # merge chain in class order, expand (both ends assign whole arrays:
+        # idempotent).  Applications are V pairs (the cost-model unit), which a
+        # class of octet pairs does not split into: the reduce carries the total
+        reduced = g.add(
+            self.m2l_reduce, label=f"{tag}M2L:reduce", deps=(upsweep_done,), op="M2L",
+            applications=geom.n_m2l,
+        )
+        merge_prev = reduced
+        for ci in range(self.n_m2l_classes):
+            delta = g.add(
+                partial(self.m2l_delta, ci),
+                label=f"{tag}M2L:d{ci}",
+                deps=(reduced,),
+                op="M2L",
+            )
+            merge_prev = g.add(
+                partial(self.m2l_merge, ci),
+                label=f"{tag}M2L:m{ci}",
+                deps=(delta, merge_prev),
+                op="M2L",
+                retryable=False,
+            )
+        translate_done = g.add(
+            self.m2l_expand, label=f"{tag}M2L:expand", deps=(merge_prev,), op="M2L",
+        )
+
+        # ---- X phase: compute depends on nothing (reads sources only); its
+        # merge lands after the M2L expand, matching the serial order
+        if geom.x_recv_rows.size:
+            t_p2l = g.add(
+                self.p2l_compute,
+                label=f"{tag}P2L",
+                op="P2L",
+                applications=self.n_p2l_rows,
+            )
+            translate_done = g.add(
+                self.p2l_merge,
+                label=f"{tag}P2L:merge",
+                deps=(translate_done, t_p2l),
+                op="P2L",
+                retryable=False,
+            )
+
+        # ---- downsweep: classes of one level are scatter-disjoint (each
+        # child row belongs to one octant class), so they run concurrently;
+        # levels form barriers
+        prev_level: tuple[int, ...] = (translate_done,)
+        for level in self.down_levels:
+            prev_level = tuple(
+                g.add(
+                    partial(self.l2l_apply, ci),
+                    label=f"{tag}L2L:c{ci}",
+                    deps=prev_level,
+                    op="L2L",
+                    applications=int(geom.down_classes[ci][1].size),
+                    retryable=False,
+                )
+                for ci in level
+            )
+
+        t_l2p = g.add(
+            self.l2p,
+            label=f"{tag}L2P",
+            deps=prev_level,
+            op="L2P",
+            applications=self.n_bodies,
+        )
+        done = t_l2p
+
+        # ---- W phase: evaluation reads finished multipoles; scatter must
+        # follow L2P's assignment into the same body rows
+        if geom.w_tgt_rows.size:
+            t_m2p = g.add(
+                self.m2p_compute,
+                label=f"{tag}M2P",
+                deps=(upsweep_done,),
+                op="M2P",
+                applications=self.n_m2p_rows,
+            )
+            done = g.add(
+                self.m2p_merge,
+                label=f"{tag}M2P:merge",
+                deps=(t_l2p, t_m2p),
+                op="M2P",
+                retryable=False,
+            )
+        return done
+
     # --------------------------------------------------------------- result
     def result(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         return self.pot, self.grad
@@ -857,22 +1003,20 @@ def laplace_far_field(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Batched far-field potential/gradient of monopoles and/or dipoles.
 
-    Runs the :class:`FarFieldPass` stages serially in dependency order
-    (the per-node oracle it is tested against lives in
+    Walks :meth:`FarFieldPass.add_tasks`' DAG in insertion order on the
+    calling thread (the per-node oracle it is tested against lives in
     ``tests/oracles/farfield.py``).  ``tracer`` (a
     :class:`repro.obs.Tracer`) gets one span per FMM operation with
     ``applications`` in the cost-model units of
     :meth:`InteractionLists.op_counts`.  ``deadline`` (a
     :class:`repro.util.timing.Deadline`) is checked after the geometry
-    build, after P2M, after every translation class and after the M2L
-    reduce and expand — so no two checks are further apart than one
-    batched stage; the caller's next check (the following pass's, or the
-    near field's, which then checks after every tile) closes the sweep.
+    build and after every task, so no two checks are further apart than
+    one task.
     """
-    if tracer is None:
-        from repro.obs import NULL_TELEMETRY
+    # imported here: repro.runtime's package init imports the shard
+    # workers, which import this module
+    from repro.runtime.engine import TaskGraphBuilder, run_in_order
 
-        tracer = NULL_TELEMETRY.tracer
     p = FarFieldPass(
         tree,
         lists,
@@ -882,57 +1026,9 @@ def laplace_far_field(
         gradient=gradient,
         potential=potential,
     )
-    geom = p.geom
-    check = None if deadline is None else deadline.check
-    if check:
-        check("geometry")
-
-    with tracer.span("P2M", applications=p.n_bodies):
-        p.p2m()
-    if check:
-        check("P2M")
-
-    with tracer.span("M2M", applications=geom.n_shifts):
-        for level in p.up_levels:
-            for ci in level:
-                p.m2m_delta(ci)
-                p.m2m_merge(ci)
-                if check:
-                    check("M2M")
-
-    # reduce and expand belong to the M2L span: they exist for it, and
-    # ``C_M2L = time / applications`` has to pay for them
-    with tracer.span("M2L", applications=geom.n_m2l):
-        p.m2l_reduce()
-        if check:
-            check("M2L")
-        for ci in range(p.n_m2l_classes):
-            p.m2l_delta(ci)
-            p.m2l_merge(ci)
-            if check:
-                check("M2L")
-        p.m2l_expand()
-        if check:
-            check("M2L")
-
-    if geom.x_recv_rows.size:
-        with tracer.span("P2L", applications=p.n_p2l_rows):
-            p.p2l_compute()
-            p.p2l_merge()
-
-    with tracer.span("L2L", applications=geom.n_shifts):
-        for level in p.down_levels:
-            for ci in level:
-                p.l2l_apply(ci)
-                if check:
-                    check("L2L")
-
-    with tracer.span("L2P", applications=p.n_bodies):
-        p.l2p()
-
-    if geom.w_tgt_rows.size:
-        with tracer.span("M2P", applications=p.n_m2p_rows):
-            p.m2p_compute()
-            p.m2p_merge()
-
+    if deadline is not None:
+        deadline.check("geometry")
+    g = TaskGraphBuilder()
+    p.add_tasks(g)
+    run_in_order(g, tracer=tracer, deadline=deadline)
     return p.result()

@@ -14,10 +14,11 @@ exact, source count rounded up to a multiple of ``_SRC_ROUND`` — so that a
 run of same-shape groups can be handed to a batched kernel as one ``(G, T,
 3)`` x ``(G, S, 3)`` block.  Such a run, cut where its stacked
 temporaries would exceed the kernel's ``_TILE_ELEMS`` budget, is a
-**tile**: the one unit of near-field work for the serial loop (deadline
-checks), the thread engine (task chunks) and the shard workers (LPT
-assignment) alike.  A group larger than the budget is a tile of its own,
-which the kernel walks over target rows.  Every back end hands a list of
+**tile**: the one unit of near-field work for the thread engine (task
+chunks, cut by :attr:`NearFieldPlan.tile_weights`) and the shard workers
+(LPT assignment) alike; the serial driver hands them all over at once.
+A group larger than the budget is a tile of its own, which the kernel
+walks over target rows.  Every back end hands a list of
 tiles to one stage function, :func:`evaluate_near_tiles` →
 :meth:`Kernel.near_tiles <repro.kernels.base.Kernel.near_tiles>`: the
 Laplace kernels walk the runs in place in one compiled call
@@ -197,14 +198,10 @@ class NearFieldPlan:
         depth = np.cumsum(edge(self.src_lo[runs]) - edge(self.src_hi[runs]))
         return np.sort(self.order[depth[:-1] > 0])
 
-    def group_pairs(self, g: int) -> int:
-        """Real body-pair interactions of group ``g``."""
-        return int((self.tgt_ptr[g + 1] - self.tgt_ptr[g]) * self.src_cnt[g])
-
-    def tile_pairs(self, k: int) -> int:
-        """Real body-pair interactions of tile ``k`` (task cost weight)."""
-        g0, g1 = self.tile_ptr[k], self.tile_ptr[k + 1]
-        return int((self.tgt_ptr[g0 + 1] - self.tgt_ptr[g0]) * self.src_cnt[g0:g1].sum())
+    @cached_property
+    def tile_weights(self) -> np.ndarray:
+        """Real body-pair interactions per tile (the task cost weight)."""
+        return np.diff(csr_ptr(np.diff(self.tgt_ptr) * self.src_cnt)[self.tile_ptr])
 
 
 @dataclass
@@ -375,6 +372,21 @@ def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
     )
 
 
+def chunk_ranges(weights, n_chunks: int) -> list[tuple[int, int]]:
+    """Split ``range(len(weights))`` into <= ``n_chunks`` contiguous runs
+    of roughly equal total weight: run ``k`` ends where the running total
+    first reaches ``(k + 1) / n_chunks`` of the whole (zero-weight tails
+    are not split off)."""
+    n = len(weights)
+    if n == 0:
+        return []
+    total = np.cumsum(weights, dtype=float)
+    n_chunks = max(1, min(n, n_chunks)) if total[-1] > 0.0 else 1
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, n_chunks) / n_chunks) + 1
+    ends = np.unique(np.append(cuts, n)).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
 def evaluate_near_tiles(kernel: Kernel, pts, q, plan: NearFieldPlan, tiles, pot, grad) -> None:
     """Tiles ``tiles`` (ids in any order) — one :meth:`Kernel.near_tiles
     <repro.kernels.base.Kernel.near_tiles>` call — written to their target
@@ -416,7 +428,8 @@ class NearFieldPass:
     bitwise identical results; :meth:`self_correction` must run after
     every tile (it subtracts from rows the tiles wrote).  Construction
     resolves the plan cache on the calling thread, so the stages are pure
-    compute.
+    compute.  :meth:`add_tasks` declares them once: the thread engine runs
+    the declaration in chunks, :func:`evaluate_near_field` walks it as one.
     """
 
     def __init__(
@@ -442,7 +455,32 @@ class NearFieldPass:
         if potential:
             self.pot = np.zeros(n) if dim == 1 else np.zeros((n, dim))
         self.grad = np.zeros((n, 3)) if gradient else None
-        self.n_tiles = self.plan.n_tiles
+
+    def add_tasks(self, g, *, n_chunks: int) -> int:
+        """Declare the P2P stage in ``g`` (a
+        :class:`~repro.runtime.engine.TaskGraphBuilder`): the tiles cut by
+        real pairs into <= ``n_chunks`` contiguous chunks, one task each,
+        then the self-correction after all of them; returns its id.  A
+        chunk assigns its own target rows, so it is retryable; the
+        self-correction subtracts from them, so it is not.
+        """
+        weights = self.plan.tile_weights
+        tile_tasks = [
+            g.add(
+                partial(self.tile_range, lo, hi),
+                label=f"near:t{lo}-{hi}",
+                op="P2P",
+                applications=int(weights[lo:hi].sum()),
+            )
+            for lo, hi in chunk_ranges(weights, n_chunks)
+        ]
+        return g.add(
+            self.self_correction,
+            label="near:self",
+            deps=tuple(tile_tasks),
+            op="P2P",
+            retryable=False,
+        )
 
     def tile_range(self, lo: int, hi: int) -> None:
         """Tiles ``[lo, hi)`` in one kernel call — the chunked task
@@ -478,27 +516,28 @@ def evaluate_near_field(
     gradient: bool = False,
     deadline=None,
 ):
-    """Evaluate the P2P phase: all tiles in one kernel call, or one call per
-    tile under a deadline.
+    """Evaluate the P2P phase: all tiles in one kernel call, then the
+    self-correction.
 
     Returns ``(pot, grad)`` with the same shapes and semantics as the
     per-leaf near-field loop: ``pot`` is ``(n,)`` for scalar kernels and
     ``(n, value_dim)`` for vector kernels, ``grad`` is ``(n, 3)``; entries
-    for bodies outside any near pair stay zero.  This is the serial driver
-    over the :class:`NearFieldPass` stages (the parallel one lives in
-    :mod:`repro.runtime.graphs`).  ``deadline`` (a
+    for bodies outside any near pair stay zero.  This walks
+    :meth:`NearFieldPass.add_tasks`' one-chunk DAG in insertion order — the
+    declaration the thread engine runs in chunks.  ``deadline`` (a
     :class:`repro.util.timing.Deadline`) is checked after the plan build
-    and after every tile, so no two checks are further apart than one tile.
+    and after every task, so no two checks are further apart than one task.
     """
+    # imported here: repro.runtime's package init imports the shard
+    # workers, which import this module
+    from repro.runtime.engine import TaskGraphBuilder, run_in_order
+
     p = NearFieldPass(
         kernel, tree, lists, strengths, potential=potential, gradient=gradient
     )
-    if deadline is None:
-        p.tile_range(0, p.n_tiles)
-    else:
+    if deadline is not None:
         deadline.check("near-plan")
-        for k in range(p.n_tiles):
-            p.tile_range(k, k + 1)
-            deadline.check("P2P")
-    p.self_correction()
+    g = TaskGraphBuilder()
+    p.add_tasks(g, n_chunks=1)
+    run_in_order(g, deadline=deadline)
     return p.result()

@@ -2,9 +2,10 @@
 
 Answers *"why was this step slow?"* from the evidence the execution
 engine already records: every finished task carries its DAG identity
-(``task_id``, ``deps``), its stage tag (P2M, M2L, P2P, ...), the moment
-it became *ready* (all dependencies done) and the moment a worker
-actually started it.  From those we derive three views:
+(``task_id``, ``deps``), its cost-model ``op`` (P2M, M2L, P2P, ...: the
+stage it is grouped under), the moment it became *ready* (all
+dependencies done) and the moment a worker actually started it.  From
+those we derive three views:
 
 * **critical path** — walk backward from the task that finished last;
   at each task the *critical parent* is the dependency with the latest
@@ -47,7 +48,8 @@ __all__ = [
 
 @dataclass
 class CritPathStep:
-    """One link of the critical path, in execution order."""
+    """One link of the critical path, in execution order (``stage`` is the
+    task's ``op``)."""
 
     label: str
     stage: str
@@ -344,24 +346,17 @@ def analyze(result: EngineResult) -> CritPathReport:
     chain = _critical_chain(intervals)
     on_path = {iv.task_id for iv in chain}
     report.path = [
-        CritPathStep(
-            label=iv.label,
-            stage=iv.stage or "",
-            worker=iv.worker,
-            start=iv.start,
-            end=iv.end,
-            queue_wait=iv.queue_wait,
-        )
+        CritPathStep(iv.label, iv.op or "", iv.worker, iv.start, iv.end, iv.queue_wait)
         for iv in chain
     ]
 
     slack = _slack(intervals, result.makespan)
     stats: dict[str, StageStat] = {}
     for iv in intervals:
-        key = iv.stage or ""
+        key = iv.op or ""
         st = stats.get(key)
         if st is None:
-            st = stats[key] = StageStat(stage=key, min_slack=float("inf"))
+            st = stats[key] = StageStat(key, min_slack=float("inf"))
         st.n_tasks += 1
         st.busy += iv.duration
         st.queue_wait += iv.queue_wait

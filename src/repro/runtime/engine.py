@@ -2,11 +2,15 @@
 
 :mod:`repro.runtime.scheduler` *simulates* K workers executing a task DAG;
 this module *actually runs* one.  The batched numeric stages of the FMM
-pipeline (see :mod:`repro.runtime.graphs`) are NumPy matmuls and kernel
-evaluations that release the GIL, so a small pool of daemon worker threads
-driven by a ready-queue over an explicit :class:`TaskNode` DAG yields
-genuine wall-clock speedup — the data-driven runtime-system shape of
-Ltaief & Yokota and Agullo et al., scaled down to one shared-memory node.
+pipeline (each pass declares its DAG once:
+:meth:`FarFieldPass.add_tasks <repro.fmm.farfield.FarFieldPass.add_tasks>`,
+:meth:`NearFieldPass.add_tasks <repro.fmm.nearfield.NearFieldPass.add_tasks>`)
+are NumPy matmuls and kernel evaluations that release the GIL, so a small
+pool of daemon worker threads driven by a ready-queue over an explicit
+:class:`TaskNode` DAG yields genuine wall-clock speedup — the data-driven
+runtime-system shape of Ltaief & Yokota and Agullo et al., scaled down to
+one shared-memory node.  The same declaration walked in insertion order on
+the calling thread (:func:`run_in_order`) is the serial schedule.
 
 Design rules that make parallel runs **bitwise identical** to serial ones:
 
@@ -59,7 +63,10 @@ import queue
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.util.timing import Deadline, SolveDeadlineError, TimerRegistry
@@ -75,6 +82,7 @@ __all__ = [
     "TaskInterval",
     "TaskNode",
     "default_workers",
+    "run_in_order",
 ]
 
 #: total tries per ``retryable`` task before the graph fails
@@ -132,7 +140,7 @@ class TaskFailure:
     retried: bool  # True if the engine rescheduled the task
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskNode:
     """One schedulable unit: a no-argument callable plus dependency edges.
 
@@ -150,9 +158,6 @@ class TaskNode:
     op: str | None = None
     applications: int = 0
     retryable: bool = True
-    #: pipeline stage for critical-path grouping (defaults to the label's
-    #: leading component, e.g. ``"M2L"`` from ``"M2L:d0-8"``)
-    stage: str | None = None
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,6 @@ class TaskInterval:
     task_id: int = -1
     deps: tuple[int, ...] = ()
     ready: float = 0.0
-    stage: str | None = None
 
     @property
     def duration(self) -> float:
@@ -202,29 +206,44 @@ class TaskGraphBuilder:
         op: str | None = None,
         applications: int = 0,
         retryable: bool = True,
-        stage: str | None = None,
     ) -> int:
         """Append a task; returns its id for use in later ``deps``."""
         tid = len(self.nodes)
-        for d in deps:
-            if not 0 <= d < tid:
-                raise ValueError(f"task {label!r} depends on unknown task {d}")
-        self.nodes.append(
-            TaskNode(
-                id=tid,
-                fn=fn,
-                label=label,
-                deps=tuple(deps),
-                op=op,
-                applications=applications,
-                retryable=retryable,
-                stage=stage,
-            )
-        )
+        deps = tuple(deps)
+        if deps and not 0 <= min(deps) <= max(deps) < tid:
+            raise ValueError(f"task {label!r} depends on an unknown task in {deps}")
+        # a pass declares ~150 tasks per solve: positional, because keywords
+        # double a node's construction cost
+        self.nodes.append(TaskNode(tid, fn, label, deps, op, applications, retryable))
         return tid
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+def run_in_order(
+    graph: TaskGraphBuilder, *, tracer=None, deadline: Deadline | None = None
+) -> None:
+    """Run ``graph``'s tasks one after another on the calling thread, in
+    insertion order — a topological order, since :meth:`TaskGraphBuilder.add`
+    rejects forward dependencies.  This is the serial schedule of a
+    declared pass, not a second executor: no retries, no intervals, no
+    fault hook.
+
+    Each maximal run of same-``op`` tasks shares one ``tracer`` span
+    carrying their summed ``applications``; ``deadline`` is checked after
+    every task, so no two checks are further apart than one task.
+    """
+    for op, run in groupby(graph.nodes, key=attrgetter("op")):
+        run = list(run)
+        span = nullcontext() if tracer is None else tracer.span(
+            op, applications=sum(t.applications for t in run)
+        )
+        with span:
+            for t in run:
+                t.fn()
+                if deadline is not None:
+                    deadline.check(op)
 
 
 @dataclass
@@ -430,7 +449,6 @@ class ExecutionEngine:
                         node.id,
                         node.deps,
                         ready_at[node.id],
-                        node.stage,
                     )
                 )
                 completed.append((node.id, err))

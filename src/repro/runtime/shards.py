@@ -394,9 +394,7 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         row_rank=row_rank,
         leaf_shard=leaf_shard,
         body_owner=body_owner,
-        near_assignee=_lpt_assign(
-            [nplan.tile_pairs(k) for k in range(nplan.n_tiles)], n_shards
-        ),
+        near_assignee=_lpt_assign(nplan.tile_weights, n_shards),
         row_ranges=np.array(
             [(n_eff * s) // n_shards for s in range(n_shards + 1)], dtype=np.int64
         ),

@@ -137,6 +137,11 @@ _RETIRED = {
     "fmm_step_cpu" + "_seconds": "the step log's cpu_time",
     "fmm_step_gpu" + "_seconds": "the step log's gpu_time",
     "fmm_step_compute" + "_seconds": "the step log's compute_time",
+    "runtime." + "graphs": "FarFieldPass.add_tasks / NearFieldPass.add_tasks: each "
+    "pass declares its DAG once; the engine runs it, run_in_order walks it",
+    "add_far_field" + "_tasks": "repro.fmm.farfield.FarFieldPass.add_tasks",
+    "add_near_field" + "_tasks": "repro.fmm.nearfield.NearFieldPass.add_tasks",
+    "tile" + "_pairs": "repro.fmm.nearfield.NearFieldPlan.tile_weights (one array)",
 }
 
 

@@ -353,14 +353,14 @@ def _check_tiles(tree, lists, plan):
             assert np.array_equal(row[: plan.src_cnt[g]], _group_sources(plan, g))
             runs = slice(plan.run_ptr[g], plan.run_ptr[g + 1])
             assert (plan.src_lo[runs][1:] != plan.src_hi[runs][:-1]).all()  # adjacent runs merged
-        assert plan.tile_pairs(k) == t_idx.shape[1] * int(cnt.sum())
+        assert plan.tile_weights[k] == t_idx.shape[1] * int(cnt.sum())
     pairs = sum(
         tree.nodes[t].count * tree.nodes[s].count
         for t, src in lists.near_sources.items()
         for s in src
     )
-    assert plan.total_pairs == pairs == sum(map(plan.group_pairs, range(plan.n_groups)))
-    assert pairs == sum(map(plan.tile_pairs, range(plan.n_tiles)))
+    assert plan.tile_weights.shape == (plan.n_tiles,)
+    assert plan.total_pairs == pairs == int(plan.tile_weights.sum())
 
 
 def test_tile_sources_are_the_distinct_bodies_the_tiles_read():

@@ -123,10 +123,10 @@ class TestRunLedger:
 
 
 # ------------------------------------------------------------------ critpath
-def _interval(tid, label, worker, start, end, *, deps=(), ready=0.0, stage=None):
+def _interval(tid, label, worker, start, end, *, deps=(), ready=0.0, op=None):
     return TaskInterval(
         label=label, worker=worker, start=start, end=end,
-        task_id=tid, deps=tuple(deps), ready=ready, stage=stage,
+        task_id=tid, deps=tuple(deps), ready=ready, op=op,
     )
 
 
@@ -143,9 +143,9 @@ class TestCriticalPath:
         # t0 -> t2 and t1 -> t2; t1 ends later so it is the critical parent
         res = _result(
             [
-                _interval(0, "A", 0, 0.0, 1.0, stage="P2M"),
-                _interval(1, "B", 1, 0.0, 3.0, stage="M2L"),
-                _interval(2, "C", 0, 3.0, 4.0, deps=(0, 1), ready=3.0, stage="L2P"),
+                _interval(0, "A", 0, 0.0, 1.0, op="P2M"),
+                _interval(1, "B", 1, 0.0, 3.0, op="M2L"),
+                _interval(2, "C", 0, 3.0, 4.0, deps=(0, 1), ready=3.0, op="L2P"),
             ]
         )
         report = analyze(res)
@@ -171,9 +171,9 @@ class TestCriticalPath:
         # B (0..0.5) has 2.5s of slack before C needs it at t=3; A has none
         res = _result(
             [
-                _interval(0, "A", 0, 0.0, 3.0, stage="P2P"),
-                _interval(1, "B", 1, 0.0, 0.5, stage="M2M"),
-                _interval(2, "C", 0, 3.0, 4.0, deps=(0, 1), ready=3.0, stage="L2P"),
+                _interval(0, "A", 0, 0.0, 3.0, op="P2P"),
+                _interval(1, "B", 1, 0.0, 0.5, op="M2M"),
+                _interval(2, "C", 0, 3.0, 4.0, deps=(0, 1), ready=3.0, op="L2P"),
             ]
         )
         report = analyze(res)
@@ -225,8 +225,8 @@ class TestCriticalPath:
     def test_text_report_sections(self):
         res = _result(
             [
-                _interval(0, "P2M:chunk0", 0, 0.0, 1.0, stage="P2M"),
-                _interval(1, "M2L:batch", 1, 1.0, 2.0, deps=(0,), ready=1.0, stage="M2L"),
+                _interval(0, "P2M:chunk0", 0, 0.0, 1.0, op="P2M"),
+                _interval(1, "M2L:batch", 1, 1.0, 2.0, deps=(0,), ready=1.0, op="M2L"),
             ]
         )
         text = analyze(res).to_text()
@@ -236,7 +236,7 @@ class TestCriticalPath:
         assert "P2M" in text and "M2L" in text
 
     def test_timeline_export_names_lane(self):
-        res = _result([_interval(0, "A", 0, 0.0, 1.0, stage="P2P")])
+        res = _result([_interval(0, "A", 0, 0.0, 1.0, op="P2P")])
         rows, names = critical_path_timeline(analyze(res))
         assert rows == [("[P2P] A", 2, 0.0, 1.0)]
         assert names == {2: "critical-path"}
@@ -245,9 +245,9 @@ class TestCriticalPath:
         from repro.runtime.engine import ExecutionEngine, TaskGraphBuilder
 
         g = TaskGraphBuilder()
-        a = g.add(lambda: sum(range(1000)), label="a", stage="P2M")
-        b = g.add(lambda: sum(range(2000)), label="b", deps=(a,), stage="M2L")
-        g.add(lambda: sum(range(500)), label="c", deps=(a, b), stage="L2P")
+        a = g.add(lambda: sum(range(1000)), label="a", op="P2M")
+        b = g.add(lambda: sum(range(2000)), label="b", deps=(a,), op="M2L")
+        g.add(lambda: sum(range(500)), label="c", deps=(a, b), op="L2P")
         with ExecutionEngine(n_workers=2) as eng:
             res = eng.run(g)
         report = analyze(res)

@@ -269,6 +269,20 @@ def test_laplace_chaos_smoke(backend, n_workers, folded):
     _run_laplace_chaos(backend, n_workers, folded)
 
 
+def test_transient_fault_in_a_near_tile_chunk_retries():
+    """A near-field chunk assigns its own target rows, so a transient
+    fault in one is retried in place — not thrown away with the whole
+    graph onto the serial path."""
+    ref_pot, ref_grad, _ = _laplace_case("cartesian", None)
+    plan = FaultPlan([FaultSpec("raise", match="near:t")])
+    with ExecutionEngine(n_workers=2) as eng:
+        pot, grad, solver = _laplace_case("cartesian", eng, plan)
+    assert plan.fired_kinds() == {"raise"}
+    assert solver.degraded_runs == 0
+    assert solver.last_engine_result.retries >= 1
+    assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
+
+
 @pytest.mark.chaos
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
 @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
@@ -455,6 +469,30 @@ def test_deadline_contract(backend, kind, monkeypatch):
     finally:
         if engine is not None:
             engine.close()
+
+
+@pytest.mark.parametrize("kind", _SOLVER_KINDS)
+def test_an_armed_deadline_does_not_change_the_near_field_calls(kind, monkeypatch):
+    """A deadline changes when a serial solve may stop, not how it runs:
+    armed or not, the near field is one ``Kernel.near_tiles`` call over
+    every tile (the served shape, Plummer 2k at S=32, has hundreds)."""
+    pts = plummer(2000, seed=3).positions
+    tree = AdaptiveOctree(pts, S=32)
+    solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 3)
+    calls = []
+    near_tiles = solver.kernel.near_tiles
+    monkeypatch.setattr(
+        solver.kernel, "near_tiles",
+        lambda *a: calls.append(len(a[3])) or near_tiles(*a),
+    )
+    ref = outputs(solver.solve(tree, q, **kw))
+    n_tiles = solver.list_cache.get(tree, folded=True).nearfield_plan_stats["tiles"]
+    assert calls == [n_tiles] and n_tiles > 100
+    calls.clear()
+    res = outputs(solver.solve(tree, q, deadline=Deadline(3600.0), **kw))
+    assert calls == [n_tiles]
+    for a, b in zip(res, ref):
+        assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------

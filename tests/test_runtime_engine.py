@@ -24,17 +24,20 @@ from repro.distributions.generators import gaussian_blobs, plummer, uniform_cube
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm.evaluator import FMMSolver
+from repro.fmm.nearfield import chunk_ranges
 from repro.kernels import LaplaceKernel
 from repro.kernels.stokeslet_fmm import StokesletFMMSolver
+from repro.obs import Telemetry
 from repro.runtime.engine import (
     MAX_ATTEMPTS,
     ExecutionEngine,
     GraphTaskError,
     TaskGraphBuilder,
     default_workers,
+    run_in_order,
 )
-from repro.runtime.graphs import chunk_ranges
 from repro.tree import AdaptiveOctree, build_interaction_lists
+from repro.util.timing import Deadline
 
 _FAMILIES = {
     "plummer": plummer,
@@ -200,6 +203,28 @@ def test_op_registry_aggregates_tagged_tasks():
     assert reg.timers["P2P"].count == 7
     assert set(reg.timers) == {"M2L", "P2P"}
     assert reg.timers["M2L"].total_time > 0.0
+
+
+def test_run_in_order_walks_insertion_order():
+    """The serial walk: tasks in insertion order on the calling thread, one
+    span per run of same-op tasks with their summed applications, and a
+    deadline check naming the op after every task."""
+    ran, checks = [], []
+    g = TaskGraphBuilder()
+    for label, op, apps in (("a", "P2M", 4), ("b", "M2M", 2), ("c", "M2M", 3), ("d", "P2M", 1)):
+        g.add(lambda label=label: ran.append((label, threading.get_ident())), label=label,
+              op=op, applications=apps, deps=(len(g) - 1,) if len(g) else ())
+
+    class Recording(Deadline):
+        def check(self, phase):
+            checks.append(phase)
+
+    tel = Telemetry()
+    run_in_order(g, tracer=tel.tracer, deadline=Recording(3600.0))
+    assert ran == [(x, threading.get_ident()) for x in "abcd"]
+    assert checks == ["P2M", "M2M", "M2M", "P2M"]
+    spans = [(e["name"], e["args"]["applications"]) for e in tel.tracer.events if e.get("ph") == "X"]
+    assert spans == [("P2M", 4), ("M2M", 5), ("P2M", 1)]
 
 
 def test_chunk_ranges_partition():
