@@ -1,11 +1,13 @@
 """Build-on-first-use loader of the compiled library (``_p2p.c``).
 
 One library runs the near field and the far field's leaf stages.  The
-near field has two entry points over one row loop: ``p2p_blocks``
-(:meth:`P2PLibrary.pairwise`, dense ``(G, T, 3)`` x ``(G, S, 3)`` blocks)
-and ``p2p_tiles`` (:meth:`P2PLibrary.near_tiles`, near-field tiles read
-from the plan's index arrays and leaf runs in place and written to the
-body rows by index).  The far field has three, behind the stage functions of
+near field has three entry points over two row loops: ``p2p_block``
+(:meth:`P2PLibrary.pairwise`, one dense ``(T, 3)`` x ``(S, 3)`` Laplace
+block), ``p2p_tiles`` (:meth:`P2PLibrary.near_tiles`) and
+``stokeslet_tiles`` (:meth:`P2PLibrary.stokeslet_tiles`), near-field
+tiles read from the plan's index arrays and leaf runs in place and written
+to the body rows by index — Laplace strengths and Stokeslet forces staged
+by one routine.  The far field has three, behind the stage functions of
 :mod:`repro.fmm.farfield`: ``leaf_p2m`` (:meth:`P2PLibrary.leaf_p2m`),
 ``leaf_l2p`` (:meth:`P2PLibrary.leaf_l2p`) and ``add_rows``
 (:meth:`P2PLibrary.add_rows`), each bitwise the NumPy body it replaces.
@@ -14,8 +16,8 @@ are checked here (:func:`_ptr`), and every array it reads stays
 referenced until it returns.
 
 :func:`library` compiles the C source beside this file the first time a
-Laplace block or a real far-field leaf stage runs — never at import — at
-most once per (source, flags, compiler version) into a cache:
+near-field block or tile or a real far-field leaf stage runs — never at
+import — at most once per (source, flags, compiler version) into a cache:
 ``__pycache__`` beside the source when that is writable, else a 0700
 per-user directory whose ownership is checked before anything in it is
 loaded.  The build lands in a temporary directory and is renamed into
@@ -57,8 +59,9 @@ _lock = threading.Lock()
 
 
 class P2PLibrary(NamedTuple):
-    blocks: object  # the ``p2p_blocks`` entry point
+    block: object  # the ``p2p_block`` entry point
     tiles: object  # the ``p2p_tiles`` entry point
+    stokeslet: object  # the ``stokeslet_tiles`` entry point
     p2m: object  # the ``leaf_p2m`` entry point
     l2p: object  # the ``leaf_l2p`` entry point
     add: object  # the ``add_rows`` entry point
@@ -67,33 +70,48 @@ class P2PLibrary(NamedTuple):
     isa: str  # the near-field clone this host runs: "avx2" or "baseline"
 
     def pairwise(self, t, s, q, eps2, diagonal, potential, gradient):
-        """``(pot (G, T, 1) | None, grad (G, T, 3) | None)`` of float64
-        ``(G, T, 3)`` x ``(G, S, 3)`` blocks with ``(G, S)`` strengths."""
+        """``(pot (T, 1) | None, grad (T, 3) | None)`` of float64 ``(T, 3)``
+        targets x ``(S, 3)`` sources with ``(S,)`` strengths."""
         t, s, q = (np.ascontiguousarray(a, dtype=float) for a in (t, s, q))
-        n_groups, nt, ns = *t.shape[:2], s.shape[1]
-        if (t.shape, s.shape, q.shape) != ((n_groups, nt, 3), (n_groups, ns, 3), (n_groups, ns)):
+        nt, ns = len(t), len(s)
+        if (t.shape, s.shape, q.shape) != ((nt, 3), (ns, 3), (ns,)):
             raise ValueError(f"blocks do not match: {t.shape} x {s.shape}, strengths {q.shape}")
-        pot = np.zeros((n_groups, nt, 1)) if potential else None
-        grad = np.zeros((n_groups, nt, 3)) if gradient else None
+        pot = np.zeros((nt, 1)) if potential else None
+        grad = np.zeros((nt, 3)) if gradient else None
         ptr = [None if a is None else a.ctypes.data for a in (t, s, q, pot, grad)]
-        if self.blocks(n_groups, nt, ns, *ptr[:3], eps2, diagonal, *ptr[3:]):
-            raise MemoryError("p2p_blocks could not allocate its staging buffer")
+        if self.block(nt, ns, *ptr[:3], eps2, diagonal, *ptr[3:]):
+            raise MemoryError("p2p_block could not allocate its staging buffer")
         return pot, grad
 
     def near_tiles(self, pts, q, plan, tiles, eps2, scales, pot, grad):
-        """Tiles ``tiles`` of the near-field ``plan`` in one call: ``pot[t] =
-        scales[0] * p``, ``grad[t] = scales[1] * g`` for each of their
-        targets ``t``, in place.  ``plan`` checks the bodies and tile ids."""
+        """Tiles ``tiles`` of the near-field ``plan`` in one Laplace call:
+        ``pot[t] = scales[0] * p``, ``grad[t] = scales[1] * g`` for each of
+        their targets ``t``, in place.  ``plan`` checks the bodies and tile
+        ids."""
+        q = np.ascontiguousarray(q, dtype=float).reshape(-1)
+        self._tiles(self.tiles, 1, pts, q, plan, tiles, eps2, scales, (pot, grad))
+
+    def stokeslet_tiles(self, pts, f, plan, tiles, eps2, scale, pot, grad):
+        """Tiles ``tiles`` of ``plan`` in one regularized Stokeslet call:
+        ``pot[t] = grad[t] = scale * u`` (either may be ``None``) for each
+        of their targets ``t``, in place.  The forces ``f`` are used as they
+        are: a float64 ``(n, 3)`` C-contiguous array, else ValueError."""
+        self._tiles(self.stokeslet, 3, pts, f, plan, tiles, eps2, (scale, scale), (pot, grad))
+
+    def _tiles(self, entry, dim, pts, q, plan, tiles, eps2, scales, outs):
+        """Check everything ``entry`` reads by pointer — strengths ``q`` and
+        ``pot`` are ``(n,)`` for ``dim`` 1, ``(n, dim)`` else — then call
+        it."""
         tiles = plan.checked_tiles(pts, q, tiles)
         pts = np.ascontiguousarray(pts, dtype=float)
-        q = np.ascontiguousarray(q, dtype=float).reshape(-1)
         n = plan.n_bodies
         index = (tiles, plan.tile_ptr, plan.tgt_idx, plan.tgt_ptr, plan.order,
-                 plan.src_lo, plan.src_hi, plan.run_ptr, plan.src_cnt)  # p2p_tiles' order
-        bodies = [_ptr(pts, (n, 3)), _ptr(q, (n,))]
-        outs = [_ptr(pot, (n,), out=True), _ptr(grad, (n, 3), out=True)]
-        if self.tiles(tiles.size, *(a.ctypes.data for a in index), *bodies, eps2, *scales, *outs):
-            raise MemoryError("p2p_tiles could not allocate its staging buffer")
+                 plan.src_lo, plan.src_hi, plan.run_ptr, plan.src_cnt)  # the entry's order
+        row = (n,) if dim == 1 else (n, dim)
+        bodies = [_ptr(pts, (n, 3)), _ptr(q, row)]
+        outs = [_ptr(outs[0], row, out=True), _ptr(outs[1], (n, 3), out=True)]
+        if entry(tiles.size, *(a.ctypes.data for a in index), *bodies, eps2, *scales, *outs):
+            raise MemoryError("the near-field tiles could not allocate their staging buffer")
 
     def leaf_p2m(self, plan, rows, q, basis, sign, out):
         """``out[rows[g]]`` = the P2M row of leaf ``g`` of ``plan``: charges
@@ -166,9 +184,9 @@ def library() -> P2PLibrary | None:
 
 
 def p2p_backend() -> str:
-    """Which bodies evaluate Laplace blocks and the far field's real leaf
-    stages in this process: ``"native"`` (the compiled library) or
-    ``"numpy"``.  Resolves the loader like a first block."""
+    """Which bodies evaluate near-field blocks and tiles and the far
+    field's real leaf stages in this process: ``"native"`` (the compiled
+    library) or ``"numpy"``.  Resolves the loader like a first block."""
     return "numpy" if library() is None else "native"
 
 
@@ -180,16 +198,18 @@ def adopt(path: str | None) -> None:
 
 def _load(path, compiler: str) -> P2PLibrary:
     dll = CDLL(str(path))  # CDLL, not PyDLL: the GIL is dropped for each call
-    dll.p2p_blocks.argtypes = [c_long] * 3 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
-    dll.p2p_tiles.argtypes = [c_long] + [c_void_p] * 11 + [c_double] * 3 + [c_void_p] * 2
+    dll.p2p_block.argtypes = [c_long] * 2 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
+    dll.p2p_tiles.argtypes = dll.stokeslet_tiles.argtypes = (
+        [c_long] + [c_void_p] * 11 + [c_double] * 3 + [c_void_p] * 2)
     dll.leaf_p2m.argtypes = [c_long] + [c_void_p] * 3 + [c_long] * 2 + [c_void_p] * 4
     dll.leaf_l2p.argtypes = [c_void_p] * 2 + [c_long] * 2 + [c_void_p] * 9
     dll.add_rows.argtypes = [c_long] * 2 + [c_void_p] * 3
-    dll.p2p_blocks.restype = dll.p2p_tiles.restype = dll.leaf_p2m.restype = c_int
+    dll.p2p_block.restype = dll.p2p_tiles.restype = dll.stokeslet_tiles.restype = c_int
+    dll.leaf_p2m.restype = c_int
     dll.leaf_l2p.restype = dll.add_rows.restype = None
     dll.p2p_isa.restype = c_char_p
-    return P2PLibrary(dll.p2p_blocks, dll.p2p_tiles, dll.leaf_p2m, dll.leaf_l2p, dll.add_rows,
-                      str(path), compiler, dll.p2p_isa().decode())
+    return P2PLibrary(dll.p2p_block, dll.p2p_tiles, dll.stokeslet_tiles, dll.leaf_p2m,
+                      dll.leaf_l2p, dll.add_rows, str(path), compiler, dll.p2p_isa().decode())
 
 
 def _cache_dir() -> Path:

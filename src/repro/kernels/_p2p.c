@@ -1,40 +1,45 @@
-/* The compiled library: the near field's all-pairs Laplace kernel (two
- * entry points over one row loop) and, at the end of the file, the far
- * field's leaf stages (leaf_p2m, leaf_l2p, add_rows).
+/* The compiled library: the near field's all-pairs rows (the Laplace row
+ * behind two entry points, the regularized Stokeslet row behind one) and,
+ * at the end of the file, the far field's leaf stages (leaf_p2m, leaf_l2p,
+ * add_rows).
  *
- * p2p_blocks (behind LaplaceKernel.pairwise): G dense blocks, targets
- * (G,T,3) x sources (G,S,3), strengths (G,S); pot (G,T) and grad (G,T,3)
- * are written (either may be NULL).
+ * p2p_block (behind LaplaceKernel.pairwise): one dense block, targets (T,3)
+ * x sources (S,3), strengths (S); pot (T) and grad (T,3) are written
+ * (either may be NULL).
  *
- * p2p_tiles (behind LaplaceKernel.near_tiles): the near-field plan read in
+ * p2p_tiles (behind LaplaceKernel.near_tiles) and stokeslet_tiles (behind
+ * RegularizedStokesletKernel.near_tiles): the near-field plan read in
  * place - for every group g of the listed tiles the sources are its leaf
  * runs, points[order[p]] for every p in src_lo[r]..src_hi[r] of each run r
  * in run_ptr[g]..run_ptr[g+1] (src_cnt[g] bodies in all), staged straight
- * from the body arrays, and every target t of the group gets
- * pot[t] = pot_scale * p and grad[t] = grad_scale * g.  The caller has
- * checked every index against the bodies and the outputs, and src_cnt
- * against the runs (the staging buffer is sized from it).
+ * from the body arrays by one routine (near_tiles), and every target t of
+ * the group gets its row scaled: pot[t] = pot_scale * p and grad[t] =
+ * grad_scale * g for Laplace strengths q (n); for Stokeslet forces q (n,3)
+ * the velocity u is both outputs, pot[t] = pot_scale * u and grad[t] =
+ * grad_scale * u (rows of three; the caller passes 1/(8 pi mu) twice).
+ * The caller has checked every index against the bodies and the outputs,
+ * and src_cnt against the runs (the staging buffer is sized from it).
  *
  * A group's sources are staged once as SoA in a 64-byte-aligned buffer;
  * each target row is one reduction over the sources in LANES fixed lanes
- * (p2p_row, the one arithmetic body): source j goes into lane j % LANES in
- * order, and the lanes are combined in one tree spelled in the source.  So
- * a row's bits depend on its sources only - never on G, T, the row's place
- * in the batch, which entry point ran it, the vector width or which clone
- * of the entry point the loader picked - and zero-strength padding (the
- * NumPy gather seam's same-shape batches; p2p_tiles has none) adds exact
+ * (p2p_row, stokeslet_row): source j goes into lane j % LANES in order,
+ * and the lanes are combined in one tree spelled in the source.  So a
+ * row's bits depend on its sources only - never on T, the row's place in
+ * the group, which entry point ran it, the vector width or which clone of
+ * the entry point the loader picked - and zero-strength padding adds exact
  * zeros to lanes that stay in place, so a padded row is bitwise its
  * unpadded row.
  *
- * Zero rules (the NumPy body's): a pair whose 1/sqrt(r2 + eps2) is not
- * finite (coincident unsoftened bodies, a NaN coordinate) has weight
+ * Laplace zero rules (the NumPy body's): a pair whose 1/sqrt(r2 + eps2) is
+ * not finite (coincident unsoftened bodies, a NaN coordinate) has weight
  * exactly 0; skip_diagonal gives pair (i, i) weight 0 as well.  Both are a
  * select, not a branch (built -fno-trapping-math, so the vectorizer may
  * if-convert the compare).  The gradient still multiplies that 0 by the
  * separation, so a NaN coordinate reaches it as NaN - which the solver's
- * guardrail keys on.
+ * guardrail keys on.  The Stokeslet has none: eps > 0 keeps every pair
+ * finite, its own pair included (the solver subtracts that in bulk).
  *
- * On x86-64 the two entry points are built twice, for AVX2 and for the
+ * On x86-64 the three entry points are built twice, for AVX2 and for the
  * baseline ISA, and the dynamic loader picks one per host (p2p_isa says
  * which); -ffp-contract=off keeps either from fusing a multiply-add, so
  * both give the same bits.  P2P_NO_CLONES builds the baseline body alone.
@@ -53,6 +58,7 @@
 #endif
 
 #define LANES 8
+#define INLINE static inline __attribute__((always_inline))
 
 /* "avx2" or "baseline": the clone of the entry points this host runs */
 const char *p2p_isa(void)
@@ -60,8 +66,14 @@ const char *p2p_isa(void)
     return P2P_AVX2 ? "avx2" : "baseline";
 }
 
-/* source j's terms, added to lane k of the four sums */
-static inline __attribute__((always_inline)) void
+/* the one combine tree of a row's LANES partial sums */
+INLINE double lanes_sum(const double a[LANES])
+{
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+}
+
+/* source j's Laplace terms, added to lane k of the four sums */
+INLINE void
 p2p_pair(long j, int k, const double *sx, const double *sy, const double *sz,
          const double *sq, const double *t, double eps2, long skip,
          double acc[4][LANES])
@@ -78,7 +90,7 @@ p2p_pair(long j, int k, const double *sx, const double *sy, const double *sz,
 }
 
 /* out = (potential, gradient x, y, z) of target t against S staged sources */
-static inline __attribute__((always_inline)) void
+INLINE void
 p2p_row(long S, const double *sx, const double *sy, const double *sz,
         const double *sq, const double *t, double eps2, long skip,
         double out[4])
@@ -90,42 +102,133 @@ p2p_row(long S, const double *sx, const double *sy, const double *sz,
             p2p_pair(j + k, k, sx, sy, sz, sq, t, eps2, skip, acc);
     for (int k = 0; j + k < S; k++)
         p2p_pair(j + k, k, sx, sy, sz, sq, t, eps2, skip, acc);
-    for (int c = 0; c < 4; c++) {
-        const double *a = acc[c];
-        out[c] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
-    }
+    for (int c = 0; c < 4; c++)
+        out[c] = lanes_sum(acc[c]);
+}
+
+/* source j's regularized Stokeslet terms, added to lane k of the three
+ * velocity sums: h = r2 + eps2, h2 = h^-3/2 (the coefficient of
+ * (f.d) d), h1 = (h + eps2) h2 (the coefficient of f) */
+INLINE void
+stokeslet_pair(long j, int k, const double *sx, const double *sy, const double *sz,
+               const double *fx, const double *fy, const double *fz,
+               const double *t, double eps2, double acc[3][LANES])
+{
+    /* (f.d) d is even in d: d = s - t serves as is */
+    double dx = sx[j] - t[0], dy = sy[j] - t[1], dz = sz[j] - t[2];
+    double h = dx * dx + dy * dy + dz * dz + eps2;
+    double h2 = 1.0 / (sqrt(h) * h);
+    double h1 = (h + eps2) * h2;
+    double fd = (fx[j] * dx + fy[j] * dy + fz[j] * dz) * h2;
+    acc[0][k] += h1 * fx[j] + fd * dx;
+    acc[1][k] += h1 * fy[j] + fd * dy;
+    acc[2][k] += h1 * fz[j] + fd * dz;
+}
+
+/* out = the unscaled velocity (x, y, z) at target t of S staged forces */
+INLINE void
+stokeslet_row(long S, const double *sx, const double *sy, const double *sz,
+              const double *fx, const double *fy, const double *fz,
+              const double *t, double eps2, double out[3])
+{
+    double acc[3][LANES] = {{0.0}};
+    long j = 0;
+    for (; j + LANES <= S; j += LANES)
+        for (int k = 0; k < LANES; k++)
+            stokeslet_pair(j + k, k, sx, sy, sz, fx, fy, fz, t, eps2, acc);
+    for (int k = 0; j + k < S; k++)
+        stokeslet_pair(j + k, k, sx, sy, sz, fx, fy, fz, t, eps2, acc);
+    for (int c = 0; c < 3; c++)
+        out[c] = lanes_sum(acc[c]);
 }
 
 P2P_CLONES
-int p2p_blocks(long G, long T, long S, const double *t, const double *s,
-               const double *q, double eps2, int skip_diagonal,
-               double *pot, double *grad)
+int p2p_block(long T, long S, const double *t, const double *s, const double *q,
+              double eps2, int skip_diagonal, double *pot, double *grad)
 {
     long pad = (S + 7) & ~7L; /* keeps the four arrays 64-byte aligned */
     double *sx, r[4];
-    if (G <= 0 || T <= 0 || S <= 0)
+    if (T <= 0 || S <= 0)
         return 0; /* the caller's outputs are already zero */
     if (!(sx = aligned_alloc(64, 4 * pad * sizeof(double))))
         return -1;
     double *sy = sx + pad, *sz = sy + pad, *sq = sz + pad;
-    for (long g = 0; g < G; g++, t += 3 * T, s += 3 * S, q += S) {
-        for (long j = 0; j < S; j++) {
-            sx[j] = s[3 * j];
-            sy[j] = s[3 * j + 1];
-            sz[j] = s[3 * j + 2];
-            sq[j] = q[j];
-        }
-        for (long i = 0; i < T; i++) {
-            p2p_row(S, sx, sy, sz, sq, t + 3 * i, eps2, skip_diagonal ? i : -1, r);
-            if (pot)
-                pot[g * T + i] = r[0];
-            if (grad) {
-                double *o = grad + 3 * (g * T + i);
-                o[0] = r[1], o[1] = r[2], o[2] = r[3];
-            }
+    for (long j = 0; j < S; j++) {
+        sx[j] = s[3 * j];
+        sy[j] = s[3 * j + 1];
+        sz[j] = s[3 * j + 2];
+        sq[j] = q[j];
+    }
+    for (long i = 0; i < T; i++) {
+        p2p_row(S, sx, sy, sz, sq, t + 3 * i, eps2, skip_diagonal ? i : -1, r);
+        if (pot)
+            pot[i] = r[0];
+        if (grad) {
+            double *o = grad + 3 * i;
+            o[0] = r[1], o[1] = r[2], o[2] = r[3];
         }
     }
     free(sx);
+    return 0;
+}
+
+/* The tile walk of both plan entry points: nq = 1 (Laplace strengths) or
+ * 3 (Stokeslet forces), a constant at each call, so each entry point gets
+ * its own loop with no branch on the kind inside it.  The group's sources
+ * go to 3 + nq SoA columns: x, y, z, then the strength components. */
+INLINE int
+near_tiles(int nq, long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
+           const int64_t *tgt_idx, const int64_t *tgt_ptr, const int64_t *order,
+           const int64_t *src_lo, const int64_t *src_hi, const int64_t *run_ptr,
+           const int64_t *src_cnt, const double *pts, const double *q, double eps2,
+           double pot_scale, double grad_scale, double *pot, double *grad)
+{
+    long pad = 0;
+    double *c[6], r[4];
+    for (long k = 0; k < n_tiles; k++)
+        for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++)
+            if (src_cnt[g] > pad)
+                pad = src_cnt[g];
+    if (pad == 0)
+        return 0; /* no sources: nothing is written */
+    pad = (pad + 7) & ~7L;
+    if (!(c[0] = aligned_alloc(64, (3 + nq) * pad * sizeof(double))))
+        return -1;
+    for (int i = 1; i < 3 + nq; i++)
+        c[i] = c[i - 1] + pad;
+    for (long k = 0; k < n_tiles; k++) {
+        for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++) {
+            long S = 0;
+            if (src_cnt[g] == 0)
+                continue;
+            for (int64_t run = run_ptr[g]; run < run_ptr[g + 1]; run++)
+                for (int64_t p = src_lo[run]; p < src_hi[run]; p++, S++) {
+                    const double *b = pts + 3 * order[p], *f = q + nq * order[p];
+                    c[0][S] = b[0];
+                    c[1][S] = b[1];
+                    c[2][S] = b[2];
+                    for (int i = 0; i < nq; i++)
+                        c[3 + i][S] = f[i];
+                }
+            for (int64_t i = tgt_ptr[g]; i < tgt_ptr[g + 1]; i++) {
+                int64_t t = tgt_idx[i];
+                if (nq == 1) {
+                    p2p_row(S, c[0], c[1], c[2], c[3], pts + 3 * t, eps2, -1, r);
+                    if (pot)
+                        pot[t] = pot_scale * r[0];
+                    for (int a = 0; grad && a < 3; a++)
+                        grad[3 * t + a] = grad_scale * r[1 + a];
+                } else {
+                    stokeslet_row(S, c[0], c[1], c[2], c[3], c[4], c[5], pts + 3 * t, eps2, r);
+                    for (int a = 0; pot && a < 3; a++)
+                        pot[3 * t + a] = pot_scale * r[a];
+                    for (int a = 0; grad && a < 3; a++)
+                        grad[3 * t + a] = grad_scale * r[a];
+                }
+            }
+        }
+    }
+    free(c[0]);
     return 0;
 }
 
@@ -137,47 +240,20 @@ int p2p_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
               const double *q, double eps2, double pot_scale, double grad_scale,
               double *pot, double *grad)
 {
-    long pad = 0;
-    double *sx, r[4];
-    for (long k = 0; k < n_tiles; k++)
-        for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++)
-            if (src_cnt[g] > pad)
-                pad = src_cnt[g];
-    if (pad == 0)
-        return 0; /* no sources: nothing is written, as by the dense seam */
-    pad = (pad + 7) & ~7L;
-    if (!(sx = aligned_alloc(64, 4 * pad * sizeof(double))))
-        return -1;
-    double *sy = sx + pad, *sz = sy + pad, *sq = sz + pad;
-    for (long k = 0; k < n_tiles; k++) {
-        for (int64_t g = tile_ptr[tiles[k]]; g < tile_ptr[tiles[k] + 1]; g++) {
-            long S = 0;
-            if (src_cnt[g] == 0)
-                continue;
-            for (int64_t run = run_ptr[g]; run < run_ptr[g + 1]; run++)
-                for (int64_t p = src_lo[run]; p < src_hi[run]; p++, S++) {
-                    const double *b = pts + 3 * order[p];
-                    sx[S] = b[0];
-                    sy[S] = b[1];
-                    sz[S] = b[2];
-                    sq[S] = q[order[p]];
-                }
-            for (int64_t i = tgt_ptr[g]; i < tgt_ptr[g + 1]; i++) {
-                int64_t t = tgt_idx[i];
-                p2p_row(S, sx, sy, sz, sq, pts + 3 * t, eps2, -1, r);
-                if (pot)
-                    pot[t] = pot_scale * r[0];
-                if (grad) {
-                    double *o = grad + 3 * t;
-                    o[0] = grad_scale * r[1];
-                    o[1] = grad_scale * r[2];
-                    o[2] = grad_scale * r[3];
-                }
-            }
-        }
-    }
-    free(sx);
-    return 0;
+    return near_tiles(1, n_tiles, tiles, tile_ptr, tgt_idx, tgt_ptr, order, src_lo, src_hi,
+                      run_ptr, src_cnt, pts, q, eps2, pot_scale, grad_scale, pot, grad);
+}
+
+P2P_CLONES
+int stokeslet_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
+                    const int64_t *tgt_idx, const int64_t *tgt_ptr,
+                    const int64_t *order, const int64_t *src_lo, const int64_t *src_hi,
+                    const int64_t *run_ptr, const int64_t *src_cnt, const double *pts,
+                    const double *f, double eps2, double pot_scale, double grad_scale,
+                    double *pot, double *grad)
+{
+    return near_tiles(3, n_tiles, tiles, tile_ptr, tgt_idx, tgt_ptr, order, src_lo, src_hi,
+                      run_ptr, src_cnt, pts, f, eps2, pot_scale, grad_scale, pot, grad);
 }
 
 /* ---------------------------------------------------------------------

@@ -267,6 +267,34 @@ class TestStokeslet:
             RegularizedStokesletKernel(viscosity=-1.0)
 
 
+# The compiled rows take a parameter as they are given it (a NaN eps^2
+# would poison every pair), so a non-finite one is refused at construction.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stokeslet_epsilon_must_be_finite(bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        RegularizedStokesletKernel(epsilon=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stokeslet_viscosity_must_be_finite(bad):
+    with pytest.raises(ValueError, match="viscosity"):
+        RegularizedStokesletKernel(viscosity=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_laplace_softening_must_be_finite(bad):
+    with pytest.raises(ValueError, match="softening"):
+        LaplaceKernel(softening=bad)
+    with pytest.raises(ValueError, match="softening"):
+        GravityKernel(softening=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gravity_constant_must_be_finite(bad):
+    with pytest.raises(ValueError, match="G must be finite"):
+        GravityKernel(G=bad)
+
+
 class TestDirect:
     def test_chunked_matches_unchunked(self, rng):
         k = LaplaceKernel()

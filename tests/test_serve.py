@@ -481,11 +481,13 @@ class TestServedSolves:
         assert status["opcache"]["hits"] > 0
 
     def test_served_equals_direct_under_each_p2p_body(self, p2p_impl):
-        direct = solve_direct(LAPLACE)
+        direct, stokes = solve_direct(LAPLACE), solve_direct(STOKES)
         with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
             out = bg.client(in_process=True).solve(LAPLACE, tenant="erin")
+            u = bg.client(in_process=True).solve(STOKES, tenant="erin")
         assert np.array_equal(out["potential"], direct["potential"])
         assert np.array_equal(out["gradient"], direct["gradient"])
+        assert np.array_equal(u["velocity"], stokes["velocity"])
 
     def test_simulation_steps_bitwise_identical(self):
         spec = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}

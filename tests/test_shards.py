@@ -96,6 +96,21 @@ def test_stokeslet_bitwise_identical_to_serial(folded):
     assert solver.last_shard_result is not None
 
 
+def test_stokeslet_bitwise_under_each_p2p_body(p2p_impl):
+    """shards:2 == serial bitwise for the 7-pass Stokeslet under both near
+    field bodies: the workers adopt the parent's library, or none."""
+    pts, _ = _cloud(n=800, seed=29)
+    f = np.random.default_rng(29).standard_normal((800, 3))
+    kernel = RegularizedStokesletKernel(epsilon=0.02)
+    tree = AdaptiveOctree(pts, S=24)
+    serial = StokesletFMMSolver(kernel, order=3).solve(tree, f)
+    with ProcessEngine(n_shards=2) as eng:
+        solver = StokesletFMMSolver(kernel, order=3, engine=eng)
+        sharded = solver.solve(tree, f)
+    assert solver.degraded_runs == 0 and solver.last_shard_result is not None
+    assert np.array_equal(serial.velocity, sharded.velocity)
+
+
 def test_workers_adopt_the_parents_p2p_kernel(p2p_impl):
     """The plan carries the parent's compiled library file (or ``None``):
     every worker maps exactly that file — or none, and runs the NumPy body
