@@ -1,12 +1,11 @@
 """The paper's cost model: observed per-operation coefficients and the
 time prediction of §IV-D."""
 
-from repro.costmodel.flops import OP_NAMES, op_work_units, work_profile
+from repro.costmodel.flops import op_work_units, work_profile
 from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.predictor import TimePrediction, predict_times
 
 __all__ = [
-    "OP_NAMES",
     "op_work_units",
     "work_profile",
     "ObservedCoefficients",

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.kernels.base import EXPANSION_OPS
 from repro.util.timing import TimerRegistry
 
 __all__ = ["ObservedCoefficients"]
-
-_CPU_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L")
-_GPU_OPS = ("P2P",)
 
 
 @dataclass
@@ -42,7 +40,7 @@ class ObservedCoefficients:
         time over all GPUs divided by the total P2P count over all GPUs —
         a measure of the whole GPU system.
         """
-        for op in _CPU_OPS:
+        for op in EXPANSION_OPS:
             timer = cpu_registry.timers.get(op)
             if timer is None or timer.count == 0:
                 continue

@@ -16,11 +16,9 @@ are provided:
 from __future__ import annotations
 
 from repro.expansions.multiindex import MultiIndexSet
-from repro.kernels.base import Kernel, KernelCostProfile
+from repro.kernels.base import FMM_OPS, Kernel, KernelCostProfile
 
-__all__ = ["OP_NAMES", "atomic_units", "op_work_units", "work_profile"]
-
-OP_NAMES = ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P", "M2P", "P2L")
+__all__ = ["atomic_units", "op_work_units", "work_profile"]
 
 #: FLOPs per multiply-add pair in the contraction inner loops.
 _FMA = 2.0
@@ -54,7 +52,7 @@ def atomic_units(order: int, kernel: Kernel | None = None) -> dict[str, float]:
         "M2P": _FMA * 4.0 * nc,
         "P2L": _FMA * nc,
     }
-    return {op: base[op] * profile.weight(op) for op in OP_NAMES}
+    return {op: base[op] * profile.weight(op) for op in FMM_OPS}
 
 
 def op_work_units(
@@ -91,4 +89,4 @@ def work_profile(
 ) -> dict[str, float]:
     """Total FLOPs per operation for a solve with the given counts."""
     units = op_work_units(order, mean_leaf_count=mean_leaf_count, kernel=kernel)
-    return {op: units[op] * float(op_counts.get(op, 0)) for op in OP_NAMES}
+    return {op: units[op] * float(op_counts.get(op, 0)) for op in FMM_OPS}

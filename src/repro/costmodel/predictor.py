@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.costmodel.coefficients import ObservedCoefficients
+from repro.kernels.base import EXPANSION_OPS
 
 __all__ = ["TimePrediction", "predict_times"]
-
-_CPU_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class TimePrediction:
 def predict_times(op_counts: dict[str, int], coeffs: ObservedCoefficients) -> TimePrediction:
     """Apply the §IV-D prediction to a set of operation counts."""
     cpu = 0.0
-    for op in _CPU_OPS:
+    for op in EXPANSION_OPS:
         count = op_counts.get(op, 0)
         if count:
             cpu += count * coeffs.cpu_coefficient(op)

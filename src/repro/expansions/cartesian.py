@@ -13,9 +13,6 @@ All operators are linear maps with precomputed combinatorial tables from
 (M2M/L2L shifts) are cached since an octree only ever uses 8 child offsets
 per level.
 
-Dipole sources (moment p at x, field (p . d)/r^3) are supported in P2M and
-P2L; this is what the composite Stokeslet far field builds on.
-
 The translation space
 ---------------------
 Of the C(p+3, 3) Taylor coefficients only (p+1)^2 are independent for a
@@ -93,20 +90,6 @@ class CartesianExpansion:
         P = self.mis.powers(np.asarray(center) - pts)  # (n_pts, n_coeffs)
         return q @ P
 
-    def p2m_dipole(self, points: np.ndarray, moments: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Multipole moments of dipole sources (field (p . d)/r^3).
-
-        M_alpha = -sum_s sum_k p_k alpha_k (c - x_s)^(alpha - e_k).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        p = np.atleast_2d(np.asarray(moments, dtype=float))
-        P = self.mis.powers(np.asarray(center) - pts)
-        M = np.zeros(self.mis.n)
-        for k, (src, dst, coef) in enumerate(self.mis.gradient_tables()):
-            # contribution to coefficient alpha=src from monomial at dst
-            M[src] += -coef * (p[:, k] @ P[:, dst])
-        return M
-
     # ------------------------------------------------------------------ M2M
     def m2m(self, moments: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Translate moments to a new center: ``shift = c_new - c_old``."""
@@ -150,28 +133,6 @@ class CartesianExpansion:
 
     def m2p_grad_basis(self, rel: np.ndarray) -> np.ndarray:
         return scaled_derivative_tensors(np.atleast_2d(rel), self.order + 1)
-
-    def p2m_dipole_rows(self, rel: np.ndarray, moments: np.ndarray, ptr) -> np.ndarray:
-        """Per-body dipole P2M rows: summing a group's rows gives
-        :meth:`p2m_dipole` of that group (``ptr`` is unused — the Cartesian
-        dipole operators are exact, not a two-charge limit)."""
-        P = self.mis.powers(-np.atleast_2d(rel))
-        p = np.atleast_2d(moments)
-        rows = np.zeros_like(P)
-        for k, (src, dst, coef) in enumerate(self.mis.gradient_tables()):
-            rows[:, src] += (-coef)[None, :] * p[:, k : k + 1] * P[:, dst]
-        return rows
-
-    def p2l_dipole_rows(self, rel: np.ndarray, moments: np.ndarray, ptr) -> np.ndarray:
-        """Per-body dipole P2L rows (group sums reproduce :meth:`p2l_dipole`)."""
-        Bbig = scaled_derivative_tensors(-np.atleast_2d(rel), self.order + 1)
-        p = np.atleast_2d(moments)
-        beta = self.mis.indices
-        rows = np.zeros((Bbig.shape[0], self.mis.n))
-        for k, (self_idx, raised_idx) in enumerate(self.mis.raise_tables()):
-            coef = (beta[self_idx, k] + 1).astype(float)
-            rows[:, self_idx] += -coef[None, :] * p[:, k : k + 1] * Bbig[:, raised_idx]
-        return rows
 
     # -------------------------------------------------- geometry-class ops
     # Row-applied dense operators for one *geometry class* (a fixed shift
@@ -315,18 +276,3 @@ class CartesianExpansion:
         q = np.asarray(strengths, dtype=float).reshape(-1)
         B = scaled_derivative_tensors(np.asarray(center) - pts, self.order)
         return q @ B
-
-    def p2l_dipole(self, points: np.ndarray, moments: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Local expansion due to distant dipoles.
-
-        L_beta = -sum_s sum_k p_k (beta_k + 1) b_(beta + e_k)(z - x_s).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        p = np.atleast_2d(np.asarray(moments, dtype=float))
-        Bbig = scaled_derivative_tensors(np.asarray(center) - pts, self.order + 1)
-        L = np.zeros(self.mis.n)
-        beta = self.mis.indices
-        for k, (self_idx, raised_idx) in enumerate(self.mis.raise_tables()):
-            coef = (beta[self_idx, k] + 1).astype(float)
-            L[self_idx] += -coef * (p[:, k] @ Bbig[:, raised_idx])
-        return L

@@ -182,11 +182,6 @@ class SphericalExpansion:
         R = _regular_table(pts, self.order)
         return q @ np.conj(R)
 
-    def p2m_dipole(self, points, moments, center) -> np.ndarray:
-        """Dipole P2M via the exact two-charge limit (charges ±|p|/(2h) at
-        x ± h p̂ reproduce the dipole field up to O(h^2))."""
-        return _dipole_limit(self.p2m, points, moments, center, self.n_coeffs)
-
     # ------------------------------------------------------------------ M2M
     def m2m(self, moments, shift) -> np.ndarray:
         """Translate multipole by ``shift = c_new - c_old``.
@@ -220,17 +215,6 @@ class SphericalExpansion:
 
     def m2p_grad_basis(self, rel: np.ndarray) -> np.ndarray:
         return _irregular_table(np.atleast_2d(rel), self.order + 1)
-
-    def p2m_dipole_rows(self, rel, moments, ptr) -> np.ndarray:
-        """Per-body dipole P2M rows; group sums over the CSR segments of
-        ``ptr`` reproduce :meth:`p2m_dipole` of each group (same two-charge
-        limit, with the finite-difference step chosen per group exactly as
-        :func:`_dipole_limit` does per call)."""
-        return _dipole_limit_rows(self.p2m_basis, rel, moments, ptr, self.n_coeffs)
-
-    def p2l_dipole_rows(self, rel, moments, ptr) -> np.ndarray:
-        """Per-body dipole P2L rows (group sums reproduce :meth:`p2l_dipole`)."""
-        return _dipole_limit_rows(self.p2l_basis, rel, moments, ptr, self.n_coeffs)
 
     # -------------------------------------------------- geometry-class ops
     # An octree quantizes geometry: per level there are <= 8 distinct
@@ -378,9 +362,6 @@ class SphericalExpansion:
         signs = (-1.0) ** self.ns
         return signs * (q @ I)
 
-    def p2l_dipole(self, points, moments, center) -> np.ndarray:
-        return _dipole_limit(self.p2l, points, moments, center, self.n_coeffs)
-
 
 # --------------------------------------------------------------------------
 # table builders
@@ -437,55 +418,6 @@ def _build_m2l_table(p: int):
         np.array(i_idx),
         np.array(sign),
     )
-
-
-def _dipole_limit(p2x, points, moments, center, n_coeffs):
-    """Two-charge limit shared by p2m_dipole / p2l_dipole."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = np.atleast_2d(np.asarray(moments, dtype=float))
-    norm = np.linalg.norm(p, axis=1)
-    keep = norm > 0
-    if not np.any(keep):
-        return np.zeros(n_coeffs, dtype=complex)
-    pts, p, norm = pts[keep], p[keep], norm[keep]
-    scale = float(np.max(np.linalg.norm(pts - np.asarray(center), axis=1), initial=1e-3))
-    h = 1e-5 * max(scale, 1e-12)
-    unit = p / norm[:, None]
-    plus = p2x(pts + h * unit, norm / (2 * h), center)
-    minus = p2x(pts - h * unit, -norm / (2 * h), center)
-    return plus + minus
-
-
-def _dipole_limit_rows(basis_fn, rel, moments, ptr, n_coeffs) -> np.ndarray:
-    """Per-body rows of the two-charge dipole limit.
-
-    ``ptr`` is the CSR pointer partitioning the rows into groups; the
-    finite-difference step is chosen *per group* from the kept (nonzero
-    moment) bodies, bit-for-bit matching what :func:`_dipole_limit`
-    computes when handed that group alone — so segment sums of the result
-    equal the per-group scalar operators.
-    """
-    rel = np.atleast_2d(np.asarray(rel, dtype=float))
-    p = np.atleast_2d(np.asarray(moments, dtype=float))
-    ptr = np.asarray(ptr, dtype=np.int64)
-    n_groups = ptr.size - 1
-    gid = np.repeat(np.arange(n_groups), np.diff(ptr))
-    rows = np.zeros((rel.shape[0], n_coeffs), dtype=complex)
-    norm = np.linalg.norm(p, axis=1)
-    keep = norm > 0
-    if not np.any(keep):
-        return rows
-    r = np.linalg.norm(rel, axis=1)
-    scale = np.full(n_groups, 1e-3)
-    np.maximum.at(scale, gid[keep], r[keep])
-    h = 1e-5 * np.maximum(scale, 1e-12)
-    hb = h[gid[keep]][:, None]
-    unit = p[keep] / norm[keep][:, None]
-    w = (norm[keep] / (2.0 * hb[:, 0]))[:, None]
-    plus = basis_fn(rel[keep] + hb * unit)
-    minus = basis_fn(rel[keep] - hb * unit)
-    rows[keep] = w * (plus - minus)
-    return rows
 
 
 def _regular_gradient_coeffs(p: int, local: np.ndarray) -> list[np.ndarray]:

@@ -1,8 +1,8 @@
 """The one solve dispatcher shared by every FMM solver.
 
-A solve is *an ordered list of far-field passes* (a :class:`FarPass`: a
-:class:`~repro.fmm.farfield.PassSpec` plus its source array — Laplace
-runs one, the composite Stokeslet seven) *plus one near field*.
+A solve is *an ordered list of far-field passes* (a :class:`FarPass`:
+charges plus output flags — Laplace runs one, the composite Stokeslet
+four) *plus one near field*.
 :class:`PassListSolver` owns everything about running that list that
 does not depend on which kernel it serves:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.expansions.cartesian import CartesianExpansion
-from repro.fmm.farfield import FarFieldPass, PassSpec
+from repro.fmm.farfield import FarFieldPass
 from repro.fmm.nearfield import NearFieldPass
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.tree.cache import ListCache
@@ -45,19 +45,20 @@ __all__ = ["FarPass", "PassListSolver"]
 
 @dataclass
 class FarPass:
-    """One far-field pass of a solve: what to compute, from which strengths."""
+    """One far-field pass of a solve: its charges and what to compute."""
 
-    spec: PassSpec
-    source: np.ndarray  # (n,) charges or (n, 3) dipole moments
+    charges: np.ndarray  # (n,)
     tag: str = ""  # task-label prefix in a multi-pass engine graph
+    potential: bool = True
+    gradient: bool = False
 
     @property
     def kwargs(self) -> dict:
         """The pass as :class:`FarFieldPass` / ``laplace_far_field`` keywords."""
         return {
-            self.spec.kind: self.source,
-            "potential": self.spec.potential,
-            "gradient": self.spec.gradient,
+            "charges": self.charges,
+            "potential": self.potential,
+            "gradient": self.gradient,
         }
 
 
@@ -170,8 +171,8 @@ class PassListSolver:
     def _run_shards(self, tree, lists, passes, near_q, near, deadline):
         """One session on the sharded multi-process backend."""
         return self.engine.solve_passes(
-            tree, lists, self.expansion, self.kernel,
-            [(p.spec, p.source) for p in passes], near_q, deadline=deadline, **near,
+            tree, lists, self.expansion, self.kernel, passes, near_q,
+            deadline=deadline, **near,
         )
 
     def _run_graph(self, tree, lists, passes, near_q, near, deadline):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fmm.dispatch import FarPass, PassListSolver
-from repro.fmm.farfield import PassSpec, laplace_far_field
+from repro.fmm.farfield import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
@@ -94,9 +94,8 @@ class FMMSolver(PassListSolver):
         if q.shape[0] != tree.n_bodies:
             raise ValueError("strengths must have one entry per body")
 
-        spec = PassSpec("charges", potential=potential, gradient=gradient)
         lists, far, near_pot, near_grad = self._solve_passes(
-            tree, lists, [FarPass(spec, q)], q,
+            tree, lists, [FarPass(q, potential=potential, gradient=gradient)], q,
             potential=potential, gradient=gradient, deadline=deadline,
         )
         far_pot, far_grad = far[0]
@@ -132,7 +131,9 @@ class FMMSolver(PassListSolver):
         # (``ProcessEngine.solve_laplace``: callers and profilers use it),
         # which rebuilds exactly the pass list ``solve`` dispatched
         (p,) = passes
-        assert p.source is near_q and p.spec == PassSpec("charges", **near)
+        assert p.charges is near_q and (p.potential, p.gradient) == (
+            near["potential"], near["gradient"]
+        )
         far_pot, far_grad, near_pot, near_grad = self.engine.solve_laplace(
             tree, lists, self.expansion, self.kernel, near_q,
             deadline=deadline, **near,

@@ -58,7 +58,7 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
   effective leaf with body-relative coordinates.  Rebuilt on refit.
 * one leaf basis table per backend (``generation`` stamp) — the L2P row
   basis over the body plan, shared by every far-field pass of a solve
-  (the composite Stokeslet solver runs seven) and read by P2M too: the
+  (the composite Stokeslet solver runs four) and read by P2M too: the
   Cartesian P2M basis is the L2P one times an exact +-1 per column
   (``p2m_sign``), the spherical one the same table.
 
@@ -74,9 +74,9 @@ stages (reduce, expand) lives in module-level **stage functions** over
 plain arrays; the pass methods and the shard workers of
 :mod:`repro.runtime.shards` (over arena views) both call them.  Over real
 (Cartesian) rows three of them run compiled, from the library
-:mod:`repro.kernels._native` builds for the near field: :func:`p2m`
-(charges), :func:`l2p` (potential and up to three gradient axes in one
-pass) and :func:`add_rows`, the ``rows[idx] += delta`` of every class
+:mod:`repro.kernels._native` builds for the near field: :func:`p2m`,
+:func:`l2p` (potential and up to three gradient axes in one pass) and
+:func:`add_rows`, the ``rows[idx] += delta`` of every class
 merge — each bitwise the NumPy body it replaces, which runs for complex
 (spherical) rows and where no compiler resolves (DESIGN.md §9).
 
@@ -109,7 +109,6 @@ __all__ = [
     "FarFieldGeometry",
     "FarFieldPass",
     "LeafBodyPlan",
-    "PassSpec",
     "add_rows",
     "far_field_geometry",
     "l2p",
@@ -424,41 +423,26 @@ def leaf_basis(expansion, plan: LeafBodyPlan, derived_cache):
 #   (the full coefficient array) and run whole, on one worker.
 
 
-@dataclass(frozen=True)
-class PassSpec:
-    """One far-field pass: monopole or dipole strengths, output flags."""
-
-    kind: str  # "charges" | "dipoles" (the FarFieldPass keyword)
-    potential: bool = True
-    gradient: bool = False
-
-
 def _compiled(*arrays):
     """The compiled leaf stages where every array is real and the host
     built them, else ``None`` (the NumPy bodies run)."""
     return _native.library() if all(a.dtype == np.float64 for a in arrays) else None
 
 
-def p2m(geom, plan, exp, multipoles, *, charges=None, dipoles=None, basis=None):
+def p2m(geom, plan, exp, multipoles, *, charges, basis):
     """Per-body rows, segment-summed per leaf (writes ``plan``'s leaf rows).
 
-    ``basis`` is the :func:`leaf_basis` over ``plan`` (needed with
-    ``charges`` only).
+    ``basis`` is the :func:`leaf_basis` over ``plan``.
     """
     if not plan.body_idx.size:
         return
-    lib = _compiled(basis, multipoles) if dipoles is None else None
+    lib = _compiled(basis, multipoles)
     if lib is not None:
         lib.leaf_p2m(plan, plan.leaf_rows(geom), charges, basis, exp.p2m_sign, multipoles)
         return
-    rows = None
-    if charges is not None:
-        rows = charges[plan.body_idx, None] * basis
-        if exp.p2m_sign is not None:
-            rows *= exp.p2m_sign
-    if dipoles is not None:
-        drows = exp.p2m_dipole_rows(plan.rel, dipoles[plan.body_idx], plan.ptr)
-        rows = drows if rows is None else rows + drows
+    rows = charges[plan.body_idx, None] * basis
+    if exp.p2m_sign is not None:
+        rows *= exp.p2m_sign
     multipoles[plan.leaf_rows(geom)] = _segment_sum(rows, plan.ptr)
 
 
@@ -581,7 +565,7 @@ def pair_bodies(geom, plan, pair_leaf_rows):
     return segment_positions(plan.ptr[leaves], plan.ptr[leaves + 1])
 
 
-def p2l(geom, plan, exp, pts, pairs, *, charges=None, dipoles=None):
+def p2l(geom, plan, exp, pts, pairs, *, charges):
     """X phase (un-folded): one local contribution per X pair, or ``None``.
 
     ``pairs = pair_bodies(geom, plan, geom.x_src_rows)`` over the full
@@ -595,13 +579,7 @@ def p2l(geom, plan, exp, pts, pairs, *, charges=None, dipoles=None):
     b_idx = plan.body_idx[rowpos]
     relx = pts[b_idx] - geom.centers[geom.x_recv_rows[pair_of]]
     pair_ptr = np.concatenate(([0], np.cumsum(cnt)))
-    rows = None
-    if charges is not None:
-        rows = charges[b_idx, None] * exp.p2l_basis(relx)
-    if dipoles is not None:
-        drows = exp.p2l_dipole_rows(relx, dipoles[b_idx], pair_ptr)
-        rows = drows if rows is None else rows + drows
-    return _segment_sum(rows, pair_ptr)
+    return _segment_sum(charges[b_idx, None] * exp.p2l_basis(relx), pair_ptr)
 
 
 def m2p(geom, plan, exp, pts, multipoles, pairs, *, potential, grad_mats=()):
@@ -677,21 +655,17 @@ class FarFieldPass:
         expansion,
         *,
         charges: np.ndarray | None = None,
-        dipoles: np.ndarray | None = None,
         gradient: bool = False,
         potential: bool = True,
     ) -> None:
-        if charges is None and dipoles is None:
-            raise ValueError("provide charges and/or dipoles")
+        if charges is None:
+            raise ValueError("provide charges")
         exp = expansion
         self.exp = exp
         self.geom = far_field_geometry(tree, lists, exp)
         self.plan = leaf_body_plan(tree, lists)
         self.pts = tree.points
-        self.q = None if charges is None else np.ascontiguousarray(charges, dtype=float).reshape(-1)
-        self.dip = (
-            None if dipoles is None else np.atleast_2d(np.asarray(dipoles, dtype=float))
-        )
+        self.q = np.ascontiguousarray(charges, dtype=float).reshape(-1)
         self.want_potential = potential
         self.want_gradient = gradient
 
@@ -740,7 +714,7 @@ class FarFieldPass:
         """Per-body rows, segment-summed per leaf (writes leaf rows only)."""
         p2m(
             self.geom, self.plan, self.exp, self.multipoles,
-            charges=self.q, dipoles=self.dip, basis=self._basis,
+            charges=self.q, basis=self._basis,
         )
 
     def l2p(self) -> None:
@@ -792,8 +766,7 @@ class FarFieldPass:
     def p2l_compute(self) -> None:
         """X phase (un-folded): batched P2L contribution, parked privately."""
         self._x_contrib = p2l(
-            self.geom, self.plan, self.exp, self.pts, self._x_pairs,
-            charges=self.q, dipoles=self.dip,
+            self.geom, self.plan, self.exp, self.pts, self._x_pairs, charges=self.q
         )
 
     def p2l_merge(self) -> None:
@@ -833,7 +806,7 @@ class FarFieldPass:
         """Declare this pass's stage DAG in ``g`` (a
         :class:`~repro.runtime.engine.TaskGraphBuilder`); returns the id of
         the task after which :meth:`result` is complete.  ``tag`` prefixes
-        labels (the Stokeslet solver runs seven passes in one graph).
+        labels (the Stokeslet solver runs four passes in one graph).
 
         The one schedule of the pass: the thread engine runs it, and
         :func:`~repro.runtime.engine.run_in_order` walks it in insertion
@@ -995,13 +968,12 @@ def laplace_far_field(
     expansion,
     *,
     charges: np.ndarray | None = None,
-    dipoles: np.ndarray | None = None,
     gradient: bool = False,
     potential: bool = True,
     tracer=None,
     deadline=None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Batched far-field potential/gradient of monopoles and/or dipoles.
+    """Batched far-field potential/gradient of point charges.
 
     Walks :meth:`FarFieldPass.add_tasks`' DAG in insertion order on the
     calling thread (the per-node oracle it is tested against lives in
@@ -1018,13 +990,7 @@ def laplace_far_field(
     from repro.runtime.engine import TaskGraphBuilder, run_in_order
 
     p = FarFieldPass(
-        tree,
-        lists,
-        expansion,
-        charges=charges,
-        dipoles=dipoles,
-        gradient=gradient,
-        potential=potential,
+        tree, lists, expansion, charges=charges, gradient=gradient, potential=potential
     )
     if deadline is not None:
         deadline.check("geometry")

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Kernel", "KernelCostProfile", "separation_tiles"]
+__all__ = [
+    "EXPANSION_OPS", "FMM_OPS", "Kernel", "KernelCostProfile", "separation_tiles",
+]
 
 #: Pairs in the near field's unit of work, the tile: what the plan cuts
 #: at, and so the grain of deadline checks, engine chunks and the shards'
@@ -45,6 +47,9 @@ _TILE_ELEMS = 16384
 
 #: The six FMM operations of the paper plus the two adaptive extras.
 FMM_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P", "M2P", "P2L")
+#: The expansion operations — every op but the near field's P2P, in
+#: ``FMM_OPS`` order: the CPU side of the cost model.
+EXPANSION_OPS = tuple(op for op in FMM_OPS if op != "P2P")
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,25 @@
 """Composite Stokeslet FMM: exact far field via harmonic decomposition.
 
-The singular Stokeslet velocity (scale 1/(8 pi mu)) splits into harmonic
-potentials (the classical Tornberg–Greengard style decomposition):
+The singular Stokeslet velocity (scale 1/(8 pi mu)) is four harmonic
+Laplace fields (Tornberg & Greengard, J. Comput. Phys. 227, 2008).  With
+``c`` the tree's root-box centre and ``r(x) = x - c``:
 
-    u_i(t) = sum_s [ f_i^s / r  +  d_i (f^s . d) / r^3 ],     d = t - s
-           = phi_i(t) + t_i A(t) - B_i(t)
+    u_i(x) = sum_y [ f_i / |d|  +  d_i (f . d) / |d|^3 ],     d = x - y
+           = phi_i(x) - sum_j r_j(x) ∂_i phi_j(x) + ∂_i phi_3(x)
 
 with
 
-    phi_i(t) = sum_s f_i^s / r            (3 monopole Laplace fields)
-    A(t)     = sum_s (f^s . d) / r^3      (1 dipole field, moments f^s)
-    B_i(t)   = sum_s s_i (f^s . d) / r^3  (3 dipole fields, moments s_i f^s)
+    phi_j(x) = sum_y f_j / |d|            (j = 0, 1, 2: potential + gradient)
+    phi_3(x) = sum_y (r(y) . f) / |d|     (gradient only)
 
-so the entire far field is seven scalar Laplace passes over one tree —
-monopole and dipole P2M/P2L are both supported by the expansion backends.
-The near field uses the *regularized* Stokeslet exactly; in the far field
-the regularization is negligible (relative error O(eps^2 / r^2), with r at
+because ``-∂_i phi_j = sum_y f_j d_i / |d|^3``, so the two gradient terms
+sum to ``sum_y (r(x) - r(y)) . f  d_i / |d|^3`` with ``r(x) - r(y) = d``.
+The whole far field is four scalar charge passes over one tree: the
+gradient of a charge pass carries the ``1/r^3`` term, so no dipole source
+is needed.  Centring on the root box keeps the cancellation between the
+last two terms harmless when the cloud sits far from the origin.  The
+near field uses the *regularized* Stokeslet exactly; in the far field the
+regularization is negligible (relative error O(eps^2 / r^2), with r at
 least one well-separated cell away), which is the standard practice for
 regularized-Stokeslet FMMs and is documented in DESIGN.md.
 """
@@ -27,15 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fmm.dispatch import FarPass, PassListSolver
-from repro.fmm.farfield import PassSpec, laplace_far_field
+from repro.fmm.farfield import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
+from repro.kernels.base import EXPANSION_OPS
 from repro.kernels.stokeslet import RegularizedStokesletKernel
 from repro.obs import Telemetry
 from repro.tree.cache import ListCache
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 
-__all__ = ["StokesletFMMResult", "StokesletFMMSolver"]
+__all__ = ["N_FAR_PASSES", "StokesletFMMResult", "StokesletFMMSolver"]
+
+#: scalar Laplace far-field passes per Stokeslet solve (phi_0 .. phi_3)
+N_FAR_PASSES = 4
 
 
 @dataclass
@@ -46,14 +54,14 @@ class StokesletFMMResult:
     op_counts: dict[str, int]
     lists: InteractionLists
     #: number of scalar Laplace far-field passes executed
-    n_passes: int = 7
+    n_passes: int = N_FAR_PASSES
 
 
 class StokesletFMMSolver(PassListSolver):
     """FMM for the method of regularized Stokeslets.
 
     Velocities at all bodies due to regularized point forces at the same
-    bodies; exact near field, seven-pass harmonic far field — on whichever
+    bodies; exact near field, four-pass harmonic far field — on whichever
     back end ``engine`` names (dispatch and degrade ladder:
     :class:`~repro.fmm.dispatch.PassListSolver`).
     """
@@ -94,36 +102,30 @@ class StokesletFMMSolver(PassListSolver):
         f = np.atleast_2d(np.asarray(forces, dtype=float))
         if f.shape != (tree.n_bodies, 3):
             raise ValueError(f"forces must be (n, 3), got {f.shape}")
-        pts = tree.points
+        r = tree.points - tree.root_box.center
 
-        # far field: phi_i (monopoles f_i), A (dipoles f), B_i (dipoles s_i f)
-        passes = (
-            [FarPass(PassSpec("charges"), f[:, i], f"phi{i}") for i in range(3)]
-            + [FarPass(PassSpec("dipoles"), f, "A")]
-            + [
-                FarPass(PassSpec("dipoles"), pts[:, i : i + 1] * f, f"B{i}")
-                for i in range(3)
-            ]
+        # far field: phi_j (charges f_j) with potential and gradient, phi_3
+        # (charges r(y) . f) with its gradient only
+        passes = [FarPass(f[:, j], f"phi{j}", gradient=True) for j in range(3)]
+        passes.append(
+            FarPass(np.einsum("ij,ij->i", r, f), "phi3", potential=False, gradient=True)
         )
         # near field: exact regularized Stokeslets
         lists, far, u_near, _ = self._solve_passes(
             tree, lists, passes, f, deadline=deadline
         )
-        phi = [pot for pot, _ in far]
-
-        u = np.zeros((tree.n_bodies, 3))
-        for i in range(3):
-            u[:, i] += phi[i]
-        u += pts * phi[3][:, None]
-        for i in range(3):
-            u[:, i] -= phi[4 + i]
+        # u_i = phi_i - sum_j r_j ∂_i phi_j + ∂_i phi_3 (module docstring)
+        u = np.stack([pot for pot, _ in far[:3]], axis=1)
+        for j in range(3):
+            u -= r[:, j : j + 1] * far[j][1]
+        u += far[3][1]
         u *= 1.0 / (8.0 * np.pi * self.kernel.viscosity)
         u += u_near
 
         counts = lists.op_counts()
-        # seven scalar passes: scale the expansion-op counts accordingly
-        for op in ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L"):
-            counts[op] = counts.get(op, 0) * len(passes)
+        # one scalar sweep per pass: scale the expansion-op counts accordingly
+        for op in EXPANSION_OPS:
+            counts[op] = counts.get(op, 0) * N_FAR_PASSES
         return StokesletFMMResult(velocity=u, op_counts=counts, lists=lists)
 
     # ---------------------------------------------------------- serial sweeps

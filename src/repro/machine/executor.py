@@ -32,7 +32,7 @@ from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.flops import atomic_units
 from repro.gpu.model import GPUKernelModel, KernelTiming
 from repro.gpu.partition import near_field_work_items, partition_targets
-from repro.kernels.base import Kernel
+from repro.kernels.base import EXPANSION_OPS, Kernel
 from repro.machine.spec import MachineSpec
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.runtime.scheduler import simulate_schedule
@@ -44,8 +44,6 @@ from repro.util.rng import default_rng
 from repro.util.timing import TimerRegistry
 
 __all__ = ["HeterogeneousExecutor", "StepTiming"]
-
-_CPU_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L")
 
 
 @dataclass
@@ -292,7 +290,7 @@ class HeterogeneousExecutor:
         """Split the CPU wall time over operations by FLOP share (§IV-D's
         per-thread accumulation, aggregated)."""
         reg = TimerRegistry()
-        ops = list(_CPU_OPS) + (["P2P"] if include_near else [])
+        ops = list(EXPANSION_OPS) + (["P2P"] if include_near else [])
         total = sum(flops[op] for op in ops)
         if total <= 0:
             return reg

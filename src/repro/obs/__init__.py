@@ -7,7 +7,7 @@ instrumentation that makes the loop *watchable*:
 * :mod:`repro.obs.trace` — hierarchical wall-clock spans plus simulated
   per-worker scheduler lanes, exported as Chrome/Perfetto trace-event JSON
   (open ``trace.json`` at https://ui.perfetto.dev);
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with
+* :mod:`repro.obs.metrics` — counters and gauges with
   Prometheus-style text exposition and JSON snapshots;
 * :mod:`repro.obs.drift` — per-step predicted-vs-observed compute time,
   coefficient trajectories, and CPU/GPU imbalance;
@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.obs.critpath import CritPathReport
 from repro.obs.drift import DriftSample, DriftTracker, RuntimeSample
 from repro.obs.ledger import RunLedger, RunRecord
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.regress import RegressionVerdict, check_regression
 from repro.obs.trace import REAL_PID, SIM_PID, WALL_PID, Span, Tracer
 
@@ -44,7 +44,6 @@ __all__ = [
     "DriftSample",
     "DriftTracker",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "REAL_PID",

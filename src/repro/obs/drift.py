@@ -21,7 +21,7 @@ per step, exactly the quantities Figs. 8–9 are made of:
 
 A tracker is passive storage plus summary math; the simulation driver
 feeds it (see :meth:`repro.sim.driver.Simulation.step`) and mirrors the
-headline numbers into metrics gauges/histograms.
+headline numbers into metrics gauges.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with Prometheus-style exposition.
+"""Counters and gauges with Prometheus-style exposition.
 
 The registry is the numeric side of the telemetry subsystem: where the
 tracer answers *when*, metrics answer *how many / how much* — balancer
@@ -18,14 +18,9 @@ Two export forms:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
-
-#: histogram defaults tuned for per-step *modeled seconds* and ratios
-DEFAULT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 
 class Counter:
@@ -80,69 +75,6 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics).
-
-    ``buckets`` are upper bounds; observations land in every bucket whose
-    bound is >= the value, plus the implicit ``+Inf`` bucket.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "labels", "buckets", "bucket_counts", "sum", "count")
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict[str, str] | None = None,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labels = dict(labels or {})
-        # +Inf is always emitted implicitly (it equals _count): drop an
-        # explicit inf bound so the exposition never repeats the series
-        self.buckets = tuple(
-            sorted(float(b) for b in buckets if float(b) != float("inf"))
-        )
-        if not self.buckets:
-            raise ValueError("histogram needs at least one finite bucket bound")
-        self.bucket_counts = [0] * len(self.buckets)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-
-    def expose(self) -> list[str]:
-        lines = []
-        # observe() increments every bucket whose bound covers the value,
-        # so the stored counts are already cumulative as Prometheus
-        # expects; bounds are sorted ascending with the mandatory +Inf
-        # bucket (== _count) closing the series, per the OpenMetrics spec
-        for bound, c in zip(self.buckets, self.bucket_counts):
-            labels = dict(self.labels)
-            labels["le"] = _fmt_le(bound)
-            lines.append(f"{self.name}_bucket{_fmt_labels(labels)} {c}")
-        labels = dict(self.labels)
-        labels["le"] = "+Inf"
-        lines.append(f"{self.name}_bucket{_fmt_labels(labels)} {self.count}")
-        lines.append(f"{self.name}_sum{_fmt_labels(self.labels)} {_fmt_value(self.sum)}")
-        lines.append(f"{self.name}_count{_fmt_labels(self.labels)} {self.count}")
-        return lines
-
-    def snapshot(self) -> Any:
-        return {
-            "buckets": {_fmt_value(b): c for b, c in zip(self.buckets, self.bucket_counts)},
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument in one process."""
 
@@ -155,23 +87,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "", labels: dict[str, str] | None = None) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict[str, str] | None = None,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        key = (name, _label_key(labels))
-        existing = self._metrics.get(key)
-        if existing is not None:
-            if existing.kind != "histogram":
-                raise ValueError(f"metric {name!r} already registered as {existing.kind}")
-            return existing
-        metric = Histogram(name, help, labels, buckets)
-        self._metrics[key] = metric
-        return metric
 
     def _get_or_create(self, cls, name, help, labels):
         key = (name, _label_key(labels))
@@ -237,17 +152,3 @@ def _fmt_value(value: float) -> str:
         return str(int(value))
     return repr(value)
 
-
-def _fmt_le(bound: float) -> str:
-    """Canonical OpenMetrics form of a bucket bound.
-
-    ``le`` values are float-typed in the spec: integral bounds must
-    render with a trailing ``.0`` (``le="1.0"``, never ``le="1"``) so
-    scrapers that key series by the literal label string see one
-    consistent series across writers; infinity renders as ``+Inf``.
-    """
-    if bound == float("inf"):
-        return "+Inf"
-    if bound == int(bound) and abs(bound) < 1e15:
-        return f"{int(bound)}.0"
-    return repr(bound)

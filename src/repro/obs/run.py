@@ -7,9 +7,8 @@ Produces three artifacts next to ``--out`` (default ``trace.json``):
   clock)" process shows the nested per-step spans (tree build, far field,
   near field, physics, balancer); the "simulated scheduler" process shows
   every simulated CPU worker's task lane, step after step.
-* ``trace.metrics.json`` — a JSON snapshot of every counter/gauge/
-  histogram (balancer transitions, ListCache hits/builds, coefficient
-  gauges) plus the full cost-model drift record (per-step predicted vs.
+* ``trace.metrics.json`` — a JSON snapshot of every counter and gauge
+  (balancer transitions, ListCache hits/builds, coefficient gauges) plus the full cost-model drift record (per-step predicted vs.
   observed times, residuals, coefficient trajectories).
 * ``trace.steps.jsonl`` — the per-step simulation log as JSON Lines, one
   object per time step (the Fig. 8/9 raw columns).

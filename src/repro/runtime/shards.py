@@ -105,13 +105,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.fmm import farfield, nearfield
-from repro.fmm.farfield import FarFieldGeometry, PassSpec
+from repro.fmm.dispatch import FarPass
+from repro.fmm.farfield import FarFieldGeometry
 from repro.kernels import _native
 from repro.runtime.engine import default_workers
 from repro.util.timing import SolveDeadlineError
 
 __all__ = [
-    "PassSpec",
     "ProcessEngine",
     "ShardExecutionError",
     "ShardRunResult",
@@ -191,7 +191,7 @@ class GlobalPlan:
     n_shards: int
     expansion: object
     kernel: object
-    passes: list  # [PassSpec]
+    passes: list  # [(potential, gradient)], one per far-field pass
     near_potential: bool
     near_gradient: bool
     arena_name: str
@@ -359,14 +359,13 @@ def _build_plan(tree, lists, expansion, kernel, passes, *, near_potential,
         for f in _PLAN_FIELDS[prefix]:
             arr = getattr(src, f)
             entries.append((f"{prefix}.{f}", arr.shape, arr.dtype))
-    if any(p.gradient for p in passes):
+    if any(gradient for _, gradient in passes):
         entries.append(("GK", (3, n_leaves, nc), cdt))
-    for i, spec in enumerate(passes):
-        shape = (n,) if spec.kind == "charges" else (n, 3)
-        entries.append((f"src{i}", shape, np.float64))
-        if spec.potential:
+    for i, (potential, gradient) in enumerate(passes):
+        entries.append((f"src{i}", (n,), np.float64))
+        if potential:
             entries.append((f"fpot{i}", (n,), np.float64))
-        if spec.gradient:
+        if gradient:
             entries.append((f"fgrad{i}", (n, 3), np.float64))
     if near_potential:
         dim = kernel.value_dim
@@ -463,7 +462,7 @@ class _WorkerState:
         self.completed_phase = -1
         self._grad_mats = (
             self.exp.l2p_gradient_matrices()
-            if any(p.gradient for p in plan.passes)
+            if any(gradient for _, gradient in plan.passes)
             else ()
         )
 
@@ -504,10 +503,6 @@ class _WorkerState:
     def _basis(self) -> np.ndarray:
         return farfield.leaf_basis(self.exp, self.sub, self._derived)
 
-    def _source(self, i: int, spec: PassSpec) -> dict:
-        """Pass ``i``'s strengths as the stage functions' source keyword."""
-        return {spec.kind: self.v[f"src{i}"]}
-
     def _wait(self) -> None:
         self._beat()  # barrier-arrival heartbeat: the laggard stands out
         t0 = time.perf_counter()
@@ -536,10 +531,10 @@ class _WorkerState:
         if self.me == 0:
             self.v["L8"][:] = 0.0
 
-    def _p2m(self, i: int, spec: PassSpec) -> None:
+    def _p2m(self, i: int) -> None:
         farfield.p2m(
             self.geom, self.sub, self.exp, self.v["M"],
-            basis=self._basis(), **self._source(i, spec),
+            charges=self.v[f"src{i}"], basis=self._basis(),
         )
 
     def _deltas(self, rnd: _Round, classes, source: str, scratch: str) -> None:
@@ -571,12 +566,12 @@ class _WorkerState:
         self.halo_s += time.perf_counter() - t0
         self._span("halo", t0)
 
-    def _p2l(self, i: int, spec: PassSpec) -> None:
+    def _p2l(self, i: int) -> None:
         geom = self.geom
         pairs = farfield.pair_bodies(geom, self.body_plan, geom.x_src_rows)
         contrib = farfield.p2l(
             geom, self.body_plan, self.exp, self.v["points"], pairs,
-            **self._source(i, spec),
+            charges=self.v[f"src{i}"],
         )
         if contrib is not None:
             np.add.at(self.v["L"], geom.x_recv_rows, contrib)
@@ -594,20 +589,20 @@ class _WorkerState:
             if self.plan.grad_axis_shard[k] == self.me:
                 self.v["GK"][k] = farfield.l2p_leaf_gradient(self.geom, self.v["L"], A)
 
-    def _l2p(self, i: int, spec: PassSpec) -> None:
+    def _l2p(self, i: int) -> None:
         v = self.v
         farfield.l2p(
             self.geom, self.sub, self._basis(), v["L"],
             v.get(f"fpot{i}"), v.get(f"fgrad{i}"), v.get("GK", ()),
         )
 
-    def _m2p(self, i: int, spec: PassSpec) -> None:
+    def _m2p(self, i: int, potential: bool, gradient: bool) -> None:
         v, geom = self.v, self.geom
         pairs = farfield.pair_bodies(geom, self.body_plan, geom.w_tgt_rows)
         vals = farfield.m2p(
             geom, self.body_plan, self.exp, v["points"], v["M"], pairs,
-            potential=spec.potential,
-            grad_mats=self.exp.m2p_gradient_matrices() if spec.gradient else (),
+            potential=potential,
+            grad_mats=self.exp.m2p_gradient_matrices() if gradient else (),
         )
         farfield.m2p_scatter(
             self.body_plan, pairs, v.get(f"fpot{i}"), v.get(f"fgrad{i}"), *vals
@@ -675,13 +670,13 @@ class _WorkerState:
         tag = (lambda nm, i: f"{nm}@{i}") if len(plan.passes) > 1 else (
             lambda nm, i: nm
         )
-        for i, spec in enumerate(plan.passes):
+        for i, (potential, gradient) in enumerate(plan.passes):
             if i < from_phase:
                 continue
             self._beat(tag("p2m", i))
             self._zero_coeffs()
             self._wait()
-            self._timed(tag("p2m", i), self._p2m, i, spec)
+            self._timed(tag("p2m", i), self._p2m, i)
             self._wait()
             for rnd, items in zip(plan.up_rounds, self.up_merge):
                 self._beat(tag("m2m", i))
@@ -712,22 +707,22 @@ class _WorkerState:
             if geom.x_recv_rows.size:
                 self._beat(tag("p2l", i))
                 if self.me == 0:
-                    self._timed(tag("p2l", i), self._p2l, i, spec)
+                    self._timed(tag("p2l", i), self._p2l, i)
             self._wait()
             for rnd in plan.down_rounds:
                 self._beat(tag("l2l", i))
                 self._timed(tag("l2l", i), self._l2l, rnd)
                 self._wait()
             self._beat(tag("l2p", i))
-            if spec.gradient:
+            if gradient:
                 self._timed(tag("l2p", i), self._gk)
                 self._wait()
-            self._timed(tag("l2p", i), self._l2p, i, spec)
+            self._timed(tag("l2p", i), self._l2p, i)
             if geom.w_tgt_rows.size:
                 self._wait()
                 self._beat(tag("m2p", i))
                 if self.me == 0:
-                    self._timed(tag("m2p", i), self._m2p, i, spec)
+                    self._timed(tag("m2p", i), self._m2p, i, potential, gradient)
             self._wait()
             self.completed_phase = i
         if plan.near_potential or plan.near_gradient:
@@ -862,12 +857,6 @@ class ShardRunResult:
     @property
     def max_shard_wall(self) -> float:
         return max(self.shard_walls) if self.shard_walls else self.wall
-
-    @property
-    def mean_shard_busy(self) -> float:
-        if not self.shard_busy:
-            return self.wall
-        return sum(self.shard_busy) / len(self.shard_busy)
 
     def timeline(self) -> list:
         """``(label, shard, start, end)`` rows for Perfetto shard lanes."""
@@ -1077,7 +1066,7 @@ class ProcessEngine:
             tree.structure_generation,
             expansion.backend,
             expansion.order,
-            tuple((p.kind, p.potential, p.gradient) for p in passes),
+            tuple(passes),
             near_potential,
             near_gradient,
             near_shape,
@@ -1491,7 +1480,8 @@ class ProcessEngine:
     ):
         """One sharded solve: far-field ``passes`` + one near field.
 
-        ``passes`` is an ordered list of ``(PassSpec, source array)``;
+        ``passes`` is an ordered list of
+        :class:`~repro.fmm.dispatch.FarPass` (charges and output flags);
         ``near_q`` the near-field strengths with the near field's
         ``potential`` / ``gradient`` flags.  Mirrors the serial pass
         sequence exactly; returns ``(far, near_pot, near_grad)`` with
@@ -1502,13 +1492,13 @@ class ProcessEngine:
         """
         near_q = np.asarray(near_q, dtype=float)
         sess = self._ensure_session(
-            tree, lists, expansion, kernel, [spec for spec, _ in passes],
+            tree, lists, expansion, kernel, [(p.potential, p.gradient) for p in passes],
             near_potential=potential, near_gradient=gradient,
             near_shape=near_q.shape[1:],
         )
         v = sess.arena.views
-        for i, (_, source) in enumerate(passes):
-            v[f"src{i}"][:] = source
+        for i, p in enumerate(passes):
+            v[f"src{i}"][:] = p.charges
         v["nearq"][:] = near_q
         self._run(sess, tree, deadline)
 
@@ -1528,7 +1518,7 @@ class ProcessEngine:
         q = np.asarray(q, dtype=float).reshape(-1)
         far, near_pot, near_grad = self.solve_passes(
             tree, lists, expansion, kernel,
-            [(PassSpec("charges", potential=potential, gradient=gradient), q)],
+            [FarPass(q, potential=potential, gradient=gradient)],
             q, potential=potential, gradient=gradient, deadline=deadline,
         )
         return (*far[0], near_pot, near_grad)

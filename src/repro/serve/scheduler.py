@@ -45,12 +45,12 @@ from typing import Any, Callable
 
 from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.predictor import predict_times
+from repro.kernels.base import EXPANSION_OPS
+from repro.kernels.stokeslet_fmm import N_FAR_PASSES
 from repro.serve.protocol import ServeError, SolveSpec
 from repro.util.timing import TimerRegistry
 
 __all__ = ["CostModelGovernor", "FairScheduler", "Job", "estimate_op_counts"]
-
-_CPU_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "M2P", "P2L")
 
 #: optimistic per-application prior (seconds) used before any solve has
 #: been observed — deliberately low so a cold server admits work and
@@ -90,7 +90,7 @@ def estimate_op_counts(n: int, order: int, leaf_size: int = 32) -> dict[str, int
 
 def _solve_multiplier(spec: SolveSpec) -> float:
     """How many scalar far-field sweeps one request amounts to."""
-    passes = 7.0 if spec.kernel == "stokeslet" else 1.0
+    passes = float(N_FAR_PASSES) if spec.kernel == "stokeslet" else 1.0
     return passes * max(1, int(spec.steps))
 
 
@@ -133,7 +133,7 @@ class CostModelGovernor:
             return
         per_app = wall_s / total
         registry = TimerRegistry()
-        for op in _CPU_OPS:
+        for op in EXPANSION_OPS:
             apps = int(counts[op] * mult)
             if apps:
                 registry.add(op, per_app * apps, apps)

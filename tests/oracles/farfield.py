@@ -23,20 +23,16 @@ def laplace_far_field_scalar(
     lists: InteractionLists,
     expansion,
     *,
-    charges: np.ndarray | None = None,
-    dipoles: np.ndarray | None = None,
+    charges: np.ndarray,
     gradient: bool = False,
     potential: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-node far-field sweep — the equivalence oracle.
 
-    ``charges`` is (n,) monopole strengths; ``dipoles`` is (n, 3) dipole
-    moments (field (p . d)/r^3).  Either may be None.  Returns
-    ``(potential, gradient)`` with the unrequested entry None — the
-    signature of :func:`repro.fmm.farfield.laplace_far_field`.
+    ``charges`` is (n,) monopole strengths.  Returns ``(potential,
+    gradient)`` with the unrequested entry None — the signature of
+    :func:`repro.fmm.farfield.laplace_far_field`.
     """
-    if charges is None and dipoles is None:
-        raise ValueError("provide charges and/or dipoles")
     pts = tree.points
     nodes = tree.nodes
     eff = tree.effective_nodes()
@@ -48,25 +44,10 @@ def laplace_far_field_scalar(
     multipoles: dict[int, np.ndarray] = {}
     locals_: dict[int, np.ndarray] = {nid: np.zeros(exp.n_coeffs, dtype=dtype) for nid in eff}
 
-    def p2m_node(idx, center):
-        M = np.zeros(exp.n_coeffs, dtype=dtype)
-        if charges is not None:
-            M = M + exp.p2m(pts[idx], charges[idx], center)
-        if dipoles is not None:
-            M = M + exp.p2m_dipole(pts[idx], dipoles[idx], center)
-        return M
-
-    def p2l_node(idx, center):
-        L = np.zeros(exp.n_coeffs, dtype=dtype)
-        if charges is not None:
-            L = L + exp.p2l(pts[idx], charges[idx], center)
-        if dipoles is not None:
-            L = L + exp.p2l_dipole(pts[idx], dipoles[idx], center)
-        return L
-
     # ---- upward sweep
     for nid in leaves:
-        multipoles[nid] = p2m_node(tree.bodies(nid), nodes[nid].center)
+        idx = tree.bodies(nid)
+        multipoles[nid] = exp.p2m(pts[idx], charges[idx], nodes[nid].center)
     for nid in sorted(internal, key=lambda n: -nodes[n].level):
         M = np.zeros(exp.n_coeffs, dtype=dtype)
         for cid in tree.effective_children(nid):
@@ -92,7 +73,8 @@ def laplace_far_field_scalar(
     # ---- X phase (un-folded scheme)
     for recv, xs in lists.x_list.items():
         for x in xs:
-            locals_[recv] += p2l_node(tree.bodies(x), nodes[recv].center)
+            idx = tree.bodies(x)
+            locals_[recv] += exp.p2l(pts[idx], charges[idx], nodes[recv].center)
 
     # ---- downward sweep (eff is preorder: parents first)
     for nid in eff:

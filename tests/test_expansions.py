@@ -92,29 +92,6 @@ class TestOperatorsAgainstDirect:
             errs.append(rel(exp.m2p(M, tgt, np.zeros(3)), phi))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_dipole_p2m(self, Backend, cloud):
-        src, q, tgt, phi, _ = cloud
-        rng = np.random.default_rng(3)
-        pm = rng.uniform(-1, 1, (src.shape[0], 3))
-        d = tgt[:, None, :] - src[None, :, :]
-        r = np.linalg.norm(d, axis=2)
-        phi_dip = (np.einsum("tsk,sk->ts", d, pm) / r**3).sum(axis=1)
-        exp = Backend(6)
-        Md = exp.p2m_dipole(src, pm, np.zeros(3))
-        assert rel(exp.m2p(Md, tgt, np.zeros(3)), phi_dip) < 1e-3
-
-    def test_dipole_p2l(self, Backend, cloud):
-        src, q, tgt, phi, _ = cloud
-        rng = np.random.default_rng(4)
-        pm = rng.uniform(-1, 1, (src.shape[0], 3))
-        d = tgt[:, None, :] - src[None, :, :]
-        r = np.linalg.norm(d, axis=2)
-        phi_dip = (np.einsum("tsk,sk->ts", d, pm) / r**3).sum(axis=1)
-        exp = Backend(6)
-        z = np.array([4.0, 0.5, -1.0])
-        Ld = exp.p2l_dipole(src, pm, z)
-        assert rel(exp.l2p(Ld, tgt, z), phi_dip) < 1e-3
-
 
 @pytest.mark.parametrize("Backend", BACKENDS)
 class TestExactnessIdentities:
@@ -456,9 +433,6 @@ class TestHarmonicReduction:
             "random": rng.uniform(-1, 1, (12, exp.n_coeffs)),
             "monopole": np.stack(
                 [exp.p2m(x, rng.uniform(-1, 1, 20), np.zeros(3)) for x in src]
-            ),
-            "dipole": np.stack(
-                [exp.p2m_dipole(x, rng.uniform(-1, 1, (20, 3)), np.zeros(3)) for x in src]
             ),
         }
         for name, M in moments.items():

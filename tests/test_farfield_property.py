@@ -6,7 +6,7 @@ translation space; the original per-node sweep over all ``n_coeffs``
 coefficients is kept as
 :func:`tests.oracles.farfield.laplace_far_field_scalar` exactly so the two
 can be compared on randomized adaptive trees across both expansion
-backends, both source channels, and both schemes.  Also covers the
+backends and both schemes.  Also covers the
 subset contract of the per-body stage functions (what the shard schedule
 rests on), the cache layers (geometry survives refits, dies on surgery)
 and the per-op telemetry span contract.
@@ -39,14 +39,8 @@ _FAMILIES = {
 _BACKENDS = {"cartesian": CartesianExpansion, "spherical": SphericalExpansion}
 
 
-def _sources(n, seed, channel):
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(-1, 1, n) if channel in ("monopole", "both") else None
-    dip = None
-    if channel in ("dipole", "both"):
-        dip = rng.uniform(-1, 1, (n, 3))
-        dip[rng.random(n) < 0.15] = 0.0  # exercise the zero-moment branch
-    return q, dip
+def _charges(n, seed):
+    return np.random.default_rng(seed).uniform(-1, 1, n)
 
 
 def _max_rel(a, b):
@@ -66,29 +60,19 @@ def _max_rel(a, b):
     seed=st.integers(min_value=0, max_value=2**16),
     folded=st.booleans(),
     backend=st.sampled_from(sorted(_BACKENDS)),
-    channel=st.sampled_from(["monopole", "dipole", "both"]),
     order=st.integers(min_value=1, max_value=4),
 )
-def test_batched_matches_scalar_oracle(family, n, S, seed, folded, backend, channel, order):
+def test_batched_matches_scalar_oracle(family, n, S, seed, folded, backend, order):
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
     lists = build_interaction_lists(tree, folded=folded)
     exp = _BACKENDS[backend](order)
-    q, dip = _sources(n, seed, channel)
+    q = _charges(n, seed)
 
-    ref_pot, ref_grad = laplace_far_field_scalar(
-        tree, lists, exp, charges=q, dipoles=dip, gradient=True
-    )
-    pot, grad = laplace_far_field(
-        tree, lists, exp, charges=q, dipoles=dip, gradient=True
-    )
-    # the spherical dipole channel goes through a two-charge limit whose
-    # +-O(1/h) terms are summed in a different (equally valid) order by
-    # the batched path, so only ~1e-9 of the cancellation survives both
-    # ways; every other combination agrees to near machine precision.
-    tol = 5e-9 if (backend == "spherical" and dip is not None) else 1e-12
-    assert _max_rel(pot, ref_pot) <= tol
-    assert _max_rel(grad, ref_grad) <= tol
+    ref_pot, ref_grad = laplace_far_field_scalar(tree, lists, exp, charges=q, gradient=True)
+    pot, grad = laplace_far_field(tree, lists, exp, charges=q, gradient=True)
+    assert _max_rel(pot, ref_pot) <= 1e-12
+    assert _max_rel(grad, ref_grad) <= 1e-12
 
 
 @settings(
@@ -102,13 +86,10 @@ def test_batched_matches_scalar_oracle(family, n, S, seed, folded, backend, chan
     S=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
     backend=st.sampled_from(sorted(_BACKENDS)),
-    channel=st.sampled_from(["monopole", "dipole", "both"]),
     order=st.integers(min_value=1, max_value=4),
     data=st.data(),
 )
-def test_per_body_stages_are_bitwise_subsettable(
-    family, n, S, seed, backend, channel, order, data
-):
+def test_per_body_stages_are_bitwise_subsettable(family, n, S, seed, backend, order, data):
     """P2M and L2P (potential + gradient) on an arbitrary leaf subset give
     bitwise the rows the full-set call gives — the property that lets a
     shard run them on its own leaves only (DESIGN.md §9)."""
@@ -116,26 +97,25 @@ def test_per_body_stages_are_bitwise_subsettable(
     tree = AdaptiveOctree(pts, S=S)
     n_leaves = len(tree.leaves())
     picked = data.draw(st.sets(st.integers(0, n_leaves - 1), max_size=n_leaves))
-    _check_leaf_subset(tree, backend, order, channel, seed, sorted(picked))
+    _check_leaf_subset(tree, backend, order, seed, sorted(picked))
 
 
-@pytest.mark.parametrize("channel", ["monopole", "dipole"])
-@pytest.mark.parametrize("backend", sorted(_BACKENDS))
-def test_one_body_leaf_subset_is_bitwise(backend, channel):
+@pytest.mark.parametrize("backend", sorted(_BACKENDS), ids=lambda b: f"{b}-monopole")
+def test_one_body_leaf_subset_is_bitwise(backend):
     """The one shape the row-dot reduction treats differently (a single
     row: ``farfield._row_dots``), pinned without relying on hypothesis
     drawing it: S=1 makes every leaf one body, so a one-leaf subset is a
     one-row plan."""
     tree = AdaptiveOctree(plummer(60, seed=7).positions, S=1)
     for leaf in (0, 17, len(tree.leaves()) - 1):
-        _check_leaf_subset(tree, backend, 4, channel, 7, [leaf])
+        _check_leaf_subset(tree, backend, 4, 7, [leaf])
 
 
-def _check_leaf_subset(tree, backend, order, channel, seed, leaves):
+def _check_leaf_subset(tree, backend, order, seed, leaves):
     n = tree.n_bodies
     lists = build_interaction_lists(tree, folded=True)
     exp = _BACKENDS[backend](order)
-    q, dip = _sources(n, seed, channel)
+    q = _charges(n, seed)
     geom = far_field_geometry(tree, lists, exp)
     plan = farfield.leaf_body_plan(tree, lists)
     leaves = np.array(leaves, dtype=np.int64)
@@ -148,7 +128,7 @@ def _check_leaf_subset(tree, backend, order, channel, seed, leaves):
 
     def run_p2m(p):
         M = np.zeros(shape, dtype=dtype)
-        farfield.p2m(geom, p, exp, M, charges=q, dipoles=dip, basis=basis(p))
+        farfield.p2m(geom, p, exp, M, charges=q, basis=basis(p))
         return M
 
     full, part = run_p2m(plan), run_p2m(sub)

@@ -1,4 +1,4 @@
-"""Tests for the reusable Laplace far-field sweep (charges + dipoles)."""
+"""Tests for the reusable Laplace far-field sweep (point charges)."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,12 @@ def setup():
     rng = np.random.default_rng(5)
     ps = uniform_cube(1000, seed=2)
     q = rng.uniform(-1, 1, 1000)
-    p = rng.uniform(-1, 1, (1000, 3))
     tree = build_adaptive(ps.positions, S=30)
     lists = build_interaction_lists(tree, folded=True)
-    return ps.positions, q, p, tree, lists
+    return ps.positions, q, tree, lists
 
 
-def far_reference(pts, q=None, dipoles=None, lists=None, tree=None):
+def far_reference(pts, q, lists, tree):
     """Exact far-field reference: total field minus near-field pairs."""
     n = pts.shape[0]
     d = pts[:, None, :] - pts[None, :, :]
@@ -29,12 +28,7 @@ def far_reference(pts, q=None, dipoles=None, lists=None, tree=None):
     with np.errstate(divide="ignore"):
         inv_r = 1.0 / np.sqrt(r2)
     np.fill_diagonal(inv_r, 0.0)
-    total = np.zeros(n)
-    if q is not None:
-        total += inv_r @ q
-    if dipoles is not None:
-        inv_r3 = inv_r**3
-        total += np.einsum("tsk,sk,ts->t", d, dipoles, inv_r3)
+    total = inv_r @ q
     # subtract near-field pairs
     near = np.zeros(n)
     for t, sources in lists.near_sources.items():
@@ -45,44 +39,24 @@ def far_reference(pts, q=None, dipoles=None, lists=None, tree=None):
         with np.errstate(divide="ignore"):
             sub_inv = 1.0 / np.sqrt(sub_r2)
         sub_inv[~np.isfinite(sub_inv)] = 0.0
-        if q is not None:
-            near[t_idx] += sub_inv @ q[s_idx]
-        if dipoles is not None:
-            near[t_idx] += np.einsum(
-                "tsk,sk,ts->t", sub_d, dipoles[s_idx], sub_inv**3
-            )
+        near[t_idx] += sub_inv @ q[s_idx]
     return total - near
 
 
 class TestChargesAndDipoles:
     def test_charges_only(self, setup):
-        pts, q, _, tree, lists = setup
+        pts, q, tree, lists = setup
         pot, _ = laplace_far_field(tree, lists, CartesianExpansion(5), charges=q)
-        ref = far_reference(pts, q=q, lists=lists, tree=tree)
+        ref = far_reference(pts, q, lists, tree)
         assert np.linalg.norm(pot - ref) / np.linalg.norm(ref) < 1e-3
 
-    def test_dipoles_only(self, setup):
-        pts, _, p, tree, lists = setup
-        # the dipole field (1/r^2) converges one order slower; use p=7
-        pot, _ = laplace_far_field(tree, lists, CartesianExpansion(7), dipoles=p)
-        ref = far_reference(pts, dipoles=p, lists=lists, tree=tree)
-        assert np.linalg.norm(pot - ref) / np.linalg.norm(ref) < 5e-3
-
-    def test_combined_is_sum(self, setup):
-        pts, q, p, tree, lists = setup
-        exp = CartesianExpansion(4)
-        both, _ = laplace_far_field(tree, lists, exp, charges=q, dipoles=p)
-        only_q, _ = laplace_far_field(tree, lists, exp, charges=q)
-        only_p, _ = laplace_far_field(tree, lists, exp, dipoles=p)
-        assert np.allclose(both, only_q + only_p, rtol=1e-10)
-
     def test_requires_some_source(self, setup):
-        _, _, _, tree, lists = setup
+        _, _, tree, lists = setup
         with pytest.raises(ValueError):
             laplace_far_field(tree, lists, CartesianExpansion(3))
 
     def test_gradient_output(self, setup):
-        pts, q, _, tree, lists = setup
+        pts, q, tree, lists = setup
         pot, grad = laplace_far_field(
             tree, lists, CartesianExpansion(4), charges=q, gradient=True
         )
@@ -96,18 +70,17 @@ class TestChargesAndDipoles:
         assert np.allclose(pot, res.far_potential, rtol=1e-10)
 
     def test_spherical_backend_matches(self, setup):
-        pts, q, p, tree, lists = setup
-        cart, _ = laplace_far_field(tree, lists, CartesianExpansion(4), charges=q, dipoles=p)
-        sph, _ = laplace_far_field(tree, lists, SphericalExpansion(4), charges=q, dipoles=p)
+        _, q, tree, lists = setup
+        cart, _ = laplace_far_field(tree, lists, CartesianExpansion(4), charges=q)
+        sph, _ = laplace_far_field(tree, lists, SphericalExpansion(4), charges=q)
         assert np.linalg.norm(cart - sph) / np.linalg.norm(cart) < 1e-3
 
     def test_unfolded_wx_paths(self):
         rng = np.random.default_rng(6)
         ps = plummer(900, seed=4)
         q = rng.uniform(-1, 1, 900)
-        p = rng.uniform(-1, 1, (900, 3))
         tree = build_adaptive(ps.positions, S=25)
         lists = build_interaction_lists(tree, folded=False)
-        pot, _ = laplace_far_field(tree, lists, CartesianExpansion(7), charges=q, dipoles=p)
-        ref = far_reference(ps.positions, q=q, dipoles=p, lists=lists, tree=tree)
+        pot, _ = laplace_far_field(tree, lists, CartesianExpansion(7), charges=q)
+        ref = far_reference(ps.positions, q, lists, tree)
         assert np.linalg.norm(pot - ref) / np.linalg.norm(ref) < 5e-3

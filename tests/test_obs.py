@@ -143,40 +143,21 @@ class TestMetrics:
         g.dec()
         assert g.value == 129
 
-    def test_histogram_cumulative_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("t", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.bucket_counts == [1, 2, 3]
-        assert h.count == 4
-        assert h.sum == pytest.approx(55.55)
-
     def test_prometheus_exposition_format(self):
         reg = MetricsRegistry()
         reg.counter("hits_total", "cache hits").inc(5)
         reg.gauge("leaf_cap", "leaf cap", labels={"mode": "full"}).set(64)
-        h = reg.histogram("step_seconds", "per-step", buckets=(0.5, 1.0))
-        h.observe(0.4)
-        h.observe(2.0)
         text = reg.to_prometheus()
         assert "# HELP hits_total cache hits" in text
         assert "# TYPE hits_total counter" in text
         assert "hits_total 5" in text
         assert 'leaf_cap{mode="full"} 64' in text
-        assert '# TYPE step_seconds histogram' in text
-        assert 'step_seconds_bucket{le="0.5"} 1' in text
-        assert 'step_seconds_bucket{le="+Inf"} 2' in text
-        assert "step_seconds_sum 2.4" in text
-        assert "step_seconds_count 2" in text
 
     def test_snapshot_is_json_able(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
         snap = json.loads(json.dumps(reg.snapshot()))
         assert snap["c"] == 1
-        assert snap["h"]["count"] == 1
 
 
 # ---------------------------------------------------------------------- drift
@@ -247,16 +228,6 @@ class TestTelemetryEdgeCases:
         assert reg.snapshot() == {}
         assert len(reg) == 0
         assert "# " not in reg.to_prometheus() or reg.to_prometheus() == ""
-
-    def test_histogram_snapshot_zero_observations(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("t", buckets=(0.1, 1.0))
-        snap = h.snapshot()
-        assert snap["count"] == 0 and snap["sum"] == 0.0
-        assert all(c == 0 for c in snap["buckets"].values())
-        # exposition must still emit every bucket plus +Inf
-        lines = h.expose()
-        assert sum('le="' in line for line in lines) == 3
 
     def test_counters_survive_degraded_step(self):
         """A step whose engine graph fails (absorbed by the serial
@@ -546,62 +517,6 @@ class TestTracerThreadSafety:
             pass
         (ev,) = tracer.events
         assert ev["name"] == "y" and ev.get("parent_id") is None
-
-
-# --------------------------------------------------- histogram spec round-trip
-class TestPrometheusHistogramRoundTrip:
-    """OpenMetrics exposition: float-canonical ``le`` values, cumulative
-    ordering, and a closing ``+Inf`` bucket equal to ``_count`` — verified
-    by parsing the exposed text back."""
-
-    @staticmethod
-    def _parse_buckets(text, name):
-        rows = []
-        for line in text.splitlines():
-            if line.startswith(f"{name}_bucket"):
-                le = line.split('le="')[1].split('"')[0]
-                count = int(line.rsplit(" ", 1)[1])
-                rows.append((le, count))
-        return rows
-
-    def test_integral_bounds_expose_as_floats(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(1, 2.5, 10))
-        h.observe(0.5)
-        rows = self._parse_buckets(reg.to_prometheus(), "lat")
-        assert [le for le, _ in rows] == ["1.0", "2.5", "10.0", "+Inf"]
-
-    def test_round_trip_cumulative_and_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("step_ms", "per-step", buckets=(0.5, 1.0, 5.0))
-        for v in (0.1, 0.7, 0.7, 3.0, 99.0):
-            h.observe(v)
-        text = reg.to_prometheus()
-        rows = self._parse_buckets(text, "step_ms")
-        # +Inf closes the series and equals _count
-        assert rows[-1][0] == "+Inf"
-        assert rows[-1][1] == 5
-        assert f"step_ms_count 5" in text
-        # bounds ascend and counts are monotonically non-decreasing
-        bounds = [float(le) for le, _ in rows[:-1]]
-        assert bounds == sorted(bounds)
-        counts = [c for _, c in rows]
-        assert counts == sorted(counts)
-        assert counts == [1, 3, 4, 5]
-        # reconstructing per-bucket deltas recovers every observation
-        assert sum(b - a for a, b in zip([0] + counts, counts)) == h.count
-
-    def test_explicit_inf_bound_not_duplicated(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("x", buckets=(1.0, float("inf")))
-        h.observe(0.5)
-        rows = self._parse_buckets(reg.to_prometheus(), "x")
-        assert [le for le, _ in rows] == ["1.0", "+Inf"]
-
-    def test_all_inf_buckets_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("bad", buckets=(float("inf"),))
 
 
 # ----------------------------------------------------------- drift edge cases

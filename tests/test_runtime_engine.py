@@ -7,7 +7,7 @@ Two layers:
 * **the determinism contract** — the whole point of the delta/ordered-merge
   design: running the real far+near pipeline on 1, 2, or ``cpu_count``
   threads produces **bitwise identical** potentials and gradients, for
-  Laplace on both expansion backends and for the Stokeslet 7-pass solve,
+  Laplace on both expansion backends and for the Stokeslet 4-pass solve,
   and repeated parallel runs are identical to each other even though
   thread interleavings differ.
 """
@@ -300,7 +300,7 @@ def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
 
 @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
 def test_stokeslet_bitwise_identical_across_workers(folded):
-    """The 7-pass Stokeslet solve matches serial bitwise at every width."""
+    """The 4-pass Stokeslet solve matches serial bitwise at every width."""
     rng = np.random.default_rng(5)
     n = 400
     pts = plummer(n, seed=5).positions
@@ -313,13 +313,13 @@ def test_stokeslet_bitwise_identical_across_workers(folded):
             solver = StokesletFMMSolver(order=3, folded=folded, engine=eng)
             u = solver.solve(tree, f).velocity
         assert np.array_equal(u, ref), n_workers
-        # seven far-field subgraphs + the near-field tasks ran
+        # four far-field subgraphs + the near-field tasks ran
         labels = {iv.label.split(":")[0] for iv in solver.last_engine_result.intervals}
-        assert {"phi0", "phi1", "phi2", "A", "B0", "B1", "B2", "near"} <= labels
+        assert labels == {"phi0", "phi1", "phi2", "phi3", "near"}
 
 
 def test_stokeslet_bitwise_under_each_p2p_body(p2p_impl):
-    """threads:2 == serial bitwise for the 7-pass Stokeslet whichever near
+    """threads:2 == serial bitwise for the 4-pass Stokeslet whichever near
     field runs: the compiled ``stokeslet_tiles`` or the NumPy gather seam,
     one stacked call per tile."""
     n = 600

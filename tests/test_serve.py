@@ -211,6 +211,14 @@ class TestGovernor:
         assert g.predict(SolveSpec(n=1000, kernel="stokeslet")) > 3 * base
         assert g.predict(SolveSpec(n=1000, steps=10)) > 5 * base
 
+    def test_stokeslet_prices_at_its_far_field_pass_count(self):
+        """Before any solve is observed a Stokeslet request costs exactly
+        its four far-field passes' worth of a Laplace request."""
+        g = CostModelGovernor()
+        for n, order in ((600, 3), (2000, 5)):
+            laplace = g.predict(SolveSpec(n=n, order=order))
+            assert g.predict(SolveSpec(n=n, order=order, kernel="stokeslet")) == 4 * laplace
+
 
 class _Recorder:
     """A fake ``run_job``: records enter / exit per job and holds every job

@@ -98,7 +98,7 @@ def test_kill_in_near_field_redoes_only_lost_phase():
 
 
 def test_kill_at_translation_expand_redoes_only_that_pass():
-    """A worker killed at a mid-solve ``expand`` (pass 3 of the 7-pass
+    """A worker killed at a mid-solve ``expand`` (pass 3 of the 4-pass
     Stokeslet solve: full-width locals not yet assigned, target octets
     merged) restarts at pass 3 — the phase re-zeroes ``L8`` and re-fills
     ``M8`` like ``M`` and ``L``, so the redo stays bitwise."""

@@ -97,7 +97,7 @@ def test_stokeslet_bitwise_identical_to_serial(folded):
 
 
 def test_stokeslet_bitwise_under_each_p2p_body(p2p_impl):
-    """shards:2 == serial bitwise for the 7-pass Stokeslet under both near
+    """shards:2 == serial bitwise for the 4-pass Stokeslet under both near
     field bodies: the workers adopt the parent's library, or none."""
     pts, _ = _cloud(n=800, seed=29)
     f = np.random.default_rng(29).standard_normal((800, 3))
@@ -167,7 +167,7 @@ def reduction_cases():
     arrays meet the other phases, each with its serial answer: (i) a
     uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive tree with
     unfolded lists (the M2L expand must land before the P2L add, M2P reads
-    the full-width multipoles), (iii) the 7-pass Stokeslet solve (passes
+    the full-width multipoles), (iii) the 4-pass Stokeslet solve (passes
     share R, the octet layout and the direction blocks)."""
     cases = {
         "uniform-o6": _laplace_case(
@@ -176,7 +176,7 @@ def reduction_cases():
         "plummer-unfolded": _laplace_case(
             plummer(1500, seed=11).positions, S=12, order=4, folded=False, seed=12
         ),
-        "stokeslet-7-pass": _stokeslet_case(
+        "stokeslet-4-pass": _stokeslet_case(
             plummer(900, seed=23).positions, S=24, order=4, seed=5
         ),
     }
