@@ -1,21 +1,19 @@
 """The one solve dispatcher shared by every FMM solver.
 
-A solve is *an ordered list of far-field passes* (a :class:`FarPass`:
-charges plus output flags — Laplace runs one, the composite Stokeslet
-four) *plus one near field*.
-:class:`PassListSolver` owns everything about running that list that
-does not depend on which kernel it serves:
+A solve is *one far-field pass* — ``charges`` of ``k`` channels, ``(n,)``
+for Laplace, ``(n, 4)`` for the composite Stokeslet — *plus one near
+field*.  :class:`PassListSolver` owns everything about running that pair
+that does not depend on which kernel it serves:
 
-* **dispatch** — every pass declares its stage DAG once
+* **dispatch** — both declare their stage DAG once
   (:meth:`FarFieldPass.add_tasks <repro.fmm.farfield.FarFieldPass.add_tasks>`,
   :meth:`NearFieldPass.add_tasks <repro.fmm.nearfield.NearFieldPass.add_tasks>`).
   No engine: the serial sweeps walk each declaration in order; a thread
-  :class:`~repro.runtime.engine.ExecutionEngine`: all of them as one task
-  graph; a :class:`~repro.runtime.shards.ProcessEngine`: one sharded
-  session;
+  :class:`~repro.runtime.engine.ExecutionEngine`: both as one task graph;
+  a :class:`~repro.runtime.shards.ProcessEngine`: one sharded session;
 * **the degrade ladder** — an unrecoverable graph or shard failure
-  discards the partial run and re-executes the whole list on the exact
-  serial path (``degraded_runs``, ``runtime_degraded_total{solver=…}``);
+  discards the partial run and re-executes the solve on the exact serial
+  path (``degraded_runs``, ``runtime_degraded_total{solver=…}``);
 * **the deadline** — one :class:`~repro.util.timing.Deadline` per solve,
   checked here after the list fetch and by whichever back end runs at its
   stage boundaries; :class:`~repro.util.timing.SolveDeadlineError` is not
@@ -23,16 +21,12 @@ does not depend on which kernel it serves:
 * **the bookkeeping** — ``last_engine_result`` / ``last_shard_result`` of
   the run that produced the answer, cleared when that run was discarded.
 
-Every back end returns, per pass, bitwise what the serial sweep returns
-(DESIGN.md §9/§10/§14), so solvers are "build passes → dispatch →
+Every back end returns bitwise what the serial sweep returns
+(DESIGN.md §9/§10/§14), so solvers are "build charges → dispatch →
 combine" and never see which one ran.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.expansions.cartesian import CartesianExpansion
 from repro.fmm.farfield import FarFieldPass
@@ -40,26 +34,7 @@ from repro.fmm.nearfield import NearFieldPass
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.tree.cache import ListCache
 
-__all__ = ["FarPass", "PassListSolver"]
-
-
-@dataclass
-class FarPass:
-    """One far-field pass of a solve: its charges and what to compute."""
-
-    charges: np.ndarray  # (n,)
-    tag: str = ""  # task-label prefix in a multi-pass engine graph
-    potential: bool = True
-    gradient: bool = False
-
-    @property
-    def kwargs(self) -> dict:
-        """The pass as :class:`FarFieldPass` / ``laplace_far_field`` keywords."""
-        return {
-            "charges": self.charges,
-            "potential": self.potential,
-            "gradient": self.gradient,
-        }
+__all__ = ["PassListSolver"]
 
 
 class PassListSolver:
@@ -115,19 +90,18 @@ class PassListSolver:
         raise NotImplementedError
 
     # --------------------------------------------------------------- dispatch
-    def _solve_passes(
-        self, tree, lists, passes, near_q, *, potential=True, gradient=False,
-        deadline=None,
-    ):
-        """Run ``passes`` and the near field of ``near_q`` on the back end.
+    def _solve_passes(self, tree, lists, charges, far, near_q, near, deadline=None):
+        """Run the far field of ``charges`` and the near field of ``near_q``
+        on the back end.
 
-        ``potential`` / ``gradient`` are the near field's output flags
-        (each pass carries its own); ``deadline`` is the solve's
+        ``far`` / ``near`` are each pass's ``potential`` / ``gradient``
+        flags; ``deadline`` is the solve's
         :class:`~repro.util.timing.Deadline` (``None`` = unbounded).
         Callers validate their inputs *before* this call: nothing here —
         not even the list fetch for ``lists=None`` — runs on malformed
-        input.  Returns ``(lists, far, near_pot, near_grad)`` with ``far``
-        one ``(pot, grad)`` per pass.
+        input.  Returns ``(lists, (far_pot, far_grad), near_pot,
+        near_grad)``, the far pair shaped as
+        :meth:`FarFieldPass.result <repro.fmm.farfield.FarFieldPass.result>`.
         """
         # set again only by the run that produces this solve's answer: a
         # failed or expired run is discarded whole
@@ -136,10 +110,10 @@ class PassListSolver:
             lists = self.list_cache.get(tree, folded=self.folded)
         if deadline is not None:
             deadline.check("lists")
-        near = dict(potential=potential, gradient=gradient)
+        args = (tree, lists, charges, far, near_q, near, deadline)
         engine = self.engine
         if engine is None:
-            return (lists, *self._run_serial(tree, lists, passes, near_q, near, deadline))
+            return (lists, *self._run_serial(*args))
 
         # imported here: repro.fmm / repro.runtime package inits would cycle
         from repro.runtime.engine import GraphExecutionError
@@ -147,55 +121,52 @@ class PassListSolver:
 
         try:
             if isinstance(engine, ProcessEngine):
-                out = self._run_shards(tree, lists, passes, near_q, near, deadline)
+                out = self._run_shards(*args)
                 self.last_shard_result = engine.last_result
             else:
-                out = self._run_graph(tree, lists, passes, near_q, near, deadline)
+                out = self._run_graph(*args)
         except (GraphExecutionError, ShardExecutionError) as exc:
             self._record_degraded(exc)
-            out = self._run_serial(tree, lists, passes, near_q, near, deadline)
+            out = self._run_serial(*args)
         return (lists, *out)
 
-    def _run_serial(self, tree, lists, passes, near_q, near, deadline):
-        """The exact serial sweeps, pass by pass (and the fallback path).
+    def _run_serial(self, tree, lists, charges, far, near_q, near, deadline):
+        """The exact serial sweeps (and the fallback path).
 
-        Every sweep opens with a deadline check, so passes — and the last
-        pass and the near field — are separated by one.
+        Every sweep opens with a deadline check, so the far and the near
+        field are separated by one.
         """
-        far = [
-            self._far_field(tree, lists, deadline=deadline, **p.kwargs)
-            for p in passes
-        ]
-        return (far, *self._near_field(tree, lists, near_q, deadline=deadline, **near))
-
-    def _run_shards(self, tree, lists, passes, near_q, near, deadline):
-        """One session on the sharded multi-process backend."""
-        return self.engine.solve_passes(
-            tree, lists, self.expansion, self.kernel, passes, near_q,
-            deadline=deadline, **near,
+        return (
+            self._far_field(tree, lists, charges=charges, deadline=deadline, **far),
+            *self._near_field(tree, lists, near_q, deadline=deadline, **near),
         )
 
-    def _run_graph(self, tree, lists, passes, near_q, near, deadline):
-        """Every pass + the near field as one task graph on the engine.
+    def _run_shards(self, tree, lists, charges, far, near_q, near, deadline):
+        """One session on the sharded multi-process backend."""
+        far_pot, far_grad, *near_out = self.engine.solve(
+            tree, lists, self.expansion, self.kernel, charges, near_q,
+            far=far, deadline=deadline, **near,
+        )
+        return ((far_pot, far_grad), *near_out)
 
-        Each pass owns private coefficient/output arrays, so the
-        subgraphs are independent and interleave freely; the first
-        pass's constructor warms the shared geometry/plan caches for the
-        rest.  The subgraphs are the ones the serial sweeps walk in order
-        (:meth:`FarFieldPass.add_tasks`, :meth:`NearFieldPass.add_tasks`),
-        so their merge chains replay every reduction in the serial order.
+    def _run_graph(self, tree, lists, charges, far, near_q, near, deadline):
+        """The far field + the near field as one task graph on the engine.
+
+        Both own private coefficient/output arrays, so the two subgraphs
+        are independent and interleave freely.  They are the ones the
+        serial sweeps walk in order (:meth:`FarFieldPass.add_tasks`,
+        :meth:`NearFieldPass.add_tasks`), so their merge chains replay every
+        reduction in the serial order.
         """
         from repro.runtime.engine import TaskGraphBuilder
 
-        engine = self.engine
-        far = [FarFieldPass(tree, lists, self.expansion, **p.kwargs) for p in passes]
+        far_pass = FarFieldPass(tree, lists, self.expansion, charges=charges, **far)
         near_pass = NearFieldPass(self.kernel, tree, lists, near_q, **near)
         g = TaskGraphBuilder()
-        for p, fp in zip(passes, far):
-            fp.add_tasks(g, tag=f"{p.tag}:" if p.tag else "")
-        near_pass.add_tasks(g, n_chunks=4 * engine.n_workers)
-        self.last_engine_result = engine.run(g, deadline=deadline)
-        return ([fp.result() for fp in far], *near_pass.result())
+        far_pass.add_tasks(g)
+        near_pass.add_tasks(g, n_chunks=4 * self.engine.n_workers)
+        self.last_engine_result = self.engine.run(g, deadline=deadline)
+        return (far_pass.result(), *near_pass.result())
 
     def _record_degraded(self, exc: BaseException) -> None:
         """Count one engine failure recovered by serial re-execution."""

@@ -18,7 +18,7 @@ what the paper's cost model consumes.
 Pass an :class:`~repro.runtime.engine.ExecutionEngine` and the solve runs
 as a real task graph — independent far-field
 stages on pool threads, near field overlapping the sweep — with results
-bitwise identical to the serial path: both run the DAG each pass
+bitwise identical to the serial path: both run the DAG the pass
 declares (:meth:`~repro.fmm.farfield.FarFieldPass.add_tasks`).
 The engine's measured per-task timings land in ``last_engine_result``.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fmm.dispatch import FarPass, PassListSolver
+from repro.fmm.dispatch import PassListSolver
 from repro.fmm.farfield import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
 from repro.tree.lists import InteractionLists
@@ -53,7 +53,8 @@ class FMMResult:
 
 class FMMSolver(PassListSolver):
     """Adaptive FMM driver for a kernel and an expansion backend: one
-    charge pass + the near field, on whichever back end ``engine`` names
+    single-channel charge pass + the near field, on whichever back end
+    ``engine`` names
     (see :class:`~repro.fmm.dispatch.PassListSolver` for the constructor
     arguments, the dispatch and the degrade ladder)."""
 
@@ -88,17 +89,16 @@ class FMMSolver(PassListSolver):
         if not self.kernel.supports_multipole:
             raise ValueError(
                 f"kernel {self.kernel.name!r} has no multipole far field; "
-                "use CompositeStokesletSolver or direct evaluation"
+                "use StokesletFMMSolver or direct evaluation"
             )
         q = np.asarray(strengths, dtype=float).reshape(-1)
         if q.shape[0] != tree.n_bodies:
             raise ValueError("strengths must have one entry per body")
 
-        lists, far, near_pot, near_grad = self._solve_passes(
-            tree, lists, [FarPass(q, potential=potential, gradient=gradient)], q,
-            potential=potential, gradient=gradient, deadline=deadline,
+        flags = dict(potential=potential, gradient=gradient)
+        lists, (far_pot, far_grad), near_pot, near_grad = self._solve_passes(
+            tree, lists, q, flags, q, flags, deadline
         )
-        far_pot, far_grad = far[0]
 
         pot_total = None
         if potential:
@@ -126,16 +126,12 @@ class FMMSolver(PassListSolver):
     def _near_field(self, tree, lists, q, **flags):
         return evaluate_near_field(self.kernel, tree, lists, q, **flags)
 
-    def _run_shards(self, tree, lists, passes, near_q, near, deadline):
-        # the single-charge-pass session has a public name of its own
-        # (``ProcessEngine.solve_laplace``: callers and profilers use it),
-        # which rebuilds exactly the pass list ``solve`` dispatched
-        (p,) = passes
-        assert p.charges is near_q and (p.potential, p.gradient) == (
-            near["potential"], near["gradient"]
-        )
+    def _run_shards(self, tree, lists, charges, far, near_q, near, deadline):
+        # the one-channel session has a public name of its own
+        # (``ProcessEngine.solve_laplace``: callers and profilers use it)
+        assert charges is near_q and far == near
         far_pot, far_grad, near_pot, near_grad = self.engine.solve_laplace(
             tree, lists, self.expansion, self.kernel, near_q,
             deadline=deadline, **near,
         )
-        return [(far_pot, far_grad)], near_pot, near_grad
+        return (far_pot, far_grad), near_pot, near_grad

@@ -114,30 +114,34 @@ class P2PLibrary(NamedTuple):
             raise MemoryError("the near-field tiles could not allocate their staging buffer")
 
     def leaf_p2m(self, plan, rows, q, basis, sign, out):
-        """``out[rows[g]]`` = the P2M row of leaf ``g`` of ``plan``: charges
-        ``q`` x the column-major L2P ``basis`` x the exact +-1 ``sign`` of
-        each column, summed in ``np.add.reduceat``'s order."""
+        """``out[rows[g]]`` = the P2M row of leaf ``g`` of ``plan``, channel
+        ``c`` at columns ``c * nc``: charges ``q[:, c]`` x the column-major
+        L2P ``basis`` x the exact +-1 ``sign`` of each column, summed in
+        ``np.add.reduceat``'s order."""
         m, nc = np.shape(basis)
+        nq = np.shape(out)[-1] // nc
         nl, bodies = len(plan.ptr) - 1, _plan_ptrs(plan, m, len(q))
-        args = (_ptr(rows, (nl,), np.int64, bound=len(out)), m, nc,
-                _ptr(basis, (m, nc), order="F"), _ptr(sign, (nc,)), _ptr(q, (len(q),)))
-        if self.p2m(nl, *bodies, *args, _ptr(out, (len(out), nc), out=True)):
+        args = (_ptr(rows, (nl,), np.int64, bound=len(out)), m, nc, nq,
+                _ptr(basis, (m, nc), order="F"), _ptr(sign, (nc,)), _ptr(q, (len(q), nq)))
+        if self.p2m(nl, *bodies, *args, _ptr(out, (len(out), nq * nc), out=True)):
             raise MemoryError("leaf_p2m could not allocate its staging buffer")
 
     def leaf_l2p(self, plan, basis, rows, L, pot, ids, gk, grad):
-        """For every body ``b`` of leaf ``g`` of ``plan``, in place: ``pot[b]
-        = basis[b] . L[rows[g]]`` and ``grad[b, k] = basis[b] . gk[k][ids[g]]``
-        (``None`` outputs skipped), in ``einsum``'s order, in one pass."""
+        """For every body ``b`` of leaf ``g`` of ``plan`` and channel ``c``,
+        in place: ``pot[b, c] = basis[b] . L[rows[g]]`` and ``grad[b, c, k]
+        = basis[b] . gk[k][ids[g]]``, channel ``c`` of each row (``None``
+        outputs skipped), in ``einsum``'s order, in one pass per channel."""
         m, nc = np.shape(basis)
+        nq = np.shape(L)[-1] // nc
         n = len(pot if pot is not None else grad)
         bodies = _plan_ptrs(plan, m, n)
         nl, nk = len(plan.ptr) - 1, len(gk[0]) if gk else 0
-        tables = [_ptr(g, (nk, nc)) for g in gk] + [None] * (3 - len(gk))
-        potential = (_ptr(rows, (nl,), np.int64, bound=len(L)), _ptr(L, (len(L), nc)),
-                     _ptr(pot, (n,), out=True))
+        tables = [_ptr(g, (nk, nq * nc)) for g in gk] + [None] * (3 - len(gk))
+        potential = (_ptr(rows, (nl,), np.int64, bound=len(L)), _ptr(L, (len(L), nq * nc)),
+                     _ptr(pot, (n, nq), out=True))
         ids = _ptr(ids if gk else None, (nl,), np.int64, bound=nk)
-        self.l2p(*bodies, m, nc, _ptr(basis, (m, nc), order="F"), *potential, ids, *tables,
-                 _ptr(grad, (n, 3), out=True))
+        self.l2p(*bodies, m, nc, nq, _ptr(basis, (m, nc), order="F"), *potential, ids, *tables,
+                 _ptr(grad, (n, nq, 3), out=True))
 
     def add_rows(self, dst, idx, src):
         """``dst[idx] += src``, a row at a time (``idx`` without repeats)."""
@@ -201,8 +205,8 @@ def _load(path, compiler: str) -> P2PLibrary:
     dll.p2p_block.argtypes = [c_long] * 2 + [c_void_p] * 3 + [c_double, c_int] + [c_void_p] * 2
     dll.p2p_tiles.argtypes = dll.stokeslet_tiles.argtypes = (
         [c_long] + [c_void_p] * 11 + [c_double] * 3 + [c_void_p] * 2)
-    dll.leaf_p2m.argtypes = [c_long] + [c_void_p] * 3 + [c_long] * 2 + [c_void_p] * 4
-    dll.leaf_l2p.argtypes = [c_void_p] * 2 + [c_long] * 2 + [c_void_p] * 9
+    dll.leaf_p2m.argtypes = [c_long] + [c_void_p] * 3 + [c_long] * 3 + [c_void_p] * 4
+    dll.leaf_l2p.argtypes = [c_void_p] * 2 + [c_long] * 3 + [c_void_p] * 9
     dll.add_rows.argtypes = [c_long] * 2 + [c_void_p] * 3
     dll.p2p_block.restype = dll.p2p_tiles.restype = dll.stokeslet_tiles.restype = c_int
     dll.leaf_p2m.restype = c_int

@@ -261,16 +261,22 @@ int stokeslet_tiles(long n_tiles, const int64_t *tiles, const int64_t *tile_ptr,
  * add_rows).  Each reproduces the summation order of the NumPy body it
  * replaces, so both give the same bits:
  *
- * leaf_p2m: out[rows[g], j] = sum over leaf g's bodies i of
- * q[body_idx[i]] * basis[i, j] * sign[j], in np.add.reduceat's order - the
- * leaf's first term, plus NumPy's pairwise sum of the rest (pairwise_sum).
- * An empty leaf's row is zeroed.
+ * Rows carry nq charge channels side by side: q is (n, nq), the
+ * coefficient rows are nq * nc wide (channel c at column c * nc), pot is
+ * (n, nq) and grad (n, nq, 3).  Each channel is summed exactly as a lone
+ * channel is, so nq = 1 is the single-channel layout and its bits.
  *
- * leaf_l2p: per body, a sequential sum over the coefficients starting
- * from 0.0 - einsum("ij,ij->i")'s order over the column-major basis - of
- * basis[i, j] * coef[j], for the potential (coef = L[rows[g]], out pot)
- * and each wanted gradient axis k (coef = Gk[ids[g]], out grad[:, k]), in
- * one pass over the basis, body by body in plan order.
+ * leaf_p2m: out[rows[g], c * nc + j] = sum over leaf g's bodies i of
+ * q[body_idx[i], c] * basis[i, j] * sign[j], in np.add.reduceat's order -
+ * the leaf's first term, plus NumPy's pairwise sum of the rest
+ * (pairwise_sum).  An empty leaf's row is zeroed.
+ *
+ * leaf_l2p: per body and channel, a sequential sum over the coefficients
+ * starting from 0.0 - einsum("ij,ikj->ik")'s order over the column-major
+ * basis - of basis[i, j] * coef[j], for the potential (coef = channel c of
+ * L[rows[g]], out pot[:, c]) and each wanted gradient axis k (coef =
+ * channel c of Gk[ids[g]], out grad[:, c, k]), in one pass over the basis
+ * per channel, body by body in plan order.
  *
  * add_rows: dst[idx[r]] += src[r], rows of width w.
  *
@@ -307,7 +313,7 @@ static double pairwise_sum(const double *a, const double *b, long n)
 }
 
 int leaf_p2m(long n_leaves, const int64_t *ptr, const int64_t *body_idx,
-             const int64_t *rows, long m, long nc, const double *basis,
+             const int64_t *rows, long m, long nc, long nq, const double *basis,
              const double *sign, const double *q, double *out)
 {
     long most = 1;
@@ -321,14 +327,16 @@ int leaf_p2m(long n_leaves, const int64_t *ptr, const int64_t *body_idx,
         return -1;
     for (long g = 0; g < n_leaves; g++) {
         long lo = ptr[g], n = ptr[g + 1] - lo;
-        double *o = out + rows[g] * nc;
-        for (long i = 0; i < n; i++) {
-            qs[i] = q[body_idx[lo + i]];
-            qs[most + i] = -qs[i];
-        }
-        for (long j = 0; j < nc; j++) {
-            const double *b = basis + j * m + lo, *a = sign[j] < 0 ? qs + most : qs;
-            o[j] = n == 0 ? 0.0 : n == 1 ? a[0] * b[0] : a[0] * b[0] + pairwise_sum(a + 1, b + 1, n - 1);
+        for (long c = 0; c < nq; c++) {
+            double *o = out + (rows[g] * nq + c) * nc;
+            for (long i = 0; i < n; i++) {
+                qs[i] = q[body_idx[lo + i] * nq + c];
+                qs[most + i] = -qs[i];
+            }
+            for (long j = 0; j < nc; j++) {
+                const double *b = basis + j * m + lo, *a = sign[j] < 0 ? qs + most : qs;
+                o[j] = n == 0 ? 0.0 : n == 1 ? a[0] * b[0] : a[0] * b[0] + pairwise_sum(a + 1, b + 1, n - 1);
+            }
         }
     }
     free(qs);
@@ -336,11 +344,12 @@ int leaf_p2m(long n_leaves, const int64_t *ptr, const int64_t *body_idx,
 }
 
 /* all m bodies, in plan order across leaf boundaries, against nk packed
- * channels: one body's sums at a time over the column-major basis (nk is a
- * constant at each call, so the channel loops unroll and the sums stay in
- * registers; a leaf of a few bodies costs no short inner loop) */
+ * outputs: one body's sums at a time over the column-major basis (nk is a
+ * constant at each call, so the output loops unroll and the sums stay in
+ * registers; a leaf of a few bodies costs no short inner loop).  Table
+ * rows are ld apart. */
 static inline __attribute__((always_inline)) void
-l2p_bodies(int nk, const int64_t *ptr, const int64_t *body_idx, long m, long nc,
+l2p_bodies(int nk, const int64_t *ptr, const int64_t *body_idx, long m, long nc, long ld,
            const double *basis, const double *const *tab,
            const int64_t *const *row_of, double *const *out, const long *stride)
 {
@@ -351,7 +360,7 @@ l2p_bodies(int nk, const int64_t *ptr, const int64_t *body_idx, long m, long nc,
         const double *c[4];
         double acc[4];
         for (int k = 0; k < nk; k++)
-            c[k] = tab[k] + row_of[k][g] * nc, acc[k] = 0.0;
+            c[k] = tab[k] + row_of[k][g] * ld, acc[k] = 0.0;
         for (long j = 0; j < nc; j++) {
             double b = basis[j * m + r];
             for (int k = 0; k < nk; k++)
@@ -362,28 +371,33 @@ l2p_bodies(int nk, const int64_t *ptr, const int64_t *body_idx, long m, long nc,
     }
 }
 
-void leaf_l2p(const int64_t *ptr, const int64_t *body_idx, long m, long nc,
+void leaf_l2p(const int64_t *ptr, const int64_t *body_idx, long m, long nc, long nq,
               const double *basis, const int64_t *rows, const double *L,
               double *pot, const int64_t *ids, const double *G0, const double *G1,
               const double *G2, double *grad)
 {
-    /* the wanted outputs, packed: table, row of each leaf, output, stride */
-    const double *tab[4];
-    const int64_t *row_of[4];
-    double *out[4];
-    long stride[4];
-    int nk = 0;
-    if (pot)
-        tab[nk] = L, row_of[nk] = rows, out[nk] = pot, stride[nk++] = 1;
     const double *gk[3] = {G0, G1, G2};
-    for (int k = 0; grad && k < 3; k++)
-        if (gk[k])
-            tab[nk] = gk[k], row_of[nk] = ids, out[nk] = grad + k, stride[nk++] = 3;
-    switch (nk) {
-    case 1: l2p_bodies(1, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
-    case 2: l2p_bodies(2, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
-    case 3: l2p_bodies(3, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
-    case 4: l2p_bodies(4, ptr, body_idx, m, nc, basis, tab, row_of, out, stride); break;
+    long ld = nq * nc;
+    for (long c = 0; c < nq; c++) {
+        /* channel c's wanted outputs, packed: table, row of each leaf,
+         * output, stride */
+        const double *tab[4];
+        const int64_t *row_of[4];
+        double *out[4];
+        long stride[4];
+        int nk = 0;
+        if (pot)
+            tab[nk] = L + c * nc, row_of[nk] = rows, out[nk] = pot + c, stride[nk++] = nq;
+        for (int k = 0; grad && k < 3; k++)
+            if (gk[k])
+                tab[nk] = gk[k] + c * nc, row_of[nk] = ids, out[nk] = grad + 3 * c + k,
+                stride[nk++] = 3 * nq;
+        switch (nk) {
+        case 1: l2p_bodies(1, ptr, body_idx, m, nc, ld, basis, tab, row_of, out, stride); break;
+        case 2: l2p_bodies(2, ptr, body_idx, m, nc, ld, basis, tab, row_of, out, stride); break;
+        case 3: l2p_bodies(3, ptr, body_idx, m, nc, ld, basis, tab, row_of, out, stride); break;
+        case 4: l2p_bodies(4, ptr, body_idx, m, nc, ld, basis, tab, row_of, out, stride); break;
+        }
     }
 }
 

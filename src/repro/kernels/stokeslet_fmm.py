@@ -10,14 +10,15 @@ Laplace fields (Tornberg & Greengard, J. Comput. Phys. 227, 2008).  With
 with
 
     phi_j(x) = sum_y f_j / |d|            (j = 0, 1, 2: potential + gradient)
-    phi_3(x) = sum_y (r(y) . f) / |d|     (gradient only)
+    phi_3(x) = sum_y (r(y) . f) / |d|     (gradient only used)
 
 because ``-∂_i phi_j = sum_y f_j d_i / |d|^3``, so the two gradient terms
 sum to ``sum_y (r(x) - r(y)) . f  d_i / |d|^3`` with ``r(x) - r(y) = d``.
-The whole far field is four scalar charge passes over one tree: the
-gradient of a charge pass carries the ``1/r^3`` term, so no dipole source
-is needed.  Centring on the root box keeps the cancellation between the
-last two terms harmless when the cloud sits far from the origin.  The
+The whole far field is one charge pass of four channels over one tree
+(``charges`` ``(n, 4)``: ``f_0, f_1, f_2, r(y) . f``): the gradient of a
+charge channel carries the ``1/r^3`` term, so no dipole source is needed.
+Centring on the root box keeps the cancellation between the last two
+terms harmless when the cloud sits far from the origin.  The
 near field uses the *regularized* Stokeslet exactly; in the far field the
 regularization is negligible (relative error O(eps^2 / r^2), with r at
 least one well-separated cell away), which is the standard practice for
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fmm.dispatch import FarPass, PassListSolver
+from repro.fmm.dispatch import PassListSolver
 from repro.fmm.farfield import laplace_far_field
 from repro.fmm.nearfield import evaluate_near_field
 from repro.kernels.base import EXPANSION_OPS
@@ -40,10 +41,19 @@ from repro.tree.cache import ListCache
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
 
-__all__ = ["N_FAR_PASSES", "StokesletFMMResult", "StokesletFMMSolver"]
+__all__ = ["N_FAR_PASSES", "StokesletFMMResult", "StokesletFMMSolver", "stokeslet_op_counts"]
 
-#: scalar Laplace far-field passes per Stokeslet solve (phi_0 .. phi_3)
+#: charge channels of a Stokeslet solve's one far-field pass (phi_0 ..
+#: phi_3): each costs one scalar Laplace sweep's expansion work
 N_FAR_PASSES = 4
+
+
+def stokeslet_op_counts(counts: dict[str, int]) -> dict[str, int]:
+    """A Stokeslet solve's op counts from its tree's scalar ones: every
+    expansion op once per charge channel, the near field (P2P) once."""
+    return {
+        op: n * N_FAR_PASSES if op in EXPANSION_OPS else n for op, n in counts.items()
+    }
 
 
 @dataclass
@@ -53,15 +63,13 @@ class StokesletFMMResult:
     velocity: np.ndarray  # (n, 3)
     op_counts: dict[str, int]
     lists: InteractionLists
-    #: number of scalar Laplace far-field passes executed
-    n_passes: int = N_FAR_PASSES
 
 
 class StokesletFMMSolver(PassListSolver):
     """FMM for the method of regularized Stokeslets.
 
     Velocities at all bodies due to regularized point forces at the same
-    bodies; exact near field, four-pass harmonic far field — on whichever
+    bodies; exact near field, four-channel harmonic far field — on whichever
     back end ``engine`` names (dispatch and degrade ladder:
     :class:`~repro.fmm.dispatch.PassListSolver`).
     """
@@ -104,29 +112,24 @@ class StokesletFMMSolver(PassListSolver):
             raise ValueError(f"forces must be (n, 3), got {f.shape}")
         r = tree.points - tree.root_box.center
 
-        # far field: phi_j (charges f_j) with potential and gradient, phi_3
-        # (charges r(y) . f) with its gradient only
-        passes = [FarPass(f[:, j], f"phi{j}", gradient=True) for j in range(3)]
-        passes.append(
-            FarPass(np.einsum("ij,ij->i", r, f), "phi3", potential=False, gradient=True)
-        )
+        # far field: channels phi_j (charges f_j) and phi_3 (charges
+        # r(y) . f), potential and gradient (phi_3's potential goes unused);
         # near field: exact regularized Stokeslets
-        lists, far, u_near, _ = self._solve_passes(
-            tree, lists, passes, f, deadline=deadline
+        charges = np.column_stack((f, np.einsum("ij,ij->i", r, f)))
+        lists, (pot, grad), u_near, _ = self._solve_passes(
+            tree, lists, charges, dict(potential=True, gradient=True),
+            f, dict(potential=True, gradient=False), deadline,
         )
         # u_i = phi_i - sum_j r_j ∂_i phi_j + ∂_i phi_3 (module docstring)
-        u = np.stack([pot for pot, _ in far[:3]], axis=1)
+        u = pot[:, :3].copy()
         for j in range(3):
-            u -= r[:, j : j + 1] * far[j][1]
-        u += far[3][1]
+            u -= r[:, j : j + 1] * grad[:, j]
+        u += grad[:, 3]
         u *= 1.0 / (8.0 * np.pi * self.kernel.viscosity)
         u += u_near
-
-        counts = lists.op_counts()
-        # one scalar sweep per pass: scale the expansion-op counts accordingly
-        for op in EXPANSION_OPS:
-            counts[op] = counts.get(op, 0) * N_FAR_PASSES
-        return StokesletFMMResult(velocity=u, op_counts=counts, lists=lists)
+        return StokesletFMMResult(
+            velocity=u, op_counts=stokeslet_op_counts(lists.op_counts()), lists=lists
+        )
 
     # ---------------------------------------------------------- serial sweeps
     def _far_field(self, tree, lists, **source):

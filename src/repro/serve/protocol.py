@@ -140,8 +140,8 @@ class SolveSpec:
 
     ``steps == 0`` is a one-shot field solve: potential + gradient for
     ``kernel="laplace"`` (:class:`repro.fmm.evaluator.FMMSolver`),
-    velocities for ``kernel="stokeslet"`` (the four-pass composite
-    solver).  ``steps > 0`` runs a time-stepped
+    velocities for ``kernel="stokeslet"`` (the composite solver: one
+    far-field pass of four charge channels).  ``steps > 0`` runs a time-stepped
     :class:`~repro.sim.driver.Simulation` (Laplace gravity only) and
     returns the final phase-space state.
 

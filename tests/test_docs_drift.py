@@ -157,7 +157,14 @@ _RETIRED = {
     "p2l_dipole" + "_rows": "none: the Stokeslet far field is four charge passes",
     "_dipole" + "_limit": "none: the Stokeslet far field is four charge passes",
     "_dipole_limit" + "_rows": "none: the Stokeslet far field is four charge passes",
-    "Pass" + "Spec": "repro.fmm.dispatch.FarPass: a pass's charges and output flags",
+    "Pass" + "Spec": "FarFieldPass(charges=, potential=, gradient=): one pass's "
+    "charge channels and output flags",
+    "Far" + "Pass": "none: a solve is one FarFieldPass whose charges are (n,) or "
+    "(n, k) channels (repro.fmm.dispatch)",
+    "solve" + "_passes": "repro.runtime.shards.ProcessEngine.solve: one far-field "
+    "pass of k channels plus the near field",
+    "n" + "_passes": "none: the Stokeslet far field is one pass of N_FAR_PASSES "
+    "charge channels (repro.kernels.stokeslet_fmm.N_FAR_PASSES)",
     "Histo" + "gram": "none: counters and gauges only (no histogram had a writer)",
     "DEFAULT" + "_BUCKETS": "none: counters and gauges only",
     "mean_shard" + "_busy": "ShardRunResult.shard_busy",

@@ -3,14 +3,15 @@
 Over real (Cartesian) rows, three stage functions of
 :mod:`repro.fmm.farfield` run in the library :mod:`repro.kernels._native`
 builds: ``p2m`` (charges), ``l2p`` (potential and up to three gradient
-axes in one pass) and ``add_rows`` (every class merge).  The contract is
-**bitwise** — each reproduces the summation order of its NumPy body
-(``np.add.reduceat``'s pairwise sum, ``einsum``'s sequential row dot, a
-plain add) — on the seven clouds, on subset plans, and on the leaves that
-take another branch: empty, one body, more than 128 bodies.  Under the
-``p2p_impl`` fixture the stage runs on each body and is compared with the
-NumPy body (the library patched off), so the native leg is the contract
-and the NumPy leg runs the fallback over the same degenerate plans.
+axes in one pass per channel) and ``add_rows`` (every class merge).  The
+contract is **bitwise** — each reproduces the summation order of its NumPy
+body (``np.add.reduceat``'s pairwise sum, ``einsum``'s sequential row dot,
+a plain add) — on the seven clouds, on subset plans, on one and on four
+charge channels, and on the leaves that take another branch: empty, one
+body, more than 128 bodies.  Under the ``p2p_impl`` fixture the stage runs
+on each body and is compared with the NumPy body (the library patched
+off), so the native leg is the contract and the NumPy leg runs the
+fallback over the same degenerate plans.
 
 Also held: nothing out of range, of the wrong dtype or of the wrong layout
 reaches a C entry point, and a subset plan whose index arrays are fresh
@@ -21,6 +22,7 @@ call.
 from __future__ import annotations
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -45,19 +47,20 @@ def _case(pts, S, order):
     return tree, geom, farfield.leaf_body_plan(tree, lists), exp
 
 
-def _stages(geom, plan, exp, n, want, seed=0):
-    """Bytes of P2M's multipoles and L2P's outputs over ``plan``."""
+def _stages(geom, plan, exp, n, want, seed=0, k=1):
+    """Bytes of P2M's multipoles and L2P's outputs over ``plan``, ``k``
+    charge channels."""
     rng = np.random.default_rng(seed)
-    q = rng.uniform(-1, 1, n)
+    q = rng.uniform(-1, 1, (n, k))
     q[::7] = 0.0  # signed zeros through the sums
     basis = farfield.leaf_basis(exp, plan, lambda key: (None, lambda v: v))
-    shape = (geom.centers.shape[0], exp.n_coeffs)
+    shape = (geom.centers.shape[0], k * exp.n_coeffs)
     M = np.zeros(shape)
     farfield.p2m(geom, plan, exp, M, charges=q, basis=basis)
     L = rng.standard_normal(shape)
     gk = [farfield.l2p_leaf_gradient(geom, L, A) for A in exp.l2p_gradient_matrices()]
-    pot = np.zeros(n) if want[0] else None
-    grad = np.zeros((n, 3)) if want[1] else None
+    pot = np.zeros((n, k)) if want[0] else None
+    grad = np.zeros((n, k, 3)) if want[1] else None
     farfield.l2p(geom, plan, basis, L, pot, grad, gk)
     return [a.tobytes() for a in (M, pot, grad) if a is not None]
 
@@ -77,12 +80,15 @@ def _plans(plan, geom):
 @pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("cloud", sorted(CLOUDS))
 def test_leaf_stages_are_bitwise_the_numpy_bodies(p2p_impl, monkeypatch, cloud, order):
+    """One charge channel (Laplace) and four (the Stokeslet's pass)."""
     pts, S = CLOUDS[cloud](seed=order)
     tree, geom, plan, exp = _case(pts, S, order)
-    for label, p in _plans(plan, geom).items():
-        for want in WANTS.values():
-            got = _stages(geom, p, exp, tree.n_bodies, want)
-            assert got == _numpy(monkeypatch, lambda: _stages(geom, p, exp, tree.n_bodies, want)), (label, want)
+    for k in (1, 4):
+        for label, p in _plans(plan, geom).items():
+            for want in WANTS.values():
+                got = _stages(geom, p, exp, tree.n_bodies, want, k=k)
+                ref = _numpy(monkeypatch, lambda: _stages(geom, p, exp, tree.n_bodies, want, k=k))
+                assert got == ref, (k, label, want)
 
 
 def _emptied(pts, S):
@@ -117,11 +123,11 @@ def test_the_branch_taking_leaves_are_bitwise(p2p_impl, monkeypatch, leaf):
         assert {"empty": counts.min() == 0, "one-body": (counts == 1).all(),
                 "over-128": counts.max() > 128}[leaf]
         plans = {**_plans(plan, geom), "one-leaf": plan.subset(np.array([int(counts.argmax())]))}
-        for label, p in plans.items():
+        for (label, p), k in itertools.product(plans.items(), (1, 4)):
             for want in WANTS.values():
-                got = _stages(geom, p, exp, tree.n_bodies, want)
-                ref = _numpy(monkeypatch, lambda: _stages(geom, p, exp, tree.n_bodies, want))
-                assert got == ref, (label, order, want)
+                got = _stages(geom, p, exp, tree.n_bodies, want, k=k)
+                ref = _numpy(monkeypatch, lambda: _stages(geom, p, exp, tree.n_bodies, want, k=k))
+                assert got == ref, (label, order, want, k)
 
 
 @pytest.mark.parametrize("k", [0, 40, 600], ids=["empty", "under-the-floor", "compiled"])
@@ -177,8 +183,8 @@ def test_bad_leaf_stage_arguments_raise_before_any_c_runs(unreachable):
     n, nc = tree.n_bodies, exp.n_coeffs
     basis = farfield.leaf_basis(exp, plan, lambda key: (None, lambda v: v))
     rows = plan.leaf_rows(geom)
-    q, M = np.ones(n), np.zeros((geom.centers.shape[0], nc))
-    pot, grad = np.zeros(n), np.zeros((n, 3))
+    q, M = np.ones((n, 1)), np.zeros((geom.centers.shape[0], nc))
+    pot, grad = np.zeros((n, 1)), np.zeros((n, 1, 3))
     ids = np.arange(geom.leaf_rows.size)
     gk = [np.zeros((ids.size, nc))] * 3
     lib = unreachable
@@ -194,6 +200,7 @@ def test_bad_leaf_stage_arguments_raise_before_any_c_runs(unreachable):
         ("float64", (plan, rows, q.astype(np.float32), basis, exp.p2m_sign, M)),
         ("F-contiguous", (plan, rows, q, np.ascontiguousarray(basis), exp.p2m_sign, M)),
         ("C-contiguous", (plan, rows, q, basis, exp.p2m_sign, np.asfortranarray(M))),
+        (rf"float64 \({n}, 2\)", (plan, rows, np.ones((n, 2)), basis, exp.p2m_sign, M)),
     ]
     for match, args in p2m_calls:
         with pytest.raises(ValueError, match=match):
@@ -203,8 +210,9 @@ def test_bad_leaf_stage_arguments_raise_before_any_c_runs(unreachable):
         ("out of range", (plan, basis, rows, M, pot, ids + 1, gk, grad)),
         ("out of range", (bad_plan(body_idx=plan.body_idx - 1), basis, rows, M, pot, ids, gk, grad)),
         ("float64", (plan, basis, rows, M, pot, ids, gk, grad.astype(np.float32))),
-        ("C-contiguous", (plan, basis, rows, M, pot, ids, gk, np.zeros((3, n)).T)),
-        ("writeable", (plan, basis, rows, M, np.broadcast_to(0.0, (n,)), ids, gk, grad)),
+        ("C-contiguous", (plan, basis, rows, M, pot, ids, gk, np.zeros((3, 1, n)).T)),
+        ("writeable", (plan, basis, rows, M, np.broadcast_to(0.0, (n, 1)), ids, gk, grad)),
+        (rf"float64 \({n}, 2\)", (plan, basis, rows, M, np.zeros((n, 2)), ids, gk, grad)),
     ]
     for match, args in l2p_calls:
         with pytest.raises(ValueError, match=match):

@@ -1,7 +1,11 @@
 """End-to-end FMM accuracy and behavior tests."""
 
+import re
+
 import numpy as np
 import pytest
+
+import repro.kernels
 
 from repro.distributions import gaussian_blobs, plummer, uniform_cube
 from repro.expansions import SphericalExpansion
@@ -104,6 +108,17 @@ class TestStructure:
         tree = build_adaptive(uniform_small.positions, S=40)
         with pytest.raises(ValueError, match="multipole"):
             solver.solve(tree, np.ones((uniform_small.n, 3)))
+
+    def test_rejection_names_a_solver_that_exists(self, uniform_small):
+        """A kernel without a multipole far field is pointed at a solver
+        that exists: the composite one, ``StokesletFMMSolver``."""
+        kernel = RegularizedStokesletKernel()
+        assert not kernel.supports_multipole
+        tree = build_adaptive(uniform_small.positions, S=40)
+        with pytest.raises(ValueError, match=r"use StokesletFMMSolver\b") as info:
+            FMMSolver(kernel).solve(tree, np.ones(uniform_small.n))
+        named = re.search(r"use (\w+)", str(info.value)).group(1)
+        assert getattr(repro.kernels, named) is StokesletFMMSolver
 
     def test_strength_length_validated(self, uniform_small):
         """Malformed strengths are rejected before any work: not even the

@@ -51,8 +51,9 @@ class TestChargesAndDipoles:
         assert np.linalg.norm(pot - ref) / np.linalg.norm(ref) < 1e-3
 
     def test_requires_some_source(self, setup):
+        """``charges`` is a required keyword: there is no default source."""
         _, _, tree, lists = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="charges"):
             laplace_far_field(tree, lists, CartesianExpansion(3))
 
     def test_gradient_output(self, setup):

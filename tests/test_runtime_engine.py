@@ -300,7 +300,8 @@ def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
 
 @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
 def test_stokeslet_bitwise_identical_across_workers(folded):
-    """The 4-pass Stokeslet solve matches serial bitwise at every width."""
+    """The Stokeslet solve (one far-field pass of four charge channels)
+    matches serial bitwise at every width."""
     rng = np.random.default_rng(5)
     n = 400
     pts = plummer(n, seed=5).positions
@@ -308,14 +309,22 @@ def test_stokeslet_bitwise_identical_across_workers(folded):
     tree = AdaptiveOctree(pts, S=16)
 
     ref = StokesletFMMSolver(order=3, folded=folded).solve(tree, f).velocity
+
+    def far_tasks(solver):
+        return sum(
+            not iv.label.startswith("near") for iv in solver.last_engine_result.intervals
+        )
+
     for n_workers in _WORKER_COUNTS:
         with ExecutionEngine(n_workers=n_workers) as eng:
             solver = StokesletFMMSolver(order=3, folded=folded, engine=eng)
             u = solver.solve(tree, f).velocity
+            laplace = FMMSolver(LaplaceKernel(), order=3, folded=folded, engine=eng)
+            laplace.solve(tree, f[:, 0], gradient=True)
         assert np.array_equal(u, ref), n_workers
-        # four far-field subgraphs + the near-field tasks ran
-        labels = {iv.label.split(":")[0] for iv in solver.last_engine_result.intervals}
-        assert labels == {"phi0", "phi1", "phi2", "phi3", "near"}
+        # one far-field DAG: exactly as many far-field tasks as a Laplace
+        # solve on the same tree declares
+        assert far_tasks(solver) == far_tasks(laplace) > 0
 
 
 def test_stokeslet_bitwise_under_each_p2p_body(p2p_impl):

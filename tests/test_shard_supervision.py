@@ -98,23 +98,43 @@ def test_kill_in_near_field_redoes_only_lost_phase():
 
 
 def test_kill_at_translation_expand_redoes_only_that_pass():
-    """A worker killed at a mid-solve ``expand`` (pass 3 of the 4-pass
-    Stokeslet solve: full-width locals not yet assigned, target octets
-    merged) restarts at pass 3 — the phase re-zeroes ``L8`` and re-fills
-    ``M8`` like ``M`` and ``L``, so the redo stays bitwise."""
+    """A worker killed at ``expand`` in the Stokeslet's far-field pass
+    (four charge channels: full-width locals not yet assigned, target
+    octets merged) restarts at the far phase, 0 — the phase re-zeroes
+    ``L8`` and re-fills ``M8`` like ``M`` and ``L``, so the redo stays
+    bitwise."""
     pts, _ = _cloud(n=700, seed=59)
     tree = AdaptiveOctree(pts, S=24)
     forces = np.random.default_rng(5).standard_normal((len(pts), 3))
     serial = StokesletFMMSolver(order=3).solve(tree, forces)
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
-        eng.install_fault_plan(_plan("kill", "expand@3"))
+        eng.install_fault_plan(_plan("kill", "expand"))
         solver = StokesletFMMSolver(order=3, engine=eng)
         res = solver.solve(tree, forces)
         assert np.array_equal(serial.velocity, res.velocity)
         assert solver.degraded_runs == 0
         last = solver.last_shard_result
         assert last.respawns == 1
-        assert last.restart_phases == [3]  # passes 0-2 were kept
+        assert last.restart_phases == [0]
+        assert last.partial_redos == 0
+
+
+def test_stokeslet_kill_in_near_field_keeps_the_far_phase():
+    """A Stokeslet solve has two phases like a Laplace one: a worker
+    killed at ``near-self`` redoes the near field only."""
+    pts, _ = _cloud(n=700, seed=61)
+    tree = AdaptiveOctree(pts, S=24)
+    forces = np.random.default_rng(6).standard_normal((len(pts), 3))
+    serial = StokesletFMMSolver(order=3).solve(tree, forces)
+    with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
+        eng.install_fault_plan(_plan("kill", "near-self", shard=0))
+        solver = StokesletFMMSolver(order=3, engine=eng)
+        res = solver.solve(tree, forces)
+        assert np.array_equal(serial.velocity, res.velocity)
+        assert solver.degraded_runs == 0
+        last = solver.last_shard_result
+        assert last.respawns == 1
+        assert last.restart_phases == [1]  # the far-field phase was kept
         assert last.partial_redos == 1
 
 

@@ -15,7 +15,7 @@ from repro.kernels import (
     direct_evaluate,
 )
 from repro.kernels.base import EXPANSION_OPS
-from repro.kernels.stokeslet_fmm import N_FAR_PASSES
+from repro.kernels.stokeslet_fmm import N_FAR_PASSES, stokeslet_op_counts
 from repro.runtime.engine import ExecutionEngine
 from repro.tree import AdaptiveOctree, build_adaptive, build_interaction_lists
 from repro.tree.cache import ListCache
@@ -91,9 +91,9 @@ class TestStructure:
             StokesletFMMSolver().solve(tree, np.ones(tree.n_bodies))
 
     def test_op_counts_scaled_by_passes(self, problem):
-        """The far field is four charge passes (phi0..phi3) and nothing
-        else: an engine run declares exactly their subgraphs plus the near
-        field, and every expansion count is 4x the Laplace one."""
+        """The far field is one pass of four charge channels (phi0..phi3):
+        every expansion count is 4x the Laplace one, the near field's is
+        the Laplace one — the rule the serve governor prices by."""
         pts, f = problem
         tree = build_adaptive(pts, S=40)
         lists = build_interaction_lists(tree, folded=True)
@@ -101,10 +101,8 @@ class TestStructure:
         with ExecutionEngine(n_workers=2) as eng:
             solver = StokesletFMMSolver(order=3, engine=eng)
             res = solver.solve(tree, f, lists=lists)
-        labels = {iv.label.split(":")[0] for iv in solver.last_engine_result.intervals}
-        assert labels == {"phi0", "phi1", "phi2", "phi3", "near"}
-        assert res.n_passes == N_FAR_PASSES == 4
-        assert res.op_counts == {
+        assert N_FAR_PASSES == 4
+        assert res.op_counts == stokeslet_op_counts(base) == {
             op: n * (4 if op in EXPANSION_OPS else 1) for op, n in base.items()
         }
 
