@@ -44,6 +44,12 @@ Claims asserted at benchmark scale:
   sparsest octets found (an exponential disk), timed alternately in one
   process, so the gate does not depend on the host's speed; the block
   store is bounded by ``13 (8w)^2`` entries whatever the tree;
+* M2M and L2L run one gemm per tree level over sibling octets: the
+  shipped level stages take <= 0.5x the time of the per-(level, octant)
+  class loop they replaced (``tests/oracles/shifts.py``) at the served
+  shape (Plummer 2k, S = 32, order 3) and <= 1.0x on uniform 10k, S = 8,
+  order 6, timed alternately in one process, within 1e-15 of the array
+  maximum;
 * the cold path hands arrays from layer to layer: on the same tree, with
   the class operators already cached, ``far_field_geometry`` from the list
   builder's pair tables boxes no dict and takes <= 0.5x the hand-off
@@ -96,6 +102,7 @@ from repro.tree.lists import FAMILIES
 from repro.util.timing import Deadline
 from tests.oracles.lists import build_interaction_lists_scalar
 from tests.oracles.m2l import displacement_classes, m2l_locals
+from tests.oracles.shifts import l2l_locals, m2m_multipoles, shift_classes
 
 _BENCH_FARFIELD = Path(__file__).resolve().parents[1] / "BENCH_farfield.json"
 
@@ -469,10 +476,8 @@ def _m2l_octets_vs_class_loop(pts, order=6, S=8):
     q = np.random.default_rng(4).uniform(-1, 1, pts.shape[0])
     p = FarFieldPass(tree, lists, exp, charges=q)
     p.p2m()
-    for level in p.up_levels:
-        for ci in level:
-            p.m2m_delta(ci)
-            p.m2m_merge(ci)
+    for shift in p.geom.shift_levels:
+        p.m2m(shift)
     _keys, classes = displacement_classes(tree, lists, exp)
     want = {}
 
@@ -546,10 +551,93 @@ def test_bench_m2l_octets(benchmark):
     assert disk_ratio <= 0.85, f"octet M2L {disk_ratio:.2f}x the per-class loop (disk)"
 
 
+def _shifts_vs_class_loop(pts, *, S, order):
+    """Shipped M2M + L2L (one gemm per tree level over octets) against the
+    oracle's per-(level, octant) class loop on one tree, timed alternately
+    in one process; returns the pass, the loop's class count, both best
+    times per sweep and the worst difference relative to the array maximum.
+
+    A sample is ten sweeps back to back: a served-shape sweep is ~0.3 ms
+    of small calls, and the caches the GC fence leaves cold would
+    otherwise cost either side a large, uneven share of one sweep."""
+    tree = AdaptiveOctree(pts, S=S)
+    lists = build_interaction_lists(tree, folded=True)
+    exp = CartesianExpansion(order)
+    p = FarFieldPass(tree, lists, exp, charges=np.random.default_rng(4).uniform(-1, 1, len(pts)))
+    p.p2m()
+    leaves = p.multipoles.copy()
+    m2l = np.random.default_rng(5).standard_normal(p.locals_.shape)  # what M2L leaves
+    classes = shift_classes(tree, exp)
+    want = {}
+
+    reps = 10
+
+    def loop():
+        for _ in range(reps):
+            want["M"] = m2m_multipoles(classes, leaves)
+            want["L"] = l2l_locals(classes, m2l)
+
+    def shipped():
+        for _ in range(reps):
+            p.multipoles[:] = leaves
+            p.locals_[:] = m2l
+            for shift in p.geom.shift_levels:
+                p.m2m(shift)
+            for shift in reversed(p.geom.shift_levels):
+                p.l2l(shift)
+
+    loop_t = shipped_t = float("inf")
+    for _ in range(7):  # alternating: host drift hits both sides alike
+        loop_t = min(loop_t, _best_time(loop, rounds=2) / reps)
+        shipped_t = min(shipped_t, _best_time(shipped, rounds=2) / reps)
+    err = max(
+        np.abs(p.multipoles - want["M"]).max() / np.abs(want["M"]).max(),
+        np.abs(p.locals_ - want["L"]).max() / np.abs(want["L"]).max(),
+    )
+    return p, len(classes), shipped_t, loop_t, float(err)
+
+
+def test_bench_shift_levels(benchmark):
+    """M2M + L2L as one gemm per level over octets <= 0.5x the
+    per-(level, octant) class loop at the served shape (Plummer 2k, S=32,
+    order 3) and <= 1.0x on a far-field-bound tree (uniform 10k, S=8,
+    order 6), within 1e-15 of the array maximum."""
+    cases = {
+        "served": (plummer(2_000, seed=1).positions, 32, 3, 0.5),
+        "uniform": (uniform_cube(10_000, seed=4).positions, 8, 6, 1.0),
+    }
+    rec = {"bench": "shift_levels"}
+    lines, failed = [], []
+    for name, (pts, S, order, gate) in cases.items():
+        p, n_classes, shipped_t, loop_t, err = _shifts_vs_class_loop(pts, S=S, order=order)
+        ratio = shipped_t / loop_t
+        levels = len(p.geom.shift_levels)
+        rec.update({
+            f"{name}_levels": levels,
+            f"{name}_classes": n_classes,
+            f"{name}_shipped_ms": round(shipped_t * 1e3, 3),
+            f"{name}_class_loop_ms": round(loop_t * 1e3, 3),
+            f"{name}_ratio": round(ratio, 3),
+        })
+        lines.append(
+            f"{name} (n={len(pts)}, S={S}, order {order}): {levels} levels "
+            f"{shipped_t * 1e3:.2f} ms against {n_classes} classes {loop_t * 1e3:.2f} ms "
+            f"-> {ratio:.2f}x (max difference {err:.1e} of the maximum)"
+        )
+        assert err <= 1e-15, (name, err)
+        if ratio > gate:
+            failed.append(f"{name} {ratio:.2f}x > {gate}x")
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    _ledger.record_to_ledger(rec)
+    print()
+    print("M2M + L2L over level octets vs the class loop: " + "; ".join(lines))
+    assert not failed, f"level shifts slower than the gate: {failed}"
+
+
 def test_bench_cold_geometry_from_tables(benchmark):
     """Lists -> geometry through the pair tables <= 0.5x through dict views
     (both over a warm operator set); the build over an empty store — one
-    whole set assembled, 8 + 8 shifts and 13 blocks — is recorded beside it."""
+    whole set assembled, two shift stacks and 13 blocks — is recorded beside it."""
     n = 10_000
     tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
     exp = CartesianExpansion(6)
@@ -586,13 +674,20 @@ def test_bench_cold_geometry_from_tables(benchmark):
 
     # ``geom`` is the last dict-route build: the same geometry, array for array
     assert np.array_equal(geom.eff_rows, ref.eff_rows)
-    for name in ("up_classes", "down_classes", "m2l_classes"):
-        mine, theirs = getattr(geom, name), getattr(ref, name)
-        assert len(mine) == len(theirs)
-        for (a0, a1, aop), (b0, b1, bop) in zip(mine, theirs):
-            assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
-            # blocks are the set's own arrays, a level's shifts derived from it
-            assert aop is bop if name == "m2l_classes" else np.array_equal(aop, bop)
+    assert len(geom.shift_levels) == len(ref.shift_levels)
+    for a, b in zip(geom.shift_levels, ref.shift_levels):
+        assert a.level == b.level
+        for name in ("child_rows", "parent_rows", "slots"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert len(geom.m2l_classes) == len(ref.m2l_classes)
+    for (a0, a1, aop), (b0, b1, bop) in zip(geom.m2l_classes, ref.m2l_classes):
+        assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
+    # every operator is the set's own array: nothing is rescaled per tree
+    for a, b in zip(
+        (geom.m2m, geom.l2l, *(op for *_, op in geom.m2l_classes)),
+        (ref.m2m, ref.l2l, *(op for *_, op in ref.m2l_classes)),
+    ):
+        assert a is b
     for name in ("leaf_rows", "leaf_pos", "w_tgt_rows", "w_src_rows", "x_recv_rows", "x_src_rows"):
         assert np.array_equal(getattr(geom, name), getattr(ref, name))
     ratio = best["tables"] / best["dicts"]

@@ -5,13 +5,13 @@ at ``+-h/4`` per axis from its parent, colleagues one cell apart, and both
 translations are homogeneous in the cell size — halving it multiplies entry
 ``(a, b)`` of an operator by an exact power of two fixed by the degrees of
 coefficients ``a`` and ``b``.  So the operators depend on ``(backend, order,
-h_root)`` alone, whatever the tree: :class:`OperatorSet` holds 8 M2M and 8
-L2L *reference* operators built at the root's child offset ``+-h_root/4``
-(a deeper level's are derived by :meth:`OperatorSet.m2m_at` /
-:meth:`~OperatorSet.l2l_at`, bit for bit what the back end builds at the
-exact shift ``+-h_root / 2^(level+1)``) and the 13 octet-to-octet M2L
-direction blocks built at the root's cell size (the level factors go onto
-the octet arrays — :mod:`repro.fmm.farfield`), assembled whole in one call.
+h_root)`` alone, whatever the tree: :class:`OperatorSet` holds one M2M and
+one L2L *stack* — the eight octants' shift operators built at the root's
+child offset ``+-h_root/4``, side by side, so a tree level's shifts are one
+gemm over sibling octets — and the 13 octet-to-octet M2L direction blocks
+built at the root's cell size, assembled whole in one call.  No operator is
+ever rescaled for a level: the level factors, exact powers of two, go onto
+the rows each stage reads and writes (:mod:`repro.fmm.farfield`).
 
 :class:`OperatorStore` keeps the most recently used sets, so a tree rebuild,
 the next request of a server, or a second solver on the same domain reads
@@ -71,24 +71,25 @@ def _m2l_direction_block(cores: dict, D) -> np.ndarray:
     return block.reshape(8 * w, 8 * w)
 
 
-def _ldexp(op: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """``op * 2**exponents`` entry by entry, exactly — through the float
-    parts, because ``np.ldexp`` has no complex loop."""
-    parts = op.view(np.float64).reshape(*op.shape, -1)
-    return np.ldexp(parts, exponents[..., None]).view(op.dtype).reshape(op.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """The 8 + 8 + 13 row-applied operators (``out_rows += in_rows @ op``)
-    of one ``(backend, order, h_root)``; arrays are read-only."""
+    """The 1 + 1 + 13 row-applied operators (``out_rows = in_rows @ op``)
+    of one ``(backend, order, h_root)``; arrays are read-only.
+
+    A shift ``+-h_root / 2^(l+1)`` (a level-``l`` child) is ``2^(l-1)``
+    times shorter than the reference one, and entry ``(a, b)`` of its M2M
+    operator carries the shift to the power ``n_b - n_a`` (``n`` the
+    expansion's ``shift_degrees``; L2L the mirror, ``n_a - n_b``).  So
+    ``rows @`` the level-``l`` M2M operator of octant ``o`` is, bit for bit,
+    ``((rows * 2^((l-1) n)) @ m2m[o nc:(o+1) nc]) * 2^((1-l) n)``, and L2L
+    swaps the two factors.
+    """
 
     backend: str
     order: int
     h_root: float
-    rise: np.ndarray  # (n_coeffs, n_coeffs) degree of coefficient b minus that of a
-    m2m: tuple  # [octant] level-1 child's multipole -> the root's
-    l2l: tuple  # [octant] the root's local -> level-1 child's
+    m2m: np.ndarray  # (8 nc, nc): octant o's level-1 child -> parent in rows o nc ...
+    l2l: np.ndarray  # (nc, 8 nc): parent -> octant o's level-1 child in columns o nc ...
     m2l: tuple  # [key - 14] direction block of ``M2L_DIRECTIONS[key - 14]``
 
     @classmethod
@@ -97,14 +98,12 @@ class OperatorSet:
         side = np.array([[o >> k & 1 for k in range(3)] for o in range(8)])
         offsets = (side - 0.5) * (h_root / 2)  # child centre minus parent centre
         cores = _m2l_cores(expansion, h_root)
-        n = expansion.shift_degrees
         ops = cls(
             expansion.backend,
             expansion.order,
             float(h_root),
-            n[None, :] - n[:, None],
-            m2m=tuple(expansion.m2m_class_operator(-d) for d in offsets),
-            l2l=tuple(expansion.l2l_class_operator(d) for d in offsets),
+            m2m=np.concatenate([expansion.m2m_class_operator(-d) for d in offsets]),
+            l2l=np.concatenate([expansion.l2l_class_operator(d) for d in offsets], axis=1),
             m2l=tuple(_m2l_direction_block(cores, D) for D in M2L_DIRECTIONS),
         )
         for op in ops:
@@ -112,24 +111,14 @@ class OperatorSet:
         return ops
 
     def __iter__(self):
-        return iter(self.m2m + self.l2l + self.m2l)
+        return iter((self.m2m, self.l2l) + self.m2l)
 
     def __len__(self) -> int:
-        return len(self.m2m) + len(self.l2l) + len(self.m2l)
+        return 2 + len(self.m2l)
 
     @property
     def nbytes(self) -> int:
         return sum(op.nbytes for op in self)
-
-    def m2m_at(self, level: int, octant: int) -> np.ndarray:
-        """M2M from a level-``level`` child: entry ``(a, b)`` carries the
-        shift to the power ``n_b - n_a``, and the shift is ``2^(level-1)``
-        times shorter than the reference one."""
-        return _ldexp(self.m2m[octant], (1 - level) * self.rise)
-
-    def l2l_at(self, level: int, octant: int) -> np.ndarray:
-        """L2L to a level-``level`` child: the mirror, ``n_a - n_b``."""
-        return _ldexp(self.l2l[octant], (level - 1) * self.rise)
 
 
 class OperatorStore:

@@ -3,12 +3,21 @@
 A per-node sweep applies one translation operator per node or pair (the
 test-side oracle, ``tests/oracles/farfield.py``, still does).  This module
 exploits the observation (Agullo et al.; Goude & Engblom) that octree
-geometry is *quantized*: per level there are at most 8 distinct
-parent<->child offsets and a bounded family of well-separated M2L
-displacements, so translation operators fall into a small number of
-**geometry classes** whose operator can be built once and applied to
-every member pair with a single matmul over a dense ``(n_nodes, width)``
-coefficient array.
+geometry is *quantized*: a child sits at one of 8 offsets from its parent
+and two colleagues at one of 26 cell offsets, and every translation is
+homogeneous in the cell size — halving it multiplies entry ``(a, b)`` of an
+operator by an exact power of two.  So a sweep's operators are built once
+per root box, at the root's cell size, the level factors go onto the rows
+instead, and each stage is a few gemms over dense ``(n_nodes, width)``
+coefficient arrays.
+
+M2M and L2L run **one gemm per tree level over sibling octets**
+(:class:`ShiftLevel`): a level's children, scaled onto the root's shift
+length (degree ``n`` of a level-``l`` node times ``2^((l-1) n)`` going up),
+fill the eight slots of their parents' octet rows, and one ``(8 nc, nc)``
+stack of the eight octants' M2M operators maps each octet to its parent;
+L2L is the mirror image, one ``(nc, 8 nc)`` stack from a parent to its
+eight slots (:func:`m2m`, :func:`l2l`; DESIGN.md §9).
 
 M2L — the term that dominates the sweep — runs in the **translation
 space**, over **sibling octets**.  A harmonic field has only (p+1)²
@@ -32,12 +41,10 @@ serve the 26 directions: ``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a,
 b]``, so the block of ``-D`` is the block of ``D`` between *mirrored*
 octets (child ``j`` in slot ``7 - j``, odd degrees negated), which the
 octet arrays carry ``n_split`` rows below the natural ones.  A solve
-applies **at most 13 M2L classes**, each one gemm.  M2M and L2L keep the
-full width and one class per ``(level, octant)``, but their operators are
-level-free too: a level's is the root's child-shift operator times exact
-powers of two.  So every operator of a sweep comes from one immutable
+applies **at most 13 M2L classes**, each one gemm.  So every operator of a
+sweep comes from one immutable
 :class:`~repro.expansions.operators.OperatorSet` per ``(backend, order,
-h_root)`` — 8 + 8 shifts, 13 blocks — read from the
+h_root)`` — two shift stacks, 13 blocks — read from the
 :class:`~repro.expansions.operators.OperatorStore` that the
 :class:`~repro.tree.cache.ListCache` stamped on the lists: a rebuilt tree,
 or another tree over the same root box, assembles none.
@@ -46,14 +53,15 @@ The engine splits per-solve state into three cached layers, all memoized
 on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 
 * :class:`FarFieldGeometry` (``structure_generation`` stamp) — node-row
-  and octet layout, shift/direction classes with their operators, W/X
-  pair rows.  Depends only on the tree *shape*: free across frozen-shape
+  and octet layout, the per-level shift plan, direction classes with
+  their operators, W/X pair rows.  Depends only on the tree *shape*: free across frozen-shape
   time steps and refits.  Built from arrays only: row state is the tree's
   :class:`~repro.tree.octree.NodeTable`, M2L pairs come from the lists'
   colleague :class:`~repro.tree.lists.PairTable` (the V table is read for
   its size alone — the cost-model count), W / X pairs from theirs;
-  classes are grouped by a radix sort of their keys' dense ranks
-  (:func:`_group_by_key`) and a class's rows are slices of one gather.
+  levels and classes are grouped by a radix sort of their keys' dense
+  ranks (:func:`_group_by_key`) and a group's rows are slices of one
+  gather.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
   effective leaf with body-relative coordinates.  Rebuilt on refit.
 * one leaf basis table per backend (``generation`` stamp) — the L2P row
@@ -65,9 +73,10 @@ A pass sweeps ``k`` **charge channels** at once — ``charges`` of shape
 ``(n,)`` (``k = 1``, Laplace) or ``(n, k)`` (the composite Stokeslet solver
 runs ``k = 4``) — over one tree, one geometry and one operator set.  Every
 coefficient, octet and delta array is node-major with rows ``k`` channels
-wide (``(n_eff, k·nc)``, octets ``(n_oct, k·8w)``), so a class stage is one
-gemm over all channels (:func:`channel_matmul`: ``rows.reshape(-1, w) @
-op``) and a merge one :func:`add_rows` over wider rows; at ``k = 1`` every
+wide (``(n_eff, k·nc)``, octets ``(n_oct, k·8w)``), so a level or class
+stage is one gemm over all channels (:func:`channel_matmul`:
+``rows.reshape(-1, w) @ op``) and a merge one :func:`add_rows` over wider
+rows; at ``k = 1`` every
 operand has the shape and the bytes of a single-channel sweep.  Outputs
 are ``pot (n, k)`` / ``grad (n, k, 3)``, one-dimensional in the channel
 for 1-D charges.
@@ -75,10 +84,10 @@ for 1-D charges.
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
 (:mod:`repro.runtime.engine`) can run independent stages concurrently:
-M2L direction-class matmuls are mutually independent, M2M/L2L are
-level-ordered, and the class *merges* into shared coefficient arrays are
-kept as separate steps applied in a fixed class order — which is what
-makes a parallel run bitwise identical to a serial one.  The arithmetic
+M2L direction-class matmuls are mutually independent, M2M/L2L are one
+task per level in level order, and the M2L class *merges* into the shared
+octet array are kept as separate steps applied in a fixed class order —
+which is what makes a parallel run bitwise identical to a serial one.  The arithmetic
 of the per-body stages (P2M, L2P, P2L, M2P) and of the two whole-array
 stages (reduce, expand) lives in module-level **stage functions** over
 plain arrays; the pass methods and the shard workers of
@@ -87,7 +96,7 @@ plain arrays; the pass methods and the shard workers of
 :mod:`repro.kernels._native` builds for the near field: :func:`p2m`,
 :func:`l2p` (potential and up to three gradient axes in one pass over
 the basis per channel) and :func:`add_rows`, the ``rows[idx] += delta``
-of every class merge — each bitwise the NumPy body it replaces, which
+of every M2L class merge and L2L level — each bitwise the NumPy body it replaces, which
 runs for complex (spherical) rows and where no compiler resolves
 (DESIGN.md §9).
 
@@ -120,19 +129,21 @@ __all__ = [
     "FarFieldGeometry",
     "FarFieldPass",
     "LeafBodyPlan",
+    "ShiftLevel",
     "add_rows",
     "channel_matmul",
     "channel_outputs",
     "charge_channels",
     "far_field_geometry",
+    "l2l",
     "l2p",
     "l2p_leaf_gradient",
     "laplace_far_field",
     "leaf_basis",
     "leaf_body_plan",
-    "level_groups",
     "m2l_expand",
     "m2l_reduce",
+    "m2m",
     "m2p",
     "m2p_scatter",
     "p2l",
@@ -190,28 +201,35 @@ def _cache_stats(lists: InteractionLists, attr: str, *extra: str) -> dict[str, i
     return stats
 
 
-def level_groups(levels: list[int]) -> list[list[int]]:
-    """Group consecutive equal entries of ``levels`` into index runs."""
-    groups: list[list[int]] = []
-    for i, lvl in enumerate(levels):
-        if groups and levels[i - 1] == lvl:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 # --------------------------------------------------------------------------
 # cached geometry layer (structure_generation stamp)
 # --------------------------------------------------------------------------
 
 
 @dataclass
+class ShiftLevel:
+    """The parent<->child shifts into one tree level: every level-``level``
+    node, the split nodes one level up whose octets they fill, and the
+    exact powers of two between the level's shift length and the root's
+    (``n`` the expansion's ``shift_degrees``)."""
+
+    level: int
+    child_rows: np.ndarray  # node rows of the level's nodes, preorder
+    parent_rows: np.ndarray  # node rows of their parents, each once, preorder
+    octet: np.ndarray  # per child: its parent's index in parent_rows ...
+    octant: np.ndarray  # ... and its octant there: the child's octet slot
+    grow: np.ndarray  # (nc,) 2^((level - 1) n)
+    shrink: np.ndarray  # (nc,) 2^((1 - level) n)
+
+
+@dataclass
 class FarFieldGeometry:
     """Shape-only batched-sweep artifacts for one (backend, order).
 
-    Rows index the effective-node preorder; every *class* holds aligned
-    source/target row arrays plus the dense row-applied operator shared by
+    Rows index the effective-node preorder.  M2M and L2L run one gemm per
+    tree level over the level's sibling octets (:class:`ShiftLevel`, with
+    the set's two shift stacks); every M2L *class* holds aligned
+    source/target row arrays plus the dense row-applied block shared by
     all its pairs (``out_rows += in_rows @ op``).  Within one class each
     target row appears at most once, so plain fancy ``+=`` is scatter-safe.
     The rows of an M2L class are not node rows but **octets** — a split
@@ -224,8 +242,9 @@ class FarFieldGeometry:
     centers: np.ndarray  # (n_eff, 3)
     leaf_rows: np.ndarray  # rows of effective leaves, preorder
     leaf_pos: np.ndarray  # (n_eff,) ordinal among leaves, -1 for internal
-    up_classes: list  # [(child_rows, parent_rows, op)], deepest level first
-    down_classes: list  # [(parent_rows, child_rows, op)], shallowest first
+    shift_levels: list  # [ShiftLevel], deepest level first
+    m2m: np.ndarray  # (8 nc, nc) the set's M2M stack
+    l2l: np.ndarray  # (nc, 8 nc) the set's L2L stack
     m2l_classes: list  # [(src_octets, tgt_octets, block)], one per direction +-D
     n_shifts: int  # total parent<->child shifts (M2M = L2L count)
     n_m2l: int  # total V-list pairs
@@ -237,8 +256,35 @@ class FarFieldGeometry:
     w_src_rows: np.ndarray  # W pairs: source-node row per pair
     x_recv_rows: np.ndarray  # X pairs: receiving-node row per pair
     x_src_rows: np.ndarray  # X pairs: source-leaf row per pair
-    up_class_levels: list  # tree level of each up class (aligned)
-    down_class_levels: list  # tree level of each down class (aligned)
+
+
+def _shift_levels(child_rows, levels, slot, split_rows, degrees) -> list:
+    """One :class:`ShiftLevel` per tree level, deepest first.  ``slot`` is
+    every non-root node's natural octet slot, ``8 * octet + octant`` with
+    octets numbered over all split nodes in preorder; within one level
+    the parents' octets ascend in child order (a preorder keeps a subtree
+    contiguous), so renumbering them ``0..`` is a running count."""
+    out = []
+    if not child_rows.size:
+        return out
+    order, ptr = _group_by_key(levels.max() - levels)
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        sel = order[lo:hi]
+        level = int(levels[sel[0]])
+        octet, octant = np.divmod(slot[sel], 8)
+        first = np.diff(octet, prepend=-1) != 0
+        out.append(
+            ShiftLevel(
+                level=level,
+                child_rows=child_rows[sel],
+                parent_rows=split_rows[octet[first]],
+                octet=np.cumsum(first) - 1,
+                octant=octant,
+                grow=_level_scale(level - 1, degrees),
+                shrink=_level_scale(level - 1, -degrees),
+            )
+        )
+    return out
 
 
 def far_field_geometry(
@@ -275,27 +321,17 @@ def far_field_geometry(
     # integer cell coordinates in units of the node's own cell size
     cell = tab.cell >> (MAX_MORTON_LEVEL - levels)[:, None]
 
-    # ---- parent<->child shift classes: (level, octant) -> <= 8 per level
+    # ---- every non-root node's slot in its parent's octet (split nodes
+    # numbered in preorder); shifts and M2L both address children by it
     child_rows = np.nonzero(parent_row >= 0)[0]
     octant = (cell[child_rows] & 1) @ np.array([1, 2, 4])
-    up_classes: list = []
-    down_classes: list = []
-    up_class_levels: list = []
-    down_class_levels: list = []
-    if child_rows.size:
-        order, ptr = _group_by_key(levels[child_rows] * 8 + octant)
-        segs = []
-        for lo, hi in zip(ptr[:-1], ptr[1:]):
-            c = child_rows[order[lo:hi]]
-            segs.append((int(levels[c[0]]), int(octant[order[lo]]), c, parent_row[c]))
-        # a level's operator is the set's level-1 one times exact powers of
-        # two — what the back end builds at the shift +-h_root / 2^(level+1)
-        for lvl, okt, c, p in sorted(segs, key=lambda s: -s[0]):
-            up_classes.append((c, p, ops.m2m_at(lvl, okt)))
-            up_class_levels.append(lvl)
-        for lvl, okt, c, p in sorted(segs, key=lambda s: s[0]):
-            down_classes.append((p, c, ops.l2l_at(lvl, okt)))
-            down_class_levels.append(lvl)
+    split_rows = np.nonzero(~tab.is_leaf)[0]
+    n_split = split_rows.size
+    octet_of = np.where(tab.is_leaf, -1, np.cumsum(~tab.is_leaf) - 1)
+    slot = octet_of[parent_row[child_rows]] * 8 + octant  # natural
+    shift_levels = _shift_levels(
+        child_rows, levels[child_rows], slot, split_rows, expansion.shift_degrees
+    )
 
     # ---- M2L direction classes over sibling octets.  The V list is implied
     # by the colleague pairs of split nodes (child i of P x child j of Q,
@@ -304,9 +340,6 @@ def far_field_geometry(
     # two split nodes, one of 26 whatever their level — of 13, because a
     # pair at -D is the pair at D between the two nodes' *mirrored* octets
     # (child j -> 7 - j, odd degrees negated), which sit n_split rows down.
-    split_rows = np.nonzero(~tab.is_leaf)[0]
-    n_split = split_rows.size
-    octet_of = np.where(tab.is_leaf, -1, np.cumsum(~tab.is_leaf) - 1)
     coll = lists.table("colleagues")
     tgt = octet_of[np.repeat(row_of[coll.keys], coll.counts)]
     src = octet_of[row_of[coll.values]]
@@ -328,10 +361,9 @@ def far_field_geometry(
     if assembled:
         stats["op_builds"] += len(ops)
     else:
-        stats["op_hits"] += len(up_classes) + len(down_classes) + len(m2l_classes)
+        stats["op_hits"] += 2 * bool(shift_levels) + len(m2l_classes)
 
     w, x = lists.table("w_list"), lists.table("x_list")
-    slot = octet_of[parent_row[child_rows]] * 8 + octant  # of each node, natural
 
     return store(
         FarFieldGeometry(
@@ -339,8 +371,9 @@ def far_field_geometry(
             centers=centers,
             leaf_rows=leaf_rows,
             leaf_pos=leaf_pos,
-            up_classes=up_classes,
-            down_classes=down_classes,
+            shift_levels=shift_levels,
+            m2m=ops.m2m,
+            l2l=ops.l2l,
             m2l_classes=m2l_classes,
             n_shifts=int(child_rows.size),
             # the cost-model unit stays the V pair
@@ -353,8 +386,6 @@ def far_field_geometry(
             w_src_rows=row_of[w.values],
             x_recv_rows=np.repeat(row_of[x.keys], x.counts),
             x_src_rows=row_of[x.values],
-            up_class_levels=up_class_levels,
-            down_class_levels=down_class_levels,
         )
     )
 
@@ -432,9 +463,10 @@ def leaf_basis(expansion, plan: LeafBodyPlan, derived_cache):
 #   loops that reproduce their order), so evaluating
 #   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
 #   over that subset — yields bitwise the same rows as the full plan;
-# * ``l2p_leaf_gradient``, ``m2l_reduce`` and ``m2l_expand`` are matmuls
-#   and ``p2l`` / ``m2p`` feed ordered scatters: they take the full plan
-#   (the full coefficient array) and run whole, on one worker.
+# * ``m2m``, ``l2l`` (one level each), ``l2p_leaf_gradient``,
+#   ``m2l_reduce`` and ``m2l_expand`` are matmuls and ``p2l`` / ``m2p``
+#   feed ordered scatters: they take the full plan (the full coefficient
+#   array) and run whole, on one worker.
 
 
 def channel_matmul(rows, op):
@@ -494,12 +526,47 @@ def p2m(geom, plan, exp, multipoles, *, charges, basis):
     multipoles[plan.leaf_rows(geom)] = sums.reshape(len(sums), -1)
 
 
-def _level_scale(geom, exponents) -> np.ndarray:
-    """``2^(level * exponents)`` per non-root node: the level-free M2L
-    factors, exact powers of two (``exponents`` is per coefficient)."""
-    levels = geom.child_levels
-    table = np.ldexp(1.0, np.arange(levels.max(initial=0) + 1)[:, None] * exponents)
+def _level_scale(levels, exponents) -> np.ndarray:
+    """``2^(level * exponents)`` per entry of ``levels`` (an array, or one
+    level): the level-free factors, exact powers of two (``exponents`` is
+    per coefficient)."""
+    table = np.ldexp(1.0, np.arange(np.max(levels, initial=0) + 1)[:, None] * exponents)
     return table[levels]
+
+
+def m2m(geom, shift, multipoles):
+    """The multipoles of ``shift``'s parents from its children: one gemm
+    over the parents' octets with the level-free M2M stack, run whole.
+
+    The children, scaled onto the root's shift length (``shift.grow``),
+    fill the slots of a zeroed ``(n_parent, k, 8, nc)`` scratch — every
+    channel's eight slots contiguous, so one ``(n_parent k, 8 nc) @ (8 nc,
+    nc)`` gemm needs no transpose; the product, scaled back
+    (``shift.shrink``), *assigns* the parents' rows: an internal node's
+    multipole comes from its children only, all of them one level down.
+    """
+    nc = geom.m2m.shape[1]
+    kids = _channels(multipoles[shift.child_rows], nc)
+    kids *= shift.grow
+    octets = np.zeros((shift.parent_rows.size, kids.shape[1], 8, nc), dtype=kids.dtype)
+    octets[shift.octet, :, shift.octant] = kids
+    rows = octets.reshape(-1, 8 * nc) @ geom.m2m
+    rows *= shift.shrink
+    multipoles[shift.parent_rows] = rows.reshape(shift.parent_rows.size, -1)
+
+
+def l2l(geom, shift, locals_):
+    """``shift``'s parents' locals shifted into its children: one gemm of
+    the parents (scaled by ``shift.shrink``) with the level-free L2L stack,
+    each child's slot scaled back (``shift.grow``) and added to the locals
+    M2L and P2L left it — run whole."""
+    nc = geom.l2l.shape[0]
+    parents = _channels(locals_[shift.parent_rows], nc)
+    parents *= shift.shrink
+    octets = (parents.reshape(-1, nc) @ geom.l2l).reshape(*parents.shape[:2], 8, nc)
+    kids = octets[shift.octet, :, shift.octant]
+    kids *= shift.grow
+    add_rows(locals_, shift.child_rows, kids.reshape(kids.shape[0], -1))
 
 
 def _slots(geom):
@@ -530,7 +597,7 @@ def m2l_reduce(exp, geom, multipoles, octets):
     slots = _octet_slots(octets, deg.size)
     rows = _channels(multipoles if R is None else channel_matmul(multipoles, R), deg.size)
     rows = rows[geom.child_rows]
-    rows *= _level_scale(geom, deg)[:, None]
+    rows *= _level_scale(geom.child_levels, deg)[:, None]
     slots[no, :, nk] = rows
     slots[mo, :, mk] = np.multiply(rows, (-1.0) ** deg, out=rows)
 
@@ -549,7 +616,7 @@ def m2l_expand(exp, geom, octets, locals_):
     slots = _octet_slots(octets, deg.size)
     rows = slots[mo, :, mk] * (-1.0) ** deg
     rows += slots[no, :, nk]
-    rows *= _level_scale(geom, deg + 1)[:, None]
+    rows *= _level_scale(geom.child_levels, deg + 1)[:, None]
     if R is None:
         _channels(locals_, deg.size)[geom.child_rows] = rows
         return
@@ -612,8 +679,8 @@ _ADD_ROWS_COMPILED_MIN = 1 << 14
 
 
 def add_rows(rows, idx, delta):
-    """``rows[idx] += delta`` — the merge of every class sweep (``idx``
-    without repeats: each target row once per class)."""
+    """``rows[idx] += delta`` — the merge of every M2L class and L2L level
+    (``idx`` without repeats: each target row once per call)."""
     lib = _compiled(rows, delta) if delta.size >= _ADD_ROWS_COMPILED_MIN else None
     if lib is None:
         rows[idx] += delta
@@ -692,21 +759,24 @@ class FarFieldPass:
     """One batched far-field pass split into dependency-ordered stages.
 
     Construction (always on the calling thread) resolves every shared
-    cache — geometry classes, the leaf body plan, P2M/L2P bases, gradient
+    cache — the geometry layer, the leaf body plan, P2M/L2P bases, gradient
     matrices — so the stage methods are pure compute and safe to run on
     pool threads.  The stage contract that keeps any execution order
     allowed by the dependencies **bitwise identical** to the serial order:
 
-    * ``p2m`` / ``l2p`` / ``l2l_apply`` write disjoint rows and may run
-      concurrently with anything that does not read those rows;
-    * ``m2m_delta`` / ``m2l_delta`` / ``p2l_compute`` / ``m2p_compute``
-      only *read* shared arrays, parking their contribution privately;
+    * ``p2m`` / ``l2p`` write disjoint rows and may run concurrently with
+      anything that does not read those rows;
+    * ``m2m`` / ``l2l`` run one tree level each, whole, in level order:
+      M2M assigns a level's parents from its children, L2L adds into a
+      level's children from their parents;
+    * ``m2l_delta`` / ``p2l_compute`` / ``m2p_compute`` only *read* shared
+      arrays, parking their contribution privately;
     * the matching ``*_merge`` stages fold contributions into the shared
       arrays and must be called in **class order** (the serial loop
       order), which the task graph enforces with a merge chain;
     * M2L reads and writes the ``(2 n_split, 8 (p+1)^2)`` **octet arrays**
       ``m2l_multipoles`` / ``m2l_locals``: ``m2l_reduce`` fills the first
-      after the last M2M merge, ``m2l_expand`` assigns ``locals_`` from the
+      after the last M2M level, ``m2l_expand`` assigns ``locals_`` from the
       second after the last M2L merge and before ``p2l_merge`` — each
       whole, on one worker.
 
@@ -757,9 +827,6 @@ class FarFieldPass:
             exp.m2p_gradient_matrices() if (gradient and geom.w_tgt_rows.size) else ()
         )
 
-        # level structure of the shift classes (contiguous runs by build)
-        self.up_levels = level_groups(geom.up_class_levels)
-        self.down_levels = level_groups(geom.down_class_levels)
         self.n_m2l_classes = len(geom.m2l_classes)
 
         # X/W pair expansion (precomputed outside the op spans, matching
@@ -770,7 +837,6 @@ class FarFieldPass:
         self.n_m2p_rows = int(self._w_pairs[0].size)
 
         # private per-class/stage contributions awaiting their merge
-        self._up_delta: dict[int, np.ndarray] = {}
         self._m2l_delta: dict[int, np.ndarray] = {}
         self._x_contrib: np.ndarray | None = None
         self._m2p_vals: tuple = (None, None)
@@ -793,21 +859,14 @@ class FarFieldPass:
             self.pot, self.grad, leaf_grad,
         )
 
-    # -------------------------------------------------------------- upsweep
-    def m2m_delta(self, ci: int) -> None:
-        """Class matmul reading child rows (one level deeper) only."""
-        crows, _prows, op = self.geom.up_classes[ci]
-        self._up_delta[ci] = channel_matmul(self.multipoles[crows], op)
+    # ---------------------------------------------------------------- shifts
+    def m2m(self, shift: ShiftLevel) -> None:
+        """Assign one level's parents' multipoles from its children."""
+        m2m(self.geom, shift, self.multipoles)
 
-    def m2m_merge(self, ci: int) -> None:
-        """Fold one class delta into its parent rows (class order!)."""
-        _crows, prows, _op = self.geom.up_classes[ci]
-        add_rows(self.multipoles, prows, self._up_delta.pop(ci))
-
-    def m2m_merge_level(self, cis: tuple[int, ...]) -> None:
-        """Fold one level's class deltas in, in class order."""
-        for ci in cis:
-            self.m2m_merge(ci)
+    def l2l(self, shift: ShiftLevel) -> None:
+        """Add one level's parents' locals into its children."""
+        l2l(self.geom, shift, self.locals_)
 
     # ---------------------------------------------------------- translation
     def m2l_reduce(self) -> None:
@@ -842,17 +901,6 @@ class FarFieldPass:
         np.add.at(self.locals_, self.geom.x_recv_rows, self._x_contrib)
         self._x_contrib = None
 
-    # ------------------------------------------------------------ downsweep
-    def l2l_apply(self, ci: int) -> None:
-        """One L2L class: reads parent rows, writes disjoint child rows.
-
-        Each child row belongs to exactly one (level, octant) class, so
-        classes of the same level are mutually scatter-safe and need no
-        delta/merge split.
-        """
-        prows, crows, op = self.geom.down_classes[ci]
-        add_rows(self.locals_, crows, channel_matmul(self.locals_[prows], op))
-
     # -------------------------------------------------------------- W phase
     def m2p_compute(self) -> None:
         """W phase: evaluate source multipoles at target-leaf bodies."""
@@ -881,10 +929,13 @@ class FarFieldPass:
         ``retryable=False`` marks the ordered in-place merges, which a
         failure may not re-run::
 
-            P2M -> [M2M deltas lvl d] -> merge(d) -> ... -> merge(1)
+            P2M -> M2M(d) -> ... -> M2M(1)
               -> M2L reduce -> [<= 13 direction deltas] -> merges in class
                  order -> M2L expand -> P2L merge (X phase)
-              -> [L2L classes lvl 1] -> ... -> [lvl D] -> L2P -> M2P merge
+              -> L2L(1) -> ... -> L2L(d) -> L2P -> M2P merge
+
+        ``M2M(l)`` / ``L2L(l)`` are one gemm each over the octets of level
+        ``l``'s parents, whatever the tree's adaptivity.
 
         P2L and M2P compute from sources / finished multipoles and park
         their values privately, so only their merges are ordered.
@@ -894,27 +945,17 @@ class FarFieldPass:
             self.p2m, label="P2M", op="P2M", applications=self.n_bodies
         )
 
-        # ---- upsweep: per-class deltas, one ordered merge per level
-        prev = t_p2m
-        for level in self.up_levels:
-            deltas = [
-                g.add(
-                    partial(self.m2m_delta, ci),
-                    label=f"M2M:c{ci}",
-                    deps=(prev,),
-                    op="M2M",
-                    applications=int(geom.up_classes[ci][0].size),
-                )
-                for ci in level
-            ]
-            prev = g.add(
-                partial(self.m2m_merge_level, tuple(level)),
-                label="M2M:merge",
-                deps=tuple(deltas),
+        # ---- upsweep: one task per level, deepest first (each assigns its
+        # parents' rows whole, so a retry redoes it exactly)
+        upsweep_done = t_p2m
+        for shift in geom.shift_levels:
+            upsweep_done = g.add(
+                partial(self.m2m, shift),
+                label=f"M2M:{shift.level}",
+                deps=(upsweep_done,),
                 op="M2M",
-                retryable=False,
+                applications=int(shift.child_rows.size),
             )
-        upsweep_done = prev
 
         # ---- M2L: reduce, one delta task per direction class fanning out,
         # merge chain in class order, expand (both ends assign whole arrays:
@@ -960,27 +1001,22 @@ class FarFieldPass:
                 retryable=False,
             )
 
-        # ---- downsweep: classes of one level are scatter-disjoint (each
-        # child row belongs to one octant class), so they run concurrently;
-        # levels form barriers
-        prev_level: tuple[int, ...] = (translate_done,)
-        for level in self.down_levels:
-            prev_level = tuple(
-                g.add(
-                    partial(self.l2l_apply, ci),
-                    label=f"L2L:c{ci}",
-                    deps=prev_level,
-                    op="L2L",
-                    applications=int(geom.down_classes[ci][1].size),
-                    retryable=False,
-                )
-                for ci in level
+        # ---- downsweep: one task per level, shallowest first
+        downsweep_done = translate_done
+        for shift in reversed(geom.shift_levels):
+            downsweep_done = g.add(
+                partial(self.l2l, shift),
+                label=f"L2L:{shift.level}",
+                deps=(downsweep_done,),
+                op="L2L",
+                applications=int(shift.child_rows.size),
+                retryable=False,
             )
 
         t_l2p = g.add(
             self.l2p,
             label="L2P",
-            deps=prev_level,
+            deps=(downsweep_done,),
             op="L2P",
             applications=self.n_bodies,
         )

@@ -26,10 +26,11 @@ identical (BLAS picks kernels by shape, so ``(A @ B)[sel]`` differs from
 ``A[sel] @ B`` in the last ulp), hence the schedule never row-subsets a
 matmul:
 
-* whole translation classes (M2M/M2L/L2L) are assigned to single
-  shards, which compute the exact serial ``rows @ op`` product into a
-  shared delta scratch (``D`` full width for M2M, ``D8`` octet-wide for
-  the <= 13 M2L direction classes);
+* a tree level's M2M or L2L — one gemm over its octets — runs whole on
+  one shard, between barriers (levels spread over the shards by rows);
+* whole M2L direction classes are assigned to single shards, which
+  compute the exact serial ``rows @ op`` product into the shared
+  octet-wide delta scratch ``D8``;
 * the two whole-array stages around M2L — *reduce* (``M @ R`` into the
   source octets ``M8``) and *expand* (the target octets ``L8`` back to
   ``L``, ``@ R.T``) — run on shard 0, which also runs P2L right after the
@@ -166,8 +167,6 @@ class _Round:
     """One delta/merge superstep: class indices with scratch offsets."""
 
     cis: np.ndarray  # class indices, ascending (the serial merge order)
-    # scratch layout; down rounds carry it too but L2L writes in place
-    # and reads only ``cis`` / ``assignee``
     offsets: np.ndarray  # delta-scratch row offset per class (aligned)
     rows: int  # total delta rows
     assignee: np.ndarray  # computing shard per class (aligned)
@@ -199,10 +198,9 @@ class GlobalPlan:
     arena_name: str
     layout: dict
     timeout_s: float
-    geom: FarFieldGeometry  # class row arrays + dense operators, X/W rows
-    up_rounds: list
+    geom: FarFieldGeometry  # level / class row arrays + dense operators, X/W rows
+    shift_assignee: np.ndarray  # computing shard per shift level (M2M and L2L)
     m2l_rounds: list
-    down_rounds: list
     near_pairs: int
     #: the parent's compiled P2P library file, or None for the NumPy body:
     #: workers adopt it, they neither choose nor compile one
@@ -328,11 +326,7 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     body_owner = np.empty(n, dtype=np.int64)
     body_owner[bplan.body_idx] = np.repeat(leaf_shard, np.diff(bplan.ptr))
 
-    # ---- delta/merge rounds (one per up level; M2L chunked by row budget)
-    up_rounds = [
-        _round(grp, [geom.up_classes[ci][0].size for ci in grp], n_shards)
-        for grp in farfield.level_groups(geom.up_class_levels)
-    ]
+    # ---- M2L delta/merge rounds, chunked by row budget
     m2l_rounds = []
     cur: list[int] = []
     cw: list[int] = []
@@ -345,15 +339,10 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
         cw.append(int(srows.size))
     if cur:
         m2l_rounds.append(_round(cur, cw, n_shards))
-    down_rounds = [
-        _round(grp, [geom.down_classes[ci][1].size for ci in grp], n_shards)
-        for grp in farfield.level_groups(geom.down_class_levels)
-    ]
     entries = [
         ("points", (n, 3), np.float64),
         ("M", (n_eff, k * nc), cdt),
         ("L", (n_eff, k * nc), cdt),
-        ("D", (max([1] + [r.rows for r in up_rounds]), k * nc), cdt),
         ("D8", (max([1] + [r.rows for r in m2l_rounds]), k * 8 * nh), cdt),
         ("M8", (geom.octet_rows.size, k * 8 * nh), cdt),
         ("L8", (geom.octet_rows.size, k * 8 * nh), cdt),
@@ -388,9 +377,10 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
         layout={},
         timeout_s=timeout_s,
         geom=geom,
-        up_rounds=up_rounds,
+        # a level's gemm runs whole on one shard: a BLAS row's bits may
+        # depend on how many rows share the call
+        shift_assignee=_lpt_assign([s.child_rows.size for s in geom.shift_levels], n_shards),
         m2l_rounds=m2l_rounds,
-        down_rounds=down_rounds,
         near_pairs=nplan.total_pairs,
         p2p_library=getattr(_native.library(), "path", None),
         row_rank=row_rank,
@@ -440,8 +430,7 @@ class _WorkerState:
         # ownership merge selections, per round/class (serial class order);
         # an octet belongs to the shard that owns its split node
         octet_rank = plan.row_rank[geom.octet_rows]
-        self.up_merge = self._merge_sel(plan.up_rounds, geom.up_classes, plan.row_rank)
-        self.m2l_merge = self._merge_sel(plan.m2l_rounds, geom.m2l_classes, octet_rank)
+        self.m2l_merge = self._merge_sel(octet_rank)
 
         # M2L halo: remote source octets my assigned classes read
         mine = []
@@ -465,14 +454,14 @@ class _WorkerState:
         self.completed_phase = -1
         self._grad_mats = self.exp.l2p_gradient_matrices() if plan.far_gradient else ()
 
-    def _merge_sel(self, rounds, classes, rank):
-        """For every round: ``[(ci, offset, sel, dest_rows)]`` of my rows
-        (``rank`` is the owner shard of each destination row)."""
+    def _merge_sel(self, rank):
+        """For every M2L round: ``[(ci, offset, sel, dest_octets)]`` of my
+        octets (``rank`` is the owner shard of each octet)."""
         out = []
-        for rnd in rounds:
+        for rnd in self.plan.m2l_rounds:
             items = []
             for k, ci in enumerate(rnd.cis):
-                dest = classes[int(ci)][1]
+                dest = self.geom.m2l_classes[int(ci)][1]
                 sel = np.nonzero(rank[dest] == self.me)[0]
                 if sel.size:
                     items.append((int(ci), int(rnd.offsets[k]), sel, dest[sel]))
@@ -536,17 +525,17 @@ class _WorkerState:
             charges=self.v["src"], basis=self._basis(),
         )
 
-    def _deltas(self, rnd: _Round, classes, source: str, scratch: str) -> None:
-        M, D = self.v[source], self.v[scratch]
+    def _deltas(self, rnd: _Round) -> None:
+        M, D = self.v["M8"], self.v["D8"]
         for k, ci in enumerate(rnd.cis):
             if rnd.assignee[k] != self.me:
                 continue
-            src, _dst, op = classes[int(ci)]
+            src, _dst, op = self.geom.m2l_classes[int(ci)]
             off = int(rnd.offsets[k])
             D[off : off + src.size] = farfield.channel_matmul(M[src], op)
 
-    def _merges(self, items, target: str, scratch: str) -> None:
-        T, D = self.v[target], self.v[scratch]
+    def _merges(self, items) -> None:
+        T, D = self.v["L8"], self.v["D8"]
         for _ci, off, sel, dest in items:
             farfield.add_rows(T, dest, D[off + sel])
 
@@ -574,14 +563,6 @@ class _WorkerState:
         )
         if contrib is not None:
             np.add.at(self.v["L"], geom.x_recv_rows, contrib)
-
-    def _l2l(self, rnd: _Round) -> None:
-        L = self.v["L"]
-        for k, ci in enumerate(rnd.cis):
-            if rnd.assignee[k] != self.me:
-                continue
-            prows, crows, op = self.geom.down_classes[int(ci)]
-            farfield.add_rows(L, crows, farfield.channel_matmul(L[prows], op))
 
     def _gk(self) -> None:
         for k, A in enumerate(self._grad_mats):
@@ -649,11 +630,11 @@ class _WorkerState:
         self._wait()
         self._timed("p2m", self._p2m)
         self._wait()
-        for rnd, items in zip(plan.up_rounds, self.up_merge):
+        levels = list(zip(plan.shift_assignee, geom.shift_levels))
+        for who, shift in levels:
             self._beat("m2m")
-            self._timed("m2m", self._deltas, rnd, geom.up_classes, "M", "D")
-            self._wait()
-            self._timed("m2m", self._merges, items, "M", "D")
+            if who == self.me:
+                self._timed("m2m", farfield.m2m, geom, shift, self.v["M"])
             self._wait()
         self._beat("reduce")
         if self.me == 0:
@@ -663,9 +644,9 @@ class _WorkerState:
         self._halo_gather()
         for rnd, items in zip(plan.m2l_rounds, self.m2l_merge):
             self._beat("m2l")
-            self._timed("m2l", self._deltas, rnd, geom.m2l_classes, "M8", "D8")
+            self._timed("m2l", self._deltas, rnd)
             self._wait()
-            self._timed("m2l", self._merges, items, "L8", "D8")
+            self._timed("m2l", self._merges, items)
             self._wait()
         # expand assigns L, P2L then adds to it: same shard, in order
         self._beat("expand")
@@ -676,9 +657,10 @@ class _WorkerState:
             if self.me == 0:
                 self._timed("p2l", self._p2l)
         self._wait()
-        for rnd in plan.down_rounds:
+        for who, shift in reversed(levels):
             self._beat("l2l")
-            self._timed("l2l", self._l2l, rnd)
+            if who == self.me:
+                self._timed("l2l", farfield.l2l, geom, shift, self.v["L"])
             self._wait()
         self._beat("l2p")
         if plan.far_gradient:

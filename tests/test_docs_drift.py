@@ -171,6 +171,16 @@ _RETIRED = {
     "OP" + "_NAMES": "repro.kernels.base.FMM_OPS",
     "_CPU" + "_OPS": "repro.kernels.base.EXPANSION_OPS",
     "_GPU" + "_OPS": "none: P2P is the one GPU op",
+    "m2m" + "_at": "OperatorSet.m2m, one level-free (8 nc, nc) stack; a level's "
+    "power-of-two factors go onto the rows (ShiftLevel.grow / shrink)",
+    "l2l" + "_at": "OperatorSet.l2l, one level-free (nc, 8 nc) stack",
+    "up" + "_classes": "FarFieldGeometry.shift_levels: one ShiftLevel per tree "
+    "level; repro.fmm.farfield.m2m runs it as one gemm over octets",
+    "down" + "_classes": "FarFieldGeometry.shift_levels, walked shallowest first "
+    "by repro.fmm.farfield.l2l",
+    "level" + "_groups": "none: a level is one ShiftLevel, one task",
+    "m2m_merge" + "_level": "none: M2M assigns a level's parents in one gemm; "
+    "the per-(level, octant) class loop is tests/oracles/shifts.py",
 }
 
 

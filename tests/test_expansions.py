@@ -294,29 +294,38 @@ class TestLevelFreeCores:
 
     @pytest.mark.parametrize("order", range(3, 11))
     def test_shift_operators_across_levels_are_exact_power_of_two_multiples(self, Backend, order):
-        """M2M / L2L are level-free too: the level-``l`` operator an
-        :class:`OperatorSet` derives from its level-1 one is, bit for bit,
-        what the back end builds at the exact shift ``+-h_root / 2^(l+1)``."""
+        """M2M / L2L are level-free too: octant ``o``'s block of the set's
+        stack, applied to rows scaled by the exact powers of two of a
+        level-``l`` shift, is **bitwise** ``rows @`` the operator the back
+        end builds at the exact shift ``+-h_root / 2^(l+1)``."""
         from repro.expansions.operators import OperatorSet
-        from repro.geometry.morton import MAX_MORTON_LEVEL
 
         exp, h = Backend(order), 0.7381
         side = np.array([[o >> k & 1 for k in range(3)] for o in range(8)]) - 0.5
-        n = exp.shift_degrees
+        nc = exp.n_coeffs
         ops = OperatorSet(  # the shift half of ``OperatorSet.build``
-            exp.backend, order, h, n[None, :] - n[:, None],
-            m2m=tuple(exp.m2m_class_operator(-d) for d in side * (h / 2)),
-            l2l=tuple(exp.l2l_class_operator(d) for d in side * (h / 2)),
+            exp.backend, order, h,
+            m2m=np.concatenate([exp.m2m_class_operator(-d) for d in side * (h / 2)]),
+            l2l=np.concatenate([exp.l2l_class_operator(d) for d in side * (h / 2)], axis=1),
             m2l=(),
         )
-        assert exp.shift_degrees.shape == (exp.n_coeffs,)
-        for level in list(range(1, 11)) + [MAX_MORTON_LEVEL]:
+        assert ops.m2m.shape == (8 * nc, nc) and ops.l2l.shape == (nc, 8 * nc)
+        n = exp.shift_degrees
+        assert n.shape == (nc,)
+        rng = np.random.default_rng(order)
+        rows = rng.standard_normal((37, nc))
+        if np.iscomplexobj(ops.m2m):
+            rows = rows + 1j * rng.standard_normal(rows.shape)
+        for level in range(1, 7):
+            up, down = np.ldexp(1.0, (level - 1) * n), np.ldexp(1.0, (1 - level) * n)
             for octant, sgn in enumerate(2 * side):
                 d = sgn * (h / 2.0 ** (level + 1))  # child centre minus parent centre
-                up, down = exp.m2m_class_operator(-d), exp.l2l_class_operator(d)
-                assert np.isfinite(up).all() and np.isfinite(down).all()
-                assert np.array_equal(ops.m2m_at(level, octant), up)
-                assert np.array_equal(ops.l2l_at(level, octant), down)
+                m2m, l2l = exp.m2m_class_operator(-d), exp.l2l_class_operator(d)
+                block = slice(octant * nc, (octant + 1) * nc)
+                got = ((rows * up) @ ops.m2m[block]) * down
+                assert np.array_equal(got, rows @ m2m)
+                got = ((rows * down) @ np.ascontiguousarray(ops.l2l[:, block])) * up
+                assert np.array_equal(got, rows @ l2l)
 
     @pytest.mark.parametrize(
         "cloud, S, order", [("uniform", 8, 6), ("plummer", 32, 4), ("plummer2k", 32, 3)]
@@ -327,28 +336,35 @@ class TestLevelFreeCores:
         """Why the serial result moved (at rounding level) when the shifts
         became level-free: a shift used to be read off two absolute centres,
         ``centers[p] - centers[c]``, which rounds; on the three benchmark
-        trees those operators are within 4e-15 of the exact-shift ones
-        (measured 1.7e-15; some levels are bitwise equal already)."""
+        trees the operator a level's stage applies to an octant — the
+        stack's block between the level's two power-of-two factors — is
+        within 4e-15 of the centre-difference one (measured 1.7e-15; some
+        levels are bitwise equal already)."""
         from repro.distributions.generators import plummer, uniform_cube
         from repro.fmm.farfield import far_field_geometry
         from repro.tree import AdaptiveOctree, build_interaction_lists
 
         pts = {
-            "uniform": lambda: uniform_cube(10_000, seed=1),
-            "plummer": lambda: plummer(10_000, seed=1),
-            "plummer2k": lambda: plummer(2_000, seed=1),
-        }[cloud]().positions
+            "uniform": lambda: uniform_cube(10_000, seed=1).positions,
+            "plummer": lambda: plummer(10_000, seed=1).positions,
+            "plummer2k": lambda: plummer(2_000, seed=1).positions,
+        }[cloud]()
         tree = AdaptiveOctree(pts, S)
         exp = Backend(order)
         geom = far_field_geometry(tree, build_interaction_lists(tree, folded=True), exp)
-        c = geom.centers
-        pairs = [
-            (op, Backend(order).m2m_class_operator(c[p[0]] - c[ch[0]]))
-            for ch, p, op in geom.up_classes
-        ] + [
-            (op, Backend(order).l2l_class_operator(c[ch[0]] - c[p[0]]))
-            for p, ch, op in geom.down_classes
-        ]
+        c, n, nc = geom.centers, exp.shift_degrees, exp.n_coeffs
+        pairs = []
+        for shift in geom.shift_levels:
+            up = np.ldexp(1.0, (shift.level - 1) * n)[:, None]
+            down = np.ldexp(1.0, (1 - shift.level) * n)[None, :]
+            octet, octant = shift.octet, shift.octant
+            for o in np.unique(octant):
+                i = np.flatnonzero(octant == o)[0]
+                ch, p = shift.child_rows[i], shift.parent_rows[octet[i]]
+                block = slice(o * nc, (o + 1) * nc)
+                pairs.append((up * geom.m2m[block] * down, exp.m2m_class_operator(c[p] - c[ch])))
+                pairs.append((up.T * geom.l2l[:, block] * down.T,
+                              exp.l2l_class_operator(c[ch] - c[p])))
         assert len(pairs) >= 64
         for exact, rounded in pairs:
             assert np.abs(exact - rounded).max() <= 4e-15 * np.abs(exact).max()

@@ -214,10 +214,8 @@ def test_geometry_cached_per_backend_and_order():
 def _m2l_of(p):
     """Run pass ``p`` up to and including M2L; returns ``p.locals_``."""
     p.p2m()
-    for level in p.up_levels:
-        for ci in level:
-            p.m2m_delta(ci)
-            p.m2m_merge(ci)
+    for shift in p.geom.shift_levels:
+        p.m2m(shift)
     p.m2l_reduce()
     for ci in range(p.n_m2l_classes):
         p.m2l_delta(ci)

@@ -750,13 +750,13 @@ class TestOperatorStatsUniformity:
         lists = ListCache().get(tree, folded=True)
         out_direct, _ = laplace_far_field(tree, lists, expansion, charges=ps.strengths)
         stats = lists.farfield_geometry_stats
-        assert (stats["op_builds"], stats["op_hits"]) == (29, 0)
+        assert (stats["op_builds"], stats["op_hits"]) == (15, 0)  # 2 shift stacks + 13 blocks
 
         # a shared store, passed at construction: first user assembles ...
         shared = OperatorStore()
         lists2 = ListCache(operators=shared).get(tree, folded=True)
         laplace_far_field(tree, lists2, expansion, charges=ps.strengths)
-        assert lists2.farfield_geometry_stats["op_builds"] == 29
+        assert lists2.farfield_geometry_stats["op_builds"] == 15
 
         # ... and a second cache over the same root size reads
         lists3 = ListCache(operators=shared).get(tree, folded=True)
