@@ -466,7 +466,7 @@ def test_bench_leaf_stages_native(benchmark, monkeypatch):
 
 
 def _m2l_octets_vs_class_loop(pts, order=6, S=8):
-    """Shipped M2L (reduce -> direction classes -> expand) against the
+    """Shipped M2L (one stage: reduce -> direction classes -> expand) against the
     oracle's per-(level, displacement) class loop on one tree, timed
     alternately in one process; returns the pass, the oracle's classes,
     both best times and the column-relative difference of the locals."""
@@ -484,13 +484,7 @@ def _m2l_octets_vs_class_loop(pts, order=6, S=8):
     def loop():
         want["L"] = m2l_locals(exp, classes, p.multipoles)
 
-    def shipped():
-        p.m2l_locals[:] = 0.0
-        p.m2l_reduce()
-        for ci in range(p.n_m2l_classes):
-            p.m2l_delta(ci)
-            p.m2l_merge(ci)
-        p.m2l_expand()
+    shipped = p.m2l
 
     loop_t = shipped_t = float("inf")
     for _ in range(6):  # alternating: host drift hits both sides alike

@@ -43,9 +43,8 @@ def _m2l_cores(expansion, h_root: float) -> dict:
     cube outside the +-1 cube, from one batched assembly — built at the
     root's cell size (``d * h_root``), whatever level the octets sit on:
     halving the cell multiplies entry ``(a, b)`` of a core by ``2^(n_a +
-    n_b + 1)`` exactly, and :func:`repro.fmm.farfield.m2l_reduce` /
-    :func:`~repro.fmm.farfield.m2l_expand` put those factors on the octet
-    arrays instead."""
+    n_b + 1)`` exactly, and :func:`repro.fmm.farfield.m2l` puts those
+    factors on its octet arrays instead."""
     g = np.arange(-3, 4)
     disp = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     disp = disp[np.abs(disp).max(axis=1) >= 2]

@@ -27,7 +27,7 @@ expansion's ``m2l_reduction``, ``None`` for an expansion that is already
 (p+1)² wide).  And the V list is implied by the colleague pairs of split
 nodes — V(child i of P) is every child j of a colleague Q of P that is not
 adjacent to i — so the unit of M2L work is the *colleague pair*, not the V
-pair: the pass keeps octet arrays of ``8 w``-wide rows (a split
+pair: :func:`m2l` keeps octet arrays of ``8 w``-wide rows (a split
 node's eight child slots side by side; a missing child is a zero slot on
 the way in and a discarded one on the way out), a pair ``(Q, P)`` is one
 row-applied ``(8w, 8w)`` block whose sub-block (j, i) is the M2L core of
@@ -35,14 +35,14 @@ the child-cell displacement ``2D + o_i - o_j`` (zero where the two
 children are adjacent), and the block depends only on the cell offset
 ``D = cell_P - cell_Q`` — one of 26 — because the cores are built at the
 root's cell size and the exact power-of-two level factors go onto the
-octet arrays instead (*reduce* scales degree ``n`` of a level-``l`` node by
-``2^(l n)``, *expand* by ``2^(l (n + 1))``; DESIGN.md §9).  And 13 blocks
-serve the 26 directions: ``core(-d)[a, b] = (-1)^(n_a + n_b) core(d)[a,
-b]``, so the block of ``-D`` is the block of ``D`` between *mirrored*
-octets (child ``j`` in slot ``7 - j``, odd degrees negated), which the
-octet arrays carry ``n_split`` rows below the natural ones.  A solve
-applies **at most 13 M2L classes**, each one gemm.  So every operator of a
-sweep comes from one immutable
+octet arrays instead (degree ``n`` of a level-``l`` node times ``2^(l n)``
+on the way in, ``2^(l (n + 1))`` on the way out; DESIGN.md §9).  And 13
+blocks serve the 26 directions: ``core(-d)[a, b] = (-1)^(n_a + n_b)
+core(d)[a, b]``, so the block of ``-D`` is the block of ``D`` between
+*mirrored* octets (child ``j`` in slot ``7 - j``, odd degrees negated),
+which the octet arrays carry ``n_split`` rows below the natural ones.  A
+solve applies **at most 13 M2L classes**, each one gemm, all inside one
+stage (:func:`m2l`).  So every operator of a sweep comes from one immutable
 :class:`~repro.expansions.operators.OperatorSet` per ``(backend, order,
 h_root)`` — two shift stacks, 13 blocks — read from the
 :class:`~repro.expansions.operators.OperatorStore` that the
@@ -72,7 +72,7 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 A pass sweeps ``k`` **charge channels** at once — ``charges`` of shape
 ``(n,)`` (``k = 1``, Laplace) or ``(n, k)`` (the composite Stokeslet solver
 runs ``k = 4``) — over one tree, one geometry and one operator set.  Every
-coefficient, octet and delta array is node-major with rows ``k`` channels
+coefficient and octet array is node-major with rows ``k`` channels
 wide (``(n_eff, k·nc)``, octets ``(n_oct, k·8w)``), so a level or class
 stage is one gemm over all channels (:func:`channel_matmul`:
 ``rows.reshape(-1, w) @ op``) and a merge one :func:`add_rows` over wider
@@ -83,22 +83,22 @@ for 1-D charges.
 
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
-(:mod:`repro.runtime.engine`) can run independent stages concurrently:
-M2L direction-class matmuls are mutually independent, M2M/L2L are one
-task per level in level order, and the M2L class *merges* into the shared
-octet array are kept as separate steps applied in a fixed class order —
-which is what makes a parallel run bitwise identical to a serial one.  The arithmetic
-of the per-body stages (P2M, L2P, P2L, M2P) and of the two whole-array
-stages (reduce, expand) lives in module-level **stage functions** over
-plain arrays; the pass methods and the shard workers of
-:mod:`repro.runtime.shards` (over arena views) both call them.  Over real
-(Cartesian) rows three of them run compiled, from the library
-:mod:`repro.kernels._native` builds for the near field: :func:`p2m`,
-:func:`l2p` (potential and up to three gradient axes in one pass over
-the basis per channel) and :func:`add_rows`, the ``rows[idx] += delta``
-of every M2L class merge and L2L level — each bitwise the NumPy body it replaces, which
-runs for complex (spherical) rows and where no compiler resolves
-(DESIGN.md §9).
+(:mod:`repro.runtime.engine`) can overlap what is independent: M2M and
+L2L are one task per level in level order, M2L is one task (its class
+gemms and merges in class order inside it: BLAS already runs each gemm on
+every core), and P2L / M2P compute apart from the sweep, parking their
+values for a merge that lands where the serial order puts it — which is
+what makes a parallel run bitwise identical to a serial one.  The
+arithmetic of every stage (P2M, M2M, M2L, L2L, L2P, P2L, M2P) lives in
+module-level **stage functions** over plain arrays; the pass methods and
+the shard workers of :mod:`repro.runtime.shards` (over arena views) both
+call them.  Over real (Cartesian) rows three of them run compiled, from
+the library :mod:`repro.kernels._native` builds for the near field:
+:func:`p2m`, :func:`l2p` (potential and up to three gradient axes in one
+pass over the basis per channel) and :func:`add_rows`, the ``rows[idx] +=
+delta`` of every M2L class merge and L2L level — each bitwise the NumPy
+body it replaces, which runs for complex (spherical) rows and where no
+compiler resolves (DESIGN.md §9).
 
 :meth:`FarFieldPass.add_tasks` declares the pass's stage DAG once; the
 thread engine runs it and :func:`laplace_far_field`, the serial driver,
@@ -106,9 +106,8 @@ walks it in insertion order.  The walk accepts a ``tracer`` and emits one
 span per FMM operation whose ``applications`` argument follows the
 cost-model unit conventions of :meth:`InteractionLists.op_counts`, keeping
 ``C_op = time/applications`` calibration meaningful on the batched path
-(reduce and expand sit inside the ``M2L`` span: they are M2L's cost; its
-``applications`` stay V pairs, the cost-model unit, however few octet
-pairs carry them).
+(the ``M2L`` span's ``applications`` stay V pairs, the cost-model unit,
+however few octet pairs carry them).
 """
 
 from __future__ import annotations
@@ -141,8 +140,7 @@ __all__ = [
     "laplace_far_field",
     "leaf_basis",
     "leaf_body_plan",
-    "m2l_expand",
-    "m2l_reduce",
+    "m2l",
     "m2m",
     "m2p",
     "m2p_scatter",
@@ -463,10 +461,9 @@ def leaf_basis(expansion, plan: LeafBodyPlan, derived_cache):
 #   loops that reproduce their order), so evaluating
 #   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
 #   over that subset — yields bitwise the same rows as the full plan;
-# * ``m2m``, ``l2l`` (one level each), ``l2p_leaf_gradient``,
-#   ``m2l_reduce`` and ``m2l_expand`` are matmuls and ``p2l`` / ``m2p``
-#   feed ordered scatters: they take the full plan (the full coefficient
-#   array) and run whole, on one worker.
+# * ``m2m``, ``l2l`` (one level each), ``m2l`` and ``l2p_leaf_gradient``
+#   are matmuls and ``p2l`` / ``m2p`` feed ordered scatters: they take the
+#   full plan (the full coefficient array) and run whole, on one worker.
 
 
 def channel_matmul(rows, op):
@@ -569,60 +566,53 @@ def l2l(geom, shift, locals_):
     add_rows(locals_, shift.child_rows, kids.reshape(kids.shape[0], -1))
 
 
-def _slots(geom):
-    """``((octet, octant), (octet, octant))`` of every non-root node's
-    natural and mirrored slot."""
-    return tuple(np.divmod(s, 8) for s in geom.child_slots)
+def m2l(exp, geom, multipoles, locals_):
+    """Every V pair's M2L, from the finished multipoles to ``locals_``: one
+    stage, run whole, that *assigns* ``locals_`` (the root, and a slot
+    without a node, get nothing) — so it lands after the last M2M level and
+    before anything else (P2L, L2L) adds to them, and a re-run redoes it
+    exactly.
 
-
-def _octet_slots(octets, width):
-    """``(n_oct, k·8·width)`` octet rows as an ``(n_oct, k, 8, width)`` view."""
-    return octets.reshape(octets.shape[0], octets.shape[1] // (8 * width), 8, width)
-
-
-def m2l_reduce(exp, geom, multipoles, octets):
-    """Finished multipoles into the octet array M2L reads.
-
-    Three steps, run whole: into the translation space (``multipoles @
-    R``, a matmul, with ``R`` the expansion's ``m2l_reduction`` — ``None``
-    means the coefficients are the translation space already), onto the
-    root's cell size (degree ``n`` of a level-``l`` node times ``2^(l n)``),
-    and each node into its two slots of its parent's octet rows — the
-    natural one, and the mirrored one with the odd degrees negated.  A
-    missing child's slots are never written: they stay zero.
+    * reduce — into the translation space (``multipoles @ R``, ``R`` the
+      expansion's ``m2l_reduction``; ``None`` means the coefficients are
+      the translation space already), onto the root's cell size (degree
+      ``n`` of a level-``l`` node times ``2^(l n)``), and each node into
+      its two slots of its parent's octet rows of a zeroed source octet
+      array: the natural one, and the mirrored one with the odd degrees
+      negated (a missing child's slots stay zero);
+    * the direction classes, in class order — each one gemm over its
+      source octets (:func:`channel_matmul`) added into its target octets
+      (:func:`add_rows`);
+    * expand — the inverse of reduce: a node's two target slots summed
+      (the mirrored one with its odd degrees negated back) into its row,
+      back to the node's own cell size (``2^(l (n + 1))``), then ``@
+      R.T``.
     """
     R = exp.m2l_reduction
     deg = exp.m2l_degrees
-    (no, nk), (mo, mk) = _slots(geom)
-    slots = _octet_slots(octets, deg.size)
-    rows = _channels(multipoles if R is None else channel_matmul(multipoles, R), deg.size)
+    w = deg.size
+    (no, nk), (mo, mk) = (np.divmod(s, 8) for s in geom.child_slots)
+    rows = _channels(multipoles if R is None else channel_matmul(multipoles, R), w)
     rows = rows[geom.child_rows]
     rows *= _level_scale(geom.child_levels, deg)[:, None]
+    k = rows.shape[1]
+    src = np.zeros((geom.octet_rows.size, k * 8 * w), dtype=rows.dtype)
+    tgt = np.zeros_like(src)
+    slots = src.reshape(-1, k, 8, w)
     slots[no, :, nk] = rows
     slots[mo, :, mk] = np.multiply(rows, (-1.0) ** deg, out=rows)
-
-
-def m2l_expand(exp, geom, octets, locals_):
-    """The merged M2L result back to node rows at full width — the inverse
-    of :func:`m2l_reduce`: a node's two slots summed (the mirrored one with
-    its odd degrees negated back) into its row, back to the node's own cell
-    size (``2^(l (n + 1))``), then ``@ R.T``, run whole.  It *assigns*
-    ``locals_`` (the root, and a slot without a node, get nothing), so it
-    lands after the last M2L merge and before anything else (P2L) adds to
-    them."""
-    R = exp.m2l_reduction
-    deg = exp.m2l_degrees
-    (no, nk), (mo, mk) = _slots(geom)
-    slots = _octet_slots(octets, deg.size)
+    for srows, trows, op in geom.m2l_classes:
+        add_rows(tgt, trows, channel_matmul(src[srows], op))
+    slots = tgt.reshape(-1, k, 8, w)
     rows = slots[mo, :, mk] * (-1.0) ** deg
     rows += slots[no, :, nk]
     rows *= _level_scale(geom.child_levels, deg + 1)[:, None]
     if R is None:
-        _channels(locals_, deg.size)[geom.child_rows] = rows
+        _channels(locals_, w)[geom.child_rows] = rows
         return
-    reduced = np.zeros((locals_.shape[0], rows.shape[1], deg.size))
+    reduced = np.zeros((locals_.shape[0], k, w))
     reduced[geom.child_rows] = rows
-    np.matmul(reduced.reshape(-1, deg.size), R.T, out=locals_.reshape(-1, R.shape[0]))
+    np.matmul(reduced.reshape(-1, w), R.T, out=locals_.reshape(-1, R.shape[0]))
 
 
 def l2p_leaf_gradient(geom, locals_, A):
@@ -769,16 +759,13 @@ class FarFieldPass:
     * ``m2m`` / ``l2l`` run one tree level each, whole, in level order:
       M2M assigns a level's parents from its children, L2L adds into a
       level's children from their parents;
-    * ``m2l_delta`` / ``p2l_compute`` / ``m2p_compute`` only *read* shared
-      arrays, parking their contribution privately;
-    * the matching ``*_merge`` stages fold contributions into the shared
-      arrays and must be called in **class order** (the serial loop
-      order), which the task graph enforces with a merge chain;
-    * M2L reads and writes the ``(2 n_split, 8 (p+1)^2)`` **octet arrays**
-      ``m2l_multipoles`` / ``m2l_locals``: ``m2l_reduce`` fills the first
-      after the last M2M level, ``m2l_expand`` assigns ``locals_`` from the
-      second after the last M2L merge and before ``p2l_merge`` — each
-      whole, on one worker.
+    * ``m2l`` is one stage, run whole after the last M2M level: it reads
+      ``multipoles``, keeps its octet arrays to itself and *assigns*
+      ``locals_`` before ``p2l_merge`` adds to them;
+    * ``p2l_compute`` / ``m2p_compute`` only *read* shared arrays, parking
+      their contribution privately; the matching ``*_merge`` stages fold
+      it into the shared arrays after the stage they follow in the serial
+      order.
 
     :meth:`add_tasks` declares their DAG once: the thread engine runs it,
     and :func:`laplace_far_field` walks it in insertion order.
@@ -813,9 +800,6 @@ class FarFieldPass:
         self.n_bodies = plan.body_idx.size
         self.multipoles = np.zeros((n_eff, k * nc), dtype=dtype)
         self.locals_ = np.zeros((n_eff, k * nc), dtype=dtype)
-        octets = (geom.octet_rows.size, k * 8 * exp.m2l_degrees.size)
-        self.m2l_multipoles = np.zeros(octets, dtype=dtype)
-        self.m2l_locals = np.zeros(octets, dtype=dtype)
         self.pot = np.zeros((tree.n_bodies, k)) if potential else None
         self.grad = np.zeros((tree.n_bodies, k, 3)) if gradient else None
 
@@ -827,8 +811,6 @@ class FarFieldPass:
             exp.m2p_gradient_matrices() if (gradient and geom.w_tgt_rows.size) else ()
         )
 
-        self.n_m2l_classes = len(geom.m2l_classes)
-
         # X/W pair expansion (precomputed outside the op spans, matching
         # the original sweep)
         self._x_pairs = pair_bodies(geom, plan, geom.x_src_rows)
@@ -836,8 +818,7 @@ class FarFieldPass:
         self.n_p2l_rows = int(self._x_pairs[0].size)
         self.n_m2p_rows = int(self._w_pairs[0].size)
 
-        # private per-class/stage contributions awaiting their merge
-        self._m2l_delta: dict[int, np.ndarray] = {}
+        # private per-stage contributions awaiting their merge
         self._x_contrib: np.ndarray | None = None
         self._m2p_vals: tuple = (None, None)
 
@@ -869,24 +850,9 @@ class FarFieldPass:
         l2l(self.geom, shift, self.locals_)
 
     # ---------------------------------------------------------- translation
-    def m2l_reduce(self) -> None:
-        """Finished multipoles into the source octets (whole array)."""
-        m2l_reduce(self.exp, self.geom, self.multipoles, self.m2l_multipoles)
-
-    def m2l_delta(self, ci: int) -> None:
-        """Direction-class matmul (reads the source octets only)."""
-        srows, _trows, op = self.geom.m2l_classes[ci]
-        self._m2l_delta[ci] = channel_matmul(self.m2l_multipoles[srows], op)
-
-    def m2l_merge(self, ci: int) -> None:
-        """Fold one class delta into target octets (class order!)."""
-        _srows, trows, _op = self.geom.m2l_classes[ci]
-        add_rows(self.m2l_locals, trows, self._m2l_delta.pop(ci))
-
-    def m2l_expand(self) -> None:
-        """Assign ``locals_`` from the merged target octets (whole array;
-        after every M2L merge, before :meth:`p2l_merge`)."""
-        m2l_expand(self.exp, self.geom, self.m2l_locals, self.locals_)
+    def m2l(self) -> None:
+        """Assign ``locals_`` from the finished multipoles (whole arrays)."""
+        m2l(self.exp, self.geom, self.multipoles, self.locals_)
 
     def p2l_compute(self) -> None:
         """X phase (un-folded): batched P2L contribution, parked privately."""
@@ -895,7 +861,7 @@ class FarFieldPass:
         )
 
     def p2l_merge(self) -> None:
-        """Fold the X contribution in (after :meth:`m2l_expand`)."""
+        """Fold the X contribution in (after :meth:`m2l`)."""
         if self._x_contrib is None:
             return
         np.add.at(self.locals_, self.geom.x_recv_rows, self._x_contrib)
@@ -926,16 +892,15 @@ class FarFieldPass:
         :func:`~repro.runtime.engine.run_in_order` walks it in insertion
         order — the serial sweep.  Every task carries its cost-model ``op``
         and ``applications`` (:meth:`InteractionLists.op_counts` units);
-        ``retryable=False`` marks the ordered in-place merges, which a
-        failure may not re-run::
+        ``retryable=False`` marks the in-place adds, which a failure may
+        not re-run::
 
-            P2M -> M2M(d) -> ... -> M2M(1)
-              -> M2L reduce -> [<= 13 direction deltas] -> merges in class
-                 order -> M2L expand -> P2L merge (X phase)
+            P2M -> M2M(d) -> ... -> M2M(1) -> M2L -> P2L merge (X phase)
               -> L2L(1) -> ... -> L2L(d) -> L2P -> M2P merge
 
         ``M2M(l)`` / ``L2L(l)`` are one gemm each over the octets of level
-        ``l``'s parents, whatever the tree's adaptivity.
+        ``l``'s parents, whatever the tree's adaptivity; ``M2L`` is one
+        task whatever the number of direction classes.
 
         P2L and M2P compute from sources / finished multipoles and park
         their values privately, so only their merges are ordered.
@@ -957,35 +922,15 @@ class FarFieldPass:
                 applications=int(shift.child_rows.size),
             )
 
-        # ---- M2L: reduce, one delta task per direction class fanning out,
-        # merge chain in class order, expand (both ends assign whole arrays:
-        # idempotent).  Applications are V pairs (the cost-model unit), which a
-        # class of octet pairs does not split into: the reduce carries the total
-        reduced = g.add(
-            self.m2l_reduce, label="M2L:reduce", deps=(upsweep_done,), op="M2L",
-            applications=geom.n_m2l,
-        )
-        merge_prev = reduced
-        for ci in range(self.n_m2l_classes):
-            delta = g.add(
-                partial(self.m2l_delta, ci),
-                label=f"M2L:d{ci}",
-                deps=(reduced,),
-                op="M2L",
-            )
-            merge_prev = g.add(
-                partial(self.m2l_merge, ci),
-                label=f"M2L:m{ci}",
-                deps=(delta, merge_prev),
-                op="M2L",
-                retryable=False,
-            )
+        # ---- M2L: one task, retryable (its octets are its own and it
+        # assigns locals_).  Applications are V pairs, the cost-model unit
         translate_done = g.add(
-            self.m2l_expand, label="M2L:expand", deps=(merge_prev,), op="M2L",
+            self.m2l, label="M2L", deps=(upsweep_done,), op="M2L",
+            applications=geom.n_m2l,
         )
 
         # ---- X phase: compute depends on nothing (reads sources only); its
-        # merge lands after the M2L expand, matching the serial order
+        # merge lands after M2L, matching the serial order
         if geom.x_recv_rows.size:
             t_p2l = g.add(
                 self.p2l_compute,
@@ -1059,10 +1004,7 @@ class FarFieldPass:
 
         return all(
             check_finite(arr)
-            for arr in (
-                self.multipoles, self.locals_, self.m2l_multipoles,
-                self.m2l_locals, self.pot, self.grad,
-            )
+            for arr in (self.multipoles, self.locals_, self.pot, self.grad)
         )
 
 

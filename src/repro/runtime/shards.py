@@ -5,17 +5,14 @@ octree is split into Morton-contiguous leaf ranges by the work-weighted
 partitioner (:func:`repro.cluster.partition.partition_by_morton_work`),
 each shard runs in its own **spawned** worker process, and every large
 array — bodies, strengths, multipole/local coefficients (``M`` / ``L``,
-full width, and ``M8`` / ``L8``, the octet arrays M2L reads and writes:
-two rows per split node — natural and mirrored — of eight (p+1)²-wide
-child slots, DESIGN.md §9; every coefficient row carries the pass's ``k``
-charge channels side by side), outputs — lives in one
-:class:`multiprocessing.shared_memory.SharedMemory` arena that all
-workers map.  Reading another shard's coefficient rows
+every row carrying the pass's ``k`` charge channels side by side),
+outputs — lives in one :class:`multiprocessing.shared_memory.SharedMemory`
+arena that all workers map.  Reading another shard's coefficient rows
 through the arena is the one-sided-get transport; the explicitly timed
-gathers of remote source *octets* and boundary P2P bodies are the halo
-exchange the :func:`repro.cluster.let.build_let` machinery predicts (its
-byte model, (p+1)² wide per node, is reported alongside the measured
-traffic).
+gather of remote boundary P2P bodies is the halo exchange (the
+:func:`repro.cluster.let.build_let` byte model, which also prices the
+remote multipoles M2L would fetch if it were split, (p+1)² wide per node,
+is reported alongside the measured traffic).
 
 Bitwise determinism
 -------------------
@@ -28,17 +25,10 @@ matmul:
 
 * a tree level's M2M or L2L — one gemm over its octets — runs whole on
   one shard, between barriers (levels spread over the shards by rows);
-* whole M2L direction classes are assigned to single shards, which
-  compute the exact serial ``rows @ op`` product into the shared
-  octet-wide delta scratch ``D8``;
-* the two whole-array stages around M2L — *reduce* (``M @ R`` into the
-  source octets ``M8``) and *expand* (the target octets ``L8`` back to
-  ``L``, ``@ R.T``) — run on shard 0, which also runs P2L right after the
-  expand;
-* merges (``+=`` into shared coefficient rows) are row-owner based: each
-  shard folds only the rows it owns (an octet belongs to the shard of its
-  split node), in ascending class order — every row sees the same
-  additions in the same serial order;
+* M2L — :func:`repro.fmm.farfield.m2l`, the stage every back end runs:
+  its octet arrays, its class gemms and merges in class order — runs
+  whole on shard 0 from ``M`` into ``L``, followed by P2L, between two
+  barriers (BLAS runs each class gemm on every core already);
 * per-body stages (P2M/L2P/P2P) use only row-independent primitives
   (``einsum``, segment sums, elementwise) on per-shard leaf/body
   subsets, which are bit-exact under subsetting;
@@ -51,14 +41,14 @@ Supervision and recovery
 ------------------------
 The parent runs a shard supervisor around every solve.  Workers send
 small heartbeat messages over their control pipes — one before each
-barrier wait and one at each named stage (``p2m``, ``m2m``, ``reduce``,
-``halo``, ``m2l``, ``expand``, ``p2l``, ``l2l``, ``l2p``, ``m2p``,
-``near``, ``near-self``) — each carrying a monotonic tick and the highest
-fully completed *phase* (the far-field pass is phase 0, the near field
-1).  The supervisor multiplexes all pipes with a read deadline
-(``heartbeat_s``), so worker death (pipe EOF), a worker exception, or a
-wedged worker (no message within the deadline; the stage ticks identify
-the laggard) all surface in bounded wall-clock.
+barrier wait and one at each named stage (``p2m``, ``m2m``, ``m2l``,
+``p2l``, ``l2l``, ``l2p``, ``m2p``, ``near``, ``near-self``) — each
+carrying a monotonic tick and the highest fully completed *phase* (the
+far-field pass is phase 0, the near field 1).  The supervisor multiplexes
+all pipes with a read deadline (``heartbeat_s``), so worker death (pipe
+EOF), a worker exception, or a wedged worker (no message within the
+deadline; the stage ticks identify the laggard) all surface in bounded
+wall-clock.
 
 On failure the supervisor walks a recovery ladder:
 
@@ -117,11 +107,6 @@ __all__ = [
     "ShardRunResult",
 ]
 
-#: delta-scratch byte budget per M2L superstep round (bounds arena size;
-#: the 11 094 octet pairs of a uniform 10k S=8 order-6 tree take 35 MB per
-#: charge channel)
-M2L_ROUND_BYTES = 64 << 20
-
 #: bytes per boundary body in the LET comm model (24 position + 8 charge)
 _BODY_POS_BYTES = 24
 
@@ -163,27 +148,6 @@ class _ShardFailure(Exception):
 
 
 @dataclass
-class _Round:
-    """One delta/merge superstep: class indices with scratch offsets."""
-
-    cis: np.ndarray  # class indices, ascending (the serial merge order)
-    offsets: np.ndarray  # delta-scratch row offset per class (aligned)
-    rows: int  # total delta rows
-    assignee: np.ndarray  # computing shard per class (aligned)
-
-
-def _round(cis, weights, n_shards: int) -> _Round:
-    """The round over classes ``cis`` whose deltas have ``weights`` rows."""
-    w = [int(x) for x in weights]
-    return _Round(
-        cis=np.asarray(cis, dtype=np.int64),
-        offsets=np.concatenate(([0], np.cumsum(w)))[:-1].astype(np.int64),
-        rows=sum(w),
-        assignee=_lpt_assign(w, n_shards),
-    )
-
-
-@dataclass
 class GlobalPlan:
     """The full shard execution plan (structure-dependent, not per-solve)."""
 
@@ -200,13 +164,11 @@ class GlobalPlan:
     timeout_s: float
     geom: FarFieldGeometry  # level / class row arrays + dense operators, X/W rows
     shift_assignee: np.ndarray  # computing shard per shift level (M2M and L2L)
-    m2l_rounds: list
     near_pairs: int
     #: the parent's compiled P2P library file, or None for the NumPy body:
     #: workers adopt it, they neither choose nor compile one
     p2p_library: str | None
     # ownership / assignment
-    row_rank: np.ndarray  # (n_eff,) owner shard per effective row
     leaf_shard: np.ndarray  # (n_leaves,) owner shard per leaf ordinal
     body_owner: np.ndarray  # (n_bodies,) owner shard per body
     near_assignee: np.ndarray  # (n_tiles,) computing shard per near tile
@@ -326,26 +288,10 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     body_owner = np.empty(n, dtype=np.int64)
     body_owner[bplan.body_idx] = np.repeat(leaf_shard, np.diff(bplan.ptr))
 
-    # ---- M2L delta/merge rounds, chunked by row budget
-    m2l_rounds = []
-    cur: list[int] = []
-    cw: list[int] = []
-    round_rows = M2L_ROUND_BYTES // (k * 8 * nh * np.dtype(cdt).itemsize)
-    for ci, (srows, _trows, _op) in enumerate(geom.m2l_classes):
-        if cur and sum(cw) + srows.size > round_rows:
-            m2l_rounds.append(_round(cur, cw, n_shards))
-            cur, cw = [], []
-        cur.append(ci)
-        cw.append(int(srows.size))
-    if cur:
-        m2l_rounds.append(_round(cur, cw, n_shards))
     entries = [
         ("points", (n, 3), np.float64),
         ("M", (n_eff, k * nc), cdt),
         ("L", (n_eff, k * nc), cdt),
-        ("D8", (max([1] + [r.rows for r in m2l_rounds]), k * 8 * nh), cdt),
-        ("M8", (geom.octet_rows.size, k * 8 * nh), cdt),
-        ("L8", (geom.octet_rows.size, k * 8 * nh), cdt),
         ("src", (n, k), np.float64),
     ]
     for prefix, src in (("body", bplan), ("near", nplan)):
@@ -380,10 +326,8 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
         # a level's gemm runs whole on one shard: a BLAS row's bits may
         # depend on how many rows share the call
         shift_assignee=_lpt_assign([s.child_rows.size for s in geom.shift_levels], n_shards),
-        m2l_rounds=m2l_rounds,
         near_pairs=nplan.total_pairs,
         p2p_library=getattr(_native.library(), "path", None),
-        row_rank=row_rank,
         leaf_shard=leaf_shard,
         body_owner=body_owner,
         near_assignee=_lpt_assign(nplan.tile_weights, n_shards),
@@ -409,7 +353,7 @@ class _WorkerState:
 
     The stage arithmetic is the in-process stage library
     (:mod:`repro.fmm.farfield` / :mod:`repro.fmm.nearfield`) called over
-    arena views; this class only decides *which* leaves, classes and
+    arena views; this class only decides *which* leaves, levels and
     near-field tiles this shard runs, and when.
     """
 
@@ -420,29 +364,12 @@ class _WorkerState:
         self.arena = _Arena.attach(plan.arena_name, plan.layout)
         self.v = v = self.arena.views
         self.exp = plan.expansion
-        self.geom = geom = plan.geom
+        self.geom = plan.geom
         self.body_plan = farfield.LeafBodyPlan(**_plan_views("body", v))
 
         # per-shard leaf/body subset (row-independent stages)
         self.my_leaves = np.nonzero(plan.leaf_shard == self.me)[0]
         self.refresh()
-
-        # ownership merge selections, per round/class (serial class order);
-        # an octet belongs to the shard that owns its split node
-        octet_rank = plan.row_rank[geom.octet_rows]
-        self.m2l_merge = self._merge_sel(octet_rank)
-
-        # M2L halo: remote source octets my assigned classes read
-        mine = []
-        for rnd in plan.m2l_rounds:
-            for k, ci in enumerate(rnd.cis):
-                if rnd.assignee[k] == self.me:
-                    mine.append(geom.m2l_classes[int(ci)][0])
-        if mine:
-            src = np.unique(np.concatenate(mine))
-            self.halo_rows = src[octet_rank[src] != self.me]
-        else:
-            self.halo_rows = np.empty(0, dtype=np.int64)
 
         # near tiles + boundary-body halo (sources owned by other shards),
         # read off the source leaf runs of my tiles
@@ -453,20 +380,6 @@ class _WorkerState:
         self._beat = lambda label=None: None
         self.completed_phase = -1
         self._grad_mats = self.exp.l2p_gradient_matrices() if plan.far_gradient else ()
-
-    def _merge_sel(self, rank):
-        """For every M2L round: ``[(ci, offset, sel, dest_octets)]`` of my
-        octets (``rank`` is the owner shard of each octet)."""
-        out = []
-        for rnd in self.plan.m2l_rounds:
-            items = []
-            for k, ci in enumerate(rnd.cis):
-                dest = self.geom.m2l_classes[int(ci)][1]
-                sel = np.nonzero(rank[dest] == self.me)[0]
-                if sel.size:
-                    items.append((int(ci), int(rnd.offsets[k]), sel, dest[sel]))
-            out.append(items)
-        return out
 
     def refresh(self) -> None:
         """Positions moved (same structure): re-slice my leaves out of the
@@ -513,46 +426,12 @@ class _WorkerState:
         lo, hi = self.plan.row_ranges[self.me], self.plan.row_ranges[self.me + 1]
         for nm in ("M", "L"):
             self.v[nm][lo:hi] = 0.0
-        # the target octets are few: one shard clears them all.  The source
-        # octets need none — the reduce assigns every slot that has a node
-        # and the arena is born zero
-        if self.me == 0:
-            self.v["L8"][:] = 0.0
 
     def _p2m(self) -> None:
         farfield.p2m(
             self.geom, self.sub, self.exp, self.v["M"],
             charges=self.v["src"], basis=self._basis(),
         )
-
-    def _deltas(self, rnd: _Round) -> None:
-        M, D = self.v["M8"], self.v["D8"]
-        for k, ci in enumerate(rnd.cis):
-            if rnd.assignee[k] != self.me:
-                continue
-            src, _dst, op = self.geom.m2l_classes[int(ci)]
-            off = int(rnd.offsets[k])
-            D[off : off + src.size] = farfield.channel_matmul(M[src], op)
-
-    def _merges(self, items) -> None:
-        T, D = self.v["L8"], self.v["D8"]
-        for _ci, off, sel, dest in items:
-            farfield.add_rows(T, dest, D[off + sel])
-
-    def _reduce(self) -> None:
-        farfield.m2l_reduce(self.exp, self.geom, self.v["M"], self.v["M8"])
-
-    def _expand(self) -> None:
-        farfield.m2l_expand(self.exp, self.geom, self.v["L8"], self.v["L"])
-
-    def _halo_gather(self) -> None:
-        if not self.halo_rows.size:
-            return
-        t0 = time.perf_counter()
-        buf = self.v["M8"][self.halo_rows]
-        self.halo_bytes += buf.nbytes
-        self.halo_s += time.perf_counter() - t0
-        self._span("halo", t0)
 
     def _p2l(self) -> None:
         geom = self.geom
@@ -636,22 +515,10 @@ class _WorkerState:
             if who == self.me:
                 self._timed("m2m", farfield.m2m, geom, shift, self.v["M"])
             self._wait()
-        self._beat("reduce")
+        # M2L assigns L, P2L then adds to it: same shard, in order
+        self._beat("m2l")
         if self.me == 0:
-            self._timed("m2l", self._reduce)
-        self._wait()
-        self._beat("halo")
-        self._halo_gather()
-        for rnd, items in zip(plan.m2l_rounds, self.m2l_merge):
-            self._beat("m2l")
-            self._timed("m2l", self._deltas, rnd)
-            self._wait()
-            self._timed("m2l", self._merges, items)
-            self._wait()
-        # expand assigns L, P2L then adds to it: same shard, in order
-        self._beat("expand")
-        if self.me == 0:
-            self._timed("m2l", self._expand)
+            self._timed("m2l", farfield.m2l, self.exp, geom, self.v["M"], self.v["L"])
         if geom.x_recv_rows.size:
             self._beat("p2l")
             if self.me == 0:
@@ -812,7 +679,7 @@ class ShardRunResult:
     shard_walls: list = field(default_factory=list)
     shard_busy: list = field(default_factory=list)
     barrier_seconds: float = 0.0  # summed across shards (idle at barriers)
-    halo_bytes: int = 0
+    halo_bytes: int = 0  # near-field boundary bodies read from other shards
     halo_seconds: float = 0.0
     let_bytes: float = 0.0  # LET comm-model prediction for this partition
     partition_imbalance: float = 1.0  # max/mean of partitioned work weights

@@ -82,7 +82,8 @@ _RETIRED = {
     "build_interaction_lists" + "_scalar": "repro.tree.build_interaction_lists; the "
     "per-pair oracle left src/ for tests/oracles/lists.py",
     "farfield_row" + "_cache": "repro.tree.AdaptiveOctree.node_table",
-    "M2L_ROUND" + "_ROWS": "repro.runtime.shards.M2L_ROUND_BYTES (octet-wide scratch rows)",
+    "M2L_ROUND" + "_ROWS": "none: a shard runs M2L whole (repro.fmm.farfield.m2l), "
+    "no delta scratch",
     "test_bench_m2l_" + "reduced_translation": "test_bench_m2l_octets; the "
     "per-(level, displacement) class loop left src/ for tests/oracles/m2l.py",
     "OperatorCache" + "Protocol": "repro.expansions.operators.OperatorSet: one frozen "
@@ -181,6 +182,22 @@ _RETIRED = {
     "level" + "_groups": "none: a level is one ShiftLevel, one task",
     "m2m_merge" + "_level": "none: M2M assigns a level's parents in one gemm; "
     "the per-(level, octant) class loop is tests/oracles/shifts.py",
+    "m2l" + "_reduce": "repro.fmm.farfield.m2l, its first step",
+    "m2l" + "_expand": "repro.fmm.farfield.m2l, its last step",
+    "m2l" + "_delta": "repro.fmm.farfield.m2l: every class's gemm and merge, in "
+    "class order, inside one stage",
+    "m2l" + "_merge": "repro.fmm.farfield.m2l: every class's gemm and merge, in "
+    "class order, inside one stage",
+    "m2l" + "_multipoles": "none: repro.fmm.farfield.m2l keeps its octet arrays "
+    "to itself",
+    "M2L_ROUND" + "_BYTES": "none: a shard runs M2L whole, no delta scratch",
+    "m2l" + "_rounds": "none: a shard runs M2L whole, no delta scratch",
+    "D" + "8": "none: a shard runs M2L whole, no delta scratch",
+    "M" + "8": "none: M2L's octet arrays live inside repro.fmm.farfield.m2l",
+    "L" + "8": "none: M2L's octet arrays live inside repro.fmm.farfield.m2l",
+    "_merge" + "_sel": "none: a shard runs M2L whole, nothing is merged by row owner",
+    "halo" + "_rows": "none: the measured halo is the near field's boundary bodies",
+    "_halo" + "_gather": "none: the measured halo is the near field's boundary bodies",
 }
 
 

@@ -34,6 +34,7 @@ from repro.balance import BalancerConfig, BalancerState, DynamicLoadBalancer
 from repro.distributions.generators import plummer
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
+from repro.fmm import farfield
 from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import FarFieldPass
 from repro.kernels import LaplaceKernel
@@ -215,13 +216,13 @@ def _chaos_plan() -> FaultPlan:
     """ISSUE contract: at least one raise and one delay per graph.
 
     The raise lands on a retryable endpoint (P2M, every pass has one) and
-    the delay on a merge, perturbing the interleaving around the ordered
-    reduction chain.
+    the delay on an in-place add (an L2L level), perturbing the
+    interleaving around the ordered chain.
     """
     return FaultPlan(
         [
             FaultSpec("raise", match="P2M"),
-            FaultSpec("delay", match="M2L:m", max_fires=4, delay_s=0.002),
+            FaultSpec("delay", match="L2L", max_fires=4, delay_s=0.002),
         ]
     )
 
@@ -280,6 +281,33 @@ def test_transient_fault_in_a_near_tile_chunk_retries():
     assert plan.fired_kinds() == {"raise"}
     assert solver.degraded_runs == 0
     assert solver.last_engine_result.retries >= 1
+    assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
+
+
+def test_fault_partway_through_m2l_retries_the_stage(monkeypatch):
+    """M2L is one retryable stage — its octet arrays are its own and it
+    assigns ``locals_`` — so a raise partway through its class merges,
+    after some classes were added into the target octets, is retried
+    once in place, and the result is still serial's bit for bit."""
+    ref_pot, ref_grad, _ = _laplace_case("cartesian", None)
+    real_add_rows = farfield.add_rows
+    calls = 0
+
+    def add_rows_failing_once(rows, idx, delta):
+        # M2M assigns, so the sweep's first adds are M2L's class merges
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("injected fault in the third M2L class merge")
+        real_add_rows(rows, idx, delta)
+
+    monkeypatch.setattr(farfield, "add_rows", add_rows_failing_once)
+    with ExecutionEngine(n_workers=2) as eng:
+        pot, grad, solver = _laplace_case("cartesian", eng)
+    assert solver.degraded_runs == 0
+    res = solver.last_engine_result
+    assert res.retries == 1
+    assert [f.label for f in res.failures] == ["M2L"]
     assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
 
 
@@ -354,8 +382,9 @@ class TestDegradation:
         lists = build_interaction_lists(tree, folded=True)
         ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 23)
         ref = ref_solver.solve(tree, q, lists=lists, **kw)
-        # a merge is non-retryable: a single raise there is unrecoverable
-        plan = FaultPlan([FaultSpec("raise", match="M2L:m", fire_attempts=99)])
+        # an L2L level adds in place, so it is non-retryable: a single raise
+        # there is unrecoverable
+        plan = FaultPlan([FaultSpec("raise", match="L2L", fire_attempts=99)])
         with ExecutionEngine(n_workers=2) as eng:
             solver, _, _, _ = _solver_case(
                 kind, pts.shape[0], 23, engine=eng, telemetry=telemetry

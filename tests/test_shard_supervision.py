@@ -56,7 +56,7 @@ def _plan(kind, match, *, shard=0, delay_s=0.001, fire_attempts=1):
 
 
 # -------------------------------------------------------------- kill recovery
-@pytest.mark.parametrize("stage", ["p2m", "reduce", "m2l", "l2p"])
+@pytest.mark.parametrize("stage", ["p2m", "m2m", "m2l", "l2p"])
 def test_kill_at_far_field_stage_recovers_bitwise(stage):
     """SIGKILL during the far-field pass: respawn + full-pass redo, same
     bits, no serial degradation."""
@@ -98,17 +98,16 @@ def test_kill_in_near_field_redoes_only_lost_phase():
 
 
 def test_kill_at_translation_expand_redoes_only_that_pass():
-    """A worker killed at ``expand`` in the Stokeslet's far-field pass
-    (four charge channels: full-width locals not yet assigned, target
-    octets merged) restarts at the far phase, 0 — the phase re-zeroes
-    ``L8`` and re-fills ``M8`` like ``M`` and ``L``, so the redo stays
-    bitwise."""
+    """A worker killed at ``m2l`` in the Stokeslet's far-field pass
+    (four charge channels, full-width locals not yet assigned) restarts at
+    the far phase, 0 — the phase re-zeroes ``M`` and ``L`` and M2L keeps
+    its octet arrays to itself, so the redo stays bitwise."""
     pts, _ = _cloud(n=700, seed=59)
     tree = AdaptiveOctree(pts, S=24)
     forces = np.random.default_rng(5).standard_normal((len(pts), 3))
     serial = StokesletFMMSolver(order=3).solve(tree, forces)
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
-        eng.install_fault_plan(_plan("kill", "expand"))
+        eng.install_fault_plan(_plan("kill", "m2l"))
         solver = StokesletFMMSolver(order=3, engine=eng)
         res = solver.solve(tree, forces)
         assert np.array_equal(serial.velocity, res.velocity)

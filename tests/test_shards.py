@@ -204,28 +204,6 @@ def test_reduced_translation_bitwise_on_every_back_end(backend, reduction_cases)
             assert solver.degraded_runs == 0, name
 
 
-def test_m2l_rounds_cut_by_the_byte_budget_keep_the_bits(reduction_cases, monkeypatch):
-    """A delta-scratch budget below one solve's octet pairs cuts M2L into
-    several supersteps — whole classes, ascending — over a smaller arena;
-    the bits do not move."""
-    from repro.runtime import shards
-
-    monkeypatch.setattr(shards, "M2L_ROUND_BYTES", 400_000)
-    solve, serial = reduction_cases["uniform-o6"]
-    with ProcessEngine(n_shards=2) as engine:
-        solver, _, got = solve(engine)
-        plan = engine._session.plan
-        assert len(plan.m2l_rounds) > 3
-        assert np.concatenate([r.cis for r in plan.m2l_rounds]).tolist() == list(
-            range(len(plan.geom.m2l_classes))
-        )
-        scratch = np.prod(plan.layout["D8"][1]) * 8
-        assert scratch <= max(400_000, max(r.rows for r in plan.m2l_rounds) * 8 * 49 * 8)
-    for a, b in zip(got, serial):
-        assert np.array_equal(a, b)
-    assert solver.degraded_runs == 0
-
-
 # ------------------------------------------------------- session reuse/refresh
 def test_session_reuse_and_refit_refresh():
     """Strength swaps hit the installed session; a refit refreshes it in
