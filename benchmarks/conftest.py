@@ -12,7 +12,13 @@ BLAS threading is pinned to one thread *before NumPy loads* (the env vars
 below are read at library init): the execution-engine benches attribute
 speedup to *our* task-level parallelism, and an OpenBLAS/MKL pool running
 underneath would both confound that attribution and oversubscribe the
-cores the engine's workers sit on.
+cores the engine's workers sit on.  Since M2L became one stage (one
+BLAS gemm per direction class, run whole by every back end), the pin
+also removes M2L's parallelism from both the thread engine and the shard
+workers, so the recorded engine and shard ratios describe this pinned
+configuration, not the library's default one (EXPERIMENTS.md, the
+"one M2L stage on every back end" probe: uniform 10k S=8 order 6 reads threads:2 0.93-1.16x and shards:2
+0.90-1.09x serial pinned, 1.56-1.64x / 0.67-0.74x under default BLAS).
 """
 
 import os

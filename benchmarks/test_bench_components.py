@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.distributions import plummer
-from repro.expansions import CartesianExpansion, SphericalExpansion
 from repro.fmm import FMMSolver
 from repro.geometry.morton import morton_keys
 from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKernel
@@ -42,22 +41,6 @@ def test_bench_tree_build(benchmark, cloud):
 
 def test_bench_interaction_lists(benchmark, tree):
     benchmark(build_interaction_lists, tree, folded=True)
-
-
-def test_bench_m2l_batch_cartesian(benchmark):
-    exp = CartesianExpansion(4)
-    rng = np.random.default_rng(0)
-    M = rng.uniform(-1, 1, (2000, exp.n_coeffs))
-    D = rng.uniform(2, 4, (2000, 3))
-    benchmark(exp.m2l_batch, M, D)
-
-
-def test_bench_m2l_batch_spherical(benchmark):
-    exp = SphericalExpansion(4)
-    rng = np.random.default_rng(0)
-    M = rng.uniform(-1, 1, (2000, exp.n_coeffs)).astype(complex)
-    D = rng.uniform(2, 4, (2000, 3))
-    benchmark(exp.m2l_batch, M, D)
 
 
 def test_bench_p2p_block(benchmark):

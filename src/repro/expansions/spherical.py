@@ -22,9 +22,8 @@ Conventions used here:
 
 The operator interface matches
 :class:`~repro.expansions.cartesian.CartesianExpansion` so the FMM driver
-can swap backends (the `ablation-expansions` bench).  Gradients in this
-backend use central differences of the (smooth) series — the Cartesian
-backend is the production gradient path.
+can swap backends (the `ablation-expansions` bench).  Gradients are
+analytic, from the ladder identities on the gradient-matrix builders.
 """
 
 from __future__ import annotations
@@ -174,36 +173,14 @@ class SphericalExpansion:
         self._l2l_table = _build_shift_table(order, kind="l2l")
         self._m2l_table = _build_m2l_table(order)
 
-    # ------------------------------------------------------------------ P2M
-    def p2m(self, points, strengths, center) -> np.ndarray:
-        """M_n^m = sum_i q_i conj(R_n^m(x_i - c))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center)
-        q = np.asarray(strengths, dtype=float).reshape(-1)
-        R = _regular_table(pts, self.order)
-        return q @ np.conj(R)
-
-    # ------------------------------------------------------------------ M2M
-    def m2m(self, moments, shift) -> np.ndarray:
-        """Translate multipole by ``shift = c_new - c_old``.
-
-        M_n^m(new) = sum_{j,k} conj(R_j^k(c_old - c_new)) M_{n-j}^{m-k}(old).
-        """
-        t = -np.asarray(shift, dtype=float).reshape(1, 3)
-        Rt = np.conj(_regular_table(t, self.order)[0])
-        out_idx, in_idx, r_idx = self._m2m_table
-        out = np.zeros(self.n_coeffs, dtype=complex)
-        np.add.at(out, out_idx, Rt[r_idx] * moments[in_idx])
-        return out
-
     # ---------------------------------------------------- per-body bases
     # Row bases for the batched endpoint operations of the far-field
-    # engine (``rel = x - center``): summing/dotting rows reproduces the
-    # per-node operators above.
-    def p2m_basis(self, rel: np.ndarray) -> np.ndarray:
-        return np.conj(_regular_table(np.atleast_2d(rel), self.order))
-
+    # engine, ``rel = x - center`` throughout: P2M sums ``q_i`` times the
+    # L2P row, M_n^m = sum_i q_i conj(R_n^m(x_i - c)); P2L sums ``q_i``
+    # times the P2L row, L_j^k = sum_i q_i (-1)^j I_j^k(z - x_i); L2P
+    # (phi = Re sum L_n^m conj(R_n^m(y - z))) and M2P (phi = Re sum M_n^m
+    # I_n^m(y - c)) dot each row with the node's coefficients.
     def l2p_basis(self, rel: np.ndarray) -> np.ndarray:
-        # identical to the P2M rows: both sides use conj(R_n^m(rel))
         return np.conj(_regular_table(np.atleast_2d(rel), self.order))
 
     def p2l_basis(self, rel: np.ndarray) -> np.ndarray:
@@ -222,8 +199,11 @@ class SphericalExpansion:
     # displacements.  These builders materialize the linear operator of one
     # such *class* as a dense row-applied matrix (``out_rows = in_rows @ A``)
     # so the far-field engine can translate every pair of a class with one
-    # matmul.  All three are exact reshapes of the flattened addition-
-    # theorem tables used by the per-pair methods above.
+    # matmul.  All three scatter the flattened addition-theorem tables
+    # below:
+    #   M2M  M_n^m(new) = sum_{j,k} conj(R_j^k(c_old - c_new)) M_{n-j}^{m-k}(old)
+    #   L2L  L'_j^k = sum_{n>=j} L_n^m conj(R_{n-j}^{m-k}(z_new - z_old))
+    #   M2L  L_j^k = (-1)^j sum_{n,m} M_n^m I_{n+j}^{m+k}(z - c)
     def m2m_class_operator(self, shift) -> np.ndarray:
         """Dense row-applied M2M for one fixed ``shift = c_new - c_old``."""
         t = -np.asarray(shift, dtype=float).reshape(1, 3)
@@ -264,104 +244,28 @@ class SphericalExpansion:
 
     def l2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
         """Row-applied gradient maps: ``G_k = locals @ A_k`` reproduces
-        :func:`_regular_gradient_coeffs` for a whole batch of locals."""
+        :func:`_regular_gradient_coeffs` for a whole batch of locals, and
+        ``grad[:, k] = Re(l2p_basis(rel) @ G_k)``.  Analytic, via the
+        regular-harmonic ladder identities (verified numerically in the
+        test suite)
+
+            dz R_n^m = R_{n-1}^m,
+            (dx + i dy) R_n^m = R_{n-1}^{m+1},
+            (dx - i dy) R_n^m = -R_{n-1}^{m-1}.
+        """
         return _regular_gradient_matrices(self.order)
 
     def m2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
         """Row-applied maps into the order+1 irregular basis:
-        ``G_k = moments @ A_k`` reproduces :func:`_irregular_gradient_coeffs`."""
-        return _irregular_gradient_matrices(self.order)
-
-    # ------------------------------------------------------------------ M2L
-    def m2l(self, moments, displacement) -> np.ndarray:
-        return self.m2l_batch(
-            np.asarray(moments)[None, :], np.asarray(displacement, dtype=float)[None, :]
-        )[0]
-
-    def m2l_batch(self, moments, displacements) -> np.ndarray:
-        """L_j^k = (-1)^j sum_{n,m} M_n^m I_{n+j}^{m+k}(z - c).
-
-        ``displacements[i] = z_local - c_multipole``.
-        """
-        M = np.atleast_2d(np.asarray(moments))
-        D = np.atleast_2d(np.asarray(displacements, dtype=float))
-        I = _irregular_table(D, 2 * self.order)
-        out_idx, in_idx, i_idx, sign = self._m2l_table
-        vals = sign[None, :] * M[:, in_idx] * I[:, i_idx]
-        out = np.zeros((M.shape[0], self.n_coeffs), dtype=complex)
-        np.add.at(out.T, out_idx, vals.T)
-        return out
-
-    # ------------------------------------------------------------------ L2L
-    def l2l(self, local, shift) -> np.ndarray:
-        """Translate local expansion by ``shift = z_new - z_old``.
-
-        L'_j^k = sum_{n>=j} L_n^m conj(R_{n-j}^{m-k}(shift)).
-        """
-        t = np.asarray(shift, dtype=float).reshape(1, 3)
-        Rt = np.conj(_regular_table(t, self.order)[0])
-        out_idx, in_idx, r_idx = self._l2l_table
-        out = np.zeros(self.n_coeffs, dtype=complex)
-        np.add.at(out, out_idx, Rt[r_idx] * local[in_idx])
-        return out
-
-    # ------------------------------------------------------------------ L2P
-    def l2p(self, local, targets, center) -> np.ndarray:
-        """phi(y) = Re sum L_n^m conj(R_n^m(y - z))."""
-        pts = np.atleast_2d(np.asarray(targets, dtype=float)) - np.asarray(center)
-        R = _regular_table(pts, self.order)
-        return np.real(np.conj(R) @ local)
-
-    def l2p_gradient(self, local, targets, center) -> np.ndarray:
-        """Analytic gradient via the regular-harmonic ladder identities
-
-            dz R_n^m = R_{n-1}^m,
-            (dx + i dy) R_n^m = R_{n-1}^{m+1},
-            (dx - i dy) R_n^m = -R_{n-1}^{m-1}
-
-        (verified numerically in the test suite).  The gradient of
-        phi = Re sum L_n^m conj(R_n^m) is evaluated as three derived
-        coefficient vectors against the same conj(R) table.
-        """
-        pts = np.atleast_2d(np.asarray(targets, dtype=float)) - np.asarray(center)
-        Rbar = np.conj(_regular_table(pts, self.order))
-        grads = _regular_gradient_coeffs(self.order, np.asarray(local))
-        out = np.empty((pts.shape[0], 3))
-        for k in range(3):
-            out[:, k] = np.real(Rbar @ grads[k])
-        return out
-
-    # ------------------------------------------------------------------ M2P
-    def m2p(self, moments, targets, center) -> np.ndarray:
-        """phi(y) = Re sum M_n^m I_n^m(y - c)."""
-        pts = np.atleast_2d(np.asarray(targets, dtype=float)) - np.asarray(center)
-        I = _irregular_table(pts, self.order)
-        return np.real(I @ moments)
-
-    def m2p_gradient(self, moments, targets, center) -> np.ndarray:
-        """Analytic gradient via the irregular-harmonic ladder identities
+        ``G_k = moments @ A_k`` reproduces :func:`_irregular_gradient_coeffs`,
+        and ``grad[:, k] = Re(m2p_grad_basis(rel) @ G_k)``.  Analytic, via
+        the irregular-harmonic ladder identities
 
             dz I_n^m = -I_{n+1}^m,
             (dx + i dy) I_n^m = I_{n+1}^{m+1},
             (dx - i dy) I_n^m = -I_{n+1}^{m-1}.
         """
-        pts = np.atleast_2d(np.asarray(targets, dtype=float)) - np.asarray(center)
-        I = _irregular_table(pts, self.order + 1)
-        grads = _irregular_gradient_coeffs(self.order, np.asarray(moments))
-        out = np.empty((pts.shape[0], 3))
-        for k in range(3):
-            out[:, k] = np.real(I @ grads[k])
-        return out
-
-    # ------------------------------------------------------------------ P2L
-    def p2l(self, points, strengths, center) -> np.ndarray:
-        """L_j^k = sum_i q_i (-1)^j I_j^k(z - x_i)."""
-        pts = np.asarray(center) - np.atleast_2d(np.asarray(points, dtype=float))
-        q = np.asarray(strengths, dtype=float).reshape(-1)
-        I = _irregular_table(pts, self.order)
-        signs = (-1.0) ** self.ns
-        return signs * (q @ I)
-
+        return _irregular_gradient_matrices(self.order)
 
 # --------------------------------------------------------------------------
 # table builders
@@ -502,14 +406,3 @@ def _irregular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
         for A, g in zip(mats, (gx, gy, gz)):
             A[j] = g
     return mats
-
-
-def _central_difference(f, targets, rel_h: float = 1e-6):
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    h = rel_h * (1.0 + float(np.max(np.abs(pts))))
-    grad = np.empty((pts.shape[0], 3))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        grad[:, k] = (f(pts + e) - f(pts - e)) / (2 * h)
-    return grad

@@ -5,7 +5,7 @@ from repro.kernels.base import Kernel, KernelCostProfile
 from repro.kernels.laplace import GravityKernel, LaplaceKernel
 from repro.kernels.stokeslet import RegularizedStokesletKernel
 from repro.kernels.stokeslet_fmm import StokesletFMMResult, StokesletFMMSolver
-from repro.kernels.direct import direct_evaluate, p2p_pair, p2p_self
+from repro.kernels.direct import direct_evaluate
 
 __all__ = [
     "Kernel",
@@ -16,7 +16,5 @@ __all__ = [
     "StokesletFMMResult",
     "StokesletFMMSolver",
     "direct_evaluate",
-    "p2p_pair",
-    "p2p_self",
     "p2p_backend",
 ]

@@ -1,9 +1,9 @@
-"""Direct (all-pairs) evaluation helpers.
+"""Direct (all-pairs) evaluation.
 
-These are the numerical work-horses of the near field: the FMM's P2P phase
-reduces to many (target-block, source-block) dense interactions, evaluated
-here with chunking so memory stays bounded at large N.  ``direct_evaluate``
-is also the brute-force reference against which FMM accuracy is tested.
+``direct_evaluate`` is the brute-force field: the reference FMM accuracy
+is tested against and a simulation's direct-force path, chunked over
+targets so memory stays bounded at large N.  (The FMM's own P2P phase is
+:mod:`repro.fmm.nearfield`.)
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.kernels.base import Kernel
 
-__all__ = ["direct_evaluate", "p2p_pair", "p2p_self"]
+__all__ = ["direct_evaluate"]
 
 #: Target-chunk size bounding the (chunk x n_sources) temporary.
 _CHUNK = 2048
@@ -50,27 +50,3 @@ def direct_evaluate(
         out -= kernel.self_interaction(t, strengths, gradient=gradient)
     return out
 
-
-def p2p_pair(
-    kernel: Kernel,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    strengths: np.ndarray,
-    *,
-    gradient: bool = False,
-) -> np.ndarray:
-    """Dense interaction of a disjoint (target node, source node) pair."""
-    fn = kernel.gradient if gradient else kernel.evaluate
-    return fn(targets, sources, strengths, exclude_self=False)
-
-
-def p2p_self(
-    kernel: Kernel,
-    points: np.ndarray,
-    strengths: np.ndarray,
-    *,
-    gradient: bool = False,
-) -> np.ndarray:
-    """Interaction of a node's bodies with themselves, self term excluded."""
-    fn = kernel.gradient if gradient else kernel.evaluate
-    return fn(points, points, strengths, exclude_self=True)

@@ -23,7 +23,6 @@ the serial baseline of §VIII-E).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,12 +201,6 @@ class HeterogeneousExecutor:
         n_nodes = len(tree.nodes)
         n_ops = ops.get("collapses", 0) + ops.get("pushdowns", 0)
         flops = 200.0 * n_nodes + 4000.0 * n_ops
-        return self._cpu_parallel_time(flops) * self._noise()
-
-    def time_refit(self, tree: AdaptiveOctree) -> float:
-        """Cost of re-sorting bodies and refreshing node ranges."""
-        n = tree.n_bodies
-        flops = 80.0 * n * max(1.0, math.log2(max(2, n)))
         return self._cpu_parallel_time(flops) * self._noise()
 
     def time_prediction(self, tree: AdaptiveOctree) -> float:

@@ -9,10 +9,7 @@ every row carrying the pass's ``k`` charge channels side by side),
 outputs — lives in one :class:`multiprocessing.shared_memory.SharedMemory`
 arena that all workers map.  Reading another shard's coefficient rows
 through the arena is the one-sided-get transport; the explicitly timed
-gather of remote boundary P2P bodies is the halo exchange (the
-:func:`repro.cluster.let.build_let` byte model, which also prices the
-remote multipoles M2L would fetch if it were split, (p+1)² wide per node,
-is reported alongside the measured traffic).
+gather of remote boundary P2P bodies is the halo exchange.
 
 Bitwise determinism
 -------------------
@@ -107,7 +104,7 @@ __all__ = [
     "ShardRunResult",
 ]
 
-#: bytes per boundary body in the LET comm model (24 position + 8 charge)
+#: bytes of one boundary body's position in the measured halo
 _BODY_POS_BYTES = 24
 
 
@@ -260,9 +257,8 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     """Build the :class:`GlobalPlan` + arena entry list for one structure.
 
     Returns ``(plan_sans_arena, arena_entries, extras)`` where ``extras``
-    carries parent-only objects (partition, LET, body/near plans).
+    carries parent-only objects (partition, body/near plans).
     """
-    from repro.cluster.let import build_let
     from repro.cluster.partition import partition_by_morton_work
 
     geom = farfield.far_field_geometry(tree, lists, expansion)
@@ -274,8 +270,6 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     cdt = np.complex128 if expansion.backend == "spherical" else np.float64
     k = channels
     nc = expansion.n_coeffs
-    nh = int(expansion.m2l_degrees.size)  # the width M2L reads and writes
-    let = build_let(part, n_coeffs=nh)
 
     eff = tree.effective_nodes()
     n_eff = len(eff)
@@ -339,7 +333,7 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
         ),
         grad_axis_shard=np.arange(3, dtype=np.int64) % n_shards,
     )
-    extras = {"part": part, "let": let, "bplan": bplan, "nplan": nplan}
+    extras = {"part": part, "bplan": bplan, "nplan": nplan}
     return plan, entries, extras
 
 
@@ -681,7 +675,6 @@ class ShardRunResult:
     barrier_seconds: float = 0.0  # summed across shards (idle at barriers)
     halo_bytes: int = 0  # near-field boundary bodies read from other shards
     halo_seconds: float = 0.0
-    let_bytes: float = 0.0  # LET comm-model prediction for this partition
     partition_imbalance: float = 1.0  # max/mean of partitioned work weights
     phase_seconds: dict = field(default_factory=dict)
     intervals: list = field(default_factory=list)
@@ -714,7 +707,6 @@ class ShardRunResult:
             "idle_s": round(self.barrier_seconds, 6),
             "halo_bytes": int(self.halo_bytes),
             "halo_s": round(self.halo_seconds, 6),
-            "let_bytes": round(self.let_bytes, 1),
             "partition_imbalance": round(self.partition_imbalance, 4),
             "respawns": int(self.respawns),
             "partial_redos": int(self.partial_redos),
@@ -735,10 +727,7 @@ class ShardRunResult:
                 f"  shard {s}: wall {w * 1e3:8.1f} ms  busy {b * 1e3:8.1f} ms  "
                 f"idle {idle * 1e3:7.1f} ms ({pct:4.1f}%)"
             )
-        lines.append(
-            f"  halo: {self.halo_bytes} B in {self.halo_seconds * 1e3:.2f} ms "
-            f"(LET model: {self.let_bytes:.0f} B)"
-        )
+        lines.append(f"  halo: {self.halo_bytes} B in {self.halo_seconds * 1e3:.2f} ms")
         return "\n".join(lines)
 
 
@@ -1243,7 +1232,7 @@ class ProcessEngine:
             self.total_partial_redos += 1
         return n_respawned
 
-    def _run(self, sess: _Session, tree, deadline=None) -> ShardRunResult:
+    def _run(self, sess: _Session, deadline=None) -> ShardRunResult:
         refreshed = sess.needs_refresh
         sess.needs_refresh = False
         t0 = time.perf_counter()
@@ -1271,7 +1260,7 @@ class ProcessEngine:
                 restart_phases.append(f.restart_phase)
                 attempt += 1
         wall = time.perf_counter() - t0
-        part, let = sess.extras["part"], sess.extras["let"]
+        part = sess.extras["part"]
         work = [w for w in part.rank_work if w > 0] or [1.0]
         mean_w = sum(work) / len(work)
         phase: dict = {}
@@ -1288,9 +1277,6 @@ class ProcessEngine:
             barrier_seconds=sum(st["barrier_s"] for st in stats),
             halo_bytes=sum(st["halo_bytes"] for st in stats),
             halo_seconds=sum(st["halo_s"] for st in stats),
-            let_bytes=sum(
-                let.recv_bytes(r, tree) for r in range(self.n_shards)
-            ),
             partition_imbalance=(max(part.rank_work) / mean_w if mean_w else 1.0),
             phase_seconds=phase,
             intervals=sorted(intervals, key=lambda iv: (iv[1], iv[2])),
@@ -1334,7 +1320,7 @@ class ProcessEngine:
         v = sess.arena.views
         v["src"][:] = src
         v["nearq"][:] = near_q
-        self._run(sess, tree, deadline)
+        self._run(sess, deadline)
 
         def out(name):
             return v[name].copy() if name in v else None

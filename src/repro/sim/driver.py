@@ -393,9 +393,8 @@ class Simulation:
         return acc
 
     # -------------------------------------------------------------- stepping
-    def _ensure_tree(self) -> float:
-        """(Re)build or refit the tree; returns the charged maintenance time."""
-        lb = 0.0
+    def _ensure_tree(self) -> None:
+        """(Re)build or refit the tree."""
         if self.tree is None or self._needs_rebuild:
             self.tree = AdaptiveOctree(
                 self.particles.positions, self.balancer.S, root_box=self.domain
@@ -404,7 +403,6 @@ class Simulation:
         else:
             self.tree.points = self.particles.positions
             self.tree.refit()
-        return lb
 
     def run(self, n_steps: int) -> EventLog:
         """Advance ``n_steps`` time steps; returns the cumulative log."""
@@ -417,7 +415,7 @@ class Simulation:
         tracer = self.telemetry.tracer
         with tracer.span("step", step=self.step_index, n=self.particles.n):
             with tracer.span("tree-build", S=self.balancer.S):
-                lb_time = self._ensure_tree()
+                self._ensure_tree()
                 tree = self.tree
                 lists = self.list_cache.get(tree, folded=cfg.folded)
 
@@ -470,7 +468,6 @@ class Simulation:
 
             with tracer.span("balancer", state=self.balancer.state.value):
                 outcome = self.balancer.end_of_step(tree, timing)
-            lb_time += outcome.lb_time
             if outcome.rebuild_S is not None:
                 self._needs_rebuild = True
 
@@ -480,8 +477,8 @@ class Simulation:
         rec = StepRecord(
             step=self.step_index,
             compute_time=timing.compute_time,
-            lb_time=lb_time,
-            total_time=timing.compute_time + lb_time,
+            lb_time=outcome.lb_time,
+            total_time=timing.compute_time + outcome.lb_time,
             S=self.balancer.S,
             state=outcome.state.value,
             cpu_time=timing.cpu_time,

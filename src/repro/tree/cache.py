@@ -129,13 +129,9 @@ class ListCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries (counters are kept; see :meth:`reset_counters`)."""
+        """Drop all entries; the ``hits`` / ``builds`` counters are kept."""
         for ref, _stamp in self._entries.values():
             tree = ref()
             if tree is not None and hasattr(tree, "_cached_lists"):
                 tree._cached_lists.clear()
         self._entries.clear()
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.builds = 0

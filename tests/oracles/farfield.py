@@ -1,11 +1,11 @@
 """The per-node Laplace far-field sweep — the reference the batched,
 reduced-translation sweep of :mod:`repro.fmm.farfield` is tested against.
 
-One translation operator per node or pair, through the expansion's dense
-scalar API (``p2m`` / ``m2m`` / ``m2l_batch`` / ``l2l`` / ``l2p`` / ``m2p``
-/ ``p2l``): every M2L here runs over all ``n_coeffs`` coefficients, so
-agreement with the production sweep also checks the harmonic reduction
-(DESIGN.md §9).  Nothing under ``src/`` calls it.
+One translation operator per node or pair, through the per-node helpers
+of :mod:`tests.oracles.expansions`: every Cartesian M2L here is the dense
+one over all ``n_coeffs`` coefficients, so agreement with the production
+sweep also checks the harmonic reduction (DESIGN.md §9).  Nothing under
+``src/`` calls it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.tree.lists import InteractionLists
 from repro.tree.octree import AdaptiveOctree
+from tests.oracles import expansions as ops
 
 __all__ = ["laplace_far_field_scalar"]
 
@@ -47,11 +48,11 @@ def laplace_far_field_scalar(
     # ---- upward sweep
     for nid in leaves:
         idx = tree.bodies(nid)
-        multipoles[nid] = exp.p2m(pts[idx], charges[idx], nodes[nid].center)
+        multipoles[nid] = ops.p2m(exp, pts[idx], charges[idx], nodes[nid].center)
     for nid in sorted(internal, key=lambda n: -nodes[n].level):
         M = np.zeros(exp.n_coeffs, dtype=dtype)
         for cid in tree.effective_children(nid):
-            M += exp.m2m(multipoles[cid], nodes[nid].center - nodes[cid].center)
+            M += ops.m2m(exp, multipoles[cid], nodes[nid].center - nodes[cid].center)
         multipoles[nid] = M
 
     # ---- V phase (batched M2L)
@@ -66,7 +67,7 @@ def laplace_far_field_scalar(
         D = np.stack(
             [nodes[t].center - nodes[s].center for t, s in zip(pair_targets, pair_sources)]
         )
-        L_stack = exp.m2l_batch(M_stack, D)
+        L_stack = ops.m2l(exp, M_stack, D)
         for row, t in enumerate(pair_targets):
             locals_[t] += L_stack[row]
 
@@ -74,12 +75,12 @@ def laplace_far_field_scalar(
     for recv, xs in lists.x_list.items():
         for x in xs:
             idx = tree.bodies(x)
-            locals_[recv] += exp.p2l(pts[idx], charges[idx], nodes[recv].center)
+            locals_[recv] += ops.p2l(exp, pts[idx], charges[idx], nodes[recv].center)
 
     # ---- downward sweep (eff is preorder: parents first)
     for nid in eff:
         for cid in tree.effective_children(nid):
-            locals_[cid] += exp.l2l(locals_[nid], nodes[cid].center - nodes[nid].center)
+            locals_[cid] += ops.l2l(exp, locals_[nid], nodes[cid].center - nodes[nid].center)
 
     # ---- leaf evaluation: L2P plus (un-folded) M2P
     pot = np.zeros(tree.n_bodies) if potential else None
@@ -90,12 +91,12 @@ def laplace_far_field_scalar(
             continue
         tgt = pts[idx]
         if potential:
-            pot[idx] += exp.l2p(locals_[nid], tgt, nodes[nid].center)
+            pot[idx] += ops.l2p(exp, locals_[nid], tgt, nodes[nid].center)
         if gradient:
-            grad[idx] += exp.l2p_gradient(locals_[nid], tgt, nodes[nid].center)
+            grad[idx] += ops.l2p_gradient(exp, locals_[nid], tgt, nodes[nid].center)
         for wnode in lists.w_list.get(nid, ()):
             if potential:
-                pot[idx] += exp.m2p(multipoles[wnode], tgt, nodes[wnode].center)
+                pot[idx] += ops.m2p(exp, multipoles[wnode], tgt, nodes[wnode].center)
             if gradient:
-                grad[idx] += exp.m2p_gradient(multipoles[wnode], tgt, nodes[wnode].center)
+                grad[idx] += ops.m2p_gradient(exp, multipoles[wnode], tgt, nodes[wnode].center)
     return pot, grad

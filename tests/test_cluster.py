@@ -73,6 +73,27 @@ class TestPartition:
 
 
 class TestLET:
+    def test_let_names_every_remote_multipole_and_body(self):
+        """Every cross-rank V sender / near source appears in the
+        consumer's LET: the comm model charges for all of them."""
+        tree = build_adaptive(plummer(1600, seed=31).positions, S=24)
+        lists = build_interaction_lists(tree, folded=True)
+        part = partition_by_morton_work(tree, lists, 3, order=3)
+        let = build_let(part, n_coeffs=20)
+
+        for t, vs in lists.v_list.items():
+            r = part.node_rank(t)
+            for v in vs:
+                ro = part.node_rank(v)
+                if ro != r:
+                    assert (ro, v) in let.remote_multipoles[r]
+        for t, sources in lists.near_sources.items():
+            r = part.node_rank(t)
+            for s in sources:
+                ro = part.node_rank(s)
+                if ro != r:
+                    assert (ro, s) in let.remote_bodies[r]
+
     def test_no_remote_data_on_single_rank(self, setup):
         tree, lists = setup
         part = partition_by_morton_work(tree, lists, 1)

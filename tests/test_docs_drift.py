@@ -105,7 +105,7 @@ _RETIRED = {
     "fgo_list_repairs" + "_total": "FineGrainedReport.list_rebuilds",
     "partial" + "_rebuilds": "farfield_geometry_stats builds / hits",
     "test_bench" + "_repair": "none: a rebuild is the only path, timed by step_budget",
-    "p2m_basis" + "_from_l2p": "CartesianExpansion.p2m_sign: P2M reads the one L2P "
+    "p2m" + "_basis_from_l2p": "CartesianExpansion.p2m_sign: P2M reads the one L2P "
     "table, times an exact +-1 per column",
     "Engine" + "Config": "ExecutionEngine(n_workers): the engine's one option",
     "Retry" + "Policy": "repro.runtime.engine.MAX_ATTEMPTS, no backoff",
@@ -198,6 +198,22 @@ _RETIRED = {
     "_merge" + "_sel": "none: a shard runs M2L whole, nothing is merged by row owner",
     "halo" + "_rows": "none: the measured halo is the near field's boundary bodies",
     "_halo" + "_gather": "none: the measured halo is the near field's boundary bodies",
+    "m2l" + "_batch": "CartesianExpansion.m2l_class_operators; the dense per-pair "
+    "M2L is tests/oracles/expansions.py::dense_m2l",
+    "p2m" + "_basis": "CartesianExpansion.l2p_basis times p2m_sign",
+    "_shift" + "_cache": "none: OperatorSet builds each shift operator once",
+    "_m2m" + "_matrix": "CartesianExpansion.m2m_class_operator",
+    "_l2l" + "_matrix": "CartesianExpansion.l2l_class_operator",
+    "mis" + "_big": "none: nothing read it",
+    "_M2L" + "_CHUNK": "none: the chunked dense M2L is tests/oracles/expansions.py",
+    "_central" + "_difference": "none: the gradient matrices are analytic; the "
+    "finite-difference check lives in tests/test_spherical_identities.py",
+    "p2p" + "_pair": "Kernel.evaluate over a disjoint block",
+    "p2p" + "_self": "Kernel.evaluate(points, points, q, exclude_self=True)",
+    "time" + "_refit": "none: a refit is not charged to the balancer",
+    "reset" + "_counters": "none: ListCache's counters only grow",
+    "let" + "_bytes": "ShardRunResult.halo_bytes, the measured near-field halo; the "
+    "LET model (repro.cluster.let) prices the cluster extension only",
 }
 
 

@@ -8,8 +8,6 @@ from repro.kernels import (
     LaplaceKernel,
     RegularizedStokesletKernel,
     direct_evaluate,
-    p2p_pair,
-    p2p_self,
 )
 
 
@@ -323,7 +321,7 @@ class TestDirect:
         allpts = np.vstack([a, b])
         allq = np.concatenate([qa, qb])
         combined = direct_evaluate(k, a, allpts, allq, exclude_self=True)
-        split = p2p_self(k, a, qa) + p2p_pair(k, a, b, qb)
+        split = k.evaluate(a, a, qa, exclude_self=True) + k.evaluate(a, b, qb)
         assert np.allclose(combined, split)
 
     def test_gradient_path(self, rng):

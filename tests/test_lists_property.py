@@ -459,9 +459,9 @@ def test_a_cold_solve_boxes_no_list_the_arrays_already_hold(backend):
     """Nothing on the solve path reads a dict view: ``colleagues`` stays a
     table on every back end and ``v_list`` — the 541k-entry one on the
     benchmark's uniform tree — on the two in-process ones.  (The shard
-    engine sizes its partition and its modelled halo with
-    ``repro.cluster``, the modelled machine, which reads the V, near, W and
-    X dicts: one boxing per tree shape, outside the workers.)"""
+    engine sizes its partition with ``repro.cluster``, the modelled
+    machine, which reads the V and near dicts: one boxing per tree shape,
+    outside the workers; it builds no LET, so W and X stay tables too.)"""
     kind, _, n = backend.partition(":")
     engine = {
         "serial": lambda: None,
@@ -480,4 +480,4 @@ def test_a_cold_solve_boxes_no_list_the_arrays_already_hold(backend):
             engine.close()
     assert res.op_counts["M2L"] > 0  # read from the tables, boxes nothing
     boxed = {name for name in FAMILIES if res.lists.materialized(name)}
-    assert boxed == (set() if kind != "shards" else set(FAMILIES) - {"colleagues", "u_list"})
+    assert boxed == (set() if kind != "shards" else {"v_list", "near_sources"})

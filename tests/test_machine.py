@@ -124,7 +124,6 @@ class TestExecutor:
         ex = HeterogeneousExecutor(system_a(), order=4, kernel=GravityKernel())
         assert ex.time_tree_build(tree) > 0
         assert ex.time_enforce_s(tree, {"collapses": 3, "pushdowns": 2}) > 0
-        assert ex.time_refit(tree) > 0
         assert ex.time_prediction(tree) > 0
         assert ex.time_surgery(5) > 0
         assert ex.time_surgery(0) == 0.0

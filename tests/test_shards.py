@@ -1,15 +1,14 @@
 """Sharded multi-process FMM backend: determinism, halo exchange, failure.
 
-The core property (ISSUE 8): the union of per-shard LET-evaluated results
+The core property: the union of per-shard results
 is **element-wise identical** to the single-process solver — at any shard
 count, for both kernels, folded and unfolded.  The backend earns this by
 construction (whole-class matmuls assigned to single shards, row-owner
 merges replayed in the serial class order; see DESIGN.md §14), and these
 tests assert it bit for bit with ``np.array_equal`` on raw float arrays.
 
-Also covered: the LET actually names every remote multipole a shard
-consumes, shard sessions survive strength swaps and refit-only geometry
-refreshes, a killed worker is respawned by the shard supervisor (and
+Also covered: shard sessions survive strength swaps and refit-only
+geometry refreshes, a killed worker is respawned by the shard supervisor (and
 degrades to exact serial re-execution only when respawn is disabled),
 and the driver-level config guards.  The full chaos matrix lives in
 ``test_shard_supervision.py``.
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.distributions import plummer, uniform_cube
-from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm.evaluator import FMMSolver
 from repro.kernels.laplace import GravityKernel
@@ -241,35 +239,6 @@ def test_session_reuse_and_refit_refresh():
         assert not eng._refresh_session(eng._session, other, solver.list_cache.get(other, folded=True))
 
 
-# -------------------------------------------------------------- LET coverage
-def test_let_names_every_remote_multipole_and_body():
-    """Every cross-shard V sender / near source appears in the consumer's
-    LET — the halo exchange the workers perform is exactly what the comm
-    model charges for."""
-    from repro.cluster.let import build_let
-    from repro.cluster.partition import partition_by_morton_work
-    from repro.tree.cache import ListCache
-
-    pts, _ = _cloud(n=1600, seed=31)
-    tree = AdaptiveOctree(pts, S=24)
-    lists = ListCache().get(tree, folded=True)
-    part = partition_by_morton_work(tree, lists, 3, order=3)
-    let = build_let(part, n_coeffs=CartesianExpansion(3).n_coeffs)
-
-    for t, vs in lists.v_list.items():
-        r = part.node_rank(t)
-        for v in vs:
-            ro = part.node_rank(v)
-            if ro != r:
-                assert (ro, v) in let.remote_multipoles[r]
-    for t, sources in lists.near_sources.items():
-        r = part.node_rank(t)
-        for s in sources:
-            ro = part.node_rank(s)
-            if ro != r:
-                assert (ro, s) in let.remote_bodies[r]
-
-
 # ---------------------------------------------------------- failure handling
 def test_worker_death_recovers_by_respawn():
     """Killing a worker mid-session no longer costs the solve: the shard
@@ -366,7 +335,6 @@ def test_shard_result_reports_halo_and_idle():
     assert res.n_shards == 2
     assert len(res.shard_walls) == 2 and len(res.shard_busy) == 2
     assert res.halo_bytes > 0  # 2 shards on a Plummer ball must exchange
-    assert res.let_bytes > 0
     assert res.imbalance >= 1.0
     assert res.partition_imbalance >= 1.0
     assert res.max_shard_wall >= max(res.shard_busy)
@@ -374,7 +342,7 @@ def test_shard_result_reports_halo_and_idle():
     d = res.to_dict()
     for key in (
         "n_shards", "wall_s", "shard_walls_s", "imbalance", "halo_bytes",
-        "halo_s", "let_bytes", "partition_imbalance",
+        "halo_s", "partition_imbalance",
     ):
         assert key in d
     rows = res.timeline()
