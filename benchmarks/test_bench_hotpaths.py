@@ -6,8 +6,8 @@ Claims asserted at benchmark scale:
   a 50k-body nonuniform (Plummer) tree;
 * a frozen-shape simulation step performs *zero* list rebuilds — the
   shared :class:`~repro.tree.cache.ListCache` answers every lookup;
-* the batched near-field engine's throughput (body pairs / s) is reported
-  for regression tracking, and is *flat in S*: small leaves (S = 8) reach
+* the batched near-field engine's throughput (body pairs / s) is
+  printed, and is *flat in S*: small leaves (S = 8) reach
   >= 0.3x the pairs/s of large ones (S = 64) — the cost model's
   ``C_P2P * #interactions`` assumes a per-pair cost that does not depend
   on S, so a balancer fed observed times must not be steered off small S
@@ -27,7 +27,7 @@ Claims asserted at benchmark scale:
   tree's body order, so on Plummer 10k S=32 the plan's arrays take <= 6 MB
   and <= 2x (16 B per near leaf pair + 24 B per body) — not one index per
   source body (11.6 MB there, 23 MB with the build's positions); the cold
-  build time is recorded beside it;
+  build time is printed beside it;
 * the row loops behind them vectorize: the shipped ``p2p_tiles`` and
   ``stokeslet_tiles`` each take <= 1/1.6 the time of the same source built
   with vectorization off (Plummer 10k S=32), alternating in one process,
@@ -61,7 +61,7 @@ Claims asserted at benchmark scale:
   order 4, Plummer 2k S=32 order 3), alternating in one process — the
   serial sweeps walk the same task list either way, one near-field call;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
-  wall time is the ledger's gated ``far_field_50k_plummer`` series; the
+  wall time is printed beside the geometry counts; the
   batched-vs-scalar-oracle equivalence is property-tested in
   ``tests/test_farfield_property.py``, and the ~100x ratio is no longer
   re-timed here — it cost three 17 s oracle sweeps per run).
@@ -73,14 +73,11 @@ take the best of several repetitions.
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import _ledger
 from repro.balance.config import BalancerConfig
 from repro.distributions.generators import (
     compact_plummer,
@@ -103,8 +100,6 @@ from repro.util.timing import Deadline
 from tests.oracles.lists import build_interaction_lists_scalar
 from tests.oracles.m2l import displacement_classes, m2l_locals
 from tests.oracles.shifts import l2l_locals, m2m_multipoles, shift_classes
-
-_BENCH_FARFIELD = Path(__file__).resolve().parents[1] / "BENCH_farfield.json"
 
 
 def _best_time(fn, rounds):
@@ -210,16 +205,6 @@ def test_bench_near_field_flat_in_s(benchmark):
         rate[S] = pairs / _best_time(runs[S], rounds=5)
     benchmark.pedantic(runs[8], rounds=3, iterations=1)
     flatness = rate[8] / rate[64]
-
-    _ledger.record_to_ledger(
-        {
-            "bench": "near_field_flatness_10k_uniform",
-            "n": n,
-            "pairs_per_s_S8": round(rate[8]),
-            "pairs_per_s_S64": round(rate[64]),
-            "flatness": round(flatness, 3),
-        }
-    )
     print()
     print(
         f"near field, 10k uniform: {rate[8] / 1e6:.1f} Mpairs/s at S=8, "
@@ -246,7 +231,6 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark, monkeypatch):
         "blocks": (Kernel.near_tiles, lib),
         "numpy": (Kernel.near_tiles, None),
     }
-    record = {"bench": "near_field_indexed_10k", "n": n}
     for label, pts, S in (
         ("plummer_S32", plummer(n, seed=2).positions, 32),
         ("uniform_S8", uniform_cube(n, seed=4).positions, 8),
@@ -270,9 +254,6 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark, monkeypatch):
         for a, b in zip(out["indexed"], out["numpy"]):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
         ratio = {ref: best["indexed"] / best[ref] for ref in ("blocks", "numpy")}
-        record.update({f"{label}_tiles": plan.n_tiles})
-        record.update({f"{label}_{name}_ms": round(t * 1e3, 3) for name, t in best.items()})
-        record.update({f"{label}_ratio_{ref}": round(r, 3) for ref, r in ratio.items()})
         print()
         print(
             f"near field, 10k {label}, {plan.n_tiles} tiles: plan read in place "
@@ -284,7 +265,6 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark, monkeypatch):
             r = ratio[ref]
             assert r <= bound, f"plan-indexed near field {r:.2f}x the {ref} gather seam ({label})"
     benchmark.pedantic(lambda: run("indexed"), rounds=2, iterations=1)
-    _ledger.record_to_ledger(record)
 
 
 def test_bench_stokeslet_near_field_runs_compiled(benchmark, monkeypatch):
@@ -313,13 +293,6 @@ def test_bench_stokeslet_near_field_runs_compiled(benchmark, monkeypatch):
     assert np.abs(out["compiled"] - ref).max() <= 1e-13 * np.abs(ref).max()
     benchmark.pedantic(lambda: run("compiled"), rounds=2, iterations=1)
     speedup = best["numpy"] / best["compiled"]
-    _ledger.record_to_ledger({
-        "bench": "stokeslet_near_2k_plummer",
-        "n": n,
-        "compiled_ms": round(best["compiled"] * 1e3, 3),
-        "numpy_ms": round(best["numpy"] * 1e3, 3),
-        "speedup": round(speedup, 3),
-    })
     print()
     print(
         f"stokeslet near field, 2k plummer S=32: compiled {best['compiled'] * 1e3:.1f} ms "
@@ -332,7 +305,7 @@ def test_bench_stokeslet_near_field_runs_compiled(benchmark, monkeypatch):
 def test_bench_near_plan_is_leaf_sized(benchmark):
     """The near-field plan lists source leaves, not source bodies: on
     Plummer 10k S=32 its arrays take <= 6 MB and <= 2x (16 B per near leaf
-    pair + 24 B per body); a cold build's time is recorded beside it."""
+    pair + 24 B per body); a cold build's time is printed beside it."""
     n = 10_000
     tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
 
@@ -351,13 +324,6 @@ def test_bench_near_plan_is_leaf_sized(benchmark):
     nbytes = sum(getattr(plan, f).nbytes for f in PLAN_ARRAYS)
     bound = min(6e6, 2 * (16 * leaf_pairs + 24 * n))
     benchmark.pedantic(cold, rounds=2, iterations=1)
-    _ledger.record_to_ledger({
-        "bench": "near_plan_10k_plummer",
-        "n": n,
-        "near_leaf_pairs": leaf_pairs,
-        "plan_mb": round(nbytes / 1e6, 3),
-        "build_ms": round(best * 1e3, 3),
-    })
     print()
     print(
         f"near-field plan, 10k plummer S=32: {nbytes / 1e6:.2f} MB of arrays for "
@@ -446,16 +412,6 @@ def test_bench_leaf_stages_native(benchmark, monkeypatch):
     assert out["native"] == out["numpy"]
     benchmark.pedantic(lambda: leaf_stages("native"), rounds=3, iterations=1)
     ratio = best["native"] / best["numpy"]
-    _ledger.record_to_ledger(
-        {
-            "bench": "leaf_stages_native_10k_uniform_o6",
-            "n": n,
-            "leaves": int(p.geom.leaf_rows.size),
-            "native_ms": round(best["native"] * 1e3, 3),
-            "numpy_ms": round(best["numpy"] * 1e3, 3),
-            "ratio": round(ratio, 3),
-        }
-    )
     print()
     print(
         f"leaf stages, 10k uniform S=8 order 6 ({p.geom.leaf_rows.size} leaves): P2M + "
@@ -513,29 +469,13 @@ def test_bench_m2l_octets(benchmark):
         exponential_disk(n, seed=4).positions
     )
     disk_ratio = disk_shipped_t / disk_loop_t
-
-    _ledger.record_to_ledger(
-        {
-            "bench": "m2l_octets_10k_uniform_o6",
-            "n": n,
-            "classes": len(blocks),
-            "displacement_classes": len(classes),
-            "pairs": p.geom.n_m2l,
-            "octet_pairs": sum(s.size for s, _, _ in p.geom.m2l_classes),
-            "store_mb": round(store / 1e6, 2),
-            "shipped_ms": round(shipped_t * 1e3, 3),
-            "class_loop_ms": round(loop_t * 1e3, 3),
-            "ratio": round(ratio, 3),
-            "disk_shipped_ms": round(disk_shipped_t * 1e3, 3),
-            "disk_class_loop_ms": round(disk_loop_t * 1e3, 3),
-            "disk_ratio": round(disk_ratio, 3),
-        }
-    )
+    octet_pairs = sum(s.size for s, _, _ in p.geom.m2l_classes)
     print()
     print(
-        f"M2L, 10k S=8 order 6, {p.geom.n_m2l:,} V pairs: uniform {len(blocks)} direction "
-        f"blocks ({store / 1e6:.1f} MB) {shipped_t * 1e3:.1f} ms against {len(classes)} "
-        f"displacement classes {loop_t * 1e3:.1f} ms -> {ratio:.2f}x; exponential disk "
+        f"M2L, 10k S=8 order 6, {p.geom.n_m2l:,} V pairs in {octet_pairs:,} octet "
+        f"pairs: uniform {len(blocks)} direction blocks ({store / 1e6:.1f} MB) "
+        f"{shipped_t * 1e3:.1f} ms against {len(classes)} displacement classes "
+        f"{loop_t * 1e3:.1f} ms -> {ratio:.2f}x; exponential disk "
         f"{disk_shipped_t * 1e3:.1f} against {len(disk_classes)} classes "
         f"{disk_loop_t * 1e3:.1f} ms -> {disk_ratio:.2f}x "
         f"(max column-relative difference {max(err, disk_err):.1e})"
@@ -600,19 +540,11 @@ def test_bench_shift_levels(benchmark):
         "served": (plummer(2_000, seed=1).positions, 32, 3, 0.5),
         "uniform": (uniform_cube(10_000, seed=4).positions, 8, 6, 1.0),
     }
-    rec = {"bench": "shift_levels"}
     lines, failed = [], []
     for name, (pts, S, order, gate) in cases.items():
         p, n_classes, shipped_t, loop_t, err = _shifts_vs_class_loop(pts, S=S, order=order)
         ratio = shipped_t / loop_t
         levels = len(p.geom.shift_levels)
-        rec.update({
-            f"{name}_levels": levels,
-            f"{name}_classes": n_classes,
-            f"{name}_shipped_ms": round(shipped_t * 1e3, 3),
-            f"{name}_class_loop_ms": round(loop_t * 1e3, 3),
-            f"{name}_ratio": round(ratio, 3),
-        })
         lines.append(
             f"{name} (n={len(pts)}, S={S}, order {order}): {levels} levels "
             f"{shipped_t * 1e3:.2f} ms against {n_classes} classes {loop_t * 1e3:.2f} ms "
@@ -622,7 +554,6 @@ def test_bench_shift_levels(benchmark):
         if ratio > gate:
             failed.append(f"{name} {ratio:.2f}x > {gate}x")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    _ledger.record_to_ledger(rec)
     print()
     print("M2M + L2L over level octets vs the class loop: " + "; ".join(lines))
     assert not failed, f"level shifts slower than the gate: {failed}"
@@ -631,7 +562,7 @@ def test_bench_shift_levels(benchmark):
 def test_bench_cold_geometry_from_tables(benchmark):
     """Lists -> geometry through the pair tables <= 0.5x through dict views
     (both over a warm operator set); the build over an empty store — one
-    whole set assembled, two shift stacks and 13 blocks — is recorded beside it."""
+    whole set assembled, two shift stacks and 13 blocks — is printed beside it."""
     n = 10_000
     tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
     exp = CartesianExpansion(6)
@@ -685,20 +616,6 @@ def test_bench_cold_geometry_from_tables(benchmark):
     for name in ("leaf_rows", "leaf_pos", "w_tgt_rows", "w_src_rows", "x_recv_rows", "x_src_rows"):
         assert np.array_equal(getattr(geom, name), getattr(ref, name))
     ratio = best["tables"] / best["dicts"]
-
-    _ledger.record_to_ledger(
-        {
-            "bench": "cold_geometry_10k_uniform_o6",
-            "n": n,
-            "classes": len(ref.m2l_classes),
-            "pairs": ref.n_m2l,
-            "tables_ms": round(best["tables"] * 1e3, 3),
-            "dicts_ms": round(best["dicts"] * 1e3, 3),
-            "ratio": round(ratio, 3),
-            "empty_set_ms": round(best["empty"] * 1e3, 3),
-            "operators_per_set": n_ops,
-        }
-    )
     print()
     print(
         f"far-field geometry, 10k uniform S=8 order 6, warm operator set, "
@@ -742,8 +659,8 @@ def test_bench_armed_deadline_is_free(benchmark):
 
 
 def test_bench_far_field(benchmark):
-    """Batched far-field wall time (50k bodies, the ledger's gated series),
-    zero geometry rebuilds on a re-solve."""
+    """Batched far-field wall time (50k bodies), zero geometry rebuilds on
+    a re-solve."""
     n = 50_000
     pts = plummer(n, seed=3).positions
     tree = AdaptiveOctree(pts, S=32)
@@ -762,22 +679,9 @@ def test_bench_far_field(benchmark):
     # frozen shape: every timed re-solve must have hit the geometry cache
     assert lists.farfield_geometry_stats["builds"] == builds_after_warmup == 1
 
-    record = {
-        "bench": "far_field_50k_plummer",
-        "n": n,
-        "S": 32,
-        "order": exp.order,
-        "backend": exp.backend,
-        "batched_ms": round(batched_t * 1e3, 3),
-        "geometry_builds": lists.farfield_geometry_stats["builds"],
-        "geometry_hits": lists.farfield_geometry_stats["hits"],
-    }
-    history = []
-    if _BENCH_FARFIELD.exists():
-        history = json.loads(_BENCH_FARFIELD.read_text())
-    history.append(record)
-    _BENCH_FARFIELD.write_text(json.dumps(history, indent=2) + "\n")
-    _ledger.record_to_ledger(record)
-
+    stats = lists.farfield_geometry_stats
     print()
-    print(f"far field, 50k plummer S=32 order=4: batched {batched_t * 1e3:.1f} ms")
+    print(
+        f"far field, 50k plummer S=32 order={exp.order} ({exp.backend}): batched "
+        f"{batched_t * 1e3:.1f} ms, geometry builds {stats['builds']}, hits {stats['hits']}"
+    )

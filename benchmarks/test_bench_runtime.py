@@ -4,7 +4,7 @@ Runs the full far-field + near-field pipeline of a 50k-body Plummer step
 through the dependency-driven thread-pool engine with 4+ workers beside
 the serial path, asserts the two results are *bitwise identical* (thread
 scheduling on an oversubscribed box is exactly where determinism bugs
-would show, so this runs everywhere), and records the serial/engine
+would show, so this runs everywhere), and prints the serial/engine
 wall-clock ratio.  BLAS threading is pinned to 1 by ``conftest.py``, so
 the ratio is the engine's task-level parallelism, not a library pool.
 
@@ -13,30 +13,21 @@ near-field group is ~20 NumPy calls of ~10 us and pool threads trade the
 GIL more than they overlap — ``benchmarks/step_budget`` measures
 ``engine.speedup`` 0.46x at 2 threads — so whether ``threads:N`` survives
 at all is an open decision (ROADMAP item 3), not a gate an unchanged tree
-could fail.  Records taken on fewer than 4 usable CPUs carry
-``gate_skipped: true``, which keeps their oversubscribed timings out of
-the banded ``python -m repro regress`` comparison.
-
-Results append to ``BENCH_runtime.json`` (uploaded as a CI artifact, like
-``BENCH_farfield.json``).
+could fail.  The usable CPU count is printed beside the ratio: on fewer
+than 4 the workers are oversubscribed and the ratio says little.
 """
 
 import gc
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-import _ledger
 from repro.distributions.generators import plummer
 from repro.fmm.evaluator import FMMSolver
 from repro.kernels import LaplaceKernel
 from repro.runtime.engine import ExecutionEngine
 from repro.tree import AdaptiveOctree, build_interaction_lists
-
-_BENCH_RUNTIME = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
 
 
 def _best_time(fn, rounds):
@@ -64,10 +55,9 @@ def _available_cpus():
 
 def test_bench_engine_step_speedup(benchmark):
     """4+-worker engine == serial bitwise on a 50k-body far+near solve;
-    the speedup is recorded, not gated."""
+    the speedup is printed, not gated."""
     n = 50_000
     avail = _available_cpus()
-    gate_skipped = avail < 4
     n_workers = max(4, min(8, avail))
     pts = plummer(n, seed=7).positions
     tree = AdaptiveOctree(pts, S=32)
@@ -94,33 +84,10 @@ def test_bench_engine_step_speedup(benchmark):
         eng_res = par.last_engine_result
 
     speedup = serial_t / par_t
-    record = {
-        "bench": "engine_step_50k_plummer",
-        "n": n,
-        "S": 32,
-        "order": 4,
-        "n_workers": n_workers,
-        "cpu_count": os.cpu_count(),
-        "cpu_available": avail,
-        # timings from an oversubscribed box: excluded from `repro regress`
-        "gate_skipped": gate_skipped,
-        "serial_ms": round(serial_t * 1e3, 3),
-        "engine_ms": round(par_t * 1e3, 3),
-        "speedup": round(speedup, 2),
-        "n_tasks": eng_res.n_tasks,
-        "utilization": round(eng_res.utilization, 3),
-        "bitwise_identical": True,
-    }
-    history = []
-    if _BENCH_RUNTIME.exists():
-        history = json.loads(_BENCH_RUNTIME.read_text())
-    history.append(record)
-    _BENCH_RUNTIME.write_text(json.dumps(history, indent=2) + "\n")
-    _ledger.record_to_ledger(record)
-
     print()
     print(
         f"engine step, 50k plummer S=32 order=4: serial {serial_t * 1e3:.1f} ms, "
         f"{n_workers} workers {par_t * 1e3:.1f} ms, speedup {speedup:.2f}x, "
-        f"{eng_res.n_tasks} tasks, utilization {eng_res.utilization:.0%}"
+        f"{eng_res.n_tasks} tasks, utilization {eng_res.utilization:.0%} "
+        f"({avail} usable CPUs)"
     )

@@ -14,30 +14,21 @@ assertion runs everywhere — an oversubscribed box is exactly where
 barrier/merge-ordering bugs would surface.  BLAS threading is pinned to
 1 by ``conftest.py`` (the env vars are inherited by the spawned shard
 workers), so any speedup is ours, not a library pool's.
-
-Results append to ``BENCH_shards.json`` and to the run ledger, where
-``python -m repro regress`` tracks ``shard_ms`` (gate-skipped records
-are excluded from the comparison window).
 """
 
 import gc
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import _ledger
 from repro.distributions.generators import plummer
 from repro.fmm.evaluator import FMMSolver
 from repro.kernels import LaplaceKernel
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shards import ProcessEngine
 from repro.tree import AdaptiveOctree, build_interaction_lists
-
-_BENCH_SHARDS = Path(__file__).resolve().parents[1] / "BENCH_shards.json"
 
 
 def _best_time(fn, rounds):
@@ -102,43 +93,15 @@ def test_bench_shard_step_speedup(benchmark):
 
     speedup_thread = thread_t / shard_t
     speedup_serial = serial_t / shard_t
-    record = {
-        "bench": "shard_step_500k_plummer",
-        "n": n,
-        "S": S,
-        "order": 4,
-        "n_shards": n_shards,
-        "cpu_count": os.cpu_count(),
-        "cpu_available": avail,
-        # gate_skipped records carry timings from an oversubscribed (and
-        # down-scaled) box: informational only, excluded by the comparator
-        "gate_skipped": gate_skipped,
-        "serial_ms": round(serial_t * 1e3, 3),
-        "thread_ms": round(thread_t * 1e3, 3),
-        "shard_ms": round(shard_t * 1e3, 3),
-        "speedup_vs_thread": round(speedup_thread, 2),
-        "speedup_vs_serial": round(speedup_serial, 2),
-        "scaling_efficiency": round(speedup_serial / n_shards, 3),
-        "halo_bytes": int(shard_res.halo_bytes),
-        "halo_ms": round(shard_res.halo_seconds * 1e3, 3),
-        "shard_imbalance": round(shard_res.imbalance, 3),
-        "partition_imbalance": round(shard_res.partition_imbalance, 3),
-        "bitwise_identical": True,
-    }
-    history = []
-    if _BENCH_SHARDS.exists():
-        history = json.loads(_BENCH_SHARDS.read_text())
-    history.append(record)
-    _BENCH_SHARDS.write_text(json.dumps(history, indent=2) + "\n")
-    _ledger.record_to_ledger(record)
-
     print()
     print(
         f"shard step, {n} plummer S={S} order=4: serial {serial_t * 1e3:.0f} ms, "
         f"{n_shards} threads {thread_t * 1e3:.0f} ms, {n_shards} shards "
         f"{shard_t * 1e3:.0f} ms -> {speedup_thread:.2f}x vs threads, "
-        f"{speedup_serial:.2f}x vs serial "
-        f"(halo {shard_res.halo_bytes} B, imbalance {shard_res.imbalance:.2f}x)"
+        f"{speedup_serial:.2f}x vs serial, scaling efficiency "
+        f"{speedup_serial / n_shards:.2f} (halo {shard_res.halo_bytes} B in "
+        f"{shard_res.halo_seconds * 1e3:.1f} ms, imbalance {shard_res.imbalance:.2f}x, "
+        f"partition imbalance {shard_res.partition_imbalance:.2f}x)"
     )
     if gate_skipped:
         pytest.skip(
@@ -205,33 +168,11 @@ def test_bench_shard_recovery_overhead(benchmark):
         assert peng.total_serial_fallbacks == 0
 
     ratio = recovery_t / clean_t
-    record = {
-        "bench": "shard_recovery_100k_plummer",
-        "n": n,
-        "S": S,
-        "order": 4,
-        "n_shards": n_shards,
-        "cpu_count": os.cpu_count(),
-        "cpu_available": avail,
-        "gate_skipped": gate_skipped,
-        "clean_ms": round(clean_t * 1e3, 3),
-        "recovery_ms": round(recovery_t * 1e3, 3),
-        "recovery_ratio": round(ratio, 3),
-        "respawns": int(peng.total_respawns),
-        "bitwise_identical": True,
-    }
-    history = []
-    if _BENCH_SHARDS.exists():
-        history = json.loads(_BENCH_SHARDS.read_text())
-    history.append(record)
-    _BENCH_SHARDS.write_text(json.dumps(history, indent=2) + "\n")
-    _ledger.record_to_ledger(record)
-
     print()
     print(
         f"shard recovery, {n} plummer S={S} order=4 at {n_shards} shards: "
         f"clean {clean_t * 1e3:.0f} ms, one-kill recovery "
-        f"{recovery_t * 1e3:.0f} ms -> {ratio:.2f}x "
+        f"{recovery_t * 1e3:.0f} ms -> {ratio:.2f}x, {peng.total_respawns} respawns "
         f"(vs ~{n_shards}x for the old degrade-to-serial path)"
     )
     if gate_skipped:

@@ -14,7 +14,6 @@ Usage::
     python -m repro trace --forces fmm --checkpoint-every 10 --checkpoint ckpt
     python -m repro trace --forces fmm --resume ckpt --steps 10
     python -m repro report --n 50000 --workers 4
-    python -m repro regress [--ledger RUNS.jsonl] [--window 5] [--rel-tol 0.15]
     python -m repro serve --port 7421 --pool 2 --max-tenants 8 --shed-budget 60
 
 Options are forwarded as keyword arguments to the experiment's ``run``;
@@ -71,10 +70,6 @@ COMMANDS = {
     "report": (
         "Profiler — critical path, per-stage slack, worker idle attribution",
         obs_run.report_main,
-    ),
-    "regress": (
-        "Perf gate — check the run ledger for hot-path regressions",
-        obs_run.regress_main,
     ),
     "serve": (
         "Job server — multi-tenant asyncio front end over warm engines",

@@ -11,14 +11,12 @@ instrumentation that makes the loop *watchable*:
   Prometheus-style text exposition and JSON snapshots;
 * :mod:`repro.obs.drift` — per-step predicted-vs-observed compute time,
   coefficient trajectories, and CPU/GPU imbalance;
-* :mod:`repro.obs.ledger` — the durable flight recorder: append-only
-  JSONL :class:`~repro.obs.ledger.RunRecord` trajectory across runs,
-  benchmarks, and PRs;
+* :mod:`repro.obs.ledger` — the durable flight recorder: one append-only
+  JSONL :class:`~repro.obs.ledger.RunRecord` per simulation run or
+  served solve;
 * :mod:`repro.obs.critpath` — DAG critical path, per-stage slack, and
   worker idle attribution over measured engine intervals ("why was this
-  step slow?", surfaced as ``python -m repro report``);
-* :mod:`repro.obs.regress` — tolerance-banded perf-regression checks
-  over the ledger trajectory (the CI ``regression-check`` gate).
+  step slow?", surfaced as ``python -m repro report``).
 
 :class:`Telemetry` bundles the three so a single optional parameter
 threads through the driver, executor, balancer, and caches.  The shared
@@ -35,7 +33,6 @@ from repro.obs.critpath import CritPathReport
 from repro.obs.drift import DriftSample, DriftTracker, RuntimeSample
 from repro.obs.ledger import RunLedger, RunRecord
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.regress import RegressionVerdict, check_regression
 from repro.obs.trace import REAL_PID, SIM_PID, WALL_PID, Span, Tracer
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "REAL_PID",
-    "RegressionVerdict",
     "RunLedger",
     "RunRecord",
     "RuntimeSample",
@@ -56,7 +52,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "WALL_PID",
-    "check_regression",
 ]
 
 

@@ -1,18 +1,17 @@
 """Append-only run ledger: the repo's flight recorder across processes.
 
-Every interesting run — a driver simulation, a ``python -m repro`` CLI
-invocation, a benchmark — appends one structured :class:`RunRecord` as a
-single JSON line.  Unlike the tracer and metrics registry (which
-evaporate at process exit), the ledger is the durable trajectory: the
-perf-regression tracker (:mod:`repro.obs.regress`) reads it back to
-compare a fresh benchmark against the committed history, and ``python -m
-repro report`` can replay what past runs decided.
+Every interesting run — a driver simulation, a ``python -m repro trace``
+invocation, a served solve — appends one structured :class:`RunRecord`
+as a single JSON line.  Unlike the tracer and metrics registry (which
+evaporate at process exit), the ledger is durable: a later process
+reads back what past runs measured and decided with
+:meth:`RunLedger.records`.
 
 Design constraints:
 
 * **append-only JSONL** — one record per line, written with a single
-  ``write()`` call so concurrent appenders (pytest workers, CI jobs)
-  interleave at line granularity, never mid-record;
+  ``write()`` call so concurrent appenders (pytest workers, server
+  threads) interleave at line granularity, never mid-record;
 * **self-describing** — each record carries a ``schema`` version, the
   git revision, an ISO-8601 UTC timestamp, and a machine spec with the
   *affinity-aware* CPU count (``os.sched_getaffinity``: what the
@@ -21,11 +20,11 @@ Design constraints:
   fallback, ~2x apart on the near field), because perf numbers are only
   comparable between like machines;
 * **tolerant reader** — corrupt or foreign lines are skipped, not
-  fatal, so a truncated CI artifact still yields its good records.
+  fatal, so a truncated file still yields its good records.
 
 The default ledger lives at ``RUNS.jsonl`` in the repository root (or
-``$REPRO_LEDGER`` when set); benchmarks commit it as the cross-PR perf
-trajectory that CI's ``regression-check`` step gates on.
+``$REPRO_LEDGER`` when set).  It is a local file, not part of the
+checkout: every run that writes it appends to it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "LEDGER_ENV",
@@ -68,8 +67,8 @@ def machine_spec() -> dict[str, Any]:
     process runs the compiled library, which holds both the near field and
     the far field's leaf stages, or their NumPy bodies — with the compiler
     that built it and ``p2p_isa``, the near-field clone the host runs
-    (``"avx2"`` or ``"baseline"``), when native (the key keeps its name:
-    the ledger and ``repro regress`` read it).
+    (``"avx2"`` or ``"baseline"``), when native (the key keeps its name,
+    so older ledger records still read alike).
     """
     from repro.kernels import _native
     from repro.runtime.engine import default_workers
@@ -139,12 +138,12 @@ def default_ledger_path() -> str:
 class RunRecord:
     """One ledger entry: what a run was and what it measured.
 
-    ``kind`` distinguishes full simulations (``"run"``) from benchmark
-    gate results (``"bench"``); ``bench`` is the logical name records of
-    the same experiment share (e.g. ``far_field_50k_plummer``), which is
-    the key the regression tracker groups by.  All payload sections are
-    free-form dicts — the ledger is a recorder, not a validator — but
-    the driver and benches populate them consistently:
+    ``bench`` is the logical name records of the same experiment share
+    (``"simulation"`` for a driver run, ``"serve"`` for a served solve);
+    ``kind`` is ``"run"`` for both (older records, written by benchmark
+    gates, say ``"bench"``).  All payload sections are free-form
+    dicts — the ledger is a recorder, not a validator — but the driver
+    and the server populate them consistently:
 
     * ``metrics`` — scalar results (timings in ms, speedups, rates);
     * ``timers`` — per-op wall totals from the
@@ -152,7 +151,7 @@ class RunRecord:
     * ``balancer`` — state transitions, S decisions, action counts;
     * ``engine`` — utilization, queue wait, ready-queue depth;
     * ``drift`` — cost-model residual summaries;
-    * ``extra`` — anything else (gate verdicts, config knobs).
+    * ``extra`` — anything else (config knobs, shard and serve detail).
     """
 
     bench: str
@@ -236,58 +235,6 @@ class RunLedger:
                 except TypeError:
                     continue
         return out
-
-    def query(
-        self,
-        *,
-        bench: str | None = None,
-        kind: str | None = None,
-        config_hash: str | None = None,
-        latest: int | None = None,
-        predicate: Callable[[RunRecord], bool] | None = None,
-    ) -> list[RunRecord]:
-        """Filter records; ``latest`` keeps only the N most recent."""
-        recs: Iterable[RunRecord] = self.records()
-        if bench is not None:
-            recs = (r for r in recs if r.bench == bench)
-        if kind is not None:
-            recs = (r for r in recs if r.kind == kind)
-        if config_hash is not None:
-            recs = (r for r in recs if r.config_hash == config_hash)
-        if predicate is not None:
-            recs = (r for r in recs if predicate(r))
-        out = list(recs)
-        if latest is not None:
-            out = out[-latest:]
-        return out
-
-    def latest(self, bench: str, **kw) -> RunRecord | None:
-        """Most recent record for ``bench`` (or ``None``)."""
-        recs = self.query(bench=bench, latest=1, **kw)
-        return recs[-1] if recs else None
-
-    def series(self, bench: str, metric: str, **kw) -> list[float]:
-        """Chronological values of ``metrics[metric]`` for ``bench``.
-
-        Records missing the metric (or holding a non-numeric value) are
-        skipped, so a schema change does not poison the series.
-        """
-        out: list[float] = []
-        for rec in self.query(bench=bench, **kw):
-            val = rec.metrics.get(metric)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                continue
-            fval = float(val)
-            if fval == fval:  # NaN-guard
-                out.append(fval)
-        return out
-
-    def benches(self) -> list[str]:
-        """Distinct bench names, in first-seen order."""
-        seen: dict[str, None] = {}
-        for rec in self.records():
-            seen.setdefault(rec.bench, None)
-        return list(seen)
 
     def __len__(self) -> int:
         return len(self.records())

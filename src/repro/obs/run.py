@@ -29,7 +29,7 @@ from repro.machine.spec import system_a
 from repro.obs import Telemetry
 from repro.sim.driver import Simulation, SimulationConfig
 
-__all__ = ["run", "main", "report_main", "regress_main"]
+__all__ = ["run", "main", "report_main"]
 
 
 def run(
@@ -208,42 +208,3 @@ def report_main(
         print(f"\nwrote {out}")
     return report
 
-
-def regress_main(
-    *,
-    ledger: str | None = None,
-    window: int = 5,
-    rel_tol: float = 0.15,
-    strict: str = "yes",
-    **kwargs,
-) -> int:
-    """``python -m repro regress`` — check the ledger for perf regressions.
-
-    Runs the tolerance-banded comparator over every gated bench present
-    in the ledger (default: the committed ``RUNS.jsonl`` trajectory) and
-    exits non-zero on any failed verdict — the CI ``regression-check``
-    job is exactly this command.  ``VACUOUS`` verdicts (a bench with no
-    comparable record) also fail it on a machine with enough CPUs for the
-    timing gates to have run; below that floor they are only printed.
-    """
-    from repro.obs import ledger as obs_ledger
-    from repro.obs.regress import GATE_CPU_FLOOR, check_all
-
-    store = obs_ledger.RunLedger(ledger)
-    verdicts = check_all(store, window=window, rel_tol=rel_tol, **kwargs)
-    if not verdicts:
-        print(f"no gated bench records in {store.path}; nothing to check")
-        return 0
-    failed = vacuous = 0
-    for verdict in verdicts:
-        print(verdict)
-        failed += 0 if verdict.ok else 1
-        vacuous += verdict.vacuous
-    if obs_ledger.machine_spec()["cpu_available"] < GATE_CPU_FLOOR:
-        vacuous = 0  # this machine could not have measured them either
-    if (failed or vacuous) and strict not in ("no", "false", "0"):
-        raise SystemExit(
-            f"{failed} perf regression(s), {vacuous} vacuous verdict(s) "
-            f"in {store.path}"
-        )
-    return failed + vacuous

@@ -214,6 +214,16 @@ _RETIRED = {
     "reset" + "_counters": "none: ListCache's counters only grow",
     "let" + "_bytes": "ShardRunResult.halo_bytes, the measured near-field halo; the "
     "LET model (repro.cluster.let) prices the cluster extension only",
+    "obs." + "regress": "none: step_budget (BENCHMARK.json) is the one perf gate; "
+    "the ledger keeps RunLedger.append / records",
+    "GATED" + "_BENCHES": "none: step_budget (BENCHMARK.json) is the one perf gate",
+    "check" + "_regression": "none: step_budget (BENCHMARK.json) is the one perf gate",
+    "record_to" + "_ledger": "none: a bench prints its numbers and asserts its gate",
+    "REPRO_REGRESS" + "_ENFORCE": "none: step_budget (BENCHMARK.json) is the one perf gate",
+    "BENCH" + "_farfield.json": "none: the bench prints its numbers",
+    "BENCH" + "_runtime.json": "none: the bench prints its numbers",
+    "BENCH" + "_shards.json": "none: the bench prints its numbers",
+    "BENCH" + "_serve.json": "none: the bench prints its numbers",
 }
 
 

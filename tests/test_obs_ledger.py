@@ -1,16 +1,14 @@
-"""Tests for the flight-recorder layer: run ledger, critical-path
-profiler, and perf-regression tracking (repro.obs.ledger / critpath /
-regress)."""
+"""Tests for the flight-recorder layer: the run ledger and the
+critical-path profiler (repro.obs.ledger / critpath), and the driver's
+ledger record."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.kernels import _native
 from repro.obs.critpath import analyze, critical_path_timeline
 from repro.obs.ledger import RunLedger, RunRecord, default_ledger_path, machine_spec
-from repro.obs.regress import GATED_BENCHES, check_all, check_regression
 from repro.runtime.engine import EngineResult, TaskInterval
 
 
@@ -61,27 +59,6 @@ class TestRunLedger:
         ledger.append(RunRecord(bench="good", metrics={"v": 2}))
         recs = ledger.records()
         assert [r.metrics["v"] for r in recs] == [1, 2]
-
-    def test_query_filters_and_latest(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for i in range(5):
-            ledger.append(
-                RunRecord(bench="a" if i % 2 == 0 else "b", kind="bench",
-                          metrics={"i": i})
-            )
-        assert len(ledger.query(bench="a")) == 3
-        assert len(ledger.query(bench="a", latest=2)) == 2
-        assert ledger.latest("b").metrics["i"] == 3
-        assert ledger.query(predicate=lambda r: r.metrics["i"] >= 3)[0].metrics["i"] == 3
-        assert set(ledger.benches()) == {"a", "b"}
-
-    def test_series_skips_missing_and_non_numeric(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        ledger.append(RunRecord(bench="s", metrics={"ms": 1.5}))
-        ledger.append(RunRecord(bench="s", metrics={}))
-        ledger.append(RunRecord(bench="s", metrics={"ms": "fast"}))
-        ledger.append(RunRecord(bench="s", metrics={"ms": 2.5}))
-        assert ledger.series("s", "ms") == [1.5, 2.5]
 
     def test_forward_compat_unknown_fields(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -256,170 +233,6 @@ class TestCriticalPath:
         assert report.makespan > 0
         summary = report.summary_for_ledger()
         assert 0.0 <= summary["path_coverage"] <= 1.0
-
-
-# -------------------------------------------------------------------- regress
-def _bench_rec(ms, *, gate_skipped=False, cpus=4, bench="far_field_50k_plummer"):
-    return RunRecord(
-        bench=bench,
-        kind="bench",
-        metrics={"batched_ms": ms},
-        machine={"cpu_available": cpus},
-        extra={"gate_skipped": gate_skipped} if gate_skipped else {},
-    )
-
-
-class TestCheckRegression:
-    def test_synthetic_20pct_slowdown_fails(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(4):
-            ledger.append(_bench_rec(100.0))
-        ledger.append(_bench_rec(120.0))  # 20% slower than the 100ms median
-        verdict = check_regression(ledger, "far_field_50k_plummer", rel_tol=0.15)
-        assert not verdict.ok
-        assert verdict.ratio == pytest.approx(1.2)
-        assert "regressed" in verdict.reason
-
-    def test_within_band_passes(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(4):
-            ledger.append(_bench_rec(100.0))
-        ledger.append(_bench_rec(110.0))  # 10% < the 15% band
-        verdict = check_regression(ledger, "far_field_50k_plummer", rel_tol=0.15)
-        assert verdict.ok
-        assert verdict.window_n == 4
-
-    def test_improvement_passes(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(3):
-            ledger.append(_bench_rec(100.0))
-        ledger.append(_bench_rec(50.0))
-        assert check_regression(ledger, "far_field_50k_plummer").ok
-
-    def test_insufficient_history_passes(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        ledger.append(_bench_rec(100.0))
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok
-        assert "insufficient history" in verdict.reason
-
-    def test_gate_skipped_records_excluded(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(3):
-            ledger.append(_bench_rec(100.0))
-        # a skipped-gate record with garbage timing must not poison the
-        # baseline nor count as the newest record
-        ledger.append(_bench_rec(1000.0, gate_skipped=True))
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok
-        assert verdict.latest == pytest.approx(100.0)
-
-    def test_only_skipped_records_is_vacuous_not_a_pass(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(3):
-            ledger.append(_bench_rec(100.0, gate_skipped=True))
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.vacuous and "no comparable records" in verdict.reason
-        assert str(verdict).startswith("VACUOUS") and verdict.to_dict()["vacuous"]
-        # one real record ends the vacuity (and is still not a regression)
-        ledger.append(_bench_rec(100.0))
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok and not verdict.vacuous
-        assert str(verdict).startswith("OK")
-
-    @pytest.mark.parametrize("cpus,fails", [(2, False), (4, True)])
-    def test_cli_fails_on_vacuous_only_where_gates_could_run(
-        self, tmp_path, monkeypatch, capsys, cpus, fails
-    ):
-        from repro.obs import ledger as obs_ledger
-        from repro.obs.run import regress_main
-
-        path = str(tmp_path / "runs.jsonl")
-        RunLedger(path).append(_bench_rec(100.0, gate_skipped=True))
-        spec = {**machine_spec(), "cpu_available": cpus}
-        monkeypatch.setattr(obs_ledger, "machine_spec", lambda: spec)
-        if fails:
-            with pytest.raises(SystemExit, match="1 vacuous"):
-                regress_main(ledger=path)
-            assert regress_main(ledger=path, strict="no") == 1
-        else:
-            assert regress_main(ledger=path) == 0
-        assert "VACUOUS far_field_50k_plummer" in capsys.readouterr().out
-
-    def test_machine_awareness(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        # fast history from an 8-cpu box must not fail a 1-cpu newest
-        for _ in range(3):
-            ledger.append(_bench_rec(50.0, cpus=8))
-        ledger.append(_bench_rec(100.0, cpus=1))
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok
-        assert "insufficient history" in verdict.reason
-        # with machine awareness off the same data fails
-        assert not check_regression(
-            ledger, "far_field_50k_plummer", machine_aware=False
-        ).ok
-
-    def test_p2p_kernels_are_not_compared(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        # records older than the field ran the NumPy body: comparable with
-        # a fallback run, not with a compiled one
-        for _ in range(3):
-            ledger.append(_bench_rec(50.0))
-        slow = _bench_rec(100.0)
-        slow.machine["p2p_kernel"] = "numpy"
-        ledger.append(slow)
-        assert not check_regression(ledger, "far_field_50k_plummer").ok
-        fast = _bench_rec(100.0)
-        fast.machine.update(p2p_kernel="native", p2p_compiler="cc 12.2.0")
-        ledger.append(fast)
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok and "insufficient history" in verdict.reason
-
-    def test_p2p_clones_are_not_compared(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        for _ in range(3):
-            fast = _bench_rec(50.0)
-            fast.machine.update(p2p_kernel="native", p2p_isa="avx2")
-            ledger.append(fast)
-        slow = _bench_rec(100.0)
-        slow.machine.update(p2p_kernel="native", p2p_isa="baseline")
-        ledger.append(slow)
-        verdict = check_regression(ledger, "far_field_50k_plummer")
-        assert verdict.ok and "insufficient history" in verdict.reason
-        slow.machine["p2p_isa"] = "avx2"
-        ledger.append(slow)
-        assert not check_regression(ledger, "far_field_50k_plummer").ok
-
-    def test_window_limits_lookback(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        ledger.append(_bench_rec(10.0))  # ancient fast record
-        for _ in range(5):
-            ledger.append(_bench_rec(100.0))
-        ledger.append(_bench_rec(105.0))
-        verdict = check_regression(ledger, "far_field_50k_plummer", window=5)
-        assert verdict.ok
-        assert verdict.baseline == pytest.approx(100.0)
-
-    def test_check_all_covers_present_gated_benches(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "runs.jsonl"))
-        ledger.append(_bench_rec(100.0))
-        ledger.append(_bench_rec(10.0, bench="engine_step_50k_plummer"))
-        verdicts = check_all(ledger)
-        assert {v.bench for v in verdicts} == {
-            "far_field_50k_plummer",
-            "engine_step_50k_plummer",
-        }
-        assert all(v.bench in GATED_BENCHES for v in verdicts)
-
-    def test_committed_trajectory_passes(self):
-        path = Path(__file__).resolve().parents[1] / "RUNS.jsonl"
-        if not path.exists():
-            pytest.skip("no committed trajectory in this checkout")
-        verdicts = check_all(RunLedger(str(path)))
-        assert verdicts, "committed trajectory holds no gated bench records"
-        for verdict in verdicts:
-            assert verdict.ok, str(verdict)
 
 
 # ------------------------------------------------------------- driver ledger

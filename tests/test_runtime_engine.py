@@ -12,6 +12,8 @@ Two layers:
   thread interleavings differ.
 """
 
+import ctypes
+import glob
 import os
 import threading
 
@@ -341,6 +343,49 @@ def test_stokeslet_bitwise_under_each_p2p_body(p2p_impl):
         u = solver.solve(tree, f).velocity
     assert solver.last_engine_result is not None and solver.degraded_runs == 0
     assert np.array_equal(u, ref)
+
+
+def _openblas_thread_count():
+    """OpenBLAS's thread-count getter from the library NumPy bundles
+    (``numpy.libs/libscipy_openblas64_*.so``), or ``None`` where that
+    library or its symbol is absent.  ``dlopen`` of a loaded path returns
+    the loaded library, so this reads the count NumPy's own calls run at."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            return getter
+    return None
+
+
+def test_solves_leave_the_blas_thread_count_alone():
+    """"Bitwise identical to serial" holds at one fixed BLAS thread count
+    (DESIGN.md section 10): serial bits themselves move, by rounding, between
+    1 and 2 OpenBLAS threads.  So no back end may change the count inside
+    a solve: it reads the same before and after serial and threads:2
+    solves, Laplace and Stokeslet, and threads == serial bitwise."""
+    get_threads = _openblas_thread_count()
+    if get_threads is None:
+        pytest.skip("NumPy's BLAS here is not its bundled OpenBLAS with a thread-count getter")
+    n = 2000
+    tree = AdaptiveOctree(uniform_cube(n, seed=9).positions, S=8)
+    lists = build_interaction_lists(tree, folded=True)
+    rng = np.random.default_rng(9)
+    q, f = rng.uniform(-1, 1, n), rng.standard_normal((n, 3))
+
+    def solve(engine):
+        pot, grad, _ = _laplace_results(tree, lists, q, "cartesian", 4, engine)
+        u = StokesletFMMSolver(order=4, engine=engine).solve(tree, f).velocity
+        return pot, grad, u
+
+    before = get_threads()
+    ref = solve(None)
+    assert get_threads() == before
+    with ExecutionEngine(n_workers=2) as eng:
+        par = solve(eng)
+    assert get_threads() == before >= 1
+    for a, b in zip(par, ref):
+        assert np.array_equal(a, b)
 
 
 def test_repeated_parallel_runs_are_identical():
