@@ -78,7 +78,7 @@ def main(n: int = 600, n_jobs: int = 8, ledger: str | None = None) -> None:
     print(
         f"served {status['served_total']} solves from "
         f"{len(set(t for t, _ in jobs))} tenants in {wall:.1f}s "
-        f"(pool={config.pool_size} jobs dispatched ahead to one solver thread)"
+        f"(pool={config.pool_size} solver threads)"
     )
     print(
         f"operator store: {op['entries']} sets, {op['bytes'] >> 10} KiB, "

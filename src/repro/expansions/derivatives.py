@@ -16,16 +16,15 @@ and removes all factorials from the M2L contraction.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.expansions.multiindex import MultiIndexSet
+from repro.util.arrays import frozen_cache
 
 __all__ = ["scaled_derivative_tensors", "derivative_recurrence_plan"]
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def derivative_recurrence_plan(order: int):
     """Precompute, per multi-index, the source positions for the recurrence.
 

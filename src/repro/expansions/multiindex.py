@@ -8,9 +8,9 @@ index maps for alpha+beta, and per-axis derivative maps.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+
+from repro.util.arrays import frozen_cache
 
 __all__ = ["MultiIndexSet"]
 
@@ -41,6 +41,8 @@ class MultiIndexSet:
         self.factorials = (
             fact[self.indices[:, 0]] * fact[self.indices[:, 1]] * fact[self.indices[:, 2]]
         )
+        for table in (self.indices, self.degrees, self.factorials):
+            table.setflags(write=False)  # a cached set is shared by threads
 
     # ------------------------------------------------------------------ basic
     def position(self, alpha: tuple[int, int, int]) -> int:
@@ -88,7 +90,7 @@ class MultiIndexSet:
         """
         return self.m2m_matrix(t).T
 
-    @lru_cache(maxsize=None)
+    @frozen_cache
     def _subset_table_cached(self) -> tuple:
         rows, cols, diffs, binoms = [], [], [], []
         ix = self.indices
@@ -112,7 +114,7 @@ class MultiIndexSet:
         return self._subset_table_cached()
 
     # ------------------------------------------------------------- m2l tables
-    @lru_cache(maxsize=None)
+    @frozen_cache
     def m2l_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Tables for the M2L contraction L_b = sum_a M_a * C[a,b] * D[idx[a,b]].
 
@@ -131,7 +133,7 @@ class MultiIndexSet:
         return idx, coef
 
     # -------------------------------------------------------- harmonic tables
-    @lru_cache(maxsize=None)
+    @frozen_cache
     def harmonic_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keep, R)``: the independent coefficients of a harmonic
         expansion and the constant map that restores the rest.
@@ -160,8 +162,8 @@ class MultiIndexSet:
         return keep, R
 
     # --------------------------------------------------- gradient (L2P) tables
-    @lru_cache(maxsize=None)
-    def gradient_tables(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    @frozen_cache
+    def gradient_tables(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per-axis tables (src, dst, coef) for d/dy_k of sum L_b (y-z)^b.
 
         d/dy_k (y-z)^beta = beta_k (y-z)^(beta - e_k): for each beta with
@@ -186,11 +188,11 @@ class MultiIndexSet:
                     np.array(coef, dtype=float),
                 )
             )
-        return out
+        return tuple(out)
 
     # ----------------------------------------------- raise maps (for M2P grad)
-    @lru_cache(maxsize=None)
-    def raise_tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    @frozen_cache
+    def raise_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-axis tables (self_idx, raised_idx) into the order+1 set.
 
         raised_idx[i] = position of alpha_i + e_k in MultiIndexSet(order+1);
@@ -206,7 +208,7 @@ class MultiIndexSet:
                 a[k] += 1
                 raised[i] = big.position(tuple(a))
             out.append((np.arange(self.n, dtype=np.int64), raised))
-        return out
+        return tuple(out)
 
     def __hash__(self) -> int:  # allow lru_cache on methods
         return hash(("MultiIndexSet", self.order))
@@ -223,7 +225,7 @@ def _binom3(upper: np.ndarray, lower: np.ndarray) -> float:
     return out
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _binom(n: int, k: int) -> float:
     if k < 0 or k > n:
         return 0.0

@@ -29,9 +29,10 @@ analytic, from the ladder identities on the gradient-matrix builders.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+
+from repro.util.arrays import frozen_cache
 
 __all__ = ["SphericalExpansion"]
 
@@ -78,7 +79,7 @@ def _spherical_coords(
     return rho, np.clip(ct, -1.0, 1.0), np.clip(st, 0.0, 1.0), phi
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _nm_index(p: int):
     """Flattened (n, m) enumeration, -n <= m <= n, n <= p."""
     ns, ms = [], []
@@ -91,7 +92,7 @@ def _nm_index(p: int):
     return np.array(ns), np.array(ms), pos
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _norm_factors(p: int):
     """Per-(n, m) scale factors of R (1/(n+m)!) and I ((n-m)!), plus the
     (-1)^m mirror signs, for m >= 0 entries."""
@@ -272,7 +273,7 @@ class SphericalExpansion:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _build_shift_table(p: int, *, kind: str):
     """Flattened (out, in, R-index) triples for M2M ('m2m') or L2L ('l2l').
 
@@ -301,7 +302,7 @@ def _build_shift_table(p: int, *, kind: str):
     return np.array(out_idx), np.array(in_idx), np.array(r_idx)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _build_m2l_table(p: int):
     """Flattened (out, in, I-index, sign) for the M2L conversion."""
     ns, ms, pos = _nm_index(p)
@@ -381,7 +382,7 @@ def _irregular_gradient_coeffs(p: int, moments: np.ndarray) -> list[np.ndarray]:
     return [gx, gy, gz]
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _regular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
     """Matrices A_k with ``_regular_gradient_coeffs(p, L)[k] == L @ A_k``."""
     n = (p + 1) ** 2
@@ -394,7 +395,7 @@ def _regular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
     return mats
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _irregular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
     """Matrices A_k with ``_irregular_gradient_coeffs(p, M)[k] == M @ A_k``."""
     n = (p + 1) ** 2

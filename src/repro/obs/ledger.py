@@ -36,6 +36,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Iterator
@@ -194,7 +195,12 @@ class RunRecord:
 
 
 class RunLedger:
-    """Append-only JSONL store of :class:`RunRecord` entries."""
+    """Append-only JSONL store of :class:`RunRecord` entries.
+
+    Appends are serialized process-wide (the server's solver threads
+    record concurrently), so every record is one whole line."""
+
+    _append_lock = threading.Lock()
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path or default_ledger_path()
@@ -207,7 +213,7 @@ class RunLedger:
         parent = os.path.dirname(os.path.abspath(self.path))
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with self._append_lock, open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         return record
 

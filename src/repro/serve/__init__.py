@@ -1,9 +1,10 @@
 """Simulation-as-a-service: the ``python -m repro serve`` subsystem.
 
-An asyncio front end multiplexing many tenants' solve requests onto one
-warm solver thread, with three load-bearing guarantees:
+An asyncio front end multiplexing many tenants' solve requests onto
+``pool_size`` solver threads (one per pool slot) in one warm process,
+with three load-bearing guarantees:
 
-* **fairness** — per-tenant FIFO queues dispatched round-robin
+* **fairness** — per-tenant FIFO queues started round-robin
   (:mod:`repro.serve.scheduler`), and one per-request deadline whose
   clock covers queue wait, tree and list build and the sweep itself
   (:class:`repro.util.timing.Deadline`);

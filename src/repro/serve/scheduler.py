@@ -9,13 +9,18 @@ uniform-tree surrogate — the server must price work it has not built a
 tree for — and coefficients are re-observed from every served solve, so
 the estimate tracks the machine it is actually running on.
 
-:class:`FairScheduler` holds one FIFO deque per tenant and hands jobs
-round-robin across tenants, ``pool_size`` at a time, to **one solver
-thread**, which runs them to completion in that order — so a tenant
-streaming hundreds of requests cannot starve a tenant sending one, and
-no two solves share the interpreter lock (a solve is ~4 000 NumPy calls
-of ~8 µs: a second solving thread halved throughput).  Admission control
-happens at submit time, on the asyncio loop, before anything is queued:
+:class:`FairScheduler` holds one FIFO deque per tenant and starts jobs
+round-robin across tenants on ``pool_size`` solver threads, one thread per
+pool slot — so a tenant streaming hundreds of requests cannot starve a
+tenant sending one, and ``pool_size`` solves run at once.  (One thread
+used to serve every slot: a solve was then ~4 000 interpreter-bound NumPy
+calls, and a second solving thread halved throughput.  The near field and
+the far field's leaf stages are now compiled calls that drop the
+interpreter lock and M2L is BLAS, so two solves overlap.)  Every object a
+solver thread writes is guarded or per-request (DESIGN.md §15).
+
+Admission control happens at submit time, on the asyncio loop, before
+anything is queued:
 
 * a new tenant beyond ``max_tenants`` -> 429 ``tenant-limit``;
 * predicted seconds of queued + in-flight work past ``shed_budget_s``
@@ -24,7 +29,7 @@ happens at submit time, on the asyncio loop, before anything is queued:
 
 Requests carry per-request deadlines end to end: a job that exhausts its
 deadline while still queued fails fast with a structured 408 (never
-dispatched), and a dispatched job hands the budget it has left *when the
+dispatched), and a dispatched job hands the budget it has left *when a
 solver thread picks it up* to the solve as one
 :class:`~repro.util.timing.Deadline`, checked on entry (phase ``queue``)
 and from the tree build to the last stage of the sweep; its expiry also
@@ -101,7 +106,7 @@ class CostModelGovernor:
     """Prices requests with §IV-D and re-observes coefficients per solve.
 
     Thread-safe: ``predict`` runs on the asyncio loop thread while
-    ``observe`` runs on the solver thread as solves finish.
+    ``observe`` runs on the solver threads as solves finish.
     """
 
     def __init__(self, smoothing: float = 0.3) -> None:
@@ -164,14 +169,25 @@ class CostModelGovernor:
 
 @dataclass
 class Job:
-    """One admitted solve request, queued or in flight."""
+    """One admitted solve request, queued or in flight.
+
+    The loop writes every field before the job reaches a solver thread,
+    except ``started_at``, which that thread stamps; the thread reads the
+    rest and never the scheduler's queues.
+    """
 
     tenant: str
     spec: SolveSpec
     predicted_s: float
     future: asyncio.Future
+    #: the protocol request's ``id`` (the ledger's join key: two solver
+    #: threads finish out of order)
+    request_id: Any = None
     enqueued_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
+    #: the queue as the job left it, snapshot on the loop at dispatch
+    queue_depth: int = 0
+    active_tenants: int = 0
 
     def remaining_deadline(self) -> float | None:
         """Deadline budget left after queue wait (``None`` = no deadline)."""
@@ -181,13 +197,14 @@ class Job:
 
 
 class FairScheduler:
-    """Round-robin tenant queues feeding one solver thread.
+    """Round-robin tenant queues feeding ``pool_size`` solver threads.
 
-    ``run_job(job) -> result`` is supplied by the server and executes on
-    the solver thread, one job at a time in dispatch order; everything
-    else here runs on the asyncio loop, so the queue structures need no
-    locks.  ``pool_size`` is how many jobs are handed from the tenant
-    queues to the solver at once (one solving, the rest next in line).
+    ``run_job(job) -> result`` is supplied by the server and executes on a
+    solver thread, up to ``pool_size`` jobs at once.  A job leaves its
+    queue only when a thread is free to start it, so jobs start in
+    round-robin order.  Everything else here runs on the asyncio loop, so
+    the queue structures need no locks: nothing on a solver thread reads
+    them (what it needs of them is snapshot on the :class:`Job`).
     """
 
     def __init__(
@@ -219,10 +236,9 @@ class FairScheduler:
         self._closed = False
         self._dispatcher: asyncio.Task | None = None
         self._run_tasks: set[asyncio.Task] = set()
-        # one worker: its FIFO queue is the dispatch order, and a solve
-        # never shares the interpreter lock with another
+        # one thread per slot: a dispatched job starts at once
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
+            max_workers=pool_size, thread_name_prefix="repro-serve"
         )
         self._slots: asyncio.Semaphore | None = None
 
@@ -242,16 +258,17 @@ class FairScheduler:
         return len(tenants)
 
     def inflight_total(self) -> int:
-        """Jobs handed to the solver thread and not yet answered (all
-        tenants): the one it is solving plus those next in line, at most
-        ``pool_size``."""
+        """Jobs handed to the solver threads and not yet answered (all
+        tenants), at most ``pool_size``."""
         return sum(self._inflight.values())
 
     def queued_cost_s(self) -> float:
         return self._queued_cost_s
 
     # --------------------------------------------------------------- submit
-    def submit(self, tenant: str, spec: SolveSpec) -> asyncio.Future:
+    def submit(
+        self, tenant: str, spec: SolveSpec, request_id: Any = None
+    ) -> asyncio.Future:
         """Admit one request or raise a structured :class:`ServeError`.
 
         Must be called on the scheduler's asyncio loop.
@@ -287,7 +304,7 @@ class FairScheduler:
             )
 
         job = Job(tenant=tenant, spec=spec, predicted_s=predicted,
-                  future=loop.create_future())
+                  future=loop.create_future(), request_id=request_id)
         self._queues.setdefault(tenant, deque()).append(job)
         self._queued_cost_s += predicted
         self._wakeup.set()
@@ -323,8 +340,8 @@ class FairScheduler:
             task.add_done_callback(self._run_tasks.discard)
 
     def _solve(self, job: Job) -> Any:
-        """On the solver thread: stamp the real start, run, and teach the
-        governor the solve's wall — not the wait behind the job ahead."""
+        """On a solver thread: stamp the real start, run, and teach the
+        governor the solve's wall — not the job's wait in its queue."""
         job.started_at = time.monotonic()
         result = self._run_job(job)
         self.governor.observe(job.spec, time.monotonic() - job.started_at)
@@ -346,6 +363,8 @@ class FairScheduler:
                     },
                 )
             self._inflight[job.tenant] = self._inflight.get(job.tenant, 0) + 1
+            job.queue_depth = self.queue_depth()
+            job.active_tenants = self.active_tenants()
             try:
                 result = await loop.run_in_executor(
                     self._executor, self._solve, job

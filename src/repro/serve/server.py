@@ -1,12 +1,13 @@
 """The asyncio job server: ``python -m repro serve``.
 
-One process hosts one solver thread behind a JSON-lines TCP front end
-(plus an in-process path for tests).  Incoming ``solve``/``trace``
-requests are admitted by the cost-model governor, queued per tenant,
-dispatched round-robin ``pool_size`` at a time, and solved one after
-another on that thread (two solving threads share one interpreter lock
-and halve throughput; the asyncio loop keeps framing and the codec off
-it) — each request on fresh solver state, all requests reading their
+One process hosts ``pool_size`` solver threads, one per pool slot, behind
+a JSON-lines TCP front end (plus an in-process path for tests).  Incoming
+``solve``/``trace`` requests are admitted by the cost-model governor,
+queued per tenant, and started round-robin on the first free thread; the
+solves overlap because their heavy stages (near field, leaf stages, M2L's
+BLAS) drop the interpreter lock, and the asyncio loop keeps framing and
+the codec off the solver threads — each request on fresh solver state,
+all requests reading their
 translation operators from one process-wide
 :class:`~repro.expansions.operators.OperatorStore` (one immutable set per
 ``(backend, order, domain_size)``), which is what makes a warm solve
@@ -18,9 +19,9 @@ Observability: the ``status`` verb is the one health surface (queue
 depth, active tenants, queued cost, request / shed / deadline / drain
 totals, operator-store stats), and with ``--ledger`` every served solve
 appends one flight-recorder :class:`~repro.obs.ledger.RunRecord` (its
-``wall_s`` and ``queue_wait_s``, plus an ``extra.serve`` block).  A served
-request keeps nothing once answered: solves run on a disabled
-:class:`~repro.obs.Telemetry`.
+``wall_s`` and ``queue_wait_s``, plus an ``extra.serve`` block keyed by
+tenant and protocol request id).  A served request keeps nothing once
+answered: solves run on a disabled :class:`~repro.obs.Telemetry`.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: 0 = let the OS pick a free port (reported after bind)
     port: int = 0
-    #: jobs handed from the tenant queues to the solver thread at once
-    #: (one solving, the rest next in line; the slots of a process pool)
+    #: solves running at once: one solver thread per pool slot
     pool_size: int = 2
     #: distinct tenants with queued or running work
     max_tenants: int = 8
@@ -330,12 +330,14 @@ class _FrameReader:
 
 
 class JobServer:
-    """Multi-tenant asyncio front end over one warm solver thread."""
+    """Multi-tenant asyncio front end over ``pool_size`` solver threads."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         #: the served solves' bundle: disabled, so a request records
-        #: nothing; a profiler may swap in its own tracer
+        #: nothing; a profiler may swap in its own tracer before requests
+        #: arrive (solves read it while they run, so it must take spans
+        #: from several threads at once, as :class:`~repro.obs.Tracer` does)
         self.telemetry = Telemetry(enabled=False)
         #: every request's translation operators, once per process
         self.operators = OperatorStore()
@@ -410,7 +412,7 @@ class JobServer:
                 )
             want_trace = kind == "trace"
             t_submit = time.monotonic()
-            future = self.scheduler.submit(tenant, spec)
+            future = self.scheduler.submit(tenant, spec, request_id=rid)
             result = await future
             if want_trace:
                 result = dict(result)
@@ -455,9 +457,11 @@ class JobServer:
 
     # ------------------------------------------------------------ execution
     def _execute(self, job: Job) -> dict[str, Any]:
-        """Run one admitted job on the solver thread, which stamped
+        """Run one admitted job on a solver thread, which stamped
         ``job.started_at`` as it picked the job up: queue wait and the
-        remaining deadline are measured to that moment, the wall from it."""
+        remaining deadline are measured to that moment, the wall from it.
+        It reads the job and the locked stores, never the scheduler's
+        queues."""
         queue_wait = job.started_at - job.enqueued_at
         result = _solve_core(
             job.spec,
@@ -487,10 +491,11 @@ class JobServer:
                 extra={
                     "serve": {
                         "tenant": job.tenant,
+                        "request_id": job.request_id,
                         "spec": job.spec.to_dict(),
                         "opcache": self.operators.stats(),
-                        "queue_depth": self.scheduler.queue_depth(),
-                        "active_tenants": self.scheduler.active_tenants(),
+                        "queue_depth": job.queue_depth,
+                        "active_tenants": job.active_tenants,
                     }
                 },
             )

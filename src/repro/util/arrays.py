@@ -2,9 +2,37 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["csr_ptr", "segment_positions", "stable_argsort"]
+__all__ = ["csr_ptr", "frozen_cache", "segment_positions", "stable_argsort"]
+
+
+def frozen_cache(fn):
+    """``functools.lru_cache(maxsize=None)`` whose tables are read-only.
+
+    The expansion tables cached this way are shared by every thread that
+    solves.  Two threads missing one key at once both build it (the same
+    values) and the cache keeps one; every array in the result — also
+    inside tuples and lists — is made read-only, so no caller can write a
+    table another thread is reading.
+    """
+
+    @functools.wraps(fn)
+    def build(*args, **kwargs):
+        return _freeze(fn(*args, **kwargs))
+
+    return functools.lru_cache(maxsize=None)(build)
+
+
+def _freeze(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    return value
 
 
 def csr_ptr(counts: np.ndarray) -> np.ndarray:

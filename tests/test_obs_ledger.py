@@ -40,6 +40,41 @@ class TestRunLedger:
         assert len(revs) == 1 and calls == [str(tmp_path)]
         assert ledger_mod.git_rev(str(tmp_path)) in revs and len(calls) == 1
 
+    def test_concurrent_appends_leave_one_whole_line_each(self, tmp_path):
+        """Solver threads record at once: N appends from several threads
+        are N parseable lines, records far past one write buffer too."""
+        import sys
+        import threading
+
+        path = tmp_path / "runs.jsonl"
+        pad = "x" * 20_000  # > the 8 KiB buffer: a line is many chunks
+        n_threads, per_thread = 4, 25
+        start = threading.Barrier(n_threads, timeout=30)
+
+        def append_many(t):
+            ledger = RunLedger(str(path))
+            start.wait()
+            for i in range(per_thread):
+                ledger.append(RunRecord(bench="b", metrics={"t": t, "i": i},
+                                        extra={"pad": pad}))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append_many, args=(t,))
+                       for t in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        lines = path.read_text().splitlines()
+        assert len(lines) == n_threads * per_thread
+        seen = {(d["metrics"]["t"], d["metrics"]["i"]) for d in map(json.loads, lines)}
+        assert seen == {(t, i) for t in range(n_threads) for i in range(per_thread)}
+
     def test_jsonl_one_record_per_line(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         ledger = RunLedger(str(path))

@@ -293,8 +293,9 @@ async def _until(predicate):
 
 
 class TestSolverThread:
-    """One solver thread per interpreter: ``pool_size`` jobs are handed over
-    at once, and they run to completion one after another."""
+    """One solver thread per pool slot: ``pool_size`` jobs solve at once,
+    and a job leaves its tenant queue only when a thread is free, so jobs
+    start in round-robin order."""
 
     #: (tenant, seed) in submission order; round-robin over a, b, c
     JOBS = [("a", 1), ("a", 2), ("a", 3), ("b", 4), ("c", 5), ("c", 6)]
@@ -303,43 +304,43 @@ class TestSolverThread:
     def _submit_all(self, sched):
         return [sched.submit(t, SolveSpec(n=10, seed=s)) for t, s in self.JOBS]
 
-    def test_jobs_run_one_at_a_time_in_dispatch_order(self):
+    def test_pool_size_jobs_solve_at_once_in_round_robin_start_order(self):
         async def run():
-            fake = _Recorder(1)
+            fake = _Recorder(*(s for _, s in self.JOBS))
             sched = FairScheduler(fake, pool_size=2)
             futures = self._submit_all(sched)
-            # the first job is held at its entry until the second slot is
-            # filled: two dispatched, one solving
-            await _until(lambda: sched.inflight_total() == 2)
-            assert fake.entered() == [1]
-            assert sched.queue_depth() == 4
-            fake.gates[1].set()
-            peak_inflight = 0
-            while not all(f.done() for f in futures):
-                peak_inflight = max(peak_inflight, sched.inflight_total())
-                await asyncio.sleep(0)
-            assert [f.result() for f in futures] == [s for _, s in self.JOBS]
+            # both threads take a job; the other four wait in their queues
+            await _until(lambda: len(fake.entered()) == 2)
+            assert sorted(fake.entered()) == sorted(self.ROUND_ROBIN[:2])
+            assert sched.inflight_total() == 2 and sched.queue_depth() == 4
+            # each finished job frees one thread, which starts the next
+            # job in round-robin order
+            for k, done in enumerate(self.ROUND_ROBIN):
+                fake.gates[done].set()
+                if k + 2 < len(self.ROUND_ROBIN):
+                    await _until(lambda: len(fake.entered()) == k + 3)
+                    assert fake.entered()[-1] == self.ROUND_ROBIN[k + 2]
+                    assert sched.inflight_total() == 2
+            results = await asyncio.gather(*futures)
             await sched.close()
-            return fake, peak_inflight, sched
+            return fake, results, sched
 
-        fake, peak_inflight, sched = asyncio.run(run())
-        assert fake.peak == 1
-        assert peak_inflight <= 2
-        # strictly enter, exit, enter, exit ... in round-robin order
-        assert fake.events == [
-            (what, s) for s in self.ROUND_ROBIN for what in ("enter", "exit")
-        ]
+        fake, results, sched = asyncio.run(run())
+        assert results == [s for _, s in self.JOBS]
+        assert fake.peak == 2  # two solves at once, never three
+        assert sorted(fake.entered()) == sorted(self.ROUND_ROBIN)
         assert sched.served_total == 6 and sched.inflight_total() == 0
 
     def test_close_finishes_what_was_dispatched_and_503s_the_rest(self):
         async def run():
-            fake = _Recorder(1)
+            fake = _Recorder(1, 4)
             sched = FairScheduler(fake, pool_size=2)
             futures = self._submit_all(sched)
-            await _until(lambda: sched.inflight_total() == 2)
+            await _until(lambda: len(fake.entered()) == 2)
             closing = asyncio.get_running_loop().create_task(sched.close())
             await asyncio.sleep(0)  # close() has failed the queues by now
             fake.gates[1].set()
+            fake.gates[4].set()
             await asyncio.wait_for(closing, 30)
             # every future is settled: nothing is lost between queue and slot
             return fake, await asyncio.wait_for(
@@ -348,7 +349,7 @@ class TestSolverThread:
 
         fake, outcomes = asyncio.run(run())
         by_seed = {s: out for (_, s), out in zip(self.JOBS, outcomes)}
-        assert fake.entered() == [1, 4]
+        assert sorted(fake.entered()) == [1, 4]
         assert by_seed[1] == 1 and by_seed[4] == 4
         for seed in (5, 2, 6, 3):
             err = by_seed[seed]
@@ -356,8 +357,8 @@ class TestSolverThread:
             assert err.code == 503 and err.kind == "shutdown"
 
     def test_governor_learns_the_solve_not_the_wait_behind_it(self, monkeypatch):
-        """Two equal jobs dispatched together: the second waits one solve
-        behind the first, and that wait is not part of its wall."""
+        """Two equal jobs on one slot: the second waits one solve in its
+        queue, and that wait is not part of its wall."""
         from types import SimpleNamespace
 
         from repro.serve import scheduler
@@ -377,9 +378,9 @@ class TestSolverThread:
         spec = SolveSpec(n=2000)
 
         async def run():
-            sched = FairScheduler(one_second_solve, pool_size=2)
+            sched = FairScheduler(one_second_solve, pool_size=1)
             futures = [sched.submit("t", spec), sched.submit("t", spec)]
-            await _until(lambda: sched.inflight_total() == 2)
+            await _until(lambda: started)
             gate.set()
             await asyncio.gather(*futures)
             await sched.close()
@@ -410,62 +411,112 @@ class TestSolverThread:
         assert sched.deadline_total == 1 and sched.failed_total == 1
         assert fake.entered() == [1]
 
-    def test_expiry_behind_a_running_solve_is_refused_at_entry(self, monkeypatch):
-        """Dispatched with budget left, picked up with none: ``_solve_core``'s
-        entry check answers 408 phase ``queue`` and nothing is solved."""
+    def test_expiry_between_dispatch_and_pickup_is_refused_at_entry(
+        self, monkeypatch
+    ):
+        """Dispatched with budget left, picked up with none (a solver
+        thread slow to wake): ``_solve_core``'s entry check answers 408
+        phase ``queue`` and nothing is solved."""
         from repro.serve import server
 
-        real, run_solve = server._solve_core, server._run_solve
-        entered, release = threading.Event(), threading.Event()
-        solved = []
+        pick_up = FairScheduler._solve
 
-        def solve_core(spec, **kwargs):
-            if spec.seed == 1:
-                entered.set()
-                assert release.wait(30)
-            return real(spec, **kwargs)
+        def slow_pick_up(self, job):
+            time.sleep(0.06)
+            return pick_up(self, job)
 
-        monkeypatch.setattr(server, "_solve_core", solve_core)
+        monkeypatch.setattr(FairScheduler, "_solve", slow_pick_up)
+        run_solve, solved = server._run_solve, []
         monkeypatch.setattr(
             server, "_run_solve",
             lambda spec, *a: solved.append(spec.seed) or run_solve(spec, *a),
         )
-        outcome = {}
-
-        def send(seed, **extra):
-            try:
-                outcome[seed] = c.solve(
-                    {"kernel": "laplace", "n": 100, "seed": seed, **extra},
-                    tenant=f"t{seed}",
-                )
-            except ServeError as exc:
-                outcome[seed] = exc
-
         with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
             c = bg.client(in_process=True)
-            sched = bg.server.scheduler
-            threads = [threading.Thread(target=send, args=(1,))]
-            threads[0].start()
-            assert entered.wait(30)
-            threads.append(
-                threading.Thread(target=send, args=(2,), kwargs={"deadline_s": 0.05})
-            )
-            threads[1].start()
-            t_end = time.monotonic() + 30
-            while sched.inflight_total() < 2 and time.monotonic() < t_end:
-                time.sleep(1e-3)
-            assert sched.inflight_total() == 2  # dispatched, budget not yet spent
-            time.sleep(0.06)
-            release.set()
-            for t in threads:
-                t.join(30)
+            with pytest.raises(ServeError) as ei:
+                c.solve(
+                    {"kernel": "laplace", "n": 100, "seed": 2, "deadline_s": 0.05},
+                    tenant="t2",
+                )
+            out = c.solve({"kernel": "laplace", "n": 100, "seed": 1}, tenant="t1")
             status = c.status()
 
-        err = outcome[2]
-        assert isinstance(err, ServeError) and err.code == 408
-        assert err.details["phase"] == "queue"
-        assert solved == [1] and "potential" in outcome[1]
+        err = ei.value
+        assert err.code == 408 and err.details["phase"] == "queue"
+        assert solved == [1] and "potential" in out
         assert status["deadline_total"] == 1 and status["failed_total"] == 1
+
+
+class TestSharedBySolverThreads:
+    """The process-wide objects two solver threads share (DESIGN.md §15's
+    audit table) hold up under concurrent use."""
+
+    def test_native_library_resolves_once_across_threads(self, native_p2p, monkeypatch):
+        from repro.kernels import _native
+
+        builds, build = [], _native._build
+        monkeypatch.setattr(_native, "_library", _native._UNRESOLVED)
+        monkeypatch.setattr(
+            _native, "_build", lambda: builds.append(1) or build()
+        )
+        start = threading.Barrier(4, timeout=30)
+        seen = []
+
+        def resolve():
+            start.wait()
+            seen.append(_native.library())
+
+        threads = [threading.Thread(target=resolve) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert builds == [1] and len(seen) == 4
+        assert all(lib is seen[0] for lib in seen) and seen[0] is not None
+
+    def test_cached_expansion_tables_are_read_only(self):
+        from repro.expansions.cartesian import CartesianExpansion
+        from repro.expansions.derivatives import derivative_recurrence_plan
+        from repro.expansions.spherical import SphericalExpansion
+
+        cart, sph = CartesianExpansion(3), SphericalExpansion(3)
+        mis = cart.mis
+        tables = [
+            *mis.harmonic_tables(), *mis.m2l_tables(),
+            *(a for t in mis.gradient_tables() for a in t),
+            *(a for t in mis.raise_tables() for a in t),
+            derivative_recurrence_plan(3)[0].indices,
+            *sph.l2p_gradient_matrices(), *sph.m2p_gradient_matrices(),
+        ]
+        for table in tables:
+            assert isinstance(table, np.ndarray)
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+    def test_concurrent_gemm_is_bitwise_the_single_callers(self):
+        """M2L's and the shift levels' BLAS calls from two solver threads
+        give the bits one caller gets."""
+        rng = np.random.default_rng(3)
+        shapes = [(64, 128, 128), (300, 96, 96), (17, 512, 64), (1000, 32, 256)]
+        pairs = [(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
+                 for m, k, n in shapes]
+        want = [a @ b for a, b in pairs]
+        mismatches = []
+        start = threading.Barrier(2, timeout=30)
+
+        def hammer():
+            start.wait()
+            for _ in range(50):
+                for (a, b), w in zip(pairs, want):
+                    if not np.array_equal(a @ b, w):
+                        mismatches.append(a.shape)
+
+        threads = [threading.Thread(target=hammer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert mismatches == []
 
 
 # ------------------------------------------------------------------ served IO
@@ -531,6 +582,131 @@ class TestServedSolves:
         assert np.array_equal(out["potential"], direct["potential"])
         assert np.array_equal(out["gradient"], direct["gradient"])
         assert np.array_equal(u["velocity"], stokes["velocity"])
+
+    def test_two_tenants_solve_two_at_a_time_bitwise(self, p2p_impl, monkeypatch):
+        """``pool_size=2``: two tenants' mixed Laplace / Stokeslet requests
+        solve exactly two at a time, start alternating between the tenants
+        and each equal ``solve_direct`` bitwise."""
+        from repro.serve import server
+        from repro.serve.server import JobServer
+
+        jobs = [
+            (tenant, dict(STOKES if i % 3 == 2 else LAPLACE, seed=10 * k + i))
+            for k, tenant in enumerate(("a", "b"))
+            for i in range(4)
+        ]
+        direct = {spec["seed"]: solve_direct(spec) for _, spec in jobs}
+        tenant_of = {spec["seed"]: t for t, spec in jobs}
+
+        lock, active, peak, starts = threading.Lock(), [0], [0], []
+        overlap = threading.Barrier(2, timeout=30)
+        solve_core = server._solve_core
+
+        def counted(spec, **kwargs):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                starts.append(spec.seed)
+                first_two = len(starts) <= 2
+            try:
+                if first_two:
+                    overlap.wait()  # the first two solves are in flight together
+                return solve_core(spec, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(server, "_solve_core", counted)
+
+        async def run():
+            srv = JobServer(ServeConfig(pool_size=2, shed_budget_s=600.0))
+            try:
+                # every request is queued before the first one starts:
+                # tenant a's four ahead of tenant b's
+                return await asyncio.gather(*(
+                    srv.handle_request(
+                        {"id": i, "kind": "solve", "tenant": t, "spec": spec}
+                    )
+                    for i, (t, spec) in enumerate(jobs)
+                ))
+            finally:
+                await srv.aclose()
+
+        responses = asyncio.run(run())
+        for (_, spec), response in zip(jobs, responses):
+            assert response["ok"], response
+            out, want = response["result"], direct[spec["seed"]]
+            keys = ("velocity",) if spec["kernel"] == "stokeslet" else (
+                "potential", "gradient")
+            for key in keys:
+                assert np.array_equal(out[key], want[key]), (spec, key)
+        assert peak[0] == 2
+        # round-robin starts: first-come order would run a, a, a, a, b, ...;
+        # two threads picking up at once may swap a pair, never more
+        order = [tenant_of[seed] for seed in starts]
+        assert sorted(order) == sorted(t for t, _ in jobs)
+        for k in range(1, len(order) + 1):
+            assert abs(order[:k].count("a") - order[:k].count("b")) <= 2, order
+
+    def test_solver_threads_never_read_the_tenant_queues(self, tmp_path):
+        """The queues belong to the loop: nothing a solver thread runs —
+        the solve, the ledger record — touches them (a record that did
+        could raise mid-iteration and be dropped), and two threads leave
+        one whole ledger line per served request, keyed by request id."""
+        from collections import OrderedDict
+
+        from repro.serve.server import JobServer
+
+        loop_thread = threading.get_ident()
+        strays = []
+
+        class LoopOnly(OrderedDict):
+            pass
+
+        def guarded(name):
+            method = getattr(OrderedDict, name)
+
+            def call(self, *args, **kwargs):
+                if threading.get_ident() != loop_thread:
+                    strays.append((name, threading.current_thread().name))
+                return method(self, *args, **kwargs)
+
+            return call
+
+        for name in (
+            "__iter__", "__contains__", "__getitem__", "__delitem__", "__len__",
+            "keys", "values", "items", "get", "setdefault", "move_to_end", "pop",
+        ):
+            setattr(LoopOnly, name, guarded(name))
+
+        ledger = tmp_path / "serve_runs.jsonl"
+        jobs = [(t, dict(LAPLACE, seed=i)) for i in range(6) for t in ("x", "y")]
+
+        async def run():
+            srv = JobServer(ServeConfig(pool_size=2, ledger_path=str(ledger)))
+            srv.scheduler._queues = LoopOnly()
+            try:
+                return await asyncio.gather(*(
+                    srv.handle_request(
+                        {"id": f"r{i}", "kind": "solve", "tenant": t, "spec": spec}
+                    )
+                    for i, (t, spec) in enumerate(jobs)
+                ))
+            finally:
+                await srv.aclose()
+
+        responses = asyncio.run(run())
+        assert all(r["ok"] for r in responses)
+        assert strays == []
+        records = [json.loads(s) for s in ledger.read_text().splitlines()]
+        assert len(records) == len(jobs)
+        served = {(r["extra"]["serve"]["tenant"], r["extra"]["serve"]["request_id"])
+                  for r in records}
+        assert served == {(t, f"r{i}") for i, (t, _) in enumerate(jobs)}
+        for rec in records:
+            serve = rec["extra"]["serve"]
+            assert 0 <= serve["queue_depth"] < len(jobs)
+            assert 1 <= serve["active_tenants"] <= 2
 
     def test_simulation_steps_bitwise_identical(self):
         spec = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
@@ -703,6 +879,8 @@ class TestServedSolves:
             json.loads(s) for s in ledger.read_text().splitlines() if s.strip()
         ]
         assert len(lines) == 2
+        # each record names the protocol request it answered
+        assert [rec["extra"]["serve"]["request_id"] for rec in lines] == [1, 2]
         for rec in lines:
             assert rec["bench"] == "serve"
             serve = rec["extra"]["serve"]
