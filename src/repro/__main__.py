@@ -9,8 +9,6 @@ Usage::
     python -m repro fig7 --n 50000
     python -m repro trace --n 2000 --steps 30 --out trace.json
     python -m repro trace --forces fmm --workers 4
-    python -m repro trace --forces fmm --shards 4
-    python -m repro report --n 200000 --shards 4
     python -m repro trace --forces fmm --checkpoint-every 10 --checkpoint ckpt
     python -m repro trace --forces fmm --resume ckpt --steps 10
     python -m repro report --n 50000 --workers 4

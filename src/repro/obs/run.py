@@ -45,7 +45,6 @@ def run(
     forces: str = "direct",
     velocity_scale: float = 1.5,
     workers: int | None = 1,
-    shards: int | None = None,
     checkpoint_every: int | None = None,
     checkpoint: str = "checkpoint",
     resume: str | None = None,
@@ -58,11 +57,6 @@ def run(
     runs the real task-graph engine and adds "real workers" lanes plus the
     ``runtime_model_residual`` metric to the artifacts; only meaningful
     with ``forces="fmm"``.
-
-    ``shards`` (``--shards N``) instead runs the solves on the sharded
-    multi-process backend — N worker processes over Morton-range shards
-    with shared-memory halo exchange — and adds per-shard lanes to the
-    artifacts.  Mutually exclusive with ``workers > 1``.
 
     ``checkpoint_every`` (``--checkpoint-every K``) writes
     ``{checkpoint}.npz`` + ``{checkpoint}.json`` every K steps;
@@ -87,7 +81,6 @@ def run(
         balancer=BalancerConfig(gap_threshold_frac=0.15, s_min=8, s_max=4096),
         seed=seed,
         n_workers=workers,
-        n_shards=shards,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint,
         ledger_path=None if ledger in (None, "none", "off") else ledger,
@@ -152,7 +145,6 @@ def report_main(
     n: int = 50000,
     steps: int = 1,
     workers: int = 4,
-    shards: int | None = None,
     seed: int = 0,
     out: str | None = None,
     ledger: str | None = "none",
@@ -167,27 +159,7 @@ def report_main(
     :mod:`repro.obs.critpath`).  ``--out report.json`` additionally
     writes the full report as JSON; ``--ledger auto`` appends the run to
     the flight-recorder ledger.
-
-    With ``--shards N`` (N >= 2) the solves run on the multi-process
-    shard backend instead, and the report is the per-shard breakdown of
-    the last sharded solve: busy/idle per shard, barrier wait, halo
-    bytes + latency, and the partition's predicted imbalance.
     """
-    if shards is not None and shards > 1:
-        sim, telemetry = run(
-            n=n, steps=steps, workers=1, shards=shards, seed=seed,
-            forces="fmm", ledger=ledger, **kwargs,
-        )
-        res = sim.last_shard_result
-        if res is None:  # pragma: no cover - shard engine always ran
-            raise RuntimeError("no sharded solve was recorded; nothing to report")
-        print(res.to_text())
-        if out:
-            Path(out).write_text(
-                json.dumps(res.to_dict(), indent=2), encoding="utf-8"
-            )
-            print(f"\nwrote {out}")
-        return res
     if workers < 2:
         raise ValueError(
             f"--workers must be >= 2 for a critical path (got {workers}); "

@@ -21,10 +21,10 @@ scalar restores bit-for-bit.
 The config fingerprint hashes everything that determines the trajectory —
 physics config, balancer thresholds, kernel parameters, machine model,
 body count, domain — and deliberately *excludes* execution knobs
-(``n_workers``, ``n_shards``, the deadline, checkpoint cadence and paths):
-those may legitimately differ between the writing and resuming process
-because every back end is bitwise-identical at any worker or shard count
-and the balancer reads the same modeled step on each.  A mismatch raises
+(``n_workers``, the deadline, checkpoint cadence and paths): those may
+legitimately differ between the writing and resuming process because the
+engine is bitwise-identical to the serial sweep at any worker count and
+the balancer reads the same modeled step on each.  A mismatch raises
 :class:`CheckpointError` unless ``strict=False``.
 """
 
@@ -59,7 +59,6 @@ CHECKPOINT_VERSION = 1
 _EXECUTION_FIELDS = frozenset(
     {
         "n_workers",
-        "n_shards",
         "checkpoint_every",
         "checkpoint_path",
         "ledger_path",

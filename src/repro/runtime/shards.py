@@ -404,17 +404,6 @@ class _WorkerState:
         self.barrier.wait(self.plan.timeout_s)
         self.barrier_s += time.perf_counter() - t0
 
-    def _span(self, label: str, t0: float) -> None:
-        t1 = time.perf_counter()
-        self.intervals.append((label, self.me, t0 - self.t_run, t1 - self.t_run))
-        self.phase_s[label] = self.phase_s.get(label, 0.0) + (t1 - t0)
-
-    def _timed(self, label: str, stage, *args) -> None:
-        """Run one stage under a ``label`` span."""
-        t0 = time.perf_counter()
-        stage(*args)
-        self._span(label, t0)
-
     # --------------------------------------------------------------- stages
     def _zero_coeffs(self) -> None:
         lo, hi = self.plan.row_ranges[self.me], self.plan.row_ranges[self.me + 1]
@@ -480,7 +469,6 @@ class _WorkerState:
         self.halo_bytes += self.near_remote.size * _BODY_POS_BYTES + qbuf.nbytes
         del pbuf
         self.halo_s += time.perf_counter() - t0
-        self._span("halo", t0)
 
     def _near_tiles(self) -> None:
         v = self.v
@@ -501,38 +489,38 @@ class _WorkerState:
         self._beat("p2m")
         self._zero_coeffs()
         self._wait()
-        self._timed("p2m", self._p2m)
+        self._p2m()
         self._wait()
         levels = list(zip(plan.shift_assignee, geom.shift_levels))
         for who, shift in levels:
             self._beat("m2m")
             if who == self.me:
-                self._timed("m2m", farfield.m2m, geom, shift, self.v["M"])
+                farfield.m2m(geom, shift, self.v["M"])
             self._wait()
         # M2L assigns L, P2L then adds to it: same shard, in order
         self._beat("m2l")
         if self.me == 0:
-            self._timed("m2l", farfield.m2l, self.exp, geom, self.v["M"], self.v["L"])
+            farfield.m2l(self.exp, geom, self.v["M"], self.v["L"])
         if geom.x_recv_rows.size:
             self._beat("p2l")
             if self.me == 0:
-                self._timed("p2l", self._p2l)
+                self._p2l()
         self._wait()
         for who, shift in reversed(levels):
             self._beat("l2l")
             if who == self.me:
-                self._timed("l2l", farfield.l2l, geom, shift, self.v["L"])
+                farfield.l2l(geom, shift, self.v["L"])
             self._wait()
         self._beat("l2p")
         if plan.far_gradient:
-            self._timed("l2p", self._gk)
+            self._gk()
             self._wait()
-        self._timed("l2p", self._l2p)
+        self._l2p()
         if geom.w_tgt_rows.size:
             self._wait()
             self._beat("m2p")
             if self.me == 0:
-                self._timed("m2p", self._m2p)
+                self._m2p()
         self._wait()
 
     def run(self, refreshed: bool, from_phase: int = 0, beat=None) -> dict:
@@ -552,13 +540,11 @@ class _WorkerState:
         self.barrier_s = 0.0
         self.halo_bytes = 0
         self.halo_s = 0.0
-        self.intervals: list = []
-        self.phase_s: dict = {}
         self.completed_phase = from_phase - 1
         self._beat = beat if beat is not None else (lambda label=None: None)
         self._beat()
         self.barrier.wait(plan.timeout_s)  # align the clock origin
-        self.t_run = time.perf_counter()
+        t_run = time.perf_counter()
         if from_phase == 0:
             self._far()
             self.completed_phase = 0
@@ -567,23 +553,19 @@ class _WorkerState:
             self._near_zero()
             self._wait()
             self._near_halo()
-            self._timed("p2p", self._near_tiles)
+            self._near_tiles()
             self._wait()
             self._beat("near-self")
             if self.me == 0:
-                self._timed("p2p", self._near_self)
+                self._near_self()
             self._wait()
         self.completed_phase = 1
-        wall = time.perf_counter() - self.t_run
+        wall = time.perf_counter() - t_run
         return {
-            "shard": self.me,
-            "wall": wall,
             "busy": wall - self.barrier_s,
             "barrier_s": self.barrier_s,
             "halo_bytes": int(self.halo_bytes),
             "halo_s": self.halo_s,
-            "phase_s": self.phase_s,
-            "intervals": self.intervals,
         }
 
     def close(self) -> None:
@@ -666,18 +648,15 @@ def _worker_main(conn, barrier, shard_id: int) -> None:
 
 @dataclass
 class ShardRunResult:
-    """Observed execution of one sharded solve (telemetry + balancer feed)."""
+    """Observed execution of one sharded solve: per-shard busy time,
+    barrier wait, near-field halo traffic and the recoveries it took."""
 
     n_shards: int
-    wall: float  # parent-observed makespan of the solve
-    shard_walls: list = field(default_factory=list)
     shard_busy: list = field(default_factory=list)
     barrier_seconds: float = 0.0  # summed across shards (idle at barriers)
     halo_bytes: int = 0  # near-field boundary bodies read from other shards
     halo_seconds: float = 0.0
     partition_imbalance: float = 1.0  # max/mean of partitioned work weights
-    phase_seconds: dict = field(default_factory=dict)
-    intervals: list = field(default_factory=list)
     respawns: int = 0  # workers respawned while producing this result
     partial_redos: int = 0  # recoveries that skipped completed phases
     restart_phases: list = field(default_factory=list)  # phase per recovery
@@ -689,46 +668,6 @@ class ShardRunResult:
             return 1.0
         mean = sum(self.shard_busy) / len(self.shard_busy)
         return max(self.shard_busy) / mean if mean > 0 else 1.0
-
-    @property
-    def max_shard_wall(self) -> float:
-        return max(self.shard_walls) if self.shard_walls else self.wall
-
-    def timeline(self) -> list:
-        """``(label, shard, start, end)`` rows for Perfetto shard lanes."""
-        return list(self.intervals)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "wall_s": self.wall,
-            "shard_walls_s": [round(w, 6) for w in self.shard_walls],
-            "imbalance": round(self.imbalance, 4),
-            "idle_s": round(self.barrier_seconds, 6),
-            "halo_bytes": int(self.halo_bytes),
-            "halo_s": round(self.halo_seconds, 6),
-            "partition_imbalance": round(self.partition_imbalance, 4),
-            "respawns": int(self.respawns),
-            "partial_redos": int(self.partial_redos),
-        }
-
-    def to_text(self) -> str:
-        """Shard idle attribution, mirroring the worker-idle split of
-        ``python -m repro report``."""
-        lines = [
-            f"shards: {self.n_shards}, makespan {self.wall * 1e3:.1f} ms, "
-            f"busy imbalance {self.imbalance:.2f}x "
-            f"(partition predicted {self.partition_imbalance:.2f}x)"
-        ]
-        for s, (w, b) in enumerate(zip(self.shard_walls, self.shard_busy)):
-            idle = max(0.0, w - b)
-            pct = 100.0 * idle / w if w > 0 else 0.0
-            lines.append(
-                f"  shard {s}: wall {w * 1e3:8.1f} ms  busy {b * 1e3:8.1f} ms  "
-                f"idle {idle * 1e3:7.1f} ms ({pct:4.1f}%)"
-            )
-        lines.append(f"  halo: {self.halo_bytes} B in {self.halo_seconds * 1e3:.2f} ms")
-        return "\n".join(lines)
 
 
 class _Session:
@@ -762,8 +701,8 @@ class ProcessEngine:
     :meth:`solve` (and its one-channel form :meth:`solve_laplace`) mirrors
     the serial far-field pass and near field exactly (see the module
     docstring for the determinism contract); :attr:`last_result` carries
-    the observed per-shard timings, halo traffic, and Perfetto lanes of the
-    most recent run.
+    the observed per-shard timings and halo traffic of the most recent run.
+    It is reached only through a solver's ``engine=`` argument.
     """
 
     def __init__(
@@ -801,11 +740,7 @@ class ProcessEngine:
         self._barrier = None
         self._session: _Session | None = None
         self.last_result: ShardRunResult | None = None
-        #: lifetime accumulators (the run ledger reads these at close)
-        self.total_runs = 0
-        self.total_halo_bytes = 0
-        self.total_halo_seconds = 0.0
-        self.total_idle_seconds = 0.0
+        #: lifetime supervision counters
         self.total_respawns = 0
         self.total_partial_redos = 0
         self.total_serial_fallbacks = 0
@@ -1235,7 +1170,6 @@ class ProcessEngine:
     def _run(self, sess: _Session, deadline=None) -> ShardRunResult:
         refreshed = sess.needs_refresh
         sess.needs_refresh = False
-        t0 = time.perf_counter()
         attempt = 0
         from_phase = 0
         failures = 0
@@ -1259,38 +1193,21 @@ class ProcessEngine:
                 from_phase = f.restart_phase
                 restart_phases.append(f.restart_phase)
                 attempt += 1
-        wall = time.perf_counter() - t0
         part = sess.extras["part"]
         work = [w for w in part.rank_work if w > 0] or [1.0]
         mean_w = sum(work) / len(work)
-        phase: dict = {}
-        intervals: list = []
-        for st in stats:
-            for k, dt in st["phase_s"].items():
-                phase[k] = phase.get(k, 0.0) + dt
-            intervals.extend(st["intervals"])
         res = ShardRunResult(
             n_shards=self.n_shards,
-            wall=wall,
-            shard_walls=[st["wall"] for st in stats],
             shard_busy=[st["busy"] for st in stats],
             barrier_seconds=sum(st["barrier_s"] for st in stats),
             halo_bytes=sum(st["halo_bytes"] for st in stats),
             halo_seconds=sum(st["halo_s"] for st in stats),
             partition_imbalance=(max(part.rank_work) / mean_w if mean_w else 1.0),
-            phase_seconds=phase,
-            intervals=sorted(intervals, key=lambda iv: (iv[1], iv[2])),
             respawns=respawned,
             partial_redos=sum(1 for p in restart_phases if p > 0),
             restart_phases=restart_phases,
         )
         self.last_result = res
-        self.total_runs += 1
-        self.total_halo_bytes += res.halo_bytes
-        self.total_halo_seconds += res.halo_seconds
-        self.total_idle_seconds += sum(
-            max(0.0, res.max_shard_wall - b) for b in res.shard_busy
-        )
         return res
 
     # -------------------------------------------------------------- solves

@@ -150,11 +150,13 @@ class SolveSpec:
     stage of the sweep (and between time steps); expiry returns a
     structured 408 whose ``details.phase`` names the stage that noticed,
     and the server stays healthy.  A deadline does not change *how* the
-    request is solved.  ``workers`` is the per-solve engine
-    thread count — the server's parallelism axis is *across* requests,
-    so the default is the exact serial path.  There is no ``shards``
-    field: a served solve never runs on shard processes, and
-    :meth:`from_dict` rejects it as an unknown field.
+    request is solved.
+
+    A served request always runs the exact serial sweep (folded lists, no
+    engine): the server's parallelism is *across* requests, one solver
+    thread per pool slot.  A spec therefore names no back end —
+    ``workers``, ``folded`` or ``shards`` is an unknown field, which
+    :meth:`from_dict` rejects with a 400.
     """
 
     kernel: str = "laplace"
@@ -164,8 +166,6 @@ class SolveSpec:
     dt: float = 1e-4
     order: int = 3
     backend: str = "cartesian"
-    folded: bool = True
-    workers: int = 1
     deadline_s: float | None = None
     domain_size: float = 1.0
 
@@ -191,10 +191,6 @@ class SolveSpec:
         _require_positive_finite("dt", self.dt)
         if not 1 <= int(self.order) <= 10:
             raise ProtocolError(f"order must be in [1, 10], got {self.order}")
-        if int(self.workers) < 1:
-            raise ProtocolError(
-                f"workers must be >= 1 (1 = exact serial path), got {self.workers}"
-            )
         if self.deadline_s is not None:
             _require_positive_finite("deadline_s", self.deadline_s)
         _require_positive_finite("domain_size", self.domain_size)

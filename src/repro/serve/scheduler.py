@@ -23,9 +23,12 @@ Admission control happens at submit time, on the asyncio loop, before
 anything is queued:
 
 * a new tenant beyond ``max_tenants`` -> 429 ``tenant-limit``;
-* predicted seconds of queued + in-flight work past ``shed_budget_s``
-  -> 429 ``shed`` with the prediction in the error details, so clients
-  can back off intelligently instead of guessing.
+* predicted drain time past ``shed_budget_s`` -> 429 ``shed`` with the
+  prediction in the error details, so clients can back off intelligently
+  instead of guessing.  Drain time is the predicted seconds of queued +
+  in-flight + new work over ``pool_size``: the governor learns walls
+  measured while ``pool_size`` solves share the cores, so the backlog
+  drains ``pool_size`` jobs at a time.
 
 Requests carry per-request deadlines end to end: a job that exhausts its
 deadline while still queued fails fast with a structured 408 (never
@@ -180,9 +183,12 @@ class Job:
     spec: SolveSpec
     predicted_s: float
     future: asyncio.Future
-    #: the protocol request's ``id`` (the ledger's join key: two solver
-    #: threads finish out of order)
+    #: the protocol request's ``id``, as the client numbered it
     request_id: Any = None
+    #: the server's admission sequence number (from 1): the ledger's join
+    #: key, unique across clients, where two solver threads finish out of
+    #: order and every client numbers its requests from 1
+    job_id: int = 0
     enqueued_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     #: the queue as the job left it, snapshot on the loop at dispatch
@@ -232,6 +238,7 @@ class FairScheduler:
         self._queues: OrderedDict[str, deque[Job]] = OrderedDict()
         self._inflight: dict[str, int] = {}  # tenant -> dispatched job count
         self._queued_cost_s = 0.0  # predicted seconds queued + in flight
+        self._admitted = 0  # job_id of the last admitted job
         self._wakeup: asyncio.Event | None = None
         self._closed = False
         self._dispatcher: asyncio.Task | None = None
@@ -290,21 +297,25 @@ class FairScheduler:
                 details={"max_tenants": self.max_tenants},
             )
         predicted = self.governor.predict(spec)
-        if self._queued_cost_s + predicted > self.shed_budget_s:
+        drain_s = (self._queued_cost_s + predicted) / self.pool_size
+        if drain_s > self.shed_budget_s:
             self.shed_total += 1
             raise ServeError(
                 429,
                 "shed",
-                "predicted backlog exceeds the admission budget — retry later",
+                "predicted drain time exceeds the admission budget — retry later",
                 details={
                     "predicted_s": predicted,
                     "queued_s": self._queued_cost_s,
+                    "pool_size": self.pool_size,
                     "budget_s": self.shed_budget_s,
                 },
             )
 
+        self._admitted += 1
         job = Job(tenant=tenant, spec=spec, predicted_s=predicted,
-                  future=loop.create_future(), request_id=request_id)
+                  future=loop.create_future(), request_id=request_id,
+                  job_id=self._admitted)
         self._queues.setdefault(tenant, deque()).append(job)
         self._queued_cost_s += predicted
         self._wakeup.set()

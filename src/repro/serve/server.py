@@ -20,8 +20,9 @@ depth, active tenants, queued cost, request / shed / deadline / drain
 totals, operator-store stats), and with ``--ledger`` every served solve
 appends one flight-recorder :class:`~repro.obs.ledger.RunRecord` (its
 ``wall_s`` and ``queue_wait_s``, plus an ``extra.serve`` block keyed by
-tenant and protocol request id).  A served request keeps nothing once
-answered: solves run on a disabled :class:`~repro.obs.Telemetry`.
+the server's ``job_id``, beside the tenant and protocol request id).  A
+served request keeps nothing once answered: solves run on a disabled
+:class:`~repro.obs.Telemetry`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class ServeConfig:
     pool_size: int = 2
     #: distinct tenants with queued or running work
     max_tenants: int = 8
-    #: admission budget: predicted seconds of queued + in-flight work
+    #: admission budget: predicted drain time, i.e. predicted seconds of
+    #: queued + in-flight + new work over ``pool_size``
     shed_budget_s: float = 60.0
     #: flight-recorder target ("auto" = default RUNS.jsonl, None = off)
     ledger_path: str | None = None
@@ -157,9 +159,8 @@ def _solve_core(
 
 
 def _run_solve(spec, operators, deadline, telemetry):
-    """One-shot field solve — the serial sweep unless ``spec.workers > 1``."""
+    """One-shot field solve: the serial sweep over folded lists."""
     from repro.kernels.laplace import GravityKernel
-    from repro.runtime.engine import ExecutionEngine
     from repro.tree.cache import ListCache
     from repro.tree.octree import AdaptiveOctree
 
@@ -169,41 +170,31 @@ def _run_solve(spec, operators, deadline, telemetry):
     )
     if deadline is not None:
         deadline.check("tree")
-    list_cache = ListCache(operators=operators)
-    engine = ExecutionEngine(n_workers=spec.workers) if spec.workers > 1 else None
     common = dict(
-        expansion=_expansion(spec), folded=spec.folded,
-        list_cache=list_cache, telemetry=telemetry, engine=engine,
+        expansion=_expansion(spec), list_cache=ListCache(operators=operators),
+        telemetry=telemetry, engine=None,
     )
-    try:
-        if spec.kernel == "stokeslet":
-            from repro.kernels.stokeslet_fmm import StokesletFMMSolver
+    if spec.kernel == "stokeslet":
+        from repro.kernels.stokeslet_fmm import StokesletFMMSolver
 
-            forces = np.random.default_rng(spec.seed).standard_normal(
-                (spec.n, 3)
-            )
-            res = StokesletFMMSolver(**common).solve(
-                tree, forces, deadline=deadline
-            )
-            return {
-                "kernel": spec.kernel,
-                "velocity": res.velocity,
-                "op_counts": res.op_counts,
-            }
-        from repro.fmm.evaluator import FMMSolver
-
-        res = FMMSolver(GravityKernel(G=1.0, softening=1e-3), **common).solve(
-            tree, particles.strengths, gradient=True, deadline=deadline
-        )
+        forces = np.random.default_rng(spec.seed).standard_normal((spec.n, 3))
+        res = StokesletFMMSolver(**common).solve(tree, forces, deadline=deadline)
         return {
             "kernel": spec.kernel,
-            "potential": res.potential,
-            "gradient": res.gradient,
+            "velocity": res.velocity,
             "op_counts": res.op_counts,
         }
-    finally:
-        if engine is not None:
-            engine.close()
+    from repro.fmm.evaluator import FMMSolver
+
+    res = FMMSolver(GravityKernel(G=1.0, softening=1e-3), **common).solve(
+        tree, particles.strengths, gradient=True, deadline=deadline
+    )
+    return {
+        "kernel": spec.kernel,
+        "potential": res.potential,
+        "gradient": res.gradient,
+        "op_counts": res.op_counts,
+    }
 
 
 def _run_simulation(spec, operators, deadline):
@@ -218,10 +209,11 @@ def _run_simulation(spec, operators, deadline):
     config = SimulationConfig(
         dt=spec.dt,
         order=spec.order,
-        folded=spec.folded,
         forces="fmm",
         seed=spec.seed,
-        n_workers=spec.workers,
+        # the default (None) is one engine thread per CPU; a served
+        # request builds no engine
+        n_workers=1,
         deadline_s=None if deadline is None else deadline.seconds,
         initial_S=_SERVE_LEAF_SIZE,
     )
@@ -492,6 +484,7 @@ class JobServer:
                     "serve": {
                         "tenant": job.tenant,
                         "request_id": job.request_id,
+                        "job_id": job.job_id,
                         "spec": job.spec.to_dict(),
                         "opcache": self.operators.stats(),
                         "queue_depth": job.queue_depth,

@@ -71,11 +71,6 @@ class SimulationConfig:
     #: ``None`` = one per usable CPU, ``1`` = no engine: the exact serial
     #: sweeps
     n_workers: int | None = None
-    #: Morton-range shard worker *processes* for the numeric FMM solves
-    #: (``repro.runtime.shards.ProcessEngine``): ``None``/``1`` = off,
-    #: ``>1`` = shard the solve across that many spawned workers over
-    #: shared memory.  Mutually exclusive with ``n_workers > 1``.
-    n_shards: int | None = None
     #: abort any single FMM solve that runs longer than this many wall
     #: seconds (``None`` = no deadline), on whichever back end runs it:
     #: each solve gets a fresh :class:`repro.util.timing.Deadline`, and
@@ -109,16 +104,6 @@ class SimulationConfig:
             raise ValueError(
                 f"n_workers must be >= 1 (use 1 for the exact serial path), "
                 f"got {self.n_workers}"
-            )
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ValueError(
-                f"n_shards must be >= 1 (use 1 or None for single-process), "
-                f"got {self.n_shards}"
-            )
-        if (self.n_shards or 1) > 1 and (self.n_workers or 1) > 1:
-            raise ValueError(
-                "n_shards and n_workers are mutually exclusive parallel "
-                "backends; set one of them to 1 (or None)"
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
@@ -192,22 +177,13 @@ class Simulation:
             initial_S=self.config.initial_S,
             mode=self.config.strategy,
         )
-        #: real thread-pool engine or multi-process shard engine for the
-        #: numeric solves (None when the config resolves to 1 worker or
-        #: forces are direct-summed)
+        #: thread-pool engine for the numeric solves (None when the config
+        #: resolves to 1 worker or forces are direct-summed)
         self.engine = None
-        #: whether :attr:`engine` is the multi-process shard engine
-        self._sharded = False
         if self.config.forces == "fmm":
-            if (self.config.n_shards or 1) > 1:
-                from repro.runtime.shards import ProcessEngine
-
-                self._sharded = True
-                self.engine = ProcessEngine(n_shards=self.config.n_shards)
-            else:
-                n_workers = self.config.n_workers or default_workers()
-                if n_workers > 1:
-                    self.engine = ExecutionEngine(n_workers)
+            n_workers = self.config.n_workers or default_workers()
+            if n_workers > 1:
+                self.engine = ExecutionEngine(n_workers)
         self.solver = (
             FMMSolver(
                 kernel,
@@ -228,9 +204,6 @@ class Simulation:
         self._closed = False
         #: critical-path report of the most recent engine run (telemetry on)
         self.last_critpath = None
-        #: :class:`repro.runtime.shards.ShardRunResult` of the most recent
-        #: sharded solve (multi-process runs only)
-        self.last_shard_result = None
         self._ledger_written = False
         #: run-level per-op totals (modeled CPU times), fed to the ledger
         self.op_timers = TimerRegistry()
@@ -284,27 +257,7 @@ class Simulation:
             "forces": self.config.forces,
             "strategy": self.config.strategy,
             "n_workers": self.config.n_workers,
-            "n_shards": self.config.n_shards,
         }
-        eng = self.engine
-        if self._sharded:
-            last = self.last_shard_result
-            # enough to attribute shard idle time from the ledger alone:
-            # idle_seconds / (runs * n_shards) is the mean per-shard wait
-            extra["shards"] = {
-                "runs": eng.total_runs,
-                "halo_bytes": eng.total_halo_bytes,
-                "halo_seconds": round(eng.total_halo_seconds, 6),
-                "idle_seconds": round(eng.total_idle_seconds, 6),
-                "imbalance": round(last.imbalance, 4) if last else None,
-                "partition_imbalance": (
-                    round(last.partition_imbalance, 4) if last else None
-                ),
-                # supervision history: how much this run leaned on recovery
-                "respawns": eng.total_respawns,
-                "partial_redos": eng.total_partial_redos,
-                "serial_fallbacks": eng.total_serial_fallbacks,
-            }
         record = RunRecord(
             bench="simulation",
             kind="run",
@@ -453,18 +406,6 @@ class Simulation:
                 )
                 acc_new = self._accelerations(tree, lists_after)
                 self.integrator.finish_step(self.particles.velocities, acc_new)
-
-            shard_res = None
-            if self.solver is not None:
-                shard_res = self.solver.last_shard_result
-                self.solver.last_shard_result = None
-            if shard_res is not None:
-                # the balancer reads the modeled step on every back end
-                # (shard imbalance is the partitioner's, not S's); the
-                # shard run is kept for its lanes and the ledger's imbalance
-                self.last_shard_result = shard_res
-                if self.telemetry.enabled:
-                    self._record_shard_telemetry(shard_res)
 
             with tracer.span("balancer", state=self.balancer.state.value):
                 outcome = self.balancer.end_of_step(tree, timing)
@@ -630,18 +571,6 @@ class Simulation:
             "busy-time / (makespan x workers) of the last engine run",
         ).set(res.utilization)
         self.executor.observe_real_registry(res.op_registry())
-
-    def _record_shard_telemetry(self, res) -> None:
-        """Export one sharded solve as per-shard Perfetto lanes (stage spans
-        stacked per worker process); its imbalance and halo traffic are in
-        the ledger record's ``extra.shards``."""
-        self.telemetry.tracer.add_worker_lanes(
-            res.timeline(),
-            pid=REAL_PID,
-            makespan=res.wall,
-            phase="shards",
-            lane_names={s: f"shard-{s}" for s in range(res.n_shards)},
-        )
 
     # ------------------------------------------------------------- summaries
     def summary(self) -> dict[str, float]:

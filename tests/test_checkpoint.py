@@ -70,42 +70,6 @@ class TestKillAndResume:
             == ref.executor._rng.bit_generator.state
         )
 
-    def test_sharded_kill_and_resume_is_bitwise_identical(self, tmp_path):
-        """Checkpoint/resume with ``n_shards > 1``, plus a worker killed
-        mid-run: the shard supervisor's respawn + partial re-execution
-        must leave the resumed trajectory bitwise identical to the
-        uninterrupted sharded run."""
-        from repro.resilience.faults import FaultPlan, FaultSpec
-
-        stem = str(tmp_path / "ck-sharded")
-        cfg = dict(n_workers=1, n_shards=2)
-        # uninterrupted sharded reference: 2K steps
-        with _new_sim(_config(**cfg)) as ref:
-            ref.run(2 * self.K)
-        # run A: one worker SIGKILLed during the first solve, checkpoint
-        # at K, "killed" there
-        with _new_sim(
-            _config(checkpoint_every=self.K, checkpoint_path=stem, **cfg)
-        ) as a:
-            a.engine.install_fault_plan(
-                FaultPlan([FaultSpec("kill", "p2m", shard=0)])
-            )
-            a.run(self.K)
-            # the plan re-arms on every solve (attempt resets per run),
-            # so each step's solve killed and recovered a worker
-            assert a.engine.total_respawns >= 1
-            assert a.engine.total_serial_fallbacks == 0
-        # run B: resumed from the checkpoint, K more steps, clean
-        b = Simulation.from_checkpoint(
-            stem, KERNEL, _machine(), config=_config(**cfg)
-        )
-        with b:
-            b.run(self.K)
-        assert b.step_index == 2 * self.K
-        assert np.array_equal(b.particles.positions, ref.particles.positions)
-        assert np.array_equal(b.particles.velocities, ref.particles.velocities)
-        assert b.balancer.S == ref.balancer.S
-
     def test_resume_without_config_reuses_checkpoint_shape(self, tmp_path):
         stem = str(tmp_path / "ck")
         with _new_sim(_config(checkpoint_every=2, checkpoint_path=stem)) as a:
@@ -135,18 +99,17 @@ class TestCompatibilityGate:
             )
 
     def test_fingerprint_ignores_execution_fields(self, tmp_path):
-        """Worker count / shard count / checkpoint cadence do not affect
-        the trajectory (every back end gives the serial bits and the
-        balancer reads the modeled step on each), so resuming with
-        different values is allowed."""
+        """Worker count / checkpoint cadence do not affect the trajectory
+        (the engine gives the serial bits and the balancer reads the
+        modeled step on each), so resuming with different values is
+        allowed."""
         stem = str(tmp_path / "ck")
         with _new_sim(_config(checkpoint_every=1, checkpoint_path=stem)) as sim:
             sim.run(1)
-        for execution in (dict(n_workers=1), dict(n_workers=1, n_shards=2)):
-            with Simulation.from_checkpoint(
-                stem, KERNEL, _machine(), config=_config(**execution)
-            ) as b:
-                assert b.step_index == 1
+        with Simulation.from_checkpoint(
+            stem, KERNEL, _machine(), config=_config(n_workers=1)
+        ) as b:
+            assert b.step_index == 1
 
     def test_strict_false_overrides(self, tmp_path):
         stem = str(tmp_path / "ck")
@@ -182,6 +145,23 @@ class TestCompatibilityGate:
         assert base == config_fingerprint(_config(n_workers=4), KERNEL, m, 300, box)
         assert base != config_fingerprint(_config(order=3), KERNEL, m, 300, box)
         assert base != config_fingerprint(_config(), KERNEL, m, 301, box)
+
+    def test_fingerprint_of_an_unchanged_config_is_pinned(self):
+        """A checkpoint written by an earlier build resumes under
+        ``strict=True`` only while the fingerprint of the same settings
+        stays byte-identical; these are the values recorded before
+        ``SimulationConfig`` lost its shard-count field (an execution
+        field, so it never entered the hash)."""
+        from repro.geometry.box import Box
+
+        m = _machine()
+        box = Box((0.0, 0.0, 0.0), 2.0)
+        assert config_fingerprint(SimulationConfig(), KERNEL, m, 300, box) == (
+            "8f8aa5e7256a23cecca15e62f62404f694e497042f220652225cd734dbb2577d"
+        )
+        assert config_fingerprint(_config(), KERNEL, m, 300, box) == (
+            "efae5fee48aea37a75a28472aeeccf8da046d0e609a9159091cb8dff1e1a0c68"
+        )
 
 
 class TestTreeRoundTrip:

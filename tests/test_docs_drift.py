@@ -120,11 +120,10 @@ _RETIRED = {
     "serve_drains" + "_total": "status()['drains_total']",
     "serve_request" + "_seconds": "the serve ledger record's wall_s",
     "serve" + "-request": "none: a served request records nothing once answered",
-    "shard_respawns" + "_total": "ProcessEngine.total_respawns, ledger extra.shards",
-    "shard_partial_redo" + "_total": "ProcessEngine.total_partial_redos, ledger extra.shards",
-    "shard_serial_fallback" + "_total": "ProcessEngine.total_serial_fallbacks, "
-    "ledger extra.shards",
-    "shard_" + "imbalance": "ledger extra.shards.imbalance, ShardRunResult.imbalance",
+    "shard_respawns" + "_total": "ProcessEngine.total_respawns",
+    "shard_partial_redo" + "_total": "ProcessEngine.total_partial_redos",
+    "shard_serial_fallback" + "_total": "ProcessEngine.total_serial_fallbacks",
+    "shard_" + "imbalance": "ShardRunResult.imbalance",
     "supervisor" + "_snapshot": "none: a served solve never owns a ProcessEngine",
     "shard_" + "supervisor": "none: a served solve never owns a ProcessEngine",
     "balancer" + "_S": "the step log's S column and the S counter track",
@@ -224,6 +223,26 @@ _RETIRED = {
     "BENCH" + "_runtime.json": "none: the bench prints its numbers",
     "BENCH" + "_shards.json": "none: the bench prints its numbers",
     "BENCH" + "_serve.json": "none: the bench prints its numbers",
+    "SimulationConfig(n" + "_shards": "none: a simulation runs serial or on "
+    "n_workers threads; the shard engine is FMMSolver(engine=ProcessEngine(n))",
+    "SimulationConfig.n" + "_shards": "none: the shard engine is only a solver's engine=",
+    "config.n" + "_shards": "none: the shard engine is only a solver's engine=",
+    "extra." + "shards": "none: a simulation never owns a ProcessEngine",
+    "_record_shard" + "_telemetry": "none: a simulation never owns a ProcessEngine",
+    "trace --" + "shards": "none: the trace and report verbs run serial or on --workers threads",
+    "report --" + "shards": "none: the trace and report verbs run serial or on --workers threads",
+    "SolveSpec." + "workers": "none: a served request always solves serially; "
+    "parallelism is ServeConfig.pool_size solver threads",
+    "SolveSpec." + "folded": "none: a served request always solves over folded lists",
+    "spec." + "workers": "none: a served request always solves serially",
+    "spec." + "folded": "none: a served request always solves over folded lists",
+    "total" + "_runs": "none: ShardRunResult reports one solve; nothing summed runs",
+    "total_halo" + "_bytes": "ShardRunResult.halo_bytes, per solve",
+    "total_halo" + "_seconds": "ShardRunResult.halo_seconds, per solve",
+    "total_idle" + "_seconds": "ShardRunResult.barrier_seconds, per solve",
+    "max_shard" + "_wall": "none: a shard result reports busy and barrier time",
+    "shard" + "_walls": "ShardRunResult.shard_busy and barrier_seconds",
+    "phase" + "_seconds": "none: a shard records its walls, busy and barrier time only",
 }
 
 

@@ -36,6 +36,7 @@ from repro.serve.protocol import (
     write_message,
 )
 from repro.serve.scheduler import _PRIOR_COEFF_S, CostModelGovernor, FairScheduler
+from repro.serve.server import JobServer
 
 
 # ------------------------------------------------------------------- protocol
@@ -105,6 +106,33 @@ class TestProtocol:
             SolveSpec.from_dict({"shards": 4})
         assert ei.value.code == 400
         assert "unknown spec field(s) ['shards']" in ei.value.message
+
+    @pytest.mark.parametrize("field", [{"workers": 4}, {"folded": False}])
+    def test_back_end_fields_are_unknown_fields(self, field):
+        """A spec names no back end: ``workers`` and ``folded`` are unknown
+        fields, refused with the structured 400 at parse time (before
+        anything is queued or any thread starts)."""
+        (name,) = field
+        with pytest.raises(ProtocolError) as ei:
+            SolveSpec.from_dict({"n": 50, **field})
+        assert ei.value.code == 400
+        assert f"unknown spec field(s) ['{name}']" in ei.value.message
+
+        async def run():
+            srv = JobServer(ServeConfig(pool_size=1))
+            try:
+                return await srv.handle_request(
+                    {"id": 3, "kind": "solve", "tenant": "t",
+                     "spec": {"n": 50, **field}}
+                ), srv.scheduler.queue_depth() + srv.scheduler.inflight_total()
+            finally:
+                await srv.aclose()
+
+        response, pending = asyncio.run(run())
+        assert response["id"] == 3 and not response["ok"] and pending == 0
+        err = response["error"]
+        assert err["code"] == 400 and err["kind"] == "bad-request"
+        assert f"unknown spec field(s) ['{name}']" in err["message"]
 
     def test_parse_request_shapes(self):
         rid, kind, tenant, spec = parse_request(
@@ -708,6 +736,29 @@ class TestServedSolves:
             assert 0 <= serve["queue_depth"] < len(jobs)
             assert 1 <= serve["active_tenants"] <= 2
 
+    def test_a_served_request_builds_no_engine(self, monkeypatch, direct_results):
+        """Every served request runs the serial sweep: a one-shot Laplace
+        solve, a Stokeslet solve and a time-stepped run all finish, bitwise
+        equal to their direct runs, with both engines unconstructible."""
+        from repro.runtime.engine import ExecutionEngine
+        from repro.runtime.shards import ProcessEngine
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a served request built {type(self).__name__}")
+
+        monkeypatch.setattr(ExecutionEngine, "__init__", refuse)
+        monkeypatch.setattr(ProcessEngine, "__init__", refuse)
+        stepped = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
+        with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
+            c = bg.client(in_process=True)
+            laplace = c.solve(LAPLACE, tenant="t")
+            stokes = c.solve(STOKES, tenant="t")
+            steps = c.solve(stepped, tenant="t")
+        assert np.array_equal(laplace["potential"], direct_results["laplace"]["potential"])
+        assert np.array_equal(stokes["velocity"], direct_results["stokeslet"]["velocity"])
+        assert steps["n_steps"] == 2
+        assert np.array_equal(steps["positions"], solve_direct(stepped)["positions"])
+
     def test_simulation_steps_bitwise_identical(self):
         spec = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
         direct = solve_direct(spec)
@@ -795,6 +846,34 @@ class TestServedSolves:
             assert err.code == 429 and err.kind == "shed"
             assert err.details["predicted_s"] > err.details["budget_s"]
             assert bg.client(in_process=True).status()["shed_total"] == 1
+
+    @pytest.mark.parametrize("pool_size, admitted", [(1, 1), (2, 3)])
+    def test_shed_budget_bounds_predicted_drain_time(self, pool_size, admitted):
+        """The budget bounds predicted drain time: queued + in-flight + new
+        predicted seconds over ``pool_size`` (the governor learns walls of
+        solves sharing the cores).  At 0.6 s a job and a 1.0 s budget one
+        thread admits one job and two threads admit three."""
+
+        async def run():
+            fake = _Recorder(*range(1, 6))
+            sched = FairScheduler(fake, pool_size=pool_size, shed_budget_s=1.0)
+            sched.governor.predict = lambda spec: 0.6
+            futures = []
+            with pytest.raises(ServeError) as ei:
+                for seed in range(1, 6):
+                    futures.append(sched.submit(f"t{seed}", SolveSpec(n=10, seed=seed)))
+            for gate in fake.gates.values():
+                gate.set()
+            await asyncio.gather(*futures)
+            await sched.close()
+            return len(futures), ei.value, sched.shed_total
+
+        n_admitted, err, shed_total = asyncio.run(run())
+        assert n_admitted == admitted and shed_total == 1
+        assert err.code == 429 and err.kind == "shed"
+        assert err.details["pool_size"] == pool_size
+        assert err.details["queued_s"] == pytest.approx(0.6 * admitted)
+        assert err.details["budget_s"] == 1.0
 
     def test_tenant_limit_is_structured_429(self, monkeypatch):
         from repro.serve import server
@@ -891,6 +970,21 @@ class TestServedSolves:
             assert rec["machine"]["p2p_kernel"] == p2p_backend()
         # the second solve read the set the first one assembled
         assert lines[1]["extra"]["serve"]["opcache"]["hits"] > 0
+
+    def test_ledger_job_ids_are_distinct_across_clients(self, tmp_path):
+        """Every client numbers its requests from 1, so two clients of one
+        tenant repeat ``(tenant, request_id)``; the server's ``job_id`` is
+        the join key that stays unique."""
+        ledger = tmp_path / "serve_runs.jsonl"
+        cfg = ServeConfig(pool_size=1, ledger_path=str(ledger))
+        with BackgroundServer(cfg, tcp=False) as bg:
+            for client in (bg.client(in_process=True), bg.client(in_process=True)):
+                for seed in (1, 2):
+                    client.solve({"kernel": "laplace", "n": 120, "seed": seed},
+                                 tenant="same")
+        serve = [json.loads(s)["extra"]["serve"] for s in ledger.read_text().splitlines()]
+        assert sorted(r["request_id"] for r in serve) == [1, 1, 2, 2]
+        assert sorted(r["job_id"] for r in serve) == [1, 2, 3, 4]
 
     def test_metrics_gauges_exported(self):
         """The health figures are ``status`` fields (a request's wall time

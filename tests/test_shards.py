@@ -10,8 +10,8 @@ tests assert it bit for bit with ``np.array_equal`` on raw float arrays.
 Also covered: shard sessions survive strength swaps and refit-only
 geometry refreshes, a killed worker is respawned by the shard supervisor (and
 degrades to exact serial re-execution only when respawn is disabled),
-and the driver-level config guards.  The full chaos matrix lives in
-``test_shard_supervision.py``.
+and the result surface a sharded solve reports.  The full chaos matrix
+lives in ``test_shard_supervision.py``.
 """
 
 from __future__ import annotations
@@ -329,27 +329,14 @@ def test_shard_result_reports_halo_and_idle():
         solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
         solver.solve(tree, q, gradient=True)
         res = solver.last_shard_result
-        assert eng.total_runs == 1
-        assert eng.total_halo_bytes == res.halo_bytes
+        assert eng.last_result is res
 
     assert res.n_shards == 2
-    assert len(res.shard_walls) == 2 and len(res.shard_busy) == 2
+    assert len(res.shard_busy) == 2 and min(res.shard_busy) > 0.0
     assert res.halo_bytes > 0  # 2 shards on a Plummer ball must exchange
+    assert res.halo_seconds >= 0.0 and res.barrier_seconds >= 0.0
     assert res.imbalance >= 1.0
     assert res.partition_imbalance >= 1.0
-    assert res.max_shard_wall >= max(res.shard_busy)
-
-    d = res.to_dict()
-    for key in (
-        "n_shards", "wall_s", "shard_walls_s", "imbalance", "halo_bytes",
-        "halo_s", "partition_imbalance",
-    ):
-        assert key in d
-    rows = res.timeline()
-    assert rows and all(len(r) == 4 for r in rows)
-    assert {r[1] for r in rows} == {0, 1}
-    text = res.to_text()
-    assert "shard 0" in text and "halo" in text
 
 
 def test_engine_usable_after_close():
@@ -376,50 +363,12 @@ def test_process_engine_validation():
     eng.close()
 
 
-def test_simulation_config_shard_guards():
-    from repro.sim.driver import SimulationConfig
-
-    with pytest.raises(ValueError):
-        SimulationConfig(n_shards=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(n_shards=2, n_workers=2)
-    SimulationConfig(n_shards=2, n_workers=1)  # fine
-    SimulationConfig(n_shards=None, n_workers=4)  # fine
-
-
-def test_simulation_deadline_enforced_on_shards():
-    """``deadline_s`` is a property of the solve, not of one back end: it
-    constructs with ``n_shards > 1`` and a solve that outlives it raises
-    out of ``step`` — never a serial re-run — leaving the engine usable."""
-    from repro.machine.spec import system_a
-    from repro.sim.driver import Simulation, SimulationConfig
-    from repro.util.timing import SolveDeadlineError
-
-    def sim_with(deadline_s):
-        cfg = SimulationConfig(
-            n_shards=2, deadline_s=deadline_s, order=3, initial_S=24
-        )
-        return Simulation(
-            plummer(1200, seed=43), GravityKernel(G=1.0, softening=1e-3),
-            system_a(), config=cfg,
-        )
-
-    # spawning two workers alone takes longer than this budget
-    with sim_with(0.02) as sim:
-        with pytest.raises(SolveDeadlineError) as exc_info:
-            sim.step()
-        assert exc_info.value.deadline_s == 0.02 and exc_info.value.phase
-        assert sim.solver.degraded_runs == 0
-        assert sim.engine.total_respawns == sim.engine.total_serial_fallbacks == 0
-    with sim_with(120.0) as sim:
-        sim.step()
-        assert sim.last_shard_result is not None
-
-
 def test_balancer_trajectory_is_the_same_on_every_back_end():
-    """The balancer reads the modeled step on every back end, and every
-    back end gives the serial bits, so serial, threads:2 and shards:2 take
-    the same ``(S, state)`` path to bitwise the same positions."""
+    """The balancer reads the modeled step on every back end, and the
+    engine gives the serial bits, so a simulation on serial and on
+    threads:2 takes the same ``(S, state)`` path to bitwise the same
+    positions.  (A simulation reaches no other back end; the shard engine
+    is bitwise serial per solve, above.)"""
     from repro.distributions.generators import compact_plummer
     from repro.machine.spec import system_a
     from repro.sim.driver import Simulation, SimulationConfig
@@ -427,7 +376,6 @@ def test_balancer_trajectory_is_the_same_on_every_back_end():
     back_ends = {
         "serial": dict(n_workers=1),
         "threads:2": dict(n_workers=2),
-        "shards:2": dict(n_workers=1, n_shards=2),
     }
     runs = {}
     for name, kw in back_ends.items():
