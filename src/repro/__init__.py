@@ -53,7 +53,7 @@ from repro.machine import (
     system_a,
     system_b,
 )
-from repro.obs import DriftTracker, MetricsRegistry, Telemetry, Tracer
+from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.sim import Simulation, SimulationConfig
 from repro.tree import (
     AdaptiveOctree,
@@ -70,7 +70,6 @@ __all__ = [
     "BalancerState",
     "Box",
     "CartesianExpansion",
-    "DriftTracker",
     "DynamicLoadBalancer",
     "FMMResult",
     "FMMSolver",

@@ -63,6 +63,54 @@ class LBOutcome:
     fgo: dict | None = None
 
 
+@dataclass
+class _DriftTotals:
+    """Running prediction-residual totals of one run (§IV-D, Figs. 8–9)."""
+
+    predicted: int = 0
+    unpredicted: int = 0
+    abs_sum: float = 0.0
+    abs_max: float = 0.0
+    signed_sum: float = 0.0
+    imbalance_sum: float = 0.0
+
+    def add(self, predicted, timing) -> float | None:
+        """Count one step; returns its residual (None when unpredicted).
+
+        The residual is the signed relative error ``(observed - predicted)
+        / observed`` of the compute time: +0.10 means the model
+        under-predicted by 10% of the realized time.  A zero observed time
+        (nothing to normalize by) and NaN/Inf on either side count as 0.0
+        rather than poisoning the run's means.
+        """
+        if predicted is None:
+            self.unpredicted += 1
+            return None
+        obs, pred = timing.compute_time, predicted.compute_time
+        if obs == 0.0 or not math.isfinite(obs) or not math.isfinite(pred):
+            residual = 0.0
+        else:
+            residual = (obs - pred) / obs
+        gap = abs(timing.cpu_time - timing.gpu_time)
+        self.predicted += 1
+        self.abs_sum += abs(residual)
+        self.abs_max = max(self.abs_max, abs(residual))
+        self.signed_sum += residual
+        self.imbalance_sum += gap if math.isfinite(gap) else 0.0
+        return residual
+
+    def summary(self) -> dict:
+        n = self.predicted
+        return {
+            "n_predicted_steps": n,
+            "n_unpredicted_steps": self.unpredicted,
+            "mean_abs_residual": self.abs_sum / n if n else 0.0,
+            "max_abs_residual": self.abs_max,
+            "mean_residual": self.signed_sum / n if n else 0.0,
+            "mean_imbalance": self.imbalance_sum / n if n else 0.0,
+        }
+
+
 class DynamicLoadBalancer:
     """Stateful controller invoked once at the end of every time step."""
 
@@ -100,10 +148,14 @@ class DynamicLoadBalancer:
             maxlen=self.config.watchdog_window
         )
         #: bounded flight-recorder of per-step decisions — structured
-        #: ``{step, from, to, S, best, compute, cpu, gpu, actions}`` dicts
-        #: consumed by the run ledger (see :mod:`repro.obs.ledger`)
+        #: ``{step, from, to, S, best, compute, cpu, gpu, predicted,
+        #: residual, coeffs, actions}`` dicts: the step's §IV-D prediction
+        #: beside what it observed, consumed by the run ledger (see
+        #: :mod:`repro.obs.ledger`) and ``repro trace``
         self.decisions: deque[dict] = deque(maxlen=512)
         self._decision_step = 0
+        #: prediction-residual totals over every step, past the deque's end
+        self._drift = _DriftTotals()
 
     # ------------------------------------------------------------------ api
     def reset_to_search(self, reason: str = "reset") -> None:
@@ -133,6 +185,11 @@ class DynamicLoadBalancer:
             self.telemetry.tracer.instant("balancer-reset", reason=reason)
     def end_of_step(self, tree: AdaptiveOctree, timing: StepTiming) -> LBOutcome:
         """Digest one step's timing; possibly adjust S or operate on the tree."""
+        # what the coefficients held so far predicted for this step, made
+        # before its own observation is folded in
+        predicted = (
+            predict_times(timing.op_counts, self.coeffs) if self.coeffs.ready else None
+        )
         self.coeffs.update_from_registry(timing.cpu_registry, timing.gpu_p2p_coefficient)
         prev_state = self.state
         out = LBOutcome(state=self.state)
@@ -142,7 +199,7 @@ class DynamicLoadBalancer:
             self._expect_new_best = False
         if self._frozen:
             out.actions.append("frozen")
-            self._record_decision(prev_state, timing, out)
+            self._record_decision(prev_state, timing, predicted, out)
             if self.telemetry.enabled:
                 self._record_outcome(prev_state, out)
             return out
@@ -155,13 +212,16 @@ class DynamicLoadBalancer:
         self._s_history.append((prev_state, self.S))
         self._watchdog(out)
         out.state = self.state
-        self._record_decision(prev_state, timing, out)
+        self._record_decision(prev_state, timing, predicted, out)
         if self.telemetry.enabled:
             self._record_outcome(prev_state, out)
         return out
 
-    def _record_decision(self, prev_state: BalancerState, timing, out: LBOutcome) -> None:
+    def _record_decision(
+        self, prev_state: BalancerState, timing, predicted, out: LBOutcome
+    ) -> None:
         """Append one structured decision record to the flight recorder."""
+        residual = self._drift.add(predicted, timing)
         self.decisions.append(
             {
                 "step": self._decision_step,
@@ -175,6 +235,13 @@ class DynamicLoadBalancer:
                 "cpu": timing.cpu_time,
                 "gpu": timing.gpu_time,
                 "best": self.best_time,
+                "predicted": (
+                    None
+                    if predicted is None
+                    else {"cpu": predicted.cpu_time, "gpu": predicted.gpu_time}
+                ),
+                "residual": residual,
+                "coeffs": self.coeffs.as_dict(),
                 "actions": list(out.actions),
                 **({"fgo": out.fgo} if out.fgo is not None else {}),
             }
@@ -182,7 +249,8 @@ class DynamicLoadBalancer:
         self._decision_step += 1
 
     def decision_summary(self) -> dict:
-        """Aggregate view of the recorded decisions for the run ledger."""
+        """Aggregate view of the recorded decisions for the run ledger;
+        ``drift`` covers every step, not just the deque's last 512."""
         transitions: dict[str, int] = {}
         actions: dict[str, int] = {}
         s_values: list[int] = []
@@ -203,6 +271,7 @@ class DynamicLoadBalancer:
             "actions": actions,
             "s_min_seen": min(s_values) if s_values else None,
             "s_max_seen": max(s_values) if s_values else None,
+            "drift": self._drift.summary(),
         }
 
     def _watchdog(self, out: LBOutcome) -> None:

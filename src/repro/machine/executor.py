@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.flops import atomic_units
 from repro.gpu.model import GPUKernelModel, KernelTiming
 from repro.gpu.partition import near_field_work_items, partition_targets
@@ -101,10 +100,6 @@ class HeterogeneousExecutor:
         self._gpu_models = [GPUKernelModel(g) for g in machine.gpus]
         if offload_endpoints and machine.n_gpus == 0:
             raise ValueError("cannot offload P2M/L2P without GPUs")
-        #: §IV-D coefficients derived from *measured* execution-engine task
-        #: wall-clock (fed by :meth:`observe_real_registry`), kept separate
-        #: from the machine-model ones the balancer consumes
-        self.real_coeffs = ObservedCoefficients()
 
     # ------------------------------------------------------------- stepping
     def time_step(self, tree: AdaptiveOctree, lists: InteractionLists | None = None) -> StepTiming:
@@ -211,31 +206,6 @@ class HeterogeneousExecutor:
     def time_surgery(self, n_operations: int) -> float:
         """Cost of applying a batch of collapse/pushdown operations."""
         return self._cpu_parallel_time(4000.0 * max(0, n_operations)) * self._noise()
-
-    # ------------------------------------------------- real engine timings
-    def observe_real_registry(self, registry: TimerRegistry) -> None:
-        """Fold one solve's *measured* per-op engine wall-clock into
-        :attr:`real_coeffs` (§IV-D over actual threads, not the model).
-
-        ``registry`` comes from
-        :meth:`repro.runtime.engine.EngineResult.op_registry`; its P2P
-        timer — the near field ran on CPU pool threads — fills the
-        coefficient slot the GPU kernel model fills in simulation.
-        Coefficients are mirrored into metrics as ``device="cpu-real"``
-        next to the modeled ``device="cpu"`` series.
-        """
-        p2p = registry.timers.get("P2P")
-        p2p_coeff = p2p.coefficient if p2p is not None and p2p.count else 0.0
-        self.real_coeffs.update_from_registry(registry, p2p_coeff)
-        if self.telemetry.enabled:
-            m = self.telemetry.metrics
-            for op, value in registry.coefficients().items():
-                if value > 0.0:
-                    m.gauge(
-                        "fmm_op_coefficient_seconds",
-                        "observed per-application cost of one FMM operation (§IV-D)",
-                        labels={"op": op, "device": "cpu-real"},
-                    ).set(value)
 
     # --------------------------------------------------------------- helpers
     def _record_step_metrics(self, registry, gpu_coeff) -> None:

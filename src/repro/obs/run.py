@@ -8,8 +8,9 @@ Produces three artifacts next to ``--out`` (default ``trace.json``):
   near field, physics, balancer); the "simulated scheduler" process shows
   every simulated CPU worker's task lane, step after step.
 * ``trace.metrics.json`` — a JSON snapshot of every counter and gauge
-  (balancer transitions, ListCache hits/builds, coefficient gauges) plus the full cost-model drift record (per-step predicted vs.
-  observed times, residuals, coefficient trajectories).
+  (balancer transitions, ListCache hits/builds, coefficient gauges) plus
+  the balancer's record as ``drift``: the run's residual summary, each
+  step's predicted beside observed times, and coefficient trajectories.
 * ``trace.steps.jsonl`` — the per-step simulation log as JSON Lines, one
   object per time step (the Fig. 8/9 raw columns).
 
@@ -54,9 +55,8 @@ def run(
 
     ``workers`` sets the execution-engine thread count for the numeric
     FMM solves (``--workers`` on the CLI): ``1`` is the serial path, more
-    runs the real task-graph engine and adds "real workers" lanes plus the
-    ``runtime_model_residual`` metric to the artifacts; only meaningful
-    with ``forces="fmm"``.
+    runs the real task-graph engine and adds "real workers" lanes and the
+    critical path to the trace; only meaningful with ``forces="fmm"``.
 
     ``checkpoint_every`` (``--checkpoint-every K``) writes
     ``{checkpoint}.npz`` + ``{checkpoint}.json`` every K steps;
@@ -110,7 +110,7 @@ def write_artifacts(sim: Simulation, telemetry: Telemetry, out: str) -> dict[str
     telemetry.tracer.write(str(trace_path))
     snapshot = {
         "metrics": telemetry.metrics.snapshot(),
-        "drift": telemetry.drift.as_dict(),
+        "drift": drift_record(sim.balancer),
     }
     metrics_path.write_text(json.dumps(snapshot, indent=2), encoding="utf-8")
     steps_path.write_text(sim.log.to_jsonl() + "\n", encoding="utf-8")
@@ -121,12 +121,43 @@ def write_artifacts(sim: Simulation, telemetry: Telemetry, out: str) -> dict[str
     }
 
 
+def drift_record(balancer) -> dict:
+    """The balancer's decision record as Figs. 8–9 read it: the run's
+    residual summary, per-step predicted vs. observed times, and the
+    coefficient trajectories (the rows cover the decisions the balancer
+    keeps, its last 512 steps; the summary covers every step)."""
+    steps, coefficients = [], {}
+    for dec in balancer.decisions:
+        for op, value in dec["coeffs"].items():
+            if value > 0.0:
+                coefficients.setdefault(op, []).append(
+                    {"step": dec["step"], "value": value}
+                )
+        if dec["predicted"] is not None:
+            steps.append(
+                {
+                    "step": dec["step"],
+                    "predicted_cpu": dec["predicted"]["cpu"],
+                    "predicted_gpu": dec["predicted"]["gpu"],
+                    "observed_cpu": dec["cpu"],
+                    "observed_gpu": dec["gpu"],
+                    "residual": dec["residual"],
+                    "imbalance": abs(dec["cpu"] - dec["gpu"]),
+                }
+            )
+    return {
+        "summary": balancer.decision_summary()["drift"],
+        "steps": steps,
+        "coefficients": coefficients,
+    }
+
+
 def main(**kwargs) -> dict[str, str]:
     out = kwargs.pop("out", "trace.json")
     kwargs.setdefault("ledger", "auto")  # the CLI records itself by default
     sim, telemetry = run(**kwargs)
     paths = write_artifacts(sim, telemetry, out)
-    drift = telemetry.drift.summary()
+    drift = sim.balancer.decision_summary()["drift"]
     print(f"wrote {paths['trace']} ({len(telemetry.tracer)} events)")
     print(f"wrote {paths['metrics']} ({len(telemetry.metrics)} metrics)")
     print(f"wrote {paths['steps']} ({len(sim.log)} steps)")

@@ -67,7 +67,11 @@ The solve's :class:`~repro.util.timing.Deadline` rides the same loop: the
 supervisor's wake-up notices expiry, aborts the barrier, drains the
 workers' ``aborted`` outcomes, resets the barrier and raises
 :class:`~repro.util.timing.SolveDeadlineError` — nobody is respawned and
-the installed session serves the next solve.
+the installed session serves the next solve.  Every barrier reset is
+bounded by the heartbeat window: a worker killed while holding the
+barrier's lock leaves it unobtainable, and then recovery takes the serial
+fallback (an expired solve tears the pool down for the next one) instead
+of blocking forever.
 
 Chaos seams: ``install_fault_plan`` ships a
 :class:`~repro.resilience.faults.FaultPlan` to every worker, whose
@@ -947,6 +951,30 @@ class ProcessEngine:
         except Exception:
             pass
 
+    def _reset_barrier(self) -> bool:
+        """Reset the shared barrier; ``False`` if that failed or did not
+        finish within the heartbeat window.
+
+        A worker killed while it held the barrier's lock never releases
+        it, and ``reset()`` waits for that lock without a timeout, so the
+        reset runs on a helper thread and is given up on (left blocked)
+        rather than hanging the supervisor.
+        """
+        barrier = self._barrier
+        done: list = []
+
+        def reset() -> None:
+            try:
+                barrier.reset()
+            except Exception:
+                return
+            done.append(True)
+
+        worker = threading.Thread(target=reset, name="repro-barrier-reset", daemon=True)
+        worker.start()
+        worker.join(max(1.0, self.heartbeat_s))
+        return bool(done)
+
     def _dispatch_run(self, refreshed: bool, from_phase: int, attempt: int) -> None:
         msg = ("run", refreshed, from_phase, attempt, self._fault_plan)
         for s, conn in enumerate(self._conns):
@@ -1051,8 +1079,11 @@ class ProcessEngine:
         culprits = [s for s in range(n) if outcome[s] in ("died", "error", "hung")]
         if expired and not culprits:
             # every worker is back in its command loop: nobody waits on
-            # the barrier, so it can be reset for the next solve
-            self._barrier.reset()
+            # the barrier, so it can be reset for the next solve — or, when
+            # the reset cannot finish, the next solve starts a fresh pool
+            if not self._reset_barrier():
+                self._teardown_pool()
+                self._drop_session()
             raise SolveDeadlineError(
                 deadline.seconds, f"shards (phase {min(completed) + 1})"
             )
@@ -1154,9 +1185,7 @@ class ProcessEngine:
                     f"(original failure: {failure.detail or failure.reason})",
                     reason=failure.reason,
                 )
-        try:
-            self._barrier.reset()
-        except Exception:
+        if not self._reset_barrier():
             self._fail(
                 "barrier could not be reset after shard recovery",
                 reason=failure.reason,

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.balance.config import BalancerConfig
 from repro.balance.controller import DynamicLoadBalancer
-from repro.costmodel.predictor import predict_times
 from repro.distributions.generators import ParticleSet
 from repro.fmm.evaluator import FMMSolver
 from repro.geometry.box import Box, bounding_box
@@ -237,15 +236,15 @@ class Simulation:
         """Append this run's :class:`~repro.obs.ledger.RunRecord`.
 
         Captures the whole feedback loop in one line: per-op observed
-        coefficients, balancer decision summary, drift residuals, engine
-        utilization + critical path, and Table-II style aggregates.
+        coefficients, balancer decision summary, the prediction residuals
+        of every step (telemetry on or off), engine utilization + critical
+        path, and Table-II style aggregates.
         """
         from repro.obs.ledger import RunLedger, RunRecord
 
         target = path if path is not None else self.config.ledger_path
         if target in (None, "auto"):
             target = None  # RunLedger falls back to the default location
-        tel = self.telemetry
         if self.last_critpath is None and self.solver is not None:
             # telemetry-off runs never consumed the engine result: do it now
             res = self.solver.last_engine_result
@@ -258,6 +257,8 @@ class Simulation:
             "strategy": self.config.strategy,
             "n_workers": self.config.n_workers,
         }
+        balancer = self.balancer.decision_summary()
+        drift = balancer.pop("drift")
         record = RunRecord(
             bench="simulation",
             kind="run",
@@ -273,7 +274,7 @@ class Simulation:
                 for op, t in self.op_timers.timers.items()
             },
             balancer={
-                **self.balancer.decision_summary(),
+                **balancer,
                 "coefficients": self.balancer.coeffs.as_dict(),
             },
             engine=(
@@ -281,7 +282,7 @@ class Simulation:
                 if self.last_critpath is not None
                 else {}
             ),
-            drift=tel.drift.summary() if tel.enabled else {},
+            drift=drift,
             extra=extra,
         )
         return RunLedger(target).append(record)
@@ -372,12 +373,6 @@ class Simulation:
                 tree = self.tree
                 lists = self.list_cache.get(tree, folded=cfg.folded)
 
-            # what the cost model expects this step to cost — recorded
-            # *before* the executor observes it, so drift is honest
-            predicted = None
-            if self.telemetry.enabled and self.balancer.coeffs.ready:
-                predicted = predict_times(lists.op_counts(), self.balancer.coeffs)
-
             timing = self.executor.time_step(tree, lists)
             for op, t in timing.cpu_registry.timers.items():
                 self.op_timers.timer(op).add(t.total_time, t.count)
@@ -413,7 +408,7 @@ class Simulation:
                 self._needs_rebuild = True
 
             if self.telemetry.enabled:
-                self._record_step_telemetry(predicted, timing)
+                self._record_telemetry(timing)
 
         rec = StepRecord(
             step=self.step_index,
@@ -426,14 +421,7 @@ class Simulation:
             gpu_time=timing.gpu_time,
         )
         self.log.add(
-            step=rec.step,
-            compute_time=rec.compute_time,
-            lb_time=rec.lb_time,
-            total_time=rec.total_time,
-            S=rec.S,
-            state=rec.state,
-            cpu_time=rec.cpu_time,
-            gpu_time=rec.gpu_time,
+            **vars(rec),
             actions=";".join(outcome.actions),
             gpu_efficiency=timing.gpu_efficiency,
         )
@@ -504,6 +492,7 @@ class Simulation:
                 data.arrays["integrator_acc"], dtype=float
             )
         restore_balancer(sim.balancer, man["balancer"])
+        sim.balancer._decision_step = sim.step_index  # records keep step numbers
         sim.executor._rng.bit_generator.state = man["rng_state"]
         if man.get("tree") is not None:
             sim.tree = tree_from_state(
@@ -512,8 +501,11 @@ class Simulation:
         return sim
 
     # ------------------------------------------------------------ telemetry
-    def _record_step_telemetry(self, predicted, timing) -> None:
-        """Feed one step into the drift tracker and headline metrics."""
+    def _record_telemetry(self, timing) -> None:
+        """Mirror one step into the trace and metrics: its S, compute time
+        and prediction residual (read off the balancer's decision record),
+        then the last engine run's real worker lanes and critical path next
+        to the simulated scheduler's."""
         tel = self.telemetry
         tel.tracer.counter("S", self.balancer.S)
         tel.tracer.counter(
@@ -523,22 +515,9 @@ class Simulation:
             gpu=timing.gpu_time,
         )
         tel.metrics.counter("sim_steps_total", "time steps executed").inc()
-        sample = tel.drift.observe(
-            self.step_index,
-            predicted=predicted,
-            observed_cpu=timing.cpu_time,
-            observed_gpu=timing.gpu_time,
-            coeffs=self.balancer.coeffs,
-        )
-        if sample is not None:
-            tel.tracer.counter("drift-residual", sample.residual)
-        self._record_engine_telemetry(timing)
-
-    def _record_engine_telemetry(self, timing) -> None:
-        """Export the last engine run: real worker lanes next to the
-        simulated scheduler's, and the runtime-model residual (simulated
-        makespan vs. measured wall-clock)."""
-        tel = self.telemetry
+        residual = self.balancer.decisions[-1]["residual"]
+        if residual is not None:
+            tel.tracer.counter("drift-residual", residual)
         res = self.solver.last_engine_result if self.solver is not None else None
         if res is None:
             return
@@ -558,19 +537,10 @@ class Simulation:
         tel.tracer.add_worker_lanes(
             res.timeline(), pid=REAL_PID, makespan=res.makespan, phase="engine"
         )
-        rs = tel.drift.observe_runtime(
-            self.step_index, simulated=timing.compute_time, measured=res.makespan
-        )
-        tel.metrics.gauge(
-            "runtime_model_residual",
-            "signed relative error of the simulated makespan vs the engine's "
-            "measured wall-clock, (measured - simulated) / measured",
-        ).set(rs.residual)
         tel.metrics.gauge(
             "runtime_engine_utilization",
             "busy-time / (makespan x workers) of the last engine run",
         ).set(res.utilization)
-        self.executor.observe_real_registry(res.op_registry())
 
     # ------------------------------------------------------------- summaries
     def summary(self) -> dict[str, float]:

@@ -243,6 +243,20 @@ _RETIRED = {
     "max_shard" + "_wall": "none: a shard result reports busy and barrier time",
     "shard" + "_walls": "ShardRunResult.shard_busy and barrier_seconds",
     "phase" + "_seconds": "none: a shard records its walls, busy and barrier time only",
+    "Drift" + "Tracker": "DynamicLoadBalancer.decisions: each step's prediction "
+    "beside its observation, summed by decision_summary()['drift']",
+    "Drift" + "Sample": "a decision record's predicted, cpu / gpu and residual",
+    "Runtime" + "Sample": "none: the modeled step and the host's engine makespan "
+    "time different machines",
+    "observe" + "_runtime": "none: the modeled step and the host's engine makespan "
+    "time different machines",
+    "runtime_model" + "_residual": "none: the modeled step and the host's engine "
+    "makespan time different machines",
+    "real" + "_coeffs": "none: nothing read the engine-measured coefficients",
+    "observe_real" + "_registry": "none: nothing read the engine-measured coefficients",
+    "telemetry." + "drift": "DynamicLoadBalancer.decision_summary()['drift'], kept "
+    "with telemetry off too",
+    "obs." + "drift": "repro.balance.controller: the balancer's decision record",
 }
 
 

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalancerConfig
+from repro.balance.controller import DynamicLoadBalancer
 from repro.distributions.generators import compact_plummer
 from repro.kernels.laplace import GravityKernel
+from repro.machine.executor import HeterogeneousExecutor, StepTiming
 from repro.machine.spec import system_a
 from repro.obs import (
     NULL_TELEMETRY,
-    DriftTracker,
     MetricsRegistry,
     Telemetry,
     Tracer,
 )
 from repro.obs.trace import _NULL_SPAN, REAL_PID, SIM_PID, WALL_PID
-from repro.costmodel.predictor import TimePrediction
 from repro.sim.driver import Simulation, SimulationConfig
+from repro.util.timing import TimerRegistry
 
 
 # --------------------------------------------------------------------- tracer
@@ -161,67 +162,95 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------- drift
+def _frozen_balancer():
+    """A balancer past its search with the tree frozen: ``end_of_step``
+    only predicts, folds in the coefficients, and records."""
+    balancer = DynamicLoadBalancer(HeterogeneousExecutor(system_a()), mode="static")
+    balancer._frozen = True
+    return balancer
+
+
+def _step(balancer, predicted, observed_cpu, observed_gpu, registry=None):
+    """Record one step whose §IV-D prediction is ``predicted`` — a
+    ``(cpu, gpu)`` pair the held coefficients are set to produce, or None
+    for coefficients not ready yet — and return its decision record."""
+    c = balancer.coeffs
+    if predicted is None:
+        c.steps_observed = 0
+    else:
+        # one M2M and one P2P application; P2M/M2L/L2P only make it ready
+        c.cpu = {"P2M": 1.0, "M2L": 1.0, "L2P": 1.0, "M2M": predicted[0]}
+        c.gpu_p2p = predicted[1]
+        c.steps_observed = 1
+    timing = StepTiming(
+        cpu_time=observed_cpu,
+        gpu_time=observed_gpu,
+        op_counts={"M2M": 1, "P2P": 1},
+        cpu_registry=registry if registry is not None else TimerRegistry(),
+    )
+    balancer.end_of_step(None, timing)
+    return balancer.decisions[-1]
+
+
+def _drift(balancer):
+    return balancer.decision_summary()["drift"]
+
+
 class TestDrift:
+    """Each decision record carries the step's prediction beside what it
+    observed; ``decision_summary()["drift"]`` sums the residuals."""
+
     def test_residual_sign(self):
-        d = DriftTracker()
-        s = d.observe(
-            0,
-            predicted=TimePrediction(cpu_time=0.9, gpu_time=0.5),
-            observed_cpu=1.0,
-            observed_gpu=0.4,
-        )
-        assert s.residual == pytest.approx(0.1)  # under-predicted by 10%
-        assert s.imbalance == pytest.approx(0.6)
+        b = _frozen_balancer()
+        dec = _step(b, (0.9, 0.5), observed_cpu=1.0, observed_gpu=0.4)
+        assert dec["predicted"] == pytest.approx({"cpu": 0.9, "gpu": 0.5})
+        assert (dec["cpu"], dec["gpu"]) == (1.0, 0.4)
+        assert dec["residual"] == pytest.approx(0.1)  # under-predicted by 10%
+        assert _drift(b)["mean_imbalance"] == pytest.approx(0.6)
 
     def test_unpredicted_steps_counted(self):
-        d = DriftTracker()
-        assert d.observe(0, predicted=None, observed_cpu=1.0, observed_gpu=1.0) is None
-        assert d.unpredicted_steps == 1
-        assert len(d) == 0
+        b = _frozen_balancer()
+        dec = _step(b, None, observed_cpu=1.0, observed_gpu=1.0)
+        assert dec["predicted"] is None and dec["residual"] is None
+        assert _drift(b)["n_unpredicted_steps"] == 1
+        assert _drift(b)["n_predicted_steps"] == 0
 
-    def test_summary_and_eventlog(self):
-        d = DriftTracker()
-        for i in range(3):
-            d.observe(
-                i,
-                predicted=TimePrediction(cpu_time=1.0, gpu_time=0.0),
-                observed_cpu=2.0,
-                observed_gpu=0.0,
-            )
-        summary = d.summary()
+    def test_summary_over_steps(self):
+        b = _frozen_balancer()
+        for _ in range(3):
+            _step(b, (1.0, 0.0), observed_cpu=2.0, observed_gpu=0.0)
+        summary = _drift(b)
         assert summary["n_predicted_steps"] == 3
         assert summary["mean_abs_residual"] == pytest.approx(0.5)
-        log = d.to_eventlog()
-        assert log.column("residual") == pytest.approx([0.5, 0.5, 0.5])
+        assert [d["residual"] for d in b.decisions] == pytest.approx([0.5] * 3)
 
-    def test_runtime_residual_math(self):
-        d = DriftTracker()
-        # engine took twice as long as the schedule simulation predicted
-        s = d.observe_runtime(0, simulated=0.5, measured=1.0)
-        assert s.residual == pytest.approx(0.5)
-        # engine beat the simulated makespan: negative residual
-        s = d.observe_runtime(1, simulated=1.2, measured=1.0)
-        assert s.residual == pytest.approx(-0.2)
-        # degenerate zero measurement must not divide by zero
-        assert d.observe_runtime(2, simulated=0.1, measured=0.0).residual == 0.0
-        summary = d.summary()
-        assert summary["n_runtime_steps"] == 3
-        assert summary["runtime_model_residual"] == pytest.approx((0.5 + 0.2) / 3)
-        assert len(d.as_dict()["runtime"]) == 3
+    def test_summary_covers_steps_past_the_record(self):
+        b = _frozen_balancer()
+        n = b.decisions.maxlen + 10
+        for _ in range(n):
+            _step(b, (1.0, 0.0), observed_cpu=2.0, observed_gpu=0.0)
+        assert len(b.decisions) < n
+        assert _drift(b)["n_predicted_steps"] == n
 
+    def test_prediction_uses_coefficients_held_before_the_step(self):
+        b = _frozen_balancer()
+        registry = TimerRegistry()
+        registry.timer("M2M").add(5.0, 1)  # this step observes M2M at 5.0
+        dec = _step(b, (0.9, 0.5), 1.0, 0.4, registry=registry)
+        assert dec["predicted"]["cpu"] == pytest.approx(0.9)
+        assert dec["coeffs"]["M2M"] == pytest.approx(5.0)  # post-update
 
 # ----------------------------------------------------------------- edge cases
 class TestTelemetryEdgeCases:
     """Degenerate registries and degraded steps must stay well-defined."""
 
-    def test_runtime_residual_on_empty_tracker(self):
-        summary = DriftTracker().summary()
+    def test_drift_summary_on_empty_record(self):
+        b = _frozen_balancer()
+        summary = _drift(b)
         assert summary["n_predicted_steps"] == 0
-        assert summary["n_runtime_steps"] == 0
-        assert summary["runtime_model_residual"] == 0.0
         assert summary["mean_abs_residual"] == 0.0
-        # json round-trip of the empty as_dict form
-        json.dumps(DriftTracker().as_dict())
+        # json round-trip of the empty summary
+        json.dumps(b.decision_summary())
 
     def test_empty_registry_snapshot(self):
         reg = MetricsRegistry()
@@ -258,8 +287,9 @@ class TestTelemetryEdgeCases:
         assert snap["sim_steps_total"] == 2
         assert snap['runtime_degraded_total{solver="laplace"}'] >= 1
         assert sim.solver.degraded_runs >= 1
-        # the healthy step fed the runtime-model drift again
-        assert telemetry.drift.summary()["n_runtime_steps"] >= 1
+        # the healthy step's engine run was exported again
+        assert sim.last_critpath is not None
+        assert "runtime_engine_utilization" in snap
 
 
 # ------------------------------------------------------------ instrumentation
@@ -323,12 +353,13 @@ class TestInstrumentedSimulation:
         assert any(k.startswith("fmm_op_coefficient_seconds") for k in snap)
 
     def test_drift_produced_by_short_run(self, run20):
-        _, tel = run20
-        summary = tel.drift.summary()
+        sim, _ = run20
+        summary = sim.balancer.decision_summary()["drift"]
         assert summary["n_predicted_steps"] >= 10
         # the §IV-D model should predict within tens of percent, not be junk
         assert summary["mean_abs_residual"] < 0.5
-        assert tel.drift.coefficient_history  # trajectories were recorded
+        # coefficient trajectories were recorded
+        assert all(d["coeffs"]["M2L"] > 0.0 for d in sim.balancer.decisions)
 
     def test_trace_json_valid(self, run20, tmp_path):
         _, tel = run20
@@ -339,7 +370,6 @@ class TestInstrumentedSimulation:
             assert "ph" in ev and "ts" in ev and "pid" in ev and "tid" in ev
 
     def test_disabled_telemetry_records_nothing(self):
-        before_drift = len(NULL_TELEMETRY.drift)
         ps = compact_plummer(200, seed=0, total_mass=1.0, velocity_scale=1.5)
         sim = Simulation(
             ps,
@@ -350,13 +380,15 @@ class TestInstrumentedSimulation:
         sim.run(2)
         assert sim.telemetry is NULL_TELEMETRY
         assert len(NULL_TELEMETRY.tracer) == 0
-        assert len(NULL_TELEMETRY.drift) == before_drift
+        # the balancer's record is kept with telemetry off too
+        drift = sim.balancer.decision_summary()["drift"]
+        assert drift["n_predicted_steps"] + drift["n_unpredicted_steps"] == 2
 
 
 class TestEngineInstrumentation:
     """An FMM run through the real thread-pool engine exports its worker
-    timelines as a third Perfetto process and feeds the runtime-model
-    drift metric (simulated makespan vs. measured wall-clock)."""
+    timelines as a third Perfetto process and its utilization as a
+    gauge."""
 
     @pytest.fixture(scope="class")
     def engine_run(self):
@@ -393,23 +425,11 @@ class TestEngineInstrumentation:
         assert meta.get(REAL_PID) == "real workers"
         assert meta.get(SIM_PID) == "simulated scheduler"
 
-    def test_runtime_model_residual_tracked(self, engine_run):
-        _, tel = engine_run
-        summary = tel.drift.summary()
-        assert summary["n_runtime_steps"] == 5
-        assert np.isfinite(summary["runtime_model_residual"])
-        snap = tel.metrics.snapshot()
-        assert any(k.startswith("runtime_model_residual") for k in snap)
-        assert any(k.startswith("runtime_engine_utilization") for k in snap)
-
-    def test_real_coefficients_observed(self, engine_run):
+    def test_engine_utilization_tracked(self, engine_run):
         sim, tel = engine_run
-        coeffs = sim.executor.real_coeffs.as_dict()
-        assert coeffs["M2L"] > 0.0
+        assert sim.last_critpath is not None
         snap = tel.metrics.snapshot()
-        assert any("cpu-real" in k for k in snap)
-
-
+        assert 0.0 < snap["runtime_engine_utilization"] <= 1.0
 
 
 # ------------------------------------------------------- tracer thread-safety
@@ -521,57 +541,36 @@ class TestTracerThreadSafety:
 
 # ----------------------------------------------------------- drift edge cases
 class TestDriftEdgeCases:
-    def _sample(self, **kw):
-        tracker = DriftTracker()
-        defaults = dict(
-            predicted=TimePrediction(cpu_time=1.0, gpu_time=0.5),
-            observed_cpu=1.1,
-            observed_gpu=0.4,
-        )
-        defaults.update(kw)
-        return tracker, tracker.observe(0, **defaults)
+    def _sample(self, predicted=(1.0, 0.5), observed_cpu=1.1, observed_gpu=0.4):
+        b = _frozen_balancer()
+        return b, _step(b, predicted, observed_cpu, observed_gpu)
 
     def test_zero_predicted_time(self):
-        tracker, s = self._sample(
-            predicted=TimePrediction(cpu_time=0.0, gpu_time=0.0)
-        )
-        assert s.residual == pytest.approx(1.0)  # fully under-predicted
-        assert np.isfinite(tracker.summary()["mean_abs_residual"])
+        b, dec = self._sample(predicted=(0.0, 0.0))
+        assert dec["residual"] == pytest.approx(1.0)  # fully under-predicted
+        assert np.isfinite(_drift(b)["mean_abs_residual"])
 
     def test_zero_observed_time_guarded(self):
-        _, s = self._sample(observed_cpu=0.0, observed_gpu=0.0)
-        assert s.residual == 0.0
+        _, dec = self._sample(observed_cpu=0.0, observed_gpu=0.0)
+        assert dec["residual"] == 0.0
 
     def test_nan_observed_guarded(self):
-        tracker, s = self._sample(observed_cpu=float("nan"))
-        assert s.residual == 0.0
-        assert s.imbalance == 0.0
-        summary = tracker.summary()
+        b, dec = self._sample(observed_cpu=float("nan"))
+        assert dec["residual"] == 0.0
+        summary = _drift(b)
+        assert summary["mean_imbalance"] == 0.0
         assert np.isfinite(summary["mean_abs_residual"])
-        assert np.isfinite(summary["mean_imbalance"])
 
     def test_nan_predicted_guarded(self):
-        _, s = self._sample(
-            predicted=TimePrediction(cpu_time=float("nan"), gpu_time=0.1)
-        )
-        assert s.residual == 0.0
+        _, dec = self._sample(predicted=(float("nan"), 0.1))
+        assert dec["residual"] == 0.0
 
     def test_single_observation_window(self):
-        tracker, s = self._sample()
-        assert len(tracker) == 1
-        summary = tracker.summary()
+        b, dec = self._sample()
+        summary = _drift(b)
         assert summary["n_predicted_steps"] == 1
-        assert summary["mean_abs_residual"] == pytest.approx(abs(s.residual))
+        assert summary["mean_abs_residual"] == pytest.approx(abs(dec["residual"]))
         assert summary["max_abs_residual"] == summary["mean_abs_residual"]
-
-    def test_runtime_sample_nan_and_zero_guarded(self):
-        tracker = DriftTracker()
-        assert tracker.observe_runtime(0, simulated=1.0, measured=0.0).residual == 0.0
-        assert (
-            tracker.observe_runtime(1, simulated=float("nan"), measured=2.0).residual
-            == 0.0
-        )
-        assert np.isfinite(tracker.summary()["runtime_model_residual"])
 
 
 class _FakeClock:

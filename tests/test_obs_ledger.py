@@ -323,6 +323,16 @@ class TestDriverLedger:
         assert rec.engine.get("makespan", 0) > 0
         assert "dominant_stage" in rec.engine
 
+    def test_drift_recorded_with_telemetry_off(self, tmp_path):
+        """The residual summary is read off the balancer's record, which
+        every run keeps: no telemetry bundle is needed for it."""
+        ledger = self._run(tmp_path, forces="direct")
+        (rec,) = ledger.records()
+        assert rec.drift["n_predicted_steps"] >= 1
+        assert rec.drift["n_predicted_steps"] + rec.drift["n_unpredicted_steps"] == 3
+        assert 0.0 <= rec.drift["mean_abs_residual"] < 1.0
+        assert "drift" not in rec.balancer
+
     def test_balancer_decisions_recorded(self, tmp_path):
         ledger = self._run(tmp_path, forces="direct", strategy="full")
         (rec,) = ledger.records()

@@ -16,6 +16,7 @@ kind) is ``-m chaos``.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.runtime.shards import ProcessEngine, ShardExecutionError
 from repro.tree.cache import ListCache
 from repro.tree.octree import AdaptiveOctree
+from repro.util.timing import Deadline, SolveDeadlineError
 
 KERNEL = GravityKernel(G=1.0, softening=1e-3)
 
@@ -234,6 +236,103 @@ def test_persistent_failure_degrades_to_exact_serial_via_solver():
         assert solver.degraded_runs == 1
         assert eng.total_respawns == 1
         assert eng.total_serial_fallbacks == 1
+
+
+def _hold_barrier_lock(eng) -> threading.Event:
+    """Stand in for a worker killed while it held the barrier's lock:
+    another thread owns the lock until the returned event is set."""
+    taken, release = threading.Event(), threading.Event()
+
+    def hold(lock):
+        with lock:
+            taken.set()
+            release.wait()
+
+    threading.Thread(target=hold, args=(eng._barrier._cond,), daemon=True).start()
+    taken.wait()
+    return release
+
+
+def test_unobtainable_barrier_lock_degrades_to_serial_within_heartbeat():
+    """A worker killed while it held the barrier's lock never releases
+    it: the recovery's barrier reset gives up after the heartbeat window
+    and the solve degrades to the exact serial path instead of hanging."""
+    pts, q = _cloud(n=600, seed=47)
+    tree = AdaptiveOctree(pts, S=24)
+    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    held: list = []
+    out: dict = {}
+    with ProcessEngine(n_shards=2, timeout_s=120.0, heartbeat_s=3.0) as eng:
+        respawn = eng._respawn
+
+        def respawn_holding_the_lock(s):
+            respawn(s)
+            if not held:
+                held.append(_hold_barrier_lock(eng))
+
+        eng._respawn = respawn_holding_the_lock
+        eng.install_fault_plan(_plan("kill", "p2m"))
+        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+
+        def solve():
+            t0 = time.monotonic()
+            out["res"] = solver.solve(tree, q, gradient=True)
+            out["elapsed"] = time.monotonic() - t0
+
+        # on a thread, so a reset that blocks fails the test, not the run
+        worker = threading.Thread(target=solve, daemon=True)
+        worker.start()
+        worker.join(eng.heartbeat_s + 60.0)
+        for release in held:
+            release.set()
+        worker.join(30.0)
+    assert held
+    assert out.get("elapsed", float("inf")) < eng.heartbeat_s + 30.0
+    assert np.array_equal(serial.potential, out["res"].potential)
+    assert np.array_equal(serial.gradient, out["res"].gradient)
+    assert solver.degraded_runs == 1
+    assert eng.total_serial_fallbacks == 1
+
+
+class _ExpiresAtLook(Deadline):
+    """The budget runs out at the N-th look (the first is the dispatcher's)."""
+
+    def __init__(self, n_looks: int) -> None:
+        super().__init__(3600.0)
+        self.looks_left = n_looks
+
+    def remaining(self) -> float:
+        self.looks_left -= 1
+        return 1e-3 if self.looks_left > 0 else -1.0
+
+
+def test_expired_solve_with_an_unobtainable_barrier_lock_starts_a_fresh_pool():
+    """The deadline path's barrier reset has the same bound: the expired
+    solve still raises SolveDeadlineError (never a serial re-run), the
+    wedged pool is torn down, and the next solve spawns a fresh one."""
+    pts, q = _cloud(n=600, seed=49)
+    tree = AdaptiveOctree(pts, S=24)
+    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    with ProcessEngine(n_shards=2, timeout_s=60.0, heartbeat_s=2.0) as eng:
+        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver.solve(tree, q, gradient=True)  # warm: pool spawned, session installed
+        reset = eng._reset_barrier
+        held = []
+        eng._reset_barrier = lambda: held.append(_hold_barrier_lock(eng)) or reset()
+        try:
+            with pytest.raises(SolveDeadlineError) as err:
+                solver.solve(tree, q, gradient=True, deadline=_ExpiresAtLook(5))
+        finally:
+            for release in held:
+                release.set()
+        del eng._reset_barrier
+        assert held and err.value.phase.startswith("shards")
+        assert eng._procs == [] and eng._session is None
+        res = solver.solve(tree, q, gradient=True)
+        assert np.array_equal(serial.potential, res.potential)
+        assert np.array_equal(serial.gradient, res.gradient)
+        assert solver.degraded_runs == 0
+        assert eng.total_serial_fallbacks == 0
 
 
 def test_thread_engine_rejects_process_fault_kinds():
