@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["BalancerConfig"]
@@ -50,6 +51,11 @@ class BalancerConfig:
         return self.gap_threshold_s
 
     def __post_init__(self) -> None:
+        frac = self.gap_threshold_frac
+        if frac is not None and not 0 < frac < math.inf:
+            raise ValueError(
+                f"gap_threshold_frac must be positive and finite (or None), got {frac}"
+            )
         if self.s_min < 1 or self.s_max < self.s_min:
             raise ValueError("require 1 <= s_min <= s_max")
         if not 0 < self.degradation_tolerance < 1:

@@ -51,14 +51,6 @@ class RankPartition:
             cur = min(kids, key=lambda c: self.tree.nodes[c].lo)
         return self.leaf_rank[cur]
 
-    def bodies_of_rank(self, rank: int):
-        import numpy as np
-
-        leaves = self.rank_leaves[rank]
-        if not leaves:
-            return np.array([], dtype=int)
-        return np.concatenate([self.tree.bodies(l) for l in leaves])
-
     @property
     def imbalance(self) -> float:
         """max rank work / mean rank work (1.0 = perfect)."""

@@ -1,13 +1,10 @@
 """The paper's cost model: observed per-operation coefficients and the
 time prediction of §IV-D."""
 
-from repro.costmodel.flops import op_work_units, work_profile
 from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.predictor import TimePrediction, predict_times
 
 __all__ = [
-    "op_work_units",
-    "work_profile",
     "ObservedCoefficients",
     "TimePrediction",
     "predict_times",

@@ -992,21 +992,6 @@ class FarFieldPass:
         not requested)."""
         return channel_outputs(self.charges, self.pot, self.grad)
 
-    def healthy(self) -> bool:
-        """Cheap NaN/Inf guardrail over every coefficient/output array.
-
-        One ``sum`` reduction per array (see
-        :func:`repro.resilience.guardrails.check_finite`); used by the
-        numeric-quarantine tests and available to callers that want to
-        validate a pass before trusting its outputs.
-        """
-        from repro.resilience.guardrails import check_finite
-
-        return all(
-            check_finite(arr)
-            for arr in (self.multipoles, self.locals_, self.pot, self.grad)
-        )
-
 
 def laplace_far_field(
     tree: AdaptiveOctree,

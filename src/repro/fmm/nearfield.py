@@ -493,13 +493,6 @@ class NearFieldPass:
     def result(self):
         return self.pot, self.grad
 
-    def healthy(self) -> bool:
-        """Cheap NaN/Inf guardrail over the output arrays (see
-        :func:`repro.resilience.guardrails.check_finite`)."""
-        from repro.resilience.guardrails import check_finite
-
-        return check_finite(self.pot) and check_finite(self.grad)
-
 
 def evaluate_near_field(
     kernel: Kernel,

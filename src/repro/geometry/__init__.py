@@ -1,6 +1,6 @@
-"""Geometric primitives: axis-aligned boxes, Morton keys, octant math."""
+"""Geometric primitives: axis-aligned boxes and Morton keys."""
 
-from repro.geometry.box import Box, bounding_box, cube_containing
+from repro.geometry.box import Box, bounding_box
 from repro.geometry.morton import (
     MAX_MORTON_LEVEL,
     decode_morton,
@@ -9,27 +9,14 @@ from repro.geometry.morton import (
     deinterleave3,
     morton_keys,
 )
-from repro.geometry.octant import (
-    child_box,
-    child_octant_of_points,
-    octant_offset,
-    boxes_adjacent,
-    well_separated,
-)
 
 __all__ = [
     "Box",
     "bounding_box",
-    "cube_containing",
     "MAX_MORTON_LEVEL",
     "encode_morton",
     "decode_morton",
     "interleave3",
     "deinterleave3",
     "morton_keys",
-    "child_box",
-    "child_octant_of_points",
-    "octant_offset",
-    "boxes_adjacent",
-    "well_separated",
 ]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box", "bounding_box", "cube_containing"]
+__all__ = ["Box", "bounding_box"]
 
 
 @dataclass(frozen=True)
@@ -75,25 +75,3 @@ def bounding_box(points: np.ndarray, *, pad: float = 1e-9) -> Box:
     size = float((hi - lo).max())
     size = size * (1.0 + pad) + pad
     return Box(tuple(center), size)
-
-
-def cube_containing(box: Box, points: np.ndarray) -> Box:
-    """Return ``box`` if it contains every point, else a grown cube that does.
-
-    Used by the time-dependent driver: when bodies drift outside the current
-    root cube we grow the root rather than losing them.
-    """
-    pts = np.atleast_2d(points)
-    if bool(box.contains(pts).all()):
-        return box
-    grown = bounding_box(pts)
-    size = max(box.size, grown.size)
-    # grow around the original center while it still covers everything,
-    # otherwise recenter on the data.
-    candidate = Box(box.center, size)
-    while not bool(candidate.contains(pts).all()):
-        size *= 2.0
-        candidate = Box(box.center, size)
-        if size > 1e12 * max(1.0, grown.size):  # pragma: no cover - safety
-            return grown
-    return candidate

@@ -66,13 +66,6 @@ class KernelTiming:
     interactions: int
     issued_body_steps: float  # body-steps actually issued (incl. idle lanes)
 
-    @property
-    def efficiency(self) -> float:
-        """Useful interactions / issued body-steps (1.0 = no idle lanes)."""
-        if self.issued_body_steps == 0:
-            return 1.0
-        return self.interactions / self.issued_body_steps
-
 
 class GPUKernelModel:
     """Times the near-field kernel of one GPU on its assigned work items."""

@@ -67,9 +67,6 @@ class KernelCostProfile:
     def weight(self, op: str) -> float:
         return self.weights.get(op, 1.0)
 
-    def scaled(self, factor: float) -> "KernelCostProfile":
-        return KernelCostProfile({k: v * factor for k, v in self.weights.items()})
-
 
 def separation_tiles(targets, sources, n_work: int):
     """Walk a batch of dense blocks in tiles of ``_TILE_ELEMS`` pairs.

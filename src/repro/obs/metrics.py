@@ -65,9 +65,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def expose(self) -> list[str]:
         return [f"{self.name}{_fmt_labels(self.labels)} {_fmt_value(self.value)}"]
 

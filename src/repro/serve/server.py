@@ -28,6 +28,7 @@ served request keeps nothing once answered: solves run on a disabled
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import time
 from dataclasses import dataclass
@@ -78,9 +79,9 @@ class ServeConfig:
             raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if int(self.max_tenants) < 1:
             raise ValueError(f"max_tenants must be >= 1, got {self.max_tenants}")
-        if float(self.shed_budget_s) <= 0:
+        if not 0 < float(self.shed_budget_s) < math.inf:
             raise ValueError(
-                f"shed_budget_s must be positive seconds, got {self.shed_budget_s}"
+                f"shed_budget_s must be positive, finite seconds, got {self.shed_budget_s}"
             )
         if int(self.max_frame_bytes) < 1024:
             raise ValueError(

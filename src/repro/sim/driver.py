@@ -16,6 +16,7 @@ The per-step records feed Figs. 8–9 and Table II directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +88,10 @@ class SimulationConfig:
     ledger_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        # ``nan <= 0`` is False: the bounds are stated so NaN fails them
+        if not 0 < self.dt < math.inf:
             raise ValueError(
-                f"dt must be a positive time step, got {self.dt}"
+                f"dt must be a positive, finite time step, got {self.dt}"
             )
         if self.order < 1:
             raise ValueError(
@@ -104,9 +106,9 @@ class SimulationConfig:
                 f"n_workers must be >= 1 (use 1 for the exact serial path), "
                 f"got {self.n_workers}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise ValueError(
-                f"deadline_s must be a positive wall-clock budget in "
+                f"deadline_s must be a positive, finite wall-clock budget in "
                 f"seconds (or None to disable), got {self.deadline_s}"
             )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

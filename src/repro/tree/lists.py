@@ -34,16 +34,16 @@ and :meth:`InteractionLists.op_counts` gather from the tables; the
 ``{node id: [node ids]}`` dicts are *views* boxed from them on first read,
 for the readers that want Python objects (the modelled machine:
 :mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`, :mod:`repro.cluster`,
-the fine-grained optimizer, the diagnostics).  A tree whose shape changed
+the fine-grained optimizer).  A tree whose shape changed
 gets a fresh build (:class:`~repro.tree.cache.ListCache`); lists are never
-edited in place.  The original per-pair construction is the test-side
-oracle ``tests/oracles/lists.py``.
+edited in place, and the pair tables are their one source.  The original
+per-pair construction is the test-side oracle ``tests/oracles/lists.py``,
+which hands its dicts in as tables too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -84,19 +84,6 @@ class PairTable:
             k: values[lo:hi] for k, lo, hi in zip(self.keys.tolist(), offs[:-1], offs[1:])
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[int, list[int]]) -> "PairTable":
-        """Flatten a dict view (the producer for hand-built lists)."""
-        n = len(d)
-        counts = np.fromiter(map(len, d.values()), dtype=np.int64, count=n)
-        return cls(
-            keys=np.fromiter(d, dtype=np.int64, count=n),
-            counts=counts,
-            values=np.fromiter(
-                chain.from_iterable(d.values()), dtype=np.int64, count=int(counts.sum())
-            ),
-        )
-
 
 def _dict_view(name: str) -> property:
     def get(self) -> dict[int, list[int]]:
@@ -105,11 +92,7 @@ def _dict_view(name: str) -> property:
             view = self._views[name] = self._tables[name].to_dict()
         return view
 
-    def set_(self, value: dict[int, list[int]]) -> None:
-        self._views[name] = value
-        self._tables.pop(name, None)
-
-    return property(get, set_, doc=f"``{name}`` as ``{{owner id: [ids]}}`` (lazy view).")
+    return property(get, doc=f"``{name}`` as ``{{owner id: [ids]}}`` (lazy view).")
 
 
 class InteractionLists:
@@ -122,9 +105,7 @@ class InteractionLists:
     ``u_list`` / ``w_list`` / ``near_sources`` hold leaves only, the latter
     including the leaf itself) are *views*, boxed from the tables on first
     read, for the modelled machine.  A lists object is never changed once
-    built; whoever edits a view by hand (a test, the oracle) calls
-    :meth:`drop_tables` afterwards, which makes the dicts the source and
-    lets the next array consumer re-flatten them.
+    built: the tables are its one source, and nothing writes a view.
     """
 
     colleagues = _dict_view("colleagues")
@@ -135,16 +116,12 @@ class InteractionLists:
     near_sources = _dict_view("near_sources")
 
     def __init__(
-        self,
-        tree: AdaptiveOctree,
-        folded: bool,
-        tables: dict[str, PairTable] | None = None,
+        self, tree: AdaptiveOctree, folded: bool, tables: dict[str, PairTable]
     ) -> None:
         self.tree = tree
         self.folded = folded
-        self._tables: dict[str, PairTable] = dict(tables or {})
-        #: without tables (a hand-built instance) the empty dicts are the source
-        self._views: dict[str, dict] = {} if tables else {name: {} for name in FAMILIES}
+        self._tables = dict(tables)
+        self._views: dict[str, dict] = {}
         #: derived data memoized against the tree's ``generation`` stamp
         #: (op counts, near-field work items / evaluation plans); body counts
         #: change under refit while the lists themselves stay valid, so derived
@@ -153,22 +130,12 @@ class InteractionLists:
 
     # --------------------------------------------------------------- tables
     def table(self, name: str) -> PairTable:
-        """The :class:`PairTable` of family ``name`` (flattened from its
-        dict view when a hand edit dropped it)."""
-        tab = self._tables.get(name)
-        if tab is None:
-            tab = self._tables[name] = PairTable.from_dict(self._views[name])
-        return tab
+        """The :class:`PairTable` of family ``name``."""
+        return self._tables[name]
 
     def materialized(self, name: str) -> bool:
         """Whether the dict view of family ``name`` has been boxed."""
         return name in self._views
-
-    def drop_tables(self) -> None:
-        """Make the dict views the source of truth (call after editing one)."""
-        for name in FAMILIES:
-            getattr(self, name)
-        self._tables.clear()
 
     # ------------------------------------------------------------- counting
     def interactions_of_leaf(self, t: int) -> int:

@@ -393,25 +393,6 @@ class AdaptiveOctree:
         """Maximum level over effective nodes."""
         return max(self.nodes[nid].level for nid in self.effective_nodes())
 
-    def leaf_of_body(self, body: int) -> int:
-        """Effective leaf currently holding body ``body`` (by sorted range)."""
-        if getattr(self, "_inv_order_generation", None) != self.generation:
-            inv = np.empty_like(self.order)
-            inv[self.order] = np.arange(self.order.shape[0])
-            self._inv_order = inv
-            self._inv_order_generation = self.generation
-        pos = int(self._inv_order[body])
-        nid = 0
-        while not self.nodes[nid].is_leaf:
-            for cid in self.effective_children(nid):
-                c = self.nodes[cid]
-                if c.lo <= pos < c.hi:
-                    nid = cid
-                    break
-            else:  # position falls in a pruned (empty) octant - cannot happen
-                raise RuntimeError("body position not covered by any child")
-        return nid
-
     # --------------------------------------------------------------- surgery
     def collapse(self, nid: int) -> None:
         """Hide the children of ``nid``; it becomes an effective leaf.

@@ -5,16 +5,14 @@ subpackage can share deterministic randomness and consistent timing
 conventions.
 """
 
-from repro.util.rng import default_rng, spawn_rngs
-from repro.util.timing import OpTimer, TimerRegistry, WallTimer
+from repro.util.rng import default_rng
+from repro.util.timing import OpTimer, TimerRegistry
 from repro.util.records import EventLog, Record
 
 __all__ = [
     "default_rng",
-    "spawn_rngs",
     "OpTimer",
     "TimerRegistry",
-    "WallTimer",
     "EventLog",
     "Record",
 ]

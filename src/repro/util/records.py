@@ -2,9 +2,9 @@
 
 Experiment harnesses record one :class:`Record` per time step (compute
 time, load-balance time, S value, balancer state, ...) into an
-:class:`EventLog`, which can render itself as aligned text tables,
-RFC-4180 CSV, or JSON Lines — the formats the benchmark harnesses print
-and external tooling consumes.
+:class:`EventLog`, which can render itself as aligned text tables or JSON
+Lines — the formats the benchmark harnesses print and external tooling
+consumes.
 """
 
 from __future__ import annotations
@@ -60,24 +60,11 @@ class EventLog:
                 seen.setdefault(k, None)
         return list(seen)
 
-    def to_csv(self, keys: Iterable[str] | None = None) -> str:
-        """Render as RFC-4180 CSV.
-
-        Fields containing commas, double quotes, or line breaks (e.g. the
-        balancer's ``actions`` strings) are quoted, with embedded quotes
-        doubled, so the output survives any compliant CSV reader.
-        """
-        keys = list(keys) if keys is not None else self.keys()
-        lines = [",".join(_csv_field(k) for k in keys)]
-        for r in self._rows:
-            lines.append(",".join(_csv_field(_fmt(r.get(k, ""))) for k in keys))
-        return "\n".join(lines)
-
     def to_jsonl(self, keys: Iterable[str] | None = None) -> str:
         """Render as JSON Lines: one JSON object per record.
 
-        Unlike CSV, rows keep their own field sets (no padding with empty
-        strings), so external tooling sees exactly what was recorded.
+        Rows keep their own field sets (no padding with empty strings), so
+        external tooling sees exactly what was recorded.
         Non-JSON-native values (numpy scalars, enums) are coerced through
         ``float`` when possible and ``str`` otherwise.
         """
@@ -107,13 +94,6 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def _csv_field(text: str) -> str:
-    """Quote ``text`` per RFC 4180 when it contains a special character."""
-    if any(c in text for c in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _json_default(obj: Any):

@@ -1,15 +1,14 @@
 """Deterministic random-number-generator helpers.
 
 All stochastic code in the library accepts either an integer seed or a
-``numpy.random.Generator``; these helpers normalize the two and derive
-independent child streams so that parallel components never share a stream.
+``numpy.random.Generator``; :func:`default_rng` normalizes the two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_rng", "spawn_rngs"]
+__all__ = ["default_rng"]
 
 
 def default_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -25,17 +24,3 @@ def default_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generat
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators from ``rng``.
-
-    Uses the SeedSequence spawning protocol so children never overlap with
-    each other or with the parent.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    seq = rng.bit_generator.seed_seq
-    if seq is None:  # pragma: no cover - numpy always exposes seed_seq today
-        seq = np.random.SeedSequence(rng.integers(0, 2**63 - 1))
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

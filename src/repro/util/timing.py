@@ -3,13 +3,14 @@
 The paper derives per-operation *observed coefficients* by accumulating,
 per FMM operation, the total time spent and the number of applications
 (§IV-D).  :class:`OpTimer` is exactly that accumulator.  Times fed into an
-``OpTimer`` may come either from a real wall clock (:class:`WallTimer`) or
-from the machine model's simulated clock — the cost model does not care.
+``OpTimer`` may come either from a real wall clock or from the machine
+model's simulated clock — the cost model does not care.
 
 :class:`Deadline` is the wall-clock budget of one solve: created once by
 whoever owns the budget (the serve worker, the simulation driver), passed
 as one argument down ``solve`` → dispatcher → back end, and checked at
-stage boundaries by whichever back end runs (DESIGN.md §11).
+stage boundaries by whichever back end runs (DESIGN.md §11).  Every
+deadline reads the module's :data:`clock`.
 """
 
 from __future__ import annotations
@@ -17,24 +18,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Deadline", "OpTimer", "SolveDeadlineError", "TimerRegistry", "WallTimer"]
+__all__ = ["Deadline", "OpTimer", "SolveDeadlineError", "TimerRegistry", "clock"]
 
-
-class WallTimer:
-    """Context-manager stopwatch measuring real elapsed seconds."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "WallTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
+#: the seconds every :class:`Deadline` reads, looked up at each read so a
+#: test can drive it
+clock = time.perf_counter
 
 
 class SolveDeadlineError(RuntimeError):
@@ -63,11 +51,11 @@ class Deadline:
 
     def __init__(self, seconds: float) -> None:
         self.seconds = float(seconds)
-        self._expires_at = time.perf_counter() + self.seconds
+        self._expires_at = clock() + self.seconds
 
     def remaining(self) -> float:
         """Seconds left (negative once expired)."""
-        return self._expires_at - time.perf_counter()
+        return self._expires_at - clock()
 
     def check(self, phase: str) -> None:
         """Raise :class:`SolveDeadlineError` naming ``phase`` if expired."""
@@ -134,15 +122,3 @@ class TimerRegistry:
     def reset(self) -> None:
         for t in self.timers.values():
             t.reset()
-
-    def merged_with(self, other: "TimerRegistry") -> "TimerRegistry":
-        """Return a new registry summing this one with ``other``.
-
-        Mirrors the paper's summation of per-thread times and counts over
-        all threads before dividing.
-        """
-        out = TimerRegistry()
-        for reg in (self, other):
-            for name, t in reg.timers.items():
-                out.add(name, t.total_time, t.count)
-        return out

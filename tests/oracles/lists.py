@@ -4,44 +4,58 @@ against (and the baseline ``benchmarks/test_bench_hotpaths.py`` times it
 against).
 
 One Python adjacency predicate per candidate pair, dict-of-lists filled
-node by node: the pre-vectorization algorithm, unchanged.  It fills the
-dict views of a hand-built :class:`~repro.tree.lists.InteractionLists`
-(which has no pair tables until a consumer flattens the dicts).  Nothing
-under ``src/`` calls it.
+node by node: the pre-vectorization algorithm, unchanged.  The finished
+dicts are flattened (:func:`pair_table`) and handed to
+:class:`~repro.tree.lists.InteractionLists` as its pair tables, the one
+source a lists object has.  Nothing under ``src/`` calls it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton
-from repro.tree.lists import InteractionLists
+from repro.tree.lists import InteractionLists, PairTable
 from repro.tree.octree import AdaptiveOctree
 
-__all__ = ["build_interaction_lists_scalar"]
+__all__ = ["build_interaction_lists_scalar", "pair_table"]
 
 
-def _finish_lists(tree, il, leaves, leaf_set, folded) -> None:
+def pair_table(d: dict[int, list[int]]) -> PairTable:
+    """Flatten a ``{owner: [ids]}`` dict, in its key order."""
+    n = len(d)
+    counts = np.fromiter(map(len, d.values()), dtype=np.int64, count=n)
+    return PairTable(
+        keys=np.fromiter(d, dtype=np.int64, count=n),
+        counts=counts,
+        values=np.fromiter(
+            chain.from_iterable(d.values()), dtype=np.int64, count=int(counts.sum())
+        ),
+    )
+
+
+def _finish_lists(tree, lists, leaves, leaf_set, folded) -> None:
     """X duality and the folded near-field sets."""
-    il.x_list = {}
-    for x, ws in il.w_list.items():
+    lists["x_list"] = x_list = {}
+    for x, ws in lists["w_list"].items():
         for wnode in ws:
-            il.x_list.setdefault(wnode, []).append(x)
+            x_list.setdefault(wnode, []).append(x)
 
-    for b in leaves:
-        il.near_sources[b] = list(il.u_list[b])
+    near = lists["near_sources"] = {b: list(lists["u_list"][b]) for b in leaves}
     if folded:
         # W entries become their leaf descendants (P2P sources)
         for b in leaves:
-            for wnode in il.w_list[b]:
-                il.near_sources[b].extend(_leaf_descendants(tree, wnode, leaf_set))
+            for wnode in lists["w_list"][b]:
+                near[b].extend(_leaf_descendants(tree, wnode, leaf_set))
         # X entries are pushed down to every leaf under the receiving node
-        for recv, xs in il.x_list.items():
+        for recv, xs in x_list.items():
             for t in _leaf_descendants(tree, recv, leaf_set):
-                il.near_sources[t].extend(xs)
+                near[t].extend(xs)
         # folded mode does not use M2P/P2L
-        il.w_list = {b: [] for b in leaves}
-        il.x_list = {}
+        lists["w_list"] = {b: [] for b in leaves}
+        lists["x_list"] = {}
 
 
 def build_interaction_lists_scalar(
@@ -52,7 +66,10 @@ def build_interaction_lists_scalar(
     Kept as the equivalence oracle for the vectorized builder and as the
     baseline the hot-path benchmarks measure speedups against.
     """
-    il = InteractionLists(tree=tree, folded=folded)
+    colleagues: dict[int, list[int]] = {}
+    v_list: dict[int, list[int]] = {}
+    u_list: dict[int, list[int]] = {}
+    w_list: dict[int, list[int]] = {}
     nodes = tree.nodes
     eff = tree.effective_nodes()
     coords = _integer_coords(tree, eff)
@@ -67,14 +84,14 @@ def build_interaction_lists_scalar(
         )
 
     # ---------------------------------------------------- colleagues and V
-    il.colleagues[0] = [0]
-    il.v_list[0] = []
+    colleagues[0] = [0]
+    v_list[0] = []
     for nid in eff:
         if nid == 0:
             continue
         parent = nodes[nid].parent
         cands: list[int] = []
-        for pc in il.colleagues[parent]:
+        for pc in colleagues[parent]:
             cands.extend(tree.effective_children(pc))
         coll, v = [], []
         for c in cands:
@@ -82,8 +99,8 @@ def build_interaction_lists_scalar(
                 coll.append(c)
             else:
                 v.append(c)
-        il.colleagues[nid] = coll
-        il.v_list[nid] = v
+        colleagues[nid] = coll
+        v_list[nid] = v
 
     leaves = tree.leaves()
     leaf_set = set(leaves)
@@ -100,12 +117,12 @@ def build_interaction_lists_scalar(
                 u.append(cur)
             else:
                 stack.extend(tree.effective_children(cur))
-        il.u_list[b] = u
+        u_list[b] = u
 
     # -------------------------------------------------------------- W lists
     for b in leaves:
         w: list[int] = []
-        for c in il.colleagues[b]:
+        for c in colleagues[b]:
             if c == b or nodes[c].is_leaf:
                 continue
             stack = list(tree.effective_children(c))
@@ -117,10 +134,11 @@ def build_interaction_lists_scalar(
                     # adjacent leaves are already in U(b)
                 else:
                     w.append(cur)
-        il.w_list[b] = w
+        w_list[b] = w
 
-    _finish_lists(tree, il, leaves, leaf_set, folded)
-    return il
+    lists = {"colleagues": colleagues, "v_list": v_list, "u_list": u_list, "w_list": w_list}
+    _finish_lists(tree, lists, leaves, leaf_set, folded)
+    return InteractionLists(tree, folded, {name: pair_table(d) for name, d in lists.items()})
 
 
 def _leaf_descendants(tree: AdaptiveOctree, nid: int, leaf_set: set[int]) -> list[int]:

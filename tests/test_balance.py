@@ -54,6 +54,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BalancerConfig(incremental_step=1.5)
 
+    @pytest.mark.parametrize("frac", [float("nan"), float("inf"), -1.0])
+    def test_gap_threshold_frac_must_be_positive_and_finite(self, frac):
+        with pytest.raises(ValueError, match="gap_threshold_frac"):
+            BalancerConfig(gap_threshold_frac=frac)
+
 
 class TestFineGrained:
     def test_improves_or_keeps_predicted_time(self):

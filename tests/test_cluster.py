@@ -34,7 +34,7 @@ class TestPartition:
     def test_bodies_partitioned(self, setup):
         tree, lists = setup
         part = partition_by_morton_work(tree, lists, 4)
-        covered = np.concatenate([part.bodies_of_rank(r) for r in range(4)])
+        covered = np.concatenate([tree.bodies(l) for rl in part.rank_leaves for l in rl])
         assert sorted(covered.tolist()) == list(range(tree.n_bodies))
 
     def test_contiguous_morton_runs(self, setup):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.costmodel import (
-    ObservedCoefficients,
-    op_work_units,
-    predict_times,
-    work_profile,
-)
+from repro.costmodel import ObservedCoefficients, predict_times
 from repro.costmodel.flops import atomic_units
 from repro.kernels import LaplaceKernel, RegularizedStokesletKernel
 from repro.util.timing import TimerRegistry
@@ -31,18 +26,9 @@ class TestFlops:
         # 60 flops per pair x the 3-component profile weight
         assert sto["P2P"] == pytest.approx(60.0 * 3.0)
 
-    def test_work_profile_scales_with_counts(self):
-        counts = {"P2M": 10, "M2L": 100, "P2P": 1000}
-        prof = work_profile(counts, 4, mean_leaf_count=32.0)
-        units = op_work_units(4, mean_leaf_count=32.0)
-        assert prof["M2L"] == pytest.approx(100 * units["M2L"])
-        assert prof["L2L"] == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             atomic_units(-1)
-        with pytest.raises(ValueError):
-            op_work_units(3, mean_leaf_count=-1.0)
 
 
 class TestObservedCoefficients:

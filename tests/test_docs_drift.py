@@ -257,6 +257,45 @@ _RETIRED = {
     "telemetry." + "drift": "DynamicLoadBalancer.decision_summary()['drift'], kept "
     "with telemetry off too",
     "obs." + "drift": "repro.balance.controller: the balancer's decision record",
+    # test-only code: nothing a program runs read it
+    "geometry." + "octant": "Box.child (bit k of an octant is the axis-k side)",
+    "geometry/" + "octant": "src/repro/geometry/box.py",
+    "octant" + "_offset": "none: Box.child",
+    "child" + "_box": "Box.child",
+    "child_octant" + "_of_points": "none: the octree classifies by Morton key",
+    "boxes" + "_adjacent": "none: the list builder's integer touch test",
+    "well" + "_separated": "none: the list builder's integer touch test",
+    "cube" + "_containing": "none: a simulation reflects bodies into its fixed domain",
+    "machine." + "calibration": "none: nothing a program runs read it",
+    "machine/" + "calibration": "none: nothing a program runs read it",
+    "gpu_peak" + "_interaction_rate": "none",
+    "cpu_flop" + "_rate": "none",
+    "cpu_interaction" + "_rate": "none",
+    "expansion_floor" + "_seconds": "none",
+    "estimate" + "_crossover_s": "none: the balancer's Search state finds S",
+    "solve_body_cycles" + "_for_ratio": "none",
+    "tree." + "diagnostics": "AdaptiveOctree.stats",
+    "tree/" + "diagnostics": "AdaptiveOctree.stats",
+    "tree" + "_profile": "AdaptiveOctree.stats",
+    "work_profile" + "_by_level": "none",
+    "gpu" + "_friendliness": "StepTiming.gpu_efficiency",
+    "op_work" + "_units": "repro.costmodel.flops.atomic_units",
+    "work" + "_profile": "repro.costmodel.flops.atomic_units",
+    "spawn" + "_rngs": "repro.util.rng.default_rng",
+    "Wall" + "Timer": "none",
+    "merged" + "_with": "none",
+    "to" + "_csv": "EventLog.to_jsonl, EventLog.to_table",
+    "FarFieldPass." + "healthy": "repro.resilience.guardrails.check_finite",
+    "NearFieldPass." + "healthy": "repro.resilience.guardrails.check_finite",
+    "leaf_of" + "_body": "AdaptiveOctree.bodies over AdaptiveOctree.leaves",
+    "_inv" + "_order": "none",
+    "KernelTiming." + "efficiency": "interactions / issued_body_steps, as "
+    "StepTiming.gpu_efficiency",
+    "KernelCostProfile." + "scaled": "none",
+    "Gauge." + "dec": "Gauge.set, Gauge.inc",
+    "bodies_of" + "_rank": "AdaptiveOctree.bodies over RankPartition.rank_leaves",
+    "drop" + "_tables": "none: the pair tables are a lists object's one source",
+    "PairTable." + "from_dict": "tests/oracles/lists.py pair_table",
 }
 
 

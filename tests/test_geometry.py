@@ -1,4 +1,5 @@
-"""Tests for boxes, Morton keys, and octant/adjacency predicates."""
+"""Tests for boxes, Morton keys, the octree's octant classification and
+the list builder's adjacency predicate."""
 
 import numpy as np
 import pytest
@@ -8,16 +9,18 @@ from hypothesis import strategies as st
 from repro.geometry import (
     Box,
     bounding_box,
-    boxes_adjacent,
-    child_octant_of_points,
-    cube_containing,
     decode_morton,
     encode_morton,
     morton_keys,
-    octant_offset,
-    well_separated,
     MAX_MORTON_LEVEL,
 )
+from repro.tree import AdaptiveOctree
+from repro.tree.lists import _adjacency_columns, _adjacent_rows
+
+
+def _octant_sign(octant):
+    """Side of child ``octant`` along each axis: bit k of the octant."""
+    return np.array([1.0 if octant >> k & 1 else -1.0 for k in range(3)])
 
 
 class TestBox:
@@ -44,7 +47,7 @@ class TestBox:
         # children half the size, centered in the right octant
         for o, k in enumerate(kids):
             assert k.size == pytest.approx(b.size / 2)
-            sign = octant_offset(o)
+            sign = _octant_sign(o)
             assert np.allclose(
                 np.asarray(k.center), np.asarray(b.center) + sign * b.size / 4
             )
@@ -67,18 +70,6 @@ class TestBox:
     def test_bounding_box_rejects_empty(self):
         with pytest.raises(ValueError):
             bounding_box(np.zeros((0, 3)))
-
-    def test_cube_containing_grows(self):
-        b = Box((0, 0, 0), 1.0)
-        pts = np.array([[3.0, 0.0, 0.0]])
-        grown = cube_containing(b, pts)
-        assert grown.contains(pts).all()
-        assert grown.size >= b.size
-
-    def test_cube_containing_noop_when_inside(self):
-        b = Box((0, 0, 0), 1.0)
-        pts = np.array([[0.1, 0.1, 0.1]])
-        assert cube_containing(b, pts) is b
 
 
 class TestMorton:
@@ -135,56 +126,63 @@ class TestMorton:
         assert same[0] == keys[0]
 
 
+def _adjacent(a, b):
+    """The list builder's touch test between two integer cells, each
+    ``(corner, width)`` on the finest Morton grid."""
+    bounds = np.array([[*lo, *(c + w for c in lo)] for lo, w in (a, b)], dtype=np.int64)
+    cols = _adjacency_columns(bounds)
+    return bool(_adjacent_rows(cols, np.array([0]), np.array([1]))[0])
+
+
 class TestAdjacency:
+    """Cubes are well separated (an M2L pair) iff they do not touch; the
+    builder decides it in exact integer cells, so these are stated there."""
+
     def test_identical_boxes_adjacent(self):
-        b = Box((0, 0, 0), 1.0)
-        assert boxes_adjacent(b, b)
-        assert not well_separated(b, b)
+        assert _adjacent(((0, 0, 0), 4), ((0, 0, 0), 4))
 
     def test_touching_faces(self):
-        a = Box((0, 0, 0), 1.0)
-        b = Box((1.0, 0, 0), 1.0)
-        assert boxes_adjacent(a, b)
+        assert _adjacent(((0, 0, 0), 4), ((4, 0, 0), 4))
 
     def test_touching_corner(self):
-        a = Box((0, 0, 0), 1.0)
-        b = Box((1.0, 1.0, 1.0), 1.0)
-        assert boxes_adjacent(a, b)
+        assert _adjacent(((0, 0, 0), 4), ((4, 4, 4), 4))
 
     def test_separated(self):
-        a = Box((0, 0, 0), 1.0)
-        b = Box((2.5, 0, 0), 1.0)
-        assert well_separated(a, b)
+        assert not _adjacent(((0, 0, 0), 4), ((8, 0, 0), 4))
+        assert not _adjacent(((0, 0, 0), 4), ((0, 5, 0), 4))
 
     def test_mixed_sizes(self):
-        big = Box((0, 0, 0), 2.0)
-        inside_touching = Box((0.75, 0, 0), 0.5)  # spans [0.5, 1.0]: overlaps
-        assert boxes_adjacent(big, inside_touching)
-        face_touching = Box((1.25, 0, 0), 0.5)  # spans [1.0, 1.5]: touches
-        assert boxes_adjacent(big, face_touching)
-        assert well_separated(big, Box((1.3, 0, 0), 0.5))  # gap 0.05
-        assert well_separated(big, Box((3.0, 0, 0), 0.5))
+        big = ((0, 0, 0), 8)
+        assert _adjacent(big, ((6, 0, 0), 2))  # spans [6, 8]: inside, touching
+        assert _adjacent(big, ((8, 0, 0), 2))  # spans [8, 10]: face touching
+        assert not _adjacent(big, ((9, 0, 0), 2))  # one-cell gap
+        assert not _adjacent(big, ((24, 0, 0), 2))
 
 
 class TestOctant:
     def test_octant_offsets_unique(self):
-        offs = {tuple(octant_offset(o)) for o in range(8)}
-        assert len(offs) == 8
+        b = Box((0.5, -0.25, 3.0), 4.0)
+        assert len({b.child(o).center for o in range(8)}) == 8
 
     def test_octant_offset_validation(self):
         with pytest.raises(ValueError):
-            octant_offset(-1)
+            Box((0, 0, 0), 1.0).child(-1)
 
     def test_child_octant_classification(self):
-        center = np.zeros(3)
-        pts = np.array([[-1, -1, -1], [1, -1, -1], [-1, 1, -1], [1, 1, 1]])
-        assert child_octant_of_points(pts, center).tolist() == [0, 1, 2, 7]
+        root = Box((0.0, 0.0, 0.0), 4.0)
+        pts = np.array([[-1, -1, -1], [1, -1, -1], [-1, 1, -1], [1, 1, 1]], dtype=float)
+        tree = AdaptiveOctree(pts, S=1, root_box=root)
+        kids = tree.effective_children(0)
+        assert [tree.nodes[c].box for c in kids] == [root.child(o) for o in (0, 1, 2, 7)]
+        assert [tree.bodies(c).tolist() for c in kids] == [[0], [1], [2], [3]]
 
     def test_classification_consistent_with_child_boxes(self, rng):
         b = Box((0.2, -0.1, 0.4), 2.0)
-        pts = rng.uniform(-1, 1, (300, 3)) + np.asarray(b.center)
-        octs = child_octant_of_points(pts, np.asarray(b.center))
-        for o in range(8):
-            sel = pts[octs == o]
-            if sel.size:
-                assert b.child(o).contains(sel, atol=1e-12).all()
+        pts = rng.uniform(-0.99, 0.99, (300, 3)) + np.asarray(b.center)
+        tree = AdaptiveOctree(pts, S=40, root_box=b)
+        kids = tree.effective_children(0)
+        assert sum(tree.nodes[c].count for c in kids) == len(pts)
+        children = [b.child(o) for o in range(8)]
+        for c in kids:
+            assert tree.nodes[c].box in children
+            assert tree.nodes[c].box.contains(pts[tree.bodies(c)], atol=1e-12).all()

@@ -230,20 +230,23 @@ def test_near_field_work_items_memoized():
     assert near_field_work_items(lists) is not i1
 
 
-# ------------------------------------------------------------ leaf_of_body
+# ------------------------------------------------------- the leaf of a body
 def test_leaf_of_body_tracks_mutations():
+    """Refit re-sorts the bodies: each one is still in exactly one
+    effective leaf, and that leaf's box holds its new position."""
+
+    def check(tree):
+        for b in (0, tree.n_bodies // 2, tree.n_bodies - 1):
+            (leaf,) = [l for l in tree.leaves() if b in tree.bodies(l)]
+            assert tree.nodes[leaf].box.contains(tree.points[b], atol=1e-12).all()
+
     tree = _tree()
-    for b in (0, tree.n_bodies // 2, tree.n_bodies - 1):
-        leaf = tree.leaf_of_body(b)
-        assert b in tree.bodies(leaf).tolist()
-    # refit re-sorts bodies; the generation-stamped inverse order must follow
+    check(tree)
     rng = np.random.default_rng(1)
     moved = tree.points + rng.normal(scale=0.05, size=tree.points.shape)
     tree.points = np.clip(moved, tree.root_box.low, tree.root_box.high)
     tree.refit()
-    for b in (0, tree.n_bodies // 2, tree.n_bodies - 1):
-        leaf = tree.leaf_of_body(b)
-        assert b in tree.bodies(leaf).tolist()
+    check(tree)
 
 
 # ------------------------------------------- operators handed tree to tree

@@ -23,7 +23,14 @@ from repro.fmm.nearfield import build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKernel, _native
 from repro.kernels.base import Kernel
 from repro.runtime.shards import _PLAN_FIELDS as shard_plan_fields
-from repro.tree import AdaptiveOctree, ListCache, build_interaction_lists
+from repro.tree import (
+    AdaptiveOctree,
+    InteractionLists,
+    ListCache,
+    PairTable,
+    build_interaction_lists,
+)
+from repro.tree.lists import FAMILIES
 from tests.clouds import CLOUDS
 
 
@@ -44,6 +51,17 @@ def _reference_near_field(kernel, tree, lists, q, *, potential, gradient):
             if gradient:
                 grad[tb] += kernel.gradient(tgt, tree.points[sb], q[sb], exclude_self=exclude)
     return pot, grad
+
+
+def _without_first_sources(tree, lists):
+    """``lists`` with a leaf that has no sources at all: the builder's
+    tables, the first near-source row at zero count."""
+    tables = {name: lists.table(name) for name in FAMILIES}
+    near = tables["near_sources"]
+    counts = near.counts.copy()
+    counts[0] = 0
+    tables["near_sources"] = PairTable(near.keys, counts, near.values[near.counts[0]:])
+    return InteractionLists(tree, lists.folded, tables)
 
 
 def _setup(kernel_dim, n=800, S=14, seed=5):
@@ -143,7 +161,7 @@ def test_plan_rebuilt_when_leaf_population_changes():
     # change while the tree shape can stay identical
     donor = int(tree.order[0])
     receiver = int(tree.order[-1])
-    assert tree.leaf_of_body(donor) != tree.leaf_of_body(receiver)
+    assert not any({donor, receiver} <= set(tree.bodies(l).tolist()) for l in tree.leaves())
     tree.points[donor] = tree.points[receiver]
     tree.refit()
     build_near_field_plan(tree, lists)
@@ -322,9 +340,7 @@ def test_degenerate_inputs_match_per_leaf_reference(name, make):
     if make is _fewer_than_s:
         assert build_near_field_plan(tree, lists).n_groups == 1
     else:
-        # ... and a leaf with no sources at all
-        lists.near_sources[next(iter(lists.near_sources))] = []
-        lists.drop_tables()  # a view was edited by hand: the dicts are the source now
+        lists = _without_first_sources(tree, lists)  # ... and a leaf with no sources at all
     rng = np.random.default_rng(0)
     q = rng.uniform(-1, 1, (len(pts),) if kernel.strength_dim == 1 else (len(pts), 3))
     want = dict(potential=True, gradient=kernel.value_dim == 1)
@@ -501,8 +517,7 @@ def _plan_case(cloud, seed=5):
     tree = AdaptiveOctree(pts, S=S)
     lists = build_interaction_lists(tree, folded=True)
     if cloud == "no-sources":
-        lists.near_sources[next(iter(lists.near_sources))] = []
-        lists.drop_tables()
+        lists = _without_first_sources(tree, lists)
     q = np.random.default_rng(seed).uniform(-1, 1, len(pts))
     return tree.points, q, build_near_field_plan(tree, lists)
 

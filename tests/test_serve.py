@@ -107,6 +107,12 @@ class TestProtocol:
         assert ei.value.code == 400
         assert "unknown spec field(s) ['shards']" in ei.value.message
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_shed_budget_must_be_finite(self, budget):
+        """``drain_s > nan`` is always False: a NaN budget would never shed."""
+        with pytest.raises(ValueError, match="shed_budget_s"):
+            ServeConfig(shed_budget_s=budget)
+
     @pytest.mark.parametrize("field", [{"workers": 4}, {"folded": False}])
     def test_back_end_fields_are_unknown_fields(self, field):
         """A spec names no back end: ``workers`` and ``folded`` are unknown
@@ -792,10 +798,15 @@ class TestServedSolves:
         so a cold 5 ms request is refused during tree / list / geometry
         build, within one stage of its budget (the clock used to start
         after all three; 10 ms now sometimes outlasts them and expires in
-        the sweep); and a deadline that does not expire
+        the sweep); a warm 10 ms request is refused after the queue, at the
+        stage where its budget runs out (the test drives the deadlines'
+        clock: it stands still, and the list build spends the whole
+        budget); and a deadline that does not expire
         does not change how — or on what — the request is solved."""
         from repro.runtime.engine import ExecutionEngine
         from repro.serve import server
+        from repro.tree.cache import ListCache
+        from repro.util import timing
 
         spec = {"kernel": "laplace", "n": 2000, "order": 3, "seed": 5}
         hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.005})
@@ -822,9 +833,20 @@ class TestServedSolves:
             assert engine_runs == []  # the same serial sweep, not a 1-worker graph
             for key in ("potential", "gradient"):
                 assert np.array_equal(timed[key], plain[key])
-            with pytest.raises(ServeError) as ei:
-                c.solve({**spec, "deadline_s": 0.01, "seed": 6}, tenant="t")
+            now = [0.0]
+            get = ListCache.get
+
+            def spending_get(self, *args, **kwargs):
+                now[0] += 1.0
+                return get(self, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(timing, "clock", lambda: now[0])
+                m.setattr(ListCache, "get", spending_get)
+                with pytest.raises(ServeError) as ei:
+                    c.solve({**spec, "deadline_s": 0.01, "seed": 6}, tenant="t")
             assert ei.value.code == 408 and ei.value.details["phase"] != "queue"
+            assert ei.value.details["phase"] == "lists"
             assert c.status()["deadline_total"] == 1
             after = c.solve(spec, tenant="t")
         direct = solve_direct(spec)

@@ -176,6 +176,18 @@ class TestSimulation:
         with pytest.raises(ValueError):
             SimulationConfig(strategy="bogus")
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"dt": float("nan")}, {"dt": float("inf")},
+         {"deadline_s": float("nan")}, {"deadline_s": float("inf")}],
+    )
+    def test_non_finite_config_rejected(self, field):
+        """``nan <= 0`` is False, so a bare sign check let NaN through: a
+        NaN deadline never expires."""
+        (name,) = field
+        with pytest.raises(ValueError, match=name):
+            SimulationConfig(**field)
+
     def test_initial_positions_must_fit_domain(self):
         ps = uniform_cube(50, seed=0, size=10.0)
         with pytest.raises(ValueError):

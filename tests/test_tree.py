@@ -101,10 +101,11 @@ class TestBuild:
         assert total == n
 
     def test_leaf_of_body(self, plummer_small):
+        """Each body sits in exactly one effective leaf, whose box holds it."""
         tree = build_adaptive(plummer_small.positions, S=25)
         for body in [0, 17, 100, plummer_small.n - 1]:
-            leaf = tree.leaf_of_body(body)
-            assert body in tree.bodies(leaf).tolist()
+            (leaf,) = [l for l in tree.leaves() if body in tree.bodies(l)]
+            assert tree.nodes[leaf].box.contains(tree.points[body], atol=1e-12).all()
 
     def test_stats(self, plummer_small):
         tree = build_adaptive(plummer_small.positions, S=25)

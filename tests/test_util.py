@@ -1,11 +1,9 @@
 """Tests for util: rng, timers, records."""
 
-import time
-
 import numpy as np
 import pytest
 
-from repro.util import EventLog, OpTimer, TimerRegistry, WallTimer, default_rng, spawn_rngs
+from repro.util import EventLog, OpTimer, TimerRegistry, default_rng
 from repro.util.arrays import stable_argsort
 
 
@@ -18,22 +16,6 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert default_rng(g) is g
-
-    def test_spawn_independent(self):
-        parent = default_rng(0)
-        kids = spawn_rngs(parent, 3)
-        draws = [k.uniform(size=4) for k in kids]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_deterministic(self):
-        a = spawn_rngs(default_rng(5), 2)[1].uniform(size=3)
-        b = spawn_rngs(default_rng(5), 2)[1].uniform(size=3)
-        assert np.array_equal(a, b)
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(default_rng(0), -1)
 
 
 class TestStableArgsort:
@@ -48,15 +30,6 @@ class TestStableArgsort:
 
 
 class TestTimers:
-    def test_wall_timer_accumulates(self):
-        t = WallTimer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed > first >= 0.01
-
     def test_op_timer_coefficient(self):
         t = OpTimer("M2L")
         t.add(2.0, 4)
@@ -72,18 +45,6 @@ class TestTimers:
             t.add(-1.0)
         with pytest.raises(ValueError):
             t.add(1.0, -2)
-
-    def test_registry_merge(self):
-        a = TimerRegistry()
-        a.add("P2M", 1.0, 10)
-        b = TimerRegistry()
-        b.add("P2M", 3.0, 10)
-        b.add("M2L", 2.0, 4)
-        merged = a.merged_with(b)
-        assert merged.coefficient("P2M") == pytest.approx(0.2)
-        assert merged.coefficient("M2L") == pytest.approx(0.5)
-        # originals untouched
-        assert a.coefficient("P2M") == pytest.approx(0.1)
 
     def test_registry_reset(self):
         r = TimerRegistry()
@@ -101,13 +62,6 @@ class TestEventLog:
         assert log.column("extra") == [None, "x"]
         assert log.keys() == ["step", "t", "extra"]
 
-    def test_csv(self):
-        log = EventLog()
-        log.add(a=1, b=2.0)
-        csv = log.to_csv()
-        assert csv.splitlines()[0] == "a,b"
-        assert csv.splitlines()[1] == "1,2"
-
     def test_table_renders_all_rows(self):
         log = EventLog()
         for i in range(3):
@@ -122,30 +76,6 @@ class TestEventLog:
         assert rec["x"] == 9
         assert rec.get("missing", -1) == -1
         assert len(log) == 1
-
-    def test_csv_quotes_special_characters(self):
-        """Regression: balancer action strings contain commas/quotes and
-        must survive RFC-4180 round-tripping."""
-        import csv
-        import io
-
-        log = EventLog()
-        log.add(step=0, actions='enforce_s, then "fgo" rounds=2', note="a\nb")
-        log.add(step=1, actions="plain")
-        text = log.to_csv()
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["step", "actions", "note"]
-        assert rows[1] == ["0", 'enforce_s, then "fgo" rounds=2', "a\nb"]
-        assert rows[2] == ["1", "plain", ""]
-
-    def test_csv_quotes_header_keys(self):
-        import csv
-        import io
-
-        log = EventLog()
-        log.add(**{"weird,key": 1})
-        rows = list(csv.reader(io.StringIO(log.to_csv())))
-        assert rows[0] == ["weird,key"]
 
     def test_jsonl_round_trips(self):
         import json
