@@ -46,6 +46,20 @@ from repro.tree.octree import AdaptiveOctree
 
 __all__ = ["DynamicLoadBalancer", "LBOutcome"]
 
+#: OBSERVATION acts when compute time degrades past this fraction of the
+#: best ("within 5% of the previously recorded best time")
+DEGRADATION_TOLERANCE = 0.05
+#: multiplicative step of the INCREMENTAL state, S <- S * (1 ± step) (10%)
+INCREMENTAL_STEP = 0.10
+#: binary-search step cap ("typically persists for fewer than 15")
+SEARCH_MAX_STEPS = 15
+#: S-oscillation watchdog (DESIGN.md §11): in the INCREMENTAL state, if
+#: the last WATCHDOG_WINDOW S values flip direction at least
+#: WATCHDOG_FLIPS times (collapse/pushdown flip-flop), force the
+#: OBSERVATION state instead of thrashing the tree
+WATCHDOG_WINDOW = 6
+WATCHDOG_FLIPS = 3
+
 
 @dataclass
 class LBOutcome:
@@ -145,7 +159,7 @@ class DynamicLoadBalancer:
         self._expect_new_best = False
         #: (state, S) pairs of recent steps for the oscillation watchdog
         self._s_history: deque[tuple[BalancerState, int]] = deque(
-            maxlen=self.config.watchdog_window
+            maxlen=WATCHDOG_WINDOW
         )
         #: bounded flight-recorder of per-step decisions — structured
         #: ``{step, from, to, S, best, compute, cpu, gpu, predicted,
@@ -281,14 +295,12 @@ class DynamicLoadBalancer:
         flips; repeated direction reversals mean the controller is
         thrashing the tree with collapse/pushdown cycles (e.g. the optimum
         sits between two quantized S steps).  When the last full window of
-        INCREMENTAL steps reverses direction ``watchdog_flips`` or more
+        INCREMENTAL steps reverses direction ``WATCHDOG_FLIPS`` or more
         times, settle into OBSERVATION with the current S.
         """
-        cfg = self.config
         if (
-            not cfg.watchdog_enabled
-            or self.state is not BalancerState.INCREMENTAL
-            or len(self._s_history) < cfg.watchdog_window
+            self.state is not BalancerState.INCREMENTAL
+            or len(self._s_history) < WATCHDOG_WINDOW
         ):
             return
         if any(st is not BalancerState.INCREMENTAL for st, _ in self._s_history):
@@ -298,7 +310,7 @@ class DynamicLoadBalancer:
         flips = sum(
             1 for a, b in zip(deltas, deltas[1:]) if (a > 0) != (b > 0)
         )
-        if flips < cfg.watchdog_flips:
+        if flips < WATCHDOG_FLIPS:
             return
         self.state = BalancerState.OBSERVATION
         self._inc_entry_dominant = None
@@ -327,7 +339,7 @@ class DynamicLoadBalancer:
         cfg = self.config
         self._search_steps += 1
         gap = abs(timing.cpu_time - timing.gpu_time)
-        if gap <= cfg.gap_gate(timing.compute_time) or self._search_steps >= cfg.search_max_steps:
+        if gap <= cfg.gap_gate(timing.compute_time) or self._search_steps >= SEARCH_MAX_STEPS:
             out.actions.append(f"search-done S={self.S}")
             self.best_time = timing.compute_time
             if self.mode == "static" or self.mode == "enforce":
@@ -348,7 +360,7 @@ class DynamicLoadBalancer:
         new_s = min(max(new_s, cfg.s_min), cfg.s_max)
         if new_s == self.S:
             # bounds have closed; settle here
-            self._search_steps = cfg.search_max_steps - 1
+            self._search_steps = SEARCH_MAX_STEPS - 1
         self.S = new_s
         out.rebuild_S = self.S
         out.lb_time += self.executor.time_tree_build(tree)
@@ -360,7 +372,7 @@ class DynamicLoadBalancer:
         if self._inc_entry_dominant is None:
             self._inc_entry_dominant = timing.dominant
         if timing.dominant == self._inc_entry_dominant:
-            step = max(1, int(round(self.S * cfg.incremental_step)))
+            step = max(1, int(round(self.S * INCREMENTAL_STEP)))
             self.S += step if timing.dominant == "cpu" else -step
             self.S = min(max(self.S, cfg.s_min), cfg.s_max)
             out.rebuild_S = self.S
@@ -371,9 +383,7 @@ class DynamicLoadBalancer:
         out.actions.append("transitional-S")
         gap = abs(timing.cpu_time - timing.gpu_time)
         if cfg.fgo_enabled and gap > cfg.gap_gate(timing.compute_time):
-            report = fine_grained_optimize(
-                tree, self.coeffs, self.executor, folded=self.executor.folded, config=cfg
-            )
+            report = fine_grained_optimize(tree, self.coeffs, self.executor)
             out.lb_time += report.lb_time
             out.tree_modified = report.changed
             out.fgo = report.as_dict()
@@ -386,11 +396,10 @@ class DynamicLoadBalancer:
 
     # ----------------------------------------------------------- observation
     def _observation_step(self, tree, timing, out) -> None:
-        cfg = self.config
         if self.best_time is None:
             self.best_time = timing.compute_time
             return
-        if timing.compute_time <= self.best_time * (1.0 + cfg.degradation_tolerance):
+        if timing.compute_time <= self.best_time * (1.0 + DEGRADATION_TOLERANCE):
             self.best_time = min(self.best_time, timing.compute_time)
             return
         # degraded beyond tolerance: first line of defense is Enforce_S
@@ -405,29 +414,24 @@ class DynamicLoadBalancer:
             return
         cache = self.executor.list_cache
         rebuilds0 = cache.builds
-        lists = cache.get(tree, folded=self.executor.folded)
+        lists = cache.get(tree)
         if cache.builds > rebuilds0:
             out.actions.append("lists rebuilt")
         pred = predict_times(lists.op_counts(), self.coeffs)
         out.lb_time += self.executor.time_prediction(tree)
-        if pred.compute_time <= self.best_time * (1.0 + cfg.degradation_tolerance):
+        if pred.compute_time <= self.best_time * (1.0 + DEGRADATION_TOLERANCE):
             return
-        if not cfg.fgo_enabled:
+        if not self.config.fgo_enabled:
             self.state = BalancerState.INCREMENTAL
             self._inc_entry_dominant = None
             out.actions.append("->incremental (fgo disabled)")
             return
-        report = fine_grained_optimize(
-            tree, self.coeffs, self.executor, folded=self.executor.folded, config=cfg
-        )
+        report = fine_grained_optimize(tree, self.coeffs, self.executor)
         out.lb_time += report.lb_time
         out.tree_modified = out.tree_modified or report.changed
         out.fgo = report.as_dict()
         out.actions.append(f"fgo rounds={report.rounds} ops={report.operations}")
-        if (
-            report.final is not None
-            and report.final.compute_time > self.best_time * (1.0 + cfg.degradation_tolerance)
-        ):
+        if report.final.compute_time > self.best_time * (1.0 + DEGRADATION_TOLERANCE):
             self.state = BalancerState.INCREMENTAL
             self._inc_entry_dominant = None
             out.actions.append("->incremental")

@@ -29,13 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.balance.config import BalancerConfig
 from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.predictor import TimePrediction, predict_times
-from repro.tree.lists import build_interaction_lists
+from repro.machine.executor import HeterogeneousExecutor
 from repro.tree.octree import AdaptiveOctree
 
 __all__ = ["FineGrainedReport", "fine_grained_optimize"]
+
+#: fraction of the leaves one round collapses or pushes down (a "group of
+#: nodes", §VI-B)
+FGO_BATCH_FRAC = 0.02
+#: round cap: rounds stop earlier once the predicted time stops improving
+FGO_MAX_ROUNDS = 12
 
 
 @dataclass
@@ -52,7 +57,7 @@ class FineGrainedReport:
     lb_time: float = 0.0
     changed: bool = False
     #: list lookups this call answered by a rebuild (the cache-counter
-    #: delta; zero when the executor has no cache)
+    #: delta)
     list_rebuilds: int = 0
 
     @property
@@ -169,41 +174,31 @@ def _pushdown_candidates(tree: AdaptiveOctree, lists, k: int) -> list[int]:
 def fine_grained_optimize(
     tree: AdaptiveOctree,
     coeffs: ObservedCoefficients,
-    executor,
-    *,
-    folded: bool = True,
-    config: BalancerConfig | None = None,
+    executor: HeterogeneousExecutor,
 ) -> FineGrainedReport:
     """Run FineGrainedOptimize on ``tree`` in place.
 
     ``executor`` provides the maintenance-cost model
     (:meth:`~repro.machine.executor.HeterogeneousExecutor.time_prediction`
-    and ``time_surgery``); predictions use the observed coefficients.
+    and ``time_surgery``), the list cache and the telemetry; predictions
+    use the observed coefficients.  Every surgery round bumps the tree's
+    structure generation, so the cached lookups rebuild exactly when
+    needed.
     """
-    config = config or BalancerConfig()
     report = FineGrainedReport()
-    # telemetry rides on the executor (mock executors in tests may lack it)
-    telemetry = getattr(executor, "telemetry", None)
     examined = 0
-    # route builds through the executor's cache when it has one (mock
-    # executors in tests may not); every surgery round bumps the tree's
-    # structure generation, so cached lookups rebuild exactly when needed
-    cache = getattr(executor, "list_cache", None)
-    if cache is not None:
-        get_lists = lambda: cache.get(tree, folded=folded)  # noqa: E731
-        rebuilds0 = cache.builds
-    else:
-        get_lists = lambda: build_interaction_lists(tree, folded=folded)  # noqa: E731
-    lists = get_lists()
+    cache = executor.list_cache
+    rebuilds0 = cache.builds
+    lists = cache.get(tree)
     best = predict_times(lists.op_counts(), coeffs)
     report.initial = best
     report.predictions += 1
     report.lb_time += executor.time_prediction(tree)
 
     n_leaves = max(1, len(tree.leaves()))
-    batch = max(1, int(round(config.fgo_batch_frac * n_leaves)))
+    batch = max(1, int(round(FGO_BATCH_FRAC * n_leaves)))
 
-    for _ in range(config.fgo_max_rounds):
+    for _ in range(FGO_MAX_ROUNDS):
         snap = _snapshot(tree)
         applied: list[tuple[str, int]] = []
         cpu_bound = best.cpu_time >= best.gpu_time
@@ -224,7 +219,7 @@ def fine_grained_optimize(
         examined += len(targets)
         if n_ops == 0:
             break
-        lists = get_lists()
+        lists = cache.get(tree)
         pred = predict_times(lists.op_counts(), coeffs)
         report.predictions += 1
         report.lb_time += executor.time_prediction(tree) + executor.time_surgery(n_ops)
@@ -238,19 +233,19 @@ def fine_grained_optimize(
                 report.pushdowns += n_ops
         else:
             _undo_round(tree, applied, snap)
-            lists = get_lists()
+            # rebuild the restored shape's lists here, so list_rebuilds
+            # counts that rebuild too
+            cache.get(tree)
             break
 
     report.final = best
-    if cache is not None:
-        report.list_rebuilds = cache.builds - rebuilds0
-    if telemetry is not None:
-        telemetry.tracer.instant(
-            "fine-grained-optimize",
-            rounds=report.rounds,
-            examined=examined,
-            accepted=report.operations,
-            changed=report.changed,
-            list_rebuilds=report.list_rebuilds,
-        )
+    report.list_rebuilds = cache.builds - rebuilds0
+    executor.telemetry.tracer.instant(
+        "fine-grained-optimize",
+        rounds=report.rounds,
+        examined=examined,
+        accepted=report.operations,
+        changed=report.changed,
+        list_rebuilds=report.list_rebuilds,
+    )
     return report

@@ -75,13 +75,11 @@ class DistributedExecutor:
         *,
         order: int = 4,
         kernel: Kernel | None = None,
-        folded: bool = True,
         list_cache: ListCache | None = None,
     ) -> None:
         self.cluster = cluster
         self.order = order
         self.kernel = kernel
-        self.folded = folded
         self.list_cache = list_cache if list_cache is not None else ListCache()
         self.units = atomic_units(order, kernel)
         from repro.expansions.multiindex import MultiIndexSet
@@ -97,7 +95,7 @@ class DistributedExecutor:
         partition: RankPartition | None = None,
     ) -> ClusterStepTiming:
         if lists is None:
-            lists = self.list_cache.get(tree, folded=self.folded)
+            lists = self.list_cache.get(tree)
         if partition is None:
             partition = partition_by_morton_work(
                 tree, lists, self.cluster.n_nodes, order=self.order, kernel=self.kernel

@@ -10,14 +10,23 @@ import time
 
 import numpy as np
 
+from repro.baselines import BarnesHut
+from repro.costmodel.flops import atomic_units
 from repro.distributions.generators import plummer
-from repro.experiments.common import default_kernel, geometric_s_values, hetero_executor
+from repro.experiments.common import (
+    default_kernel,
+    geometric_s_values,
+    hetero_executor,
+    optimal_s,
+)
 from repro.expansions.cartesian import CartesianExpansion
 from repro.expansions.spherical import SphericalExpansion
 from repro.fmm.accuracy import accuracy_report
 from repro.fmm.evaluator import FMMSolver
 from repro.gpu.model import GPUKernelModel
 from repro.gpu.partition import NearFieldWorkItem, near_field_work_items, partition_targets
+from repro.kernels import LaplaceKernel, direct_evaluate
+from repro.machine.executor import HeterogeneousExecutor
 from repro.machine.spec import system_a
 from repro.costmodel.coefficients import ObservedCoefficients
 from repro.costmodel.predictor import predict_times
@@ -48,21 +57,16 @@ def adaptive_vs_uniform(*, n: int = 20000, order: int = 4, seed: int = 0) -> Eve
     log = EventLog()
     s_values = geometric_s_values(16, 2048, 12)
     for label, factory in (
-        ("adaptive", lambda pts, S: build_adaptive(pts, S)),
+        ("adaptive", build_adaptive),
         ("uniform", lambda pts, S: build_uniform(pts, depth=uniform_depth_for(n, S))),
     ):
-        best = None
-        for S in s_values:
-            tree = factory(ps.positions, S)
-            t = executor.time_step(tree)
-            if best is None or t.compute_time < best[1]:
-                best = (S, t.compute_time, len(tree.leaves()), tree.depth())
+        S, timing, tree = optimal_s(ps.positions, executor, s_values, tree_factory=factory)
         log.add(
             decomposition=label,
-            best_S=best[0],
-            best_compute_time=best[1],
-            n_leaves=best[2],
-            depth=best[3],
+            best_S=S,
+            best_compute_time=timing.compute_time,
+            n_leaves=len(tree.leaves()),
+            depth=tree.depth(),
         )
     return log
 
@@ -161,12 +165,6 @@ def barnes_hut_vs_fmm(*, n: int = 3000, seed: int = 0) -> EventLog:
     less work per digit (its error is also uniform, not
     worst-case-unbounded).
     """
-    import numpy as np
-
-    from repro.baselines import BarnesHut
-    from repro.costmodel.flops import atomic_units
-    from repro.kernels import direct_evaluate
-
     ps = plummer(n, seed=seed)
     kernel = default_kernel()
     tree = build_adaptive(ps.positions, S=16)
@@ -187,26 +185,27 @@ def barnes_hut_vs_fmm(*, n: int = 3000, seed: int = 0) -> EventLog:
         solver = FMMSolver(kernel, order=order)
         res = solver.solve(tree, ps.strengths)
         err = float(np.linalg.norm(res.potential - exact)) / norm
-        units = atomic_units(order, kernel)
-        work = sum(units[op] * res.op_counts.get(op, 0) for op in units)
-        log.add(method=f"fmm(order={order})", potential_rel_err=err, work=work)
+        log.add(
+            method=f"fmm(order={order})",
+            potential_rel_err=err,
+            work=_fmm_work(order, kernel, res.op_counts),
+        )
 
     # the failure regime: a net-neutral charge system defeats the monopole
     # treecode entirely (cells cancel), while the FMM is unaffected
-    from repro.kernels import LaplaceKernel
-
     rng = np.random.default_rng(seed + 1)
     q = rng.choice([-1.0, 1.0], n)
     log_neutral_rows(log, tree, q, LaplaceKernel(), ps)
     return log
 
 
+def _fmm_work(order, kernel, op_counts) -> float:
+    """FLOP estimate of one FMM solve: atomic units times op counts."""
+    units = atomic_units(order, kernel)
+    return sum(units[op] * op_counts.get(op, 0) for op in units)
+
+
 def log_neutral_rows(log, tree, q, lap, ps):
-    import numpy as np
-
-    from repro.baselines import BarnesHut
-    from repro.kernels import direct_evaluate
-
     exact = direct_evaluate(lap, ps.positions, ps.positions, q, exclude_self=True)[:, 0]
     norm = float(np.linalg.norm(exact))
     bh = BarnesHut(lap, theta=0.4).solve(tree, q)
@@ -216,13 +215,10 @@ def log_neutral_rows(log, tree, q, lap, ps):
         work=float(bh.interactions) * lap.interaction_flops(),
     )
     res = FMMSolver(lap, order=4).solve(tree, q)
-    from repro.costmodel.flops import atomic_units
-
-    units = atomic_units(4, lap)
     log.add(
         method="fmm(order=4, neutral charges)",
         potential_rel_err=float(np.linalg.norm(res.potential - exact)) / norm,
-        work=sum(units[op] * res.op_counts.get(op, 0) for op in units),
+        work=_fmm_work(4, lap, res.op_counts),
     )
 
 
@@ -241,22 +237,15 @@ def endpoint_offload(*, n: int = 20000, order: int = 8, seed: int = 0) -> EventL
     for n_cores, n_gpus in ((4, 4), (10, 2)):
         for offload in (False, True):
             machine = system_a().with_resources(n_cores=n_cores, n_gpus=n_gpus)
-            from repro.machine.executor import HeterogeneousExecutor
-
             ex = HeterogeneousExecutor(
                 machine, order=order, kernel=kernel, offload_endpoints=offload
             )
-            best = None
-            for S in geometric_s_values(16, 2048, 12):
-                tree = build_adaptive(ps.positions, S)
-                t = ex.time_step(tree)
-                if best is None or t.compute_time < best[1]:
-                    best = (S, t.compute_time)
+            S, timing, _ = optimal_s(ps.positions, ex, geometric_s_values(16, 2048, 12))
             log.add(
                 config=f"{n_cores}C_{n_gpus}G",
                 offload_endpoints=offload,
-                best_S=best[0],
-                best_compute_time=best[1],
+                best_S=S,
+                best_compute_time=timing.compute_time,
             )
     return log
 

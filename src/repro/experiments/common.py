@@ -31,13 +31,10 @@ def hetero_executor(
     order: int = 4,
     kernel: Kernel | None = None,
     machine: MachineSpec | None = None,
-    folded: bool = True,
 ) -> HeterogeneousExecutor:
     machine = machine if machine is not None else system_a()
     machine = machine.with_resources(n_cores=n_cores, n_gpus=min(n_gpus, machine.n_gpus))
-    return HeterogeneousExecutor(
-        machine, order=order, kernel=kernel or default_kernel(), folded=folded
-    )
+    return HeterogeneousExecutor(machine, order=order, kernel=kernel or default_kernel())
 
 
 def geometric_s_values(lo: int = 16, hi: int = 2048, n: int = 12) -> list[int]:
@@ -67,11 +64,10 @@ def optimal_s(
     s_values: list[int],
     *,
     tree_factory=build_adaptive,
-) -> tuple[int, StepTiming]:
-    """S minimizing the modeled compute time over the ladder."""
-    best = None
-    for S, timing, _ in sweep_s(points, executor, s_values, tree_factory=tree_factory):
-        if best is None or timing.compute_time < best[1].compute_time:
-            best = (S, timing)
-    assert best is not None
-    return best
+) -> tuple[int, StepTiming, AdaptiveOctree]:
+    """The (S, timing, tree) of the ladder's least modeled compute time
+    (the first such S on a tie)."""
+    return min(
+        sweep_s(points, executor, s_values, tree_factory=tree_factory),
+        key=lambda run: run[1].compute_time,
+    )

@@ -44,7 +44,7 @@ def _run_one(
     """
     machine = system_a().with_resources(n_cores=n_cores, n_gpus=n_gpus)
     kernel = RegularizedStokesletKernel(epsilon=1e-2)
-    executor = HeterogeneousExecutor(machine, order=order, kernel=kernel, folded=True)
+    executor = HeterogeneousExecutor(machine, order=order, kernel=kernel)
     # the paper's 0.15 s gate on its ~3-9 s steps is a ~2-5% relative gap;
     # the tight gate is what makes the transitional-S FGO pass fire on the
     # uniform-gap workload

@@ -49,7 +49,7 @@ def run(
     s_values = s_values or geometric_s_values(16, 2048, 12)
 
     serial_ex = HeterogeneousExecutor(single_core(), order=order, kernel=kernel)
-    serial_S, serial_t = optimal_s(ps.positions, serial_ex, s_values)
+    serial_S, serial_t, _ = optimal_s(ps.positions, serial_ex, s_values)
 
     log = EventLog()
     log.add(config="serial(1C)", S=serial_S, time=serial_t.compute_time, speedup=1.0)

@@ -37,7 +37,7 @@ def run(
     kernel = default_kernel()
     if S is None:
         ex1 = hetero_executor(n_cores=10, n_gpus=1, order=order, kernel=kernel)
-        S, _ = optimal_s(ps.positions, ex1, geometric_s_values(32, 2048, 12))
+        S, _, _ = optimal_s(ps.positions, ex1, geometric_s_values(32, 2048, 12))
     tree = build_adaptive(ps.positions, S)
     lists = build_interaction_lists(tree, folded=True)
     items = near_field_work_items(lists)

@@ -49,9 +49,6 @@ class FMMResult:
     gradient: np.ndarray | None  # (n, 3) when requested
     op_counts: dict[str, int]
     lists: InteractionLists
-    #: near/far split of the potential for diagnostics
-    near_potential: np.ndarray | None = None
-    far_potential: np.ndarray | None = None
 
 
 class FMMSolver(PassListSolver):
@@ -72,7 +69,6 @@ class FMMSolver(PassListSolver):
         gradient: bool = False,
         potential: bool = True,
         lists: InteractionLists | None = None,
-        keep_split: bool = False,
         deadline=None,
     ) -> FMMResult:
         """Evaluate the kernel field at every body in ``tree``.
@@ -114,10 +110,6 @@ class FMMSolver(PassListSolver):
             gradient=grad_total,
             op_counts=lists.op_counts(),
             lists=lists,
-            near_potential=near_pot if (keep_split and potential) else None,
-            far_potential=(
-                self.kernel.laplace_scale * far_pot if (keep_split and potential) else None
-            ),
         )
 
     # ---------------------------------------------------------- serial sweeps

@@ -76,7 +76,6 @@ class HeterogeneousExecutor:
         *,
         order: int = 4,
         kernel: Kernel | None = None,
-        folded: bool = True,
         seed: int | None = 0,
         offload_endpoints: bool = False,
         list_cache: ListCache | None = None,
@@ -89,7 +88,6 @@ class HeterogeneousExecutor:
         self.machine = machine
         self.order = order
         self.kernel = kernel
-        self.folded = folded
         self.offload_endpoints = offload_endpoints
         self.units = atomic_units(order, kernel)
         #: shared with the balance controller so observation steps and
@@ -106,7 +104,7 @@ class HeterogeneousExecutor:
         """Model the compute time of one FMM solve on the current tree."""
         tracer = self.telemetry.tracer
         if lists is None:
-            lists = self.list_cache.get(tree, folded=self.folded)
+            lists = self.list_cache.get(tree)
         counts = lists.op_counts()
         flops = self._op_flops(tree, lists, counts)
 

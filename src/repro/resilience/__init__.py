@@ -6,9 +6,8 @@ Three layers over the supervised execution engine
 * :mod:`repro.resilience.faults` — a seeded, deterministic chaos harness
   (:class:`FaultPlan`) that injects raises, delays, and NaNs into named
   engine tasks through the engine's test-only ``fault_hook``;
-* :mod:`repro.resilience.guardrails` — cheap NaN/Inf health checks on
-  coefficient and acceleration arrays plus the driver's quarantine
-  configuration;
+* :mod:`repro.resilience.guardrails` — the cheap NaN/Inf health check
+  the driver runs on every FMM acceleration array;
 * :mod:`repro.resilience.checkpoint` — versioned ``.npz`` + json
   simulation checkpoints with a config-compatibility hash, enabling
   bitwise-identical resume of a killed run.
@@ -25,7 +24,7 @@ from repro.resilience.checkpoint import (
     write_checkpoint,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.resilience.guardrails import GuardrailConfig, check_finite
+from repro.resilience.guardrails import check_finite
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -33,7 +32,6 @@ __all__ = [
     "CheckpointError",
     "FaultPlan",
     "FaultSpec",
-    "GuardrailConfig",
     "InjectedFault",
     "check_finite",
     "config_fingerprint",

@@ -53,7 +53,10 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+#: bumped whenever the fingerprinted config fields change, so an older
+#: checkpoint is refused for its format version rather than reported as
+#: written under a different configuration
+CHECKPOINT_VERSION = 2
 
 #: config fields that do not affect the trajectory (execution-only knobs)
 _EXECUTION_FIELDS = frozenset(
@@ -232,9 +235,7 @@ def balancer_state(balancer) -> dict:
         "inc_entry_dominant": balancer._inc_entry_dominant,
         "best_time": balancer.best_time,
         "expect_new_best": bool(balancer._expect_new_best),
-        "s_history": [
-            [st.value, int(s)] for st, s in getattr(balancer, "_s_history", [])
-        ],
+        "s_history": [[st.value, int(s)] for st, s in balancer._s_history],
         "coeffs": {
             "smoothing": float(c.smoothing),
             "cpu": {k: float(v) for k, v in c.cpu.items()},
@@ -257,11 +258,10 @@ def restore_balancer(balancer, state: dict) -> None:
     balancer._inc_entry_dominant = state["inc_entry_dominant"]
     balancer.best_time = state["best_time"]
     balancer._expect_new_best = bool(state["expect_new_best"])
-    if hasattr(balancer, "_s_history"):
-        balancer._s_history.clear()
-        balancer._s_history.extend(
-            (BalancerState(st), int(s)) for st, s in state.get("s_history", [])
-        )
+    balancer._s_history.clear()
+    balancer._s_history.extend(
+        (BalancerState(st), int(s)) for st, s in state["s_history"]
+    )
     c = balancer.coeffs
     c.smoothing = float(state["coeffs"]["smoothing"])
     c.cpu = {k: float(v) for k, v in state["coeffs"]["cpu"].items()}

@@ -1,11 +1,10 @@
-"""Numeric guardrails: cheap NaN/Inf health checks + quarantine config.
+"""Numeric guardrail: a cheap NaN/Inf health check.
 
 The check exploits IEEE-754 propagation: ``np.sum`` of an array is
 non-finite iff the array contains a NaN or Inf, so one reduction (a few
 hundred microseconds even at 50k bodies) replaces an elementwise
-``np.isfinite(...).all()`` scan.  Guardrails are **opt-in**
-(``GuardrailConfig(enabled=True)``) and cost nothing when disabled — the
-driver checks one boolean per step (the <2% overhead budget is gated in
+``np.isfinite(...).all()`` scan.  The simulation driver runs it on every
+FMM acceleration array (the <2% overhead budget is gated in
 ``benchmarks/test_bench_resilience.py``).
 
 On a tripped check the driver *quarantines* the step (DESIGN.md §11):
@@ -17,32 +16,9 @@ incremented so operators can see it happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["GuardrailConfig", "check_finite"]
-
-
-@dataclass(frozen=True)
-class GuardrailConfig:
-    """Opt-in numeric health checking.
-
-    ``cadence`` = check every Nth step (1 = every step); quarantine
-    repair always runs when a check trips.
-    """
-
-    enabled: bool = False
-    cadence: int = 1
-
-    def __post_init__(self) -> None:
-        if self.cadence < 1:
-            raise ValueError(
-                f"guardrail cadence must be >= 1 step, got {self.cadence}"
-            )
-
-    def due(self, step_index: int) -> bool:
-        return self.enabled and step_index % self.cadence == 0
+__all__ = ["check_finite"]
 
 
 def check_finite(arr: np.ndarray | None) -> bool:

@@ -65,6 +65,11 @@ __all__ = ["CostModelGovernor", "FairScheduler", "Job", "estimate_op_counts"]
 #: learns real coefficients from it
 _PRIOR_COEFF_S = 2e-7
 
+#: weight of a new served solve in the governor's coefficients; served
+#: wall times are noisy, so each observation moves the estimate 30% of
+#: the way
+_SMOOTHING = 0.3
+
 
 def estimate_op_counts(n: int, order: int, leaf_size: int = 32) -> dict[str, int]:
     """Analytic op counts for a uniform octree over ``n`` bodies.
@@ -112,13 +117,12 @@ class CostModelGovernor:
     ``observe`` runs on the solver threads as solves finish.
     """
 
-    def __init__(self, smoothing: float = 0.3) -> None:
-        self.coeffs = ObservedCoefficients(smoothing=smoothing)
+    def __init__(self) -> None:
+        self.coeffs = ObservedCoefficients(smoothing=_SMOOTHING)
         #: one store per kernel as well: the surrogate counts a Stokeslet
         #: pair like a Laplace pair, so only a kernel's own solves tell
         #: what its requests cost
         self._by_kernel: dict[str, ObservedCoefficients] = {}
-        self._smoothing = smoothing
         self._lock = threading.Lock()
 
     def predict(self, spec: SolveSpec) -> float:
@@ -156,7 +160,7 @@ class CostModelGovernor:
                 registry.add(op, per_app * apps, apps)
         with self._lock:
             own = self._by_kernel.setdefault(
-                spec.kernel, ObservedCoefficients(smoothing=self._smoothing)
+                spec.kernel, ObservedCoefficients(smoothing=_SMOOTHING)
             )
             for coeffs in (self.coeffs, own):
                 coeffs.update_from_registry(registry, per_app)

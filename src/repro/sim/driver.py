@@ -41,7 +41,7 @@ from repro.resilience.checkpoint import (
     tree_from_state,
     write_checkpoint,
 )
-from repro.resilience.guardrails import GuardrailConfig, check_finite
+from repro.resilience.guardrails import check_finite
 from repro.runtime.engine import ExecutionEngine, default_workers
 from repro.sim.integrators import LeapfrogIntegrator, reflect_into_box
 from repro.tree.cache import ListCache
@@ -58,7 +58,6 @@ class SimulationConfig:
 
     dt: float = 1e-3
     order: int = 3
-    folded: bool = True
     #: "fmm" computes forces through the FMM; "direct" uses exact summation
     #: (identical balancer behaviour, cheaper wall-clock for large sweeps)
     forces: str = "fmm"
@@ -77,8 +76,6 @@ class SimulationConfig:
     #: expiry raises :class:`repro.util.timing.SolveDeadlineError` out of
     #: :meth:`Simulation.step` (DESIGN.md §11) — never a serial re-run.
     deadline_s: float | None = None
-    #: opt-in NaN/Inf health checks + quarantine (DESIGN.md §11)
-    guardrail: GuardrailConfig = field(default_factory=GuardrailConfig)
     #: write a checkpoint every K steps (None = disabled; must be > 0)
     checkpoint_every: int | None = None
     #: checkpoint stem; files land at ``{stem}.npz`` + ``{stem}.json``
@@ -167,7 +164,6 @@ class Simulation:
             machine,
             order=self.config.order,
             kernel=kernel,
-            folded=self.config.folded,
             seed=self.config.seed,
             list_cache=self.list_cache,
             telemetry=self.telemetry,
@@ -189,7 +185,6 @@ class Simulation:
             FMMSolver(
                 kernel,
                 order=self.config.order,
-                folded=self.config.folded,
                 list_cache=self.list_cache,
                 telemetry=self.telemetry,
                 engine=self.engine,
@@ -305,7 +300,7 @@ class Simulation:
                 deadline=None if budget is None else Deadline(budget),
             )
             acc = res.gradient
-            if self.config.guardrail.due(self.step_index) and not check_finite(acc):
+            if not check_finite(acc):
                 acc = self._quarantine(acc, q)
             return acc
         return direct_evaluate(
@@ -373,7 +368,7 @@ class Simulation:
             with tracer.span("tree-build", S=self.balancer.S):
                 self._ensure_tree()
                 tree = self.tree
-                lists = self.list_cache.get(tree, folded=cfg.folded)
+                lists = self.list_cache.get(tree)
 
             timing = self.executor.time_step(tree, lists)
             for op, t in timing.cpu_registry.timers.items():
@@ -398,9 +393,7 @@ class Simulation:
                 tree.refit()
                 # refit kept the shape, so this lookup is a cache hit, not a
                 # rebuild
-                lists_after = (
-                    self.list_cache.get(tree, folded=cfg.folded) if self.solver else None
-                )
+                lists_after = self.list_cache.get(tree) if self.solver else None
                 acc_new = self._accelerations(tree, lists_after)
                 self.integrator.finish_step(self.particles.velocities, acc_new)
 

@@ -9,6 +9,7 @@ from repro.balance import (
     DynamicLoadBalancer,
     fine_grained_optimize,
 )
+from repro.balance import controller, finegrained
 from repro.costmodel import ObservedCoefficients
 from repro.distributions import plummer
 from repro.kernels import GravityKernel
@@ -35,26 +36,27 @@ def observe(executor, tree):
 
 class TestConfig:
     def test_defaults_match_paper(self):
-        cfg = BalancerConfig()
-        assert cfg.gap_threshold_s == 0.15
-        assert cfg.degradation_tolerance == 0.05
+        """§VII-B: a 0.15 gap gate, 5% degradation, 10% incremental steps,
+        a search of fewer than 15 steps."""
+        assert BalancerConfig().gap_threshold_frac == 0.15
+        assert controller.DEGRADATION_TOLERANCE == 0.05
+        assert controller.INCREMENTAL_STEP == 0.10
+        assert controller.SEARCH_MAX_STEPS == 15
+        assert (controller.WATCHDOG_WINDOW, controller.WATCHDOG_FLIPS) == (6, 3)
+        assert (finegrained.FGO_BATCH_FRAC, finegrained.FGO_MAX_ROUNDS) == (0.02, 12)
 
     def test_gap_gate_fractional(self):
         cfg = BalancerConfig(gap_threshold_frac=0.1)
         assert cfg.gap_gate(2.0) == pytest.approx(0.2)
-
-    def test_gap_gate_absolute(self):
-        assert BalancerConfig().gap_gate(100.0) == 0.15
+        assert BalancerConfig().gap_gate(2.0) == pytest.approx(0.3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BalancerConfig(s_min=0)
         with pytest.raises(ValueError):
-            BalancerConfig(degradation_tolerance=0.0)
-        with pytest.raises(ValueError):
-            BalancerConfig(incremental_step=1.5)
+            BalancerConfig(s_min=64, s_max=32)
 
-    @pytest.mark.parametrize("frac", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("frac", [float("nan"), float("inf"), -1.0, 0.0])
     def test_gap_threshold_frac_must_be_positive_and_finite(self, frac):
         with pytest.raises(ValueError, match="gap_threshold_frac"):
             BalancerConfig(gap_threshold_frac=frac)
@@ -126,7 +128,7 @@ class TestSearchState:
     def test_search_terminates(self):
         ps = plummer(3000, seed=0)
         executor = make_executor()
-        cfg = BalancerConfig(gap_threshold_frac=0.15, search_max_steps=15)
+        cfg = BalancerConfig(gap_threshold_frac=0.15)
         lb = DynamicLoadBalancer(executor, config=cfg)
         for _ in range(20):
             tree = build_adaptive(ps.positions, lb.S)

@@ -296,6 +296,27 @@ _RETIRED = {
     "bodies_of" + "_rank": "AdaptiveOctree.bodies over RankPartition.rank_leaves",
     "drop" + "_tables": "none: the pair tables are a lists object's one source",
     "PairTable." + "from_dict": "tests/oracles/lists.py pair_table",
+    # settings no program set: constants now, each at its one value in use
+    "gap_threshold" + "_s": "BalancerConfig.gap_threshold_frac: the gate is "
+    "0.15 x the compute time",
+    "degradation" + "_tolerance": "repro.balance.controller.DEGRADATION_TOLERANCE",
+    "incremental" + "_step": "repro.balance.controller.INCREMENTAL_STEP",
+    "search_max" + "_steps": "repro.balance.controller.SEARCH_MAX_STEPS",
+    "fgo_batch" + "_frac": "repro.balance.finegrained.FGO_BATCH_FRAC",
+    "fgo_max" + "_rounds": "repro.balance.finegrained.FGO_MAX_ROUNDS",
+    "watchdog" + "_enabled": "none: the watchdog always runs",
+    "watchdog" + "_window": "repro.balance.controller.WATCHDOG_WINDOW",
+    "watchdog" + "_flips": "repro.balance.controller.WATCHDOG_FLIPS",
+    "Guardrail" + "Config": "none: check_finite runs on every FMM acceleration array",
+    "SimulationConfig." + "guardrail": "none: the guardrail is always on",
+    "config." + "guardrail": "none: the guardrail is always on",
+    "SimulationConfig." + "folded": "none: a simulation runs folded lists",
+    "config." + "folded": "none: a simulation runs folded lists",
+    "executor." + "folded": "none: the modeled machine runs folded lists",
+    "keep" + "_split": "none: FMMResult carries the total potential only",
+    "FMMResult." + "near_potential": "none: FMMResult carries the total potential only",
+    "FMMResult." + "far_potential": "none: FMMResult carries the total potential only",
+    "CostModelGovernor(" + "smoothing": "repro.serve.scheduler._SMOOTHING",
 }
 
 
@@ -320,3 +341,27 @@ def test_retired_names_stay_out_of_src():
         if (found := _retired_in(path.read_text()))
     }
     assert not back, f"deleted API is back in src/: {back}"
+
+
+def test_config_field_sets_are_pinned():
+    """Every settable field is listed here: a new setting is a deliberate
+    edit of this test, not a side effect."""
+    import dataclasses
+
+    from repro.balance import BalancerConfig
+    from repro.serve import ServeConfig
+    from repro.sim.driver import SimulationConfig
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(BalancerConfig) == ["gap_threshold_frac", "s_min", "s_max", "fgo_enabled"]
+    assert names(SimulationConfig) == [
+        "dt", "order", "forces", "strategy", "balancer", "initial_S", "seed",
+        "n_workers", "deadline_s", "checkpoint_every", "checkpoint_path",
+        "ledger_path",
+    ]
+    assert names(ServeConfig) == [
+        "host", "port", "pool_size", "max_tenants", "shed_budget_s",
+        "ledger_path", "max_frame_bytes",
+    ]

@@ -138,13 +138,6 @@ class TestStructure:
         for op in ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P"):
             assert op in res.op_counts
 
-    def test_keep_split(self, uniform_small):
-        tree = build_adaptive(uniform_small.positions, S=40)
-        res = FMMSolver(LaplaceKernel(), order=4).solve(
-            tree, uniform_small.strengths, keep_split=True
-        )
-        assert np.allclose(res.near_potential + res.far_potential, res.potential)
-
     def test_reused_lists(self, uniform_small):
         from repro.tree import build_interaction_lists
 

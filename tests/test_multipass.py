@@ -62,13 +62,15 @@ class TestChargesAndDipoles:
             tree, lists, CartesianExpansion(4), charges=q, gradient=True
         )
         assert grad.shape == (pts.shape[0], 3)
-        # consistency with the full-solver far field path
+        # consistency with the full-solver far field path: its potential
+        # less the near field's
         from repro.fmm import FMMSolver
+        from repro.fmm.nearfield import evaluate_near_field
 
-        res = FMMSolver(LaplaceKernel(), order=4).solve(
-            tree, q, gradient=True, lists=lists, keep_split=True
-        )
-        assert np.allclose(pot, res.far_potential, rtol=1e-10)
+        kernel = LaplaceKernel()
+        res = FMMSolver(kernel, order=4).solve(tree, q, gradient=True, lists=lists)
+        near_pot, _ = evaluate_near_field(kernel, tree, lists, q)
+        assert np.allclose(pot, res.potential - near_pot, rtol=1e-10)
 
     def test_spherical_backend_matches(self, setup):
         _, q, tree, lists = setup

@@ -48,7 +48,6 @@ from repro.resilience.checkpoint import tree_from_state, tree_state_arrays
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
-    GuardrailConfig,
     InjectedFault,
     check_finite,
 )
@@ -84,13 +83,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultSpec("raise", match="x", fire_attempts=0)
 
-    def test_guardrail_config(self):
-        assert not GuardrailConfig().due(0)  # disabled by default
-        g = GuardrailConfig(enabled=True, cadence=3)
-        assert g.due(0) and not g.due(1) and g.due(3)
-        with pytest.raises(ValueError):
-            GuardrailConfig(cadence=0)
-
     def test_simulation_config_messages(self):
         with pytest.raises(ValueError, match="n_workers"):
             SimulationConfig(n_workers=0)
@@ -98,12 +90,6 @@ class TestValidation:
             SimulationConfig(dt=0.0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             SimulationConfig(checkpoint_every=0)
-
-    def test_balancer_watchdog_config(self):
-        with pytest.raises(ValueError):
-            BalancerConfig(watchdog_window=2)
-        with pytest.raises(ValueError):
-            BalancerConfig(watchdog_flips=0)
 
     def test_check_finite(self):
         assert check_finite(np.zeros(4))
@@ -537,7 +523,6 @@ class TestQuarantine:
             order=3,
             n_workers=n_workers,
             initial_S=8,  # deep tree: the poisoned multipole must reach bodies
-            guardrail=GuardrailConfig(enabled=True, cadence=1),
         )
         return Simulation(
             ps,
@@ -600,7 +585,7 @@ class TestQuarantine:
         sim._ensure_tree()
         q = sim.particles.strengths
         pts = sim.particles.positions
-        lists = sim.list_cache.get(sim.tree, folded=sim.config.folded)
+        lists = sim.list_cache.get(sim.tree)
         acc = sim.solver.solve(
             sim.tree, q, gradient=True, potential=False, lists=lists
         ).gradient
@@ -618,12 +603,26 @@ class TestQuarantine:
         assert sim._needs_rebuild
         assert sim.balancer.state is BalancerState.SEARCH
 
-    def test_guardrail_disabled_never_checks(self):
+    def test_healthy_run_never_quarantines(self, monkeypatch):
+        """The check runs on every FMM acceleration array; finite forces
+        never trip it."""
+        import repro.sim.driver as driver
+
+        checked = []
+
+        def spy(arr):
+            checked.append(arr.shape)
+            return check_finite(arr)
+
+        monkeypatch.setattr(driver, "check_finite", spy)
         ps = plummer(150, seed=19)
         cfg = SimulationConfig(forces="fmm", order=2)
         sim = Simulation(ps, GravityKernel(softening=1e-3), system_a(), config=cfg)
         with sim:
             sim.step()
+            sim.step()
+        # the first step primes the integrator: three solves in two steps
+        assert checked == [(150, 3)] * 3
         assert sim.quarantines == 0
 
 
@@ -632,11 +631,11 @@ class TestQuarantine:
 # --------------------------------------------------------------------------
 
 
-def _balancer(**cfg_kwargs):
+def _balancer():
     executor = HeterogeneousExecutor(
         system_a(), order=3, kernel=GravityKernel(softening=1e-3)
     )
-    return DynamicLoadBalancer(executor, config=BalancerConfig(**cfg_kwargs))
+    return DynamicLoadBalancer(executor)
 
 
 class TestWatchdog:
@@ -649,7 +648,7 @@ class TestWatchdog:
     def test_oscillation_forces_observation(self):
         from repro.balance.controller import LBOutcome
 
-        b = _balancer(watchdog_window=6, watchdog_flips=3)
+        b = _balancer()
         self._fill(b, [64, 70, 64, 70, 64, 70])  # 4 direction reversals
         out = LBOutcome()
         b._watchdog(out)
@@ -661,7 +660,7 @@ class TestWatchdog:
     def test_monotone_s_passes(self):
         from repro.balance.controller import LBOutcome
 
-        b = _balancer(watchdog_window=6, watchdog_flips=3)
+        b = _balancer()
         self._fill(b, [64, 70, 77, 84, 92, 101])
         b._watchdog(LBOutcome())
         assert b.state is BalancerState.INCREMENTAL
@@ -669,17 +668,9 @@ class TestWatchdog:
     def test_mixed_states_pass(self):
         from repro.balance.controller import LBOutcome
 
-        b = _balancer(watchdog_window=6, watchdog_flips=3)
+        b = _balancer()
         self._fill(b, [64, 70, 64, 70, 64, 70])
         b._s_history[0] = (BalancerState.SEARCH, 64)  # window not pure
-        b._watchdog(LBOutcome())
-        assert b.state is BalancerState.INCREMENTAL
-
-    def test_disabled_watchdog_passes(self):
-        from repro.balance.controller import LBOutcome
-
-        b = _balancer(watchdog_enabled=False)
-        self._fill(b, [64, 70, 64, 70, 64, 70])
         b._watchdog(LBOutcome())
         assert b.state is BalancerState.INCREMENTAL
 
