@@ -78,6 +78,7 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalancerConfig
+from repro.balance.controller import SEARCH_MAX_STEPS
 from repro.distributions.generators import (
     compact_plummer,
     exponential_disk,
@@ -138,7 +139,7 @@ def test_bench_list_build_speedup(benchmark):
 
 
 def test_bench_frozen_step_zero_rebuilds(benchmark):
-    """Static-strategy steps after the first never rebuild lists."""
+    """Static-strategy steps after the S search never rebuild lists."""
     ps = compact_plummer(3000, seed=1, total_mass=1.0)
     cfg = SimulationConfig(
         dt=1e-4,
@@ -148,20 +149,25 @@ def test_bench_frozen_step_zero_rebuilds(benchmark):
         balancer=BalancerConfig(s_min=8, s_max=1024),
     )
     sim = Simulation(ps, GravityKernel(G=1.0, softening=1e-3), system_a(), config=cfg)
-    sim.step()
-    builds_after_first = sim.list_cache.builds
-    hits_after_first = sim.list_cache.hits
+    # the S search rebuilds the tree; static mode freezes S once it ends
+    for _ in range(SEARCH_MAX_STEPS):
+        sim.step()
+        if sim.balancer._frozen:
+            break
+    assert sim.balancer._frozen, "the S search never ended"
+    builds_after_search = sim.list_cache.builds
+    hits_after_search = sim.list_cache.hits
 
     benchmark.pedantic(sim.step, rounds=4, iterations=1)
 
     print()
     print(
-        f"5 static steps: builds={sim.list_cache.builds} "
+        f"{sim.step_index} static steps: builds={sim.list_cache.builds} "
         f"hits={sim.list_cache.hits}"
     )
     # the tree shape is frozen, so the 4 benchmarked steps must be all hits
-    assert sim.list_cache.builds == builds_after_first
-    assert sim.list_cache.hits > hits_after_first
+    assert sim.list_cache.builds == builds_after_search
+    assert sim.list_cache.hits > hits_after_search
 
 
 def test_bench_near_field_throughput(benchmark):

@@ -54,7 +54,7 @@ def main(n: int = 4000, steps: int = 120) -> None:
         order=3,
         forces="direct",  # exact forces; swap to "fmm" for the full path
         strategy="full",
-        balancer=BalancerConfig(gap_threshold_frac=0.15, s_min=8, s_max=2048),
+        balancer=BalancerConfig(s_min=8, s_max=2048),
     )
     sim = Simulation(ps, kernel, machine, config=config, domain=Box((0, 0, 0), 3.0))
 

@@ -65,7 +65,7 @@ def run(
             order=order,
             forces=forces,
             strategy=strategy,
-            balancer=BalancerConfig(gap_threshold_frac=0.15, s_min=8, s_max=4096),
+            balancer=BalancerConfig(s_min=8, s_max=4096),
             seed=seed,
         )
         sim = Simulation(ps, kernel, machine, config=cfg)

@@ -78,7 +78,7 @@ def run(
         order=order,
         forces=forces,
         strategy=strategy,
-        balancer=BalancerConfig(gap_threshold_frac=0.15, s_min=8, s_max=4096),
+        balancer=BalancerConfig(s_min=8, s_max=4096),
         seed=seed,
         n_workers=workers,
         checkpoint_every=checkpoint_every,
