@@ -23,7 +23,6 @@ from repro.kernels.stokeslet import RegularizedStokesletKernel
 from repro.machine.executor import HeterogeneousExecutor
 from repro.machine.spec import system_a
 from repro.balance.controller import DynamicLoadBalancer
-from repro.tree.lists import build_interaction_lists
 from repro.tree.octree import AdaptiveOctree
 from repro.util.records import EventLog
 
@@ -62,8 +61,7 @@ def _run_one(
     log = EventLog()
     sigma = root.size * drift_sigma
     for step in range(steps):
-        lists = build_interaction_lists(tree, folded=True)
-        timing = executor.time_step(tree, lists)
+        timing = executor.time_step(tree)
         outcome = balancer.end_of_step(tree, timing)
         lb = outcome.lb_time
         log.add(

@@ -71,20 +71,26 @@ _PRIOR_COEFF_S = 2e-7
 _SMOOTHING = 0.3
 
 
-def estimate_op_counts(n: int, order: int, leaf_size: int = 32) -> dict[str, int]:
+#: leaf capacity of the uniform octree :func:`estimate_op_counts` models
+_SURROGATE_LEAF = 32
+
+
+def estimate_op_counts(n: int, order: int) -> dict[str, int]:
     """Analytic op counts for a uniform octree over ``n`` bodies.
 
-    The serve admission path needs counts *before* any tree exists, so
-    this models the uniform-refinement limit: leaves of ~``leaf_size``
-    bodies, one M2M/L2L application per parent-child shift, ~27 V-list
-    partners per node under the folded scheme, and a 27-neighbour dense
-    near field.  It is a surrogate, not a census — the governor's
-    feedback loop (observed seconds / estimated counts) absorbs the
-    constant-factor error, and ``order`` enters through the observed
-    per-application coefficients rather than the counts.
+    These price the *size of a request* for admission, not the tree it is
+    served on: a one-shot request chooses its own leaf capacity from a
+    census of its bodies when it runs
+    (:func:`repro.costmodel.leafsize.choose_leaf_size`), after admission.
+    The model is the uniform-refinement limit: leaves of ~32 bodies, one
+    M2M/L2L application per parent-child shift, ~27 V-list partners per
+    node under the folded scheme, and a 27-neighbour dense near field.
+    The governor's feedback loop (observed seconds / estimated counts)
+    absorbs the constant-factor error, and ``order`` enters through the
+    observed per-application coefficients rather than the counts.
     """
     n = max(1, int(n))
-    depth = max(0, math.ceil(math.log(max(1.0, n / leaf_size), 8)))
+    depth = max(0, math.ceil(math.log(max(1.0, n / _SURROGATE_LEAF), 8)))
     n_leaves = 8**depth
     n_internal = (n_leaves - 1) // 7
     n_nodes = n_leaves + n_internal
@@ -97,7 +103,7 @@ def estimate_op_counts(n: int, order: int, leaf_size: int = 32) -> dict[str, int
         "L2P": n,
         "M2P": 0,  # folded scheme: W/X work is folded into M2L/P2P
         "P2L": 0,
-        "P2P": 27 * n * min(n, leaf_size),
+        "P2P": 27 * n * min(n, _SURROGATE_LEAF),
     }
 
 

@@ -317,6 +317,11 @@ _RETIRED = {
     "FMMResult." + "near_potential": "none: FMMResult carries the total potential only",
     "FMMResult." + "far_potential": "none: FMMResult carries the total potential only",
     "CostModelGovernor(" + "smoothing": "repro.serve.scheduler._SMOOTHING",
+    # one meaning for the serve surrogate: it prices request size only
+    "_SERVE" + "_LEAF_SIZE": "repro.costmodel.leafsize.choose_leaf_size for a one-shot "
+    "solve; repro.serve.server._STEPPED_INITIAL_S starts a time-stepped run",
+    "leaf" + "_size=": "none: estimate_op_counts prices request size at a fixed "
+    "32-body leaf",
 }
 
 

@@ -106,6 +106,41 @@ class TestFig10:
         adv = fig10_finegrained.steady_state_advantage(logs, skip=15)
         assert adv > 0.9  # FGO never catastrophically worse
 
+    def test_lists_built_once_per_tree_shape(self, monkeypatch):
+        """Steps price through the executor's list cache: a refit-only step
+        reuses its lists, so the run builds lists exactly once per tree
+        shape it prices or asks a cache for (a fresh tree, or surgery on
+        the current one)."""
+        from repro.machine.executor import HeterogeneousExecutor
+        from repro.tree.cache import ListCache
+        from repro.tree.lists import InteractionLists
+
+        builds, shapes, trees = [0], set(), []
+        init = InteractionLists.__init__
+        time_step, get = HeterogeneousExecutor.time_step, ListCache.get
+
+        def shape(tree):
+            trees.append(tree)  # keeps every id() unique for the run
+            shapes.add((id(tree), tree.structure_generation))
+
+        def counted_init(self, *args, **kwargs):
+            builds[0] += 1
+            init(self, *args, **kwargs)
+
+        def recorded_step(self, tree, *args, **kwargs):
+            shape(tree)
+            return time_step(self, tree, *args, **kwargs)
+
+        def recorded_get(self, tree, **kwargs):
+            shape(tree)
+            return get(self, tree, **kwargs)
+
+        monkeypatch.setattr(InteractionLists, "__init__", counted_init)
+        monkeypatch.setattr(HeterogeneousExecutor, "time_step", recorded_step)
+        monkeypatch.setattr(ListCache, "get", recorded_get)
+        fig10_finegrained.run(n=2000, steps=40)
+        assert builds[0] == len(shapes)
+
 
 class TestAblations:
     def test_adaptive_beats_uniform_on_plummer(self):
