@@ -26,6 +26,12 @@ field and the leaf stages are now compiled calls that drop the interpreter
 lock, and M2L is BLAS.  Every served result is compared bitwise with
 ``solve_direct``; each pool size's rate and closed-loop p50 latency are
 printed.
+
+Both gates run twice: on the ``serve_mix`` requests (n = 2000), which the
+leaf-size model solves as near-direct S = 512 trees, and on n = 6000
+requests, which it solves at S = 32 (Laplace) or 128 (Stokeslet) with a
+far field — so store hits and the second thread are also measured where
+M2M / M2L / L2L read the shared operator set.
 """
 
 import gc
@@ -39,6 +45,8 @@ import pytest
 from repro.serve import BackgroundServer, ServeConfig, solve_direct
 
 SPEC = {"kernel": "laplace", "n": 2000, "seed": 11, "order": 3}
+#: the request size of the far-field runs (SPEC's tree is all near field)
+FAR_N = 6000
 
 
 def _available_cpus():
@@ -58,25 +66,27 @@ def _timed(fn):
         gc.enable()
 
 
-def test_bench_serve_warm_vs_cold(benchmark):
+@pytest.mark.parametrize("n", [SPEC["n"], FAR_N], ids=["near_direct", "far_field"])
+def test_bench_serve_warm_vs_cold(benchmark, n):
     """Cold served solve <= 1.5x warm; operators still shared bitwise."""
     avail = _available_cpus()
     gate_skipped = avail < 4
 
-    direct = solve_direct(SPEC)
+    spec = dict(SPEC, n=n)
+    direct = solve_direct(spec)
 
     with BackgroundServer(
         ServeConfig(pool_size=2, shed_budget_s=3600.0), tcp=False
     ) as bg:
         client = bg.client(in_process=True)
-        cold_out, cold_t = _timed(lambda: client.solve(SPEC, tenant="bench"))
-        warm_out, warm_t = _timed(lambda: client.solve(SPEC, tenant="bench"))
+        cold_out, cold_t = _timed(lambda: client.solve(spec, tenant="bench"))
+        warm_out, warm_t = _timed(lambda: client.solve(spec, tenant="bench"))
         # best-of-2 for the warm number; the cold number is by nature
         # unrepeatable within one server lifetime
-        warm_out2, warm_t2 = _timed(lambda: client.solve(SPEC, tenant="other"))
+        warm_out2, warm_t2 = _timed(lambda: client.solve(spec, tenant="other"))
         warm_t = min(warm_t, warm_t2)
         benchmark.pedantic(
-            lambda: client.solve(SPEC, tenant="bench"), rounds=1, iterations=1
+            lambda: client.solve(spec, tenant="bench"), rounds=1, iterations=1
         )
         stats = client.status()["opcache"]
 
@@ -86,13 +96,15 @@ def test_bench_serve_warm_vs_cold(benchmark):
             "served result drifted from the direct baseline bitwise"
         )
         assert np.array_equal(out["gradient"], direct["gradient"])
+    if n == FAR_N:
+        assert warm_out["op_counts"]["M2L"] > 0, "the far-field request has no far field"
     assert stats["hits"] > 0, "warm solves never read the shared operator set"
     (ops,) = bg.server.operators._sets.values()  # one domain, one order: one set
 
     cold_over_warm = cold_t / warm_t
     print()
     print(
-        f"serve warm-vs-cold, n={SPEC['n']} order={SPEC['order']}: "
+        f"serve warm-vs-cold, n={n} order={spec['order']} S={warm_out['S']}: "
         f"cold {cold_t * 1e3:.0f} ms, warm {warm_t * 1e3:.0f} ms -> "
         f"{cold_over_warm:.2f}x ({stats['entries']} operator set of "
         f"{len(ops)}, {stats['bytes'] >> 10} KiB, {stats['hits']} hits)"
@@ -108,14 +120,14 @@ def test_bench_serve_warm_vs_cold(benchmark):
     )
 
 
-def _mix_spec(client, i):
+def _mix_spec(client, i, n=2000):
     """The ``serve_mix`` request mix: n=2000, order 3, every 5th Stokeslet;
     ten distinct specs, so every result has a direct baseline."""
     kernel = "stokeslet" if i % 5 == 4 else "laplace"
-    return {"kernel": kernel, "n": 2000, "order": 3, "seed": 100 * client + i % 5}
+    return {"kernel": kernel, "n": n, "order": 3, "seed": 100 * client + i % 5}
 
 
-def _closed_loop(pool_size, seconds, direct, latencies):
+def _closed_loop(pool_size, seconds, direct, latencies, n):
     """(requests served, wall) for 2 clients on a fresh live TCP server;
     each request's latency is appended to ``latencies``."""
     served = [0, 0]
@@ -127,7 +139,7 @@ def _closed_loop(pool_size, seconds, direct, latencies):
             with bg.client() as client:
                 i = 0
                 while time.perf_counter() < t_end:
-                    spec = _mix_spec(c, i)
+                    spec = _mix_spec(c, i, n)
                     t0 = time.perf_counter()
                     out = client.solve(spec, tenant=f"tenant-{c}")
                     latencies.append(time.perf_counter() - t0)
@@ -138,7 +150,7 @@ def _closed_loop(pool_size, seconds, direct, latencies):
                     i += 1
 
         with bg.client() as warm:  # the operator set, outside the window
-            warm.solve(_mix_spec(0, 0), tenant="warm")
+            warm.solve(_mix_spec(0, 0, n), tenant="warm")
         threads = [threading.Thread(target=client_loop, args=(c,)) for c in (0, 1)]
         t0 = time.perf_counter()
         t_end = t0 + seconds
@@ -153,17 +165,20 @@ def _closed_loop(pool_size, seconds, direct, latencies):
     return sum(served), wall
 
 
-def test_bench_serve_second_slot_costs_no_throughput(benchmark):
+@pytest.mark.parametrize("n", [2000, FAR_N], ids=["near_direct", "far_field"])
+def test_bench_serve_second_slot_costs_no_throughput(benchmark, n):
     """Closed loop of 2 clients: rps at pool_size=2 >= 0.85x rps at 1."""
     direct = {
-        (c, i): solve_direct(_mix_spec(c, i)) for c in (0, 1) for i in range(5)
+        (c, i): solve_direct(_mix_spec(c, i, n)) for c in (0, 1) for i in range(5)
     }
+    if n == FAR_N:
+        assert all(d["op_counts"]["M2L"] > 0 for d in direct.values())
     served = {1: 0, 2: 0}
     wall = {1: 0.0, 2: 0.0}
     latencies = {1: [], 2: []}
     for pool_size in (1, 2, 2, 1):  # alternating, ~2 s a side
-        n, w = _closed_loop(pool_size, 1.0, direct, latencies[pool_size])
-        served[pool_size] += n
+        count, w = _closed_loop(pool_size, 1.0, direct, latencies[pool_size], n)
+        served[pool_size] += count
         wall[pool_size] += w
     # the fixture must run or --benchmark-only skips the gate
     benchmark.pedantic(lambda: solve_direct(_mix_spec(0, 0)), rounds=1, iterations=1)
@@ -173,7 +188,7 @@ def test_bench_serve_second_slot_costs_no_throughput(benchmark):
     ratio = rps[2] / rps[1]
     print()
     print(
-        f"serve closed loop, 2 clients: pool_size=1 {rps[1]:.1f} req/s "
+        f"serve closed loop, 2 clients, n={n}: pool_size=1 {rps[1]:.1f} req/s "
         f"(p50 {p50[1] * 1e3:.1f} ms), pool_size=2 {rps[2]:.1f} req/s "
         f"(p50 {p50[2] * 1e3:.1f} ms) -> {ratio:.2f}x"
     )
