@@ -21,14 +21,12 @@ __all__ = ["ObservedCoefficients"]
 
 @dataclass
 class ObservedCoefficients:
-    """Rolling store of observed coefficients for CPU ops and the GPU P2P.
+    """Store of observed coefficients for CPU ops and the GPU P2P.
 
-    ``smoothing`` exponentially blends new observations into the stored
-    coefficient (1.0 = always replace, matching the paper's per-step
-    re-derivation; smaller values damp measurement noise).
+    Each observation replaces the stored coefficient: the paper re-derives
+    the coefficients every step.
     """
 
-    smoothing: float = 1.0
     cpu: dict[str, float] = field(default_factory=dict)
     gpu_p2p: float = 0.0
     steps_observed: int = 0
@@ -44,21 +42,10 @@ class ObservedCoefficients:
             timer = cpu_registry.timers.get(op)
             if timer is None or timer.count == 0:
                 continue
-            self._blend_cpu(op, timer.coefficient)
+            self.cpu[op] = timer.coefficient
         if gpu_p2p_coefficient > 0:
-            if self.gpu_p2p == 0.0:
-                self.gpu_p2p = gpu_p2p_coefficient
-            else:
-                a = self.smoothing
-                self.gpu_p2p = a * gpu_p2p_coefficient + (1 - a) * self.gpu_p2p
+            self.gpu_p2p = gpu_p2p_coefficient
         self.steps_observed += 1
-
-    def _blend_cpu(self, op: str, value: float) -> None:
-        if op not in self.cpu or self.cpu[op] == 0.0:
-            self.cpu[op] = value
-        else:
-            a = self.smoothing
-            self.cpu[op] = a * value + (1 - a) * self.cpu[op]
 
     def cpu_coefficient(self, op: str) -> float:
         return self.cpu.get(op, 0.0)

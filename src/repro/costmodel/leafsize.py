@@ -131,7 +131,9 @@ def _near_pairs(level, counts, children, around, until) -> np.ndarray:
     # bordering table cells
     e = np.flatnonzero(around >= 0)
     p, q = e // 27, np.take(around, e)
-    border = np.take((c @ _BORDER).reshape(-1, 8), e, axis=0)
+    # einsum, not `@`: OpenBLAS threads the product and, on a loaded host,
+    # waits for cores (8 ms against 0.45 ms at n = 20k); the sums are exact
+    border = np.take(np.einsum("pj,jk->pk", c, _BORDER).reshape(-1, 8), e, axis=0)
     pairs = np.einsum("ej,ej->e", border, np.take(c, q, axis=0))
     c_p, c_q = np.take(counts, p), np.take(counts, q)
     both = (c_p * c_q).astype(float)

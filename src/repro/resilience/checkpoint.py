@@ -237,7 +237,6 @@ def balancer_state(balancer) -> dict:
         "expect_new_best": bool(balancer._expect_new_best),
         "s_history": [[st.value, int(s)] for st, s in balancer._s_history],
         "coeffs": {
-            "smoothing": float(c.smoothing),
             "cpu": {k: float(v) for k, v in c.cpu.items()},
             "gpu_p2p": float(c.gpu_p2p),
             "steps_observed": int(c.steps_observed),
@@ -263,7 +262,6 @@ def restore_balancer(balancer, state: dict) -> None:
         (BalancerState(st), int(s)) for st, s in state["s_history"]
     )
     c = balancer.coeffs
-    c.smoothing = float(state["coeffs"]["smoothing"])
     c.cpu = {k: float(v) for k, v in state["coeffs"]["cpu"].items()}
     c.gpu_p2p = float(state["coeffs"]["gpu_p2p"])
     c.steps_observed = int(state["coeffs"]["steps_observed"])

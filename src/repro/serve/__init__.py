@@ -14,15 +14,15 @@ with three load-bearing guarantees:
   (:class:`~repro.expansions.operators.OperatorStore`), making warm solves
   cheaper than cold ones while staying bitwise identical to direct runs;
 * **honesty under load** — cost-model admission control sheds work with
-  a structured 429 before it queues (§IV-D prediction), instead of
-  letting latency collapse for everyone.
+  a structured 429 before it queues (priced from served walls), instead
+  of letting latency collapse for everyone.
 
 See DESIGN.md §15 and the README "Serving" quickstart.
 """
 
 from repro.serve.client import BackgroundServer, ServeClient
 from repro.serve.protocol import ProtocolError, ServeError, SolveSpec
-from repro.serve.scheduler import CostModelGovernor, FairScheduler, estimate_op_counts
+from repro.serve.scheduler import CostModelGovernor, FairScheduler
 from repro.serve.server import JobServer, ServeConfig, main, solve_direct
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "SolveSpec",
-    "estimate_op_counts",
     "main",
     "solve_direct",
 ]

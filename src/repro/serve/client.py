@@ -171,9 +171,6 @@ class ServeClient:
     def solve(self, spec: dict, *, tenant: str = "default") -> dict:
         return self.request("solve", spec, tenant=tenant)
 
-    def trace(self, spec: dict, *, tenant: str = "default") -> dict:
-        return self.request("trace", spec, tenant=tenant)
-
     def status(self) -> dict:
         return self.request("status")
 

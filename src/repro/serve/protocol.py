@@ -8,7 +8,7 @@ so tests exercise the full protocol without sockets.
 
 Request::
 
-    {"id": 7, "kind": "solve" | "trace" | "status",
+    {"id": 7, "kind": "solve" | "status",
      "tenant": "alice", "spec": {...SolveSpec fields...}}
 
 Response::
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: request kinds the server dispatches
-KINDS = ("solve", "trace", "status")
+KINDS = ("solve", "status")
 
 _KERNELS = ("laplace", "stokeslet")
 _BACKENDS = ("cartesian", "spherical")
@@ -298,7 +298,7 @@ def parse_request(obj: dict) -> tuple[Any, str, str, SolveSpec | None]:
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError(f"tenant must be a non-empty string, got {tenant!r}")
     spec = None
-    if kind in ("solve", "trace"):
+    if kind == "solve":
         raw = obj.get("spec", {})
         if not isinstance(raw, dict):
             raise ProtocolError(f"spec must be an object, got {type(raw).__name__}")

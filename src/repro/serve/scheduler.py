@@ -2,12 +2,10 @@
 
 Two cooperating pieces:
 
-:class:`CostModelGovernor` prices a request *before* running it, using
-the paper's §IV-D prediction (``predict_times`` over per-operation
-counts and observed coefficients).  Counts come from an analytic
-uniform-tree surrogate — the server must price work it has not built a
-tree for — and coefficients are re-observed from every served solve, so
-the estimate tracks the machine it is actually running on.
+:class:`CostModelGovernor` prices a request *before* running it, as
+seconds per body learned from the walls of served solves times the
+bodies the request solves for, so the estimate tracks the machine it is
+actually running on.
 
 :class:`FairScheduler` holds one FIFO deque per tenant and starts jobs
 round-robin across tenants on ``pool_size`` solver threads, one thread per
@@ -43,7 +41,6 @@ each request runs on fresh solver state and only the operators are shared.
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -51,132 +48,73 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.costmodel.coefficients import ObservedCoefficients
-from repro.costmodel.predictor import predict_times
-from repro.kernels.base import EXPANSION_OPS
-from repro.kernels.stokeslet_fmm import stokeslet_op_counts
 from repro.serve.protocol import ServeError, SolveSpec
-from repro.util.timing import TimerRegistry
 
-__all__ = ["CostModelGovernor", "FairScheduler", "Job", "estimate_op_counts"]
+__all__ = ["CostModelGovernor", "FairScheduler", "Job"]
 
-#: optimistic per-application prior (seconds) used before any solve has
-#: been observed — deliberately low so a cold server admits work and
-#: learns real coefficients from it
-_PRIOR_COEFF_S = 2e-7
+#: seconds per body before any solve has been served: a 27-neighbour near
+#: field of 32-body leaves at 2e-7 s a pair — optimistic, so a cold server
+#: admits work and learns its real rate from it
+_PRIOR_S_PER_BODY = 27 * 32 * 2e-7
 
-#: weight of a new served solve in the governor's coefficients; served
-#: wall times are noisy, so each observation moves the estimate 30% of
-#: the way
+#: weight of a new served solve in the governor's rates; served wall
+#: times are noisy, so each observation moves a rate 30% of the way
 _SMOOTHING = 0.3
 
 
-#: leaf capacity of the uniform octree :func:`estimate_op_counts` models
-_SURROGATE_LEAF = 32
+def _ewma(old: float | None, new: float) -> float:
+    return new if old is None else _SMOOTHING * new + (1 - _SMOOTHING) * old
 
 
-def estimate_op_counts(n: int, order: int) -> dict[str, int]:
-    """Analytic op counts for a uniform octree over ``n`` bodies.
-
-    These price the *size of a request* for admission, not the tree it is
-    served on: a one-shot request chooses its own leaf capacity from a
-    census of its bodies when it runs
-    (:func:`repro.costmodel.leafsize.choose_leaf_size`), after admission.
-    The model is the uniform-refinement limit: leaves of ~32 bodies, one
-    M2M/L2L application per parent-child shift, ~27 V-list partners per
-    node under the folded scheme, and a 27-neighbour dense near field.
-    The governor's feedback loop (observed seconds / estimated counts)
-    absorbs the constant-factor error, and ``order`` enters through the
-    observed per-application coefficients rather than the counts.
-    """
-    n = max(1, int(n))
-    depth = max(0, math.ceil(math.log(max(1.0, n / _SURROGATE_LEAF), 8)))
-    n_leaves = 8**depth
-    n_internal = (n_leaves - 1) // 7
-    n_nodes = n_leaves + n_internal
-    n_shifts = 8 * n_internal
-    return {
-        "P2M": n,
-        "M2M": n_shifts,
-        "M2L": 27 * n_nodes,
-        "L2L": n_shifts,
-        "L2P": n,
-        "M2P": 0,  # folded scheme: W/X work is folded into M2L/P2P
-        "P2L": 0,
-        "P2P": 27 * n * min(n, _SURROGATE_LEAF),
-    }
-
-
-def _solve_counts(spec: SolveSpec) -> tuple[dict[str, int], int]:
-    """``(counts, steps)``: one solve's surrogate op counts — a Stokeslet
-    request's as its solver reports them — and how many solves it runs."""
-    counts = estimate_op_counts(spec.n, spec.order)
-    if spec.kernel == "stokeslet":
-        counts = stokeslet_op_counts(counts)
-    return counts, max(1, int(spec.steps))
+def _bodies(spec: SolveSpec) -> int:
+    """Bodies a request solves for: ``n`` once per solve it runs."""
+    return spec.n * max(1, int(spec.steps))
 
 
 class CostModelGovernor:
-    """Prices requests with §IV-D and re-observes coefficients per solve.
+    """Prices a request at learned seconds per body times its bodies.
+
+    The server times a request's whole wall, not its operations, so the
+    §IV-D per-operation coefficients (time on an op over its
+    applications) cannot be observed here; what the walls do tell is one
+    rate, seconds per body per solve.  The governor keeps it as an EWMA
+    per kernel and one server-wide: a request is priced at its kernel's
+    rate once that kernel has been served, before that at the
+    server-wide rate, and before any solve at a prior.
 
     Thread-safe: ``predict`` runs on the asyncio loop thread while
     ``observe`` runs on the solver threads as solves finish.
     """
 
     def __init__(self) -> None:
-        self.coeffs = ObservedCoefficients(smoothing=_SMOOTHING)
-        #: one store per kernel as well: the surrogate counts a Stokeslet
-        #: pair like a Laplace pair, so only a kernel's own solves tell
-        #: what its requests cost
-        self._by_kernel: dict[str, ObservedCoefficients] = {}
+        self._rate: float | None = None
+        self._by_kernel: dict[str, float] = {}
+        self._observed = 0
         self._lock = threading.Lock()
 
     def predict(self, spec: SolveSpec) -> float:
-        """Predicted ComputeTime (seconds) for one request: from its
-        kernel's observed coefficients, else from every served solve's."""
-        counts, steps = _solve_counts(spec)
+        """Predicted wall (seconds) of one request."""
         with self._lock:
-            coeffs = self._by_kernel.get(spec.kernel, self.coeffs)
-            if not coeffs.ready:
-                total = sum(counts.values())
-                return total * _PRIOR_COEFF_S * steps
-            t = predict_times(counts, coeffs)
-        return t.compute_time * steps
+            rate = self._by_kernel.get(spec.kernel, self._rate)
+        return (_PRIOR_S_PER_BODY if rate is None else rate) * _bodies(spec)
 
     def observe(self, spec: SolveSpec, wall_s: float) -> None:
-        """Fold one served solve's measured wall time into the server-wide
-        store and its kernel's.
-
-        The server has no per-op timers for a whole request, so the wall
-        time is attributed uniformly per application across the surrogate
-        counts; what matters is that predicted seconds for a repeat of
-        the same request converge on observed seconds.
-        """
+        """Fold one served solve's wall into its kernel's rate and the
+        server-wide one."""
         if wall_s <= 0:
             return
-        counts, steps = _solve_counts(spec)
-        total = float(sum(counts.values())) * steps
-        if total <= 0:
-            return
-        per_app = wall_s / total
-        registry = TimerRegistry()
-        for op in EXPANSION_OPS:
-            apps = int(counts[op] * steps)
-            if apps:
-                registry.add(op, per_app * apps, apps)
+        rate = wall_s / _bodies(spec)
         with self._lock:
-            own = self._by_kernel.setdefault(
-                spec.kernel, ObservedCoefficients(smoothing=_SMOOTHING)
-            )
-            for coeffs in (self.coeffs, own):
-                coeffs.update_from_registry(registry, per_app)
+            self._rate = _ewma(self._rate, rate)
+            self._by_kernel[spec.kernel] = _ewma(self._by_kernel.get(spec.kernel), rate)
+            self._observed += 1
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "ready": self.coeffs.ready,
-                "steps_observed": self.coeffs.steps_observed,
-                "coefficients": self.coeffs.as_dict(),
+                "observed": self._observed,
+                "s_per_body": self._rate,
+                "by_kernel": dict(self._by_kernel),
             }
 
 

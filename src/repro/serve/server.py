@@ -2,7 +2,7 @@
 
 One process hosts ``pool_size`` solver threads, one per pool slot, behind
 a JSON-lines TCP front end (plus an in-process path for tests).  Incoming
-``solve``/``trace`` requests are admitted by the cost-model governor,
+``solve`` requests are admitted by the cost-model governor,
 queued per tenant, and started round-robin on the first free thread; the
 solves overlap because their heavy stages (near field, leaf stages, M2L's
 BLAS) drop the interpreter lock, and the asyncio loop keeps framing and
@@ -409,17 +409,7 @@ class JobServer:
                     "no new work is accepted",
                     details={"drains_total": self.drains_total},
                 )
-            want_trace = kind == "trace"
-            t_submit = time.monotonic()
-            future = self.scheduler.submit(tenant, spec, request_id=rid)
-            result = await future
-            if want_trace:
-                result = dict(result)
-                result["trace"] = {
-                    "request_s": time.monotonic() - t_submit,
-                    "opcache": self.operators.stats(),
-                    "governor": self.scheduler.governor.snapshot(),
-                }
+            result = await self.scheduler.submit(tenant, spec, request_id=rid)
             return {"id": rid, "ok": True, "result": result}
         except ServeError as exc:
             return {"id": rid, "ok": False, "error": exc.to_dict()}

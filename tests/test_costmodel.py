@@ -47,16 +47,10 @@ class TestObservedCoefficients:
         assert coeffs.gpu_p2p == pytest.approx(1e-9)
 
     def test_smoothing_replaces_by_default(self):
-        coeffs = ObservedCoefficients()  # smoothing = 1.0
+        coeffs = ObservedCoefficients()  # a new observation replaces the old
         coeffs.update_from_registry(self._registry({"P2M": (1.0, 10)}), 0.0)
         coeffs.update_from_registry(self._registry({"P2M": (3.0, 10)}), 0.0)
         assert coeffs.cpu_coefficient("P2M") == pytest.approx(0.3)
-
-    def test_smoothing_blends(self):
-        coeffs = ObservedCoefficients(smoothing=0.5)
-        coeffs.update_from_registry(self._registry({"P2M": (1.0, 10)}), 0.0)
-        coeffs.update_from_registry(self._registry({"P2M": (3.0, 10)}), 0.0)
-        assert coeffs.cpu_coefficient("P2M") == pytest.approx(0.2)
 
     def test_zero_count_ops_ignored(self):
         coeffs = ObservedCoefficients()

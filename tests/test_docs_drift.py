@@ -316,12 +316,17 @@ _RETIRED = {
     "keep" + "_split": "none: FMMResult carries the total potential only",
     "FMMResult." + "near_potential": "none: FMMResult carries the total potential only",
     "FMMResult." + "far_potential": "none: FMMResult carries the total potential only",
-    "CostModelGovernor(" + "smoothing": "repro.serve.scheduler._SMOOTHING",
-    # one meaning for the serve surrogate: it prices request size only
+    "CostModelGovernor(" + "smoothing": "repro.serve.scheduler._SMOOTHING, the "
+    "weight of a served wall in the governor's seconds-per-body rates",
     "_SERVE" + "_LEAF_SIZE": "repro.costmodel.leafsize.choose_leaf_size for a one-shot "
     "solve; repro.serve.server._STEPPED_INITIAL_S starts a time-stepped run",
-    "leaf" + "_size=": "none: estimate_op_counts prices request size at a fixed "
-    "32-body leaf",
+    "leaf" + "_size=": "none: the governor prices a request per body, with no tree",
+    # the serve governor is one learned seconds-per-body rate per kernel
+    "estimate" + "_op_counts": "none: CostModelGovernor prices seconds per body x bodies",
+    "_PRIOR" + "_COEFF_S": "repro.serve.scheduler._PRIOR_S_PER_BODY",
+    "ObservedCoefficients(" + "smoothing": "none: a new observation replaces the "
+    "coefficient, the paper's per-step re-derivation",
+    "ServeClient." + "trace": "ServeClient.status and the ledger's wall_s / queue_wait_s",
 }
 
 

@@ -15,16 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.costmodel.predictor import predict_times
 from repro.kernels import p2p_backend
-from repro.kernels.base import EXPANSION_OPS
-from repro.kernels.stokeslet_fmm import N_FAR_PASSES, stokeslet_op_counts
 from repro.serve import (
     BackgroundServer,
     ServeConfig,
     ServeError,
     SolveSpec,
-    estimate_op_counts,
     solve_direct,
 )
 from repro.serve.protocol import (
@@ -35,7 +31,7 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
-from repro.serve.scheduler import _PRIOR_COEFF_S, CostModelGovernor, FairScheduler
+from repro.serve.scheduler import _PRIOR_S_PER_BODY, CostModelGovernor, FairScheduler
 from repro.serve.server import JobServer
 
 
@@ -148,6 +144,8 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_request({"kind": "explode"})
         with pytest.raises(ProtocolError):
+            parse_request({"kind": "trace"})
+        with pytest.raises(ProtocolError):
             parse_request({"kind": "solve", "tenant": ""})
 
 
@@ -223,13 +221,6 @@ class TestOperatorStore:
 
 # ------------------------------------------------------------------ scheduler
 class TestGovernor:
-    def test_estimate_counts_monotone_in_n(self):
-        small = estimate_op_counts(500, 3)
-        big = estimate_op_counts(50_000, 3)
-        for op in ("P2M", "M2L", "P2P"):
-            assert big[op] > small[op]
-        assert small["M2P"] == small["P2L"] == 0
-
     def test_prediction_tracks_observation(self):
         g = CostModelGovernor()
         spec = SolveSpec(n=2000)
@@ -240,48 +231,32 @@ class TestGovernor:
             g.observe(spec, 0.5)
         warm = g.predict(spec)
         assert 0.1 < warm < 2.0
-        snap = g.snapshot()
-        assert snap["ready"] and snap["steps_observed"] == 3
+        assert g.snapshot()["observed"] == 3
 
-    def test_stokeslet_and_steps_multiply_cost(self):
-        """Steps multiply a request's cost; a Stokeslet request costs its
-        solver's counts (far field x4, near field once) under the observed
-        coefficients — at n=1000 the near field bounds max(T_CPU, T_GPU),
-        so it prices like a Laplace request."""
+    def test_price_is_linear_in_bodies_and_steps(self):
+        """A request costs seconds per body x n x its solves: cold at the
+        prior, then at the learned rate."""
         g = CostModelGovernor()
+        assert g.predict(SolveSpec(n=1000)) == _PRIOR_S_PER_BODY * 1000
         g.observe(SolveSpec(n=1000), 0.2)
         base = g.predict(SolveSpec(n=1000))
-        spec = SolveSpec(n=1000, kernel="stokeslet")
-        counts = stokeslet_op_counts(estimate_op_counts(spec.n, spec.order))
-        assert g.predict(spec) == predict_times(counts, g.coeffs).compute_time >= base
-        assert g.predict(SolveSpec(n=1000, steps=10)) > 5 * base
+        assert base == pytest.approx(0.2, rel=1e-12)
+        assert g.predict(SolveSpec(n=4000)) == pytest.approx(4 * base, rel=1e-12)
+        assert g.predict(SolveSpec(n=1000, steps=10)) == pytest.approx(10 * base, rel=1e-12)
 
-    def test_stokeslet_prices_at_its_far_field_pass_count(self):
-        """A Stokeslet request is priced on the counts its solver reports
-        (``stokeslet_op_counts``): every expansion op once per charge
-        channel, the near field (P2P) once — before any solve is observed,
-        and when its own wall time is attributed."""
+    def test_unserved_kernel_is_priced_at_the_server_wide_rate(self):
         g = CostModelGovernor()
-        for n, order in ((600, 3), (2000, 5)):
-            counts = estimate_op_counts(n, order)
-            far = sum(counts[op] for op in EXPANSION_OPS)
-            laplace = g.predict(SolveSpec(n=n, order=order))
-            stokeslet = g.predict(SolveSpec(n=n, order=order, kernel="stokeslet"))
-            assert laplace == sum(counts.values()) * _PRIOR_COEFF_S
-            extra = (N_FAR_PASSES - 1) * far * _PRIOR_COEFF_S
-            assert stokeslet == pytest.approx(laplace + extra, rel=1e-12)
-        spec = SolveSpec(n=2000, kernel="stokeslet")
-        g.observe(spec, 0.5)
-        counts = stokeslet_op_counts(estimate_op_counts(spec.n, spec.order))
-        assert g.coeffs.gpu_p2p == 0.5 / sum(counts.values())
-
+        g.observe(SolveSpec(n=2000), 0.4)
+        g.observe(SolveSpec(n=2000), 0.2)
+        wide = g.snapshot()["s_per_body"]
+        assert wide == pytest.approx((0.3 * 0.2 + 0.7 * 0.4) / 2000, rel=1e-12)
+        stokeslet = SolveSpec(n=3000, kernel="stokeslet")
+        assert g.predict(stokeslet) == pytest.approx(wide * 3000, rel=1e-12)
 
     def test_each_kernel_converges_on_its_own_wall_time(self):
         """In a mixed stream a request is priced from its kernel's own
-        solves: the surrogate counts a Stokeslet pair like a Laplace pair,
-        so one shared store would price both kernels at ~the same seconds
-        whatever they cost.  (The prediction is max(T_CPU, T_GPU), not the
-        whole wall: the near field's share of it, >= 98% here.)"""
+        solves: one shared rate would price both kernels at ~the same
+        seconds whatever they cost."""
         g = CostModelGovernor()
         laplace, stokeslet = SolveSpec(n=2000), SolveSpec(n=2000, kernel="stokeslet")
         for _ in range(4):
@@ -289,7 +264,7 @@ class TestGovernor:
             g.observe(stokeslet, 0.3)
         assert g.predict(laplace) == pytest.approx(0.2, rel=0.02)
         assert g.predict(stokeslet) == pytest.approx(0.3, rel=0.02)
-        assert g.snapshot()["steps_observed"] == 8
+        assert g.snapshot()["observed"] == 8
 
 class _Recorder:
     """A fake ``run_job``: records enter / exit per job and holds every job
@@ -1068,13 +1043,6 @@ class TestServedSolves:
             release.set()
             t.join()
             assert "out" in holder
-
-    def test_trace_kind_returns_serve_breakdown(self):
-        with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
-            out = bg.client(in_process=True).trace(LAPLACE, tenant="t")
-        assert out["trace"]["request_s"] > 0
-        assert out["trace"]["opcache"]["entries"] == 1
-        assert "coefficients" in out["trace"]["governor"]
 
     def test_malformed_tcp_line_gets_400_not_disconnect(self):
         with BackgroundServer(ServeConfig(pool_size=1)) as bg:
