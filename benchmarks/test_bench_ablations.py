@@ -17,20 +17,6 @@ def test_bench_ablation_adaptive_vs_uniform(benchmark):
     assert rows["adaptive"]["best_compute_time"] < rows["uniform"]["best_compute_time"]
 
 
-def test_bench_ablation_wx_lists(benchmark):
-    """Folding W/X into P2P (the paper's scheme) trades extra direct
-    interactions for zero M2P/P2L work; both produce the same field."""
-    log = benchmark.pedantic(
-        lambda: ablations.wx_lists_vs_folded(n=4000, S=40), rounds=1, iterations=1
-    )
-    print()
-    print(log.to_table())
-    rows = {r["scheme"]: r for r in log}
-    assert rows["folded"]["p2p_interactions"] > rows["cgr_wx"]["p2p_interactions"]
-    assert rows["cgr_wx"]["m2p_terms"] > 0 and rows["cgr_wx"]["p2l_terms"] > 0
-    assert rows["cross_agreement"]["potential_rel_err"] < 5e-3
-
-
 def test_bench_ablation_expansions(benchmark):
     """Cartesian Taylor vs spherical harmonics: comparable accuracy at the
     same order; coefficient counts differ (35 vs 25 at p=4)."""

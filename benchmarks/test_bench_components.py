@@ -26,7 +26,7 @@ def tree(cloud):
 
 @pytest.fixture(scope="module")
 def lists(tree):
-    return build_interaction_lists(tree, folded=True)
+    return build_interaction_lists(tree)
 
 
 def test_bench_morton_keys(benchmark, cloud):
@@ -40,7 +40,7 @@ def test_bench_tree_build(benchmark, cloud):
 
 
 def test_bench_interaction_lists(benchmark, tree):
-    benchmark(build_interaction_lists, tree, folded=True)
+    benchmark(build_interaction_lists, tree)
 
 
 def test_bench_p2p_block(benchmark):

@@ -122,13 +122,13 @@ def test_bench_list_build_speedup(benchmark):
     pts = plummer(50_000, seed=0).positions
     tree = AdaptiveOctree(pts, S=32)
 
-    vec_t = _best_time(lambda: build_interaction_lists(tree, folded=True), rounds=5)
+    vec_t = _best_time(lambda: build_interaction_lists(tree), rounds=5)
     scal_t = _best_time(
-        lambda: build_interaction_lists_scalar(tree, folded=True), rounds=2
+        lambda: build_interaction_lists_scalar(tree), rounds=2
     )
     speedup = scal_t / vec_t
     benchmark.pedantic(
-        lambda: build_interaction_lists(tree, folded=True), rounds=3, iterations=1
+        lambda: build_interaction_lists(tree), rounds=3, iterations=1
     )
     print()
     print(
@@ -175,7 +175,7 @@ def test_bench_near_field_throughput(benchmark):
     n = 30_000
     pts = plummer(n, seed=2).positions
     tree = AdaptiveOctree(pts, S=48)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(0)
     q = rng.uniform(0.5, 1.0, n)
     kernel = LaplaceKernel(softening=1e-3)
@@ -202,7 +202,7 @@ def test_bench_near_field_flat_in_s(benchmark):
     rate, runs = {}, {}
     for S in (8, 64):
         tree = AdaptiveOctree(pts, S=S)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         pairs = build_near_field_plan(tree, lists).total_pairs
         runs[S] = lambda tree=tree, lists=lists: evaluate_near_field(
             kernel, tree, lists, q, potential=True, gradient=True
@@ -241,7 +241,7 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark, monkeypatch):
         ("uniform_S8", uniform_cube(n, seed=4).positions, 8),
     ):
         tree = AdaptiveOctree(pts, S=S)
-        plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+        plan = build_near_field_plan(tree, build_interaction_lists(tree))
         out = {}
 
         def run(name, plan=plan, tree=tree):
@@ -279,7 +279,7 @@ def test_bench_stokeslet_near_field_runs_compiled(benchmark, monkeypatch):
         pytest.skip("no C compiler resolves here: there is no compiled Stokeslet row")
     n = 2000
     tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
-    plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    plan = build_near_field_plan(tree, build_interaction_lists(tree))
     kernel = RegularizedStokesletKernel(epsilon=1e-2)
     f = np.random.default_rng(5).standard_normal((n, 3))
     lib, out = _native.library(), {}
@@ -315,7 +315,7 @@ def test_bench_near_plan_is_leaf_sized(benchmark):
     tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
 
     def cold():  # fresh lists: no memoized plan, skeleton or row signatures
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         gc.collect()
         gc.disable()
         try:
@@ -351,7 +351,7 @@ def test_bench_p2p_row_is_vectorized(benchmark, tmp_path):
     libs = {"shipped": _native.library(), "scalar": _native._load(scalar, "")}
     n = 10_000
     tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
-    plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    plan = build_near_field_plan(tree, build_interaction_lists(tree))
     rng = np.random.default_rng(5)
     q, f, tiles = rng.uniform(0.5, 1.0, n), rng.standard_normal((n, 3)), np.arange(plan.n_tiles)
     rows = {  # entry point -> one call of it on a library
@@ -392,7 +392,7 @@ def test_bench_leaf_stages_native(benchmark, monkeypatch):
         pytest.skip("no C compiler resolves here: there are no compiled leaf stages")
     n = 10_000
     tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     q = np.random.default_rng(4).uniform(-1, 1, n)
     p = FarFieldPass(tree, lists, CartesianExpansion(6), charges=q, gradient=True)
     p.locals_[:] = np.random.default_rng(5).standard_normal(p.locals_.shape)
@@ -432,7 +432,7 @@ def _m2l_octets_vs_class_loop(pts, order=6, S=8):
     alternately in one process; returns the pass, the oracle's classes,
     both best times and the column-relative difference of the locals."""
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = CartesianExpansion(order)
     q = np.random.default_rng(4).uniform(-1, 1, pts.shape[0])
     p = FarFieldPass(tree, lists, exp, charges=q)
@@ -500,7 +500,7 @@ def _shifts_vs_class_loop(pts, *, S, order):
     of small calls, and the caches the GC fence leaves cold would
     otherwise cost either side a large, uneven share of one sweep."""
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = CartesianExpansion(order)
     p = FarFieldPass(tree, lists, exp, charges=np.random.default_rng(4).uniform(-1, 1, len(pts)))
     p.p2m()
@@ -572,11 +572,11 @@ def test_bench_cold_geometry_from_tables(benchmark):
     n = 10_000
     tree = AdaptiveOctree(uniform_cube(n, seed=4).positions, S=8)
     exp = CartesianExpansion(6)
-    warm = build_interaction_lists(tree, folded=True)
+    warm = build_interaction_lists(tree)
     far_field_geometry(tree, warm, exp)  # the operator set, once
 
     def geometry(route):
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         if route == "tables":
             lists.operator_store = warm.operator_store
         out = {}
@@ -613,8 +613,7 @@ def test_bench_cold_geometry_from_tables(benchmark):
     for (a0, a1, aop), (b0, b1, bop) in zip(cold.m2l_classes, ref.m2l_classes):
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
         assert np.array_equal(aop, bop)
-    for name in ("leaf_rows", "leaf_pos", "w_tgt_rows", "w_src_rows", "x_recv_rows", "x_src_rows"):
-        assert np.array_equal(getattr(cold, name), getattr(ref, name))
+    assert np.array_equal(cold.leaf_rows, ref.leaf_rows)
     # over the warm store every operator is the set's own array: nothing is
     # rescaled per tree
     again = last["tables"]
@@ -669,7 +668,7 @@ def test_bench_far_field(benchmark):
     n = 50_000
     pts = plummer(n, seed=3).positions
     tree = AdaptiveOctree(pts, S=32)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(3)
     q = rng.uniform(-1, 1, n)
     exp = CartesianExpansion(4)

@@ -45,7 +45,7 @@ def test_bench_guardrail_overhead(benchmark):
     pts = plummer(n, seed=0).positions
     q = np.random.default_rng(0).uniform(-1, 1, n)
     tree = AdaptiveOctree(pts, S=64)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     solver = FMMSolver(LaplaceKernel(softening=1e-3), order=3)
 
     def solve_only():

@@ -61,17 +61,17 @@ def test_bench_engine_step_speedup(benchmark):
     n_workers = max(4, min(8, avail))
     pts = plummer(n, seed=7).positions
     tree = AdaptiveOctree(pts, S=32)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(7)
     q = rng.uniform(-1, 1, n)
     kernel = LaplaceKernel(softening=1e-3)
 
-    serial = FMMSolver(kernel, order=4, folded=True)
+    serial = FMMSolver(kernel, order=4)
     ref = serial.solve(tree, q, lists=lists)  # warms every shared cache
     serial_run = lambda: serial.solve(tree, q, lists=lists)  # noqa: E731
 
     with ExecutionEngine(n_workers=n_workers) as eng:
-        par = FMMSolver(kernel, order=4, folded=True, engine=eng)
+        par = FMMSolver(kernel, order=4, engine=eng)
         res = par.solve(tree, q, lists=lists)
         assert np.array_equal(res.potential, ref.potential), (
             "engine result drifted from serial bitwise"

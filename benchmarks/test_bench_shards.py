@@ -64,23 +64,23 @@ def test_bench_shard_step_speedup(benchmark):
     S = 64
     pts = plummer(n, seed=7).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(7)
     q = rng.uniform(-1, 1, n)
     kernel = LaplaceKernel(softening=1e-3)
 
-    serial = FMMSolver(kernel, order=4, folded=True)
+    serial = FMMSolver(kernel, order=4)
     ref = serial.solve(tree, q, lists=lists)  # warms every shared cache
     serial_t = _best_time(lambda: serial.solve(tree, q, lists=lists), rounds=2)
 
     with ExecutionEngine(n_workers=n_shards) as teng:
-        thr = FMMSolver(kernel, order=4, folded=True, engine=teng)
+        thr = FMMSolver(kernel, order=4, engine=teng)
         thr_res = thr.solve(tree, q, lists=lists)
         assert np.array_equal(thr_res.potential, ref.potential)
         thread_t = _best_time(lambda: thr.solve(tree, q, lists=lists), rounds=2)
 
     with ProcessEngine(n_shards=n_shards) as peng:
-        par = FMMSolver(kernel, order=4, folded=True, engine=peng)
+        par = FMMSolver(kernel, order=4, engine=peng)
         res = par.solve(tree, q, lists=lists)  # installs the shard session
         assert np.array_equal(res.potential, ref.potential), (
             "shard result drifted from serial bitwise"
@@ -137,14 +137,14 @@ def test_bench_shard_recovery_overhead(benchmark):
     S = 64
     pts = plummer(n, seed=11).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     q = np.random.default_rng(11).uniform(-1, 1, n)
     kernel = LaplaceKernel(softening=1e-3)
 
-    ref = FMMSolver(kernel, order=4, folded=True).solve(tree, q, lists=lists)
+    ref = FMMSolver(kernel, order=4).solve(tree, q, lists=lists)
 
     with ProcessEngine(n_shards=n_shards) as peng:
-        par = FMMSolver(kernel, order=4, folded=True, engine=peng)
+        par = FMMSolver(kernel, order=4, engine=peng)
         res = par.solve(tree, q, lists=lists)  # installs the shard session
         assert np.array_equal(res.potential, ref.potential)
         clean_t = _best_time(lambda: par.solve(tree, q, lists=lists), rounds=2)

@@ -18,7 +18,7 @@ from repro import build_adaptive, build_interaction_lists, plummer, system_a
 def main(n: int = 50000, max_nodes: int = 32) -> None:
     ps = plummer(n, seed=0)
     tree = build_adaptive(ps.positions, S=128)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     node = system_a().with_resources(n_cores=10, n_gpus=4)
     kernel = default_kernel()
 

@@ -77,7 +77,6 @@ COMMANDS = {
 
 ABLATIONS = {
     "ablation-adaptive": ablations.adaptive_vs_uniform,
-    "ablation-wx": ablations.wx_lists_vs_folded,
     "ablation-expansions": ablations.expansion_backends,
     "ablation-partition": ablations.gpu_partition_strategies,
     "ablation-coefficients": ablations.coefficient_prediction_quality,

@@ -4,11 +4,10 @@ its local FMM step.
 For rank r with local target leaves T_r, the LET contains
 
 * **remote bodies** — sources of the near field: every leaf in a local
-  target's near-source list owned by another rank (plus X-list senders in
-  the un-folded scheme);
-* **remote multipoles** — every V-list (and W-list) sender of a node owned
-  by r that lives on another rank, plus the remote sibling multipoles
-  needed to complete the upward sweep along r's ancestor path.
+  target's near-source list owned by another rank;
+* **remote multipoles** — every V-list sender of a node owned by r that
+  lives on another rank, plus the remote sibling multipoles needed to
+  complete the upward sweep along r's ancestor path.
 
 The exchange's byte counts drive the communication model; duplicates are
 eliminated (a remote node's data is shipped once per consumer rank,
@@ -75,33 +74,21 @@ def build_let(part: RankPartition, *, n_coeffs: int) -> LocallyEssentialTree:
             node_rank_cache[nid] = part.node_rank(nid)
         return node_rank_cache[nid]
 
-    # near-field sources (and X senders): remote bodies
+    # near-field sources: remote bodies
     for t, sources in lists.near_sources.items():
         r = owner(t)
         for s in sources:
             ro = owner(s)
             if ro != r:
                 let.remote_bodies[r].add((ro, s))
-    for recv, xs in lists.x_list.items():
-        r = owner(recv)
-        for x in xs:
-            ro = owner(x)
-            if ro != r:
-                let.remote_bodies[r].add((ro, x))
 
-    # V and W senders: remote multipoles
+    # V senders: remote multipoles
     for nid, vs in lists.v_list.items():
         r = owner(nid)
         for v in vs:
             ro = owner(v)
             if ro != r:
                 let.remote_multipoles[r].add((ro, v))
-    for b, ws in lists.w_list.items():
-        r = owner(b)
-        for w in ws:
-            ro = owner(w)
-            if ro != r:
-                let.remote_multipoles[r].add((ro, w))
 
     # upward-sweep completion: a rank owning an internal node needs the
     # multipoles of children it does not own

@@ -139,8 +139,6 @@ class DistributedExecutor:
             n = tree.nodes[l]
             cpu_flops += (units["P2M"] + units["L2P"]) * n.count
             cpu_flops += units["M2L"] * len(lists.v_list.get(l, ()))
-            for w in lists.w_list.get(l, ()):
-                cpu_flops += units["M2P"] * n.count
             # walk owned ancestors (first-leaf convention)
             cur = n.parent
             while cur >= 0 and cur not in owned_internal:
@@ -151,8 +149,6 @@ class DistributedExecutor:
             kids = tree.effective_children(nid)
             cpu_flops += (units["M2M"] + units["L2L"]) * len(kids)
             cpu_flops += units["M2L"] * len(lists.v_list.get(nid, ()))
-            for x in lists.x_list.get(nid, ()):
-                cpu_flops += units["P2L"] * tree.nodes[x].count
         k = node_spec.cpu.n_cores
         cpu_rate = node_spec.cpu.core_rate(k) * k
         cpu_time = cpu_flops / cpu_rate / 0.92  # a few % scheduling slack

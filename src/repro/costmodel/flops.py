@@ -28,9 +28,8 @@ def atomic_units(order: int, kernel: Kernel | None = None) -> dict[str, float]:
     """FLOPs of the smallest unit of each op at expansion order ``order``.
 
     Units: P2M and L2P per *body*; M2M per *child shift*; L2L per *node*;
-    M2L per *node pair*; P2P per *body pair*; M2P and P2L per
-    *(node, body)* term.  The kernel's cost profile scales each op (e.g.
-    Stokeslet M2L = 4x Laplace).
+    M2L per *node pair*; P2P per *body pair*.  The kernel's cost profile
+    scales each op (e.g. Stokeslet M2L = 4x Laplace).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -45,7 +44,5 @@ def atomic_units(order: int, kernel: Kernel | None = None) -> dict[str, float]:
         "L2L": _FMA * nc * nc / 4.0,
         "L2P": _FMA * 4.0 * nc,  # potential + 3 gradient components
         "P2P": p2p_flops,
-        "M2P": _FMA * 4.0 * nc,
-        "P2L": _FMA * nc,
     }
     return {op: base[op] * profile.weight(op) for op in FMM_OPS}

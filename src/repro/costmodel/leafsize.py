@@ -7,7 +7,7 @@ the two balance depends on the bodies, the expansion order and the kernel.
 with a frozen linear cost model and returns the cheapest, the smaller S on
 a tie.  No tree is built: :func:`census` reads, from the bodies' sorted
 Morton keys alone, the node, leaf and near-pair counts the tree
-``AdaptiveOctree(points, S)`` and its folded lists would have at every S —
+``AdaptiveOctree(points, S)`` and its lists would have at every S —
 exactly.
 
 One table serves the whole ladder: the cells of more than ``LEAF_SIZES[0]``
@@ -19,7 +19,7 @@ the runs of ``s + 1``-body windows whose shallowest pair still shares level
 ``l``.  At a given S the tree splits exactly the table cells with ``P > S``;
 its nodes are the root and their children, its leaves the unsplit nodes.
 
-Near pairs: under the folded lists two leaves are near iff, at the coarser
+Near pairs: under the lists two leaves are near iff, at the coarser
 one's level, the finer one's cell (or its ancestor there) is or borders the
 coarser one.  Seen from node cells at one level, a leaf pairs with itself,
 and two bordering nodes pair ``2 c c'`` times unless both are split.  The
@@ -88,7 +88,7 @@ _SLOT, _CHILD, _BORDER = _border_tables()
 
 class TreeCensus(NamedTuple):
     """What the census reads for one S: the tree's node and leaf counts and
-    its near-field pairs (``op_counts()["P2P"]`` of its folded lists)."""
+    its near-field pairs (``op_counts()["P2P"]`` of its lists)."""
 
     nodes: int
     leaves: int

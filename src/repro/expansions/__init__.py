@@ -1,7 +1,7 @@
 """Multipole/local expansion machinery.
 
-Two interchangeable backends implement the six FMM operators (plus the
-adaptive M2P/P2L extras):
+Two interchangeable backends implement the expansion operators of the
+paper's six FMM operations:
 
 * :mod:`repro.expansions.cartesian` — Cartesian Taylor expansions built on
   scaled derivative tensors of 1/r (Duan–Krasny recurrence); the default.

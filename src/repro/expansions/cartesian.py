@@ -51,7 +51,6 @@ class CartesianExpansion:
             raise ValueError(f"order must be >= 0, got {order}")
         self.order = order
         self.mis = MultiIndexSet(order)
-        self.mis_plus = MultiIndexSet(order + 1)
 
     @property
     def n_coeffs(self) -> int:
@@ -80,8 +79,8 @@ class CartesianExpansion:
     # ---------------------------------------------------- per-body bases
     # Row bases for the batched endpoint operations of the far-field
     # engine, ``rel = x - center`` throughout: P2M sums ``q_i`` times the
-    # L2P row times :attr:`p2m_sign`, P2L sums ``q_i`` times the P2L row,
-    # and L2P / M2P dot each row with the node's coefficients.
+    # L2P row times :attr:`p2m_sign`, and L2P dots each row with the
+    # node's coefficients.
     def l2p_basis(self, rel: np.ndarray) -> np.ndarray:
         return self.mis.powers(np.atleast_2d(rel))
 
@@ -95,15 +94,6 @@ class CartesianExpansion:
         IEEE product of the power tables — so P2M reads the L2P table.
         """
         return 1.0 - 2.0 * (self.mis.degrees % 2)
-
-    def p2l_basis(self, rel: np.ndarray) -> np.ndarray:
-        return scaled_derivative_tensors(-np.atleast_2d(rel), self.order)
-
-    def m2p_basis(self, rel: np.ndarray) -> np.ndarray:
-        return scaled_derivative_tensors(np.atleast_2d(rel), self.order)
-
-    def m2p_grad_basis(self, rel: np.ndarray) -> np.ndarray:
-        return scaled_derivative_tensors(np.atleast_2d(rel), self.order + 1)
 
     # -------------------------------------------------- geometry-class ops
     # Row-applied dense operators for one *geometry class* (a fixed shift
@@ -141,18 +131,5 @@ class CartesianExpansion:
         for src, dst, coef in self.mis.gradient_tables():
             A = np.zeros((self.mis.n, self.mis.n))
             A[src, dst] = coef
-            mats.append(A)
-        return tuple(mats)
-
-    def m2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
-        """Matrices A_k into the order+1 derivative basis: ``g_k = moments
-        @ A_k`` with ``grad[:, k] = B_big @ g_k``, ``B_big`` the M2P gradient
-        rows: ``d/dy_k phi = sum_alpha M_alpha (alpha_k + 1) b_(alpha + e_k)``."""
-        alpha = self.mis.indices
-        n_big = self.mis_plus.n
-        mats = []
-        for k, (self_idx, raised_idx) in enumerate(self.mis.raise_tables()):
-            A = np.zeros((self.mis.n, n_big))
-            A[self_idx, raised_idx] = (alpha[self_idx, k] + 1).astype(float)
             mats.append(A)
         return tuple(mats)

@@ -190,26 +190,6 @@ class MultiIndexSet:
             )
         return tuple(out)
 
-    # ----------------------------------------------- raise maps (for M2P grad)
-    @frozen_cache
-    def raise_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per-axis tables (self_idx, raised_idx) into the order+1 set.
-
-        raised_idx[i] = position of alpha_i + e_k in MultiIndexSet(order+1);
-        used for gradients of multipole evaluations, where
-        d/dy_k b_alpha(y-c) = (alpha_k + 1) * b_(alpha + e_k)(y-c).
-        """
-        big = MultiIndexSet(self.order + 1)
-        out = []
-        for k in range(3):
-            raised = np.empty(self.n, dtype=np.int64)
-            for i in range(self.n):
-                a = self.indices[i].copy()
-                a[k] += 1
-                raised[i] = big.position(tuple(a))
-            out.append((np.arange(self.n, dtype=np.int64), raised))
-        return tuple(out)
-
     def __hash__(self) -> int:  # allow lru_cache on methods
         return hash(("MultiIndexSet", self.order))
 

@@ -177,22 +177,10 @@ class SphericalExpansion:
     # ---------------------------------------------------- per-body bases
     # Row bases for the batched endpoint operations of the far-field
     # engine, ``rel = x - center`` throughout: P2M sums ``q_i`` times the
-    # L2P row, M_n^m = sum_i q_i conj(R_n^m(x_i - c)); P2L sums ``q_i``
-    # times the P2L row, L_j^k = sum_i q_i (-1)^j I_j^k(z - x_i); L2P
-    # (phi = Re sum L_n^m conj(R_n^m(y - z))) and M2P (phi = Re sum M_n^m
-    # I_n^m(y - c)) dot each row with the node's coefficients.
+    # L2P row, M_n^m = sum_i q_i conj(R_n^m(x_i - c)); L2P (phi = Re sum
+    # L_n^m conj(R_n^m(y - z))) dots each row with the node's coefficients.
     def l2p_basis(self, rel: np.ndarray) -> np.ndarray:
         return np.conj(_regular_table(np.atleast_2d(rel), self.order))
-
-    def p2l_basis(self, rel: np.ndarray) -> np.ndarray:
-        signs = (-1.0) ** self.ns
-        return signs[None, :] * _irregular_table(-np.atleast_2d(rel), self.order)
-
-    def m2p_basis(self, rel: np.ndarray) -> np.ndarray:
-        return _irregular_table(np.atleast_2d(rel), self.order)
-
-    def m2p_grad_basis(self, rel: np.ndarray) -> np.ndarray:
-        return _irregular_table(np.atleast_2d(rel), self.order + 1)
 
     # -------------------------------------------------- geometry-class ops
     # An octree quantizes geometry: per level there are <= 8 distinct
@@ -255,18 +243,6 @@ class SphericalExpansion:
             (dx - i dy) R_n^m = -R_{n-1}^{m-1}.
         """
         return _regular_gradient_matrices(self.order)
-
-    def m2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
-        """Row-applied maps into the order+1 irregular basis:
-        ``G_k = moments @ A_k`` reproduces :func:`_irregular_gradient_coeffs`,
-        and ``grad[:, k] = Re(m2p_grad_basis(rel) @ G_k)``.  Analytic, via
-        the irregular-harmonic ladder identities
-
-            dz I_n^m = -I_{n+1}^m,
-            (dx + i dy) I_n^m = I_{n+1}^{m+1},
-            (dx - i dy) I_n^m = -I_{n+1}^{m-1}.
-        """
-        return _irregular_gradient_matrices(self.order)
 
 # --------------------------------------------------------------------------
 # table builders
@@ -354,34 +330,6 @@ def _regular_gradient_coeffs(p: int, local: np.ndarray) -> list[np.ndarray]:
     return [gx, gy, gz]
 
 
-def _irregular_gradient_coeffs(p: int, moments: np.ndarray) -> list[np.ndarray]:
-    """Coefficient vectors G_k with grad_k phi = Re sum G_k I (order p+1).
-
-    For phi = Re sum M_n^m I_n^m:
-      dx I_n^m = [I_{n+1}^{m+1} - I_{n+1}^{m-1}] / 2
-      dy I_n^m = -i [I_{n+1}^{m+1} + I_{n+1}^{m-1}] / 2
-      dz I_n^m = -I_{n+1}^m
-    """
-    ns, ms, pos = _nm_index(p)
-    _, _, pos_big = _nm_index(p + 1)
-    size = (p + 2) ** 2
-    gx = np.zeros(size, dtype=complex)
-    gy = np.zeros(size, dtype=complex)
-    gz = np.zeros(size, dtype=complex)
-    for j, (n, m) in enumerate(zip(ns, ms)):
-        M = moments[j]
-        if M == 0:
-            continue
-        up = pos_big[(n + 1, m + 1)]
-        dn = pos_big[(n + 1, m - 1)]
-        gx[up] += M / 2.0
-        gx[dn] -= M / 2.0
-        gy[up] += -1j * M / 2.0
-        gy[dn] += -1j * M / 2.0
-        gz[pos_big[(n + 1, m)]] -= M
-    return [gx, gy, gz]
-
-
 @frozen_cache
 def _regular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
     """Matrices A_k with ``_regular_gradient_coeffs(p, L)[k] == L @ A_k``."""
@@ -390,20 +338,6 @@ def _regular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
     eye = np.eye(n)
     for j in range(n):
         gx, gy, gz = _regular_gradient_coeffs(p, eye[j])
-        for A, g in zip(mats, (gx, gy, gz)):
-            A[j] = g
-    return mats
-
-
-@frozen_cache
-def _irregular_gradient_matrices(p: int) -> tuple[np.ndarray, ...]:
-    """Matrices A_k with ``_irregular_gradient_coeffs(p, M)[k] == M @ A_k``."""
-    n = (p + 1) ** 2
-    big = (p + 2) ** 2
-    mats = tuple(np.zeros((n, big), dtype=complex) for _ in range(3))
-    eye = np.eye(n)
-    for j in range(n):
-        gx, gy, gz = _irregular_gradient_coeffs(p, eye[j])
         for A, g in zip(mats, (gx, gy, gz)):
             A[j] = g
     return mats

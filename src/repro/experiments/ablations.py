@@ -38,7 +38,6 @@ from repro.util.records import EventLog
 __all__ = [
     "adaptive_vs_uniform",
     "barnes_hut_vs_fmm",
-    "wx_lists_vs_folded",
     "expansion_backends",
     "gpu_partition_strategies",
     "coefficient_prediction_quality",
@@ -71,41 +70,6 @@ def adaptive_vs_uniform(*, n: int = 20000, order: int = 4, seed: int = 0) -> Eve
     return log
 
 
-def wx_lists_vs_folded(*, n: int = 4000, order: int = 4, S: int = 40, seed: int = 0) -> EventLog:
-    """CGR W/X lists (M2P/P2L) vs the paper's fold-into-P2P scheme.
-
-    Folding moves W/X work into direct interactions: more P2P, no M2P/P2L,
-    identical numerical results (to truncation error).
-    """
-    ps = plummer(n, seed=seed)
-    kernel = default_kernel()
-    log = EventLog()
-    results = {}
-    for folded in (True, False):
-        tree = build_adaptive(ps.positions, S)
-        solver = FMMSolver(kernel, order=order, folded=folded)
-        t0 = time.perf_counter()
-        res = solver.solve(tree, ps.strengths, gradient=True)
-        wall = time.perf_counter() - t0
-        rep = accuracy_report(kernel, ps.positions, ps.strengths, res, sample=200, seed=seed)
-        results[folded] = res
-        log.add(
-            scheme="folded" if folded else "cgr_wx",
-            p2p_interactions=res.op_counts["P2P"],
-            m2p_terms=res.op_counts["M2P"],
-            p2l_terms=res.op_counts["P2L"],
-            potential_rel_err=rep["potential_rel_err"],
-            wall_s=wall,
-        )
-    agree = float(
-        np.max(np.abs(results[True].potential - results[False].potential))
-        / np.max(np.abs(results[True].potential))
-    )
-    log.add(scheme="cross_agreement", p2p_interactions=0, m2p_terms=0, p2l_terms=0,
-            potential_rel_err=agree, wall_s=0.0)
-    return log
-
-
 def expansion_backends(*, n: int = 2000, order: int = 5, S: int = 50, seed: int = 0) -> EventLog:
     """Cartesian Taylor vs spherical-harmonic operators: accuracy + cost."""
     ps = plummer(n, seed=seed)
@@ -134,7 +98,7 @@ def gpu_partition_strategies(*, n: int = 30000, S: int = 128, n_gpus: int = 4, s
     """Interaction-count partitioning (paper) vs a naive equal-node split."""
     ps = plummer(n, seed=seed)
     tree = build_adaptive(ps.positions, S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     items = near_field_work_items(lists)
     model = GPUKernelModel(system_a().gpus[0])
     log = EventLog()
@@ -263,7 +227,7 @@ def coefficient_prediction_quality(*, n: int = 20000, order: int = 4, seed: int 
     log = EventLog()
     for S in geometric_s_values(32, 1024, 8):
         tree = build_adaptive(ps.positions, S)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         actual = executor.time_step(tree, lists)
         pred = predict_times(lists.op_counts(), coeffs)
         log.add(

@@ -36,7 +36,7 @@ def run(
     ps = plummer(n, seed=seed)
     kernel = default_kernel()
     tree = build_adaptive(ps.positions, S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     node = system_a().with_resources(n_cores=10, n_gpus=4)
     base = None
     log = EventLog()

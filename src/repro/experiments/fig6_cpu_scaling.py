@@ -36,7 +36,7 @@ def run(
     ps = plummer(n, seed=seed)
     kernel = default_kernel()
     tree = build_adaptive(ps.positions, S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     graph = build_fmm_task_graph(
         tree, lists, order=order, kernel=kernel, include_near_field=True
     )

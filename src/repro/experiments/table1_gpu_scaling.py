@@ -39,7 +39,7 @@ def run(
         ex1 = hetero_executor(n_cores=10, n_gpus=1, order=order, kernel=kernel)
         S, _, _ = optimal_s(ps.positions, ex1, geometric_s_values(32, 2048, 12))
     tree = build_adaptive(ps.positions, S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     items = near_field_work_items(lists)
     machine = system_a()
     models = [GPUKernelModel(g) for g in machine.gpus]

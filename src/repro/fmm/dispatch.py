@@ -56,7 +56,6 @@ class PassListSolver:
         *,
         order: int = 4,
         expansion=None,
-        folded: bool = True,
         list_cache: ListCache | None = None,
         telemetry: Telemetry | None = None,
         engine=None,
@@ -64,7 +63,6 @@ class PassListSolver:
         self.kernel = kernel
         self.expansion = expansion if expansion is not None else CartesianExpansion(order)
         self.order = self.expansion.order
-        self.folded = folded
         #: interaction lists are memoized per tree shape, so repeated solves
         #: on a frozen-shape tree (the time-stepping loop) skip list builds;
         #: pass a shared cache to pool entries with an executor/balancer
@@ -107,7 +105,7 @@ class PassListSolver:
         # failed or expired run is discarded whole
         self.last_engine_result = self.last_shard_result = None
         if lists is None:
-            lists = self.list_cache.get(tree, folded=self.folded)
+            lists = self.list_cache.get(tree)
         if deadline is not None:
             deadline.check("lists")
         args = (tree, lists, charges, far, near_q, near, deadline)

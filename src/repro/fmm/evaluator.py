@@ -7,20 +7,18 @@ One :meth:`FMMSolver.solve` call performs the full algorithm of §I-C on an
    parents, deepest level first.
 2. **Translation** — M2L across every node's V list, one stage of at most
    13 direction-class gemms over sibling octets
-   (:func:`~repro.fmm.farfield.m2l`), plus P2L from X lists when running
-   the un-folded CGR scheme.
-3. **Downward sweep** — L2L from parents to children, L2P at leaves,
-   plus M2P from W lists in the un-folded scheme.
+   (:func:`~repro.fmm.farfield.m2l`).
+3. **Downward sweep** — L2L from parents to children, L2P at leaves.
 4. **Near field** — dense P2P between every leaf and its near-field
-   sources (exact kernel arithmetic).
+   sources (exact kernel arithmetic), the W/X work of the adaptive tree
+   folded in as the paper does.
 
 The solver also returns the per-operation application counts, which are
 what the paper's cost model consumes.
 
 Pass an :class:`~repro.runtime.engine.ExecutionEngine` and the solve runs
 as a real task graph — the far-field chain (one task per level and one
-M2L task) beside P2L / M2P and the near-field chunks on pool threads —
-with results
+M2L task) beside the near-field chunks on pool threads — with results
 bitwise identical to the serial path: both run the DAG the pass
 declares (:meth:`~repro.fmm.farfield.FarFieldPass.add_tasks`).
 The engine's measured per-task timings land in ``last_engine_result``.

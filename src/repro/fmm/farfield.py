@@ -54,14 +54,13 @@ on the :class:`~repro.tree.lists.InteractionLists` via ``derived_cache``:
 
 * :class:`FarFieldGeometry` (``structure_generation`` stamp) — node-row
   and octet layout, the per-level shift plan, direction classes with
-  their operators, W/X pair rows.  Depends only on the tree *shape*: free across frozen-shape
-  time steps and refits.  Built from arrays only: row state is the tree's
-  :class:`~repro.tree.octree.NodeTable`, M2L pairs come from the lists'
-  colleague :class:`~repro.tree.lists.PairTable` (the V table is read for
-  its size alone — the cost-model count), W / X pairs from theirs;
-  levels and classes are grouped by a radix sort of their keys' dense
-  ranks (:func:`_group_by_key`) and a group's rows are slices of one
-  gather.
+  their operators.  Depends only on the tree *shape*: free across
+  frozen-shape time steps and refits.  Built from arrays only: row state
+  is the tree's :class:`~repro.tree.octree.NodeTable`, M2L pairs come from
+  the lists' colleague :class:`~repro.tree.lists.PairTable` (the V table is
+  read for its size alone — the cost-model count); levels and classes are
+  grouped by a radix sort of their keys' dense ranks
+  (:func:`_group_by_key`) and a group's rows are slices of one gather.
 * :class:`LeafBodyPlan` (``generation`` stamp) — CSR body rows per
   effective leaf with body-relative coordinates.  Rebuilt on refit.
 * one leaf basis table per backend (``generation`` stamp) — the L2P row
@@ -84,12 +83,11 @@ for 1-D charges.
 The sweep itself is decomposed into **stage-level closures** on
 :class:`FarFieldPass` so the real execution engine
 (:mod:`repro.runtime.engine`) can overlap what is independent: M2M and
-L2L are one task per level in level order, M2L is one task (its class
+L2L are one task per level in level order and M2L is one task (its class
 gemms and merges in class order inside it: BLAS already runs each gemm on
-every core), and P2L / M2P compute apart from the sweep, parking their
-values for a merge that lands where the serial order puts it — which is
-what makes a parallel run bitwise identical to a serial one.  The
-arithmetic of every stage (P2M, M2M, M2L, L2L, L2P, P2L, M2P) lives in
+every core), so every merge lands where the serial order puts it — which
+is what makes a parallel run bitwise identical to a serial one.  The
+arithmetic of every stage (P2M, M2M, M2L, L2L, L2P) lives in
 module-level **stage functions** over plain arrays; the pass methods and
 the shard workers of :mod:`repro.runtime.shards` (over arena views) both
 call them.  Over real (Cartesian) rows three of them run compiled, from
@@ -142,11 +140,7 @@ __all__ = [
     "leaf_body_plan",
     "m2l",
     "m2m",
-    "m2p",
-    "m2p_scatter",
-    "p2l",
     "p2m",
-    "pair_bodies",
 ]
 
 
@@ -239,7 +233,6 @@ class FarFieldGeometry:
     eff_rows: np.ndarray  # (n_eff,) node ids, preorder
     centers: np.ndarray  # (n_eff, 3)
     leaf_rows: np.ndarray  # rows of effective leaves, preorder
-    leaf_pos: np.ndarray  # (n_eff,) ordinal among leaves, -1 for internal
     shift_levels: list  # [ShiftLevel], deepest level first
     m2m: np.ndarray  # (8 nc, nc) the set's M2M stack
     l2l: np.ndarray  # (nc, 8 nc) the set's L2L stack
@@ -250,10 +243,6 @@ class FarFieldGeometry:
     child_rows: np.ndarray  # (n_shifts,) node row of every non-root node ...
     child_slots: np.ndarray  # (2, n_shifts) ... its natural / mirrored slot, ``8 * octet + octant``
     child_levels: np.ndarray  # ... and its level
-    w_tgt_rows: np.ndarray  # W pairs: target-leaf row per pair
-    w_src_rows: np.ndarray  # W pairs: source-node row per pair
-    x_recv_rows: np.ndarray  # X pairs: receiving-node row per pair
-    x_src_rows: np.ndarray  # X pairs: source-leaf row per pair
 
 
 def _shift_levels(child_rows, levels, slot, split_rows, degrees) -> list:
@@ -312,10 +301,6 @@ def far_field_geometry(
     # are immutable and the table is memoized per structure_generation)
     tab = tree.node_table()
     row_of, centers, levels, parent_row = tab.row_of, tab.centers, tab.level, tab.parent_row
-    n_eff = tab.ids.size
-    leaf_rows = np.nonzero(tab.is_leaf)[0]
-    leaf_pos = np.full(n_eff, -1, dtype=np.int64)
-    leaf_pos[leaf_rows] = np.arange(leaf_rows.size)
     # integer cell coordinates in units of the node's own cell size
     cell = tab.cell >> (MAX_MORTON_LEVEL - levels)[:, None]
 
@@ -361,14 +346,11 @@ def far_field_geometry(
     else:
         stats["op_hits"] += 2 * bool(shift_levels) + len(m2l_classes)
 
-    w, x = lists.table("w_list"), lists.table("x_list")
-
     return store(
         FarFieldGeometry(
             eff_rows=tab.ids,
             centers=centers,
-            leaf_rows=leaf_rows,
-            leaf_pos=leaf_pos,
+            leaf_rows=np.nonzero(tab.is_leaf)[0],
             shift_levels=shift_levels,
             m2m=ops.m2m,
             l2l=ops.l2l,
@@ -380,10 +362,6 @@ def far_field_geometry(
             child_rows=child_rows,
             child_slots=np.stack((slot, slot + 8 * n_split + 7 - 2 * octant)),
             child_levels=levels[child_rows],
-            w_tgt_rows=np.repeat(row_of[w.keys], w.counts),
-            w_src_rows=row_of[w.values],
-            x_recv_rows=np.repeat(row_of[x.keys], x.counts),
-            x_src_rows=row_of[x.values],
         )
     )
 
@@ -462,8 +440,8 @@ def leaf_basis(expansion, plan: LeafBodyPlan, derived_cache):
 #   them on ``plan.subset(leaves)`` — with the :func:`leaf_basis` computed
 #   over that subset — yields bitwise the same rows as the full plan;
 # * ``m2m``, ``l2l`` (one level each), ``m2l`` and ``l2p_leaf_gradient``
-#   are matmuls and ``p2l`` / ``m2p`` feed ordered scatters: they take the
-#   full plan (the full coefficient array) and run whole, on one worker.
+#   are matmuls: they take the full coefficient array and run whole, on
+#   one worker.
 
 
 def channel_matmul(rows, op):
@@ -556,7 +534,7 @@ def l2l(geom, shift, locals_):
     """``shift``'s parents' locals shifted into its children: one gemm of
     the parents (scaled by ``shift.shrink``) with the level-free L2L stack,
     each child's slot scaled back (``shift.grow``) and added to the locals
-    M2L and P2L left it — run whole."""
+    M2L left it — run whole."""
     nc = geom.l2l.shape[0]
     parents = _channels(locals_[shift.parent_rows], nc)
     parents *= shift.shrink
@@ -570,8 +548,7 @@ def m2l(exp, geom, multipoles, locals_):
     """Every V pair's M2L, from the finished multipoles to ``locals_``: one
     stage, run whole, that *assigns* ``locals_`` (the root, and a slot
     without a node, get nothing) — so it lands after the last M2M level and
-    before anything else (P2L, L2L) adds to them, and a re-run redoes it
-    exactly.
+    before L2L adds to them, and a re-run redoes it exactly.
 
     * reduce — into the translation space (``multipoles @ R``, ``R`` the
       expansion's ``m2l_reduction``; ``None`` means the coefficients are
@@ -678,68 +655,6 @@ def add_rows(rows, idx, delta):
         lib.add_rows(rows, idx, delta)
 
 
-def pair_bodies(geom, plan, pair_leaf_rows):
-    """``(rowpos, cnt)``: the plan rows of every body of each X/W pair's
-    leaf (``pair_leaf_rows`` = the leaf's effective row per pair)."""
-    leaves = geom.leaf_pos[pair_leaf_rows]
-    return segment_positions(plan.ptr[leaves], plan.ptr[leaves + 1])
-
-
-def p2l(geom, plan, exp, pts, pairs, *, charges):
-    """X phase (un-folded): one local contribution per X pair, or ``None``.
-
-    ``pairs = pair_bodies(geom, plan, geom.x_src_rows)`` over the full
-    plan; the caller folds the result in with
-    ``np.add.at(locals_, geom.x_recv_rows, contribution)``.
-    """
-    rowpos, cnt = pairs
-    if not rowpos.size:
-        return None
-    pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-    b_idx = plan.body_idx[rowpos]
-    relx = pts[b_idx] - geom.centers[geom.x_recv_rows[pair_of]]
-    pair_ptr = np.concatenate(([0], np.cumsum(cnt)))
-    rows = charges[b_idx][:, :, None] * exp.p2l_basis(relx)[:, None, :]
-    return _segment_sum(rows, pair_ptr).reshape(cnt.size, -1)
-
-
-def m2p(geom, plan, exp, pts, multipoles, pairs, *, potential, grad_mats=()):
-    """W phase: source multipoles evaluated at target-leaf bodies.
-
-    ``pairs = pair_bodies(geom, plan, geom.w_tgt_rows)`` over the full
-    plan; ``grad_mats`` are the expansion's ``m2p_gradient_matrices()``
-    when the gradient is wanted.  Returns ``(pot_vals, grad_vals)`` for
-    :func:`m2p_scatter` (``None`` where not requested).
-    """
-    rowpos, cnt = pairs
-    if not rowpos.size:
-        return None, None
-    pair_of = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-    relw = pts[plan.body_idx[rowpos]] - geom.centers[geom.w_src_rows[pair_of]]
-    mom = multipoles[geom.w_src_rows]
-    pot_vals = grad_vals = None
-    if potential:
-        rows = _channels(mom, exp.n_coeffs)[pair_of]
-        pot_vals = np.einsum("ij,ikj->ik", exp.m2p_basis(relw), rows).real
-    if grad_mats:
-        Bbig = exp.m2p_grad_basis(relw)
-        grad_vals = []
-        for A in grad_mats:
-            rows = _channels(channel_matmul(mom, A), A.shape[1])[pair_of]
-            grad_vals.append(np.einsum("ij,ikj->ik", Bbig, rows).real)
-    return pot_vals, grad_vals
-
-
-def m2p_scatter(plan, pairs, pot, grad, pot_vals, grad_vals) -> None:
-    """Add the W-phase values into bodies (after :func:`l2p` assigned them)."""
-    b_idx = plan.body_idx[pairs[0]]
-    if pot_vals is not None:
-        np.add.at(pot, b_idx, pot_vals)
-    if grad_vals is not None:
-        for axis, vals in enumerate(grad_vals):
-            np.add.at(grad[:, :, axis], b_idx, vals)
-
-
 # --------------------------------------------------------------------------
 # the batched sweep, decomposed into schedulable stages
 # --------------------------------------------------------------------------
@@ -761,11 +676,7 @@ class FarFieldPass:
       level's children from their parents;
     * ``m2l`` is one stage, run whole after the last M2M level: it reads
       ``multipoles``, keeps its octet arrays to itself and *assigns*
-      ``locals_`` before ``p2l_merge`` adds to them;
-    * ``p2l_compute`` / ``m2p_compute`` only *read* shared arrays, parking
-      their contribution privately; the matching ``*_merge`` stages fold
-      it into the shared arrays after the stage they follow in the serial
-      order.
+      ``locals_`` before the first L2L level adds to them.
 
     :meth:`add_tasks` declares their DAG once: the thread engine runs it,
     and :func:`laplace_far_field` walks it in insertion order.
@@ -785,18 +696,14 @@ class FarFieldPass:
         self.exp = exp
         self.geom = far_field_geometry(tree, lists, exp)
         self.plan = leaf_body_plan(tree, lists)
-        self.pts = tree.points
         self.charges = charges
         self.q = charge_channels(charges, tree.n_bodies)
         k = self.q.shape[1]
-        self.want_potential = potential
-        self.want_gradient = gradient
 
         geom, plan = self.geom, self.plan
         n_eff = geom.centers.shape[0]
         nc = exp.n_coeffs
-        self.is_complex = exp.backend == "spherical"
-        dtype = complex if self.is_complex else float
+        dtype = complex if exp.backend == "spherical" else float
         self.n_bodies = plan.body_idx.size
         self.multipoles = np.zeros((n_eff, k * nc), dtype=dtype)
         self.locals_ = np.zeros((n_eff, k * nc), dtype=dtype)
@@ -807,20 +714,6 @@ class FarFieldPass:
         # shared derived_cache dict from pool threads)
         self._basis = leaf_basis(exp, plan, lists.derived_cache)
         self._l2p_grad_mats = exp.l2p_gradient_matrices() if gradient else ()
-        self._m2p_grad_mats = (
-            exp.m2p_gradient_matrices() if (gradient and geom.w_tgt_rows.size) else ()
-        )
-
-        # X/W pair expansion (precomputed outside the op spans, matching
-        # the original sweep)
-        self._x_pairs = pair_bodies(geom, plan, geom.x_src_rows)
-        self._w_pairs = pair_bodies(geom, plan, geom.w_tgt_rows)
-        self.n_p2l_rows = int(self._x_pairs[0].size)
-        self.n_m2p_rows = int(self._w_pairs[0].size)
-
-        # private per-stage contributions awaiting their merge
-        self._x_contrib: np.ndarray | None = None
-        self._m2p_vals: tuple = (None, None)
 
     # ------------------------------------------------------------ endpoints
     def p2m(self) -> None:
@@ -854,33 +747,6 @@ class FarFieldPass:
         """Assign ``locals_`` from the finished multipoles (whole arrays)."""
         m2l(self.exp, self.geom, self.multipoles, self.locals_)
 
-    def p2l_compute(self) -> None:
-        """X phase (un-folded): batched P2L contribution, parked privately."""
-        self._x_contrib = p2l(
-            self.geom, self.plan, self.exp, self.pts, self._x_pairs, charges=self.q
-        )
-
-    def p2l_merge(self) -> None:
-        """Fold the X contribution in (after :meth:`m2l`)."""
-        if self._x_contrib is None:
-            return
-        np.add.at(self.locals_, self.geom.x_recv_rows, self._x_contrib)
-        self._x_contrib = None
-
-    # -------------------------------------------------------------- W phase
-    def m2p_compute(self) -> None:
-        """W phase: evaluate source multipoles at target-leaf bodies."""
-        self._m2p_vals = m2p(
-            self.geom, self.plan, self.exp, self.pts, self.multipoles,
-            self._w_pairs,
-            potential=self.want_potential, grad_mats=self._m2p_grad_mats,
-        )
-
-    def m2p_merge(self) -> None:
-        """Scatter W-phase values into bodies (after :meth:`l2p` assigns)."""
-        m2p_scatter(self.plan, self._w_pairs, self.pot, self.grad, *self._m2p_vals)
-        self._m2p_vals = (None, None)
-
     # ------------------------------------------------------------- schedule
     def add_tasks(self, g) -> int:
         """Declare this pass's stage DAG in ``g`` (a
@@ -895,15 +761,12 @@ class FarFieldPass:
         ``retryable=False`` marks the in-place adds, which a failure may
         not re-run::
 
-            P2M -> M2M(d) -> ... -> M2M(1) -> M2L -> P2L merge (X phase)
-              -> L2L(1) -> ... -> L2L(d) -> L2P -> M2P merge
+            P2M -> M2M(d) -> ... -> M2M(1) -> M2L
+              -> L2L(1) -> ... -> L2L(d) -> L2P
 
         ``M2M(l)`` / ``L2L(l)`` are one gemm each over the octets of level
         ``l``'s parents, whatever the tree's adaptivity; ``M2L`` is one
         task whatever the number of direction classes.
-
-        P2L and M2P compute from sources / finished multipoles and park
-        their values privately, so only their merges are ordered.
         """
         geom = self.geom
         t_p2m = g.add(
@@ -929,23 +792,6 @@ class FarFieldPass:
             applications=geom.n_m2l,
         )
 
-        # ---- X phase: compute depends on nothing (reads sources only); its
-        # merge lands after M2L, matching the serial order
-        if geom.x_recv_rows.size:
-            t_p2l = g.add(
-                self.p2l_compute,
-                label="P2L",
-                op="P2L",
-                applications=self.n_p2l_rows,
-            )
-            translate_done = g.add(
-                self.p2l_merge,
-                label="P2L:merge",
-                deps=(translate_done, t_p2l),
-                op="P2L",
-                retryable=False,
-            )
-
         # ---- downsweep: one task per level, shallowest first
         downsweep_done = translate_done
         for shift in reversed(geom.shift_levels):
@@ -958,33 +804,13 @@ class FarFieldPass:
                 retryable=False,
             )
 
-        t_l2p = g.add(
+        return g.add(
             self.l2p,
             label="L2P",
             deps=(downsweep_done,),
             op="L2P",
             applications=self.n_bodies,
         )
-        done = t_l2p
-
-        # ---- W phase: evaluation reads finished multipoles; scatter must
-        # follow L2P's assignment into the same body rows
-        if geom.w_tgt_rows.size:
-            t_m2p = g.add(
-                self.m2p_compute,
-                label="M2P",
-                deps=(upsweep_done,),
-                op="M2P",
-                applications=self.n_m2p_rows,
-            )
-            done = g.add(
-                self.m2p_merge,
-                label="M2P:merge",
-                deps=(t_l2p, t_m2p),
-                op="M2P",
-                retryable=False,
-            )
-        return done
 
     # --------------------------------------------------------------- result
     def result(self) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -45,8 +45,9 @@ __all__ = [
 #: DESIGN.md section 7 for the sweep it was read from.
 _TILE_ELEMS = 16384
 
-#: The six FMM operations of the paper plus the two adaptive extras.
-FMM_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P", "M2P", "P2L")
+#: The six FMM operations of the paper (the adaptive W/X work is folded
+#: into P2P).
+FMM_OPS = ("P2M", "M2M", "M2L", "L2L", "L2P", "P2P")
 #: The expansion operations — every op but the near field's P2P, in
 #: ``FMM_OPS`` order: the CPU side of the cost model.
 EXPANSION_OPS = tuple(op for op in FMM_OPS if op != "P2P")

@@ -151,8 +151,6 @@ class RegularizedStokesletKernel(Kernel):
                 "M2M": 3.0,
                 "L2L": 3.0,
                 "L2P": 3.0,
-                "M2P": 3.0,
-                "P2L": 3.0,
                 "P2P": 3.0,
             }
         )

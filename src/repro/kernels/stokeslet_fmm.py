@@ -82,7 +82,6 @@ class StokesletFMMSolver(PassListSolver):
         *,
         order: int = 4,
         expansion=None,
-        folded: bool = True,
         list_cache: ListCache | None = None,
         telemetry: Telemetry | None = None,
         engine=None,
@@ -91,7 +90,6 @@ class StokesletFMMSolver(PassListSolver):
             kernel if kernel is not None else RegularizedStokesletKernel(),
             order=order,
             expansion=expansion,
-            folded=folded,
             list_cache=list_cache,
             telemetry=telemetry,
             engine=engine,

@@ -24,13 +24,13 @@ matmul:
   one shard, between barriers (levels spread over the shards by rows);
 * M2L — :func:`repro.fmm.farfield.m2l`, the stage every back end runs:
   its octet arrays, its class gemms and merges in class order — runs
-  whole on shard 0 from ``M`` into ``L``, followed by P2L, between two
-  barriers (BLAS runs each class gemm on every core already);
+  whole on shard 0 from ``M`` into ``L``, between two barriers (BLAS runs
+  each class gemm on every core already);
 * per-body stages (P2M/L2P/P2P) use only row-independent primitives
   (``einsum``, segment sums, elementwise) on per-shard leaf/body
   subsets, which are bit-exact under subsetting;
-* order-sensitive scatter stages (P2L/M2P ``np.add.at``, the near-field
-  self correction) run whole on one shard.
+* the order-sensitive scatter stage (the near-field self correction)
+  runs whole on one shard.
 
 Supersteps are separated by a :class:`multiprocessing.Barrier`.
 
@@ -39,7 +39,7 @@ Supervision and recovery
 The parent runs a shard supervisor around every solve.  Workers send
 small heartbeat messages over their control pipes — one before each
 barrier wait and one at each named stage (``p2m``, ``m2m``, ``m2l``,
-``p2l``, ``l2l``, ``l2p``, ``m2p``, ``near``, ``near-self``) — each
+``l2l``, ``l2p``, ``near``, ``near-self``) — each
 carrying a monotonic tick and the highest fully completed *phase* (the
 far-field pass is phase 0, the near field 1).  The supervisor multiplexes
 all pipes with a read deadline (``heartbeat_s``), so worker death (pipe
@@ -420,16 +420,6 @@ class _WorkerState:
             charges=self.v["src"], basis=self._basis(),
         )
 
-    def _p2l(self) -> None:
-        geom = self.geom
-        pairs = farfield.pair_bodies(geom, self.body_plan, geom.x_src_rows)
-        contrib = farfield.p2l(
-            geom, self.body_plan, self.exp, self.v["points"], pairs,
-            charges=self.v["src"],
-        )
-        if contrib is not None:
-            np.add.at(self.v["L"], geom.x_recv_rows, contrib)
-
     def _gk(self) -> None:
         for k, A in enumerate(self._grad_mats):
             if self.plan.grad_axis_shard[k] == self.me:
@@ -441,16 +431,6 @@ class _WorkerState:
             self.geom, self.sub, self._basis(), v["L"],
             v.get("fpot"), v.get("fgrad"), v.get("GK", ()),
         )
-
-    def _m2p(self) -> None:
-        v, geom, plan = self.v, self.geom, self.plan
-        pairs = farfield.pair_bodies(geom, self.body_plan, geom.w_tgt_rows)
-        vals = farfield.m2p(
-            geom, self.body_plan, self.exp, v["points"], v["M"], pairs,
-            potential=plan.far_potential,
-            grad_mats=self.exp.m2p_gradient_matrices() if plan.far_gradient else (),
-        )
-        farfield.m2p_scatter(self.body_plan, pairs, v.get("fpot"), v.get("fgrad"), *vals)
 
     # ----------------------------------------------------------- near field
     def _near_out(self) -> tuple:
@@ -501,14 +481,9 @@ class _WorkerState:
             if who == self.me:
                 farfield.m2m(geom, shift, self.v["M"])
             self._wait()
-        # M2L assigns L, P2L then adds to it: same shard, in order
         self._beat("m2l")
         if self.me == 0:
             farfield.m2l(self.exp, geom, self.v["M"], self.v["L"])
-        if geom.x_recv_rows.size:
-            self._beat("p2l")
-            if self.me == 0:
-                self._p2l()
         self._wait()
         for who, shift in reversed(levels):
             self._beat("l2l")
@@ -520,11 +495,6 @@ class _WorkerState:
             self._gk()
             self._wait()
         self._l2p()
-        if geom.w_tgt_rows.size:
-            self._wait()
-            self._beat("m2p")
-            if self.me == 0:
-                self._m2p()
         self._wait()
 
     def run(self, refreshed: bool, from_phase: int = 0, beat=None) -> dict:

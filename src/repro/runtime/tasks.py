@@ -8,9 +8,9 @@ parent's work runs before its children).  We reify exactly that structure:
 * one **upsweep task** per effective node — P2M at leaves, M2M at internal
   nodes — depending on the node's children's upsweep tasks;
 * one **downsweep task** per effective node — L2L from the parent plus the
-  node's M2L (V list) and P2L (X list) work, and L2P / M2P work at leaves —
-  depending on the parent's downsweep task *and* on the upsweep tasks of
-  the nodes whose multipoles it consumes;
+  node's M2L (V list) work, and L2P work at leaves — depending on the
+  parent's downsweep task *and* on the upsweep tasks of the nodes whose
+  multipoles it consumes;
 * tree-construction DAGs (for the §III-B parallel build) mirror the
   recursive partition: a task per node, children depending on the parent
   on the way down and the lockless construction joining on the way up.
@@ -152,13 +152,8 @@ def build_fmm_task_graph(
         v = lists.v_list.get(nid, ())
         work += units["M2L"] * len(v)
         deps.extend(up_id[s] for s in v)
-        for x in lists.x_list.get(nid, ()):
-            work += units["P2L"] * nodes[x].count
         if node.is_leaf:
             work += units["L2P"] * node.count
-            for w in lists.w_list.get(nid, ()):
-                work += units["M2P"] * node.count
-                deps.append(up_id[w])
         nbytes = work * _EXPANSION_BYTES_PER_FLOP
         if node.is_leaf and include_near_field:
             n_src = sum(

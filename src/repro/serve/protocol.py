@@ -152,11 +152,10 @@ class SolveSpec:
     and the server stays healthy.  A deadline does not change *how* the
     request is solved.
 
-    A served request always runs the exact serial sweep (folded lists, no
-    engine): the server's parallelism is *across* requests, one solver
-    thread per pool slot.  A spec therefore names no back end —
-    ``workers``, ``folded`` or ``shards`` is an unknown field, which
-    :meth:`from_dict` rejects with a 400.
+    A served request always runs the exact serial sweep (no engine): the
+    server's parallelism is *across* requests, one solver thread per pool
+    slot.  A spec therefore names no back end — ``workers`` or ``shards``
+    is an unknown field, which :meth:`from_dict` rejects with a 400.
     """
 
     kernel: str = "laplace"

@@ -161,7 +161,7 @@ def _solve_core(
 
 
 def _run_solve(spec, operators, deadline, telemetry):
-    """One-shot field solve: the serial sweep over folded lists, on a tree
+    """One-shot field solve: the serial sweep, on a tree
     whose leaf capacity S the frozen cost model picks from a census of the
     request's bodies (:func:`repro.costmodel.leafsize.choose_leaf_size`) —
     a pure function of the spec, so a direct solve picks the same S.  The

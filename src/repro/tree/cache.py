@@ -4,7 +4,7 @@ The balancer's outer loop (and any frozen-shape simulation step) calls
 ``build_interaction_lists`` on a tree whose *shape* has not changed since
 the last step — ``refit`` re-sorts bodies but leaves the effective tree
 intact.  :class:`ListCache` memoizes one :class:`InteractionLists` per
-``(tree, folded)`` pair and validates it against the tree's
+tree and validates it against the tree's
 ``structure_generation`` stamp: a lookup whose stamp matches is a hit, and
 any other lookup rebuilds the lists from scratch.  There is no third path:
 a rebuild at 50k Plummer bodies takes less time than patching the old
@@ -39,7 +39,7 @@ def repair_interaction_lists(*_args, **_kwargs):
 
 
 class ListCache:
-    """Memoize interaction lists keyed by tree identity + ``folded`` flag.
+    """Memoize interaction lists keyed by tree identity.
 
     The cache itself holds only *weak* references.  The lists are parked on
     the tree (``tree._cached_lists``), which makes the strong chain
@@ -65,7 +65,7 @@ class ListCache:
     ) -> None:
         self._builder = builder
         self.operators = operators if operators is not None else OperatorStore()
-        #: (id(tree), folded) -> (weakref-to-tree, structure_generation stamp)
+        #: id(tree) -> (weakref-to-tree, structure_generation stamp)
         self._entries: dict = {}
         #: lookups answered from cache (tree shape unchanged)
         self.hits = 0
@@ -94,31 +94,28 @@ class ListCache:
         )
 
     # ------------------------------------------------------------------ get
-    def get(self, tree: AdaptiveOctree, *, folded: bool = True) -> InteractionLists:
+    def get(self, tree: AdaptiveOctree) -> InteractionLists:
         """Return valid lists for ``tree``: cached if its shape stamp still
         matches, else rebuilt."""
-        key = (id(tree), bool(folded))
+        key = id(tree)
         entry = self._entries.get(key)
         if entry is not None:
             ref, stamp = entry
-            if ref() is tree and stamp == tree.structure_generation:
-                lists = getattr(tree, "_cached_lists", {}).get(bool(folded))
-                if lists is not None:
-                    self.hits += 1
-                    if self._m_hits is not None:
-                        self._m_hits.inc()
-                    return lists
-        return self._rebuild(tree, key, folded)
+            lists = getattr(tree, "_cached_lists", None)
+            if ref() is tree and stamp == tree.structure_generation and lists is not None:
+                self.hits += 1
+                if self._m_hits is not None:
+                    self._m_hits.inc()
+                return lists
+        return self._rebuild(tree, key)
 
-    def _rebuild(self, tree, key, folded) -> InteractionLists:
-        lists = self._builder(tree, folded=folded)
+    def _rebuild(self, tree, key) -> InteractionLists:
+        lists = self._builder(tree)
         lists.operator_store = self.operators
         self.builds += 1
         if self._m_builds is not None:
             self._m_builds.inc()
-        if not hasattr(tree, "_cached_lists"):
-            tree._cached_lists = {}
-        tree._cached_lists[bool(folded)] = lists
+        tree._cached_lists = lists
         self._entries[key] = (
             weakref.ref(tree, lambda _ref, k=key: self._entries.pop(k, None)),
             tree.structure_generation,
@@ -132,6 +129,6 @@ class ListCache:
         """Drop all entries; the ``hits`` / ``builds`` counters are kept."""
         for ref, _stamp in self._entries.values():
             tree = ref()
-            if tree is not None and hasattr(tree, "_cached_lists"):
-                tree._cached_lists.clear()
+            if tree is not None:
+                tree._cached_lists = None
         self._entries.clear()

@@ -1,22 +1,20 @@
-"""Adaptive FMM interaction lists (U/V/W/X of Cheng–Greengard–Rokhlin).
+"""Adaptive FMM interaction lists, with the W/X work folded into P2P.
 
 For the *adaptive* tree the set of nodes involved in each operation is
-specific to the tree structure (the paper's §I-C); the classical lists are:
+specific to the tree structure (the paper's §I-C).  Of the classical lists
+of Cheng–Greengard–Rokhlin two remain:
 
 * ``U(b)`` — leaves adjacent to leaf b (any level, including b): P2P.
 * ``V(b)`` — same-level children of b's parent's colleagues that are not
   adjacent to b: M2L.
-* ``W(b)`` — descendants w of b's colleagues whose parent is adjacent to
-  leaf b but which are not themselves adjacent to b: M2P (w's multipole
-  evaluated directly at b's bodies).
-* ``X(b)`` — dual of W (x ∈ X(b) iff b ∈ W(x)): P2L (x's bodies enter b's
-  local expansion directly).
 
-The paper folds the W/X work into GPU P2P ("near-field = all pairs not
-well separated"); ``folded=True`` reproduces that: W entries are replaced
-by their leaf descendants and X entries are pushed down to b's leaf
-descendants, so the near field becomes pure leaf-leaf pairs and the far
-field pure M2L — at the cost of extra direct interactions.
+The other two — ``W(b)``, descendants of b's colleagues whose parent is
+adjacent to leaf b but which are not themselves adjacent to b, and their
+dual ``X`` — are folded into the near field, as the paper does on the GPU
+("near-field = all pairs not well separated"): a W node's leaf
+descendants become P2P sources of b and b a P2P source of each of them,
+so the near field (``near_sources``) is pure leaf-leaf pairs and the far
+field pure M2L, at the cost of extra direct interactions.
 
 Adjacency is decided in exact integer (Morton grid) arithmetic, so lists
 are immune to floating-point drift from repeated box halving.
@@ -55,7 +53,7 @@ __all__ = ["FAMILIES", "InteractionLists", "PairTable", "build_interaction_lists
 
 
 #: the list families, in the order a build produces them
-FAMILIES = ("colleagues", "v_list", "u_list", "w_list", "x_list", "near_sources")
+FAMILIES = ("colleagues", "v_list", "u_list", "near_sources")
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,10 @@ class InteractionLists:
 
     A build's product is one :class:`PairTable` per family (:meth:`table`);
     the array consumers — far-field geometry, near-field plan,
-    :meth:`op_counts` — gather from those.  The six dict attributes
+    :meth:`op_counts` — gather from those.  The four dict attributes
     (per-node lists keyed by node id, only effective nodes appear;
-    ``u_list`` / ``w_list`` / ``near_sources`` hold leaves only, the latter
-    including the leaf itself) are *views*, boxed from the tables on first
+    ``u_list`` / ``near_sources`` hold leaves only, the latter including
+    the leaf itself) are *views*, boxed from the tables on first
     read, for the modelled machine.  A lists object is never changed once
     built: the tables are its one source, and nothing writes a view.
     """
@@ -111,15 +109,10 @@ class InteractionLists:
     colleagues = _dict_view("colleagues")
     v_list = _dict_view("v_list")
     u_list = _dict_view("u_list")
-    w_list = _dict_view("w_list")
-    x_list = _dict_view("x_list")
     near_sources = _dict_view("near_sources")
 
-    def __init__(
-        self, tree: AdaptiveOctree, folded: bool, tables: dict[str, PairTable]
-    ) -> None:
+    def __init__(self, tree: AdaptiveOctree, tables: dict[str, PairTable]) -> None:
         self.tree = tree
-        self.folded = folded
         self._tables = dict(tables)
         self._views: dict[str, dict] = {}
         #: derived data memoized against the tree's ``generation`` stamp
@@ -184,8 +177,7 @@ class InteractionLists:
         cost is shape-independent so observed coefficients transfer between
         trees (the paper: cost "expressed in terms of the number of bodies
         in a leaf node"): per *body* for P2M/L2P, per parent<->child shift
-        for M2M/L2L, per node pair for M2L, per body-pair for P2P, per
-        (node, body) product for M2P/P2L.
+        for M2M/L2L, per node pair for M2L, per body-pair for P2P.
 
         The result is memoized against the tree's ``generation`` (counts
         depend on per-node populations, which refit changes); a copy is
@@ -199,7 +191,6 @@ class InteractionLists:
         n_bodies_in_leaves = int(cnt[tab.is_leaf].sum())
         # one M2M/L2L application per parent<->child shift
         n_shifts = int((tab.parent_row >= 0).sum())
-        w, x = self.table("w_list"), self.table("x_list")
         counts = {
             "P2M": n_bodies_in_leaves,
             "M2M": n_shifts,
@@ -207,8 +198,6 @@ class InteractionLists:
             "L2L": n_shifts,
             "L2P": n_bodies_in_leaves,
             "P2P": self.total_near_interactions(),
-            "M2P": int(cnt[tab.row_of[w.keys]] @ w.counts),
-            "P2L": int(cnt[tab.row_of[x.values]].sum()),
         }
         return dict(store(counts))
 
@@ -272,7 +261,7 @@ def _group_table(
     return PairTable(ids[key_rows], counts, ids[value_rows[order]])
 
 
-def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> InteractionLists:
+def build_interaction_lists(tree: AdaptiveOctree) -> InteractionLists:
     """Construct all lists for the current effective tree (vectorized).
 
     Works in rows of the tree's :class:`~repro.tree.octree.NodeTable` and
@@ -358,15 +347,15 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
 
     leaf_rows = np.nonzero(is_leaf)[0]
 
-    # ------------------------------------------------------ U and W lists
-    # One shared frontier serves both lists.  An adjacent leaf l of leaf b
-    # is either a *leaf colleague* of b (same level, already classified —
-    # no extra test needed), or the pair (b, l) shows up exactly once in
-    # the descent below the deeper side's colleagues.  So we seed a
-    # frontier with the children of each leaf's *internal* colleagues and
-    # classify each candidate once: non-adjacent -> W(b), adjacent leaf ->
-    # deeper U partner (recorded in both directions), adjacent internal ->
-    # descend.  This halves the adjacency tests of the classical
+    # ------------------------------------------------- U list and W pairs
+    # One shared frontier serves both.  An adjacent leaf l of leaf b is
+    # either a *leaf colleague* of b (same level, already classified — no
+    # extra test needed), or the pair (b, l) shows up exactly once in the
+    # descent below the deeper side's colleagues.  So we seed a frontier
+    # with the children of each leaf's *internal* colleagues and classify
+    # each candidate once: non-adjacent -> a W pair of b (folded below),
+    # adjacent leaf -> deeper U partner (recorded in both directions),
+    # adjacent internal -> descend.  This halves the adjacency tests of the classical
     # per-leaf root descent: every unordered U pair is tested once.
     u_own: list[np.ndarray] = []
     u_val: list[np.ndarray] = []
@@ -411,39 +400,30 @@ def build_interaction_lists(tree: AdaptiveOctree, *, folded: bool = True) -> Int
     wo = np.concatenate(w_own) if w_own else np.empty(0, dtype=np.int64)
     wv = np.concatenate(w_val) if w_val else np.empty(0, dtype=np.int64)
 
-    # ------------------------------------------- X duality and near field
-    leaf_ids = eff_arr[leaf_rows]
+    # ------------------------------------------------ the fold: near field
+    # Expand every W pair (b, w) to w's leaf descendants t.  Each expanded
+    # pair covers *both* folded directions at once: t becomes a P2P source
+    # of b (the W fold) and b a P2P source of t (the X fold pushed down to
+    # t's leaves), so the whole near field is U pairs + the symmetric
+    # closure of the expansion.
+    own, cand = wo, wv
+    ext_own: list[np.ndarray] = []
+    ext_leaf: list[np.ndarray] = []
+    while cand.size:
+        leaf_hit = is_leaf[cand]
+        ext_own.append(own[leaf_hit])
+        ext_leaf.append(cand[leaf_hit])
+        own, cand = own[~leaf_hit], cand[~leaf_hit]
+        pos, cnt = segment_positions(child_lo[cand], child_hi[cand])
+        own, cand = np.repeat(own, cnt), child_arr[pos]
     none = np.empty(0, dtype=np.int64)
+    eo = np.concatenate(ext_own) if ext_own else none
+    el = np.concatenate(ext_leaf) if ext_leaf else none
     tables["u_list"] = _group_table(uo, uv, leaf_rows, eff_arr)
-    if folded:
-        # Expand every W pair (b, w) to w's leaf descendants t.  Each
-        # expanded pair covers *both* folded directions at once: t becomes
-        # a P2P source of b (the W fold) and b a P2P source of t (the X
-        # fold pushed down to recv's leaves), so the whole folded near
-        # field is U pairs + the symmetric closure of the expansion.
-        own, cand = wo, wv
-        ext_own: list[np.ndarray] = []
-        ext_leaf: list[np.ndarray] = []
-        while cand.size:
-            leaf_hit = is_leaf[cand]
-            ext_own.append(own[leaf_hit])
-            ext_leaf.append(cand[leaf_hit])
-            own, cand = own[~leaf_hit], cand[~leaf_hit]
-            pos, cnt = segment_positions(child_lo[cand], child_hi[cand])
-            own, cand = np.repeat(own, cnt), child_arr[pos]
-        eo = np.concatenate(ext_own) if ext_own else none
-        el = np.concatenate(ext_leaf) if ext_leaf else none
-        # the grouping sort is stable and the U pairs come first in the
-        # concatenated input, so each leaf's U list is exactly the prefix
-        # of its near-source list
-        tables["near_sources"] = _group_table(
-            np.concatenate((uo, eo, el)), np.concatenate((uv, el, eo)), leaf_rows, eff_arr
-        )
-        # folded mode does not use M2P/P2L
-        tables["w_list"] = PairTable(leaf_ids, np.zeros(leaf_ids.size, dtype=np.int64), none)
-        tables["x_list"] = PairTable(none, none, none)
-    else:
-        tables["near_sources"] = tables["u_list"]
-        tables["w_list"] = _group_table(wo, wv, leaf_rows, eff_arr)
-        tables["x_list"] = _group_table(wv, wo, np.unique(wv), eff_arr)
-    return InteractionLists(tree, folded, tables)
+    # the grouping sort is stable and the U pairs come first in the
+    # concatenated input, so each leaf's U list is exactly the prefix of
+    # its near-source list
+    tables["near_sources"] = _group_table(
+        np.concatenate((uo, eo, el)), np.concatenate((uv, el, eo)), leaf_rows, eff_arr
+    )
+    return InteractionLists(tree, tables)

@@ -1,9 +1,11 @@
 """Per-node expansion operators, each composed from the row basis or class
 operator the far-field sweep applies (``rel = x - center``; a shift is new
 centre minus old), so a check through them checks what production builds.
-The one independent reference is :func:`dense_m2l`, the Cartesian M2L over
+The independent references are :func:`dense_m2l`, the Cartesian M2L over
 all ``n_coeffs`` that the harmonic reduction (DESIGN.md §9) is tested
-against.  Nothing under ``src/`` calls this module.
+against, and the M2P / P2L bases below: the far field folds that work into
+the near field, so only the expansion identities read them.  Nothing under
+``src/`` calls this module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,94 @@ from __future__ import annotations
 import numpy as np
 
 from repro.expansions.derivatives import scaled_derivative_tensors
+from repro.expansions.multiindex import MultiIndexSet
+from repro.expansions.spherical import _irregular_table, _nm_index
 
 _CHUNK = 1024  # pairs per M2L chunk: bounds the (chunk, n, n) temporaries
+
+
+# ------------------------------------------------------------ M2P / P2L bases
+# ``rel = x - center``.  Cartesian: the scaled derivatives b_alpha; P2L sums
+# ``q_i b_alpha(-rel)``, M2P dots ``b_alpha(rel)`` with the moments.
+# Spherical: L_j^k = sum_i q_i (-1)^j I_j^k(z - x_i) for P2L, phi = Re sum
+# M_n^m I_n^m(y - c) for M2P.
+
+
+def p2l_basis(exp, rel):
+    rel = np.atleast_2d(rel)
+    if exp.backend == "cartesian":
+        return scaled_derivative_tensors(-rel, exp.order)
+    return ((-1.0) ** exp.ns)[None, :] * _irregular_table(-rel, exp.order)
+
+
+def m2p_basis(exp, rel, order=None):
+    rel = np.atleast_2d(rel)
+    order = exp.order if order is None else order
+    if exp.backend == "cartesian":
+        return scaled_derivative_tensors(rel, order)
+    return _irregular_table(rel, order)
+
+
+def raise_tables(mis):
+    """Per-axis ``(self_idx, raised_idx)`` into the order+1 set:
+    ``raised_idx[i]`` is the position of ``alpha_i + e_k`` in
+    ``MultiIndexSet(order + 1)``, as d/dy_k b_alpha = (alpha_k + 1)
+    b_(alpha + e_k)."""
+    big = MultiIndexSet(mis.order + 1)
+    out = []
+    for k in range(3):
+        raised = np.empty(mis.n, dtype=np.int64)
+        for i in range(mis.n):
+            a = mis.indices[i].copy()
+            a[k] += 1
+            raised[i] = big.position(tuple(a))
+        out.append((np.arange(mis.n, dtype=np.int64), raised))
+    return tuple(out)
+
+
+def _irregular_gradient_coeffs(p, moments):
+    """G_k with grad_k phi = Re sum G_k I (order p+1), phi = Re sum M_n^m
+    I_n^m, by the ladder identities
+
+        dx I_n^m = [I_{n+1}^{m+1} - I_{n+1}^{m-1}] / 2
+        dy I_n^m = -i [I_{n+1}^{m+1} + I_{n+1}^{m-1}] / 2
+        dz I_n^m = -I_{n+1}^m
+    """
+    ns, ms, _ = _nm_index(p)
+    _, _, pos_big = _nm_index(p + 1)
+    gx, gy, gz = (np.zeros((p + 2) ** 2, dtype=complex) for _ in range(3))
+    for j, (n, m) in enumerate(zip(ns, ms)):
+        M = moments[j]
+        if M == 0:
+            continue
+        up = pos_big[(n + 1, m + 1)]
+        dn = pos_big[(n + 1, m - 1)]
+        gx[up] += M / 2.0
+        gx[dn] -= M / 2.0
+        gy[up] += -1j * M / 2.0
+        gy[dn] += -1j * M / 2.0
+        gz[pos_big[(n + 1, m)]] -= M
+    return [gx, gy, gz]
+
+
+def m2p_gradient_matrices(exp):
+    """A_k into the order+1 basis: ``grad[:, k] = Re(m2p_basis(rel, order +
+    1) @ (moments @ A_k))``."""
+    if exp.backend == "cartesian":
+        mis = exp.mis
+        n_big = MultiIndexSet(mis.order + 1).n
+        mats = []
+        for k, (self_idx, raised_idx) in enumerate(raise_tables(mis)):
+            A = np.zeros((mis.n, n_big))
+            A[self_idx, raised_idx] = (mis.indices[self_idx, k] + 1).astype(float)
+            mats.append(A)
+        return tuple(mats)
+    eye = np.eye(exp.n_coeffs)
+    rows = [_irregular_gradient_coeffs(exp.order, e) for e in eye]
+    return tuple(np.array([r[k] for r in rows]) for k in range(3))
+
+
+# ------------------------------------------------------------- per-node ops
 
 
 def p2m(exp, points, q, center):
@@ -21,7 +109,7 @@ def p2m(exp, points, q, center):
 
 
 def p2l(exp, points, q, center):
-    return np.asarray(q, dtype=float) @ exp.p2l_basis(np.atleast_2d(points) - center)
+    return np.asarray(q, dtype=float) @ p2l_basis(exp, np.atleast_2d(points) - center)
 
 
 def m2m(exp, M, shift):
@@ -37,7 +125,7 @@ def l2p(exp, L, targets, center):
 
 
 def m2p(exp, M, targets, center):
-    return (exp.m2p_basis(np.atleast_2d(targets) - center) @ M).real
+    return (m2p_basis(exp, np.atleast_2d(targets) - center) @ M).real
 
 
 def l2p_gradient(exp, L, targets, center):
@@ -46,8 +134,8 @@ def l2p_gradient(exp, L, targets, center):
 
 
 def m2p_gradient(exp, M, targets, center):
-    basis = exp.m2p_grad_basis(np.atleast_2d(targets) - center)
-    return np.stack([(basis @ (M @ A)).real for A in exp.m2p_gradient_matrices()], axis=1)
+    basis = m2p_basis(exp, np.atleast_2d(targets) - center, exp.order + 1)
+    return np.stack([(basis @ (M @ A)).real for A in m2p_gradient_matrices(exp)], axis=1)
 
 
 def m2l(exp, M, D):

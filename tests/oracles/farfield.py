@@ -71,18 +71,12 @@ def laplace_far_field_scalar(
         for row, t in enumerate(pair_targets):
             locals_[t] += L_stack[row]
 
-    # ---- X phase (un-folded scheme)
-    for recv, xs in lists.x_list.items():
-        for x in xs:
-            idx = tree.bodies(x)
-            locals_[recv] += ops.p2l(exp, pts[idx], charges[idx], nodes[recv].center)
-
     # ---- downward sweep (eff is preorder: parents first)
     for nid in eff:
         for cid in tree.effective_children(nid):
             locals_[cid] += ops.l2l(exp, locals_[nid], nodes[cid].center - nodes[nid].center)
 
-    # ---- leaf evaluation: L2P plus (un-folded) M2P
+    # ---- leaf evaluation
     pot = np.zeros(tree.n_bodies) if potential else None
     grad = np.zeros((tree.n_bodies, 3)) if gradient else None
     for nid in leaves:
@@ -94,9 +88,4 @@ def laplace_far_field_scalar(
             pot[idx] += ops.l2p(exp, locals_[nid], tgt, nodes[nid].center)
         if gradient:
             grad[idx] += ops.l2p_gradient(exp, locals_[nid], tgt, nodes[nid].center)
-        for wnode in lists.w_list.get(nid, ()):
-            if potential:
-                pot[idx] += ops.m2p(exp, multipoles[wnode], tgt, nodes[wnode].center)
-            if gradient:
-                grad[idx] += ops.m2p_gradient(exp, multipoles[wnode], tgt, nodes[wnode].center)
     return pot, grad

@@ -36,31 +36,26 @@ def pair_table(d: dict[int, list[int]]) -> PairTable:
     )
 
 
-def _finish_lists(tree, lists, leaves, leaf_set, folded) -> None:
-    """X duality and the folded near-field sets."""
-    lists["x_list"] = x_list = {}
-    for x, ws in lists["w_list"].items():
+def _fold(tree, u_list, w_list, leaves, leaf_set) -> dict[int, list[int]]:
+    """The near-field sets: U, then W and its dual X folded into P2P."""
+    x_list: dict[int, list[int]] = {}
+    for x, ws in w_list.items():
         for wnode in ws:
             x_list.setdefault(wnode, []).append(x)
 
-    near = lists["near_sources"] = {b: list(lists["u_list"][b]) for b in leaves}
-    if folded:
-        # W entries become their leaf descendants (P2P sources)
-        for b in leaves:
-            for wnode in lists["w_list"][b]:
-                near[b].extend(_leaf_descendants(tree, wnode, leaf_set))
-        # X entries are pushed down to every leaf under the receiving node
-        for recv, xs in x_list.items():
-            for t in _leaf_descendants(tree, recv, leaf_set):
-                near[t].extend(xs)
-        # folded mode does not use M2P/P2L
-        lists["w_list"] = {b: [] for b in leaves}
-        lists["x_list"] = {}
+    near = {b: list(u_list[b]) for b in leaves}
+    # W entries become their leaf descendants (P2P sources)
+    for b in leaves:
+        for wnode in w_list[b]:
+            near[b].extend(_leaf_descendants(tree, wnode, leaf_set))
+    # X entries are pushed down to every leaf under the receiving node
+    for recv, xs in x_list.items():
+        for t in _leaf_descendants(tree, recv, leaf_set):
+            near[t].extend(xs)
+    return near
 
 
-def build_interaction_lists_scalar(
-    tree: AdaptiveOctree, *, folded: bool = True
-) -> InteractionLists:
+def build_interaction_lists_scalar(tree: AdaptiveOctree) -> InteractionLists:
     """Reference per-pair construction (the pre-vectorization algorithm).
 
     Kept as the equivalence oracle for the vectorized builder and as the
@@ -136,9 +131,13 @@ def build_interaction_lists_scalar(
                     w.append(cur)
         w_list[b] = w
 
-    lists = {"colleagues": colleagues, "v_list": v_list, "u_list": u_list, "w_list": w_list}
-    _finish_lists(tree, lists, leaves, leaf_set, folded)
-    return InteractionLists(tree, folded, {name: pair_table(d) for name, d in lists.items()})
+    lists = {
+        "colleagues": colleagues,
+        "v_list": v_list,
+        "u_list": u_list,
+        "near_sources": _fold(tree, u_list, w_list, leaves, leaf_set),
+    }
+    return InteractionLists(tree, {name: pair_table(d) for name, d in lists.items()})
 
 
 def _leaf_descendants(tree: AdaptiveOctree, nid: int, leaf_set: set[int]) -> list[int]:

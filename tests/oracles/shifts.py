@@ -64,7 +64,7 @@ def m2m_multipoles(classes, multipoles):
 
 
 def l2l_locals(classes, locals_):
-    """``locals_`` (M2L and P2L done) after the downward sweep: a copy."""
+    """``locals_`` (M2L done) after the downward sweep: a copy."""
     out = locals_.copy()
     for _lvl, crows, prows, _, op in reversed(classes):
         out[crows] += _apply(out[prows], op)

@@ -19,7 +19,7 @@ from repro.tree import build_adaptive, build_interaction_lists
 def setup():
     ps = plummer(4000, seed=0)
     tree = build_adaptive(ps.positions, S=64)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     return tree, lists
 
 
@@ -77,7 +77,7 @@ class TestLET:
         """Every cross-rank V sender / near source appears in the
         consumer's LET: the comm model charges for all of them."""
         tree = build_adaptive(plummer(1600, seed=31).positions, S=24)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         part = partition_by_morton_work(tree, lists, 3, order=3)
         let = build_let(part, n_coeffs=20)
 
@@ -116,7 +116,7 @@ class TestLET:
         for n in (4000, 20000):
             ps = plummer(n, seed=1)
             tree = build_adaptive(ps.positions, S=64)
-            lists = build_interaction_lists(tree, folded=True)
+            lists = build_interaction_lists(tree)
             part = partition_by_morton_work(tree, lists, 8)
             let = build_let(part, n_coeffs=35)
             replicate_all = 8 * (

@@ -54,8 +54,8 @@ class TestObservedCoefficients:
 
     def test_zero_count_ops_ignored(self):
         coeffs = ObservedCoefficients()
-        coeffs.update_from_registry(self._registry({"M2P": (0.0, 0)}), 0.0)
-        assert coeffs.cpu_coefficient("M2P") == 0.0
+        coeffs.update_from_registry(self._registry({"M2M": (0.0, 0)}), 0.0)
+        assert coeffs.cpu_coefficient("M2M") == 0.0
 
     def test_ready_requires_core_ops(self):
         coeffs = ObservedCoefficients()

@@ -1,4 +1,5 @@
-"""README.md and DESIGN.md name only things that exist.
+"""README.md and DESIGN.md name only things that exist; CHANGES.md stays
+one short headline per PR.
 
 Every repository path (``src/…``, ``tests/…``, ``benchmarks/…``,
 ``examples/…``; globs must match something), every ``repro.<module>``
@@ -327,13 +328,32 @@ _RETIRED = {
     "ObservedCoefficients(" + "smoothing": "none: a new observation replaces the "
     "coefficient, the paper's per-step re-derivation",
     "ServeClient." + "trace": "ServeClient.status and the ledger's wall_s / queue_wait_s",
+    # one interaction scheme: the W/X work is always folded into P2P
+    "folded" + "=": "none: the lists always fold W/X into P2P, the paper's scheme",
+    "w" + "_list": "none: W is folded into near_sources by build_interaction_lists",
+    "x" + "_list": "none: X is folded into near_sources by build_interaction_lists",
+    "wx_lists" + "_vs_folded": "none: the CGR W/X scheme is gone; EXPERIMENTS.md "
+    "keeps its last timings",
+    "ablation" + "-wx": "none: the CGR W/X scheme is gone",
+    "pair" + "_bodies": "none: no far-field stage reads a leaf's bodies per pair",
+    "m2p" + "_scatter": "none: the far field ends at L2P",
+    "p2l" + "_compute": "none: M2L is the far field's one translation",
+    "m2p" + "_compute": "none: the far field ends at L2P",
 }
+
+
+def _retired_pattern(name: str) -> str:
+    """``name`` as a whole word; an edge that is punctuation (``folded=``)
+    needs no word boundary there."""
+    head = r"\b" if re.match(r"\w", name) else ""
+    tail = r"(?!\w)" if re.search(r"\w$", name) else ""
+    return head + re.escape(name) + tail
 
 
 def _retired_in(text: str) -> dict[str, str]:
     return {
         name: why for name, why in _RETIRED.items()
-        if re.search(rf"\b{re.escape(name)}(?!\w)", text)
+        if re.search(_retired_pattern(name), text)
     }
 
 
@@ -375,3 +395,14 @@ def test_config_field_sets_are_pinned():
         "host", "port", "pool_size", "max_tenants", "shed_budget_s",
         "ledger_path", "max_frame_bytes",
     ]
+
+
+def test_changes_headlines_are_at_most_600_characters():
+    """CHANGES.md keeps one headline per PR of at most 600 characters; the
+    rule-4 detail goes on terse ``- `` lines under it."""
+    long = [
+        f"{line[:24]}... ({len(line)} chars)"
+        for line in (ROOT / "CHANGES.md").read_text().splitlines()
+        if re.match(r"PR \d+", line) and len(line) > 600
+    ]
+    assert not long, f"CHANGES.md headlines over 600 characters: {long}"

@@ -374,7 +374,7 @@ class TestLevelFreeCores:
         }[cloud]()
         tree = AdaptiveOctree(pts, S)
         exp = Backend(order)
-        geom = far_field_geometry(tree, build_interaction_lists(tree, folded=True), exp)
+        geom = far_field_geometry(tree, build_interaction_lists(tree), exp)
         c, n, nc = geom.centers, exp.shift_degrees, exp.n_coeffs
         pairs = []
         for shift in geom.shift_levels:

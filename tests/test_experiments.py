@@ -148,15 +148,6 @@ class TestAblations:
         rows = {r["decomposition"]: r for r in log}
         assert rows["adaptive"]["best_compute_time"] <= rows["uniform"]["best_compute_time"]
 
-    def test_wx_folding_equivalence(self):
-        log = ablations.wx_lists_vs_folded(n=1500, S=30)
-        rows = {r["scheme"]: r for r in log}
-        assert rows["folded"]["p2p_interactions"] > rows["cgr_wx"]["p2p_interactions"]
-        assert rows["cgr_wx"]["m2p_terms"] > 0
-        # the schemes route W/X pairs through different mechanisms (exact
-        # P2P vs order-p expansions), so they agree to truncation accuracy
-        assert rows["cross_agreement"]["potential_rel_err"] < 5e-3
-
     def test_expansion_backends_agree(self):
         log = ablations.expansion_backends(n=1000, order=4, S=40)
         errs = [r["potential_rel_err"] for r in log]

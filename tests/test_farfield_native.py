@@ -41,7 +41,7 @@ from tests.test_nearfield import WANTS
 
 def _case(pts, S, order):
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = CartesianExpansion(order)
     geom = farfield.far_field_geometry(tree, lists, exp)
     return tree, geom, farfield.leaf_body_plan(tree, lists), exp
@@ -114,7 +114,7 @@ def test_the_branch_taking_leaves_are_bitwise(p2p_impl, monkeypatch, leaf):
         tree = AdaptiveOctree(plummer(60, seed=7).positions, S=1)
     else:
         tree = AdaptiveOctree(compact_plummer(2000, seed=1).positions, S=246)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     for order in (2, 4, 6):
         exp = CartesianExpansion(order)
         geom = farfield.far_field_geometry(tree, lists, exp)

@@ -6,8 +6,7 @@ translation space; the original per-node sweep over all ``n_coeffs``
 coefficients is kept as
 :func:`tests.oracles.farfield.laplace_far_field_scalar` exactly so the two
 can be compared on randomized adaptive trees across both expansion
-backends and both schemes.  Also covers the
-subset contract of the per-body stage functions (what the shard schedule
+backends.  Also covers the subset contract of the per-body stage functions (what the shard schedule
 rests on), the cache layers (geometry survives refits, dies on surgery)
 and the per-op telemetry span contract.
 """
@@ -24,6 +23,7 @@ from repro.fmm import farfield
 from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import far_field_geometry, laplace_far_field
 from repro.kernels import LaplaceKernel
+from repro.kernels.base import EXPANSION_OPS
 from repro.obs import Telemetry
 from repro.runtime.engine import ExecutionEngine
 from repro.tree import AdaptiveOctree, build_interaction_lists
@@ -58,14 +58,13 @@ def _max_rel(a, b):
     n=st.integers(min_value=40, max_value=700),
     S=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
     backend=st.sampled_from(sorted(_BACKENDS)),
     order=st.integers(min_value=1, max_value=4),
 )
-def test_batched_matches_scalar_oracle(family, n, S, seed, folded, backend, order):
+def test_batched_matches_scalar_oracle(family, n, S, seed, backend, order):
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     exp = _BACKENDS[backend](order)
     q = _charges(n, seed)
 
@@ -114,7 +113,7 @@ def test_one_body_leaf_subset_is_bitwise(backend):
 
 def _check_leaf_subset(tree, backend, order, seed, leaves):
     n = tree.n_bodies
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = _BACKENDS[backend](order)
     q = np.stack((_charges(n, seed), _charges(n, seed + 1)), axis=1)
     geom = far_field_geometry(tree, lists, exp)
@@ -163,7 +162,7 @@ def _check_leaf_subset(tree, backend, order, seed, leaves):
 def test_geometry_survives_refit_and_passes(backend):
     pts = plummer(500, seed=3).positions
     tree = AdaptiveOctree(pts, S=12)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = _BACKENDS[backend](3)
     rng = np.random.default_rng(3)
     q = rng.uniform(-1, 1, 500)
@@ -188,7 +187,7 @@ def test_geometry_survives_refit_and_passes(backend):
 def test_geometry_invalidated_by_surgery():
     pts = uniform_cube(400, seed=7).positions
     tree = AdaptiveOctree(pts, S=10)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = CartesianExpansion(3)
 
     g1 = far_field_geometry(tree, lists, exp)
@@ -202,7 +201,7 @@ def test_geometry_invalidated_by_surgery():
 def test_geometry_cached_per_backend_and_order():
     pts = plummer(300, seed=11).positions
     tree = AdaptiveOctree(pts, S=14)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     far_field_geometry(tree, lists, CartesianExpansion(3))
     far_field_geometry(tree, lists, CartesianExpansion(4))
     far_field_geometry(tree, lists, SphericalExpansion(3))
@@ -230,11 +229,10 @@ def _m2l_of(p):
     n=st.integers(min_value=40, max_value=500),
     S=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
     backend=st.sampled_from(sorted(_BACKENDS)),
     order=st.integers(min_value=1, max_value=5),
 )
-def test_each_channel_is_a_one_channel_sweep(p2p_impl, family, n, S, seed, folded, backend, order):
+def test_each_channel_is_a_one_channel_sweep(p2p_impl, family, n, S, seed, backend, order):
     """Channel ``c`` of a four-channel sweep is the one-channel sweep of
     ``charges[:, c]``.  Every per-row stage, reduce, expand and merge is
     the same arithmetic either way; only a class gemm sees four times the
@@ -243,7 +241,7 @@ def test_each_channel_is_a_one_channel_sweep(p2p_impl, family, n, S, seed, folde
     within 1e-14 of the output's largest value."""
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     exp = _BACKENDS[backend](order)
     q = np.random.default_rng(seed).uniform(-1, 1, (n, 4))
     pot, grad = laplace_far_field(tree, lists, exp, charges=q, gradient=True)
@@ -283,18 +281,17 @@ def test_octet_m2l_agrees_with_the_per_displacement_class_loop(cloud, backend, o
     pts, S = CLOUDS[cloud](seed=order)
     tree = AdaptiveOctree(pts, S=S)
     q = np.random.default_rng(order).uniform(-1, 1, pts.shape[0])
-    for folded in (True, False):
-        lists = build_interaction_lists(tree, folded=folded)
-        exp = _BACKENDS[backend](order)
-        p = farfield.FarFieldPass(tree, lists, exp, charges=q)
-        got = _m2l_of(p)
-        assert len(p.geom.m2l_classes) <= 13
-        _keys, classes = displacement_classes(tree, lists, exp)
-        assert sum(c[0].size for c in classes) == p.geom.n_m2l
-        want = m2l_locals(exp, classes, p.multipoles)
-        scale = np.abs(want).max(axis=0)
-        assert (np.abs(got - want).max(axis=0) <= 1e-12 * scale).all()
-        assert not got[0].any()  # the root has no far field
+    lists = build_interaction_lists(tree)
+    exp = _BACKENDS[backend](order)
+    p = farfield.FarFieldPass(tree, lists, exp, charges=q)
+    got = _m2l_of(p)
+    assert len(p.geom.m2l_classes) <= 13
+    _keys, classes = displacement_classes(tree, lists, exp)
+    assert sum(c[0].size for c in classes) == p.geom.n_m2l
+    want = m2l_locals(exp, classes, p.multipoles)
+    scale = np.abs(want).max(axis=0)
+    assert (np.abs(got - want).max(axis=0) <= 1e-12 * scale).all()
+    assert not got[0].any()  # the root has no far field
 
 
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
@@ -303,7 +300,7 @@ def test_m2l_carries_a_nonfinite_multipole_into_the_locals(backend):
     through M2L's own octet arrays, and stays there once the multipoles
     are finite again."""
     tree = AdaptiveOctree(plummer(300, seed=5).positions, S=10)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     p = farfield.FarFieldPass(tree, lists, _BACKENDS[backend](3), charges=np.ones(300))
     _m2l_of(p)
     assert np.isfinite(p.locals_).all()
@@ -314,13 +311,12 @@ def test_m2l_carries_a_nonfinite_multipole_into_the_locals(backend):
     assert not np.isfinite(p.locals_).all()
 
 
-@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
-def test_span_applications_match_op_counts(folded):
+def test_span_applications_match_op_counts():
     """Per-op spans carry the cost-model application units of op_counts,
     so ``C_op = time / applications`` calibration works on batched runs."""
     pts = plummer(600, seed=9).positions
     tree = AdaptiveOctree(pts, S=8)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(9)
     q = rng.uniform(-1, 1, 600)
 
@@ -335,10 +331,7 @@ def test_span_applications_match_op_counts(folded):
         if e.get("ph") == "X"
     }
     counts = lists.op_counts()
-    expected_ops = ["P2M", "M2M", "M2L", "L2L", "L2P"]
-    if not folded:
-        expected_ops += [op for op in ("M2P", "P2L") if counts[op]]
-    for op in expected_ops:
+    for op in EXPANSION_OPS:
         assert spans[op] == counts[op], op
     # M2L is priced per V pair, whatever the sweep batches them into: the
     # span, the lists and a solve's result all carry the V table's size, so
@@ -346,10 +339,10 @@ def test_span_applications_match_op_counts(folded):
     n_v = sum(len(vs) for vs in lists.v_list.values())
     geom = far_field_geometry(tree, lists, CartesianExpansion(3))
     assert n_v > sum(c[0].size for c in geom.m2l_classes) > 0
-    res = FMMSolver(LaplaceKernel(), order=3, folded=folded).solve(tree, q, lists=lists)
+    res = FMMSolver(LaplaceKernel(), order=3).solve(tree, q, lists=lists)
     assert spans["M2L"] == counts["M2L"] == res.op_counts["M2L"] == geom.n_m2l == n_v
     # ... and so does the task graph's op registry (the observed C_M2L)
     with ExecutionEngine(n_workers=2) as engine:
-        solver = FMMSolver(LaplaceKernel(), order=3, folded=folded, engine=engine)
+        solver = FMMSolver(LaplaceKernel(), order=3, engine=engine)
         solver.solve(tree, q, lists=lists)
         assert solver.last_engine_result.op_registry().timers["M2L"].count == n_v

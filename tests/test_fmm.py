@@ -20,11 +20,10 @@ from repro.tree import build_adaptive, build_uniform
 
 
 class TestAccuracy:
-    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "cgr"])
-    def test_plummer_gravity(self, plummer_small, folded):
+    def test_plummer_gravity(self, plummer_small):
         ker = GravityKernel(G=1.0)
         tree = build_adaptive(plummer_small.positions, S=30)
-        res = FMMSolver(ker, order=5, folded=folded).solve(
+        res = FMMSolver(ker, order=5).solve(
             tree, plummer_small.strengths, gradient=True
         )
         rep = accuracy_report(
@@ -142,7 +141,7 @@ class TestStructure:
         from repro.tree import build_interaction_lists
 
         tree = build_adaptive(uniform_small.positions, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         solver = FMMSolver(LaplaceKernel(), order=3)
         a = solver.solve(tree, uniform_small.strengths, lists=lists)
         b = solver.solve(tree, uniform_small.strengths)

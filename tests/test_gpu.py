@@ -31,7 +31,7 @@ class TestWorkItem:
     def test_work_items_from_lists(self):
         ps = uniform_cube(600, seed=0)
         tree = build_adaptive(ps.positions, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         items = near_field_work_items(lists)
         # every nonempty leaf appears once, in Morton order
         assert len(items) == sum(1 for l in tree.leaves() if tree.nodes[l].count)
@@ -100,7 +100,7 @@ class TestPartitioner:
     def test_no_target_split(self):
         ps = plummer(2000, seed=1)
         tree = build_adaptive(ps.positions, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         items = near_field_work_items(lists)
         parts = partition_targets(items, 3)
         seen = [it.target for p in parts for it in p]
@@ -109,7 +109,7 @@ class TestPartitioner:
     def test_roughly_balanced(self):
         ps = plummer(4000, seed=2)
         tree = build_adaptive(ps.positions, S=60)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         items = near_field_work_items(lists)
         parts = partition_targets(items, 4)
         loads = [sum(it.interactions for it in p) for p in parts]

@@ -34,7 +34,7 @@ def _check(points, box):
         stats = tree.stats()
         got = counts[S]
         assert (got.nodes, got.leaves) == (stats["n_nodes"], stats["n_leaves"]), S
-        p2p = build_interaction_lists(tree, folded=True).op_counts()["P2P"]
+        p2p = build_interaction_lists(tree).op_counts()["P2P"]
         assert abs(got.near_pairs - p2p) <= NEAR_PAIR_TOLERANCE, (S, got.near_pairs, p2p)
 
 

@@ -54,12 +54,12 @@ def assert_lists_equal(a, b):
     """Node-for-node equality of every list family.
 
     Colleague/V candidate order is deterministic (parent-colleague-major),
-    so those compare exactly; U/W/X/near are traversal-order dependent and
+    so those compare exactly; U/near are traversal-order dependent and
     compare as sets.
     """
     assert a.colleagues == b.colleagues
     assert a.v_list == b.v_list
-    for name in ("u_list", "w_list", "x_list", "near_sources"):
+    for name in ("u_list", "near_sources"):
         da, db = getattr(a, name), getattr(b, name)
         assert set(da) == set(db), name
         for k in da:
@@ -144,8 +144,8 @@ def test_stale_lists_refreshed_after_surgery(op):
     assert l2 is not l1
     assert (cache.builds, cache.hits, cache.repairs) == (2, 0, 0)
     assert cache.get(tree) is l2 and cache.hits == 1
-    assert_lists_equal(l2, build_interaction_lists(tree, folded=True))
-    assert_lists_equal(l2, build_interaction_lists_scalar(tree, folded=True))
+    assert_lists_equal(l2, build_interaction_lists(tree))
+    assert_lists_equal(l2, build_interaction_lists_scalar(tree))
 
 
 @pytest.mark.parametrize("op", ["collapse", "pushdown"])
@@ -181,18 +181,7 @@ def test_repair_disabled_restores_rebuild_contract(op, monkeypatch):
     assert l2 is not l1
     assert calls == {"build": 2, "repair": 0}
     assert (cache.repairs, cache.builds) == (0, 2)
-    assert_lists_equal(l2, build_interaction_lists(tree, folded=True))
-
-
-def test_cache_keyed_by_folded_flag():
-    tree = _tree()
-    cache = ListCache()
-    lf = cache.get(tree, folded=True)
-    lu = cache.get(tree, folded=False)
-    assert lf is not lu
-    assert lu.w_list != lf.w_list  # unfolded keeps real W entries
-    assert cache.get(tree, folded=True) is lf
-    assert cache.builds == 2 and cache.hits == 1
+    assert_lists_equal(l2, build_interaction_lists(tree))
 
 
 def test_cache_distinguishes_trees_and_drops_dead_entries():
@@ -265,8 +254,8 @@ def test_simulation_assembles_each_operator_once_across_tree_rebuilds():
 
     built = []
 
-    def recording_builder(tree, *, folded):
-        built.append((tree, build_interaction_lists(tree, folded=folded)))
+    def recording_builder(tree):
+        built.append((tree, build_interaction_lists(tree)))
         return built[-1][1]
 
     config = SimulationConfig(
@@ -307,7 +296,7 @@ def test_second_tree_over_the_same_root_box_builds_no_operator():
         pts = gaussian_blobs(500, seed=seed).positions
         tree = AdaptiveOctree(pts, S=S, root_box=box)
         res = solver.solve(tree, np.ones(500), gradient=True)
-        lists = solver.list_cache.get(tree, folded=True)
+        lists = solver.list_cache.get(tree)
         per_tree.append((lists.farfield_geometry_stats, res))
         # ... and reading the shared set is bitwise what a solver of its own does
         alone = FMMSolver(LaplaceKernel(), order=3).solve(tree, np.ones(500), gradient=True)

@@ -1,9 +1,10 @@
-"""Putting cached lists right after a refit grows the tree.
+"""Cached lists after a refit grows the tree: one rebuild, equal to a
+fresh build and to the scalar oracle.
 
 A refit keeps the tree's shape unless bodies drift into octants that were
 empty at build time: then it materializes leaves for them and moves the
-shape stamp (``structure_generation``).  The cache has no way to patch
-lists for that; its next lookup is one rebuild, equal to a fresh build.
+shape stamp (``structure_generation``).  The cache's next lookup rebuilds
+the lists from scratch and leaves the old ones as they were.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ def _rows(lists):
     }
 
 
-def test_refit_materialization_journals_and_repairs():
+def test_refit_materialization_rebuilds_lists_equal_to_fresh_and_oracle():
     """Bodies drifting into pruned octants: refit materializes leaves for
     them and moves the shape stamp, and the next lookup rebuilds lists
     equal to a fresh build and the scalar oracle."""
@@ -36,7 +37,7 @@ def test_refit_materialization_journals_and_repairs():
     for scale in (0.03, 0.08, 0.15, 0.3):
         cand = AdaptiveOctree(gaussian_blobs(700, seed=21).positions, S=12)
         cand_cache = ListCache()
-        cand_old = cand_cache.get(cand, folded=True)
+        cand_old = cand_cache.get(cand)
         sgen, n_nodes = cand.structure_generation, len(cand.nodes)
         pts = cand.points.copy()
         k = rng.integers(0, cand.n_bodies, size=12)
@@ -58,14 +59,14 @@ def test_refit_materialization_journals_and_repairs():
     assert all(not tree.nodes[tree.nodes[c].parent].is_leaf for c in created)
 
     before = _rows(old)
-    lists = cache.get(tree, folded=True)
+    lists = cache.get(tree)
     assert lists is not old
     assert (cache.builds, cache.hits, cache.repairs) == (2, 0, 0)
     # the lists built before the refit were left as they were
     assert _rows(old) == before
-    fresh = build_interaction_lists(tree, folded=True)
+    fresh = build_interaction_lists(tree)
     assert _rows(lists) == _rows(fresh)
-    assert _rows(lists) == _rows(build_interaction_lists_scalar(tree, folded=True))
+    assert _rows(lists) == _rows(build_interaction_lists_scalar(tree))
     assert set(created) <= set(lists.near_sources)
 
     exp = CartesianExpansion(3)

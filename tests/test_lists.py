@@ -2,7 +2,8 @@
 
 The load-bearing property is the *once-cover theorem*: for every ordered
 pair of distinct bodies (i, j), the interaction of j on i is accounted for
-exactly once across P2P (near), the M2L chain, and (un-folded) M2P / P2L.
+exactly once across P2P (near, with the W/X work folded in) and the M2L
+chain.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.distributions import gaussian_blobs, plummer, uniform_cube
 from repro.tree import build_adaptive, build_interaction_lists
+from repro.tree.lists import FAMILIES
 
 
 def _ancestors_or_self(tree, nid):
@@ -20,7 +22,7 @@ def _ancestors_or_self(tree, nid):
     return out
 
 
-def coverage_matrix(tree, lists, folded):
+def coverage_matrix(tree, lists):
     """count[i, j] = how many mechanisms cover source leaf j -> target leaf i."""
     leaves = tree.leaves()
     pos = {l: k for k, l in enumerate(leaves)}
@@ -51,21 +53,9 @@ def coverage_matrix(tree, lists, folded):
             for tl in t_leaves:
                 for sl in desc(v):
                     count[pos[tl], pos[sl]] += 1
-    if not folded:
-        # W: multipole of w evaluated at leaf b's bodies
-        for b, ws in lists.w_list.items():
-            for w in ws:
-                for sl in desc(w):
-                    count[pos[b], pos[sl]] += 1
-        # X: bodies of leaf x enter node recv's local expansion
-        for recv, xs in lists.x_list.items():
-            for tl in desc(recv):
-                for x in xs:
-                    count[pos[tl], pos[x]] += 1
     return count
 
 
-@pytest.mark.parametrize("folded", [True, False])
 @pytest.mark.parametrize(
     "make",
     [
@@ -75,11 +65,11 @@ def coverage_matrix(tree, lists, folded):
     ],
     ids=["plummer", "uniform", "blobs"],
 )
-def test_once_cover(make, folded):
+def test_once_cover(make):
     pts = make()
     tree = build_adaptive(pts, S=25)
-    lists = build_interaction_lists(tree, folded=folded)
-    count = coverage_matrix(tree, lists, folded)
+    lists = build_interaction_lists(tree)
+    count = coverage_matrix(tree, lists)
     assert (count == 1).all(), "every leaf pair must be covered exactly once"
 
 
@@ -88,7 +78,7 @@ class TestListStructure:
     def setup(self):
         pts = plummer(1200, seed=9).positions
         tree = build_adaptive(pts, S=30)
-        return tree, build_interaction_lists(tree, folded=False)
+        return tree, build_interaction_lists(tree)
 
     def test_self_in_u_list(self, setup):
         tree, lists = setup
@@ -126,33 +116,32 @@ class TestListStructure:
         assert max(len(c) for c in lists.colleagues.values()) <= 27
 
     def test_w_x_duality(self, setup):
-        tree, lists = setup
-        for b, ws in lists.w_list.items():
-            for w in ws:
-                assert b in lists.x_list[w]
-        for recv, xs in lists.x_list.items():
-            for x in xs:
-                assert recv in lists.w_list[x]
-
-    def test_w_nodes_deeper_than_leaf(self, setup):
-        tree, lists = setup
-        for b, ws in lists.w_list.items():
-            for w in ws:
-                assert tree.nodes[w].level > tree.nodes[b].level
+        """Folded, W and its dual X make the near field symmetric: a W
+        leaf t is a P2P source of b exactly when b is one of t."""
+        _, lists = setup
+        near = {b: set(ss) for b, ss in lists.near_sources.items()}
+        for b, ss in near.items():
+            for s in ss:
+                assert b in near[s]
 
     def test_folded_has_no_wx(self):
+        """No W or X list survives the fold: the near sources are the U
+        list plus the folded W/X leaves, the far field M2L alone."""
         pts = plummer(600, seed=2).positions
         tree = build_adaptive(pts, S=20)
-        lists = build_interaction_lists(tree, folded=True)
-        assert all(len(w) == 0 for w in lists.w_list.values())
-        assert lists.x_list == {}
+        lists = build_interaction_lists(tree)
+        assert FAMILIES == ("colleagues", "v_list", "u_list", "near_sources")
+        assert not hasattr(lists, "w_list") and not hasattr(lists, "x_list")
+        for b, us in lists.u_list.items():
+            assert lists.near_sources[b][: len(us)] == us
+        assert any(len(lists.near_sources[b]) > len(us) for b, us in lists.u_list.items())
 
 
 class TestOpCounts:
     def test_p2p_count_is_symmetric_total(self):
         pts = uniform_cube(500, seed=1).positions
         tree = build_adaptive(pts, S=30)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         counts = lists.op_counts()
         # every body interacts with every near-field body incl. itself
         # (the FMM excludes the self term but the work model counts p_t*p_s)
@@ -165,7 +154,7 @@ class TestOpCounts:
     def test_p2m_l2p_counts_per_body(self):
         pts = plummer(700, seed=6).positions
         tree = build_adaptive(pts, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         counts = lists.op_counts()
         # per-body units: coefficients transfer between tree shapes
         assert counts["P2M"] == 700
@@ -174,7 +163,7 @@ class TestOpCounts:
     def test_m2m_l2l_are_shift_counts(self):
         pts = plummer(700, seed=6).positions
         tree = build_adaptive(pts, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         counts = lists.op_counts()
         shifts = sum(
             len(tree.effective_children(n))
@@ -186,7 +175,7 @@ class TestOpCounts:
     def test_interactions_of_leaf(self):
         pts = uniform_cube(400, seed=3).positions
         tree = build_adaptive(pts, S=50)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         t = tree.leaves()[0]
         manual = tree.nodes[t].count * sum(
             tree.nodes[s].count for s in lists.near_sources[t]

@@ -7,7 +7,7 @@ per list family; the original per-pair implementation is kept, test-side,
 as :func:`tests.oracles.lists.build_interaction_lists_scalar` exactly so
 the two can be compared on randomized adaptive trees.  Hypothesis drives
 the tree shapes — distribution family, body count, leaf capacity ``S``,
-folded/unfolded, the degenerate clouds of ``tests/clouds.py`` — far beyond
+the degenerate clouds of ``tests/clouds.py`` — far beyond
 what hand-picked fixtures cover.  The second half is the **table
 contract**: tables == dict views == oracle rows, the V list == what the
 colleague pairs of split nodes imply, fresh and after surgery (the
@@ -27,6 +27,7 @@ from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import _group_by_key, far_field_geometry
 from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.kernels import GravityKernel
+from repro.kernels.base import FMM_OPS
 from repro.kernels.direct import direct_evaluate
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shards import ProcessEngine
@@ -48,7 +49,7 @@ def _assert_equivalent(vec, ref):
     assert set(vec.colleagues) == set(ref.colleagues)
     assert vec.colleagues == ref.colleagues
     assert vec.v_list == ref.v_list
-    for name in ("u_list", "w_list", "x_list", "near_sources"):
+    for name in ("u_list", "near_sources"):
         dv, dr = getattr(vec, name), getattr(ref, name)
         assert set(dv) == set(dr), name
         for k in dv:
@@ -65,13 +66,12 @@ def _assert_equivalent(vec, ref):
     n=st.integers(min_value=40, max_value=900),
     S=st.integers(min_value=1, max_value=48),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
 )
-def test_vectorized_matches_scalar_oracle(family, n, S, seed, folded):
+def test_vectorized_matches_scalar_oracle(family, n, S, seed):
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    vec = build_interaction_lists(tree, folded=folded)
-    ref = build_interaction_lists_scalar(tree, folded=folded)
+    vec = build_interaction_lists(tree)
+    ref = build_interaction_lists_scalar(tree)
     _assert_equivalent(vec, ref)
 
 
@@ -86,21 +86,20 @@ def test_vectorized_matches_scalar_after_surgery(S_new, seed):
     tree = AdaptiveOctree(pts, S=24)
     tree.enforce_s(S_new)
     _assert_equivalent(
-        build_interaction_lists(tree, folded=True),
-        build_interaction_lists_scalar(tree, folded=True),
+        build_interaction_lists(tree),
+        build_interaction_lists_scalar(tree),
     )
 
 
-@pytest.mark.parametrize("folded", [True, False])
-def test_duplicated_points_worst_case(folded):
+def test_duplicated_points_worst_case():
     """Many coincident bodies force max-depth leaves over capacity."""
     rng = np.random.default_rng(7)
     base = rng.random((30, 3))
     pts = np.repeat(base, 20, axis=0) + rng.normal(scale=1e-13, size=(600, 3))
     tree = AdaptiveOctree(pts, S=8)
     _assert_equivalent(
-        build_interaction_lists(tree, folded=folded),
-        build_interaction_lists_scalar(tree, folded=folded),
+        build_interaction_lists(tree),
+        build_interaction_lists_scalar(tree),
     )
 
 
@@ -144,10 +143,9 @@ def _snapshot(lists):
     n=st.integers(min_value=80, max_value=700),
     S=st.integers(min_value=2, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
     n_ops=st.integers(min_value=1, max_value=6),
 )
-def test_repaired_lists_match_scratch_build(family, n, S, seed, folded, n_ops):
+def test_repaired_lists_match_scratch_build(family, n, S, seed, n_ops):
     """Random interleaved collapse/pushdown sequences: the lists the cache
     hands back after surgery are one rebuild equal to a from-scratch build
     and the scalar oracle, and the lists it held before are left as they
@@ -155,26 +153,25 @@ def test_repaired_lists_match_scratch_build(family, n, S, seed, folded, n_ops):
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
     cache = ListCache()
-    old = cache.get(tree, folded=folded)
+    old = cache.get(tree)
     before = _snapshot(old)
     applied = _random_surgery(tree, np.random.default_rng(seed), n_ops)
-    lists = cache.get(tree, folded=folded)
+    lists = cache.get(tree)
     if applied == 0:
         assert lists is old and (cache.builds, cache.hits) == (1, 1)
         return
     assert lists is not old
     assert (cache.builds, cache.hits, cache.repairs) == (2, 0, 0)
     assert _snapshot(old) == before
-    _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
-    _assert_equivalent(lists, build_interaction_lists_scalar(tree, folded=folded))
+    _assert_equivalent(lists, build_interaction_lists(tree))
+    _assert_equivalent(lists, build_interaction_lists_scalar(tree))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
 )
-def test_repair_composes_across_refit_rounds(seed, folded):
+def test_repair_composes_across_refit_rounds(seed):
     """Surgery and refit interleave (the balancer's real access pattern):
     each round's surgery costs one rebuild, a refit that keeps the shape is
     a hit, one that materializes pruned octants one more rebuild, and every
@@ -183,28 +180,28 @@ def test_repair_composes_across_refit_rounds(seed, folded):
     tree = AdaptiveOctree(pts, S=16)
     cache = ListCache()
     rng = np.random.default_rng(seed)
-    lists = cache.get(tree, folded=folded)
+    lists = cache.get(tree)
     for _ in range(3):
         builds = cache.builds
         if _random_surgery(tree, rng, 2):
-            lists = cache.get(tree, folded=folded)
+            lists = cache.get(tree)
             assert cache.builds == builds + 1
         else:
-            assert cache.get(tree, folded=folded) is lists
+            assert cache.get(tree) is lists
             assert cache.builds == builds
-        _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
+        _assert_equivalent(lists, build_interaction_lists(tree))
         moved = tree.points + rng.normal(scale=1e-4, size=tree.points.shape)
         tree.points = np.clip(moved, tree.root_box.low, tree.root_box.high)
         sg, builds = tree.structure_generation, cache.builds
         tree.refit()
-        after = cache.get(tree, folded=folded)
+        after = cache.get(tree)
         if tree.structure_generation == sg:
             assert after is lists and cache.builds == builds  # frozen shape: hit
         else:
             # drift materialized pruned octants: one rebuild
             assert after is not lists and cache.builds == builds + 1
             lists = after
-            _assert_equivalent(lists, build_interaction_lists(tree, folded=folded))
+            _assert_equivalent(lists, build_interaction_lists(tree))
     assert cache.repairs == 0
 
 
@@ -222,21 +219,20 @@ def _table_pairs(table):
 #: the others are traversal-order dependent and compare as sorted rows
 _ORDERED = ("colleagues", "v_list")
 #: families both builders key in leaf preorder (colleagues / V: level-major
-#: against preorder; X: by row against discovery order)
-_LEAF_KEYED = ("u_list", "w_list", "near_sources")
+#: against preorder)
+_LEAF_KEYED = ("u_list", "near_sources")
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     cloud=st.sampled_from(sorted(CLOUDS)),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
 )
-def test_pair_tables_are_the_dict_views_are_the_oracle_rows(cloud, seed, folded):
+def test_pair_tables_are_the_dict_views_are_the_oracle_rows(cloud, seed):
     pts, S = CLOUDS[cloud](seed)
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
-    ref = build_interaction_lists_scalar(tree, folded=folded)
+    lists = build_interaction_lists(tree)
+    ref = build_interaction_lists_scalar(tree)
     assert not any(lists.materialized(name) for name in FAMILIES)
     for name in FAMILIES:
         table = lists.table(name)
@@ -292,20 +288,19 @@ def _assert_class_keys_are_the_float_keys(tree, lists):
 @given(
     cloud=st.sampled_from(["plummer", "uniform", "shell", "one-octant"]),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
 )
-def test_integer_class_keys_equal_the_float_keys_on_every_v_pair(cloud, seed, folded):
+def test_integer_class_keys_equal_the_float_keys_on_every_v_pair(cloud, seed):
     pts, S = CLOUDS[cloud](seed)
     tree = AdaptiveOctree(pts, S=S)
     _assert_class_keys_are_the_float_keys(
-        tree, build_interaction_lists(tree, folded=folded)
+        tree, build_interaction_lists(tree)
     )
 
 
 def test_integer_class_keys_on_a_tree_sixteen_levels_deep():
     """Centres 16+ halvings down still round to the integer offsets."""
     tree = AdaptiveOctree(deep_cluster(), S=3)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     levels = tree.node_table().level[tree.node_table().row_of[lists.table("v_list").owners]]
     assert levels.max() >= 16
     _assert_class_keys_are_the_float_keys(tree, lists)
@@ -358,35 +353,33 @@ def _assert_v_list_is_implied(tree, lists):
 @given(
     cloud=st.sampled_from(sorted(CLOUDS)),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
     n_ops=st.integers(min_value=0, max_value=4),
 )
 def test_v_pairs_are_the_nonadjacent_children_of_split_colleague_pairs(
-    cloud, seed, folded, n_ops
+    cloud, seed, n_ops
 ):
     """What ``far_field_geometry`` rests on, fresh and after surgery (an
     effective tree with hidden children under its leaves)."""
     pts, S = CLOUDS[cloud](seed)
     tree = AdaptiveOctree(pts, S=S)
-    _assert_v_list_is_implied(tree, build_interaction_lists(tree, folded=folded))
+    _assert_v_list_is_implied(tree, build_interaction_lists(tree))
     if _random_surgery(tree, np.random.default_rng(seed), n_ops):
-        _assert_v_list_is_implied(tree, build_interaction_lists(tree, folded=folded))
+        _assert_v_list_is_implied(tree, build_interaction_lists(tree))
 
 
-@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
 @pytest.mark.parametrize("S", [64, 8], ids=["depth-0", "depth-1"])
-def test_a_tree_without_a_split_colleague_pair_has_no_m2l_class(S, folded):
+def test_a_tree_without_a_split_colleague_pair_has_no_m2l_class(S):
     """Depth <= 1: the only split node is the root, nothing is well
     separated, and the solve is all near field — and right."""
     pts = plummer(40, seed=3).positions
     tree = AdaptiveOctree(pts, S=S, max_level=1)
     assert tree.depth() == (0 if S == 64 else 1)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     geom = far_field_geometry(tree, lists, CartesianExpansion(2))
     assert geom.m2l_classes == [] and geom.n_m2l == 0
     q = np.random.default_rng(3).uniform(0.5, 1.5, 40)
     kernel = GravityKernel(G=1.0)
-    res = FMMSolver(kernel, order=2, folded=folded).solve(tree, q, lists=lists, gradient=True)
+    res = FMMSolver(kernel, order=2).solve(tree, q, lists=lists, gradient=True)
     assert res.op_counts["M2L"] == 0
     ref_pot = direct_evaluate(kernel, pts, pts, q, exclude_self=True)[:, 0]
     ref_grad = direct_evaluate(kernel, pts, pts, q, gradient=True, exclude_self=True)
@@ -422,8 +415,6 @@ def _op_counts_by_walking(tree, lists):
             count(t) * sum(count(s) for s in srcs)
             for t, srcs in lists.near_sources.items()
         ),
-        "M2P": sum(count(t) * len(ws) for t, ws in lists.w_list.items()),
-        "P2L": sum(sum(count(x) for x in xs) for xs in lists.x_list.values()),
     }
 
 
@@ -431,12 +422,11 @@ def _op_counts_by_walking(tree, lists):
 @given(
     cloud=st.sampled_from(sorted(CLOUDS)),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
 )
-def test_op_counts_from_tables_equal_the_per_leaf_sums(cloud, seed, folded):
+def test_op_counts_from_tables_equal_the_per_leaf_sums(cloud, seed):
     pts, S = CLOUDS[cloud](seed)
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     counts = lists.op_counts()
     assert not any(lists.materialized(name) for name in FAMILIES)
     assert counts == _op_counts_by_walking(tree, lists)
@@ -446,12 +436,11 @@ def test_op_counts_from_tables_equal_the_per_leaf_sums(cloud, seed, folded):
     )
 
 
-def test_unfolded_op_counts_have_m2p_and_p2l():
+def test_op_counts_are_the_six_fmm_ops():
     tree = AdaptiveOctree(plummer(1500, seed=11).positions, S=12)
-    lists = build_interaction_lists(tree, folded=False)
-    counts = lists.op_counts()
-    assert counts["M2P"] > 0 and counts["P2L"] > 0
-    assert counts == _op_counts_by_walking(tree, lists)
+    counts = build_interaction_lists(tree).op_counts()
+    assert tuple(counts) == FMM_OPS
+    assert all(counts[op] > 0 for op in FMM_OPS)
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads:2", "shards:2"])
@@ -461,7 +450,7 @@ def test_a_cold_solve_boxes_no_list_the_arrays_already_hold(backend):
     benchmark's uniform tree — on the two in-process ones.  (The shard
     engine sizes its partition with ``repro.cluster``, the modelled
     machine, which reads the V and near dicts: one boxing per tree shape,
-    outside the workers; it builds no LET, so W and X stay tables too.)"""
+    outside the workers; it builds no LET.)"""
     kind, _, n = backend.partition(":")
     engine = {
         "serial": lambda: None,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributions import plummer, uniform_cube
+from repro.distributions import uniform_cube
 from repro.expansions import CartesianExpansion, SphericalExpansion
 from repro.fmm.farfield import laplace_far_field
 from repro.kernels import LaplaceKernel
@@ -16,7 +16,7 @@ def setup():
     ps = uniform_cube(1000, seed=2)
     q = rng.uniform(-1, 1, 1000)
     tree = build_adaptive(ps.positions, S=30)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     return ps.positions, q, tree, lists
 
 
@@ -77,13 +77,3 @@ class TestChargesAndDipoles:
         cart, _ = laplace_far_field(tree, lists, CartesianExpansion(4), charges=q)
         sph, _ = laplace_far_field(tree, lists, SphericalExpansion(4), charges=q)
         assert np.linalg.norm(cart - sph) / np.linalg.norm(cart) < 1e-3
-
-    def test_unfolded_wx_paths(self):
-        rng = np.random.default_rng(6)
-        ps = plummer(900, seed=4)
-        q = rng.uniform(-1, 1, 900)
-        tree = build_adaptive(ps.positions, S=25)
-        lists = build_interaction_lists(tree, folded=False)
-        pot, _ = laplace_far_field(tree, lists, CartesianExpansion(7), charges=q)
-        ref = far_reference(ps.positions, q, lists, tree)
-        assert np.linalg.norm(pot - ref) / np.linalg.norm(ref) < 5e-3

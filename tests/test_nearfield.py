@@ -61,13 +61,13 @@ def _without_first_sources(tree, lists):
     counts = near.counts.copy()
     counts[0] = 0
     tables["near_sources"] = PairTable(near.keys, counts, near.values[near.counts[0]:])
-    return InteractionLists(tree, lists.folded, tables)
+    return InteractionLists(tree, tables)
 
 
 def _setup(kernel_dim, n=800, S=14, seed=5):
     pts = plummer(n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(seed)
     q = rng.uniform(-1, 1, (n,) if kernel_dim == 1 else (n, 3))
     return tree, lists, q
@@ -139,7 +139,7 @@ def test_plan_refreshed_across_refit_when_counts_unchanged():
     assert stats["hits"] == 1
 
     # the refreshed plan must equal a from-scratch build on fresh lists
-    fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree))
     for name in _PLAN_FIELDS:
         assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
     assert plan.total_pairs == fresh.total_pairs
@@ -305,11 +305,11 @@ def test_near_field_bits_do_not_depend_on_the_tile_budget(monkeypatch, name, bud
     rng = np.random.default_rng(2)
     q = rng.uniform(-1, 1, (700,) if kernel.strength_dim == 1 else (700, 3))
     want = dict(potential=True, gradient=kernel.value_dim == 1)
-    ref = evaluate_near_field(kernel, tree, build_interaction_lists(tree, folded=True), q, **want)
-    n_ref = build_near_field_plan(tree, build_interaction_lists(tree, folded=True)).n_tiles
+    ref = evaluate_near_field(kernel, tree, build_interaction_lists(tree), q, **want)
+    n_ref = build_near_field_plan(tree, build_interaction_lists(tree)).n_tiles
     monkeypatch.setattr(nearfield, "_TILE_ELEMS", budget)
     monkeypatch.setattr(kernels_base, "_TILE_ELEMS", budget)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     plan = build_near_field_plan(tree, lists)
     assert plan.n_tiles == {1: plan.n_groups, 10**9: n_ref}.get(budget, plan.n_tiles)
     assert budget > 200 or plan.n_tiles > n_ref
@@ -336,7 +336,7 @@ def test_degenerate_inputs_match_per_leaf_reference(name, make):
     kernel = KERNELS[name]
     pts, S = make()
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     if make is _fewer_than_s:
         assert build_near_field_plan(tree, lists).n_groups == 1
     else:
@@ -397,7 +397,7 @@ def test_tile_sources_are_the_distinct_bodies_the_tiles_read():
     source bodies of any tile subset, ascending, are the bodies the gather
     seam reads for them (padding included), and none for no tiles."""
     tree = AdaptiveOctree(gaussian_blobs(700, seed=3).positions, S=9)
-    plan = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    plan = build_near_field_plan(tree, build_interaction_lists(tree))
     rng = np.random.default_rng(3)
     for size in (0, 1, plan.n_tiles // 3, plan.n_tiles):
         tiles = rng.permutation(plan.n_tiles)[:size]
@@ -408,7 +408,7 @@ def test_tile_sources_are_the_distinct_bodies_the_tiles_read():
 @pytest.mark.parametrize("dist,S", [(uniform_cube, 5), (plummer, 14)])
 def test_plan_tiles_partition_the_targets(dist, S):
     tree = AdaptiveOctree(dist(900, seed=7).positions, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     plan = build_near_field_plan(tree, lists)
     assert plan.n_tiles < plan.n_groups  # something was stacked
     _check_tiles(tree, lists, plan)
@@ -417,7 +417,7 @@ def test_plan_tiles_partition_the_targets(dist, S):
 def test_refreshed_and_repaired_plans_keep_the_invariants():
     tree = AdaptiveOctree(gaussian_blobs(500, seed=4).positions, S=12)
     cache = ListCache()
-    lists = cache.get(tree, folded=True)
+    lists = cache.get(tree)
     build_near_field_plan(tree, lists)
 
     # refit with unchanged leaf populations: refreshed == fresh, tiles included
@@ -425,7 +425,7 @@ def test_refreshed_and_repaired_plans_keep_the_invariants():
     tree.refit()
     plan = build_near_field_plan(tree, lists)
     assert lists.nearfield_plan_stats["refreshes"] == 1
-    fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree))
     for name in _PLAN_FIELDS:
         assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
     _check_tiles(tree, lists, plan)
@@ -437,7 +437,7 @@ def test_refreshed_and_repaired_plans_keep_the_invariants():
         key=lambda l: tree.nodes[l].level,
     )
     tree.pushdown(leaf)
-    lists = cache.get(tree, folded=True)
+    lists = cache.get(tree)
     assert (cache.builds, cache.hits) == (2, 0)
     _check_tiles(tree, lists, build_near_field_plan(tree, lists))
     kernel = LaplaceKernel(softening=0.05)
@@ -515,7 +515,7 @@ def _plan_case(cloud, seed=5):
     is the one-octant cloud with one leaf's source list emptied."""
     pts, S = CLOUDS["one-octant" if cloud == "no-sources" else cloud](seed=seed)
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     if cloud == "no-sources":
         lists = _without_first_sources(tree, lists)
     q = np.random.default_rng(seed).uniform(-1, 1, len(pts))
@@ -582,7 +582,7 @@ def test_a_refreshed_plan_evaluates_like_a_fresh_one(p2p_impl):
     tree.refit()  # same leaf populations: the plan is refreshed, not rebuilt
     plan = build_near_field_plan(tree, lists)
     assert lists.nearfield_plan_stats["refreshes"] == 1
-    fresh = build_near_field_plan(tree, build_interaction_lists(tree, folded=True))
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree))
     for kernel in _NEAR_TILES_KERNELS.values():
         got, want = (
             _near_tiles(type(kernel).near_tiles, kernel, tree.points, q, p, range(p.n_tiles), (True, True))

@@ -41,7 +41,7 @@ def assert_tree_invariants(tree: AdaptiveOctree):
 
 
 def assert_once_cover(tree: AdaptiveOctree, lists: InteractionLists):
-    """Every leaf pair covered exactly once by near + M2L chain (folded)."""
+    """Every leaf pair covered exactly once by near + M2L chain."""
     leaves = tree.leaves()
     pos = {l: k for k, l in enumerate(leaves)}
     count = np.zeros((len(leaves), len(leaves)), dtype=int)
@@ -79,16 +79,15 @@ def assert_same_lists(got: InteractionLists, want: InteractionLists):
 
 
 class SurgeryMachine(RuleBasedStateMachine):
-    @initialize(seed=st.integers(0, 2**16), folded=st.booleans())
-    def setup(self, seed, folded):
+    @initialize(seed=st.integers(0, 2**16))
+    def setup(self, seed):
         self.rng = np.random.default_rng(seed)
         n = int(self.rng.integers(80, 300))
         pts = self.rng.uniform(-0.9, 0.9, (n, 3))
         self.box = Box((0.0, 0.0, 0.0), 2.0)
         self.tree = AdaptiveOctree(pts, S=int(self.rng.integers(4, 40)), root_box=self.box)
-        self.folded = folded
         self.cache = ListCache()
-        self.cache.get(self.tree, folded=folded)
+        self.cache.get(self.tree)
         self.stamp = self.tree.structure_generation
 
     @rule()
@@ -138,19 +137,19 @@ class SurgeryMachine(RuleBasedStateMachine):
         cache, tree = self.cache, self.tree
         moved = tree.structure_generation != self.stamp
         builds, hits = cache.builds, cache.hits
-        lists = cache.get(tree, folded=self.folded)
+        lists = cache.get(tree)
         assert (cache.builds - builds, cache.hits - hits) == ((1, 0) if moved else (0, 1))
         self.stamp = tree.structure_generation
         # the shape is frozen now: a second lookup counts only a hit
-        assert cache.get(tree, folded=self.folded) is lists
+        assert cache.get(tree) is lists
         assert (cache.builds - builds, cache.hits - hits) == ((1, 1) if moved else (0, 2))
-        assert_same_lists(lists, build_interaction_lists(tree, folded=self.folded))
-        assert_same_lists(lists, build_interaction_lists_scalar(tree, folded=self.folded))
+        assert_same_lists(lists, build_interaction_lists(tree))
+        assert_same_lists(lists, build_interaction_lists_scalar(tree))
 
     def teardown(self):
         # the expensive completeness check once per example
         if hasattr(self, "tree"):
-            lists = build_interaction_lists(self.tree, folded=True)
+            lists = build_interaction_lists(self.tree)
             assert_once_cover(self.tree, lists)
 
 
@@ -172,18 +171,16 @@ class ClusteredSurgeryMachine(SurgeryMachine):
     @initialize(
         seed=st.integers(0, 2**16),
         family=st.sampled_from(["plummer", "blobs"]),
-        folded=st.booleans(),
     )
-    def setup(self, seed, family, folded):
+    def setup(self, seed, family):
         from repro.distributions.generators import gaussian_blobs, plummer
 
         self.rng = np.random.default_rng(seed)
         n = int(self.rng.integers(100, 400))
         gen = plummer if family == "plummer" else gaussian_blobs
         self.tree = AdaptiveOctree(gen(n, seed=seed).positions, S=int(self.rng.integers(4, 32)))
-        self.folded = folded
         self.cache = ListCache()
-        self.cache.get(self.tree, folded=folded)
+        self.cache.get(self.tree)
         self.stamp = self.tree.structure_generation
 
     @rule()

@@ -213,15 +213,14 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-def _laplace_case(backend, engine, plan=None, folded=True):
+def _laplace_case(backend, engine, plan=None):
     pts = plummer(350, seed=11).positions
     q = np.random.default_rng(11).uniform(-1, 1, pts.shape[0])
     tree = AdaptiveOctree(pts, S=12)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     solver = FMMSolver(
         LaplaceKernel(softening=1e-3),
         expansion=_BACKENDS[backend](3),
-        folded=folded,
         engine=engine,
     )
     if engine is not None and plan is not None:
@@ -234,11 +233,11 @@ def _laplace_case(backend, engine, plan=None, folded=True):
     return res.potential, res.gradient, solver
 
 
-def _run_laplace_chaos(backend, n_workers, folded=True):
-    ref_pot, ref_grad, _ = _laplace_case(backend, None, folded=folded)
+def _run_laplace_chaos(backend, n_workers):
+    ref_pot, ref_grad, _ = _laplace_case(backend, None)
     plan = _chaos_plan()
     with ExecutionEngine(n_workers=n_workers) as eng:
-        pot, grad, solver = _laplace_case(backend, eng, plan, folded=folded)
+        pot, grad, solver = _laplace_case(backend, eng, plan)
     assert {"raise", "delay"} <= plan.fired_kinds()
     assert np.array_equal(pot, ref_pot)
     assert np.array_equal(grad, ref_grad)
@@ -247,13 +246,9 @@ def _run_laplace_chaos(backend, n_workers, folded=True):
 
 
 # fast smoke pair stays in tier-1; the full matrix runs under -m chaos.
-# The unfolded case adds the X / W phases' P2L and M2P merges to the graph
-@pytest.mark.parametrize(
-    "backend,n_workers,folded",
-    [("cartesian", 2, True), ("spherical", 1, False)],
-)
-def test_laplace_chaos_smoke(backend, n_workers, folded):
-    _run_laplace_chaos(backend, n_workers, folded)
+@pytest.mark.parametrize("backend,n_workers", [("cartesian", 2), ("spherical", 1)])
+def test_laplace_chaos_smoke(backend, n_workers):
+    _run_laplace_chaos(backend, n_workers)
 
 
 def test_transient_fault_in_a_near_tile_chunk_retries():
@@ -365,7 +360,7 @@ class TestDegradation:
     def _poisoned_solve(self, kind, telemetry=None):
         pts = plummer(300, seed=23).positions
         tree = AdaptiveOctree(pts, S=12)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         ref_solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 23)
         ref = ref_solver.solve(tree, q, lists=lists, **kw)
         # an L2L level adds in place, so it is non-retryable: a single raise
@@ -501,7 +496,7 @@ def test_an_armed_deadline_does_not_change_the_near_field_calls(kind, monkeypatc
         lambda *a: calls.append(len(a[3])) or near_tiles(*a),
     )
     ref = outputs(solver.solve(tree, q, **kw))
-    n_tiles = solver.list_cache.get(tree, folded=True).nearfield_plan_stats["tiles"]
+    n_tiles = solver.list_cache.get(tree).nearfield_plan_stats["tiles"]
     assert calls == [n_tiles] and n_tiles > 100
     calls.clear()
     res = outputs(solver.solve(tree, q, deadline=Deadline(3600.0), **kw))
@@ -737,7 +732,7 @@ class TestSurgeryExceptionSafety:
         assert tree.nodes[victim].children is None
         assert tree.generation != gen_before  # caches conservatively dropped
         assert_tree_invariants(tree)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         assert_once_cover(tree, lists)
         # the tree still supports surgery + a full solve afterwards
         kids = tree.pushdown(victim)
@@ -777,7 +772,7 @@ class TestSurgeryExceptionSafety:
 
         tree = self._tree(n=300, S=12)
         cache = ListCache()
-        lists_before = cache.get(tree, folded=True)
+        lists_before = cache.get(tree)
         leaves = [
             l
             for l in tree.leaves()
@@ -795,7 +790,7 @@ class TestSurgeryExceptionSafety:
         with pytest.raises(RuntimeError):
             tree.pushdown(leaves[0])
         monkeypatch.setattr(octree_module, "OctreeNode", real)
-        lists_after = cache.get(tree, folded=True)
+        lists_after = cache.get(tree)
         assert lists_after is not lists_before  # stamp bumped -> rebuilt
         assert_once_cover(tree, lists_after)
 
@@ -805,8 +800,7 @@ class TestSurgeryExceptionSafety:
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
-def test_surgery_on_a_restored_tree_repairs_and_solves_bitwise(folded):
+def test_surgery_on_a_restored_tree_repairs_and_solves_bitwise():
     """checkpoint -> restore -> collapse + pushdown -> ``ListCache.get``
     rebuilds the lists -> the solve equals the un-checkpointed run's, bit
     for bit.  The checkpoint is taken with a collapsed subtree in it, so
@@ -829,7 +823,7 @@ def test_surgery_on_a_restored_tree_repairs_and_solves_bitwise(folded):
 
     results = []
     for tree in (live, restored):
-        solver = FMMSolver(GravityKernel(G=1.0), order=3, folded=folded)
+        solver = FMMSolver(GravityKernel(G=1.0), order=3)
         solver.solve(tree, q, gradient=True)
         kids = tree.pushdown(reclaimed)
         assert kids and all(not tree.nodes[c].hidden for c in kids)
@@ -838,8 +832,7 @@ def test_surgery_on_a_restored_tree_repairs_and_solves_bitwise(folded):
         res = solver.solve(tree, q, gradient=True)
         cache = solver.list_cache
         assert cache.builds == 2
-        if folded:
-            assert_once_cover(tree, res.lists)
+        assert_once_cover(tree, res.lists)
         results.append(res)
     a, b = results
     assert a.op_counts == b.op_counts

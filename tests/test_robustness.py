@@ -107,7 +107,7 @@ class TestDegenerateInputs:
     def test_lists_on_single_leaf(self):
         pts = np.random.default_rng(0).uniform(size=(5, 3))
         tree = build_adaptive(pts, S=100)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         root = tree.leaves()[0]
         assert lists.near_sources[root] == [root]
 

@@ -194,7 +194,7 @@ class TestFMMTaskGraph:
     def graph_setup(self):
         ps = plummer(1200, seed=0)
         tree = build_adaptive(ps.positions, S=30)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         return tree, lists
 
     def test_one_up_one_down_per_node(self, graph_setup):

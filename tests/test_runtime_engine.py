@@ -265,16 +265,15 @@ def _laplace_results(tree, lists, q, backend, order, engine):
     n=st.integers(min_value=60, max_value=500),
     S=st.integers(min_value=1, max_value=32),
     seed=st.integers(min_value=0, max_value=2**16),
-    folded=st.booleans(),
     backend=st.sampled_from(sorted(_BACKENDS)),
 )
 def test_laplace_bitwise_identical_across_workers(
-    family, n, S, seed, folded, backend
+    family, n, S, seed, backend
 ):
     """Engine runs at {1, 2, cpu_count} workers == the serial path, bitwise."""
     pts = _FAMILIES[family](n, seed=seed).positions
     tree = AdaptiveOctree(pts, S=S)
-    lists = build_interaction_lists(tree, folded=folded)
+    lists = build_interaction_lists(tree)
     q = np.random.default_rng(seed).uniform(-1, 1, n)
 
     ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, backend, 3, None)
@@ -291,7 +290,7 @@ def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
     runs (a compiled tile drops the GIL, so here two really run at once)."""
     pts = plummer(1200, seed=9).positions
     tree = AdaptiveOctree(pts, S=20)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     q = np.random.default_rng(9).uniform(-1, 1, len(pts))
     ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, "cartesian", 3, None)
     with ExecutionEngine(n_workers=2) as eng:
@@ -300,8 +299,7 @@ def test_laplace_bitwise_under_each_p2p_body(p2p_impl):
     assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad)
 
 
-@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
-def test_stokeslet_bitwise_identical_across_workers(folded):
+def test_stokeslet_bitwise_identical_across_workers():
     """The Stokeslet solve (one far-field pass of four charge channels)
     matches serial bitwise at every width."""
     rng = np.random.default_rng(5)
@@ -310,7 +308,7 @@ def test_stokeslet_bitwise_identical_across_workers(folded):
     f = rng.standard_normal((n, 3))
     tree = AdaptiveOctree(pts, S=16)
 
-    ref = StokesletFMMSolver(order=3, folded=folded).solve(tree, f).velocity
+    ref = StokesletFMMSolver(order=3).solve(tree, f).velocity
 
     def far_tasks(solver):
         return sum(
@@ -319,9 +317,9 @@ def test_stokeslet_bitwise_identical_across_workers(folded):
 
     for n_workers in _WORKER_COUNTS:
         with ExecutionEngine(n_workers=n_workers) as eng:
-            solver = StokesletFMMSolver(order=3, folded=folded, engine=eng)
+            solver = StokesletFMMSolver(order=3, engine=eng)
             u = solver.solve(tree, f).velocity
-            laplace = FMMSolver(LaplaceKernel(), order=3, folded=folded, engine=eng)
+            laplace = FMMSolver(LaplaceKernel(), order=3, engine=eng)
             laplace.solve(tree, f[:, 0], gradient=True)
         assert np.array_equal(u, ref), n_workers
         # one far-field DAG: exactly as many far-field tasks as a Laplace
@@ -369,7 +367,7 @@ def test_solves_leave_the_blas_thread_count_alone():
         pytest.skip("NumPy's BLAS here is not its bundled OpenBLAS with a thread-count getter")
     n = 2000
     tree = AdaptiveOctree(uniform_cube(n, seed=9).positions, S=8)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(9)
     q, f = rng.uniform(-1, 1, n), rng.standard_normal((n, 3))
 
@@ -393,7 +391,7 @@ def test_repeated_parallel_runs_are_identical():
     n = 600
     pts = gaussian_blobs(n, seed=13).positions
     tree = AdaptiveOctree(pts, S=8)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     q = np.random.default_rng(13).uniform(-1, 1, n)
 
     runs = []
@@ -413,7 +411,7 @@ def test_one_worker_is_a_pool_of_one():
     bits for Laplace and the Stokeslet."""
     pts = plummer(500, seed=21).positions
     tree = AdaptiveOctree(pts, S=16)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     rng = np.random.default_rng(21)
     q, f = rng.uniform(-1, 1, len(pts)), rng.standard_normal((len(pts), 3))
     ref_pot, ref_grad, _ = _laplace_results(tree, lists, q, "cartesian", 3, None)

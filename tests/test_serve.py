@@ -495,9 +495,8 @@ class TestSharedBySolverThreads:
         tables = [
             *mis.harmonic_tables(), *mis.m2l_tables(),
             *(a for t in mis.gradient_tables() for a in t),
-            *(a for t in mis.raise_tables() for a in t),
             derivative_recurrence_plan(3)[0].indices,
-            *sph.l2p_gradient_matrices(), *sph.m2p_gradient_matrices(),
+            *sph.l2p_gradient_matrices(),
         ]
         for table in tables:
             assert isinstance(table, np.ndarray)
@@ -1140,19 +1139,19 @@ class TestOperatorStatsUniformity:
         expansion = CartesianExpansion(3)
 
         # the cache's own store
-        lists = ListCache().get(tree, folded=True)
+        lists = ListCache().get(tree)
         out_direct, _ = laplace_far_field(tree, lists, expansion, charges=ps.strengths)
         stats = lists.farfield_geometry_stats
         assert (stats["op_builds"], stats["op_hits"]) == (15, 0)  # 2 shift stacks + 13 blocks
 
         # a shared store, passed at construction: first user assembles ...
         shared = OperatorStore()
-        lists2 = ListCache(operators=shared).get(tree, folded=True)
+        lists2 = ListCache(operators=shared).get(tree)
         laplace_far_field(tree, lists2, expansion, charges=ps.strengths)
         assert lists2.farfield_geometry_stats["op_builds"] == 15
 
         # ... and a second cache over the same root size reads
-        lists3 = ListCache(operators=shared).get(tree, folded=True)
+        lists3 = ListCache(operators=shared).get(tree)
         out_shared, _ = laplace_far_field(tree, lists3, expansion, charges=ps.strengths)
         assert lists3.farfield_geometry_stats["op_builds"] == 0
         assert lists3.farfield_geometry_stats["op_hits"] > 0

@@ -64,10 +64,10 @@ def test_kill_at_far_field_stage_recovers_bitwise(stage):
     bits, no serial degradation."""
     pts, q = _cloud()
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
         eng.install_fault_plan(_plan("kill", stage))
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         res = solver.solve(tree, q, gradient=True)
         assert np.array_equal(serial.potential, res.potential)
         assert np.array_equal(serial.gradient, res.gradient)
@@ -85,10 +85,10 @@ def test_kill_in_near_field_redoes_only_lost_phase():
     near phase — the partial re-execution the supervisor exists for."""
     pts, q = _cloud()
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
         eng.install_fault_plan(_plan("kill", "near-self", shard=0))
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         res = solver.solve(tree, q, gradient=True)
         assert np.array_equal(serial.potential, res.potential)
         assert np.array_equal(serial.gradient, res.gradient)
@@ -149,10 +149,10 @@ def test_pipe_drop_recovers_bitwise():
     next supervision read and repaired by respawn."""
     pts, q = _cloud(seed=29)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=120.0) as eng:
         eng.install_fault_plan(_plan("pipe_drop", "m2l"))
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         res = solver.solve(tree, q, gradient=True)
         assert np.array_equal(serial.potential, res.potential)
         assert solver.degraded_runs == 0
@@ -165,10 +165,10 @@ def test_stall_detected_within_heartbeat_bound():
     heartbeat deadline, not the full barrier timeout."""
     pts, q = _cloud(seed=31)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=300.0, heartbeat_s=5.0) as eng:
         eng.install_fault_plan(_plan("stall", "m2l", delay_s=120.0))
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         t0 = time.monotonic()
         res = solver.solve(tree, q, gradient=True)
         elapsed = time.monotonic() - t0
@@ -185,7 +185,7 @@ def test_heartbeat_timeout_reason_when_recovery_disabled():
     ShardExecutionError(reason='heartbeat timeout') in bounded wall-clock."""
     pts, q = _cloud(n=600, seed=37)
     tree = AdaptiveOctree(pts, S=24)
-    lists = ListCache().get(tree, folded=True)
+    lists = ListCache().get(tree)
     with ProcessEngine(
         n_shards=2, timeout_s=300.0, heartbeat_s=3.0, max_respawns=0
     ) as eng:
@@ -206,7 +206,7 @@ def test_persistent_failure_stops_at_max_respawns():
     recoveries, then raises — never an unbounded respawn loop."""
     pts, q = _cloud(n=600, seed=41)
     tree = AdaptiveOctree(pts, S=24)
-    lists = ListCache().get(tree, folded=True)
+    lists = ListCache().get(tree)
     with ProcessEngine(n_shards=2, timeout_s=120.0, max_respawns=1) as eng:
         eng.install_fault_plan(
             FaultPlan([FaultSpec("kill", "p2m", shard=0, fire_attempts=99)])
@@ -224,12 +224,12 @@ def test_persistent_failure_degrades_to_exact_serial_via_solver():
     fallback — still the right answer, counted as a degraded run."""
     pts, q = _cloud(n=600, seed=43)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=120.0, max_respawns=1) as eng:
         eng.install_fault_plan(
             FaultPlan([FaultSpec("kill", "p2m", shard=0, fire_attempts=99)])
         )
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         res = solver.solve(tree, q, gradient=True)
         assert np.array_equal(serial.potential, res.potential)
         assert np.array_equal(serial.gradient, res.gradient)
@@ -259,7 +259,7 @@ def test_unobtainable_barrier_lock_degrades_to_serial_within_heartbeat():
     and the solve degrades to the exact serial path instead of hanging."""
     pts, q = _cloud(n=600, seed=47)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     held: list = []
     out: dict = {}
     with ProcessEngine(n_shards=2, timeout_s=120.0, heartbeat_s=3.0) as eng:
@@ -272,7 +272,7 @@ def test_unobtainable_barrier_lock_degrades_to_serial_within_heartbeat():
 
         eng._respawn = respawn_holding_the_lock
         eng.install_fault_plan(_plan("kill", "p2m"))
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
 
         def solve():
             t0 = time.monotonic()
@@ -312,9 +312,9 @@ def test_expired_solve_with_an_unobtainable_barrier_lock_starts_a_fresh_pool():
     wedged pool is torn down, and the next solve spawns a fresh one."""
     pts, q = _cloud(n=600, seed=49)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(KERNEL, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(KERNEL, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=60.0, heartbeat_s=2.0) as eng:
-        solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+        solver = FMMSolver(KERNEL, order=3, engine=eng)
         solver.solve(tree, q, gradient=True)  # warm: pool spawned, session installed
         reset = eng._reset_barrier
         held = []
@@ -374,19 +374,17 @@ def test_chaos_matrix_bitwise_after_recovery(n_shards, kernel_name, fault):
         eng.install_fault_plan(plan)
         if kernel_name == "stokeslet":
             forces = np.random.default_rng(5).standard_normal((len(pts), 3))
-            serial = StokesletFMMSolver(
-                expansion=CartesianExpansion(3), folded=True
-            ).solve(tree, forces)
+            serial = StokesletFMMSolver(expansion=CartesianExpansion(3)).solve(tree, forces)
             solver = StokesletFMMSolver(
-                expansion=CartesianExpansion(3), folded=True, engine=eng
+                expansion=CartesianExpansion(3), engine=eng
             )
             res = solver.solve(tree, forces)
             assert np.array_equal(serial.velocity, res.velocity)
         else:
-            serial = FMMSolver(KERNEL, order=3, folded=True).solve(
+            serial = FMMSolver(KERNEL, order=3).solve(
                 tree, q, gradient=True
             )
-            solver = FMMSolver(KERNEL, order=3, folded=True, engine=eng)
+            solver = FMMSolver(KERNEL, order=3, engine=eng)
             res = solver.solve(tree, q, gradient=True)
             assert np.array_equal(serial.potential, res.potential)
             assert np.array_equal(serial.gradient, res.gradient)

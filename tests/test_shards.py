@@ -2,7 +2,7 @@
 
 The core property: the union of per-shard results
 is **element-wise identical** to the single-process solver — at any shard
-count, for both kernels, folded and unfolded.  The backend earns this by
+count, for both kernels.  The backend earns this by
 construction (whole-class matmuls assigned to single shards, row-owner
 merges replayed in the serial class order; see DESIGN.md §14), and these
 tests assert it bit for bit with ``np.array_equal`` on raw float arrays.
@@ -40,10 +40,8 @@ def _cloud(n=1500, seed=11):
     return pts, q
 
 
-def _solve(kernel, tree, q, *, folded, engine=None, order=3, expansion=None):
-    solver = FMMSolver(
-        kernel, order=order, expansion=expansion, folded=folded, engine=engine
-    )
+def _solve(kernel, tree, q, *, engine=None, order=3, expansion=None):
+    solver = FMMSolver(kernel, order=order, expansion=expansion, engine=engine)
     res = solver.solve(tree, q, gradient=True)
     return solver, res
 
@@ -56,14 +54,13 @@ def test_laplace_bitwise_identical_to_serial(n_shards):
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=24)
     with ProcessEngine(n_shards=n_shards) as eng:
-        for folded in (True, False):
-            _, serial = _solve(kernel, tree, q, folded=folded)
-            solver, sharded = _solve(kernel, tree, q, folded=folded, engine=eng)
-            assert np.array_equal(serial.potential, sharded.potential)
-            assert np.array_equal(serial.gradient, sharded.gradient)
-            assert solver.degraded_runs == 0
-            assert solver.last_shard_result is not None
-            assert solver.last_shard_result.n_shards == n_shards
+        _, serial = _solve(kernel, tree, q)
+        solver, sharded = _solve(kernel, tree, q, engine=eng)
+    assert np.array_equal(serial.potential, sharded.potential)
+    assert np.array_equal(serial.gradient, sharded.gradient)
+    assert solver.degraded_runs == 0
+    assert solver.last_shard_result is not None
+    assert solver.last_shard_result.n_shards == n_shards
 
 
 def test_laplace_spherical_backend_bitwise():
@@ -72,22 +69,21 @@ def test_laplace_spherical_backend_bitwise():
     tree = AdaptiveOctree(pts, S=20)
     exp = SphericalExpansion(4)
     with ProcessEngine(n_shards=3) as eng:
-        _, serial = _solve(kernel, tree, q, folded=True, expansion=exp)
-        _, sharded = _solve(kernel, tree, q, folded=True, expansion=exp, engine=eng)
+        _, serial = _solve(kernel, tree, q, expansion=exp)
+        _, sharded = _solve(kernel, tree, q, expansion=exp, engine=eng)
     assert np.array_equal(serial.potential, sharded.potential)
     assert np.array_equal(serial.gradient, sharded.gradient)
 
 
-@pytest.mark.parametrize("folded", [True, False])
-def test_stokeslet_bitwise_identical_to_serial(folded):
+def test_stokeslet_bitwise_identical_to_serial():
     pts, _ = _cloud(n=1000, seed=23)
     rng = np.random.default_rng(5)
     f = rng.standard_normal((1000, 3))
     kernel = RegularizedStokesletKernel(epsilon=0.02)
     tree = AdaptiveOctree(pts, S=24)
-    serial = StokesletFMMSolver(kernel, order=3, folded=folded).solve(tree, f)
+    serial = StokesletFMMSolver(kernel, order=3).solve(tree, f)
     with ProcessEngine(n_shards=2) as eng:
-        solver = StokesletFMMSolver(kernel, order=3, folded=folded, engine=eng)
+        solver = StokesletFMMSolver(kernel, order=3, engine=eng)
         sharded = solver.solve(tree, f)
     assert np.array_equal(serial.velocity, sharded.velocity)
     assert solver.degraded_runs == 0
@@ -121,8 +117,8 @@ def test_workers_adopt_the_parents_p2p_kernel(p2p_impl):
     lib = _native.library()
     assert (lib is None) == (p2p_impl == "numpy")
     with ProcessEngine(n_shards=2) as eng:
-        _, serial = _solve(kernel, tree, q, folded=True)
-        solver, sharded = _solve(kernel, tree, q, folded=True, engine=eng)
+        _, serial = _solve(kernel, tree, q)
+        solver, sharded = _solve(kernel, tree, q, engine=eng)
         mapped = []
         for proc in eng._procs:
             with open(f"/proc/{proc.pid}/maps") as fh:
@@ -134,13 +130,13 @@ def test_workers_adopt_the_parents_p2p_kernel(p2p_impl):
 
 
 # ------------------------------------- the reduced translation, every back end
-def _laplace_case(pts, *, S, order, folded, seed):
+def _laplace_case(pts, *, S, order, seed):
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=S)
     q = np.random.default_rng(seed).standard_normal(pts.shape[0])
 
     def solve(engine=None):
-        solver, res = _solve(kernel, tree, q, folded=folded, engine=engine, order=order)
+        solver, res = _solve(kernel, tree, q, engine=engine, order=order)
         return solver, res.lists, (res.potential, res.gradient)
 
     return solve
@@ -163,27 +159,23 @@ def _stokeslet_case(pts, *, S, order, seed):
 def reduction_cases():
     """The solves where ``n_coeffs - (p+1)^2`` is large or the translation
     arrays meet the other phases, each with its serial answer: (i) a
-    uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive tree with
-    unfolded lists (the M2L expand must land before the P2L add, M2P reads
-    the full-width multipoles), (iii) the 4-pass Stokeslet solve (passes
-    share R, the octet layout and the direction blocks)."""
+    uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive Plummer tree
+    (the M2L expand must land before the first L2L add), (iii) the 4-pass
+    Stokeslet solve (passes share R, the octet layout and the direction
+    blocks)."""
     cases = {
         "uniform-o6": _laplace_case(
-            uniform_cube(2500, seed=3).positions, S=8, order=6, folded=True, seed=4
+            uniform_cube(2500, seed=3).positions, S=8, order=6, seed=4
         ),
-        "plummer-unfolded": _laplace_case(
-            plummer(1500, seed=11).positions, S=12, order=4, folded=False, seed=12
-        ),
+        "plummer": _laplace_case(plummer(1500, seed=11).positions, S=12, order=4, seed=12),
         "stokeslet-4-pass": _stokeslet_case(
             plummer(900, seed=23).positions, S=24, order=4, seed=5
         ),
     }
     out = {}
     for name, solve in cases.items():
-        _, lists, serial = solve()
+        _, _, serial = solve()
         out[name] = (solve, serial)
-        if name == "plummer-unfolded":
-            assert any(lists.w_list.values()) and any(lists.x_list.values())
     return out
 
 
@@ -210,8 +202,8 @@ def test_session_reuse_and_refit_refresh():
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=24)
     with ProcessEngine(n_shards=2) as eng:
-        solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
-        ref = FMMSolver(kernel, order=3, folded=True)
+        solver = FMMSolver(kernel, order=3, engine=eng)
+        ref = FMMSolver(kernel, order=3)
 
         r1 = solver.solve(tree, q, gradient=True)
         assert np.array_equal(ref.solve(tree, q, gradient=True).potential, r1.potential)
@@ -227,7 +219,7 @@ def test_session_reuse_and_refit_refresh():
         # moved bodies + refit: same shape, new geometry -> in-place refresh
         tree.points = tree.points * 0.999
         tree.refit()
-        lists = solver.list_cache.get(tree, folded=True)
+        lists = solver.list_cache.get(tree)
         r3 = solver.solve(tree, q, gradient=True, lists=lists)
         s3 = ref.solve(tree, q, gradient=True, lists=lists)
         assert np.array_equal(s3.potential, r3.potential)
@@ -236,7 +228,7 @@ def test_session_reuse_and_refit_refresh():
 
         # a near plan of another size is never rewritten into the arena
         other = AdaptiveOctree(pts[:-100], S=24)
-        assert not eng._refresh_session(eng._session, other, solver.list_cache.get(other, folded=True))
+        assert not eng._refresh_session(eng._session, other, solver.list_cache.get(other))
 
 
 # ---------------------------------------------------------- failure handling
@@ -247,9 +239,9 @@ def test_worker_death_recovers_by_respawn():
     pts, q = _cloud(n=1200, seed=37)
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=24)
-    serial = FMMSolver(kernel, order=3, folded=True).solve(tree, q, gradient=True)
+    serial = FMMSolver(kernel, order=3).solve(tree, q, gradient=True)
     with ProcessEngine(n_shards=2, timeout_s=60.0) as eng:
-        solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
+        solver = FMMSolver(kernel, order=3, engine=eng)
         first = solver.solve(tree, q, gradient=True)
         assert np.array_equal(serial.potential, first.potential)
 
@@ -281,7 +273,7 @@ def test_worker_death_degrades_serially_when_respawn_disabled():
     cases = {
         "laplace": (
             lambda **kw: FMMSolver(
-                GravityKernel(G=1.0, softening=1e-3), order=3, folded=True, **kw
+                GravityKernel(G=1.0, softening=1e-3), order=3, **kw
             ),
             lambda solver: solver.solve(tree, q, gradient=True),
             lambda res: (res.potential, res.gradient),
@@ -326,7 +318,7 @@ def test_shard_result_reports_halo_and_idle():
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=24)
     with ProcessEngine(n_shards=2) as eng:
-        solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
+        solver = FMMSolver(kernel, order=3, engine=eng)
         solver.solve(tree, q, gradient=True)
         res = solver.last_shard_result
         assert eng.last_result is res
@@ -344,7 +336,7 @@ def test_engine_usable_after_close():
     kernel = GravityKernel(G=1.0, softening=1e-3)
     tree = AdaptiveOctree(pts, S=24)
     eng = ProcessEngine(n_shards=2)
-    solver = FMMSolver(kernel, order=3, folded=True, engine=eng)
+    solver = FMMSolver(kernel, order=3, engine=eng)
     r1 = solver.solve(tree, q)
     eng.close()
     assert not eng._procs

@@ -42,7 +42,7 @@ def _rel(a, b):
 @pytest.mark.parametrize("Backend", BACKENDS)
 def test_the_level_plan_covers_every_shift_once(Backend):
     tree = AdaptiveOctree(plummer(3000, seed=2).positions, S=16)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = Backend(4)
     geom = far_field_geometry(tree, lists, exp)
     tab = tree.node_table()
@@ -76,7 +76,7 @@ def test_level_stages_match_the_class_loop(Backend, k, cloud):
     M2M, whose eight per-octant adds became one dot, and <= 2e-17 for L2L)."""
     pts = {"plummer": plummer, "uniform": uniform_cube}[cloud](2000, seed=5).positions
     tree = AdaptiveOctree(pts, S=12)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     exp = Backend(5)
     p = FarFieldPass(tree, lists, exp, charges=_charges(len(pts), k))
     p.p2m()
@@ -96,7 +96,7 @@ def test_level_stages_match_the_class_loop(Backend, k, cloud):
 
 def test_a_sweep_declares_one_shift_task_per_level_and_direction():
     tree = AdaptiveOctree(plummer(2000, seed=1).positions, S=32)
-    lists = build_interaction_lists(tree, folded=True)
+    lists = build_interaction_lists(tree)
     p = FarFieldPass(tree, lists, CartesianExpansion(3), charges=_charges(2000, 1))
     g = TaskGraphBuilder()
     p.add_tasks(g)
@@ -150,11 +150,12 @@ def threads2():
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
 def test_degenerate_trees_through_the_level_stages(case, Backend, k, threads2, shards2):
     """Each case against the per-node oracle (channel by channel) to 1e-12
-    of the array maximum, and serial == threads:2 == shards:2 bitwise.
-    Unfolded lists: the chain has no M2L pair at all (one split node per
-    level), so its far field is W and X pairs read through the shifts."""
+    of the array maximum, serial == threads:2 == shards:2 bitwise, and the
+    level stages against the class loop: the chain has no M2L pair at all
+    (one split node per level), so its far field is zero and only that
+    check reads its shifts."""
     tree = DEGENERATE[case]()
-    lists = build_interaction_lists(tree, folded=False)
+    lists = build_interaction_lists(tree)
     exp = Backend(4)
     geom = far_field_geometry(tree, lists, exp)
     if case == "root_leaf":
@@ -189,3 +190,16 @@ def test_degenerate_trees_through_the_level_stages(case, Backend, k, threads2, s
     sharded = shards2.solve(tree, lists, exp, kernel, q, near_q, far=far)
     for a, b in zip(sharded[:2], (pot, grad)):
         assert np.array_equal(a, b)
+
+    p = FarFieldPass(tree, lists, exp, charges=q)
+    p.p2m()
+    classes = shift_classes(tree, exp)
+    want = m2m_multipoles(classes, p.multipoles)
+    for shift in p.geom.shift_levels:
+        p.m2m(shift)
+    assert _rel(p.multipoles, want) <= 5e-15, case
+    p.locals_[:] = np.random.default_rng(6).standard_normal(p.locals_.shape)
+    want = l2l_locals(classes, p.locals_)
+    for shift in reversed(p.geom.shift_levels):
+        p.l2l(shift)
+    assert _rel(p.locals_, want) <= 5e-15, case

@@ -74,14 +74,6 @@ class TestAccuracy:
         exact = direct_evaluate(ker, ps.positions, ps.positions, f, exclude_self=True)
         assert rel(res.velocity, exact) < 5e-3
 
-    def test_unfolded_lists(self, problem):
-        pts, f = problem
-        ker = RegularizedStokesletKernel(epsilon=1e-4)
-        tree = build_adaptive(pts, S=40)
-        res = StokesletFMMSolver(ker, order=5, folded=False).solve(tree, f)
-        exact = direct_evaluate(ker, pts, pts, f, exclude_self=True)
-        assert rel(res.velocity, exact) < 5e-3
-
 
 class TestStructure:
     def test_force_shape_validated(self, problem):
@@ -96,7 +88,7 @@ class TestStructure:
         the Laplace one — the rule the serve governor prices by."""
         pts, f = problem
         tree = build_adaptive(pts, S=40)
-        lists = build_interaction_lists(tree, folded=True)
+        lists = build_interaction_lists(tree)
         base = lists.op_counts()
         with ExecutionEngine(n_workers=2) as eng:
             solver = StokesletFMMSolver(order=3, engine=eng)
