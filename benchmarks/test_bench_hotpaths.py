@@ -59,6 +59,12 @@ Claims asserted at benchmark scale:
   ``Deadline(3600)`` takes <= 1.10x the one without (Plummer 10k S=32
   order 4, Plummer 2k S=32 order 3), alternating in one process — the
   serial sweeps walk the same task list either way, one near-field call;
+* the modeled machine is built once per tree shape: a warm
+  ``HeterogeneousExecutor.time_step`` (skeleton cached, work and bytes
+  from the new counts after a refit) takes <= 0.5x the per-node oracle
+  (``tests/oracles/machine.py``) on compact Plummer 2k at S = 64 on
+  System A (10 cores, 4 GPUs) and GPU-less System B, timed alternately in
+  one process, every figure equal;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is printed beside the geometry counts; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -92,11 +98,13 @@ from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_fie
 from repro.fmm.nearfield import PLAN_ARRAYS, build_near_field_plan, evaluate_near_field
 from repro.kernels import GravityKernel, LaplaceKernel, RegularizedStokesletKernel, _native, p2p_backend
 from repro.kernels.base import Kernel
-from repro.machine.spec import system_a
+from repro.machine.executor import HeterogeneousExecutor
+from repro.machine.spec import system_a, system_b
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
 from repro.tree.lists import FAMILIES
 from repro.util.timing import Deadline
+from tests.oracles import machine as machine_oracle
 from tests.oracles.lists import build_interaction_lists_scalar
 from tests.oracles.m2l import displacement_classes, m2l_locals
 from tests.oracles.shifts import l2l_locals, m2m_multipoles, shift_classes
@@ -660,6 +668,53 @@ def test_bench_armed_deadline_is_free(benchmark):
         )
         assert ratio <= 1.10, f"an armed deadline costs {ratio:.2f}x (Plummer {n})"
     benchmark.pedantic(lambda: run(True), rounds=2, iterations=1)
+
+
+def test_bench_modeled_step_vs_oracle(benchmark):
+    """A warm modeled step <= 0.5x the per-node oracle's, same figures."""
+    pts = compact_plummer(2000, velocity_scale=1.5, seed=1).positions
+    machines = {
+        "system A 10C 4G": system_a(timing_noise=0.05).with_resources(n_cores=10, n_gpus=4),
+        "system B": system_b(timing_noise=0.05),
+    }
+    for name, machine in machines.items():
+        tree = AdaptiveOctree(pts, S=64)
+        kernel = GravityKernel(G=1.0)
+        ex = {
+            side: HeterogeneousExecutor(machine, order=4, kernel=kernel, seed=3)
+            for side in ("shipped", "oracle")
+        }
+        step = {
+            "shipped": lambda: ex["shipped"].time_step(tree),
+            "oracle": lambda: machine_oracle.time_step(ex["oracle"], tree, lists),
+        }
+        lists = ex["oracle"].list_cache.get(tree)
+        for run in step.values():  # warm: lists and skeleton built, noise in step
+            run()
+        best = {side: float("inf") for side in step}
+        for _ in range(15):  # alternating: host drift hits both sides alike
+            out = {}
+            for side, run in step.items():
+                tree.refit()  # new counts, same shape: what a warm step sees
+                lists = ex["oracle"].list_cache.get(tree)
+
+                def timed(side=side, run=run):
+                    out[side] = run()
+
+                best[side] = min(best[side], _best_time(timed, rounds=1))
+            new, old = out["shipped"], out["oracle"]
+            assert (new.cpu_time, new.gpu_time, new.per_gpu, new.gpu_efficiency) == (
+                old.cpu_time, old.gpu_time, old.per_gpu, old.gpu_efficiency
+            )
+        ratio = best["shipped"] / best["oracle"]
+        print()
+        print(
+            f"modeled step, compact Plummer 2k S=64 on {name} "
+            f"({len(tree.effective_nodes())} nodes): shipped {best['shipped'] * 1e6:.0f} us, "
+            f"per-node oracle {best['oracle'] * 1e6:.0f} us -> {ratio:.2f}x"
+        )
+        assert ratio <= 0.5, f"modeled step {ratio:.2f}x the per-node oracle on {name}"
+    benchmark.pedantic(step["shipped"], rounds=3, iterations=1)
 
 
 def test_bench_far_field(benchmark):

@@ -11,6 +11,8 @@ it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.expansions.multiindex import MultiIndexSet
 from repro.kernels.base import FMM_OPS, Kernel, KernelCostProfile
 
@@ -20,6 +22,7 @@ __all__ = ["atomic_units"]
 _FMA = 2.0
 
 
+@lru_cache(maxsize=None)
 def _n_coeffs(order: int) -> int:
     return MultiIndexSet(order).n
 

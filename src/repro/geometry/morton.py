@@ -87,10 +87,24 @@ def morton_keys(
     if not 0 < level <= MAX_MORTON_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_MORTON_LEVEL}, got {level}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = np.uint64(1) << np.uint64(level)
-    scaled = (pts - np.asarray(low)) / float(size) * float(cells)
-    idx = np.clip(scaled.astype(np.int64), 0, int(cells) - 1).astype(np.uint64)
-    key = encode_morton(idx[:, 0], idx[:, 1], idx[:, 2])
+    cells = 1 << level
+    scaled = pts - np.asarray(low)
+    scaled /= float(size)
+    scaled *= float(cells)
+    # all three axes as the rows of one array, spread in place: the bits
+    # of encode_morton(ix, iy, iz) in a third of its passes
+    v = scaled.T.astype(np.int64, order="C")
+    np.clip(v, 0, cells - 1, out=v)
+    v = v.view(np.uint64)
+    spill = np.empty_like(v)
+    for mask, shift in _SPREAD_MASKS:
+        if shift:
+            np.left_shift(v, np.uint64(shift), out=spill)
+            v |= spill
+        v &= np.uint64(mask)
+    v[1:] <<= np.array([[1], [2]], dtype=np.uint64)
+    key = v[0] | v[1]
+    key |= v[2]
     if level < MAX_MORTON_LEVEL:
         key <<= np.uint64(3 * (MAX_MORTON_LEVEL - level))
     return key

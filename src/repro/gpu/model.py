@@ -17,7 +17,8 @@ charges, per block with ``w`` active warps over a source total of P bodies:
     cycles = w * P * body_cycles  +  ceil(P / warp) * load_cycles
 
 and distributes blocks over SMs (longest-processing-time-first, which
-approximates the hardware's greedy block scheduler).  Kernel time is the
+approximates the hardware's greedy block scheduler: each block, largest
+first, to the least-loaded SM, the lowest index on ties).  Kernel time is the
 busiest SM's cycle count divided by the clock.  GPU *efficiency* — useful
 interactions per issued lane-step — falls when leaf populations are not
 multiples of the warp size (idle lanes in the last warp), reproducing the
@@ -26,10 +27,13 @@ S-dependence of the paper's observed GPU coefficient.
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 
-from repro.gpu.partition import NearFieldWorkItem
+import numpy as np
+
+from repro.gpu.partition import NearFieldWork, NearFieldWorkItem
+from repro.util.arrays import csr_ptr
 
 __all__ = ["GPUSpec", "KernelTiming", "GPUKernelModel"]
 
@@ -81,41 +85,60 @@ class GPUKernelModel:
         source march once per *active warp* plus the shared-memory staging
         of every source tile.
         """
-        spec = self.spec
-        n_blocks = max(1, math.ceil(item.n_targets / spec.block_size))
-        total_sources = item.n_sources
-        load = sum(math.ceil(p_s / spec.warp_size) for p_s in item.source_counts)
-        out = []
-        remaining = item.n_targets
-        for _ in range(n_blocks):
-            in_block = min(spec.block_size, remaining)
-            remaining -= in_block
-            warps = max(1, math.ceil(in_block / spec.warp_size))
-            out.append(warps * total_sources * spec.body_cycles + load * spec.load_cycles)
-        return out
+        n_blocks, full, last, _, _ = _row_figures(self.spec, NearFieldWork.of_items([item]))
+        return [full[0]] * (n_blocks[0] - 1) + [last[0]]
 
     def time_items(self, items: list[NearFieldWorkItem]) -> KernelTiming:
         """Kernel time for a set of target nodes on this GPU."""
+        return self.time_work(NearFieldWork.of_items(items))
+
+    def time_work(self, work: NearFieldWork, lo: int = 0, hi: int | None = None) -> KernelTiming:
+        """Kernel time for rows ``lo:hi`` of ``work`` on this GPU: every
+        row's :meth:`block_cycles`, from this spec's per-row figures of
+        ``work``, largest first onto the least-loaded SM."""
         spec = self.spec
-        blocks: list[float] = []
-        interactions = 0
-        issued = 0.0
-        for it in items:
-            cyc = self.block_cycles(it)
-            interactions += it.interactions
-            # lanes issued: every active warp's 32 lanes march all sources
-            warps_total = sum(
-                max(1, math.ceil(min(spec.block_size, it.n_targets - b * spec.block_size) / spec.warp_size))
-                for b in range(len(cyc))
-            )
-            issued += warps_total * spec.warp_size * it.n_sources
-            blocks.extend(cyc)
-        if not blocks:
+        n_blocks, full, last, lanes, interactions = work.per_spec(spec, _row_figures)
+        hi = len(n_blocks) if hi is None else hi
+        if hi <= lo:
             return KernelTiming(spec.launch_overhead_s, 0, 0, 0.0)
+        blocks: list[float] = []
+        for nb, cyc_full, cyc_last in zip(n_blocks[lo:hi], full[lo:hi], last[lo:hi]):
+            if nb > 1:
+                blocks += [cyc_full] * (nb - 1)
+            blocks.append(cyc_last)
+        blocks.sort(reverse=True)
         # LPT assignment of blocks onto SMs
-        sm_load = [0.0] * spec.n_sms
-        for cyc in sorted(blocks, reverse=True):
-            idx = sm_load.index(min(sm_load))
-            sm_load[idx] += cyc
-        kernel_time = max(sm_load) / spec.clock_hz + spec.launch_overhead_s
-        return KernelTiming(kernel_time, len(blocks), interactions, issued)
+        sm_load = [(0.0, sm) for sm in range(spec.n_sms)]
+        for cyc in blocks:
+            load, sm = sm_load[0]
+            heapq.heapreplace(sm_load, (load + cyc, sm))
+        kernel_time = max(sm_load)[0] / spec.clock_hz + spec.launch_overhead_s
+        issued = 0.0
+        for n in lanes[lo:hi]:
+            issued += n
+        return KernelTiming(kernel_time, len(blocks), sum(interactions[lo:hi]), issued)
+
+
+def _row_figures(spec: GPUSpec, work: NearFieldWork) -> tuple[list, ...]:
+    """Per row of ``work`` on a ``spec`` device: blocks, the cycles of a
+    full block and of the last one, lanes issued and interactions."""
+    n_targets, n_sources, ptr = work.n_targets, work.n_sources, work.source_ptr
+    tiles = csr_ptr(-(-work.source_counts // spec.warp_size))
+    staging = (tiles[ptr[1:]] - tiles[ptr[:-1]]) * spec.load_cycles
+    # all blocks but a target's last hold a full block of targets
+    n_blocks = np.maximum(1, -(-n_targets // spec.block_size))
+    full_warps = -(-spec.block_size // spec.warp_size)
+    last_warps = np.maximum(
+        1, -(-(n_targets - (n_blocks - 1) * spec.block_size) // spec.warp_size)
+    )
+    full = full_warps * n_sources * spec.body_cycles + staging
+    last = last_warps * n_sources * spec.body_cycles + staging
+    # lanes issued: every active warp's 32 lanes march all sources
+    lanes = ((n_blocks - 1) * full_warps + last_warps) * spec.warp_size * n_sources
+    return (
+        n_blocks.tolist(),
+        full.tolist(),
+        last.tolist(),
+        lanes.tolist(),
+        (n_targets * n_sources).tolist(),
+    )

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.costmodel.flops import atomic_units
 from repro.gpu.model import GPUKernelModel, KernelTiming
-from repro.gpu.partition import near_field_work_items, partition_targets
+from repro.gpu.partition import near_field_work, partition_bounds
 from repro.kernels.base import EXPANSION_OPS, Kernel
 from repro.machine.spec import MachineSpec
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -125,8 +125,9 @@ class HeterogeneousExecutor:
                 record_timeline=tracer.enabled,
             )
         if sched.timeline is not None:
+            labels = graph.skeleton.labels
             tracer.add_worker_lanes(
-                ((graph.tasks[tid].label or tid, w, s, e) for tid, w, s, e in sched.timeline),
+                ((labels[tid] or tid, w, s, e) for tid, w, s, e in sched.timeline),
                 makespan=sched.makespan,
             )
         noise = self._noise()
@@ -144,9 +145,11 @@ class HeterogeneousExecutor:
         gpu_eff = 1.0
         if self.machine.n_gpus > 0:
             with tracer.span("near-field", n_gpus=self.machine.n_gpus):
-                items = near_field_work_items(lists)
-                parts = partition_targets(items, self.machine.n_gpus)
-                per_gpu = [m.time_items(p) for m, p in zip(self._gpu_models, parts)]
+                work = near_field_work(lists)
+                bounds = partition_bounds(work.interactions.tolist(), self.machine.n_gpus)
+                per_gpu = [
+                    m.time_work(work, lo, hi) for m, (lo, hi) in zip(self._gpu_models, bounds)
+                ]
                 per_gpu = [
                     KernelTiming(t.kernel_time * self._noise(), t.n_blocks, t.interactions, t.issued_body_steps)
                     for t in per_gpu

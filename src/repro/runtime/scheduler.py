@@ -20,7 +20,9 @@ the set of running tasks changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.runtime.tasks import TaskGraph
 
@@ -66,7 +68,6 @@ class ScheduleResult:
     makespan: float
     n_workers: int
     total_work: float
-    critical_path: float
     busy_time: float  # summed task execution time (excl. idle)
     overhead_time: float
     #: per-task ``(task_id, worker, start, end)`` intervals in simulated
@@ -76,12 +77,24 @@ class ScheduleResult:
     #: and the trace exporter and :attr:`utilization` agree by
     #: construction.
     timeline: list[tuple[int, int, float, float]] | None = None
+    #: the graph and CPU scheduled, for :attr:`critical_path`
+    graph: TaskGraph | None = field(default=None, repr=False, compare=False)
+    spec: CPUSpec | None = field(default=None, repr=False, compare=False)
 
     @property
     def utilization(self) -> float:
         if self.makespan == 0:
             return 1.0
         return self.busy_time / (self.makespan * self.n_workers)
+
+    @cached_property
+    def critical_path(self) -> float:
+        """The graph's longest dependency chain at one core's rate, in
+        seconds — worked out on first read: a modeled step reads only the
+        makespan and busy time."""
+        if self.graph is None:
+            return 0.0
+        return self.graph.critical_path() / self.spec.core_rate(1)
 
 
 def simulate_schedule(
@@ -102,31 +115,36 @@ def simulate_schedule(
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    n = len(graph.tasks)
+    n = len(graph.work)
     if n == 0:
-        return ScheduleResult(0.0, n_workers, 0.0, 0.0, 0.0, 0.0,
+        return ScheduleResult(0.0, n_workers, 0.0, 0.0, 0.0,
                               timeline=[] if record_timeline else None)
 
-    indeg = [0] * n
-    dependents: dict[int, list[int]] = {}
-    for t in graph.tasks:
-        indeg[t.id] = len(t.deps)
-        for d in t.deps:
-            dependents.setdefault(d, []).append(t.id)
-
+    skel = graph.skeleton
+    dependents = skel.dependents
+    indeg = list(skel.indegree)
     ready: list[int] = [i for i in range(n) if indeg[i] == 0]
     ready.reverse()  # LIFO: depth-first order, like task stealing runtimes
     # amortize the spawn/steal handshake into each task's work so it is
     # paid by the executing worker, not serialized on a global clock
     overhead_flops = spec.task_overhead_s * spec.core_flops
-    remaining = [graph.tasks[i].work + overhead_flops for i in range(n)]
+    remaining = [w + overhead_flops for w in graph.work]
     bytes_rate = [
-        (graph.tasks[i].bytes / remaining[i]) if remaining[i] > 0 else 0.0
-        for i in range(n)
+        (b / r) if r > 0 else 0.0 for b, r in zip(graph.nbytes, remaining)
     ]
+    #: per-core FLOP rate by the number of running tasks
+    core_rate = [spec.core_rate(k) for k in range(n_workers + 1)]
+    bandwidth = spec.mem_bandwidth
 
-    running: dict[int, float] = {}  # task id -> remaining work
-    idle_workers = n_workers
+    # The running tasks twice over: in launch order with their byte rates
+    # (the roofline sums them in that order), and by remaining work.  Every
+    # running task advances by the same amount and rounding is monotone, so
+    # the second list stays sorted and the tasks that finish — remaining
+    # work at most 1e-9 — are always a prefix of it.
+    running: list[int] = []
+    demands: list[float] = []
+    by_left: list[int] = []
+    left: list[float] = []
     clock = 0.0
     busy_time = 0.0
     overhead_time = 0.0
@@ -142,62 +160,61 @@ def simulate_schedule(
         timeline = []
         free_workers = list(range(n_workers - 1, -1, -1))
 
-    def effective_rate() -> float:
-        """FLOP rate applied to every running task under the roofline."""
-        k = len(running)
-        if k == 0:
-            return 0.0
-        rate = spec.core_rate(k)
-        demand = sum(bytes_rate[tid] for tid in running) * rate
-        if demand > spec.mem_bandwidth:
-            rate *= spec.mem_bandwidth / demand
-        return rate
-
+    k = 0
     while done < n:
         # launch ready tasks onto idle workers (charging spawn overhead)
-        while idle_workers > 0 and ready:
+        while ready and k < n_workers:
             tid = ready.pop()
-            running[tid] = remaining[tid]
-            idle_workers -= 1
+            work = remaining[tid]
+            at = bisect_right(left, work)
+            left.insert(at, work)
+            by_left.insert(at, tid)
+            running.append(tid)
+            demands.append(bytes_rate[tid])
+            k += 1
             overhead_time += per_task_overhead
             if timeline is not None:
                 task_worker[tid] = free_workers.pop()
                 task_start[tid] = clock
-        if not running:
+        if not k:
             raise RuntimeError("deadlock: no running tasks but graph incomplete")
-        rate = effective_rate()
+        # the FLOP rate of every running task under the roofline
+        rate = core_rate[k]
+        demand = sum(demands) * rate
+        if demand > bandwidth:
+            rate *= bandwidth / demand
         # time until the first running task completes at the current rate
-        min_work = min(running.values())
-        compute_dt = min_work / rate if rate > 0 else 0.0
+        advanced = left[0]
+        compute_dt = advanced / rate if rate > 0 else 0.0
         clock += compute_dt
-        busy_time += compute_dt * len(running)
-        advanced = min_work
-        finished = []
-        for tid in list(running):
-            running[tid] -= advanced
-            remaining[tid] = running[tid]
-            if running[tid] <= 1e-9:
-                finished.append(tid)
+        busy_time += compute_dt * k
+        left = [w - advanced for w in left]
+        j = bisect_right(left, 1e-9)
+        finished = by_left[:j]
+        del by_left[:j], left[:j]
+        if j > 1:
+            finished.sort(key=running.index)  # launch order
+        k -= j
+        done += j
         for tid in finished:
-            del running[tid]
-            idle_workers += 1
-            done += 1
+            at = running.index(tid)
+            del running[at], demands[at]
             if timeline is not None:
                 worker = task_worker.pop(tid)
                 timeline.append((tid, worker, task_start.pop(tid), clock))
                 free_workers.append(worker)
-            for nxt in dependents.get(tid, ()):
+            for nxt in dependents[tid]:
                 indeg[nxt] -= 1
-                if indeg[nxt] == 0:
+                if not indeg[nxt]:
                     ready.append(nxt)
 
-    cp = graph.critical_path() / spec.core_rate(1)
     return ScheduleResult(
         makespan=clock,
         n_workers=n_workers,
         total_work=graph.total_work,
-        critical_path=cp,
         busy_time=busy_time,
         overhead_time=overhead_time,
         timeline=timeline,
+        graph=graph,
+        spec=spec,
     )

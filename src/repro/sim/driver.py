@@ -197,6 +197,8 @@ class Simulation:
         self.log = EventLog()
         self.step_index = 0
         self._needs_rebuild = True
+        #: ``tree.generation`` right after the last post-drift refit
+        self._fitted_generation: int | None = None
         self._closed = False
         #: critical-path report of the most recent engine run (telemetry on)
         self.last_critpath = None
@@ -345,13 +347,20 @@ class Simulation:
 
     # -------------------------------------------------------------- stepping
     def _ensure_tree(self) -> None:
-        """(Re)build or refit the tree."""
+        """(Re)build or refit the tree.
+
+        The previous step's post-drift refit already fitted the tree to
+        these positions; unless something touched the tree since (surgery,
+        Enforce_S, a rebuild, a resume: each moves or drops the stamp), a
+        second refit would only repeat it.
+        """
         if self.tree is None or self._needs_rebuild:
             self.tree = AdaptiveOctree(
                 self.particles.positions, self.balancer.S, root_box=self.domain
             )
             self._needs_rebuild = False
-        else:
+            self._fitted_generation = None
+        elif self.tree.generation != self._fitted_generation:
             self.tree.points = self.particles.positions
             self.tree.refit()
 
@@ -391,6 +400,7 @@ class Simulation:
                 # ranges refit)
                 tree.points = self.particles.positions
                 tree.refit()
+                self._fitted_generation = tree.generation
                 # refit kept the shape, so this lookup is a cache hit, not a
                 # rebuild
                 lists_after = self.list_cache.get(tree) if self.solver else None

@@ -22,6 +22,7 @@ box, not on the tree.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 from repro.expansions.operators import OperatorStore
@@ -29,6 +30,9 @@ from repro.tree.lists import InteractionLists, build_interaction_lists
 from repro.tree.octree import AdaptiveOctree
 
 __all__ = ["ListCache"]
+
+#: one parking slot per cache on every tree it serves
+_SLOTS = itertools.count()
 
 
 def repair_interaction_lists(*_args, **_kwargs):
@@ -42,13 +46,15 @@ class ListCache:
     """Memoize interaction lists keyed by tree identity.
 
     The cache itself holds only *weak* references.  The lists are parked on
-    the tree (``tree._cached_lists``), which makes the strong chain
-    ``caller -> tree -> lists -> tree`` a self-contained cycle: when the
-    caller drops the tree, the garbage collector reclaims tree and lists
-    together, the weakref callback evicts the entry, and a cache that
-    outlives many tree rebuilds (the simulation driver's does) never pins
-    dead trees in memory.  An ``id()`` reused by a new tree can never alias
-    a stale entry — the weakref's referent check catches it.
+    the tree, in the cache's own slot of ``tree._cached_lists`` (one slot
+    per cache, so two caches over one tree never hand out each other's
+    lists), which makes the strong chain ``caller -> tree -> lists -> tree``
+    a self-contained cycle: when the caller drops the tree, the garbage
+    collector reclaims tree and lists together, the weakref callback evicts
+    the entry, and a cache that outlives many tree rebuilds (the simulation
+    driver's does) never pins dead trees in memory.  An ``id()`` reused by a
+    new tree can never alias a stale entry — the weakref's referent check
+    catches it.
 
     ``builder`` must stay the only positional default:
     ``benchmarks/step_budget/harness.py:469`` replaces ``__defaults__``
@@ -65,6 +71,8 @@ class ListCache:
     ) -> None:
         self._builder = builder
         self.operators = operators if operators is not None else OperatorStore()
+        #: this cache's key in ``tree._cached_lists`` (never reused)
+        self._slot = next(_SLOTS)
         #: id(tree) -> (weakref-to-tree, structure_generation stamp)
         self._entries: dict = {}
         #: lookups answered from cache (tree shape unchanged)
@@ -101,7 +109,7 @@ class ListCache:
         entry = self._entries.get(key)
         if entry is not None:
             ref, stamp = entry
-            lists = getattr(tree, "_cached_lists", None)
+            lists = getattr(tree, "_cached_lists", {}).get(self._slot)
             if ref() is tree and stamp == tree.structure_generation and lists is not None:
                 self.hits += 1
                 if self._m_hits is not None:
@@ -115,7 +123,7 @@ class ListCache:
         self.builds += 1
         if self._m_builds is not None:
             self._m_builds.inc()
-        tree._cached_lists = lists
+        vars(tree).setdefault("_cached_lists", {})[self._slot] = lists
         self._entries[key] = (
             weakref.ref(tree, lambda _ref, k=key: self._entries.pop(k, None)),
             tree.structure_generation,
@@ -130,5 +138,5 @@ class ListCache:
         for ref, _stamp in self._entries.values():
             tree = ref()
             if tree is not None:
-                tree._cached_lists = None
+                tree._cached_lists.pop(self._slot, None)
         self._entries.clear()

@@ -27,16 +27,16 @@ from colleagues) as a *batched frontier* — all candidate pairs of a round
 are classified with one broadcast overlap test instead of a Python
 predicate per pair — and hands back one :class:`PairTable` per list
 family: ``(owner, value)`` node-id pairs, owner-grouped in the order the
-dict attributes always had.  The far-field geometry, the near-field plan
-and :meth:`InteractionLists.op_counts` gather from the tables; the
-``{node id: [node ids]}`` dicts are *views* boxed from them on first read,
-for the readers that want Python objects (the modelled machine:
-:mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`, :mod:`repro.cluster`,
-the fine-grained optimizer).  A tree whose shape changed
-gets a fresh build (:class:`~repro.tree.cache.ListCache`); lists are never
-edited in place, and the pair tables are their one source.  The original
-per-pair construction is the test-side oracle ``tests/oracles/lists.py``,
-which hands its dicts in as tables too.
+dict attributes always had.  The far-field geometry, the near-field plan,
+:meth:`InteractionLists.op_counts` and the modelled machine's task graph
+and GPU work (:mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`)
+gather from the tables; the ``{node id: [node ids]}`` dicts are *views*
+boxed from them on first read, for the readers that want Python objects
+(:mod:`repro.cluster`, the fine-grained optimizer).  A tree whose shape
+changed gets a fresh build (:class:`~repro.tree.cache.ListCache`); lists
+are never edited in place, and the pair tables are their one source.  The
+original per-pair construction is the test-side oracle
+``tests/oracles/lists.py``, which hands its dicts in as tables too.
 """
 
 from __future__ import annotations
@@ -98,12 +98,13 @@ class InteractionLists:
 
     A build's product is one :class:`PairTable` per family (:meth:`table`);
     the array consumers — far-field geometry, near-field plan,
-    :meth:`op_counts` — gather from those.  The four dict attributes
-    (per-node lists keyed by node id, only effective nodes appear;
-    ``u_list`` / ``near_sources`` hold leaves only, the latter including
-    the leaf itself) are *views*, boxed from the tables on first
-    read, for the modelled machine.  A lists object is never changed once
-    built: the tables are its one source, and nothing writes a view.
+    :meth:`op_counts`, the modelled machine — gather from those.  The four
+    dict attributes (per-node lists keyed by node id, only effective nodes
+    appear; ``u_list`` / ``near_sources`` hold leaves only, the latter
+    including the leaf itself) are *views*, boxed from the tables on first
+    read, for the cluster model and the fine-grained optimizer.  A lists
+    object is never changed once built: the tables are its one source, and
+    nothing writes a view.
     """
 
     colleagues = _dict_view("colleagues")

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.geometry.box import Box, bounding_box
 from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton, morton_keys
+from repro.util.arrays import stable_key_order
 
 __all__ = ["OctreeNode", "AdaptiveOctree", "NodeTable", "build_adaptive"]
 
@@ -168,6 +169,8 @@ class AdaptiveOctree:
         self.structure_generation = 0
         #: the memoized :meth:`node_table`
         self._node_table: NodeTable | None = None
+        #: the memoized :meth:`_key_spans`, with its shape stamp
+        self._spans: tuple[int, np.ndarray] | None = None
         self.root_box = root_box if root_box is not None else bounding_box(pts)
         if not bool(self.root_box.contains(pts).all()):
             raise ValueError("root_box does not contain all points")
@@ -193,8 +196,7 @@ class AdaptiveOctree:
     # ------------------------------------------------------------- building
     def _sort_bodies(self) -> None:
         keys = morton_keys(self.points, self.root_box.low, self.root_box.size)
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
+        self.order, self.sorted_keys = stable_key_order(keys)
         self._bump()
 
     def _build_root(self) -> None:
@@ -497,23 +499,46 @@ class AdaptiveOctree:
         Bodies are re-sorted by Morton key and every node's range is
         recomputed from its key span; the tree *shape* is untouched (this is
         what lets strategy 1 of §IX-A run with a frozen tree while bodies
-        migrate between leaves).
+        migrate between leaves).  One ``searchsorted`` over every node's
+        key span gives all the ranges at once.
         """
         if not bool(self.root_box.contains(self.points).all()):
             raise ValueError("points left the root box; rebuild the tree instead")
         self._sort_bodies()
-        for node in self.nodes:
-            node.lo = int(np.searchsorted(self.sorted_keys, node.key_lo, side="left"))
-            node.hi = int(np.searchsorted(self.sorted_keys, node.key_hi, side="left"))
+        spans = self._key_spans()
+        bounds = np.searchsorted(self.sorted_keys, spans, side="left")
+        n_nodes = len(self.nodes)
+        for node, lo, hi in zip(self.nodes, bounds[:n_nodes].tolist(), bounds[n_nodes:].tolist()):
+            node.lo = lo
+            node.hi = hi
         # bodies may have drifted into octants that were empty (pruned) at
         # build time; give every effective internal node full coverage
         # (a shape change: the next list lookup rebuilds)
-        for nid in self.effective_nodes():
-            node = self.nodes[nid]
-            if not node.is_leaf:
-                covered = sum(self.nodes[c].count for c in node.children or [])
-                if covered != node.count:
-                    self._materialize_missing_children(nid)
+        tab = self.node_table()
+        counts = tab.counts
+        children = np.nonzero(tab.parent_row >= 0)[0]
+        covered = np.bincount(
+            tab.parent_row[children], weights=counts[children], minlength=counts.size
+        )
+        short = ~tab.is_leaf & (covered != counts)
+        for nid in tab.ids[short].tolist():
+            self._materialize_missing_children(nid)
+
+    def _key_spans(self) -> np.ndarray:
+        """Every node's ``key_lo`` then every node's ``key_hi``, one array.
+
+        A node's key span never changes, and every node allocation bumps
+        ``structure_generation``, so the array is memoized on that stamp.
+        """
+        memo = self._spans
+        if memo is not None and memo[0] == self.structure_generation:
+            return memo[1]
+        nodes = self.nodes
+        spans = np.concatenate(
+            (_column(nodes, "key_lo", np.uint64), _column(nodes, "key_hi", np.uint64))
+        )
+        self._spans = (self.structure_generation, spans)
+        return spans
 
     # ------------------------------------------------------------ statistics
     def leaf_counts(self) -> np.ndarray:

@@ -6,7 +6,13 @@ import functools
 
 import numpy as np
 
-__all__ = ["csr_ptr", "frozen_cache", "segment_positions", "stable_argsort"]
+__all__ = [
+    "csr_ptr",
+    "frozen_cache",
+    "segment_positions",
+    "stable_argsort",
+    "stable_key_order",
+]
 
 
 def frozen_cache(fn):
@@ -63,3 +69,32 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     if bound <= 1 << 16:
         keys = keys.astype(np.uint16)
     return np.argsort(keys, kind="stable")
+
+
+def stable_key_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` and the sorted keys, by way of the
+    unstable sort.
+
+    For 64-bit keys NumPy's stable sort is a merge sort, 4-5x slower than
+    its default one.  The two differ only in the order of equal keys, which
+    the stable sort leaves by index: so sort unstably, then re-sort by index
+    just the runs of equal keys.  A run's members keep their positions; a
+    key of ``run * n + index`` sorts all runs at once, since the runs'
+    ranks only grow along the sorted order.
+    """
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    tie = sorted_keys[1:] == sorted_keys[:-1]
+    if not tie.any():
+        return order, sorted_keys
+    n = order.size
+    in_run = np.zeros(n, dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    starts = in_run.copy()
+    starts[1:] &= ~tie
+    run = (np.cumsum(starts) - 1)[in_run] * n
+    ranked = order[in_run] + run
+    ranked.sort()
+    order[in_run] = ranked - run
+    return order, sorted_keys

@@ -196,6 +196,23 @@ def test_cache_distinguishes_trees_and_drops_dead_entries():
     assert len(cache) == 1  # weakref callback evicted the dead tree
 
 
+def test_two_caches_over_one_tree_keep_their_own_lists():
+    """Each cache parks its lists in its own slot on the tree: a lookup
+    never answers with another cache's lists or operator store."""
+    from repro.distributions import plummer
+
+    tree = AdaptiveOctree(plummer(800, seed=5).positions, S=24)
+    a, b = ListCache(), ListCache()
+    la, lb = a.get(tree), b.get(tree)
+    assert la is not lb
+    assert a.get(tree) is la and b.get(tree) is lb
+    assert la.operator_store is a.operators and lb.operator_store is b.operators
+    assert (a.hits, a.builds) == (1, 1) and (b.hits, b.builds) == (1, 1)
+    a.clear()  # drops a's slot only
+    assert b.get(tree) is lb and (b.hits, b.builds) == (2, 1)
+    assert a.get(tree) is not la and (a.hits, a.builds) == (1, 2)
+
+
 # ------------------------------------------------------------ derived data
 def test_op_counts_memoized_and_refit_invalidated():
     tree = _tree()

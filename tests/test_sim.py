@@ -149,6 +149,61 @@ class TestSimulation:
         post = [s for st, s in zip(states, s_vals) if st != "search"]
         assert len(set(post)) <= 1
 
+    def test_one_refit_per_frozen_shape_step(self, monkeypatch):
+        """The post-drift refit fits the tree to the positions the next
+        step starts from, so a frozen-shape step refits once, not twice."""
+        from repro.tree import AdaptiveOctree
+
+        ps = compact_plummer(300, seed=3, total_mass=1.0, velocity_scale=1.5)
+        sim = Simulation(ps, GravityKernel(G=1.0, softening=1e-3), system_a(),
+                         config=self._config(strategy="static", forces="fmm"))
+        sim.run(15)
+        assert sim.balancer._frozen
+        tree = sim.tree
+        calls = []
+        refit = AdaptiveOctree.refit
+
+        def counted(self):
+            calls.append(self)
+            return refit(self)
+
+        monkeypatch.setattr(AdaptiveOctree, "refit", counted)
+        sim.run(6)
+        assert sim.tree is tree  # no rebuild: the balancer is frozen
+        assert len(calls) == 6
+
+    def test_skipped_refit_is_bitwise_a_forced_one(self):
+        """Skipping the pre-step refit changes no bit: the event log, the
+        balancer's decisions, positions and velocities equal a run that
+        refits at the top of every step, through the S search, rebuilds
+        and surgery."""
+
+        def run(force):
+            ps = compact_plummer(600, seed=4, velocity_scale=1.5)
+            sim = Simulation(ps, GravityKernel(G=1.0),
+                             system_a().with_resources(n_cores=10, n_gpus=4),
+                             config=SimulationConfig(
+                                 dt=1e-4, order=3, strategy="full", n_workers=1,
+                                 balancer=BalancerConfig(gap_threshold_frac=0.15)))
+            if force:
+                ensure = sim._ensure_tree
+
+                def forced():
+                    sim._fitted_generation = None
+                    ensure()
+
+                sim._ensure_tree = forced
+            with sim:
+                sim.run(18)
+            return sim
+
+        a, b = run(False), run(True)
+        assert [r.fields for r in a.log] == [r.fields for r in b.log]
+        assert a.balancer.decisions == b.balancer.decisions
+        assert np.array_equal(a.particles.positions, b.particles.positions)
+        assert np.array_equal(a.particles.velocities, b.particles.velocities)
+        assert len({d["S"] for d in a.balancer.decisions}) > 1  # the search moved S
+
     def test_energy_sane_over_short_run(self):
         # total energy drift stays small over a short virialized run
         ps = plummer(300, seed=4, total_mass=1.0)

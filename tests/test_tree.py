@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributions import gaussian_blobs, plummer, uniform_cube
-from repro.geometry import Box
-from repro.geometry.morton import decode_morton
+from repro.geometry import Box, bounding_box
+from repro.geometry.morton import decode_morton, morton_keys
 from repro.tree import AdaptiveOctree, build_adaptive, build_uniform, uniform_depth_for
+from repro.util.arrays import stable_key_order
 from tests.clouds import CLOUDS
 
 
@@ -229,6 +230,55 @@ class TestRefit:
         assert after == shape_before
         for n in tree.nodes[len(shape_before) :]:
             assert n.is_leaf and not n.hidden
+
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_stable_key_order_is_the_stable_argsort(self, name):
+        """The unstable sort with its tie runs re-sorted by index gives
+        ``kind="stable"``'s permutation — the coincident cloud is all ties."""
+        pts, _S = CLOUDS[name](seed=4)
+        box = bounding_box(pts)
+        keys = morton_keys(pts, box.low, box.size)
+        order, sorted_keys = stable_key_order(keys)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(sorted_keys, keys[order])
+        if name == "coincident":
+            assert np.unique(keys).size < keys.size
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_refit_is_the_per_node_refit(self, name):
+        """Ranges from one ``searchsorted`` over every key span and coverage
+        from the node table: every node — hidden ones, and the children a
+        refit materializes — equals the per-node loop's, field for field."""
+        pts, S = CLOUDS[name](seed=6)
+        trees = [cls(pts, S=S) for cls in (AdaptiveOctree, _PerNodeRefitOctree)]
+        rng = np.random.default_rng(2)
+        moved = pts + rng.normal(scale=0.05 * np.ptp(pts), size=pts.shape)
+        for tree in trees:
+            internal = [n for n in tree.effective_nodes() if not tree.nodes[n].is_leaf]
+            if len(internal) > 1:
+                tree.collapse(internal[-1])  # a hidden subtree to refit too
+            tree.points = np.clip(moved, tree.root_box.low, tree.root_box.high)
+            tree.refit()
+        assert _node_fields(trees[0]) == _node_fields(trees[1])
+        _assert_table_is_the_walk(trees[0])
+
+
+class _PerNodeRefitOctree(AdaptiveOctree):
+    """Refit the way the one ``searchsorted`` replaced: two per node, and
+    coverage summed over each internal node's children."""
+
+    def refit(self):
+        self._sort_bodies()
+        for node in self.nodes:
+            node.lo = int(np.searchsorted(self.sorted_keys, node.key_lo, side="left"))
+            node.hi = int(np.searchsorted(self.sorted_keys, node.key_hi, side="left"))
+        for nid in self.effective_nodes():
+            node = self.nodes[nid]
+            if not node.is_leaf:
+                covered = sum(self.nodes[c].count for c in node.children or [])
+                if covered != node.count:
+                    self._materialize_missing_children(nid)
 
 
 class _ChildAtATimeOctree(AdaptiveOctree):
