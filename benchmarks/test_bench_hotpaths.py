@@ -65,6 +65,13 @@ Claims asserted at benchmark scale:
   (``tests/oracles/machine.py``) on compact Plummer 2k at S = 64 on
   System A (10 cores, 4 GPUs) and GPU-less System B, timed alternately in
   one process, every figure equal;
+* the cold path is built level by level: on uniform 10k, S = 8, the tree
+  build (nodes and node table) takes <= 1/1.5 the time of the depth-first
+  build it replaced (``tests/oracles/tree.py``), timed alternately in one
+  process, node for node equal; the list build beside the batched
+  frontier (``tests/oracles/lists.py``) and the order-6 operator set
+  beside its per-displacement assembly (``tests/oracles/expansions.py``)
+  are printed, not gated;
 * a frozen-shape far-field re-solve performs zero geometry rebuilds (its
   wall time is printed beside the geometry counts; the
   batched-vs-scalar-oracle equivalence is property-tested in
@@ -92,6 +99,7 @@ from repro.distributions.generators import (
     uniform_cube,
 )
 from repro.expansions.cartesian import CartesianExpansion
+from repro.expansions.operators import OperatorSet
 from repro.fmm import farfield
 from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import FarFieldPass, far_field_geometry, laplace_far_field
@@ -105,9 +113,14 @@ from repro.tree import AdaptiveOctree, build_interaction_lists
 from repro.tree.lists import FAMILIES
 from repro.util.timing import Deadline
 from tests.oracles import machine as machine_oracle
-from tests.oracles.lists import build_interaction_lists_scalar
+from tests.oracles.expansions import operator_set_per_displacement
+from tests.oracles.lists import (
+    build_interaction_lists_frontier,
+    build_interaction_lists_scalar,
+)
 from tests.oracles.m2l import displacement_classes, m2l_locals
 from tests.oracles.shifts import l2l_locals, m2m_multipoles, shift_classes
+from tests.oracles.tree import RecursiveOctree
 
 
 def _best_time(fn, rounds):
@@ -715,6 +728,45 @@ def test_bench_modeled_step_vs_oracle(benchmark):
         )
         assert ratio <= 0.5, f"modeled step {ratio:.2f}x the per-node oracle on {name}"
     benchmark.pedantic(step["shipped"], rounds=3, iterations=1)
+
+
+def test_bench_cold_construction(benchmark):
+    """The level-by-level tree build >= 1.5x the depth-first one; the list
+    build and the operator set printed beside their oracles."""
+    pts = uniform_cube(10_000, seed=0).positions
+    tree = AdaptiveOctree(pts, S=8)
+    ref = RecursiveOctree(pts, S=8)
+    fields = "id level parent children lo hi key_lo key_hi size is_leaf hidden".split()
+    assert all(
+        [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        and a.center.tobytes() == b.center.tobytes()
+        for a, b in zip(tree.nodes, ref.nodes)
+    ) and len(tree.nodes) == len(ref.nodes)
+    exp, h = CartesianExpansion(6), tree.root_box.size
+    stages = {  # shipped, oracle, alternating rounds
+        "tree": (lambda: AdaptiveOctree(pts, S=8),
+                 lambda: RecursiveOctree(pts, S=8).node_table(), 9),
+        "lists": (lambda: build_interaction_lists(tree),
+                  lambda: build_interaction_lists_frontier(tree), 9),
+        "operator set": (lambda: OperatorSet.build(exp, h),
+                         lambda: operator_set_per_displacement(exp, h), 2),
+    }
+    best = {}
+    for stage, (shipped, oracle, rounds) in stages.items():
+        for _ in range(rounds):  # alternating: host drift hits both sides alike
+            for side, fn in (("shipped", shipped), ("oracle", oracle)):
+                t = _best_time(fn, rounds=1)
+                best[stage, side] = min(best.get((stage, side), t), t)
+    print()
+    for stage in stages:
+        new, old = best[stage, "shipped"], best[stage, "oracle"]
+        print(
+            f"cold {stage}, uniform 10k S=8 order 6: shipped {new * 1e3:.1f} ms, "
+            f"oracle {old * 1e3:.1f} ms -> {old / new:.2f}x"
+        )
+    speedup = best["tree", "oracle"] / best["tree", "shipped"]
+    assert speedup >= 1.5, f"level-by-level tree build only {speedup:.2f}x the depth-first one"
+    benchmark.pedantic(stages["tree"][0], rounds=3, iterations=1)
 
 
 def test_bench_far_field(benchmark):

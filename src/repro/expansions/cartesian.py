@@ -106,22 +106,24 @@ class CartesianExpansion:
     def l2l_class_operator(self, shift: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(self.mis.l2l_matrix(np.asarray(shift, dtype=float)).T)
 
-    def m2l_class_operators(self, displacements: np.ndarray) -> list[np.ndarray]:
-        """M2L core per displacement row: A_i[a, b] = C[a, b] * B[i, idx[a, b]]
-        for a, b in ``keep`` — ``((order+1)^2, (order+1)^2)``, applied as
-        ``(M @ R)[src] @ A_i`` (see the module docstring).
+    def m2l_class_operators(self, displacements: np.ndarray) -> np.ndarray:
+        """M2L cores, one per displacement row, stacked ``(m, w, w)``:
+        A_i[a, b] = C[a, b] * B[i, idx[a, b]] for a, b in ``keep`` —
+        ``w = (order+1)^2``, applied as ``(M @ R)[src] @ A_i`` (see the
+        module docstring).
 
         One derivative-tensor recurrence over the whole ``(m, 3)`` batch
         (elementwise in ``m``, so row ``i`` equals a single-displacement
-        build bitwise), then one gather per row — each operator owns its
-        memory, as a byte-budgeted operator cache requires.
+        build bitwise), then one gather of every row.
         """
         keep = self.mis.harmonic_tables()[0]
         idx, coef = (t[np.ix_(keep, keep)] for t in self.mis.m2l_tables())
         B = scaled_derivative_tensors(
             np.asarray(displacements, dtype=float).reshape(-1, 3), 2 * self.order
         )
-        return [row[idx] * coef for row in B]
+        cores = np.take(B, idx, axis=1)
+        cores *= coef
+        return cores
 
     def l2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:
         """Matrices A_k turning locals into per-axis derivative coefficient

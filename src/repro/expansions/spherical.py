@@ -211,24 +211,23 @@ class SphericalExpansion:
         np.add.at(A, (in_idx, out_idx), Rt[r_idx])
         return A
 
-    def m2l_class_operators(self, displacements) -> list[np.ndarray]:
-        """Dense row-applied M2L per displacement row ``z - c``.
+    def m2l_class_operators(self, displacements) -> np.ndarray:
+        """Dense row-applied M2L per displacement row ``z - c``, stacked
+        ``(m, nc, nc)``.
 
         One irregular-harmonic table over the whole ``(m, 3)`` batch
         (elementwise in ``m``: row ``i`` equals a single-displacement
-        build bitwise), then the addition-theorem scatter per row into an
-        operator that owns its memory.
+        build bitwise), then one addition-theorem scatter of every row: the
+        table's ``(in, out)`` cells are distinct, so the ``+=`` adds each
+        term to a zero once, as ``np.add.at`` would.
         """
         D = np.asarray(displacements, dtype=float).reshape(-1, 3)
         if not D.any(axis=1).all():
             raise ValueError("zero displacement passed to M2L operator assembly")
         I = _irregular_table(D, 2 * self.order)
         out_idx, in_idx, i_idx, sign = self._m2l_table
-        ops = []
-        for row in I:
-            A = np.zeros((self.n_coeffs, self.n_coeffs), dtype=complex)
-            np.add.at(A, (in_idx, out_idx), sign * row[i_idx])
-            ops.append(A)
+        ops = np.zeros((D.shape[0], self.n_coeffs, self.n_coeffs), dtype=complex)
+        ops[:, in_idx, out_idx] += sign * I[:, i_idx]
         return ops
 
     def l2p_gradient_matrices(self) -> tuple[np.ndarray, ...]:

@@ -357,7 +357,7 @@ def far_field_geometry(
             m2l_classes=m2l_classes,
             n_shifts=int(child_rows.size),
             # the cost-model unit stays the V pair
-            n_m2l=int(lists.table("v_list").values.size),
+            n_m2l=lists.n_pairs("v_list"),
             octet_rows=np.tile(split_rows, 2),
             child_rows=child_rows,
             child_slots=np.stack((slot, slot + 8 * n_split + 7 - 2 * octant)),

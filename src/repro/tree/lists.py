@@ -16,32 +16,31 @@ descendants become P2P sources of b and b a P2P source of each of them,
 so the near field (``near_sources``) is pure leaf-leaf pairs and the far
 field pure M2L, at the cost of extra direct interactions.
 
-Adjacency is decided in exact integer (Morton grid) arithmetic, so lists
-are immune to floating-point drift from repeated box halving.
-
-Construction is fully vectorized and arrays all the way: the builder
-reads the tree's :class:`~repro.tree.octree.NodeTable` (per-node integer
-AABBs in one ``(n_eff, 6)`` int64 array), runs every traversal
-(colleague/V split per level, the U descent from the root, the W descent
-from colleagues) as a *batched frontier* — all candidate pairs of a round
-are classified with one broadcast overlap test instead of a Python
-predicate per pair — and hands back one :class:`PairTable` per list
-family: ``(owner, value)`` node-id pairs, owner-grouped in the order the
-dict attributes always had.  The far-field geometry, the near-field plan,
-:meth:`InteractionLists.op_counts` and the modelled machine's task graph
-and GPU work (:mod:`repro.runtime.tasks`, :mod:`repro.gpu.partition`)
-gather from the tables; the ``{node id: [node ids]}`` dicts are *views*
-boxed from them on first read, for the readers that want Python objects
-(:mod:`repro.cluster`, the fine-grained optimizer).  A tree whose shape
-changed gets a fresh build (:class:`~repro.tree.cache.ListCache`); lists
-are never edited in place, and the pair tables are their one source.  The
-original per-pair construction is the test-side oracle
-``tests/oracles/lists.py``, which hands its dicts in as tables too.
+The builder reads the tree's :class:`~repro.tree.octree.NodeTable` and
+decides adjacency in exact integer (Morton grid) arithmetic, immune to
+drift from repeated box halving.  It works level by level (Goude &
+Engblom): a child's colleagues are read off a fixed 27-offset x 8-octant
+table from its parent's colleagues, and V is counted then but listed only
+when something reads it (:class:`DeferredTable`: a one-shot solve wants
+the count alone).  U and W come from one batched frontier below the
+leaves' colleagues, every candidate pair of a round classified by one
+broadcast overlap test.  Each family is a :class:`PairTable` of
+``(owner, value)`` node ids, owner-grouped in the order the dict views
+always had; the far-field geometry, the near-field plan,
+:meth:`InteractionLists.op_counts` and the modelled machine gather from
+the tables, and the ``{node id: [node ids]}`` dicts are *views* boxed on
+first read (:mod:`repro.cluster`, the fine-grained optimizer).  A tree
+whose shape changed gets a fresh build (:class:`~repro.tree.cache.ListCache`);
+lists are never edited in place.  The per-pair construction and the
+batched-frontier builder this one replaced are the test-side oracles in
+``tests/oracles/lists.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from repro.geometry.morton import MAX_MORTON_LEVEL
 from repro.tree.octree import AdaptiveOctree, NodeTable
 from repro.util.arrays import csr_ptr, segment_positions, stable_argsort
 
-__all__ = ["FAMILIES", "InteractionLists", "PairTable", "build_interaction_lists"]
+__all__ = ["FAMILIES", "DeferredTable", "InteractionLists", "PairTable", "build_interaction_lists"]
 
 
 #: the list families, in the order a build produces them
@@ -83,11 +82,20 @@ class PairTable:
         }
 
 
+@dataclass(frozen=True)
+class DeferredTable:
+    """A family with known keys and counts whose values ``derive()`` lists."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    derive: Callable[[], np.ndarray]
+
+
 def _dict_view(name: str) -> property:
     def get(self) -> dict[int, list[int]]:
         view = self._views.get(name)
         if view is None:
-            view = self._views[name] = self._tables[name].to_dict()
+            view = self._views[name] = self.table(name).to_dict()
         return view
 
     return property(get, doc=f"``{name}`` as ``{{owner id: [ids]}}`` (lazy view).")
@@ -112,7 +120,7 @@ class InteractionLists:
     u_list = _dict_view("u_list")
     near_sources = _dict_view("near_sources")
 
-    def __init__(self, tree: AdaptiveOctree, tables: dict[str, PairTable]) -> None:
+    def __init__(self, tree: AdaptiveOctree, tables: dict[str, PairTable | DeferredTable]):
         self.tree = tree
         self._tables = dict(tables)
         self._views: dict[str, dict] = {}
@@ -124,8 +132,20 @@ class InteractionLists:
 
     # --------------------------------------------------------------- tables
     def table(self, name: str) -> PairTable:
-        """The :class:`PairTable` of family ``name``."""
-        return self._tables[name]
+        """The :class:`PairTable` of family ``name``; a deferred family's
+        values are derived on this first read and kept."""
+        t = self._tables[name]
+        if isinstance(t, DeferredTable):
+            t = self._tables[name] = PairTable(t.keys, t.counts, t.derive())
+        return t
+
+    def listed(self, name: str) -> bool:
+        """Whether family ``name``'s values exist (not deferred, or read)."""
+        return isinstance(self._tables[name], PairTable)
+
+    def n_pairs(self, name: str) -> int:
+        """Pairs in family ``name``, without deriving a deferred one."""
+        return int(self._tables[name].counts.sum())
 
     def materialized(self, name: str) -> bool:
         """Whether the dict view of family ``name`` has been boxed."""
@@ -195,7 +215,7 @@ class InteractionLists:
         counts = {
             "P2M": n_bodies_in_leaves,
             "M2M": n_shifts,
-            "M2L": int(self.table("v_list").values.size),
+            "M2L": self.n_pairs("v_list"),
             "L2L": n_shifts,
             "L2P": n_bodies_in_leaves,
             "P2P": self.total_near_interactions(),
@@ -208,19 +228,14 @@ class InteractionLists:
 # --------------------------------------------------------------------------
 
 
-def _adjacency_columns(bounds: np.ndarray):
-    """Precompute the doubled-center / width columns for the touch test.
-
-    Two integer AABBs touch iff ``|c2_a - c2_b| <= w_a + w_b`` per axis,
-    where ``c2 = lo + hi`` (twice the center) and ``w = hi - lo``.  Grid
+def _adjacency_columns(cell: np.ndarray, width: np.ndarray):
+    """The touch test's per-axis columns of cells with low corners ``cell``
+    and sides ``width`` on the finest Morton grid: two cells touch iff
+    ``|c2_a - c2_b| <= w_a + w_b`` per axis, ``c2 = 2 cell + w``.  Grid
     coordinates fit in 21 bits, so int32 holds every intermediate; the
-    narrower dtype halves the gather bandwidth of the hot test.
-    """
-    c2 = (bounds[:, :3] + bounds[:, 3:]).astype(np.int32)
-    w = (bounds[:, 3:] - bounds[:, :3]).astype(np.int32)
-    return tuple(np.ascontiguousarray(c2[:, k]) for k in range(3)) + tuple(
-        np.ascontiguousarray(w[:, k]) for k in range(3)
-    )
+    narrower dtype halves the gather bandwidth."""
+    c2 = (2 * cell + width[:, None]).astype(np.int32)
+    return (*np.ascontiguousarray(c2.T), *[width.astype(np.int32)] * 3)
 
 
 def _adjacent_rows(cols, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,18 +254,7 @@ def _adjacent_rows(cols, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integer_bounds(tab: NodeTable) -> np.ndarray:
-    """Exact integer cell bounds, one ``(x0,y0,z0,x1,y1,z1)`` row per node."""
-    width = np.int64(1) << (MAX_MORTON_LEVEL - tab.level)
-    return np.concatenate((tab.cell, tab.cell + width[:, None]), axis=1)
-
-
-def _group_table(
-    owner_rows: np.ndarray,
-    value_rows: np.ndarray,
-    key_rows: np.ndarray,
-    ids: np.ndarray,
-) -> PairTable:
+def _group_table(owner_rows, value_rows, key_rows, ids) -> PairTable:
     """Group (owner, value) row pairs by owner into a :class:`PairTable`.
 
     ``key_rows`` — ascending, and holding every owner — fixes the key
@@ -262,17 +266,69 @@ def _group_table(
     return PairTable(ids[key_rows], counts, ids[value_rows[order]])
 
 
+def _octant_tables():
+    """Over row ``8 e + o`` — ``e = (E + 1) . (9, 3, 1)`` the key of a
+    colleague's offset ``E``, ``o`` a child's octant — ``touch`` sets bit
+    ``j`` where the colleague's child ``j`` touches child ``o``, and
+    ``key[8 (8 e + o) + j]`` is the key of their offset ``2E + j - o``."""
+    side = (np.arange(8)[:, None] >> np.arange(3)) & 1  # bit k of an octant: axis k
+    E = np.array(list(product((-1, 0, 1), repeat=3)))
+    F = (2 * E[:, None, None] + side - side[:, None]).reshape(216, 8, 3)
+    touch = np.packbits(np.abs(F).max(axis=2) <= 1, axis=1, bitorder="little")[:, 0]
+    return touch, (F @ np.array([9, 3, 1]) + 13).ravel()
+
+
+_TOUCH, _CHILD_KEY = _octant_tables()
+
+
+def _child_slots(parent_row, child_arr, octant):
+    """Every row's children by slot ``k``, its ``k``-th in child-list order
+    (octant order, unless a refit appended a materialized child):
+    ``(child_of, perm, to_slots)``, the child in slot ``k`` of row ``r``
+    being ``child_of[8 r + k]``, and ``to_slots[perm[r], bits]`` the slots
+    of ``r`` whose child's octant is in the octant set ``bits``."""
+    n, kids = parent_row.size, parent_row[child_arr]
+    slot = np.arange(kids.size) - csr_ptr(np.bincount(kids, minlength=n))[kids]
+    child_of = np.full(8 * n, -1, dtype=np.int64)
+    child_of[kids * 8 + slot] = child_arr
+    slot_octant = np.full((n, 8), 8, dtype=np.uint8)  # 8: an empty slot
+    slot_octant[kids, slot] = octant[child_arr]
+    codes, perm = np.unique(slot_octant.view(np.uint64)[:, 0], return_inverse=True)
+    octs = codes.view(np.uint8).reshape(-1, 1, 8).astype(np.int64)
+    to_slots = (((np.arange(256)[:, None] >> octs) & 1) << np.arange(8)).sum(axis=2)
+    return child_of, perm, to_slots.astype(np.uint8)
+
+
+def _colleague_children(touch, children, octant, rows, parent, coll):
+    """The children of each row's parent's colleagues ``Q`` (``coll``: a
+    CSR pointer, colleague rows and offset keys; read at ``parent``) whose
+    octant ``touch[8 e + o]`` holds, ``e`` ``Q``'s offset key and ``o`` the
+    row's octant: ``Q`` first, then ``Q``'s child-list order — a pool of
+    those children filtered by adjacency.  ``children`` is
+    :func:`_child_slots`; returns the children found per row, their rows
+    and their ``8 (8 e + o) + octant`` entries."""
+    (child_of, perm, to_slots), (coll_ptr, coll_vals, coll_key) = children, coll
+    pos, cnt = segment_positions(coll_ptr[parent], coll_ptr[parent + 1])
+    key, Q = coll_key[pos] * 8 + np.repeat(octant[rows], cnt), coll_vals[pos]
+    bits = to_slots[perm[Q], touch[key]]
+    # slot k of pair p is flat position 8 p + k: shift it to 8 Q + k
+    flat = np.flatnonzero(np.unpackbits(bits[:, None], axis=1, bitorder="little").view(bool))
+    pair = flat >> 3
+    cand = child_of[(8 * (Q - np.arange(pos.size)))[pair] + flat]
+    found = np.add.reduceat(np.bitwise_count(bits), csr_ptr(cnt)[:-1]).astype(np.int64)
+    return found, cand, 8 * key[pair] + octant[cand]
+
+
 def build_interaction_lists(tree: AdaptiveOctree) -> InteractionLists:
     """Construct all lists for the current effective tree (vectorized).
 
     Works in rows of the tree's :class:`~repro.tree.octree.NodeTable` and
-    hands back one :class:`PairTable` per family, owner-grouped in the dict
-    views' key order; no per-node Python object is created.
+    hands back one :class:`PairTable` per family (V deferred), owner-grouped
+    in the dict views' key order; no per-node Python object is created.
     """
     tab = tree.node_table()
     eff_arr = tab.ids
     n = eff_arr.size
-    cols = _adjacency_columns(_integer_bounds(tab))
     level, is_leaf, parent_row = tab.level, tab.is_leaf, tab.parent_row
     # effective-child CSR without per-node Python calls: the rows are a
     # preorder of the effective tree, so a stable sort of non-root rows by
@@ -282,71 +338,57 @@ def build_interaction_lists(tree: AdaptiveOctree) -> InteractionLists:
     child_arr = nz[stable_argsort(parent_row[nz], n)]
     cnt_children = np.bincount(parent_row[nz], minlength=n)
     child_lo, child_hi = csr_ptr(cnt_children)[:-1], np.cumsum(cnt_children)
+    # bit k of a child's octant is its side along axis k
+    octant = ((tab.cell >> (MAX_MORTON_LEVEL - level)[:, None]) & 1) @ np.array([1, 2, 4])
+    children = _child_slots(parent_row, child_arr, octant)
 
-    # ---------------------------------------------------- colleagues and V
-    # Level-synchronous sweep: all children of one parent share a candidate
-    # batch (children of the parent's colleagues), so each level is one
-    # flattened cross product + one broadcast adjacency test.  Colleague/V
-    # results live in one contiguous CSR per level, indexed by each row's
-    # position within its level (a node's parent is always one level up,
-    # so a parent's colleague pool is a CSR segment of the previous level).
-    root_row = 0  # preorder
-    max_level = int(level.max(initial=0))
-    lev_rows = [np.array([root_row], dtype=np.int64)]
-    lev_coll_vals = [np.array([root_row], dtype=np.int64)]
-    lev_coll_ptr = [np.array([0, 1], dtype=np.int64)]
-    lev_v_vals = [np.empty(0, dtype=np.int64)]
-    lev_v_ptr = [np.array([0, 0], dtype=np.int64)]
-    pos_in_level = np.zeros(n, dtype=np.int64)
-    for lvl in range(1, max_level + 1):
-        parents = np.unique(parent_row[np.nonzero(level == lvl)[0]])
-        # candidate pool per parent: children of the parent's colleagues
-        ptr, at = lev_coll_ptr[lvl - 1], pos_in_level[parents]
-        pos, pc_cnt = segment_positions(ptr[at], ptr[at + 1])
-        pc = lev_coll_vals[lvl - 1][pos]
-        pos, cand_cnt = segment_positions(child_lo[pc], child_hi[pc])
-        cand_pool = child_arr[pos]
-        pool_len = np.zeros(len(parents), dtype=np.int64)
-        if pc.size:
-            np.add.at(pool_len, np.repeat(np.arange(len(parents)), pc_cnt), cand_cnt)
-        # cross product: every child of parent p against p's whole pool
-        pos, k_p = segment_positions(child_lo[parents], child_hi[parents])
-        children = child_arr[pos]
-        pos_in_level[children] = np.arange(children.size, dtype=np.int64)
-        m_c = np.repeat(pool_len, k_p)  # pool size per child
-        owners = np.repeat(children, m_c)
-        pool_start = np.cumsum(pool_len) - pool_len
-        starts = np.cumsum(m_c) - m_c  # each child's segment of the flat candidates
-        # candidate j of a segment is pool entry ``pool_start[parent] + j``
-        shift = np.repeat(np.repeat(pool_start, k_p) - starts, m_c)
-        cands = cand_pool[np.arange(shift.size, dtype=np.int64) + shift]
-        adj = _adjacent_rows(cols, cands, owners)
-        # owners run in contiguous segments, so the filtered candidates
-        # stay segment-grouped: the level CSR is two masked gathers, its
-        # row lengths the per-segment hit counts
-        hits = np.concatenate(([0], np.cumsum(adj)))
-        coll_cnt = hits[starts + m_c] - hits[starts]
-        lev_rows.append(children)
-        lev_coll_vals.append(cands[adj])
-        lev_coll_ptr.append(csr_ptr(coll_cnt))
-        lev_v_vals.append(cands[~adj])
-        lev_v_ptr.append(csr_ptr(m_c - coll_cnt))
-    # colleague/V tables: level-major key order, candidate order within a row
-    owners_all = eff_arr[np.concatenate(lev_rows)]
+    # ---------------------------------------------------------- colleagues
+    # Level by level (Goude & Engblom): a child's colleagues are the
+    # touching children of its parent's colleagues, read off a fixed
+    # 27-offset x 8-octant table — no adjacency test.  A level's rows,
+    # ascending, are its Morton order and the tables' key order; ``at``
+    # is a row's position in that order.
+    by_level = stable_argsort(level, int(level.max(initial=0)) + 1)
+    level_ptr = csr_ptr(np.bincount(level))
+    at = np.empty(n, dtype=np.int64)
+    at[by_level] = np.arange(n)
+    coll_vals = [np.zeros(1, dtype=np.int64)]  # the root is its own colleague,
+    coll_key = [np.full(1, 13, dtype=np.int64)]  # at offset (0, 0, 0)
+    coll_cnt = [np.ones(1, dtype=np.int64)]
+    v_cnt = [np.zeros(1, dtype=np.int64)]
+    for lvl in range(1, level_ptr.size - 1):
+        rows = by_level[level_ptr[lvl] : level_ptr[lvl + 1]]
+        up = level_ptr[lvl - 1]  # first key position of the parents' level
+        ptr = csr_ptr(coll_cnt[-1])
+        cnt, vals, entry = _colleague_children(
+            _TOUCH, children, octant, rows, at[parent_row[rows]] - up,
+            (ptr, coll_vals[-1], coll_key[-1]),
+        )
+        # |V| = the children of the parent's colleagues, less the colleagues
+        pool = np.add.reduceat(cnt_children[coll_vals[-1]], ptr[:-1])
+        coll_vals.append(vals)
+        coll_key.append(_CHILD_KEY[entry])
+        coll_cnt.append(cnt)
+        v_cnt.append(pool[at[parent_row[rows]] - up] - cnt)
+    owners = eff_arr[by_level]
+    coll_cnt, coll_vals, coll_key = map(np.concatenate, (coll_cnt, coll_vals, coll_key))
+    coll = (csr_ptr(coll_cnt), coll_vals, coll_key)
+
+    def v_values() -> np.ndarray:
+        # the children of the parent's colleagues that do not touch
+        rows = by_level[1:]
+        _, vals, _ = _colleague_children(
+            ~_TOUCH, children, octant, rows, at[parent_row[rows]], coll
+        )
+        return eff_arr[vals]
+
     tables = {
-        "colleagues": PairTable(
-            owners_all,
-            np.concatenate([np.diff(p) for p in lev_coll_ptr]),
-            eff_arr[np.concatenate(lev_coll_vals)],
-        ),
-        "v_list": PairTable(
-            owners_all,
-            np.concatenate([np.diff(p) for p in lev_v_ptr]),
-            eff_arr[np.concatenate(lev_v_vals)],
-        ),
+        "colleagues": PairTable(owners, coll_cnt, eff_arr[coll_vals]),
+        "v_list": DeferredTable(owners, np.concatenate(v_cnt), v_values),
     }
 
     leaf_rows = np.nonzero(is_leaf)[0]
+    cols = _adjacency_columns(tab.cell, np.int64(1) << (MAX_MORTON_LEVEL - level))
 
     # ------------------------------------------------- U list and W pairs
     # One shared frontier serves both.  An adjacent leaf l of leaf b is
@@ -358,25 +400,14 @@ def build_interaction_lists(tree: AdaptiveOctree) -> InteractionLists:
     # adjacent leaf -> deeper U partner (recorded in both directions),
     # adjacent internal -> descend.  This halves the adjacency tests of the classical
     # per-leaf root descent: every unordered U pair is tested once.
-    u_own: list[np.ndarray] = []
-    u_val: list[np.ndarray] = []
-    sc_parts: list[np.ndarray] = []
-    sc_own_parts: list[np.ndarray] = []
-    for lvl in range(max_level + 1):
-        lrows = lev_rows[lvl][is_leaf[lev_rows[lvl]]]
-        if not lrows.size:
-            continue
-        ptr, at = lev_coll_ptr[lvl], pos_in_level[lrows]
-        pos, ccnt = segment_positions(ptr[at], ptr[at + 1])
-        cvals = lev_coll_vals[lvl][pos]
-        cown = np.repeat(lrows, ccnt)
-        leaf_coll = is_leaf[cvals]  # same-level adjacent leaves, incl. self
-        u_own.append(cown[leaf_coll])
-        u_val.append(cvals[leaf_coll])
-        sc_parts.append(cvals[~leaf_coll])
-        sc_own_parts.append(cown[~leaf_coll])
-    sc = np.concatenate(sc_parts) if sc_parts else np.empty(0, dtype=np.int64)
-    sc_own = np.concatenate(sc_own_parts) if sc_own_parts else np.empty(0, dtype=np.int64)
+    lrows = by_level[is_leaf[by_level]]
+    pos, ccnt = segment_positions(coll[0][at[lrows]], coll[0][at[lrows] + 1])
+    cvals = coll_vals[pos]
+    cown = np.repeat(lrows, ccnt)
+    leaf_coll = is_leaf[cvals]  # same-level adjacent leaves, incl. self
+    u_own = [cown[leaf_coll]]
+    u_val = [cvals[leaf_coll]]
+    sc, sc_own = cvals[~leaf_coll], cown[~leaf_coll]
     pos, cnt = segment_positions(child_lo[sc], child_hi[sc])
     cand = child_arr[pos]
     own = np.repeat(sc_own, cnt)

@@ -4,10 +4,11 @@ Bodies are sorted once by 63-bit Morton key; every octree cell then owns a
 *contiguous range* of the sorted order, so splitting a node, counting its
 bodies, and refitting the tree after bodies move are all O(log n)
 searchsorted operations — the vectorized analog of the paper's recursive
-parallel partition (§III-B).  A node's children are allocated in one batch
-(one ``searchsorted`` of the nine octant edges over the node's own key
-slice); the build stays depth-first, because node ids order every
-near-field source set and hence the P2P summation.
+parallel partition (§III-B).  The build runs level by level (Goude &
+Engblom), one ``searchsorted`` per level, yet numbers the nodes as a
+depth-first build allocates them — node ids order every near-field source
+set and hence the P2P summation.  Surgery allocates one node's children
+at a time (:meth:`AdaptiveOctree._make_children`).
 
 The tree is a list of :class:`OctreeNode` objects for surgery and for the
 modelled machine, and — for everything that computes — a
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.geometry.box import Box, bounding_box
 from repro.geometry.morton import MAX_MORTON_LEVEL, decode_morton, morton_keys
-from repro.util.arrays import stable_key_order
+from repro.util.arrays import csr_ptr, stable_key_order
 
 __all__ = ["OctreeNode", "AdaptiveOctree", "NodeTable", "build_adaptive"]
 
@@ -48,6 +49,9 @@ _OCTANT_EDGES = np.arange(9, dtype=np.uint64)
 _OCTANT_SIGNS = np.array(
     [[1.0 if octant >> k & 1 else -1.0 for k in range(3)] for octant in range(8)]
 )
+#: the node-table columns read off the nodes, in ``AdaptiveOctree._set_table`` order
+_TABLE_COLUMNS = (("parent", np.int64), ("level", np.int64), ("is_leaf", bool),
+                  ("key_lo", np.uint64))
 
 
 @dataclass
@@ -125,8 +129,7 @@ class AdaptiveOctree:
         max_level: int = MAX_MORTON_LEVEL - 1,
     ) -> None:
         self._init_state(points, S, root_box, max_level)
-        self._build_root()
-        self._split_recursive(0)
+        self._build_levels()
 
     @classmethod
     def from_nodes(
@@ -199,28 +202,76 @@ class AdaptiveOctree:
         self.order, self.sorted_keys = stable_key_order(keys)
         self._bump()
 
-    def _build_root(self) -> None:
-        self.nodes.clear()
-        root = OctreeNode(
-            id=0,
-            level=0,
-            center=self.root_box.center_array(),
-            size=self.root_box.size,
-            parent=-1,
-            key_lo=np.uint64(0),
-            key_hi=np.uint64(1) << np.uint64(3 * MAX_MORTON_LEVEL),
-            lo=0,
-            hi=self.points.shape[0],
-        )
-        self.nodes.append(root)
+    def _split_mask(self, level: int, counts: np.ndarray) -> np.ndarray:
+        """Which nodes of ``level`` holding ``counts`` bodies split."""
+        return (counts > self.S) & (level < self.max_level)
 
-    def _make_children(self, nid: int) -> list[int]:
-        """Allocate the (nonempty) children of node ``nid``, all at once.
+    def _build_levels(self) -> None:
+        """Build the tree level by level, then its nodes and node table.
+
+        A level is arrays in Morton order, ``g`` numbering the nodes level
+        by level.  Ranges, key spans and centres are bit for bit one
+        :meth:`_make_children` per split node's, and the ids a depth-first
+        build's: its stack pops the split nodes in reverse-octant preorder
+        (descending ``key_hi``, parents first), each taking the next ids.
+        """
+        n, box = self.points.shape[0], self.root_box
+        klo, khi = [np.zeros(1, np.uint64)], [np.array([1 << 3 * MAX_MORTON_LEVEL], np.uint64)]
+        lo, hi, parent = [np.zeros(1, np.int64)], [np.array([n])], [np.array([-1])]
+        centers, sizes, split = [box.center_array()[None, :]], [box.size], []
+        while True:
+            split.append(self._split_mask(len(split), hi[-1] - lo[-1]))
+            s = np.nonzero(split[-1])[0]
+            if not s.size:
+                break
+            span = (khi[-1][s] - klo[-1][s]) >> np.uint64(3)
+            edges = klo[-1][s, None] + _OCTANT_EDGES * span[:, None]
+            cuts = np.searchsorted(self.sorted_keys, edges, side="left")
+            keep = cuts[:, 1:] > cuts[:, :-1]  # prune empty octants
+            klo.append(edges[:, :-1][keep])
+            khi.append(edges[:, 1:][keep])
+            lo.append(cuts[:, :-1][keep])
+            hi.append(cuts[:, 1:][keep])
+            offsets = _OCTANT_SIGNS * (sizes[-1] / 4.0)
+            centers.append((centers[-1][s, None, :] + offsets)[keep])
+            sizes.append(sizes[-1] / 2.0)
+            parent.append(np.repeat(s + sum(map(len, split[:-1])), keep.sum(axis=1)))
+        level = np.repeat(np.arange(len(klo)), list(map(len, klo)))
+        klo, khi, lo, hi, centers, parent, split = map(
+            np.concatenate, (klo, khi, lo, hi, centers, parent, split)
+        )
+        # children (g >= 1) are grouped by parent in ascending g: one
+        # cumulative sum in pop order gives each split node its first id
+        kids = np.bincount(parent[1:], minlength=klo.size)
+        popped = np.lexsort((level, ~khi))
+        popped = popped[split[popped]]
+        first = np.zeros_like(kids)
+        first[popped] = 1 + csr_ptr(kids[popped])[:-1]
+        ids = np.zeros_like(kids)
+        ids[1:] = (first - csr_ptr(kids)[:-1])[parent[1:]] + np.arange(1, klo.size) - 1
+        g_of = np.empty_like(ids)
+        g_of[ids] = np.arange(ids.size)
+        parent = np.where(parent >= 0, ids[parent], -1)
+        level_of = level[g_of].tolist()
+        self.nodes = list(map(
+            OctreeNode, range(ids.size), level_of, centers[g_of], [sizes[v] for v in level_of],
+            parent[g_of].tolist(), klo[g_of], khi[g_of], lo[g_of].tolist(), hi[g_of].tolist(),
+            [list(range(f, f + k)) if k else None
+             for f, k in zip(first[g_of].tolist(), kids[g_of].tolist())],
+            (~split[g_of]).tolist(),
+        ))
+        self._spans = (self.structure_generation, np.concatenate((klo[g_of], khi[g_of])))
+        pre = np.lexsort((level, klo))  # the preorder: ascending key_lo, parents first
+        self._set_table(ids[pre], parent[pre], level[pre], ~split[pre], klo[pre],
+                        centers[pre], lo[pre], hi[pre])
+
+    def _make_children(self, nid: int, existing=()) -> list[int]:
+        """Allocate the (nonempty) children of node ``nid`` in the octants
+        not in ``existing``, all at once.
 
         One ``searchsorted`` of the nine octant edges over the node's own
-        slice of the sorted keys; ids, ranges, key spans and centres are
-        bit for bit those of eight :meth:`_make_child` calls (the centre is
-        ``Box.child``'s ``c +- size / 4``).
+        slice of the sorted keys; the centre is ``Box.child``'s ``c +-
+        size / 4``.
         """
         nodes = self.nodes
         node = nodes[nid]
@@ -232,7 +283,7 @@ class AdaptiveOctree:
         child_ids: list[int] = []
         for octant in range(8):
             lo, hi = cuts[octant], cuts[octant + 1]
-            if hi == lo:
+            if hi == lo or octant in existing:
                 continue  # prune empty octants
             child_ids.append(len(nodes))
             nodes.append(
@@ -250,31 +301,6 @@ class AdaptiveOctree:
             )
         return child_ids
 
-    def _make_child(self, nid: int, octant: int) -> int | None:
-        """Allocate child ``octant`` of ``nid`` if it holds bodies."""
-        node = self.nodes[nid]
-        span = (node.key_hi - node.key_lo) >> np.uint64(3)
-        klo = node.key_lo + np.uint64(octant) * span
-        khi = klo + span
-        lo = int(np.searchsorted(self.sorted_keys, klo, side="left"))
-        hi = int(np.searchsorted(self.sorted_keys, khi, side="left"))
-        if hi == lo:
-            return None  # prune empty octants
-        cbox = node.box.child(octant)
-        child = OctreeNode(
-            id=len(self.nodes),
-            level=node.level + 1,
-            center=cbox.center_array(),
-            size=cbox.size,
-            parent=nid,
-            key_lo=klo,
-            key_hi=khi,
-            lo=lo,
-            hi=hi,
-        )
-        self.nodes.append(child)
-        return child.id
-
     def _materialize_missing_children(self, nid: int) -> list[int]:
         """Create leaves for octants that gained bodies since allocation.
 
@@ -288,31 +314,11 @@ class AdaptiveOctree:
             return []
         span = (node.key_hi - node.key_lo) >> np.uint64(3)
         existing = {int((self.nodes[c].key_lo - node.key_lo) // span) for c in node.children}
-        created: list[int] = []
-        for octant in range(8):
-            if octant in existing:
-                continue
-            cid = self._make_child(nid, octant)
-            if cid is not None:
-                node.children.append(cid)
-                created.append(cid)
+        created = self._make_children(nid, existing)
+        node.children.extend(created)
         if created:
             self._bump(structural=True)
         return created
-
-    def _split_recursive(self, nid: int) -> None:
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            node = self.nodes[cur]
-            if node.count <= self.S or node.level >= self.max_level:
-                continue
-            if node.children is None:
-                node.children = self._make_children(cur)
-            node.is_leaf = False
-            for cid in node.children:
-                self.nodes[cid].hidden = False
-                stack.append(cid)
 
     # ------------------------------------------------------------ accessors
     @property
@@ -365,35 +371,34 @@ class AdaptiveOctree:
             return tab
         ids = self.effective_nodes()
         picked = [self.nodes[i] for i in ids]
-        ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        return self._set_table(
+            np.fromiter(ids, dtype=np.int64, count=len(ids)),
+            *(_column(picked, name, t) for name, t in _TABLE_COLUMNS),
+            np.array([nd.center for nd in picked], dtype=float),
+            _column(picked, "lo", np.int64),
+            _column(picked, "hi", np.int64),
+        )
+
+    def _set_table(self, ids, parent, level, is_leaf, key_lo, centers, lo, hi) -> NodeTable:
+        """Memoize the table of effective nodes ``ids`` (preorder) from their columns."""
         row_of = np.full(len(self.nodes), -1, dtype=np.int64)
         row_of[ids] = np.arange(ids.size)
-        parent = _column(picked, "parent", np.int64)
-        tab = self._node_table = NodeTable(
-            structure_generation=self.structure_generation,
-            generation=self.generation,
-            ids=ids,
-            row_of=row_of,
-            level=_column(picked, "level", np.int64),
+        self._node_table = NodeTable(
+            self.structure_generation, self.generation, ids, row_of, level,
             # the root's -1 wraps to the last id; the mask discards it
-            parent_row=np.where(parent >= 0, row_of[parent], -1),
-            is_leaf=_column(picked, "is_leaf", bool),
-            cell=np.stack(
-                decode_morton(_column(picked, "key_lo", np.uint64)), axis=1
-            ).astype(np.int64),
-            centers=np.array([nd.center for nd in picked], dtype=float),
-            lo=_column(picked, "lo", np.int64),
-            hi=_column(picked, "hi", np.int64),
+            np.where(parent >= 0, row_of[parent], -1), is_leaf,
+            np.stack(decode_morton(key_lo), axis=1).astype(np.int64), centers, lo, hi,
         )
-        return tab
+        return self._node_table
 
     def leaves(self) -> list[int]:
-        """Ids of the effective leaves."""
-        return [nid for nid in self.effective_nodes() if self.nodes[nid].is_leaf]
+        """Ids of the effective leaves, in preorder."""
+        tab = self.node_table()
+        return tab.ids[tab.is_leaf].tolist()
 
     def depth(self) -> int:
         """Maximum level over effective nodes."""
-        return max(self.nodes[nid].level for nid in self.effective_nodes())
+        return int(self.node_table().level.max())
 
     # --------------------------------------------------------------- surgery
     def collapse(self, nid: int) -> None:
@@ -542,16 +547,18 @@ class AdaptiveOctree:
 
     # ------------------------------------------------------------ statistics
     def leaf_counts(self) -> np.ndarray:
-        return np.array([self.nodes[nid].count for nid in self.leaves()], dtype=np.int64)
+        """Bodies per effective leaf, in :meth:`leaves` order."""
+        tab = self.node_table()
+        return tab.counts[tab.is_leaf]
 
     def stats(self) -> dict:
-        leaves = self.leaves()
-        counts = np.array([self.nodes[x].count for x in leaves]) if leaves else np.zeros(0)
+        tab = self.node_table()
+        counts = tab.counts[tab.is_leaf]
         return {
             "n_bodies": self.n_bodies,
-            "n_nodes": len(self.effective_nodes()),
-            "n_leaves": len(leaves),
-            "depth": self.depth(),
+            "n_nodes": int(tab.ids.size),
+            "n_leaves": int(counts.size),
+            "depth": int(tab.level.max()),
             "S": self.S,
             "leaf_count_max": int(counts.max(initial=0)),
             "leaf_count_mean": float(counts.mean()) if counts.size else 0.0,

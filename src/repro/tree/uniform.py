@@ -46,23 +46,11 @@ class UniformOctree(AdaptiveOctree):
         if not 0 <= depth <= MAX_MORTON_LEVEL - 1:
             raise ValueError(f"depth must be in 0..{MAX_MORTON_LEVEL - 1}, got {depth}")
         self.uniform_depth = int(depth)
-        # S=1 makes the adaptive splitter want to go deep; the overridden
-        # _split_recursive enforces the fixed depth instead.
+        # the overridden _split_mask enforces the fixed depth, whatever S
         super().__init__(points, S=max(1, points.shape[0]), max_level=max(1, depth) if depth else 1, root_box=root_box)
 
-    def _split_recursive(self, nid: int) -> None:
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            node = self.nodes[cur]
-            if node.level >= self.uniform_depth or node.count == 0:
-                continue
-            if node.children is None:
-                node.children = self._make_children(cur)
-            node.is_leaf = False
-            for cid in node.children:
-                self.nodes[cid].hidden = False
-                stack.append(cid)
+    def _split_mask(self, level: int, counts: np.ndarray) -> np.ndarray:
+        return (counts > 0) & (level < self.uniform_depth)
 
 
 def build_uniform(

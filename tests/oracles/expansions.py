@@ -4,8 +4,10 @@ centre minus old), so a check through them checks what production builds.
 The independent references are :func:`dense_m2l`, the Cartesian M2L over
 all ``n_coeffs`` that the harmonic reduction (DESIGN.md §9) is tested
 against, and the M2P / P2L bases below: the far field folds that work into
-the near field, so only the expansion identities read them.  Nothing under
-``src/`` calls this module.
+the near field, so only the expansion identities read them.
+:func:`operator_set_per_displacement` is the operator set assembled one
+displacement and one sub-block at a time.  Nothing under ``src/`` calls
+this module.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.expansions.derivatives import scaled_derivative_tensors
+from repro.expansions.operators import M2L_DIRECTIONS
 from repro.expansions.multiindex import MultiIndexSet
 from repro.expansions.spherical import _irregular_table, _nm_index
 
@@ -164,3 +167,34 @@ def dense_m2l(exp, moments, displacements):
         T = B[:, idx] * coef[None, :, :]
         out[lo:hi] = np.einsum("ia,iab->ib", M[lo:hi], T)
     return out
+
+
+def operator_set_per_displacement(expansion, h_root):
+    """The arrays of ``OperatorSet.build(expansion, h_root)``, in its
+    order, assembled the way the batched build replaced: one core
+    build per displacement, then each direction block filled sub-block by
+    sub-block (source child ``j``, target child ``i``: the core of ``2D +
+    o_i - o_j``, zero where the children are adjacent)."""
+    g = np.arange(-3, 4)
+    disp = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    disp = disp[np.abs(disp).max(axis=1) >= 2]
+    cores = {
+        tuple(d.tolist()): expansion.m2l_class_operators(d[None, :] * h_root)[0]
+        for d in disp
+    }
+    w = next(iter(cores.values())).shape[0]
+    dtype = next(iter(cores.values())).dtype
+    blocks = []
+    for D in M2L_DIRECTIONS:
+        block = np.zeros((8, w, 8, w), dtype=dtype)
+        for j in range(8):
+            for i in range(8):
+                d = tuple(2 * D[k] + (i >> k & 1) - (j >> k & 1) for k in range(3))
+                if d in cores:
+                    block[j, :, i, :] = cores[d]
+        blocks.append(block.reshape(8 * w, 8 * w))
+    side = np.array([[o >> k & 1 for k in range(3)] for o in range(8)])
+    offsets = (side - 0.5) * (h_root / 2)
+    m2m = np.concatenate([expansion.m2m_class_operator(-d) for d in offsets])
+    l2l = np.concatenate([expansion.l2l_class_operator(d) for d in offsets], axis=1)
+    return [m2m, l2l, *blocks]

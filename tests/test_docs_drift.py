@@ -339,6 +339,12 @@ _RETIRED = {
     "m2p" + "_scatter": "none: the far field ends at L2P",
     "p2l" + "_compute": "none: M2L is the far field's one translation",
     "m2p" + "_compute": "none: the far field ends at L2P",
+    "_split" + "_recursive": "AdaptiveOctree._build_levels, level by level; the "
+    "depth-first build left src/ for tests/oracles/tree.py",
+    "_make" + "_child": "AdaptiveOctree._make_children(nid, existing)",
+    "_m2l" + "_cores": "repro.expansions.operators._m2l_blocks: one core stack",
+    "_m2l_direction" + "_block": "repro.expansions.operators._m2l_blocks: one "
+    "gather per direction",
 }
 
 

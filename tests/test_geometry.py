@@ -129,8 +129,7 @@ class TestMorton:
 def _adjacent(a, b):
     """The list builder's touch test between two integer cells, each
     ``(corner, width)`` on the finest Morton grid."""
-    bounds = np.array([[*lo, *(c + w for c in lo)] for lo, w in (a, b)], dtype=np.int64)
-    cols = _adjacency_columns(bounds)
+    cols = _adjacency_columns(np.array([a[0], b[0]]), np.array([a[1], b[1]]))
     return bool(_adjacent_rows(cols, np.array([0]), np.array([1]))[0])
 
 

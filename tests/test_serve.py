@@ -900,10 +900,10 @@ class TestServedSolves:
 
     def test_deadline_clock_covers_setup_and_changes_nothing_else(self, monkeypatch):
         """The budget's clock starts when the worker picks the request up,
-        so a cold 5 ms request is refused during tree / list / geometry
+        so a cold 2 ms request is refused during tree / list / geometry
         build, within one stage of its budget (the clock used to start
-        after all three; 10 ms now sometimes outlasts them and expires in
-        the sweep); a warm 10 ms request is refused after the queue, at the
+        after all three; 5 ms now sometimes outlasts them, ~4-5 ms here,
+        and expires at the near plan); a warm 10 ms request is refused after the queue, at the
         stage where its budget runs out (the test drives the deadlines'
         clock: it stands still, and the list build spends the whole
         budget); and a deadline that does not expire
@@ -914,12 +914,12 @@ class TestServedSolves:
         from repro.util import timing
 
         spec = {"kernel": "laplace", "n": 2000, "order": 3, "seed": 5}
-        hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.005})
+        hasty = SolveSpec.from_dict({**spec, "deadline_s": 0.002})
         walls = []
         for _ in range(3):  # every attempt is cold: its own operator store
             t0 = time.perf_counter()
             with pytest.raises(ServeError) as ei:
-                server._solve_core(hasty, deadline_s=0.005)
+                server._solve_core(hasty, deadline_s=0.002)
             walls.append(time.perf_counter() - t0)
             assert ei.value.code == 408 and ei.value.kind == "deadline"
             assert ei.value.details["phase"] in ("tree", "lists", "geometry")

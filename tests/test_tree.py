@@ -9,8 +9,10 @@ from repro.distributions import gaussian_blobs, plummer, uniform_cube
 from repro.geometry import Box, bounding_box
 from repro.geometry.morton import decode_morton, morton_keys
 from repro.tree import AdaptiveOctree, build_adaptive, build_uniform, uniform_depth_for
+from repro.tree.octree import OctreeNode
 from repro.util.arrays import stable_key_order
 from tests.clouds import CLOUDS
+from tests.oracles.tree import RecursiveOctree
 
 
 def check_invariants(tree: AdaptiveOctree):
@@ -281,13 +283,32 @@ class _PerNodeRefitOctree(AdaptiveOctree):
                     self._materialize_missing_children(nid)
 
 
-class _ChildAtATimeOctree(AdaptiveOctree):
-    """Children allocated the way the batch replaced: one ``_make_child``
-    per octant — two global ``searchsorted`` calls and a ``Box.child``."""
+class _ChildAtATimeOctree(RecursiveOctree):
+    """Built depth first with children allocated the way the batch
+    replaced: one child per octant — two global ``searchsorted`` calls and
+    a ``Box.child`` each."""
 
-    def _make_children(self, nid):
-        made = (self._make_child(nid, octant) for octant in range(8))
+    def _make_children(self, nid, existing=()):
+        made = (self._make_child(nid, octant) for octant in range(8) if octant not in existing)
         return [cid for cid in made if cid is not None]
+
+    def _make_child(self, nid, octant):
+        node = self.nodes[nid]
+        span = (node.key_hi - node.key_lo) >> np.uint64(3)
+        klo = node.key_lo + np.uint64(octant) * span
+        khi = klo + span
+        lo = int(np.searchsorted(self.sorted_keys, klo, side="left"))
+        hi = int(np.searchsorted(self.sorted_keys, khi, side="left"))
+        if hi == lo:
+            return None  # prune empty octants
+        cbox = node.box.child(octant)
+        self.nodes.append(
+            OctreeNode(
+                id=len(self.nodes), level=node.level + 1, center=cbox.center_array(),
+                size=cbox.size, parent=nid, key_lo=klo, key_hi=khi, lo=lo, hi=hi,
+            )
+        )
+        return len(self.nodes) - 1
 
 
 def _node_fields(tree):
@@ -301,8 +322,9 @@ def _node_fields(tree):
 
 
 class TestBatchedChildren:
-    """``_make_children`` against a loop over ``_make_child``: every node
-    identical, field for field, centres bit for bit."""
+    """The build and ``_make_children`` against a depth-first build that
+    allocates one child per octant: every node identical, field for field,
+    centres bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_build_identical_on_every_cloud(self, name):
@@ -318,6 +340,21 @@ class TestBatchedChildren:
         assert _node_fields(batched) == _node_fields(
             _ChildAtATimeOctree(pts, S=1, max_level=3)
         )
+
+    def test_materialized_children_identical(self):
+        # bodies drift into octants that were empty at build time: refit
+        # allocates the missing children, one batch per node
+        pts, S = CLOUDS["one-octant"](2)
+        trees = [cls(pts, S=S) for cls in (AdaptiveOctree, _ChildAtATimeOctree)]
+        moved = pts.copy()
+        box = trees[0].root_box
+        moved[::3] = box.low + box.size * np.random.default_rng(4).random((len(moved[::3]), 3))
+        for tree in trees:
+            n_nodes = len(tree.nodes)
+            tree.points = moved.copy()
+            tree.refit()
+            assert len(tree.nodes) > n_nodes
+        assert _node_fields(trees[0]) == _node_fields(trees[1])
 
     def test_pushdown_allocation_identical(self, uniform_small):
         trees = [
