@@ -335,7 +335,7 @@ def test_bench_near_plan_is_leaf_sized(benchmark):
     n = 10_000
     tree = AdaptiveOctree(plummer(n, seed=2).positions, S=32)
 
-    def cold():  # fresh lists: no memoized plan, skeleton or row signatures
+    def cold():  # fresh lists: no memoized plan or grouping
         lists = build_interaction_lists(tree)
         gc.collect()
         gc.disable()

@@ -106,6 +106,11 @@ cost-model unit conventions of :meth:`InteractionLists.op_counts`, keeping
 ``C_op = time/applications`` calibration meaningful on the batched path
 (the ``M2L`` span's ``applications`` stay V pairs, the cost-model unit,
 however few octet pairs carry them).
+
+Lists without a V pair have a far field of exact zeros: the pass builds
+nothing and declares no task for them (:func:`far_field_is_empty`), so a
+tree whose leaves are all colleagues — what a large S makes of a small
+request — costs only its direct sum.
 """
 
 from __future__ import annotations
@@ -132,6 +137,7 @@ __all__ = [
     "channel_outputs",
     "charge_channels",
     "far_field_geometry",
+    "far_field_is_empty",
     "l2l",
     "l2p",
     "l2p_leaf_gradient",
@@ -660,6 +666,17 @@ def add_rows(rows, idx, delta):
 # --------------------------------------------------------------------------
 
 
+def far_field_is_empty(lists: InteractionLists) -> bool:
+    """Whether the lists hold no well-separated (V) pair.
+
+    Then no local expansion receives anything, and the far field of every
+    body is exactly zero: the tree is a direct sum (a large leaf capacity
+    S — every request the serve census solves at n <= 2000).  The count is
+    known when the lists are built, without listing V.
+    """
+    return lists.n_pairs("v_list") == 0
+
+
 class FarFieldPass:
     """One batched far-field pass split into dependency-ordered stages.
 
@@ -680,6 +697,12 @@ class FarFieldPass:
 
     :meth:`add_tasks` declares their DAG once: the thread engine runs it,
     and :func:`laplace_far_field` walks it in insertion order.
+
+    A pass over lists without a V pair (:func:`far_field_is_empty`) is
+    :attr:`empty`: it builds no geometry, body plan or basis, reads no
+    operator set, declares no task, and its :meth:`result` is zeros — what
+    the stages would compute.  The lists' ``op_counts`` still price the
+    P2M / M2M / L2L / L2P the paper's cost model charges such a tree.
     """
 
     def __init__(
@@ -694,12 +717,18 @@ class FarFieldPass:
     ) -> None:
         exp = expansion
         self.exp = exp
-        self.geom = far_field_geometry(tree, lists, exp)
-        self.plan = leaf_body_plan(tree, lists)
         self.charges = charges
         self.q = charge_channels(charges, tree.n_bodies)
         k = self.q.shape[1]
+        self.pot = np.zeros((tree.n_bodies, k)) if potential else None
+        self.grad = np.zeros((tree.n_bodies, k, 3)) if gradient else None
+        #: no V pair: nothing to resolve or run, the result is these zeros
+        self.empty = far_field_is_empty(lists)
+        if self.empty:
+            return
 
+        self.geom = far_field_geometry(tree, lists, exp)
+        self.plan = leaf_body_plan(tree, lists)
         geom, plan = self.geom, self.plan
         n_eff = geom.centers.shape[0]
         nc = exp.n_coeffs
@@ -707,8 +736,6 @@ class FarFieldPass:
         self.n_bodies = plan.body_idx.size
         self.multipoles = np.zeros((n_eff, k * nc), dtype=dtype)
         self.locals_ = np.zeros((n_eff, k * nc), dtype=dtype)
-        self.pot = np.zeros((tree.n_bodies, k)) if potential else None
-        self.grad = np.zeros((tree.n_bodies, k, 3)) if gradient else None
 
         # resolve every lists-level cache now (stages must not mutate the
         # shared derived_cache dict from pool threads)
@@ -748,11 +775,13 @@ class FarFieldPass:
         m2l(self.exp, self.geom, self.multipoles, self.locals_)
 
     # ------------------------------------------------------------- schedule
-    def add_tasks(self, g) -> int:
+    def add_tasks(self, g) -> int | None:
         """Declare this pass's stage DAG in ``g`` (a
         :class:`~repro.runtime.engine.TaskGraphBuilder`); returns the id of
-        the task after which :meth:`result` is complete.  The DAG does not
-        depend on the channel count: every task covers all channels.
+        the task after which :meth:`result` is complete — ``None`` for an
+        :attr:`empty` pass, which declares nothing (its result is complete
+        at construction).  The DAG does not depend on the channel count:
+        every task covers all channels.
 
         The one schedule of the pass: the thread engine runs it, and
         :func:`~repro.runtime.engine.run_in_order` walks it in insertion
@@ -768,6 +797,8 @@ class FarFieldPass:
         ``l``'s parents, whatever the tree's adaptivity; ``M2L`` is one
         task whatever the number of direction classes.
         """
+        if self.empty:
+            return None
         geom = self.geom
         t_p2m = g.add(
             self.p2m, label="P2M", op="P2M", applications=self.n_bodies

@@ -36,22 +36,15 @@ suppress it to zero).
 
 The plan is memoized on the :class:`~repro.tree.lists.InteractionLists`
 via ``derived_cache``, stamped by the tree's ``generation``: a
-frozen-shape *and* frozen-body step reuses it outright, while ``refit``
-(which reorders bodies) rebuilds only the plan, not the lists.
-
-Refits get a cheaper path still: the plan's *skeleton* — target positions
-in ``tree.order``, the source runs, group pointers, shapes and hence tile
-boundaries, pair totals — depends only on the tree shape and the per-leaf
-population counts (node ``lo``/``hi`` offsets are cumulative leaf counts
-in Morton order).  The skeleton is kept in a
-``structure_generation``-stamped slot together with a leaf-population
-signature; when a refit leaves every effective leaf's count unchanged the
-plan is *refreshed* by binding the new ``tree.order`` and re-gathering the
-targets instead of being rebuilt from the near table.  When the counts did
-change, the rebuilt skeleton still reuses the row signatures: lists never
-change once built, so those are sorted once per lists object.  Build,
-refresh and hit counters (and the latest plan's tile count) accumulate in
-``lists.nearfield_plan_stats``.
+frozen-shape *and* frozen-body step reuses it outright.  A refit (which
+moves bodies between leaves and reorders them) *refreshes* it: the
+grouping of target leaves by source set — the one part that sorts the
+near table — depends on the tree shape alone and is kept in a
+``structure_generation``-stamped slot, so a refresh recomputes only what
+the leaf populations decide (group sizes, shape order, source runs,
+target and self positions, tiles), array for array what a fresh build
+gives.  Build (a new shape), refresh and hit counters (and the latest
+plan's tile count) accumulate in ``lists.nearfield_plan_stats``.
 """
 
 from __future__ import annotations
@@ -199,25 +192,22 @@ class NearFieldPlan:
 
 
 @dataclass
-class _PlanSkeleton:
-    """Body-count-dependent but order-independent part of a plan.
+class _PlanGroups:
+    """The shape-only part of a plan: target leaves grouped by their exact
+    source-leaf set, groups in order of first appearance (node rows).
 
-    ``tgt_pos`` / ``self_pos`` and the runs ``src_lo`` / ``src_hi`` are
-    positions in ``tree.order``; binding a new order yields a valid plan
-    after any refit that kept every leaf's population unchanged
-    (``leaf_counts``, in node-table leaf order, is the validity signature).
+    Group ``g``'s source leaves are ``sig_rows`` run ``g`` (``sig_len``
+    long), its target leaves ``tgt_rows`` run ``g`` (``tgt_len``);
+    ``self_rows`` are the leaves that are their own source, in target
+    order.  Everything else a plan holds follows from these and the
+    leaf populations (:func:`_plan_from_groups`).
     """
 
-    tgt_pos: np.ndarray
-    tgt_ptr: np.ndarray
-    src_lo: np.ndarray
-    src_hi: np.ndarray
-    run_ptr: np.ndarray
-    src_cnt: np.ndarray
-    tile_ptr: np.ndarray
-    self_pos: np.ndarray
-    total_pairs: int
-    leaf_counts: np.ndarray
+    sig_rows: np.ndarray
+    sig_len: np.ndarray
+    tgt_rows: np.ndarray
+    tgt_len: np.ndarray
+    self_rows: np.ndarray
 
 
 def _plan_stats(lists: InteractionLists) -> dict[str, int]:
@@ -226,47 +216,6 @@ def _plan_stats(lists: InteractionLists) -> dict[str, int]:
         stats = {"builds": 0, "refreshes": 0, "hits": 0, "tiles": 0}
         lists.nearfield_plan_stats = stats
     return stats
-
-
-def _row_signatures(lists: InteractionLists, near, n_ids: int) -> dict[int, bytes]:
-    """Per-target-leaf source signatures, once per lists object.
-
-    A row's signature is the bytes of its source ids, sorted: equal
-    signatures are equal source sets, and decoding one gives the sources
-    in the order the kernel sums them.  All rows are sorted by one sort of
-    the near table ``near`` (``n_ids`` bounds the ids).  Lists never change
-    once built, so the signatures are a plain attribute of the lists: a
-    refit that rebuilds the skeleton reuses them.
-    """
-    sigs = getattr(lists, "_near_row_sigs", None)
-    if sigs is None:
-        # (row, source id) as one integer: a plain sort orders every row's
-        # sources and leaves each row in place, so ``base`` comes off again
-        # (narrowed to 32 bits where they fit, the sort takes half the time)
-        base = np.repeat(np.arange(near.keys.size) * n_ids, near.counts)
-        narrow = np.int32 if near.keys.size * n_ids < 2**31 else np.int64
-        srcs = (np.sort((base + near.values).astype(narrow)) - base).tobytes()
-        ptr = (8 * csr_ptr(near.counts)).tolist()
-        sigs = lists._near_row_sigs = {
-            t: srcs[ptr[i] : ptr[i + 1]] for i, t in enumerate(near.keys.tolist())
-        }
-    return sigs
-
-
-def _plan_from_skeleton(order: np.ndarray, skel: _PlanSkeleton) -> NearFieldPlan:
-    return NearFieldPlan(
-        tgt_idx=order[skel.tgt_pos],
-        tgt_ptr=skel.tgt_ptr,
-        order=order,
-        src_lo=skel.src_lo,
-        src_hi=skel.src_hi,
-        run_ptr=skel.run_ptr,
-        src_cnt=skel.src_cnt,
-        tile_ptr=skel.tile_ptr,
-        self_idx=order[skel.self_pos],
-        total_pairs=skel.total_pairs,
-        n_bodies=order.size,
-    )
 
 
 def _run_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -294,50 +243,72 @@ def _tile_boundaries(tgt_cnt: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
 
 
 def build_near_field_plan(tree: AdaptiveOctree, lists: InteractionLists) -> NearFieldPlan:
-    """Build (or fetch the memoized, or refresh the skeleton-valid) plan."""
+    """Build (or fetch the memoized, or refresh the shape-valid) plan."""
     cached, store = lists.derived_cache("near_field_plan")
     stats = _plan_stats(lists)
     if cached is not None:
         stats["hits"] += 1
         return cached
 
-    skel, skel_store = lists.derived_cache("near_field_skeleton", structural=True)
+    groups, groups_store = lists.derived_cache("near_field_groups", structural=True)
     tab = tree.node_table()
-    if skel is not None and not np.array_equal(tab.counts[tab.is_leaf], skel.leaf_counts):
-        skel = None
-    stats["builds" if skel is None else "refreshes"] += 1
-    if skel is None:
-        skel = skel_store(_build_skeleton(tab, lists))
-    stats["tiles"] = skel.tile_ptr.size - 1
-    return store(_plan_from_skeleton(tree.order, skel))
+    stats["builds" if groups is None else "refreshes"] += 1
+    if groups is None:
+        groups = groups_store(_group_targets(tab, lists))
+    plan = store(_plan_from_groups(tab, tree.order, groups))
+    stats["tiles"] = plan.n_tiles
+    return plan
 
 
-def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
-    """The skeleton out of the near table and the tree's node table ``tab``."""
+def _group_targets(tab, lists: InteractionLists) -> _PlanGroups:
+    """Group the near table's target leaves by source set.
+
+    A row's signature is the bytes of its source ids, sorted: equal
+    signatures are equal source sets, and decoding one gives the sources
+    in the order the kernel sums them.  All rows are sorted by one sort of
+    the table: (row, source id) as one integer orders every row's sources
+    and leaves each row in place, so ``base`` comes off again (narrowed
+    to 32 bits where they fit, the sort takes half the time).
+    """
     near = lists.table("near_sources")
-    row_of, body_cnt = tab.row_of, tab.counts
-
-    # group target leaves by their exact source-leaf set, groups in order
-    # of first appearance
+    row_of = tab.row_of
+    n_ids = row_of.size
+    base = np.repeat(np.arange(near.keys.size) * n_ids, near.counts)
+    narrow = np.int32 if near.keys.size * n_ids < 2**31 else np.int64
+    srcs = (np.sort((base + near.values).astype(narrow)) - base).tobytes()
+    ptr = (8 * csr_ptr(near.counts)).tolist()
     groups: dict[bytes, list[int]] = {}
-    for t, sig in _row_signatures(lists, near, row_of.size).items():
-        groups.setdefault(sig, []).append(t)
+    for i, t in enumerate(near.keys.tolist()):
+        groups.setdefault(srcs[ptr[i] : ptr[i + 1]], []).append(t)
     n_groups = len(groups)
     sig_flat = np.frombuffer(b"".join(groups), dtype=np.int64)
-    sig_len = np.fromiter((len(sig) >> 3 for sig in groups), dtype=np.int64, count=n_groups)
-    tgt_len = np.fromiter(map(len, groups.values()), dtype=np.int64, count=n_groups)
     tgt_flat = np.fromiter(
         chain.from_iterable(groups.values()), dtype=np.int64, count=near.keys.size
     )
-    sig_rows, tgt_rows = row_of[sig_flat], row_of[tgt_flat]
-    src_cnt = _run_sums(body_cnt[sig_rows], sig_len)
-    tgt_cnt = _run_sums(body_cnt[tgt_rows], tgt_len)
+    owners = near.owners
+    return _PlanGroups(
+        sig_rows=row_of[sig_flat],
+        sig_len=np.fromiter((len(sig) >> 3 for sig in groups), dtype=np.int64, count=n_groups),
+        tgt_rows=row_of[tgt_flat],
+        tgt_len=np.fromiter(map(len, groups.values()), dtype=np.int64, count=n_groups),
+        self_rows=row_of[owners[owners == near.values]],
+    )
+
+
+def _plan_from_groups(tab, order: np.ndarray, groups: _PlanGroups) -> NearFieldPlan:
+    """The plan of ``groups`` at the leaf populations of the node table
+    ``tab`` and the body order ``order``: counts, shape order, runs,
+    target and self positions, tiles."""
+    body_cnt = tab.counts
+    sig_len, tgt_len = groups.sig_len, groups.tgt_len
+    src_cnt = _run_sums(body_cnt[groups.sig_rows], sig_len)
+    tgt_cnt = _run_sums(body_cnt[groups.tgt_rows], tgt_len)
 
     # shape order: targets exact, sources rounded up to _SRC_ROUND; a
     # group's sources are its signature leaves' runs of ``tree.order``
     by_shape = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
-    sig_rows = _take_runs(sig_rows, sig_len, by_shape)
-    tgt_rows = _take_runs(tgt_rows, tgt_len, by_shape)
+    sig_rows = _take_runs(groups.sig_rows, sig_len, by_shape)
+    tgt_rows = _take_runs(groups.tgt_rows, tgt_len, by_shape)
     sig_len, src_cnt, tgt_cnt = sig_len[by_shape], src_cnt[by_shape], tgt_cnt[by_shape]
 
     # a source leaf whose bodies follow the previous one's in ``tree.order``
@@ -349,20 +320,19 @@ def _build_skeleton(tab, lists: InteractionLists) -> _PlanSkeleton:
     start[first] = True
     at = np.flatnonzero(start)  # where runs start, and one past the last
 
-    # leaves that are their own source, in target order
-    owners = near.owners
-    self_rows = row_of[owners[owners == near.values]]
-    return _PlanSkeleton(
-        tgt_pos=segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0],
+    self_rows = groups.self_rows
+    return NearFieldPlan(
+        tgt_idx=order[segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0]],
         tgt_ptr=csr_ptr(tgt_cnt),
+        order=order,
         src_lo=lo[at[:-1]],
         src_hi=hi[at[1:] - 1],
         run_ptr=np.searchsorted(at, first),
         src_cnt=src_cnt,
         tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND),
-        self_pos=segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0],
+        self_idx=order[segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0]],
         total_pairs=int((tgt_cnt * src_cnt).sum()),
-        leaf_counts=body_cnt[tab.is_leaf],
+        n_bodies=order.size,
     )
 
 

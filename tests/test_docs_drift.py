@@ -345,6 +345,9 @@ _RETIRED = {
     "_m2l" + "_cores": "repro.expansions.operators._m2l_blocks: one core stack",
     "_m2l_direction" + "_block": "repro.expansions.operators._m2l_blocks: one "
     "gather per direction",
+    # the near plan refreshes from a shape-keyed grouping on every refit
+    "_Plan" + "Skeleton": "repro.fmm.nearfield._PlanGroups, keyed on structure_generation",
+    "_row" + "_signatures": "repro.fmm.nearfield._group_targets",
 }
 
 

@@ -154,19 +154,33 @@ def test_plan_refreshed_across_refit_when_counts_unchanged():
     assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12 * max(1.0, np.abs(ref_grad).max()))
 
 
-def test_plan_rebuilt_when_leaf_population_changes():
+def test_plan_refreshed_when_leaf_population_changes():
+    """A refit that moves a body into another leaf keeps the shape, so the
+    plan is refreshed from the memoized grouping — and the refreshed plan
+    is a fresh build, array for array."""
     tree, lists, _ = _setup(1, n=500)
-    build_near_field_plan(tree, lists)
+    before = build_near_field_plan(tree, lists)
     # teleport one body onto a body of a *different* leaf: two populations
     # change while the tree shape can stay identical
     donor = int(tree.order[0])
     receiver = int(tree.order[-1])
     assert not any({donor, receiver} <= set(tree.bodies(l).tolist()) for l in tree.leaves())
+    counts = tree.node_table().counts.copy()
     tree.points[donor] = tree.points[receiver]
+    sg = tree.structure_generation
     tree.refit()
-    build_near_field_plan(tree, lists)
+    assert tree.structure_generation == sg
+    assert not np.array_equal(tree.node_table().counts, counts)
+    plan = build_near_field_plan(tree, lists)
     stats = lists.nearfield_plan_stats
-    assert stats["builds"] == 2 and stats["refreshes"] == 0
+    assert (stats["builds"], stats["refreshes"], stats["hits"]) == (1, 1, 0)
+    assert not np.array_equal(plan.tgt_ptr, before.tgt_ptr)
+
+    fresh = build_near_field_plan(tree, build_interaction_lists(tree))
+    for name in _PLAN_FIELDS:
+        assert np.array_equal(getattr(plan, name), getattr(fresh, name)), name
+    assert plan.total_pairs == fresh.total_pairs
+    assert stats["tiles"] == fresh.n_tiles
 
 
 # ----------------------------------------------------------- batch contract

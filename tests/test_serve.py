@@ -155,20 +155,20 @@ class TestOperatorStore:
         """``domain_size`` is client-supplied: 20 distinct ones leave at most
         ``MAX_RESIDENT_SETS`` sets resident, and no request is any the worse
         for the evictions (solved at S = 32, so each one runs the far field
-        on its set)."""
+        on its set: 300 bodies make V pairs there, 150 made none)."""
         from repro.expansions.operators import MAX_RESIDENT_SETS
 
         with BackgroundServer(ServeConfig(pool_size=2), tcp=False) as bg:
             c = bg.client(in_process=True)
             for i in range(20):
-                spec = {"kernel": "laplace", "n": 150, "seed": i, "domain_size": 1.0 + i / 7}
+                spec = {"kernel": "laplace", "n": 300, "seed": i, "domain_size": 1.0 + i / 7}
                 out, direct = c.solve(spec, tenant=f"t{i % 3}"), solve_direct(spec)
-                assert out["op_counts"]["M2M"] > 0  # shifts from the resident set
+                assert out["op_counts"]["M2L"] > 0  # a far field on the resident set
                 assert np.array_equal(out["potential"], direct["potential"])
                 assert np.array_equal(out["gradient"], direct["gradient"])
             # a size seen before eviction is a hit, one evicted is rebuilt
-            c.solve({"kernel": "laplace", "n": 150, "domain_size": 1.0 + 19 / 7}, tenant="t")
-            c.solve({"kernel": "laplace", "n": 150, "domain_size": 1.0}, tenant="t")
+            c.solve({"kernel": "laplace", "n": 300, "domain_size": 1.0 + 19 / 7}, tenant="t")
+            c.solve({"kernel": "laplace", "n": 300, "domain_size": 1.0}, tenant="t")
             stats = c.status()["opcache"]
         assert stats["entries"] == MAX_RESIDENT_SETS
         assert (stats["hits"], stats["misses"]) == (1, 21)
@@ -903,7 +903,10 @@ class TestServedSolves:
         so a cold 2 ms request is refused during tree / list / geometry
         build, within one stage of its budget (the clock used to start
         after all three; 5 ms now sometimes outlasts them, ~4-5 ms here,
-        and expires at the near plan); a warm 10 ms request is refused after the queue, at the
+        and expires at the near plan).  It is solved at S = 32, where it
+        has a far field and so a geometry to build: at the S the cost
+        model picks (512) it has none, and its setup ends in ~2 ms.  A
+        warm 10 ms request is refused after the queue, at the
         stage where its budget runs out (the test drives the deadlines'
         clock: it stands still, and the list build spends the whole
         budget); and a deadline that does not expire
@@ -918,7 +921,8 @@ class TestServedSolves:
         walls = []
         for _ in range(3):  # every attempt is cold: its own operator store
             t0 = time.perf_counter()
-            with pytest.raises(ServeError) as ei:
+            with monkeypatch.context() as m, pytest.raises(ServeError) as ei:
+                m.setattr(server, "choose_leaf_size", _at_32)
                 server._solve_core(hasty, deadline_s=0.002)
             walls.append(time.perf_counter() - t0)
             assert ei.value.code == 408 and ei.value.kind == "deadline"
@@ -1067,13 +1071,15 @@ class TestServedSolves:
 
         asyncio.run(run())
 
-    def test_serve_ledger_records_one_line_per_solve(self, tmp_path):
+    def test_serve_ledger_records_one_line_per_solve(self, tmp_path, far_field):
+        """At S = 32, where 300 bodies have a far field (120 had none), so
+        the second solve reads the operator set the first assembled."""
         ledger = tmp_path / "serve_runs.jsonl"
         cfg = ServeConfig(pool_size=1, ledger_path=str(ledger))
         with BackgroundServer(cfg, tcp=False) as bg:
             c = bg.client(in_process=True)
-            c.solve({"kernel": "laplace", "n": 120, "seed": 2}, tenant="led")
-            c.solve({"kernel": "laplace", "n": 120, "seed": 2}, tenant="led")
+            c.solve({"kernel": "laplace", "n": 300, "seed": 2}, tenant="led")
+            c.solve({"kernel": "laplace", "n": 300, "seed": 2}, tenant="led")
         lines = [
             json.loads(s) for s in ledger.read_text().splitlines() if s.strip()
         ]
@@ -1084,7 +1090,7 @@ class TestServedSolves:
             assert rec["bench"] == "serve"
             serve = rec["extra"]["serve"]
             assert serve["tenant"] == "led"
-            assert serve["spec"]["n"] == 120
+            assert serve["spec"]["n"] == 300
             assert rec["metrics"]["wall_s"] > 0
             # every line says which P2P body made its numbers
             assert rec["machine"]["p2p_kernel"] == p2p_backend()
