@@ -153,9 +153,6 @@ class SphericalExpansion:
     """Spherical-harmonic FMM operators of order ``p`` (terms n <= p)."""
 
     backend = "spherical"
-    #: already (order+1)^2 wide: M2L acts on the coefficients themselves
-    #: (cf. :attr:`CartesianExpansion.m2l_reduction`)
-    m2l_reduction = None
     #: P2M reads the L2P table as it is: both ends use conj(R_n^m(rel))
     p2m_sign = None
 
@@ -164,12 +161,10 @@ class SphericalExpansion:
             raise ValueError(f"order must be >= 0, got {order}")
         self.order = order
         self.ns, self.ms, self.pos = _nm_index(order)
-        #: degree of each translation coefficient
-        #: (cf. :attr:`CartesianExpansion.m2l_degrees`)
-        self.m2l_degrees = self.ns
-        #: ... and of each coefficient an M2M / L2L shift acts on: the same
-        self.shift_degrees = self.ns
-        self.n_coeffs = len(self.ns)
+        #: degree of each coefficient (cf. :attr:`CartesianExpansion.degrees`)
+        self.degrees = self.ns
+        #: already (order+1)^2 wide: the sweep runs on the coefficients
+        self.n_coeffs = self.width = len(self.ns)
         self._m2m_table = _build_shift_table(order, kind="m2m")
         self._l2l_table = _build_shift_table(order, kind="l2l")
         self._m2l_table = _build_m2l_table(order)

@@ -273,7 +273,7 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     )
     cdt = np.complex128 if expansion.backend == "spherical" else np.float64
     k = channels
-    nc = expansion.n_coeffs
+    w = expansion.width
 
     eff = tree.effective_nodes()
     n_eff = len(eff)
@@ -288,8 +288,8 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
 
     entries = [
         ("points", (n, 3), np.float64),
-        ("M", (n_eff, k * nc), cdt),
-        ("L", (n_eff, k * nc), cdt),
+        ("M", (n_eff, k * w), cdt),
+        ("L", (n_eff, k * w), cdt),
         ("src", (n, k), np.float64),
     ]
     for prefix, src in (("body", bplan), ("near", nplan)):
@@ -299,7 +299,7 @@ def _build_plan(tree, lists, expansion, kernel, channels, *, far_potential, far_
     if far_potential:
         entries.append(("fpot", (n, k), np.float64))
     if far_gradient:
-        entries.append(("GK", (3, n_leaves, k * nc), cdt))
+        entries.append(("GK", (3, n_leaves, k * w), cdt))
         entries.append(("fgrad", (n, k, 3), np.float64))
     if near_potential:
         dim = kernel.value_dim

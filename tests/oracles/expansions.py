@@ -1,10 +1,12 @@
-"""Per-node expansion operators, each composed from the row basis or class
-operator the far-field sweep applies (``rel = x - center``; a shift is new
-centre minus old), so a check through them checks what production builds.
-The independent references are :func:`dense_m2l`, the Cartesian M2L over
-all ``n_coeffs`` that the harmonic reduction (DESIGN.md §9) is tested
-against, and the M2P / P2L bases below: the far field folds that work into
-the near field, so only the expansion identities read them.
+"""Per-node expansion operators (``rel = x - center``; a shift is new
+centre minus old).  On the Cartesian back end they are the dense ones over
+all ``n_coeffs`` Taylor coefficients — ``powers``, the binomial shift
+matrices, :func:`dense_m2l` — the independent reference the harmonic-width
+sweep (DESIGN.md §9) is tested against; on the spherical back end, which
+has no reduction, they are composed from the row basis and class operators
+the sweep applies.  The M2P / P2L bases below are references too: the far
+field folds that work into the near field, so only the expansion
+identities read them.
 :func:`operator_set_per_displacement` is the operator set assembled one
 displacement and one sub-block at a time.  Nothing under ``src/`` calls
 this module.
@@ -106,9 +108,33 @@ def m2p_gradient_matrices(exp):
 # ------------------------------------------------------------- per-node ops
 
 
+def _dense(exp):
+    return exp.backend == "cartesian"
+
+
+def l2p_basis(exp, rel):
+    """The L2P rows over every coefficient: ``powers(rel)`` (Cartesian)."""
+    rel = np.atleast_2d(rel)
+    return exp.mis.powers(rel) if _dense(exp) else exp.l2p_basis(rel)
+
+
+def l2p_gradient_matrices(exp):
+    """Per-axis maps of a local's coefficients to those of its derivative:
+    over every Cartesian coefficient, ``d/dy_k (y - z)^beta``."""
+    if not _dense(exp):
+        return exp.l2p_gradient_matrices()
+    mats = []
+    for src, dst, coef in exp.mis.gradient_tables():
+        A = np.zeros((exp.mis.n, exp.mis.n))
+        A[src, dst] = coef
+        mats.append(A)
+    return tuple(mats)
+
+
 def p2m(exp, points, q, center):
-    sign = 1.0 if exp.p2m_sign is None else exp.p2m_sign
-    return np.asarray(q, dtype=float) @ (exp.l2p_basis(np.atleast_2d(points) - center) * sign)
+    # Cartesian M_alpha = sum q (c - x)^alpha; spherical conj(R(x - c))
+    rel = np.atleast_2d(points) - center
+    return np.asarray(q, dtype=float) @ l2p_basis(exp, -rel if _dense(exp) else rel)
 
 
 def p2l(exp, points, q, center):
@@ -116,15 +142,19 @@ def p2l(exp, points, q, center):
 
 
 def m2m(exp, M, shift):
+    if _dense(exp):
+        return M @ exp.mis.m2m_matrix(np.asarray(shift, dtype=float)).T
     return M @ exp.m2m_class_operator(shift)
 
 
 def l2l(exp, L, shift):
+    if _dense(exp):
+        return L @ exp.mis.l2l_matrix(np.asarray(shift, dtype=float)).T
     return L @ exp.l2l_class_operator(shift)
 
 
 def l2p(exp, L, targets, center):
-    return (exp.l2p_basis(np.atleast_2d(targets) - center) @ L).real
+    return (l2p_basis(exp, np.atleast_2d(targets) - center) @ L).real
 
 
 def m2p(exp, M, targets, center):
@@ -132,8 +162,8 @@ def m2p(exp, M, targets, center):
 
 
 def l2p_gradient(exp, L, targets, center):
-    basis = exp.l2p_basis(np.atleast_2d(targets) - center)
-    return np.stack([(basis @ (L @ A)).real for A in exp.l2p_gradient_matrices()], axis=1)
+    basis = l2p_basis(exp, np.atleast_2d(targets) - center)
+    return np.stack([(basis @ (L @ A)).real for A in l2p_gradient_matrices(exp)], axis=1)
 
 
 def m2p_gradient(exp, M, targets, center):
@@ -146,7 +176,7 @@ def m2l(exp, M, D):
     dense on the Cartesian back end, the class operators on the spherical."""
     if np.ndim(M) == 1:
         return m2l(exp, M[None], np.reshape(D, (1, 3)))[0]
-    if exp.m2l_reduction is not None:
+    if _dense(exp):
         return dense_m2l(exp, M, D)
     ops = (A for lo in range(0, len(M), _CHUNK) for A in exp.m2l_class_operators(D[lo:lo + _CHUNK]))
     return np.stack([m @ A for m, A in zip(M, ops)])

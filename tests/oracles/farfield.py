@@ -1,11 +1,12 @@
 """The per-node Laplace far-field sweep — the reference the batched,
-reduced-translation sweep of :mod:`repro.fmm.farfield` is tested against.
+harmonic-width sweep of :mod:`repro.fmm.farfield` is tested against.
 
 One translation operator per node or pair, through the per-node helpers
-of :mod:`tests.oracles.expansions`: every Cartesian M2L here is the dense
-one over all ``n_coeffs`` coefficients, so agreement with the production
-sweep also checks the harmonic reduction (DESIGN.md §9).  Nothing under
-``src/`` calls it.
+of :mod:`tests.oracles.expansions`: every Cartesian operator here — P2M,
+M2M, M2L, L2L, L2P and the gradient — is the dense one over all
+``n_coeffs`` coefficients, so agreement with the production sweep also
+checks the harmonic reduction (DESIGN.md §9).  Nothing under ``src/``
+calls it.
 """
 
 from __future__ import annotations

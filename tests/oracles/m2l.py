@@ -6,10 +6,9 @@ This is the loop the far-field sweep ran before M2L moved onto sibling
 octets (DESIGN.md §9): every V pair is keyed by its level and the integer
 cell offset of its two nodes, each key gets one ``(p+1)^2``-square core
 built from the *centre difference* of a representative pair, and the
-sweep is ``Lh[t] += Mh[s] @ core`` per class between one ``M @ R`` and
-one ``Lh @ R.T``.  It reads the V table itself, so agreement with the
-shipped sweep also checks that the V list is what the colleague pairs of
-split nodes imply.  Nothing under ``src/`` calls it.
+sweep is ``L[t] += M[s] @ core`` per class over the sweep-width rows.
+It reads the V table itself, so agreement with the shipped sweep also
+checks that the V list is what the colleague pairs of split nodes imply.  Nothing under ``src/`` calls it.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ def displacement_classes(tree, lists, expansion):
     return keys, classes
 
 
-def m2l_locals(expansion, classes, multipoles):
-    """The full-width locals M2L leaves behind, class by class."""
-    R = expansion.m2l_reduction
-    reduced = multipoles if R is None else multipoles @ R
-    out = np.zeros_like(reduced)
+def m2l_locals(classes, multipoles):
+    """The locals M2L leaves behind, class by class."""
+    out = np.zeros_like(multipoles)
     for srows, trows, core in classes:
-        out[trows] += reduced[srows] @ core
-    return out if R is None else out @ R.T
+        out[trows] += multipoles[srows] @ core
+    return out

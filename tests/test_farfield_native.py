@@ -54,7 +54,7 @@ def _stages(geom, plan, exp, n, want, seed=0, k=1):
     q = rng.uniform(-1, 1, (n, k))
     q[::7] = 0.0  # signed zeros through the sums
     basis = farfield.leaf_basis(exp, plan, lambda key: (None, lambda v: v))
-    shape = (geom.centers.shape[0], k * exp.n_coeffs)
+    shape = (geom.centers.shape[0], k * exp.width)
     M = np.zeros(shape)
     farfield.p2m(geom, plan, exp, M, charges=q, basis=basis)
     L = rng.standard_normal(shape)
@@ -180,7 +180,7 @@ def unreachable(native_p2p, monkeypatch):
 
 def test_bad_leaf_stage_arguments_raise_before_any_c_runs(unreachable):
     tree, geom, plan, exp = _case(plummer(400, seed=2).positions, 16, 4)
-    n, nc = tree.n_bodies, exp.n_coeffs
+    n, nc = tree.n_bodies, exp.width
     basis = farfield.leaf_basis(exp, plan, lambda key: (None, lambda v: v))
     rows = plan.leaf_rows(geom)
     q, M = np.ones((n, 1)), np.zeros((geom.centers.shape[0], nc))

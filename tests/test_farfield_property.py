@@ -1,9 +1,9 @@
 """Property tests: the batched far-field engine matches the scalar oracle.
 
 :func:`repro.fmm.farfield.laplace_far_field` applies one operator per
-*geometry class* over dense coefficient arrays — M2L in the (p+1)²-wide
-translation space; the original per-node sweep over all ``n_coeffs``
-coefficients is kept as
+*geometry class* over dense coefficient arrays, every stage in the
+(p+1)²-wide translation space; the original per-node sweep over all
+``n_coeffs`` coefficients is kept as
 :func:`tests.oracles.farfield.laplace_far_field_scalar` exactly so the two
 can be compared on randomized adaptive trees across both expansion
 backends.  Also covers the subset contract of the per-body stage functions (what the shard schedule
@@ -120,7 +120,7 @@ def _check_leaf_subset(tree, backend, order, seed, leaves):
     plan = farfield.leaf_body_plan(tree, lists)
     leaves = np.array(leaves, dtype=np.int64)
     sub = plan.subset(leaves)
-    shape = (geom.centers.shape[0], 2 * exp.n_coeffs)
+    shape = (geom.centers.shape[0], 2 * exp.width)
     dtype = complex if backend == "spherical" else float
 
     def basis(p):
@@ -290,7 +290,7 @@ def test_octet_m2l_agrees_with_the_per_displacement_class_loop(cloud, backend, o
     assert len(p.geom.m2l_classes) <= 13
     _keys, classes = displacement_classes(tree, lists, exp)
     assert sum(c[0].size for c in classes) == p.geom.n_m2l
-    want = m2l_locals(exp, classes, p.multipoles)
+    want = m2l_locals(classes, p.multipoles)
     scale = np.abs(want).max(axis=0)
     assert (np.abs(got - want).max(axis=0) <= 1e-12 * scale).all()
     assert not got[0].any()  # the root has no far field

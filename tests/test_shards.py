@@ -160,8 +160,8 @@ def reduction_cases():
     """The solves where ``n_coeffs - (p+1)^2`` is large or the translation
     arrays meet the other phases, each with its serial answer: (i) a
     uniform cube at order 6 (84 -> 49 wide), (ii) an adaptive Plummer tree
-    (the M2L expand must land before the first L2L add), (iii) the 4-pass
-    Stokeslet solve (passes share R, the octet layout and the direction
+    (M2L's locals must land before the first L2L add), (iii) the 4-channel
+    Stokeslet solve (channels share the octet layout and the direction
     blocks)."""
     cases = {
         "uniform-o6": _laplace_case(
