@@ -146,20 +146,39 @@ class MultiIndexSet:
         degree; per degree n only the 2n+1 with z-power <= 1 (``keep``,
         ``(order+1)^2`` positions in all) are independent:
         ``c = R @ c[keep]`` with ``R`` of shape ``(n, (order+1)^2)``,
-        block-diagonal by degree and the identity on the ``keep`` rows.
+        block-diagonal by degree: :meth:`harmonic_folds` on the identity.
         """
+        fold = np.eye(self.n)
+        for src, dst, coef in self.harmonic_folds():
+            fold[:, dst] += fold[:, src] * coef
+        keep = np.nonzero(self.indices[:, 2] <= 1)[0]
+        return keep, fold[:, keep]
+
+    @frozen_cache
+    def harmonic_folds(self) -> tuple:
+        """``(src, dst, coef)`` steps ``B[:, dst] += B[:, src] * coef``,
+        highest z-power first, after which ``B[:, keep]`` is ``B @ R``: the
+        trace relation pushes ``(a, b, c)`` onto ``(a+2, b, c-2)`` and
+        ``(a, b+2, c-2)``; within a step every ``dst`` is distinct."""
         ix = self.indices
-        keep = np.nonzero(ix[:, 2] <= 1)[0]
-        R = np.zeros((self.n, keep.size))
-        R[keep, np.arange(keep.size)] = 1.0
-        # (degree, lex) order lists (a+2, b, c-2) and (a, b+2, c-2) first
-        for j in np.nonzero(ix[:, 2] >= 2)[0].tolist():
-            a, b, c = ix[j].tolist()
-            R[j] = -(
-                (a + 2) * (a + 1) * R[self._pos[a + 2, b, c - 2]]
-                + (b + 2) * (b + 1) * R[self._pos[a, b + 2, c - 2]]
-            ) / (c * (c - 1))
-        return keep, R
+        steps = []
+        for c in range(self.order, 1, -1):
+            src = np.nonzero(ix[:, 2] == c)[0]
+            a, b = ix[src, 0], ix[src, 1]
+            for da, db, k in ((2, 0, a), (0, 2, b)):
+                dst = [self._pos[x + da, y + db, c - 2] for x, y in zip(a.tolist(), b.tolist())]
+                steps.append((src, np.array(dst), -((k + 2) * (k + 1)) / (c * (c - 1))))
+        return tuple(steps)
+
+    @frozen_cache
+    def harmonic_gradient_maps(self) -> tuple[np.ndarray, ...]:
+        """``(R.T @ A_k)[:, keep]`` per axis, ``A_k`` the dense map of
+        :meth:`gradient_tables`."""
+        keep, R = self.harmonic_tables()
+        maps = [np.zeros((self.n, self.n)) for _ in range(3)]
+        for A, (src, dst, coef) in zip(maps, self.gradient_tables()):
+            A[src, dst] = coef
+        return tuple(R.T @ A[:, keep] for A in maps)
 
     # --------------------------------------------------- gradient (L2P) tables
     @frozen_cache

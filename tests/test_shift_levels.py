@@ -64,7 +64,9 @@ def test_the_level_plan_covers_every_shift_once(Backend):
         assert np.array_equal(shift > 0, (octant[:, None] >> np.arange(3) & 1) == 1)
     # the stages read the set's own arrays: nothing is rescaled per tree
     ops, _ = lists.operator_store.get(exp, tree.root_box.size)
-    assert geom.m2m is ops.m2m and geom.l2l is ops.l2l
+    for s in geom.shift_levels:
+        m2m, l2l = ops.shift_stacks(s.level)
+        assert s.m2m is m2m and s.l2l is l2l
 
 
 @pytest.mark.parametrize("Backend", BACKENDS)
@@ -72,8 +74,9 @@ def test_the_level_plan_covers_every_shift_once(Backend):
 @pytest.mark.parametrize("cloud", ["plummer", "uniform"])
 def test_level_stages_match_the_class_loop(Backend, k, cloud):
     """One gemm per level over octets == the per-(level, octant) class loop
-    to 5e-15 of the array maximum, up and down (measured <= 2.3e-15 for
-    M2M, whose eight per-octant adds became one dot, and <= 2e-17 for L2L)."""
+    to 5e-15 of the array maximum, up and down (measured <= 2.3e-15 for the
+    spherical M2M, whose eight per-octant adds are one dot — the Cartesian
+    one sums its slots in the loop's order — and <= 2e-17 for L2L)."""
     pts = {"plummer": plummer, "uniform": uniform_cube}[cloud](2000, seed=5).positions
     tree = AdaptiveOctree(pts, S=12)
     lists = build_interaction_lists(tree)
