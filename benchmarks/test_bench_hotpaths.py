@@ -19,6 +19,12 @@ Claims asserted at benchmark scale:
   compiler resolves (within 1e-13), and <= 0.5x that seam over the
   compiled blocks, one call per group (the same bytes), on Plummer 10k
   S=32 and uniform 10k S=8, timed alternately in one process;
+* the serial near field runs on every usable CPU: its tiles cut into one
+  chunk per CPU and claimed by the calling thread and the process-wide
+  helpers take <= 1/1.5 the time of one lane on 2 CPUs (Plummer 10k S=32,
+  and compact Plummer 2k S=246, whose oversize groups are sliced by target
+  rows), alternating in one process, the same bytes; below 2 usable CPUs
+  it is skipped;
 * the Stokeslet near field runs compiled: at the served shape (Plummer 2k
   S=32) ``stokeslet_tiles`` takes <= 1/3 the time of the NumPy gather seam
   that runs where no compiler resolves, alternating in one process, within
@@ -58,7 +64,8 @@ Claims asserted at benchmark scale:
 * an armed deadline costs nothing: a warm serial solve with
   ``Deadline(3600)`` takes <= 1.10x the one without (Plummer 10k S=32
   order 4, Plummer 2k S=32 order 3), alternating in one process — the
-  serial sweeps walk the same task list either way, one near-field call;
+  serial sweeps walk the same task list either way, the same near-field
+  chunks;
 * the modeled machine is built once per tree shape: a warm
   ``HeterogeneousExecutor.time_step`` (skeleton cached, work and bytes
   from the new counts after a refit) takes <= 0.5x the per-node oracle
@@ -90,6 +97,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.runtime.engine as engine_module
 from repro.balance.config import BalancerConfig
 from repro.balance.controller import SEARCH_MAX_STEPS
 from repro.distributions.generators import (
@@ -291,6 +299,44 @@ def test_bench_near_field_reads_the_plan_in_place(benchmark, monkeypatch):
             r = ratio[ref]
             assert r <= bound, f"plan-indexed near field {r:.2f}x the {ref} gather seam ({label})"
     benchmark.pedantic(lambda: run("indexed"), rounds=2, iterations=1)
+
+
+def test_bench_near_lanes(benchmark, monkeypatch):
+    """The serial near field on every usable CPU (claimed chunks, one per
+    CPU) >= 1.5x one lane on 2 CPUs, with the same bytes: Plummer 10k S=32
+    and compact Plummer 2k S=246, whose oversize groups are sliced."""
+    lanes = engine_module.default_workers()
+    if lanes < 2:
+        pytest.skip(f"{lanes} usable CPU: one lane is all there is, nothing to compare")
+    kernel = GravityKernel(G=1.0)
+    for label, pts, S in (
+        ("Plummer 10k S=32", plummer(10_000, seed=1).positions, 32),
+        ("compact Plummer 2k S=246",
+         compact_plummer(2000, velocity_scale=1.5, seed=1).positions, 246),
+    ):
+        tree = AdaptiveOctree(pts, S=S)
+        lists = build_interaction_lists(tree)
+        q = np.random.default_rng(1).uniform(0.5, 1.0, tree.n_bodies)
+        out = {}
+
+        def run(n, tree=tree, lists=lists, q=q):
+            monkeypatch.setattr(engine_module, "default_workers", lambda: n)
+            out[n] = evaluate_near_field(kernel, tree, lists, q, potential=True, gradient=True)
+
+        run(lanes)  # warm: plan built, helpers started
+        best = {1: float("inf"), lanes: float("inf")}
+        for _ in range(15):  # alternating: host drift hits both sides alike
+            for n in best:
+                best[n] = min(best[n], _best_time(lambda: run(n), rounds=1))
+        assert [a.tobytes() for a in out[lanes]] == [a.tobytes() for a in out[1]]
+        ratio = best[1] / best[lanes]
+        print()
+        print(
+            f"near field, {label}: one lane {best[1] * 1e3:.2f} ms, {lanes} lanes "
+            f"{best[lanes] * 1e3:.2f} ms -> {ratio:.2f}x"
+        )
+        assert ratio >= 1.5, f"{lanes} near-field lanes read {ratio:.2f}x one lane ({label})"
+    benchmark.pedantic(lambda: run(lanes), rounds=2, iterations=1)
 
 
 def test_bench_stokeslet_near_field_runs_compiled(benchmark, monkeypatch):

@@ -101,32 +101,32 @@ class PassListSolver:
         near_grad)``, the far pair shaped as
         :meth:`FarFieldPass.result <repro.fmm.farfield.FarFieldPass.result>`.
         """
+        # imported here: repro.fmm / repro.runtime package inits would cycle
+        from repro.runtime.engine import GraphExecutionError, solve_in_flight
+        from repro.runtime.shards import ProcessEngine, ShardExecutionError
+
         # set again only by the run that produces this solve's answer: a
         # failed or expired run is discarded whole
         self.last_engine_result = self.last_shard_result = None
-        if lists is None:
-            lists = self.list_cache.get(tree)
-        if deadline is not None:
-            deadline.check("lists")
-        args = (tree, lists, charges, far, near_q, near, deadline)
-        engine = self.engine
-        if engine is None:
-            return (lists, *self._run_serial(*args))
-
-        # imported here: repro.fmm / repro.runtime package inits would cycle
-        from repro.runtime.engine import GraphExecutionError
-        from repro.runtime.shards import ProcessEngine, ShardExecutionError
-
-        try:
-            if isinstance(engine, ProcessEngine):
-                out = self._run_shards(*args)
-                self.last_shard_result = engine.last_result
-            else:
-                out = self._run_graph(*args)
-        except (GraphExecutionError, ShardExecutionError) as exc:
-            self._record_degraded(exc)
-            out = self._run_serial(*args)
-        return (lists, *out)
+        with solve_in_flight():
+            if lists is None:
+                lists = self.list_cache.get(tree)
+            if deadline is not None:
+                deadline.check("lists")
+            args = (tree, lists, charges, far, near_q, near, deadline)
+            engine = self.engine
+            if engine is None:
+                return (lists, *self._run_serial(*args))
+            try:
+                if isinstance(engine, ProcessEngine):
+                    out = self._run_shards(*args)
+                    self.last_shard_result = engine.last_result
+                else:
+                    out = self._run_graph(*args)
+            except (GraphExecutionError, ShardExecutionError) as exc:
+                self._record_degraded(exc)
+                out = self._run_serial(*args)
+            return (lists, *out)
 
     def _run_serial(self, tree, lists, charges, far, near_q, near, deadline):
         """The exact serial sweeps (and the fallback path).

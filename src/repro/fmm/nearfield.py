@@ -13,10 +13,15 @@ by the near *leaf* pairs, not by the body pairs they expand to.  Groups
 are ordered by shape — target count exact, source count rounded up to a
 multiple of ``_SRC_ROUND`` — and a run of same-shape groups, cut where its
 stacked pairs would exceed ``_TILE_ELEMS``, is a **tile**: the one unit of
-near-field work for the thread engine (task chunks, cut by
-:attr:`NearFieldPlan.tile_weights`) and the shard workers (LPT
-assignment) alike; the serial driver hands them all over at once.  A group
-larger than the budget is a tile of its own.  Every back end hands a list
+near-field work for the serial driver and the thread engine (chunks cut by
+:attr:`NearFieldPlan.tile_weights`: the serial driver's one per lane — the
+usable CPUs shared among the solves in flight — run claimed on the calling
+thread and the process-wide helpers of
+:func:`~repro.runtime.engine.run_claimed`) and the shard workers (LPT
+assignment) alike.  A group larger than the budget is a tile of its own,
+and a group of more than ``_SLICE_PAIRS`` pairs is first cut into slices
+of its target rows, each over all of its sources, so that no one tile can
+hold most of the work.  Every back end hands a list
 of tiles to one stage function, :func:`evaluate_near_tiles` →
 :meth:`Kernel.near_tiles <repro.kernels.base.Kernel.near_tiles>`: the
 Laplace kernels and the Stokeslet walk the runs in place in one compiled
@@ -76,6 +81,14 @@ __all__ = [
 #: not tunable: the sweep is in DESIGN.md section 7.
 _SRC_ROUND = 8
 
+#: a group of more target x source pairs than this is cut into slices of
+#: its target rows, each over all of its sources (a row's bits depend on
+#: its sources only, so slicing moves no bit): one group cannot then hold
+#: half the work of a tree of few big leaves (compact Plummer 2k at S=246:
+#: 1.84 M of 3.75 M pairs), and the tiles cut into as many chunks as there
+#: are CPUs.  Measured, not tunable: the sweep is in DESIGN.md section 7.
+_SLICE_PAIRS = 2**18
+
 
 #: the plan's arrays: int64 and C-contiguous, read in place by the compiled
 #: entry points and mirrored unchanged into the shard arena
@@ -85,7 +98,8 @@ PLAN_ARRAYS = ("tgt_idx", "tgt_ptr", "order", "src_lo", "src_hi", "run_ptr", "sr
 
 @dataclass
 class NearFieldPlan:
-    """Flattened near-field work: one entry per distinct source set.
+    """Flattened near-field work: one group per distinct source set, or
+    per target-row slice of one (``_SLICE_PAIRS``).
 
     ``tgt_idx`` holds body indices back to back per group, in shape order,
     and ``tgt_ptr`` is its CSR offsets.  Group ``g``'s sources are the
@@ -297,23 +311,32 @@ def _group_targets(tab, lists: InteractionLists) -> _PlanGroups:
 
 def _plan_from_groups(tab, order: np.ndarray, groups: _PlanGroups) -> NearFieldPlan:
     """The plan of ``groups`` at the leaf populations of the node table
-    ``tab`` and the body order ``order``: counts, shape order, runs,
+    ``tab`` and the body order ``order``: counts, shape order, slices, runs,
     target and self positions, tiles."""
     body_cnt = tab.counts
     sig_len, tgt_len = groups.sig_len, groups.tgt_len
     src_cnt = _run_sums(body_cnt[groups.sig_rows], sig_len)
     tgt_cnt = _run_sums(body_cnt[groups.tgt_rows], tgt_len)
 
-    # shape order: targets exact, sources rounded up to _SRC_ROUND; a
-    # group's sources are its signature leaves' runs of ``tree.order``
+    # shape order: targets exact, sources rounded up to _SRC_ROUND
     by_shape = np.lexsort((tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND))
-    sig_rows = _take_runs(groups.sig_rows, sig_len, by_shape)
     tgt_rows = _take_runs(groups.tgt_rows, tgt_len, by_shape)
     sig_len, src_cnt, tgt_cnt = sig_len[by_shape], src_cnt[by_shape], tgt_cnt[by_shape]
 
-    # a source leaf whose bodies follow the previous one's in ``tree.order``
-    # extends that run: the same sources in the same order, and 2-2.4x fewer
-    # runs for ``p2p_tiles`` to loop over (each run costs it a branch)
+    # a group of more than _SLICE_PAIRS pairs becomes ``m`` slices of its
+    # target rows in place, as even as they come, each over all of the
+    # group's source leaves: slice ``k`` is rows ``k T // m : (k + 1) T // m``
+    m = np.maximum(1, -(-tgt_cnt // np.maximum(1, _SLICE_PAIRS // np.maximum(1, src_cnt))))
+    grp = np.repeat(np.arange(m.size), m)
+    k = np.arange(grp.size) - csr_ptr(m)[grp]
+    tgt_ptr = np.append(csr_ptr(tgt_cnt)[grp] + k * tgt_cnt[grp] // m[grp], tgt_cnt.sum())
+    sig_rows = _take_runs(groups.sig_rows, groups.sig_len, by_shape[grp])
+    sig_len, src_cnt, t_cnt = sig_len[grp], src_cnt[grp], np.diff(tgt_ptr)
+
+    # a group's sources are its signature leaves' runs of ``tree.order``; a
+    # source leaf whose bodies follow the previous one's extends that run:
+    # the same sources in the same order, and 2-2.4x fewer runs for
+    # ``p2p_tiles`` to loop over (each run costs it a branch)
     lo, hi, first = tab.lo[sig_rows], tab.hi[sig_rows], csr_ptr(sig_len)
     start = np.ones(lo.size + 1, dtype=bool)
     start[1:-1] = lo[1:] != hi[:-1]
@@ -323,15 +346,15 @@ def _plan_from_groups(tab, order: np.ndarray, groups: _PlanGroups) -> NearFieldP
     self_rows = groups.self_rows
     return NearFieldPlan(
         tgt_idx=order[segment_positions(tab.lo[tgt_rows], tab.hi[tgt_rows])[0]],
-        tgt_ptr=csr_ptr(tgt_cnt),
+        tgt_ptr=tgt_ptr,
         order=order,
         src_lo=lo[at[:-1]],
         src_hi=hi[at[1:] - 1],
         run_ptr=np.searchsorted(at, first),
         src_cnt=src_cnt,
-        tile_ptr=_tile_boundaries(tgt_cnt, src_cnt + -src_cnt % _SRC_ROUND),
+        tile_ptr=_tile_boundaries(t_cnt, src_cnt + -src_cnt % _SRC_ROUND),
         self_idx=order[segment_positions(tab.lo[self_rows], tab.hi[self_rows])[0]],
-        total_pairs=int((tgt_cnt * src_cnt).sum()),
+        total_pairs=int((t_cnt * src_cnt).sum()),
         n_bodies=order.size,
     )
 
@@ -386,14 +409,15 @@ def near_self_correction(kernel: Kernel, pts, q, self_idx, pot, grad) -> None:
 class NearFieldPass:
     """One P2P evaluation split into per-tile stages.
 
-    Target leaves are *partitioned* (each leaf belongs to exactly one
-    source-set group, each group to one tile), so :meth:`tile_range` calls
+    Targets are *partitioned* (each body belongs to exactly one group or
+    slice of one, each group to one tile), so :meth:`tile_range` calls
     write disjoint body rows and may execute concurrently in any order with
     bitwise identical results; :meth:`self_correction` must run after
     every tile (it subtracts from rows the tiles wrote).  Construction
     resolves the plan cache on the calling thread, so the stages are pure
-    compute.  :meth:`add_tasks` declares them once: the thread engine runs
-    the declaration in chunks, :func:`evaluate_near_field` walks it as one.
+    compute.  :meth:`add_tasks` declares them for the thread engine;
+    :func:`evaluate_near_field` runs the same stages, its chunks claimed
+    one per lane, and the self-correction after them.
     """
 
     def __init__(
@@ -448,8 +472,8 @@ class NearFieldPass:
         )
 
     def tile_range(self, lo: int, hi: int) -> None:
-        """Tiles ``[lo, hi)`` in one kernel call — the chunked task
-        granularity; writes these tiles' target rows only."""
+        """Tiles ``[lo, hi)`` in one kernel call — the chunk granularity;
+        writes these tiles' target rows only."""
         evaluate_near_tiles(
             self.kernel, self.pts, self.q, self.plan, range(lo, hi), self.pot, self.grad
         )
@@ -474,28 +498,39 @@ def evaluate_near_field(
     gradient: bool = False,
     deadline=None,
 ):
-    """Evaluate the P2P phase: all tiles in one kernel call, then the
+    """Evaluate the P2P phase: the tiles on every usable CPU, then the
     self-correction.
 
     Returns ``(pot, grad)`` with the same shapes and semantics as the
     per-leaf near-field loop: ``pot`` is ``(n,)`` for scalar kernels and
     ``(n, value_dim)`` for vector kernels, ``grad`` is ``(n, 3)``; entries
-    for bodies outside any near pair stay zero.  This walks
-    :meth:`NearFieldPass.add_tasks`' one-chunk DAG in insertion order — the
-    declaration the thread engine runs in chunks.  ``deadline`` (a
-    :class:`repro.util.timing.Deadline`) is checked after the plan build
-    and after every task, so no two checks are further apart than one task.
+    for bodies outside any near pair stay zero.  The tiles are cut by
+    :attr:`NearFieldPlan.tile_weights` into one chunk per lane (the usable
+    CPUs shared among the solves in flight,
+    :func:`~repro.runtime.engine.claimed_lanes`), run **claimed**
+    (:func:`~repro.runtime.engine.run_claimed`: the calling thread and the
+    process-wide helpers each take the next unclaimed chunk), and the
+    self-correction runs last on the calling thread.  A target row is
+    written by one kernel call over its group's sources wherever it runs,
+    so the bits are those of one chunk.  ``deadline`` (a
+    :class:`repro.util.timing.Deadline`) is checked after the plan build,
+    after every chunk the calling thread runs and after the
+    self-correction; no helper writes ``pot`` or ``grad`` once this
+    returns or raises.
     """
     # imported here: repro.runtime's package init imports the shard
     # workers, which import this module
-    from repro.runtime.engine import TaskGraphBuilder, run_in_order
+    from repro.runtime.engine import claimed_lanes, run_claimed
 
     p = NearFieldPass(
         kernel, tree, lists, strengths, potential=potential, gradient=gradient
     )
     if deadline is not None:
         deadline.check("near-plan")
-    g = TaskGraphBuilder()
-    p.add_tasks(g, n_chunks=1)
-    run_in_order(g, deadline=deadline)
+    chunks = chunk_ranges(p.plan.tile_weights, claimed_lanes())
+    run_claimed([partial(p.tile_range, lo, hi) for lo, hi in chunks],
+                deadline=deadline, phase="P2P")
+    p.self_correction()
+    if deadline is not None:
+        deadline.check("P2P")
     return p.result()

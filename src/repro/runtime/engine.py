@@ -10,7 +10,9 @@ pool of daemon worker threads driven by a ready-queue over an explicit
 :class:`TaskNode` DAG yields genuine wall-clock speedup — the data-driven
 runtime-system shape of Ltaief & Yokota and Agullo et al., scaled down to
 one shared-memory node.  The same declaration walked in insertion order on
-the calling thread (:func:`run_in_order`) is the serial schedule.
+the calling thread (:func:`run_in_order`) is the serial schedule; the serial
+near field hands its independent chunks to :func:`run_claimed`, which the
+calling thread and a process-wide helper pool run, each claiming the next.
 
 Design rules that make parallel runs **bitwise identical** to serial ones:
 
@@ -63,7 +65,7 @@ import queue
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -81,8 +83,11 @@ __all__ = [
     "TaskGraphBuilder",
     "TaskInterval",
     "TaskNode",
+    "claimed_lanes",
     "default_workers",
+    "run_claimed",
     "run_in_order",
+    "solve_in_flight",
 ]
 
 #: total tries per ``retryable`` task before the graph fails
@@ -335,6 +340,114 @@ class _WorkerPool:
         for t in self._threads:
             t.join(timeout=1.0)
         self._threads = []
+
+
+#: the process-wide helpers of :func:`run_claimed`, made on first need
+_helpers: _WorkerPool | None = None
+_helpers_lock = threading.Lock()
+#: solves in flight in this process (:func:`solve_in_flight`)
+_solves = 0
+
+
+@contextmanager
+def solve_in_flight():
+    """Count one solve as in flight while the block runs (every solver's
+    dispatch does): :func:`claimed_lanes` shares the usable CPUs among the
+    solves in flight."""
+    global _solves
+    with _helpers_lock:
+        _solves += 1
+    try:
+        yield
+    finally:
+        with _helpers_lock:
+            _solves -= 1
+
+
+def claimed_lanes() -> int:
+    """The threads a :func:`run_claimed` call may use: the usable CPUs
+    (:func:`default_workers`) shared among the solves in flight, at least
+    one.  Two served solves on two CPUs run one lane each: three threads
+    on two CPUs would make each wait for a helper's chunk behind the other
+    solve's Python work, whose interpreter lock the helper needs to return.
+    """
+    return max(1, default_workers() // max(1, _solves))
+
+
+def _helper_pool(n: int) -> _WorkerPool:
+    """The shared helper pool, at least ``n`` threads wide."""
+    global _helpers
+    with _helpers_lock:
+        old = _helpers
+        if old is None or len(old._threads) < n:
+            _helpers = _WorkerPool(n, name="repro-lane")
+        pool = _helpers
+    if old is not None and old is not pool:
+        old.shutdown()  # queued thunks run before its sentinels
+    return pool
+
+
+class _Claims:
+    """The claim counter of one :func:`run_claimed` call: ``running``
+    counts the thunks claimed and not finished; the first error stops all
+    further claims."""
+
+    def __init__(self, thunks) -> None:
+        self.thunks = thunks
+        self.next = 0
+        self.running = 0
+        self.errors: dict[int, BaseException] = {}
+        self.cond = threading.Condition()
+
+    def work(self, deadline: Deadline | None = None, phase: str = "") -> None:
+        """Claim, run, release, until nothing is left to claim; ``deadline``
+        is checked after each thunk."""
+        while True:
+            with self.cond:
+                if self.errors or self.next == len(self.thunks):
+                    return
+                i = self.next
+                self.next += 1
+                self.running += 1
+            err = None
+            try:
+                self.thunks[i]()
+                if deadline is not None:
+                    deadline.check(phase)
+            except BaseException as exc:
+                err = exc
+            with self.cond:
+                if err is not None:
+                    self.errors[i] = err
+                self.running -= 1
+                self.cond.notify_all()
+
+
+def run_claimed(thunks, *, deadline: Deadline | None = None, phase: str = "") -> None:
+    """Run the independent ``thunks`` once each on the calling thread and up
+    to ``claimed_lanes() - 1`` helpers of one process-wide daemon pool:
+    each takes the next unclaimed thunk.  The caller runs every thunk no
+    helper has started, then waits only for those a helper claimed, so a
+    helper queued behind another caller's work costs nothing.
+
+    ``deadline`` is checked, naming ``phase``, after each thunk the caller
+    runs.  Once a thunk raises (or the deadline expires) nothing more is
+    claimed; when no claimed thunk is still running, the error of the first
+    failed thunk in ``thunks`` order is raised as it is.  One thunk, or one
+    lane, starts no thread.
+    """
+    run = _Claims(thunks)
+    lanes = claimed_lanes()
+    n_help = min(len(thunks), lanes) - 1
+    if n_help > 0:
+        pool = _helper_pool(default_workers() - 1)
+        for _ in range(n_help):
+            pool.submit(run.work)
+    run.work(deadline, phase)
+    with run.cond:
+        run.cond.wait_for(lambda: run.running == 0)
+    if run.errors:
+        raise run.errors[min(run.errors)]
 
 
 class ExecutionEngine:

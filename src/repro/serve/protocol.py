@@ -152,9 +152,10 @@ class SolveSpec:
     and the server stays healthy.  A deadline does not change *how* the
     request is solved.
 
-    A served request always runs the exact serial sweep (no engine): the
-    server's parallelism is *across* requests, one solver thread per pool
-    slot.  A spec therefore names no back end — ``workers`` or ``shards``
+    A served request always runs the exact serial sweep (no engine; its
+    near-field chunks are claimed by the solver thread and the process-wide
+    helpers on the CPUs no other solve in flight holds): the server's
+    parallelism is *across* requests, one solver thread per pool slot.  A spec therefore names no back end — ``workers`` or ``shards``
     is an unknown field, which :meth:`from_dict` rejects with a 400.
     """
 

@@ -68,7 +68,8 @@ class SimulationConfig:
     seed: int = 0
     #: execution-engine worker threads for the numeric FMM solves:
     #: ``None`` = one per usable CPU, ``1`` = no engine: the exact serial
-    #: sweeps
+    #: sweeps (in order, their bits; the near-field tiles still run claimed
+    #: on every usable CPU, DESIGN.md section 7)
     n_workers: int | None = None
     #: abort any single FMM solve that runs longer than this many wall
     #: seconds (``None`` = no deadline), on whichever back end runs it:

@@ -37,6 +37,7 @@ from repro.expansions.spherical import SphericalExpansion
 from repro.fmm import farfield
 from repro.fmm.evaluator import FMMSolver
 from repro.fmm.farfield import FarFieldPass
+from repro.fmm.nearfield import build_near_field_plan, chunk_ranges
 from repro.kernels import LaplaceKernel
 from repro.kernels.direct import direct_evaluate
 from repro.kernels.laplace import GravityKernel
@@ -57,6 +58,7 @@ from repro.runtime.engine import (
     GraphTaskError,
     TaskGraphBuilder,
 )
+from repro.runtime import engine as engine_module
 from repro.runtime.shards import ProcessEngine
 from repro.sim.driver import Simulation, SimulationConfig
 from repro.tree import AdaptiveOctree, build_interaction_lists
@@ -484,8 +486,10 @@ def test_deadline_contract(backend, kind, monkeypatch):
 @pytest.mark.parametrize("kind", _SOLVER_KINDS)
 def test_an_armed_deadline_does_not_change_the_near_field_calls(kind, monkeypatch):
     """A deadline changes when a serial solve may stop, not how it runs:
-    armed or not, the near field is one ``Kernel.near_tiles`` call over
-    every tile (the served shape, Plummer 2k at S=32, has hundreds)."""
+    armed or not, the near field is one ``Kernel.near_tiles`` call per
+    chunk of its tiles, the chunks those of two lanes (the served shape,
+    Plummer 2k at S=32, has hundreds of tiles)."""
+    monkeypatch.setattr(engine_module, "default_workers", lambda: 2)
     pts = plummer(2000, seed=3).positions
     tree = AdaptiveOctree(pts, S=32)
     solver, q, kw, outputs = _solver_case(kind, pts.shape[0], 3)
@@ -496,11 +500,14 @@ def test_an_armed_deadline_does_not_change_the_near_field_calls(kind, monkeypatc
         lambda *a: calls.append(len(a[3])) or near_tiles(*a),
     )
     ref = outputs(solver.solve(tree, q, **kw))
-    n_tiles = solver.list_cache.get(tree).nearfield_plan_stats["tiles"]
-    assert calls == [n_tiles] and n_tiles > 100
-    calls.clear()
+    lists = solver.list_cache.get(tree)
+    n_tiles = lists.nearfield_plan_stats["tiles"]
+    chunks = chunk_ranges(build_near_field_plan(tree, lists).tile_weights, 2)
+    assert sorted(calls) == sorted(hi - lo for lo, hi in chunks)
+    assert len(chunks) == 2 and sum(calls) == n_tiles > 100
+    expected, calls[:] = sorted(calls), []
     res = outputs(solver.solve(tree, q, deadline=Deadline(3600.0), **kw))
-    assert calls == [n_tiles]
+    assert sorted(calls) == expected
     for a, b in zip(res, ref):
         assert np.array_equal(a, b)
 
