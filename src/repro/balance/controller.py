@@ -133,7 +133,6 @@ class DynamicLoadBalancer:
         executor: HeterogeneousExecutor,
         *,
         config: BalancerConfig | None = None,
-        initial_S: int | None = None,
         mode: str = "full",
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -149,9 +148,7 @@ class DynamicLoadBalancer:
         # log-space binary search bounds
         self._lo = float(self.config.s_min)
         self._hi = float(self.config.s_max)
-        self.S = int(initial_S) if initial_S is not None else int(
-            round(math.sqrt(self._lo * self._hi))
-        )
+        self.S = int(round(math.sqrt(self._lo * self._hi)))
         self._search_steps = 0
         self._frozen = False  # static mode after search
         self._inc_entry_dominant: str | None = None

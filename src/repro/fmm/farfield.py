@@ -18,12 +18,13 @@ gradient operators to act on ``w``-wide rows, so the sweep never reduces
 or expands a row (:mod:`repro.expansions.cartesian`; the spherical back
 end is (p+1)² wide already).
 
-M2M and L2L run **one gemm per tree level over sibling octets**
+M2M and L2L run **one tree level at a time over sibling octets**
 (:class:`ShiftLevel`): a level's children fill the eight slots of their
 parents' octet rows, and one ``(8 w, w)`` stack of the eight octants' M2M
-operators at the level's shift maps each octet to its parent; L2L is the
-mirror image, one ``(w, 8 w)`` stack from a parent to its eight slots
-(:func:`m2m`, :func:`l2l`; DESIGN.md §9).
+operators at the level's shift maps each octet to its parent — eight slot
+products of one batched matmul, summed in octant order; L2L is the
+mirror image, one gemm with a ``(w, 8 w)`` stack from a parent to its
+eight slots (:func:`m2m`, :func:`l2l`; DESIGN.md §9).
 
 M2L — the term that dominates the sweep — runs over **sibling octets**:
 the V list is implied by the colleague pairs of split nodes — V(child i
@@ -225,7 +226,7 @@ class ShiftLevel:
 class FarFieldGeometry:
     """Shape-only batched-sweep artifacts for one (backend, order).
 
-    Rows index the effective-node preorder.  M2M and L2L run one gemm per
+    Rows index the effective-node preorder.  M2M and L2L run one matmul per
     tree level over the level's sibling octets (:class:`ShiftLevel`, with
     the set's two shift stacks); every M2L *class* holds aligned
     source/target row arrays plus the dense row-applied block shared by
@@ -241,7 +242,6 @@ class FarFieldGeometry:
     centers: np.ndarray  # (n_eff, 3)
     leaf_rows: np.ndarray  # rows of effective leaves, preorder
     shift_levels: list  # [ShiftLevel], deepest level first
-    m2m_by_slot: bool  # M2M sums its eight slot products one by one (Cartesian)
     m2l_classes: list  # [(src_octets, tgt_octets, block)], one per direction +-D
     n_shifts: int  # total parent<->child shifts (M2M = L2L count)
     n_m2l: int  # total V-list pairs
@@ -359,7 +359,6 @@ def far_field_geometry(
             centers=centers,
             leaf_rows=np.nonzero(tab.is_leaf)[0],
             shift_levels=shift_levels,
-            m2m_by_slot=expansion.backend == "cartesian",
             m2l_classes=m2l_classes,
             n_shifts=int(child_rows.size),
             # the cost-model unit stays the V pair
@@ -515,36 +514,29 @@ def _level_scale(levels, exponents) -> np.ndarray:
     return table[levels]
 
 
-def m2m(geom, shift, multipoles):
+def m2m(shift, multipoles):
     """The multipoles of ``shift``'s parents from its children, over the
     parents' octets with the level's M2M stack, run whole.
 
-    The children fill the slots of a zeroed ``(n_parent, k, 8, w)`` scratch
-    — every channel's eight slots contiguous, so one ``(n_parent k, 8 w) @
-    (8 w, w)`` gemm needs no transpose — and the product *assigns* the
-    parents' rows: an internal node's multipole comes from its children
-    only, all of them one level down.  With ``geom.m2m_by_slot`` (the
-    Cartesian back end) the scratch is slot-major and the eight ``(n_parent
-    k, w) @ (w, w)`` slot products are summed in octant order, as the
-    per-(level, octant) class loop sums them (DESIGN.md §9).
+    The children fill the slots of a zeroed slot-major ``(8, n_parent k,
+    w)`` scratch, and the eight ``(n_parent k, w) @ (w, w)`` slot products
+    of one batched matmul are summed in octant order, as the
+    per-(level, octant) class loop sums them (DESIGN.md §9); the sum
+    *assigns* the parents' rows: an internal node's multipole comes from
+    its children only, all of them one level down.
     """
     w = shift.m2m.shape[1]
     kids = _channels(multipoles[shift.child_rows], w)
     n, k = shift.parent_rows.size, kids.shape[1]
-    if geom.m2m_by_slot:
-        slots = np.zeros((8, n * k, w), dtype=kids.dtype)
-        slots.reshape(8, n, k, w)[shift.octant, shift.octet] = kids
-        rows, *rest = slots @ shift.m2m.reshape(8, w, w)
-        for part in rest:
-            rows += part
-    else:
-        octets = np.zeros((n, k, 8, w), dtype=kids.dtype)
-        octets[shift.octet, :, shift.octant] = kids
-        rows = octets.reshape(-1, 8 * w) @ shift.m2m
+    slots = np.zeros((8, n * k, w), dtype=kids.dtype)
+    slots.reshape(8, n, k, w)[shift.octant, shift.octet] = kids
+    rows, *rest = slots @ shift.m2m.reshape(8, w, w)
+    for part in rest:
+        rows += part
     multipoles[shift.parent_rows] = rows.reshape(n, -1)
 
 
-def l2l(geom, shift, locals_):
+def l2l(shift, locals_):
     """``shift``'s parents' locals shifted into its children: one gemm of
     the parents with the level's L2L stack, each child's slot added to the
     locals M2L left it — run whole."""
@@ -757,11 +749,11 @@ class FarFieldPass:
     # ---------------------------------------------------------------- shifts
     def m2m(self, shift: ShiftLevel) -> None:
         """Assign one level's parents' multipoles from its children."""
-        m2m(self.geom, shift, self.multipoles)
+        m2m(shift, self.multipoles)
 
     def l2l(self, shift: ShiftLevel) -> None:
         """Add one level's parents' locals into its children."""
-        l2l(self.geom, shift, self.locals_)
+        l2l(shift, self.locals_)
 
     # ---------------------------------------------------------- translation
     def m2l(self) -> None:
@@ -787,9 +779,9 @@ class FarFieldPass:
             P2M -> M2M(d) -> ... -> M2M(1) -> M2L
               -> L2L(1) -> ... -> L2L(d) -> L2P
 
-        ``M2M(l)`` / ``L2L(l)`` are one gemm each over the octets of level
-        ``l``'s parents, whatever the tree's adaptivity; ``M2L`` is one
-        task whatever the number of direction classes.
+        ``M2M(l)`` / ``L2L(l)`` are one batched matmul / one gemm over the
+        octets of level ``l``'s parents, whatever the tree's adaptivity;
+        ``M2L`` is one task whatever the number of direction classes.
         """
         if self.empty:
             return None

@@ -21,7 +21,7 @@ scalar restores bit-for-bit.
 The config fingerprint hashes everything that determines the trajectory —
 physics config, balancer thresholds, kernel parameters, machine model,
 body count, domain — and deliberately *excludes* execution knobs
-(``n_workers``, the deadline, checkpoint cadence and paths): those may
+(``n_workers``, checkpoint cadence and paths): those may
 legitimately differ between the writing and resuming process because the
 engine is bitwise-identical to the serial sweep at any worker count and
 the balancer reads the same modeled step on each.  A mismatch raises
@@ -56,7 +56,7 @@ __all__ = [
 #: bumped whenever the fingerprinted config fields change, so an older
 #: checkpoint is refused for its format version rather than reported as
 #: written under a different configuration
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: config fields that do not affect the trajectory (execution-only knobs)
 _EXECUTION_FIELDS = frozenset(
@@ -65,7 +65,6 @@ _EXECUTION_FIELDS = frozenset(
         "checkpoint_every",
         "checkpoint_path",
         "ledger_path",
-        "deadline_s",
     }
 )
 

@@ -130,9 +130,6 @@ class FaultPlan:
         self._counts = state["counts"]
         self._lock = threading.Lock()
 
-    def fired_kinds(self) -> set[str]:
-        return {kind for kind, _, _ in self.fired}
-
     def hook(
         self,
         label: str,

@@ -42,13 +42,11 @@ The engine is a *supervised* substrate (DESIGN.md §11):
   an injected raise never leaves partial state and a retry is exact.
 
 Every executed task records a real ``(label, worker, start, end)``
-interval (``time.perf_counter`` seconds relative to the run start), which
-feeds three consumers: the Perfetto "real workers" trace process
-(:meth:`repro.obs.Tracer.add_worker_lanes` with ``pid=REAL_PID``), the
-§IV-D cost model — tasks tagged with an ``op`` and an ``applications``
-count aggregate into a :class:`~repro.util.timing.TimerRegistry` whose
-coefficients come from measured wall-clock rather than the machine model —
-and the critical-path profiler (:mod:`repro.obs.critpath`).  For the
+interval (``time.perf_counter`` seconds relative to the run start), with
+the task's cost-model ``op`` and ``applications``, which feeds two
+consumers: the Perfetto "real workers" trace process
+(:meth:`repro.obs.Tracer.add_worker_lanes` with ``pid=REAL_PID``) and
+the critical-path profiler (:mod:`repro.obs.critpath`).  For the
 profiler each interval also carries its task id, its dependency edges
 (parent-span links), and the instant the task became *ready* (all deps
 done and it entered the ready queue), so ``start - ready`` is the queue
@@ -71,7 +69,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable
 
-from repro.util.timing import Deadline, SolveDeadlineError, TimerRegistry
+from repro.util.timing import Deadline, SolveDeadlineError
 
 __all__ = [
     "MAX_ATTEMPTS",
@@ -284,20 +282,6 @@ class EngineResult:
     def timeline(self) -> list[tuple[str, int, float, float]]:
         """``(label, worker, start, end)`` rows for trace-lane export."""
         return [(iv.label, iv.worker, iv.start, iv.end) for iv in self.intervals]
-
-    def op_registry(self) -> TimerRegistry:
-        """Aggregate measured per-task wall-clock into per-op timers.
-
-        Only tasks tagged with an ``op`` contribute; the result follows
-        the §IV-D convention (total seconds and total applications per
-        operation) so it can be fed straight into
-        :meth:`ObservedCoefficients.update_from_registry`.
-        """
-        reg = TimerRegistry()
-        for iv in self.intervals:
-            if iv.op is not None:
-                reg.add(iv.op, iv.duration, iv.applications)
-        return reg
 
 
 class _WorkerPool:

@@ -20,7 +20,7 @@ identical (BLAS picks kernels by shape, so ``(A @ B)[sel]`` differs from
 ``A[sel] @ B`` in the last ulp), hence the schedule never row-subsets a
 matmul:
 
-* a tree level's M2M or L2L — one gemm over its octets — runs whole on
+* a tree level's M2M or L2L — one matmul over its octets — runs whole on
   one shard, between barriers (levels spread over the shards by rows);
 * M2L — :func:`repro.fmm.farfield.m2l`, the stage every back end runs:
   its octet arrays, its class gemms and merges in class order — runs
@@ -479,7 +479,7 @@ class _WorkerState:
         for who, shift in levels:
             self._beat("m2m")
             if who == self.me:
-                farfield.m2m(geom, shift, self.v["M"])
+                farfield.m2m(shift, self.v["M"])
             self._wait()
         self._beat("m2l")
         if self.me == 0:
@@ -488,7 +488,7 @@ class _WorkerState:
         for who, shift in reversed(levels):
             self._beat("l2l")
             if who == self.me:
-                farfield.l2l(geom, shift, self.v["L"])
+                farfield.l2l(shift, self.v["L"])
             self._wait()
         self._beat("l2p")
         if plan.far_gradient:

@@ -138,16 +138,14 @@ class SolveSpec:
     (they depend on the root cell size, not on the tree; see
     :class:`repro.expansions.operators.OperatorStore`).
 
-    ``steps == 0`` is a one-shot field solve: potential + gradient for
+    A request is one field solve: potential + gradient for
     ``kernel="laplace"`` (:class:`repro.fmm.evaluator.FMMSolver`),
     velocities for ``kernel="stokeslet"`` (the composite solver: one
-    far-field pass of four charge channels).  ``steps > 0`` runs a time-stepped
-    :class:`~repro.sim.driver.Simulation` (Laplace gravity only) and
-    returns the final phase-space state.
+    far-field pass of four charge channels).
 
     ``deadline_s`` is the per-request wall-clock budget: its clock runs
     from enqueue through tree build, lists, operator geometry and every
-    stage of the sweep (and between time steps); expiry returns a
+    stage of the sweep; expiry returns a
     structured 408 whose ``details.phase`` names the stage that noticed,
     and the server stays healthy.  A deadline does not change *how* the
     request is solved.
@@ -156,14 +154,13 @@ class SolveSpec:
     near-field chunks are claimed by the solver thread and the process-wide
     helpers on the CPUs no other solve in flight holds): the server's
     parallelism is *across* requests, one solver thread per pool slot.  A spec therefore names no back end — ``workers`` or ``shards``
-    is an unknown field, which :meth:`from_dict` rejects with a 400.
+    is an unknown field, which :meth:`from_dict` rejects with a 400 — and
+    no time stepping: ``steps`` and ``dt`` are unknown fields too.
     """
 
     kernel: str = "laplace"
     n: int = 1000
     seed: int = 0
-    steps: int = 0
-    dt: float = 1e-4
     order: int = 3
     backend: str = "cartesian"
     deadline_s: float | None = None
@@ -181,14 +178,6 @@ class SolveSpec:
             )
         if not 1 <= int(self.n) <= 1_000_000:
             raise ProtocolError(f"n must be in [1, 1000000], got {self.n}")
-        if int(self.steps) < 0:
-            raise ProtocolError(f"steps must be >= 0, got {self.steps}")
-        if self.steps and self.kernel != "laplace":
-            raise ProtocolError(
-                "time-stepped runs (steps > 0) support kernel='laplace' "
-                f"only; got kernel={self.kernel!r}"
-            )
-        _require_positive_finite("dt", self.dt)
         if not 1 <= int(self.order) <= 10:
             raise ProtocolError(f"order must be in [1, 10], got {self.order}")
         if self.deadline_s is not None:

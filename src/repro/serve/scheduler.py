@@ -4,7 +4,7 @@ Two cooperating pieces:
 
 :class:`CostModelGovernor` prices a request *before* running it, as
 seconds per body learned from the walls of served solves times the
-bodies the request solves for, so the estimate tracks the machine it is
+request's ``n``, so the estimate tracks the machine it is
 actually running on.
 
 :class:`FairScheduler` holds one FIFO deque per tenant and starts jobs
@@ -66,18 +66,13 @@ def _ewma(old: float | None, new: float) -> float:
     return new if old is None else _SMOOTHING * new + (1 - _SMOOTHING) * old
 
 
-def _bodies(spec: SolveSpec) -> int:
-    """Bodies a request solves for: ``n`` once per solve it runs."""
-    return spec.n * max(1, int(spec.steps))
-
-
 class CostModelGovernor:
-    """Prices a request at learned seconds per body times its bodies.
+    """Prices a request at learned seconds per body times its ``n``.
 
     The server times a request's whole wall, not its operations, so the
     §IV-D per-operation coefficients (time on an op over its
     applications) cannot be observed here; what the walls do tell is one
-    rate, seconds per body per solve.  The governor keeps it as an EWMA
+    rate, seconds per body.  The governor keeps it as an EWMA
     per kernel and one server-wide: a request is priced at its kernel's
     rate once that kernel has been served, before that at the
     server-wide rate, and before any solve at a prior.
@@ -96,14 +91,14 @@ class CostModelGovernor:
         """Predicted wall (seconds) of one request."""
         with self._lock:
             rate = self._by_kernel.get(spec.kernel, self._rate)
-        return (_PRIOR_S_PER_BODY if rate is None else rate) * _bodies(spec)
+        return (_PRIOR_S_PER_BODY if rate is None else rate) * spec.n
 
     def observe(self, spec: SolveSpec, wall_s: float) -> None:
         """Fold one served solve's wall into its kernel's rate and the
         server-wide one."""
         if wall_s <= 0:
             return
-        rate = wall_s / _bodies(spec)
+        rate = wall_s / spec.n
         with self._lock:
             self._rate = _ewma(self._rate, rate)
             self._by_kernel[spec.kernel] = _ewma(self._by_kernel.get(spec.kernel), rate)

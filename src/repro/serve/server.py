@@ -12,8 +12,8 @@ translation operators from one process-wide
 :class:`~repro.expansions.operators.OperatorStore` (one immutable set per
 ``(backend, order, domain_size)``), which is what makes a warm solve
 cheaper than a cold one while keeping results *bitwise identical* to a
-direct :class:`~repro.sim.driver.Simulation`/solver run (sharing changes
-where operators come from, never their values).
+direct solver run (:func:`solve_direct`; sharing changes where operators
+come from, never their values).  A request is one field solve.
 
 Observability: the ``status`` verb is the one health surface (queue
 depth, active tenants, queued cost, request / shed / deadline / drain
@@ -92,11 +92,6 @@ class ServeConfig:
 
 # ------------------------------------------------------------------ workload
 
-#: the starting leaf capacity of a time-stepped served run (its balancer
-#: moves S from there; a one-shot solve chooses its own S, see _run_solve)
-_STEPPED_INITIAL_S = 32
-
-
 def _build_particles(spec: SolveSpec):
     """Canonical workload for a spec: compact Plummer in a centred cube.
 
@@ -140,16 +135,14 @@ def _solve_core(
     The budget's clock starts here, on entry: tree build, lists, operator
     geometry and the sweep all spend from one
     :class:`~repro.util.timing.Deadline`.  Raises :class:`ServeError` 408
-    naming the phase that noticed the expiry.  ``telemetry`` reaches a
-    one-shot solve only (``None``: the solvers' disabled default).
+    naming the phase that noticed the expiry.  ``telemetry`` is the
+    solver's bundle (``None``: the solvers' disabled default).
     """
     spec.validate()
     deadline = None if deadline_s is None else Deadline(deadline_s)
     try:
         if deadline is not None:
             deadline.check("queue")
-        if spec.steps > 0:
-            return _run_simulation(spec, operators, deadline)
         return _run_solve(spec, operators, deadline, telemetry)
     except SolveDeadlineError as exc:
         raise ServeError(
@@ -161,7 +154,7 @@ def _solve_core(
 
 
 def _run_solve(spec, operators, deadline, telemetry):
-    """One-shot field solve: the serial sweep, on a tree
+    """The field solve: the serial sweep, on a tree
     whose leaf capacity S the frozen cost model picks from a census of the
     request's bodies (:func:`repro.costmodel.leafsize.choose_leaf_size`) —
     a pure function of the spec, so a direct solve picks the same S.  The
@@ -202,48 +195,6 @@ def _run_solve(spec, operators, deadline, telemetry):
         "gradient": res.gradient,
         "op_counts": res.op_counts,
     }
-
-
-def _run_simulation(spec, operators, deadline):
-    """Time-stepped Laplace run: the request's deadline is checked between
-    steps, and its budget also bounds every single solve inside a step."""
-    from repro.kernels.laplace import GravityKernel
-    from repro.machine.spec import system_a
-    from repro.sim.driver import Simulation, SimulationConfig
-    from repro.tree.cache import ListCache
-
-    particles, domain = _build_particles(spec)
-    config = SimulationConfig(
-        dt=spec.dt,
-        order=spec.order,
-        forces="fmm",
-        seed=spec.seed,
-        # the default (None) is one engine thread per CPU; a served
-        # request builds no engine
-        n_workers=1,
-        deadline_s=None if deadline is None else deadline.seconds,
-        initial_S=_STEPPED_INITIAL_S,
-    )
-    sim = Simulation(
-        particles,
-        GravityKernel(G=1.0, softening=1e-3),
-        system_a(),
-        config=config,
-        domain=domain,
-        list_cache=ListCache(operators=operators),
-    )
-    with sim:
-        for _ in range(spec.steps):
-            if deadline is not None:
-                deadline.check("stepping")
-            sim.step()
-        return {
-            "kernel": spec.kernel,
-            "positions": sim.particles.positions.copy(),
-            "velocities": sim.particles.velocities.copy(),
-            "n_steps": sim.step_index,
-            "summary": sim.summary(),
-        }
 
 
 def solve_direct(spec: SolveSpec | dict) -> dict[str, Any]:
@@ -459,11 +410,11 @@ class JobServer:
             telemetry=self.telemetry,
         )
         wall = time.monotonic() - job.started_at
-        self._ledger_record(job, wall, queue_wait, result.get("S"))
+        self._ledger_record(job, wall, queue_wait, result["S"])
         return result
 
     def _ledger_record(
-        self, job: Job, wall: float, queue_wait: float, leaf_size: int | None
+        self, job: Job, wall: float, queue_wait: float, leaf_size: int
     ) -> None:
         if self.config.ledger_path is None:
             return

@@ -47,7 +47,7 @@ from repro.sim.integrators import LeapfrogIntegrator, reflect_into_box
 from repro.tree.cache import ListCache
 from repro.tree.octree import AdaptiveOctree
 from repro.util.records import EventLog
-from repro.util.timing import Deadline, TimerRegistry
+from repro.util.timing import TimerRegistry
 
 __all__ = ["Simulation", "SimulationConfig", "StepRecord"]
 
@@ -64,19 +64,12 @@ class SimulationConfig:
     #: balancer strategy: "static" (1), "enforce" (2), "full" (3)
     strategy: str = "full"
     balancer: BalancerConfig = field(default_factory=BalancerConfig)
-    initial_S: int | None = None
     seed: int = 0
     #: execution-engine worker threads for the numeric FMM solves:
     #: ``None`` = one per usable CPU, ``1`` = no engine: the exact serial
     #: sweeps (in order, their bits; the near-field tiles still run claimed
     #: on every usable CPU, DESIGN.md section 7)
     n_workers: int | None = None
-    #: abort any single FMM solve that runs longer than this many wall
-    #: seconds (``None`` = no deadline), on whichever back end runs it:
-    #: each solve gets a fresh :class:`repro.util.timing.Deadline`, and
-    #: expiry raises :class:`repro.util.timing.SolveDeadlineError` out of
-    #: :meth:`Simulation.step` (DESIGN.md §11) — never a serial re-run.
-    deadline_s: float | None = None
     #: write a checkpoint every K steps (None = disabled; must be > 0)
     checkpoint_every: int | None = None
     #: checkpoint stem; files land at ``{stem}.npz`` + ``{stem}.json``
@@ -103,11 +96,6 @@ class SimulationConfig:
             raise ValueError(
                 f"n_workers must be >= 1 (use 1 for the exact serial path), "
                 f"got {self.n_workers}"
-            )
-        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
-            raise ValueError(
-                f"deadline_s must be a positive, finite wall-clock budget in "
-                f"seconds (or None to disable), got {self.deadline_s}"
             )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError(
@@ -172,7 +160,6 @@ class Simulation:
         self.balancer = DynamicLoadBalancer(
             self.executor,
             config=self.config.balancer,
-            initial_S=self.config.initial_S,
             mode=self.config.strategy,
         )
         #: thread-pool engine for the numeric solves (None when the config
@@ -297,10 +284,8 @@ class Simulation:
     def _accelerations(self, tree: AdaptiveOctree, lists) -> np.ndarray:
         q = self.particles.strengths
         if self.solver is not None:
-            budget = self.config.deadline_s
             res = self.solver.solve(
-                tree, q, gradient=True, potential=False, lists=lists,
-                deadline=None if budget is None else Deadline(budget),
+                tree, q, gradient=True, potential=False, lists=lists
             )
             acc = res.gradient
             if not check_finite(acc):

@@ -546,11 +546,6 @@ class AdaptiveOctree:
         return spans
 
     # ------------------------------------------------------------ statistics
-    def leaf_counts(self) -> np.ndarray:
-        """Bodies per effective leaf, in :meth:`leaves` order."""
-        tab = self.node_table()
-        return tab.counts[tab.is_leaf]
-
     def stats(self) -> dict:
         tab = self.node_table()
         counts = tab.counts[tab.is_leaf]

@@ -240,7 +240,3 @@ class TestModes:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             DynamicLoadBalancer(make_executor(), mode="bogus")
-
-    def test_initial_s_respected(self):
-        lb = DynamicLoadBalancer(make_executor(), initial_S=77)
-        assert lb.S == 77

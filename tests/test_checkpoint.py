@@ -122,14 +122,14 @@ class TestCompatibilityGate:
 
     def test_version_mismatch_rejected(self, tmp_path):
         """A manifest of another version is refused for its format version;
-        version 1 hashed settings that are now constants, so it must not be
-        reported as a different configuration."""
+        versions 1 and 2 hashed settings that are now constants or gone, so
+        they must not be reported as a different configuration."""
         stem = str(tmp_path / "ck")
         with _new_sim(_config(checkpoint_every=1, checkpoint_path=stem)) as sim:
             sim.run(1)
         manifest_path = tmp_path / "ck.json"
         manifest = json.loads(manifest_path.read_text())
-        for version in (1, CHECKPOINT_VERSION + 1):
+        for version in (1, 2, CHECKPOINT_VERSION + 1):
             manifest["version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(CheckpointError, match=f"format version {version},"):
@@ -154,18 +154,19 @@ class TestCompatibilityGate:
         """A checkpoint written by an earlier build resumes under
         ``strict=True`` only while the fingerprint of the same settings
         stays byte-identical; these are the values of checkpoint format
-        version 2, whose hash no longer covers the settings that became
+        version 3, whose hash no longer covers the settings that became
         constants (the balancer's fixed thresholds, the guardrail, the
-        modeled machine's ``folded``)."""
+        modeled machine's ``folded``) or left with the time-stepped served
+        run (``initial_S``)."""
         from repro.geometry.box import Box
 
         m = _machine()
         box = Box((0.0, 0.0, 0.0), 2.0)
         assert config_fingerprint(SimulationConfig(), KERNEL, m, 300, box) == (
-            "8c65996077d6e292cf45a2447a79dcf780b439b138fb0a43e3d326365c577d19"
+            "b252f29c679ea75dcf3ea1c36a9b351b032c3b27997030cd667d4689acdff846"
         )
         assert config_fingerprint(_config(), KERNEL, m, 300, box) == (
-            "cc6bd654a9da4d0952dd0a7bb39238ea988099e4d413c78e4b68d713a01a2494"
+            "dbc5c3396f1ad9c3137a83797b4761ae6ac3a326ffdd71a2203e5dee2e029c4d"
         )
 
 

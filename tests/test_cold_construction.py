@@ -96,7 +96,7 @@ def _assert_same_tree(tree, ref):
 
 
 def _walked_stats(tree):
-    """``leaves`` / ``depth`` / ``leaf_counts`` / ``stats`` by walking the
+    """``leaves`` / ``depth`` / leaf counts / ``stats`` by walking the
     nodes, as they were computed before they read the node table."""
     eff = tree.effective_nodes()
     leaves = [nid for nid in eff if tree.nodes[nid].is_leaf]
@@ -116,7 +116,8 @@ def _assert_stats_are_the_walk(tree):
     leaves, depth, counts, stats = _walked_stats(tree)
     assert tree.leaves() == leaves
     assert tree.depth() == depth
-    got = tree.leaf_counts()
+    tab = tree.node_table()
+    got = tab.counts[tab.is_leaf]
     assert got.dtype == counts.dtype and got.tolist() == counts.tolist()
     assert tree.stats() == stats
 

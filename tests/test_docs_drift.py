@@ -176,7 +176,7 @@ _RETIRED = {
     "with a level's power-of-two factors folded in",
     "l2l" + "_at": "OperatorSet.l2l, one level-free (nc, 8 nc) stack",
     "up" + "_classes": "FarFieldGeometry.shift_levels: one ShiftLevel per tree "
-    "level; repro.fmm.farfield.m2m runs it as one gemm over octets",
+    "level; repro.fmm.farfield.m2m runs it as one batched matmul over octets",
     "down" + "_classes": "FarFieldGeometry.shift_levels, walked shallowest first "
     "by repro.fmm.farfield.l2l",
     "level" + "_groups": "none: a level is one ShiftLevel, one task",
@@ -319,8 +319,7 @@ _RETIRED = {
     "FMMResult." + "far_potential": "none: FMMResult carries the total potential only",
     "CostModelGovernor(" + "smoothing": "repro.serve.scheduler._SMOOTHING, the "
     "weight of a served wall in the governor's seconds-per-body rates",
-    "_SERVE" + "_LEAF_SIZE": "repro.costmodel.leafsize.choose_leaf_size for a one-shot "
-    "solve; repro.serve.server._STEPPED_INITIAL_S starts a time-stepped run",
+    "_SERVE" + "_LEAF_SIZE": "repro.costmodel.leafsize.choose_leaf_size",
     "leaf" + "_size=": "none: the governor prices a request per body, with no tree",
     # the serve governor is one learned seconds-per-body rate per kernel
     "estimate" + "_op_counts": "none: CostModelGovernor prices seconds per body x bodies",
@@ -353,6 +352,23 @@ _RETIRED = {
     "rows, so M2L neither reduces nor expands",
     "shift" + "_degrees": "CartesianExpansion.degrees / SphericalExpansion.degrees",
     "m2l" + "_degrees": "CartesianExpansion.degrees / SphericalExpansion.degrees",
+    # a served request is one field solve: no time-stepped run, no modelled
+    # balancer, and the settings only that run set are gone
+    "_STEPPED" + "_INITIAL_S": "none: repro.costmodel.leafsize.choose_leaf_size "
+    "picks a served request's S",
+    "spec." + "steps": "none: a served request is one field solve",
+    "spec." + "dt": "none: a served request is one field solve",
+    "SolveSpec." + "steps": "none: a served request is one field solve",
+    "SolveSpec." + "dt": "none: a served request is one field solve",
+    "SimulationConfig." + "deadline_s": "none: a simulation's solves run unbounded; "
+    "a caller bounds one solve with solve(..., deadline=Deadline(s))",
+    "initial" + "_S": "none: the balancer's first S is sqrt(s_min * s_max); set "
+    "DynamicLoadBalancer.S before the first step, as a checkpoint restore does",
+    "m2m_by" + "_slot": "none: repro.fmm.farfield.m2m sums the eight slot products "
+    "on every back end",
+    "op" + "_registry": "EngineResult.intervals: each carries its op and applications",
+    "leaf" + "_counts": "AdaptiveOctree.node_table(): counts[is_leaf]",
+    "fired" + "_kinds": "FaultPlan.fired: (kind, label, attempt) per fired fault",
 }
 
 
@@ -393,7 +409,7 @@ def test_config_field_sets_are_pinned():
     import dataclasses
 
     from repro.balance import BalancerConfig
-    from repro.serve import ServeConfig
+    from repro.serve import ServeConfig, SolveSpec
     from repro.sim.driver import SimulationConfig
 
     def names(cls):
@@ -401,9 +417,11 @@ def test_config_field_sets_are_pinned():
 
     assert names(BalancerConfig) == ["gap_threshold_frac", "s_min", "s_max", "fgo_enabled"]
     assert names(SimulationConfig) == [
-        "dt", "order", "forces", "strategy", "balancer", "initial_S", "seed",
-        "n_workers", "deadline_s", "checkpoint_every", "checkpoint_path",
-        "ledger_path",
+        "dt", "order", "forces", "strategy", "balancer", "seed", "n_workers",
+        "checkpoint_every", "checkpoint_path", "ledger_path",
+    ]
+    assert names(SolveSpec) == [
+        "kernel", "n", "seed", "order", "backend", "deadline_s", "domain_size",
     ]
     assert names(ServeConfig) == [
         "host", "port", "pool_size", "max_tenants", "shed_budget_s",

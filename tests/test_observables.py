@@ -97,9 +97,9 @@ class TestWorkloadEvolution:
             order=4,
             forces="direct",
             strategy="static",
-            initial_S=64,
             balancer=BalancerConfig(gap_threshold_frac=0.15),
         )
         sim = Simulation(ps, ker, system_a(), config=cfg)
+        sim.balancer.S = 64
         sim.run(30)
         assert total_energy(sim.particles, ker) == pytest.approx(e0, rel=0.05)

@@ -193,20 +193,6 @@ def test_cycle_detected():
                 eng.run(g)
 
 
-def test_op_registry_aggregates_tagged_tasks():
-    g = TaskGraphBuilder()
-    g.add(lambda: None, label="m1", op="M2L", applications=10)
-    g.add(lambda: None, label="m2", op="M2L", applications=5)
-    g.add(lambda: None, label="p", op="P2P", applications=7)
-    g.add(lambda: None, label="untagged")
-    with ExecutionEngine(n_workers=1) as eng:
-        reg = eng.run(g).op_registry()
-    assert reg.timers["M2L"].count == 15
-    assert reg.timers["P2P"].count == 7
-    assert set(reg.timers) == {"M2L", "P2P"}
-    assert reg.timers["M2L"].total_time > 0.0
-
-
 def test_run_in_order_walks_insertion_order():
     """The serial walk: tasks in insertion order on the calling thread, one
     span per run of same-op tasks with their summed applications, and a

@@ -68,9 +68,6 @@ class TestProtocol:
         for bad, needle in [
             ({"kernel": "coulomb"}, "kernel"),
             ({"n": 0}, "n must be"),
-            ({"steps": -1}, "steps"),
-            ({"steps": 2, "kernel": "stokeslet"}, "laplace"),
-            ({"dt": 0.0}, "dt"),
             ({"order": 0}, "order"),
             ({"workers": 0}, "workers"),
             ({"deadline_s": -1.0}, "deadline_s"),
@@ -85,7 +82,7 @@ class TestProtocol:
                     assert "\n" not in exc.message
                     raise
 
-    @pytest.mark.parametrize("field", ["domain_size", "dt", "deadline_s"])
+    @pytest.mark.parametrize("field", ["domain_size", "deadline_s"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_spec_values_are_rejected(self, field, value):
         """``json.loads`` yields all three, and ``nan <= 0`` is False; a NaN
@@ -109,11 +106,14 @@ class TestProtocol:
         with pytest.raises(ValueError, match="shed_budget_s"):
             ServeConfig(shed_budget_s=budget)
 
-    @pytest.mark.parametrize("field", [{"workers": 4}, {"folded": False}])
+    @pytest.mark.parametrize(
+        "field", [{"workers": 4}, {"folded": False}, {"steps": 2}, {"dt": 1e-4}]
+    )
     def test_back_end_fields_are_unknown_fields(self, field):
-        """A spec names no back end: ``workers`` and ``folded`` are unknown
-        fields, refused with the structured 400 at parse time (before
-        anything is queued or any thread starts)."""
+        """A spec names no back end and no time stepping: ``workers``,
+        ``folded``, ``steps`` and ``dt`` are unknown fields, refused with
+        the structured 400 at parse time (before anything is queued or any
+        thread starts)."""
         (name,) = field
         with pytest.raises(ProtocolError) as ei:
             SolveSpec.from_dict({"n": 50, **field})
@@ -233,16 +233,15 @@ class TestGovernor:
         assert 0.1 < warm < 2.0
         assert g.snapshot()["observed"] == 3
 
-    def test_price_is_linear_in_bodies_and_steps(self):
-        """A request costs seconds per body x n x its solves: cold at the
-        prior, then at the learned rate."""
+    def test_price_is_linear_in_bodies(self):
+        """A request costs seconds per body x n: cold at the prior, then at
+        the learned rate."""
         g = CostModelGovernor()
         assert g.predict(SolveSpec(n=1000)) == _PRIOR_S_PER_BODY * 1000
         g.observe(SolveSpec(n=1000), 0.2)
         base = g.predict(SolveSpec(n=1000))
         assert base == pytest.approx(0.2, rel=1e-12)
         assert g.predict(SolveSpec(n=4000)) == pytest.approx(4 * base, rel=1e-12)
-        assert g.predict(SolveSpec(n=1000, steps=10)) == pytest.approx(10 * base, rel=1e-12)
 
     def test_unserved_kernel_is_priced_at_the_server_wide_rate(self):
         g = CostModelGovernor()
@@ -754,9 +753,9 @@ class TestServedSolves:
     def test_a_served_request_builds_no_engine(
         self, monkeypatch, direct_results, far_field
     ):
-        """Every served request runs the serial sweep: a one-shot Laplace
-        solve, a Stokeslet solve and a time-stepped run all finish, bitwise
-        equal to their direct runs, with both engines unconstructible."""
+        """Every served request runs the serial sweep: a Laplace solve and
+        a Stokeslet solve both finish, bitwise equal to their direct runs,
+        with both engines unconstructible."""
         from repro.runtime.engine import ExecutionEngine
         from repro.runtime.shards import ProcessEngine
 
@@ -765,40 +764,12 @@ class TestServedSolves:
 
         monkeypatch.setattr(ExecutionEngine, "__init__", refuse)
         monkeypatch.setattr(ProcessEngine, "__init__", refuse)
-        stepped = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
         with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
             c = bg.client(in_process=True)
             laplace = c.solve(LAPLACE, tenant="t")
             stokes = c.solve(STOKES, tenant="t")
-            steps = c.solve(stepped, tenant="t")
         assert np.array_equal(laplace["potential"], direct_results["laplace"]["potential"])
         assert np.array_equal(stokes["velocity"], direct_results["stokeslet"]["velocity"])
-        assert steps["n_steps"] == 2
-        assert np.array_equal(steps["positions"], solve_direct(stepped)["positions"])
-
-    def test_simulation_steps_bitwise_identical(self, monkeypatch):
-        """A served time-stepped run equals its direct run bitwise, and its
-        S search gates on 0.15 x the modeled compute time like every other
-        program: an absolute 0.15 s gate would end the search on the first
-        millisecond step, so the second step would not search."""
-        from repro.balance.controller import DynamicLoadBalancer
-
-        search_steps = []
-        search_step = DynamicLoadBalancer._search_step
-
-        def counting(self, *args):
-            search_steps.append(self.S)
-            return search_step(self, *args)
-
-        spec = {"kernel": "laplace", "n": 250, "seed": 1, "steps": 2, "dt": 1e-4}
-        direct = solve_direct(spec)
-        monkeypatch.setattr(DynamicLoadBalancer, "_search_step", counting)
-        with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
-            out = bg.client(in_process=True).solve(spec, tenant="sim")
-        assert len(search_steps) == 2  # both served steps searched
-        assert out["n_steps"] == 2
-        assert np.array_equal(out["positions"], direct["positions"])
-        assert np.array_equal(out["velocities"], direct["velocities"])
 
     def test_reply_and_ledger_name_the_chosen_S(self, tmp_path):
         """A one-shot reply and its ledger record carry the S the request
@@ -1168,8 +1139,8 @@ class TestOperatorStatsUniformity:
 # ------------------------------------------------------------ retained memory
 #: what 41 answered requests may leave behind once collected (~45 KB of
 #: allocator and cache warm-up that stops growing, on x86-64 CPython
-#: 3.11); requests that kept their trace events (~12 per one-shot solve,
-#: thousands per time-stepped one) retained ~540 KB here
+#: 3.11); requests that kept their trace events (~12 per solve)
+#: retained ~540 KB here
 RETAINED_BOUND_BYTES = 128 << 10
 
 
@@ -1179,29 +1150,27 @@ def test_served_requests_retain_nothing():
     import gc
     import tracemalloc
 
-    def spec(i, **extra):
+    def spec(i):
         kernel = "stokeslet" if i % 5 == 4 else "laplace"
-        return {"kernel": kernel, "n": 300, "order": 3, "seed": i, **extra}
+        return {"kernel": kernel, "n": 300, "order": 3, "seed": i}
 
     with BackgroundServer(ServeConfig(pool_size=1), tcp=False) as bg:
         c = bg.client(in_process=True)
-        # warm every path the measured requests take: both kernels and a
-        # time-stepped run (imports, the operator set, compiled kernels)
-        for i in range(4):
-            c.solve(spec(i + 1))
-        c.solve(spec(0, steps=3))
+        # warm every path the measured requests take: both kernels
+        # (imports, the operator set, compiled kernels)
+        for i in range(5):
+            c.solve(spec(i))
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for i in range(40):
                 c.solve(spec(100 + i))
-            c.solve(spec(200, steps=3))
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
     assert grown < RETAINED_BOUND_BYTES, (
-        f"41 served requests retained {grown} bytes "
+        f"40 served requests retained {grown} bytes "
         f"(bound {RETAINED_BOUND_BYTES})"
     )

@@ -371,11 +371,12 @@ def test_balancer_trajectory_is_the_same_on_every_back_end():
     }
     runs = {}
     for name, kw in back_ends.items():
-        cfg = SimulationConfig(order=3, initial_S=24, **kw)
+        cfg = SimulationConfig(order=3, **kw)
         with Simulation(
             compact_plummer(1200, seed=43), GravityKernel(G=1.0, softening=1e-3),
             system_a(), config=cfg,
         ) as sim:
+            sim.balancer.S = 24
             path = [(rec.S, rec.state) for rec in (sim.step() for _ in range(6))]
             assert (sim.engine is None) == (name == "serial")
             runs[name] = (path, sim.particles.positions.copy())

@@ -123,13 +123,12 @@ class TestSimulation:
         ker = GravityKernel(G=1.0, softening=1e-3)
         mach = system_a()
         cfg_d = SimulationConfig(dt=1e-4, order=5, forces="direct", strategy="static",
-                                 initial_S=64,
                                  balancer=BalancerConfig(gap_threshold_frac=0.15))
         cfg_f = SimulationConfig(dt=1e-4, order=5, forces="fmm", strategy="static",
-                                 initial_S=64,
                                  balancer=BalancerConfig(gap_threshold_frac=0.15))
         sim_d = Simulation(ps1, ker, mach, config=cfg_d)
         sim_f = Simulation(ps2, ker, mach, config=cfg_f)
+        sim_d.balancer.S = sim_f.balancer.S = 64
         for _ in range(3):
             sim_d.step()
             sim_f.step()
@@ -209,9 +208,9 @@ class TestSimulation:
         ps = plummer(300, seed=4, total_mass=1.0)
         ker = GravityKernel(G=1.0, softening=1e-2)
         cfg = SimulationConfig(dt=1e-3, order=4, forces="direct", strategy="static",
-                               initial_S=64,
                                balancer=BalancerConfig(gap_threshold_frac=0.15))
         sim = Simulation(ps, ker, system_a(), config=cfg)
+        sim.balancer.S = 64
 
         def energy():
             p = sim.particles
@@ -233,12 +232,11 @@ class TestSimulation:
 
     @pytest.mark.parametrize(
         "field",
-        [{"dt": float("nan")}, {"dt": float("inf")},
-         {"deadline_s": float("nan")}, {"deadline_s": float("inf")}],
+        [{"dt": float("nan")}, {"dt": float("inf")}],
     )
     def test_non_finite_config_rejected(self, field):
         """``nan <= 0`` is False, so a bare sign check let NaN through: a
-        NaN deadline never expires."""
+        NaN time step would poison every position."""
         (name,) = field
         with pytest.raises(ValueError, match=name):
             SimulationConfig(**field)
